@@ -20,13 +20,13 @@ import (
 // FIFO order — under pipelined input, arbitrary packet boundaries, and
 // parks that suspend a run in the middle.
 
-// batchTestServer builds a one-codec server on a manual clock with the
-// given batching mode.
+// batchTestServer builds a two-codec server (two engines) on one manual
+// clock with the given batching mode.
 func batchTestServer(t testing.TB, mode BatchMode) (*Server, *vdev.ManualClock) {
 	t.Helper()
 	clk := vdev.NewManualClock(8000)
 	srv, err := New(Options{
-		Devices:  []DeviceSpec{{Kind: "codec", Clock: clk}},
+		Devices:  []DeviceSpec{{Kind: "codec", Clock: clk}, {Kind: "codec", Clock: clk}},
 		Logf:     func(string, ...any) {},
 		Batching: mode,
 	})
@@ -167,17 +167,41 @@ func batchScript(script []byte) []byte {
 	return w.Buf
 }
 
-// batchReplyStream runs one script against a fresh server in the given
-// batching mode and returns the complete reply byte stream. seed != 0
-// fragments the client's writes into tiny chunks at seeded-random
+// wholeRequests counts the complete, well-formed requests at the head of
+// stream — everything the server's reader will frame before it hits a
+// malformed header, a partial tail, or the end.
+func wholeRequests(stream []byte) (n int) {
+	for len(stream) >= 4 {
+		size := int(binary.LittleEndian.Uint16(stream[2:])) * 4
+		if size < 4 || size > len(stream) {
+			break
+		}
+		stream = stream[size:]
+		n++
+	}
+	return n
+}
+
+// parkAdvance is how far the harness moves the manual clock each time it
+// finds the connection parked: past the whole buffer horizon, so any
+// parked play or blocking record resolves on the next update.
+const parkAdvance = 48000
+
+// batchReplyStream runs one request stream against a fresh server in the
+// given batching mode and returns the complete reply byte stream. seed !=
+// 0 fragments the client's writes into tiny chunks at seeded-random
 // boundaries, so the batching reader sees every possible split of the
 // same logical stream.
+//
+// Device time is part of the fingerprint (every reply carries it), so it
+// moves only at points the stream itself fixes: a head start before the
+// connection opens, then parkAdvance each time the connection parks —
+// the one moment nothing else of the stream can be dispatched.
 func batchReplyStream(t *testing.T, mode BatchMode, stream []byte, seed int64) []byte {
 	t.Helper()
 	srv, clk := batchTestServer(t, mode)
 	// Give device time a head start so the script's record windows are
-	// already captured (identically on both servers: the manual clock
-	// never moves again).
+	// already captured.
 	clk.Advance(4096)
 	srv.Sync()
 
@@ -201,8 +225,35 @@ func batchReplyStream(t *testing.T, mode BatchMode, stream []byte, seed int64) [
 	if _, err := wc.Write(stream); err != nil {
 		t.Fatal(err)
 	}
-	// Half-close: the server reader sees EOF once it has consumed every
-	// frame, tears the session down, and the writer flushes the tail.
+	// Half-close only once every whole request has been dispatched and no
+	// park is outstanding: an EOF that overtakes a parked request would
+	// discard it instead of answering it.
+	want := uint64(wholeRequests(stream))
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		// Read before the park gauge: a request is counted after any park
+		// it causes is registered, so "all dispatched, none parked" cannot
+		// miss a park at the tail.
+		done := srv.requestCount.Load() == want
+		parked := false
+		for _, e := range srv.engines {
+			parked = parked || e.m.parkedNow.Load() != 0
+		}
+		if parked {
+			clk.Advance(parkAdvance)
+			srv.Sync()
+			continue
+		}
+		if done {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("server dispatched %d of %d requests", srv.requestCount.Load(), want)
+		}
+		time.Sleep(200 * time.Microsecond)
+	}
+	// The server reader sees EOF once it has consumed every frame, tears
+	// the session down, and the writer flushes the tail.
 	if err := tc.CloseWrite(); err != nil {
 		t.Fatal(err)
 	}
