@@ -3,31 +3,28 @@ package aserver
 import (
 	"bufio"
 	"encoding/binary"
+	"fmt"
 	"testing"
 
 	"audiofile/internal/proto"
 )
 
-// Batching throughput benchmarks. BenchmarkSmallOpFlood is the headline
-// A/B: the full server path (framing, dispatch, reply egress) under a
-// pipelined small-op flood, with and without batching. Both are
-// allocation gates: the steady state must not allocate per request.
+// Hot-path throughput benchmarks. BenchmarkSmallOpFlood drives the full
+// server path (framing, dispatch, reply egress) with small ops at two
+// input shapes: pipelined bursts, which coalesce into dispatch groups,
+// and strict request/reply alternation, where every group has length
+// one. Both are allocation gates: the steady state must not allocate per
+// request.
 
-// BenchmarkSmallOpFlood pumps pipelined bursts of GetTimes and 64-byte
-// plays through a real connection (handshake, reader goroutine, writer
-// goroutine) and reads every reply. One benchmark iteration is one
-// request, so ops/sec compares directly across the batch modes.
+// BenchmarkSmallOpFlood pumps GetTimes and 64-byte plays through a real
+// connection (handshake, reader goroutine, writer goroutine), burst
+// requests per write, and reads every reply before the next write. One
+// benchmark iteration is one request, so ops/sec compares directly
+// across the burst sizes.
 func BenchmarkSmallOpFlood(b *testing.B) {
-	modes := []struct {
-		name string
-		mode BatchMode
-	}{
-		{"batch=auto", BatchAuto},
-		{"batch=off", BatchOff},
-	}
-	for _, m := range modes {
-		b.Run(m.name, func(b *testing.B) {
-			srv, clk := batchTestServer(b, m.mode)
+	for _, burst := range []int{32, 1} {
+		b.Run(fmt.Sprintf("burst=%d", burst), func(b *testing.B) {
+			srv, clk := batchTestServer(b)
 			clk.Advance(4096)
 			srv.Sync()
 			conn := srv.DialPipe()
@@ -43,37 +40,47 @@ func BenchmarkSmallOpFlood(b *testing.B) {
 				b.Fatal(err)
 			}
 
-			// One pipelined burst: half GetTimes, half 64-byte plays at
-			// the frozen device time (mixed in place, never parked).
-			const burst = 32
-			w.Reset()
+			// One cycle of traffic: 32 requests alternating GetTimes and
+			// 64-byte plays at the frozen device time (mixed in place,
+			// never parked), cut into writes of burst requests each.
+			const cycle = 32
+			var writes [][]byte
 			data := make([]byte, 64)
-			for i := 0; i < burst/2; i++ {
-				if err := proto.AppendDeviceReq(&w, proto.OpGetTime, 0); err != nil {
-					b.Fatal(err)
+			for i := 0; i < cycle; i += burst {
+				w := proto.Writer{Order: binary.LittleEndian}
+				for k := i; k < i+burst; k++ {
+					var err error
+					if k%2 == 0 {
+						err = proto.AppendDeviceReq(&w, proto.OpGetTime, 0)
+					} else {
+						err = proto.AppendPlaySamples(&w, proto.PlaySamplesReq{
+							AC: 1, Time: 4096, Data: data,
+						})
+					}
+					if err != nil {
+						b.Fatal(err)
+					}
 				}
-				if err := proto.AppendPlaySamples(&w, proto.PlaySamplesReq{
-					AC: 1, Time: 4096, Data: data,
-				}); err != nil {
-					b.Fatal(err)
-				}
+				writes = append(writes, w.Buf)
 			}
-			buf := w.Buf
 
 			var msg proto.Message
 			b.ReportAllocs()
 			b.ResetTimer()
-			for done := 0; done < b.N; done += burst {
-				if _, err := conn.Write(buf); err != nil {
-					b.Fatal(err)
-				}
-				for i := 0; i < burst; i++ {
-					if err := proto.ReadMessageInto(br, binary.LittleEndian, &msg); err != nil {
+			for done := 0; done < b.N; {
+				for _, buf := range writes {
+					if _, err := conn.Write(buf); err != nil {
 						b.Fatal(err)
 					}
-					if msg.Reply == nil {
-						b.Fatalf("want reply, got %+v", msg)
+					for i := 0; i < burst; i++ {
+						if err := proto.ReadMessageInto(br, binary.LittleEndian, &msg); err != nil {
+							b.Fatal(err)
+						}
+						if msg.Reply == nil {
+							b.Fatalf("want reply, got %+v", msg)
+						}
 					}
+					done += burst
 				}
 			}
 		})
@@ -81,42 +88,32 @@ func BenchmarkSmallOpFlood(b *testing.B) {
 }
 
 // BenchmarkDispatchBatch isolates the dispatch layer: sixteen GetTimes
-// served as one coalesced group (one lock acquisition, one staged
-// message) versus sixteen standalone dispatches (a lock and a wire
-// message each). One iteration is one request.
+// served as one group (one lock acquisition, one staged message) versus
+// sixteen groups of one (a lock and a message each). One iteration is
+// one request.
 func BenchmarkDispatchBatch(b *testing.B) {
 	body := make([]byte, 4) // device 0 in either byte order
-
-	b.Run("group16", func(b *testing.B) {
-		srv, c, clk, cleanup := benchServer(b)
-		defer cleanup()
-		clk.Advance(4096)
-		e := srv.engineByDev[0]
-		run := make([]runFrame, 16)
-		for i := range run {
-			run[i] = runFrame{op: proto.OpGetTime, frame: &body}
-		}
-		req := &request{c: c}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i += len(run) {
-			srv.dispatchHotGroup(c, e, run, req)
-			drainOut(c)
-		}
-	})
-
-	b.Run("single16", func(b *testing.B) {
-		srv, c, clk, cleanup := benchServer(b)
-		defer cleanup()
-		clk.Advance(4096)
-		req := &request{c: c, op: proto.OpGetTime, body: body}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i += 16 {
-			for k := 0; k < 16; k++ {
-				srv.dispatchHot(req)
+	run := make([]runFrame, 16)
+	for i := range run {
+		run[i] = runFrame{op: proto.OpGetTime, frame: &body}
+	}
+	for _, bc := range []struct {
+		name string
+		size int
+	}{{"group16", 16}, {"group1x16", 1}} {
+		b.Run(bc.name, func(b *testing.B) {
+			srv, c, clk, cleanup := benchServer(b)
+			defer cleanup()
+			clk.Advance(4096)
+			req := &request{c: c}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i += len(run) {
+				for k := 0; k < len(run); k += bc.size {
+					srv.dispatchHotGroup(c, run[k:k+bc.size], req)
+				}
+				drainOut(c)
 			}
-			drainOut(c)
-		}
-	})
+		})
+	}
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"io"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -14,21 +15,19 @@ import (
 	"audiofile/internal/vdev"
 )
 
-// Batching correctness: the coalesced ingress path (frameMore +
-// dispatchRun + staged egress) must be observationally identical to the
-// one-at-a-time path — same replies, same bytes, same per-connection
-// FIFO order — under pipelined input, arbitrary packet boundaries, and
-// parks that suspend a run in the middle.
+// Batching correctness: how requests arrive — pipelined into one run,
+// split at arbitrary packet boundaries, or strictly one at a time — must
+// not be observable. Same replies, same bytes, same per-connection FIFO
+// order, including across parks that suspend a run in the middle.
 
 // batchTestServer builds a two-codec server (two engines) on one manual
-// clock with the given batching mode.
-func batchTestServer(t testing.TB, mode BatchMode) (*Server, *vdev.ManualClock) {
+// clock.
+func batchTestServer(t testing.TB) (*Server, *vdev.ManualClock) {
 	t.Helper()
 	clk := vdev.NewManualClock(8000)
 	srv, err := New(Options{
-		Devices:  []DeviceSpec{{Kind: "codec", Clock: clk}, {Kind: "codec", Clock: clk}},
-		Logf:     func(string, ...any) {},
-		Batching: mode,
+		Devices: []DeviceSpec{{Kind: "codec", Clock: clk}, {Kind: "codec", Clock: clk}},
+		Logf:    func(string, ...any) {},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -57,12 +56,12 @@ func handshake(t testing.TB, w io.Writer, r io.Reader) {
 
 // TestBatchParkMidRunFIFO pipelines one write carrying a control op, a
 // play that parks beyond the buffer horizon, and a tail of GetTimes.
-// The whole burst lands in the framing buffer at once, so the batching
-// reader coalesces it into a single ingress run; the park must suspend
+// The whole burst lands in the framing buffer at once, so the reader
+// coalesces it into a single ingress run; the park must suspend
 // that run — no reply for anything behind the parked play until it
 // resolves — and the replies must come back in request order.
 func TestBatchParkMidRunFIFO(t *testing.T) {
-	srv, clk := batchTestServer(t, BatchAuto)
+	srv, clk := batchTestServer(t)
 	conn := srv.DialPipe()
 	defer conn.Close()
 	br := bufio.NewReader(conn)
@@ -125,11 +124,10 @@ func TestBatchParkMidRunFIFO(t *testing.T) {
 
 // batchScript turns fuzz bytes into a pipelined request stream over a
 // small op alphabet: valid and invalid hot ops (staged replies, staged
-// errors, standalone error paths), control ops that force a run flush
-// (round-trip Sync, reply-less NoOp), and — keyed off the script length
-// so both servers see the same stream — a trailing partial header or a
-// malformed one (length under a unit), which must stop the connection at
-// the same point on both paths.
+// errors), control ops that split a run (round-trip Sync, reply-less
+// NoOp), and — keyed off the script length — a trailing partial header or
+// a malformed one (length under a unit), which must stop the connection
+// at the same point however the stream is delivered.
 func batchScript(script []byte) []byte {
 	w := proto.Writer{Order: binary.LittleEndian}
 	proto.AppendCreateAC(&w, proto.CreateACReq{AC: 1, Device: 0}) //nolint:errcheck
@@ -137,7 +135,7 @@ func batchScript(script []byte) []byte {
 		switch b % 7 {
 		case 0:
 			proto.AppendDeviceReq(&w, proto.OpGetTime, 0) //nolint:errcheck
-		case 1: // unknown device: standalone dispatch, error reply
+		case 1: // unknown device: error reply
 			proto.AppendDeviceReq(&w, proto.OpGetTime, 99) //nolint:errcheck
 		case 2:
 			data := make([]byte, int(b>>3))
@@ -146,7 +144,7 @@ func batchScript(script []byte) []byte {
 			}
 			proto.AppendPlaySamples(&w, proto.PlaySamplesReq{ //nolint:errcheck
 				AC: 1, Time: 4096, Data: data})
-		case 3: // unknown AC: standalone dispatch, error reply
+		case 3: // unknown AC: error reply
 			proto.AppendPlaySamples(&w, proto.PlaySamplesReq{ //nolint:errcheck
 				AC: 9, Time: 4096, Data: []byte{1, 2, 3, 4}})
 		case 4: // non-blocking record of an already-captured window
@@ -167,19 +165,19 @@ func batchScript(script []byte) []byte {
 	return w.Buf
 }
 
-// wholeRequests counts the complete, well-formed requests at the head of
-// stream — everything the server's reader will frame before it hits a
-// malformed header, a partial tail, or the end.
-func wholeRequests(stream []byte) (n int) {
-	for len(stream) >= 4 {
-		size := int(binary.LittleEndian.Uint16(stream[2:])) * 4
-		if size < 4 || size > len(stream) {
+// wholeRequests returns the end offset of each complete, well-formed
+// request at the head of stream — everything the server's reader will
+// frame before it hits a malformed header, a partial tail, or the end.
+func wholeRequests(stream []byte) (ends []int) {
+	for off := 0; len(stream)-off >= 4; {
+		size := int(binary.LittleEndian.Uint16(stream[off+2:])) * 4
+		if size < 4 || off+size > len(stream) {
 			break
 		}
-		stream = stream[size:]
-		n++
+		off += size
+		ends = append(ends, off)
 	}
-	return n
+	return ends
 }
 
 // parkAdvance is how far the harness moves the manual clock each time it
@@ -187,19 +185,24 @@ func wholeRequests(stream []byte) (n int) {
 // parked play or blocking record resolves on the next update.
 const parkAdvance = 48000
 
-// batchReplyStream runs one request stream against a fresh server in the
-// given batching mode and returns the complete reply byte stream. seed !=
-// 0 fragments the client's writes into tiny chunks at seeded-random
-// boundaries, so the batching reader sees every possible split of the
-// same logical stream.
+// batchReplyStream runs one request stream against a fresh server and
+// returns the complete reply byte stream. Delivery is the variable:
+//
+//   - lockstep: one request per write, the next written only once the
+//     server has dispatched the one before, so every ingress run — and
+//     every dispatch group — has length one;
+//   - otherwise one write of the whole stream, so the reader coalesces
+//     whatever lands in its framing buffer; seed != 0 fragments that
+//     write into 1–5-byte chunks at seeded-random boundaries, so runs
+//     start and end at every possible split of the same logical stream.
 //
 // Device time is part of the fingerprint (every reply carries it), so it
 // moves only at points the stream itself fixes: a head start before the
 // connection opens, then parkAdvance each time the connection parks —
 // the one moment nothing else of the stream can be dispatched.
-func batchReplyStream(t *testing.T, mode BatchMode, stream []byte, seed int64) []byte {
+func batchReplyStream(t *testing.T, stream []byte, seed int64, lockstep bool) []byte {
 	t.Helper()
-	srv, clk := batchTestServer(t, mode)
+	srv, clk := batchTestServer(t)
 	// Give device time a head start so the script's record windows are
 	// already captured.
 	clk.Advance(4096)
@@ -222,38 +225,55 @@ func batchReplyStream(t *testing.T, mode BatchMode, stream []byte, seed int64) [
 	}
 	br := bufio.NewReader(tc)
 	handshake(t, wc, br)
-	if _, err := wc.Write(stream); err != nil {
+
+	// awaitDispatched returns once the server has dispatched want requests
+	// and the connection is not parked, advancing the clock past every
+	// park it meets on the way.
+	awaitDispatched := func(want int) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			// Read before the park gauge: a request is counted after any
+			// park it causes is registered, so "all dispatched, none
+			// parked" cannot miss a park at the tail.
+			done := srv.requestCount.Load() == uint64(want)
+			parked := false
+			for _, e := range srv.engines {
+				parked = parked || e.m.parkedNow.Load() != 0
+			}
+			switch {
+			case parked:
+				clk.Advance(parkAdvance)
+				srv.Sync()
+			case done:
+				return
+			case time.Now().After(deadline):
+				t.Fatalf("server dispatched %d of %d requests", srv.requestCount.Load(), want)
+			default:
+				runtime.Gosched()
+			}
+		}
+	}
+	ends := wholeRequests(stream)
+	sent := 0
+	if lockstep {
+		for i, end := range ends {
+			if _, err := wc.Write(stream[sent:end]); err != nil {
+				t.Fatal(err)
+			}
+			sent = end
+			awaitDispatched(i + 1)
+		}
+	}
+	if _, err := wc.Write(stream[sent:]); err != nil {
 		t.Fatal(err)
 	}
 	// Half-close only once every whole request has been dispatched and no
 	// park is outstanding: an EOF that overtakes a parked request would
-	// discard it instead of answering it.
-	want := uint64(wholeRequests(stream))
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		// Read before the park gauge: a request is counted after any park
-		// it causes is registered, so "all dispatched, none parked" cannot
-		// miss a park at the tail.
-		done := srv.requestCount.Load() == want
-		parked := false
-		for _, e := range srv.engines {
-			parked = parked || e.m.parkedNow.Load() != 0
-		}
-		if parked {
-			clk.Advance(parkAdvance)
-			srv.Sync()
-			continue
-		}
-		if done {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("server dispatched %d of %d requests", srv.requestCount.Load(), want)
-		}
-		time.Sleep(200 * time.Microsecond)
-	}
-	// The server reader sees EOF once it has consumed every frame, tears
-	// the session down, and the writer flushes the tail.
+	// discard it instead of answering it. The server reader then sees EOF
+	// (or the malformed tail), tears the session down, and the writer
+	// flushes what is queued.
+	awaitDispatched(len(ends))
 	if err := tc.CloseWrite(); err != nil {
 		t.Fatal(err)
 	}
@@ -267,13 +287,16 @@ func batchReplyStream(t *testing.T, mode BatchMode, stream []byte, seed int64) [
 	return replies
 }
 
-// FuzzBatchFraming feeds the same pipelined request stream to a batching
-// server (through fragmented writes, so runs start at arbitrary packet
-// boundaries) and a one-at-a-time server, and requires the two reply
+// FuzzBatchFraming sends the same scripted request stream twice — once
+// coalesced, as a single write through seeded fragmentation, so runs form
+// at arbitrary packet boundaries; once in lockstep, one request per
+// write, so every run has length one — and requires the two reply
 // streams to agree byte for byte. Per-connection FIFO plus deterministic
 // devices make the full reply stream — replies, staged concatenations,
 // error messages, and the teardown point — a complete observational
-// fingerprint of the dispatch path.
+// fingerprint of the dispatch path, so grouping cannot be observable.
+// (TestHotPathGolden anchors the same streams to bytes recorded from the
+// one-at-a-time dispatcher this path replaced.)
 func FuzzBatchFraming(f *testing.F) {
 	f.Add([]byte{}, int64(1))
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6}, int64(2))
@@ -289,10 +312,10 @@ func FuzzBatchFraming(f *testing.F) {
 			seed = 1
 		}
 		stream := batchScript(script)
-		want := batchReplyStream(t, BatchOff, stream, 0)
-		got := batchReplyStream(t, BatchAuto, stream, seed)
+		want := batchReplyStream(t, stream, 0, true)
+		got := batchReplyStream(t, stream, seed, false)
 		if !bytes.Equal(got, want) {
-			t.Fatalf("batched reply stream differs from one-at-a-time:\nbatched   %d bytes: %x\nunbatched %d bytes: %x",
+			t.Fatalf("coalesced reply stream differs from lockstep:\ncoalesced %d bytes: %x\nlockstep  %d bytes: %x",
 				len(got), got, len(want), want)
 		}
 	})

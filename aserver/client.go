@@ -106,11 +106,11 @@ type client struct {
 	acs        map[uint32]*ac
 	eventMasks map[int]uint32 // guarded by Server.clientMu
 
-	// stage coalesces small replies generated while dispatching a run
-	// (stagedReply/flushStage). Touched only by the goroutine inside
-	// dispatchHotGroup and always flushed before the group's engine lock
-	// drops, so it is empty between groups and teardown never finds bytes
-	// here.
+	// stage coalesces small replies generated while dispatching a group
+	// (stagedReply/stagedError/flushStage). Touched only by the goroutine
+	// inside dispatchHotGroup and always flushed before the group's engine
+	// lock drops, so it is empty between groups and teardown never finds
+	// bytes here.
 	stage *wireMsg
 
 	removed bool // loop-side flag: removeClient already ran
@@ -297,16 +297,15 @@ const maxRunLen = 32
 // disconnect detection live while parked; the barrier before dispatch
 // keeps per-connection FIFO order.
 //
-// With batching on, after the blocking read frames one request the
-// reader peeks the framing buffer and frames every further request
-// already sitting whole in it (frameMore); the run then dispatches as a
-// unit, with consecutive same-engine hot ops served under one lock
-// acquisition (dispatchRun).
+// After the blocking read frames one request the reader peeks the
+// framing buffer and frames every further request already sitting whole
+// in it (frameMore); the run then dispatches as a unit, with consecutive
+// same-engine hot ops served under one lock acquisition (dispatchRun).
 func (c *client) reader() {
 	br := bufio.NewReaderSize(c.conn, readerBufBytes)
 	var hdr [4]byte
-	req := &request{c: c}              // reused across hot requests; parks copy out of it
-	var await *parked                  // outstanding blocked request, if any
+	req := &request{c: c} // reused across hot requests; parks copy out of it
+	var await *parked     // outstanding blocked request, if any
 	run := make([]runFrame, 0, maxRunLen)
 	for {
 		if _, err := io.ReadFull(br, hdr[:]); err != nil {
@@ -322,10 +321,7 @@ func (c *client) reader() {
 			c.s.putFrame(framep)
 			break
 		}
-		run = append(run[:0], runFrame{op, ext, framep})
-		if c.s.batching {
-			run = c.frameMore(br, run)
-		}
+		run = c.frameMore(br, append(run[:0], runFrame{op, ext, framep}))
 		cont, p := c.dispatchRun(run, await, req)
 		if !cont {
 			return
@@ -347,8 +343,7 @@ func (c *client) reader() {
 // complete body is also buffered, so a partial tail stays for the main
 // loop's blocking path to finish reading. A malformed header (length
 // under one unit) is left unconsumed too — the main loop rejects it on
-// its next iteration, after the current run has been dispatched, exactly
-// where the one-at-a-time path would have stopped.
+// its next iteration, after the current run has been dispatched.
 func (c *client) frameMore(br *bufio.Reader, run []runFrame) []runFrame {
 	for len(run) < maxRunLen && br.Buffered() >= 4 {
 		hdr, err := br.Peek(4)
@@ -373,14 +368,13 @@ func (c *client) frameMore(br *bufio.Reader, run []runFrame) []runFrame {
 }
 
 // dispatchRun dispatches a framed run in order: control ops round-trip
-// through the loop one at a time, hot ops the shallow decode can place
-// are grouped by engine and served under one lock acquisition, and
-// everything else dispatches standalone. A park suspends the run at the
-// parked request; the remaining frames dispatch after the park resolves,
-// preserving per-connection FIFO order. It returns cont=false when the
-// connection is being torn down (the caller returns without the
-// unregister handshake, as the one-at-a-time path did) and the
-// outstanding park, if any.
+// through the loop one at a time, and each stretch of hot ops goes to
+// dispatchHotGroup, which serves same-engine neighbours under one lock
+// acquisition. A park suspends the run at the parked request; the
+// remaining frames dispatch after the park resolves, preserving
+// per-connection FIFO order. It returns cont=false when the connection
+// is being torn down (the caller returns without the unregister
+// handshake) and the outstanding park, if any.
 func (c *client) dispatchRun(run []runFrame, await *parked, req *request) (cont bool, _ *parked) {
 	i := 0
 	for i < len(run) {
@@ -423,46 +417,25 @@ func (c *client) dispatchRun(run []runFrame, await *parked, req *request) (cont 
 			i++
 			continue
 		}
-		// Group consecutive hot requests the shallow decode places on the
-		// same engine. hotEngine is evaluated here — after any control
-		// round trip earlier in the run — so AC mutations ordered by those
-		// round trips are visible.
-		var e *engine
-		if c.s.batching {
-			e = c.s.hotEngine(c, rf)
-		}
-		j := i + 1
-		for e != nil && j < len(run) && hotOp(run[j].op) && c.s.hotEngine(c, run[j]) == e {
-			j++
-		}
-		if e == nil || j == i+1 {
-			// Standalone: unknown destination (the dispatcher produces the
-			// proper error reply) or a group of one.
-			req.op, req.ext, req.body, req.frame, req.done = rf.op, rf.ext, *rf.frame, rf.frame, nil
-			p := c.s.dispatchHot(req)
-			if p == nil {
-				c.s.putFrame(rf.frame)
-			}
-			// On park the frame now belongs to the parked state; it
-			// returns to the pool when the park finishes.
-			await = p
-			i++
-			continue
-		}
-		consumed, p := c.s.dispatchHotGroup(c, e, run[i:j], req)
-		for k := i; k < i+consumed; k++ {
-			if p != nil && k == i+consumed-1 {
-				break // the parked request's frame belongs to the park now
-			}
-			c.s.putFrame(run[k].frame)
-		}
-		await = p
+		// The group is placed here — after any control round trip earlier
+		// in the run — so AC mutations ordered by those round trips are
+		// visible to it.
+		consumed, p := c.s.dispatchHotGroup(c, run[i:], req)
 		i += consumed
+		served := run[i-consumed : i]
+		if p != nil {
+			// The parked request's frame belongs to the park now; it
+			// returns to the pool when the park finishes.
+			served = served[:consumed-1]
+		}
+		c.putFrames(served)
+		await = p
 	}
 	return true, await
 }
 
-// putFrames returns a run's remaining pooled frames on an abort path.
+// putFrames returns framed requests' pooled frames: the served part of a
+// run, or what remains of it on an abort path.
 func (c *client) putFrames(run []runFrame) {
 	for _, rf := range run {
 		c.s.putFrame(rf.frame)
@@ -740,68 +713,67 @@ func finishRecordReply(c *client, a *ac, m *wireMsg, n int, now uint32, flags ui
 	c.send(m)
 }
 
-// sendReply marshals and queues a reply for the request carrying seq.
-func (c *client) sendReply(p *proto.Reply, seq uint16) {
+// appendReply marshals a reply for the request carrying seq onto m.
+func (c *client) appendReply(m *wireMsg, p *proto.Reply, seq uint16) {
 	p.Seq = seq
-	m := getMsg("reply")
 	w := proto.Writer{Order: c.order, Buf: m.buf}
 	p.Encode(&w)
 	m.buf = w.Buf
-	c.send(m)
 }
 
-// sendError marshals and queues a protocol error for the request
-// carrying seq.
-func (c *client) sendError(code uint8, badValue uint32, op uint8, seq uint16) {
+// appendError marshals a protocol error for the request carrying seq
+// onto m.
+func (c *client) appendError(m *wireMsg, code uint8, badValue uint32, op uint8, seq uint16) {
 	c.s.sm.clientErrors.Inc()
 	e := proto.ErrorMsg{Code: code, Seq: seq, BadValue: badValue, MajorOp: op}
-	m := getMsg("error")
 	w := proto.Writer{Order: c.order, Buf: m.buf}
 	e.Encode(&w)
 	m.buf = w.Buf
+}
+
+// sendReply queues a reply as its own message.
+func (c *client) sendReply(p *proto.Reply, seq uint16) {
+	m := getMsg("reply")
+	c.appendReply(m, p, seq)
 	c.send(m)
 }
 
-// stageFlushBytes caps the staging buffer: a group staging more than
-// this flushes mid-run, so one pooled message never grows without bound.
+// sendError queues a protocol error as its own message.
+func (c *client) sendError(code uint8, badValue uint32, op uint8, seq uint16) {
+	m := getMsg("error")
+	c.appendError(m, code, badValue, op, seq)
+	c.send(m)
+}
+
+// stagedReply appends a reply to the group's staging message instead;
+// flushStage hands the whole batch to the writer as one message. Only
+// fixed-header replies come through here — anything carrying Extra uses
+// sendReply (after a flush, to keep reply order).
+func (c *client) stagedReply(p *proto.Reply, seq uint16) {
+	c.appendReply(c.stageMsg(), p, seq)
+}
+
+// stagedError appends a protocol error to the group's staging message.
+func (c *client) stagedError(code uint8, badValue uint32, op uint8, seq uint16) {
+	c.appendError(c.stageMsg(), code, badValue, op, seq)
+}
+
+// stageFlushBytes caps the staging buffer: a group that has staged this
+// much flushes before staging more, so one pooled message never grows
+// without bound.
 const stageFlushBytes = 4096
 
-// stageMsg returns the staging message, checking one out lazily so a
-// group whose replies all go direct (record replies, suppressed play
+// stageMsg returns the message to stage into, checking one out lazily so
+// a group whose replies all go direct (record replies, suppressed play
 // acks) costs nothing here.
 func (c *client) stageMsg() *wireMsg {
+	if c.stage != nil && len(c.stage.buf) >= stageFlushBytes {
+		c.flushStage()
+	}
 	if c.stage == nil {
 		c.stage = getMsg("staged")
 	}
 	return c.stage
-}
-
-// stagedReply appends a reply to the staging buffer instead of queueing
-// it as its own message; flushStage hands the whole batch to the writer
-// as one message. Only fixed-header replies come through here — anything
-// carrying Extra uses sendReply (after a flush, to keep reply order).
-func (c *client) stagedReply(p *proto.Reply, seq uint16) {
-	p.Seq = seq
-	m := c.stageMsg()
-	w := proto.Writer{Order: c.order, Buf: m.buf}
-	p.Encode(&w)
-	m.buf = w.Buf
-	if len(m.buf) >= stageFlushBytes {
-		c.flushStage()
-	}
-}
-
-// stagedError is sendError's staging twin.
-func (c *client) stagedError(code uint8, badValue uint32, op uint8, seq uint16) {
-	c.s.sm.clientErrors.Inc()
-	e := proto.ErrorMsg{Code: code, Seq: seq, BadValue: badValue, MajorOp: op}
-	m := c.stageMsg()
-	w := proto.Writer{Order: c.order, Buf: m.buf}
-	e.Encode(&w)
-	m.buf = w.Buf
-	if len(m.buf) >= stageFlushBytes {
-		c.flushStage()
-	}
 }
 
 // flushStage queues the staged replies as one message: one pooled

@@ -9,137 +9,128 @@ import (
 	"audiofile/internal/sampleconv"
 )
 
-// dispatch routes one request: data-plane ops to the owning engine,
-// everything else through the control-plane switch. Callable from the
-// server loop and, for data-plane ops, from any goroutine (the engines
-// provide the locking).
-func (s *Server) dispatch(req *request) {
-	switch req.op {
-	case proto.OpPlaySamples, proto.OpRecordSamples, proto.OpGetTime:
-		s.dispatchHot(req)
-	default:
-		s.dispatchControl(req)
-	}
+// hotReq is a hot request decoded and placed: the engine that serves it
+// or, when e is nil, the error that answers it.
+type hotReq struct {
+	e    *engine
+	dev  uint32 // GetTime
+	a    *ac    // PlaySamples, RecordSamples
+	play proto.PlaySamplesReq
+	rec  proto.RecordSamplesReq
+
+	code uint8
+	bad  uint32
 }
 
-// dispatchHot serves the hot ops — PlaySamples, RecordSamples, GetTime —
-// inline on the caller's goroutine under the owning engine's lock. It
-// returns the park when the request blocked; the caller must not
-// dispatch another request for this connection until the park's done
-// channel closes. The wrapper owns the per-type dispatch latency
-// histogram; a parked request's latency is its time to park, not its
-// time to completion (the park-duration histogram covers that).
-func (s *Server) dispatchHot(req *request) *parked {
-	t0 := time.Now()
-	req.c.lastActive.Store(t0.UnixNano())
-	p := s.dispatchHotInner(req)
-	s.sm.dispatchFor(req.op).Observe(time.Since(t0).Nanoseconds())
-	// A standalone dispatch is a batch of one. Ordered after the request
-	// count (incremented in Inner), so DispatchBatch.Sum <= Requests in
-	// every live snapshot and == once idle.
-	s.sm.dispatchBatch.Observe(1)
-	return p
-}
-
-// hotEngine shallow-decodes just enough of a hot request to name the
-// engine that will serve it: the leading u32 of the body is the device
-// (GetTime) or the AC id (play/record). nil means the batcher cannot
-// place the request — short body, unknown device or AC — and it must
-// dispatch standalone, which produces exactly the error replies the
-// unbatched path would. Safe on the reader goroutine: c.acs is only
-// mutated during control round trips, which are ordered against it.
-func (s *Server) hotEngine(c *client, rf runFrame) *engine {
-	body := *rf.frame
-	if len(body) < 4 {
-		return nil
-	}
-	v := c.order.Uint32(body)
-	if rf.op == proto.OpGetTime {
-		if !s.validDevice(v) {
-			return nil
+// hotEngine decodes a hot request and names the engine that will serve
+// it. This is the only place a hot request is validated: what it accepts,
+// dispatchHotGroup serves without looking again. Safe on the reader
+// goroutine: c.acs is only mutated during control round trips, which are
+// ordered against it.
+func (s *Server) hotEngine(c *client, rf runFrame) (h hotReq) {
+	r := proto.NewReader(c.order, *rf.frame)
+	var id uint32
+	switch rf.op {
+	case proto.OpGetTime:
+		h.dev = proto.DecodeDeviceReq(r)
+		if !s.validDevice(h.dev) {
+			h.code, h.bad = proto.ErrDevice, h.dev
+			return h
 		}
-		return s.engineByDev[v]
+		h.e = s.engineByDev[h.dev]
+		return h
+	case proto.OpPlaySamples:
+		h.play = proto.DecodePlaySamples(r, rf.ext)
+		id = h.play.AC
+	case proto.OpRecordSamples:
+		h.rec = proto.DecodeRecordSamples(r, rf.ext)
+		id = h.rec.AC
 	}
-	a := c.acs[v]
-	if a == nil {
-		return nil
+	if r.Err != nil {
+		h.code = proto.ErrLength
+		return h
 	}
-	return s.engineByDev[a.devIndex]
+	if h.a = c.acs[id]; h.a == nil {
+		h.code, h.bad = proto.ErrAC, id
+		return h
+	}
+	h.e = s.engineByDev[h.a.devIndex]
+	return h
 }
 
-// dispatchHotGroup serves a run of hot requests that hotEngine placed on
-// the same engine under ONE lock acquisition, with one time.Now() and
-// batched metrics adds, staging small replies into one outgoing message.
-// It consumes entries in order until a request parks (the park ends the
-// group; the caller retries the rest after await) and reports how many
-// it consumed plus the park, if any. The parked entry is always the last
-// consumed one, and its frame belongs to the park; the caller recycles
-// the others. req is the reader's scratch request, reused per entry.
-func (s *Server) dispatchHotGroup(c *client, e *engine, run []runFrame, req *request) (int, *parked) {
+// dispatchHotGroup is the one hot entry point. It serves the hot
+// requests — PlaySamples, RecordSamples, GetTime — at the head of run
+// inline on the caller's goroutine: everything placed on the first
+// engine named goes under ONE acquisition of that engine's lock, with
+// one time.Now() and batched metrics adds, and small replies and errors
+// staged into one outgoing message. A lone request is a group of one.
+//
+// It consumes entries in order and stops before a control op or a
+// request for another engine (the next group's head), and after a
+// request that parks; it reports how many it consumed plus the park, if
+// any. The caller must not dispatch anything further for this connection
+// until the park's done channel closes. The parked entry is always the
+// last consumed one, and its frame belongs to the park; the caller
+// recycles the others. req is the reader's scratch request, reused per
+// entry.
+//
+// Dispatch latency is the group's wall time amortized over its members;
+// a parked request's latency is its time to park, not its time to
+// completion (the park-duration histogram covers that).
+func (s *Server) dispatchHotGroup(c *client, run []runFrame, req *request) (int, *parked) {
 	t0 := time.Now()
 	c.lastActive.Store(t0.UnixNano())
+	var e *engine // the engine whose lock the group holds, once one is named
+	var acq time.Time
 	var park *parked
 	var playBytes uint64
 	var nPlay, nRec, nTime uint64
 	consumed := 0
-	acq := e.m.lockTimed(&e.mu)
 	for _, rf := range run {
+		if !hotOp(rf.op) {
+			break
+		}
+		h := s.hotEngine(c, rf)
+		if h.e != nil && h.e != e {
+			if e != nil {
+				break
+			}
+			e = h.e
+			acq = e.m.lockTimed(&e.mu)
+		}
 		consumed++
 		seq := uint16(c.seq.Add(1))
-		req.op, req.ext, req.body, req.frame, req.done = rf.op, rf.ext, *rf.frame, rf.frame, nil
-		r := proto.NewReader(c.order, req.body)
 		switch rf.op {
 		case proto.OpGetTime:
 			nTime++
-			dev := proto.DecodeDeviceReq(r)
-			// hotEngine already validated and placed dev; re-checked so the
-			// two decode paths cannot drift.
-			if !s.validDevice(dev) || s.engineByDev[dev] != e {
-				c.stagedError(proto.ErrDevice, dev, rf.op, seq)
-				continue
-			}
-			c.stagedReply(&proto.Reply{Time: uint32(s.devices[dev].Time())}, seq)
-
 		case proto.OpPlaySamples:
 			nPlay++
-			q := proto.DecodePlaySamples(r, rf.ext)
-			if r.Err != nil {
-				c.stagedError(proto.ErrLength, 0, rf.op, seq)
-				continue
-			}
-			a := c.acs[q.AC]
-			if a == nil {
-				c.stagedError(proto.ErrAC, q.AC, rf.op, seq)
-				continue
-			}
-			playBytes += uint64(len(q.Data))
-			e.m.playChunk.Observe(int64(len(q.Data)))
-			if p := handlePlay(c, a, req, q, seq, true); p != nil {
-				e.registerParkLocked(c, p)
-				park = p
-			}
-
 		case proto.OpRecordSamples:
 			nRec++
-			q := proto.DecodeRecordSamples(r, rf.ext)
-			if r.Err != nil {
-				c.stagedError(proto.ErrLength, 0, rf.op, seq)
-				continue
-			}
-			a := c.acs[q.AC]
-			if a == nil {
-				c.stagedError(proto.ErrAC, q.AC, rf.op, seq)
-				continue
-			}
-			// finishRecordReply queues its reply directly; anything staged
-			// so far must leave first to preserve reply order.
+		}
+		if h.e == nil {
+			c.stagedError(h.code, h.bad, rf.op, seq)
+			continue
+		}
+		req.op, req.ext, req.body, req.frame, req.done = rf.op, rf.ext, *rf.frame, rf.frame, nil
+		switch rf.op {
+		case proto.OpGetTime:
+			c.stagedReply(&proto.Reply{Time: uint32(s.devices[h.dev].Time())}, seq)
+		case proto.OpPlaySamples:
+			// Play ingress is counted here, the single entry point every
+			// accepted PlaySamples request passes through (parked retries
+			// re-consume the same bytes and are not re-counted).
+			playBytes += uint64(len(h.play.Data))
+			e.m.playChunk.Observe(int64(len(h.play.Data)))
+			park = handlePlay(c, h.a, req, h.play, seq)
+		case proto.OpRecordSamples:
+			// handleRecord queues its reply directly; anything staged so
+			// far must leave first to preserve reply order.
 			c.flushStage()
-			if p := handleRecord(c, a, e, req, q, seq); p != nil {
-				e.registerParkLocked(c, p)
-				park = p
-			}
+			park = handleRecord(c, h.a, e, req, h.rec, seq)
 		}
 		if park != nil {
+			e.registerParkLocked(c, park)
 			break
 		}
 	}
@@ -147,17 +138,21 @@ func (s *Server) dispatchHotGroup(c *client, e *engine, run []runFrame, req *req
 	// worker may finish the park and send its reply, which must queue
 	// after every reply staged ahead of it.
 	c.flushStage()
-	if playBytes != 0 {
-		e.m.playBytes.Add(playBytes)
-	}
-	e.m.unlockTimed(&e.mu, acq)
 	k := int64(consumed)
+	if e != nil {
+		if playBytes != 0 {
+			e.m.playBytes.Add(playBytes)
+		}
+		e.m.unlockTimed(&e.mu, acq)
+		e.m.dispatchBatch.Observe(k)
+	}
+	// Batch sizes are observed after the request count, so
+	// DispatchBatch.Sum <= Requests in every live snapshot and == once
+	// idle.
 	s.requestCount.Add(uint64(consumed))
 	s.sm.dispatchBatch.Observe(k)
-	e.m.dispatchBatch.Observe(k)
-	// Per-request latency: the group's wall time amortized over its
-	// members, observed per op class so the requests == Σ dispatch counts
-	// law still holds.
+	// Observed per op class so the requests == Σ dispatch counts law
+	// holds.
 	per := time.Since(t0).Nanoseconds() / k
 	if nPlay != 0 {
 		s.sm.dispatchPlay.ObserveN(per, nPlay)
@@ -171,75 +166,6 @@ func (s *Server) dispatchHotGroup(c *client, e *engine, run []runFrame, req *req
 	return consumed, park
 }
 
-func (s *Server) dispatchHotInner(req *request) *parked {
-	c := req.c
-	seq := uint16(c.seq.Add(1))
-	s.requestCount.Add(1)
-	r := proto.NewReader(c.order, req.body)
-	switch req.op {
-	case proto.OpGetTime:
-		dev := proto.DecodeDeviceReq(r)
-		if !s.validDevice(dev) {
-			c.sendError(proto.ErrDevice, dev, req.op, seq)
-			return nil
-		}
-		e := s.engineByDev[dev]
-		acq := e.m.lockTimed(&e.mu)
-		t := uint32(s.devices[dev].Time())
-		e.m.unlockTimed(&e.mu, acq)
-		e.m.dispatchBatch.Observe(1)
-		c.sendReply(&proto.Reply{Time: t}, seq)
-
-	case proto.OpPlaySamples:
-		q := proto.DecodePlaySamples(r, req.ext)
-		if r.Err != nil {
-			c.sendError(proto.ErrLength, 0, req.op, seq)
-			return nil
-		}
-		a := c.acs[q.AC]
-		if a == nil {
-			c.sendError(proto.ErrAC, q.AC, req.op, seq)
-			return nil
-		}
-		e := s.engineByDev[a.devIndex]
-		// Play ingress is counted here, the single entry point every
-		// accepted PlaySamples request passes through (parked retries
-		// re-consume the same bytes and are not re-counted).
-		e.m.playBytes.Add(uint64(len(q.Data)))
-		e.m.playChunk.Observe(int64(len(q.Data)))
-		acq := e.m.lockTimed(&e.mu)
-		p := handlePlay(c, a, req, q, seq, false)
-		if p != nil {
-			e.registerParkLocked(c, p)
-		}
-		e.m.unlockTimed(&e.mu, acq)
-		e.m.dispatchBatch.Observe(1)
-		return p
-
-	case proto.OpRecordSamples:
-		q := proto.DecodeRecordSamples(r, req.ext)
-		if r.Err != nil {
-			c.sendError(proto.ErrLength, 0, req.op, seq)
-			return nil
-		}
-		a := c.acs[q.AC]
-		if a == nil {
-			c.sendError(proto.ErrAC, q.AC, req.op, seq)
-			return nil
-		}
-		e := s.engineByDev[a.devIndex]
-		acq := e.m.lockTimed(&e.mu)
-		p := handleRecord(c, a, e, req, q, seq)
-		if p != nil {
-			e.registerParkLocked(c, p)
-		}
-		e.m.unlockTimed(&e.mu, acq)
-		e.m.dispatchBatch.Observe(1)
-		return p
-	}
-	return nil
-}
-
 // dispatchControl indexes the request type into the handler table, as
 // the DIA dispatcher does. It runs in the server loop.
 func (s *Server) dispatchControl(req *request) {
@@ -248,7 +174,7 @@ func (s *Server) dispatchControl(req *request) {
 	s.dispatchControlInner(req)
 	s.sm.dispatchControl.Observe(time.Since(t0).Nanoseconds())
 	// Control ops always dispatch as a batch of one (ordered after the
-	// request count, as in dispatchHot).
+	// request count, as in dispatchHotGroup).
 	s.sm.dispatchBatch.Observe(1)
 }
 
@@ -700,11 +626,10 @@ func (a *ac) clientFrameBytes() int {
 	return a.enc.BytesPerSamples(1) * a.channels
 }
 
-// handlePlay runs under the owning engine's lock. It returns a park if
-// the request blocked; the caller registers it. staged selects the reply
-// route: group dispatch stages the ack into the batch message, the
-// standalone path queues it directly.
-func handlePlay(c *client, a *ac, req *request, q proto.PlaySamplesReq, seq uint16, staged bool) *parked {
+// handlePlay runs under the owning engine's lock, inside a dispatch
+// group: its ack is staged. It returns a park if the request blocked;
+// the caller registers it.
+func handlePlay(c *client, a *ac, req *request, q proto.PlaySamplesReq, seq uint16) *parked {
 	data := q.Data
 	enc := a.enc
 	if q.Flags&proto.SampleFlagBigEndian != 0 {
@@ -745,11 +670,7 @@ func handlePlay(c *client, a *ac, req *request, q proto.PlaySamplesReq, seq uint
 		putBytes(decomp)
 	}
 	if q.Flags&proto.SampleFlagSuppressReply == 0 {
-		if staged {
-			c.stagedReply(&proto.Reply{Time: uint32(res.Now)}, seq)
-		} else {
-			c.sendReply(&proto.Reply{Time: uint32(res.Now)}, seq)
-		}
+		c.stagedReply(&proto.Reply{Time: uint32(res.Now)}, seq)
 	}
 	return nil
 }

@@ -13,9 +13,10 @@ import (
 )
 
 // Dispatch benchmarks: the full server-side request path (decode, engine,
-// reply marshal, queue, writer) run inside the loop via Do. These are the
-// allocation gates for the pooled staging buffers — the steady state must
-// not allocate per request.
+// reply marshal, queue, writer), each request entering through
+// dispatchHotGroup as a group of one, the way a reader goroutine serves a
+// lone request. These are the allocation gates for the pooled staging
+// buffers — the steady state must not allocate per request.
 
 // benchServer builds a one-codec server on a manual clock and a client
 // over a pipe, via the same newClient constructor the accept path uses,
@@ -60,6 +61,11 @@ func drainOut(c *client) {
 	}
 }
 
+// benchRun wraps one caller-owned request body as a run of one.
+func benchRun(op, ext uint8, body []byte) []runFrame {
+	return []runFrame{{op: op, ext: ext, frame: &body}}
+}
+
 // playBody marshals a PlaySamples request body (AC, Time, NBytes, data).
 func playBody(ac, at uint32, data []byte) []byte {
 	body := make([]byte, 12+len(data))
@@ -91,13 +97,13 @@ func BenchmarkDispatchPlayMix(b *testing.B) {
 	}
 	srv.Do(func() {
 		now := uint32(srv.Device(0).Time())
-		req := &request{c: c, op: proto.OpPlaySamples,
-			body: playBody(1, now+128, data)}
+		run := benchRun(proto.OpPlaySamples, 0, playBody(1, now+128, data))
+		req := &request{c: c}
 		b.SetBytes(int64(len(data)))
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			srv.dispatch(req)
+			srv.dispatchHotGroup(c, run, req)
 			drainOut(c)
 		}
 	})
@@ -113,14 +119,13 @@ func BenchmarkDispatchRecord(b *testing.B) {
 	srv.Sync()
 	srv.Do(func() {
 		now := uint32(srv.Device(0).Time())
-		req := &request{c: c, op: proto.OpRecordSamples,
-			ext:  proto.SampleFlagNoBlock,
-			body: recordBody(1, now-2048, 2048)}
+		run := benchRun(proto.OpRecordSamples, proto.SampleFlagNoBlock, recordBody(1, now-2048, 2048))
+		req := &request{c: c}
 		b.SetBytes(2048)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			srv.dispatch(req)
+			srv.dispatchHotGroup(c, run, req)
 			drainOut(c)
 		}
 	})
@@ -140,14 +145,13 @@ func BenchmarkDispatchRecordADPCM(b *testing.B) {
 	srv.Sync()
 	srv.Do(func() {
 		now := uint32(srv.Device(0).Time())
-		req := &request{c: c, op: proto.OpRecordSamples,
-			ext:  proto.SampleFlagNoBlock,
-			body: recordBody(1, now-2048, 1024)}
+		run := benchRun(proto.OpRecordSamples, proto.SampleFlagNoBlock, recordBody(1, now-2048, 1024))
+		req := &request{c: c}
 		b.SetBytes(2048)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			srv.dispatch(req)
+			srv.dispatchHotGroup(c, run, req)
 			drainOut(c)
 		}
 	})

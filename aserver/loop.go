@@ -58,7 +58,7 @@ func (s *Server) loop() {
 			s.removeClient(c)
 		case req := <-s.reqCh:
 			if !req.c.dead.Load() {
-				s.dispatch(req)
+				s.dispatchControl(req)
 			}
 			if req.done != nil {
 				close(req.done)

@@ -16,20 +16,21 @@ import (
 //
 // Ownership rules (one owner per counter, so totals are trustworthy):
 //
-//   - Request totals and dispatch latency: the dispatch wrappers in
-//     dispatch.go, on the dispatching goroutine.
-//   - Engine lock wait/hold: the lockers themselves (hot dispatch and
+//   - Request totals and dispatch latency: dispatchHotGroup and
+//     dispatchControl in dispatch.go, on the dispatching goroutine.
+//   - Engine lock wait/hold: the lockers themselves (dispatchHotGroup and
 //     the scheduler's worker task pass).
-//   - Play ingress bytes/chunks: the PlaySamples branch of dispatchHot.
+//   - Play ingress bytes/chunks: the PlaySamples case of
+//     dispatchHotGroup.
 //   - Record egress bytes/chunks: finishRecordReply, the single seal
 //     point every record reply passes through (first-try and retry).
-//   - Park lifecycle: registration in dispatchHot, release in
+//   - Park lifecycle: registration in dispatchHotGroup, release in
 //     engine.finishPark. parks started == completed + discarded.
 //   - Connects/disconnects: the control plane (loop.go register /
 //     removeClient), each exactly once per client, so after every
 //     client is gone connects == disconnects.
 //   - Queue overflows, client errors, queue depth, writev batches:
-//     client.go's send/sendError/writer.
+//     client.go's send/appendError/writer.
 //   - Frame conservation counters and silence fill: internal/core and
 //     internal/ring, mutated and snapshotted under the engine lock.
 //
@@ -66,18 +67,20 @@ type serverMetrics struct {
 	dispatchGetTime *metrics.Histogram
 	dispatchControl *metrics.Histogram
 
-	// dispatchBatch observes the size of every dispatch batch: coalesced
-	// same-engine runs observe their length once, everything else (control
-	// ops, standalone hot ops, error replies) observes 1. Conservation:
+	// dispatchBatch observes the size of every dispatch batch: a hot group
+	// observes its length once (a lone hot request is a group of one, and
+	// an unservable one counts in the group it arrived in), a control op
+	// observes 1. Conservation:
 	// its Sum equals the request total exactly once the server is idle,
 	// and never exceeds it in a live snapshot (requests are counted before
 	// the batch observation; Snapshot reads the histogram first).
 	dispatchBatch *metrics.Histogram
 
-	// Staged reply egress (client.go replyStage): small replies generated
-	// while dispatching a run coalesce into one pooled message. bytes is
-	// wire bytes that left via the stage; flushes is stage→queue handoffs
-	// (each one message, one writev iovec, at most one writer wakeup).
+	// Staged reply egress (client.go stagedReply/stagedError): the small
+	// replies and errors of a hot group coalesce into one pooled message.
+	// bytes is wire bytes that left via the stage; flushes is stage→queue
+	// handoffs (each one message, one writev iovec, at most one writer
+	// wakeup).
 	stagedBytes   *metrics.Counter
 	stagedFlushes *metrics.Counter
 
@@ -178,9 +181,9 @@ type engineMetrics struct {
 	recChunk  *metrics.Histogram // bytes per record reply
 
 	// dispatchBatch is hot requests served per engine-lock acquisition on
-	// this engine: coalesced runs observe their group size, standalone hot
-	// dispatches observe 1. Mean ≈ 1 means the batcher finds no runs (or
-	// is off); higher means pipelined small ops are being amortized.
+	// this engine: every hot group observes its size. Mean ≈ 1 means
+	// clients wait for each reply before sending the next request; higher
+	// means pipelined small ops are being amortized.
 	dispatchBatch *metrics.Histogram
 
 	parksStarted   *metrics.Counter
@@ -259,6 +262,11 @@ type Snapshot struct {
 	// exactly one batch observation).
 	DispatchBatch metrics.HistogramSnapshot `json:"dispatch_batch"`
 
+	// StagedBytes / StagedFlushes: wire bytes and messages that left
+	// through the hot path's reply stage. Every hot group stages its small
+	// replies (GetTime, play acks, errors) — groups of one included — so
+	// these count every such reply, not only coalesced ones; record
+	// replies carry sample data and go out as their own messages.
 	StagedBytes   uint64 `json:"staged_bytes"`
 	StagedFlushes uint64 `json:"staged_flushes"`
 

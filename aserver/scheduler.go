@@ -23,11 +23,11 @@ import (
 //     happens under e.mu — by the worker after a task pass, or by
 //     addTaskLocked when a new task beats the armed deadline (the old
 //     `wake` channel poke became a wheel promotion).
-//   - When the timer fires, the shard hands the engine to the worker
-//     pool; e.queued dedupes so an engine is in the pool's queue at most
-//     once. A worker takes e.mu through the instrumented lockTimed path,
-//     runs every due task, re-arms, and releases — identical lock
-//     protocol and metrics to the old engine goroutine.
+//   - When a shard tick fires engine timers, the shard hands the worker
+//     pool the due engines as one sweep (fireBatch); e.queued dedupes so
+//     an engine is in the pool's queue at most once. A worker takes each
+//     engine's e.mu through the instrumented lockTimed path, runs every
+//     due task, re-arms, and releases.
 //
 // Liveness invariant: whenever an engine's task queue is non-empty, its
 // timer is armed or the engine is queued for a worker. Fires that race
@@ -41,11 +41,10 @@ type updateScheduler struct {
 	wg      sync.WaitGroup
 }
 
-// schedItem is one unit handed to the worker pool: a due engine, a whole
-// shard sweep (batching on), or a generic job (drain polling), with the
-// tick's clock reading.
+// schedItem is one unit handed to the worker pool: a shard sweep of due
+// engines or a generic job (drain polling), with the tick's clock
+// reading.
 type schedItem struct {
-	e     *engine
 	batch *[]*engine
 	fn    func(now time.Time)
 	now   time.Time
@@ -95,18 +94,13 @@ func newUpdateScheduler(s *Server, engines, shards, workers int) *updateSchedule
 		// fire path falls back to running inline if it ever would.
 		work: make(chan schedItem, engines+64),
 	}
-	cfg := timerwheel.Config{
+	u.wheel = timerwheel.New(timerwheel.Config{
 		Shards: shards, // 0 = wheel default (GOMAXPROCS/4, clamped to [1, 8])
 		OnBatch: func(n int) {
 			s.sm.schedBatch.Observe(int64(n))
 		},
-	}
-	if s.batching {
-		// Shard-sweep mode: a tick that fires several engines hands the
-		// worker pool the whole batch in one send (see fireBatch).
-		cfg.FireBatch = u.fireBatch
-	}
-	u.wheel = timerwheel.New(cfg)
+		FireBatch: u.fireBatch,
+	})
 	for i := 0; i < workers; i++ {
 		u.wg.Add(1)
 		go u.worker()
@@ -114,35 +108,11 @@ func newUpdateScheduler(s *Server, engines, shards, workers int) *updateSchedule
 	return u
 }
 
-// register wires an engine to the wheel and arms its first deadline.
+// register wires an engine to the wheel and arms its first deadline. The
+// payload is how fireBatch recognizes engine timers, which it delivers
+// itself: they need no fire callback of their own.
 func (u *updateScheduler) register(e *engine) {
-	sm := u.s.sm
-	e.timer = u.wheel.NewTimer(e.idx, func(now time.Time, overdue time.Duration) {
-		if overdue > 0 {
-			sm.schedTickLag.Observe(overdue.Nanoseconds())
-		} else {
-			sm.schedTickLag.Observe(0)
-		}
-		if !e.queued.CompareAndSwap(false, true) {
-			// Already awaiting a worker, which will re-arm under the
-			// lock; this fire is redundant.
-			return
-		}
-		sm.schedOverdue.Add(1)
-		select {
-		case u.work <- schedItem{e: e, now: now}:
-		default:
-			// The channel is sized for the whole fleet, so this is
-			// unreachable in steady state; if it ever trips, service the
-			// engine on the shard goroutine rather than block the wheel.
-			sm.schedOverdue.Add(-1)
-			e.queued.Store(false)
-			u.serviceEngine(e, now)
-		}
-	})
-	// The payload lets the batch fire hook (batching on) recognize engine
-	// timers and group them into one sweep; the per-timer closure above
-	// remains the batching-off path and the fallback for foreign timers.
+	e.timer = u.wheel.NewTimer(e.idx, nil)
 	e.timer.Payload = e
 	e.mu.Lock()
 	if next, ok := e.tasks.next(); ok {
@@ -151,12 +121,12 @@ func (u *updateScheduler) register(e *engine) {
 	e.mu.Unlock()
 }
 
-// fireBatch is the wheel's batch hook (batching on): one shard tick that
-// fires several engine timers hands the worker pool the whole sweep as
-// one channel send, instead of one queued CAS + send per engine. The
-// sweep is sorted into ascending engine order — the repo's engine lock
-// order — though the worker only ever holds one engine lock at a time.
-// Non-engine timers (pollUntil's) fall back to their own fire callback.
+// fireBatch is the wheel's batch hook: the engine timers one shard tick
+// fires go to the worker pool as one sweep — one channel send, however
+// many engines (one due engine is a sweep of one). The sweep is sorted
+// into ascending engine order — the repo's engine lock order — though
+// the worker only ever holds one engine lock at a time. Non-engine
+// timers (pollUntil's) fire their own callback.
 func (u *updateScheduler) fireBatch(now time.Time, due []*timerwheel.Timer) {
 	sm := u.s.sm
 	var bp *[]*engine
@@ -237,35 +207,18 @@ func (u *updateScheduler) worker() {
 				it.fn(it.now)
 				continue
 			}
-			if it.batch != nil {
-				u.runBatch(it.batch, it.now)
-				continue
-			}
-			u.runEngine(it.e, it.now)
+			u.runBatch(it.batch, it.now)
 		case <-u.s.done:
 			return
 		}
 	}
 }
 
-// runEngine is one worker pass over a due engine. The queued flag is
-// cleared before the task pass so a fire arriving mid-pass re-queues the
-// engine instead of being lost.
-func (u *updateScheduler) runEngine(e *engine, now time.Time) {
-	sm := u.s.sm
-	sm.schedOverdue.Add(-1)
-	e.queued.Store(false)
-	sm.schedWorkersBusy.Add(1)
-	t0 := time.Now()
-	u.serviceEngine(e, now)
-	sm.schedBusyNs.Add(uint64(time.Since(t0).Nanoseconds()))
-	sm.schedWorkersBusy.Add(-1)
-	sm.schedEngineRuns.Inc()
-}
-
-// runBatch is one worker pass over a whole shard sweep: each engine is
-// serviced in ascending lock order (one lock held at a time), with the
-// busy accounting done once for the sweep instead of once per engine.
+// runBatch is one worker pass over a shard sweep: each engine is serviced
+// in ascending lock order (one lock held at a time), with the busy
+// accounting done once for the sweep. The queued flag is cleared before
+// the engine's task pass so a fire arriving mid-pass re-queues the engine
+// instead of being lost.
 func (u *updateScheduler) runBatch(bp *[]*engine, now time.Time) {
 	sm := u.s.sm
 	sm.schedWorkersBusy.Add(1)

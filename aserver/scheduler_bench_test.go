@@ -7,9 +7,10 @@ import (
 )
 
 // BenchmarkUpdateScheduler measures the per-engine cost of one worker
-// pass — the unit the wheel fans out every tick: clear the queued flag,
-// take the engine lock through the instrumented path, run due tasks
-// (the periodic device update), re-arm the wheel timer. Device clocks
+// pass — a sweep of one, the unit the wheel fans out every tick: clear
+// the queued flag, take the engine lock through the instrumented path,
+// run due tasks (the periodic device update), re-arm the wheel timer.
+// Device clocks
 // are manual so the pass is pure scheduler + update machinery, and the
 // driving now advances artificially so the periodic task is genuinely
 // due on every visit. Must stay 0 allocs/op at every fleet size: a
@@ -41,9 +42,11 @@ func BenchmarkUpdateScheduler(b *testing.B) {
 				}
 				now = now.Add(step)
 				// Mirror the fire path's bookkeeping so the overdue gauge
-				// (decremented by runEngine) stays consistent.
+				// (decremented by runBatch) stays consistent.
 				s.sm.schedOverdue.Add(1)
-				s.sched.runEngine(e, now)
+				bp := engineBatchPool.Get().(*[]*engine)
+				*bp = append(*bp, e)
+				s.sched.runBatch(bp, now)
 			}
 		})
 	}

@@ -125,26 +125,7 @@ type Options struct {
 	// 0 = GOMAXPROCS clamped to [1, 16], and never more than one per
 	// engine.
 	UpdateWorkers int
-
-	// Batching selects the small-op batching mode (see DESIGN.md,
-	// "Batching & run coalescing"). The zero value (BatchAuto) coalesces
-	// pipelined ingress runs, stages small replies, and sweeps shard
-	// batches; BatchOff restores the one-at-a-time paths for A/B
-	// comparison and bisection (afd -batch=off).
-	Batching BatchMode
 }
-
-// BatchMode selects the server's small-op batching behavior.
-type BatchMode int
-
-const (
-	// BatchAuto (the default) coalesces runs of already-buffered requests
-	// into one-lock dispatch groups with staged reply egress, and hands
-	// the update workers whole shard sweeps.
-	BatchAuto BatchMode = iota
-	// BatchOff dispatches every request one at a time, as before PR 8.
-	BatchOff
-)
 
 // DefaultDevices returns the paper's Alofi-like device complement: a
 // telephone CODEC (device 0), a local CODEC (device 1), and a stereo HiFi
@@ -207,9 +188,6 @@ type Server struct {
 	budget   budgets
 	draining atomic.Bool
 
-	// batching is the resolved Options.Batching; immutable after New.
-	batching bool
-
 	mu        sync.Mutex
 	listeners []net.Listener
 	closers   []func()
@@ -253,7 +231,6 @@ func New(opts Options) (*Server, error) {
 		stopped:       make(chan struct{}),
 		tasks:         newTaskQueue(),
 		sm:            newServerMetrics(),
-		batching:      opts.Batching != BatchOff,
 	}
 	// The access list starts with the server's own host, as xhost does, so
 	// enabling access control does not lock out local TCP clients.

@@ -48,7 +48,6 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 5*time.Second, "on SIGTERM/SIGINT, wait up to this long for play buffers to drain before closing")
 	updateShards := flag.Int("update-shards", 0, "timer-wheel shards driving device updates (0 = GOMAXPROCS/4, clamped to [1,8])")
 	updateWorkers := flag.Int("update-workers", 0, "workers running due device updates (0 = GOMAXPROCS, clamped to [1,16])")
-	batch := flag.String("batch", "auto", "small-op batching: auto (coalesce ingress runs, stage replies, sweep shards) or off (one-at-a-time dispatch, for A/B comparison)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); off by default")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file until shutdown")
 	flag.Parse()
@@ -79,15 +78,6 @@ func main() {
 	if err != nil {
 		cmdutil.Die("afd: %v", err)
 	}
-	var batching aserver.BatchMode
-	switch *batch {
-	case "auto":
-		batching = aserver.BatchAuto
-	case "off":
-		batching = aserver.BatchOff
-	default:
-		cmdutil.Die("afd: -batch must be auto or off, got %q", *batch)
-	}
 	logf := func(string, ...any) {}
 	if *verbose {
 		logf = func(format string, args ...any) {
@@ -104,7 +94,6 @@ func main() {
 		ClientQueueBytes: *clientQueueBytes,
 		UpdateShards:     *updateShards,
 		UpdateWorkers:    *updateWorkers,
-		Batching:         batching,
 	})
 	if err != nil {
 		cmdutil.Die("afd: %v", err)
