@@ -256,7 +256,7 @@ func (e *engine) emitChunkLocked(start atime.ATime, nframes int) {
 		e.m.bcastEncodes.Inc()
 		encoded = true
 		// The encode is done: hand one reference per subscriber to the
-		// send path. A failed send (dead client, hard queue cap) releases
+		// send path. A failed send (dead client, closed queue) releases
 		// its own reference, so the count balances whatever happens.
 		m.retain(int32(len(g.subs) - 1))
 		sent := 0

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"audiofile/internal/core"
+	"audiofile/internal/metrics"
 	"audiofile/internal/proto"
 	"audiofile/internal/sampleconv"
 )
@@ -81,13 +82,9 @@ type client struct {
 	// unregister). Checked by every sender.
 	dead atomic.Bool
 
-	outCh  chan *wireMsg
+	out    outQueue
 	closed chan struct{}
 
-	// queuedBytes is the marshaled bytes sitting in outCh: incremented by
-	// send before enqueue, decremented by the writer after the bytes
-	// reach the kernel (and by drainResidual for bytes that never do).
-	queuedBytes atomic.Int64
 	// lastActive is the unix-nano time of the last dispatched request,
 	// the idleness key for server-wide shedding.
 	lastActive atomic.Int64
@@ -124,7 +121,7 @@ func newClient(s *Server, conn net.Conn, order binary.ByteOrder) *client {
 		s:          s,
 		conn:       conn,
 		order:      order,
-		outCh:      make(chan *wireMsg, outQueueDepth),
+		out:        outQueue{wake: make(chan struct{}, 1), total: s.sm.queuedBytes},
 		closed:     make(chan struct{}),
 		evicted:    make(chan struct{}),
 		acs:        make(map[uint32]*ac),
@@ -133,7 +130,6 @@ func newClient(s *Server, conn net.Conn, order binary.ByteOrder) *client {
 	// Field-by-field: evictPolicy holds an atomic and must not be copied.
 	c.flow.budget = s.budget.clientQueue
 	c.flow.grace = s.budget.evictGrace
-	c.flow.rate = s.budget.evictRate
 	c.lastActive.Store(time.Now().UnixNano())
 	return c
 }
@@ -154,17 +150,8 @@ func (c *client) evict(reason uint32, code uint8) {
 	})
 }
 
-// outQueueDepth bounds the per-client outgoing message queue in
-// messages; it is the hard backstop behind the byte-budget policy. A
-// client that stops reading while the server has this many messages
-// queued is evicted immediately rather than allowed to wedge the server.
-const outQueueDepth = 1024
-
 // handleConn performs connection setup and runs the reader.
 func (s *Server) handleConn(conn net.Conn) {
-	defer func() {
-		// The writer goroutine owns closing the conn after draining.
-	}()
 	if tc, ok := conn.(*net.TCPConn); ok {
 		// Request and reply boundaries matter more than segment
 		// coalescing for an interactive audio stream.
@@ -181,9 +168,7 @@ func (s *Server) handleConn(conn net.Conn) {
 	// A draining server accepts no new sessions; the listener is already
 	// closed, but races (and DialPipe) can still deliver setups here.
 	if s.draining.Load() {
-		rep := proto.SetupReply{Success: false, Reason: "server draining",
-			Major: proto.ProtocolMajor, Minor: proto.ProtocolMinor}
-		rep.Send(conn, order) //nolint:errcheck
+		refuse(conn, order, "server draining")
 		conn.Close()
 		return
 	}
@@ -191,19 +176,14 @@ func (s *Server) handleConn(conn net.Conn) {
 	// Version negotiation: the major version must match; minor skew is
 	// tolerated (the X convention the protocol setup copies).
 	if setup.Major != proto.ProtocolMajor {
-		rep := proto.SetupReply{Success: false,
-			Reason: fmt.Sprintf("protocol version mismatch: server %d.%d, client %d.%d",
-				proto.ProtocolMajor, proto.ProtocolMinor, setup.Major, setup.Minor),
-			Major: proto.ProtocolMajor, Minor: proto.ProtocolMinor}
-		rep.Send(conn, order) //nolint:errcheck
+		refuse(conn, order, fmt.Sprintf("protocol version mismatch: server %d.%d, client %d.%d",
+			proto.ProtocolMajor, proto.ProtocolMinor, setup.Major, setup.Minor))
 		conn.Close()
 		return
 	}
 
 	if !s.hostAllowed(conn) {
-		rep := proto.SetupReply{Success: false, Reason: "access denied",
-			Major: proto.ProtocolMajor, Minor: proto.ProtocolMinor}
-		rep.Send(conn, order) //nolint:errcheck
+		refuse(conn, order, "access denied")
 		conn.Close()
 		return
 	}
@@ -447,37 +427,145 @@ func (c *client) putFrames(run []runFrame) {
 // once; the kernel-side iovec limit is handled by net.Buffers itself.
 const maxWriteVec = 64
 
+// msgOverheadBytes is what one outstanding message adds to the level the
+// eviction policy judges, on top of its marshaled bytes: a flood of tiny
+// messages (one-word errors, empty replies) weighs on the server through
+// its pooled buffers, not its payload. At the default 256 KiB budget,
+// 1024 empty messages put a client over budget.
+const msgOverheadBytes = 256
+
+// outQueue is a client's egress queue: what senders push and the writer
+// takes. It has no capacity of its own — what bounds it is the eviction
+// policy judging its level. Push and close share the lock, so a message
+// is either taken by the writer or refused, never stranded, and bytes
+// and count are exact at every instant: a message is outstanding from
+// push until the writer settles it after the write (or close drops it).
+type outQueue struct {
+	mu     sync.Mutex
+	msgs   []*wireMsg // msgs[head:] are pushed, not yet taken
+	head   int
+	bytes  int64 // marshaled bytes outstanding
+	count  int64 // messages outstanding
+	closed bool
+	wake   chan struct{}  // 1-slot: a push happened since the writer last looked
+	total  *metrics.Gauge // server-wide wire.queued_bytes, moved in step with bytes
+}
+
+// level is what evictPolicy judges. Caller holds q.mu.
+func (q *outQueue) level() int64 { return q.bytes + q.count*msgOverheadBytes }
+
+// push appends m and wakes the writer; it reports the level and queue
+// depth after the push, or !ok if the queue is closed (m stays the
+// caller's). Never blocks.
+func (q *outQueue) push(m *wireMsg) (level int64, depth int, ok bool) {
+	n := int64(len(m.buf))
+	q.mu.Lock()
+	if q.closed {
+		q.mu.Unlock()
+		return 0, 0, false
+	}
+	if q.head > 0 && len(q.msgs) == cap(q.msgs) {
+		// Reclaim the taken prefix before growing: a queue that never
+		// quite empties still reuses its slice.
+		live := copy(q.msgs, q.msgs[q.head:])
+		clear(q.msgs[live:])
+		q.msgs, q.head = q.msgs[:live], 0
+	}
+	q.msgs = append(q.msgs, m)
+	q.bytes += n
+	q.count++
+	q.total.Add(n)
+	level, depth = q.level(), len(q.msgs)-q.head
+	q.mu.Unlock()
+	select {
+	case q.wake <- struct{}{}:
+	default:
+	}
+	return level, depth, true
+}
+
+// take moves queued messages into the writer's vector, up to
+// maxWriteVec. An emptied queue rewinds, so the slice is reused rather
+// than reallocated in steady state.
+func (q *outQueue) take(vec [][]byte, owned []*wireMsg) ([][]byte, []*wireMsg) {
+	q.mu.Lock()
+	taken := q.msgs[q.head:min(len(q.msgs), q.head+maxWriteVec-len(owned))]
+	for _, m := range taken {
+		vec = append(vec, m.buf)
+		owned = append(owned, m)
+	}
+	clear(taken)
+	if q.head += len(taken); q.head == len(q.msgs) {
+		q.msgs, q.head = q.msgs[:0], 0
+	}
+	q.mu.Unlock()
+	return vec, owned
+}
+
+// settle retires n taken messages of nb bytes once the transport owns
+// them, returning the level left.
+func (q *outQueue) settle(nb int64, n int) int64 {
+	q.mu.Lock()
+	q.bytes -= nb
+	q.count -= int64(n)
+	q.total.Add(-nb)
+	level := q.level()
+	q.mu.Unlock()
+	return level
+}
+
+// load reads the outstanding marshaled bytes and the policy level.
+func (q *outQueue) load() (bytes, level int64) {
+	q.mu.Lock()
+	bytes, level = q.bytes, q.level()
+	q.mu.Unlock()
+	return bytes, level
+}
+
+// close refuses every later push and drops what was never taken. The
+// writer calls it on exit, when everything it took has been settled.
+func (q *outQueue) close() {
+	q.mu.Lock()
+	q.closed = true
+	rest := q.msgs[q.head:]
+	q.total.Add(-q.bytes)
+	q.msgs, q.head, q.bytes, q.count = nil, 0, 0, 0
+	q.mu.Unlock()
+	for _, m := range rest {
+		m.release()
+	}
+}
+
 // goodbyeTimeout bounds the final write of an evicted or drained
 // connection: the typed error (and any queued tail) is offered to the
 // peer for this long, then the transport closes regardless.
 const goodbyeTimeout = 250 * time.Millisecond
 
-// writer drains the outgoing queue onto the wire until the client is
+// writer drains the egress queue onto the wire until the client is
 // evicted or the loop closes it (c.closed). Queued messages are gathered
 // into one vectored write (writev on TCP and Unix sockets), so marshaled
 // bytes go from the pooled message buffers to the kernel without the
 // intermediate copy a bufio layer would make. Buffers return to the pool
 // once their vector has been written.
 //
-// While the client is over its byte budget every flush runs under a
-// write deadline: a transport that stops draining for longer than the
-// policy allows is a missed deadline, which is eviction. On eviction the
-// writer sends the typed goodbye error, closes the conn (unblocking the
-// reader), and finally settles the byte accounting for anything that
-// never reached the wire (drainResidual, which must run after the close
-// so the reader-unregister path can complete first).
+// While the client is over its budget every flush runs under a write
+// deadline: a transport that stops draining for longer than the policy
+// allows is a missed deadline, which is eviction. On eviction the writer
+// sends the typed goodbye error, closes the queue, dropping anything
+// that never reached the wire, and closes the conn (unblocking the
+// reader).
 func (c *client) writer() {
-	defer c.drainResidual()
+	// The queue closes first: once the reader sees the conn closed and
+	// unregisters, this client's bytes are already off the books.
 	defer c.conn.Close()
+	defer c.out.close()
 	vec := make([][]byte, 0, maxWriteVec)
 	owned := make([]*wireMsg, 0, maxWriteVec)
 	// bufs lives outside flush: WriteTo takes its address, and a closure
 	// local would escape to the heap on every call.
 	var bufs net.Buffers
+	// flush writes the taken vector and settles it.
 	flush := func() error {
-		if len(vec) == 0 {
-			return nil
-		}
 		c.s.sm.writevBatch.Observe(int64(len(vec)))
 		// WriteTo consumes the vector in place, so sum the byte count
 		// first; the accounting must match what was handed over whether
@@ -495,51 +583,34 @@ func (c *client) writer() {
 		for _, m := range owned {
 			m.release()
 		}
+		c.flow.onDrain(c.out.settle(nb, len(owned)))
 		vec, owned = vec[:0], owned[:0]
-		queued := c.queuedBytes.Add(-nb)
-		c.s.sm.queuedBytes.Add(-nb)
-		c.flow.onDrain(queued)
 		return err
 	}
-	// goodbye drains what is already queued, appends the typed close
-	// error if one was recorded, and writes it all best-effort under a
-	// short deadline so a peer that stopped reading cannot pin us here.
+	// goodbye queues the typed close error, if one was recorded, behind
+	// what is already queued and writes it all best-effort under a short
+	// deadline so a peer that stopped reading cannot pin us here.
 	goodbye := func() {
 		c.conn.SetWriteDeadline(time.Now().Add(goodbyeTimeout)) //nolint:errcheck
-		for {
-			select {
-			case msg := <-c.outCh:
-				vec = append(vec, msg.buf)
-				owned = append(owned, msg)
-				if len(vec) == maxWriteVec && flush() != nil {
-					return
-				}
-				continue
-			default:
-			}
-			break
-		}
 		if code := uint8(c.goodbye.Load()); code != 0 {
+			queued, _ := c.out.load()
 			m := getMsg("goodbye")
 			w := proto.Writer{Order: c.order, Buf: m.buf}
-			e := proto.ErrorMsg{Code: code, Seq: uint16(c.seq.Load()),
-				BadValue: uint32(c.queuedBytes.Load())}
+			e := proto.ErrorMsg{Code: code, Seq: uint16(c.seq.Load()), BadValue: uint32(queued)}
 			e.Encode(&w)
 			m.buf = w.Buf
-			// The goodbye joins the accounting so the flush's decrement
-			// balances.
-			n := int64(len(m.buf))
-			c.queuedBytes.Add(n)
-			c.s.sm.queuedBytes.Add(n)
-			vec = append(vec, m.buf)
-			owned = append(owned, m)
+			c.out.push(m) // never refused: only this goroutine closes the queue
 		}
-		flush() //nolint:errcheck — connection is going away
+		for {
+			vec, owned = c.out.take(vec, owned)
+			if len(vec) == 0 || flush() != nil {
+				return
+			}
+		}
 	}
 	for {
-		var msg *wireMsg
 		select {
-		case msg = <-c.outCh:
+		case <-c.out.wake:
 		case <-c.evicted:
 			goodbye()
 			return
@@ -547,133 +618,68 @@ func (c *client) writer() {
 			goodbye()
 			return
 		}
-		vec = append(vec, msg.buf)
-		owned = append(owned, msg)
-		// Coalesce whatever else is queued into the same vector.
-		for len(vec) < maxWriteVec {
-			select {
-			case more := <-c.outCh:
-				vec = append(vec, more.buf)
-				owned = append(owned, more)
-				continue
-			default:
+		for {
+			vec, owned = c.out.take(vec, owned)
+			if len(vec) == 0 {
+				break
 			}
-			break
-		}
-		allow, over := c.flow.writeAllowance(c.queuedBytes.Load(), time.Now().UnixNano())
-		if over {
-			c.conn.SetWriteDeadline(time.Now().Add(allow)) //nolint:errcheck
-		}
-		err := flush()
-		if over && err == nil {
-			c.conn.SetWriteDeadline(time.Time{}) //nolint:errcheck
-		}
-		if err != nil {
-			if c.dead.Load() {
-				// Evicted mid-write (the deadline interrupt): still try
-				// to say why before closing.
-				goodbye()
-				return
+			allow, over := c.flow.writeAllowance(time.Now().UnixNano())
+			if over {
+				c.conn.SetWriteDeadline(time.Now().Add(allow)) //nolint:errcheck
 			}
-			var ne net.Error
-			if errors.As(err, &ne) && ne.Timeout() {
-				c.s.logf("aserver: client %v missed its write deadline, evicting", c.conn.RemoteAddr())
-				c.evict(closeReasonEvict, proto.ErrOverload)
-				goodbye()
-				return
+			err := flush()
+			if over && err == nil {
+				c.conn.SetWriteDeadline(time.Time{}) //nolint:errcheck
 			}
-			return
-		}
-	}
-}
-
-// drainResidual settles the byte accounting for messages that were
-// queued but never written. It waits for removeClient (which closes
-// c.closed) because until the client is out of every registry a sender
-// may still be enqueueing; after that the final sweep is exact — any
-// sender racing past the dead check compensates via unqueueOne.
-func (c *client) drainResidual() {
-	settle := func(m *wireMsg) {
-		n := int64(len(m.buf))
-		c.queuedBytes.Add(-n)
-		c.s.sm.queuedBytes.Add(-n)
-		m.release()
-	}
-	for {
-		select {
-		case m := <-c.outCh:
-			settle(m)
-		case <-c.closed:
-			for {
-				select {
-				case m := <-c.outCh:
-					settle(m)
-				default:
+			if err != nil {
+				if c.dead.Load() {
+					// Evicted mid-write (the deadline interrupt): still try
+					// to say why before closing.
+					goodbye()
 					return
 				}
+				var ne net.Error
+				if errors.As(err, &ne) && ne.Timeout() {
+					c.s.logf("aserver: client %v missed its write deadline, evicting", c.conn.RemoteAddr())
+					c.evict(closeReasonEvict, proto.ErrOverload)
+					goodbye()
+				}
+				return
 			}
 		}
 	}
 }
 
-// unqueueOne removes and settles one queued message, if any. Called by a
-// sender that enqueued and then observed the client dead: the writer's
-// final sweep may already be done, so the sender takes one message back
-// out (not necessarily its own; the accounting balances either way)
-// rather than strand bytes in the queue.
-func (c *client) unqueueOne() {
-	select {
-	case m := <-c.outCh:
-		n := int64(len(m.buf))
-		c.queuedBytes.Add(-n)
-		c.s.sm.queuedBytes.Add(-n)
-		m.release()
-	default:
-	}
-}
-
-// send queues a marshaled message; it reports false (and evicts the
-// client) if the queue is at its hard cap. One reference on msg passes
-// to the writer goroutine on success and is released on failure — so a
-// broadcast caller that retained per-subscriber is square either way.
-// Never blocks; safe from any goroutine.
+// send queues a marshaled message; it reports false if the client is
+// dead or its queue closed. One reference on msg passes to the writer
+// goroutine on success and is released on failure — so a broadcast
+// caller that retained per-subscriber is square either way. Never
+// blocks; safe from any goroutine.
 func (c *client) send(msg *wireMsg) bool {
-	if c.dead.Load() {
+	var level int64
+	var depth int
+	ok := !c.dead.Load()
+	if ok {
+		level, depth, ok = c.out.push(msg)
+	}
+	if !ok {
 		msg.release()
 		return false
 	}
-	n := int64(len(msg.buf))
-	select {
-	case c.outCh <- msg:
-		queued := c.queuedBytes.Add(n)
-		c.s.sm.queuedBytes.Add(n)
-		if c.dead.Load() {
-			// Lost a race with teardown; see unqueueOne.
-			c.unqueueOne()
-			return false
-		}
-		c.s.sm.sendQueueDepth.Observe(int64(len(c.outCh)))
-		if queued > c.flow.budget {
-			c.overBudget(queued)
-		}
-		return true
-	default:
-		// Hard cap: outQueueDepth messages queued and the writer is not
-		// draining. Instant eviction, no policy grace.
-		msg.release()
-		c.s.sm.queueOverflows.Inc()
-		c.s.logf("aserver: client %v output queue overflow, evicting", c.conn.RemoteAddr())
-		c.evict(closeReasonEvict, proto.ErrOverload)
-		return false
+	c.s.sm.sendQueueDepth.Observe(int64(depth))
+	if level > c.flow.budget {
+		c.overBudget(level, time.Now().UnixNano())
 	}
+	return true
 }
 
-// overBudget runs the slow-client policy on an over-budget enqueue. Out
-// of line so the common under-budget send never reads the clock.
-func (c *client) overBudget(queued int64) {
-	if c.flow.onQueue(queued, time.Now().UnixNano()) == flowEvict {
-		c.s.logf("aserver: client %v over send budget (%d bytes) past its allowance, evicting",
-			c.conn.RemoteAddr(), queued)
+// overBudget runs the slow-client policy on an over-budget queue level:
+// the send edge and the sweep both judge through here. Out of line so
+// the common under-budget send never reads the clock.
+func (c *client) overBudget(level, now int64) {
+	if c.flow.onQueue(level, now) == flowEvict {
+		c.s.logf("aserver: client %v over send budget (level %d) past its allowance, evicting",
+			c.conn.RemoteAddr(), level)
 		c.evict(closeReasonEvict, proto.ErrOverload)
 	}
 }

@@ -702,22 +702,15 @@ func handleRecord(c *client, a *ac, e *engine, req *request, q proto.RecordSampl
 	res := a.dev.Record(atime.ATime(q.Time), payload, a.enc, a.recGain)
 	if res.Avail < want && q.Flags&proto.SampleFlagNoBlock == 0 {
 		// Blocking record: the connection waits until all requested data
-		// has been captured. Schedule a precise wake-up task for the
-		// moment the last sample will exist, rather than waiting for the
-		// next periodic update — real-time clients (apass) depend on the
-		// resume latency being small. The wire message returns to the
-		// pool; the retry checks one out again.
+		// has been captured, woken for the moment the last sample will
+		// exist. The wire message returns to the pool; the retry checks
+		// one out again.
 		m.release()
 		p := &parked{c: c, a: a, op: req.op, ext: req.ext, seq: seq,
 			body: req.body, frame: req.frame, done: make(chan struct{})}
 		end := atime.Add(atime.ATime(q.Time), want)
 		if deficit := int(atime.Sub(end, res.Now)); deficit > 0 {
-			wake := time.Duration(deficit)*time.Second/time.Duration(a.dev.Cfg.Rate) + time.Millisecond
-			e.addTaskLocked(wake, func(time.Time) {
-				if e.parks[c] == p {
-					e.retryParked(c, p)
-				}
-			})
+			e.wakeParkLocked(p, deficit)
 		}
 		return p
 	}
@@ -739,12 +732,7 @@ func handleRecordADPCM(c *client, a *ac, e *engine, req *request, q proto.Record
 			body: req.body, frame: req.frame, done: make(chan struct{})}
 		end := atime.Add(atime.ATime(q.Time), wantFrames)
 		if deficit := int(atime.Sub(end, res.Now)); deficit > 0 {
-			wake := time.Duration(deficit)*time.Second/time.Duration(a.dev.Cfg.Rate) + time.Millisecond
-			e.addTaskLocked(wake, func(time.Time) {
-				if e.parks[c] == p {
-					e.retryParked(c, p)
-				}
-			})
+			e.wakeParkLocked(p, deficit)
 		}
 		return p
 	}

@@ -23,7 +23,7 @@ import (
 // with the real writer goroutine draining the queue (its far end is
 // discarded). Budgets are disabled so the eviction policy never trips
 // mid-benchmark.
-func benchServer(b *testing.B) (*Server, *client, *vdev.ManualClock, func()) {
+func benchServer(b testing.TB) (*Server, *client, *vdev.ManualClock, func()) {
 	b.Helper()
 	clk := vdev.NewManualClock(8000)
 	srv, err := New(Options{
@@ -56,7 +56,10 @@ func benchServer(b *testing.B) (*Server, *client, *vdev.ManualClock, func()) {
 // byte accounting reaching zero means the buffers are back in the pool),
 // keeping the benchmark's steady state bounded.
 func drainOut(c *client) {
-	for c.queuedBytes.Load() != 0 {
+	for {
+		if queued, _ := c.out.load(); queued == 0 {
+			return
+		}
 		runtime.Gosched()
 	}
 }

@@ -286,7 +286,8 @@ func (e *engine) retryParked(c *client, p *parked) {
 			res := a.dev.Record(atime.ATime(q.Time), *linp, sampleconv.LIN16, a.recGain)
 			if res.Avail < 2*int(q.NBytes) {
 				putBytes(linp)
-				return // still short; stay parked (a wake task is pending)
+				e.wakeParkLocked(p, 2*int(q.NBytes)-res.Avail)
+				return
 			}
 			frames := res.Avail &^ 1
 			samplesp := getLin(frames)
@@ -304,16 +305,8 @@ func (e *engine) retryParked(c *client, p *parked) {
 		m, payload := newRecordReplyMsg(want * cfb)
 		res := a.dev.Record(atime.ATime(q.Time), payload, a.enc, a.recGain)
 		if res.Avail < want {
-			// Still short (e.g. the clock runs slightly slow relative to
-			// the wall-clock estimate): try again shortly.
 			m.release()
-			missing := want - res.Avail
-			wakeIn := time.Duration(missing)*time.Second/time.Duration(a.dev.Cfg.Rate) + time.Millisecond
-			e.addTaskLocked(wakeIn, func(time.Time) {
-				if e.parks[c] == p {
-					e.retryParked(c, p)
-				}
-			})
+			e.wakeParkLocked(p, want-res.Avail)
 			return
 		}
 		finishRecordReply(c, a, m, want*cfb, uint32(res.Now), q.Flags, p.seq)
@@ -321,6 +314,21 @@ func (e *engine) retryParked(c *client, p *parked) {
 	default:
 		e.finishPark(c, p, false)
 	}
+}
+
+// wakeParkLocked schedules a retry of the blocked record p for the moment
+// its last deficit frames will exist, rather than leaving it to the next
+// periodic update — real-time clients (apass) depend on the resume
+// latency being small. A retry that lands early (the clock runs slightly
+// slow relative to the wall-clock estimate) comes back through here.
+// Caller holds e.mu.
+func (e *engine) wakeParkLocked(p *parked, deficit int) {
+	wake := time.Duration(deficit)*time.Second/time.Duration(p.a.dev.Cfg.Rate) + time.Millisecond
+	e.addTaskLocked(wake, func(time.Time) {
+		if e.parks[p.c] == p {
+			e.retryParked(p.c, p)
+		}
+	})
 }
 
 // dropClientParks discards any park the client holds on this engine,

@@ -29,8 +29,8 @@ import (
 //   - Connects/disconnects: the control plane (loop.go register /
 //     removeClient), each exactly once per client, so after every
 //     client is gone connects == disconnects.
-//   - Queue overflows, client errors, queue depth, writev batches:
-//     client.go's send/appendError/writer.
+//   - Client errors, queue depth, writev batches: client.go's
+//     send/appendError/writer.
 //   - Frame conservation counters and silence fill: internal/core and
 //     internal/ring, mutated and snapshotted under the engine lock.
 //
@@ -42,11 +42,10 @@ import (
 type serverMetrics struct {
 	reg *metrics.Registry
 
-	connects       *metrics.Counter
-	disconnects    *metrics.Counter
-	activeClients  *metrics.Gauge
-	clientErrors   *metrics.Counter
-	queueOverflows *metrics.Counter
+	connects      *metrics.Counter
+	disconnects   *metrics.Counter
+	activeClients *metrics.Gauge
+	clientErrors  *metrics.Counter
 
 	// Disconnect classification (overload.go). Every disconnect
 	// increments exactly one of these, before disconnects itself, so
@@ -113,7 +112,6 @@ func newServerMetrics() *serverMetrics {
 		disconnects:      reg.Counter("server.disconnects"),
 		activeClients:    reg.Gauge("server.active_clients"),
 		clientErrors:     reg.Counter("server.client_errors"),
-		queueOverflows:   reg.Counter("server.queue_overflows"),
 		evictions:        reg.Counter("server.evictions"),
 		sheds:            reg.Counter("server.sheds"),
 		drains:           reg.Counter("server.drains"),
@@ -234,12 +232,11 @@ func (sm *serverMetrics) newEngineMetrics(rootIndex int) *engineMetrics {
 // read under each engine's lock, so within one device the conservation
 // laws hold exactly in every snapshot.
 type Snapshot struct {
-	Requests       uint64 `json:"requests"`
-	Connects       uint64 `json:"connects"`
-	Disconnects    uint64 `json:"disconnects"`
-	ActiveClients  int64  `json:"active_clients"`
-	ClientErrors   uint64 `json:"client_errors"`
-	QueueOverflows uint64 `json:"queue_overflows"`
+	Requests      uint64 `json:"requests"`
+	Connects      uint64 `json:"connects"`
+	Disconnects   uint64 `json:"disconnects"`
+	ActiveClients int64  `json:"active_clients"`
+	ClientErrors  uint64 `json:"client_errors"`
 
 	// Disconnect classification: Disconnects <= Evictions + Sheds +
 	// Drains + ClientCloses in every snapshot, with equality after drain.
@@ -369,7 +366,6 @@ func (s *Server) Snapshot() Snapshot {
 		Disconnects:        disconnects,
 		ActiveClients:      sm.activeClients.Load(),
 		ClientErrors:       sm.clientErrors.Load(),
-		QueueOverflows:     sm.queueOverflows.Load(),
 		Evictions:          sm.evictions.Load(),
 		Sheds:              sm.sheds.Load(),
 		Drains:             sm.drains.Load(),

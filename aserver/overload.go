@@ -12,11 +12,12 @@ import (
 // the real-time data plane healthy no matter what clients do. Three
 // layers (see DESIGN.md, "Overload & shutdown"):
 //
-//   - Per-connection: every client's outgoing queue is bounded in bytes
-//     (not just messages). A consumer that stays over its byte budget —
-//     or misses a write deadline — for longer than the audio it is owed
-//     is evicted with a typed protocol error (Overload). Senders never
-//     block: the engine and the other clients' writers are unaffected.
+//   - Per-connection: every client's outgoing queue has a budget on its
+//     level — marshaled bytes plus a fixed overhead per message. A
+//     consumer that stays over budget — or misses a write deadline — for
+//     longer than its grace is evicted with a typed protocol error
+//     (Overload). Senders never block: the engine and the other clients'
+//     writers are unaffected.
 //   - Server-wide: budgets on client count, total queued bytes, and
 //     pooled request-frame bytes in flight. Exceeding one sheds the
 //     oldest-idle (or largest-queue) client rather than degrading all.
@@ -50,37 +51,28 @@ const (
 	flowEvict                    // over budget past the allowance
 )
 
-// evictPolicy is the per-client slow-consumer state machine. A client
-// may exceed its byte budget transiently (a burst the writer is still
-// flushing); it is evicted only after staying over budget for longer
-// than its allowance: a fixed grace period plus, when rate is set, the
-// time the queued audio itself is worth — "the audio it is owed".
+// evictPolicy is the per-client slow-consumer state machine, the one
+// judge of a client's egress queue. What it judges is the queue level
+// (outQueue.level: marshaled bytes plus msgOverheadBytes per message),
+// so a pile of tiny messages and a pile of bytes are the same excursion.
+// A client may exceed its budget transiently (a burst the writer is
+// still flushing); it is evicted only after staying over budget for
+// longer than its allowance, the grace period.
 //
 // The state is one atomic (the instant the client went over budget), so
-// both the send hot path and the periodic sweep can run the policy
-// without a lock.
+// the send hot path, the writer and the periodic sweep can all run the
+// policy without sharing a lock.
 type evictPolicy struct {
-	budget int64         // queued-bytes budget
-	grace  time.Duration // fixed slack once over budget
-	rate   int64         // consumer bytes/sec the queue is owed; 0 disables
+	budget int64         // queue-level budget
+	grace  time.Duration // how long a client may stay over budget
 
 	overSince atomic.Int64 // unix nanos when the budget was crossed; 0 = under
 }
 
-// allowance is how long a client may stay over budget with `queued`
-// bytes outstanding.
-func (p *evictPolicy) allowance(queued int64) time.Duration {
-	d := p.grace
-	if p.rate > 0 {
-		d += time.Duration(queued * int64(time.Second) / p.rate)
-	}
-	return d
-}
-
-// onQueue observes the queued-byte level at time now (unix nanos) and
-// returns the verdict. Called on over-budget enqueues and by the sweep.
-func (p *evictPolicy) onQueue(queued, now int64) flowVerdict {
-	if queued <= p.budget {
+// onQueue observes the queue level at time now (unix nanos) and returns
+// the verdict. Called on over-budget enqueues and by the sweep.
+func (p *evictPolicy) onQueue(level, now int64) flowVerdict {
+	if level <= p.budget {
 		p.overSince.Store(0)
 		return flowOK
 	}
@@ -91,17 +83,17 @@ func (p *evictPolicy) onQueue(queued, now int64) flowVerdict {
 		p.overSince.CompareAndSwap(0, now)
 		return flowOver
 	}
-	if time.Duration(now-since) > p.allowance(queued) {
+	if time.Duration(now-since) > p.grace {
 		return flowEvict
 	}
 	return flowOver
 }
 
-// onDrain observes the queued-byte level after the writer flushed. A
-// client back under budget has recovered: the clock resets, and a later
+// onDrain observes the queue level after the writer flushed. A client
+// back under budget has recovered: the clock resets, and a later
 // excursion starts a fresh allowance.
-func (p *evictPolicy) onDrain(queued int64) {
-	if queued <= p.budget && p.overSince.Load() != 0 {
+func (p *evictPolicy) onDrain(level int64) {
+	if level <= p.budget && p.overSince.Load() != 0 {
 		p.overSince.Store(0)
 	}
 }
@@ -111,12 +103,12 @@ func (p *evictPolicy) onDrain(queued int64) {
 // policy allowance, floored so a deadline armed late still permits a
 // write. Reports false while under budget (no deadline armed — the
 // common case stays free of timer churn).
-func (p *evictPolicy) writeAllowance(queued, now int64) (time.Duration, bool) {
+func (p *evictPolicy) writeAllowance(now int64) (time.Duration, bool) {
 	since := p.overSince.Load()
 	if since == 0 {
 		return 0, false
 	}
-	rem := p.allowance(queued) - time.Duration(now-since)
+	rem := p.grace - time.Duration(now-since)
 	if rem < 5*time.Millisecond {
 		rem = 5 * time.Millisecond
 	}
@@ -126,11 +118,10 @@ func (p *evictPolicy) writeAllowance(queued, now int64) (time.Duration, bool) {
 // budgets is the server-wide resource policy, resolved from Options.
 type budgets struct {
 	maxClients   int           // registered clients before oldest-idle shedding; 0 = unlimited
-	clientQueue  int64         // per-client queued-bytes budget
+	clientQueue  int64         // per-client queue-level budget
 	serverQueue  int64         // total queued bytes across clients
 	frameCeiling int64         // pooled request-frame bytes in flight
-	evictGrace   time.Duration // fixed over-budget slack
-	evictRate    int64         // bytes/sec for the owed-audio allowance term
+	evictGrace   time.Duration // how long a client may stay over budget
 }
 
 // initOverload resolves the budget options and seeds the periodic
@@ -149,7 +140,6 @@ func (s *Server) initOverload() {
 	if b.evictGrace == 0 {
 		b.evictGrace = 250 * time.Millisecond
 	}
-	b.evictRate = int64(s.opts.EvictRateBytesPerSec)
 	b.serverQueue = s.opts.ServerQueueBytes
 	if b.serverQueue == 0 {
 		if b.clientQueue > math.MaxInt64/64 {
@@ -191,31 +181,35 @@ func (s *Server) initOverload() {
 func (s *Server) sweepOverload(now time.Time) {
 	nanos := now.UnixNano()
 	var largest *client
-	var largestBytes int64
+	var largestBytes, largestLevel int64
 	var total int64
 	s.clientMu.RLock()
 	for c := range s.clients {
 		if c.dead.Load() {
 			continue
 		}
-		q := c.queuedBytes.Load()
+		q, level := c.out.load()
 		total += q
 		if q > largestBytes {
-			largest, largestBytes = c, q
+			largest, largestBytes, largestLevel = c, q, level
 		}
-		if q > c.flow.budget && c.flow.onQueue(q, nanos) == flowEvict {
-			s.logf("aserver: client %v over send budget (%d bytes) past its allowance, evicting",
-				c.conn.RemoteAddr(), q)
-			c.evict(closeReasonEvict, proto.ErrOverload)
+		if level > c.flow.budget {
+			c.overBudget(level, nanos)
 		}
 	}
 	s.clientMu.RUnlock()
-	// Server-wide queued bytes: shed the largest queue rather than let
-	// one burst starve every writer of pooled buffers.
+	// Server-wide queued bytes (marshaled bytes: this one is a memory
+	// bound): close the largest queue rather than let one burst starve
+	// every writer of pooled buffers. A victim over its own budget is a
+	// slow consumer caught early, not a sacrifice: that is an eviction.
 	if total > s.budget.serverQueue && largest != nil && !largest.dead.Load() {
-		s.logf("aserver: %d bytes queued server-wide (budget %d), shedding client %v (%d bytes)",
+		reason := closeReasonShed
+		if largestLevel > largest.flow.budget {
+			reason = closeReasonEvict
+		}
+		s.logf("aserver: %d bytes queued server-wide (budget %d), closing client %v (%d bytes)",
 			total, s.budget.serverQueue, largest.conn.RemoteAddr(), largestBytes)
-		largest.evict(closeReasonShed, proto.ErrOverload)
+		largest.evict(reason, proto.ErrOverload)
 	}
 	// Pooled ingress frames in flight: a parked-request pileup holding
 	// frames past the ceiling sheds the oldest-idle client.

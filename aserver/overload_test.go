@@ -2,6 +2,7 @@ package aserver
 
 import (
 	"encoding/binary"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -28,7 +29,6 @@ func TestEvictPolicyConformance(t *testing.T) {
 	}
 	cases := []struct {
 		name string
-		rate int64
 		seq  []obs
 	}{
 		{name: "under budget is always ok", seq: []obs{
@@ -46,19 +46,6 @@ func TestEvictPolicyConformance(t *testing.T) {
 		{name: "past the allowance is eviction", seq: []obs{
 			{queued: budget + 1, at: 0, want: flowOver},
 			{queued: budget + 1, at: grace + time.Nanosecond, want: flowEvict},
-		}},
-		{name: "rate extends the allowance by the audio owed", rate: 8000, seq: []obs{
-			// 8000 B at 8000 B/s is one second of audio owed on top of grace.
-			{queued: 8000, at: 0, want: flowOver},
-			{queued: 8000, at: grace + time.Second, want: flowOver},
-			{queued: 8000, at: grace + time.Second + time.Millisecond, want: flowEvict},
-		}},
-		{name: "shrinking queue shrinks the allowance", rate: 8000, seq: []obs{
-			{queued: 8000, at: 0, want: flowOver},
-			// Still over budget but down to 1200 bytes (150ms of audio
-			// owed): the clock keeps its original start, so the smaller
-			// allowance of grace+150ms has just expired.
-			{queued: 1200, at: grace + 150*time.Millisecond + time.Millisecond, want: flowEvict},
 		}},
 		{name: "recovery just before the threshold is not evicted", seq: []obs{
 			{queued: budget + 500, at: 0, want: flowOver},
@@ -79,7 +66,7 @@ func TestEvictPolicyConformance(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			p := &evictPolicy{budget: budget, grace: grace, rate: tc.rate}
+			p := &evictPolicy{budget: budget, grace: grace}
 			for i, o := range tc.seq {
 				if o.drain {
 					p.onDrain(o.queued)
@@ -97,27 +84,25 @@ func TestEvictPolicyConformance(t *testing.T) {
 func TestEvictPolicyWriteAllowance(t *testing.T) {
 	const epoch = int64(time.Hour)
 	p := &evictPolicy{budget: 1000, grace: 100 * time.Millisecond}
-	if _, armed := p.writeAllowance(500, epoch); armed {
+	if _, armed := p.writeAllowance(epoch); armed {
 		t.Error("deadline armed while under budget")
 	}
 	p.onQueue(2000, epoch)
-	allow, armed := p.writeAllowance(2000, epoch+int64(40*time.Millisecond))
+	allow, armed := p.writeAllowance(epoch + int64(40*time.Millisecond))
 	if !armed || allow != 60*time.Millisecond {
 		t.Errorf("writeAllowance = %v, %v; want 60ms, true", allow, armed)
 	}
 	// Past the allowance the deadline is floored, never zero or negative:
 	// a late-armed deadline must still permit a write to complete.
-	allow, armed = p.writeAllowance(2000, epoch+int64(time.Hour))
+	allow, armed = p.writeAllowance(epoch + int64(time.Hour))
 	if !armed || allow != 5*time.Millisecond {
 		t.Errorf("expired writeAllowance = %v, %v; want 5ms floor", allow, armed)
 	}
 }
 
-// rawFlooder opens a protocol session over the given transport and
-// writes GetTime requests without ever reading a reply: the wedged
-// consumer. Returns after n requests are written or the transport dies
-// (reset by the server's eviction).
-func rawFlooder(t *testing.T, srv *Server, n int) {
+// dialRaw opens a protocol session over the server's pipe transport and
+// returns the bare conn past setup, or nil (with the test failed).
+func dialRaw(t *testing.T, srv *Server) net.Conn {
 	t.Helper()
 	nc := srv.DialPipe()
 	setup := proto.SetupRequest{
@@ -126,11 +111,24 @@ func rawFlooder(t *testing.T, srv *Server, n int) {
 		Minor:     proto.ProtocolMinor,
 	}
 	if err := setup.Send(nc); err != nil {
-		t.Errorf("flooder setup: %v", err)
-		return
+		t.Errorf("raw session setup: %v", err)
+		return nil
 	}
 	if _, err := proto.ReadSetupReply(nc, binary.LittleEndian); err != nil {
-		t.Errorf("flooder setup reply: %v", err)
+		t.Errorf("raw session setup reply: %v", err)
+		return nil
+	}
+	return nc
+}
+
+// rawFlooder opens a protocol session over the given transport and
+// writes GetTime requests without ever reading a reply: the wedged
+// consumer. Returns after n requests are written or the transport dies
+// (reset by the server's eviction).
+func rawFlooder(t *testing.T, srv *Server, n int) {
+	t.Helper()
+	nc := dialRaw(t, srv)
+	if nc == nil {
 		return
 	}
 	var w proto.Writer

@@ -95,20 +95,18 @@ type Options struct {
 	// MaxClients caps registered clients; registering past it sheds the
 	// oldest-idle client. 0 = unlimited.
 	MaxClients int
-	// ClientQueueBytes is the per-client outgoing queue byte budget
-	// (default 256 KiB). A client over budget for longer than its
-	// allowance is evicted with a typed Overload error.
+	// ClientQueueBytes is the per-client outgoing queue budget (default
+	// 256 KiB), judged against the queue's level: marshaled bytes plus a
+	// fixed overhead per message. A client over budget for longer than
+	// EvictGrace is evicted with a typed Overload error.
 	ClientQueueBytes int
-	// EvictGrace is the fixed time a client may stay over budget
-	// (default 250ms).
+	// EvictGrace is how long a client may stay over budget (default
+	// 250ms).
 	EvictGrace time.Duration
-	// EvictRateBytesPerSec adds "the audio the client is owed" to the
-	// allowance: queued bytes at this consumption rate. 0 disables the
-	// term (grace only).
-	EvictRateBytesPerSec int
 	// ServerQueueBytes bounds total queued bytes across all clients
-	// (default 64 × ClientQueueBytes); exceeding it sheds the largest
-	// queue.
+	// (default 64 × ClientQueueBytes); exceeding it closes the largest
+	// queue: an eviction if that client is over its own budget, else a
+	// shed.
 	ServerQueueBytes int64
 	// FrameBytesCeiling bounds pooled request-frame bytes in flight
 	// (default 16 MiB); exceeding it sheds the oldest-idle client.

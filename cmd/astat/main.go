@@ -229,8 +229,8 @@ func histDeltaMean(prev, cur metrics.HistogramSnapshot) float64 {
 // printAbsolute renders one snapshot's cumulative counters. -top bounds
 // the device table here too.
 func printAbsolute(s aserver.Snapshot) {
-	fmt.Printf("requests %d  connects %d  disconnects %d  active %d  errors %d  overflows %d\n",
-		s.Requests, s.Connects, s.Disconnects, s.ActiveClients, s.ClientErrors, s.QueueOverflows)
+	fmt.Printf("requests %d  connects %d  disconnects %d  active %d  errors %d\n",
+		s.Requests, s.Connects, s.Disconnects, s.ActiveClients, s.ClientErrors)
 	fmt.Printf("evictions %d  sheds %d  drains %d  client-closes %d  queued-bytes %d  frame-bytes %d\n",
 		s.Evictions, s.Sheds, s.Drains, s.ClientCloses, s.QueuedBytes, s.FrameBytesInFlight)
 	fmt.Printf("dispatch p99: play %s  record %s  gettime %s  control %s  writev mean %.1f\n",

@@ -216,8 +216,10 @@ func TestLineserverChaosSoak(t *testing.T) {
 
 			b.Close()
 			st := b.Stats()
-			faults := fw.Faults().Stats()
+			// The packet law is exact only on a closed conn: until then the
+			// firmware may be mid-write on its last reply.
 			fw.Close()
+			faults := fw.Faults().Stats()
 
 			total := res.intact + res.silent + res.corrupt
 			intactFrac := float64(res.intact) / float64(total)

@@ -22,9 +22,10 @@ import (
 )
 
 // drainSnapshot polls until every client is gone (connects ==
-// disconnects, no parks outstanding) and returns the settled snapshot.
-// Client teardown is asynchronous — the reader exits, then the loop
-// unregisters — so the counters converge shortly after the last Close.
+// disconnects, no parks outstanding, no bytes queued) and returns the
+// settled snapshot. Client teardown is asynchronous — the reader exits,
+// the loop unregisters, then the writer settles its last bytes — so the
+// counters converge shortly after the last Close.
 func drainSnapshot(t *testing.T, srv *aserver.Server) aserver.Snapshot {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -34,12 +35,12 @@ func drainSnapshot(t *testing.T, srv *aserver.Server) aserver.Snapshot {
 		for _, d := range s.Devices {
 			parked += d.ParkedNow
 		}
-		if s.Connects == s.Disconnects && s.ActiveClients == 0 && parked == 0 {
+		if s.Connects == s.Disconnects && s.ActiveClients == 0 && parked == 0 && s.QueuedBytes == 0 {
 			return s
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("server did not drain: connects=%d disconnects=%d active=%d parked=%d",
-				s.Connects, s.Disconnects, s.ActiveClients, parked)
+			t.Fatalf("server did not drain: connects=%d disconnects=%d active=%d parked=%d queued=%d",
+				s.Connects, s.Disconnects, s.ActiveClients, parked, s.QueuedBytes)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
