@@ -3,54 +3,9 @@ package aserver
 import (
 	"net"
 	"testing"
-	"time"
 
 	"audiofile/internal/proto"
 )
-
-func TestTaskQueueOrdering(t *testing.T) {
-	q := newTaskQueue()
-	var order []int
-	base := time.Now()
-	q.add(base.Add(30*time.Millisecond), func(time.Time) { order = append(order, 3) })
-	q.add(base.Add(10*time.Millisecond), func(time.Time) { order = append(order, 1) })
-	q.add(base.Add(20*time.Millisecond), func(time.Time) { order = append(order, 2) })
-
-	when, ok := q.next()
-	if !ok || !when.Equal(base.Add(10*time.Millisecond)) {
-		t.Fatalf("next = %v, %v", when, ok)
-	}
-	if n := q.runDue(base.Add(25 * time.Millisecond)); n != 2 {
-		t.Fatalf("runDue ran %d tasks, want 2", n)
-	}
-	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
-		t.Fatalf("order = %v", order)
-	}
-	if n := q.runDue(base.Add(time.Second)); n != 1 {
-		t.Fatalf("second runDue ran %d", n)
-	}
-	if _, ok := q.next(); ok {
-		t.Error("queue not empty")
-	}
-}
-
-func TestTaskQueueReschedulesSelf(t *testing.T) {
-	q := newTaskQueue()
-	count := 0
-	base := time.Now()
-	var tick func(time.Time)
-	tick = func(time.Time) {
-		count++
-		if count < 3 {
-			q.add(base.Add(time.Duration(count)*time.Millisecond), tick)
-		}
-	}
-	q.add(base, tick)
-	q.runDue(base.Add(time.Second))
-	if count != 3 {
-		t.Errorf("self-rescheduling task ran %d times, want 3", count)
-	}
-}
 
 func TestAtomTable(t *testing.T) {
 	at := newAtomTable()

@@ -105,12 +105,11 @@ func BenchmarkDispatchBatch(b *testing.B) {
 			srv, c, clk, cleanup := benchServer(b)
 			defer cleanup()
 			clk.Advance(4096)
-			req := &request{c: c}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i += len(run) {
 				for k := 0; k < len(run); k += bc.size {
-					srv.dispatchHotGroup(c, run[k:k+bc.size], req)
+					srv.dispatchHotGroup(c, run[k:k+bc.size])
 				}
 				drainOut(c)
 			}

@@ -17,22 +17,17 @@ import (
 	"audiofile/internal/sampleconv"
 )
 
-// request is one framed client request. Hot (data-plane) requests are
-// dispatched inline by the reader; control-plane requests make a
-// synchronous round trip through the server loop.
+// request is one control-plane request on its synchronous round trip
+// through the server loop. Hot (data-plane) requests never become one:
+// the reader dispatches them inline from their frames.
 type request struct {
 	c    *client
 	op   uint8
 	ext  uint8
 	body []byte
-	// frame is the pooled buffer backing body (nil when the body is
-	// caller-owned, as in tests and benchmarks). A park takes ownership
-	// of the frame; otherwise the reader recycles it after dispatch.
-	frame *[]byte
-	// done is set on control-plane requests: the loop closes it once the
-	// request has been dispatched, releasing the reader to move on. The
-	// round trip is what preserves per-connection FIFO order across the
-	// control/data plane split.
+	// done is closed by the loop once the request has been dispatched,
+	// releasing the reader to move on. The round trip is what preserves
+	// per-connection FIFO order across the control/data plane split.
 	done chan struct{}
 }
 
@@ -284,7 +279,7 @@ const maxRunLen = 32
 func (c *client) reader() {
 	br := bufio.NewReaderSize(c.conn, readerBufBytes)
 	var hdr [4]byte
-	req := &request{c: c} // reused across hot requests; parks copy out of it
+	req := &request{c: c} // reused across control round trips
 	var await *parked     // outstanding blocked request, if any
 	run := make([]runFrame, 0, maxRunLen)
 	for {
@@ -376,7 +371,7 @@ func (c *client) dispatchRun(run []runFrame, await *parked, req *request) (cont 
 		}
 		rf := run[i]
 		if !hotOp(rf.op) {
-			req.op, req.ext, req.body, req.frame = rf.op, rf.ext, *rf.frame, rf.frame
+			req.op, req.ext, req.body = rf.op, rf.ext, *rf.frame
 			req.done = make(chan struct{})
 			select {
 			case c.s.reqCh <- req:
@@ -400,7 +395,7 @@ func (c *client) dispatchRun(run []runFrame, await *parked, req *request) (cont 
 		// The group is placed here — after any control round trip earlier
 		// in the run — so AC mutations ordered by those round trips are
 		// visible to it.
-		consumed, p := c.s.dispatchHotGroup(c, run[i:], req)
+		consumed, p := c.s.dispatchHotGroup(c, run[i:])
 		i += consumed
 		served := run[i-consumed : i]
 		if p != nil {

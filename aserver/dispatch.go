@@ -71,13 +71,12 @@ func (s *Server) hotEngine(c *client, rf runFrame) (h hotReq) {
 // any. The caller must not dispatch anything further for this connection
 // until the park's done channel closes. The parked entry is always the
 // last consumed one, and its frame belongs to the park; the caller
-// recycles the others. req is the reader's scratch request, reused per
-// entry.
+// recycles the others.
 //
 // Dispatch latency is the group's wall time amortized over its members;
 // a parked request's latency is its time to park, not its time to
 // completion (the park-duration histogram covers that).
-func (s *Server) dispatchHotGroup(c *client, run []runFrame, req *request) (int, *parked) {
+func (s *Server) dispatchHotGroup(c *client, run []runFrame) (int, *parked) {
 	t0 := time.Now()
 	c.lastActive.Store(t0.UnixNano())
 	var e *engine // the engine whose lock the group holds, once one is named
@@ -112,25 +111,32 @@ func (s *Server) dispatchHotGroup(c *client, run []runFrame, req *request) (int,
 			c.stagedError(h.code, h.bad, rf.op, seq)
 			continue
 		}
-		req.op, req.ext, req.body, req.frame, req.done = rf.op, rf.ext, *rf.frame, rf.frame, nil
+		// A play or record here is attempt 0 of a call whose state lives on
+		// this stack; if it blocks, the engine keeps a copy to resume.
 		switch rf.op {
 		case proto.OpGetTime:
 			c.stagedReply(&proto.Reply{Time: uint32(s.devices[h.dev].Time())}, seq)
 		case proto.OpPlaySamples:
 			// Play ingress is counted here, the single entry point every
-			// accepted PlaySamples request passes through (parked retries
+			// accepted PlaySamples request passes through (resumed attempts
 			// re-consume the same bytes and are not re-counted).
 			playBytes += uint64(len(h.play.Data))
 			e.m.playChunk.Observe(int64(len(h.play.Data)))
-			park = handlePlay(c, h.a, req, h.play, seq)
+			call := parked{c: c, a: h.a, op: rf.op, seq: seq, frame: rf.frame}
+			call.preparePlay(h.play)
+			if !servePlay(&call, true) {
+				park = e.parkLocked(&call)
+			}
 		case proto.OpRecordSamples:
-			// handleRecord queues its reply directly; anything staged so
+			// serveRecord queues its reply directly; anything staged so
 			// far must leave first to preserve reply order.
 			c.flushStage()
-			park = handleRecord(c, h.a, e, req, h.rec, seq)
+			call := parked{c: c, a: h.a, op: rf.op, seq: seq, frame: rf.frame, rec: h.rec}
+			if !e.serveRecord(&call) {
+				park = e.parkLocked(&call)
+			}
 		}
 		if park != nil {
-			e.registerParkLocked(c, park)
 			break
 		}
 	}
@@ -186,8 +192,7 @@ func (s *Server) dispatchControlInner(req *request) {
 	switch req.op {
 	case proto.OpSelectEvents:
 		q := proto.DecodeSelectEvents(r)
-		if r.Err != nil {
-			c.sendError(proto.ErrLength, 0, req.op, seq)
+		if c.short(r, req.op, seq) {
 			return
 		}
 		if !s.validDevice(q.Device) {
@@ -200,16 +205,14 @@ func (s *Server) dispatchControlInner(req *request) {
 
 	case proto.OpCreateAC:
 		q := proto.DecodeCreateAC(r)
-		if r.Err != nil {
-			c.sendError(proto.ErrLength, 0, req.op, seq)
+		if c.short(r, req.op, seq) {
 			return
 		}
 		s.handleCreateAC(c, req.op, q, seq)
 
 	case proto.OpChangeACAttributes:
 		q := proto.DecodeChangeAC(r)
-		if r.Err != nil {
-			c.sendError(proto.ErrLength, 0, req.op, seq)
+		if c.short(r, req.op, seq) {
 			return
 		}
 		a := c.acs[q.AC]
@@ -221,6 +224,9 @@ func (s *Server) dispatchControlInner(req *request) {
 
 	case proto.OpFreeAC:
 		id := r.U32()
+		if c.short(r, req.op, seq) {
+			return
+		}
 		a := c.acs[id]
 		if a == nil {
 			c.sendError(proto.ErrAC, id, req.op, seq)
@@ -231,8 +237,7 @@ func (s *Server) dispatchControlInner(req *request) {
 
 	case proto.OpSubscribe:
 		id := proto.DecodeACReq(r)
-		if r.Err != nil {
-			c.sendError(proto.ErrLength, 0, req.op, seq)
+		if c.short(r, req.op, seq) {
 			return
 		}
 		a := c.acs[id]
@@ -255,8 +260,7 @@ func (s *Server) dispatchControlInner(req *request) {
 
 	case proto.OpUnsubscribe:
 		id := proto.DecodeACReq(r)
-		if r.Err != nil {
-			c.sendError(proto.ErrLength, 0, req.op, seq)
+		if c.short(r, req.op, seq) {
 			return
 		}
 		a := c.acs[id]
@@ -273,6 +277,9 @@ func (s *Server) dispatchControlInner(req *request) {
 
 	case proto.OpQueryPhone:
 		dev := proto.DecodeDeviceReq(r)
+		if c.short(r, req.op, seq) {
+			return
+		}
 		line := s.lineFor(dev)
 		if line == nil {
 			c.sendError(proto.ErrMatch, dev, req.op, seq)
@@ -290,10 +297,16 @@ func (s *Server) dispatchControlInner(req *request) {
 
 	case proto.OpEnablePassThrough:
 		q := proto.DecodePassThrough(r)
+		if c.short(r, req.op, seq) {
+			return
+		}
 		s.handleEnablePassThrough(c, req.op, q, seq)
 
 	case proto.OpDisablePassThrough:
 		dev := proto.DecodeDeviceReq(r)
+		if c.short(r, req.op, seq) {
+			return
+		}
 		if !s.validDevice(dev) {
 			c.sendError(proto.ErrDevice, dev, req.op, seq)
 			return
@@ -310,6 +323,9 @@ func (s *Server) dispatchControlInner(req *request) {
 
 	case proto.OpHookSwitch:
 		dev := proto.DecodeDeviceReq(r)
+		if c.short(r, req.op, seq) {
+			return
+		}
 		line := s.lineFor(dev)
 		if line == nil {
 			c.sendError(proto.ErrMatch, dev, req.op, seq)
@@ -320,6 +336,9 @@ func (s *Server) dispatchControlInner(req *request) {
 
 	case proto.OpFlashHook:
 		q := proto.DecodeFlashHook(r)
+		if c.short(r, req.op, seq) {
+			return
+		}
 		line := s.lineFor(q.Device)
 		if line == nil {
 			c.sendError(proto.ErrMatch, q.Device, req.op, seq)
@@ -335,14 +354,12 @@ func (s *Server) dispatchControlInner(req *request) {
 		}
 		line.SetHook(false)
 		dev := q.Device
-		// The re-hook rides on the loop's own task timer; the engine is
-		// only entered to deliver the event.
-		s.tasks.addAfter(time.Now(), dur, func(time.Time) {
-			if l := s.lineFor(dev); l != nil {
-				l.SetHook(true)
-				s.updateEngine(dev)
-			}
-		})
+		// The re-hook runs on the scheduler's workers; the engine is only
+		// entered to deliver the event.
+		s.sched.job(func(time.Time) {
+			line.SetHook(true)
+			s.updateEngine(dev)
+		}).Arm(time.Now().Add(dur))
 		s.updateEngine(dev)
 
 	case proto.OpEnableGainControl:
@@ -355,8 +372,11 @@ func (s *Server) dispatchControlInner(req *request) {
 		// tasking system; clients dial by playing tone pairs themselves.
 		c.sendError(proto.ErrImplementation, 0, req.op, seq)
 
-	case proto.OpSetInputGain:
+	case proto.OpSetInputGain, proto.OpSetOutputGain:
 		q := proto.DecodeGainReq(r)
+		if c.short(r, req.op, seq) {
+			return
+		}
 		if !s.validDevice(q.Device) {
 			c.sendError(proto.ErrDevice, q.Device, req.op, seq)
 			return
@@ -367,26 +387,18 @@ func (s *Server) dispatchControlInner(req *request) {
 		}
 		e := s.engineByDev[q.Device]
 		e.mu.Lock()
-		s.devices[q.Device].SetInputGain(int(q.Gain))
+		if req.op == proto.OpSetInputGain {
+			s.devices[q.Device].SetInputGain(int(q.Gain))
+		} else {
+			s.devices[q.Device].SetOutputGain(int(q.Gain))
+		}
 		e.mu.Unlock()
 
-	case proto.OpSetOutputGain:
-		q := proto.DecodeGainReq(r)
-		if !s.validDevice(q.Device) {
-			c.sendError(proto.ErrDevice, q.Device, req.op, seq)
-			return
-		}
-		if q.Gain < minDeviceGain || q.Gain > maxDeviceGain {
-			c.sendError(proto.ErrValue, uint32(q.Gain), req.op, seq)
-			return
-		}
-		e := s.engineByDev[q.Device]
-		e.mu.Lock()
-		s.devices[q.Device].SetOutputGain(int(q.Gain))
-		e.mu.Unlock()
-
-	case proto.OpQueryInputGain:
+	case proto.OpQueryInputGain, proto.OpQueryOutputGain:
 		dev := proto.DecodeDeviceReq(r)
+		if c.short(r, req.op, seq) {
+			return
+		}
 		if !s.validDevice(dev) {
 			c.sendError(proto.ErrDevice, dev, req.op, seq)
 			return
@@ -394,23 +406,17 @@ func (s *Server) dispatchControlInner(req *request) {
 		e := s.engineByDev[dev]
 		e.mu.Lock()
 		cur := s.devices[dev].InputGain()
-		e.mu.Unlock()
-		s.sendGainReply(c, cur, seq)
-
-	case proto.OpQueryOutputGain:
-		dev := proto.DecodeDeviceReq(r)
-		if !s.validDevice(dev) {
-			c.sendError(proto.ErrDevice, dev, req.op, seq)
-			return
+		if req.op == proto.OpQueryOutputGain {
+			cur = s.devices[dev].OutputGain()
 		}
-		e := s.engineByDev[dev]
-		e.mu.Lock()
-		cur := s.devices[dev].OutputGain()
 		e.mu.Unlock()
 		s.sendGainReply(c, cur, seq)
 
 	case proto.OpEnableInput, proto.OpEnableOutput, proto.OpDisableInput, proto.OpDisableOutput:
 		q := proto.DecodeDeviceMaskReq(r)
+		if c.short(r, req.op, seq) {
+			return
+		}
 		if !s.validDevice(q.Device) {
 			c.sendError(proto.ErrDevice, q.Device, req.op, seq)
 			return
@@ -435,8 +441,7 @@ func (s *Server) dispatchControlInner(req *request) {
 
 	case proto.OpChangeHosts:
 		q := proto.DecodeChangeHosts(r, req.ext)
-		if r.Err != nil {
-			c.sendError(proto.ErrLength, 0, req.op, seq)
+		if c.short(r, req.op, seq) {
 			return
 		}
 		s.handleChangeHosts(q)
@@ -452,14 +457,16 @@ func (s *Server) dispatchControlInner(req *request) {
 
 	case proto.OpInternAtom:
 		q := proto.DecodeInternAtom(r, req.ext)
-		if r.Err != nil {
-			c.sendError(proto.ErrLength, 0, req.op, seq)
+		if c.short(r, req.op, seq) {
 			return
 		}
 		c.sendReply(&proto.Reply{Aux: s.atoms.intern(q.Name, q.OnlyIfExists)}, seq)
 
 	case proto.OpGetAtomName:
 		id := r.U32()
+		if c.short(r, req.op, seq) {
+			return
+		}
 		name := s.atoms.name(id)
 		if name == "" {
 			c.sendError(proto.ErrAtom, id, req.op, seq)
@@ -473,14 +480,16 @@ func (s *Server) dispatchControlInner(req *request) {
 
 	case proto.OpChangeProperty:
 		q := proto.DecodeChangeProperty(r, req.ext)
-		if r.Err != nil {
-			c.sendError(proto.ErrLength, 0, req.op, seq)
+		if c.short(r, req.op, seq) {
 			return
 		}
 		s.handleChangeProperty(c, req.op, q, seq)
 
 	case proto.OpDeleteProperty:
 		q := proto.DecodeDeleteProperty(r)
+		if c.short(r, req.op, seq) {
+			return
+		}
 		if !s.validDevice(q.Device) {
 			c.sendError(proto.ErrDevice, q.Device, req.op, seq)
 			return
@@ -496,10 +505,16 @@ func (s *Server) dispatchControlInner(req *request) {
 
 	case proto.OpGetProperty:
 		q := proto.DecodeGetProperty(r, req.ext)
+		if c.short(r, req.op, seq) {
+			return
+		}
 		s.handleGetProperty(c, req.op, q, seq)
 
 	case proto.OpListProperties:
 		dev := proto.DecodeDeviceReq(r)
+		if c.short(r, req.op, seq) {
+			return
+		}
 		if !s.validDevice(dev) {
 			c.sendError(proto.ErrDevice, dev, req.op, seq)
 			return
@@ -520,7 +535,10 @@ func (s *Server) dispatchControlInner(req *request) {
 		c.sendReply(&proto.Reply{}, seq)
 
 	case proto.OpQueryExtension:
-		_ = proto.DecodeQueryExtension(r)
+		proto.DecodeQueryExtension(r)
+		if c.short(r, req.op, seq) {
+			return
+		}
 		c.sendReply(&proto.Reply{Data: 0}, seq) // no extensions are implemented
 
 	case proto.OpListExtensions:
@@ -532,6 +550,18 @@ func (s *Server) dispatchControlInner(req *request) {
 	default:
 		c.sendError(proto.ErrRequest, uint32(req.op), req.op, seq)
 	}
+}
+
+// short answers a request whose body ended before its fields did with
+// ErrLength and reports that it did: a decoder reads zeros past the end,
+// and zeros name device 0, AC 0 and gain 0, so every control op checks
+// here, after decoding and before acting.
+func (c *client) short(r *proto.Reader, op uint8, seq uint16) bool {
+	if r.Err == nil {
+		return false
+	}
+	c.sendError(proto.ErrLength, 0, op, seq)
+	return true
 }
 
 // Device gain limits, matching the utility library's table range.
@@ -626,61 +656,69 @@ func (a *ac) clientFrameBytes() int {
 	return a.enc.BytesPerSamples(1) * a.channels
 }
 
-// handlePlay runs under the owning engine's lock, inside a dispatch
-// group: its ack is staged. It returns a park if the request blocked;
-// the caller registers it.
-func handlePlay(c *client, a *ac, req *request, q proto.PlaySamplesReq, seq uint16) *parked {
-	data := q.Data
-	enc := a.enc
+// preparePlay brings a play request's data to what the buffering engine
+// takes — native byte order, decompressed — once, before attempt 0.
+func (p *parked) preparePlay(q proto.PlaySamplesReq) {
+	p.play, p.playEnc = q, p.a.enc
 	if q.Flags&proto.SampleFlagBigEndian != 0 {
-		sampleconv.SwapBytes(enc, data) // data aliases the request body, which we own
+		sampleconv.SwapBytes(p.playEnc, q.Data) // Data aliases the request body, which we own
 	}
-	var decomp *[]byte // pool-owned decompression output, if any
-	if enc == sampleconv.ADPCM4 {
+	if p.playEnc == sampleconv.ADPCM4 {
 		// Conversion module: decompress the stream before the buffering
 		// engine sees it. State carries across requests. Both staging
 		// buffers come from the pools; the lin16 scratch returns as soon
 		// as it has been re-encoded to bytes.
-		nlin := 2 * len(data)
+		nlin := 2 * len(q.Data)
 		linp := getLin(nlin)
-		a.playCoder.Decode(*linp, data)
-		decomp = getBytes(2 * nlin)
-		sampleconv.FromLin16(*decomp, sampleconv.LIN16, *linp, nlin)
+		p.a.playCoder.Decode(*linp, q.Data)
+		p.playPooled = getBytes(2 * nlin)
+		sampleconv.FromLin16(*p.playPooled, sampleconv.LIN16, *linp, nlin)
 		putLin(linp)
-		data, enc = *decomp, sampleconv.LIN16
+		p.play.Data, p.playEnc = *p.playPooled, sampleconv.LIN16
 	}
-	res := a.dev.Play(atime.ATime(q.Time), data, enc, a.playGain, a.preempt)
-	if res.Blocked {
-		// The tail lies beyond the buffer horizon: block the connection
-		// until time advances (§6.1.5 "Beyond near future"). The pooled
-		// request frame and any staging buffer stay checked out while the
-		// park references them.
-		cfb := enc.BytesPerSamples(1) * a.channels
-		return &parked{
-			c: c, a: a, op: req.op, ext: req.ext, seq: seq,
-			frame:      req.frame,
-			done:       make(chan struct{}),
-			playData:   data[res.Consumed*cfb:],
-			playTime:   uint32(atime.Add(atime.ATime(q.Time), res.Consumed)),
-			playEnc:    enc,
-			playPooled: decomp,
-		}
-	}
-	if decomp != nil {
-		putBytes(decomp)
-	}
-	if q.Flags&proto.SampleFlagSuppressReply == 0 {
-		c.stagedReply(&proto.Reply{Time: uint32(res.Now)}, seq)
-	}
-	return nil
 }
 
-// handleRecord runs under e.mu. It returns a park if the request
-// blocked; the caller registers it.
-func handleRecord(c *client, a *ac, e *engine, req *request, q proto.RecordSamplesReq, seq uint16) *parked {
+// servePlay makes one attempt at the play in p, under the owning engine's
+// lock, and reports whether it finished. When the tail lies beyond the
+// buffer horizon the connection blocks until time advances (§6.1.5
+// "Beyond near future") and p is left holding what remains; the pooled
+// request frame and any staging buffer stay checked out while p
+// references them. The only difference between attempts is where the ack
+// goes: attempt 0 runs inside a dispatch group and stages it, a resumed
+// attempt sends it.
+func servePlay(p *parked, staged bool) bool {
+	a := p.a
+	res := a.dev.Play(atime.ATime(p.play.Time), p.play.Data, p.playEnc, a.playGain, a.preempt)
+	if res.Blocked {
+		cfb := p.playEnc.BytesPerSamples(1) * a.channels
+		p.play.Data = p.play.Data[res.Consumed*cfb:]
+		p.play.Time = uint32(atime.Add(atime.ATime(p.play.Time), res.Consumed))
+		return false
+	}
+	if p.playPooled != nil {
+		putBytes(p.playPooled)
+		p.playPooled = nil
+	}
+	if p.play.Flags&proto.SampleFlagSuppressReply == 0 {
+		reply := proto.Reply{Time: uint32(res.Now)}
+		if staged {
+			p.c.stagedReply(&reply, p.seq)
+		} else {
+			p.c.sendReply(&reply, p.seq)
+		}
+	}
+	return true
+}
+
+// serveRecord makes one attempt at the record in p, under e.mu, and
+// reports whether it finished. A blocking record whose data has not all
+// been captured leaves p to be retried at the moment its last sample
+// should exist.
+func (e *engine) serveRecord(p *parked) bool {
+	a, q := p.a, p.rec
 	if q.NBytes > proto.MaxRequestBytes {
-		c.sendError(proto.ErrValue, q.NBytes, req.op, seq)
-		return nil
+		p.c.sendError(proto.ErrValue, q.NBytes, p.op, p.seq)
+		return true
 	}
 	if !a.recording {
 		// First record under this context: mark it and enable the
@@ -688,53 +726,43 @@ func handleRecord(c *client, a *ac, e *engine, req *request, q proto.RecordSampl
 		a.recording = true
 		e.root.RecRefCount++
 	}
-	if a.enc == sampleconv.ADPCM4 {
-		return handleRecordADPCM(c, a, e, req, q, seq)
-	}
-	cfb := a.clientFrameBytes()
-	want := int(q.NBytes) / cfb
 	// Scatter-gather egress: check out the wire message up front and let
 	// the device convert samples from the record ring straight into its
 	// payload region. The engine lock we hold makes the in-place marshal
 	// safe — nothing else can touch the ring or advance device time while
-	// the conversion runs, and the message is private until c.send.
-	m, payload := newRecordReplyMsg(want * cfb)
-	res := a.dev.Record(atime.ATime(q.Time), payload, a.enc, a.recGain)
+	// the conversion runs, and the message is private until c.send. A
+	// compressed context captures linear samples into pooled staging
+	// instead and codes them below: NBytes of ADPCM cover 2*NBytes frames.
+	var m *wireMsg
+	var dst []byte
+	var linp *[]byte
+	var want int // frames
+	cfb, enc := a.clientFrameBytes(), a.enc
+	if enc == sampleconv.ADPCM4 {
+		want, enc = 2*int(q.NBytes), sampleconv.LIN16
+		linp = getBytes(2 * want)
+		dst = *linp
+	} else {
+		want = int(q.NBytes) / cfb
+		m, dst = newRecordReplyMsg(want * cfb)
+	}
+	res := a.dev.Record(atime.ATime(q.Time), dst, enc, a.recGain)
 	if res.Avail < want && q.Flags&proto.SampleFlagNoBlock == 0 {
 		// Blocking record: the connection waits until all requested data
-		// has been captured, woken for the moment the last sample will
-		// exist. The wire message returns to the pool; the retry checks
-		// one out again.
-		m.release()
-		p := &parked{c: c, a: a, op: req.op, ext: req.ext, seq: seq,
-			body: req.body, frame: req.frame, done: make(chan struct{})}
+		// has been captured. The buffer returns to its pool; the next
+		// attempt checks one out again.
+		if linp != nil {
+			putBytes(linp)
+		} else {
+			m.release()
+		}
 		end := atime.Add(atime.ATime(q.Time), want)
-		if deficit := int(atime.Sub(end, res.Now)); deficit > 0 {
-			e.wakeParkLocked(p, deficit)
-		}
-		return p
+		e.wakeLocked(p, int(atime.Sub(end, res.Now)))
+		return false
 	}
-	finishRecordReply(c, a, m, res.Avail*cfb, uint32(res.Now), q.Flags, seq)
-	return nil
-}
-
-// handleRecordADPCM is the compressed record path: capture linear
-// samples, then run them through the context's ADPCM coder. A request for
-// NBytes of ADPCM covers 2*NBytes sample frames. Runs under e.mu.
-func handleRecordADPCM(c *client, a *ac, e *engine, req *request, q proto.RecordSamplesReq, seq uint16) *parked {
-	wantBytes := int(q.NBytes)
-	wantFrames := 2 * wantBytes
-	linp := getBytes(2 * wantFrames) // lin16 staging
-	res := a.dev.Record(atime.ATime(q.Time), *linp, sampleconv.LIN16, a.recGain)
-	if res.Avail < wantFrames && q.Flags&proto.SampleFlagNoBlock == 0 {
-		putBytes(linp)
-		p := &parked{c: c, a: a, op: req.op, ext: req.ext, seq: seq,
-			body: req.body, frame: req.frame, done: make(chan struct{})}
-		end := atime.Add(atime.ATime(q.Time), wantFrames)
-		if deficit := int(atime.Sub(end, res.Now)); deficit > 0 {
-			e.wakeParkLocked(p, deficit)
-		}
-		return p
+	if linp == nil {
+		finishRecordReply(p.c, a, m, res.Avail*cfb, uint32(res.Now), q.Flags, p.seq)
+		return true
 	}
 	frames := res.Avail &^ 1 // whole ADPCM bytes only
 	samplesp := getLin(frames)
@@ -746,8 +774,8 @@ func handleRecordADPCM(c *client, a *ac, e *engine, req *request, q proto.Record
 	m, payload := newRecordReplyMsg(frames / 2)
 	a.recCoder.Encode(payload, *samplesp)
 	putLin(samplesp)
-	finishRecordReply(c, a, m, frames/2, uint32(res.Now), 0, seq)
-	return nil
+	finishRecordReply(p.c, a, m, frames/2, uint32(res.Now), 0, p.seq)
+	return true
 }
 
 // handleEnablePassThrough validates a patch request and registers it on

@@ -101,12 +101,11 @@ func BenchmarkDispatchPlayMix(b *testing.B) {
 	srv.Do(func() {
 		now := uint32(srv.Device(0).Time())
 		run := benchRun(proto.OpPlaySamples, 0, playBody(1, now+128, data))
-		req := &request{c: c}
 		b.SetBytes(int64(len(data)))
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			srv.dispatchHotGroup(c, run, req)
+			srv.dispatchHotGroup(c, run)
 			drainOut(c)
 		}
 	})
@@ -123,12 +122,11 @@ func BenchmarkDispatchRecord(b *testing.B) {
 	srv.Do(func() {
 		now := uint32(srv.Device(0).Time())
 		run := benchRun(proto.OpRecordSamples, proto.SampleFlagNoBlock, recordBody(1, now-2048, 2048))
-		req := &request{c: c}
 		b.SetBytes(2048)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			srv.dispatchHotGroup(c, run, req)
+			srv.dispatchHotGroup(c, run)
 			drainOut(c)
 		}
 	})
@@ -149,12 +147,11 @@ func BenchmarkDispatchRecordADPCM(b *testing.B) {
 	srv.Do(func() {
 		now := uint32(srv.Device(0).Time())
 		run := benchRun(proto.OpRecordSamples, proto.SampleFlagNoBlock, recordBody(1, now-2048, 1024))
-		req := &request{c: c}
 		b.SetBytes(2048)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			srv.dispatchHotGroup(c, run, req)
+			srv.dispatchHotGroup(c, run)
 			drainOut(c)
 		}
 	})

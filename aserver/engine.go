@@ -23,10 +23,11 @@ import (
 // (PlaySamples, RecordSamples, GetTime) are dispatched inline by the
 // connection's reader goroutine under this lock; the control plane (the
 // Server.loop goroutine) takes the same lock for the rare control
-// operations that touch device state. The engine's task timer — periodic
-// updates and precise parked-request wake-ups — is a passive timer on
-// the server's sharded timer wheel; the update scheduler's worker pool
-// runs due task passes (see scheduler.go). An engine owns no goroutine.
+// operations that touch device state. The engine's two timed jobs (§7.3.1)
+// — the periodic update and the resumption of blocked requests — share
+// one passive timer on the server's sharded timer wheel; the update
+// scheduler's worker pool runs the due passes (see scheduler.go). An
+// engine owns no goroutine and no queue.
 //
 // Lock ordering: an engine may lock a peer engine only in ascending
 // engine order (pass-through pumping runs on the lower-indexed engine
@@ -44,47 +45,52 @@ type engine struct {
 
 	interval time.Duration // periodic update cadence
 
-	mu      sync.Mutex
-	tasks   *taskQueue          // guarded by mu; run by the scheduler's workers
-	parks   map[*client]*parked // blocked requests on this device, by client
-	patches map[int]*patch      // pass-through patches pumped here, by src device index
-	bcast   bchannel            // broadcast channel state (broadcast.go)
+	mu         sync.Mutex
+	nextUpdate time.Time           // when the periodic update is next due
+	parks      map[*client]*parked // blocked requests on this device, by client
+	patches    map[int]*patch      // pass-through patches pumped here, by src device index
+	bcast      bchannel            // broadcast channel state (broadcast.go)
 
-	// timer is this engine's registration with the sharded timer wheel,
-	// armed for the task queue's earliest deadline (under mu). queued
-	// dedupes wheel fires: true while the engine sits in the scheduler's
-	// work queue awaiting a worker pass.
+	// timer is this engine's registration with the sharded timer wheel.
+	// Under mu it is armed for min(nextUpdate, earliest park wake); armed
+	// is that deadline. queued dedupes wheel fires: true while the engine
+	// sits in the scheduler's work queue awaiting a worker pass.
 	timer  *timerwheel.Timer
+	armed  time.Time
 	queued atomic.Bool
 }
 
-// parked captures a blocked request being resumed by the engine's task
-// mechanism: a play whose tail lies beyond the buffer horizon, or a
-// blocking record whose data has not been captured yet. The originating
-// reader goroutine waits on done before dispatching the connection's
-// next request, which preserves per-connection FIFO order across the
-// block. The pooled request frame stays pinned until the park finishes.
+// parked is the resumable state of one play or record call. Attempt 0
+// builds it on the dispatching reader's stack and serves it inline; when
+// the call blocks — a play whose tail lies beyond the buffer horizon, a
+// blocking record whose data has not been captured yet — the engine keeps
+// a copy and serves it again through the same function as time advances.
+// The originating reader goroutine waits on done before dispatching the
+// connection's next request, which preserves per-connection FIFO order
+// across the block. The pooled request frame stays pinned until the park
+// finishes.
 type parked struct {
 	c     *client
 	a     *ac
 	op    uint8
-	ext   uint8
 	seq   uint16
-	body  []byte        // aliases frame when pooled (records re-decode per retry)
 	frame *[]byte       // pooled request frame; returned when the park finishes
 	done  chan struct{} // closed exactly once, when the park completes or is discarded
 	since time.Time     // registration time, for the park-duration histogram
+	// wake is when a blocked record's last sample should exist; zero for
+	// plays, which resume on the periodic update.
+	wake time.Time
 
-	// play state: remaining data in playEnc (compressed contexts park
-	// already-decompressed data)
-	playData []byte
-	playTime uint32
-	playEnc  sampleconv.Encoding
-	// playPooled is set when playData aliases a pool-owned staging buffer
+	// play is the decoded request, advanced past what has been buffered:
+	// Data is what remains, in playEnc and native byte order (compressed
+	// contexts hold decompressed data), Time is where it starts.
+	play    proto.PlaySamplesReq
+	playEnc sampleconv.Encoding
+	// playPooled is set when play.Data aliases a pool-owned staging buffer
 	// (the ADPCM decompression output); it returns to the pool when the
-	// parked play finally completes.
+	// play completes.
 	playPooled *[]byte
-	// record state is re-derived from body on each retry
+	rec        proto.RecordSamplesReq // the decoded request
 }
 
 func newEngine(s *Server, idx int, root *core.Device, line *phonesim.Line) *engine {
@@ -93,40 +99,18 @@ func newEngine(s *Server, idx int, root *core.Device, line *phonesim.Line) *engi
 	if hwDur/2 < interval {
 		interval = hwDur / 2
 	}
-	e := &engine{
+	return &engine{
 		s:        s,
 		idx:      idx,
 		root:     root,
 		line:     line,
 		m:        s.sm.newEngineMetrics(root.Index),
 		interval: interval,
-		tasks:    newTaskQueue(),
-		parks:    make(map[*client]*parked),
-		patches:  make(map[int]*patch),
-	}
-	// Seed the periodic update (§7.2): every interval, or half the
-	// hardware buffer duration if that is shorter. The re-arm uses the
-	// tick's own now — one clock read per tick, passed through.
-	var tick func(now time.Time)
-	tick = func(now time.Time) {
-		e.updateLocked()
-		e.tasks.add(now.Add(e.interval), tick)
-	}
-	e.tasks.add(time.Now().Add(e.interval), tick)
-	return e
-}
-
-// addTaskLocked schedules fn on the engine's task queue (caller holds
-// e.mu) and promotes the engine's wheel timer when the new deadline is
-// the queue's earliest — what used to be a poke on the engine
-// goroutine's wake channel. If the new task is not the earliest, the
-// timer is already armed for a sooner deadline (or the engine is queued
-// for a worker pass, which re-arms under the lock).
-func (e *engine) addTaskLocked(d time.Duration, fn func(now time.Time)) {
-	when := time.Now().Add(d)
-	e.tasks.add(when, fn)
-	if next, ok := e.tasks.next(); ok && next.Equal(when) {
-		e.timer.Arm(when)
+		// The periodic update (§7.2) runs every interval, or half the
+		// hardware buffer duration if that is shorter.
+		nextUpdate: time.Now().Add(interval),
+		parks:      make(map[*client]*parked),
+		patches:    make(map[int]*patch),
 	}
 }
 
@@ -141,7 +125,9 @@ func (e *engine) updateLocked() {
 	for _, p := range e.patches {
 		e.pumpPatch(p)
 	}
-	e.resumeParked()
+	for c, p := range e.parks {
+		e.retryParked(c, p)
+	}
 	e.pumpBroadcast()
 }
 
@@ -213,23 +199,19 @@ func pumpPatchDir(src, dst *core.Device, buf []byte, taken *atime.ATime, out *at
 	}
 }
 
-// resumeParked retries every blocked request on this engine. Caller
-// holds e.mu.
-func (e *engine) resumeParked() {
-	for c, p := range e.parks {
-		e.retryParked(c, p)
-	}
-}
-
-// registerParkLocked records a blocked request on this engine and starts
-// its lifecycle accounting: every park registered here is later released
-// by finishPark exactly once, so parks started == completed + discarded
+// parkLocked keeps a call that blocked on attempt 0 and starts its
+// lifecycle accounting: every park registered here is later released by
+// finishPark exactly once, so parks started == completed + discarded
 // whenever no parks are outstanding. Caller holds e.mu.
-func (e *engine) registerParkLocked(c *client, p *parked) {
+func (e *engine) parkLocked(call *parked) *parked {
+	p := new(parked)
+	*p = *call
+	p.done = make(chan struct{})
 	p.since = time.Now()
-	e.parks[c] = p
+	e.parks[p.c] = p
 	e.m.parksStarted.Inc()
 	e.m.parkedNow.Add(1)
+	return p
 }
 
 // finishPark removes a park and releases everything it pinned: the
@@ -246,7 +228,7 @@ func (e *engine) finishPark(c *client, p *parked, completed bool) {
 	}
 	e.m.parkedNow.Add(-1)
 	e.m.parkNs.Observe(time.Since(p.since).Nanoseconds())
-	if p.playPooled != nil {
+	if p.playPooled != nil { // a play discarded before it completed
 		putBytes(p.playPooled)
 		p.playPooled = nil
 	}
@@ -257,78 +239,38 @@ func (e *engine) finishPark(c *client, p *parked, completed bool) {
 	close(p.done)
 }
 
-// retryParked re-attempts a blocked request after time has advanced.
-// Caller holds e.mu.
+// retryParked serves a blocked request again, through the function that
+// served it first, now that time has advanced. Caller holds e.mu.
 func (e *engine) retryParked(c *client, p *parked) {
 	if c.dead.Load() {
 		e.finishPark(c, p, false)
 		return
 	}
-	a := p.a
-	switch p.op {
-	case proto.OpPlaySamples:
-		res := a.dev.Play(atime.ATime(p.playTime), p.playData, p.playEnc, a.playGain, a.preempt)
-		if res.Blocked {
-			cfb := p.playEnc.BytesPerSamples(1) * a.channels
-			p.playData = p.playData[res.Consumed*cfb:]
-			p.playTime = uint32(atime.Add(atime.ATime(p.playTime), res.Consumed))
-			return
-		}
-		if p.ext&proto.SampleFlagSuppressReply == 0 {
-			c.sendReply(&proto.Reply{Time: uint32(res.Now)}, p.seq)
-		}
+	var done bool
+	if p.op == proto.OpPlaySamples {
+		done = servePlay(p, false)
+	} else {
+		done = e.serveRecord(p)
+	}
+	if done {
 		e.finishPark(c, p, true)
-	case proto.OpRecordSamples:
-		r := proto.NewReader(c.order, p.body)
-		q := proto.DecodeRecordSamples(r, p.ext)
-		if a.enc == sampleconv.ADPCM4 {
-			linp := getBytes(4 * int(q.NBytes))
-			res := a.dev.Record(atime.ATime(q.Time), *linp, sampleconv.LIN16, a.recGain)
-			if res.Avail < 2*int(q.NBytes) {
-				putBytes(linp)
-				e.wakeParkLocked(p, 2*int(q.NBytes)-res.Avail)
-				return
-			}
-			frames := res.Avail &^ 1
-			samplesp := getLin(frames)
-			sampleconv.ToLin16(*samplesp, *linp, sampleconv.LIN16, frames)
-			putBytes(linp)
-			m, payload := newRecordReplyMsg(frames / 2)
-			a.recCoder.Encode(payload, *samplesp)
-			putLin(samplesp)
-			finishRecordReply(c, a, m, frames/2, uint32(res.Now), 0, p.seq)
-			e.finishPark(c, p, true)
-			return
-		}
-		cfb := a.clientFrameBytes()
-		want := int(q.NBytes) / cfb
-		m, payload := newRecordReplyMsg(want * cfb)
-		res := a.dev.Record(atime.ATime(q.Time), payload, a.enc, a.recGain)
-		if res.Avail < want {
-			m.release()
-			e.wakeParkLocked(p, want-res.Avail)
-			return
-		}
-		finishRecordReply(c, a, m, want*cfb, uint32(res.Now), q.Flags, p.seq)
-		e.finishPark(c, p, true)
-	default:
-		e.finishPark(c, p, false)
 	}
 }
 
-// wakeParkLocked schedules a retry of the blocked record p for the moment
-// its last deficit frames will exist, rather than leaving it to the next
+// wakeLocked sets the blocked record p to be retried at the moment its
+// last deficit frames will exist, rather than leaving it to the next
 // periodic update — real-time clients (apass) depend on the resume
-// latency being small. A retry that lands early (the clock runs slightly
-// slow relative to the wall-clock estimate) comes back through here.
-// Caller holds e.mu.
-func (e *engine) wakeParkLocked(p *parked, deficit int) {
-	wake := time.Duration(deficit)*time.Second/time.Duration(p.a.dev.Cfg.Rate) + time.Millisecond
-	e.addTaskLocked(wake, func(time.Time) {
-		if e.parks[p.c] == p {
-			e.retryParked(p.c, p)
-		}
-	})
+// latency being small — and promotes the wheel timer if that beats the
+// armed deadline. If it does not, the timer is armed for a sooner one or
+// the engine is queued for a worker pass, which re-arms. An attempt that
+// lands early (the clock runs slightly slow relative to the wall-clock
+// estimate) comes back through here. Caller holds e.mu.
+func (e *engine) wakeLocked(p *parked, deficit int) {
+	p.wake = time.Now().Add(time.Duration(deficit)*time.Second/time.Duration(p.a.dev.Cfg.Rate) + time.Millisecond)
+	if p.wake.Before(e.armed) {
+		e.armed = p.wake
+		e.timer.Arm(p.wake)
+	}
 }
 
 // dropClientParks discards any park the client holds on this engine,

@@ -14,28 +14,10 @@ import (
 // touch genuinely global state (client registry, atoms, properties, host
 // access, AC lifecycle, pass-through enables). The data plane — plays,
 // records, time queries — runs on the per-device engines without passing
-// through here.
+// through here, and the loop owns no timer: its timed work rides the
+// update scheduler (updateScheduler.job).
 func (s *Server) loop() {
 	defer close(s.stopped)
-	timer := time.NewTimer(time.Hour)
-	defer timer.Stop()
-	// armedFor is the deadline the timer was last armed for; zero while
-	// the queue is empty (the timer idles at an hour).
-	var armedFor time.Time
-	arm := func() {
-		if when, ok := s.tasks.next(); ok {
-			d := time.Until(when)
-			if d < 0 {
-				d = 0
-			}
-			timer.Reset(d)
-			armedFor = when
-		} else {
-			timer.Reset(time.Hour)
-			armedFor = time.Time{}
-		}
-	}
-	arm()
 	for {
 		select {
 		case c := <-s.regCh:
@@ -65,10 +47,6 @@ func (s *Server) loop() {
 			}
 		case fn := <-s.funcCh:
 			fn()
-		case <-timer.C:
-			s.tasks.runDue(time.Now())
-			armedFor = time.Time{}
-			arm()
 		case <-s.done:
 			s.clientMu.RLock()
 			cs := make([]*client, 0, len(s.clients))
@@ -80,12 +58,6 @@ func (s *Server) loop() {
 				s.removeClient(c)
 			}
 			return
-		}
-		// Re-arm whenever the earliest deadline moved up. This used to be
-		// skipped while the request channel was non-empty, which delayed
-		// freshly scheduled tasks under sustained load.
-		if when, ok := s.tasks.next(); ok && (armedFor.IsZero() || when.Before(armedFor)) {
-			arm()
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"audiofile/internal/proto"
+	"audiofile/internal/timerwheel"
 )
 
 // Overload protection and graceful degradation: the policies that keep
@@ -124,8 +125,9 @@ type budgets struct {
 	evictGrace   time.Duration // how long a client may stay over budget
 }
 
-// initOverload resolves the budget options and seeds the periodic
-// overload sweep. Called from New before the loop starts.
+// initOverload resolves the budget options and starts the periodic
+// overload sweep. Called from New once the scheduler exists, before the
+// loop starts.
 func (s *Server) initOverload() {
 	b := &s.budget
 	b.maxClients = s.opts.MaxClients
@@ -167,17 +169,17 @@ func (s *Server) initOverload() {
 	if interval < 5*time.Millisecond {
 		interval = 5 * time.Millisecond
 	}
-	var sweep func(now time.Time)
-	sweep = func(now time.Time) {
+	var sweep *timerwheel.Timer
+	sweep = s.sched.job(func(now time.Time) {
 		s.sweepOverload(now)
-		s.tasks.add(now.Add(interval), sweep)
-	}
-	s.tasks.add(time.Now().Add(interval), sweep)
+		sweep.Arm(now.Add(interval))
+	})
+	sweep.Arm(time.Now().Add(interval))
 }
 
 // sweepOverload runs the eviction policy over every live client and
-// enforces the server-wide budgets. Runs on the control plane's task
-// queue.
+// enforces the server-wide budgets. Runs on the update scheduler's
+// workers.
 func (s *Server) sweepOverload(now time.Time) {
 	nanos := now.UnixNano()
 	var largest *client
@@ -278,7 +280,7 @@ func (s *Server) Drain(timeout time.Duration) {
 	}
 	// The drain watch rides the update scheduler: a wheel timer polls
 	// drained() on the worker pool until the data plane is empty or the
-	// window closes — no dedicated sleep loop.
+	// window closes.
 	s.sched.pollUntil(2*time.Millisecond, time.Now().Add(timeout), s.drained)
 	s.clientMu.RLock()
 	cs := make([]*client, 0, len(s.clients))

@@ -8,30 +8,32 @@ import (
 	"sync"
 )
 
-// The update scheduler is the engine goroutine's replacement: where each
-// engine used to own a timer goroutine (O(devices) goroutines waking
-// independently), all engines now register one passive timer each with a
-// sharded timer wheel, and a bounded worker pool runs the due engines'
-// task queues in batches. The update plane's resident goroutine count is
-// O(shards + workers) regardless of device count.
+// The update scheduler is the server's one timer: every engine registers
+// one passive timer with a sharded timer wheel, and a bounded worker pool
+// runs the due engines in batches. The update plane's resident goroutine
+// count is O(shards + workers) regardless of device count. The control
+// plane's few timed jobs (the overload sweep, the flash-hook re-hook,
+// Drain's poll) ride the same wheel and workers through job.
 //
 // Protocol, per engine:
 //
-//   - The engine's task queue (periodic update, precise park wake-ups)
-//     is unchanged and still guarded by e.mu.
-//   - The wheel timer is armed for the queue's earliest deadline. Arming
-//     happens under e.mu — by the worker after a task pass, or by
-//     addTaskLocked when a new task beats the armed deadline (the old
-//     `wake` channel poke became a wheel promotion).
+//   - The engine has two timed jobs (§7.3.1), both plain fields guarded
+//     by e.mu: the periodic update (e.nextUpdate) and the resumption of
+//     blocked records (each park's wake). It needs no queue: parks are
+//     bounded by the device's clients and every update walks all of them
+//     anyway, so finding the due ones is a scan of the same map.
+//   - The wheel timer is armed for min(next update, earliest park wake).
+//     Arming happens under e.mu — by the worker after a pass, or by
+//     wakeLocked when a new wake beats the armed deadline.
 //   - When a shard tick fires engine timers, the shard hands the worker
 //     pool the due engines as one sweep (fireBatch); e.queued dedupes so
 //     an engine is in the pool's queue at most once. A worker takes each
-//     engine's e.mu through the instrumented lockTimed path, runs every
-//     due task, re-arms, and releases.
+//     engine's e.mu through the instrumented lockTimed path, runs what is
+//     due, re-arms, and releases.
 //
-// Liveness invariant: whenever an engine's task queue is non-empty, its
-// timer is armed or the engine is queued for a worker. Fires that race
-// with the queued flag are dropped precisely because a worker pass —
+// Liveness invariant: an engine's timer is armed for min(next update,
+// earliest park wake) or the engine is queued for a worker. Fires that
+// race with the queued flag are dropped precisely because a worker pass —
 // which always re-arms under the lock — is already pending.
 type updateScheduler struct {
 	s       *Server
@@ -42,8 +44,7 @@ type updateScheduler struct {
 }
 
 // schedItem is one unit handed to the worker pool: a shard sweep of due
-// engines or a generic job (drain polling), with the tick's clock
-// reading.
+// engines or a control-plane job, with the tick's clock reading.
 type schedItem struct {
 	batch *[]*engine
 	fn    func(now time.Time)
@@ -115,9 +116,8 @@ func (u *updateScheduler) register(e *engine) {
 	e.timer = u.wheel.NewTimer(e.idx, nil)
 	e.timer.Payload = e
 	e.mu.Lock()
-	if next, ok := e.tasks.next(); ok {
-		e.timer.Arm(next)
-	}
+	e.armed = e.nextUpdate
+	e.timer.Arm(e.armed)
 	e.mu.Unlock()
 }
 
@@ -126,7 +126,7 @@ func (u *updateScheduler) register(e *engine) {
 // many engines (one due engine is a sweep of one). The sweep is sorted
 // into ascending engine order — the repo's engine lock order — though
 // the worker only ever holds one engine lock at a time. Non-engine
-// timers (pollUntil's) fire their own callback.
+// timers (job's) fire their own callback.
 func (u *updateScheduler) fireBatch(now time.Time, due []*timerwheel.Timer) {
 	sm := u.s.sm
 	var bp *[]*engine
@@ -217,7 +217,7 @@ func (u *updateScheduler) worker() {
 // runBatch is one worker pass over a shard sweep: each engine is serviced
 // in ascending lock order (one lock held at a time), with the busy
 // accounting done once for the sweep. The queued flag is cleared before
-// the engine's task pass so a fire arriving mid-pass re-queues the engine
+// the engine's pass so a fire arriving mid-pass re-queues the engine
 // instead of being lost.
 func (u *updateScheduler) runBatch(bp *[]*engine, now time.Time) {
 	sm := u.s.sm
@@ -236,40 +236,61 @@ func (u *updateScheduler) runBatch(bp *[]*engine, now time.Time) {
 	engineBatchPool.Put(bp)
 }
 
-// serviceEngine runs the engine's due tasks and re-arms its wheel timer
-// for the next deadline, all under the engine lock: any addTaskLocked
-// that lands after our unlock sees the timer we armed and promotes it if
-// it holds an earlier deadline.
+// serviceEngine is one worker pass, driven by the wheel tick read at now:
+// the periodic update if it is due — it retries every park — else only the
+// parks whose wake has come. The next update is computed from the tick's
+// own now: one clock read per tick, and a tick that fires late does not
+// silently stretch the period. It re-arms the wheel timer under the same
+// hold of the engine lock: any wakeLocked that lands after the unlock sees
+// the deadline armed here and promotes it if it holds an earlier one.
 func (u *updateScheduler) serviceEngine(e *engine, now time.Time) {
 	acq := e.m.lockTimed(&e.mu)
-	e.tasks.runDue(now)
-	if next, ok := e.tasks.next(); ok {
-		e.timer.Arm(next)
+	if !now.Before(e.nextUpdate) {
+		e.updateLocked()
+		e.nextUpdate = now.Add(e.interval)
+	} else {
+		for c, p := range e.parks {
+			if !p.wake.IsZero() && !now.Before(p.wake) {
+				e.retryParked(c, p)
+			}
+		}
 	}
+	e.armed = e.nextUpdate
+	for _, p := range e.parks {
+		if !p.wake.IsZero() && p.wake.Before(e.armed) {
+			e.armed = p.wake
+		}
+	}
+	e.timer.Arm(e.armed)
 	e.m.unlockTimed(&e.mu, acq)
+}
+
+// job returns an unarmed wheel timer that hands fn to the worker pool
+// each time it fires; fn re-arms the timer to run again. This is how the
+// control plane's timed work runs without a timer of its own.
+func (u *updateScheduler) job(fn func(now time.Time)) *timerwheel.Timer {
+	return u.wheel.NewTimer(0, func(now time.Time, _ time.Duration) {
+		select {
+		case u.work <- schedItem{fn: fn, now: now}:
+		default:
+			fn(now)
+		}
+	})
 }
 
 // pollUntil runs cond on the worker pool every interval until it returns
 // true or deadline passes (or the server shuts down). This is how Drain
-// watches the data plane empty without a dedicated sleep loop: the poll
-// rides the same wheel/worker machinery as the updates it is waiting on.
+// watches the data plane empty: the poll rides the same wheel/worker
+// machinery as the updates it is waiting on.
 func (u *updateScheduler) pollUntil(interval time.Duration, deadline time.Time, cond func() bool) {
 	done := make(chan struct{})
 	var t *timerwheel.Timer
-	var check func(now time.Time)
-	check = func(now time.Time) {
+	t = u.job(func(now time.Time) {
 		if cond() || now.After(deadline) {
 			close(done)
 			return
 		}
 		t.Arm(now.Add(interval))
-	}
-	t = u.wheel.NewTimer(0, func(now time.Time, _ time.Duration) {
-		select {
-		case u.work <- schedItem{fn: check, now: now}:
-		default:
-			check(now)
-		}
 	})
 	t.Arm(time.Now().Add(interval))
 	select {
@@ -280,8 +301,8 @@ func (u *updateScheduler) pollUntil(interval time.Duration, deadline time.Time, 
 }
 
 // stop halts the wheel and joins the workers (they exit on s.done), then
-// discards any park still registered — the engines no longer have their
-// own goroutines to do shutdown cleanup, so the scheduler owns it.
+// discards any park still registered: engines own no goroutine to do
+// shutdown cleanup, so the scheduler owns it.
 func (u *updateScheduler) stop() {
 	u.wheel.Stop()
 	u.wg.Wait()

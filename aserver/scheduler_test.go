@@ -1,11 +1,15 @@
 package aserver
 
 import (
+	"encoding/binary"
 	"fmt"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
+	"audiofile/af"
+	"audiofile/internal/proto"
 	"audiofile/internal/vdev"
 )
 
@@ -86,36 +90,122 @@ func TestSchedulerRunsUpdates(t *testing.T) {
 	}
 }
 
-// TestAddTaskLockedPromotes checks the wake-channel replacement: a task
-// scheduled well before the engine's next periodic tick must promote the
-// wheel timer and run near its own deadline, not wait out the tick.
-func TestAddTaskLockedPromotes(t *testing.T) {
-	s, err := New(Options{
-		Devices: manyCodecs(1),
-		Logf:    func(string, ...any) {},
+// floodControl hammers the server loop with round-trip control requests
+// from its own connection until the returned stop function is called:
+// the request channel never goes idle, so timed work that waited for the
+// loop to have a free moment would never run.
+func floodControl(t *testing.T, srv *Server) (stop func()) {
+	t.Helper()
+	flood, err := af.NewConn(srv.DialPipe())
+	if err != nil {
+		t.Fatal(err)
+	}
+	flood.SetIOErrorHandler(func(*af.Conn, error) {})
+	quit := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-quit:
+				return
+			default:
+			}
+			if err := flood.Sync(); err != nil {
+				return
+			}
+		}
+	}()
+	return func() {
+		close(quit)
+		wg.Wait()
+		flood.Close()
+	}
+}
+
+// TestControlJobsUnderLoopFlood pins the control plane's two timed jobs
+// to the scheduler rather than to the loop's idleness: while a second
+// connection keeps the loop's request channel hot, a flash-hook's re-hook
+// event still arrives at its duration, and the overload sweep still
+// evicts a wedged consumer that has gone silent (so nothing but the sweep
+// can judge it) within its grace.
+func TestControlJobsUnderLoopFlood(t *testing.T) {
+	const grace = 50 * time.Millisecond
+	srv, err := New(Options{
+		Devices:          []DeviceSpec{{Kind: "phone", Name: "phone0", Clock: vdev.NewManualClock(8000)}},
+		Logf:             func(string, ...any) {},
+		ClientQueueBytes: 4 << 10,
+		EvictGrace:       grace,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
-	e := s.engines[0]
-	ran := make(chan time.Time, 1)
+	defer srv.Close()
+	c, err := af.NewConn(srv.DialPipe())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.SetIOErrorHandler(func(*af.Conn, error) {})
+	if err := c.SelectEvents(0, af.MaskAllEvents); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.HookSwitch(0, true); err != nil {
+		t.Fatal(err)
+	}
+	if ev, err := c.NextEvent(); err != nil || ev.Code != af.EventPhoneHookSwitch || ev.Detail != 1 {
+		t.Fatalf("off-hook event = %+v, %v", ev, err)
+	}
+	defer floodControl(t, srv)()
+
+	// The re-hook: on-hook at once, off-hook again 30 ms later.
+	const flash = 30 * time.Millisecond
 	start := time.Now()
-	e.mu.Lock()
-	// The periodic tick is 64ms out; this must not wait for it.
-	e.addTaskLocked(5*time.Millisecond, func(now time.Time) {
-		select {
-		case ran <- now:
-		default:
+	if err := c.FlashHook(0, int(flash/time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []byte{0, 1} {
+		ev, err := c.NextEvent()
+		if err != nil || ev.Code != af.EventPhoneHookSwitch || ev.Detail != want {
+			t.Fatalf("flash event = %+v, %v; want hook-switch detail %d", ev, err, want)
 		}
-	})
-	e.mu.Unlock()
-	select {
-	case <-ran:
-		if d := time.Since(start); d > 50*time.Millisecond {
-			t.Fatalf("promoted 5ms task ran after %v; promotion is not reaching the wheel", d)
+	}
+	if d := time.Since(start); d < flash || d > flash+250*time.Millisecond {
+		t.Fatalf("re-hook event arrived %v after a %v flash under a control flood", d, flash)
+	}
+
+	// The sweep: a consumer that never reads sends one GetTime, whose
+	// reply wedges its writer in a write begun under budget (no deadline),
+	// then pipelines enough to put its queue over budget and falls silent.
+	// It queues nothing more, so only the sweep can evict it.
+	nc := dialRaw(t, srv)
+	if nc == nil {
+		return
+	}
+	defer nc.Close()
+	w := proto.Writer{Order: binary.LittleEndian}
+	proto.AppendDeviceReq(&w, proto.OpGetTime, 0) //nolint:errcheck
+	one := len(w.Buf)
+	for i := 0; i < 512; i++ {
+		proto.AppendDeviceReq(&w, proto.OpGetTime, 0) //nolint:errcheck
+	}
+	if _, err := nc.Write(w.Buf[:one]); err != nil {
+		t.Fatal(err)
+	}
+	// One byte of the reply read off the pipe: the writer is now inside
+	// that write, and stays there.
+	if _, err := nc.Read(make([]byte, 1)); err != nil {
+		t.Fatal(err)
+	}
+	start = time.Now()
+	if _, err := nc.Write(w.Buf[one:]); err != nil {
+		t.Fatal(err)
+	}
+	for srv.Snapshot().Evictions == 0 {
+		if time.Since(start) > grace+grace/2+500*time.Millisecond {
+			t.Fatalf("silent wedged consumer not evicted %v after going over budget (grace %v)", time.Since(start), grace)
 		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("promoted task never ran")
+		time.Sleep(time.Millisecond)
 	}
 }

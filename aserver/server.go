@@ -155,8 +155,10 @@ type Server struct {
 	engines     []*engine
 	engineByDev []*engine
 
-	// sched drives every engine's task queue: a sharded timer wheel plus
-	// a bounded worker pool (scheduler.go). Immutable after New.
+	// sched is the server's one timer: a sharded timer wheel plus a
+	// bounded worker pool (scheduler.go) driving every engine's update and
+	// park resumption and the control plane's timed jobs. Immutable after
+	// New.
 	sched *updateScheduler
 
 	// clientMu guards the clients set and each client's eventMasks: the
@@ -176,10 +178,6 @@ type Server struct {
 	funcCh  chan func()
 	done    chan struct{}
 	stopped chan struct{}
-
-	// tasks is the control plane's own timer queue (telephone re-hook
-	// and the like); per-device periodic work lives on the engines.
-	tasks *taskQueue
 
 	// budget is the resolved overload policy (overload.go); immutable
 	// after New. draining flips once, when Drain begins.
@@ -227,7 +225,6 @@ func New(opts Options) (*Server, error) {
 		funcCh:        make(chan func()),
 		done:          make(chan struct{}),
 		stopped:       make(chan struct{}),
-		tasks:         newTaskQueue(),
 		sm:            newServerMetrics(),
 	}
 	// The access list starts with the server's own host, as xhost does, so
@@ -236,7 +233,6 @@ func New(opts Options) (*Server, error) {
 		{Family: proto.FamilyInternet, Addr: net.IPv4(127, 0, 0, 1).To4()},
 		{Family: proto.FamilyInternet6, Addr: net.IPv6loopback},
 	}
-	s.initOverload()
 	if err := s.buildDevices(); err != nil {
 		return nil, err
 	}
@@ -244,7 +240,7 @@ func New(opts Options) (*Server, error) {
 		s.props = append(s.props, make(map[uint32]*property))
 	}
 	// Build the data plane: one engine per root device (views share their
-	// parent's), each seeded with its periodic update task (§7.2).
+	// parent's), each due its first periodic update (§7.2).
 	roots := make(map[*core.Device]*engine)
 	for _, d := range s.devices {
 		root := d
@@ -265,6 +261,7 @@ func New(opts Options) (*Server, error) {
 	for _, e := range s.engines {
 		s.sched.register(e)
 	}
+	s.initOverload()
 	go s.loop()
 	return s, nil
 }

@@ -6,10 +6,10 @@ import (
 	"time"
 )
 
-// Self-healing (ROADMAP item 5): the backend runs a detect/decide/act
-// loop over the health of its UDP peer, in the style of the
-// Self-Healing Audio System's recovery cycle, generalizing the paper's
-// §8.3 clock-slip resynchronization to the whole transport.
+// Self-healing: the backend runs a detect/decide/act loop over the health
+// of its UDP peer, in the style of the Self-Healing Audio System's
+// recovery cycle, generalizing the paper's §8.3 clock-slip
+// resynchronization to the whole transport.
 //
 //   - detect: every round trip classifies its outcome. A run of
 //     FailThreshold consecutive round-trip failures means the box (or
