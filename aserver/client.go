@@ -17,29 +17,16 @@ import (
 	"audiofile/internal/sampleconv"
 )
 
-// request is one control-plane request on its synchronous round trip
-// through the server loop. Hot (data-plane) requests never become one:
-// the reader dispatches them inline from their frames.
-type request struct {
-	c    *client
-	op   uint8
-	ext  uint8
-	body []byte
-	// done is closed by the loop once the request has been dispatched,
-	// releasing the reader to move on. The round trip is what preserves
-	// per-connection FIFO order across the control/data plane split.
-	done chan struct{}
-}
-
 // ac is the server-side audio context (§5.6): the parameters a client
 // binds once instead of repeating on every play and record request.
 //
-// An ac is touched by two goroutines — the connection's reader (hot
-// dispatch) and the server loop (attribute changes) — but never at the
-// same time: the reader performs control operations as synchronous round
-// trips, so every loop-side mutation is ordered against the reader's own
-// requests. Fields shared with engine retries (recording, coder state)
-// are only used under the owning engine's lock.
+// An ac's attributes are written by its connection's reader under ctl
+// (CreateAC, ChangeACAttributes) and read by the same goroutine when it
+// dispatches a play or record, so they are ordered by program order; a
+// scheduler worker resuming a parked request reads them under the engine
+// lock while the reader waits on that park. Fields shared with engine
+// retries (recording, subscribed, coder state) are only used under the
+// owning engine's lock.
 type ac struct {
 	id       uint32
 	dev      *core.Device
@@ -95,6 +82,8 @@ type client struct {
 	evicted     chan struct{}
 	evictOnce   sync.Once
 
+	// acs is written only by this connection's reader, under Server.ctl;
+	// the reader reads it bare (hotEngine), anyone else under ctl.
 	acs        map[uint32]*ac
 	eventMasks map[int]uint32 // guarded by Server.clientMu
 
@@ -104,8 +93,6 @@ type client struct {
 	// lock drops, so it is empty between groups and teardown never finds
 	// bytes here.
 	stage *wireMsg
-
-	removed bool // loop-side flag: removeClient already ran
 }
 
 // newClient builds a connection's server-side state with the server's
@@ -145,6 +132,11 @@ func (c *client) evict(reason uint32, code uint8) {
 	})
 }
 
+// setupDeadline bounds the setup handshake: the server reading a client's
+// setup request, and the router's unproxied prefix (that read plus the
+// backend handshake).
+const setupDeadline = 30 * time.Second
+
 // handleConn performs connection setup and runs the reader.
 func (s *Server) handleConn(conn net.Conn) {
 	if tc, ok := conn.(*net.TCPConn); ok {
@@ -152,7 +144,7 @@ func (s *Server) handleConn(conn net.Conn) {
 		// coalescing for an interactive audio stream.
 		tc.SetNoDelay(!s.opts.TCPDelay) //nolint:errcheck
 	}
-	conn.SetDeadline(time.Now().Add(30 * time.Second))
+	conn.SetDeadline(time.Now().Add(setupDeadline))
 	setup, order, err := proto.ReadSetupRequest(conn)
 	if err != nil {
 		conn.Close()
@@ -203,9 +195,7 @@ func (s *Server) handleConn(conn net.Conn) {
 	}
 
 	c := newClient(s, conn, order)
-	select {
-	case s.regCh <- c:
-	case <-s.done:
+	if !s.register(c) {
 		conn.Close()
 		return
 	}
@@ -218,9 +208,9 @@ func (s *Server) handleConn(conn net.Conn) {
 	c.reader()
 }
 
-// hotOp reports whether op belongs to the data plane: dispatched inline
-// by the reader under the owning engine's lock rather than through the
-// server loop.
+// hotOp is the one statement of which lock an opcode's handler runs
+// under: the owning engine's for the data plane (dispatchHotGroup), the
+// control lock for everything else (dispatchControl).
 func hotOp(op uint8) bool {
 	return op == proto.OpPlaySamples || op == proto.OpRecordSamples ||
 		op == proto.OpGetTime
@@ -266,11 +256,10 @@ type runFrame struct {
 // group can hold an engine lock.
 const maxRunLen = 32
 
-// reader frames requests off the wire and dispatches them: hot ops
-// inline to the owning engine, control ops through the loop. It reads
-// one request ahead of a blocked (parked) request — the read keeps
-// disconnect detection live while parked; the barrier before dispatch
-// keeps per-connection FIFO order.
+// reader frames requests off the wire and runs each to completion, in
+// order, under the lock hotOp names for it. It reads one request ahead
+// of a blocked (parked) request — the read keeps disconnect detection
+// live while parked; the barrier before dispatch keeps FIFO order.
 //
 // After the blocking read frames one request the reader peeks the
 // framing buffer and frames every further request already sitting whole
@@ -279,8 +268,7 @@ const maxRunLen = 32
 func (c *client) reader() {
 	br := bufio.NewReaderSize(c.conn, readerBufBytes)
 	var hdr [4]byte
-	req := &request{c: c} // reused across control round trips
-	var await *parked     // outstanding blocked request, if any
+	var await *parked // outstanding blocked request, if any
 	run := make([]runFrame, 0, maxRunLen)
 	for {
 		if _, err := io.ReadFull(br, hdr[:]); err != nil {
@@ -297,20 +285,14 @@ func (c *client) reader() {
 			break
 		}
 		run = c.frameMore(br, append(run[:0], runFrame{op, ext, framep}))
-		cont, p := c.dispatchRun(run, await, req)
-		if !cont {
-			return
-		}
-		await = p
+		await = c.dispatchRun(run, await)
 		if c.dead.Load() {
 			break
 		}
 	}
-	select {
-	case c.s.unregCh <- c:
-	case <-c.s.done:
-	case <-c.closed:
-	}
+	c.s.ctl.Lock() // unregister
+	c.s.removeClient(c)
+	c.s.ctl.Unlock()
 }
 
 // frameMore extends run with requests already sitting whole in the
@@ -342,59 +324,39 @@ func (c *client) frameMore(br *bufio.Reader, run []runFrame) []runFrame {
 	return run
 }
 
-// dispatchRun dispatches a framed run in order: control ops round-trip
-// through the loop one at a time, and each stretch of hot ops goes to
-// dispatchHotGroup, which serves same-engine neighbours under one lock
-// acquisition. A park suspends the run at the parked request; the
-// remaining frames dispatch after the park resolves, preserving
-// per-connection FIFO order. It returns cont=false when the connection
-// is being torn down (the caller returns without the unregister
-// handshake) and the outstanding park, if any.
-func (c *client) dispatchRun(run []runFrame, await *parked, req *request) (cont bool, _ *parked) {
+// dispatchRun dispatches a framed run in order: each control op runs
+// under ctl, and each stretch of hot ops goes to dispatchHotGroup, which
+// serves same-engine neighbours under one lock acquisition. A park
+// suspends the run at the parked request; the remaining frames dispatch
+// after the park resolves, preserving per-connection FIFO order. It
+// returns the outstanding park, if any. A dead client (evicted, or
+// removed by Close) has the rest of its run dropped.
+func (c *client) dispatchRun(run []runFrame, await *parked) *parked {
 	i := 0
 	for i < len(run) {
 		if await != nil {
 			select {
 			case <-await.done:
-				await = nil
 			case <-c.closed:
-				c.putFrames(run[i:])
-				return false, nil
-			case <-c.s.done:
-				c.putFrames(run[i:])
-				return false, nil
 			}
+			await = nil
 		}
 		if c.dead.Load() {
-			c.putFrames(run[i:])
-			return true, nil
+			break
 		}
 		rf := run[i]
 		if !hotOp(rf.op) {
-			req.op, req.ext, req.body = rf.op, rf.ext, *rf.frame
-			req.done = make(chan struct{})
-			select {
-			case c.s.reqCh <- req:
-			case <-c.s.done:
-				c.putFrames(run[i:])
-				return false, nil
-			case <-c.closed:
-				c.putFrames(run[i:])
-				return false, nil
+			c.s.ctl.Lock()
+			if !c.dead.Load() { // removeClient may have won the lock
+				c.s.dispatchControl(c, rf)
 			}
-			select {
-			case <-req.done:
-			case <-c.s.stopped:
-				c.putFrames(run[i:])
-				return false, nil
-			}
+			c.s.ctl.Unlock()
 			c.s.putFrame(rf.frame)
 			i++
 			continue
 		}
-		// The group is placed here — after any control round trip earlier
-		// in the run — so AC mutations ordered by those round trips are
-		// visible to it.
+		// The group is placed here — after any control op earlier in the
+		// run — so the AC mutations those made are visible to it.
 		consumed, p := c.s.dispatchHotGroup(c, run[i:])
 		i += consumed
 		served := run[i-consumed : i]
@@ -406,7 +368,8 @@ func (c *client) dispatchRun(run []runFrame, await *parked, req *request) (cont 
 		c.putFrames(served)
 		await = p
 	}
-	return true, await
+	c.putFrames(run[i:])
+	return await
 }
 
 // putFrames returns framed requests' pooled frames: the served part of a
@@ -537,7 +500,7 @@ func (q *outQueue) close() {
 const goodbyeTimeout = 250 * time.Millisecond
 
 // writer drains the egress queue onto the wire until the client is
-// evicted or the loop closes it (c.closed). Queued messages are gathered
+// evicted or removeClient closes it (c.closed). Queued messages are gathered
 // into one vectored write (writev on TCP and Unix sockets), so marshaled
 // bytes go from the pooled message buffers to the kernel without the
 // intermediate copy a bufio layer would make. Buffers return to the pool

@@ -25,8 +25,8 @@ type hotReq struct {
 // hotEngine decodes a hot request and names the engine that will serve
 // it. This is the only place a hot request is validated: what it accepts,
 // dispatchHotGroup serves without looking again. Safe on the reader
-// goroutine: c.acs is only mutated during control round trips, which are
-// ordered against it.
+// goroutine: c.acs is only mutated by control requests, which the same
+// goroutine dispatches.
 func (s *Server) hotEngine(c *client, rf runFrame) (h hotReq) {
 	r := proto.NewReader(c.order, *rf.frame)
 	var id uint32
@@ -173,30 +173,30 @@ func (s *Server) dispatchHotGroup(c *client, run []runFrame) (int, *parked) {
 }
 
 // dispatchControl indexes the request type into the handler table, as
-// the DIA dispatcher does. It runs in the server loop.
-func (s *Server) dispatchControl(req *request) {
+// the DIA dispatcher does, and runs the handler to completion. Caller
+// holds s.ctl.
+func (s *Server) dispatchControl(c *client, rf runFrame) {
 	t0 := time.Now()
-	req.c.lastActive.Store(t0.UnixNano())
-	s.dispatchControlInner(req)
+	c.lastActive.Store(t0.UnixNano())
+	s.dispatchControlInner(c, rf)
 	s.sm.dispatchControl.Observe(time.Since(t0).Nanoseconds())
 	// Control ops always dispatch as a batch of one (ordered after the
 	// request count, as in dispatchHotGroup).
 	s.sm.dispatchBatch.Observe(1)
 }
 
-func (s *Server) dispatchControlInner(req *request) {
-	c := req.c
+func (s *Server) dispatchControlInner(c *client, rf runFrame) {
 	seq := uint16(c.seq.Add(1))
 	s.requestCount.Add(1)
-	r := proto.NewReader(c.order, req.body)
-	switch req.op {
+	r := proto.NewReader(c.order, *rf.frame)
+	switch rf.op {
 	case proto.OpSelectEvents:
 		q := proto.DecodeSelectEvents(r)
-		if c.short(r, req.op, seq) {
+		if c.short(r, rf.op, seq) {
 			return
 		}
 		if !s.validDevice(q.Device) {
-			c.sendError(proto.ErrDevice, q.Device, req.op, seq)
+			c.sendError(proto.ErrDevice, q.Device, rf.op, seq)
 			return
 		}
 		s.clientMu.Lock()
@@ -205,31 +205,31 @@ func (s *Server) dispatchControlInner(req *request) {
 
 	case proto.OpCreateAC:
 		q := proto.DecodeCreateAC(r)
-		if c.short(r, req.op, seq) {
+		if c.short(r, rf.op, seq) {
 			return
 		}
-		s.handleCreateAC(c, req.op, q, seq)
+		s.handleCreateAC(c, rf.op, q, seq)
 
 	case proto.OpChangeACAttributes:
 		q := proto.DecodeChangeAC(r)
-		if c.short(r, req.op, seq) {
+		if c.short(r, rf.op, seq) {
 			return
 		}
 		a := c.acs[q.AC]
 		if a == nil {
-			c.sendError(proto.ErrAC, q.AC, req.op, seq)
+			c.sendError(proto.ErrAC, q.AC, rf.op, seq)
 			return
 		}
-		s.applyACAttrs(c, req.op, a, q.Mask, q.Attrs, seq)
+		s.applyACAttrs(c, rf.op, a, q.Mask, q.Attrs, seq)
 
 	case proto.OpFreeAC:
 		id := r.U32()
-		if c.short(r, req.op, seq) {
+		if c.short(r, rf.op, seq) {
 			return
 		}
 		a := c.acs[id]
 		if a == nil {
-			c.sendError(proto.ErrAC, id, req.op, seq)
+			c.sendError(proto.ErrAC, id, rf.op, seq)
 			return
 		}
 		s.releaseAC(a)
@@ -237,12 +237,12 @@ func (s *Server) dispatchControlInner(req *request) {
 
 	case proto.OpSubscribe:
 		id := proto.DecodeACReq(r)
-		if c.short(r, req.op, seq) {
+		if c.short(r, rf.op, seq) {
 			return
 		}
 		a := c.acs[id]
 		if a == nil {
-			c.sendError(proto.ErrAC, id, req.op, seq)
+			c.sendError(proto.ErrAC, id, rf.op, seq)
 			return
 		}
 		e := s.engineByDev[a.devIndex]
@@ -251,7 +251,7 @@ func (s *Server) dispatchControlInner(req *request) {
 		now := a.dev.Now()
 		e.mu.Unlock()
 		if code != 0 {
-			c.sendError(code, id, req.op, seq)
+			c.sendError(code, id, rf.op, seq)
 			return
 		}
 		// Aux identifies the channel the subscription joined: broadcast
@@ -260,12 +260,12 @@ func (s *Server) dispatchControlInner(req *request) {
 
 	case proto.OpUnsubscribe:
 		id := proto.DecodeACReq(r)
-		if c.short(r, req.op, seq) {
+		if c.short(r, rf.op, seq) {
 			return
 		}
 		a := c.acs[id]
 		if a == nil {
-			c.sendError(proto.ErrAC, id, req.op, seq)
+			c.sendError(proto.ErrAC, id, rf.op, seq)
 			return
 		}
 		e := s.engineByDev[a.devIndex]
@@ -277,12 +277,12 @@ func (s *Server) dispatchControlInner(req *request) {
 
 	case proto.OpQueryPhone:
 		dev := proto.DecodeDeviceReq(r)
-		if c.short(r, req.op, seq) {
+		if c.short(r, rf.op, seq) {
 			return
 		}
 		line := s.lineFor(dev)
 		if line == nil {
-			c.sendError(proto.ErrMatch, dev, req.op, seq)
+			c.sendError(proto.ErrMatch, dev, rf.op, seq)
 			return
 		}
 		var hook, loop uint32
@@ -297,18 +297,18 @@ func (s *Server) dispatchControlInner(req *request) {
 
 	case proto.OpEnablePassThrough:
 		q := proto.DecodePassThrough(r)
-		if c.short(r, req.op, seq) {
+		if c.short(r, rf.op, seq) {
 			return
 		}
-		s.handleEnablePassThrough(c, req.op, q, seq)
+		s.handleEnablePassThrough(c, rf.op, q, seq)
 
 	case proto.OpDisablePassThrough:
 		dev := proto.DecodeDeviceReq(r)
-		if c.short(r, req.op, seq) {
+		if c.short(r, rf.op, seq) {
 			return
 		}
 		if !s.validDevice(dev) {
-			c.sendError(proto.ErrDevice, dev, req.op, seq)
+			c.sendError(proto.ErrDevice, dev, rf.op, seq)
 			return
 		}
 		for _, e := range s.engines {
@@ -323,29 +323,29 @@ func (s *Server) dispatchControlInner(req *request) {
 
 	case proto.OpHookSwitch:
 		dev := proto.DecodeDeviceReq(r)
-		if c.short(r, req.op, seq) {
+		if c.short(r, rf.op, seq) {
 			return
 		}
 		line := s.lineFor(dev)
 		if line == nil {
-			c.sendError(proto.ErrMatch, dev, req.op, seq)
+			c.sendError(proto.ErrMatch, dev, rf.op, seq)
 			return
 		}
-		line.SetHook(req.ext == proto.HookOff)
+		line.SetHook(rf.ext == proto.HookOff)
 		s.updateEngine(dev) // deliver the hook event promptly
 
 	case proto.OpFlashHook:
 		q := proto.DecodeFlashHook(r)
-		if c.short(r, req.op, seq) {
+		if c.short(r, rf.op, seq) {
 			return
 		}
 		line := s.lineFor(q.Device)
 		if line == nil {
-			c.sendError(proto.ErrMatch, q.Device, req.op, seq)
+			c.sendError(proto.ErrMatch, q.Device, rf.op, seq)
 			return
 		}
 		if !line.OffHook() {
-			c.sendError(proto.ErrMatch, q.Device, req.op, seq)
+			c.sendError(proto.ErrMatch, q.Device, rf.op, seq)
 			return
 		}
 		dur := time.Duration(q.DurationMs) * time.Millisecond
@@ -370,24 +370,24 @@ func (s *Server) dispatchControlInner(req *request) {
 	case proto.OpDialPhone:
 		// Obsolete: FCC dialing timing cannot be met from the server's
 		// tasking system; clients dial by playing tone pairs themselves.
-		c.sendError(proto.ErrImplementation, 0, req.op, seq)
+		c.sendError(proto.ErrImplementation, 0, rf.op, seq)
 
 	case proto.OpSetInputGain, proto.OpSetOutputGain:
 		q := proto.DecodeGainReq(r)
-		if c.short(r, req.op, seq) {
+		if c.short(r, rf.op, seq) {
 			return
 		}
 		if !s.validDevice(q.Device) {
-			c.sendError(proto.ErrDevice, q.Device, req.op, seq)
+			c.sendError(proto.ErrDevice, q.Device, rf.op, seq)
 			return
 		}
 		if q.Gain < minDeviceGain || q.Gain > maxDeviceGain {
-			c.sendError(proto.ErrValue, uint32(q.Gain), req.op, seq)
+			c.sendError(proto.ErrValue, uint32(q.Gain), rf.op, seq)
 			return
 		}
 		e := s.engineByDev[q.Device]
 		e.mu.Lock()
-		if req.op == proto.OpSetInputGain {
+		if rf.op == proto.OpSetInputGain {
 			s.devices[q.Device].SetInputGain(int(q.Gain))
 		} else {
 			s.devices[q.Device].SetOutputGain(int(q.Gain))
@@ -396,17 +396,17 @@ func (s *Server) dispatchControlInner(req *request) {
 
 	case proto.OpQueryInputGain, proto.OpQueryOutputGain:
 		dev := proto.DecodeDeviceReq(r)
-		if c.short(r, req.op, seq) {
+		if c.short(r, rf.op, seq) {
 			return
 		}
 		if !s.validDevice(dev) {
-			c.sendError(proto.ErrDevice, dev, req.op, seq)
+			c.sendError(proto.ErrDevice, dev, rf.op, seq)
 			return
 		}
 		e := s.engineByDev[dev]
 		e.mu.Lock()
 		cur := s.devices[dev].InputGain()
-		if req.op == proto.OpQueryOutputGain {
+		if rf.op == proto.OpQueryOutputGain {
 			cur = s.devices[dev].OutputGain()
 		}
 		e.mu.Unlock()
@@ -414,17 +414,17 @@ func (s *Server) dispatchControlInner(req *request) {
 
 	case proto.OpEnableInput, proto.OpEnableOutput, proto.OpDisableInput, proto.OpDisableOutput:
 		q := proto.DecodeDeviceMaskReq(r)
-		if c.short(r, req.op, seq) {
+		if c.short(r, rf.op, seq) {
 			return
 		}
 		if !s.validDevice(q.Device) {
-			c.sendError(proto.ErrDevice, q.Device, req.op, seq)
+			c.sendError(proto.ErrDevice, q.Device, rf.op, seq)
 			return
 		}
 		d := s.devices[q.Device]
 		e := s.engineByDev[q.Device]
 		e.mu.Lock()
-		switch req.op {
+		switch rf.op {
 		case proto.OpEnableInput:
 			d.EnableInputs(q.Mask)
 		case proto.OpEnableOutput:
@@ -437,11 +437,11 @@ func (s *Server) dispatchControlInner(req *request) {
 		e.mu.Unlock()
 
 	case proto.OpSetAccessControl:
-		s.accessEnabled = req.ext != 0
+		s.accessEnabled = rf.ext != 0
 
 	case proto.OpChangeHosts:
-		q := proto.DecodeChangeHosts(r, req.ext)
-		if c.short(r, req.op, seq) {
+		q := proto.DecodeChangeHosts(r, rf.ext)
+		if c.short(r, rf.op, seq) {
 			return
 		}
 		s.handleChangeHosts(q)
@@ -456,20 +456,20 @@ func (s *Server) dispatchControlInner(req *request) {
 		c.sendReply(&proto.Reply{Data: enabled, Aux: uint32(len(s.accessList)), Extra: w.Buf}, seq)
 
 	case proto.OpInternAtom:
-		q := proto.DecodeInternAtom(r, req.ext)
-		if c.short(r, req.op, seq) {
+		q := proto.DecodeInternAtom(r, rf.ext)
+		if c.short(r, rf.op, seq) {
 			return
 		}
 		c.sendReply(&proto.Reply{Aux: s.atoms.intern(q.Name, q.OnlyIfExists)}, seq)
 
 	case proto.OpGetAtomName:
 		id := r.U32()
-		if c.short(r, req.op, seq) {
+		if c.short(r, rf.op, seq) {
 			return
 		}
 		name := s.atoms.name(id)
 		if name == "" {
-			c.sendError(proto.ErrAtom, id, req.op, seq)
+			c.sendError(proto.ErrAtom, id, rf.op, seq)
 			return
 		}
 		w := proto.Writer{Order: c.order}
@@ -479,23 +479,23 @@ func (s *Server) dispatchControlInner(req *request) {
 		c.sendReply(&proto.Reply{Aux: uint32(len(name)), Extra: w.Buf}, seq)
 
 	case proto.OpChangeProperty:
-		q := proto.DecodeChangeProperty(r, req.ext)
-		if c.short(r, req.op, seq) {
+		q := proto.DecodeChangeProperty(r, rf.ext)
+		if c.short(r, rf.op, seq) {
 			return
 		}
-		s.handleChangeProperty(c, req.op, q, seq)
+		s.handleChangeProperty(c, rf.op, q, seq)
 
 	case proto.OpDeleteProperty:
 		q := proto.DecodeDeleteProperty(r)
-		if c.short(r, req.op, seq) {
+		if c.short(r, rf.op, seq) {
 			return
 		}
 		if !s.validDevice(q.Device) {
-			c.sendError(proto.ErrDevice, q.Device, req.op, seq)
+			c.sendError(proto.ErrDevice, q.Device, rf.op, seq)
 			return
 		}
 		if !s.atoms.valid(q.Property) {
-			c.sendError(proto.ErrAtom, q.Property, req.op, seq)
+			c.sendError(proto.ErrAtom, q.Property, rf.op, seq)
 			return
 		}
 		if _, ok := s.props[q.Device][q.Property]; ok {
@@ -504,19 +504,19 @@ func (s *Server) dispatchControlInner(req *request) {
 		}
 
 	case proto.OpGetProperty:
-		q := proto.DecodeGetProperty(r, req.ext)
-		if c.short(r, req.op, seq) {
+		q := proto.DecodeGetProperty(r, rf.ext)
+		if c.short(r, rf.op, seq) {
 			return
 		}
-		s.handleGetProperty(c, req.op, q, seq)
+		s.handleGetProperty(c, rf.op, q, seq)
 
 	case proto.OpListProperties:
 		dev := proto.DecodeDeviceReq(r)
-		if c.short(r, req.op, seq) {
+		if c.short(r, rf.op, seq) {
 			return
 		}
 		if !s.validDevice(dev) {
-			c.sendError(proto.ErrDevice, dev, req.op, seq)
+			c.sendError(proto.ErrDevice, dev, rf.op, seq)
 			return
 		}
 		w := proto.Writer{Order: c.order}
@@ -536,7 +536,7 @@ func (s *Server) dispatchControlInner(req *request) {
 
 	case proto.OpQueryExtension:
 		proto.DecodeQueryExtension(r)
-		if c.short(r, req.op, seq) {
+		if c.short(r, rf.op, seq) {
 			return
 		}
 		c.sendReply(&proto.Reply{Data: 0}, seq) // no extensions are implemented
@@ -545,10 +545,10 @@ func (s *Server) dispatchControlInner(req *request) {
 		c.sendReply(&proto.Reply{Data: 0}, seq)
 
 	case proto.OpKillClient:
-		c.sendError(proto.ErrImplementation, 0, req.op, seq)
+		c.sendError(proto.ErrImplementation, 0, rf.op, seq)
 
 	default:
-		c.sendError(proto.ErrRequest, uint32(req.op), req.op, seq)
+		c.sendError(proto.ErrRequest, uint32(rf.op), rf.op, seq)
 	}
 }
 

@@ -156,3 +156,19 @@ func BenchmarkDispatchRecordADPCM(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkDispatchControl sends one SyncConnection through dispatchRun
+// the way the reader does: a pooled frame checked out, the handler run to
+// completion under ctl, the reply queued, the frame returned.
+func BenchmarkDispatchControl(b *testing.B) {
+	srv, c, _, cleanup := benchServer(b)
+	defer cleanup()
+	run := make([]runFrame, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run[0] = runFrame{op: proto.OpSyncConnection, frame: srv.getFrame(0)}
+		c.dispatchRun(run, nil)
+		drainOut(c)
+	}
+}

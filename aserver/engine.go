@@ -19,23 +19,22 @@ import (
 // patches it is responsible for pumping.
 //
 // Where the paper's DIA serializes every device behind one thread, each
-// engine serializes only its own root device behind e.mu. Hot requests
-// (PlaySamples, RecordSamples, GetTime) are dispatched inline by the
-// connection's reader goroutine under this lock; the control plane (the
-// Server.loop goroutine) takes the same lock for the rare control
+// engine serializes only its own root device behind e.mu. A connection's
+// reader runs hot requests (PlaySamples, RecordSamples, GetTime) under
+// this lock alone, and takes it inside Server.ctl for the rare control
 // operations that touch device state. The engine's two timed jobs (§7.3.1)
 // — the periodic update and the resumption of blocked requests — share
 // one passive timer on the server's sharded timer wheel; the update
 // scheduler's worker pool runs the due passes (see scheduler.go). An
 // engine owns no goroutine and no queue.
 //
-// Lock ordering: an engine may lock a peer engine only in ascending
-// engine order (pass-through pumping runs on the lower-indexed engine
-// and reaches across to the higher); the control plane follows the same
-// ascending rule when it needs two engines. A wheel shard lock may be
-// taken under e.mu (timer.Arm), never the reverse: wheel fire callbacks
-// run with no shard lock held. Server.clientMu is the innermost lock
-// (event fan-out).
+// Lock ordering: Server.ctl is taken before any engine lock, never under
+// one. An engine may lock a peer engine only in ascending engine order
+// (pass-through pumping runs on the lower-indexed engine and reaches
+// across to the higher); the control plane follows the same ascending
+// rule when it needs two engines. A wheel shard lock may be taken under
+// e.mu (timer.Arm), never the reverse: wheel fire callbacks run with no
+// shard lock held. Server.clientMu is the innermost lock (event fan-out).
 type engine struct {
 	s    *Server
 	idx  int // position in Server.engines, ascending root device index
@@ -275,7 +274,7 @@ func (e *engine) wakeLocked(p *parked, deficit int) {
 
 // dropClientParks discards any park the client holds on this engine,
 // releasing its pinned buffers and its reader (if still waiting). Called
-// by the control plane when a client unregisters.
+// by removeClient, under ctl.
 func (e *engine) dropClientParks(c *client) {
 	e.mu.Lock()
 	if p, ok := e.parks[c]; ok {

@@ -9,66 +9,44 @@ import (
 	"audiofile/internal/proto"
 )
 
-// loop is the server's control plane: the analogue of the paper's
-// WaitForSomething()/Dispatch() cycle, slimmed to the operations that
-// touch genuinely global state (client registry, atoms, properties, host
-// access, AC lifecycle, pass-through enables). The data plane — plays,
-// records, time queries — runs on the per-device engines without passing
-// through here, and the loop owns no timer: its timed work rides the
+// The control plane: the analogue of the paper's WaitForSomething()/
+// Dispatch() cycle, slimmed to the operations that touch genuinely global
+// state (client registry, atoms, properties, host access, AC lifecycle,
+// pass-through enables). It is a lock, Server.ctl, not a goroutine: a
+// connection's reader holds it while dispatchControl runs, and this file's
+// registry calls take it themselves. The data plane — plays, records, time
+// queries — never takes it, and it owns no timer: its timed work rides the
 // update scheduler (updateScheduler.job).
-func (s *Server) loop() {
-	defer close(s.stopped)
-	for {
-		select {
-		case c := <-s.regCh:
-			// MaxClients is a soft cap: the newcomer is admitted and the
-			// oldest-idle client is shed (its teardown completes on its
-			// own goroutines, so the registry can transiently exceed max).
-			if max := s.budget.maxClients; max > 0 {
-				s.clientMu.RLock()
-				n := len(s.clients)
-				s.clientMu.RUnlock()
-				for ; n >= max && s.shedOldestIdle(c); n-- {
-				}
-			}
-			s.clientMu.Lock()
-			s.clients[c] = struct{}{}
-			s.clientMu.Unlock()
-			s.sm.connects.Inc()
-			s.sm.activeClients.Add(1)
-		case c := <-s.unregCh:
-			s.removeClient(c)
-		case req := <-s.reqCh:
-			if !req.c.dead.Load() {
-				s.dispatchControl(req)
-			}
-			if req.done != nil {
-				close(req.done)
-			}
-		case fn := <-s.funcCh:
-			fn()
-		case <-s.done:
-			s.clientMu.RLock()
-			cs := make([]*client, 0, len(s.clients))
-			for c := range s.clients {
-				cs = append(cs, c)
-			}
-			s.clientMu.RUnlock()
-			for _, c := range cs {
-				s.removeClient(c)
-			}
-			return
+
+// register admits a client to the registry, or refuses once the server
+// has stopped.
+func (s *Server) register(c *client) bool {
+	s.ctl.Lock()
+	defer s.ctl.Unlock()
+	if s.stopped {
+		return false
+	}
+	// MaxClients is a soft cap: the newcomer is admitted and the
+	// oldest-idle client is shed (its teardown completes on its own
+	// goroutines, so the registry can transiently exceed max).
+	if max := s.budget.maxClients; max > 0 {
+		for n := len(s.clients); n >= max && s.shedOldestIdle(c); n-- {
 		}
 	}
+	s.clientMu.Lock()
+	s.clients[c] = struct{}{}
+	s.clientMu.Unlock()
+	s.sm.connects.Inc()
+	s.sm.activeClients.Add(1)
+	return true
 }
 
-// removeClient releases a client's server-side resources. Runs in the
-// loop, either after the reader exited (unregister) or at shutdown.
+// removeClient releases a client's server-side resources, once: when its
+// reader exits or at shutdown, whichever comes first. Caller holds s.ctl.
 func (s *Server) removeClient(c *client) {
-	if c.removed {
+	if _, ok := s.clients[c]; !ok {
 		return
 	}
-	c.removed = true
 	c.dead.Store(true)
 	// Classify the disconnect before counting it: every reader of the
 	// counters then sees disconnects <= evictions + sheds + drains +
@@ -114,7 +92,7 @@ func (s *Server) releaseAC(a *ac) {
 // deliverEvent sends an event to every client that selected its class on
 // the device. Per §5.2, events carry both the device time (supplied by
 // the caller, read under the owning engine's lock) and the server host's
-// clock time. Safe from the loop and from engine goroutines.
+// clock time. Safe under ctl and under an engine lock.
 func (s *Server) deliverEvent(devIndex int, now atime.ATime, code uint8, detail byte, value uint32) {
 	mask := proto.EventMaskFor(code)
 	host := time.Now()
@@ -193,23 +171,21 @@ func newPatch(a, b *core.Device) *patch {
 
 // hostAllowed applies host-based access control to a new connection.
 func (s *Server) hostAllowed(conn net.Conn) bool {
-	allowed := true
-	s.Do(func() {
-		if !s.accessEnabled {
-			return
+	s.ctl.Lock()
+	defer s.ctl.Unlock()
+	if !s.accessEnabled {
+		return true
+	}
+	entry := hostEntryFor(conn.RemoteAddr())
+	if entry.Family == proto.FamilyLocal {
+		return true // local connections are always allowed
+	}
+	for _, h := range s.accessList {
+		if h.Family == entry.Family && string(h.Addr) == string(entry.Addr) {
+			return true
 		}
-		entry := hostEntryFor(conn.RemoteAddr())
-		if entry.Family == proto.FamilyLocal {
-			return // local connections are always allowed
-		}
-		for _, h := range s.accessList {
-			if h.Family == entry.Family && string(h.Addr) == string(entry.Addr) {
-				return
-			}
-		}
-		allowed = false
-	})
-	return allowed
+	}
+	return false
 }
 
 // hostEntryFor classifies a remote address for the access list.

@@ -126,8 +126,7 @@ type budgets struct {
 }
 
 // initOverload resolves the budget options and starts the periodic
-// overload sweep. Called from New once the scheduler exists, before the
-// loop starts.
+// overload sweep. Called from New once the scheduler exists.
 func (s *Server) initOverload() {
 	b := &s.budget
 	b.maxClients = s.opts.MaxClients
@@ -267,30 +266,25 @@ func (s *Server) Drain(timeout time.Duration) {
 		s.Close()
 		return
 	}
-	s.mu.Lock()
-	ls := s.listeners
-	s.listeners = nil
-	closed := s.closed
-	s.mu.Unlock()
-	if closed {
-		return
-	}
-	for _, l := range ls {
+	s.ctl.Lock()
+	stopped := s.stopped
+	for _, l := range s.listeners {
 		l.Close()
+	}
+	s.listeners = nil
+	s.ctl.Unlock()
+	if stopped {
+		return
 	}
 	// The drain watch rides the update scheduler: a wheel timer polls
 	// drained() on the worker pool until the data plane is empty or the
 	// window closes.
 	s.sched.pollUntil(2*time.Millisecond, time.Now().Add(timeout), s.drained)
-	s.clientMu.RLock()
-	cs := make([]*client, 0, len(s.clients))
+	s.ctl.Lock()
 	for c := range s.clients {
-		cs = append(cs, c)
-	}
-	s.clientMu.RUnlock()
-	for _, c := range cs {
 		c.evict(closeReasonDrain, proto.ErrDrain)
 	}
+	s.ctl.Unlock()
 	s.Close()
 }
 

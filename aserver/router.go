@@ -3,7 +3,6 @@ package aserver
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -337,10 +336,6 @@ func (r *Router) Close() {
 	r.wg.Wait()
 }
 
-// routerSetupDeadline bounds the unproxied prefix of a connection: the
-// client's setup request and the backend handshake.
-const routerSetupDeadline = 30 * time.Second
-
 // proxyBufBytes is the splice buffer size; two per session, pooled.
 const proxyBufBytes = 32 << 10
 
@@ -361,7 +356,7 @@ func refuse(conn net.Conn, order binary.ByteOrder, reason string) {
 
 // handleConn performs the routed handshake, then splices.
 func (r *Router) handleConn(conn net.Conn) {
-	conn.SetDeadline(time.Now().Add(routerSetupDeadline)) //nolint:errcheck
+	conn.SetDeadline(time.Now().Add(setupDeadline)) //nolint:errcheck
 	setup, order, err := proto.ReadSetupRequest(conn)
 	if err != nil {
 		r.rm.routeErrors.Inc()
@@ -390,7 +385,7 @@ func (r *Router) handleConn(conn net.Conn) {
 	// Forward the client's setup verbatim (the backend ignores the route
 	// auth fields) and relay the backend's reply as raw bytes, so the
 	// handshake a routed client sees is byte-identical to a direct one.
-	bc.SetDeadline(time.Now().Add(routerSetupDeadline)) //nolint:errcheck
+	bc.SetDeadline(time.Now().Add(setupDeadline)) //nolint:errcheck
 	if err := setup.Send(bc); err != nil {
 		r.rm.routeErrors.Inc()
 		refuse(conn, order, "backend handshake failed")
@@ -896,35 +891,14 @@ func (r *Router) Snapshot() RouterSnapshot {
 	return s
 }
 
-// StatsHandler mirrors Server.StatsHandler for the router:
-//
-//	/stats       the RouterSnapshot as JSON (astat -router consumes it)
-//	/debug/vars  the flat expvar view of the registry
+// StatsHandler mirrors Server.StatsHandler for the router: /stats serves
+// the RouterSnapshot (astat -router consumes it).
 func (r *Router) StatsHandler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/stats", func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(r.Snapshot()) //nolint:errcheck — client went away mid-scrape
-	})
-	mux.HandleFunc("/debug/vars", func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		r.reg.WriteExpvar(w) //nolint:errcheck
-	})
-	return mux
+	return statsHandler(func() any { return r.Snapshot() }, r.reg)
 }
 
 // ListenStats serves the router stats endpoints on addr in the
 // background (the arouter -stats flag).
 func (r *Router) ListenStats(addr string) (net.Listener, error) {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	go func() {
-		srv := &http.Server{Handler: r.StatsHandler()}
-		srv.Serve(l) //nolint:errcheck — ends when the listener closes
-	}()
-	return l, nil
+	return listenStats(addr, r.StatsHandler())
 }

@@ -31,7 +31,8 @@ func manyCodecs(n int) []DeviceSpec {
 // hosting 1024 devices must cost O(shards + workers) resident
 // goroutines, not one per device. The old design ran engine.run() per
 // engine — 1024 goroutines here; the wheel/scheduler runs shard loops
-// plus the bounded worker pool plus the control loop.
+// plus the bounded worker pool, and New starts nothing else (the control
+// plane is a lock).
 func TestUpdatePlaneGoroutineInventory(t *testing.T) {
 	const devs = 1024
 	runtime.GC()
@@ -46,7 +47,7 @@ func TestUpdatePlaneGoroutineInventory(t *testing.T) {
 	defer s.Close()
 	after := runtime.NumGoroutine()
 	delta := after - before
-	budget := s.sched.wheel.Shards() + s.sched.workers + 8 // control loop + runtime slack
+	budget := s.sched.wheel.Shards() + s.sched.workers + 7 // runtime slack
 	if delta > budget {
 		t.Fatalf("hosting %d devices added %d goroutines, budget %d (shards=%d workers=%d)",
 			devs, delta, budget, s.sched.wheel.Shards(), s.sched.workers)
@@ -90,10 +91,10 @@ func TestSchedulerRunsUpdates(t *testing.T) {
 	}
 }
 
-// floodControl hammers the server loop with round-trip control requests
+// floodControl hammers the control plane with round-trip control requests
 // from its own connection until the returned stop function is called:
-// the request channel never goes idle, so timed work that waited for the
-// loop to have a free moment would never run.
+// the control lock is taken back to back, so timed work that needed it —
+// or waited for the control plane to have a free moment — would starve.
 func floodControl(t *testing.T, srv *Server) (stop func()) {
 	t.Helper()
 	flood, err := af.NewConn(srv.DialPipe())
@@ -124,13 +125,12 @@ func floodControl(t *testing.T, srv *Server) (stop func()) {
 	}
 }
 
-// TestControlJobsUnderLoopFlood pins the control plane's two timed jobs
-// to the scheduler rather than to the loop's idleness: while a second
-// connection keeps the loop's request channel hot, a flash-hook's re-hook
-// event still arrives at its duration, and the overload sweep still
+// TestControlJobsUnderControlFlood pins the control plane's two timed
+// jobs to the scheduler rather than to the control lock: while a second
+// connection keeps the lock contended, a flash-hook's re-hook event still arrives at its duration, and the overload sweep still
 // evicts a wedged consumer that has gone silent (so nothing but the sweep
 // can judge it) within its grace.
-func TestControlJobsUnderLoopFlood(t *testing.T) {
+func TestControlJobsUnderControlFlood(t *testing.T) {
 	const grace = 50 * time.Millisecond
 	srv, err := New(Options{
 		Devices:          []DeviceSpec{{Kind: "phone", Name: "phone0", Clock: vdev.NewManualClock(8000)}},

@@ -3,21 +3,21 @@
 // and properties, and the built-in device-dependent (DDA) backends over
 // simulated hardware.
 //
-// Where the paper's DIA is single threaded, this server is split into a
-// control plane and a sharded data plane. The loop goroutine keeps the
-// genuinely global state (client registry, atoms, properties, host
-// access, AC lifecycle); each root device gets an engine — a mutex plus
-// a passive timer on a sharded timer wheel — that owns its buffering
-// state, periodic update, parked requests, and phone-line/patch pumps.
-// Due engines are serviced by a bounded worker pool (the update
-// scheduler), so the update plane runs O(shards + workers) goroutines
-// regardless of device count. Hot requests
-// (PlaySamples, RecordSamples, GetTime) are dispatched inline by the
-// connection's reader goroutine under the owning engine's lock, so
-// independent devices are served in parallel and the per-request channel
-// hop of the single-loop design disappears. Per-connection FIFO order
-// and per-device serialization are preserved; see DESIGN.md ("Threading
-// model") for the invariants.
+// Where the paper's DIA is one thread, this server is a set of locks:
+// every request runs to completion on its connection's reader goroutine,
+// under the lock its opcode names (hotOp). The control lock, Server.ctl,
+// guards the genuinely global state (client registry, atoms, properties,
+// host access, AC lifecycle); each root device gets an engine — a mutex
+// plus a passive timer on a sharded timer wheel — that owns its
+// buffering state, periodic update, parked requests, and phone-line/patch
+// pumps. PlaySamples, RecordSamples and GetTime take only the owning
+// engine's lock, so independent devices are served in parallel. Due
+// engines are serviced by a bounded worker pool (the update scheduler):
+// a server runs O(shards + workers) goroutines of its own plus two per
+// connection, regardless of device count. Per-connection FIFO order holds
+// by construction — one goroutine dispatches a connection's requests, in
+// order — and per-device serialization by the engine lock; see DESIGN.md
+// ("Threading model") for the invariants.
 //
 // A Server is embeddable: tests, benchmarks, and the example programs run
 // one in-process and connect over Unix or TCP sockets (or a pipe).
@@ -146,8 +146,27 @@ type Server struct {
 	lines   map[int]*phonesim.Line // device index -> phone line
 	descs   []proto.DeviceDesc
 
+	// ctl is the control plane: the lock a connection's reader holds
+	// while it dispatches a control request, and the one Close, Drain,
+	// Serve, Do and client registration take. It guards the fields from
+	// here to stopped, plus membership of clients and each client's acs.
+	// Outermost in the lock order (ctl → engine, ascending → wheel shard →
+	// clientMu): nothing that runs under an engine lock or on a scheduler
+	// worker takes it.
+	ctl   sync.Mutex
 	atoms *atomTable
 	props []map[uint32]*property // by device index
+
+	accessEnabled bool
+	accessList    []proto.HostEntry
+
+	gainControl bool // EnableGainControl/DisableGainControl state
+
+	listeners []net.Listener
+	// stopped is the server's one lifecycle flag, set by Close; done is
+	// closed with it, for the goroutines that wait rather than ask.
+	stopped bool
+	done    chan struct{}
 
 	// engines is the sharded data plane: one per root device, in
 	// ascending device order. engineByDev maps every device index
@@ -161,34 +180,20 @@ type Server struct {
 	// New.
 	sched *updateScheduler
 
-	// clientMu guards the clients set and each client's eventMasks: the
-	// loop writes them, engine goroutines read them to fan out events.
+	// clientMu guards the clients set and each client's eventMasks for
+	// the readers that do not hold ctl: control requests write them (under
+	// both locks), scheduler workers read them to fan out events and sweep.
 	// It is the innermost lock (engines may take it; never the reverse).
 	clientMu sync.RWMutex
 	clients  map[*client]struct{}
-
-	accessEnabled bool
-	accessList    []proto.HostEntry
-
-	gainControl bool // EnableGainControl/DisableGainControl state
-
-	reqCh   chan *request
-	regCh   chan *client
-	unregCh chan *client
-	funcCh  chan func()
-	done    chan struct{}
-	stopped chan struct{}
 
 	// budget is the resolved overload policy (overload.go); immutable
 	// after New. draining flips once, when Drain begins.
 	budget   budgets
 	draining atomic.Bool
 
-	mu        sync.Mutex
-	listeners []net.Listener
-	closers   []func()
-	closed    bool
-	wg        sync.WaitGroup
+	closers []func() // immutable after New
+	wg      sync.WaitGroup
 
 	// Stats observed by afperf.
 	requestCount atomic.Uint64
@@ -199,7 +204,7 @@ type Server struct {
 	sm *serverMetrics
 }
 
-// New builds the devices and starts the server loop.
+// New builds the devices and starts the update scheduler.
 func New(opts Options) (*Server, error) {
 	if opts.Vendor == "" {
 		opts.Vendor = "audiofile-go"
@@ -219,12 +224,7 @@ func New(opts Options) (*Server, error) {
 		atoms:         newAtomTable(),
 		clients:       make(map[*client]struct{}),
 		accessEnabled: opts.AccessControl,
-		reqCh:         make(chan *request, 64),
-		regCh:         make(chan *client),
-		unregCh:       make(chan *client, 8),
-		funcCh:        make(chan func()),
 		done:          make(chan struct{}),
-		stopped:       make(chan struct{}),
 		sm:            newServerMetrics(),
 	}
 	// The access list starts with the server's own host, as xhost does, so
@@ -262,7 +262,6 @@ func New(opts Options) (*Server, error) {
 		s.sched.register(e)
 	}
 	s.initOverload()
-	go s.loop()
 	return s, nil
 }
 
@@ -429,38 +428,36 @@ func (s *Server) Hardware(i int) *vdev.Device {
 	return s.hw[d]
 }
 
-// Do runs fn inside the server loop and waits for it, giving tests and
-// embedded harnesses race-free access to loop-owned state.
+// Do runs fn under the control lock, giving tests and embedded harnesses
+// race-free access to control-plane state. After Close it returns without
+// running fn.
 func (s *Server) Do(fn func()) {
-	doneCh := make(chan struct{})
-	select {
-	case s.funcCh <- func() { fn(); close(doneCh) }:
-		<-doneCh
-	case <-s.stopped:
+	s.ctl.Lock()
+	defer s.ctl.Unlock()
+	if !s.stopped {
+		fn()
 	}
 }
 
 // Sync forces one update cycle on every device, synchronously. Tests with
 // manual clocks call this instead of waiting for the periodic tasks.
 func (s *Server) Sync() {
-	s.Do(func() {
-		for _, e := range s.engines {
-			e.mu.Lock()
-			e.updateLocked()
-			e.mu.Unlock()
-		}
-	})
+	for _, e := range s.engines {
+		e.mu.Lock()
+		e.updateLocked()
+		e.mu.Unlock()
+	}
 }
 
 // Serve accepts connections on l until the listener or server closes.
 func (s *Server) Serve(l net.Listener) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	s.ctl.Lock()
+	if s.stopped {
+		s.ctl.Unlock()
 		return errors.New("aserver: server closed")
 	}
 	s.listeners = append(s.listeners, l)
-	s.mu.Unlock()
+	s.ctl.Unlock()
 	for {
 		conn, err := l.Accept()
 		if err != nil {
@@ -471,12 +468,25 @@ func (s *Server) Serve(l net.Listener) error {
 				return err
 			}
 		}
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.handleConn(conn)
-		}()
+		s.spawn(conn)
 	}
+}
+
+// spawn runs a new connection's handler on its own goroutine — or, once
+// the server has stopped, closes the connection: Close waits on wg, so
+// every Add must be ordered before its Wait, which ctl does.
+func (s *Server) spawn(conn net.Conn) {
+	s.ctl.Lock()
+	defer s.ctl.Unlock()
+	if s.stopped {
+		conn.Close()
+		return
+	}
+	s.wg.Add(1)
+	go func() {
+		defer s.wg.Done()
+		s.handleConn(conn)
+	}()
 }
 
 // Listen starts serving on the given network address in the background.
@@ -492,30 +502,29 @@ func (s *Server) Listen(network, addr string) (net.Listener, error) {
 // DialPipe returns an in-process client connection to the server.
 func (s *Server) DialPipe() net.Conn {
 	cc, sc := net.Pipe()
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		s.handleConn(sc)
-	}()
+	s.spawn(sc)
 	return cc
 }
 
 // Close shuts the server down: listeners close, clients disconnect, the
-// loop exits.
+// scheduler stops.
 func (s *Server) Close() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	s.ctl.Lock()
+	if s.stopped {
+		s.ctl.Unlock()
 		return
 	}
-	s.closed = true
-	ls := s.listeners
-	s.mu.Unlock()
-	for _, l := range ls {
+	s.stopped = true
+	close(s.done)
+	for _, l := range s.listeners {
 		l.Close()
 	}
-	close(s.done)
-	<-s.stopped
+	// The shutdown sweep. register refuses from here on, so this is every
+	// client there will ever be. (Deleting from a map mid-range is fine.)
+	for c := range s.clients {
+		s.removeClient(c)
+	}
+	s.ctl.Unlock()
 	s.sched.stop()
 	s.wg.Wait()
 	for _, fn := range s.closers {

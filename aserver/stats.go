@@ -4,42 +4,55 @@ import (
 	"encoding/json"
 	"net"
 	"net/http"
+
+	"audiofile/internal/metrics"
 )
 
-// StatsHandler returns an http.Handler exposing the server's metrics:
+// statsHandler builds the stats endpoints the server and the router both
+// expose:
 //
-//	/stats       the structured Snapshot as JSON (what astat consumes)
+//	/stats       the structured snapshot as JSON (what astat consumes)
 //	/debug/vars  the flat expvar-compatible view of the registry
-//
-// The handler only reads — a scrape takes each engine lock briefly to
-// copy the device counters, so polling it during playback is safe.
-func (s *Server) StatsHandler() http.Handler {
+func statsHandler(snapshot func() any, reg *metrics.Registry) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/stats", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		enc.Encode(s.Snapshot()) //nolint:errcheck — client went away mid-scrape
+		enc.Encode(snapshot()) //nolint:errcheck — client went away mid-scrape
 	})
 	mux.HandleFunc("/debug/vars", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		s.sm.reg.WriteExpvar(w)
+		reg.WriteExpvar(w) //nolint:errcheck
 	})
 	return mux
 }
 
-// ListenStats serves the stats endpoints on addr in the background (the
-// afd -stats flag). The returned listener carries the bound address;
-// closing it stops the endpoint. The HTTP server dies with the listener,
-// so Server.Close does not need to know about it.
-func (s *Server) ListenStats(addr string) (net.Listener, error) {
+// listenStats serves h on addr in the background. The returned listener
+// carries the bound address; closing it stops the endpoint. The HTTP
+// server dies with the listener, so Close does not need to know about it.
+func listenStats(addr string, h http.Handler) (net.Listener, error) {
 	l, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
 	go func() {
-		srv := &http.Server{Handler: s.StatsHandler()}
+		srv := &http.Server{Handler: h}
 		srv.Serve(l) //nolint:errcheck — ends when the listener closes
 	}()
 	return l, nil
+}
+
+// StatsHandler returns an http.Handler exposing the server's metrics,
+// /stats serving its Snapshot. The handler only reads — a scrape takes
+// each engine lock briefly to copy the device counters, so polling it
+// during playback is safe.
+func (s *Server) StatsHandler() http.Handler {
+	return statsHandler(func() any { return s.Snapshot() }, s.sm.reg)
+}
+
+// ListenStats serves the stats endpoints on addr in the background (the
+// afd -stats flag).
+func (s *Server) ListenStats(addr string) (net.Listener, error) {
+	return listenStats(addr, s.StatsHandler())
 }

@@ -52,7 +52,7 @@ func main() {
 		return
 	}
 
-	prev, err := scrape(url)
+	prev, err := scrape[aserver.Snapshot](url)
 	if err != nil {
 		cmdutil.Die("astat: %v", err)
 	}
@@ -64,7 +64,7 @@ func main() {
 	header()
 	for tick := 0; *count == 0 || tick < *count; tick++ {
 		time.Sleep(*interval)
-		cur, err := scrape(url)
+		cur, err := scrape[aserver.Snapshot](url)
 		if err != nil {
 			cmdutil.Die("astat: %v", err)
 		}
@@ -80,9 +80,10 @@ func main() {
 	}
 }
 
-// scrape fetches and decodes one snapshot.
-func scrape(url string) (aserver.Snapshot, error) {
-	var snap aserver.Snapshot
+// scrape fetches and decodes one snapshot: an aserver.Snapshot from afd,
+// an aserver.RouterSnapshot from arouter.
+func scrape[T any](url string) (T, error) {
+	var snap T
 	client := http.Client{Timeout: 5 * time.Second}
 	resp, err := client.Get(url)
 	if err != nil {
@@ -356,7 +357,7 @@ func conservation(s aserver.Snapshot) string {
 
 // routerMain is the -router mode: poll an arouter's RouterSnapshot.
 func routerMain(url string) {
-	prev, err := scrapeRouter(url)
+	prev, err := scrape[aserver.RouterSnapshot](url)
 	if err != nil {
 		cmdutil.Die("astat: %v", err)
 	}
@@ -367,7 +368,7 @@ func routerMain(url string) {
 	routerHeader()
 	for tick := 0; *count == 0 || tick < *count; tick++ {
 		time.Sleep(*interval)
-		cur, err := scrapeRouter(url)
+		cur, err := scrape[aserver.RouterSnapshot](url)
 		if err != nil {
 			cmdutil.Die("astat: %v", err)
 		}
@@ -377,22 +378,6 @@ func routerMain(url string) {
 		printRouterDelta(prev, cur, *interval)
 		prev = cur
 	}
-}
-
-// scrapeRouter fetches and decodes one router snapshot.
-func scrapeRouter(url string) (aserver.RouterSnapshot, error) {
-	var snap aserver.RouterSnapshot
-	client := http.Client{Timeout: 5 * time.Second}
-	resp, err := client.Get(url)
-	if err != nil {
-		return snap, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return snap, fmt.Errorf("%s: %s", url, resp.Status)
-	}
-	err = json.NewDecoder(resp.Body).Decode(&snap)
-	return snap, err
 }
 
 func routerHeader() {

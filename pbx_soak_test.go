@@ -126,7 +126,7 @@ func TestPBXRingCadenceSoak(t *testing.T) {
 	budget := interval
 	if raceDetectorOn && runtime.NumCPU() < 4 {
 		// Quarter-scaling the fleet (above) is not enough when the race
-		// build has one or two cores: the server loop, the watchers, and
+		// build has one or two cores: the readers, the watchers, and
 		// the wheel shards all time-share a starved CPU and the p99
 		// measures the Go scheduler, not the wheel. Keep the assertion —
 		// a wedged wheel still fails — but give it the headroom the

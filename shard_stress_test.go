@@ -197,11 +197,11 @@ func TestShardStress(t *testing.T) {
 }
 
 // TestCrossPlaneFIFO pins per-connection FIFO ordering across the two
-// planes: hot requests (GetTime) dispatch inline on the reader goroutine
-// while control requests (SyncConnection) round-trip through the server
-// loop, and replies must still come back in exact submission order. The
-// test speaks the wire protocol directly so it can pipeline the whole
-// interleaved batch in one write.
+// planes: engine-locked requests (GetTime) and ctl-locked requests
+// (SyncConnection) interleaved on one connection's reader — each one a
+// group of one, a lock taken and dropped — answer in exact submission
+// order. The test speaks the wire protocol directly so it can pipeline
+// the whole interleaved batch in one write.
 func TestCrossPlaneFIFO(t *testing.T) {
 	const pairs = 64
 	srv, err := aserver.New(aserver.Options{
@@ -279,100 +279,5 @@ func TestCrossPlaneFIFO(t *testing.T) {
 	}
 	if want != 2*pairs+1 {
 		t.Fatalf("got %d replies, want %d", want-1, 2*pairs)
-	}
-}
-
-// TestLoopRearm is the regression test for control-plane timer re-arming:
-// a task scheduled on the loop (the FlashHook re-hook, 30 ms out) must
-// fire promptly even while the request channel never goes idle. The old
-// loop only re-armed its timer when the request channel drained, so a
-// busy control plane could delay scheduled work indefinitely.
-func TestLoopRearm(t *testing.T) {
-	srv, err := aserver.New(aserver.Options{
-		Devices: []aserver.DeviceSpec{{Kind: "phone", Name: "phone0", Clock: vdev.NewManualClock(8000)}},
-		Logf:    func(string, ...any) {},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(srv.Close)
-
-	dial := func() *af.Conn {
-		c, err := af.NewConn(srv.DialPipe())
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(c.Close)
-		c.SetIOErrorHandler(func(*af.Conn, error) {})
-		return c
-	}
-
-	c := dial()
-	if err := c.SelectEvents(0, af.MaskAllEvents); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.HookSwitch(0, true); err != nil {
-		t.Fatal(err)
-	}
-	if ev, err := c.NextEvent(); err != nil || ev.Code != af.EventPhoneHookSwitch || ev.Detail != 1 {
-		t.Fatalf("off-hook event = %+v, %v", ev, err)
-	}
-
-	// Flood the control plane from a second connection so the request
-	// channel stays hot for the whole flash window.
-	flood := dial()
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if err := flood.Sync(); err != nil {
-				return
-			}
-		}
-	}()
-	defer wg.Wait()
-	defer close(stop)
-
-	start := time.Now()
-	if err := c.FlashHook(0, 30); err != nil {
-		t.Fatal(err)
-	}
-	type evOrErr struct {
-		ev  *af.Event
-		err error
-	}
-	events := make(chan evOrErr, 2)
-	go func() {
-		for i := 0; i < 2; i++ {
-			ev, err := c.NextEvent()
-			events <- evOrErr{ev, err}
-			if err != nil {
-				return
-			}
-		}
-	}()
-	wantDetail := []uint8{0, 1} // flash down, then back up 30 ms later
-	for _, want := range wantDetail {
-		select {
-		case e := <-events:
-			if e.err != nil {
-				t.Fatal(e.err)
-			}
-			if e.ev.Code != af.EventPhoneHookSwitch || e.ev.Detail != want {
-				t.Fatalf("event = %+v, want hook switch detail %d", e.ev, want)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("hook event (detail %d) never arrived under load", want)
-		}
-	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Errorf("re-hook took %v under load; the loop timer is not re-arming", elapsed)
 	}
 }
