@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"io"
 	"net"
+	"path/filepath"
 	"runtime"
 	"testing"
 	"time"
@@ -202,29 +203,52 @@ const parkAdvance = 48000
 // the one moment nothing else of the stream can be dispatched.
 func batchReplyStream(t *testing.T, stream []byte, seed int64, lockstep bool) []byte {
 	t.Helper()
+	return batchReplyStreamOver(t, "tcp", stream, seed, lockstep)
+}
+
+// batchReplyStreamOver is batchReplyStream with the transport as a second
+// variable: "tcp" and "unix" are sockets, whose replies the connection's
+// reader writes itself (inline egress); "pipe" is DialPipe, which has no
+// RawConn, so every reply crosses to the writer goroutine (queued egress).
+func batchReplyStreamOver(t *testing.T, network string, stream []byte, seed int64, lockstep bool) []byte {
+	t.Helper()
 	srv, clk := batchTestServer(t)
 	// Give device time a head start so the script's record windows are
 	// already captured.
 	clk.Advance(4096)
 	srv.Sync()
 
-	ln, err := srv.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	nc, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
+	var nc net.Conn
+	if network == "pipe" {
+		nc = srv.DialPipe()
+	} else {
+		addr := "127.0.0.1:0"
+		if network == "unix" {
+			addr = filepath.Join(t.TempDir(), "af")
+		}
+		ln, err := srv.Listen(network, addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if nc, err = net.Dial(network, ln.Addr().String()); err != nil {
+			t.Fatal(err)
+		}
 	}
 	defer nc.Close()
-	tc := nc.(*net.TCPConn)
-	var wc io.Writer = tc
+	var wc io.Writer = nc
 	if seed != 0 {
-		wc = netsim.NewFaultConn(tc, netsim.FaultConfig{
+		wc = netsim.NewFaultConn(nc, netsim.FaultConfig{
 			Seed: seed, FragmentWrites: true, MaxFragment: 5})
 	}
-	br := bufio.NewReader(tc)
+	br := bufio.NewReader(nc)
 	handshake(t, wc, br)
+	// Replies are collected as they come: a pipe holds nothing, so the
+	// server's writer only gets as far as this side has read.
+	collected := make(chan []byte, 1)
+	go func() {
+		replies, _ := io.ReadAll(br) // a closed pipe ends in an error, not EOF
+		collected <- replies
+	}()
 
 	// awaitDispatched returns once the server has dispatched want requests
 	// and the connection is not parked, advancing the clock past every
@@ -274,17 +298,47 @@ func batchReplyStream(t *testing.T, stream []byte, seed int64, lockstep bool) []
 	// (or the malformed tail), tears the session down, and the writer
 	// flushes what is queued.
 	awaitDispatched(len(ends))
-	if err := tc.CloseWrite(); err != nil {
-		t.Fatal(err)
+	if hc, ok := nc.(interface{ CloseWrite() error }); ok {
+		if err := hc.CloseWrite(); err != nil {
+			t.Fatal(err)
+		}
+	} else {
+		// A pipe cannot half-close: wait until the run that carried the
+		// last request has ended (or the server has torn the session down
+		// over a malformed tail) and every reply byte queued has been
+		// written — a pipe write returns once this side has read it —
+		// then close.
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			c := soleClient(srv)
+			if (c == nil || !c.inRun.Load()) && srv.Snapshot().QueuedBytes == 0 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("reply stream not flushed: %d bytes queued", srv.Snapshot().QueuedBytes)
+			}
+			runtime.Gosched()
+		}
+		nc.Close()
 	}
-	if err := tc.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
-		t.Fatal(err)
+	select {
+	case replies := <-collected:
+		return replies
+	case <-time.After(10 * time.Second):
+		t.Fatal("reply stream did not end")
+		return nil
 	}
-	replies, err := io.ReadAll(br)
-	if err != nil {
-		t.Fatalf("reading reply stream: %v", err)
+}
+
+// soleClient returns the server-side state of the one live connection,
+// nil once it is gone.
+func soleClient(srv *Server) *client {
+	srv.clientMu.RLock()
+	defer srv.clientMu.RUnlock()
+	for c := range srv.clients {
+		return c
 	}
-	return replies
+	return nil
 }
 
 // FuzzBatchFraming sends the same scripted request stream twice — once

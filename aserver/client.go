@@ -9,6 +9,7 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"audiofile/internal/core"
@@ -67,6 +68,25 @@ type client struct {
 	out    outQueue
 	closed chan struct{}
 
+	// inRun is set while the reader dispatches a run: a send then only
+	// pushes, and the reader drains the queue itself when the run ends.
+	inRun atomic.Bool
+
+	// The conn's write side, held under wmu by the reader's non-blocking
+	// drain (TryLock) or by the writer. vec (a window on vecArr) and owned
+	// are the vector taken from out and not yet settled: what a partial
+	// write left is sent by the next holder before anything behind it.
+	// raw is nil without a syscall.Conn (net.Pipe, netsim); rawWrite is
+	// writeOnce bound once, wn what it wrote, iov its scatter list.
+	wmu      sync.Mutex
+	vecArr   [maxWriteVec][]byte
+	vec      [][]byte
+	owned    []*wireMsg
+	raw      syscall.RawConn
+	rawWrite func(fd uintptr) bool
+	wn       int
+	iov      iovecs
+
 	// lastActive is the unix-nano time of the last dispatched request,
 	// the idleness key for server-wide shedding.
 	lastActive atomic.Int64
@@ -105,9 +125,15 @@ func newClient(s *Server, conn net.Conn, order binary.ByteOrder) *client {
 		order:      order,
 		out:        outQueue{wake: make(chan struct{}, 1), total: s.sm.queuedBytes},
 		closed:     make(chan struct{}),
+		owned:      make([]*wireMsg, 0, maxWriteVec),
 		evicted:    make(chan struct{}),
 		acs:        make(map[uint32]*ac),
 		eventMasks: make(map[int]uint32),
+	}
+	c.vec = c.vecArr[:0]
+	if sc, ok := conn.(syscall.Conn); ok {
+		c.raw, _ = sc.SyscallConn()
+		c.rawWrite = c.writeOnce
 	}
 	// Field-by-field: evictPolicy holds an atomic and must not be copied.
 	c.flow.budget = s.budget.clientQueue
@@ -123,11 +149,12 @@ func (c *client) evict(reason uint32, code uint8) {
 	c.evictOnce.Do(func() {
 		c.closeReason.Store(reason)
 		c.goodbye.Store(uint32(code))
-		c.dead.Store(true)
 		// A writer blocked mid-write on a transport that stopped draining
 		// must not delay the teardown: expire the in-flight write. The
-		// goodbye flush arms its own fresh deadline.
+		// goodbye flush arms its own fresh deadline — after this one, since
+		// the writer only says goodbye once it sees dead or evicted.
 		c.conn.SetWriteDeadline(time.Now()) //nolint:errcheck
+		c.dead.Store(true)
 		close(c.evicted)
 	})
 }
@@ -216,12 +243,12 @@ func hotOp(op uint8) bool {
 		op == proto.OpGetTime
 }
 
-// readerBufBytes sizes the reader's framing buffer. It is deliberately
-// small: headers and control bodies batch through it (dozens of 8–16 byte
-// requests per refill), while bulk sample payloads overflow it and are
-// read by readBodyDirect straight from the socket into the pooled frame,
-// skipping the intermediate copy a large bufio buffer would force.
-const readerBufBytes = 512
+// readerBufBytes sizes the reader's framing buffer: one read(2) takes a
+// whole pipelined burst (a full run of 32 requests of up to 128 bytes)
+// for frameMore to frame, while bulk sample payloads still overflow it
+// and go straight from the socket into the pooled frame (readBodyDirect).
+// A constant chosen by measurement: EXPERIMENTS.md, "One read, one write".
+const readerBufBytes = 4096
 
 // readBodyDirect fills body with the request bytes following the header:
 // whatever the framing reader has already buffered is taken from it, and
@@ -331,10 +358,13 @@ func (c *client) frameMore(br *bufio.Reader, run []runFrame) []runFrame {
 // after the park resolves, preserving per-connection FIFO order. It
 // returns the outstanding park, if any. A dead client (evicted, or
 // removed by Close) has the rest of its run dropped.
+// While inRun is set, whatever is sent to this client is only pushed; the
+// reader drains it when the run ends or waits on a park (endRun).
 func (c *client) dispatchRun(run []runFrame, await *parked) *parked {
 	i := 0
 	for i < len(run) {
 		if await != nil {
+			c.endRun()
 			select {
 			case <-await.done:
 			case <-c.closed:
@@ -343,6 +373,9 @@ func (c *client) dispatchRun(run []runFrame, await *parked) *parked {
 		}
 		if c.dead.Load() {
 			break
+		}
+		if !c.inRun.Load() { // only the reader writes it
+			c.inRun.Store(true)
 		}
 		rf := run[i]
 		if !hotOp(rf.op) {
@@ -369,7 +402,19 @@ func (c *client) dispatchRun(run []runFrame, await *parked) *parked {
 		await = p
 	}
 	c.putFrames(run[i:])
+	c.endRun()
 	return await
+}
+
+// endRun ends the reader's push-only stretch, if one is open, and drains
+// what it queued. The flag clears before the drain's take: a sender that
+// saw it set pushed before that take (the queue lock orders them), and
+// one that pushes later sees it clear and wakes the writer.
+func (c *client) endRun() {
+	if c.inRun.Load() {
+		c.inRun.Store(false)
+		c.drain()
+	}
 }
 
 // putFrames returns framed requests' pooled frames: the served part of a
@@ -381,8 +426,8 @@ func (c *client) putFrames(run []runFrame) {
 }
 
 // maxWriteVec bounds how many queued messages one vectored write
-// gathers. It caps the pooled buffers the writer can hold checked out at
-// once; the kernel-side iovec limit is handled by net.Buffers itself.
+// gathers. It caps the pooled buffers a client's write side can hold
+// checked out at once, and sits well under the kernel's iovec limit.
 const maxWriteVec = 64
 
 // msgOverheadBytes is what one outstanding message adds to the level the
@@ -392,12 +437,12 @@ const maxWriteVec = 64
 // 1024 empty messages put a client over budget.
 const msgOverheadBytes = 256
 
-// outQueue is a client's egress queue: what senders push and the writer
-// takes. It has no capacity of its own — what bounds it is the eviction
-// policy judging its level. Push and close share the lock, so a message
-// is either taken by the writer or refused, never stranded, and bytes
-// and count are exact at every instant: a message is outstanding from
-// push until the writer settles it after the write (or close drops it).
+// outQueue is a client's egress queue: what senders push and the holder
+// of the write lock takes. It has no capacity of its own — what bounds it
+// is the eviction policy judging its level. Push and close share the
+// lock, so a message is either taken or refused, never stranded, and
+// bytes and count are exact at every instant: a message is outstanding
+// from push until its vector is settled (or close drops it).
 type outQueue struct {
 	mu     sync.Mutex
 	msgs   []*wireMsg // msgs[head:] are pushed, not yet taken
@@ -405,16 +450,16 @@ type outQueue struct {
 	bytes  int64 // marshaled bytes outstanding
 	count  int64 // messages outstanding
 	closed bool
-	wake   chan struct{}  // 1-slot: a push happened since the writer last looked
+	wake   chan struct{}  // 1-slot: the writer has something to look at
 	total  *metrics.Gauge // server-wide wire.queued_bytes, moved in step with bytes
 }
 
 // level is what evictPolicy judges. Caller holds q.mu.
 func (q *outQueue) level() int64 { return q.bytes + q.count*msgOverheadBytes }
 
-// push appends m and wakes the writer; it reports the level and queue
-// depth after the push, or !ok if the queue is closed (m stays the
-// caller's). Never blocks.
+// push appends m; it reports the level and queue depth after the push,
+// or !ok if the queue is closed (m stays the caller's). It wakes nobody:
+// the caller knows who drains next (client.send). Never blocks.
 func (q *outQueue) push(m *wireMsg) (level int64, depth int, ok bool) {
 	n := int64(len(m.buf))
 	q.mu.Lock()
@@ -435,14 +480,18 @@ func (q *outQueue) push(m *wireMsg) (level int64, depth int, ok bool) {
 	q.total.Add(n)
 	level, depth = q.level(), len(q.msgs)-q.head
 	q.mu.Unlock()
+	return level, depth, true
+}
+
+// wakeWriter tells the writer to look: at a push, or a vector left by the reader.
+func (q *outQueue) wakeWriter() {
 	select {
 	case q.wake <- struct{}{}:
 	default:
 	}
-	return level, depth, true
 }
 
-// take moves queued messages into the writer's vector, up to
+// take moves queued messages into the write-lock holder's vector, up to
 // maxWriteVec. An emptied queue rewinds, so the slice is reused rather
 // than reallocated in steady state.
 func (q *outQueue) take(vec [][]byte, owned []*wireMsg) ([][]byte, []*wireMsg) {
@@ -494,125 +543,168 @@ func (q *outQueue) close() {
 	}
 }
 
+// takeVec refills the settled (empty) vector from the queue and reports
+// whether there is anything to write. Caller holds c.wmu.
+func (c *client) takeVec() bool {
+	if c.vec, c.owned = c.out.take(c.vec, c.owned); len(c.vec) != 0 {
+		c.s.sm.writevBatch.Observe(int64(len(c.vec)))
+	}
+	return len(c.vec) != 0
+}
+
+// settleVec retires the taken vector once the transport owns it, or has
+// refused it: the books match what was handed over either way. Release,
+// not put: a broadcast message is shared with other subscribers' queues
+// and only its last releaser returns it to the pool. Caller holds c.wmu.
+func (c *client) settleVec() {
+	var nb int64
+	for _, m := range c.owned {
+		nb += int64(len(m.buf))
+		m.release()
+	}
+	c.flow.onDrain(c.out.settle(nb, len(c.owned)))
+	c.vec, c.owned = c.vecArr[:0], c.owned[:0]
+}
+
+// drain is the reader's own egress: everything queued leaves in one
+// non-blocking vectored write on the reader's goroutine, under wmu alone
+// and with no deadline armed. It never waits, for the write lock or the
+// socket: what would (a busy writer, EAGAIN, a partial write, a conn with
+// no RawConn) goes to the writer, the only code that blocks on a socket.
+func (c *client) drain() {
+	if c.wmu.TryLock() {
+		for len(c.vec) == 0 { // else an unfinished vector awaits the writer
+			if !c.takeVec() {
+				c.wmu.Unlock()
+				return
+			}
+			c.wn = 0
+			if c.raw == nil || c.raw.Write(c.rawWrite) != nil {
+				break // no RawConn; or closed, or evict expired its deadline
+			}
+			if c.vec = consumeVec(c.vec, c.wn); len(c.vec) == 0 {
+				c.settleVec()
+			}
+		}
+		c.wmu.Unlock()
+	}
+	c.s.sm.egressFallbacks.Inc()
+	c.out.wakeWriter()
+}
+
+// consumeVec drops the first n bytes of vec.
+func consumeVec(vec [][]byte, n int) [][]byte {
+	for len(vec) > 0 && n >= len(vec[0]) {
+		n -= len(vec[0])
+		vec = vec[1:]
+	}
+	if len(vec) > 0 {
+		vec[0] = vec[0][n:]
+	}
+	return vec
+}
+
 // goodbyeTimeout bounds the final write of an evicted or drained
 // connection: the typed error (and any queued tail) is offered to the
 // peer for this long, then the transport closes regardless.
 const goodbyeTimeout = 250 * time.Millisecond
 
-// writer drains the egress queue onto the wire until the client is
-// evicted or removeClient closes it (c.closed). Queued messages are gathered
-// into one vectored write (writev on TCP and Unix sockets), so marshaled
-// bytes go from the pooled message buffers to the kernel without the
-// intermediate copy a bufio layer would make. Buffers return to the pool
-// once their vector has been written.
+// writer is the half of a client's egress that may block: it drains the
+// queue onto the wire when someone other than the reader's own run
+// pushed, or the reader's drain could not finish, until the client is
+// evicted or removeClient closes it (c.closed). Queued messages are
+// gathered into one vectored write (writev on TCP and Unix sockets), so
+// marshaled bytes go from the pooled message buffers to the kernel
+// uncopied. Buffers return to the pool once their vector is written.
 //
 // While the client is over its budget every flush runs under a write
 // deadline: a transport that stops draining for longer than the policy
-// allows is a missed deadline, which is eviction. On eviction the writer
-// sends the typed goodbye error, closes the queue, dropping anything
-// that never reached the wire, and closes the conn (unblocking the
-// reader).
+// allows is a missed deadline, which is eviction. On the way out the
+// writer says goodbye, closes the queue — so this client's bytes are off
+// the books before the reader can see the conn closed and unregister —
+// and closes the conn (unblocking the reader).
 func (c *client) writer() {
-	// The queue closes first: once the reader sees the conn closed and
-	// unregisters, this client's bytes are already off the books.
 	defer c.conn.Close()
-	defer c.out.close()
-	vec := make([][]byte, 0, maxWriteVec)
-	owned := make([]*wireMsg, 0, maxWriteVec)
-	// bufs lives outside flush: WriteTo takes its address, and a closure
-	// local would escape to the heap on every call.
-	var bufs net.Buffers
-	// flush writes the taken vector and settles it.
-	flush := func() error {
-		c.s.sm.writevBatch.Observe(int64(len(vec)))
-		// WriteTo consumes the vector in place, so sum the byte count
-		// first; the accounting must match what was handed over whether
-		// or not the write succeeds (the transport owns the bytes now).
-		var nb int64
-		for _, b := range vec {
-			nb += int64(len(b))
-		}
-		bufs = vec
-		_, err := bufs.WriteTo(c.conn)
-		bufs = nil
-		// Release, not unconditional put: a broadcast message in the vector
-		// is shared with other subscribers' queues, and only the last
-		// releaser returns it to the pool.
-		for _, m := range owned {
-			m.release()
-		}
-		c.flow.onDrain(c.out.settle(nb, len(owned)))
-		vec, owned = vec[:0], owned[:0]
-		return err
+	for c.awaitWake() && c.flushQueue() {
 	}
-	// goodbye queues the typed close error, if one was recorded, behind
-	// what is already queued and writes it all best-effort under a short
-	// deadline so a peer that stopped reading cannot pin us here.
-	goodbye := func() {
-		c.conn.SetWriteDeadline(time.Now().Add(goodbyeTimeout)) //nolint:errcheck
-		if code := uint8(c.goodbye.Load()); code != 0 {
-			queued, _ := c.out.load()
-			m := getMsg("goodbye")
-			w := proto.Writer{Order: c.order, Buf: m.buf}
-			e := proto.ErrorMsg{Code: code, Seq: uint16(c.seq.Load()), BadValue: uint32(queued)}
-			e.Encode(&w)
-			m.buf = w.Buf
-			c.out.push(m) // never refused: only this goroutine closes the queue
-		}
-		for {
-			vec, owned = c.out.take(vec, owned)
-			if len(vec) == 0 || flush() != nil {
-				return
-			}
-		}
+	c.sayGoodbye()
+}
+
+// awaitWake parks the writer until there is something to write (true) or
+// the client is evicted or closed (false).
+func (c *client) awaitWake() bool {
+	select {
+	case <-c.out.wake:
+		return true
+	case <-c.evicted:
+	case <-c.closed:
 	}
-	for {
-		select {
-		case <-c.out.wake:
-		case <-c.evicted:
-			goodbye()
-			return
-		case <-c.closed:
-			goodbye()
-			return
+	return false
+}
+
+// flush writes the taken vector, blocking as long as the conn's write
+// deadline allows, and settles it. Caller holds c.wmu.
+func (c *client) flush() error {
+	_, err := (*net.Buffers)(&c.vec).WriteTo(c.conn) // consumes c.vec in place
+	c.settleVec()
+	return err
+}
+
+// flushQueue writes what a drain left and then everything queued; false
+// means the conn is finished.
+func (c *client) flushQueue() bool {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	for len(c.vec) != 0 || c.takeVec() {
+		allow, over := c.flow.writeAllowance(time.Now().UnixNano())
+		if over {
+			c.conn.SetWriteDeadline(time.Now().Add(allow)) //nolint:errcheck
 		}
-		for {
-			vec, owned = c.out.take(vec, owned)
-			if len(vec) == 0 {
-				break
+		if err := c.flush(); err != nil {
+			// Evicted mid-write (the deadline interrupt) reads as a timeout
+			// too; a timeout nobody asked for is a missed deadline.
+			var ne net.Error
+			if !c.dead.Load() && errors.As(err, &ne) && ne.Timeout() {
+				c.s.logf("aserver: client %v missed its write deadline, evicting", c.conn.RemoteAddr())
+				c.evict(closeReasonEvict, proto.ErrOverload)
 			}
-			allow, over := c.flow.writeAllowance(time.Now().UnixNano())
-			if over {
-				c.conn.SetWriteDeadline(time.Now().Add(allow)) //nolint:errcheck
-			}
-			err := flush()
-			if over && err == nil {
-				c.conn.SetWriteDeadline(time.Time{}) //nolint:errcheck
-			}
-			if err != nil {
-				if c.dead.Load() {
-					// Evicted mid-write (the deadline interrupt): still try
-					// to say why before closing.
-					goodbye()
-					return
-				}
-				var ne net.Error
-				if errors.As(err, &ne) && ne.Timeout() {
-					c.s.logf("aserver: client %v missed its write deadline, evicting", c.conn.RemoteAddr())
-					c.evict(closeReasonEvict, proto.ErrOverload)
-					goodbye()
-				}
-				return
-			}
+			return false
+		}
+		if over {
+			c.conn.SetWriteDeadline(time.Time{}) //nolint:errcheck
 		}
 	}
+	return true
+}
+
+// sayGoodbye queues the typed close error, if one was recorded, behind
+// what is already queued, writes it all best-effort under a short deadline
+// (a peer that stopped reading cannot pin us here) and closes the queue,
+// dropping what never reached the wire.
+func (c *client) sayGoodbye() {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	c.conn.SetWriteDeadline(time.Now().Add(goodbyeTimeout)) //nolint:errcheck
+	if code := uint8(c.goodbye.Load()); code != 0 {
+		queued, _ := c.out.load()
+		m := getMsg("goodbye")
+		w := proto.Writer{Order: c.order, Buf: m.buf}
+		e := proto.ErrorMsg{Code: code, Seq: uint16(c.seq.Load()), BadValue: uint32(queued)}
+		e.Encode(&w)
+		m.buf = w.Buf
+		c.out.push(m) // never refused: only this goroutine closes the queue
+	}
+	for (len(c.vec) != 0 || c.takeVec()) && c.flush() == nil {
+	}
+	c.out.close()
 }
 
 // send queues a marshaled message; it reports false if the client is
-// dead or its queue closed. One reference on msg passes to the writer
-// goroutine on success and is released on failure — so a broadcast
-// caller that retained per-subscriber is square either way. Never
-// blocks; safe from any goroutine.
+// dead or its queue closed. One reference on msg passes to the queue on
+// success and is released on failure — so a broadcast caller that
+// retained per-subscriber is square either way. The reader's end-of-run
+// drain carries the message if it is mid-run, the writer (woken here) if
+// not. Never blocks; safe from any goroutine.
 func (c *client) send(msg *wireMsg) bool {
 	var level int64
 	var depth int
@@ -625,6 +717,9 @@ func (c *client) send(msg *wireMsg) bool {
 		return false
 	}
 	c.s.sm.sendQueueDepth.Observe(int64(depth))
+	if !c.inRun.Load() {
+		c.out.wakeWriter()
+	}
 	if level > c.flow.budget {
 		c.overBudget(level, time.Now().UnixNano())
 	}
@@ -741,7 +836,8 @@ func (c *client) stageMsg() *wireMsg {
 }
 
 // flushStage queues the staged replies as one message: one pooled
-// buffer, one writev iovec, at most one writer wakeup for the whole run.
+// buffer and one writev iovec for the whole group, and no wakeup — the
+// reader's end-of-run drain writes it.
 // It goes through the ordinary send path, so the byte budget and
 // eviction accounting see staged bytes exactly like any other reply.
 func (c *client) flushStage() {

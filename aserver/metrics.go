@@ -7,7 +7,6 @@ import (
 
 	"audiofile/internal/lineserver"
 	"audiofile/internal/metrics"
-	"audiofile/internal/proto"
 )
 
 // This file is the observability spine of the server: the typed metric
@@ -29,8 +28,8 @@ import (
 //   - Connects/disconnects: the control plane (loop.go register /
 //     removeClient), each exactly once per client, so after every
 //     client is gone connects == disconnects.
-//   - Client errors, queue depth, writev batches: client.go's
-//     send/appendError/writer.
+//   - Client errors, queue depth, writev batches, egress fallbacks:
+//     client.go's send/appendError/takeVec/drain.
 //   - Frame conservation counters and silence fill: internal/core and
 //     internal/ring, mutated and snapshotted under the engine lock.
 //
@@ -78,13 +77,15 @@ type serverMetrics struct {
 	// Staged reply egress (client.go stagedReply/stagedError): the small
 	// replies and errors of a hot group coalesce into one pooled message.
 	// bytes is wire bytes that left via the stage; flushes is stage→queue
-	// handoffs (each one message, one writev iovec, at most one writer
-	// wakeup).
+	// handoffs (each one message, one writev iovec).
 	stagedBytes   *metrics.Counter
 	stagedFlushes *metrics.Counter
 
 	writevBatch    *metrics.Histogram // messages per vectored write
 	sendQueueDepth *metrics.Histogram // outbound queue depth at enqueue
+	// egressFallbacks counts reader drains handed to the writer: busy write
+	// lock, would-block, partial write, or no RawConn (client.drain).
+	egressFallbacks *metrics.Counter
 
 	// Update scheduler (scheduler.go). tick lag is how far past its slot
 	// deadline a wheel fire ran; batch is due timers per shard pass;
@@ -127,6 +128,7 @@ func newServerMetrics() *serverMetrics {
 		stagedFlushes:    reg.Counter("wire.staged_flushes"),
 		writevBatch:      reg.Histogram("wire.writev_batch"),
 		sendQueueDepth:   reg.Histogram("wire.send_queue_depth"),
+		egressFallbacks:  reg.Counter("wire.egress_fallbacks"),
 		schedTickLag:     reg.Histogram("sched.tick_lag_ns"),
 		schedBatch:       reg.Histogram("sched.batch_size"),
 		schedOverdue:     reg.Gauge("sched.overdue_tasks"),
@@ -149,20 +151,6 @@ func (sm *serverMetrics) closeCounterFor(reason uint32) *metrics.Counter {
 		return sm.drains
 	default:
 		return sm.clientCloses
-	}
-}
-
-// dispatchFor returns the latency histogram for a request opcode.
-func (sm *serverMetrics) dispatchFor(op uint8) *metrics.Histogram {
-	switch op {
-	case proto.OpPlaySamples:
-		return sm.dispatchPlay
-	case proto.OpRecordSamples:
-		return sm.dispatchRecord
-	case proto.OpGetTime:
-		return sm.dispatchGetTime
-	default:
-		return sm.dispatchControl
 	}
 }
 
@@ -269,6 +257,9 @@ type Snapshot struct {
 
 	WritevBatch    metrics.HistogramSnapshot `json:"writev_batch"`
 	SendQueueDepth metrics.HistogramSnapshot `json:"send_queue_depth"`
+	// EgressFallbacks: reply drains a connection's reader could not finish
+	// without blocking and handed to its writer; 0 while peers keep reading.
+	EgressFallbacks uint64 `json:"egress_fallbacks"`
 
 	// Update scheduler: the wheel/pool replacing per-engine goroutines.
 	SchedShards       int                       `json:"sched_shards"`
@@ -381,6 +372,7 @@ func (s *Server) Snapshot() Snapshot {
 		StagedFlushes:      sm.stagedFlushes.Load(),
 		WritevBatch:        sm.writevBatch.Snapshot(),
 		SendQueueDepth:     sm.sendQueueDepth.Snapshot(),
+		EgressFallbacks:    sm.egressFallbacks.Load(),
 		SchedShards:        s.sched.wheel.Shards(),
 		SchedWorkers:       s.sched.workers,
 		SchedTickLagNs:     sm.schedTickLag.Snapshot(),

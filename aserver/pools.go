@@ -90,7 +90,8 @@ func putLin(p *[]int16) { linPool.Put(p) }
 
 // getMsg checks out an empty wire message holding one reference, tagged
 // with the checkout site for the double-release guard. The reference is
-// consumed by the writer goroutine (or a failed send) via release.
+// consumed by whoever writes the message out (or a failed send) via
+// release.
 func getMsg(owner string) *wireMsg {
 	m := msgPool.Get().(*wireMsg)
 	m.buf = m.buf[:0]

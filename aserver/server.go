@@ -16,8 +16,10 @@
 // a server runs O(shards + workers) goroutines of its own plus two per
 // connection, regardless of device count. Per-connection FIFO order holds
 // by construction — one goroutine dispatches a connection's requests, in
-// order — and per-device serialization by the engine lock; see DESIGN.md
-// ("Threading model") for the invariants.
+// order — and per-device serialization by the engine lock. Replies leave
+// on that goroutine too, in one non-blocking write per run; only a write
+// that would block goes to the connection's writer goroutine. See
+// DESIGN.md ("Threading model") for the invariants.
 //
 // A Server is embeddable: tests, benchmarks, and the example programs run
 // one in-process and connect over Unix or TCP sockets (or a pipe).

@@ -234,10 +234,10 @@ func printAbsolute(s aserver.Snapshot) {
 		s.Requests, s.Connects, s.Disconnects, s.ActiveClients, s.ClientErrors)
 	fmt.Printf("evictions %d  sheds %d  drains %d  client-closes %d  queued-bytes %d  frame-bytes %d\n",
 		s.Evictions, s.Sheds, s.Drains, s.ClientCloses, s.QueuedBytes, s.FrameBytesInFlight)
-	fmt.Printf("dispatch p99: play %s  record %s  gettime %s  control %s  writev mean %.1f\n",
+	fmt.Printf("dispatch p99: play %s  record %s  gettime %s  control %s  writev mean %.1f  egress-fallbacks %d\n",
 		ns(s.DispatchPlayNs.Quantile(0.99)), ns(s.DispatchRecordNs.Quantile(0.99)),
 		ns(s.DispatchGetTimeNs.Quantile(0.99)), ns(s.DispatchControlNs.Quantile(0.99)),
-		s.WritevBatch.Mean())
+		s.WritevBatch.Mean(), s.EgressFallbacks)
 	fmt.Printf("batch: dispatch mean %.1f p99 %d  staged %d bytes / %d flushes  sweep mean %.1f p99 %d\n",
 		s.DispatchBatch.Mean(), s.DispatchBatch.Quantile(0.99),
 		s.StagedBytes, s.StagedFlushes,
