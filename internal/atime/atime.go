@@ -63,6 +63,18 @@ func Clamp(t, lo, hi ATime) ATime {
 	return t
 }
 
+// ClipSpan clips the n-tick span starting at t against the window
+// [lo, hi): the first skip ticks of the span fall before the window, the
+// next in ticks inside it, and the remaining n-skip-in after it. A span
+// wholly before the window returns (n, 0), one wholly after it (0, 0). It
+// assumes lo is not after hi; like every comparison here it is exact while
+// t stays within HalfRange of the window.
+func ClipSpan(t ATime, n int, lo, hi ATime) (skip, in int) {
+	skip = min(max(int(Sub(lo, t)), 0), n)
+	end := min(max(int(Sub(hi, t)), skip), n)
+	return skip, end - skip
+}
+
 // SecondsToTicks converts a duration in seconds to sample ticks at the
 // given sampling rate, rounding toward zero.
 func SecondsToTicks(sec float64, rate int) int {

@@ -161,3 +161,38 @@ func TestQuickCorrespondenceRoundTrip(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestClipSpan checks the span clip against a per-tick count of where each
+// tick of the span falls, for windows and spans either side of, and
+// straddling, the 2³² wrap.
+func TestClipSpan(t *testing.T) {
+	for _, lo := range []ATime{0, 100, Add(0, -30), Add(0, -200), HalfRange - 10} {
+		for _, width := range []int{0, 1, 64} {
+			hi := Add(lo, width)
+			for off := -80; off <= 80; off++ {
+				for _, n := range []int{0, 1, 5, 64, 150} {
+					start := Add(lo, off)
+					var before, inside int
+					for i := 0; i < n; i++ {
+						switch ft := Add(start, i); {
+						case Before(ft, lo):
+							before++
+						case Before(ft, hi):
+							inside++
+						}
+					}
+					if skip, in := ClipSpan(start, n, lo, hi); in != inside || (in > 0 && skip != before) || skip+in > n {
+						t.Fatalf("ClipSpan(lo%+d, %d, width %d) = (%d, %d), per-tick count (%d, %d)",
+							off, n, width, skip, in, before, inside)
+					}
+				}
+			}
+		}
+	}
+	if skip, in := ClipSpan(10, 8, 50, 60); skip != 8 || in != 0 {
+		t.Errorf("span wholly before: (%d, %d), want (8, 0)", skip, in)
+	}
+	if skip, in := ClipSpan(70, 8, 50, 60); skip != 0 || in != 0 {
+		t.Errorf("span wholly after: (%d, %d), want (0, 0)", skip, in)
+	}
+}

@@ -88,7 +88,10 @@ type Device struct {
 	chanOff int // first channel of the view within the parent's frames
 	chanCnt int
 
-	scratch []byte // update-task staging buffer
+	// scratch is where the master output gain kernel writes the hardware's
+	// copy of a play-buffer segment (one hardware window); nothing else on
+	// the update path stages.
+	scratch []byte
 
 	// Underruns counts play frames that missed the hardware window
 	// because the update task ran too late.

@@ -46,31 +46,43 @@ func (d *Device) Update() {
 	}
 }
 
-// pushToHW copies n frames starting at t from the play buffer to the
-// hardware, applying the master output gain.
+// pushToHW moves the n frames starting at t from the play buffer to the
+// hardware (n is at most the hardware window, so at most two ring
+// segments), applying the master output gain.
 func (r *Device) pushToHW(t atime.ATime, n int) {
-	maxChunk := len(r.scratch) / r.frameBytes
-	gain := gainFactor(r.outputGainDB)
-	for n > 0 {
-		c := n
-		if c > maxChunk {
-			c = maxChunk
-		}
-		buf := r.scratch[:c*r.frameBytes]
-		r.playBuf.ReadAt(t, buf)
-		if gain != 1.0 {
-			sampleconv.ApplyGain(r.Cfg.Enc, buf, c*r.Cfg.Channels, gain)
-		}
-		r.backend.WritePlay(t, buf)
-		t = atime.Add(t, c)
-		n -= c
+	q := gainQ16For(r.outputGainDB)
+	a, b := r.playBuf.Region(t, n)
+	r.pushSegment(t, a, q)
+	r.pushSegment(atime.Add(t, len(a)/r.frameBytes), b, q)
+}
+
+// pushSegment hands one contiguous stretch of the play buffer to the
+// hardware. At unity gain the backend reads the ring's own storage; with a
+// master gain the gain kernel writes its one pass into scratch, the only
+// staging copy left on the update path.
+func (r *Device) pushSegment(t atime.ATime, seg []byte, q int32) {
+	if len(seg) == 0 {
+		return
 	}
+	if q != sampleconv.GainUnity {
+		out := r.scratch[:len(seg)]
+		r.masterGain(out, seg, q)
+		seg = out
+	}
+	r.backend.WritePlay(t, seg)
+}
+
+// masterGain scales src by the Q16 gain q into dst (which may be src),
+// both in the device's native encoding.
+func (r *Device) masterGain(dst, src []byte, q int32) {
+	enc := r.Cfg.Enc
+	sampleconv.SelectKernel(enc, enc, false, true)(dst, src, len(src)/r.frameBytes*r.Cfg.Channels, q)
 }
 
 // recUpdate makes the record buffer consistent through now: data since
-// timeRecLastUpdated is pulled from the hardware (with the master input
-// gain applied); any span the small hardware buffer no longer holds is
-// filled with silence.
+// timeRecLastUpdated is pulled from the hardware straight into the record
+// buffer (the master input gain applied in place); any span the small
+// hardware buffer no longer holds is filled with silence.
 func (r *Device) recUpdate(now atime.ATime) {
 	start := r.timeRecLastUpdated
 	span := int(atime.Sub(now, start))
@@ -85,41 +97,28 @@ func (r *Device) recUpdate(now atime.ATime) {
 	}
 	if span > hw {
 		// The hardware only retains the last hw frames; the rest is gone.
-		lost := span - hw
-		fillFrom := start
-		for lost > 0 {
-			c := lost
-			if c > r.bufFrames {
-				c = r.bufFrames
-			}
-			r.recBuf.Fill(fillFrom, c, r.silence)
-			fillFrom = atime.Add(fillFrom, c)
-			lost -= c
-		}
+		r.recBuf.Fill(start, span-hw, r.silence)
 		start = atime.Add(now, -hw)
 		span = hw
 	}
-	gain := gainFactor(r.inputGainDB)
-	maxChunk := len(r.scratch) / r.frameBytes
-	for span > 0 {
-		c := span
-		if c > maxChunk {
-			c = maxChunk
-		}
-		buf := r.scratch[:c*r.frameBytes]
-		if r.inputsEnabled == 0 {
-			for i := range buf {
-				buf[i] = r.silence
-			}
-		} else {
-			r.backend.ReadRecord(start, buf)
-			if gain != 1.0 {
-				sampleconv.ApplyGain(r.Cfg.Enc, buf, c*r.Cfg.Channels, gain)
-			}
-		}
-		r.recBuf.WriteAt(start, buf)
-		start = atime.Add(start, c)
-		span -= c
-	}
+	a, b := r.recBuf.Region(start, span)
+	r.captureSegment(start, a)
+	r.captureSegment(atime.Add(start, len(a)/r.frameBytes), b)
 	r.timeRecLastUpdated = now
+}
+
+// captureSegment fills one contiguous stretch of the record buffer,
+// starting at device time t, from the hardware.
+func (r *Device) captureSegment(t atime.ATime, seg []byte) {
+	if len(seg) == 0 {
+		return
+	}
+	if r.inputsEnabled == 0 {
+		sampleconv.Fill(seg, r.silence)
+		return
+	}
+	r.backend.ReadRecord(t, seg)
+	if q := gainQ16For(r.inputGainDB); q != sampleconv.GainUnity {
+		r.masterGain(seg, seg, q)
+	}
 }

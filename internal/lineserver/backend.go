@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"audiofile/internal/atime"
+	"audiofile/internal/sampleconv"
 )
 
 // Backend is the workstation side of the Als server (§7.4.3): a
@@ -357,22 +358,16 @@ func (b *Backend) ReadRecord(t atime.ATime, buf []byte) int {
 			n = MaxDataBytes
 		}
 		rep := b.roundTrip(&Packet{Fn: FnRecord, Time: uint32(t), Param: uint32(n)}, 1)
-		if rep == nil {
-			// Lost: deliver silence for this stretch, no retry.
-			for i := 0; i < n; i++ {
-				buf[got+i] = 0xFF
-			}
-			b.health.recSilenceBytes.Add(uint64(n))
-		} else {
-			c := copy(buf[got:got+n], rep.Data)
-			// A short reply (truncated in transit) silence-fills its tail
-			// rather than leaking whatever the caller's buffer held.
-			for i := c; i < n; i++ {
-				buf[got+i] = 0xFF
-			}
-			if c < n {
-				b.health.recSilenceBytes.Add(uint64(n - c))
-			}
+		// A lost reply delivers silence for its whole stretch, no retry; a
+		// short one (truncated in transit) silence-fills its tail rather
+		// than leaking whatever the caller's buffer held.
+		c := 0
+		if rep != nil {
+			c = copy(buf[got:got+n], rep.Data)
+		}
+		if c < n {
+			sampleconv.Silence(sampleconv.MU255, buf[got+c:got+n])
+			b.health.recSilenceBytes.Add(uint64(n - c))
 		}
 		got += n
 		t = atime.Add(t, n)

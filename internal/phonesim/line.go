@@ -108,9 +108,7 @@ func (l *Line) Fill(_ atime.ATime, buf []byte) {
 		n = copy(buf, l.incoming)
 		l.incoming = l.incoming[n:]
 	}
-	for i := n; i < len(buf); i++ {
-		buf[i] = 0xFF // µ-law silence
-	}
+	sampleconv.Silence(sampleconv.MU255, buf[n:])
 }
 
 // SetHook operates the hookswitch relay (the HookSwitch request). Going
@@ -208,9 +206,7 @@ func (l *Line) RemoteDigits(digits string) {
 		}
 		on := synthPair(l.rate, lo, hi, l.rate/20)
 		off := make([]byte, l.rate/20)
-		for i := range off {
-			off[i] = 0xFF
-		}
+		sampleconv.Silence(sampleconv.MU255, off)
 		l.RemoteAudio(on)
 		l.RemoteAudio(off)
 	}

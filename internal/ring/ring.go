@@ -14,6 +14,7 @@ import (
 	"fmt"
 
 	"audiofile/internal/atime"
+	"audiofile/internal/sampleconv"
 )
 
 // Ring is a time-indexed circular buffer of sample frames.
@@ -112,12 +113,8 @@ func (r *Ring) ReadAt(t atime.ATime, buf []byte) {
 // (used for silence fill).
 func (r *Ring) Fill(t atime.ATime, nframes int, v byte) {
 	a, b := r.Region(t, nframes)
-	for i := range a {
-		a[i] = v
-	}
-	for i := range b {
-		b[i] = v
-	}
+	sampleconv.Fill(a, v)
+	sampleconv.Fill(b, v)
 	r.filled += uint64(nframes)
 }
 

@@ -1,6 +1,7 @@
 package sampleconv
 
 import (
+	"bytes"
 	"math"
 	"testing"
 	"testing/quick"
@@ -186,5 +187,24 @@ func TestClamp(t *testing.T) {
 	}
 	if Clamp32(1<<40) != 0x7FFFFFFF || Clamp32(-(1<<40)) != -0x80000000 || Clamp32(-7) != -7 {
 		t.Error("Clamp32 wrong")
+	}
+}
+
+func TestFillEqualsRepeat(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 3, 255, 4097} {
+		for _, v := range []byte{0, 0xFF, 0xD5} {
+			// Guard bytes either side: the fill must stay inside buf.
+			back := bytes.Repeat([]byte{0x11}, n+2)
+			Fill(back[1:1+n], v)
+			want := append(append([]byte{0x11}, bytes.Repeat([]byte{v}, n)...), 0x11)
+			if !bytes.Equal(back, want) {
+				t.Errorf("Fill(%d bytes, %#x) != bytes.Repeat", n, v)
+			}
+		}
+	}
+	buf := make([]byte, 4097)
+	Silence(ALAW, buf)
+	if !bytes.Equal(buf, bytes.Repeat([]byte{0xD5}, len(buf))) {
+		t.Error("Silence(ALAW) is not all 0xD5")
 	}
 }

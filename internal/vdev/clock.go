@@ -11,7 +11,7 @@
 package vdev
 
 import (
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"audiofile/internal/atime"
@@ -48,10 +48,11 @@ func (c *RealClock) Ticks() atime.ATime {
 func (c *RealClock) Rate() int { return c.rate }
 
 // ManualClock is a sample counter advanced explicitly by the test or
-// benchmark harness. It is safe for concurrent use.
+// benchmark harness. It is safe for concurrent use: the counter is one
+// atomic word, so Ticks — read on every GetTime, Play and Record — takes
+// no lock, and Advance is a single atomic add.
 type ManualClock struct {
-	mu   sync.Mutex
-	t    atime.ATime
+	t    atomic.Uint32
 	rate int
 }
 
@@ -61,25 +62,13 @@ func NewManualClock(rate int) *ManualClock {
 }
 
 // Ticks implements Clock.
-func (c *ManualClock) Ticks() atime.ATime {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t
-}
+func (c *ManualClock) Ticks() atime.ATime { return atime.ATime(c.t.Load()) }
 
 // Rate implements Clock.
 func (c *ManualClock) Rate() int { return c.rate }
 
-// Advance moves the clock forward n ticks.
-func (c *ManualClock) Advance(n int) {
-	c.mu.Lock()
-	c.t = atime.Add(c.t, n)
-	c.mu.Unlock()
-}
+// Advance moves the clock forward n ticks; n may be negative.
+func (c *ManualClock) Advance(n int) { c.t.Add(uint32(int32(n))) }
 
 // Set jumps the clock to an absolute tick value.
-func (c *ManualClock) Set(t atime.ATime) {
-	c.mu.Lock()
-	c.t = t
-	c.mu.Unlock()
-}
+func (c *ManualClock) Set(t atime.ATime) { c.t.Store(uint32(t)) }

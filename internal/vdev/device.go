@@ -187,48 +187,37 @@ func (d *Device) syncChunk(n int) {
 // number of frames accepted.
 func (d *Device) WritePlay(t atime.ATime, data []byte) int {
 	n := len(data) / d.frameBytes
-	horizon := atime.Add(d.now, d.hwPlay.Frames())
-	// Clip the block to [now, horizon).
-	if atime.Before(t, d.now) {
-		skip := int(atime.Sub(d.now, t))
-		if skip >= n {
-			return 0
-		}
-		t = d.now
-		data = data[skip*d.frameBytes:]
-		n -= skip
-	}
-	if !atime.Before(t, horizon) {
+	skip, in := atime.ClipSpan(t, n, d.now, atime.Add(d.now, d.hwPlay.Frames()))
+	if in == 0 {
 		return 0
 	}
-	if room := int(atime.Sub(horizon, t)); n > room {
-		n = room
-	}
-	d.hwPlay.WriteAt(t, data[:n*d.frameBytes])
-	if end := atime.Add(t, n); atime.After(end, d.playValid) {
+	t = atime.Add(t, skip)
+	d.hwPlay.WriteAt(t, data[skip*d.frameBytes:(skip+in)*d.frameBytes])
+	if end := atime.Add(t, in); atime.After(end, d.playValid) {
 		d.playValid = end
 	}
-	return n
+	return in
 }
 
 // ReadRecord copies captured frame data for the block starting at t into
 // buf. Frames outside the recorded window [now - HWFrames, now) read as
 // silence; it returns the number of valid frames delivered.
 func (d *Device) ReadRecord(t atime.ATime, buf []byte) int {
-	n := len(buf) / d.frameBytes
-	oldest := atime.Add(d.now, -d.hwRec.Frames())
-	valid := 0
-	for i := 0; i < n; i++ {
-		ft := atime.Add(t, i)
-		out := buf[i*d.frameBytes : (i+1)*d.frameBytes]
-		if atime.Before(ft, oldest) || !atime.Before(ft, d.now) {
-			for j := range out {
-				out[j] = d.silence
-			}
-			continue
-		}
-		d.hwRec.ReadAt(ft, out)
-		valid++
-	}
-	return valid
+	return readSpan(d.hwRec, t, buf, atime.Add(d.now, -d.hwRec.Frames()), d.now, d.silence)
+}
+
+// readSpan is the span read both record paths share: it fills buf with the
+// whole frames starting at t out of r, of which only the window [lo, hi)
+// (at most one ring revolution) holds data. The span is clipped against
+// the window once; the part inside is one ring copy, the parts before and
+// after it are silence. It returns the frames that came from the ring.
+func readSpan(r *ring.Ring, t atime.ATime, buf []byte, lo, hi atime.ATime, silence byte) int {
+	fb := r.FrameBytes()
+	n := len(buf) / fb
+	skip, in := atime.ClipSpan(t, n, lo, hi)
+	from, to := skip*fb, (skip+in)*fb
+	sampleconv.Fill(buf[:from], silence)
+	r.ReadAt(atime.Add(t, skip), buf[from:to])
+	sampleconv.Fill(buf[to:n*fb], silence)
+	return in
 }

@@ -2,6 +2,8 @@ package vdev
 
 import (
 	"bytes"
+	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -319,4 +321,209 @@ func TestDeviceConfigPanics(t *testing.T) {
 		}
 	}()
 	New(Config{Rate: 0, Channels: 1})
+}
+
+// readRecordRef is ReadRecord as it was before it became a span
+// operation — one window test and one one-frame ring read per frame —
+// kept as the oracle the span version must match byte for byte.
+func readRecordRef(d *Device, t atime.ATime, buf []byte) int {
+	n := len(buf) / d.frameBytes
+	oldest := atime.Add(d.now, -d.hwRec.Frames())
+	valid := 0
+	for i := 0; i < n; i++ {
+		ft := atime.Add(t, i)
+		out := buf[i*d.frameBytes : (i+1)*d.frameBytes]
+		if atime.Before(ft, oldest) || !atime.Before(ft, d.now) {
+			for j := range out {
+				out[j] = d.silence
+			}
+			continue
+		}
+		d.hwRec.ReadAt(ft, out)
+		valid++
+	}
+	return valid
+}
+
+// loopbackFillRef is the per-frame Loopback.Fill, the other oracle.
+func loopbackFillRef(l *Loopback, t atime.ATime, buf []byte) {
+	src := atime.Add(t, -l.delay)
+	n := len(buf) / l.frameBytes
+	for i := 0; i < n; i++ {
+		ft := atime.Add(src, i)
+		out := buf[i*l.frameBytes : (i+1)*l.frameBytes]
+		if !l.wrSet || !atime.Before(ft, l.written) ||
+			atime.Before(ft, atime.Add(l.written, -l.ring.Frames())) {
+			for j := range out {
+				out[j] = l.silence
+			}
+			continue
+		}
+		l.ring.ReadAt(ft, out)
+	}
+}
+
+const (
+	spanHW    = 64 // hardware ring of the span fixtures, in frames
+	spanDelay = 24
+)
+
+// spanRig is a device patched to itself through a Loopback, so both record
+// paths hold distinguishable data: it starts at device time start, plays a
+// non-silent ramp and advances the clock by each of steps in turn.
+type spanRig struct {
+	d  *Device
+	lb *Loopback
+}
+
+func newSpanRig(start atime.ATime, frameBytes int, steps ...int) *spanRig {
+	enc, silence := sampleconv.MU255, byte(0xFF)
+	if frameBytes == 4 {
+		enc, silence = sampleconv.LIN16, 0
+	}
+	clk := NewManualClock(8000)
+	clk.Set(start)
+	lb := NewLoopback(4*spanHW, frameBytes, spanDelay, silence)
+	d := New(Config{
+		Name: "span", Rate: 8000, Enc: enc, Channels: frameBytes / enc.BytesPerSamples(1),
+		HWFrames: spanHW, Clock: clk, Sink: lb, Source: lb,
+	})
+	ramp := make([]byte, spanHW*frameBytes)
+	for _, step := range steps {
+		for i := range ramp {
+			ramp[i] = byte(1 + (int(uint32(d.Now()))+i)%200)
+		}
+		d.WritePlay(d.Now(), ramp)
+		clk.Advance(step)
+		d.Sync()
+	}
+	return &spanRig{d: d, lb: lb}
+}
+
+// check reads the n frames at t (plus tail bytes short of a whole frame,
+// which no version may touch) through the span and the per-frame version
+// of both paths and requires equal buffers and equal valid counts.
+func (r *spanRig) check(t *testing.T, at atime.ATime, n, tail int) {
+	t.Helper()
+	size := n*r.d.frameBytes + tail%r.d.frameBytes
+	got := bytes.Repeat([]byte{0xA5}, size)
+	want := bytes.Repeat([]byte{0xA5}, size)
+	gv, wv := r.d.ReadRecord(at, got), readRecordRef(r.d, at, want)
+	if gv != wv || !bytes.Equal(got, want) {
+		t.Errorf("ReadRecord(now%+d, %d frames) with now=%d: valid %d, oracle %d; buffers equal: %v",
+			atime.Sub(at, r.d.now), n, r.d.now, gv, wv, bytes.Equal(got, want))
+	}
+	r.lb.Fill(at, got)
+	loopbackFillRef(r.lb, at, want)
+	if !bytes.Equal(got, want) {
+		t.Errorf("Loopback.Fill(written%+d, %d frames) with written=%d set=%v differs from the oracle",
+			atime.Sub(at, r.lb.written), n, r.lb.written, r.lb.wrSet)
+	}
+}
+
+// spanStarts are device times the span fixtures start from: zero, just
+// short of the 2³² wrap (so windows and spans straddle it), and just short
+// of the signed-comparison boundary.
+var spanStarts = []atime.ATime{0, atime.Add(0, -40), atime.Add(0, -300), atime.HalfRange - 50}
+
+func TestSpanReadsMatchPerFrameOracle(t *testing.T) {
+	for _, fb := range []int{1, 4} {
+		for _, start := range spanStarts {
+			// Steps of 0 leave the device (and the Loopback's written
+			// mark) where it started; 300 outruns both rings.
+			for _, steps := range [][]int{{}, {0}, {10}, {40, 50}, {64, 64, 7}, {300, 30}} {
+				r := newSpanRig(start, fb, steps...)
+				now := r.d.Now()
+				for _, c := range []struct{ off, n int }{
+					{-3 * spanHW, spanHW},        // wholly before the window
+					{2, spanHW},                  // wholly after
+					{0, 1},                       // first frame after
+					{-spanHW - 10, 30},           // straddles the old edge
+					{-spanHW, spanHW},            // exactly the window
+					{-20, 50},                    // straddles now
+					{-spanHW - 5, spanHW + 10},   // covers the window and both sides
+					{-2 * spanHW, 5 * spanHW},    // n > HWFrames
+					{-6 * spanHW, 12 * spanHW},   // n > the Loopback's ring too
+					{-10, 0},                     // n == 0
+					{-1, 1},                      // last valid frame
+					{-spanHW - 1, 1},             // first frame too old
+					{spanDelay - spanHW, spanHW}, // the Loopback's window edges
+					{spanDelay - 5*spanHW, spanHW},
+				} {
+					r.check(t, atime.Add(now, c.off), c.n, 0)
+					r.check(t, atime.Add(now, c.off), c.n, 3)
+				}
+			}
+		}
+	}
+}
+
+func TestSpanReadsMatchPerFrameOracleRandom(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for i := 0; i < 300; i++ {
+		fb := []int{1, 4}[rng.Intn(2)]
+		start := atime.Add(spanStarts[rng.Intn(len(spanStarts))], rng.Intn(200)-100)
+		steps := make([]int, rng.Intn(4))
+		for j := range steps {
+			steps[j] = rng.Intn(3 * spanHW)
+		}
+		r := newSpanRig(start, fb, steps...)
+		for j := 0; j < 20; j++ {
+			off := rng.Intn(10*spanHW) - 6*spanHW
+			r.check(t, atime.Add(r.d.Now(), off), rng.Intn(6*spanHW), rng.Intn(4))
+		}
+	}
+}
+
+// TestLoopbackFillBeforeFirstPlay pins wrSet == false in absolute terms
+// (the oracle comparison above meets it through the step-less fixtures): a
+// cable nothing has entered yet reads as silence wherever it is asked.
+func TestLoopbackFillBeforeFirstPlay(t *testing.T) {
+	for _, fb := range []int{1, 4} {
+		lb := NewLoopback(4*spanHW, fb, spanDelay, 0x7E)
+		for _, at := range []atime.ATime{0, spanDelay, atime.Add(0, -10), atime.HalfRange} {
+			buf := make([]byte, 5*spanHW*fb)
+			lb.Fill(at, buf)
+			if !bytes.Equal(buf, bytes.Repeat([]byte{0x7E}, len(buf))) {
+				t.Errorf("unplayed loopback, frame bytes %d, Fill(%d) is not all silence", fb, at)
+			}
+		}
+	}
+}
+
+// FuzzReadRecordSpan drives the same comparison from fuzzed coordinates:
+// where the device starts, how far it runs, and the span read back.
+func FuzzReadRecordSpan(f *testing.F) {
+	f.Add(uint32(0), uint16(10), int32(-5), uint16(20), false)
+	f.Add(uint32(1<<32-40), uint16(100), int32(-70), uint16(100), true)
+	f.Fuzz(func(t *testing.T, start uint32, advance uint16, off int32, n uint16, wide bool) {
+		fb := 1
+		if wide {
+			fb = 4
+		}
+		r := newSpanRig(atime.ATime(start), fb, int(advance%512), int(advance>>9))
+		// Spans far enough from now to cross the half-range boundary are
+		// outside atime's contract; keep within ±2²⁰ frames.
+		r.check(t, atime.Add(r.d.Now(), int(off%(1<<20))), int(n%1024), int(n>>10))
+	})
+}
+
+func TestManualClockConcurrent(t *testing.T) {
+	c := NewManualClock(8000)
+	c.Set(atime.Add(0, -1000)) // the sum crosses the 2³² wrap
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 1000; i++ {
+				c.Advance(3)
+				c.Ticks()
+			}
+		}()
+	}
+	wg.Wait()
+	if got := c.Ticks(); got != 11000 {
+		t.Errorf("after 4×1000 concurrent Advance(3) from -1000, Ticks = %d, want 11000", got)
+	}
 }

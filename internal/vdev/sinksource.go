@@ -31,11 +31,7 @@ func (f FuncSource) Fill(t atime.ATime, buf []byte) { f(t, buf) }
 type SilenceSource struct{ Byte byte }
 
 // Fill implements RecordSource.
-func (s SilenceSource) Fill(_ atime.ATime, buf []byte) {
-	for i := range buf {
-		buf[i] = s.Byte
-	}
-}
+func (s SilenceSource) Fill(_ atime.ATime, buf []byte) { sampleconv.Fill(buf, s.Byte) }
 
 // CaptureSink accumulates played samples for inspection by tests. It keeps
 // at most Max bytes (0 means unlimited) and is safe for concurrent reads.
@@ -150,21 +146,14 @@ func (l *Loopback) Play(t atime.ATime, data []byte) {
 }
 
 // Fill implements RecordSource: the microphone hears the cable delayed.
+// The cable holds the last ring's worth of frames before written, and
+// nothing at all before the first Play.
 func (l *Loopback) Fill(t atime.ATime, buf []byte) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	src := atime.Add(t, -l.delay)
-	n := len(buf) / l.frameBytes
-	for i := 0; i < n; i++ {
-		ft := atime.Add(src, i)
-		out := buf[i*l.frameBytes : (i+1)*l.frameBytes]
-		if !l.wrSet || !atime.Before(ft, l.written) ||
-			atime.Before(ft, atime.Add(l.written, -l.ring.Frames())) {
-			for j := range out {
-				out[j] = l.silence
-			}
-			continue
-		}
-		l.ring.ReadAt(ft, out)
+	lo := l.written
+	if l.wrSet {
+		lo = atime.Add(l.written, -l.ring.Frames())
 	}
+	readSpan(l.ring, atime.Add(t, -l.delay), buf, lo, l.written, l.silence)
 }
