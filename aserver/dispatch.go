@@ -354,12 +354,12 @@ func (s *Server) dispatchControlInner(c *client, rf runFrame) {
 		}
 		line.SetHook(false)
 		dev := q.Device
-		// The re-hook runs on the scheduler's workers; the engine is only
-		// entered to deliver the event.
-		s.sched.job(func(time.Time) {
+		// The re-hook is a one-shot timer; the engine is only entered to
+		// deliver the event.
+		time.AfterFunc(dur, func() {
 			line.SetHook(true)
 			s.updateEngine(dev)
-		}).Arm(time.Now().Add(dur))
+		})
 		s.updateEngine(dev)
 
 	case proto.OpEnableGainControl:

@@ -2,7 +2,6 @@ package aserver
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"audiofile/internal/atime"
@@ -10,7 +9,6 @@ import (
 	"audiofile/internal/phonesim"
 	"audiofile/internal/proto"
 	"audiofile/internal/sampleconv"
-	"audiofile/internal/timerwheel"
 )
 
 // engine is the data plane for one root device: it owns the device's
@@ -24,17 +22,16 @@ import (
 // this lock alone, and takes it inside Server.ctl for the rare control
 // operations that touch device state. The engine's two timed jobs (§7.3.1)
 // — the periodic update and the resumption of blocked requests — share
-// one passive timer on the server's sharded timer wheel; the update
-// scheduler's worker pool runs the due passes (see scheduler.go). An
+// one runtime timer (time.AfterFunc), whose fire runs the due pass on a
+// goroutine that lives only as long as the pass (see scheduler.go). An
 // engine owns no goroutine and no queue.
 //
 // Lock ordering: Server.ctl is taken before any engine lock, never under
 // one. An engine may lock a peer engine only in ascending engine order
 // (pass-through pumping runs on the lower-indexed engine and reaches
 // across to the higher); the control plane follows the same ascending
-// rule when it needs two engines. A wheel shard lock may be taken under
-// e.mu (timer.Arm), never the reverse: wheel fire callbacks run with no
-// shard lock held. Server.clientMu is the innermost lock (event fan-out).
+// rule when it needs two engines. Server.clientMu is the innermost lock
+// (event fan-out).
 type engine struct {
 	s    *Server
 	idx  int // position in Server.engines, ascending root device index
@@ -50,13 +47,13 @@ type engine struct {
 	patches    map[int]*patch      // pass-through patches pumped here, by src device index
 	bcast      bchannel            // broadcast channel state (broadcast.go)
 
-	// timer is this engine's registration with the sharded timer wheel.
+	// timer is this engine's one runtime timer; its callback is fire.
 	// Under mu it is armed for min(nextUpdate, earliest park wake); armed
-	// is that deadline. queued dedupes wheel fires: true while the engine
-	// sits in the scheduler's work queue awaiting a worker pass.
-	timer  *timerwheel.Timer
-	armed  time.Time
-	queued atomic.Bool
+	// is that deadline. stopped is set by Close, which also stops the
+	// timer: from then on no pass runs and nothing parks.
+	timer   *time.Timer
+	armed   time.Time
+	stopped bool
 }
 
 // parked is the resumable state of one play or record call. Attempt 0
@@ -94,6 +91,8 @@ type parked struct {
 
 func newEngine(s *Server, idx int, root *core.Device, line *phonesim.Line) *engine {
 	hwDur := time.Duration(root.Backend().HWFrames()) * time.Second / time.Duration(root.Cfg.Rate)
+	// The periodic update (§7.2) runs every interval, or half the
+	// hardware buffer duration if that is shorter.
 	interval := core.MSUpdate * time.Millisecond
 	if hwDur/2 < interval {
 		interval = hwDur / 2
@@ -105,11 +104,8 @@ func newEngine(s *Server, idx int, root *core.Device, line *phonesim.Line) *engi
 		line:     line,
 		m:        s.sm.newEngineMetrics(root.Index),
 		interval: interval,
-		// The periodic update (§7.2) runs every interval, or half the
-		// hardware buffer duration if that is shorter.
-		nextUpdate: time.Now().Add(interval),
-		parks:      make(map[*client]*parked),
-		patches:    make(map[int]*patch),
+		parks:    make(map[*client]*parked),
+		patches:  make(map[int]*patch),
 	}
 }
 
@@ -201,7 +197,9 @@ func pumpPatchDir(src, dst *core.Device, buf []byte, taken *atime.ATime, out *at
 // parkLocked keeps a call that blocked on attempt 0 and starts its
 // lifecycle accounting: every park registered here is later released by
 // finishPark exactly once, so parks started == completed + discarded
-// whenever no parks are outstanding. Caller holds e.mu.
+// whenever no parks are outstanding. On a stopped engine nothing would
+// ever retry it, so it is discarded as it lands, as Close's own sweep
+// would have. Caller holds e.mu.
 func (e *engine) parkLocked(call *parked) *parked {
 	p := new(parked)
 	*p = *call
@@ -210,6 +208,9 @@ func (e *engine) parkLocked(call *parked) *parked {
 	e.parks[p.c] = p
 	e.m.parksStarted.Inc()
 	e.m.parkedNow.Add(1)
+	if e.stopped {
+		e.finishPark(p.c, p, false)
+	}
 	return p
 }
 
@@ -259,16 +260,17 @@ func (e *engine) retryParked(c *client, p *parked) {
 // wakeLocked sets the blocked record p to be retried at the moment its
 // last deficit frames will exist, rather than leaving it to the next
 // periodic update — real-time clients (apass) depend on the resume
-// latency being small — and promotes the wheel timer if that beats the
-// armed deadline. If it does not, the timer is armed for a sooner one or
-// the engine is queued for a worker pass, which re-arms. An attempt that
-// lands early (the clock runs slightly slow relative to the wall-clock
-// estimate) comes back through here. Caller holds e.mu.
+// latency being small — and promotes the timer if that beats the armed
+// deadline. If it does not, the timer is armed for a sooner one or a fire
+// is on its way to the lock, and its pass re-arms. An attempt that lands
+// early (the clock runs slightly slow relative to the wall-clock estimate)
+// comes back through here. Caller holds e.mu.
 func (e *engine) wakeLocked(p *parked, deficit int) {
-	p.wake = time.Now().Add(time.Duration(deficit)*time.Second/time.Duration(p.a.dev.Cfg.Rate) + time.Millisecond)
-	if p.wake.Before(e.armed) {
+	d := time.Duration(deficit)*time.Second/time.Duration(p.a.dev.Cfg.Rate) + time.Millisecond
+	p.wake = time.Now().Add(d)
+	if p.wake.Before(e.armed) && !e.stopped {
 		e.armed = p.wake
-		e.timer.Arm(p.wake)
+		e.timer.Reset(d)
 	}
 }
 

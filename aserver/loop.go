@@ -15,8 +15,8 @@ import (
 // pass-through enables). It is a lock, Server.ctl, not a goroutine: a
 // connection's reader holds it while dispatchControl runs, and this file's
 // registry calls take it themselves. The data plane — plays, records, time
-// queries — never takes it, and it owns no timer: its timed work rides the
-// update scheduler (updateScheduler.job).
+// queries — never takes it, and neither does its timed work (the overload
+// sweep, the flash-hook re-hook), which runs on runtime timers.
 
 // register admits a client to the registry, or refuses once the server
 // has stopped.
@@ -135,11 +135,14 @@ func (s *Server) deviceNow(dev uint32) atime.ATime {
 
 // updateEngine runs one update cycle on the engine owning dev, used by
 // control operations that need an immediate device-side effect (hook
-// events, shutdown flushes).
+// events). A re-hook that outlives Close finds the engine stopped and
+// does nothing.
 func (s *Server) updateEngine(dev uint32) {
 	e := s.engineByDev[dev]
 	e.mu.Lock()
-	e.updateLocked()
+	if !e.stopped {
+		e.updateLocked()
+	}
 	e.mu.Unlock()
 }
 

@@ -18,7 +18,7 @@ import (
 //   - Request totals and dispatch latency: dispatchHotGroup and
 //     dispatchControl in dispatch.go, on the dispatching goroutine.
 //   - Engine lock wait/hold: the lockers themselves (dispatchHotGroup and
-//     the scheduler's worker task pass).
+//     the engine's timer pass).
 //   - Play ingress bytes/chunks: the PlaySamples case of
 //     dispatchHotGroup.
 //   - Record egress bytes/chunks: finishRecordReply, the single seal
@@ -87,55 +87,38 @@ type serverMetrics struct {
 	// lock, would-block, partial write, or no RawConn (client.drain).
 	egressFallbacks *metrics.Counter
 
-	// Update scheduler (scheduler.go). tick lag is how far past its slot
-	// deadline a wheel fire ran; batch is due timers per shard pass;
-	// overdue is engines queued awaiting a worker right now; busy is
-	// workers mid-pass; busyNs accumulates worker pass time (utilization
-	// = busyNs / (workers × wall time)); engineRuns counts worker passes.
-	schedTickLag     *metrics.Histogram
-	schedBatch       *metrics.Histogram
-	schedOverdue     *metrics.Gauge
-	schedWorkersBusy *metrics.Gauge
-	schedBusyNs      *metrics.Counter
-	schedEngineRuns  *metrics.Counter
-
-	// schedSweepBatch is engines per shard-sweep handoff: when one wheel
-	// tick fires several engines, the scheduler hands the worker the whole
-	// batch (one channel send) instead of one send per engine.
-	schedSweepBatch *metrics.Histogram
+	// Update plane (scheduler.go). tick lag is how far past its armed
+	// deadline an engine's timer fire ran; engineRuns counts passes.
+	schedTickLag    *metrics.Histogram
+	schedEngineRuns *metrics.Counter
 }
 
 func newServerMetrics() *serverMetrics {
 	reg := metrics.NewRegistry()
 	return &serverMetrics{
-		reg:              reg,
-		connects:         reg.Counter("server.connects"),
-		disconnects:      reg.Counter("server.disconnects"),
-		activeClients:    reg.Gauge("server.active_clients"),
-		clientErrors:     reg.Counter("server.client_errors"),
-		evictions:        reg.Counter("server.evictions"),
-		sheds:            reg.Counter("server.sheds"),
-		drains:           reg.Counter("server.drains"),
-		clientCloses:     reg.Counter("server.client_closes"),
-		queuedBytes:      reg.Gauge("wire.queued_bytes"),
-		frameBytes:       reg.Gauge("ingress.frame_bytes"),
-		dispatchPlay:     reg.Histogram("dispatch.play_ns"),
-		dispatchRecord:   reg.Histogram("dispatch.record_ns"),
-		dispatchGetTime:  reg.Histogram("dispatch.gettime_ns"),
-		dispatchControl:  reg.Histogram("dispatch.control_ns"),
-		dispatchBatch:    reg.Histogram("dispatch.batch_size"),
-		stagedBytes:      reg.Counter("wire.staged_bytes"),
-		stagedFlushes:    reg.Counter("wire.staged_flushes"),
-		writevBatch:      reg.Histogram("wire.writev_batch"),
-		sendQueueDepth:   reg.Histogram("wire.send_queue_depth"),
-		egressFallbacks:  reg.Counter("wire.egress_fallbacks"),
-		schedTickLag:     reg.Histogram("sched.tick_lag_ns"),
-		schedBatch:       reg.Histogram("sched.batch_size"),
-		schedOverdue:     reg.Gauge("sched.overdue_tasks"),
-		schedWorkersBusy: reg.Gauge("sched.workers_busy"),
-		schedBusyNs:      reg.Counter("sched.worker_busy_ns"),
-		schedEngineRuns:  reg.Counter("sched.engine_runs"),
-		schedSweepBatch:  reg.Histogram("sched.sweep_batch"),
+		reg:             reg,
+		connects:        reg.Counter("server.connects"),
+		disconnects:     reg.Counter("server.disconnects"),
+		activeClients:   reg.Gauge("server.active_clients"),
+		clientErrors:    reg.Counter("server.client_errors"),
+		evictions:       reg.Counter("server.evictions"),
+		sheds:           reg.Counter("server.sheds"),
+		drains:          reg.Counter("server.drains"),
+		clientCloses:    reg.Counter("server.client_closes"),
+		queuedBytes:     reg.Gauge("wire.queued_bytes"),
+		frameBytes:      reg.Gauge("ingress.frame_bytes"),
+		dispatchPlay:    reg.Histogram("dispatch.play_ns"),
+		dispatchRecord:  reg.Histogram("dispatch.record_ns"),
+		dispatchGetTime: reg.Histogram("dispatch.gettime_ns"),
+		dispatchControl: reg.Histogram("dispatch.control_ns"),
+		dispatchBatch:   reg.Histogram("dispatch.batch_size"),
+		stagedBytes:     reg.Counter("wire.staged_bytes"),
+		stagedFlushes:   reg.Counter("wire.staged_flushes"),
+		writevBatch:     reg.Histogram("wire.writev_batch"),
+		sendQueueDepth:  reg.Histogram("wire.send_queue_depth"),
+		egressFallbacks: reg.Counter("wire.egress_fallbacks"),
+		schedTickLag:    reg.Histogram("sched.tick_lag_ns"),
+		schedEngineRuns: reg.Counter("sched.engine_runs"),
 	}
 }
 
@@ -158,7 +141,7 @@ func (sm *serverMetrics) closeCounterFor(reason uint32) *metrics.Counter {
 // Atomic so engine goroutines, reader goroutines, and the seal points in
 // client.go can all update without extending the engine lock's hold.
 type engineMetrics struct {
-	lockWait *metrics.Histogram // ns waiting to acquire e.mu (hot dispatch + worker task pass)
+	lockWait *metrics.Histogram // ns waiting to acquire e.mu (hot dispatch + timer pass)
 	lockHold *metrics.Histogram // ns holding e.mu
 
 	playBytes *metrics.Counter   // sample payload bytes accepted off the wire
@@ -261,16 +244,9 @@ type Snapshot struct {
 	// without blocking and handed to its writer; 0 while peers keep reading.
 	EgressFallbacks uint64 `json:"egress_fallbacks"`
 
-	// Update scheduler: the wheel/pool replacing per-engine goroutines.
-	SchedShards       int                       `json:"sched_shards"`
-	SchedWorkers      int                       `json:"sched_workers"`
-	SchedTickLagNs    metrics.HistogramSnapshot `json:"sched_tick_lag_ns"`
-	SchedBatchSize    metrics.HistogramSnapshot `json:"sched_batch_size"`
-	SchedOverdueTasks int64                     `json:"sched_overdue_tasks"`
-	SchedWorkersBusy  int64                     `json:"sched_workers_busy"`
-	SchedWorkerBusyNs uint64                    `json:"sched_worker_busy_ns"`
-	SchedEngineRuns   uint64                    `json:"sched_engine_runs"`
-	SchedSweepBatch   metrics.HistogramSnapshot `json:"sched_sweep_batch"`
+	// Update plane: how late engine timer fires ran, and how many passes.
+	SchedTickLagNs  metrics.HistogramSnapshot `json:"sched_tick_lag_ns"`
+	SchedEngineRuns uint64                    `json:"sched_engine_runs"`
 
 	Devices []DeviceStats `json:"devices"`
 }
@@ -373,15 +349,8 @@ func (s *Server) Snapshot() Snapshot {
 		WritevBatch:        sm.writevBatch.Snapshot(),
 		SendQueueDepth:     sm.sendQueueDepth.Snapshot(),
 		EgressFallbacks:    sm.egressFallbacks.Load(),
-		SchedShards:        s.sched.wheel.Shards(),
-		SchedWorkers:       s.sched.workers,
 		SchedTickLagNs:     sm.schedTickLag.Snapshot(),
-		SchedBatchSize:     sm.schedBatch.Snapshot(),
-		SchedOverdueTasks:  sm.schedOverdue.Load(),
-		SchedWorkersBusy:   sm.schedWorkersBusy.Load(),
-		SchedWorkerBusyNs:  sm.schedBusyNs.Load(),
 		SchedEngineRuns:    sm.schedEngineRuns.Load(),
-		SchedSweepBatch:    sm.schedSweepBatch.Snapshot(),
 	}
 	for _, e := range s.engines {
 		d := e.root

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"audiofile/internal/proto"
-	"audiofile/internal/timerwheel"
 )
 
 // Overload protection and graceful degradation: the policies that keep
@@ -123,10 +122,11 @@ type budgets struct {
 	serverQueue  int64         // total queued bytes across clients
 	frameCeiling int64         // pooled request-frame bytes in flight
 	evictGrace   time.Duration // how long a client may stay over budget
+	sweepEvery   time.Duration // overload sweep period
 }
 
 // initOverload resolves the budget options and starts the periodic
-// overload sweep. Called from New once the scheduler exists.
+// overload sweep. Called from New.
 func (s *Server) initOverload() {
 	b := &s.budget
 	b.maxClients = s.opts.MaxClients
@@ -164,27 +164,25 @@ func (s *Server) initOverload() {
 	// sits over budget while nothing new is being queued (its writer
 	// wedged behind a transport that stopped draining). Half the grace
 	// period bounds how far past its allowance a silent client can live.
-	interval := b.evictGrace / 2
-	if interval < 5*time.Millisecond {
-		interval = 5 * time.Millisecond
-	}
-	var sweep *timerwheel.Timer
-	sweep = s.sched.job(func(now time.Time) {
-		s.sweepOverload(now)
-		sweep.Arm(now.Add(interval))
-	})
-	sweep.Arm(time.Now().Add(interval))
+	b.sweepEvery = max(b.evictGrace/2, 5*time.Millisecond)
+	s.clientMu.Lock()
+	s.sweep = time.AfterFunc(b.sweepEvery, s.sweepOverload)
+	s.clientMu.Unlock()
 }
 
 // sweepOverload runs the eviction policy over every live client and
-// enforces the server-wide budgets. Runs on the update scheduler's
-// workers.
-func (s *Server) sweepOverload(now time.Time) {
-	nanos := now.UnixNano()
+// enforces the server-wide budgets. It is the sweep timer's callback and
+// re-arms it, unless Close has stopped it.
+func (s *Server) sweepOverload() {
+	nanos := time.Now().UnixNano()
 	var largest *client
 	var largestBytes, largestLevel int64
 	var total int64
 	s.clientMu.RLock()
+	if s.sweep == nil {
+		s.clientMu.RUnlock()
+		return
+	}
 	for c := range s.clients {
 		if c.dead.Load() {
 			continue
@@ -198,6 +196,7 @@ func (s *Server) sweepOverload(now time.Time) {
 			c.overBudget(level, nanos)
 		}
 	}
+	s.sweep.Reset(s.budget.sweepEvery)
 	s.clientMu.RUnlock()
 	// Server-wide queued bytes (marshaled bytes: this one is a memory
 	// bound): close the largest queue rather than let one burst starve
@@ -276,10 +275,7 @@ func (s *Server) Drain(timeout time.Duration) {
 	if stopped {
 		return
 	}
-	// The drain watch rides the update scheduler: a wheel timer polls
-	// drained() on the worker pool until the data plane is empty or the
-	// window closes.
-	s.sched.pollUntil(2*time.Millisecond, time.Now().Add(timeout), s.drained)
+	s.pollUntil(2*time.Millisecond, time.Now().Add(timeout), s.drained)
 	s.ctl.Lock()
 	for c := range s.clients {
 		c.evict(closeReasonDrain, proto.ErrDrain)

@@ -6,15 +6,14 @@ import (
 	"time"
 )
 
-// BenchmarkUpdateScheduler measures the per-engine cost of one worker
-// pass — a sweep of one, the unit the wheel fans out every tick: clear
-// the queued flag, take the engine lock through the instrumented path,
-// run due tasks (the periodic device update), re-arm the wheel timer.
-// Device clocks
-// are manual so the pass is pure scheduler + update machinery, and the
-// driving now advances artificially so the periodic task is genuinely
-// due on every visit. Must stay 0 allocs/op at every fleet size: a
-// thousand-device tick may not generate garbage.
+// BenchmarkUpdateScheduler measures one engine pass, the unit a timer
+// fire runs: take the engine lock through the instrumented path, run what
+// is due (the periodic device update), re-arm the timer. It drives pass
+// directly, so the goroutine start a real fire pays is not in it. Device
+// clocks are manual so the pass is pure scheduling + update machinery, and
+// the driving now advances artificially so the periodic update is
+// genuinely due on every visit. Must stay 0 allocs/op at every fleet size:
+// a thousand-device tick may not generate garbage.
 func BenchmarkUpdateScheduler(b *testing.B) {
 	for _, devs := range []int{64, 256, 1024} {
 		b.Run(fmt.Sprintf("devs=%d", devs), func(b *testing.B) {
@@ -27,7 +26,7 @@ func BenchmarkUpdateScheduler(b *testing.B) {
 			}
 			defer s.Close()
 			// Round-robin the fleet; each visit advances the fake clock
-			// past the engine's next deadline so runDue always fires the
+			// past the engine's next deadline so the pass always runs the
 			// periodic update (fan-out cost, not idle-poll cost).
 			now := time.Now()
 			step := s.engines[0].interval/time.Duration(devs) + time.Millisecond
@@ -41,12 +40,7 @@ func BenchmarkUpdateScheduler(b *testing.B) {
 					i = 0
 				}
 				now = now.Add(step)
-				// Mirror the fire path's bookkeeping so the overdue gauge
-				// (decremented by runBatch) stays consistent.
-				s.sm.schedOverdue.Add(1)
-				bp := engineBatchPool.Get().(*[]*engine)
-				*bp = append(*bp, e)
-				s.sched.runBatch(bp, now)
+				e.pass(now)
 			}
 		})
 	}

@@ -8,12 +8,12 @@
 // under the lock its opcode names (hotOp). The control lock, Server.ctl,
 // guards the genuinely global state (client registry, atoms, properties,
 // host access, AC lifecycle); each root device gets an engine — a mutex
-// plus a passive timer on a sharded timer wheel — that owns its
-// buffering state, periodic update, parked requests, and phone-line/patch
-// pumps. PlaySamples, RecordSamples and GetTime take only the owning
-// engine's lock, so independent devices are served in parallel. Due
-// engines are serviced by a bounded worker pool (the update scheduler):
-// a server runs O(shards + workers) goroutines of its own plus two per
+// plus one runtime timer (time.AfterFunc) — that owns its buffering
+// state, periodic update, parked requests, and phone-line/patch pumps.
+// PlaySamples, RecordSamples and GetTime take only the owning engine's
+// lock, so independent devices are served in parallel. A due engine's
+// pass runs on the goroutine its timer's fire starts and ends with it
+// (scheduler.go): a server keeps no goroutine of its own, only two per
 // connection, regardless of device count. Per-connection FIFO order holds
 // by construction — one goroutine dispatches a connection's requests, in
 // order — and per-device serialization by the engine lock. Replies leave
@@ -113,18 +113,6 @@ type Options struct {
 	// FrameBytesCeiling bounds pooled request-frame bytes in flight
 	// (default 16 MiB); exceeding it sheds the oldest-idle client.
 	FrameBytesCeiling int64
-
-	// Update scheduler sizing (see scheduler.go). The update plane runs
-	// O(UpdateShards + UpdateWorkers) goroutines however many devices the
-	// server hosts.
-
-	// UpdateShards is the number of timer-wheel shards driving device
-	// updates. 0 = GOMAXPROCS/4 clamped to [1, 8].
-	UpdateShards int
-	// UpdateWorkers bounds the pool running due device updates.
-	// 0 = GOMAXPROCS clamped to [1, 16], and never more than one per
-	// engine.
-	UpdateWorkers int
 }
 
 // DefaultDevices returns the paper's Alofi-like device complement: a
@@ -152,9 +140,8 @@ type Server struct {
 	// while it dispatches a control request, and the one Close, Drain,
 	// Serve, Do and client registration take. It guards the fields from
 	// here to stopped, plus membership of clients and each client's acs.
-	// Outermost in the lock order (ctl → engine, ascending → wheel shard →
-	// clientMu): nothing that runs under an engine lock or on a scheduler
-	// worker takes it.
+	// Outermost in the lock order (ctl → engine, ascending → clientMu):
+	// nothing that runs under an engine lock or on a timer's fire takes it.
 	ctl   sync.Mutex
 	atoms *atomTable
 	props []map[uint32]*property // by device index
@@ -176,18 +163,17 @@ type Server struct {
 	engines     []*engine
 	engineByDev []*engine
 
-	// sched is the server's one timer: a sharded timer wheel plus a
-	// bounded worker pool (scheduler.go) driving every engine's update and
-	// park resumption and the control plane's timed jobs. Immutable after
-	// New.
-	sched *updateScheduler
-
 	// clientMu guards the clients set and each client's eventMasks for
 	// the readers that do not hold ctl: control requests write them (under
-	// both locks), scheduler workers read them to fan out events and sweep.
-	// It is the innermost lock (engines may take it; never the reverse).
+	// both locks), engine passes and the overload sweep read them to fan
+	// out events and judge queues. It is the innermost lock (engines may
+	// take it; never the reverse).
 	clientMu sync.RWMutex
 	clients  map[*client]struct{}
+	// sweep is the overload sweep's self-re-arming timer (overload.go),
+	// guarded by clientMu: the sweep re-arms it under the read lock it
+	// scans under, Close stops and clears it under the write lock.
+	sweep *time.Timer
 
 	// budget is the resolved overload policy (overload.go); immutable
 	// after New. draining flips once, when Drain begins.
@@ -206,7 +192,7 @@ type Server struct {
 	sm *serverMetrics
 }
 
-// New builds the devices and starts the update scheduler.
+// New builds the devices and arms every engine's timer.
 func New(opts Options) (*Server, error) {
 	if opts.Vendor == "" {
 		opts.Vendor = "audiofile-go"
@@ -242,7 +228,7 @@ func New(opts Options) (*Server, error) {
 		s.props = append(s.props, make(map[uint32]*property))
 	}
 	// Build the data plane: one engine per root device (views share their
-	// parent's), each due its first periodic update (§7.2).
+	// parent's).
 	roots := make(map[*core.Device]*engine)
 	for _, d := range s.devices {
 		root := d
@@ -257,11 +243,10 @@ func New(opts Options) (*Server, error) {
 		}
 		s.engineByDev = append(s.engineByDev, e)
 	}
-	// The update plane: one sharded wheel + one bounded worker pool for
-	// every engine, instead of a goroutine per engine.
-	s.sched = newUpdateScheduler(s, len(s.engines), opts.UpdateShards, opts.UpdateWorkers)
+	// The update plane: each engine's first periodic update (§7.2) is due
+	// one interval from here, where its timer is armed.
 	for _, e := range s.engines {
-		s.sched.register(e)
+		e.start()
 	}
 	s.initOverload()
 	return s, nil
@@ -508,8 +493,8 @@ func (s *Server) DialPipe() net.Conn {
 	return cc
 }
 
-// Close shuts the server down: listeners close, clients disconnect, the
-// scheduler stops.
+// Close shuts the server down: listeners close, clients disconnect, every
+// timer stops. Nothing stays armed, so a closed server is collectable.
 func (s *Server) Close() {
 	s.ctl.Lock()
 	if s.stopped {
@@ -527,7 +512,11 @@ func (s *Server) Close() {
 		s.removeClient(c)
 	}
 	s.ctl.Unlock()
-	s.sched.stop()
+	s.stopEngines()
+	s.clientMu.Lock()
+	s.sweep.Stop()
+	s.sweep = nil
+	s.clientMu.Unlock()
 	s.wg.Wait()
 	for _, fn := range s.closers {
 		fn()

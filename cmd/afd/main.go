@@ -46,8 +46,6 @@ func main() {
 	maxClients := flag.Int("max-clients", 0, "maximum simultaneous clients; the oldest idle client is shed to admit a new one (0 = unlimited)")
 	clientQueueBytes := flag.Int("client-queue-bytes", 0, "per-client send-queue byte budget before slow-client eviction (0 = default 256KiB, negative = unlimited)")
 	drainTimeout := flag.Duration("drain-timeout", 5*time.Second, "on SIGTERM/SIGINT, wait up to this long for play buffers to drain before closing")
-	updateShards := flag.Int("update-shards", 0, "timer-wheel shards driving device updates (0 = GOMAXPROCS/4, clamped to [1,8])")
-	updateWorkers := flag.Int("update-workers", 0, "workers running due device updates (0 = GOMAXPROCS, clamped to [1,16])")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); off by default")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file until shutdown")
 	flag.Parse()
@@ -92,8 +90,6 @@ func main() {
 		Logf:             logf,
 		MaxClients:       *maxClients,
 		ClientQueueBytes: *clientQueueBytes,
-		UpdateShards:     *updateShards,
-		UpdateWorkers:    *updateWorkers,
 	})
 	if err != nil {
 		cmdutil.Die("afd: %v", err)

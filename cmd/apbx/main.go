@@ -15,12 +15,12 @@
 //     exists.
 //
 // Every line is a root device with its own engine, so lines = engines:
-// apbx is a direct load test of the timer wheel + update scheduler
-// (goroutine inventory, tick lag, batch sizes), reported from the
+// apbx is a direct load test of the update plane — one runtime timer per
+// engine — (goroutine inventory, tick lag, park wakes), reported from the
 // server's metrics snapshot at the end of the run.
 //
 //	apbx [-lines N] [-agents M] [-calls C] [-digits D] [-ring-every T]
-//	     [-update-shards S] [-update-workers W] [-v]
+//	     [-media-every K] [-v]
 package main
 
 import (
@@ -49,8 +49,6 @@ func main() {
 	calls := flag.Int("calls", 1, "calls to complete per line")
 	digits := flag.Int("digits", 3, "IVR menu digits the caller punches per call")
 	ringEvery := flag.Duration("ring-every", 150*time.Millisecond, "ring cadence pulse period (accelerated; US cadence is 6s)")
-	updateShards := flag.Int("update-shards", 0, "timer-wheel shards (0 = auto)")
-	updateWorkers := flag.Int("update-workers", 0, "update workers (0 = auto)")
 	mediaEvery := flag.Int("media-every", 16, "run the media leg (greeting + answering-machine record) on every Nth answered line; 0 disables")
 	verbose := flag.Bool("v", false, "log call progress")
 	flag.Parse()
@@ -77,11 +75,9 @@ func main() {
 	}
 	baseline := runtime.NumGoroutine()
 	srv, err := aserver.New(aserver.Options{
-		Vendor:        "audiofile-go apbx",
-		Devices:       specs,
-		Logf:          logf,
-		UpdateShards:  *updateShards,
-		UpdateWorkers: *updateWorkers,
+		Vendor:  "audiofile-go apbx",
+		Devices: specs,
+		Logf:    logf,
 	})
 	if err != nil {
 		cmdutil.Die("apbx: %v", err)
@@ -105,18 +101,11 @@ func main() {
 	fmt.Printf("apbx: %d calls on %d lines in %.2fs (%d media legs, %d digits decoded)\n",
 		pbx.completed.Load(), *lines, elapsed.Seconds(),
 		pbx.mediaLegs.Load(), pbx.digitsSeen.Load())
-	fmt.Printf("  update plane: %d shards, %d workers, %d engine runs\n",
-		snap.SchedShards, snap.SchedWorkers, snap.SchedEngineRuns)
+	fmt.Printf("  update plane: %d engine runs\n", snap.SchedEngineRuns)
 	fmt.Printf("  tick lag: p50 %v  p99 %v  max %v (n=%d)\n",
 		time.Duration(snap.SchedTickLagNs.Quantile(0.50)),
 		time.Duration(snap.SchedTickLagNs.Quantile(0.99)),
 		time.Duration(snap.SchedTickLagNs.Max()), snap.SchedTickLagNs.Count)
-	fmt.Printf("  batch size: p50 %d  p99 %d  max %d\n",
-		snap.SchedBatchSize.Quantile(0.50),
-		snap.SchedBatchSize.Quantile(0.99), snap.SchedBatchSize.Max())
-	busy := time.Duration(snap.SchedWorkerBusyNs)
-	util := float64(busy) / (float64(elapsed) * float64(snap.SchedWorkers)) * 100
-	fmt.Printf("  worker busy: %v total (%.1f%% utilization)\n", busy, util)
 	var parks, completedParks uint64
 	for _, d := range snap.Devices {
 		parks += d.ParksStarted
@@ -348,7 +337,7 @@ func (p *pbx) mediaLeg(dev int) error {
 	}
 	// Answering machine: record 100 ms starting now+50ms. The tail does
 	// not exist yet, so the request parks server-side and resumes off
-	// the engine's wheel timer as the line clock advances.
+	// the engine's timer as the line clock advances.
 	buf := make([]byte, 800)
 	if _, _, err := ac.RecordSamples(now.Add(400), buf, true); err != nil {
 		return err

@@ -15,7 +15,7 @@
 // (the PBX workloads) the full table is unusable: -top N keeps only the
 // N busiest devices per tick, and -agg drops the per-device rows
 // entirely for one server-wide line per tick, including the update
-// scheduler's health (engine update rate, tick-lag p99). -once prints a
+// plane's health (engine update rate, tick-lag p99). -once prints a
 // single absolute snapshot and exits, which is also the scriptable mode.
 package main
 
@@ -99,8 +99,8 @@ func scrape[T any](url string) (T, error) {
 
 func header() {
 	if *agg {
-		fmt.Printf("%7s %9s %9s %9s %7s %6s %6s %6s %8s %5s %8s %8s %8s %9s %6s %8s\n",
-			"devs", "play-B/s", "rec-B/s", "sil-f/s", "under", "parks", "queued", "errs", "reqs/s", "batch", "stg-B/s", "upd/s", "sweep", "lag-p99", "bsubs", "bmsg/s")
+		fmt.Printf("%7s %9s %9s %9s %7s %6s %6s %6s %8s %5s %8s %8s %9s %6s %8s\n",
+			"devs", "play-B/s", "rec-B/s", "sil-f/s", "under", "parks", "queued", "errs", "reqs/s", "batch", "stg-B/s", "upd/s", "lag-p99", "bsubs", "bmsg/s")
 		return
 	}
 	fmt.Printf("%-10s %9s %9s %9s %7s %6s %6s %5s %6s %9s %9s\n",
@@ -179,7 +179,7 @@ func printDelta(prev, cur aserver.Snapshot, dt time.Duration) {
 
 // printAggregate renders one interval as a single server-wide line: the
 // device columns summed, plus request and engine-update rates and the
-// scheduler's tick-lag p99.
+// engine timers' tick-lag p99.
 func printAggregate(prev, cur aserver.Snapshot, dt time.Duration) {
 	secs := dt.Seconds()
 	if secs <= 0 {
@@ -205,14 +205,13 @@ func printAggregate(prev, cur aserver.Snapshot, dt time.Duration) {
 	for _, d := range prev.Devices {
 		prevMsgs += d.BcastMsgs
 	}
-	fmt.Printf("%7d %9.0f %9.0f %9.0f %7d %6d %6d %6d %8.0f %5.1f %8.0f %8.0f %8.1f %9s %6d %8.0f\n",
+	fmt.Printf("%7d %9.0f %9.0f %9.0f %7d %6d %6d %6d %8.0f %5.1f %8.0f %8.0f %9s %6d %8.0f\n",
 		len(cur.Devices), play, rec, sil, under, parks, queued,
 		cur.ClientErrors-prev.ClientErrors,
 		float64(cur.Requests-prev.Requests)/secs,
 		histDeltaMean(prev.DispatchBatch, cur.DispatchBatch),
 		float64(cur.StagedBytes-prev.StagedBytes)/secs,
 		float64(cur.SchedEngineRuns-prev.SchedEngineRuns)/secs,
-		histDeltaMean(prev.SchedSweepBatch, cur.SchedSweepBatch),
 		ns(cur.SchedTickLagNs.Quantile(0.99)),
 		bsubs, float64(curMsgs-prevMsgs)/secs)
 }
@@ -238,14 +237,13 @@ func printAbsolute(s aserver.Snapshot) {
 		ns(s.DispatchPlayNs.Quantile(0.99)), ns(s.DispatchRecordNs.Quantile(0.99)),
 		ns(s.DispatchGetTimeNs.Quantile(0.99)), ns(s.DispatchControlNs.Quantile(0.99)),
 		s.WritevBatch.Mean(), s.EgressFallbacks)
-	fmt.Printf("batch: dispatch mean %.1f p99 %d  staged %d bytes / %d flushes  sweep mean %.1f p99 %d\n",
+	fmt.Printf("batch: dispatch mean %.1f p99 %d  staged %d bytes / %d flushes\n",
 		s.DispatchBatch.Mean(), s.DispatchBatch.Quantile(0.99),
-		s.StagedBytes, s.StagedFlushes,
-		s.SchedSweepBatch.Mean(), s.SchedSweepBatch.Quantile(0.99))
-	fmt.Printf("sched: %d shards  %d workers  %d engine-runs  tick-lag p50 %s p99 %s  batch p99 %d  overdue %d\n",
-		s.SchedShards, s.SchedWorkers, s.SchedEngineRuns,
+		s.StagedBytes, s.StagedFlushes)
+	fmt.Printf("sched: %d engine-runs  tick-lag p50 %s p99 %s max %s\n",
+		s.SchedEngineRuns,
 		ns(s.SchedTickLagNs.Quantile(0.50)), ns(s.SchedTickLagNs.Quantile(0.99)),
-		s.SchedBatchSize.Quantile(0.99), s.SchedOverdueTasks)
+		ns(s.SchedTickLagNs.Max()))
 	var bsubs int64
 	var bchunks, bencodes, bmsgs, bbytes, bdrops uint64
 	for _, d := range s.Devices {
