@@ -95,7 +95,7 @@ func BenchmarkDispatchBatch(b *testing.B) {
 	body := make([]byte, 4) // device 0 in either byte order
 	run := make([]runFrame, 16)
 	for i := range run {
-		run[i] = runFrame{op: proto.OpGetTime, frame: &body}
+		run[i] = runFrame{op: proto.OpGetTime, body: body}
 	}
 	for _, bc := range []struct {
 		name string

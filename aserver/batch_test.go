@@ -57,7 +57,7 @@ func handshake(t testing.TB, w io.Writer, r io.Reader) {
 
 // TestBatchParkMidRunFIFO pipelines one write carrying a control op, a
 // play that parks beyond the buffer horizon, and a tail of GetTimes.
-// The whole burst lands in the framing buffer at once, so the reader
+// The whole burst lands in the ingress buffer at once, so the reader
 // coalesces it into a single ingress run; the park must suspend
 // that run — no reply for anything behind the parked play until it
 // resolves — and the replies must come back in request order.
@@ -128,11 +128,45 @@ func TestBatchParkMidRunFIFO(t *testing.T) {
 // errors), control ops that split a run (round-trip Sync, reply-less
 // NoOp), and — keyed off the script length — a trailing partial header or
 // a malformed one (length under a unit), which must stop the connection
-// at the same point however the stream is delivered.
+// at the same point however the stream is delivered. The three highest
+// byte values are the bulk ops, whose bodies the reader frames in place
+// in its ingress buffer: an 8 KiB preempt play, three of them back to back
+// (what a client ships as one vectored write), and a play bigger than the
+// buffer itself, which parks. With bytes behind them they put partial
+// tails, compaction and growth at every offset of the buffer.
 func batchScript(script []byte) []byte {
 	w := proto.Writer{Order: binary.LittleEndian}
 	proto.AppendCreateAC(&w, proto.CreateACReq{AC: 1, Device: 0}) //nolint:errcheck
+	preemptAC := false
+	bulkPlay := func(at, n int) {
+		if !preemptAC {
+			preemptAC = true
+			proto.AppendCreateAC(&w, proto.CreateACReq{AC: 2, Device: 0, //nolint:errcheck
+				Mask: proto.ACPreemption, Attrs: proto.ACAttributes{Preempt: 1}})
+		}
+		data := make([]byte, n)
+		for i := range data {
+			data[i] = byte(i * 5)
+		}
+		proto.AppendPlaySamples(&w, proto.PlaySamplesReq{AC: 2, Time: uint32(at), Data: data}) //nolint:errcheck
+	}
 	for _, b := range script {
+		if b >= 0xfd && len(w.Buf) > 256<<10 {
+			b = 0 // bound the stream: past this size a bulk op is a GetTime
+		}
+		switch {
+		case b == 0xfd:
+			bulkPlay(4096, 8<<10)
+			continue
+		case b == 0xfe:
+			for i := 0; i < 3; i++ {
+				bulkPlay(4096+i*8<<10, 8<<10)
+			}
+			continue
+		case b == 0xff: // exceeds the ingress buffer, and the buffer horizon
+			bulkPlay(4096, ingressBytes+8<<10)
+			continue
+		}
 		switch b % 7 {
 		case 0:
 			proto.AppendDeviceReq(&w, proto.OpGetTime, 0) //nolint:errcheck
@@ -193,8 +227,9 @@ const parkAdvance = 48000
 //     server has dispatched the one before, so every ingress run — and
 //     every dispatch group — has length one;
 //   - otherwise one write of the whole stream, so the reader coalesces
-//     whatever lands in its framing buffer; seed != 0 fragments that
-//     write into 1–5-byte chunks at seeded-random boundaries, so runs
+//     whatever lands in its ingress buffer; seed != 0 fragments that
+//     write into chunks of 1–5 bytes (more, in proportion, once the
+//     stream carries bulk plays) at seeded-random boundaries, so runs
 //     start and end at every possible split of the same logical stream.
 //
 // Device time is part of the fingerprint (every reply carries it), so it
@@ -238,7 +273,7 @@ func batchReplyStreamOver(t *testing.T, network string, stream []byte, seed int6
 	var wc io.Writer = nc
 	if seed != 0 {
 		wc = netsim.NewFaultConn(nc, netsim.FaultConfig{
-			Seed: seed, FragmentWrites: true, MaxFragment: 5})
+			Seed: seed, FragmentWrites: true, MaxFragment: max(5, len(stream)/512)})
 	}
 	br := bufio.NewReader(nc)
 	handshake(t, wc, br)
@@ -358,6 +393,14 @@ func FuzzBatchFraming(f *testing.F) {
 	f.Add([]byte{2, 18, 26, 2, 5, 0, 0, 6, 4, 12, 3, 1}, int64(4))
 	f.Add(bytes.Repeat([]byte{0}, 64), int64(5))
 	f.Add([]byte{4, 20, 36, 52, 5, 4, 0, 2}, int64(6))
+	// Bulk plays framed in place: one, a vectored burst of three, one that
+	// outgrows the ingress buffer and parks, and mixes whose small requests
+	// and malformed or partial tails fall at the buffer's end.
+	f.Add([]byte{0xfd, 0, 0xfd, 5}, int64(7))
+	f.Add([]byte{0xfe, 0, 0xfe, 0xfe, 2, 0}, int64(8))
+	f.Add([]byte{0, 0xff, 0, 4, 0xfd, 0}, int64(9))
+	f.Add([]byte{0xff, 0xfe, 0xff, 18, 0xfd, 0xfe, 6, 0, 0xff, 1, 3}, int64(10))
+	f.Add(append(bytes.Repeat([]byte{0xfe, 0, 26}, 5), 0xff, 5, 0xff), int64(11))
 	f.Fuzz(func(t *testing.T, script []byte, seed int64) {
 		if len(script) > 256 {
 			script = script[:256]

@@ -1,11 +1,9 @@
 package aserver
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -76,16 +74,19 @@ type client struct {
 	// drain (TryLock) or by the writer. vec (a window on vecArr) and owned
 	// are the vector taken from out and not yet settled: what a partial
 	// write left is sent by the next holder before anything behind it.
-	// raw is nil without a syscall.Conn (net.Pipe, netsim); rawWrite is
-	// writeOnce bound once, wn what it wrote, iov its scatter list.
+	// raw is nil without a syscall.Conn (net.Pipe, netsim) or off Linux;
+	// rawWrite and rawRead are writeOnce and readOnce bound once (bindRaw),
+	// wn what writeOnce wrote, iov its scatter list.
 	wmu      sync.Mutex
 	vecArr   [maxWriteVec][]byte
 	vec      [][]byte
 	owned    []*wireMsg
 	raw      syscall.RawConn
 	rawWrite func(fd uintptr) bool
+	rawRead  func(fd uintptr) bool
 	wn       int
 	iov      iovecs
+	in       ingress // the conn's read side, touched only by the reader
 
 	// lastActive is the unix-nano time of the last dispatched request,
 	// the idleness key for server-wide shedding.
@@ -131,10 +132,7 @@ func newClient(s *Server, conn net.Conn, order binary.ByteOrder) *client {
 		eventMasks: make(map[int]uint32),
 	}
 	c.vec = c.vecArr[:0]
-	if sc, ok := conn.(syscall.Conn); ok {
-		c.raw, _ = sc.SyscallConn()
-		c.rawWrite = c.writeOnce
-	}
+	c.bindRaw()
 	// Field-by-field: evictPolicy holds an atomic and must not be copied.
 	c.flow.budget = s.budget.clientQueue
 	c.flow.grace = s.budget.evictGrace
@@ -243,112 +241,125 @@ func hotOp(op uint8) bool {
 		op == proto.OpGetTime
 }
 
-// readerBufBytes sizes the reader's framing buffer: one read(2) takes a
-// whole pipelined burst (a full run of 32 requests of up to 128 bytes)
-// for frameMore to frame, while bulk sample payloads still overflow it
-// and go straight from the socket into the pooled frame (readBodyDirect).
-// A constant chosen by measurement: EXPERIMENTS.md, "One read, one write".
-const readerBufBytes = 4096
+// ingressBytes sizes a reader's ingress buffer: one read(2) takes a whole
+// client burst — a full run of small requests, or three 8 KiB play chunks
+// shipped as one writev. A constant chosen by measurement: EXPERIMENTS.md,
+// "One read per burst, any size".
+const ingressBytes = 32 << 10
 
-// readBodyDirect fills body with the request bytes following the header:
-// whatever the framing reader has already buffered is taken from it, and
-// the remainder is read straight from the socket into the pooled frame.
-func readBodyDirect(br *bufio.Reader, conn io.Reader, body []byte) error {
-	n := br.Buffered()
-	if n > len(body) {
-		n = len(body)
-	}
-	if n > 0 {
-		if _, err := io.ReadFull(br, body[:n]); err != nil {
-			return err
-		}
-	}
-	if n < len(body) {
-		if _, err := io.ReadFull(conn, body[n:]); err != nil {
-			return err
-		}
-	}
-	return nil
+// ingress is a connection's read side: one pooled buffer, borrowed while
+// request bytes are in flight; (*buf)[r:w] is read and not yet framed. On a
+// transport with a RawConn the reader waits for readability and borrows
+// inside the read callback (readOnce), so an idle socket pins no buffer;
+// any other transport holds one across its blocking conn.Read.
+type ingress struct {
+	buf  *[]byte
+	r, w int
+	eof  bool // the transport has ended or failed; sticky
 }
 
-// runFrame is one framed request in a coalesced ingress run: the header
-// fields plus the pooled frame holding the body.
+// runFrame is one framed request in an ingress run: the header fields
+// and the body, which aliases the ingress buffer until the next nextRun.
 type runFrame struct {
 	op, ext uint8
-	frame   *[]byte
+	body    []byte
 }
 
 // maxRunLen bounds how many requests one ingress run carries. The run
-// slice is allocated once per connection; the bound also caps how long a
-// group can hold an engine lock.
+// slice is allocated once per connection; with the ingress buffer's size
+// the bound caps how long a group can hold an engine lock.
 const maxRunLen = 32
 
-// reader frames requests off the wire and runs each to completion, in
-// order, under the lock hotOp names for it. It reads one request ahead
-// of a blocked (parked) request — the read keeps disconnect detection
-// live while parked; the barrier before dispatch keeps FIFO order.
-//
-// After the blocking read frames one request the reader peeks the
-// framing buffer and frames every further request already sitting whole
-// in it (frameMore); the run then dispatches as a unit, with consecutive
-// same-engine hot ops served under one lock acquisition (dispatchRun).
+// reader takes what the client sent in one read, frames every whole
+// request where it landed (nextRun) and runs each to completion, in order,
+// under the lock hotOp names for it (dispatchRun), before it reads again.
+// It reads one run ahead of a blocked (parked) request — the read keeps
+// disconnect detection live; the barrier before dispatch keeps FIFO order.
 func (c *client) reader() {
-	br := bufio.NewReaderSize(c.conn, readerBufBytes)
-	var hdr [4]byte
 	var await *parked // outstanding blocked request, if any
 	run := make([]runFrame, 0, maxRunLen)
-	for {
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
+	for !c.dead.Load() {
+		if run = c.nextRun(run[:0]); len(run) == 0 {
 			break
 		}
-		op, ext := hdr[0], hdr[1]
-		n := int(c.order.Uint16(hdr[2:])) * 4
-		if n < 4 {
-			break
-		}
-		framep := c.s.getFrame(n - 4)
-		if err := readBodyDirect(br, c.conn, *framep); err != nil {
-			c.s.putFrame(framep)
-			break
-		}
-		run = c.frameMore(br, append(run[:0], runFrame{op, ext, framep}))
 		await = c.dispatchRun(run, await)
-		if c.dead.Load() {
-			break
+	}
+	if await != nil && !c.in.eof && !c.dead.Load() {
+		// A malformed header: the request parked ahead of it is answered
+		// first, as it would have been had the two arrived apart.
+		select {
+		case <-await.done:
+		case <-c.closed:
 		}
+	}
+	if c.in.buf != nil {
+		c.s.putFrame(c.in.buf)
 	}
 	c.s.ctl.Lock() // unregister
 	c.s.removeClient(c)
 	c.s.ctl.Unlock()
 }
 
-// frameMore extends run with requests already sitting whole in the
-// framing buffer. It never blocks: a header is only consumed once its
-// complete body is also buffered, so a partial tail stays for the main
-// loop's blocking path to finish reading. A malformed header (length
-// under one unit) is left unconsumed too — the main loop rejects it on
-// its next iteration, after the current run has been dispatched.
-func (c *client) frameMore(br *bufio.Reader, run []runFrame) []runFrame {
-	for len(run) < maxRunLen && br.Buffered() >= 4 {
-		hdr, err := br.Peek(4)
-		if err != nil {
-			break
+// nextRun frames the next run: every whole request already in the
+// ingress buffer, up to maxRunLen, reading more only when there is none.
+// The run before it has been dispatched, so its bytes are free. A partial
+// tail stays for the next read to finish; a malformed header (length under
+// one unit) ends the run before it. An empty run means the connection is
+// finished: the transport ended, or the malformed header is at its head.
+func (c *client) nextRun(run []runFrame) []runFrame {
+	in := &c.in
+	for {
+		need := 0 // the partial tail's full size, once its header is in
+		for len(run) < maxRunLen && in.w-in.r >= 4 {
+			b := (*in.buf)[in.r:in.w]
+			n := int(c.order.Uint16(b[2:])) * 4
+			if n < 4 {
+				return run
+			}
+			if n > len(b) {
+				need = n
+				break
+			}
+			run = append(run, runFrame{b[0], b[1], b[4:n:n]})
+			in.r += n
 		}
-		n := int(c.order.Uint16(hdr[2:])) * 4
-		if n < 4 || br.Buffered() < n {
-			break
+		if len(run) != 0 || in.eof {
+			return run
 		}
-		op, ext := hdr[0], hdr[1]
-		br.Discard(4) //nolint:errcheck — peeked above
-		framep := c.s.getFrame(n - 4)
-		if _, err := io.ReadFull(br, *framep); err != nil {
-			// Unreachable — the body is buffered — but never drop a frame.
-			c.s.putFrame(framep)
-			break
-		}
-		run = append(run, runFrame{op, ext, framep})
+		c.fill(need)
 	}
-	return run
+}
+
+// fill reads once behind the partial tail, which it first moves to the
+// front of the buffer — or of a bigger one, when the request (need bytes)
+// exceeds it; with no tail it gives the buffer back before it waits.
+func (c *client) fill(need int) {
+	in := &c.in
+	if in.buf != nil {
+		tail := (*in.buf)[in.r:in.w]
+		switch {
+		case len(tail) == 0:
+			c.s.putFrame(in.buf)
+			in.buf = nil
+		case need > len(*in.buf):
+			grown := c.s.getFrame(need)
+			copy(*grown, tail)
+			c.s.putFrame(in.buf)
+			in.buf = grown
+		default:
+			copy(*in.buf, tail)
+		}
+		in.r, in.w = 0, len(tail)
+	}
+	if c.raw != nil {
+		in.eof = c.raw.Read(c.rawRead) != nil || in.eof // an error: conn closed; readOnce set eof at EOF
+		return
+	}
+	if in.buf == nil {
+		in.buf = c.s.getFrame(ingressBytes)
+	}
+	n, err := c.conn.Read((*in.buf)[in.w:])
+	in.w, in.eof = in.w+n, err != nil
 }
 
 // dispatchRun dispatches a framed run in order: each control op runs
@@ -384,7 +395,6 @@ func (c *client) dispatchRun(run []runFrame, await *parked) *parked {
 				c.s.dispatchControl(c, rf)
 			}
 			c.s.ctl.Unlock()
-			c.s.putFrame(rf.frame)
 			i++
 			continue
 		}
@@ -392,16 +402,8 @@ func (c *client) dispatchRun(run []runFrame, await *parked) *parked {
 		// run — so the AC mutations those made are visible to it.
 		consumed, p := c.s.dispatchHotGroup(c, run[i:])
 		i += consumed
-		served := run[i-consumed : i]
-		if p != nil {
-			// The parked request's frame belongs to the park now; it
-			// returns to the pool when the park finishes.
-			served = served[:consumed-1]
-		}
-		c.putFrames(served)
 		await = p
 	}
-	c.putFrames(run[i:])
 	c.endRun()
 	return await
 }
@@ -414,14 +416,6 @@ func (c *client) endRun() {
 	if c.inRun.Load() {
 		c.inRun.Store(false)
 		c.drain()
-	}
-}
-
-// putFrames returns framed requests' pooled frames: the served part of a
-// run, or what remains of it on an abort path.
-func (c *client) putFrames(run []runFrame) {
-	for _, rf := range run {
-		c.s.putFrame(rf.frame)
 	}
 }
 

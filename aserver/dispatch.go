@@ -28,7 +28,7 @@ type hotReq struct {
 // goroutine: c.acs is only mutated by control requests, which the same
 // goroutine dispatches.
 func (s *Server) hotEngine(c *client, rf runFrame) (h hotReq) {
-	r := proto.NewReader(c.order, *rf.frame)
+	r := proto.NewReader(c.order, rf.body)
 	var id uint32
 	switch rf.op {
 	case proto.OpGetTime:
@@ -70,8 +70,7 @@ func (s *Server) hotEngine(c *client, rf runFrame) (h hotReq) {
 // request that parks; it reports how many it consumed plus the park, if
 // any. The caller must not dispatch anything further for this connection
 // until the park's done channel closes. The parked entry is always the
-// last consumed one, and its frame belongs to the park; the caller
-// recycles the others.
+// last consumed one.
 //
 // Dispatch latency is the group's wall time amortized over its members;
 // a parked request's latency is its time to park, not its time to
@@ -122,7 +121,7 @@ func (s *Server) dispatchHotGroup(c *client, run []runFrame) (int, *parked) {
 			// re-consume the same bytes and are not re-counted).
 			playBytes += uint64(len(h.play.Data))
 			e.m.playChunk.Observe(int64(len(h.play.Data)))
-			call := parked{c: c, a: h.a, op: rf.op, seq: seq, frame: rf.frame}
+			call := parked{c: c, a: h.a, op: rf.op, seq: seq}
 			call.preparePlay(h.play)
 			if !servePlay(&call, true) {
 				park = e.parkLocked(&call)
@@ -131,7 +130,7 @@ func (s *Server) dispatchHotGroup(c *client, run []runFrame) (int, *parked) {
 			// serveRecord queues its reply directly; anything staged so
 			// far must leave first to preserve reply order.
 			c.flushStage()
-			call := parked{c: c, a: h.a, op: rf.op, seq: seq, frame: rf.frame, rec: h.rec}
+			call := parked{c: c, a: h.a, op: rf.op, seq: seq, rec: h.rec}
 			if !e.serveRecord(&call) {
 				park = e.parkLocked(&call)
 			}
@@ -188,7 +187,7 @@ func (s *Server) dispatchControl(c *client, rf runFrame) {
 func (s *Server) dispatchControlInner(c *client, rf runFrame) {
 	seq := uint16(c.seq.Add(1))
 	s.requestCount.Add(1)
-	r := proto.NewReader(c.order, *rf.frame)
+	r := proto.NewReader(c.order, rf.body)
 	switch rf.op {
 	case proto.OpSelectEvents:
 		q := proto.DecodeSelectEvents(r)
@@ -681,11 +680,11 @@ func (p *parked) preparePlay(q proto.PlaySamplesReq) {
 // servePlay makes one attempt at the play in p, under the owning engine's
 // lock, and reports whether it finished. When the tail lies beyond the
 // buffer horizon the connection blocks until time advances (§6.1.5
-// "Beyond near future") and p is left holding what remains; the pooled
-// request frame and any staging buffer stay checked out while p
-// references them. The only difference between attempts is where the ack
-// goes: attempt 0 runs inside a dispatch group and stages it, a resumed
-// attempt sends it.
+// "Beyond near future") and p is left holding what remains, which
+// parkLocked copies out of the ingress buffer; a staging buffer stays
+// checked out while p references it. The only difference between
+// attempts is where the ack goes: attempt 0 runs inside a dispatch group
+// and stages it, a resumed attempt sends it.
 func servePlay(p *parked, staged bool) bool {
 	a := p.a
 	res := a.dev.Play(atime.ATime(p.play.Time), p.play.Data, p.playEnc, a.playGain, a.preempt)
@@ -811,8 +810,8 @@ func (s *Server) handleChangeHosts(q proto.ChangeHostsReq) {
 				return
 			}
 		}
-		// Copy the address: q.Host.Addr aliases the pooled request frame,
-		// which is recycled after this dispatch returns.
+		// Copy the address: q.Host.Addr aliases the ingress buffer, which
+		// is reused once this run has been dispatched.
 		s.accessList = append(s.accessList, proto.HostEntry{
 			Family: q.Host.Family,
 			Addr:   append([]byte(nil), q.Host.Addr...),

@@ -66,7 +66,7 @@ func drainOut(c *client) {
 
 // benchRun wraps one caller-owned request body as a run of one.
 func benchRun(op, ext uint8, body []byte) []runFrame {
-	return []runFrame{{op: op, ext: ext, frame: &body}}
+	return []runFrame{{op: op, ext: ext, body: body}}
 }
 
 // playBody marshals a PlaySamples request body (AC, Time, NBytes, data).
@@ -158,16 +158,15 @@ func BenchmarkDispatchRecordADPCM(b *testing.B) {
 }
 
 // BenchmarkDispatchControl sends one SyncConnection through dispatchRun
-// the way the reader does: a pooled frame checked out, the handler run to
-// completion under ctl, the reply queued, the frame returned.
+// the way the reader does: the handler run to completion under ctl, the
+// reply queued.
 func BenchmarkDispatchControl(b *testing.B) {
-	srv, c, _, cleanup := benchServer(b)
+	_, c, _, cleanup := benchServer(b)
 	defer cleanup()
-	run := make([]runFrame, 1)
+	run := []runFrame{{op: proto.OpSyncConnection}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		run[0] = runFrame{op: proto.OpSyncConnection, frame: srv.getFrame(0)}
 		c.dispatchRun(run, nil)
 		drainOut(c)
 	}

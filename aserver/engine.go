@@ -63,14 +63,14 @@ type engine struct {
 // a copy and serves it again through the same function as time advances.
 // The originating reader goroutine waits on done before dispatching the
 // connection's next request, which preserves per-connection FIFO order
-// across the block. The pooled request frame stays pinned until the park
-// finishes.
+// across the block, and is free to read ahead into its ingress buffer
+// meanwhile: a park owns every byte it still needs.
 type parked struct {
 	c     *client
 	a     *ac
 	op    uint8
 	seq   uint16
-	frame *[]byte       // pooled request frame; returned when the park finishes
+	frame *[]byte       // pooled copy of a play's remaining data; returned when the park finishes
 	done  chan struct{} // closed exactly once, when the park completes or is discarded
 	since time.Time     // registration time, for the park-duration histogram
 	// wake is when a blocked record's last sample should exist; zero for
@@ -199,10 +199,17 @@ func pumpPatchDir(src, dst *core.Device, buf []byte, taken *atime.ATime, out *at
 // finishPark exactly once, so parks started == completed + discarded
 // whenever no parks are outstanding. On a stopped engine nothing would
 // ever retry it, so it is discarded as it lands, as Close's own sweep
-// would have. Caller holds e.mu.
+// would have. A play's remaining data aliases the reader's ingress buffer,
+// so the park takes a pooled copy (a compressed play owns its decompressed
+// staging already; a record pins nothing). Caller holds e.mu.
 func (e *engine) parkLocked(call *parked) *parked {
 	p := new(parked)
 	*p = *call
+	if p.op == proto.OpPlaySamples && p.playPooled == nil {
+		p.frame = e.s.getFrame(len(p.play.Data))
+		copy(*p.frame, p.play.Data)
+		p.play.Data = *p.frame
+	}
 	p.done = make(chan struct{})
 	p.since = time.Now()
 	e.parks[p.c] = p
@@ -215,7 +222,7 @@ func (e *engine) parkLocked(call *parked) *parked {
 }
 
 // finishPark removes a park and releases everything it pinned: the
-// pooled request frame, any pooled staging buffer, and the reader
+// pooled copy of a play's data, any pooled staging buffer, and the reader
 // goroutine waiting on done. completed distinguishes a request that ran
 // to completion from one discarded (dead client, shutdown). Caller holds
 // e.mu.

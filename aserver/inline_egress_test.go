@@ -381,19 +381,24 @@ func TestInlineDrainBackpressure(t *testing.T) {
 	})
 }
 
-// BenchmarkDispatchSocket is the allocation gate for inline egress: one
-// GetTime and one 8 KiB play round trip over a unix socket, where the
-// reader frames, dispatches and writes the reply itself. (The other
-// BenchmarkDispatch* gates run on pipes, which take the queued path.)
+// BenchmarkDispatchSocket is the allocation gate for the socket path,
+// where the reader borrows its ingress buffer per burst, frames and
+// dispatches in place and writes the replies itself: one GetTime, one
+// 8 KiB play, and three 8 KiB plays in one write (one read, one run, one
+// lock hold, three acks in one write back), each a round trip over a unix
+// socket. (The other BenchmarkDispatch* gates run on pipes, which hold
+// their buffer and take the queued path.)
 func BenchmarkDispatchSocket(b *testing.B) {
 	play := proto.Writer{Order: binary.LittleEndian}
 	proto.AppendPlaySamples(&play, proto.PlaySamplesReq{AC: 1, Time: 4096, Data: make([]byte, 8<<10)}) //nolint:errcheck
 	for _, bc := range []struct {
-		name string
-		req  []byte
+		name    string
+		req     []byte
+		replies int
 	}{
-		{"gettime", getTimeBurst(1, 0)},
-		{"play8k", play.Buf},
+		{"gettime", getTimeBurst(1, 0), 1},
+		{"play8k", play.Buf, 1},
+		{"burst3x8k", bytes.Repeat(play.Buf, 3), 3},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			srv, clk := batchTestServer(b)
@@ -404,7 +409,7 @@ func BenchmarkDispatchSocket(b *testing.B) {
 			if _, err := nc.Write(createAC); err != nil {
 				b.Fatal(err)
 			}
-			var reply [proto.ReplyHeaderBytes]byte
+			reply := make([]byte, bc.replies*proto.ReplyHeaderBytes)
 			b.SetBytes(int64(len(bc.req)))
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -412,7 +417,7 @@ func BenchmarkDispatchSocket(b *testing.B) {
 				if _, err := nc.Write(bc.req); err != nil {
 					b.Fatal(err)
 				}
-				if _, err := io.ReadFull(br, reply[:]); err != nil {
+				if _, err := io.ReadFull(br, reply); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -56,7 +56,7 @@ type serverMetrics struct {
 	clientCloses *metrics.Counter
 
 	// queuedBytes is marshaled output queued across all clients;
-	// frameBytes is pooled request-frame bytes checked out by ingress.
+	// frameBytes is the ingress bytes the pool has lent (getFrame).
 	queuedBytes *metrics.Gauge
 	frameBytes  *metrics.Gauge
 

@@ -147,10 +147,11 @@ func TestOptionServerQueueBytes(t *testing.T) {
 	}
 }
 
-// TestOptionFrameBytesCeiling: a parked play pins its 8 KiB request frame;
-// over the ceiling the sweep sheds the oldest-idle client, and then the
-// parker itself, which releases the frame. With the default ceiling
-// nobody is shed.
+// TestOptionFrameBytesCeiling: a parked play pins a copy of its 8 KiB of
+// unplayed data and each open pipe connection its ingress buffer; over
+// the ceiling the sweep sheds the oldest-idle client, and then the parker
+// itself, which releases the copy. With the default ceiling nobody is
+// shed, and the gauge reads exactly what is pinned.
 func TestOptionFrameBytesCeiling(t *testing.T) {
 	for _, ceiling := range []int64{0, 4 << 10} {
 		srv := optionServer(t, Options{
@@ -173,6 +174,13 @@ func TestOptionFrameBytesCeiling(t *testing.T) {
 		go ac.PlaySamples(now.Add(srv.Device(0).BufFrames()), make([]byte, 8<<10)) //nolint:errcheck
 		for srv.Snapshot().Devices[0].ParkedNow == 0 {
 			time.Sleep(time.Millisecond)
+		}
+		if ceiling == 0 {
+			// The play's data — all of it lies beyond the horizon — and
+			// not its 12-byte request body around it.
+			waitFor(t, "two pipe buffers and the parked data to be all that is lent", func() bool {
+				return srv.Snapshot().FrameBytesInFlight == 2*ingressBytes+8<<10
+			})
 		}
 		want := uint64(0)
 		if ceiling != 0 {

@@ -19,7 +19,7 @@ import (
 //     (Overload). Senders never block: the engine and the other clients'
 //     writers are unaffected.
 //   - Server-wide: budgets on client count, total queued bytes, and
-//     pooled request-frame bytes in flight. Exceeding one sheds the
+//     pooled ingress bytes lent out. Exceeding one sheds the
 //     oldest-idle (or largest-queue) client rather than degrading all.
 //   - Shutdown: Drain stops accepting, lets play rings flush to the
 //     device tail and parks resolve, then disconnects the remaining
@@ -120,7 +120,7 @@ type budgets struct {
 	maxClients   int           // registered clients before oldest-idle shedding; 0 = unlimited
 	clientQueue  int64         // per-client queue-level budget
 	serverQueue  int64         // total queued bytes across clients
-	frameCeiling int64         // pooled request-frame bytes in flight
+	frameCeiling int64         // pooled ingress bytes lent out
 	evictGrace   time.Duration // how long a client may stay over budget
 	sweepEvery   time.Duration // overload sweep period
 }
@@ -211,8 +211,8 @@ func (s *Server) sweepOverload() {
 			total, s.budget.serverQueue, largest.conn.RemoteAddr(), largestBytes)
 		largest.evict(reason, proto.ErrOverload)
 	}
-	// Pooled ingress frames in flight: a parked-request pileup holding
-	// frames past the ceiling sheds the oldest-idle client.
+	// Pooled ingress bytes lent out: a pileup of half-sent requests and
+	// parked plays past the ceiling sheds the oldest-idle client.
 	if s.sm.frameBytes.Load() > s.budget.frameCeiling {
 		s.shedOldestIdle(nil)
 	}
@@ -241,18 +241,19 @@ func (s *Server) shedOldestIdle(exclude *client) bool {
 	return true
 }
 
-// getFrame / putFrame wrap the request-frame pool with the in-flight
-// byte gauge, so the pooled-frame ceiling and the soak test's memory
-// assertion see every frame the ingress path has checked out. One
-// atomic add on top of the pool op keeps the hot path allocation-free.
+// getFrame / putFrame move ingress.frame_bytes, the bytes the pool has
+// lent to ingress, with the pool op: a reader's buffer while it holds
+// bytes (readOnce counts a socket's; a DialPipe or netsim connection
+// blocks in conn.Read holding one, so it counts while open) and a parked
+// play's copy of its remaining data. Zero once clients are gone.
 func (s *Server) getFrame(n int) *[]byte {
 	s.sm.frameBytes.Add(int64(n))
-	return getReqFrame(n)
+	return getBytes(n)
 }
 
 func (s *Server) putFrame(p *[]byte) {
 	s.sm.frameBytes.Add(-int64(len(*p)))
-	putReqFrame(p)
+	putBytes(p)
 }
 
 // Drain performs a graceful shutdown: stop accepting new connections,

@@ -6,13 +6,9 @@ import (
 	"sync/atomic"
 )
 
-// Staging pools for the dispatch hot path. Every play and record request
-// used to allocate its staging (record destination, ADPCM decompression
-// scratch) and its reply marshal buffer per request; a streaming client
-// at CODEC rates turns that into a steady allocation drizzle. The pools
-// make the steady state allocation-free: buffers are checked out for the
-// life of one request (or one queued message) and returned as soon as
-// their bytes have been copied onward.
+// Pools for the hot path, which they keep allocation-free at steady
+// state: a buffer is checked out for the life of one request, one queued
+// message or one ingress burst and returned once its bytes have moved on.
 //
 // Pools hold *[]T rather than []T so checkout/checkin does not itself
 // allocate a slice-header box per operation.
@@ -20,7 +16,6 @@ var (
 	bytePool = sync.Pool{New: func() any { return new([]byte) }}
 	linPool  = sync.Pool{New: func() any { return new([]int16) }}
 	msgPool  = sync.Pool{New: func() any { return new(wireMsg) }}
-	reqPool  = sync.Pool{New: func() any { return new([]byte) }}
 )
 
 // wireMsg is one pooled outgoing wire message. Unicast replies, errors,
@@ -64,7 +59,8 @@ func (m *wireMsg) release() {
 	}
 }
 
-// getBytes checks out a []byte of length n.
+// getBytes checks out a []byte of length n: staging for a compressed
+// play or record, or (through getFrame, which counts it) ingress bytes.
 func getBytes(n int) *[]byte {
 	p := bytePool.Get().(*[]byte)
 	if cap(*p) < n {
@@ -110,18 +106,3 @@ func msgBytes(m *wireMsg, n int) []byte {
 	m.buf = m.buf[:n]
 	return m.buf
 }
-
-// getReqFrame checks out a request-body buffer of length n for the
-// reader's ingress path. The frame is returned as soon as the request
-// has been dispatched — or, for a request that blocked, when its park
-// completes, since the parked state aliases the frame until then.
-func getReqFrame(n int) *[]byte {
-	p := reqPool.Get().(*[]byte)
-	if cap(*p) < n {
-		*p = make([]byte, n)
-	}
-	*p = (*p)[:n]
-	return p
-}
-
-func putReqFrame(p *[]byte) { reqPool.Put(p) }

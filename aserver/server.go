@@ -110,8 +110,10 @@ type Options struct {
 	// queue: an eviction if that client is over its own budget, else a
 	// shed.
 	ServerQueueBytes int64
-	// FrameBytesCeiling bounds pooled request-frame bytes in flight
-	// (default 16 MiB); exceeding it sheds the oldest-idle client.
+	// FrameBytesCeiling bounds the ingress bytes the pool has lent
+	// (default 16 MiB): a buffer per connection with request bytes in
+	// flight (a DialPipe connection always, an idle socket never) and each
+	// parked play's remaining data; over it the oldest-idle client is shed.
 	FrameBytesCeiling int64
 }
 
