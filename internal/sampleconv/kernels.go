@@ -14,6 +14,9 @@ package sampleconv
 //   - µ-law/A-law saturating mix               -> 64 KiB 2-D companded-sum
 //     tables (src byte × dst byte -> mixed byte), one load per sample
 //   - lin16 mix / gain / gain+mix              -> word loads, integer Q16
+//   - µ-law mix on amd64 with AVX2             -> the bytes muMixTab
+//     holds, computed 32 a step in YMM registers (mix_amd64.s); exact by
+//     enumeration of all 65,536 byte pairs, chosen once by a CPUID probe
 //   - µ-law/A-law gain and gain+mix            -> decode-table + Q16 +
 //     encode-table loops
 //   - everything else (lin32, cross-encoding mixes, ...) -> a two-pass
@@ -321,15 +324,23 @@ func makeTranslate(tbl *[256]byte) Kernel {
 	}
 }
 
+// makeMix2D reslices dst and src to the request's length and ranges over
+// the result, so the compiler proves every index in bounds; a
+// `_ = dst[:n]` hint leaves two compare-and-branch pairs per byte in the
+// loop.
 func makeMix2D(tbl *[65536]byte) Kernel {
 	return func(dst, src []byte, n int, q int32) {
-		_ = dst[:n]
-		_ = src[:n]
-		for i := 0; i < n; i++ {
-			dst[i] = tbl[uint16(dst[i])<<8|uint16(src[i])]
+		dst = dst[:n]
+		src = src[:len(dst)]
+		for i, s := range src {
+			dst[i] = tbl[uint16(dst[i])<<8|uint16(s)]
 		}
 	}
 }
+
+// muMixScalar is the µ-law table mix: the whole kernel where there is no
+// vector path, the tail of the vector kernel where there is one.
+var muMixScalar = makeMix2D(&muMixTab)
 
 // compandTabThreshold is the request length beyond which the companded
 // gain kernels precompute a 256-entry gain table (one multiply per
@@ -453,7 +464,7 @@ func init() {
 	kernels[ALAW][MU255][0][0] = makeTranslate(&MuToA)
 	kernels[MU255][ALAW][0][0] = makeTranslate(&AToMu)
 
-	kernels[MU255][MU255][1][0] = makeMix2D(&muMixTab)
+	kernels[MU255][MU255][1][0] = muMixScalar
 	kernels[ALAW][ALAW][1][0] = makeMix2D(&aMixTab)
 
 	kernels[MU255][MU255][0][1] = makeCompandGain(&MuToLin, &LinToMu, false)
@@ -469,4 +480,8 @@ func init() {
 	kernels[LIN16][ALAW][0][0] = aToLin16
 	kernels[MU255][LIN16][0][0] = lin16ToMu
 	kernels[ALAW][LIN16][0][0] = lin16ToA
+
+	// Last, so it replaces an entry set above: the vector form of the
+	// µ-law mix where this build and this CPU have one.
+	installVectorMix()
 }
