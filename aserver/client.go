@@ -682,10 +682,8 @@ func (c *client) sayGoodbye() {
 	if code := uint8(c.goodbye.Load()); code != 0 {
 		queued, _ := c.out.load()
 		m := getMsg("goodbye")
-		w := proto.Writer{Order: c.order, Buf: m.buf}
 		e := proto.ErrorMsg{Code: code, Seq: uint16(c.seq.Load()), BadValue: uint32(queued)}
-		e.Encode(&w)
-		m.buf = w.Buf
+		m.buf = e.Append(m.buf, c.order)
 		c.out.push(m) // never refused: only this goroutine closes the queue
 	}
 	for (len(c.vec) != 0 || c.takeVec()) && c.flush() == nil {
@@ -769,9 +767,7 @@ func finishRecordReply(c *client, a *ac, m *wireMsg, n int, now uint32, flags ui
 // appendReply marshals a reply for the request carrying seq onto m.
 func (c *client) appendReply(m *wireMsg, p *proto.Reply, seq uint16) {
 	p.Seq = seq
-	w := proto.Writer{Order: c.order, Buf: m.buf}
-	p.Encode(&w)
-	m.buf = w.Buf
+	m.buf = p.Append(m.buf, c.order)
 }
 
 // appendError marshals a protocol error for the request carrying seq
@@ -779,9 +775,7 @@ func (c *client) appendReply(m *wireMsg, p *proto.Reply, seq uint16) {
 func (c *client) appendError(m *wireMsg, code uint8, badValue uint32, op uint8, seq uint16) {
 	c.s.sm.clientErrors.Inc()
 	e := proto.ErrorMsg{Code: code, Seq: seq, BadValue: badValue, MajorOp: op}
-	w := proto.Writer{Order: c.order, Buf: m.buf}
-	e.Encode(&w)
-	m.buf = w.Buf
+	m.buf = e.Append(m.buf, c.order)
 }
 
 // sendReply queues a reply as its own message.
@@ -854,8 +848,6 @@ func (c *client) flushStage() {
 func (c *client) sendEvent(ev *proto.Event) {
 	ev.Seq = uint16(c.seq.Load())
 	m := getMsg("event")
-	w := proto.Writer{Order: c.order, Buf: m.buf}
-	ev.Encode(&w)
-	m.buf = w.Buf
+	m.buf = ev.Append(m.buf, c.order)
 	c.send(m)
 }

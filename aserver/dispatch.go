@@ -22,48 +22,53 @@ type hotReq struct {
 	bad  uint32
 }
 
-// hotEngine decodes a hot request and names the engine that will serve
-// it. This is the only place a hot request is validated: what it accepts,
+// hotEngine decodes a hot request into h and names the engine that will
+// serve it; h is the caller's, reused across a group, and only the fields
+// of rf's opcode (and e, code and bad) mean anything afterwards. This is
+// the only place a hot request is validated: what it accepts,
 // dispatchHotGroup serves without looking again. Safe on the reader
 // goroutine: c.acs is only mutated by control requests, which the same
 // goroutine dispatches.
-func (s *Server) hotEngine(c *client, rf runFrame) (h hotReq) {
-	r := proto.NewReader(c.order, rf.body)
+func (s *Server) hotEngine(c *client, rf *runFrame, h *hotReq) {
+	h.e, h.code, h.bad = nil, 0, 0
+	var r proto.Reader // fields stored in place: a composite literal is built beside r and copied in
+	r.Order, r.Buf = c.order, rf.body
 	var id uint32
 	switch rf.op {
 	case proto.OpGetTime:
-		h.dev = proto.DecodeDeviceReq(r)
+		h.dev = proto.DecodeDeviceReq(&r)
 		if !s.validDevice(h.dev) {
 			h.code, h.bad = proto.ErrDevice, h.dev
-			return h
+			return
 		}
 		h.e = s.engineByDev[h.dev]
-		return h
+		return
 	case proto.OpPlaySamples:
-		h.play = proto.DecodePlaySamples(r, rf.ext)
+		h.play = proto.DecodePlaySamples(&r, rf.ext)
 		id = h.play.AC
 	case proto.OpRecordSamples:
-		h.rec = proto.DecodeRecordSamples(r, rf.ext)
+		h.rec = proto.DecodeRecordSamples(&r, rf.ext)
 		id = h.rec.AC
 	}
 	if r.Err != nil {
 		h.code = proto.ErrLength
-		return h
+		return
 	}
 	if h.a = c.acs[id]; h.a == nil {
 		h.code, h.bad = proto.ErrAC, id
-		return h
+		return
 	}
 	h.e = s.engineByDev[h.a.devIndex]
-	return h
 }
 
 // dispatchHotGroup is the one hot entry point. It serves the hot
 // requests — PlaySamples, RecordSamples, GetTime — at the head of run
 // inline on the caller's goroutine: everything placed on the first
 // engine named goes under ONE acquisition of that engine's lock, with
-// one time.Now() and batched metrics adds, and small replies and errors
-// staged into one outgoing message. A lone request is a group of one.
+// two clock readings (the start, and the end that closes both the lock
+// hold and the latency) and batched metrics adds, and small replies and
+// errors staged into one outgoing message. A lone request is a group of
+// one.
 //
 // It consumes entries in order and stops before a control op or a
 // request for another engine (the next group's head), and after a
@@ -79,25 +84,34 @@ func (s *Server) dispatchHotGroup(c *client, run []runFrame) (int, *parked) {
 	t0 := time.Now()
 	c.lastActive.Store(t0.UnixNano())
 	var e *engine // the engine whose lock the group holds, once one is named
-	var acq time.Time
+	var held time.Duration
 	var park *parked
 	var playBytes uint64
+	var chunk, nChunk uint64 // a stretch of plays of one size: one playChunk observation
 	var nPlay, nRec, nTime uint64
 	consumed := 0
-	for _, rf := range run {
+	// Only this goroutine advances c.seq, so the group counts in a local
+	// and publishes where its replies leave the stage: an event another
+	// goroutine stamps meanwhile never carries a number older than a reply
+	// queued ahead of it.
+	seq32 := c.seq.Load()
+	var h hotReq
+	for i := range run {
+		rf := &run[i]
 		if !hotOp(rf.op) {
 			break
 		}
-		h := s.hotEngine(c, rf)
+		s.hotEngine(c, rf, &h)
 		if h.e != nil && h.e != e {
 			if e != nil {
 				break
 			}
 			e = h.e
-			acq = e.m.lockTimed(&e.mu)
+			held = e.m.lockTimed(&e.mu, t0)
 		}
 		consumed++
-		seq := uint16(c.seq.Add(1))
+		seq32++
+		seq := uint16(seq32)
 		switch rf.op {
 		case proto.OpGetTime:
 			nTime++
@@ -120,7 +134,11 @@ func (s *Server) dispatchHotGroup(c *client, run []runFrame) (int, *parked) {
 			// accepted PlaySamples request passes through (resumed attempts
 			// re-consume the same bytes and are not re-counted).
 			playBytes += uint64(len(h.play.Data))
-			e.m.playChunk.Observe(int64(len(h.play.Data)))
+			if n := uint64(len(h.play.Data)); n != chunk {
+				e.m.playChunk.ObserveN(int64(chunk), nChunk)
+				chunk, nChunk = n, 0
+			}
+			nChunk++
 			call := parked{c: c, a: h.a, op: rf.op, seq: seq}
 			call.preparePlay(h.play)
 			if !servePlay(&call, true) {
@@ -129,6 +147,7 @@ func (s *Server) dispatchHotGroup(c *client, run []runFrame) (int, *parked) {
 		case proto.OpRecordSamples:
 			// serveRecord queues its reply directly; anything staged so
 			// far must leave first to preserve reply order.
+			c.seq.Store(seq32)
 			c.flushStage()
 			call := parked{c: c, a: h.a, op: rf.op, seq: seq, rec: h.rec}
 			if !e.serveRecord(&call) {
@@ -142,13 +161,18 @@ func (s *Server) dispatchHotGroup(c *client, run []runFrame) (int, *parked) {
 	// The stage leaves before the lock drops: once e.mu is released a
 	// worker may finish the park and send its reply, which must queue
 	// after every reply staged ahead of it.
+	c.seq.Store(seq32)
 	c.flushStage()
+	// The group's second and last clock reading: the lock hold and the
+	// dispatch latency both end here.
+	end := time.Since(t0)
 	k := int64(consumed)
 	if e != nil {
-		if playBytes != 0 {
+		if nChunk != 0 {
 			e.m.playBytes.Add(playBytes)
+			e.m.playChunk.ObserveN(int64(chunk), nChunk)
 		}
-		e.m.unlockTimed(&e.mu, acq)
+		e.m.unlockTimed(&e.mu, held, end)
 		e.m.dispatchBatch.Observe(k)
 	}
 	// Batch sizes are observed after the request count, so
@@ -158,7 +182,7 @@ func (s *Server) dispatchHotGroup(c *client, run []runFrame) (int, *parked) {
 	s.sm.dispatchBatch.Observe(k)
 	// Observed per op class so the requests == Σ dispatch counts law
 	// holds.
-	per := time.Since(t0).Nanoseconds() / k
+	per := end.Nanoseconds() / k
 	if nPlay != 0 {
 		s.sm.dispatchPlay.ObserveN(per, nPlay)
 	}

@@ -141,8 +141,8 @@ func (sm *serverMetrics) closeCounterFor(reason uint32) *metrics.Counter {
 // Atomic so engine goroutines, reader goroutines, and the seal points in
 // client.go can all update without extending the engine lock's hold.
 type engineMetrics struct {
-	lockWait *metrics.Histogram // ns waiting to acquire e.mu (hot dispatch + timer pass)
-	lockHold *metrics.Histogram // ns holding e.mu
+	lockWait *metrics.Histogram // ns waiting to acquire e.mu (hot dispatch + timer pass); see lockTimed
+	lockHold *metrics.Histogram // ns holding e.mu, up to the holder's last clock reading
 
 	playBytes *metrics.Counter   // sample payload bytes accepted off the wire
 	recBytes  *metrics.Counter   // sample payload bytes sealed into record replies
@@ -408,18 +408,31 @@ func (s *Server) Snapshot() Snapshot {
 func (s *Server) MetricsRegistry() *metrics.Registry { return s.sm.reg }
 
 // lockTimed/unlockTimed wrap an engine-lock acquire/release with the
-// wait and hold histograms; every timed locker uses them so all call
-// sites measure the same way. They take the mutex directly (no func
-// values) to keep the hot path allocation-free.
-func (em *engineMetrics) lockTimed(mu *sync.Mutex) time.Time {
-	t0 := time.Now()
-	mu.Lock()
-	t1 := time.Now()
-	em.lockWait.Observe(t1.Sub(t0).Nanoseconds())
-	return t1
+// wait and hold histograms; every timed locker (a hot dispatch group, the
+// engine's timer pass) uses them so all call sites measure the same way,
+// and each pays two clock reads, both its own: the start reading it
+// already holds and one end reading it also uses for its latency. They take
+// the mutex directly (no func values) to keep the hot path allocation-free.
+//
+// lockTimed acquires mu for a caller whose work began at start and returns
+// when the hold began, as an offset from start. An uncontended acquisition
+// (TryLock succeeds) reads no clock: it observes a lock_wait_ns of 0 and
+// the hold begins at start. Only a contended one reads the clock once it
+// has the lock; its wait is the time since start, so it includes what the
+// caller did between its start reading and asking for the lock.
+func (em *engineMetrics) lockTimed(mu *sync.Mutex, start time.Time) (held time.Duration) {
+	if !mu.TryLock() {
+		mu.Lock()
+		held = time.Since(start)
+	}
+	em.lockWait.Observe(held.Nanoseconds())
+	return held
 }
 
-func (em *engineMetrics) unlockTimed(mu *sync.Mutex, acquired time.Time) {
-	em.lockHold.Observe(time.Since(acquired).Nanoseconds())
+// unlockTimed releases mu. end is the caller's last reading, as an offset
+// from the same start: lock_hold_ns ends there, not at the unlock itself,
+// so lock_wait_ns and lock_hold_ns always count the same acquisitions.
+func (em *engineMetrics) unlockTimed(mu *sync.Mutex, held, end time.Duration) {
+	em.lockHold.Observe((end - held).Nanoseconds())
 	mu.Unlock()
 }

@@ -62,15 +62,17 @@ func (e *engine) fire() { e.pass(time.Now()) }
 
 // pass runs what is due at now: the periodic update if it is — it retries
 // every park — else only the parks whose wake has come. The next update is
-// computed from the fire's own now: one clock read per fire, and a fire
-// that runs late does not silently stretch the period. It re-arms the
+// computed from the fire's own now, so a fire that runs late does not
+// silently stretch the period; now is also the start reading lockTimed
+// measures from, and one more reading at the end closes the hold — two
+// clock reads per pass, as for a dispatch group. It re-arms the
 // timer under the same hold of the engine lock: any wakeLocked that lands
 // after the unlock sees the deadline armed here and promotes it if it
 // holds an earlier one.
 func (e *engine) pass(now time.Time) {
-	acq := e.m.lockTimed(&e.mu)
+	held := e.m.lockTimed(&e.mu, now)
 	if e.stopped {
-		e.m.unlockTimed(&e.mu, acq)
+		e.m.unlockTimed(&e.mu, held, time.Since(now))
 		return
 	}
 	sm := e.s.sm
@@ -93,7 +95,7 @@ func (e *engine) pass(now time.Time) {
 	}
 	e.timer.Reset(e.armed.Sub(now))
 	sm.schedEngineRuns.Inc()
-	e.m.unlockTimed(&e.mu, acq)
+	e.m.unlockTimed(&e.mu, held, time.Since(now))
 }
 
 // stopEngines is the update plane's shutdown: under each engine's lock,

@@ -49,7 +49,10 @@ func FuzzReadMessage(f *testing.F) {
 // FuzzReadMessageDirect drives the zero-copy reply reader with truncated
 // and length-corrupted inputs. Unlike FuzzReadMessage it does not cap the
 // declared extra length by hand: the reader's own MaxReplyExtraBytes
-// guard must reject oversized claims before allocating.
+// guard must reject oversized claims before allocating. Every input is
+// also read as a stream of messages through each path into the reader
+// (sameEveryWay: streaming, bufio window, a window that is never whole),
+// which must agree on the messages, the error class and the bytes consumed.
 func FuzzReadMessageDirect(f *testing.F) {
 	w := &Writer{Order: binary.LittleEndian}
 	(&Reply{Seq: 1, Aux: 8, Extra: []byte{1, 2, 3, 4, 5, 6, 7, 8}}).Encode(w)
@@ -77,6 +80,12 @@ func FuzzReadMessageDirect(f *testing.F) {
 	w.Reset()
 	(&BroadcastData{Enc: 1, Seq: 2, Channel: 4, Data: []byte{9, 9, 9, 9}}).Encode(w)
 	f.Add(append([]byte(nil), w.Buf...), uint16(1), 8)
+	// A stream: the reply with Extra is 24 bytes, so the fourth header
+	// straddles the end of the differential's 64-byte bufio window.
+	stream, _ := goldenStream(binary.LittleEndian)
+	f.Add(stream, uint16(0x0107), 3)
+	f.Add(stream[:ReplyHeaderBytes-1], uint16(0x0102), 8) // truncated header
+	f.Add(stream[:4*ReplyHeaderBytes+5], uint16(0), 0)    // truncated inside a later header
 	f.Fuzz(func(t *testing.T, data []byte, seq uint16, dstLen int) {
 		if dstLen < 0 || dstLen > 1<<16 {
 			return
@@ -97,6 +106,7 @@ func FuzzReadMessageDirect(f *testing.F) {
 				t.Fatalf("direct read overran dst: %d > %d", len(m.Reply.Extra), dstLen)
 			}
 		}
+		sameEveryWay(t, 64, data, binary.LittleEndian, seq, dstLen, 4)
 	})
 }
 

@@ -1,6 +1,7 @@
 package proto
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -35,12 +36,18 @@ type Reply struct {
 }
 
 // Encode appends the reply to w.
-func (p *Reply) Encode(w *Writer) {
-	off := len(w.Buf)
-	w.Skip(ReplyHeaderBytes)
-	PutReplyHeader(w.Order, w.Buf[off:], p, len(p.Extra))
-	w.Bytes(p.Extra)
-	w.Pad()
+func (p *Reply) Encode(w *Writer) { w.Buf = p.Append(w.Buf, w.Order) }
+
+// Append appends the reply to b: the form for a caller that holds a
+// buffer and an order but no Writer (the server's reply stage).
+func (p *Reply) Append(b []byte, order binary.ByteOrder) []byte {
+	b, hdr := appendFixed(b, ReplyHeaderBytes)
+	PutReplyHeader(order, hdr, p, len(p.Extra))
+	if len(p.Extra) != 0 {
+		b = append(b, p.Extra...)
+		b = append(b, zeros[:-len(p.Extra)&3]...)
+	}
+	return b
 }
 
 // PutReplyHeader writes a reply's fixed 16-byte header into hdr for a
@@ -49,12 +56,12 @@ func (p *Reply) Encode(w *Writer) {
 // server's record path converts samples straight into the wire message
 // after the header, so the payload never exists anywhere else.
 func PutReplyHeader(order binary.ByteOrder, hdr []byte, p *Reply, extraLen int) {
-	hdr[0] = MsgReply
-	hdr[1] = p.Data
-	order.PutUint16(hdr[2:4], p.Seq)
-	order.PutUint32(hdr[4:8], uint32(Pad4(extraLen)/4))
-	order.PutUint32(hdr[8:12], p.Time)
-	order.PutUint32(hdr[12:16], p.Aux)
+	hdr, big := hdr[:ReplyHeaderBytes], bigEndian(order)
+	hdr[0], hdr[1] = MsgReply, p.Data
+	put16(hdr[2:], p.Seq, big)
+	put32(hdr[4:], uint32(Pad4(extraLen)/4), big)
+	put32(hdr[8:], p.Time, big)
+	put32(hdr[12:], p.Aux, big)
 }
 
 // BroadcastHeaderBytes is the fixed size of a broadcast-data header:
@@ -89,9 +96,9 @@ type BroadcastData struct {
 // Encode appends the broadcast message to w. Data must be a multiple of
 // 4 bytes, as the server's channel pump guarantees.
 func (b *BroadcastData) Encode(w *Writer) {
-	off := len(w.Buf)
-	w.Skip(BroadcastHeaderBytes)
-	PutBroadcastHeader(w.Order, w.Buf[off:], b, len(b.Data))
+	var hdr []byte
+	w.Buf, hdr = appendFixed(w.Buf, BroadcastHeaderBytes)
+	PutBroadcastHeader(w.Order, hdr, b, len(b.Data))
 	w.Bytes(b.Data)
 }
 
@@ -100,16 +107,16 @@ func (b *BroadcastData) Encode(w *Writer) {
 // caller marshals in place, mirroring PutReplyHeader: the server encodes
 // the chunk straight into the pooled wire message after the header.
 func PutBroadcastHeader(order binary.ByteOrder, hdr []byte, b *BroadcastData, dataLen int) {
-	hdr[0] = MsgBroadcast
+	hdr, big := hdr[:BroadcastHeaderBytes], bigEndian(order)
 	enc := b.Enc
 	if b.BigEndianData {
 		enc |= BroadcastFlagBigEndian
 	}
-	hdr[1] = enc
-	order.PutUint16(hdr[2:4], b.Seq)
-	order.PutUint32(hdr[4:8], uint32(dataLen/4))
-	order.PutUint32(hdr[8:12], b.Time)
-	order.PutUint32(hdr[12:16], b.Channel)
+	hdr[0], hdr[1] = MsgBroadcast, enc
+	put16(hdr[2:], b.Seq, big)
+	put32(hdr[4:], uint32(dataLen/4), big)
+	put32(hdr[8:], b.Time, big)
+	put32(hdr[12:], b.Channel, big)
 }
 
 // ErrorMsg is a protocol error message.
@@ -121,13 +128,17 @@ type ErrorMsg struct {
 }
 
 // Encode appends the error to w.
-func (e *ErrorMsg) Encode(w *Writer) {
-	w.U8(MsgError)
-	w.U8(e.Code)
-	w.U16(e.Seq)
-	w.U32(e.BadValue)
-	w.U8(e.MajorOp)
-	w.Skip(EventBytes - 9)
+func (e *ErrorMsg) Encode(w *Writer) { w.Buf = e.Append(w.Buf, w.Order) }
+
+// Append appends the error to b.
+func (e *ErrorMsg) Append(b []byte, order binary.ByteOrder) []byte {
+	b, msg := appendFixed(b, EventBytes)
+	big := bigEndian(order)
+	msg[0], msg[1] = MsgError, e.Code
+	put16(msg[2:], e.Seq, big)
+	put32(msg[4:], e.BadValue, big)
+	msg[8] = e.MajorOp
+	return b
 }
 
 // Event is a protocol event. Per §5.2, all device events carry both the
@@ -145,16 +156,20 @@ type Event struct {
 }
 
 // Encode appends the event to w.
-func (e *Event) Encode(w *Writer) {
-	w.U8(e.Code)
-	w.U8(e.Detail)
-	w.U16(e.Seq)
-	w.U32(e.Device)
-	w.U32(e.Time)
-	w.U32(e.HostSec)
-	w.U32(e.HostNsec)
-	w.U32(e.Value)
-	w.Skip(EventBytes - 24)
+func (e *Event) Encode(w *Writer) { w.Buf = e.Append(w.Buf, w.Order) }
+
+// Append appends the event to b.
+func (e *Event) Append(b []byte, order binary.ByteOrder) []byte {
+	b, msg := appendFixed(b, EventBytes)
+	big := bigEndian(order)
+	msg[0], msg[1] = e.Code, e.Detail
+	put16(msg[2:], e.Seq, big)
+	put32(msg[4:], e.Device, big)
+	put32(msg[8:], e.Time, big)
+	put32(msg[12:], e.HostSec, big)
+	put32(msg[16:], e.HostNsec, big)
+	put32(msg[20:], e.Value, big)
+	return b
 }
 
 // Message is one server-to-client message: exactly one of Reply, Error,
@@ -172,8 +187,8 @@ type Message struct {
 	errm    ErrorMsg
 	event   Event
 	bcast   BroadcastData
-	extra   []byte               // reusable Extra/Data backing store
-	scratch [EventBytes - 1]byte // header read buffer (kept here so it never escapes)
+	extra   []byte           // reusable Extra/Data backing store
+	scratch [EventBytes]byte // fixed-part read buffer (kept here so it never escapes)
 }
 
 // ReadMessage reads the next server-to-client message from the stream.
@@ -214,38 +229,35 @@ func ReadMessageDirect(rd io.Reader, order binary.ByteOrder, m *Message, wantSeq
 
 func readMessage(rd io.Reader, order binary.ByteOrder, m *Message, wantSeq uint16, extraDst []byte) error {
 	m.Reply, m.Error, m.Event, m.Broadcast = nil, nil, nil, nil
-	if _, err := io.ReadFull(rd, m.scratch[:1]); err != nil {
-		return err
-	}
-	first := m.scratch[0]
-	switch first {
-	case MsgReply:
-		hdr := m.scratch[1:ReplyHeaderBytes]
-		if _, err := io.ReadFull(rd, hdr); err != nil {
+	// The fixed part is parsed where it lies when rd is a bufio.Reader whose
+	// window holds it whole, and from m.scratch otherwise; either way the
+	// stream is left at the first byte after it.
+	fixed, window := peekFixed(rd)
+	if fixed == nil {
+		var err error
+		if fixed, err = readFixed(rd, m.scratch[:]); err != nil {
 			return err
 		}
-		m.reply = Reply{
-			Data: hdr[0],
-			Seq:  order.Uint16(hdr[1:]),
-			Time: order.Uint32(hdr[7:]),
-			Aux:  order.Uint32(hdr[11:]),
-		}
-		extraLen := int(order.Uint32(hdr[3:])) * 4
-		if extraLen > MaxReplyExtraBytes {
-			return fmt.Errorf("proto: reply extra length %d exceeds maximum %d", extraLen, MaxReplyExtraBytes)
-		}
-		if extraLen > 0 {
+	}
+	kind := fixed[0]
+	n, err := m.parseFixed(fixed, bigEndian(order))
+	if window != nil {
+		window.Discard(len(fixed)) //nolint:errcheck — Peek just returned these bytes
+	}
+	if err != nil {
+		return err
+	}
+	switch kind {
+	case MsgReply:
+		if n > 0 {
 			if extraDst != nil && m.reply.Seq == wantSeq {
-				n := extraLen
-				if n > len(extraDst) {
-					n = len(extraDst)
-				}
-				if _, err := io.ReadFull(rd, extraDst[:n]); err != nil {
+				direct := min(n, len(extraDst))
+				if _, err := io.ReadFull(rd, extraDst[:direct]); err != nil {
 					return err
 				}
-				m.reply.Extra = extraDst[:n]
-				if extraLen > n {
-					if _, err := io.CopyN(io.Discard, rd, int64(extraLen-n)); err != nil {
+				m.reply.Extra = extraDst[:direct]
+				if n > direct {
+					if _, err := io.CopyN(io.Discard, rd, int64(n-direct)); err != nil {
 						if err == io.EOF {
 							err = io.ErrUnexpectedEOF
 						}
@@ -253,73 +265,133 @@ func readMessage(rd io.Reader, order binary.ByteOrder, m *Message, wantSeq uint1
 					}
 				}
 			} else {
-				if cap(m.extra) < extraLen {
-					m.extra = make([]byte, extraLen)
-				}
-				m.reply.Extra = m.extra[:extraLen]
+				m.reply.Extra = m.payload(n)
 				if _, err := io.ReadFull(rd, m.reply.Extra); err != nil {
 					return err
 				}
 			}
 		}
 		m.Reply = &m.reply
-		return nil
 	case MsgBroadcast:
-		hdr := m.scratch[1:BroadcastHeaderBytes]
-		if _, err := io.ReadFull(rd, hdr); err != nil {
-			return err
-		}
-		m.bcast = BroadcastData{
-			Enc:           hdr[0] &^ BroadcastFlagBigEndian,
-			BigEndianData: hdr[0]&BroadcastFlagBigEndian != 0,
-			Seq:           order.Uint16(hdr[1:]),
-			Time:          order.Uint32(hdr[7:]),
-			Channel:       order.Uint32(hdr[11:]),
-		}
-		dataLen := int(order.Uint32(hdr[3:])) * 4
-		if dataLen > MaxReplyExtraBytes {
-			return fmt.Errorf("proto: broadcast data length %d exceeds maximum %d", dataLen, MaxReplyExtraBytes)
-		}
-		if dataLen > 0 {
-			if cap(m.extra) < dataLen {
-				m.extra = make([]byte, dataLen)
-			}
-			m.bcast.Data = m.extra[:dataLen]
+		if n > 0 {
+			m.bcast.Data = m.payload(n)
 			if _, err := io.ReadFull(rd, m.bcast.Data); err != nil {
 				return err
 			}
 		}
 		m.Broadcast = &m.bcast
-		return nil
 	case MsgError:
-		rest := m.scratch[:EventBytes-1]
-		if _, err := io.ReadFull(rd, rest); err != nil {
-			return err
-		}
-		m.errm = ErrorMsg{
-			Code:     rest[0],
-			Seq:      order.Uint16(rest[1:]),
-			BadValue: order.Uint32(rest[3:]),
-			MajorOp:  rest[7],
-		}
 		m.Error = &m.errm
-		return nil
 	default:
-		rest := m.scratch[:EventBytes-1]
-		if _, err := io.ReadFull(rd, rest); err != nil {
-			return err
-		}
-		m.event = Event{
-			Code:     first,
-			Detail:   rest[0],
-			Seq:      order.Uint16(rest[1:]),
-			Device:   order.Uint32(rest[3:]),
-			Time:     order.Uint32(rest[7:]),
-			HostSec:  order.Uint32(rest[11:]),
-			HostNsec: order.Uint32(rest[15:]),
-			Value:    order.Uint32(rest[19:]),
-		}
 		m.Event = &m.event
-		return nil
 	}
+	return nil
+}
+
+// fixedBytes is the size of the fixed part of the message whose first byte
+// is kind: a header for replies and broadcast data, the whole message for
+// errors and events.
+func fixedBytes(kind byte) int {
+	if kind == MsgReply || kind == MsgBroadcast {
+		return ReplyHeaderBytes
+	}
+	return EventBytes
+}
+
+// peekFixed returns the next message's fixed part in place, unconsumed, in
+// the window of the bufio.Reader that rd is, and that reader to discard it
+// from; or nil when it is not whole there: rd is some other reader, the
+// stream ends or fails first (readFixed then reports how), or the buffer
+// is smaller than the message.
+func peekFixed(rd io.Reader) ([]byte, *bufio.Reader) {
+	br, ok := rd.(*bufio.Reader)
+	if !ok {
+		return nil, nil
+	}
+	b, err := br.Peek(ReplyHeaderBytes) // no message is shorter
+	if err == nil && fixedBytes(b[0]) != len(b) {
+		b, err = br.Peek(fixedBytes(b[0]))
+	}
+	if err != nil {
+		return nil, nil
+	}
+	return b, br
+}
+
+// readFixed reads the next message's fixed part from the stream into
+// scratch. A stream that ends on a message boundary is io.EOF; one that
+// ends inside the fixed part is io.ErrUnexpectedEOF.
+func readFixed(rd io.Reader, scratch []byte) ([]byte, error) {
+	b := scratch[:ReplyHeaderBytes]
+	if _, err := io.ReadFull(rd, b); err != nil {
+		return nil, err
+	}
+	if n := fixedBytes(b[0]); n != len(b) {
+		if _, err := io.ReadFull(rd, scratch[len(b):n]); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+		b = scratch[:n]
+	}
+	return b, nil
+}
+
+// parseFixed is the one statement of the server-to-client layouts: it
+// decodes a whole fixed part (fixedBytes(b[0]) bytes) into m's inline
+// storage for its kind and returns the size of the payload that follows.
+func (m *Message) parseFixed(b []byte, big bool) (payload int, err error) {
+	switch b[0] {
+	case MsgReply:
+		m.reply = Reply{
+			Data: b[1],
+			Seq:  get16(b[2:], big),
+			Time: get32(b[8:], big),
+			Aux:  get32(b[12:], big),
+		}
+		payload = int(get32(b[4:], big)) * 4
+		if payload > MaxReplyExtraBytes {
+			return 0, fmt.Errorf("proto: reply extra length %d exceeds maximum %d", payload, MaxReplyExtraBytes)
+		}
+	case MsgBroadcast:
+		m.bcast = BroadcastData{
+			Enc:           b[1] &^ BroadcastFlagBigEndian,
+			BigEndianData: b[1]&BroadcastFlagBigEndian != 0,
+			Seq:           get16(b[2:], big),
+			Time:          get32(b[8:], big),
+			Channel:       get32(b[12:], big),
+		}
+		payload = int(get32(b[4:], big)) * 4
+		if payload > MaxReplyExtraBytes {
+			return 0, fmt.Errorf("proto: broadcast data length %d exceeds maximum %d", payload, MaxReplyExtraBytes)
+		}
+	case MsgError:
+		m.errm = ErrorMsg{
+			Code:     b[1],
+			Seq:      get16(b[2:], big),
+			BadValue: get32(b[4:], big),
+			MajorOp:  b[8],
+		}
+	default:
+		m.event = Event{
+			Code:     b[0],
+			Detail:   b[1],
+			Seq:      get16(b[2:], big),
+			Device:   get32(b[4:], big),
+			Time:     get32(b[8:], big),
+			HostSec:  get32(b[12:], big),
+			HostNsec: get32(b[16:], big),
+			Value:    get32(b[20:], big),
+		}
+	}
+	return payload, nil
+}
+
+// payload returns n bytes of m's reusable Extra/Data backing store.
+func (m *Message) payload(n int) []byte {
+	if cap(m.extra) < n {
+		m.extra = make([]byte, n)
+	}
+	return m.extra[:n]
 }

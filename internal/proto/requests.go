@@ -195,10 +195,11 @@ func AppendPlaySamplesHeader(w *Writer, q PlaySamplesReq, n int) error {
 // buffer.
 func DecodePlaySamples(r *Reader, flags uint8) (q PlaySamplesReq) {
 	q.Flags = flags
-	q.AC = r.U32()
-	q.Time = r.U32()
-	n := int(r.U32())
-	q.Data = r.BytesRef(n)
+	if b := r.BytesRef(12); b != nil { // three words, one length check
+		big := bigEndian(r.Order)
+		q.AC, q.Time = get32(b, big), get32(b[4:], big)
+		q.Data = r.BytesRef(int(get32(b[8:], big)))
+	}
 	return
 }
 
@@ -224,9 +225,10 @@ func AppendRecordSamples(w *Writer, q RecordSamplesReq) error {
 // DecodeRecordSamples parses a RecordSamples body.
 func DecodeRecordSamples(r *Reader, flags uint8) (q RecordSamplesReq) {
 	q.Flags = flags
-	q.AC = r.U32()
-	q.Time = r.U32()
-	q.NBytes = r.U32()
+	if b := r.BytesRef(12); b != nil { // three words, one length check
+		big := bigEndian(r.Order)
+		q.AC, q.Time, q.NBytes = get32(b, big), get32(b[4:], big), get32(b[8:], big)
+	}
 	return
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // ErrShort reports a truncated or over-read message.
@@ -68,23 +69,72 @@ func (w *Writer) Bytes(b []byte) { w.Buf = append(w.Buf, b...) }
 // String4 appends a string padded with zero bytes to a 4-byte boundary.
 func (w *Writer) String4(s string) {
 	w.Buf = append(w.Buf, s...)
-	for len(w.Buf)%4 != 0 {
-		w.Buf = append(w.Buf, 0)
-	}
+	w.Pad()
 }
 
-// Pad appends zero bytes to a 4-byte boundary.
+// Pad appends zero bytes to a 4-byte boundary. Most buffers are already
+// on one (every request ends with a Pad), and that costs a test.
 func (w *Writer) Pad() {
-	for len(w.Buf)%4 != 0 {
-		w.Buf = append(w.Buf, 0)
+	if n := -len(w.Buf) & 3; n != 0 {
+		w.Buf = append(w.Buf, zeros[:n]...)
 	}
 }
 
 // Skip appends n zero bytes.
 func (w *Writer) Skip(n int) {
-	for i := 0; i < n; i++ {
-		w.Buf = append(w.Buf, 0)
+	for ; n > len(zeros); n -= len(zeros) {
+		w.Buf = append(w.Buf, zeros[:]...)
 	}
+	w.Buf = append(w.Buf, zeros[:n]...)
+}
+
+// zeros is the block every run of zero bytes is appended from: pads,
+// skipped fields and the blank a fixed-size message's fields are stored
+// into (appendFixed).
+var zeros [EventBytes]byte
+
+// appendFixed grows b once by a zeroed fixed-size message of n bytes
+// (n <= EventBytes) and returns b and the message, ready for its fields.
+func appendFixed(b []byte, n int) (grown, msg []byte) {
+	off := len(b)
+	b = append(b, zeros[:n]...)
+	return b, b[off : off+n : off+n]
+}
+
+// bigEndian resolves a wire order to the one branch the fixed-size codecs
+// take per field: once per message, where a call through the ByteOrder
+// interface is paid per field. Anything but big-endian is little-endian,
+// as in U16 and U32.
+func bigEndian(order binary.ByteOrder) bool { return order == binary.BigEndian }
+
+func put16(b []byte, v uint16, big bool) {
+	if big {
+		v = bits.ReverseBytes16(v)
+	}
+	binary.LittleEndian.PutUint16(b, v)
+}
+
+func put32(b []byte, v uint32, big bool) {
+	if big {
+		v = bits.ReverseBytes32(v)
+	}
+	binary.LittleEndian.PutUint32(b, v)
+}
+
+func get16(b []byte, big bool) uint16 {
+	v := binary.LittleEndian.Uint16(b)
+	if big {
+		v = bits.ReverseBytes16(v)
+	}
+	return v
+}
+
+func get32(b []byte, big bool) uint32 {
+	v := binary.LittleEndian.Uint32(b)
+	if big {
+		v = bits.ReverseBytes32(v)
+	}
+	return v
 }
 
 // BeginRequest appends a request header with a length placeholder and
@@ -106,7 +156,7 @@ func (w *Writer) EndRequest(off int) error {
 	if n > MaxRequestBytes {
 		return fmt.Errorf("proto: request length %d exceeds maximum %d", n, MaxRequestBytes)
 	}
-	w.Order.PutUint16(w.Buf[off+2:off+4], uint16(n/4))
+	put16(w.Buf[off+2:off+4], uint16(n/4), bigEndian(w.Order))
 	return nil
 }
 
@@ -150,7 +200,7 @@ func (r *Reader) U16() uint16 {
 		r.fail()
 		return 0
 	}
-	v := r.Order.Uint16(r.Buf[r.Pos:])
+	v := get16(r.Buf[r.Pos:], bigEndian(r.Order))
 	r.Pos += 2
 	return v
 }
@@ -161,7 +211,7 @@ func (r *Reader) U32() uint32 {
 		r.fail()
 		return 0
 	}
-	v := r.Order.Uint32(r.Buf[r.Pos:])
+	v := get32(r.Buf[r.Pos:], bigEndian(r.Order))
 	r.Pos += 4
 	return v
 }

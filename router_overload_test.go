@@ -16,6 +16,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -35,7 +36,12 @@ func TestRouterOverloadEviction(t *testing.T) {
 		// The reply stream must overflow kernel socket buffering on BOTH
 		// hops (backend→router and router→client) before user-space
 		// queueing — and thus the eviction policy — sees backpressure.
+		// What the hops can hold is pinned below (hopBufBytes), so the
+		// flood exceeds it by two orders of magnitude on any host; left to
+		// TCP autotuning, a 32 MB tcp_rmem ceiling absorbed all 25.6 MB of
+		// it about one run in fifteen.
 		floodRequests = 800_000
+		hopBufBytes   = 64 << 10
 	)
 
 	clk := vdev.NewManualClock(rate)
@@ -48,10 +54,16 @@ func TestRouterOverloadEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bl, err := srv.Listen("tcp", "127.0.0.1:0")
+	// The router→backend hop is a unix socket: its buffering is the
+	// sender's SO_SNDBUF and does not autotune, and the side that sends
+	// the replies is a conn the test's own listener accepts and pins. The
+	// router→client hop stays TCP: its sending side is pinned the same way
+	// and its receiving side by the flooder itself.
+	bl, err := net.Listen("unix", filepath.Join(t.TempDir(), "backend"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	go srv.Serve(pinnedListener{bl, hopBufBytes}) //nolint:errcheck — ends when the listener closes
 	router, err := aserver.NewRouter(aserver.RouterOptions{
 		Backends:      []string{bl.Addr().String()},
 		ProbeInterval: 25 * time.Millisecond,
@@ -67,10 +79,11 @@ func TestRouterOverloadEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rl, err := router.Listen("tcp", "127.0.0.1:0")
+	rl, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	go router.Serve(pinnedListener{rl, hopBufBytes}) //nolint:errcheck — ends when the listener closes
 	routerAddr := rl.Addr().String()
 
 	// Clock stepper so canary parks resolve.
@@ -103,17 +116,20 @@ func TestRouterOverloadEviction(t *testing.T) {
 
 	// The wedged consumer, through the router: floods pipelined GetTime
 	// requests and never reads a reply. Its receive buffer is pinned
-	// small so the kernel cannot drain the reply stream for it.
+	// small so the kernel cannot drain the reply stream for it. It floods
+	// until it is cut or the test, having seen the eviction, hangs up for
+	// it: a TCP peer that never reads advertises a zero window, and a
+	// reset that arrives behind unacknowledged reply bytes is outside that
+	// window and ignored, so the flooder cannot count on hearing the cut.
+	nc, err := net.Dial("tcp", routerAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
 	var floodWG sync.WaitGroup
 	floodWG.Add(1)
 	go func() {
 		defer floodWG.Done()
-		nc, err := net.Dial("tcp", routerAddr)
-		if err != nil {
-			fail(err)
-			return
-		}
-		defer nc.Close()
 		if tc, ok := nc.(*net.TCPConn); ok {
 			tc.SetReadBuffer(4096) //nolint:errcheck
 		}
@@ -138,17 +154,11 @@ func TestRouterOverloadEviction(t *testing.T) {
 		}
 		for i := 0; i < floodRequests; i += burst {
 			if _, err := nc.Write(w.Buf); err != nil {
-				return // cut by the eviction: the expected outcome
+				return // cut by the eviction, or hung up for: the expected outcome
 			}
 		}
-		// Never read; wait for the reset to reach us.
-		nc.SetReadDeadline(time.Now().Add(30 * time.Second)) //nolint:errcheck
-		var buf [1]byte
-		for {
-			if _, err := nc.Read(buf[:]); err != nil {
-				return
-			}
-		}
+		// The whole flood went out: the conn stays open and unread until
+		// the test has its verdict.
 	}()
 
 	// The canary: a routed client whose every operation must succeed
@@ -201,7 +211,11 @@ func TestRouterOverloadEviction(t *testing.T) {
 			t.Fatalf("%s did not finish in %v", what, timeout)
 		}
 	}
-	waitDone("flooder", &floodWG, 60*time.Second)
+	waitFor(t, 60*time.Second, "the backend to evict the wedged flooder", func() bool {
+		return srv.Snapshot().Evictions >= 1
+	})
+	nc.Close()
+	waitDone("flooder", &floodWG, 10*time.Second)
 	waitDone("canary", &canaryWG, 60*time.Second)
 	close(stop)
 	stepWG.Wait()
@@ -248,4 +262,25 @@ func TestRouterOverloadEviction(t *testing.T) {
 
 	bl.Close()
 	srv.Close()
+}
+
+// pinnedListener pins SO_SNDBUF on every conn it accepts — the side of
+// each hop that sends replies — so what the hop can hold in the kernel is
+// a constant of the test rather than whatever buffer autotuning grows to
+// on this host. SO_RCVBUF is left alone on purpose: it is the request
+// direction, which bounds nothing here, and a pinned 64 KiB window against
+// loopback's 64 KiB segments wedges the flooder in zero-window probing
+// (neither side's window updates are in the other's window), so it cannot
+// see the reset the eviction sends.
+type pinnedListener struct {
+	net.Listener
+	sndBuf int
+}
+
+func (l pinnedListener) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if sock, ok := conn.(interface{ SetWriteBuffer(int) error }); ok && err == nil {
+		sock.SetWriteBuffer(l.sndBuf) //nolint:errcheck — best effort, as the flooder's own pin
+	}
+	return conn, err
 }
