@@ -90,17 +90,13 @@ func (c *Conn) CreateAC(device int, mask uint32, attrs ACAttributes) (*AC, error
 	}
 	c.nextACID++
 	applyMask(&ac.Attributes, mask, attrs)
-	err := proto.AppendCreateAC(&c.w, proto.CreateACReq{
+	err := c.oneWay(proto.AppendCreateAC(&c.w, proto.CreateACReq{
 		AC:     ac.id,
 		Device: uint32(device),
 		Mask:   mask,
 		Attrs:  wireAttrs(attrs),
-	})
+	}))
 	if err != nil {
-		return nil, err
-	}
-	c.sentSeq++
-	if err := c.finishReq(); err != nil {
 		return nil, err
 	}
 	c.acs[ac.id] = ac
@@ -135,16 +131,11 @@ func (ac *AC) ChangeAttributes(mask uint32, attrs ACAttributes) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	applyMask(&ac.Attributes, mask, attrs)
-	err := proto.AppendChangeAC(&c.w, proto.ChangeACReq{
+	return c.oneWay(proto.AppendChangeAC(&c.w, proto.ChangeACReq{
 		AC:    ac.id,
 		Mask:  mask,
 		Attrs: wireAttrs(attrs),
-	})
-	if err != nil {
-		return err
-	}
-	c.sentSeq++
-	return c.finishReq()
+	}))
 }
 
 // Free releases the context's server resources (AFFreeAC).
@@ -162,11 +153,7 @@ func (ac *AC) Free() error {
 		// local routing so in-flight chunks are discarded, not misdelivered.
 		ac.sub.detachLocked()
 	}
-	if err := proto.AppendFreeAC(&c.w, ac.id); err != nil {
-		return err
-	}
-	c.sentSeq++
-	return c.finishReq()
+	return c.oneWay(proto.AppendFreeAC(&c.w, ac.id))
 }
 
 // framesToBytes converts a frame count to wire bytes under this context.
@@ -487,11 +474,7 @@ func (c *Conn) GetTime(device int) (ATime, error) {
 }
 
 func (c *Conn) getTimeLocked(device int) (ATime, error) {
-	if err := proto.AppendDeviceReq(&c.w, proto.OpGetTime, uint32(device)); err != nil {
-		return 0, err
-	}
-	c.sentSeq++
-	rep, err := c.awaitReply(c.sentSeq)
+	rep, err := c.roundTrip(proto.AppendDeviceReq(&c.w, proto.OpGetTime, uint32(device)))
 	if err != nil {
 		return 0, err
 	}

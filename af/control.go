@@ -13,25 +13,16 @@ import (
 func (c *Conn) asyncDeviceReq(op uint8, device int) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := proto.AppendDeviceReq(&c.w, op, uint32(device)); err != nil {
-		return err
-	}
-	c.sentSeq++
-	return c.finishReq()
+	return c.oneWay(proto.AppendDeviceReq(&c.w, op, uint32(device)))
 }
 
 // asyncMaskReq buffers a device+mask request.
 func (c *Conn) asyncMaskReq(op uint8, device int, mask uint32) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	err := proto.AppendDeviceMaskReq(&c.w, op, proto.DeviceMaskReq{
+	return c.oneWay(proto.AppendDeviceMaskReq(&c.w, op, proto.DeviceMaskReq{
 		Device: uint32(device), Mask: mask,
-	})
-	if err != nil {
-		return err
-	}
-	c.sentSeq++
-	return c.finishReq()
+	}))
 }
 
 // EnableInput enables device inputs by mask (AFEnableInput).
@@ -68,14 +59,9 @@ func (c *Conn) SetOutputGain(device int, gainDB int) error {
 func (c *Conn) setGain(op uint8, device, gainDB int) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	err := proto.AppendGainReq(&c.w, op, proto.GainReq{
+	return c.oneWay(proto.AppendGainReq(&c.w, op, proto.GainReq{
 		Device: uint32(device), Gain: int32(gainDB),
-	})
-	if err != nil {
-		return err
-	}
-	c.sentSeq++
-	return c.finishReq()
+	}))
 }
 
 // QueryInputGain returns the current, minimum and maximum input gain of a
@@ -93,11 +79,7 @@ func (c *Conn) QueryOutputGain(device int) (cur, min, max int, err error) {
 func (c *Conn) queryGain(op uint8, device int) (cur, min, max int, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err = proto.AppendDeviceReq(&c.w, op, uint32(device)); err != nil {
-		return
-	}
-	c.sentSeq++
-	rep, err := c.awaitReply(c.sentSeq)
+	rep, err := c.roundTrip(proto.AppendDeviceReq(&c.w, op, uint32(device)))
 	if err != nil {
 		return
 	}
@@ -119,14 +101,9 @@ func (c *Conn) HookSwitch(device int, offHook bool) error {
 	if offHook {
 		state = proto.HookOff
 	}
-	err := proto.AppendHookSwitch(&c.w, proto.HookSwitchReq{
+	return c.oneWay(proto.AppendHookSwitch(&c.w, proto.HookSwitchReq{
 		Device: uint32(device), State: state,
-	})
-	if err != nil {
-		return err
-	}
-	c.sentSeq++
-	return c.finishReq()
+	}))
 }
 
 // FlashHook flashes the hookswitch for the given duration in milliseconds
@@ -134,14 +111,9 @@ func (c *Conn) HookSwitch(device int, offHook bool) error {
 func (c *Conn) FlashHook(device int, durationMs int) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	err := proto.AppendFlashHook(&c.w, proto.FlashHookReq{
+	return c.oneWay(proto.AppendFlashHook(&c.w, proto.FlashHookReq{
 		Device: uint32(device), DurationMs: uint32(durationMs),
-	})
-	if err != nil {
-		return err
-	}
-	c.sentSeq++
-	return c.finishReq()
+	}))
 }
 
 // QueryPhone returns a telephone device's hookswitch and loop-current
@@ -149,11 +121,7 @@ func (c *Conn) FlashHook(device int, durationMs int) error {
 func (c *Conn) QueryPhone(device int) (offHook, loopCurrent bool, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err = proto.AppendDeviceReq(&c.w, proto.OpQueryPhone, uint32(device)); err != nil {
-		return
-	}
-	c.sentSeq++
-	rep, err := c.awaitReply(c.sentSeq)
+	rep, err := c.roundTrip(proto.AppendDeviceReq(&c.w, proto.OpQueryPhone, uint32(device)))
 	if err != nil {
 		return
 	}
@@ -166,14 +134,9 @@ func (c *Conn) QueryPhone(device int) (offHook, loopCurrent bool, err error) {
 func (c *Conn) EnablePassThrough(device, other int) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	err := proto.AppendEnablePassThrough(&c.w, proto.PassThroughReq{
+	return c.oneWay(proto.AppendEnablePassThrough(&c.w, proto.PassThroughReq{
 		Device: uint32(device), Other: uint32(other),
-	})
-	if err != nil {
-		return err
-	}
-	c.sentSeq++
-	return c.finishReq()
+	}))
 }
 
 // DisablePassThrough removes a pass-through connection
@@ -202,11 +165,7 @@ const (
 func (c *Conn) SetAccessControl(enable bool) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := proto.AppendSetAccessControl(&c.w, enable); err != nil {
-		return err
-	}
-	c.sentSeq++
-	return c.finishReq()
+	return c.oneWay(proto.AppendSetAccessControl(&c.w, enable))
 }
 
 // AddHost adds a host to the access list (AFAddHost).
@@ -242,15 +201,10 @@ func (c *Conn) RemoveHosts(hs []HostEntry) error {
 func (c *Conn) changeHost(mode uint8, h HostEntry) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	err := proto.AppendChangeHosts(&c.w, proto.ChangeHostsReq{
+	return c.oneWay(proto.AppendChangeHosts(&c.w, proto.ChangeHostsReq{
 		Mode: mode,
 		Host: proto.HostEntry{Family: h.Family, Addr: h.Addr},
-	})
-	if err != nil {
-		return err
-	}
-	c.sentSeq++
-	return c.finishReq()
+	}))
 }
 
 // ListHosts returns the access list and whether access control is
@@ -258,11 +212,7 @@ func (c *Conn) changeHost(mode uint8, h HostEntry) error {
 func (c *Conn) ListHosts() (enabled bool, hosts []HostEntry, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err = proto.AppendEmptyReq(&c.w, proto.OpListHosts, 0); err != nil {
-		return
-	}
-	c.sentSeq++
-	rep, err := c.awaitReply(c.sentSeq)
+	rep, err := c.roundTrip(proto.AppendEmptyReq(&c.w, proto.OpListHosts, 0))
 	if err != nil {
 		return
 	}
@@ -286,11 +236,7 @@ func (c *Conn) ListHosts() (enabled bool, hosts []HostEntry, err error) {
 func (c *Conn) QueryExtension(name string) (bool, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := proto.AppendQueryExtension(&c.w, proto.QueryExtensionReq{Name: name}); err != nil {
-		return false, err
-	}
-	c.sentSeq++
-	rep, err := c.awaitReply(c.sentSeq)
+	rep, err := c.roundTrip(proto.AppendQueryExtension(&c.w, proto.QueryExtensionReq{Name: name}))
 	if err != nil {
 		return false, err
 	}
@@ -302,11 +248,7 @@ func (c *Conn) QueryExtension(name string) (bool, error) {
 func (c *Conn) ListExtensions() ([]string, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := proto.AppendEmptyReq(&c.w, proto.OpListExtensions, 0); err != nil {
-		return nil, err
-	}
-	c.sentSeq++
-	rep, err := c.awaitReply(c.sentSeq)
+	rep, err := c.roundTrip(proto.AppendEmptyReq(&c.w, proto.OpListExtensions, 0))
 	if err != nil {
 		return nil, err
 	}

@@ -22,14 +22,9 @@ const (
 func (c *Conn) SelectEvents(device int, mask uint32) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	err := proto.AppendSelectEvents(&c.w, proto.SelectEventsReq{
+	return c.oneWay(proto.AppendSelectEvents(&c.w, proto.SelectEventsReq{
 		Device: uint32(device), Mask: mask,
-	})
-	if err != nil {
-		return err
-	}
-	c.sentSeq++
-	return c.finishReq()
+	}))
 }
 
 // Pending returns the number of events received but not yet processed

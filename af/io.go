@@ -16,9 +16,14 @@ import (
 // errClosed reports use of a closed connection.
 var errClosed = errors.New("af: connection closed")
 
-// finishReq runs the post-request hooks: synchronous mode and the after
-// function.
-func (c *Conn) finishReq() error {
+// oneWay finishes a request that draws no reply, given what the
+// proto.Append* call that buffered it returned: it counts the request and
+// runs the post-request hooks, synchronous mode and the after function.
+func (c *Conn) oneWay(err error) error {
+	if err != nil {
+		return err
+	}
+	c.sentSeq++
 	if c.afterFunc != nil {
 		c.afterFunc(c)
 	}
@@ -177,6 +182,17 @@ func protoErrFromWire(e *proto.ErrorMsg) *ProtoError {
 	return &ProtoError{Code: e.Code, Seq: e.Seq, BadValue: e.BadValue, MajorOp: e.MajorOp}
 }
 
+// roundTrip finishes a request that draws a reply, given what the
+// proto.Append* call that buffered it returned: it counts the request,
+// flushes and waits for the reply. The post-request hooks do not run.
+func (c *Conn) roundTrip(err error) (*proto.Reply, error) {
+	if err != nil {
+		return nil, err
+	}
+	c.sentSeq++
+	return c.awaitReply(c.sentSeq)
+}
+
 // awaitReply flushes and reads until the reply (or error) for the request
 // with the given sequence number arrives.
 func (c *Conn) awaitReply(seq uint16) (*proto.Reply, error) {
@@ -243,11 +259,7 @@ func (c *Conn) writeVectored(vec [][]byte) error {
 // buffer and waits for the server to process everything sent so far,
 // surfacing any queued asynchronous errors along the way.
 func (c *Conn) syncLocked() error {
-	if err := proto.AppendEmptyReq(&c.w, proto.OpSyncConnection, 0); err != nil {
-		return err
-	}
-	c.sentSeq++
-	_, err := c.awaitReply(c.sentSeq)
+	_, err := c.roundTrip(proto.AppendEmptyReq(&c.w, proto.OpSyncConnection, 0))
 	return err
 }
 
@@ -263,9 +275,5 @@ func (c *Conn) Sync() error {
 func (c *Conn) NoOp() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := proto.AppendEmptyReq(&c.w, proto.OpNoOperation, 0); err != nil {
-		return err
-	}
-	c.sentSeq++
-	return c.finishReq()
+	return c.oneWay(proto.AppendEmptyReq(&c.w, proto.OpNoOperation, 0))
 }

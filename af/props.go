@@ -43,14 +43,9 @@ const (
 func (c *Conn) InternAtom(name string, onlyIfExists bool) (Atom, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	err := proto.AppendInternAtom(&c.w, proto.InternAtomReq{
+	rep, err := c.roundTrip(proto.AppendInternAtom(&c.w, proto.InternAtomReq{
 		OnlyIfExists: onlyIfExists, Name: name,
-	})
-	if err != nil {
-		return 0, err
-	}
-	c.sentSeq++
-	rep, err := c.awaitReply(c.sentSeq)
+	}))
 	if err != nil {
 		return 0, err
 	}
@@ -61,11 +56,7 @@ func (c *Conn) InternAtom(name string, onlyIfExists bool) (Atom, error) {
 func (c *Conn) GetAtomName(a Atom) (string, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := proto.AppendGetAtomName(&c.w, uint32(a)); err != nil {
-		return "", err
-	}
-	c.sentSeq++
-	rep, err := c.awaitReply(c.sentSeq)
+	rep, err := c.roundTrip(proto.AppendGetAtomName(&c.w, uint32(a)))
 	if err != nil {
 		return "", err
 	}
@@ -84,34 +75,24 @@ func (c *Conn) GetAtomName(a Atom) (string, error) {
 func (c *Conn) ChangeProperty(device int, prop, typ Atom, format uint8, mode uint8, data []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	err := proto.AppendChangeProperty(&c.w, proto.ChangePropertyReq{
+	return c.oneWay(proto.AppendChangeProperty(&c.w, proto.ChangePropertyReq{
 		Device:   uint32(device),
 		Property: uint32(prop),
 		Type:     uint32(typ),
 		Format:   format,
 		Mode:     mode,
 		Data:     data,
-	})
-	if err != nil {
-		return err
-	}
-	c.sentSeq++
-	return c.finishReq()
+	}))
 }
 
 // DeleteProperty removes a property from a device (AFDeleteProperty).
 func (c *Conn) DeleteProperty(device int, prop Atom) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	err := proto.AppendDeleteProperty(&c.w, proto.DeletePropertyReq{
+	return c.oneWay(proto.AppendDeleteProperty(&c.w, proto.DeletePropertyReq{
 		Device:   uint32(device),
 		Property: uint32(prop),
-	})
-	if err != nil {
-		return err
-	}
-	c.sentSeq++
-	return c.finishReq()
+	}))
 }
 
 // PropertyValue is the result of GetProperty.
@@ -128,17 +109,12 @@ type PropertyValue struct {
 func (c *Conn) GetProperty(device int, prop, typ Atom, del bool) (PropertyValue, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	err := proto.AppendGetProperty(&c.w, proto.GetPropertyReq{
+	rep, err := c.roundTrip(proto.AppendGetProperty(&c.w, proto.GetPropertyReq{
 		Device:   uint32(device),
 		Property: uint32(prop),
 		Type:     uint32(typ),
 		Delete:   del,
-	})
-	if err != nil {
-		return PropertyValue{}, err
-	}
-	c.sentSeq++
-	rep, err := c.awaitReply(c.sentSeq)
+	}))
 	if err != nil {
 		return PropertyValue{}, err
 	}
@@ -160,11 +136,7 @@ func (c *Conn) GetProperty(device int, prop, typ Atom, del bool) (PropertyValue,
 func (c *Conn) ListProperties(device int) ([]Atom, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := proto.AppendDeviceReq(&c.w, proto.OpListProperties, uint32(device)); err != nil {
-		return nil, err
-	}
-	c.sentSeq++
-	rep, err := c.awaitReply(c.sentSeq)
+	rep, err := c.roundTrip(proto.AppendDeviceReq(&c.w, proto.OpListProperties, uint32(device)))
 	if err != nil {
 		return nil, err
 	}

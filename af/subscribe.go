@@ -61,11 +61,7 @@ func (ac *AC) Subscribe() (*Subscription, ATime, error) {
 	if ac.sub != nil && !ac.sub.closed {
 		return nil, 0, fmt.Errorf("af: context already subscribed")
 	}
-	if err := proto.AppendSubscribe(&c.w, ac.id); err != nil {
-		return nil, 0, err
-	}
-	c.sentSeq++
-	rep, err := c.awaitReply(c.sentSeq)
+	rep, err := c.roundTrip(proto.AppendSubscribe(&c.w, ac.id))
 	if err != nil {
 		return nil, 0, err
 	}
@@ -150,11 +146,7 @@ func (s *Subscription) Unsubscribe() error {
 		return nil
 	}
 	s.detachLocked()
-	if err := proto.AppendUnsubscribe(&c.w, s.ac.id); err != nil {
-		return err
-	}
-	c.sentSeq++
-	_, err := c.awaitReply(c.sentSeq)
+	_, err := c.roundTrip(proto.AppendUnsubscribe(&c.w, s.ac.id))
 	return err
 }
 

@@ -114,6 +114,10 @@ type client struct {
 	// lock drops, so it is empty between groups and teardown never finds
 	// bytes here.
 	stage *wireMsg
+
+	// req is the control request in dispatch (dispatchControl); touched
+	// only by the reader, under Server.ctl.
+	req ctlReq
 }
 
 // newClient builds a connection's server-side state with the server's
@@ -132,6 +136,7 @@ func newClient(s *Server, conn net.Conn, order binary.ByteOrder) *client {
 		eventMasks: make(map[int]uint32),
 	}
 	c.vec = c.vecArr[:0]
+	c.req.c, c.req.r.Order = c, order
 	c.bindRaw()
 	// Field-by-field: evictPolicy holds an atomic and must not be copied.
 	c.flow.budget = s.budget.clientQueue
@@ -233,14 +238,6 @@ func (s *Server) handleConn(conn net.Conn) {
 	c.reader()
 }
 
-// hotOp is the one statement of which lock an opcode's handler runs
-// under: the owning engine's for the data plane (dispatchHotGroup), the
-// control lock for everything else (dispatchControl).
-func hotOp(op uint8) bool {
-	return op == proto.OpPlaySamples || op == proto.OpRecordSamples ||
-		op == proto.OpGetTime
-}
-
 // ingressBytes sizes a reader's ingress buffer: one read(2) takes a whole
 // client burst — a full run of small requests, or three 8 KiB play chunks
 // shipped as one writev. A constant chosen by measurement: EXPERIMENTS.md,
@@ -272,7 +269,7 @@ const maxRunLen = 32
 
 // reader takes what the client sent in one read, frames every whole
 // request where it landed (nextRun) and runs each to completion, in order,
-// under the lock hotOp names for it (dispatchRun), before it reads again.
+// under the lock its opTable row names (dispatchRun), before it reads again.
 // It reads one run ahead of a blocked (parked) request — the read keeps
 // disconnect detection live; the barrier before dispatch keeps FIFO order.
 func (c *client) reader() {
@@ -389,7 +386,7 @@ func (c *client) dispatchRun(run []runFrame, await *parked) *parked {
 			c.inRun.Store(true)
 		}
 		rf := run[i]
-		if !hotOp(rf.op) {
+		if !opTable[rf.op].hot {
 			c.s.ctl.Lock()
 			if !c.dead.Load() { // removeClient may have won the lock
 				c.s.dispatchControl(c, rf)

@@ -1,9 +1,12 @@
 package aserver
 
 import (
+	"bytes"
+	"slices"
 	"time"
 
 	"audiofile/internal/atime"
+	"audiofile/internal/core"
 	"audiofile/internal/phonesim"
 	"audiofile/internal/proto"
 	"audiofile/internal/sampleconv"
@@ -98,7 +101,7 @@ func (s *Server) dispatchHotGroup(c *client, run []runFrame) (int, *parked) {
 	var h hotReq
 	for i := range run {
 		rf := &run[i]
-		if !hotOp(rf.op) {
+		if !opTable[rf.op].hot {
 			break
 		}
 		s.hotEngine(c, rf, &h)
@@ -195,458 +198,218 @@ func (s *Server) dispatchHotGroup(c *client, run []runFrame) (int, *parked) {
 	return consumed, park
 }
 
+// target is what the first word of a request body names. The dispatcher
+// resolves it before the handler runs, so a handler never meets a device,
+// line or context that does not exist.
+type target uint8
+
+const (
+	noTarget   target = iota
+	devTarget         // a device index
+	lineTarget        // a device with a telephone line
+	acTarget          // an audio context of this connection
+)
+
+// targetErr is the error that answers a first word naming nothing.
+var targetErr = [...]uint8{devTarget: proto.ErrDevice, lineTarget: proto.ErrMatch, acTarget: proto.ErrAC}
+
+// opRow is what the dispatcher knows about one opcode.
+type opRow struct {
+	// hot rows are the data plane: dispatchHotGroup serves them under the
+	// owning engine's lock and hotEngine validates them. Every other row's
+	// handler runs under ctl, from dispatchControl.
+	hot    bool
+	target target
+	fixed  int // bytes of the body's fixed fields, as proto.Append* lays them out
+	handle func(*Server, *ctlReq)
+}
+
+// opTable is the one statement of every opcode: the DIA's table of
+// handlers, indexed by request type. A row without a handler that is not
+// hot is not a request.
+var opTable = [256]opRow{
+	proto.OpSelectEvents:       {target: devTarget, fixed: 8, handle: (*Server).selectEvents},
+	proto.OpCreateAC:           {fixed: 20, handle: (*Server).createAC},
+	proto.OpChangeACAttributes: {target: acTarget, fixed: 16, handle: (*Server).changeAC},
+	proto.OpFreeAC:             {target: acTarget, fixed: 4, handle: (*Server).freeAC},
+	proto.OpPlaySamples:        {hot: true, target: acTarget, fixed: 12},
+	proto.OpRecordSamples:      {hot: true, target: acTarget, fixed: 12},
+	proto.OpGetTime:            {hot: true, target: devTarget, fixed: 4},
+	proto.OpQueryPhone:         {target: lineTarget, fixed: 4, handle: (*Server).queryPhone},
+	proto.OpEnablePassThrough:  {target: devTarget, fixed: 8, handle: (*Server).enablePassThrough},
+	proto.OpDisablePassThrough: {target: devTarget, fixed: 4, handle: (*Server).disablePassThrough},
+	proto.OpHookSwitch:         {target: lineTarget, fixed: 4, handle: (*Server).hookSwitch},
+	proto.OpFlashHook:          {target: lineTarget, fixed: 8, handle: (*Server).flashHook},
+	proto.OpEnableGainControl:  {handle: (*Server).setGainControl},
+	proto.OpDisableGainControl: {handle: (*Server).setGainControl},
+	proto.OpDialPhone:          {handle: unimplemented},
+	proto.OpSetInputGain:       {target: devTarget, fixed: 8, handle: setGain((*core.Device).SetInputGain)},
+	proto.OpSetOutputGain:      {target: devTarget, fixed: 8, handle: setGain((*core.Device).SetOutputGain)},
+	proto.OpQueryInputGain:     {target: devTarget, fixed: 4, handle: queryGain((*core.Device).InputGain)},
+	proto.OpQueryOutputGain:    {target: devTarget, fixed: 4, handle: queryGain((*core.Device).OutputGain)},
+	proto.OpEnableInput:        {target: devTarget, fixed: 8, handle: ioMask((*core.Device).EnableInputs)},
+	proto.OpEnableOutput:       {target: devTarget, fixed: 8, handle: ioMask((*core.Device).EnableOutputs)},
+	proto.OpDisableInput:       {target: devTarget, fixed: 8, handle: ioMask((*core.Device).DisableInputs)},
+	proto.OpDisableOutput:      {target: devTarget, fixed: 8, handle: ioMask((*core.Device).DisableOutputs)},
+	proto.OpSetAccessControl:   {handle: (*Server).setAccessControl},
+	proto.OpChangeHosts:        {fixed: 4, handle: (*Server).changeHosts},
+	proto.OpListHosts:          {handle: (*Server).listHosts},
+	proto.OpInternAtom:         {fixed: 4, handle: (*Server).internAtom},
+	proto.OpGetAtomName:        {fixed: 4, handle: (*Server).getAtomName},
+	proto.OpChangeProperty:     {target: devTarget, fixed: 20, handle: (*Server).changeProperty},
+	proto.OpDeleteProperty:     {target: devTarget, fixed: 8, handle: (*Server).deleteProperty},
+	proto.OpGetProperty:        {target: devTarget, fixed: 12, handle: (*Server).getProperty},
+	proto.OpListProperties:     {target: devTarget, fixed: 4, handle: (*Server).listProperties},
+	proto.OpNoOperation:        {handle: func(*Server, *ctlReq) {}}, // no reply either
+	proto.OpSyncConnection:     {handle: emptyReply},                // the round trip is the point
+	proto.OpQueryExtension:     {fixed: 4, handle: (*Server).queryExtension},
+	proto.OpListExtensions:     {handle: emptyReply}, // Data 0: none are implemented
+	proto.OpKillClient:         {handle: unimplemented},
+	proto.OpSubscribe:          {target: acTarget, fixed: 4, handle: (*Server).subscribe},
+	proto.OpUnsubscribe:        {target: acTarget, fixed: 4, handle: (*Server).unsubscribe},
+}
+
+// ctlReq is the control request a connection is dispatching: what the
+// dispatcher hands a handler. There is one per client, not one per
+// request — a value passed through the table's function pointers would
+// escape to the heap, and only the connection's reader dispatches for it,
+// one request at a time, under ctl.
+type ctlReq struct {
+	c       *client
+	op, ext uint8
+	seq     uint16
+	r       proto.Reader // over the body; the dispatcher consumes nothing
+	// What the row's target resolved to: the first word itself (a device
+	// index, or the context's id), and the line or context it names.
+	first uint32
+	line  *phonesim.Line
+	a     *ac
+}
+
+func (q *ctlReq) reply(p *proto.Reply)        { q.c.sendReply(p, q.seq) }
+func (q *ctlReq) fail(code uint8, bad uint32) { q.c.sendError(code, bad, q.op, q.seq) }
+
+// tailShort answers ErrLength for a body that ended before the variable
+// tail its fixed fields announce, and reports that it did. Only the four
+// requests that carry one ask, after decoding and before acting.
+func (q *ctlReq) tailShort() bool {
+	if q.r.Err == nil {
+		return false
+	}
+	q.fail(proto.ErrLength, 0)
+	return true
+}
+
 // dispatchControl indexes the request type into the handler table, as
-// the DIA dispatcher does, and runs the handler to completion. Caller
-// holds s.ctl.
+// the DIA dispatcher does, and runs the handler to completion. It counts
+// the request and answers, before any handler runs, the three things a
+// row states: an opcode that is none (ErrRequest), a body shorter than
+// its fixed fields (ErrLength — a decoder reads zeros past the end, and
+// zeros name device 0, AC 0 and gain 0), and a first word that names
+// nothing (targetErr). Caller holds s.ctl.
 func (s *Server) dispatchControl(c *client, rf runFrame) {
 	t0 := time.Now()
 	c.lastActive.Store(t0.UnixNano())
-	s.dispatchControlInner(c, rf)
+	q, row := &c.req, &opTable[rf.op]
+	q.op, q.ext, q.seq = rf.op, rf.ext, uint16(c.seq.Add(1))
+	q.r.Buf, q.r.Pos, q.r.Err = rf.body, 0, nil
+	s.requestCount.Add(1)
+	if row.handle == nil {
+		q.fail(proto.ErrRequest, uint32(rf.op))
+	} else if len(rf.body) < row.fixed {
+		q.fail(proto.ErrLength, 0)
+	} else if s.resolve(q, row.target) {
+		row.handle(s, q)
+	}
 	s.sm.dispatchControl.Observe(time.Since(t0).Nanoseconds())
 	// Control ops always dispatch as a batch of one (ordered after the
 	// request count, as in dispatchHotGroup).
 	s.sm.dispatchBatch.Observe(1)
 }
 
-func (s *Server) dispatchControlInner(c *client, rf runFrame) {
-	seq := uint16(c.seq.Add(1))
-	s.requestCount.Add(1)
-	r := proto.NewReader(c.order, rf.body)
-	switch rf.op {
-	case proto.OpSelectEvents:
-		q := proto.DecodeSelectEvents(r)
-		if c.short(r, rf.op, seq) {
-			return
-		}
-		if !s.validDevice(q.Device) {
-			c.sendError(proto.ErrDevice, q.Device, rf.op, seq)
-			return
-		}
-		s.clientMu.Lock()
-		c.eventMasks[int(q.Device)] = q.Mask
-		s.clientMu.Unlock()
-
-	case proto.OpCreateAC:
-		q := proto.DecodeCreateAC(r)
-		if c.short(r, rf.op, seq) {
-			return
-		}
-		s.handleCreateAC(c, rf.op, q, seq)
-
-	case proto.OpChangeACAttributes:
-		q := proto.DecodeChangeAC(r)
-		if c.short(r, rf.op, seq) {
-			return
-		}
-		a := c.acs[q.AC]
-		if a == nil {
-			c.sendError(proto.ErrAC, q.AC, rf.op, seq)
-			return
-		}
-		s.applyACAttrs(c, rf.op, a, q.Mask, q.Attrs, seq)
-
-	case proto.OpFreeAC:
-		id := r.U32()
-		if c.short(r, rf.op, seq) {
-			return
-		}
-		a := c.acs[id]
-		if a == nil {
-			c.sendError(proto.ErrAC, id, rf.op, seq)
-			return
-		}
-		s.releaseAC(a)
-		delete(c.acs, id)
-
-	case proto.OpSubscribe:
-		id := proto.DecodeACReq(r)
-		if c.short(r, rf.op, seq) {
-			return
-		}
-		a := c.acs[id]
-		if a == nil {
-			c.sendError(proto.ErrAC, id, rf.op, seq)
-			return
-		}
-		e := s.engineByDev[a.devIndex]
-		e.mu.Lock()
-		code := e.subscribeLocked(c, a)
-		now := a.dev.Now()
-		e.mu.Unlock()
-		if code != 0 {
-			c.sendError(code, id, rf.op, seq)
-			return
-		}
-		// Aux identifies the channel the subscription joined: broadcast
-		// messages are routed client-side by this device index.
-		c.sendReply(&proto.Reply{Time: uint32(now), Aux: uint32(a.devIndex)}, seq)
-
-	case proto.OpUnsubscribe:
-		id := proto.DecodeACReq(r)
-		if c.short(r, rf.op, seq) {
-			return
-		}
-		a := c.acs[id]
-		if a == nil {
-			c.sendError(proto.ErrAC, id, rf.op, seq)
-			return
-		}
-		e := s.engineByDev[a.devIndex]
-		e.mu.Lock()
-		e.unsubscribeLocked(a)
-		now := a.dev.Now()
-		e.mu.Unlock()
-		c.sendReply(&proto.Reply{Time: uint32(now)}, seq)
-
-	case proto.OpQueryPhone:
-		dev := proto.DecodeDeviceReq(r)
-		if c.short(r, rf.op, seq) {
-			return
-		}
-		line := s.lineFor(dev)
-		if line == nil {
-			c.sendError(proto.ErrMatch, dev, rf.op, seq)
-			return
-		}
-		var hook, loop uint32
-		if line.OffHook() {
-			hook = 1
-		}
-		if line.LoopCurrent() {
-			loop = 1
-		}
-		c.sendReply(&proto.Reply{Data: uint8(hook), Aux: loop,
-			Time: uint32(s.deviceTime(dev))}, seq)
-
-	case proto.OpEnablePassThrough:
-		q := proto.DecodePassThrough(r)
-		if c.short(r, rf.op, seq) {
-			return
-		}
-		s.handleEnablePassThrough(c, rf.op, q, seq)
-
-	case proto.OpDisablePassThrough:
-		dev := proto.DecodeDeviceReq(r)
-		if c.short(r, rf.op, seq) {
-			return
-		}
-		if !s.validDevice(dev) {
-			c.sendError(proto.ErrDevice, dev, rf.op, seq)
-			return
-		}
-		for _, e := range s.engines {
-			e.mu.Lock()
-			for idx, p := range e.patches {
-				if p.a.Index == int(dev) || p.b.Index == int(dev) {
-					delete(e.patches, idx)
-				}
-			}
-			e.mu.Unlock()
-		}
-
-	case proto.OpHookSwitch:
-		dev := proto.DecodeDeviceReq(r)
-		if c.short(r, rf.op, seq) {
-			return
-		}
-		line := s.lineFor(dev)
-		if line == nil {
-			c.sendError(proto.ErrMatch, dev, rf.op, seq)
-			return
-		}
-		line.SetHook(rf.ext == proto.HookOff)
-		s.updateEngine(dev) // deliver the hook event promptly
-
-	case proto.OpFlashHook:
-		q := proto.DecodeFlashHook(r)
-		if c.short(r, rf.op, seq) {
-			return
-		}
-		line := s.lineFor(q.Device)
-		if line == nil {
-			c.sendError(proto.ErrMatch, q.Device, rf.op, seq)
-			return
-		}
-		if !line.OffHook() {
-			c.sendError(proto.ErrMatch, q.Device, rf.op, seq)
-			return
-		}
-		dur := time.Duration(q.DurationMs) * time.Millisecond
-		if dur == 0 {
-			dur = 500 * time.Millisecond
-		}
-		line.SetHook(false)
-		dev := q.Device
-		// The re-hook is a one-shot timer; the engine is only entered to
-		// deliver the event.
-		time.AfterFunc(dur, func() {
-			line.SetHook(true)
-			s.updateEngine(dev)
-		})
-		s.updateEngine(dev)
-
-	case proto.OpEnableGainControl:
-		s.gainControl = true
-	case proto.OpDisableGainControl:
-		s.gainControl = false
-
-	case proto.OpDialPhone:
-		// Obsolete: FCC dialing timing cannot be met from the server's
-		// tasking system; clients dial by playing tone pairs themselves.
-		c.sendError(proto.ErrImplementation, 0, rf.op, seq)
-
-	case proto.OpSetInputGain, proto.OpSetOutputGain:
-		q := proto.DecodeGainReq(r)
-		if c.short(r, rf.op, seq) {
-			return
-		}
-		if !s.validDevice(q.Device) {
-			c.sendError(proto.ErrDevice, q.Device, rf.op, seq)
-			return
-		}
-		if q.Gain < minDeviceGain || q.Gain > maxDeviceGain {
-			c.sendError(proto.ErrValue, uint32(q.Gain), rf.op, seq)
-			return
-		}
-		e := s.engineByDev[q.Device]
-		e.mu.Lock()
-		if rf.op == proto.OpSetInputGain {
-			s.devices[q.Device].SetInputGain(int(q.Gain))
-		} else {
-			s.devices[q.Device].SetOutputGain(int(q.Gain))
-		}
-		e.mu.Unlock()
-
-	case proto.OpQueryInputGain, proto.OpQueryOutputGain:
-		dev := proto.DecodeDeviceReq(r)
-		if c.short(r, rf.op, seq) {
-			return
-		}
-		if !s.validDevice(dev) {
-			c.sendError(proto.ErrDevice, dev, rf.op, seq)
-			return
-		}
-		e := s.engineByDev[dev]
-		e.mu.Lock()
-		cur := s.devices[dev].InputGain()
-		if rf.op == proto.OpQueryOutputGain {
-			cur = s.devices[dev].OutputGain()
-		}
-		e.mu.Unlock()
-		s.sendGainReply(c, cur, seq)
-
-	case proto.OpEnableInput, proto.OpEnableOutput, proto.OpDisableInput, proto.OpDisableOutput:
-		q := proto.DecodeDeviceMaskReq(r)
-		if c.short(r, rf.op, seq) {
-			return
-		}
-		if !s.validDevice(q.Device) {
-			c.sendError(proto.ErrDevice, q.Device, rf.op, seq)
-			return
-		}
-		d := s.devices[q.Device]
-		e := s.engineByDev[q.Device]
-		e.mu.Lock()
-		switch rf.op {
-		case proto.OpEnableInput:
-			d.EnableInputs(q.Mask)
-		case proto.OpEnableOutput:
-			d.EnableOutputs(q.Mask)
-		case proto.OpDisableInput:
-			d.DisableInputs(q.Mask)
-		case proto.OpDisableOutput:
-			d.DisableOutputs(q.Mask)
-		}
-		e.mu.Unlock()
-
-	case proto.OpSetAccessControl:
-		s.accessEnabled = rf.ext != 0
-
-	case proto.OpChangeHosts:
-		q := proto.DecodeChangeHosts(r, rf.ext)
-		if c.short(r, rf.op, seq) {
-			return
-		}
-		s.handleChangeHosts(q)
-
-	case proto.OpListHosts:
-		w := proto.Writer{Order: c.order}
-		proto.EncodeHostList(&w, s.accessList)
-		enabled := uint8(0)
-		if s.accessEnabled {
-			enabled = 1
-		}
-		c.sendReply(&proto.Reply{Data: enabled, Aux: uint32(len(s.accessList)), Extra: w.Buf}, seq)
-
-	case proto.OpInternAtom:
-		q := proto.DecodeInternAtom(r, rf.ext)
-		if c.short(r, rf.op, seq) {
-			return
-		}
-		c.sendReply(&proto.Reply{Aux: s.atoms.intern(q.Name, q.OnlyIfExists)}, seq)
-
-	case proto.OpGetAtomName:
-		id := r.U32()
-		if c.short(r, rf.op, seq) {
-			return
-		}
-		name := s.atoms.name(id)
-		if name == "" {
-			c.sendError(proto.ErrAtom, id, rf.op, seq)
-			return
-		}
-		w := proto.Writer{Order: c.order}
-		w.U16(uint16(len(name)))
-		w.Skip(2)
-		w.String4(name)
-		c.sendReply(&proto.Reply{Aux: uint32(len(name)), Extra: w.Buf}, seq)
-
-	case proto.OpChangeProperty:
-		q := proto.DecodeChangeProperty(r, rf.ext)
-		if c.short(r, rf.op, seq) {
-			return
-		}
-		s.handleChangeProperty(c, rf.op, q, seq)
-
-	case proto.OpDeleteProperty:
-		q := proto.DecodeDeleteProperty(r)
-		if c.short(r, rf.op, seq) {
-			return
-		}
-		if !s.validDevice(q.Device) {
-			c.sendError(proto.ErrDevice, q.Device, rf.op, seq)
-			return
-		}
-		if !s.atoms.valid(q.Property) {
-			c.sendError(proto.ErrAtom, q.Property, rf.op, seq)
-			return
-		}
-		if _, ok := s.props[q.Device][q.Property]; ok {
-			delete(s.props[q.Device], q.Property)
-			s.deliverEvent(int(q.Device), s.deviceNow(q.Device), proto.EventPropertyChange, 1, q.Property)
-		}
-
-	case proto.OpGetProperty:
-		q := proto.DecodeGetProperty(r, rf.ext)
-		if c.short(r, rf.op, seq) {
-			return
-		}
-		s.handleGetProperty(c, rf.op, q, seq)
-
-	case proto.OpListProperties:
-		dev := proto.DecodeDeviceReq(r)
-		if c.short(r, rf.op, seq) {
-			return
-		}
-		if !s.validDevice(dev) {
-			c.sendError(proto.ErrDevice, dev, rf.op, seq)
-			return
-		}
-		w := proto.Writer{Order: c.order}
-		n := 0
-		for atom := range s.props[dev] {
-			w.U32(atom)
-			n++
-		}
-		c.sendReply(&proto.Reply{Aux: uint32(n), Extra: w.Buf}, seq)
-
-	case proto.OpNoOperation:
-		// Non-blocking no-op: no reply.
-
-	case proto.OpSyncConnection:
-		// Round-trip no-op.
-		c.sendReply(&proto.Reply{}, seq)
-
-	case proto.OpQueryExtension:
-		proto.DecodeQueryExtension(r)
-		if c.short(r, rf.op, seq) {
-			return
-		}
-		c.sendReply(&proto.Reply{Data: 0}, seq) // no extensions are implemented
-
-	case proto.OpListExtensions:
-		c.sendReply(&proto.Reply{Data: 0}, seq)
-
-	case proto.OpKillClient:
-		c.sendError(proto.ErrImplementation, 0, rf.op, seq)
-
-	default:
-		c.sendError(proto.ErrRequest, uint32(rf.op), rf.op, seq)
+// resolve looks up what the body's first word names and reports whether
+// it names anything, having answered the request if not.
+func (s *Server) resolve(q *ctlReq, t target) bool {
+	if t == noTarget {
+		return true
 	}
-}
-
-// short answers a request whose body ended before its fields did with
-// ErrLength and reports that it did: a decoder reads zeros past the end,
-// and zeros name device 0, AC 0 and gain 0, so every control op checks
-// here, after decoding and before acting.
-func (c *client) short(r *proto.Reader, op uint8, seq uint16) bool {
-	if r.Err == nil {
-		return false
+	q.first = q.c.order.Uint32(q.r.Buf)
+	ok := false
+	switch t {
+	case devTarget:
+		ok = s.validDevice(q.first)
+	case lineTarget:
+		q.line = s.lines[int(q.first)]
+		ok = q.line != nil
+	case acTarget:
+		q.a = q.c.acs[q.first]
+		ok = q.a != nil
 	}
-	c.sendError(proto.ErrLength, 0, op, seq)
-	return true
+	if !ok {
+		q.fail(targetErr[t], q.first)
+	}
+	return ok
 }
 
-// Device gain limits, matching the utility library's table range.
-const (
-	minDeviceGain = -30
-	maxDeviceGain = 30
-)
+func emptyReply(_ *Server, q *ctlReq) { q.reply(&proto.Reply{}) }
 
-func (s *Server) sendGainReply(c *client, cur int, seq uint16) {
-	w := proto.Writer{Order: c.order}
-	w.I32(minDeviceGain)
-	w.I32(maxDeviceGain)
-	c.sendReply(&proto.Reply{Aux: uint32(int32(cur)), Extra: w.Buf}, seq)
-}
+// unimplemented answers KillClient, and DialPhone, which is obsolete: FCC
+// dialing timing cannot be met from the server's tasking system; clients
+// dial by playing tone pairs themselves.
+func unimplemented(_ *Server, q *ctlReq) { q.fail(proto.ErrImplementation, 0) }
 
 func (s *Server) validDevice(dev uint32) bool {
 	return int(dev) < len(s.devices)
 }
 
-func (s *Server) lineFor(dev uint32) *phonesim.Line {
-	if !s.validDevice(dev) {
-		return nil
-	}
-	return s.lines[int(dev)]
+func (s *Server) selectEvents(q *ctlReq) {
+	m := proto.DecodeSelectEvents(&q.r)
+	s.clientMu.Lock()
+	q.c.eventMasks[int(m.Device)] = m.Mask
+	s.clientMu.Unlock()
 }
 
-func (s *Server) handleCreateAC(c *client, op uint8, q proto.CreateACReq, seq uint16) {
-	if !s.validDevice(q.Device) {
-		c.sendError(proto.ErrDevice, q.Device, op, seq)
+func (s *Server) createAC(q *ctlReq) {
+	m := proto.DecodeCreateAC(&q.r)
+	if !s.validDevice(m.Device) {
+		q.fail(proto.ErrDevice, m.Device)
 		return
 	}
-	if _, exists := c.acs[q.AC]; exists {
-		c.sendError(proto.ErrValue, q.AC, op, seq)
+	if _, exists := q.c.acs[m.AC]; exists {
+		q.fail(proto.ErrValue, m.AC)
 		return
 	}
-	d := s.devices[q.Device]
+	d := s.devices[m.Device]
 	a := &ac{
-		id:       q.AC,
+		id:       m.AC,
 		dev:      d,
-		devIndex: int(q.Device),
+		devIndex: int(m.Device),
 		enc:      d.Cfg.Enc,
 		channels: d.Cfg.Channels,
 	}
-	if !s.applyACAttrs(c, op, a, q.Mask, q.Attrs, seq) {
-		return
+	if a.setAttrs(q, m.Mask, m.Attrs) {
+		q.c.acs[m.AC] = a
 	}
-	c.acs[q.AC] = a
 }
 
-// applyACAttrs validates and applies masked attributes; it reports
-// success (errors have been sent on failure).
-func (s *Server) applyACAttrs(c *client, op uint8, a *ac, mask uint32, attrs proto.ACAttributes, seq uint16) bool {
+func (s *Server) changeAC(q *ctlReq) {
+	m := proto.DecodeChangeAC(&q.r)
+	q.a.setAttrs(q, m.Mask, m.Attrs)
+}
+
+// setAttrs validates and applies masked attributes; it reports success,
+// having answered q on failure.
+func (a *ac) setAttrs(q *ctlReq, mask uint32, attrs proto.ACAttributes) bool {
 	if mask&proto.ACEncoding != 0 {
 		e := sampleconv.Encoding(attrs.Type)
 		if !e.Valid() {
-			c.sendError(proto.ErrValue, uint32(attrs.Type), op, seq)
+			q.fail(proto.ErrValue, uint32(attrs.Type))
 			return false
 		}
 		if e == sampleconv.ADPCM4 {
 			// The compressed conversion module handles mono streams.
 			if a.dev.Cfg.Channels != 1 {
-				c.sendError(proto.ErrMatch, uint32(attrs.Type), op, seq)
+				q.fail(proto.ErrMatch, uint32(attrs.Type))
 				return false
 			}
 			a.playCoder = &sampleconv.ADPCMCoder{}
@@ -656,7 +419,7 @@ func (s *Server) applyACAttrs(c *client, op uint8, a *ac, mask uint32, attrs pro
 	}
 	if mask&proto.ACChannels != 0 {
 		if int(attrs.Channels) != a.dev.Cfg.Channels {
-			c.sendError(proto.ErrMatch, uint32(attrs.Channels), op, seq)
+			q.fail(proto.ErrMatch, uint32(attrs.Channels))
 			return false
 		}
 		a.channels = int(attrs.Channels)
@@ -671,6 +434,302 @@ func (s *Server) applyACAttrs(c *client, op uint8, a *ac, mask uint32, attrs pro
 		a.preempt = attrs.Preempt != 0
 	}
 	return true
+}
+
+func (s *Server) freeAC(q *ctlReq) {
+	s.releaseAC(q.a)
+	delete(q.c.acs, q.a.id)
+}
+
+func (s *Server) subscribe(q *ctlReq) {
+	a := q.a
+	e := s.engineByDev[a.devIndex]
+	e.mu.Lock()
+	code := e.subscribeLocked(q.c, a)
+	now := a.dev.Now()
+	e.mu.Unlock()
+	if code != 0 {
+		q.fail(code, a.id)
+		return
+	}
+	// Aux identifies the channel the subscription joined: broadcast
+	// messages are routed client-side by this device index.
+	q.reply(&proto.Reply{Time: uint32(now), Aux: uint32(a.devIndex)})
+}
+
+func (s *Server) unsubscribe(q *ctlReq) {
+	e := s.engineByDev[q.a.devIndex]
+	e.mu.Lock()
+	e.unsubscribeLocked(q.a)
+	now := q.a.dev.Now()
+	e.mu.Unlock()
+	q.reply(&proto.Reply{Time: uint32(now)})
+}
+
+func (s *Server) queryPhone(q *ctlReq) {
+	var hook uint8
+	var loop uint32
+	if q.line.OffHook() {
+		hook = 1
+	}
+	if q.line.LoopCurrent() {
+		loop = 1
+	}
+	q.reply(&proto.Reply{Data: hook, Aux: loop, Time: uint32(s.deviceTime(q.first))})
+}
+
+// enablePassThrough validates a patch request and registers it on the
+// lower-indexed engine, which pumps it (reaching the peer under an
+// ascending two-lock acquire).
+func (s *Server) enablePassThrough(q *ctlReq) {
+	m := proto.DecodePassThrough(&q.r)
+	if !s.validDevice(m.Other) {
+		q.fail(proto.ErrDevice, m.Device)
+		return
+	}
+	a, b := s.devices[m.Device], s.devices[m.Other]
+	if a == b || a.Cfg.Rate != b.Cfg.Rate || a.Cfg.Enc != b.Cfg.Enc ||
+		a.Cfg.Channels != b.Cfg.Channels || a.IsView() || b.IsView() {
+		q.fail(proto.ErrMatch, m.Other)
+		return
+	}
+	lo, hi := s.engineByDev[a.Index], s.engineByDev[b.Index]
+	if hi.idx < lo.idx {
+		lo, hi = hi, lo
+	}
+	lo.mu.Lock()
+	hi.mu.Lock()
+	lo.patches[a.Index] = newPatch(a, b)
+	hi.mu.Unlock()
+	lo.mu.Unlock()
+}
+
+func (s *Server) disablePassThrough(q *ctlReq) {
+	dev := int(q.first)
+	for _, e := range s.engines {
+		e.mu.Lock()
+		for idx, p := range e.patches {
+			if p.a.Index == dev || p.b.Index == dev {
+				delete(e.patches, idx)
+			}
+		}
+		e.mu.Unlock()
+	}
+}
+
+func (s *Server) hookSwitch(q *ctlReq) {
+	q.line.SetHook(q.ext == proto.HookOff)
+	s.updateEngine(q.first) // deliver the hook event promptly
+}
+
+func (s *Server) flashHook(q *ctlReq) {
+	m := proto.DecodeFlashHook(&q.r)
+	line, dev := q.line, m.Device
+	if !line.OffHook() {
+		q.fail(proto.ErrMatch, dev)
+		return
+	}
+	dur := time.Duration(m.DurationMs) * time.Millisecond
+	if dur == 0 {
+		dur = 500 * time.Millisecond
+	}
+	line.SetHook(false)
+	// The re-hook is a one-shot timer; the engine is only entered to
+	// deliver the event.
+	time.AfterFunc(dur, func() {
+		line.SetHook(true)
+		s.updateEngine(dev)
+	})
+	s.updateEngine(dev)
+}
+
+func (s *Server) setGainControl(q *ctlReq) { s.gainControl = q.op == proto.OpEnableGainControl }
+
+// Device gain limits, matching the utility library's table range.
+const (
+	minDeviceGain = -30
+	maxDeviceGain = 30
+)
+
+// setGain, queryGain and ioMask make the handler of a device setting from
+// the core.Device method that reads or writes it, under the engine's lock.
+func setGain(set func(*core.Device, int)) func(*Server, *ctlReq) {
+	return func(s *Server, q *ctlReq) {
+		m := proto.DecodeGainReq(&q.r)
+		if m.Gain < minDeviceGain || m.Gain > maxDeviceGain {
+			q.fail(proto.ErrValue, uint32(m.Gain))
+			return
+		}
+		e := s.engineByDev[m.Device]
+		e.mu.Lock()
+		set(s.devices[m.Device], int(m.Gain))
+		e.mu.Unlock()
+	}
+}
+
+func queryGain(get func(*core.Device) int) func(*Server, *ctlReq) {
+	return func(s *Server, q *ctlReq) {
+		e := s.engineByDev[q.first]
+		e.mu.Lock()
+		cur := get(s.devices[q.first])
+		e.mu.Unlock()
+		w := proto.Writer{Order: q.c.order}
+		w.I32(minDeviceGain)
+		w.I32(maxDeviceGain)
+		q.reply(&proto.Reply{Aux: uint32(int32(cur)), Extra: w.Buf})
+	}
+}
+
+func ioMask(apply func(*core.Device, uint32)) func(*Server, *ctlReq) {
+	return func(s *Server, q *ctlReq) {
+		m := proto.DecodeDeviceMaskReq(&q.r)
+		e := s.engineByDev[m.Device]
+		e.mu.Lock()
+		apply(s.devices[m.Device], m.Mask)
+		e.mu.Unlock()
+	}
+}
+
+func (s *Server) setAccessControl(q *ctlReq) { s.accessEnabled = q.ext != 0 }
+
+func (s *Server) changeHosts(q *ctlReq) {
+	m := proto.DecodeChangeHosts(&q.r, q.ext)
+	if q.tailShort() {
+		return
+	}
+	same := func(h proto.HostEntry) bool {
+		return h.Family == m.Host.Family && bytes.Equal(h.Addr, m.Host.Addr)
+	}
+	switch {
+	case m.Mode == proto.HostDelete:
+		s.accessList = slices.DeleteFunc(s.accessList, same)
+	case m.Mode == proto.HostInsert && !slices.ContainsFunc(s.accessList, same):
+		s.accessList = append(s.accessList, m.Host)
+	}
+}
+
+func (s *Server) listHosts(q *ctlReq) {
+	w := proto.Writer{Order: q.c.order}
+	proto.EncodeHostList(&w, s.accessList)
+	var enabled uint8
+	if s.accessEnabled {
+		enabled = 1
+	}
+	q.reply(&proto.Reply{Data: enabled, Aux: uint32(len(s.accessList)), Extra: w.Buf})
+}
+
+func (s *Server) internAtom(q *ctlReq) {
+	m := proto.DecodeInternAtom(&q.r, q.ext)
+	if q.tailShort() {
+		return
+	}
+	q.reply(&proto.Reply{Aux: s.atoms.intern(m.Name, m.OnlyIfExists)})
+}
+
+func (s *Server) getAtomName(q *ctlReq) {
+	id := q.r.U32()
+	name := s.atoms.name(id)
+	if name == "" {
+		q.fail(proto.ErrAtom, id)
+		return
+	}
+	w := proto.Writer{Order: q.c.order}
+	w.U16(uint16(len(name)))
+	w.Skip(2)
+	w.String4(name)
+	q.reply(&proto.Reply{Aux: uint32(len(name)), Extra: w.Buf})
+}
+
+func (s *Server) changeProperty(q *ctlReq) {
+	m := proto.DecodeChangeProperty(&q.r, q.ext)
+	if q.tailShort() {
+		return
+	}
+	if !s.atoms.valid(m.Property) || !s.atoms.valid(m.Type) {
+		q.fail(proto.ErrAtom, m.Property)
+		return
+	}
+	if m.Format != 8 && m.Format != 16 && m.Format != 32 {
+		q.fail(proto.ErrValue, uint32(m.Format))
+		return
+	}
+	props := s.props[m.Device]
+	old := props[m.Property]
+	data := append([]byte(nil), m.Data...)
+	switch {
+	case m.Mode > proto.PropModeAppend:
+		q.fail(proto.ErrValue, uint32(m.Mode))
+		return
+	case m.Mode == proto.PropModeReplace || old == nil:
+		props[m.Property] = &property{typ: m.Type, format: m.Format, data: data}
+	case old.typ != m.Type || old.format != m.Format:
+		q.fail(proto.ErrMatch, m.Property)
+		return
+	case m.Mode == proto.PropModePrepend:
+		old.data = append(data, old.data...)
+	default:
+		old.data = append(old.data, data...)
+	}
+	s.deliverEvent(int(m.Device), s.deviceNow(m.Device), proto.EventPropertyChange, 0, m.Property)
+}
+
+// dropProperty deletes a property that is set and tells who selected it.
+func (s *Server) dropProperty(dev, prop uint32) {
+	delete(s.props[dev], prop)
+	s.deliverEvent(int(dev), s.deviceNow(dev), proto.EventPropertyChange, 1, prop)
+}
+
+func (s *Server) deleteProperty(q *ctlReq) {
+	m := proto.DecodeDeleteProperty(&q.r)
+	if !s.atoms.valid(m.Property) {
+		q.fail(proto.ErrAtom, m.Property)
+		return
+	}
+	if _, ok := s.props[m.Device][m.Property]; ok {
+		s.dropProperty(m.Device, m.Property)
+	}
+}
+
+func (s *Server) getProperty(q *ctlReq) {
+	m := proto.DecodeGetProperty(&q.r, q.ext)
+	if !s.atoms.valid(m.Property) {
+		q.fail(proto.ErrAtom, m.Property)
+		return
+	}
+	// A property that is not set reads as type None; one of another type
+	// than asked for reports its own and delivers no data.
+	typ, format, data := proto.AtomNone, uint8(0), []byte(nil)
+	p := s.props[m.Device][m.Property]
+	whole := p != nil && (m.Type == proto.AtomNone || m.Type == p.typ)
+	if p != nil {
+		typ, format = p.typ, p.format
+	}
+	if whole {
+		data = p.data
+	}
+	w := proto.Writer{Order: q.c.order}
+	w.U32(typ)
+	w.U32(uint32(len(data)))
+	w.Bytes(data)
+	q.reply(&proto.Reply{Data: format, Aux: uint32(len(data)), Extra: w.Buf})
+	if whole && m.Delete {
+		s.dropProperty(m.Device, m.Property)
+	}
+}
+
+func (s *Server) listProperties(q *ctlReq) {
+	w := proto.Writer{Order: q.c.order}
+	for atom := range s.props[q.first] {
+		w.U32(atom)
+	}
+	q.reply(&proto.Reply{Aux: uint32(w.Len() / 4), Extra: w.Buf})
+}
+
+func (s *Server) queryExtension(q *ctlReq) {
+	proto.DecodeQueryExtension(&q.r)
+	if !q.tailShort() {
+		emptyReply(s, q) // Data 0: no extensions are implemented
+	}
 }
 
 // clientFrameBytes returns the size of one frame of this context's sample
@@ -799,127 +858,4 @@ func (e *engine) serveRecord(p *parked) bool {
 	putLin(samplesp)
 	finishRecordReply(p.c, a, m, frames/2, uint32(res.Now), 0, p.seq)
 	return true
-}
-
-// handleEnablePassThrough validates a patch request and registers it on
-// the lower-indexed engine, which pumps it (reaching the peer under an
-// ascending two-lock acquire).
-func (s *Server) handleEnablePassThrough(c *client, op uint8, q proto.PassThroughReq, seq uint16) {
-	if !s.validDevice(q.Device) || !s.validDevice(q.Other) {
-		c.sendError(proto.ErrDevice, q.Device, op, seq)
-		return
-	}
-	a, b := s.devices[q.Device], s.devices[q.Other]
-	if a == b || a.Cfg.Rate != b.Cfg.Rate || a.Cfg.Enc != b.Cfg.Enc ||
-		a.Cfg.Channels != b.Cfg.Channels || a.IsView() || b.IsView() {
-		c.sendError(proto.ErrMatch, q.Other, op, seq)
-		return
-	}
-	lo, hi := s.engineByDev[a.Index], s.engineByDev[b.Index]
-	if hi.idx < lo.idx {
-		lo, hi = hi, lo
-	}
-	lo.mu.Lock()
-	hi.mu.Lock()
-	lo.patches[a.Index] = newPatch(a, b)
-	hi.mu.Unlock()
-	lo.mu.Unlock()
-}
-
-func (s *Server) handleChangeHosts(q proto.ChangeHostsReq) {
-	switch q.Mode {
-	case proto.HostInsert:
-		for _, h := range s.accessList {
-			if h.Family == q.Host.Family && string(h.Addr) == string(q.Host.Addr) {
-				return
-			}
-		}
-		// Copy the address: q.Host.Addr aliases the ingress buffer, which
-		// is reused once this run has been dispatched.
-		s.accessList = append(s.accessList, proto.HostEntry{
-			Family: q.Host.Family,
-			Addr:   append([]byte(nil), q.Host.Addr...),
-		})
-	case proto.HostDelete:
-		out := s.accessList[:0]
-		for _, h := range s.accessList {
-			if h.Family == q.Host.Family && string(h.Addr) == string(q.Host.Addr) {
-				continue
-			}
-			out = append(out, h)
-		}
-		s.accessList = out
-	}
-}
-
-func (s *Server) handleChangeProperty(c *client, op uint8, q proto.ChangePropertyReq, seq uint16) {
-	if !s.validDevice(q.Device) {
-		c.sendError(proto.ErrDevice, q.Device, op, seq)
-		return
-	}
-	if !s.atoms.valid(q.Property) || !s.atoms.valid(q.Type) {
-		c.sendError(proto.ErrAtom, q.Property, op, seq)
-		return
-	}
-	if q.Format != 8 && q.Format != 16 && q.Format != 32 {
-		c.sendError(proto.ErrValue, uint32(q.Format), op, seq)
-		return
-	}
-	props := s.props[q.Device]
-	old := props[q.Property]
-	data := append([]byte(nil), q.Data...)
-	switch q.Mode {
-	case proto.PropModeReplace:
-		props[q.Property] = &property{typ: q.Type, format: q.Format, data: data}
-	case proto.PropModePrepend, proto.PropModeAppend:
-		if old != nil && (old.typ != q.Type || old.format != q.Format) {
-			c.sendError(proto.ErrMatch, q.Property, op, seq)
-			return
-		}
-		if old == nil {
-			props[q.Property] = &property{typ: q.Type, format: q.Format, data: data}
-		} else if q.Mode == proto.PropModePrepend {
-			old.data = append(data, old.data...)
-		} else {
-			old.data = append(old.data, data...)
-		}
-	default:
-		c.sendError(proto.ErrValue, uint32(q.Mode), op, seq)
-		return
-	}
-	s.deliverEvent(int(q.Device), s.deviceNow(q.Device), proto.EventPropertyChange, 0, q.Property)
-}
-
-func (s *Server) handleGetProperty(c *client, op uint8, q proto.GetPropertyReq, seq uint16) {
-	if !s.validDevice(q.Device) {
-		c.sendError(proto.ErrDevice, q.Device, op, seq)
-		return
-	}
-	if !s.atoms.valid(q.Property) {
-		c.sendError(proto.ErrAtom, q.Property, op, seq)
-		return
-	}
-	p := s.props[q.Device][q.Property]
-	w := proto.Writer{Order: c.order}
-	if p == nil {
-		w.U32(proto.AtomNone)
-		w.U32(0)
-		c.sendReply(&proto.Reply{Data: 0, Extra: w.Buf}, seq)
-		return
-	}
-	if q.Type != proto.AtomNone && q.Type != p.typ {
-		// Type mismatch: report the actual type, deliver no data.
-		w.U32(p.typ)
-		w.U32(0)
-		c.sendReply(&proto.Reply{Data: p.format, Extra: w.Buf}, seq)
-		return
-	}
-	w.U32(p.typ)
-	w.U32(uint32(len(p.data)))
-	w.Bytes(p.data)
-	c.sendReply(&proto.Reply{Data: p.format, Aux: uint32(len(p.data)), Extra: w.Buf}, seq)
-	if q.Delete {
-		delete(s.props[q.Device], q.Property)
-		s.deliverEvent(int(q.Device), s.deviceNow(q.Device), proto.EventPropertyChange, 1, q.Property)
-	}
 }
