@@ -222,3 +222,76 @@ func TestFlashHook(t *testing.T) {
 		t.Errorf("flash on hook error = %v", got)
 	}
 }
+
+// hookEvents reads hookswitch events until none has arrived for quiet and
+// returns their details in order.
+func hookEvents(t *testing.T, c *af.Conn, quiet time.Duration) (details []byte) {
+	t.Helper()
+	for idle := time.Now(); time.Since(idle) < quiet; {
+		n, err := c.EventsQueued(af.QueuedAfterReading)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for ; n > 0; n-- {
+			ev, _ := c.NextEvent()
+			if ev.Code == af.EventPhoneHookSwitch {
+				details = append(details, ev.Detail)
+			}
+			idle = time.Now()
+		}
+	}
+	return details
+}
+
+// TestFlashHookYieldsToHangUp: the re-hook a flash has pending belongs to
+// the line, and a hang-up during the flash cancels it — the phone stays
+// on hook, and the client sees only the hook events it caused.
+func TestFlashHookYieldsToHangUp(t *testing.T) {
+	r := newRig(t)
+	c := r.dial(t)
+	selectPhone(t, c)
+	c.HookSwitch(0, true)  //nolint:errcheck — a failure shows in the events
+	c.FlashHook(0, 50)     //nolint:errcheck
+	c.HookSwitch(0, false) //nolint:errcheck
+	if got := hookEvents(t, c, 200*time.Millisecond); string(got) != "\x01\x00" {
+		t.Errorf("hook events %v, want off hook then on hook and no more", got)
+	}
+	if offHook, _, err := c.QueryPhone(0); err != nil || offHook {
+		t.Errorf("after hanging up during a flash: off hook %v, err %v", offHook, err)
+	}
+}
+
+// TestFlashHookTooLong: the duration is a 32-bit value from the wire; one
+// a central office would take for a hang-up is refused, not armed.
+func TestFlashHookTooLong(t *testing.T) {
+	r := newRig(t)
+	c := r.dial(t)
+	var got *af.ProtoError
+	c.SetErrorHandler(func(_ *af.Conn, pe *af.ProtoError) { got = pe })
+	c.HookSwitch(0, true) //nolint:errcheck
+	c.FlashHook(0, 2001)  //nolint:errcheck
+	c.Sync()              //nolint:errcheck
+	if got == nil || got.Code != 2 || got.BadValue != 2001 {
+		t.Errorf("flash of 2001 ms drew %v, want BadValue(2001)", got)
+	}
+	if offHook, _, _ := c.QueryPhone(0); !offHook {
+		t.Error("a refused flash opened the hookswitch")
+	}
+}
+
+// TestCloseCancelsFlash: Close leaves no timer behind, so the line stays
+// where the flash put it.
+func TestCloseCancelsFlash(t *testing.T) {
+	r := newRig(t)
+	c := r.dial(t)
+	c.HookSwitch(0, true) //nolint:errcheck
+	c.FlashHook(0, 50)    //nolint:errcheck
+	if err := c.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	r.srv.Close()
+	time.Sleep(150 * time.Millisecond)
+	if r.srv.PhoneLine(0).OffHook() {
+		t.Error("a flash's re-hook fired after Close")
+	}
+}

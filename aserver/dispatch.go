@@ -522,25 +522,33 @@ func (s *Server) hookSwitch(q *ctlReq) {
 	s.updateEngine(q.first) // deliver the hook event promptly
 }
 
+// Flash durations: the default a client asks for with 0, and the longest
+// accepted. The wire carries 32 bits of milliseconds (49 days); a central
+// office reads an open loop of more than a second or two as a hang-up, so
+// a longer flash is not a flash — the client sends HookSwitch twice.
+const (
+	defaultFlash = 500 * time.Millisecond
+	maxFlash     = 2 * time.Second
+)
+
 func (s *Server) flashHook(q *ctlReq) {
 	m := proto.DecodeFlashHook(&q.r)
-	line, dev := q.line, m.Device
-	if !line.OffHook() {
-		q.fail(proto.ErrMatch, dev)
+	dur := time.Duration(m.DurationMs) * time.Millisecond
+	if !q.line.OffHook() {
+		q.fail(proto.ErrMatch, m.Device)
 		return
 	}
-	dur := time.Duration(m.DurationMs) * time.Millisecond
-	if dur == 0 {
-		dur = 500 * time.Millisecond
+	if dur > maxFlash {
+		q.fail(proto.ErrValue, m.DurationMs)
+		return
 	}
-	line.SetHook(false)
-	// The re-hook is a one-shot timer; the engine is only entered to
-	// deliver the event.
-	time.AfterFunc(dur, func() {
-		line.SetHook(true)
-		s.updateEngine(dev)
-	})
-	s.updateEngine(dev)
+	if dur == 0 {
+		dur = defaultFlash
+	}
+	// The line owns the re-hook (a HookSwitch or Close meanwhile cancels
+	// it); the engine is only entered to deliver the events.
+	q.line.Flash(dur, func() { s.updateEngine(m.Device) })
+	s.updateEngine(m.Device)
 }
 
 func (s *Server) setGainControl(q *ctlReq) { s.gainControl = q.op == proto.OpEnableGainControl }

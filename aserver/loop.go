@@ -135,8 +135,8 @@ func (s *Server) deviceNow(dev uint32) atime.ATime {
 
 // updateEngine runs one update cycle on the engine owning dev, used by
 // control operations that need an immediate device-side effect (hook
-// events). A re-hook that outlives Close finds the engine stopped and
-// does nothing.
+// events). A flash's re-hook already past the line's lock when Close
+// cancelled it finds the engine stopped and does nothing.
 func (s *Server) updateEngine(dev uint32) {
 	e := s.engineByDev[dev]
 	e.mu.Lock()

@@ -99,7 +99,8 @@ func (e *engine) pass(now time.Time) {
 }
 
 // stopEngines is the update plane's shutdown: under each engine's lock,
-// mark it stopped, stop its timer and discard any park still registered.
+// mark it stopped, stop its timer, cancel the re-hook a flash on its line
+// has pending and discard any park still registered.
 // A fire already on its way to the lock finds the engine stopped and
 // returns without re-arming, so once this returns no pass is running and
 // none can start. There is nothing to join.
@@ -108,6 +109,9 @@ func (s *Server) stopEngines() {
 		e.mu.Lock()
 		e.stopped = true
 		e.timer.Stop()
+		if e.line != nil {
+			e.line.CancelFlash()
+		}
 		for c, p := range e.parks {
 			e.finishPark(c, p, false)
 		}

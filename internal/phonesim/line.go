@@ -10,6 +10,7 @@ package phonesim
 
 import (
 	"sync"
+	"time"
 
 	"audiofile/internal/atime"
 	"audiofile/internal/dsp"
@@ -57,6 +58,8 @@ type Line struct {
 	inDet  *dsp.DTMFDetector // hears audio from the far end
 
 	incoming []byte // queued far-end audio (µ-law), consumed by Fill
+
+	flash *time.Timer // the pending re-hook of a flash in progress, if any
 
 	events []Event
 }
@@ -112,10 +115,16 @@ func (l *Line) Fill(_ atime.ATime, buf []byte) {
 }
 
 // SetHook operates the hookswitch relay (the HookSwitch request). Going
-// off hook answers a ringing call.
+// off hook answers a ringing call. It cancels a flash in progress: the
+// relay stays where this call puts it.
 func (l *Line) SetHook(offHook bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	l.cancelFlash()
+	l.setHook(offHook)
+}
+
+func (l *Line) setHook(offHook bool) {
 	if l.offHook == offHook {
 		return
 	}
@@ -132,6 +141,45 @@ func (l *Line) SetHook(offHook bool) {
 	if !offHook {
 		// Hanging up flushes any queued far-end audio.
 		l.incoming = nil
+	}
+}
+
+// Flash opens the hookswitch for d and closes it again (the FlashHook
+// request), then calls rehooked. The pending re-hook is the line's: SetHook
+// and CancelFlash drop it, and a re-hook they beat to the lock does nothing
+// and calls nothing.
+func (l *Line) Flash(d time.Duration, rehooked func()) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.cancelFlash()
+	l.setHook(false)
+	var t *time.Timer
+	t = time.AfterFunc(d, func() {
+		l.mu.Lock()
+		mine := l.flash == t
+		if mine {
+			l.flash = nil
+			l.setHook(true)
+		}
+		l.mu.Unlock()
+		if mine {
+			rehooked()
+		}
+	})
+	l.flash = t
+}
+
+// CancelFlash drops a flash's pending re-hook, leaving the relay open.
+func (l *Line) CancelFlash() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.cancelFlash()
+}
+
+func (l *Line) cancelFlash() {
+	if l.flash != nil {
+		l.flash.Stop()
+		l.flash = nil
 	}
 }
 
