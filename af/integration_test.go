@@ -194,6 +194,52 @@ func TestPlayRecordLoopback(t *testing.T) {
 	}
 }
 
+// TestFailedChangeAttributesChangesNothing: a ChangeACAttributes that is
+// refused leaves the context as it was. Here the encoding is good and the
+// channel count is one the mono codec does not have; the play behind it
+// must still be taken as µ-law, which a second context records back.
+func TestFailedChangeAttributesChangesNothing(t *testing.T) {
+	r := newRig(t)
+	c := r.dial(t)
+	ac, err := c.CreateAC(1, 0, af.ACAttributes{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	listener, err := c.CreateAC(1, 0, af.ACAttributes{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var refused *af.ProtoError
+	c.SetErrorHandler(func(_ *af.Conn, pe *af.ProtoError) { refused = pe })
+	before := ac.Attributes
+	ac.ChangeAttributes(af.ACEncoding|af.ACChannels, af.ACAttributes{Type: af.LIN16, Channels: 2}) //nolint:errcheck
+	if err := c.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if refused == nil || refused.Code != 8 /* ErrMatch */ {
+		t.Fatalf("the change drew %v, want BadMatch", refused)
+	}
+	ac.Attributes = before // the library mirrors what it asked for, not what it got
+
+	now, err := ac.GetTime()
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := now.Add(100)
+	data := muTone(1000, 2000, 3000, 4000, 5000, 6000, 7000, 8000)
+	if _, err := ac.PlaySamples(start, data); err != nil {
+		t.Fatal(err)
+	}
+	r.step(300)
+	buf := make([]byte, len(data))
+	if _, n, err := listener.RecordSamples(start, buf, true); err != nil || n != len(buf) {
+		t.Fatalf("recorded %d bytes, %v", n, err)
+	}
+	if !bytes.Equal(buf, data) {
+		t.Errorf("the play after a refused change was not taken as µ-law:\n got %v\nwant %v", buf, data)
+	}
+}
+
 func TestSilenceWhereNothingPlayed(t *testing.T) {
 	r := newRig(t)
 	c := r.dial(t)

@@ -397,31 +397,31 @@ func (s *Server) changeAC(q *ctlReq) {
 	q.a.setAttrs(q, m.Mask, m.Attrs)
 }
 
-// setAttrs validates and applies masked attributes; it reports success,
-// having answered q on failure.
+// setAttrs validates every masked attribute, then applies them: a change
+// that is refused changes nothing. It reports success, having answered q
+// on failure.
 func (a *ac) setAttrs(q *ctlReq, mask uint32, attrs proto.ACAttributes) bool {
+	enc := sampleconv.Encoding(attrs.Type)
+	switch {
+	case mask&proto.ACEncoding != 0 && !enc.Valid():
+		q.fail(proto.ErrValue, uint32(attrs.Type))
+		return false
+	case mask&proto.ACEncoding != 0 && enc == sampleconv.ADPCM4 && a.dev.Cfg.Channels != 1:
+		// The compressed conversion module handles mono streams.
+		q.fail(proto.ErrMatch, uint32(attrs.Type))
+		return false
+	case mask&proto.ACChannels != 0 && int(attrs.Channels) != a.dev.Cfg.Channels:
+		q.fail(proto.ErrMatch, uint32(attrs.Channels))
+		return false
+	}
 	if mask&proto.ACEncoding != 0 {
-		e := sampleconv.Encoding(attrs.Type)
-		if !e.Valid() {
-			q.fail(proto.ErrValue, uint32(attrs.Type))
-			return false
-		}
-		if e == sampleconv.ADPCM4 {
-			// The compressed conversion module handles mono streams.
-			if a.dev.Cfg.Channels != 1 {
-				q.fail(proto.ErrMatch, uint32(attrs.Type))
-				return false
-			}
+		a.enc = enc
+		if enc == sampleconv.ADPCM4 {
 			a.playCoder = &sampleconv.ADPCMCoder{}
 			a.recCoder = &sampleconv.ADPCMCoder{}
 		}
-		a.enc = e
 	}
 	if mask&proto.ACChannels != 0 {
-		if int(attrs.Channels) != a.dev.Cfg.Channels {
-			q.fail(proto.ErrMatch, uint32(attrs.Channels))
-			return false
-		}
 		a.channels = int(attrs.Channels)
 	}
 	if mask&proto.ACPlayGain != 0 {
@@ -484,7 +484,7 @@ func (s *Server) queryPhone(q *ctlReq) {
 func (s *Server) enablePassThrough(q *ctlReq) {
 	m := proto.DecodePassThrough(&q.r)
 	if !s.validDevice(m.Other) {
-		q.fail(proto.ErrDevice, m.Device)
+		q.fail(proto.ErrDevice, m.Other)
 		return
 	}
 	a, b := s.devices[m.Device], s.devices[m.Other]
