@@ -227,6 +227,13 @@ func controlGoldenScript() []goldenStep {
 		{"opcode 0", false, empty(0, 0)},
 		{"opcode past the last", false, empty(proto.MaxOpcode+1, 0)},
 		{"opcode 255", false, empty(255, 0)},
+		// Three properties, not set in atom order: the list is ascending.
+		{"ChangeProperty on atom 20", false, change(proto.ChangePropertyReq{Property: proto.AtomLastNumberDialed,
+			Type: proto.AtomSTRING, Format: 8, Data: []byte("5551212")})},
+		{"ChangeProperty on atom 21", false, change(with(str8, proto.PropModeReplace, "kept"))},
+		{"ChangeProperty on atom 10", false, change(proto.ChangePropertyReq{Property: proto.AtomCOPYRIGHT,
+			Type: proto.AtomSTRING, Format: 8, Data: []byte("1993")})},
+		{"ListProperties of three", false, dev(proto.OpListProperties, 1)},
 		{"SyncConnection at the end", false, empty(proto.OpSyncConnection, 0)},
 	}
 }

@@ -725,12 +725,19 @@ func (s *Server) getProperty(q *ctlReq) {
 	}
 }
 
+// listProperties lists in ascending atom order, not the map's: the reply's
+// bytes are a function of the server's state.
 func (s *Server) listProperties(q *ctlReq) {
-	w := proto.Writer{Order: q.c.order}
+	atoms := make([]uint32, 0, len(s.props[q.first]))
 	for atom := range s.props[q.first] {
+		atoms = append(atoms, atom)
+	}
+	slices.Sort(atoms)
+	w := proto.Writer{Order: q.c.order}
+	for _, atom := range atoms {
 		w.U32(atom)
 	}
-	q.reply(&proto.Reply{Aux: uint32(w.Len() / 4), Extra: w.Buf})
+	q.reply(&proto.Reply{Aux: uint32(len(atoms)), Extra: w.Buf})
 }
 
 func (s *Server) queryExtension(q *ctlReq) {
