@@ -1,7 +1,6 @@
 package aserver
 
 import (
-	"bytes"
 	"slices"
 	"time"
 
@@ -198,9 +197,7 @@ func (s *Server) dispatchHotGroup(c *client, run []runFrame) (int, *parked) {
 	return consumed, park
 }
 
-// target is what the first word of a request body names. The dispatcher
-// resolves it before the handler runs, so a handler never meets a device,
-// line or context that does not exist.
+// target is what the first word of a request body names.
 type target uint8
 
 const (
@@ -215,9 +212,9 @@ var targetErr = [...]uint8{devTarget: proto.ErrDevice, lineTarget: proto.ErrMatc
 
 // opRow is what the dispatcher knows about one opcode.
 type opRow struct {
-	// hot rows are the data plane: dispatchHotGroup serves them under the
-	// owning engine's lock and hotEngine validates them. Every other row's
-	// handler runs under ctl, from dispatchControl.
+	// hot rows are the data plane, served under the owning engine's lock
+	// (dispatchHotGroup; hotEngine validates them). The rest run their
+	// handler under ctl (dispatchControl).
 	hot    bool
 	target target
 	fixed  int // bytes of the body's fixed fields, as proto.Append* lays them out
@@ -240,8 +237,8 @@ var opTable = [256]opRow{
 	proto.OpDisablePassThrough: {target: devTarget, fixed: 4, handle: (*Server).disablePassThrough},
 	proto.OpHookSwitch:         {target: lineTarget, fixed: 4, handle: (*Server).hookSwitch},
 	proto.OpFlashHook:          {target: lineTarget, fixed: 8, handle: (*Server).flashHook},
-	proto.OpEnableGainControl:  {handle: (*Server).setGainControl},
-	proto.OpDisableGainControl: {handle: (*Server).setGainControl},
+	proto.OpEnableGainControl:  {handle: accepted},
+	proto.OpDisableGainControl: {handle: accepted},
 	proto.OpDialPhone:          {handle: unimplemented},
 	proto.OpSetInputGain:       {target: devTarget, fixed: 8, handle: setGain((*core.Device).SetInputGain)},
 	proto.OpSetOutputGain:      {target: devTarget, fixed: 8, handle: setGain((*core.Device).SetOutputGain)},
@@ -269,18 +266,17 @@ var opTable = [256]opRow{
 	proto.OpUnsubscribe:        {target: acTarget, fixed: 4, handle: (*Server).unsubscribe},
 }
 
-// ctlReq is the control request a connection is dispatching: what the
-// dispatcher hands a handler. There is one per client, not one per
-// request — a value passed through the table's function pointers would
-// escape to the heap, and only the connection's reader dispatches for it,
-// one request at a time, under ctl.
+// ctlReq is the control request a connection is dispatching, as a handler
+// gets it. It lives on the client: one passed through the table's function
+// pointers would escape to the heap, and only the connection's reader
+// dispatches for it, one request at a time, under ctl.
 type ctlReq struct {
 	c       *client
 	op, ext uint8
 	seq     uint16
 	r       proto.Reader // over the body; the dispatcher consumes nothing
-	// What the row's target resolved to: the first word itself (a device
-	// index, or the context's id), and the line or context it names.
+	// What the row's target resolved to: the first word (a device index,
+	// or the context's id), and the line or context it names.
 	first uint32
 	line  *phonesim.Line
 	a     *ac
@@ -351,6 +347,10 @@ func (s *Server) resolve(q *ctlReq, t target) bool {
 	return ok
 }
 
+// accepted is a request with no effect and no reply: NoOperation, and the
+// gain-control pair, which the simulated hardware has no AGC to obey.
+func accepted(*Server, *ctlReq) {}
+
 func emptyReply(_ *Server, q *ctlReq) { q.reply(&proto.Reply{}) }
 
 // unimplemented answers KillClient, and DialPhone, which is obsolete: FCC
@@ -358,8 +358,14 @@ func emptyReply(_ *Server, q *ctlReq) { q.reply(&proto.Reply{}) }
 // dial by playing tone pairs themselves.
 func unimplemented(_ *Server, q *ctlReq) { q.fail(proto.ErrImplementation, 0) }
 
-func (s *Server) validDevice(dev uint32) bool {
-	return int(dev) < len(s.devices)
+func (s *Server) validDevice(dev uint32) bool { return int(dev) < len(s.devices) }
+
+// wireBool is a flag as a reply carries it.
+func wireBool(b bool) uint8 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 func (s *Server) selectEvents(q *ctlReq) {
@@ -467,15 +473,8 @@ func (s *Server) unsubscribe(q *ctlReq) {
 }
 
 func (s *Server) queryPhone(q *ctlReq) {
-	var hook uint8
-	var loop uint32
-	if q.line.OffHook() {
-		hook = 1
-	}
-	if q.line.LoopCurrent() {
-		loop = 1
-	}
-	q.reply(&proto.Reply{Data: hook, Aux: loop, Time: uint32(s.deviceTime(q.first))})
+	q.reply(&proto.Reply{Data: wireBool(q.line.OffHook()), Aux: uint32(wireBool(q.line.LoopCurrent())),
+		Time: uint32(s.deviceTime(q.first))})
 }
 
 // enablePassThrough validates a patch request and registers it on the
@@ -551,8 +550,6 @@ func (s *Server) flashHook(q *ctlReq) {
 	s.updateEngine(m.Device)
 }
 
-func (s *Server) setGainControl(q *ctlReq) { s.gainControl = q.op == proto.OpEnableGainControl }
-
 // Device gain limits, matching the utility library's table range.
 const (
 	minDeviceGain = -30
@@ -605,13 +602,10 @@ func (s *Server) changeHosts(q *ctlReq) {
 	if q.tailShort() {
 		return
 	}
-	same := func(h proto.HostEntry) bool {
-		return h.Family == m.Host.Family && bytes.Equal(h.Addr, m.Host.Addr)
-	}
 	switch {
 	case m.Mode == proto.HostDelete:
-		s.accessList = slices.DeleteFunc(s.accessList, same)
-	case m.Mode == proto.HostInsert && !slices.ContainsFunc(s.accessList, same):
+		s.accessList = slices.DeleteFunc(s.accessList, sameHost(m.Host))
+	case m.Mode == proto.HostInsert && !slices.ContainsFunc(s.accessList, sameHost(m.Host)):
 		s.accessList = append(s.accessList, m.Host)
 	}
 }
@@ -619,11 +613,7 @@ func (s *Server) changeHosts(q *ctlReq) {
 func (s *Server) listHosts(q *ctlReq) {
 	w := proto.Writer{Order: q.c.order}
 	proto.EncodeHostList(&w, s.accessList)
-	var enabled uint8
-	if s.accessEnabled {
-		enabled = 1
-	}
-	q.reply(&proto.Reply{Data: enabled, Aux: uint32(len(s.accessList)), Extra: w.Buf})
+	q.reply(&proto.Reply{Data: wireBool(s.accessEnabled), Aux: uint32(len(s.accessList)), Extra: w.Buf})
 }
 
 func (s *Server) internAtom(q *ctlReq) {
@@ -681,12 +671,6 @@ func (s *Server) changeProperty(q *ctlReq) {
 	s.deliverEvent(int(m.Device), s.deviceNow(m.Device), proto.EventPropertyChange, 0, m.Property)
 }
 
-// dropProperty deletes a property that is set and tells who selected it.
-func (s *Server) dropProperty(dev, prop uint32) {
-	delete(s.props[dev], prop)
-	s.deliverEvent(int(dev), s.deviceNow(dev), proto.EventPropertyChange, 1, prop)
-}
-
 func (s *Server) deleteProperty(q *ctlReq) {
 	m := proto.DecodeDeleteProperty(&q.r)
 	if !s.atoms.valid(m.Property) {
@@ -694,7 +678,8 @@ func (s *Server) deleteProperty(q *ctlReq) {
 		return
 	}
 	if _, ok := s.props[m.Device][m.Property]; ok {
-		s.dropProperty(m.Device, m.Property)
+		delete(s.props[m.Device], m.Property)
+		s.deliverEvent(int(m.Device), s.deviceNow(m.Device), proto.EventPropertyChange, 1, m.Property)
 	}
 }
 
@@ -721,7 +706,8 @@ func (s *Server) getProperty(q *ctlReq) {
 	w.Bytes(data)
 	q.reply(&proto.Reply{Data: format, Aux: uint32(len(data)), Extra: w.Buf})
 	if whole && m.Delete {
-		s.dropProperty(m.Device, m.Property)
+		delete(s.props[m.Device], m.Property)
+		s.deliverEvent(int(m.Device), s.deviceNow(m.Device), proto.EventPropertyChange, 1, m.Property)
 	}
 }
 

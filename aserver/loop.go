@@ -1,7 +1,9 @@
 package aserver
 
 import (
+	"bytes"
 	"net"
+	"slices"
 	"time"
 
 	"audiofile/internal/atime"
@@ -15,8 +17,9 @@ import (
 // pass-through enables). It is a lock, Server.ctl, not a goroutine: a
 // connection's reader holds it while dispatchControl runs, and this file's
 // registry calls take it themselves. The data plane — plays, records, time
-// queries — never takes it, and neither does its timed work (the overload
-// sweep, the flash-hook re-hook), which runs on runtime timers.
+// queries — never takes it, and neither does the timed work (the overload
+// sweep; a flash's re-hook, which is the line's), which runs on runtime
+// timers.
 
 // register admits a client to the registry, or refuses once the server
 // has stopped.
@@ -183,12 +186,12 @@ func (s *Server) hostAllowed(conn net.Conn) bool {
 	if entry.Family == proto.FamilyLocal {
 		return true // local connections are always allowed
 	}
-	for _, h := range s.accessList {
-		if h.Family == entry.Family && string(h.Addr) == string(entry.Addr) {
-			return true
-		}
-	}
-	return false
+	return slices.ContainsFunc(s.accessList, sameHost(entry))
+}
+
+// sameHost matches the access-list entries that name host h.
+func sameHost(h proto.HostEntry) func(proto.HostEntry) bool {
+	return func(o proto.HostEntry) bool { return o.Family == h.Family && bytes.Equal(o.Addr, h.Addr) }
 }
 
 // hostEntryFor classifies a remote address for the access list.

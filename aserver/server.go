@@ -151,8 +151,6 @@ type Server struct {
 	accessEnabled bool
 	accessList    []proto.HostEntry
 
-	gainControl bool // EnableGainControl/DisableGainControl state
-
 	listeners []net.Listener
 	// stopped is the server's one lifecycle flag, set by Close; done is
 	// closed with it, for the goroutines that wait rather than ask.
