@@ -241,7 +241,7 @@ func controlGoldenScript() []goldenStep {
 // controlGoldenStream marshals the script in the given order — a bare step
 // preceded by its one-word-short and names-nothing variants, which must
 // change nothing — and returns the request stream and each request's name.
-func controlGoldenStream(t *testing.T, order binary.ByteOrder) (stream []byte, names []string) {
+func controlGoldenStream(t testing.TB, order binary.ByteOrder) (stream []byte, names []string) {
 	t.Helper()
 	for _, st := range controlGoldenScript() {
 		w := proto.Writer{Order: order}
