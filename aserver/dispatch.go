@@ -407,12 +407,12 @@ func (s *Server) changeAC(q *ctlReq) {
 // that is refused changes nothing. It reports success, having answered q
 // on failure.
 func (a *ac) setAttrs(q *ctlReq, mask uint32, attrs proto.ACAttributes) bool {
-	enc := sampleconv.Encoding(attrs.Type)
+	enc, setEnc := sampleconv.Encoding(attrs.Type), mask&proto.ACEncoding != 0
 	switch {
-	case mask&proto.ACEncoding != 0 && !enc.Valid():
+	case setEnc && !enc.Valid():
 		q.fail(proto.ErrValue, uint32(attrs.Type))
 		return false
-	case mask&proto.ACEncoding != 0 && enc == sampleconv.ADPCM4 && a.dev.Cfg.Channels != 1:
+	case setEnc && enc == sampleconv.ADPCM4 && a.dev.Cfg.Channels != 1:
 		// The compressed conversion module handles mono streams.
 		q.fail(proto.ErrMatch, uint32(attrs.Type))
 		return false
@@ -420,7 +420,7 @@ func (a *ac) setAttrs(q *ctlReq, mask uint32, attrs proto.ACAttributes) bool {
 		q.fail(proto.ErrMatch, uint32(attrs.Channels))
 		return false
 	}
-	if mask&proto.ACEncoding != 0 {
+	if setEnc {
 		a.enc = enc
 		if enc == sampleconv.ADPCM4 {
 			a.playCoder = &sampleconv.ADPCMCoder{}

@@ -5,7 +5,7 @@
 //
 // Where the paper's DIA is one thread, this server is a set of locks:
 // every request runs to completion on its connection's reader goroutine,
-// under the lock its opcode names (hotOp). The control lock, Server.ctl,
+// under the lock its opTable row names. The control lock, Server.ctl,
 // guards the genuinely global state (client registry, atoms, properties,
 // host access, AC lifecycle); each root device gets an engine — a mutex
 // plus one runtime timer (time.AfterFunc) — that owns its buffering
