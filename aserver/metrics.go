@@ -378,7 +378,7 @@ func (s *Server) Snapshot() Snapshot {
 			BcastBytes:     em.bcastBytes.Load(),
 			BcastDrops:     em.bcastDrops.Load(),
 		}
-		// Backend health is all atomics — read outside the engine lock.
+		// Backend health takes no engine state — read outside the lock.
 		if lsb, ok := d.Backend().(*lineserver.Backend); ok {
 			st := lsb.Stats()
 			ds.Lineserver = &st

@@ -35,7 +35,7 @@ func main() {
 	replicas := flag.Int("replicas", 0, "virtual points per backend on the hash ring (0 = default)")
 	probeInterval := flag.Duration("probe-interval", time.Second, "health-probe period per backend")
 	probeTimeout := flag.Duration("probe-timeout", 2*time.Second, "health-probe round-trip timeout")
-	failThreshold := flag.Int("fail-threshold", 3, "consecutive probe failures before a suspect backend is marked down")
+	failThreshold := flag.Int("fail-threshold", 3, "consecutive probe or dial failures that take a healthy backend out of placement and start its resync")
 	dialTimeout := flag.Duration("dial-timeout", 5*time.Second, "backend dial timeout for new sessions")
 	clientStall := flag.Duration("client-stall", 30*time.Second, "rolling write deadline toward clients; a client that stops reading this long loses its session")
 	statsAddr := flag.String("stats", "", "serve metrics (/stats JSON, /debug/vars expvar) on this address; off by default")

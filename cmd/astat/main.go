@@ -30,6 +30,7 @@ import (
 
 	"audiofile/aserver"
 	"audiofile/internal/cmdutil"
+	"audiofile/internal/health"
 	"audiofile/internal/metrics"
 )
 
@@ -336,17 +337,16 @@ func conservation(s aserver.Snapshot) string {
 				d.Index, d.BcastEncodes, d.BcastChunks)
 		}
 		// LineServer transport health: every reply datagram is classified
-		// exactly once, and every resync the healer starts ends exactly
-		// once. Both one-sided live (the backend increments the aggregate
-		// first and the snapshot reads it last), exact after close.
+		// exactly once — one-sided live (the backend increments the
+		// aggregate first and the snapshot reads it last), exact after
+		// close — and its health machine's books balance.
 		if ls := d.Lineserver; ls != nil {
 			if sum := ls.Accepted + ls.Stale + ls.Duplicate; ls.Replies < sum {
 				return fmt.Sprintf("device %d: lineserver replies %d < accepted %d + stale %d + duplicate %d",
 					d.Index, ls.Replies, ls.Accepted, ls.Stale, ls.Duplicate)
 			}
-			if sum := ls.ResyncsCompleted + ls.ResyncsAbandoned; ls.ResyncsStarted < sum {
-				return fmt.Sprintf("device %d: lineserver resyncs started %d < completed %d + abandoned %d",
-					d.Index, ls.ResyncsStarted, ls.ResyncsCompleted, ls.ResyncsAbandoned)
+			if werr := healthLaw(fmt.Sprintf("device %d: lineserver", d.Index), ls.Stats); werr != "" {
+				return werr
 			}
 		}
 	}
@@ -446,6 +446,23 @@ func routerConservation(s aserver.RouterSnapshot) string {
 	if sum := s.ClosedClient + s.ClosedBackend + s.FailoversStarted; s.Routes < sum {
 		return fmt.Sprintf("routes %d < closed-client %d + closed-backend %d + failovers-started %d",
 			s.Routes, s.ClosedClient, s.ClosedBackend, s.FailoversStarted)
+	}
+	for _, b := range s.Backends {
+		if werr := healthLaw("backend "+b.Name, b.Stats); werr != "" {
+			return werr
+		}
+	}
+	return ""
+}
+
+// healthLaw is the internal/health law, for a lineserver device and a
+// router backend alike: every resync started ends exactly once, completed
+// or abandoned. One-sided live (outcomes are read before starts), exact
+// once the machine is closed.
+func healthLaw(who string, h health.Stats) string {
+	if sum := h.ResyncsCompleted + h.ResyncsAbandoned; h.ResyncsStarted < sum {
+		return fmt.Sprintf("%s: resyncs started %d < completed %d + abandoned %d",
+			who, h.ResyncsStarted, h.ResyncsCompleted, h.ResyncsAbandoned)
 	}
 	return ""
 }

@@ -1,0 +1,285 @@
+// Package health is the repository's one detect/decide/act loop, in the
+// shape of the Self-Healing Audio System's recovery cycle: the lineserver
+// backend runs a Machine over its UDP box, the fleet router one per afd.
+// Callers detect (Failure, Success, Escalate) and supply the act (Heal);
+// the Machine decides, and owns the states, counters and event log.
+//
+// Threshold consecutive failures, or one Escalate, move a healthy
+// machine to suspect, which wakes its one resync goroutine: suspect →
+// resyncing, then Heal up to Attempts times, the wait between tries
+// doubling from Backoff up to 500 ms, ending healthy (completed) or
+// down (abandoned). Only a healthy machine escalates. A success returns
+// suspect or down to healthy and leaves resyncing to Heal's verdict; down
+// is left only by a success, so a peer that stays dead is not resynced
+// again on every run of failures.
+//
+// Every resync ends once, completed or abandoned (a Close mid-resync
+// abandons it), so ResyncsStarted == ResyncsCompleted + ResyncsAbandoned
+// exactly after Close. The three count transitions (into resyncing,
+// resyncing→healthy, resyncing→down) and Stats reads them under the lock
+// that makes them: a live snapshot is short by exactly the resync in
+// progress, whatever order its fields are read in.
+package health
+
+import (
+	"sync"
+	"sync/atomic"
+	"time"
+)
+
+// The states, by their report names.
+const (
+	Healthy   = "healthy"
+	Suspect   = "suspect"   // escalated; the resync is about to start
+	Resyncing = "resyncing" // Heal attempts under way
+	Down      = "down"      // resync abandoned; left only by a success
+)
+
+const (
+	healthy int32 = iota
+	suspect
+	resyncing
+	down
+)
+
+var names = [...]string{Healthy, Suspect, Resyncing, Down}
+
+// Defaults for zero Config fields, and the backoff cap.
+const (
+	defaultThreshold = 3
+	defaultAttempts  = 4
+	defaultBackoff   = 25 * time.Millisecond
+	maxBackoff       = 500 * time.Millisecond
+)
+
+// maxEvents bounds the transition log: a diagnostic ring, not a history.
+const maxEvents = 64
+
+// Config is what a caller supplies. Zero numbers take the defaults.
+type Config struct {
+	Threshold int           // consecutive failures that escalate a healthy machine
+	Attempts  int           // Heal tries per resync
+	Backoff   time.Duration // wait before the second try; doubles, capped at maxBackoff
+	Heal      func() bool   // one recovery attempt; true when the peer is back
+	OnEvent   func(Event)   // optional: called after each transition is recorded
+}
+
+// Event is one recorded transition.
+type Event struct {
+	When   time.Time `json:"when"`
+	From   string    `json:"from"`
+	To     string    `json:"to"`
+	Reason string    `json:"reason"`
+}
+
+// Stats is a machine's snapshot; callers embed it in their own.
+type Stats struct {
+	State       string `json:"state"`
+	ConsecFails int64  `json:"consec_fails"`
+
+	ToHealthy uint64 `json:"to_healthy"`
+	ToSuspect uint64 `json:"to_suspect"`
+	ToDown    uint64 `json:"to_down"`
+
+	ResyncsStarted   uint64 `json:"resyncs_started"`
+	ResyncsCompleted uint64 `json:"resyncs_completed"`
+	ResyncsAbandoned uint64 `json:"resyncs_abandoned"`
+	ResyncAttempts   uint64 `json:"resync_attempts"`
+
+	Events []Event `json:"events,omitempty"`
+}
+
+// Machine is one peer's health. State reads are atomic loads;
+// transitions serialize on mu, which guards their counts and the event
+// ring.
+type Machine struct {
+	cfg Config
+
+	state    atomic.Int32
+	fails    atomic.Int64
+	attempts atomic.Uint64 // Heal calls
+
+	mu     sync.Mutex
+	moves  [len(names)][len(names)]uint64 // transitions, by from and to
+	events []Event
+
+	wake      chan struct{}
+	done      chan struct{}
+	closeOnce sync.Once
+	wg        sync.WaitGroup
+}
+
+// New returns a healthy machine and starts its resync goroutine; Close
+// stops it.
+func New(cfg Config) *Machine {
+	m := newMachine(cfg)
+	m.wg.Add(1)
+	go m.run()
+	return m
+}
+
+func newMachine(cfg Config) *Machine {
+	if cfg.Threshold <= 0 {
+		cfg.Threshold = defaultThreshold
+	}
+	if cfg.Attempts <= 0 {
+		cfg.Attempts = defaultAttempts
+	}
+	if cfg.Backoff <= 0 {
+		cfg.Backoff = defaultBackoff
+	}
+	return &Machine{cfg: cfg, wake: make(chan struct{}, 1), done: make(chan struct{})}
+}
+
+// Close stops the resync goroutine and waits for it: a resync in its
+// backoff is abandoned at once, one in Heal when Heal returns. Safe to
+// call more than once.
+func (m *Machine) Close() {
+	m.closeOnce.Do(func() { close(m.done) })
+	m.wg.Wait()
+}
+
+// State returns the current state's name.
+func (m *Machine) State() string { return names[m.state.Load()] }
+
+// Healthy reports whether the peer may be given new work.
+func (m *Machine) Healthy() bool { return m.state.Load() == healthy }
+
+// Failure records one failed operation against the peer.
+func (m *Machine) Failure() {
+	if m.fails.Add(1) >= int64(m.cfg.Threshold) {
+		m.Escalate("failure threshold")
+	}
+}
+
+// Escalate starts a resync now, without waiting for the threshold: the
+// caller has seen the peer fail in a way one failure proves. A no-op
+// unless healthy.
+func (m *Machine) Escalate(reason string) {
+	if m.move(1<<healthy, suspect, reason) {
+		m.fails.Store(0)
+		select {
+		case m.wake <- struct{}{}:
+		default:
+		}
+	}
+}
+
+// Success records one answered operation: the failure run ends, and a
+// suspect or down peer is healthy again.
+func (m *Machine) Success() {
+	m.fails.Store(0)
+	m.move(1<<suspect|1<<down, healthy, "recovered")
+}
+
+// move records a transition to `to` when the current state is in the
+// from set (a bit per state), and reports whether it did.
+func (m *Machine) move(from uint8, to int32, reason string) bool {
+	m.mu.Lock()
+	cur := m.state.Load()
+	if from&(1<<cur) == 0 {
+		m.mu.Unlock()
+		return false
+	}
+	m.state.Store(to)
+	m.moves[cur][to]++
+	ev := Event{When: time.Now(), From: names[cur], To: names[to], Reason: reason}
+	if len(m.events) == maxEvents {
+		m.events = append(m.events[:0], m.events[1:]...)
+	}
+	m.events = append(m.events, ev)
+	m.mu.Unlock()
+	if m.cfg.OnEvent != nil {
+		m.cfg.OnEvent(ev)
+	}
+	return true
+}
+
+// run is the act stage's goroutine: one resync per escalation.
+func (m *Machine) run() {
+	defer m.wg.Done()
+	for {
+		select {
+		case <-m.done:
+			return
+		case <-m.wake:
+		}
+		if !m.resync() {
+			return
+		}
+	}
+}
+
+// resync takes a suspect machine through resyncing to healthy or down,
+// and reports false when Close cut it short. A wake that finds the
+// machine no longer suspect (a success got there first) is stale.
+func (m *Machine) resync() bool {
+	if !m.move(1<<suspect, resyncing, "resync start") {
+		return true
+	}
+	ok, closed := m.heal()
+	m.fails.Store(0)
+	switch {
+	case ok:
+		m.move(1<<resyncing, healthy, "resync complete")
+	case closed:
+		m.move(1<<resyncing, down, "resync aborted by close")
+	default:
+		m.move(1<<resyncing, down, "resync abandoned")
+	}
+	return !closed
+}
+
+// heal runs Heal up to Attempts times with doubling backoff between them.
+func (m *Machine) heal() (ok, closed bool) {
+	backoff := m.cfg.Backoff
+	for attempt := 0; attempt < m.cfg.Attempts; attempt++ {
+		if attempt > 0 {
+			t := time.NewTimer(backoff)
+			select {
+			case <-m.done:
+				t.Stop()
+				return false, true
+			case <-t.C:
+			}
+			backoff = min(2*backoff, maxBackoff)
+		}
+		m.attempts.Add(1)
+		if m.cfg.Heal() {
+			return true, false
+		}
+	}
+	return false, false
+}
+
+// Events returns the recorded transitions, oldest first.
+func (m *Machine) Events() []Event {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return append([]Event(nil), m.events...)
+}
+
+// Stats snapshots the machine: one read of the transition counts under
+// their lock (see the package comment).
+func (m *Machine) Stats() Stats {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	into := func(to int32) (n uint64) {
+		for from := range m.moves {
+			n += m.moves[from][to]
+		}
+		return n
+	}
+	return Stats{
+		State:            m.State(),
+		ConsecFails:      m.fails.Load(),
+		ToHealthy:        into(healthy),
+		ToSuspect:        into(suspect),
+		ToDown:           into(down),
+		ResyncsStarted:   into(resyncing),
+		ResyncsCompleted: m.moves[resyncing][healthy],
+		ResyncsAbandoned: m.moves[resyncing][down],
+		ResyncAttempts:   m.attempts.Load(),
+		Events:           append([]Event(nil), m.events...),
+	}
+}

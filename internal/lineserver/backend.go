@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"audiofile/internal/atime"
+	"audiofile/internal/health"
 	"audiofile/internal/sampleconv"
 )
 
@@ -20,9 +21,9 @@ import (
 // The transport is hardened against the faults that define UDP: every
 // reply is sequence-validated (stale replies to timed-out requests and
 // duplicated datagrams are counted and discarded, never adopted), the
-// device-time estimate is monotonic under jittered replies, and a
-// detect/decide/act health loop (health.go) resynchronizes automatically
-// when the box disappears and comes back.
+// device-time estimate is monotonic under jittered replies, and an
+// internal/health Machine resynchronizes automatically when the box
+// disappears and comes back: round trips are its detect, resync its heal.
 type Backend struct {
 	mu sync.Mutex
 
@@ -56,17 +57,9 @@ type Backend struct {
 
 	recv []byte
 
-	// Self-healing (health.go).
-	health         backendHealth
-	failThreshold  int
-	resyncMaxTries int
-	resyncBackoff  time.Duration
-	slipThreshold  int
-
-	healCh    chan struct{}
-	done      chan struct{}
-	closeOnce sync.Once
-	wg        sync.WaitGroup
+	count  counters // stats.go
+	health *health.Machine
+	tuning health.Config
 }
 
 // BackendOption configures a Backend.
@@ -86,30 +79,10 @@ func WithoutExtrapolation() BackendOption {
 // WithHealthTuning overrides the self-healing knobs: failThreshold
 // consecutive round-trip failures escalate to a resync of up to
 // attempts tries with backoff between them (doubling, capped). Zero
-// values keep the defaults; chaos tests use tiny ones.
+// values keep the health package's defaults; chaos tests use tiny ones.
 func WithHealthTuning(failThreshold, attempts int, backoff time.Duration) BackendOption {
 	return func(b *Backend) {
-		if failThreshold > 0 {
-			b.failThreshold = failThreshold
-		}
-		if attempts > 0 {
-			b.resyncMaxTries = attempts
-		}
-		if backoff > 0 {
-			b.resyncBackoff = backoff
-		}
-	}
-}
-
-// WithSlipThreshold sets the clock-slip detection threshold in frames:
-// an accepted reply whose timestamp deviates from the extrapolated
-// estimate by more than this counts as a slip (§8.3 generalized).
-// Ignored without extrapolation. 0 keeps the default of half a second.
-func WithSlipThreshold(frames int) BackendOption {
-	return func(b *Backend) {
-		if frames > 0 {
-			b.slipThreshold = frames
-		}
+		b.tuning = health.Config{Threshold: failThreshold, Attempts: attempts, Backoff: backoff}
 	}
 }
 
@@ -124,41 +97,49 @@ func Dial(addr string, rate int, opts ...BackendOption) (*Backend, error) {
 		return nil, err
 	}
 	b := &Backend{
-		conn:           conn,
-		rate:           rate,
-		timeout:        100 * time.Millisecond,
-		extrapolate:    true,
-		recv:           make([]byte, HeaderBytes+MaxDataBytes+64),
-		failThreshold:  defaultFailThreshold,
-		resyncMaxTries: defaultResyncAttempts,
-		resyncBackoff:  defaultResyncBackoff,
-		healCh:         make(chan struct{}, 1),
-		done:           make(chan struct{}),
+		conn:        conn,
+		rate:        rate,
+		timeout:     100 * time.Millisecond,
+		extrapolate: true,
+		recv:        make([]byte, HeaderBytes+MaxDataBytes+64),
 	}
 	for _, o := range opts {
 		o(b)
 	}
-	if b.slipThreshold == 0 {
-		b.slipThreshold = rate / 2
-	}
-	// Initial time sync.
+	b.tuning.Heal = b.resync
+	b.health = health.New(b.tuning)
+	// Initial time sync, under the lock: its failures may already start a
+	// resync.
+	b.mu.Lock()
 	if rep := b.roundTrip(&Packet{Fn: FnLoopback}, 3); rep != nil {
 		b.lastTime = atime.ATime(rep.Time)
 		b.lastWhen = time.Now()
 	}
-	b.wg.Add(1)
-	go b.healer()
+	b.mu.Unlock()
 	return b, nil
 }
 
-// Close releases the socket and joins the healer. Safe to call more
-// than once; operations after Close fail fast on the closed socket.
+// Close releases the socket, which fails a resync attempt in flight at
+// once, and stops the health machine. Safe to call more than once;
+// operations after Close fail fast on the closed socket.
 func (b *Backend) Close() {
-	b.closeOnce.Do(func() {
-		close(b.done)
-		b.conn.Close()
-	})
-	b.wg.Wait()
+	b.conn.Close()
+	b.health.Close()
+}
+
+// resync is the health machine's heal: re-Reset the box, re-establish
+// the device-time base with a loopback ping (the accepted reply refreshes
+// lastTime/lastWhen inside roundTrip), and let Time step to it — the box
+// may have rebooted. Single tries: the machine's backoff is the retry
+// policy.
+func (b *Backend) resync() bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.roundTrip(&Packet{Fn: FnReset}, 1) == nil || b.roundTrip(&Packet{Fn: FnLoopback}, 1) == nil {
+		return false
+	}
+	b.monotonicValid = false
+	return true
 }
 
 // rememberReply records a reply sequence number in the seen ring.
@@ -185,14 +166,15 @@ func (b *Backend) replySeen(seq uint32) bool {
 
 // adoptTime accepts a reply's timestamp as the new estimation base,
 // first checking it against the extrapolated estimate for a clock slip
-// (detect); a slip releases the monotonicity clamp so Time may step to
-// the box's new base (act). Must be called with b.mu held.
+// (§8.3 generalized: off by more than half a second); a slip releases the
+// monotonicity clamp so Time may step to the box's new base. Must be
+// called with b.mu held.
 func (b *Backend) adoptTime(rep *Packet) {
 	now := time.Now()
 	if b.extrapolate && !b.lastWhen.IsZero() {
 		expected := atime.Add(b.lastTime, int(now.Sub(b.lastWhen).Seconds()*float64(b.rate)))
-		if d := atime.Sub(atime.ATime(rep.Time), expected); d > int32(b.slipThreshold) || d < -int32(b.slipThreshold) {
-			b.health.slips.Add(1)
+		if d, slip := atime.Sub(atime.ATime(rep.Time), expected), int32(b.rate/2); d > slip || d < -slip {
+			b.count.slips.Add(1)
 			b.monotonicValid = false
 		}
 	}
@@ -208,7 +190,7 @@ func (b *Backend) adoptTime(rep *Packet) {
 // function code) may update the time estimate. Must be called with
 // b.mu held (or before concurrent use).
 func (b *Backend) roundTrip(req *Packet, tries int) *Packet {
-	h := &b.health
+	c := &b.count
 	for attempt := 0; attempt < tries; attempt++ {
 		b.seq++
 		req.Seq = b.seq
@@ -217,15 +199,15 @@ func (b *Backend) roundTrip(req *Packet, tries int) *Packet {
 		// Write leaves a window where the reply can race the deadline.
 		if err := b.conn.SetReadDeadline(time.Now().Add(b.timeout)); err != nil {
 			b.noteErr(err)
-			b.noteFailure()
+			b.noteTimeout()
 			return nil
 		}
 		if _, err := b.conn.Write(req.Marshal()); err != nil {
 			b.noteErr(err)
-			b.noteFailure()
+			b.noteTimeout()
 			return nil
 		}
-		h.requests.Add(1)
+		c.requests.Add(1)
 		for {
 			n, err := b.conn.Read(b.recv)
 			if err != nil {
@@ -233,36 +215,43 @@ func (b *Backend) roundTrip(req *Packet, tries int) *Packet {
 			}
 			rep, err := Parse(b.recv[:n])
 			if err != nil {
-				h.garbage.Add(1)
+				c.garbage.Add(1)
 				continue
 			}
 			// The aggregate increments before the classification so the
 			// one-sided law Replies >= Accepted+Stale+Duplicate holds in
 			// every live snapshot (Stats reads the classes first).
-			h.replies.Add(1)
+			c.replies.Add(1)
 			switch {
 			case rep.Seq == req.Seq && rep.Fn == req.Fn:
-				h.accepted.Add(1)
+				c.accepted.Add(1)
 				b.rememberReply(rep.Seq)
 				b.adoptTime(rep)
-				b.noteSuccess()
+				b.health.Success()
 				return rep
 			case b.replySeen(rep.Seq):
 				// A duplicated datagram: a copy of a reply we already
 				// classified (accepted or stale). Never adopted.
-				h.duplicate.Add(1)
+				c.duplicate.Add(1)
 			default:
 				// A straggler answering an earlier, timed-out request (or
 				// a live-sequence reply with the wrong function code).
 				// Its payload may be valid for that old request, but its
 				// timestamp is old news: discarded, never adopted.
-				h.stale.Add(1)
+				c.stale.Add(1)
 				b.rememberReply(rep.Seq)
 			}
 		}
 	}
-	b.noteFailure()
+	b.noteTimeout()
 	return nil
+}
+
+// noteTimeout counts a round trip that got no accepted reply and reports
+// it to the health machine.
+func (b *Backend) noteTimeout() {
+	b.count.timeouts.Add(1)
+	b.health.Failure()
 }
 
 // noteErr records the first transport failure and logs it once. The
@@ -338,7 +327,7 @@ func (b *Backend) WritePlay(t atime.ATime, data []byte) int {
 		if b.roundTrip(&Packet{Fn: FnPlay, Time: uint32(t), Data: data[:n]}, 1) == nil {
 			// Unacknowledged: the packet (or its ack) is gone. The box may
 			// still have it, but for gap accounting we assume the worst.
-			b.health.playLostBytes.Add(uint64(n))
+			b.count.playLostBytes.Add(uint64(n))
 		}
 		written += n
 		t = atime.Add(t, n)
@@ -367,7 +356,7 @@ func (b *Backend) ReadRecord(t atime.ATime, buf []byte) int {
 		}
 		if c < n {
 			sampleconv.Silence(sampleconv.MU255, buf[got+c:got+n])
-			b.health.recSilenceBytes.Add(uint64(n - c))
+			b.count.recSilenceBytes.Add(uint64(n - c))
 		}
 		got += n
 		t = atime.Add(t, n)

@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"audiofile/internal/health"
 )
 
 // scriptedBox is a raw UDP responder the test drives packet by packet:
@@ -176,7 +178,7 @@ func TestResyncAbandoned(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer b.Close()
-	if b.State() != StateHealthy {
+	if b.State() != health.Healthy {
 		t.Fatalf("fresh backend state = %s", b.State())
 	}
 
@@ -185,7 +187,7 @@ func TestResyncAbandoned(t *testing.T) {
 	alive.Store(false)
 	b.Loopback(nil)
 	b.Loopback(nil)
-	waitFor(t, "state down after abandoned resync", func() bool { return b.State() == StateDown })
+	waitFor(t, "state down after abandoned resync", func() bool { return b.State() == health.Down })
 
 	b.Close()
 	st := b.Stats()
@@ -198,7 +200,7 @@ func TestResyncAbandoned(t *testing.T) {
 	}
 	var sawDown bool
 	for _, ev := range b.Events() {
-		if ev.From == StateResyncing && ev.To == StateDown {
+		if ev.From == health.Resyncing && ev.To == health.Down {
 			sawDown = true
 		}
 	}
@@ -237,7 +239,7 @@ func TestResyncCompletes(t *testing.T) {
 	alive.Store(true)
 	waitFor(t, "resync completion after revival", func() bool {
 		st := b.Stats()
-		return st.ResyncsCompleted >= 1 && st.State == StateHealthy
+		return st.ResyncsCompleted >= 1 && st.State == health.Healthy
 	})
 
 	b.Close()
@@ -248,7 +250,7 @@ func TestResyncCompletes(t *testing.T) {
 	}
 	var sawHealed bool
 	for _, ev := range b.Events() {
-		if ev.From == StateResyncing && ev.To == StateHealthy {
+		if ev.From == health.Resyncing && ev.To == health.Healthy {
 			sawHealed = true
 		}
 	}
@@ -282,14 +284,14 @@ func TestSpontaneousRecovery(t *testing.T) {
 	alive.Store(false)
 	b.Loopback(nil)
 	b.Loopback(nil)
-	waitFor(t, "state down", func() bool { return b.State() == StateDown })
+	waitFor(t, "state down", func() bool { return b.State() == health.Down })
 
 	// The network heals before any new escalation: one good op recovers.
 	alive.Store(true)
 	if _, ok := b.Loopback([]byte("back")); !ok {
 		t.Fatal("loopback against revived box failed")
 	}
-	if got := b.State(); got != StateHealthy {
+	if got := b.State(); got != health.Healthy {
 		t.Errorf("state after successful op = %s, want healthy", got)
 	}
 	if st := b.Stats(); st.ResyncsStarted != 1 {

@@ -1,0 +1,77 @@
+package lineserver
+
+import (
+	"sync/atomic"
+
+	"audiofile/internal/health"
+)
+
+// The backend's books. Health — the states, the resync counters and the
+// event log — is its internal/health Machine's; what this file keeps is
+// the transport's own counters, which obey an exact law once the backend
+// is closed:
+//
+//	Replies == Accepted + Stale + Duplicate
+//
+// In a live snapshot it is one-sided (Replies >= the sum): the aggregate
+// is incremented first and read last.
+
+// counters are atomics so Stats never takes the transport mutex, which a
+// round trip may hold for a full timeout.
+type counters struct {
+	requests  atomic.Uint64 // datagrams sent
+	replies   atomic.Uint64 // parseable reply datagrams received
+	accepted  atomic.Uint64 // replies matching the live request
+	stale     atomic.Uint64 // replies to earlier (timed-out) requests
+	duplicate atomic.Uint64 // copies of replies already seen
+	garbage   atomic.Uint64 // unparseable datagrams
+	timeouts  atomic.Uint64 // round trips that exhausted every try
+	slips     atomic.Uint64 // clock-slip detections on accepted replies
+
+	recSilenceBytes atomic.Uint64 // record bytes delivered as silence
+	playLostBytes   atomic.Uint64 // play bytes whose packet went unacknowledged
+}
+
+// BackendStats is the exported snapshot: what afd -stats embeds per
+// lineserver device and astat renders and law-checks.
+type BackendStats struct {
+	health.Stats
+
+	Requests  uint64 `json:"requests"`
+	Replies   uint64 `json:"replies"`
+	Accepted  uint64 `json:"accepted"`
+	Stale     uint64 `json:"stale"`
+	Duplicate uint64 `json:"duplicate"`
+	Garbage   uint64 `json:"garbage"`
+	Timeouts  uint64 `json:"timeouts"`
+	Slips     uint64 `json:"slips"`
+
+	RecSilenceBytes uint64 `json:"rec_silence_bytes"`
+	PlayLostBytes   uint64 `json:"play_lost_bytes"`
+}
+
+// Stats snapshots the counters without touching the transport mutex:
+// classifications first, their aggregates last.
+func (b *Backend) Stats() BackendStats {
+	c := &b.count
+	s := BackendStats{
+		Stats:           b.health.Stats(),
+		Accepted:        c.accepted.Load(),
+		Stale:           c.stale.Load(),
+		Duplicate:       c.duplicate.Load(),
+		Garbage:         c.garbage.Load(),
+		Timeouts:        c.timeouts.Load(),
+		Slips:           c.slips.Load(),
+		RecSilenceBytes: c.recSilenceBytes.Load(),
+		PlayLostBytes:   c.playLostBytes.Load(),
+	}
+	s.Replies = c.replies.Load()
+	s.Requests = c.requests.Load()
+	return s
+}
+
+// Events returns the recorded health transitions.
+func (b *Backend) Events() []health.Event { return b.health.Events() }
+
+// State returns the current health state name.
+func (b *Backend) State() string { return b.health.State() }

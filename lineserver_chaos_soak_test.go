@@ -36,6 +36,7 @@ import (
 
 	"audiofile/aserver"
 	"audiofile/internal/atime"
+	"audiofile/internal/health"
 	"audiofile/internal/lineserver"
 	"audiofile/internal/netsim"
 	"audiofile/internal/sampleconv"
@@ -345,7 +346,7 @@ func TestLineserverStatsExported(t *testing.T) {
 	if ls.Requests == 0 || ls.Accepted == 0 {
 		t.Errorf("lineserver stats empty over a live box: %+v", ls)
 	}
-	if ls.State != lineserver.StateHealthy {
+	if ls.State != health.Healthy {
 		t.Errorf("state over a healthy box = %s", ls.State)
 	}
 	if ls.Replies < ls.Accepted+ls.Stale+ls.Duplicate {
