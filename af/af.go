@@ -25,6 +25,7 @@ import (
 	"os"
 	"strings"
 	"sync"
+	"time"
 
 	"audiofile/internal/proto"
 )
@@ -253,7 +254,7 @@ type Conn struct {
 // BasePort+n, as the X convention uses 6000+n.
 const BasePort = 7000
 
-// unixDirFor returns the Unix socket rendezvous directory.
+// unixSocketPath returns the Unix socket path of server number display.
 func unixSocketPath(display int) string {
 	return fmt.Sprintf("/tmp/.AFunix/AF%d", display)
 }
@@ -361,44 +362,97 @@ func NewConnOrder(conn net.Conn, bigEndian bool) (*Conn, error) {
 	return NewConnRoute(conn, bigEndian, "")
 }
 
-// routedSetup builds the setup request for a handshake, carrying the
-// routing key in the auth fields when one is set (proto.RouteAuthName).
-func routedSetup(byteOrder byte, route string) proto.SetupRequest {
+// redirectDialTimeout bounds the dials a setup redirect leads to, as the
+// router's default DialTimeout bounds its own. (Go's TCP conns start with
+// Nagle off, as a session's should be.)
+const redirectDialTimeout = 5 * time.Second
+
+// handshake performs the setup on nc and returns the transport the
+// session runs on, with the server's reply. A client with a routing key
+// on a socket it dialed itself advertises proto.RouteDirectAuthName, and
+// a fleet router may answer with a setup redirect. The session is then
+// set up at the owning backend directly, under proto.RouteAuthName so
+// that a chained router proxies rather than redirecting again. If that
+// dial or setup fails, it is proxied through the router at nc's own
+// address instead, whose placement walks past a dead owner. handshake
+// owns nc: it closes nc on failure and after a redirect.
+func handshake(nc net.Conn, order binary.ByteOrder, route string) (net.Conn, *proto.SetupReply, error) {
+	var direct bool
+	switch nc.(type) {
+	case *net.TCPConn, *net.UnixConn:
+		direct = route != ""
+	}
+	rep, err := setup(nc, order, route, direct)
+	if err != nil || !rep.Redirect() {
+		if err != nil {
+			nc.Close()
+		}
+		return nc, rep, err
+	}
+	router := nc.RemoteAddr()
+	nc.Close()
+	if dc, err := net.DialTimeout(rep.RedirectNetwork, rep.RedirectAddr, redirectDialTimeout); err == nil {
+		if rep, err := setup(dc, order, route, false); err == nil {
+			return dc, rep, nil
+		}
+		dc.Close()
+	}
+	fc, err := net.DialTimeout(router.Network(), router.String(), redirectDialTimeout)
+	if err != nil {
+		return nil, nil, fmt.Errorf("af: setup after redirect: %w", err)
+	}
+	if rep, err = setup(fc, order, route, false); err != nil {
+		fc.Close()
+		return nil, nil, err
+	}
+	return fc, rep, nil
+}
+
+// setup sends one setup request, carrying the routing key in the auth
+// fields when one is set, and reads the reply: a session, or — only when
+// direct advertised that the client can follow one — a setup redirect.
+func setup(nc net.Conn, order binary.ByteOrder, route string, direct bool) (*proto.SetupReply, error) {
 	s := proto.SetupRequest{
-		ByteOrder: byteOrder,
+		ByteOrder: proto.LittleEndianOrder,
 		Major:     proto.ProtocolMajor,
 		Minor:     proto.ProtocolMinor,
 	}
+	if order == binary.ByteOrder(binary.BigEndian) {
+		s.ByteOrder = proto.BigEndianOrder
+	}
 	if route != "" {
 		s.AuthName = proto.RouteAuthName
+		if direct {
+			s.AuthName = proto.RouteDirectAuthName
+		}
 		s.AuthData = []byte(route)
 	}
-	return s
+	if err := s.Send(nc); err != nil {
+		return nil, fmt.Errorf("af: setup: %w", err)
+	}
+	rep, err := proto.ReadSetupReply(nc, order)
+	if err != nil {
+		return nil, fmt.Errorf("af: setup reply: %w", err)
+	}
+	if !rep.Success && !(direct && rep.Redirect()) {
+		return nil, fmt.Errorf("af: connection refused: %s", rep.Reason)
+	}
+	return rep, nil
 }
 
 // NewConnRoute is NewConnOrder with a routing key for a fleet router;
 // see OpenRoute. The key is replayed on reconnect, so failover keeps the
-// session's directory placement.
+// session's directory placement. Over a plain TCP or Unix socket the
+// router may place the session by redirect, and the returned Conn then
+// talks to the owning backend directly.
 func NewConnRoute(conn net.Conn, bigEndian bool, route string) (*Conn, error) {
-	ob := byte(proto.LittleEndianOrder)
 	var order binary.ByteOrder = binary.LittleEndian
 	if bigEndian {
-		ob = proto.BigEndianOrder
 		order = binary.BigEndian
 	}
-	setup := routedSetup(ob, route)
-	if err := setup.Send(conn); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("af: setup: %w", err)
-	}
-	rep, err := proto.ReadSetupReply(conn, order)
+	conn, rep, err := handshake(conn, order, route)
 	if err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("af: setup reply: %w", err)
-	}
-	if !rep.Success {
-		conn.Close()
-		return nil, fmt.Errorf("af: connection refused: %s", rep.Reason)
+		return nil, err
 	}
 	c := &Conn{
 		conn:     conn,
@@ -488,7 +542,8 @@ func (c *Conn) SetErrorHandler(h func(*Conn, *ProtoError)) {
 }
 
 // SetIOErrorHandler installs a handler for fatal transport errors. The
-// default prints and exits, as the C library does.
+// default prints the error to standard error; unlike the C library's, it
+// does not exit.
 func (c *Conn) SetIOErrorHandler(h func(*Conn, error)) {
 	c.mu.Lock()
 	c.ioErrHandler = h

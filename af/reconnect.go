@@ -1,7 +1,6 @@
 package af
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -151,7 +150,6 @@ func (c *Conn) reconnectLocked() error {
 			continue
 		}
 		if err := c.resetOnto(nc); err != nil {
-			nc.Close()
 			lastErr = err
 			continue
 		}
@@ -164,30 +162,25 @@ func (c *Conn) reconnectLocked() error {
 // the connection's byte order, swap the transport in, replay CreateAC
 // for every live context (ids are client-allocated and attributes are
 // mirrored locally, so the replay is verbatim), then one sync round trip
-// so any replay error surfaces here rather than later. c.mu held.
-func (c *Conn) resetOnto(nc net.Conn) error {
+// so any replay error surfaces here rather than later. It owns nc: on
+// failure, every transport it opened is closed. c.mu held.
+func (c *Conn) resetOnto(nc net.Conn) (err error) {
 	if tc, ok := nc.(*net.TCPConn); ok {
 		tc.SetNoDelay(true) //nolint:errcheck
-	}
-	ob := byte(proto.LittleEndianOrder)
-	if c.order == binary.ByteOrder(binary.BigEndian) {
-		ob = proto.BigEndianOrder
 	}
 	// The routing key is replayed verbatim: after a router-initiated
 	// failover the redial lands on the router again, and the same key
 	// must drive the directory lookup that places the session on the
 	// replacement backend.
-	setup := routedSetup(ob, c.route)
-	if err := setup.Send(nc); err != nil {
-		return fmt.Errorf("af: reconnect setup: %w", err)
-	}
-	rep, err := proto.ReadSetupReply(nc, c.order)
+	nc, rep, err := handshake(nc, c.order, c.route)
 	if err != nil {
-		return fmt.Errorf("af: reconnect setup reply: %w", err)
+		return err
 	}
-	if !rep.Success {
-		return fmt.Errorf("af: reconnect refused: %s", rep.Reason)
-	}
+	defer func() {
+		if err != nil {
+			nc.Close()
+		}
+	}()
 	// The session state assumes the same server configuration: the
 	// existing Device pointers (held by live ACs) must stay valid, so the
 	// server must still export at least the devices we knew about.

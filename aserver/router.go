@@ -19,14 +19,22 @@ import (
 )
 
 // Fleet routing. One afd owns one machine's devices; a Router fronts a
-// fleet of them behind a single AF endpoint. It speaks just enough of
-// the protocol to read the client's setup request, hashes the session's
-// routing key (carried in the setup auth fields, see proto.RouteAuthName)
-// onto a consistent-hash Directory of backends, and from then on is a
-// pure byte splice: the backend's setup reply and every subsequent
-// message forward verbatim in both directions through pooled buffers, so
-// the proxied hot path adds no per-chunk allocations and never parses
-// the stream.
+// fleet of them behind a single AF endpoint and places sessions by name.
+// It speaks just enough of the protocol to read the client's setup
+// request and hash the session's routing key (carried in the setup auth
+// fields, see proto.RouteAuthName) onto a consistent-hash Directory of
+// backends. Then it either
+//
+//   - redirects: a client that advertised proto.RouteDirectAuthName and
+//     can reach the key's live owner itself (over its own network, and
+//     never at a loopback address from another host) gets a setup
+//     redirect naming the owner's address and sets up there directly,
+//     so the router is not in its data path; or
+//   - proxies: for any other client it opens the session on the owner
+//     and is from then on a pure byte splice. The backend's setup reply
+//     and every subsequent message forward verbatim in both directions
+//     through pooled buffers, so the proxied hot path adds no per-chunk
+//     allocations and never parses the stream.
 //
 // Health is one internal/health Machine per backend, the lineserver
 // backend's: a per-backend prober runs one fresh-connection probe (setup
@@ -47,21 +55,32 @@ import (
 // counts the failover completed, else abandoned. A redirect-aware client
 // (af.SetReconnect) redials the router, carries the same routing key in
 // its setup, lands on the standby, and replays its audio contexts — the
-// router itself holds no session state to migrate.
+// router itself holds no session state to migrate. A redirected session
+// fails over the same way without the goodbye: its direct transport
+// dies, the client redials the router and is placed again. If the router
+// has not yet seen the death, the client's direct setup at the dead
+// owner fails and it falls back to a proxied setup, whose open walks
+// past the owner to the standby.
 //
-// Counter ownership and conservation: routes is incremented once per
-// proxied session by the accept path; exactly one of closedClient,
-// closedBackend, or failoversStarted is incremented per session by the
-// pump that loses the session (a CAS picks the single classifier); and
+// Counter ownership and conservation: spawn counts accepted once per
+// client conn, and its handler counts exactly one of routes, redirects
+// and routeErrors. For each proxied session (a route) exactly one of
+// closedClient, closedBackend, or failoversStarted is incremented by the
+// pump that loses the session (a CAS picks the single classifier), and
 // every failoversStarted is followed by exactly one of
 // failoversCompleted or failoversAbandoned before the session is torn
-// down. Snapshot reads the outcome counters before their antecedents, so
+// down. A redirected session appears in no counter after redirects: the
+// router never sees its end. Snapshot reads the outcome counters before
+// their antecedents, accepted last, so
 //
+//	accepted >= routes + redirects + route_errors
 //	failovers_started >= failovers_completed + failovers_abandoned
 //	routes >= closed_client + closed_backend + failovers_started
 //
-// hold in every live snapshot, and both are exact equalities once the
-// router is drained (sessions_active == 0).
+// hold in every live snapshot, each left side running ahead by the
+// setups, sessions or failovers in flight, and all three are exact
+// equalities once the router is drained (no setup in flight and
+// sessions_active == 0).
 
 // RouterOptions configures a Router.
 type RouterOptions struct {
@@ -115,7 +134,9 @@ type Router struct {
 }
 
 type routerMetrics struct {
+	accepted       *metrics.Counter
 	routes         *metrics.Counter
+	redirects      *metrics.Counter
 	routeErrors    *metrics.Counter
 	sessionsActive *metrics.Gauge
 
@@ -139,7 +160,7 @@ type routerBackend struct {
 	sessions   *metrics.Gauge
 	probes     *metrics.Counter
 	probeFails *metrics.Counter
-	dialErrors *metrics.Counter
+	dialErrors *metrics.Counter // failed session dials and setup exchanges
 }
 
 // NewRouter builds a router over the given backends and starts its
@@ -176,7 +197,9 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 		done:  make(chan struct{}),
 	}
 	r.rm = routerMetrics{
+		accepted:           r.reg.Counter("router.accepted"),
 		routes:             r.reg.Counter("router.routes"),
+		redirects:          r.reg.Counter("router.redirects"),
 		routeErrors:        r.reg.Counter("router.route_errors"),
 		sessionsActive:     r.reg.Gauge("router.sessions_active"),
 		bytesC2B:           r.reg.Counter("router.proxied_bytes_c2b"),
@@ -261,6 +284,7 @@ func (r *Router) spawn(conn net.Conn) {
 		conn.Close()
 		return
 	}
+	r.rm.accepted.Inc()
 	r.conns[conn] = struct{}{}
 	r.wg.Add(1)
 	go func() {
@@ -348,7 +372,8 @@ func refuse(conn net.Conn, order binary.ByteOrder, reason string) {
 	rep.Send(conn, order) //nolint:errcheck — the client is being turned away
 }
 
-// handleConn performs the routed handshake, then splices.
+// handleConn reads the client's setup and places the session: a setup
+// redirect when the client can follow one, else a proxied session.
 func (r *Router) handleConn(conn net.Conn) {
 	conn.SetDeadline(time.Now().Add(setupDeadline)) //nolint:errcheck
 	setup, order, err := proto.ReadSetupRequest(conn)
@@ -358,7 +383,8 @@ func (r *Router) handleConn(conn net.Conn) {
 		return
 	}
 	key := ""
-	if setup.AuthName == proto.RouteAuthName {
+	direct := setup.AuthName == proto.RouteDirectAuthName
+	if direct || setup.AuthName == proto.RouteAuthName {
 		key = string(setup.AuthData)
 	}
 	if key == "" {
@@ -367,42 +393,27 @@ func (r *Router) handleConn(conn net.Conn) {
 		// serves the session equally when the client didn't pin a key.
 		key = conn.RemoteAddr().String()
 	}
+	if direct && r.redirect(conn, order, key) {
+		return
+	}
 
-	backend, bc := r.dialFor(key)
+	backend, bc, rep := r.openFor(key, setup, order)
 	if backend == nil {
 		r.rm.routeErrors.Inc()
 		refuse(conn, order, "no live backend for route")
 		conn.Close()
 		return
 	}
-	if !r.track(bc) {
-		r.rm.routeErrors.Inc()
-		conn.Close()
-		bc.Close()
-		return
-	}
 	defer r.untrack(bc)
-
-	// Forward the client's setup verbatim (the backend ignores the route
-	// auth fields) and relay the backend's reply as raw bytes, so the
-	// handshake a routed client sees is byte-identical to a direct one.
-	bc.SetDeadline(time.Now().Add(setupDeadline)) //nolint:errcheck
-	if err := setup.Send(bc); err != nil {
-		r.rm.routeErrors.Inc()
-		refuse(conn, order, "backend handshake failed")
-		conn.Close()
-		bc.Close()
-		return
-	}
-	ok, err := spliceSetupReply(bc, conn, order)
-	if err != nil || !ok {
+	// Relay the backend's setup reply as raw bytes, so the handshake a
+	// routed client sees is byte-identical to a direct one.
+	if _, err := conn.Write(rep); err != nil || rep[0] != 1 {
 		r.rm.routeErrors.Inc()
 		conn.Close()
 		bc.Close()
 		return
 	}
 	conn.SetDeadline(time.Time{}) //nolint:errcheck
-	bc.SetDeadline(time.Time{})   //nolint:errcheck
 
 	s := &rsession{
 		r:       r,
@@ -425,53 +436,124 @@ func (r *Router) handleConn(conn net.Conn) {
 	s.pumpBackendToClient()
 }
 
-// dialFor resolves key through the directory and dials the chosen
-// backend, walking the failover chain on dial errors so a freshly dead
-// (not yet probed) backend doesn't refuse the session.
-func (r *Router) dialFor(key string) (*routerBackend, net.Conn) {
+// redirect answers a setup that advertised proto.RouteDirectAuthName
+// with the address of the key's live owner, if the client can dial it
+// itself, and closes the conn. It reports false, having sent nothing,
+// when the session must be proxied instead.
+func (r *Router) redirect(conn net.Conn, order binary.ByteOrder, key string) bool {
+	idx := r.dir.LookupLive(key, func(i int) bool { return r.backends[i].health.Healthy() })
+	if idx < 0 {
+		return false
+	}
+	b := r.backends[idx]
+	if !reachable(conn.RemoteAddr(), b.network, b.addr) {
+		return false
+	}
+	rep := proto.SetupReply{
+		RedirectNetwork: b.network,
+		RedirectAddr:    b.addr,
+		Major:           proto.ProtocolMajor,
+		Minor:           proto.ProtocolMinor,
+	}
+	if err := rep.Send(conn, order); err != nil {
+		r.rm.routeErrors.Inc()
+	} else {
+		r.rm.redirects.Inc()
+	}
+	conn.Close()
+	return true
+}
+
+// reachable reports whether a client at client can dial network/addr
+// itself: over the network it reached the router by, and — for TCP — not
+// at an address that dials only the router's own host unless the client
+// is on that host too.
+func reachable(client net.Addr, network, addr string) bool {
+	if client == nil || client.Network() != network {
+		return false
+	}
+	if network != "tcp" {
+		return true
+	}
+	ca, ok := client.(*net.TCPAddr)
+	return ok && (ca.IP.IsLoopback() || !hostLocal(addr))
+}
+
+// hostLocal reports whether a TCP backend address names the router's own
+// host: a loopback or unspecified IP, "localhost", or no host at all. An
+// address that does not parse counts as local, so it is never handed out.
+func hostLocal(addr string) bool {
+	host, _, err := net.SplitHostPort(addr)
+	if err != nil || host == "" || host == "localhost" {
+		return true
+	}
+	ip := net.ParseIP(host)
+	return ip != nil && (ip.IsLoopback() || ip.IsUnspecified())
+}
+
+// openFor resolves key through the directory and opens the session on
+// the chosen backend, returning the backend's setup reply as raw bytes.
+// It walks the failover chain on any failure before that reply, so a
+// freshly dead (not yet probed) backend — refusing dials, or accepting
+// and dropping them — doesn't refuse the session.
+func (r *Router) openFor(key string, setup *proto.SetupRequest, order binary.ByteOrder) (*routerBackend, net.Conn, []byte) {
 	tried := make(map[int]bool)
 	for range r.backends {
 		idx := r.dir.LookupLive(key, func(i int) bool {
 			return !tried[i] && r.backends[i].health.Healthy()
 		})
 		if idx < 0 {
-			return nil, nil
+			return nil, nil, nil
 		}
 		tried[idx] = true
 		b := r.backends[idx]
-		c, err := net.DialTimeout(b.network, b.addr, r.opts.DialTimeout)
-		if err == nil {
-			if tc, ok := c.(*net.TCPConn); ok {
-				tc.SetNoDelay(true) //nolint:errcheck
-			}
-			return b, c
+		bc, rep, err := b.open(setup, order)
+		switch {
+		case err == nil:
+			return b, bc, rep
+		case errors.Is(err, net.ErrClosed): // Close cut the open short
+			return nil, nil, nil
 		}
 		b.dialErrors.Inc()
 		b.health.Failure()
 		r.logf("arouter: dial %s (%s): %v", b.name, b.addr, err)
 	}
-	return nil, nil
+	return nil, nil, nil
 }
 
-// spliceSetupReply forwards the backend's setup reply to the client as
-// raw bytes, parsing only the 8-byte header for the length and success
-// flag.
-func spliceSetupReply(from io.Reader, to io.Writer, order binary.ByteOrder) (ok bool, err error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(from, hdr[:]); err != nil {
-		return false, err
+// open dials the backend, tracked so Close can cut it, forwards the
+// client's setup verbatim (the backend ignores the route auth fields) and
+// reads the backend's setup reply, parsing only its 8-byte header for the
+// length.
+func (b *routerBackend) open(setup *proto.SetupRequest, order binary.ByteOrder) (net.Conn, []byte, error) {
+	bc, err := net.DialTimeout(b.network, b.addr, b.r.opts.DialTimeout)
+	if err != nil {
+		return nil, nil, err
 	}
-	extra := make([]byte, int(order.Uint16(hdr[6:]))*4)
-	if _, err := io.ReadFull(from, extra); err != nil {
-		return false, err
+	if tc, ok := bc.(*net.TCPConn); ok {
+		tc.SetNoDelay(true) //nolint:errcheck
 	}
-	if _, err := to.Write(hdr[:]); err != nil {
-		return false, err
+	if !b.r.track(bc) {
+		bc.Close()
+		return nil, nil, net.ErrClosed
 	}
-	if _, err := to.Write(extra); err != nil {
-		return false, err
+	bc.SetDeadline(time.Now().Add(setupDeadline)) //nolint:errcheck
+	rep := make([]byte, 8)
+	err = setup.Send(bc)
+	if err == nil {
+		_, err = io.ReadFull(bc, rep)
 	}
-	return hdr[0] == 1, nil
+	if err == nil {
+		rep = append(rep, make([]byte, int(order.Uint16(rep[6:]))*4)...)
+		_, err = io.ReadFull(bc, rep[8:])
+	}
+	if err != nil {
+		b.r.untrack(bc)
+		bc.Close()
+		return nil, nil, err
+	}
+	bc.SetDeadline(time.Time{}) //nolint:errcheck
+	return bc, rep, nil
 }
 
 // rsession is one proxied session: a client conn, a backend conn, and
@@ -726,13 +808,16 @@ type RouterBackendStats struct {
 // for invariant checks: outcome counters are read before their
 // antecedents, so in every snapshot
 //
+//	Accepted >= Routes + Redirects + RouteErrors
 //	FailoversStarted >= FailoversCompleted + FailoversAbandoned
 //	Routes >= ClosedClient + ClosedBackend + FailoversStarted
 //
 // with exact equality once SessionsActive is 0 and no setup is in
 // flight.
 type RouterSnapshot struct {
+	Accepted       uint64 `json:"accepted"`
 	Routes         uint64 `json:"routes"`
+	Redirects      uint64 `json:"redirects"`
 	RouteErrors    uint64 `json:"route_errors"`
 	SessionsActive int64  `json:"sessions_active"`
 
@@ -753,7 +838,8 @@ type RouterSnapshot struct {
 func (r *Router) Snapshot() RouterSnapshot {
 	var s RouterSnapshot
 	// Outcomes before antecedents: completed/abandoned before started,
-	// all close classifications before routes.
+	// all close classifications before routes, every setup outcome
+	// before accepted.
 	s.FailoversCompleted = r.rm.failoversCompleted.Load()
 	s.FailoversAbandoned = r.rm.failoversAbandoned.Load()
 	s.ClosedClient = r.rm.closedClient.Load()
@@ -761,7 +847,9 @@ func (r *Router) Snapshot() RouterSnapshot {
 	s.FailoversStarted = r.rm.failoversStarted.Load()
 	s.SessionsActive = r.rm.sessionsActive.Load()
 	s.Routes = r.rm.routes.Load()
+	s.Redirects = r.rm.redirects.Load()
 	s.RouteErrors = r.rm.routeErrors.Load()
+	s.Accepted = r.rm.accepted.Load()
 	s.ProxiedBytesC2B = r.rm.bytesC2B.Load()
 	s.ProxiedBytesB2C = r.rm.bytesB2C.Load()
 	for _, b := range r.backends {

@@ -198,6 +198,43 @@ func TestRouterCloseStalledBackend(t *testing.T) {
 	}
 }
 
+// TestRouterRedirectReachable: a backend is handed to a client only over
+// the client's own network, and an address that dials the router's host
+// only to a client on that host.
+func TestRouterRedirectReachable(t *testing.T) {
+	local := &net.TCPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 40000}
+	remote := &net.TCPAddr{IP: net.IPv4(10, 0, 0, 5), Port: 40000}
+	unix := &net.UnixAddr{Name: "@", Net: "unix"}
+	pc, ps := net.Pipe()
+	defer pc.Close()
+	defer ps.Close()
+	for _, tc := range []struct {
+		client        net.Addr
+		network, addr string
+		want          bool
+	}{
+		{local, "tcp", "127.0.0.1:7001", true},
+		{local, "tcp", "10.0.0.9:7001", true},
+		{remote, "tcp", "10.0.0.9:7001", true},
+		{remote, "tcp", "host.example:7001", true},
+		{remote, "tcp", "127.0.0.1:7001", false},
+		{remote, "tcp", "[::1]:7001", false},
+		{remote, "tcp", "localhost:7001", false},
+		{remote, "tcp", ":7001", false},
+		{remote, "tcp", "0.0.0.0:7001", false},
+		{remote, "tcp", "no port", false},
+		{local, "unix", "/tmp/.AFunix/AF1", false},
+		{unix, "unix", "/tmp/.AFunix/AF1", true},
+		{unix, "tcp", "127.0.0.1:7001", false},
+		{pc.RemoteAddr(), "tcp", "127.0.0.1:7001", false},
+		{nil, "tcp", "127.0.0.1:7001", false},
+	} {
+		if got := reachable(tc.client, tc.network, tc.addr); got != tc.want {
+			t.Errorf("reachable(%v, %s %s) = %v, want %v", tc.client, tc.network, tc.addr, got, tc.want)
+		}
+	}
+}
+
 // TestRouterOptionDirectory: Names and Replicas build the directory.
 func TestRouterOptionDirectory(t *testing.T) {
 	names := []string{"left", "right"}

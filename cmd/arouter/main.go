@@ -1,15 +1,19 @@
 // arouter is the AudioFile fleet router: an AF-protocol front tier that
-// places each incoming session on one of a fleet of afd backends via a
-// consistent-hash device directory, splices the session bytes with no
-// per-chunk allocations, health-checks the backends with GetTime probes,
-// and on a backend death redirects the session's client to a standby
-// with a typed goodbye that af.SetReconnect turns into a transparent
-// failover (the client replays its audio contexts on the replacement).
+// places each incoming session on one of a fleet of afd backends by name,
+// via a consistent-hash device directory. A route-keyed af client on a
+// socket it dialed itself is answered with a setup redirect naming the
+// owning backend and sets its session up there directly; every other
+// client is proxied, its bytes spliced with no per-chunk allocations.
+// The router health-checks the backends with GetTime probes, and on a
+// backend death redirects a proxied session's client to a standby with a
+// typed goodbye that af.SetReconnect turns into a transparent failover
+// (the client replays its audio contexts on the replacement); a
+// redirected client's own reconnect lands it on the standby the same way.
 //
 //	arouter -backend host:7000,host2:7000 [-n display] [-tcp] [-stats addr]
 //
 // Clients pick their placement key with the "#key" suffix of the server
-// name (af.OpenRoute): aplay -af router:0#studio-3 hashes "studio-3"
+// name (af.OpenRoute): aplay -a router:0#studio-3 hashes "studio-3"
 // onto the backend ring. Keyless sessions spread by client address.
 package main
 

@@ -5,9 +5,9 @@
 //	astat -router [-a host:port] ...     poll an arouter instead
 //
 // With -router the address is an arouter's -stats endpoint: each tick
-// prints the fleet view (session routes, proxied byte rates, failover
-// counters, per-backend health) and the router's conservation laws are
-// checked instead of the device-frame laws.
+// prints the fleet view (setup redirects, proxied session routes and
+// byte rates, failover counters, per-backend health) and the router's
+// conservation laws are checked instead of the device-frame laws.
 //
 // Each tick prints one line per device with the deltas since the last
 // scrape (bytes and frames per interval, underruns, parks) plus the
@@ -379,8 +379,8 @@ func routerMain(url string) {
 }
 
 func routerHeader() {
-	fmt.Printf("%8s %8s %10s %10s %7s %9s %6s %s\n",
-		"sessions", "routes/s", "c2b-B/s", "b2c-B/s", "fails", "failovers", "errs", "backends")
+	fmt.Printf("%8s %8s %8s %10s %10s %7s %9s %6s %s\n",
+		"sessions", "redir/s", "routes/s", "c2b-B/s", "b2c-B/s", "fails", "failovers", "errs", "backends")
 }
 
 // printRouterDelta renders one interval of router counters plus the
@@ -401,8 +401,9 @@ func printRouterDelta(prev, cur aserver.RouterSnapshot, dt time.Duration) {
 		}
 		roster += fmt.Sprintf("%s=%s%s(%d)", b.Name, b.State, marker, b.Sessions)
 	}
-	fmt.Printf("%8d %8.1f %10.0f %10.0f %7d %9d %6d %s\n",
+	fmt.Printf("%8d %8.1f %8.1f %10.0f %10.0f %7d %9d %6d %s\n",
 		cur.SessionsActive,
+		float64(cur.Redirects-prev.Redirects)/secs,
 		float64(cur.Routes-prev.Routes)/secs,
 		float64(cur.ProxiedBytesC2B-prev.ProxiedBytesC2B)/secs,
 		float64(cur.ProxiedBytesB2C-prev.ProxiedBytesB2C)/secs,
@@ -417,8 +418,8 @@ func printRouterDelta(prev, cur aserver.RouterSnapshot, dt time.Duration) {
 
 // printRouterAbsolute renders one cumulative router snapshot.
 func printRouterAbsolute(s aserver.RouterSnapshot) {
-	fmt.Printf("routes %d  active %d  route-errors %d  proxied c2b %dB b2c %dB\n",
-		s.Routes, s.SessionsActive, s.RouteErrors, s.ProxiedBytesC2B, s.ProxiedBytesB2C)
+	fmt.Printf("accepted %d  redirects %d  routes %d  active %d  route-errors %d  proxied c2b %dB b2c %dB\n",
+		s.Accepted, s.Redirects, s.Routes, s.SessionsActive, s.RouteErrors, s.ProxiedBytesC2B, s.ProxiedBytesB2C)
 	fmt.Printf("closed: client %d  backend %d  failovers: started %d  completed %d  abandoned %d\n",
 		s.ClosedClient, s.ClosedBackend,
 		s.FailoversStarted, s.FailoversCompleted, s.FailoversAbandoned)
@@ -439,6 +440,10 @@ func printRouterAbsolute(s aserver.RouterSnapshot) {
 // every live snapshot (exact once the router is drained); a violation
 // means the router's bookkeeping is broken.
 func routerConservation(s aserver.RouterSnapshot) string {
+	if sum := s.Routes + s.Redirects + s.RouteErrors; s.Accepted < sum {
+		return fmt.Sprintf("accepted %d < routes %d + redirects %d + route-errors %d",
+			s.Accepted, s.Routes, s.Redirects, s.RouteErrors)
+	}
 	if sum := s.FailoversCompleted + s.FailoversAbandoned; s.FailoversStarted < sum {
 		return fmt.Sprintf("failovers started %d < completed %d + abandoned %d",
 			s.FailoversStarted, s.FailoversCompleted, s.FailoversAbandoned)

@@ -144,9 +144,12 @@ func FuzzErrorReply(f *testing.F) {
 func FuzzReadSetupRequest(f *testing.F) {
 	var buf bytes.Buffer
 	(&SetupRequest{ByteOrder: 'l', Major: 2, AuthName: "COOKIE", AuthData: []byte{1}}).Send(&buf) //nolint:errcheck
-	f.Add(buf.Bytes())
+	f.Add(bytes.Clone(buf.Bytes()))
 	f.Add([]byte{'B', 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte{'x'})
+	buf.Reset()
+	(&SetupRequest{ByteOrder: 'l', Major: 2, AuthName: RouteDirectAuthName, AuthData: []byte("studio")}).Send(&buf) //nolint:errcheck
+	f.Add(bytes.Clone(buf.Bytes()))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, _, err := ReadSetupRequest(bytes.NewReader(data))
 		if err == nil && s == nil {
@@ -160,11 +163,28 @@ func FuzzReadSetupReply(f *testing.F) {
 	rep := &SetupReply{Success: true, Major: 2, Vendor: "v",
 		Devices: []DeviceDesc{{Index: 0, Name: "d", PlaySampleFreq: 8000}}}
 	rep.Send(&buf, binary.LittleEndian) //nolint:errcheck
-	f.Add(buf.Bytes())
+	f.Add(bytes.Clone(buf.Bytes()))
 	buf.Reset()
 	(&SetupReply{Success: false, Reason: "nope"}).Send(&buf, binary.LittleEndian) //nolint:errcheck
-	f.Add(buf.Bytes())
+	f.Add(bytes.Clone(buf.Bytes()))
+	buf.Reset()
+	(&SetupReply{RedirectNetwork: "tcp", RedirectAddr: "127.0.0.1:7001", Major: 2}).Send(&buf, binary.LittleEndian) //nolint:errcheck
+	f.Add(bytes.Clone(buf.Bytes()))
+	// A redirect with an empty address, and one whose address length runs
+	// past the body.
+	f.Add([]byte{2, 0, 2, 0, 0, 0, 2, 0, 3, 0, 0, 0, 't', 'c', 'p', 0})
+	f.Add([]byte{2, 0, 2, 0, 0, 0, 2, 0, 0, 0, 0xFF, 0xFF, 'a', 'b', 'c', 'd'})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ReadSetupReply(bytes.NewReader(data), binary.LittleEndian) //nolint:errcheck
+		rep, err := ReadSetupReply(bytes.NewReader(data), binary.LittleEndian)
+		if err == nil && rep.Redirect() {
+			var again bytes.Buffer
+			if err := rep.Send(&again, binary.LittleEndian); err != nil {
+				t.Fatal(err)
+			}
+			back, err := ReadSetupReply(&again, binary.LittleEndian)
+			if err != nil || back.RedirectNetwork != rep.RedirectNetwork || back.RedirectAddr != rep.RedirectAddr {
+				t.Fatalf("redirect round trip: %+v, %v; want %+v", back, err, rep)
+			}
+		}
 	})
 }

@@ -149,6 +149,53 @@ func TestBroadcastWireGolden(t *testing.T) {
 	}
 }
 
+// TestSetupRedirectWireGolden pins the setup redirect: status byte 2, the
+// network and address lengths, then each string padded to 4 bytes.
+func TestSetupRedirectWireGolden(t *testing.T) {
+	rep := SetupReply{RedirectNetwork: "tcp", RedirectAddr: "10.0.0.7:7001", Major: 2, Minor: 1}
+	golden := map[string][]byte{
+		"little": {
+			2, 0, // status: redirect; no reason
+			0x02, 0x00, // major
+			0x01, 0x00, // minor
+			0x06, 0x00, // extra length / 4
+			0x03, 0x00, // network length
+			0x0D, 0x00, // address length
+			't', 'c', 'p', 0,
+			'1', '0', '.', '0', '.', '0', '.', '7', ':', '7', '0', '0', '1', 0, 0, 0,
+		},
+		"big": {
+			2, 0,
+			0x00, 0x02,
+			0x00, 0x01,
+			0x00, 0x06,
+			0x00, 0x03,
+			0x00, 0x0D,
+			't', 'c', 'p', 0,
+			'1', '0', '.', '0', '.', '0', '.', '7', ':', '7', '0', '0', '1', 0, 0, 0,
+		},
+	}
+	for _, o := range wireOrders {
+		t.Run(o.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			if err := rep.Send(&buf, o.order); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(buf.Bytes(), golden[o.name]) {
+				t.Errorf("Send:\n got % x\nwant % x", buf.Bytes(), golden[o.name])
+			}
+			got, err := ReadSetupReply(bytes.NewReader(golden[o.name]), o.order)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.Redirect() || got.Success || got.RedirectNetwork != "tcp" || got.RedirectAddr != rep.RedirectAddr ||
+				got.Major != 2 || got.Minor != 1 {
+				t.Errorf("round trip: %+v", got)
+			}
+		})
+	}
+}
+
 func TestSubscribeRequestRoundTrip(t *testing.T) {
 	for _, o := range wireOrders {
 		w := &Writer{Order: o.order}

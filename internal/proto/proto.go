@@ -164,6 +164,12 @@ func IsGoodbye(code uint8) bool {
 // fields, so a routed setup forwards to any afd unchanged.
 const RouteAuthName = "af-route"
 
+// RouteDirectAuthName is RouteAuthName from a client that dials its own
+// transport and so can follow a setup redirect: a router may answer it
+// with the owning backend's address (SetupReply.RedirectAddr) instead of
+// proxying the session.
+const RouteDirectAuthName = "af-route-direct"
+
 // ErrorName maps an error code to a descriptive string (AFGetErrorText).
 var ErrorName = map[uint8]string{
 	ErrRequest:        "BadRequest: bad request code",

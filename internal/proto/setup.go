@@ -2,6 +2,7 @@ package proto
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 )
@@ -133,33 +134,57 @@ func (d *DeviceDesc) decode(r *Reader) {
 	d.Name = r.String4(nameLen)
 }
 
-// SetupReply is the server's response to connection setup.
+// SetupReply is the server's response to connection setup: a session
+// (Success), a refusal (Reason), or a setup redirect (RedirectAddr).
 type SetupReply struct {
 	Success bool
 	Reason  string // when Success is false
-	Major   uint16
-	Minor   uint16
-	Vendor  string
-	Devices []DeviceDesc
+	// RedirectNetwork and RedirectAddr, when RedirectAddr is set on a
+	// reply that is not a success, make it a setup redirect (status byte
+	// 2): a fleet router's answer to RouteDirectAuthName. No session was
+	// opened; the client sets up at that address instead. A client that
+	// predates redirects reads it as a refusal with an empty reason.
+	RedirectNetwork string
+	RedirectAddr    string
+	Major           uint16
+	Minor           uint16
+	Vendor          string
+	Devices         []DeviceDesc
 }
+
+// Setup reply status bytes.
+const (
+	setupRefused  = 0
+	setupSuccess  = 1
+	setupRedirect = 2
+)
+
+// Redirect reports whether the reply is a setup redirect.
+func (s *SetupReply) Redirect() bool { return !s.Success && s.RedirectAddr != "" }
 
 // Send serializes the setup reply in the client's byte order.
 func (s *SetupReply) Send(wr io.Writer, order binary.ByteOrder) error {
 	w := &Writer{Order: order}
-	if s.Success {
-		w.U8(1)
+	switch {
+	case s.Success:
+		w.U8(setupSuccess)
 		w.U8(0)
-	} else {
+	case s.Redirect():
+		if len(s.RedirectNetwork) > 0xFFFF || len(s.RedirectAddr) > 0xFFFF {
+			return errors.New("proto: setup redirect address too long")
+		}
+		w.U8(setupRedirect)
 		w.U8(0)
+	default:
+		w.U8(setupRefused)
 		w.U8(uint8(len(s.Reason)))
 	}
 	w.U16(s.Major)
 	w.U16(s.Minor)
 	lenOff := w.Len()
 	w.U16(0) // additional length in 4-byte units, patched below
-	if !s.Success {
-		w.String4(s.Reason)
-	} else {
+	switch {
+	case s.Success:
 		w.U16(uint16(len(s.Vendor)))
 		w.U8(uint8(len(s.Devices)))
 		w.U8(0)
@@ -167,6 +192,13 @@ func (s *SetupReply) Send(wr io.Writer, order binary.ByteOrder) error {
 		for i := range s.Devices {
 			s.Devices[i].encode(w)
 		}
+	case s.Redirect():
+		w.U16(uint16(len(s.RedirectNetwork)))
+		w.U16(uint16(len(s.RedirectAddr)))
+		w.String4(s.RedirectNetwork)
+		w.String4(s.RedirectAddr)
+	default:
+		w.String4(s.Reason)
 	}
 	order.PutUint16(w.Buf[lenOff:], uint16((w.Len()-8)/4))
 	_, err := wr.Write(w.Buf)
@@ -180,7 +212,7 @@ func ReadSetupReply(rd io.Reader, order binary.ByteOrder) (*SetupReply, error) {
 		return nil, err
 	}
 	s := &SetupReply{
-		Success: hdr[0] == 1,
+		Success: hdr[0] == setupSuccess,
 		Major:   order.Uint16(hdr[2:]),
 		Minor:   order.Uint16(hdr[4:]),
 	}
@@ -189,7 +221,20 @@ func ReadSetupReply(rd io.Reader, order binary.ByteOrder) (*SetupReply, error) {
 		return nil, err
 	}
 	r := NewReader(order, extra)
-	if !s.Success {
+	switch hdr[0] {
+	case setupSuccess: // decoded below
+	case setupRedirect:
+		netLen, addrLen := int(r.U16()), int(r.U16())
+		s.RedirectNetwork = r.String4(netLen)
+		s.RedirectAddr = r.String4(addrLen)
+		if r.Err == nil && s.RedirectAddr == "" {
+			r.Err = errors.New("empty address")
+		}
+		if r.Err != nil {
+			return nil, fmt.Errorf("proto: bad setup redirect: %w", r.Err)
+		}
+		return s, nil
+	default:
 		s.Reason = r.String4(int(hdr[1]))
 		return s, r.Err
 	}

@@ -13,12 +13,19 @@
 //   - Audio contexts replay verbatim across the failover: the replayed
 //     AC keeps working (plays, records, attribute changes) on the
 //     standby without being re-created by the application.
-//   - The router's books balance: failovers_started ==
-//     failovers_completed + failovers_abandoned and routes ==
-//     closed_client + closed_backend + failovers_started, exactly, once
-//     the router is drained; the one-sided forms hold live.
+//   - The router's books balance: accepted == routes + redirects +
+//     route_errors, failovers_started == failovers_completed +
+//     failovers_abandoned and routes == closed_client + closed_backend +
+//     failovers_started, exactly, once the router is drained; the
+//     one-sided forms hold live.
 //   - Goroutines settle to baseline after teardown: no leaked pumps,
 //     probers, breakers, or client readers.
+//
+// Half the clients reach the router through a pass-through wrapper, so
+// af cannot follow a setup redirect and they are proxied: their victims
+// fail over through the router's Redirect goodbye. The other half are
+// redirected and talk to their backend directly: their victims fail over
+// by their own reconnect, which the router sees only as a new setup.
 //
 // ROUTER_SEED varies the routing keys (and so the placement pattern);
 // CI runs a small seed matrix.
@@ -82,8 +89,9 @@ func newSoakBackend(t *testing.T, name string) *soakBackend {
 
 // soakClient is one streaming session's loop state and verdict.
 type soakClient struct {
-	key   string
-	owner int // directory placement while all backends are healthy
+	key     string
+	owner   int  // directory placement while all backends are healthy
+	proxied bool // reaches the router through passConn
 
 	mu            sync.Mutex
 	plays         int // successful play round trips
@@ -140,8 +148,16 @@ func TestRouterFailoverSoak(t *testing.T) {
 	acs := make([]*af.AC, nClients)
 	for i := range clients {
 		key := fmt.Sprintf("session-%d-%d", seed, i)
-		clients[i] = &soakClient{key: key, owner: dir.Lookup(key)}
-		nc, err := net.Dial("tcp", routerAddr)
+		proxied := i%4 < 2 // both byte orders in each half
+		clients[i] = &soakClient{key: key, owner: dir.Lookup(key), proxied: proxied}
+		dial := func() (net.Conn, error) {
+			nc, err := net.Dial("tcp", routerAddr)
+			if err != nil || !proxied {
+				return nc, err
+			}
+			return passConn{nc}, nil
+		}
+		nc, err := dial()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,7 +168,7 @@ func TestRouterFailoverSoak(t *testing.T) {
 		c.SetIOErrorHandler(func(*af.Conn, error) {})
 		sc := clients[i]
 		err = c.SetReconnect(af.ReconnectOptions{
-			Redial:      func() (net.Conn, error) { return net.Dial("tcp", routerAddr) },
+			Redial:      dial,
 			MaxAttempts: 12,
 			Backoff:     10 * time.Millisecond,
 			MaxBackoff:  200 * time.Millisecond,
@@ -257,6 +273,15 @@ func TestRouterFailoverSoak(t *testing.T) {
 		t.Fatalf("seed %d placed no clients on any backend? placement %v", seed, counts)
 	}
 	victims := counts[victim]
+	proxiedVictims, redirected := 0, 0
+	for _, sc := range clients {
+		if sc.proxied && sc.owner == victim {
+			proxiedVictims++
+		}
+		if !sc.proxied {
+			redirected++
+		}
+	}
 	severed := backends[victim].brk.Kill()
 	cut.Store(true)
 	t.Logf("seed %d: killed backend %d (%d clients placed, %d conns severed), placement %v",
@@ -344,6 +369,10 @@ func TestRouterFailoverSoak(t *testing.T) {
 
 	// Live one-sided laws while sessions are still up.
 	live := router.Snapshot()
+	if live.Accepted < live.Routes+live.Redirects+live.RouteErrors {
+		t.Errorf("live law: accepted %d < routes %d + redirects %d + route_errors %d",
+			live.Accepted, live.Routes, live.Redirects, live.RouteErrors)
+	}
 	if live.FailoversStarted < live.FailoversCompleted+live.FailoversAbandoned {
 		t.Errorf("live law: started %d < completed %d + abandoned %d",
 			live.FailoversStarted, live.FailoversCompleted, live.FailoversAbandoned)
@@ -363,6 +392,10 @@ func TestRouterFailoverSoak(t *testing.T) {
 		snap = router.Snapshot()
 		return snap.SessionsActive == 0
 	})
+	if snap.Accepted != snap.Routes+snap.Redirects+snap.RouteErrors {
+		t.Errorf("setup law: accepted %d != routes %d + redirects %d + route_errors %d",
+			snap.Accepted, snap.Routes, snap.Redirects, snap.RouteErrors)
+	}
 	if snap.FailoversStarted != snap.FailoversCompleted+snap.FailoversAbandoned {
 		t.Errorf("failover law: started %d != completed %d + abandoned %d",
 			snap.FailoversStarted, snap.FailoversCompleted, snap.FailoversAbandoned)
@@ -372,12 +405,16 @@ func TestRouterFailoverSoak(t *testing.T) {
 			snap.Routes, snap.ClosedClient, snap.ClosedBackend, snap.FailoversStarted)
 	}
 	// Two survivors stood by, so no failover may have been abandoned,
-	// and at least every severed victim session must have started one.
+	// and at least every severed proxied victim session must have started
+	// one. Every redirected client was redirected at least once.
 	if snap.FailoversAbandoned != 0 {
 		t.Errorf("%d failovers abandoned with live standbys", snap.FailoversAbandoned)
 	}
-	if snap.FailoversCompleted < uint64(victims) {
-		t.Errorf("failovers_completed %d < %d victim sessions", snap.FailoversCompleted, victims)
+	if snap.FailoversCompleted < uint64(proxiedVictims) {
+		t.Errorf("failovers_completed %d < %d proxied victim sessions", snap.FailoversCompleted, proxiedVictims)
+	}
+	if snap.Redirects < uint64(redirected) {
+		t.Errorf("redirects %d < %d redirected clients", snap.Redirects, redirected)
 	}
 	for i, b := range snap.Backends {
 		if i == victim && b.State != "down" {
@@ -387,8 +424,8 @@ func TestRouterFailoverSoak(t *testing.T) {
 			t.Errorf("surviving backend %d state %q, want healthy", i, b.State)
 		}
 	}
-	t.Logf("seed %d: routes %d resyncs %d | failovers %d/%d/%d closed %d/%d | proxied %d+%d bytes",
-		seed, snap.Routes, resumedResyncs,
+	t.Logf("seed %d: routes %d redirects %d resyncs %d (%d proxied victims) | failovers %d/%d/%d closed %d/%d | proxied %d+%d bytes",
+		seed, snap.Routes, snap.Redirects, resumedResyncs, proxiedVictims,
 		snap.FailoversStarted, snap.FailoversCompleted, snap.FailoversAbandoned,
 		snap.ClosedClient, snap.ClosedBackend,
 		snap.ProxiedBytesC2B, snap.ProxiedBytesB2C)
@@ -410,6 +447,10 @@ func TestRouterFailoverSoak(t *testing.T) {
 		t.Errorf("goroutines did not settle: %d > baseline %d\n%s", n, baseline, stack)
 	}
 }
+
+// passConn passes a conn through untouched; af cannot follow a setup
+// redirect over a transport it did not dial itself, so it is proxied.
+type passConn struct{ net.Conn }
 
 // isReconnected reports the one error shape the soak tolerates.
 func isReconnected(err error) bool {
