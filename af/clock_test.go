@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"net"
 	"testing"
+	"testing/quick"
 
 	"audiofile/af"
 	"audiofile/internal/proto"
@@ -77,5 +78,44 @@ func TestCorrespondenceAcrossDevices(t *testing.T) {
 	pred := corr.AtoB(nowA)
 	if d := af.TimeSub(pred, nowB); d < -4420 || d > 4420 { // within 100 ms
 		t.Errorf("converted now off by %d hifi ticks", d)
+	}
+}
+
+// TestCorrespondence: the paper's formula converts exactly between an
+// 8 kHz and a 48 kHz clock observed together at (1000, 5000).
+func TestCorrespondence(t *testing.T) {
+	c := af.Correspondence{Ta: 1000, Tb: 5000, Ra: 8000, Rb: 48000}
+	// One second later on A is 8000 ticks; on B it is 48000 ticks.
+	if tb := c.AtoB(af.ATime(1000).Add(8000)); tb != af.ATime(5000).Add(48000) {
+		t.Errorf("AtoB = %d, want %d", tb, af.ATime(5000).Add(48000))
+	}
+	if ta := c.BtoA(af.ATime(5000).Add(48000)); ta != af.ATime(1000).Add(8000) {
+		t.Errorf("BtoA = %d, want %d", ta, af.ATime(1000).Add(8000))
+	}
+}
+
+// TestCorrespondenceDrift: two nominal 8 kHz clocks, one 100 ppm fast.
+// After a nominal hour the conversion differs by about 0.36 s (2880
+// ticks).
+func TestCorrespondenceDrift(t *testing.T) {
+	c := af.Correspondence{Ta: 0, Tb: 0, Ra: 8000, Rb: 8000.8}
+	tb := c.AtoB(8000 * 3600)
+	if drift := af.TimeSub(tb, 8000*3600); drift < 2800 || drift > 2960 {
+		t.Errorf("drift = %d ticks, want ~2880", drift)
+	}
+}
+
+// Property: a correspondence round-trips within rounding error.
+func TestQuickCorrespondenceRoundTrip(t *testing.T) {
+	c := af.Correspondence{Ta: 12345, Tb: 67890, Ra: 8000, Rb: 44100}
+	f := func(off int32) bool {
+		// Keep the offset small enough that float rounding stays tiny.
+		off %= 1 << 24
+		ta := c.Ta.Add(int(off))
+		d := af.TimeSub(c.BtoA(c.AtoB(ta)), ta)
+		return d >= -8 && d <= 8
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
 	}
 }

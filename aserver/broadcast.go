@@ -270,10 +270,9 @@ func (e *engine) emitChunkLocked(start atime.ATime, nframes int) {
 		e.m.bcastDrops.Add(uint64(len(g.subs) - sent))
 		gi++
 	}
-	// A time-slice counts as a chunk only if some live group consumed it:
-	// this keeps the conservation law (encodes >= chunks, with equality
-	// per live format) exact even when the dead-subscriber sweep empties
-	// the channel mid-span.
+	// A time-slice counts as a chunk only if some live group consumed it,
+	// after its encodes: the broadcast law (DeviceStats.Check) holds even
+	// when the dead-subscriber sweep empties the channel mid-span.
 	if encoded {
 		e.m.bcastChunks.Inc()
 	}

@@ -129,13 +129,11 @@ func TestCloseDuringControlFlood(t *testing.T) {
 			wg.Wait()
 
 			snap := srv.Snapshot()
-			if snap.Connects != snap.Disconnects || snap.ActiveClients != 0 {
-				t.Errorf("connects %d, disconnects %d, active %d after %s",
-					snap.Connects, snap.Disconnects, snap.ActiveClients, tc.name)
+			if err := snap.Check(true); err != nil {
+				t.Errorf("after %s: %v", tc.name, err)
 			}
-			if sum := snap.Evictions + snap.Sheds + snap.Drains + snap.ClientCloses; sum != snap.Disconnects {
-				t.Errorf("close-reason law: disconnects %d != evictions %d + sheds %d + drains %d + client closes %d",
-					snap.Disconnects, snap.Evictions, snap.Sheds, snap.Drains, snap.ClientCloses)
+			if snap.ActiveClients != 0 {
+				t.Errorf("%d clients active after %s", snap.ActiveClients, tc.name)
 			}
 			if snap.QueuedBytes != 0 || snap.FrameBytesInFlight != 0 {
 				t.Errorf("left behind: queued_bytes %d, frame_bytes_in_flight %d",

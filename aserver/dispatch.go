@@ -177,13 +177,10 @@ func (s *Server) dispatchHotGroup(c *client, run []runFrame) (int, *parked) {
 		e.m.unlockTimed(&e.mu, held, end)
 		e.m.dispatchBatch.Observe(k)
 	}
-	// Batch sizes are observed after the request count, so
-	// DispatchBatch.Sum <= Requests in every live snapshot and == once
-	// idle.
+	// The batch and per-op-class latencies are observed after the request
+	// count: the live form of the dispatch laws (Snapshot.Check).
 	s.requestCount.Add(uint64(consumed))
 	s.sm.dispatchBatch.Observe(k)
-	// Observed per op class so the requests == Σ dispatch counts law
-	// holds.
 	per := end.Nanoseconds() / k
 	if nPlay != 0 {
 		s.sm.dispatchPlay.ObserveN(per, nPlay)

@@ -196,8 +196,8 @@ func pumpPatchDir(src, dst *core.Device, buf []byte, taken *atime.ATime, out *at
 
 // parkLocked keeps a call that blocked on attempt 0 and starts its
 // lifecycle accounting: every park registered here is later released by
-// finishPark exactly once, so parks started == completed + discarded
-// whenever no parks are outstanding. On a stopped engine nothing would
+// finishPark exactly once (the parks law, DeviceStats.Check). On a
+// stopped engine nothing would
 // ever retry it, so it is discarded as it lands, as Close's own sweep
 // would have. A play's remaining data aliases the reader's ingress buffer,
 // so the park takes a pooled copy (a compressed play owns its decompressed

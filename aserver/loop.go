@@ -51,9 +51,8 @@ func (s *Server) removeClient(c *client) {
 		return
 	}
 	c.dead.Store(true)
-	// Classify the disconnect before counting it: every reader of the
-	// counters then sees disconnects <= evictions + sheds + drains +
-	// client closes, with equality once the server is drained.
+	// Classify the disconnect before counting it: the close-reason law's
+	// live form (Snapshot.Check).
 	s.sm.closeCounterFor(c.closeReason.Load()).Inc()
 	s.sm.disconnects.Inc()
 	s.sm.activeClients.Add(-1)

@@ -1,6 +1,7 @@
 package aserver
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -23,15 +24,17 @@ import (
 //     dispatchHotGroup.
 //   - Record egress bytes/chunks: finishRecordReply, the single seal
 //     point every record reply passes through (first-try and retry).
-//   - Park lifecycle: registration in dispatchHotGroup, release in
-//     engine.finishPark. parks started == completed + discarded.
+//   - Park lifecycle: registration in engine.parkLocked, release in
+//     engine.finishPark, both under the engine lock.
 //   - Connects/disconnects: the control plane (loop.go register /
-//     removeClient), each exactly once per client, so after every
-//     client is gone connects == disconnects.
+//     removeClient), each exactly once per client.
 //   - Client errors, queue depth, writev batches, egress fallbacks:
 //     client.go's send/appendError/takeVec/drain.
 //   - Frame conservation counters and silence fill: internal/core and
 //     internal/ring, mutated and snapshotted under the engine lock.
+//
+// The laws these counters obey are stated once, by Snapshot.Check and
+// DeviceStats.Check.
 //
 // Everything the hot paths touch is an atomic on a pre-registered
 // struct — no maps, no allocation (the CI gate on BenchmarkDispatch*
@@ -46,10 +49,8 @@ type serverMetrics struct {
 	activeClients *metrics.Gauge
 	clientErrors  *metrics.Counter
 
-	// Disconnect classification (overload.go). Every disconnect
-	// increments exactly one of these, before disconnects itself, so
-	// disconnects == evictions + sheds + drains + clientCloses once the
-	// server is drained (<= in any live snapshot).
+	// Disconnect classification (overload.go): every disconnect
+	// increments exactly one of these, before disconnects itself.
 	evictions    *metrics.Counter
 	sheds        *metrics.Counter
 	drains       *metrics.Counter
@@ -68,10 +69,7 @@ type serverMetrics struct {
 	// dispatchBatch observes the size of every dispatch batch: a hot group
 	// observes its length once (a lone hot request is a group of one, and
 	// an unservable one counts in the group it arrived in), a control op
-	// observes 1. Conservation:
-	// its Sum equals the request total exactly once the server is idle,
-	// and never exceeds it in a live snapshot (requests are counted before
-	// the batch observation; Snapshot reads the histogram first).
+	// observes 1.
 	dispatchBatch *metrics.Histogram
 
 	// Staged reply egress (client.go stagedReply/stagedError): the small
@@ -161,9 +159,9 @@ type engineMetrics struct {
 	parkedNow      *metrics.Gauge
 	parkNs         *metrics.Histogram // park registration to release
 
-	// Broadcast fan-out (broadcast.go). Conservation, in every snapshot:
-	// bcastEncodes >= bcastChunks (one encode per chunk per live format),
-	// and exactly chunks × formats while the format set is stable.
+	// Broadcast fan-out (broadcast.go): one encode per chunk per live
+	// wire format, so exactly chunks × formats while the format set is
+	// stable.
 	bcastSubs    *metrics.Gauge   // current subscriptions on this engine
 	bcastChunks  *metrics.Counter // mix time-slices cut by the pump
 	bcastEncodes *metrics.Counter // chunk encodes (chunks × wire formats)
@@ -199,9 +197,9 @@ func (sm *serverMetrics) newEngineMetrics(rootIndex int) *engineMetrics {
 
 // Snapshot is the consistent, JSON-renderable state of the server's
 // metrics: what `afd -stats` serves and `astat` renders. Atomics are
-// read individually (never torn); the per-device frame counters are
-// read under each engine's lock, so within one device the conservation
-// laws hold exactly in every snapshot.
+// read individually (never torn), in the order Server.Snapshot states,
+// and each device's frame and park counters together under its engine's
+// lock; Check states the laws they obey.
 type Snapshot struct {
 	Requests      uint64 `json:"requests"`
 	Connects      uint64 `json:"connects"`
@@ -209,8 +207,8 @@ type Snapshot struct {
 	ActiveClients int64  `json:"active_clients"`
 	ClientErrors  uint64 `json:"client_errors"`
 
-	// Disconnect classification: Disconnects <= Evictions + Sheds +
-	// Drains + ClientCloses in every snapshot, with equality after drain.
+	// Disconnect classification: the reason each disconnect was counted
+	// under.
 	Evictions    uint64 `json:"evictions"`
 	Sheds        uint64 `json:"sheds"`
 	Drains       uint64 `json:"drains"`
@@ -225,9 +223,6 @@ type Snapshot struct {
 	DispatchControlNs metrics.HistogramSnapshot `json:"dispatch_control_ns"`
 
 	// DispatchBatch: requests per dispatch batch, server-wide.
-	// Conservation: DispatchBatch.Sum <= Requests in every snapshot, with
-	// equality once the server is idle (every request is counted in
-	// exactly one batch observation).
 	DispatchBatch metrics.HistogramSnapshot `json:"dispatch_batch"`
 
 	// StagedBytes / StagedFlushes: wire bytes and messages that left
@@ -252,10 +247,7 @@ type Snapshot struct {
 }
 
 // DeviceStats is one root device's counters (views account into their
-// root). Frame counters obey, in every snapshot:
-//
-//	FramesAccepted == FramesBuffered + FramesDiscarded
-//	FramesPreempted <= FramesBuffered
+// root); Check states the laws they obey.
 type DeviceStats struct {
 	Index int    `json:"index"`
 	Name  string `json:"name"`
@@ -286,8 +278,7 @@ type DeviceStats struct {
 	ParkedNow      int64                     `json:"parked_now"`
 	ParkNs         metrics.HistogramSnapshot `json:"park_ns"`
 
-	// Broadcast fan-out: BcastEncodes >= BcastChunks in every snapshot
-	// (one encode per chunk per live wire format).
+	// Broadcast fan-out.
 	BcastSubs    int64  `json:"bcast_subs"`
 	BcastChunks  uint64 `json:"bcast_chunks"`
 	BcastEncodes uint64 `json:"bcast_encodes"`
@@ -306,31 +297,33 @@ type DeviceStats struct {
 	HWRecorded uint64 `json:"hw_recorded"`
 
 	// Lineserver is the UDP backend's transport-health snapshot (only
-	// for devices whose backend is a LineServer box). Its conservation
-	// laws — Replies >= Accepted+Stale+Duplicate, ResyncsStarted >=
-	// ResyncsCompleted+ResyncsAbandoned, exact once the backend is
-	// closed — are checked by astat like the frame laws above.
+	// for devices whose backend is a LineServer box), with laws of its
+	// own (lineserver.BackendStats.Check).
 	Lineserver *lineserver.BackendStats `json:"lineserver,omitempty"`
 }
 
 // Snapshot assembles a consistent metrics snapshot. Engine locks are
 // taken one at a time (never nested), so this is safe to call from any
 // goroutine, including while the data plane is under load.
+//
+// The read order gives every law of Snapshot.Check its live form. Each
+// counter here is incremented after the ones it is checked against —
+// a close reason before its disconnect, a connect before it, a request
+// before its dispatch histograms and batch — and is read before them:
+// disconnects first, the five dispatch histograms before requests. A
+// device's frame and park counters move only under its engine lock and
+// are read together under it; broadcast chunks are read before encodes.
 func (s *Server) Snapshot() Snapshot {
 	sm := s.sm
-	// Disconnects is read before the per-reason counters: each of those
-	// is incremented before disconnects at the classification site, so
-	// every snapshot satisfies Disconnects <= Evictions + Sheds + Drains
-	// + ClientCloses.
-	disconnects := sm.disconnects.Load()
-	// The batch histogram is read before the request total: every dispatch
-	// site adds to requestCount before observing the batch, so every
-	// snapshot satisfies DispatchBatch.Sum <= Requests.
-	dispatchBatch := sm.dispatchBatch.Snapshot()
 	snap := Snapshot{
+		Disconnects:        sm.disconnects.Load(),
+		DispatchPlayNs:     sm.dispatchPlay.Snapshot(),
+		DispatchRecordNs:   sm.dispatchRecord.Snapshot(),
+		DispatchGetTimeNs:  sm.dispatchGetTime.Snapshot(),
+		DispatchControlNs:  sm.dispatchControl.Snapshot(),
+		DispatchBatch:      sm.dispatchBatch.Snapshot(),
 		Requests:           s.requestCount.Load(),
 		Connects:           sm.connects.Load(),
-		Disconnects:        disconnects,
 		ActiveClients:      sm.activeClients.Load(),
 		ClientErrors:       sm.clientErrors.Load(),
 		Evictions:          sm.evictions.Load(),
@@ -339,11 +332,6 @@ func (s *Server) Snapshot() Snapshot {
 		ClientCloses:       sm.clientCloses.Load(),
 		QueuedBytes:        sm.queuedBytes.Load(),
 		FrameBytesInFlight: sm.frameBytes.Load(),
-		DispatchPlayNs:     sm.dispatchPlay.Snapshot(),
-		DispatchRecordNs:   sm.dispatchRecord.Snapshot(),
-		DispatchGetTimeNs:  sm.dispatchGetTime.Snapshot(),
-		DispatchControlNs:  sm.dispatchControl.Snapshot(),
-		DispatchBatch:      dispatchBatch,
 		StagedBytes:        sm.stagedBytes.Load(),
 		StagedFlushes:      sm.stagedFlushes.Load(),
 		WritevBatch:        sm.writevBatch.Snapshot(),
@@ -364,10 +352,6 @@ func (s *Server) Snapshot() Snapshot {
 			PlayChunkBytes: em.playChunk.Snapshot(),
 			RecChunkBytes:  em.recChunk.Snapshot(),
 			DispatchBatch:  em.dispatchBatch.Snapshot(),
-			ParksStarted:   em.parksStarted.Load(),
-			ParksCompleted: em.parksCompleted.Load(),
-			ParksDiscarded: em.parksDiscarded.Load(),
-			ParkedNow:      em.parkedNow.Load(),
 			ParkNs:         em.parkNs.Snapshot(),
 			LockWaitNs:     em.lockWait.Snapshot(),
 			LockHoldNs:     em.lockHold.Snapshot(),
@@ -394,6 +378,10 @@ func (s *Server) Snapshot() Snapshot {
 		ds.PlaySilenceFilled = d.PlaySilenceFilled()
 		ds.RecSilenceFilled = d.RecSilenceFilled()
 		ds.Underruns = d.Underruns
+		ds.ParksStarted = em.parksStarted.Load()
+		ds.ParksCompleted = em.parksCompleted.Load()
+		ds.ParksDiscarded = em.parksDiscarded.Load()
+		ds.ParkedNow = em.parkedNow.Load()
 		if hw := s.hw[d]; hw != nil {
 			ds.HWPlayed, ds.HWSilent, ds.HWRecorded = hw.Stats()
 		}
@@ -403,9 +391,53 @@ func (s *Server) Snapshot() Snapshot {
 	return snap
 }
 
-// MetricsRegistry exposes the server's metric registry (for the expvar
-// endpoint and for embedding harnesses).
-func (s *Server) MetricsRegistry() *metrics.Registry { return s.sm.reg }
+// Check states the server's laws: every disconnect is classified under
+// exactly one close reason, every connect ends in one disconnect, and
+// every request is retired by exactly one dispatch batch and timed by
+// exactly one dispatch histogram; then each device's (DeviceStats.Check).
+// Settled means every client is gone; live, each law holds as the
+// one-sided bound Server.Snapshot's read order gives it.
+func (s Snapshot) Check(settled bool) error {
+	dispatched := s.DispatchPlayNs.Count + s.DispatchRecordNs.Count +
+		s.DispatchGetTimeNs.Count + s.DispatchControlNs.Count
+	errs := []error{
+		metrics.Law("evictions + sheds + drains + client_closes = disconnects",
+			s.Evictions+s.Sheds+s.Drains+s.ClientCloses, s.Disconnects, settled),
+		metrics.Law("connects = disconnects", s.Connects, s.Disconnects, settled),
+		metrics.Law("requests = dispatch_batch sum", s.Requests, s.DispatchBatch.Sum, settled),
+		metrics.Law("requests = dispatch counts", s.Requests, dispatched, settled),
+	}
+	for _, d := range s.Devices {
+		errs = append(errs, d.Check(settled))
+	}
+	return errors.Join(errs...)
+}
+
+// Check states one device's laws: every frame a play delivers is
+// buffered or discarded, and a preempted frame was buffered first; every
+// park is released once, completed or discarded; a broadcast chunk is
+// encoded once per live wire format. The frame and park laws are exact
+// in every snapshot (one engine-lock read); once settled nothing is
+// parked or subscribed. Then the lineserver backend's laws, if any.
+func (d DeviceStats) Check(settled bool) error {
+	err := errors.Join(
+		metrics.Law("frames_accepted = frames_buffered + frames_discarded",
+			d.FramesAccepted, d.FramesBuffered+d.FramesDiscarded, true),
+		metrics.Law("frames_buffered >= frames_preempted", d.FramesBuffered, d.FramesPreempted, false),
+		metrics.Law("parks_started = parks_completed + parks_discarded + parked_now",
+			d.ParksStarted, d.ParksCompleted+d.ParksDiscarded+uint64(d.ParkedNow), true),
+		metrics.Law("parked_now = 0", uint64(d.ParkedNow), 0, settled),
+		metrics.Law("bcast_encodes >= bcast_chunks", d.BcastEncodes, d.BcastChunks, false),
+		metrics.Law("bcast_subs = 0", uint64(d.BcastSubs), 0, settled),
+	)
+	if d.Lineserver != nil {
+		err = errors.Join(err, d.Lineserver.Check(settled))
+	}
+	if err != nil {
+		return fmt.Errorf("device %d (%s): %w", d.Index, d.Name, err)
+	}
+	return nil
+}
 
 // lockTimed/unlockTimed wrap an engine-lock acquire/release with the
 // wait and hold histograms; every timed locker (a hot dispatch group, the

@@ -25,12 +25,8 @@ import (
 //     device tail and parks resolve, then disconnects the remaining
 //     clients with a typed Drain error and closes.
 //
-// Every disconnect is classified exactly once, so the counters obey
-//
-//	disconnects == evictions + sheds + drains + client closes
-//
-// after drain (<= at any instant; see closeCounterFor for the ordering
-// that makes the inequality hold in every live snapshot).
+// Every disconnect is classified exactly once: the close-reason law of
+// Snapshot.Check.
 
 // Close reasons recorded at eviction time and classified into counters
 // by removeClient. Zero (the default) means the client went away on its

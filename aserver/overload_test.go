@@ -234,14 +234,13 @@ func TestWedgedReaderDoesNotStallOthers(t *testing.T) {
 	floodWG.Wait()
 	conn.Close()
 
-	// Settle and hold the close-reason conservation law to equality.
+	// Settle and hold the conservation laws to equality.
 	deadline = time.Now().Add(5 * time.Second)
 	for {
 		s := srv.Snapshot()
 		if s.Connects == s.Disconnects && s.ActiveClients == 0 {
-			if sum := s.Evictions + s.Sheds + s.Drains + s.ClientCloses; s.Disconnects != sum {
-				t.Errorf("disconnects %d != evictions %d + sheds %d + drains %d + closes %d",
-					s.Disconnects, s.Evictions, s.Sheds, s.Drains, s.ClientCloses)
+			if err := s.Check(true); err != nil {
+				t.Error(err)
 			}
 			if s.QueuedBytes != 0 {
 				t.Errorf("queued bytes %d after all clients gone", s.QueuedBytes)
@@ -318,8 +317,8 @@ func TestDrainGraceful(t *testing.T) {
 	if s.Drains != 1 {
 		t.Errorf("drains = %d, want 1 (the connected client)", s.Drains)
 	}
-	if sum := s.Evictions + s.Sheds + s.Drains + s.ClientCloses; s.Disconnects != sum {
-		t.Errorf("disconnects %d != close reasons %d after drain", s.Disconnects, sum)
+	if err := s.Check(true); err != nil {
+		t.Errorf("after drain: %v", err)
 	}
 	// All buffered audio must have been consumed, none discarded by the
 	// shutdown: that is the "graceful" in graceful drain.

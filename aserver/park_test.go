@@ -275,13 +275,8 @@ func TestResumedAttemptMatchesFirst(t *testing.T) {
 	for i := range ds.Devices {
 		d, r := ds.Devices[i], rs.Devices[i]
 		for _, s := range []DeviceStats{d, r} {
-			if s.FramesAccepted != s.FramesBuffered+s.FramesDiscarded {
-				t.Errorf("%s: frames accepted %d != buffered %d + discarded %d",
-					s.Name, s.FramesAccepted, s.FramesBuffered, s.FramesDiscarded)
-			}
-			if s.ParksStarted != s.ParksCompleted+s.ParksDiscarded || s.ParkedNow != 0 {
-				t.Errorf("%s: parks started %d != completed %d + discarded %d (now %d)",
-					s.Name, s.ParksStarted, s.ParksCompleted, s.ParksDiscarded, s.ParkedNow)
+			if err := s.Check(true); err != nil {
+				t.Error(err)
 			}
 		}
 		if d.ParksStarted != 0 {

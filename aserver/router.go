@@ -62,25 +62,15 @@ import (
 // owner fails and it falls back to a proxied setup, whose open walks
 // past the owner to the standby.
 //
-// Counter ownership and conservation: spawn counts accepted once per
-// client conn, and its handler counts exactly one of routes, redirects
-// and routeErrors. For each proxied session (a route) exactly one of
-// closedClient, closedBackend, or failoversStarted is incremented by the
-// pump that loses the session (a CAS picks the single classifier), and
-// every failoversStarted is followed by exactly one of
-// failoversCompleted or failoversAbandoned before the session is torn
-// down. A redirected session appears in no counter after redirects: the
-// router never sees its end. Snapshot reads the outcome counters before
-// their antecedents, accepted last, so
-//
-//	accepted >= routes + redirects + route_errors
-//	failovers_started >= failovers_completed + failovers_abandoned
-//	routes >= closed_client + closed_backend + failovers_started
-//
-// hold in every live snapshot, each left side running ahead by the
-// setups, sessions or failovers in flight, and all three are exact
-// equalities once the router is drained (no setup in flight and
-// sessions_active == 0).
+// Counter ownership: spawn counts accepted once per client conn, and its
+// handler counts exactly one of routes, redirects and routeErrors. For
+// each proxied session (a route) exactly one of closedClient,
+// closedBackend, or failoversStarted is incremented by the pump that
+// loses the session (a CAS picks the single classifier), and every
+// failoversStarted is followed by exactly one of failoversCompleted or
+// failoversAbandoned before the session is torn down. A redirected
+// session appears in no counter after redirects: the router never sees
+// its end. The laws this gives are RouterSnapshot.Check.
 
 // RouterOptions configures a Router.
 type RouterOptions struct {
@@ -661,8 +651,7 @@ func (s *rsession) backendFailed(ownsClientWrites bool) {
 		return
 	}
 	// Backend death. Increment started before the outcome counter, and
-	// resolve the outcome before finish, so started >= completed +
-	// abandoned live and == after drain.
+	// resolve the outcome before finish: the failover law.
 	s.r.rm.failoversStarted.Inc()
 	standby := s.r.dir.LookupLive(s.key, func(i int) bool {
 		return i != s.b.index && s.r.backends[i].health.Healthy()
@@ -805,15 +794,7 @@ type RouterBackendStats struct {
 }
 
 // RouterSnapshot is a consistent-enough view of the router's counters
-// for invariant checks: outcome counters are read before their
-// antecedents, so in every snapshot
-//
-//	Accepted >= Routes + Redirects + RouteErrors
-//	FailoversStarted >= FailoversCompleted + FailoversAbandoned
-//	Routes >= ClosedClient + ClosedBackend + FailoversStarted
-//
-// with exact equality once SessionsActive is 0 and no setup is in
-// flight.
+// for Check: outcome counters are read before their antecedents.
 type RouterSnapshot struct {
 	Accepted       uint64 `json:"accepted"`
 	Routes         uint64 `json:"routes"`
@@ -833,8 +814,32 @@ type RouterSnapshot struct {
 	Backends []RouterBackendStats `json:"backends"`
 }
 
-// Snapshot copies the router's counters. Read ordering gives the
-// one-sided live laws documented on RouterSnapshot.
+// Check states the router's laws: every accepted conn is set up once —
+// routed, redirected or refused; every route ends once — closed by
+// either side or failed over; every failover ends once, completed or
+// abandoned. Live, each left side runs ahead by the setups, sessions or
+// failovers in flight; settled — the router drained (no setup in flight,
+// sessions_active 0) or closed — they are equal. Then each backend's
+// health law, which settles with no resync in flight.
+func (s RouterSnapshot) Check(settled bool) error {
+	errs := []error{
+		metrics.Law("accepted = routes + redirects + route_errors",
+			s.Accepted, s.Routes+s.Redirects+s.RouteErrors, settled),
+		metrics.Law("routes = closed_client + closed_backend + failovers_started",
+			s.Routes, s.ClosedClient+s.ClosedBackend+s.FailoversStarted, settled),
+		metrics.Law("failovers_started = failovers_completed + failovers_abandoned",
+			s.FailoversStarted, s.FailoversCompleted+s.FailoversAbandoned, settled),
+	}
+	for _, b := range s.Backends {
+		if err := b.Check(settled); err != nil {
+			errs = append(errs, fmt.Errorf("backend %s: %w", b.Name, err))
+		}
+	}
+	return errors.Join(errs...)
+}
+
+// Snapshot copies the router's counters, in the read order that gives
+// Check its live forms.
 func (r *Router) Snapshot() RouterSnapshot {
 	var s RouterSnapshot
 	// Outcomes before antecedents: completed/abandoned before started,

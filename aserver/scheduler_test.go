@@ -285,11 +285,8 @@ func TestCloseStopsUpdatePlane(t *testing.T) {
 			t.Error("the blocked record completed; Close should have discarded it")
 		}
 		snap := srv.Snapshot()
-		for _, d := range snap.Devices {
-			if d.ParksStarted != d.ParksCompleted+d.ParksDiscarded || d.ParkedNow != 0 {
-				t.Errorf("%s: parks started %d != completed %d + discarded %d (now %d) after Close",
-					d.Name, d.ParksStarted, d.ParksCompleted, d.ParksDiscarded, d.ParkedNow)
-			}
+		if err := snap.Check(true); err != nil {
+			t.Errorf("after Close: %v", err)
 		}
 		if snap.Devices[1].ParksDiscarded != 1 {
 			t.Errorf("Close discarded %d parks on the codec, want 1", snap.Devices[1].ParksDiscarded)

@@ -191,7 +191,9 @@ func TestBroadcastBasic(t *testing.T) {
 	}
 
 	s := drainSnapshot(t, srv)
-	checkConservation(t, s)
+	if err := s.Check(true); err != nil {
+		t.Error(err)
+	}
 	d := s.Devices[0]
 	if d.BcastChunks == 0 || d.BcastMsgs == 0 {
 		t.Errorf("broadcast counters did not move: chunks=%d msgs=%d", d.BcastChunks, d.BcastMsgs)
@@ -280,7 +282,9 @@ func TestBroadcastSubscribeErrors(t *testing.T) {
 	}
 
 	s := drainSnapshot(t, func() *aserver.Server { conn.Close(); return srv }())
-	checkConservation(t, s)
+	if err := s.Check(true); err != nil {
+		t.Error(err)
+	}
 }
 
 // TestBroadcastSoak: the fan-out under fire. A player streams the ramp
@@ -517,17 +521,15 @@ func TestBroadcastSoak(t *testing.T) {
 	}
 
 	s := drainSnapshot(t, srv)
-	checkConservation(t, s)
+	if err := s.Check(true); err != nil {
+		t.Error(err)
+	}
 	d := s.Devices[0]
 
 	// The wedged listener must have been evicted by the ordinary overload
-	// machinery; every disconnect classified exactly once.
+	// machinery.
 	if s.Evictions < 1 {
 		t.Errorf("evictions = %d, want >= 1 (the wedged listener)", s.Evictions)
-	}
-	if sum := s.Evictions + s.Sheds + s.Drains + s.ClientCloses; s.Disconnects != sum {
-		t.Errorf("disconnects %d != evictions %d + sheds %d + drains %d + client closes %d",
-			s.Disconnects, s.Evictions, s.Sheds, s.Drains, s.ClientCloses)
 	}
 
 	// Encode-once, exactly: every listener in this soak shares one wire

@@ -6,8 +6,7 @@
 //
 // With -router the address is an arouter's -stats endpoint: each tick
 // prints the fleet view (setup redirects, proxied session routes and
-// byte rates, failover counters, per-backend health) and the router's
-// conservation laws are checked instead of the device-frame laws.
+// byte rates, failover counters, per-backend health).
 //
 // Each tick prints one line per device with the deltas since the last
 // scrape (bytes and frames per interval, underruns, parks) plus the
@@ -17,6 +16,11 @@
 // entirely for one server-wide line per tick, including the update
 // plane's health (engine update rate, tick-lag p99). -once prints a
 // single absolute snapshot and exits, which is also the scriptable mode.
+//
+// Every snapshot astat renders absolutely, and every router tick, is held
+// to the live form of its conservation laws (Snapshot.Check,
+// RouterSnapshot.Check); a broken law means the server's
+// instrumentation is broken and is reported on stderr.
 package main
 
 import (
@@ -30,7 +34,6 @@ import (
 
 	"audiofile/aserver"
 	"audiofile/internal/cmdutil"
-	"audiofile/internal/health"
 	"audiofile/internal/metrics"
 )
 
@@ -59,6 +62,7 @@ func main() {
 	}
 	if *once {
 		printAbsolute(prev)
+		warn(prev.Check(false))
 		return
 	}
 
@@ -270,9 +274,6 @@ func printAbsolute(s aserver.Snapshot) {
 			ls.ResyncAttempts, ls.RecSilenceBytes, ls.PlayLostBytes)
 	}
 	if *agg {
-		if werr := conservation(s); werr != "" {
-			fmt.Fprintf(os.Stderr, "astat: WARNING: %s\n", werr)
-		}
 		return
 	}
 	devs := s.Devices
@@ -296,61 +297,13 @@ func printAbsolute(s aserver.Snapshot) {
 	if hidden > 0 {
 		fmt.Printf("... (+%d more devices; -top %d)\n", hidden, *top)
 	}
-	if werr := conservation(s); werr != "" {
-		fmt.Fprintf(os.Stderr, "astat: WARNING: %s\n", werr)
-	}
 }
 
-// conservation checks the snapshot's frame-accounting laws; a violation
-// means the server's instrumentation is broken, which is worth shouting
-// about in a stats tool.
-func conservation(s aserver.Snapshot) string {
-	// Every disconnect is accounted to exactly one close reason. The check
-	// is one-sided because counters are read without a global lock: a
-	// reason may be counted an instant before the disconnect it explains.
-	if sum := s.Evictions + s.Sheds + s.Drains + s.ClientCloses; s.Disconnects > sum {
-		return fmt.Sprintf("disconnects %d > evictions %d + sheds %d + drains %d + client-closes %d",
-			s.Disconnects, s.Evictions, s.Sheds, s.Drains, s.ClientCloses)
+// warn reports a broken conservation law.
+func warn(err error) {
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "astat: WARNING: %v\n", err)
 	}
-	// Every request is retired by exactly one dispatch batch. One-sided
-	// because the server counts requests before observing the batch (and
-	// the snapshot reads the histogram first), so a batch mid-account may
-	// be missing from the sum but never over-counted.
-	if s.DispatchBatch.Sum > s.Requests {
-		return fmt.Sprintf("dispatch batch sizes sum to %d > %d requests",
-			s.DispatchBatch.Sum, s.Requests)
-	}
-	for _, d := range s.Devices {
-		if d.FramesAccepted != d.FramesBuffered+d.FramesDiscarded {
-			return fmt.Sprintf("device %d: accepted %d != buffered %d + discarded %d",
-				d.Index, d.FramesAccepted, d.FramesBuffered, d.FramesDiscarded)
-		}
-		if d.FramesPreempted > d.FramesBuffered {
-			return fmt.Sprintf("device %d: preempted %d > buffered %d",
-				d.Index, d.FramesPreempted, d.FramesBuffered)
-		}
-		// Encode-once: a broadcast chunk is encoded at least once per live
-		// wire format. The server increments encodes before chunks, so the
-		// one-sided law holds in every snapshot, not just drained ones.
-		if d.BcastEncodes < d.BcastChunks {
-			return fmt.Sprintf("device %d: broadcast encodes %d < chunks %d",
-				d.Index, d.BcastEncodes, d.BcastChunks)
-		}
-		// LineServer transport health: every reply datagram is classified
-		// exactly once — one-sided live (the backend increments the
-		// aggregate first and the snapshot reads it last), exact after
-		// close — and its health machine's books balance.
-		if ls := d.Lineserver; ls != nil {
-			if sum := ls.Accepted + ls.Stale + ls.Duplicate; ls.Replies < sum {
-				return fmt.Sprintf("device %d: lineserver replies %d < accepted %d + stale %d + duplicate %d",
-					d.Index, ls.Replies, ls.Accepted, ls.Stale, ls.Duplicate)
-			}
-			if werr := healthLaw(fmt.Sprintf("device %d: lineserver", d.Index), ls.Stats); werr != "" {
-				return werr
-			}
-		}
-	}
-	return ""
 }
 
 // routerMain is the -router mode: poll an arouter's RouterSnapshot.
@@ -361,6 +314,7 @@ func routerMain(url string) {
 	}
 	if *once {
 		printRouterAbsolute(prev)
+		warn(prev.Check(false))
 		return
 	}
 	routerHeader()
@@ -411,9 +365,7 @@ func printRouterDelta(prev, cur aserver.RouterSnapshot, dt time.Duration) {
 		cur.FailoversCompleted-prev.FailoversCompleted,
 		cur.RouteErrors-prev.RouteErrors,
 		roster)
-	if werr := routerConservation(cur); werr != "" {
-		fmt.Fprintf(os.Stderr, "astat: WARNING: %s\n", werr)
-	}
+	warn(cur.Check(false))
 }
 
 // printRouterAbsolute renders one cumulative router snapshot.
@@ -430,46 +382,6 @@ func printRouterAbsolute(s aserver.RouterSnapshot) {
 			b.Name, b.State, b.Sessions, b.Probes, b.ProbeFailures,
 			b.DialErrors, b.ToHealthy, b.ToSuspect, b.ToDown)
 	}
-	if werr := routerConservation(s); werr != "" {
-		fmt.Fprintf(os.Stderr, "astat: WARNING: %s\n", werr)
-	}
-}
-
-// routerConservation checks the router's accounting laws. Snapshots read
-// outcome counters before antecedents, so the one-sided forms hold in
-// every live snapshot (exact once the router is drained); a violation
-// means the router's bookkeeping is broken.
-func routerConservation(s aserver.RouterSnapshot) string {
-	if sum := s.Routes + s.Redirects + s.RouteErrors; s.Accepted < sum {
-		return fmt.Sprintf("accepted %d < routes %d + redirects %d + route-errors %d",
-			s.Accepted, s.Routes, s.Redirects, s.RouteErrors)
-	}
-	if sum := s.FailoversCompleted + s.FailoversAbandoned; s.FailoversStarted < sum {
-		return fmt.Sprintf("failovers started %d < completed %d + abandoned %d",
-			s.FailoversStarted, s.FailoversCompleted, s.FailoversAbandoned)
-	}
-	if sum := s.ClosedClient + s.ClosedBackend + s.FailoversStarted; s.Routes < sum {
-		return fmt.Sprintf("routes %d < closed-client %d + closed-backend %d + failovers-started %d",
-			s.Routes, s.ClosedClient, s.ClosedBackend, s.FailoversStarted)
-	}
-	for _, b := range s.Backends {
-		if werr := healthLaw("backend "+b.Name, b.Stats); werr != "" {
-			return werr
-		}
-	}
-	return ""
-}
-
-// healthLaw is the internal/health law, for a lineserver device and a
-// router backend alike: every resync started ends exactly once, completed
-// or abandoned. One-sided live (outcomes are read before starts), exact
-// once the machine is closed.
-func healthLaw(who string, h health.Stats) string {
-	if sum := h.ResyncsCompleted + h.ResyncsAbandoned; h.ResyncsStarted < sum {
-		return fmt.Sprintf("%s: resyncs started %d < completed %d + abandoned %d",
-			who, h.ResyncsStarted, h.ResyncsCompleted, h.ResyncsAbandoned)
-	}
-	return ""
 }
 
 // ns renders a nanosecond bucket bound compactly.

@@ -51,18 +51,6 @@ func Max(a, b ATime) ATime {
 	return b
 }
 
-// Clamp limits t to the inclusive wrapped interval [lo, hi]. It assumes
-// lo is not after hi.
-func Clamp(t, lo, hi ATime) ATime {
-	if Before(t, lo) {
-		return lo
-	}
-	if After(t, hi) {
-		return hi
-	}
-	return t
-}
-
 // ClipSpan clips the n-tick span starting at t against the window
 // [lo, hi): the first skip ticks of the span fall before the window, the
 // next in ticks inside it, and the remaining n-skip-in after it. A span
@@ -73,40 +61,4 @@ func ClipSpan(t ATime, n int, lo, hi ATime) (skip, in int) {
 	skip = min(max(int(Sub(lo, t)), 0), n)
 	end := min(max(int(Sub(hi, t)), skip), n)
 	return skip, end - skip
-}
-
-// SecondsToTicks converts a duration in seconds to sample ticks at the
-// given sampling rate, rounding toward zero.
-func SecondsToTicks(sec float64, rate int) int {
-	return int(sec * float64(rate))
-}
-
-// TicksToSeconds converts a tick count to seconds at the given rate.
-func TicksToSeconds(ticks int, rate int) float64 {
-	return float64(ticks) / float64(rate)
-}
-
-// Correspondence relates two device clocks, following the paper's formula
-//
-//	t_b = T_b + R_b * ((t_a - T_a) / R_a)
-//
-// where (Ta, Tb) are values of clocks A and B observed "at the same time"
-// and Ra, Rb are their rates in ticks per second. The relationship is
-// approximate: crystal rates are never known exactly, but the conversion is
-// good enough for scheduling across devices.
-type Correspondence struct {
-	Ta, Tb ATime   // simultaneous observations of the two clocks
-	Ra, Rb float64 // clock rates in ticks/second
-}
-
-// AtoB converts a time on clock A to the corresponding time on clock B.
-func (c Correspondence) AtoB(ta ATime) ATime {
-	dt := float64(Sub(ta, c.Ta)) / c.Ra
-	return Add(c.Tb, int(dt*c.Rb))
-}
-
-// BtoA converts a time on clock B to the corresponding time on clock A.
-func (c Correspondence) BtoA(tb ATime) ATime {
-	dt := float64(Sub(tb, c.Tb)) / c.Rb
-	return Add(c.Ta, int(dt*c.Ra))
 }

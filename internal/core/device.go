@@ -100,11 +100,11 @@ type Device struct {
 
 // IOStats are the per-device conservation counters: every frame a
 // PlaySamples request delivers is either discarded (scheduled in the
-// past) or buffered, so FramesAccepted == FramesBuffered +
-// FramesDiscarded holds at every engine-lock release — the invariant
-// the metrics tests assert. FramesPreempted counts previously valid
-// buffered frames overwritten by a preempting play (they were counted
-// as buffered but never reach the DAC with their original content).
+// past) or buffered, within one call, so the frame law holds at every
+// engine-lock release (aserver.DeviceStats.Check states it).
+// FramesPreempted counts previously valid buffered frames overwritten by
+// a preempting play (they were counted as buffered but never reach the
+// DAC with their original content).
 type IOStats struct {
 	FramesAccepted  uint64 // play frames consumed from requests
 	FramesBuffered  uint64 // play frames mixed or copied into the play buffer

@@ -14,17 +14,15 @@
 // again on every run of failures.
 //
 // Every resync ends once, completed or abandoned (a Close mid-resync
-// abandons it), so ResyncsStarted == ResyncsCompleted + ResyncsAbandoned
-// exactly after Close. The three count transitions (into resyncing,
-// resyncing→healthy, resyncing→down) and Stats reads them under the lock
-// that makes them: a live snapshot is short by exactly the resync in
-// progress, whatever order its fields are read in.
+// abandons it); the law is Stats.Check.
 package health
 
 import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"audiofile/internal/metrics"
 )
 
 // The states, by their report names.
@@ -87,6 +85,17 @@ type Stats struct {
 	ResyncAttempts   uint64 `json:"resync_attempts"`
 
 	Events []Event `json:"events,omitempty"`
+}
+
+// Check states the machine's law: every resync started ends once,
+// completed or abandoned (a Close mid-resync abandons it), so the books
+// settle when the machine is closed. The three count transitions (into
+// resyncing, resyncing→healthy, resyncing→down) and Stats reads them
+// under the lock that makes them, so a live snapshot is short by exactly
+// the resync in progress, whatever order its fields are read in.
+func (s Stats) Check(settled bool) error {
+	return metrics.Law("resyncs_started = resyncs_completed + resyncs_abandoned",
+		s.ResyncsStarted, s.ResyncsCompleted+s.ResyncsAbandoned, settled)
 }
 
 // Machine is one peer's health. State reads are atomic loads;

@@ -144,8 +144,8 @@ func TestConformance(t *testing.T) {
 			if s.ResyncAttempts != tc.attempted || uint64(calls) != tc.attempted {
 				t.Errorf("resync attempts %d (Heal called %d times), want %d", s.ResyncAttempts, calls, tc.attempted)
 			}
-			if s.ResyncsStarted != s.ResyncsCompleted+s.ResyncsAbandoned {
-				t.Errorf("law: started %d != completed %d + abandoned %d", s.ResyncsStarted, s.ResyncsCompleted, s.ResyncsAbandoned)
+			if err := s.Check(true); err != nil {
+				t.Error(err)
 			}
 		})
 	}
@@ -265,5 +265,32 @@ func TestEventRing(t *testing.T) {
 	}
 	if got := strings.Join(seen[:2], " "); got != "healthy>suspect suspect>healthy" {
 		t.Errorf("hook saw %q first", got)
+	}
+}
+
+// TestLaw plants violations of the resync law: an imbalance in the
+// allowed direction (a resync in flight) passes live and fails settled,
+// one in the other direction fails both, and the error names the law.
+func TestLaw(t *testing.T) {
+	const law = "resyncs_started = resyncs_completed + resyncs_abandoned"
+	for _, tc := range []struct {
+		name          string
+		s             Stats
+		live, settled bool // whether Check(false), Check(true) pass
+	}{
+		{"balanced", Stats{ResyncsStarted: 3, ResyncsCompleted: 2, ResyncsAbandoned: 1}, true, true},
+		{"in flight", Stats{ResyncsStarted: 3, ResyncsCompleted: 1, ResyncsAbandoned: 1}, true, false},
+		{"ended twice", Stats{ResyncsStarted: 2, ResyncsCompleted: 2, ResyncsAbandoned: 1}, false, false},
+	} {
+		for _, settled := range []bool{false, true} {
+			want := tc.live
+			if settled {
+				want = tc.settled
+			}
+			err := tc.s.Check(settled)
+			if (err == nil) != want || (err != nil && !strings.Contains(err.Error(), law)) {
+				t.Errorf("%s: Check(%v) = %v, want pass %v naming %q", tc.name, settled, err, want, law)
+			}
+		}
 	}
 }

@@ -3,6 +3,7 @@ package lineserver
 import (
 	"bytes"
 	"net"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -105,9 +106,8 @@ func TestRoundTripDiscardsStaleAndDuplicate(t *testing.T) {
 	if st.Duplicate == 0 {
 		t.Error("duplicated reply not counted")
 	}
-	if st.Replies != st.Accepted+st.Stale+st.Duplicate {
-		t.Errorf("reply law broken at rest: replies %d != accepted %d + stale %d + duplicate %d",
-			st.Replies, st.Accepted, st.Stale, st.Duplicate)
+	if err := st.Check(true); err != nil {
+		t.Errorf("at rest: %v", err)
 	}
 }
 
@@ -244,9 +244,8 @@ func TestResyncCompletes(t *testing.T) {
 
 	b.Close()
 	st := b.Stats()
-	if st.ResyncsStarted != st.ResyncsCompleted+st.ResyncsAbandoned {
-		t.Errorf("resync law broken after close: started %d != completed %d + abandoned %d",
-			st.ResyncsStarted, st.ResyncsCompleted, st.ResyncsAbandoned)
+	if err := st.Check(true); err != nil {
+		t.Errorf("after close: %v", err)
 	}
 	var sawHealed bool
 	for _, ev := range b.Events() {
@@ -296,5 +295,43 @@ func TestSpontaneousRecovery(t *testing.T) {
 	}
 	if st := b.Stats(); st.ResyncsStarted != 1 {
 		t.Errorf("spontaneous recovery started %d resyncs, want the original 1 only", st.ResyncsStarted)
+	}
+}
+
+// TestLaw plants a violation of each of BackendStats' laws: an imbalance
+// in the allowed direction (a reply being classified, a resync in
+// flight) passes live and fails settled, one in the other direction
+// fails both, and the error names the law.
+func TestLaw(t *testing.T) {
+	const replies = "replies = accepted + stale + duplicate"
+	const resyncs = "resyncs_started = resyncs_completed + resyncs_abandoned"
+	ok := BackendStats{
+		Stats:   health.Stats{ResyncsStarted: 2, ResyncsCompleted: 1, ResyncsAbandoned: 1},
+		Replies: 6, Accepted: 3, Stale: 2, Duplicate: 1,
+	}
+	for _, tc := range []struct {
+		name          string
+		plant         func(*BackendStats)
+		law           string
+		live, settled bool // whether Check(false), Check(true) pass
+	}{
+		{"balanced", func(*BackendStats) {}, "", true, true},
+		{"reply in flight", func(s *BackendStats) { s.Replies++ }, replies, true, false},
+		{"reply classified twice", func(s *BackendStats) { s.Stale = 3 }, replies, false, false},
+		{"resync in flight", func(s *BackendStats) { s.ResyncsStarted++ }, resyncs, true, false},
+		{"resync ended twice", func(s *BackendStats) { s.ResyncsAbandoned++ }, resyncs, false, false},
+	} {
+		s := ok
+		tc.plant(&s)
+		for _, settled := range []bool{false, true} {
+			want := tc.live
+			if settled {
+				want = tc.settled
+			}
+			err := s.Check(settled)
+			if (err == nil) != want || (err != nil && !strings.Contains(err.Error(), tc.law)) {
+				t.Errorf("%s: Check(%v) = %v, want pass %v naming %q", tc.name, settled, err, want, tc.law)
+			}
+		}
 	}
 }

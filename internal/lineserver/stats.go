@@ -1,20 +1,16 @@
 package lineserver
 
 import (
+	"errors"
 	"sync/atomic"
 
 	"audiofile/internal/health"
+	"audiofile/internal/metrics"
 )
 
 // The backend's books. Health — the states, the resync counters and the
 // event log — is its internal/health Machine's; what this file keeps is
-// the transport's own counters, which obey an exact law once the backend
-// is closed:
-//
-//	Replies == Accepted + Stale + Duplicate
-//
-// In a live snapshot it is one-sided (Replies >= the sum): the aggregate
-// is incremented first and read last.
+// the transport's own counters, whose law is BackendStats.Check.
 
 // counters are atomics so Stats never takes the transport mutex, which a
 // round trip may hold for a full timeout.
@@ -48,6 +44,16 @@ type BackendStats struct {
 
 	RecSilenceBytes uint64 `json:"rec_silence_bytes"`
 	PlayLostBytes   uint64 `json:"play_lost_bytes"`
+}
+
+// Check states the backend's laws: every parseable reply datagram is
+// classified exactly once — settled once the backend is closed; live,
+// the aggregate runs ahead, incremented first and read last — and its
+// health machine's law.
+func (s BackendStats) Check(settled bool) error {
+	return errors.Join(
+		metrics.Law("replies = accepted + stale + duplicate", s.Replies, s.Accepted+s.Stale+s.Duplicate, settled),
+		s.Stats.Check(settled))
 }
 
 // Stats snapshots the counters without touching the transport mutex:

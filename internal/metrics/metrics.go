@@ -190,6 +190,23 @@ func (s HistogramSnapshot) Max() uint64 {
 	return UpperBound(s.Buckets[len(s.Buckets)-1].Bit)
 }
 
+// Law checks one conservation law between two counter totals, named
+// "ahead = behind" by the caller: ahead never falls below behind, may
+// run ahead of it by the operations in flight, and equals it once
+// settled. A law exact in every snapshot passes settled true always; a
+// bound that is never an equality passes false always. Every type that
+// carries laws states them once, as a Check(settled bool) error joining
+// its Law calls with errors.Join.
+func Law(name string, ahead, behind uint64, settled bool) error {
+	if ahead < behind {
+		return fmt.Errorf("%s: %d < %d", name, ahead, behind)
+	}
+	if settled && ahead != behind {
+		return fmt.Errorf("%s: %d > %d once settled", name, ahead, behind)
+	}
+	return nil
+}
+
 // Registry names metrics for export. Registration happens once at
 // startup and allocates; the returned pointers are then used directly by
 // the hot paths. A Registry is safe for concurrent registration and

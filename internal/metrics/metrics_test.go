@@ -3,6 +3,7 @@ package metrics
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -154,5 +155,30 @@ func TestSnapshotRoundTripsJSON(t *testing.T) {
 	}
 	if s.Count != 2 || s.Sum != 40012 || len(s.Buckets) != 2 {
 		t.Fatalf("round trip lost data: %+v", s)
+	}
+}
+
+// TestLaw: ahead below behind always fails; ahead above behind passes
+// live and fails settled; equality always passes. A failure names the law.
+func TestLaw(t *testing.T) {
+	for _, tc := range []struct {
+		ahead, behind uint64
+		settled       bool
+		ok            bool
+	}{
+		{5, 5, false, true},
+		{5, 5, true, true},
+		{6, 5, false, true},
+		{6, 5, true, false},
+		{4, 5, false, false},
+		{4, 5, true, false},
+	} {
+		err := Law("a = b", tc.ahead, tc.behind, tc.settled)
+		if (err == nil) != tc.ok {
+			t.Errorf("Law(%d, %d, settled %v) = %v, want ok %v", tc.ahead, tc.behind, tc.settled, err, tc.ok)
+		}
+		if err != nil && !strings.HasPrefix(err.Error(), "a = b: ") {
+			t.Errorf("error %q does not name the law", err)
+		}
 	}
 }

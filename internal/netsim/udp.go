@@ -1,10 +1,13 @@
 package netsim
 
 import (
+	"errors"
 	"math/rand"
 	"net"
 	"sync"
 	"sync/atomic"
+
+	"audiofile/internal/metrics"
 )
 
 // This file is the datagram counterpart of FaultConn: packet-level fault
@@ -56,28 +59,17 @@ type PacketFaultConfig struct {
 	Egress  PacketFaultRates
 }
 
-// PacketDirStats is one direction's packet accounting. The conservation
-// law, exact once the conn is closed (Held == 0 by then):
-//
-//	Seen + Duplicated == Delivered + Dropped + BlackedOut + DroppedAtClose + Held
-//
-// Every datagram copy that enters the fault layer leaves it through
-// exactly one of those doors.
+// PacketDirStats is one direction's packet accounting; its law is
+// PacketFaultStats.Check.
 type PacketDirStats struct {
-	Seen           uint64 `json:"seen"`            // datagrams entering the fault layer
-	Delivered      uint64 `json:"delivered"`       // copies handed through
-	Dropped        uint64 `json:"dropped"`         // random loss
-	Duplicated     uint64 `json:"duplicated"`      // extra copies created
-	Reordered      uint64 `json:"reordered"`       // datagrams held back
-	BlackedOut     uint64 `json:"blacked_out"`     // dropped inside a burst blackout
+	Seen           uint64 `json:"seen"`             // datagrams entering the fault layer
+	Delivered      uint64 `json:"delivered"`        // copies handed through
+	Dropped        uint64 `json:"dropped"`          // random loss
+	Duplicated     uint64 `json:"duplicated"`       // extra copies created
+	Reordered      uint64 `json:"reordered"`        // datagrams held back
+	BlackedOut     uint64 `json:"blacked_out"`      // dropped inside a burst blackout
 	DroppedAtClose uint64 `json:"dropped_at_close"` // held datagrams discarded at Close
-	Held           uint64 `json:"held"`            // currently held back (gauge)
-}
-
-// check reports "" when the direction's conservation law holds, else a
-// description of the violation.
-func (s PacketDirStats) check() bool {
-	return s.Seen+s.Duplicated == s.Delivered+s.Dropped+s.BlackedOut+s.DroppedAtClose+s.Held
+	Held           uint64 `json:"held"`             // currently held back (gauge)
 }
 
 // PacketFaultStats is both directions' accounting.
@@ -86,10 +78,18 @@ type PacketFaultStats struct {
 	Egress  PacketDirStats `json:"egress"`
 }
 
-// Conserved reports whether both directions obey the packet
-// conservation law (chaos tests assert it after Close).
-func (s PacketFaultStats) Conserved() bool {
-	return s.Ingress.check() && s.Egress.check()
+// Check states the packet law of each direction: every datagram copy
+// that enters the fault layer leaves it through exactly one door, settled
+// once the conn is closed (held is 0 by then). Live, the left side
+// runs ahead by the copies a WriteTo has taken from the queue and not
+// yet written: stats reads a direction under the lock its decisions
+// take, and only that write counts outside it.
+func (s PacketFaultStats) Check(settled bool) error {
+	law := func(dir string, d PacketDirStats) error {
+		return metrics.Law(dir+": seen + duplicated = delivered + dropped + blacked_out + dropped_at_close + held",
+			d.Seen+d.Duplicated, d.Delivered+d.Dropped+d.BlackedOut+d.DroppedAtClose+d.Held, settled)
+	}
+	return errors.Join(law("ingress", s.Ingress), law("egress", s.Egress))
 }
 
 // heldPacket is a datagram held back for reordering: it becomes
@@ -184,23 +184,20 @@ func (d *faultDir) flushHeld() {
 	d.pending = nil
 }
 
+// stats reads the direction under d.mu, which every counter but
+// WriteTo's delivered holds while it moves: the live form of the law.
 func (d *faultDir) stats() PacketDirStats {
-	// Classification counters are read before Seen (and Seen is
-	// incremented first at admit), so a live snapshot can under-count the
-	// outcomes of the newest packets but never invent copies; the law is
-	// checked only on closed conns, where the queues are settled.
 	d.mu.Lock()
-	held := uint64(len(d.held) + len(d.pending))
-	d.mu.Unlock()
+	defer d.mu.Unlock()
 	return PacketDirStats{
+		Seen:           d.seen.Load(),
 		Delivered:      d.delivered.Load(),
 		Dropped:        d.dropped.Load(),
 		Duplicated:     d.duplicated.Load(),
 		Reordered:      d.reordered.Load(),
 		BlackedOut:     d.blackedOut.Load(),
 		DroppedAtClose: d.droppedAtClose.Load(),
-		Held:           held,
-		Seen:           d.seen.Load(),
+		Held:           uint64(len(d.held) + len(d.pending)),
 	}
 }
 

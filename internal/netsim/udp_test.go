@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"net"
 	"os"
+	"strings"
 	"testing"
 	"time"
 )
@@ -36,11 +37,11 @@ func (s *scriptConn) WriteTo(b []byte, _ net.Addr) (int, error) {
 	return len(b), nil
 }
 
-func (s *scriptConn) Close() error                       { return nil }
-func (s *scriptConn) LocalAddr() net.Addr                { return scriptAddr{} }
-func (s *scriptConn) SetDeadline(time.Time) error        { return nil }
-func (s *scriptConn) SetReadDeadline(time.Time) error    { return nil }
-func (s *scriptConn) SetWriteDeadline(time.Time) error   { return nil }
+func (s *scriptConn) Close() error                     { return nil }
+func (s *scriptConn) LocalAddr() net.Addr              { return scriptAddr{} }
+func (s *scriptConn) SetDeadline(time.Time) error      { return nil }
+func (s *scriptConn) SetReadDeadline(time.Time) error  { return nil }
+func (s *scriptConn) SetWriteDeadline(time.Time) error { return nil }
 
 func pkt(i int) []byte {
 	b := make([]byte, 4)
@@ -180,8 +181,8 @@ func TestDuplicationAndReorder(t *testing.T) {
 			t.Errorf("packet %d delivered %d times (max 2 with single dup)", s, c)
 		}
 	}
-	if !fc.Stats().Conserved() {
-		t.Errorf("conservation law violated after close: %+v", fc.Stats())
+	if err := fc.Stats().Check(true); err != nil {
+		t.Errorf("after close: %v", err)
 	}
 }
 
@@ -232,5 +233,38 @@ func TestIngressFaults(t *testing.T) {
 	st := fc.Stats().Ingress
 	if st.Delivered != uint64(got) {
 		t.Errorf("Delivered = %d, read %d", st.Delivered, got)
+	}
+}
+
+// TestLaw plants a violation of each direction's packet law: a copy in
+// flight (taken by a WriteTo, not yet written) passes live and fails
+// settled, a copy that left through two doors fails both, and the error
+// names the direction's law.
+func TestLaw(t *testing.T) {
+	ok := PacketDirStats{Seen: 10, Duplicated: 2, Delivered: 7, Dropped: 2, BlackedOut: 1, DroppedAtClose: 1, Held: 1}
+	for _, tc := range []struct {
+		name          string
+		plant         func(*PacketFaultStats)
+		law           string
+		live, settled bool // whether Check(false), Check(true) pass
+	}{
+		{"balanced", func(*PacketFaultStats) {}, "", true, true},
+		{"ingress in flight", func(s *PacketFaultStats) { s.Ingress.Seen++ }, "ingress: seen", true, false},
+		{"ingress two doors", func(s *PacketFaultStats) { s.Ingress.Dropped++ }, "ingress: seen", false, false},
+		{"egress in flight", func(s *PacketFaultStats) { s.Egress.Duplicated++ }, "egress: seen", true, false},
+		{"egress two doors", func(s *PacketFaultStats) { s.Egress.Held++ }, "egress: seen", false, false},
+	} {
+		s := PacketFaultStats{Ingress: ok, Egress: ok}
+		tc.plant(&s)
+		for _, settled := range []bool{false, true} {
+			want := tc.live
+			if settled {
+				want = tc.settled
+			}
+			err := s.Check(settled)
+			if (err == nil) != want || (err != nil && !strings.Contains(err.Error(), tc.law)) {
+				t.Errorf("%s: Check(%v) = %v, want pass %v naming %q", tc.name, settled, err, want, tc.law)
+			}
+		}
 	}
 }

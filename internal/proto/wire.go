@@ -180,9 +180,6 @@ func (r *Reader) fail() {
 	}
 }
 
-// Remaining returns the number of unread bytes.
-func (r *Reader) Remaining() int { return len(r.Buf) - r.Pos }
-
 // U8 reads one byte.
 func (r *Reader) U8() uint8 {
 	if r.Err != nil || r.Pos+1 > len(r.Buf) {

@@ -109,18 +109,18 @@ func chaosSeed(t *testing.T) int64 {
 // chaosResult is what the driver goroutine hands back to the test
 // goroutine (which owns all assertions).
 type chaosResult struct {
-	intact    uint64 // bytes delivered matching the played pattern
-	silent    uint64 // bytes delivered as µ-law silence
-	corrupt   uint64 // bytes that are neither — must be zero
-	maxGap    int    // longest run of all-silence iterations
-	liveLawOK bool   // one-sided laws held in every live snapshot
+	intact     uint64 // bytes delivered matching the played pattern
+	silent     uint64 // bytes delivered as µ-law silence
+	corrupt    uint64 // bytes that are neither — must be zero
+	maxGap     int    // longest run of all-silence iterations
+	liveLawErr error  // the first live snapshot to break a law's live form
 }
 
 func TestLineserverChaosSoak(t *testing.T) {
 	const (
 		rate      = 8000
-		chunk     = 256             // frames (and bytes: µ-law mono) per iteration
-		soakIters = 940             // ≈ 30 simulated seconds per profile
+		chunk     = 256 // frames (and bytes: µ-law mono) per iteration
+		soakIters = 940 // ≈ 30 simulated seconds per profile
 		rtTimeout = 4 * time.Millisecond
 	)
 	seed := chaosSeed(t)
@@ -157,7 +157,6 @@ func TestLineserverChaosSoak(t *testing.T) {
 			done := make(chan chaosResult, 1)
 			go func() {
 				var res chaosResult
-				res.liveLawOK = true
 				gap := 0
 				buf := make([]byte, chunk)
 				data := make([]byte, chunk)
@@ -191,14 +190,12 @@ func TestLineserverChaosSoak(t *testing.T) {
 						gap = 0
 					}
 					// Sprinkle register traffic (the retried op class) and
-					// check the one-sided laws on a live snapshot.
+					// check the laws' live forms on a live snapshot.
 					if i%64 == 32 {
 						b.WriteReg(lineserver.RegOutputGain, uint32(i))
 						b.ReadReg(lineserver.RegOutputGain)
-						st := b.Stats()
-						if st.Replies < st.Accepted+st.Stale+st.Duplicate ||
-							st.ResyncsStarted < st.ResyncsCompleted+st.ResyncsAbandoned {
-							res.liveLawOK = false
+						if err := b.Stats().Check(false); err != nil && res.liveLawErr == nil {
+							res.liveLawErr = err
 						}
 					}
 				}
@@ -241,25 +238,20 @@ func TestLineserverChaosSoak(t *testing.T) {
 				t.Errorf("longest silence gap %d iterations > ceiling %d", res.maxGap, p.maxGapIters)
 			}
 			// Conservation, exact after close.
-			if st.Replies != st.Accepted+st.Stale+st.Duplicate {
-				t.Errorf("reply law: replies %d != accepted %d + stale %d + duplicate %d",
-					st.Replies, st.Accepted, st.Stale, st.Duplicate)
+			if err := st.Check(true); err != nil {
+				t.Errorf("after close: %v", err)
 			}
-			if st.ResyncsStarted != st.ResyncsCompleted+st.ResyncsAbandoned {
-				t.Errorf("resync law: started %d != completed %d + abandoned %d",
-					st.ResyncsStarted, st.ResyncsCompleted, st.ResyncsAbandoned)
+			if res.liveLawErr != nil {
+				t.Errorf("live snapshot: %v", res.liveLawErr)
 			}
-			if !res.liveLawOK {
-				t.Error("one-sided conservation law violated in a live snapshot")
-			}
-			if !faults.Conserved() {
-				t.Errorf("netsim packet accounting does not conserve: %+v", faults)
+			if err := faults.Check(true); err != nil {
+				t.Errorf("netsim packet accounting: %v (%+v)", err, faults)
 			}
 			// Profile-specific health expectations.
 			if p.wantResyncs && st.ResyncsStarted == 0 {
 				t.Error("profile expected to trigger resyncs; none started")
 			}
-			if p.wantStale && st.Stale+st.Duplicate == 0 {
+			if p.wantStale && st.Stale == 0 && st.Duplicate == 0 {
 				t.Error("profile expected stale/duplicate replies; none classified")
 			}
 			if p.name != "clean" && st.Timeouts == 0 {
@@ -349,10 +341,7 @@ func TestLineserverStatsExported(t *testing.T) {
 	if ls.State != health.Healthy {
 		t.Errorf("state over a healthy box = %s", ls.State)
 	}
-	if ls.Replies < ls.Accepted+ls.Stale+ls.Duplicate {
-		t.Errorf("exported snapshot breaks the reply law: %+v", ls)
-	}
-	if ls.ResyncsStarted < ls.ResyncsCompleted+ls.ResyncsAbandoned {
-		t.Errorf("exported snapshot breaks the resync law: %+v", ls)
+	if err := snap.Check(false); err != nil {
+		t.Errorf("exported snapshot: %v", err)
 	}
 }

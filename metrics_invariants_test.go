@@ -1,10 +1,9 @@
 // Metrics invariant tests: run the shard-stress workload shapes and then
-// hold the observability layer to its conservation laws. The laws are
-// exact, not statistical — every frame a play request delivers is either
-// buffered or discarded, every park started is completed or discarded,
-// every connect is matched by a disconnect once the clients are gone —
-// so any drift here means a counter has lost its single owner. Run under
-// -race in CI alongside the stress tests.
+// hold the observability layer to its conservation laws
+// (aserver.Snapshot.Check), live throughout and exactly once drained.
+// The laws are exact, not statistical, so any drift here means a counter
+// has lost its single owner. Run under -race in CI alongside the stress
+// tests.
 package audiofile
 
 import (
@@ -46,52 +45,11 @@ func drainSnapshot(t *testing.T, srv *aserver.Server) aserver.Snapshot {
 	}
 }
 
-// checkConservation asserts the per-device frame and park accounting
-// laws on a drained snapshot.
-func checkConservation(t *testing.T, s aserver.Snapshot) {
-	t.Helper()
-	for _, d := range s.Devices {
-		if d.FramesAccepted != d.FramesBuffered+d.FramesDiscarded {
-			t.Errorf("device %d: accepted %d != buffered %d + discarded %d",
-				d.Index, d.FramesAccepted, d.FramesBuffered, d.FramesDiscarded)
-		}
-		if d.FramesPreempted > d.FramesBuffered {
-			t.Errorf("device %d: preempted %d > buffered %d",
-				d.Index, d.FramesPreempted, d.FramesBuffered)
-		}
-		if d.ParksStarted != d.ParksCompleted+d.ParksDiscarded {
-			t.Errorf("device %d: parks started %d != completed %d + discarded %d",
-				d.Index, d.ParksStarted, d.ParksCompleted, d.ParksDiscarded)
-		}
-		// Broadcast encode-once: each chunk is encoded at least once per
-		// live wire format, never zero (a chunk with no encodes would mean
-		// the pump cut time-slices for nobody). One-sided because the
-		// format population can change between chunks.
-		if d.BcastChunks > 0 && d.BcastEncodes < d.BcastChunks {
-			t.Errorf("device %d: broadcast encodes %d < chunks %d",
-				d.Index, d.BcastEncodes, d.BcastChunks)
-		}
-		if d.BcastSubs != 0 {
-			t.Errorf("device %d: %d subscriptions outstanding after drain", d.Index, d.BcastSubs)
-		}
-	}
-	dispatched := s.DispatchPlayNs.Count + s.DispatchRecordNs.Count +
-		s.DispatchGetTimeNs.Count + s.DispatchControlNs.Count
-	if s.Requests != dispatched {
-		t.Errorf("requests %d != dispatch observations %d", s.Requests, dispatched)
-	}
-	// Batching: every request is retired by exactly one dispatch batch
-	// (standalone and control dispatches count as a batch of one), so on a
-	// drained snapshot the batch sizes sum back to the request count.
-	if s.Requests != s.DispatchBatch.Sum {
-		t.Errorf("requests %d != dispatch batch sizes sum %d", s.Requests, s.DispatchBatch.Sum)
-	}
-}
-
 // TestMetricsConservation runs the full stress mix — several devices,
 // preempting and mixing players, blocking records resolved by a clock
-// stepper, and killer clients that drop their transport mid-park — then
-// asserts every conservation law on the drained counters.
+// stepper, and killer clients that drop their transport mid-park —
+// holding every snapshot taken meanwhile to the laws' live forms, then
+// asserts every law exactly on the drained counters.
 func TestMetricsConservation(t *testing.T) {
 	const devices = 3
 	const healthy = 8
@@ -141,6 +99,25 @@ func TestMetricsConservation(t *testing.T) {
 			firstErr.CompareAndSwap(nil, err)
 		}
 	}
+
+	// A poller holds every live snapshot to the laws' live forms.
+	stopPoll, polled := make(chan struct{}), make(chan struct{})
+	var polls int
+	go func() {
+		defer close(polled)
+		for ; ; polls++ {
+			select {
+			case <-stopPoll:
+				return
+			default:
+			}
+			if err := srv.Snapshot().Check(false); err != nil {
+				fail(fmt.Errorf("live snapshot %d: %w", polls, err))
+				return
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+	}()
 
 	var wg sync.WaitGroup
 	var playBytesSent [devices]atomic.Uint64
@@ -232,12 +209,19 @@ func TestMetricsConservation(t *testing.T) {
 	}
 
 	wg.Wait()
+	close(stopPoll)
+	<-polled
 	if err := firstErr.Load(); err != nil {
 		t.Fatal(err)
 	}
+	if polls == 0 {
+		t.Error("no live snapshot was checked")
+	}
 
 	s := drainSnapshot(t, srv)
-	checkConservation(t, s)
+	if err := s.Check(true); err != nil {
+		t.Error(err)
+	}
 
 	// The workload must actually have moved the counters it claims to
 	// conserve, or the laws hold vacuously.
@@ -380,7 +364,9 @@ func TestMetricsFaultInjectedClients(t *testing.T) {
 	}
 
 	s := drainSnapshot(t, srv)
-	checkConservation(t, s)
+	if err := s.Check(true); err != nil {
+		t.Error(err)
+	}
 	if s.Connects < 4 {
 		t.Errorf("connects = %d, want at least the 4 fragmented clients", s.Connects)
 	}

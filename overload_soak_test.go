@@ -345,16 +345,13 @@ func TestOverloadSoak(t *testing.T) {
 	}
 
 	s := drainSnapshot(t, srv)
-	checkConservation(t, s)
+	if err := s.Check(true); err != nil {
+		t.Error(err)
+	}
 
-	// The wedged consumer must have been evicted, and every disconnect —
-	// evictions included — must be classified exactly once.
+	// The wedged consumer must have been evicted.
 	if s.Evictions < 1 {
 		t.Errorf("evictions = %d, want >= 1 (the wedged consumer)", s.Evictions)
-	}
-	if sum := s.Evictions + s.Sheds + s.Drains + s.ClientCloses; s.Disconnects != sum {
-		t.Errorf("disconnects %d != evictions %d + sheds %d + drains %d + client closes %d",
-			s.Disconnects, s.Evictions, s.Sheds, s.Drains, s.ClientCloses)
 	}
 
 	// Resource invariants: queued bytes and pooled frames return to zero

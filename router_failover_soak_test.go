@@ -13,11 +13,9 @@
 //   - Audio contexts replay verbatim across the failover: the replayed
 //     AC keeps working (plays, records, attribute changes) on the
 //     standby without being re-created by the application.
-//   - The router's books balance: accepted == routes + redirects +
-//     route_errors, failovers_started == failovers_completed +
-//     failovers_abandoned and routes == closed_client + closed_backend +
-//     failovers_started, exactly, once the router is drained; the
-//     one-sided forms hold live.
+//   - The router's books balance (RouterSnapshot.Check): the laws' live
+//     forms hold in every snapshot taken throughout the run, and the
+//     laws hold exactly once the router is drained.
 //   - Goroutines settle to baseline after teardown: no leaked pumps,
 //     probers, breakers, or client readers.
 //
@@ -190,6 +188,23 @@ func TestRouterFailoverSoak(t *testing.T) {
 	var cut atomic.Bool
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
+
+	// A poller holds every live snapshot, through the kill and the
+	// failovers, to the laws' live forms.
+	stopPoll, polled := make(chan struct{}), make(chan struct{})
+	var polls int
+	var liveErr error
+	go func() {
+		defer close(polled)
+		for ; liveErr == nil; polls++ {
+			select {
+			case <-stopPoll:
+				return
+			case <-time.After(time.Millisecond):
+			}
+			liveErr = router.Snapshot().Check(false)
+		}
+	}()
 	for i := range clients {
 		wg.Add(1)
 		go func(sc *soakClient, c *af.Conn, ac *af.AC) {
@@ -367,42 +382,23 @@ func TestRouterFailoverSoak(t *testing.T) {
 		sc.mu.Unlock()
 	}
 
-	// Live one-sided laws while sessions are still up.
-	live := router.Snapshot()
-	if live.Accepted < live.Routes+live.Redirects+live.RouteErrors {
-		t.Errorf("live law: accepted %d < routes %d + redirects %d + route_errors %d",
-			live.Accepted, live.Routes, live.Redirects, live.RouteErrors)
-	}
-	if live.FailoversStarted < live.FailoversCompleted+live.FailoversAbandoned {
-		t.Errorf("live law: started %d < completed %d + abandoned %d",
-			live.FailoversStarted, live.FailoversCompleted, live.FailoversAbandoned)
-	}
-	if live.Routes < live.ClosedClient+live.ClosedBackend+live.FailoversStarted {
-		t.Errorf("live law: routes %d < closed_client %d + closed_backend %d + started %d",
-			live.Routes, live.ClosedClient, live.ClosedBackend, live.FailoversStarted)
-	}
-
 	for _, c := range conns {
 		c.Close()
 	}
 
-	// Drain the router and check the exact conservation laws.
+	// Drain the router and check the laws exactly.
 	var snap aserver.RouterSnapshot
 	waitFor(t, 10*time.Second, "router drained", func() bool {
 		snap = router.Snapshot()
 		return snap.SessionsActive == 0
 	})
-	if snap.Accepted != snap.Routes+snap.Redirects+snap.RouteErrors {
-		t.Errorf("setup law: accepted %d != routes %d + redirects %d + route_errors %d",
-			snap.Accepted, snap.Routes, snap.Redirects, snap.RouteErrors)
+	close(stopPoll)
+	<-polled
+	if liveErr != nil {
+		t.Errorf("live snapshot %d: %v", polls, liveErr)
 	}
-	if snap.FailoversStarted != snap.FailoversCompleted+snap.FailoversAbandoned {
-		t.Errorf("failover law: started %d != completed %d + abandoned %d",
-			snap.FailoversStarted, snap.FailoversCompleted, snap.FailoversAbandoned)
-	}
-	if snap.Routes != snap.ClosedClient+snap.ClosedBackend+snap.FailoversStarted {
-		t.Errorf("route law: routes %d != closed_client %d + closed_backend %d + failovers_started %d",
-			snap.Routes, snap.ClosedClient, snap.ClosedBackend, snap.FailoversStarted)
+	if err := snap.Check(true); err != nil {
+		t.Errorf("drained: %v", err)
 	}
 	// Two survivors stood by, so no failover may have been abandoned,
 	// and at least every severed proxied victim session must have started

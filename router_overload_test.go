@@ -230,25 +230,19 @@ func TestRouterOverloadEviction(t *testing.T) {
 	}
 
 	// Router drained (both the flooder and the canary are gone).
-	var rs aserver.RouterSnapshot
 	waitFor(t, 10*time.Second, "router drained", func() bool {
-		rs = router.Snapshot()
-		return rs.SessionsActive == 0
+		return router.Snapshot().SessionsActive == 0
 	})
+	router.Close()
+	rs := router.Snapshot()
 	// A deliberate eviction is not a failover: the confirm probe found
 	// the backend alive, so every close is a plain classification.
 	if rs.FailoversStarted != 0 {
 		t.Errorf("failovers_started = %d after a deliberate eviction, want 0", rs.FailoversStarted)
 	}
-	if rs.FailoversStarted != rs.FailoversCompleted+rs.FailoversAbandoned {
-		t.Errorf("failover law: started %d != completed %d + abandoned %d",
-			rs.FailoversStarted, rs.FailoversCompleted, rs.FailoversAbandoned)
+	if err := rs.Check(true); err != nil {
+		t.Error(err)
 	}
-	if rs.Routes != rs.ClosedClient+rs.ClosedBackend+rs.FailoversStarted {
-		t.Errorf("route law: routes %d != closed_client %d + closed_backend %d + failovers_started %d",
-			rs.Routes, rs.ClosedClient, rs.ClosedBackend, rs.FailoversStarted)
-	}
-	router.Close()
 
 	// The backend must have evicted the flooder, and its own books —
 	// including the close-reason accounting — must balance exactly.
@@ -256,7 +250,9 @@ func TestRouterOverloadEviction(t *testing.T) {
 	if s.Evictions < 1 {
 		t.Errorf("backend evictions = %d, want >= 1 (the wedged flooder)", s.Evictions)
 	}
-	checkConservation(t, s)
+	if err := s.Check(true); err != nil {
+		t.Error(err)
+	}
 	t.Logf("evictions %d | router routes %d closed %d/%d | canary ops %d",
 		s.Evictions, rs.Routes, rs.ClosedClient, rs.ClosedBackend, canaryOps.Load())
 

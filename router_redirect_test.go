@@ -126,15 +126,16 @@ func settled(t *testing.T, bs []*redirectBackend, want ...int64) {
 }
 
 // routerCounts waits until the router has counted redirects redirects
-// and routes routes, with sessions proxied sessions active, and its setup
-// law exact: a counter is bumped after the reply it counts is sent.
+// and routes routes, with sessions proxied sessions active, and no other
+// setup, refused or in flight: a counter is bumped after the reply it
+// counts is sent.
 func routerCounts(t *testing.T, r *aserver.Router, redirects, routes uint64, sessions int64) aserver.RouterSnapshot {
 	t.Helper()
 	var s aserver.RouterSnapshot
 	waitFor(t, 10*time.Second, fmt.Sprintf("%d redirects, %d routes, %d sessions active", redirects, routes, sessions), func() bool {
 		s = r.Snapshot()
 		return s.Redirects == redirects && s.Routes == routes && s.SessionsActive == sessions &&
-			s.Accepted == s.Routes+s.Redirects+s.RouteErrors
+			s.Accepted == redirects+routes && s.RouteErrors == 0 && s.Check(false) == nil
 	})
 	return s
 }

@@ -60,8 +60,7 @@ func TestStatsEndpoint(t *testing.T) {
 	conn.SetIOErrorHandler(func(*af.Conn, error) {})
 
 	// Scrapers race the workload: every snapshot taken mid-flight must
-	// already satisfy the conservation laws (they are read under the
-	// engine lock, never torn).
+	// already satisfy the laws' live forms.
 	stop := make(chan struct{})
 	var scrapeWG sync.WaitGroup
 	scrapeWG.Add(1)
@@ -73,13 +72,9 @@ func TestStatsEndpoint(t *testing.T) {
 				return
 			default:
 			}
-			s := scrapeStats(t, statsURL)
-			for _, d := range s.Devices {
-				if d.FramesAccepted != d.FramesBuffered+d.FramesDiscarded {
-					t.Errorf("mid-workload snapshot torn: accepted %d != buffered %d + discarded %d",
-						d.FramesAccepted, d.FramesBuffered, d.FramesDiscarded)
-					return
-				}
+			if err := scrapeStats(t, statsURL).Check(false); err != nil {
+				t.Errorf("mid-workload snapshot: %v", err)
+				return
 			}
 		}
 	}()
@@ -145,7 +140,10 @@ func TestStatsEndpoint(t *testing.T) {
 		t.Errorf("dispatch counts play=%d record=%d, want 2 and 1",
 			s.DispatchPlayNs.Count, s.DispatchRecordNs.Count)
 	}
-	checkConservation(t, s)
+	conn.Close()
+	if err := drainSnapshot(t, srv).Check(true); err != nil {
+		t.Error(err)
+	}
 
 	// The expvar view must be valid JSON carrying the same counters.
 	resp, err := http.Get("http://" + sl.Addr().String() + "/debug/vars")
