@@ -273,8 +273,9 @@ func (ac *AC) playSamplesLocked(t ATime, data []byte) (ATime, error) {
 // playVectored ships a large play request scatter-gather: the chunk
 // headers are marshaled into the request buffer, but the sample data
 // reaches the kernel as iovecs pointing straight at the caller's slice —
-// it is never copied into the library. One vectored write carries any
-// previously queued requests, every chunk header, and every chunk body.
+// it is never copied into the library. One vectored write, the reply
+// wait's own (Conn.exchange), carries any previously queued requests,
+// every chunk header, and every chunk body.
 func (ac *AC) playVectored(t ATime, data []byte, chunk int) (ATime, error) {
 	c := ac.conn
 	seq0 := c.sentSeq
@@ -325,9 +326,6 @@ func (ac *AC) playVectored(t ATime, data []byte, chunk int) (ATime, error) {
 		}
 	}
 	c.pvec = vec
-	if err := c.writeVectored(vec); err != nil {
-		return 0, err
-	}
 	rep, err := c.awaitReply(lastSeq)
 	if err != nil {
 		return 0, err
@@ -342,13 +340,15 @@ func (ac *AC) playVectored(t ATime, data []byte, chunk int) (ATime, error) {
 // and the number of bytes stored into buf.
 //
 // Long requests are chunked at 8 KiB, as in the C library, but the
-// chunks are pipelined: every request is issued up front in one flush,
-// then the replies are consumed in order, each payload read from the
-// socket straight into buf. A large record costs one round trip instead
-// of one per chunk, and the sample data is copied exactly once — kernel
-// socket buffer to buf.
+// chunks are pipelined: every request is issued up front in one write,
+// then the replies are consumed in order, each payload copied straight
+// into buf. A large record costs one round trip instead of one per chunk.
+// The sample data is copied once in the library: the kernel puts the
+// replies in the connection's read buffer, borrowed from a pool only
+// while reply bytes are in flight, and each payload is copied from there
+// into buf, never through the scratch message.
 //
-// Because replies are read directly, a short (non-blocking) chunk's
+// Because payloads are copied whole, a short (non-blocking) chunk's
 // 32-bit-boundary pad lands in buf inside the requested chunk region,
 // just past the returned byte count.
 func (ac *AC) RecordSamples(t ATime, buf []byte, block bool) (ATime, int, error) {

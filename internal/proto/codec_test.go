@@ -125,7 +125,7 @@ func TestWriterZeroRuns(t *testing.T) {
 	}
 }
 
-// readerWays are the paths bytes can take into readMessage: the streaming
+// readerWays are the paths bytes can take into ReadMessageInto: the streaming
 // path (any io.Reader), the window path (a bufio.Reader holding the fixed
 // part whole), and a bufio.Reader with the smallest buffer there is over a
 // source that yields a byte at a time — its window holds a 16-byte header
@@ -139,7 +139,8 @@ var readerWays = []struct {
 	{"trickle", func(src *bytes.Reader, _ int) io.Reader { return bufio.NewReaderSize(iotest.OneByteReader(src), 16) }},
 }
 
-// decodeStep is what one ReadMessageDirect call did, in comparable form.
+// decodeStep is what one read or parse of a message did, in comparable
+// form.
 type decodeStep struct {
 	msg      string
 	err      string
@@ -158,10 +159,16 @@ func errClass(err error) string {
 	return "other: " + err.Error()
 }
 
-func describe(m *Message) string {
+// describe prints m as ParseMessage delivers it with a destination of
+// dstLen bytes for the reply to seq: that reply's Extra cut to dstLen.
+func describe(m *Message, seq uint16, dstLen int) string {
 	switch {
 	case m.Reply != nil:
-		return fmt.Sprintf("reply %+v", *m.Reply)
+		r := *m.Reply
+		if r.Seq == seq && len(r.Extra) > dstLen {
+			r.Extra = r.Extra[:dstLen]
+		}
+		return fmt.Sprintf("reply %+v", r)
 	case m.Error != nil:
 		return fmt.Sprintf("error %+v", *m.Error)
 	case m.Event != nil:
@@ -180,13 +187,12 @@ func decodeAll(wrap func(*bytes.Reader, int) io.Reader, window int, data []byte,
 	var m Message
 	var steps []decodeStep
 	for len(steps) < max {
-		dst := make([]byte, dstLen)
-		err := ReadMessageDirect(rd, order, &m, seq, dst)
+		err := ReadMessageInto(rd, order, &m)
 		left := src.Len()
 		if br, ok := rd.(*bufio.Reader); ok {
 			left += br.Buffered()
 		}
-		steps = append(steps, decodeStep{describe(&m), errClass(err), len(data) - left})
+		steps = append(steps, decodeStep{describe(&m, seq, dstLen), errClass(err), len(data) - left})
 		if err != nil {
 			break
 		}
@@ -194,8 +200,54 @@ func decodeAll(wrap func(*bytes.Reader, int) io.Reader, window int, data []byte,
 	return steps
 }
 
+// parseAll decodes data as a caller owning its read buffer does: with
+// ParseMessage over the bytes read so far, the reply to seq into a
+// destination of dstLen bytes, reading (here: revealing) up to the need it
+// reports whenever no whole message is there, and meeting the end of the
+// stream as io.EOF between messages and io.ErrUnexpectedEOF inside one.
+// Each step must make progress. A failed step consumes nothing.
+func parseAll(t *testing.T, data []byte, order binary.ByteOrder, seq uint16, dstLen, max int) []decodeStep {
+	t.Helper()
+	var m Message
+	var steps []decodeStep
+	off, avail := 0, 0
+	for len(steps) < max {
+		dst := make([]byte, dstLen)
+		n, need, err := ParseMessage(data[off:off+avail], order, &m, seq, dst)
+		if err == nil && n == 0 {
+			if off+avail < len(data) {
+				if need <= avail {
+					t.Fatalf("ParseMessage over %d bytes needs %d: no progress", avail, need)
+				}
+				avail = min(need, len(data)-off)
+				continue
+			}
+			err = io.EOF
+			if avail != 0 {
+				err = io.ErrUnexpectedEOF
+			}
+		}
+		off, avail = off+n, avail-n
+		steps = append(steps, decodeStep{describe(&m, seq, dstLen), errClass(err), off})
+		if err != nil {
+			break
+		}
+	}
+	return steps
+}
+
+func ended(class string) string {
+	if class == "unexpected EOF" {
+		return "EOF"
+	}
+	return class
+}
+
 // sameEveryWay requires every path to decode data into the same messages,
-// fail with the same class of error and consume the same bytes.
+// fail with the same class of error and consume the same bytes — in place
+// (parseAll), the same messages, the same bytes up to the failure and the
+// same failure, where a stream that ends is one class: the streaming
+// reader calls a cut right after a header io.EOF.
 func sameEveryWay(t *testing.T, window int, data []byte, order binary.ByteOrder, seq uint16, dstLen, max int) []decodeStep {
 	t.Helper()
 	want := decodeAll(readerWays[0].wrap, window, data, order, seq, dstLen, max)
@@ -208,6 +260,15 @@ func sameEveryWay(t *testing.T, window int, data []byte, order binary.ByteOrder,
 			if got[i] != want[i] {
 				t.Fatalf("message %d, window %d, input % x:\n%8s %+v\n  stream %+v", i, window, data, way.name, got[i], want[i])
 			}
+		}
+	}
+	got := parseAll(t, data, order, seq, dstLen, max)
+	if len(got) != len(want) {
+		t.Fatalf("in place parsed %d messages, stream read %d (input % x)", len(got), len(want), data)
+	}
+	for i := range want {
+		if w := want[i]; got[i].msg != w.msg || ended(got[i].err) != ended(w.err) || (w.err == "nil" && got[i].consumed != w.consumed) {
+			t.Fatalf("message %d, input % x:\nin place %+v\n  stream %+v", i, data, got[i], w)
 		}
 	}
 	return want

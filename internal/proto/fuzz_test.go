@@ -46,13 +46,17 @@ func FuzzReadMessage(f *testing.F) {
 	})
 }
 
-// FuzzReadMessageDirect drives the zero-copy reply reader with truncated
-// and length-corrupted inputs. Unlike FuzzReadMessage it does not cap the
-// declared extra length by hand: the reader's own MaxReplyExtraBytes
-// guard must reject oversized claims before allocating. Every input is
-// also read as a stream of messages through each path into the reader
-// (sameEveryWay: streaming, bufio window, a window that is never whole),
-// which must agree on the messages, the error class and the bytes consumed.
+// FuzzReadMessageDirect drives the in-place parser's direct reply path —
+// ParseMessage with a destination for the awaited reply, as the client
+// library parses its read buffer — with truncated and length-corrupted
+// inputs. Unlike FuzzReadMessage it does not cap the declared extra length
+// by hand: the parser's own MaxReplyExtraBytes guard must reject oversized
+// claims before allocating. Every input is also read as a stream of
+// messages through each path into ReadMessageInto (sameEveryWay:
+// streaming, bufio window, a window that is never whole), which must agree
+// on the messages, the error class and the bytes consumed, and parsed in
+// place from a buffer grown by the need ParseMessage reports, which must
+// agree with them.
 func FuzzReadMessageDirect(f *testing.F) {
 	w := &Writer{Order: binary.LittleEndian}
 	(&Reply{Seq: 1, Aux: 8, Extra: []byte{1, 2, 3, 4, 5, 6, 7, 8}}).Encode(w)
@@ -97,14 +101,15 @@ func FuzzReadMessageDirect(f *testing.F) {
 		}
 		dst := make([]byte, dstLen)
 		var m Message
-		err := ReadMessageDirect(bytes.NewReader(data), binary.LittleEndian, &m, seq, dst)
-		if err == nil && m.Reply == nil && m.Error == nil && m.Event == nil && m.Broadcast == nil {
-			t.Fatal("no message and no error")
+		n, need, err := ParseMessage(data, binary.LittleEndian, &m, seq, dst)
+		if err == nil && n == 0 && need <= len(data) {
+			t.Fatalf("no message in %d bytes, and a need of %d", len(data), need)
 		}
-		if m.Reply != nil && len(m.Reply.Extra) > 0 && m.Reply.Seq == seq && dstLen > 0 {
-			if len(m.Reply.Extra) > dstLen {
-				t.Fatalf("direct read overran dst: %d > %d", len(m.Reply.Extra), dstLen)
-			}
+		if n > 0 && m.Reply == nil && m.Error == nil && m.Event == nil && m.Broadcast == nil {
+			t.Fatal("a message consumed, none returned")
+		}
+		if m.Reply != nil && m.Reply.Seq == seq && len(m.Reply.Extra) > dstLen {
+			t.Fatalf("direct parse overran dst: %d > %d", len(m.Reply.Extra), dstLen)
 		}
 		sameEveryWay(t, 64, data, binary.LittleEndian, seq, dstLen, 4)
 	})

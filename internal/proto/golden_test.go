@@ -68,12 +68,12 @@ func TestRecordReplyWireGolden(t *testing.T) {
 				m.Reply.Aux != rep.Aux || !bytes.Equal(m.Reply.Extra, buf[ReplyHeaderBytes:]) {
 				t.Errorf("round trip mismatch: %+v", m.Reply)
 			}
-			// Round trip through the direct reader: the payload must land in
+			// Parsed in place with a destination: the payload must land in
 			// the caller's buffer, not the scratch message.
 			dst := make([]byte, len(payload))
 			var md Message
-			if err := ReadMessageDirect(bytes.NewReader(buf), o.order, &md, rep.Seq, dst); err != nil {
-				t.Fatal(err)
+			if n, _, err := ParseMessage(buf, o.order, &md, rep.Seq, dst); err != nil || n != len(buf) {
+				t.Fatalf("ParseMessage = %d, %v", n, err)
 			}
 			if md.Reply == nil || &md.Reply.Extra[0] != &dst[0] {
 				t.Error("direct read did not alias the destination buffer")

@@ -213,21 +213,6 @@ const MaxReplyExtraBytes = 1 << 24
 // reply stream allocation-free. The message's Reply/Error/Event (and any
 // Extra bytes) are only valid until the next call with the same m.
 func ReadMessageInto(rd io.Reader, order binary.ByteOrder, m *Message) error {
-	return readMessage(rd, order, m, 0, nil)
-}
-
-// ReadMessageDirect is ReadMessageInto with a zero-copy reply path: when
-// the next message is a reply whose sequence number is wantSeq, its extra
-// payload is read with io.ReadFull straight into extraDst (the returned
-// Reply.Extra aliases extraDst) instead of m's scratch storage. Payload
-// beyond len(extraDst) — normally just the 32-bit-boundary pad — is read
-// and discarded. Messages with other sequence numbers, errors, and events
-// take the ordinary path and leave extraDst untouched.
-func ReadMessageDirect(rd io.Reader, order binary.ByteOrder, m *Message, wantSeq uint16, extraDst []byte) error {
-	return readMessage(rd, order, m, wantSeq, extraDst)
-}
-
-func readMessage(rd io.Reader, order binary.ByteOrder, m *Message, wantSeq uint16, extraDst []byte) error {
 	m.Reply, m.Error, m.Event, m.Broadcast = nil, nil, nil, nil
 	// The fixed part is parsed where it lies when rd is a bufio.Reader whose
 	// window holds it whole, and from m.scratch otherwise; either way the
@@ -247,45 +232,70 @@ func readMessage(rd io.Reader, order binary.ByteOrder, m *Message, wantSeq uint1
 	if err != nil {
 		return err
 	}
+	var payload []byte
+	if n > 0 {
+		payload = m.payload(n)
+		if _, err := io.ReadFull(rd, payload); err != nil {
+			return err
+		}
+	}
+	m.publish(kind, payload)
+	return nil
+}
+
+// ParseMessage is ReadMessageInto for a caller that owns its read buffer:
+// it parses the message at the head of b into m where it lies and returns
+// the bytes it spans. The payload is copied out, so nothing m holds
+// aliases b: the payload of a reply whose sequence number is wantSeq into
+// extraDst when that is not nil (the returned Reply.Extra aliases it, and
+// payload beyond len(extraDst), normally just the 32-bit-boundary pad, is
+// dropped), anything else into m's reusable storage. While b holds only a
+// prefix of the message, n is 0 and need is what b must grow to for the
+// next call to get further: the whole message once its fixed part is in b,
+// the fixed part before that.
+func ParseMessage(b []byte, order binary.ByteOrder, m *Message, wantSeq uint16, extraDst []byte) (n, need int, err error) {
+	m.Reply, m.Error, m.Event, m.Broadcast = nil, nil, nil, nil
+	if len(b) < ReplyHeaderBytes { // no message is shorter
+		return 0, ReplyHeaderBytes, nil
+	}
+	kind, fixed := b[0], fixedBytes(b[0])
+	if len(b) < fixed {
+		return 0, fixed, nil
+	}
+	size, err := m.parseFixed(b[:fixed], bigEndian(order))
+	if err != nil {
+		return 0, 0, err
+	}
+	if n = fixed + size; len(b) < n {
+		return 0, n, nil
+	}
+	var payload []byte
+	if size > 0 {
+		payload = extraDst
+		if kind != MsgReply || extraDst == nil || m.reply.Seq != wantSeq {
+			payload = m.payload(size)
+		}
+		payload = payload[:copy(payload, b[fixed:n])]
+	}
+	m.publish(kind, payload)
+	return n, n, nil
+}
+
+// publish points the exported field for kind at m's inline storage, with
+// payload as a reply's Extra or a broadcast's Data.
+func (m *Message) publish(kind byte, payload []byte) {
 	switch kind {
 	case MsgReply:
-		if n > 0 {
-			if extraDst != nil && m.reply.Seq == wantSeq {
-				direct := min(n, len(extraDst))
-				if _, err := io.ReadFull(rd, extraDst[:direct]); err != nil {
-					return err
-				}
-				m.reply.Extra = extraDst[:direct]
-				if n > direct {
-					if _, err := io.CopyN(io.Discard, rd, int64(n-direct)); err != nil {
-						if err == io.EOF {
-							err = io.ErrUnexpectedEOF
-						}
-						return err
-					}
-				}
-			} else {
-				m.reply.Extra = m.payload(n)
-				if _, err := io.ReadFull(rd, m.reply.Extra); err != nil {
-					return err
-				}
-			}
-		}
+		m.reply.Extra = payload
 		m.Reply = &m.reply
 	case MsgBroadcast:
-		if n > 0 {
-			m.bcast.Data = m.payload(n)
-			if _, err := io.ReadFull(rd, m.bcast.Data); err != nil {
-				return err
-			}
-		}
+		m.bcast.Data = payload
 		m.Broadcast = &m.bcast
 	case MsgError:
 		m.Error = &m.errm
 	default:
 		m.Event = &m.event
 	}
-	return nil
 }
 
 // fixedBytes is the size of the fixed part of the message whose first byte
