@@ -70,6 +70,10 @@ func (ac *AC) Subscribe() (*Subscription, ATime, error) {
 	sub := &Subscription{conn: c, ac: ac, channel: rep.Aux}
 	c.subs[sub.channel] = sub
 	ac.sub = sub
+	// Pushed chunks may sit unread on the socket after the subscription
+	// ends here — the server keeps pushing until it sees the teardown — so
+	// from now on every exchange on this socket reads first.
+	c.pushed = true
 	return sub, ATime(rep.Time), nil
 }
 
