@@ -86,7 +86,7 @@ func benchBroadcastFanout(b *testing.B, listeners int) {
 
 	// Warm the pools and every writer's buffers outside the measured
 	// region: the first message through a writer grows its reused slices.
-	sm := srv.sm
+	sm := &srv.sm
 	pump := func() {
 		clk.Advance(chunkFrames)
 		e.mu.Lock()

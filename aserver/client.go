@@ -128,7 +128,7 @@ func newClient(s *Server, conn net.Conn, order binary.ByteOrder) *client {
 		s:          s,
 		conn:       conn,
 		order:      order,
-		out:        outQueue{wake: make(chan struct{}, 1), total: s.sm.queuedBytes},
+		out:        outQueue{wake: make(chan struct{}, 1), total: &s.sm.queuedBytes},
 		closed:     make(chan struct{}),
 		owned:      make([]*wireMsg, 0, maxWriteVec),
 		evicted:    make(chan struct{}),
@@ -442,7 +442,7 @@ type outQueue struct {
 	count  int64 // messages outstanding
 	closed bool
 	wake   chan struct{}  // 1-slot: the writer has something to look at
-	total  *metrics.Gauge // server-wide wire.queued_bytes, moved in step with bytes
+	total  *metrics.Gauge // the server's queuedBytes, moved in step with bytes
 }
 
 // level is what evictPolicy judges. Caller holds q.mu.
@@ -755,7 +755,7 @@ func finishRecordReply(c *client, a *ac, m *wireMsg, n int, now uint32, flags ui
 	proto.PutReplyHeader(c.order, buf, &proto.Reply{Seq: seq, Time: now, Aux: uint32(n)}, n)
 	// Record egress is counted here, the seal point every record reply
 	// passes through (first-try, retried, and compressed paths alike).
-	em := c.s.engineByDev[a.devIndex].m
+	em := &c.s.engineByDev[a.devIndex].m
 	em.recBytes.Add(uint64(n))
 	em.recChunk.Observe(int64(n))
 	c.send(m)

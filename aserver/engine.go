@@ -37,7 +37,7 @@ type engine struct {
 	idx  int // position in Server.engines, ascending root device index
 	root *core.Device
 	line *phonesim.Line
-	m    *engineMetrics // this engine's slice of the server registry
+	m    engineMetrics // this root device's metrics, exported as its DeviceStats
 
 	interval time.Duration // periodic update cadence
 
@@ -102,7 +102,6 @@ func newEngine(s *Server, idx int, root *core.Device, line *phonesim.Line) *engi
 		idx:      idx,
 		root:     root,
 		line:     line,
-		m:        s.sm.newEngineMetrics(root.Index),
 		interval: interval,
 		parks:    make(map[*client]*parked),
 		patches:  make(map[int]*patch),

@@ -16,7 +16,7 @@ import (
 // only while request bytes are in flight, and the one thing that outlives
 // a run — a parked play — owns a copy of its bytes.
 
-// lent reads ingress.frame_bytes, the bytes the ingress pool has lent.
+// lent reads frame_bytes_in_flight, the bytes the ingress pool has lent.
 func lent(srv *Server) int64 { return srv.Snapshot().FrameBytesInFlight }
 
 // TestIdleSocketHoldsNoIngressBuffer: on a unix socket an idle connection

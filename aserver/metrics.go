@@ -36,88 +36,60 @@ import (
 // The laws these counters obey are stated once, by Snapshot.Check and
 // DeviceStats.Check.
 //
-// Everything the hot paths touch is an atomic on a pre-registered
-// struct — no maps, no allocation (the CI gate on BenchmarkDispatch*
-// and BenchmarkMetrics* enforces this).
+// A metric is a field of one of these sets, its zero value ready to use;
+// it has no name, and its one export is its line in Snapshot (or
+// RouterSnapshot), which TestMetricsReachStats checks field by field.
+// Everything the hot paths touch is an atomic reached directly — no maps,
+// no allocation (the CI gate on BenchmarkDispatch* and
+// TestMetricsHotPathAllocs enforce this).
 
-// serverMetrics is the server-wide metric set.
+// serverMetrics is the server-wide metric set, held by value in Server.
 type serverMetrics struct {
-	reg *metrics.Registry
-
-	connects      *metrics.Counter
-	disconnects   *metrics.Counter
-	activeClients *metrics.Gauge
-	clientErrors  *metrics.Counter
+	connects      metrics.Counter
+	disconnects   metrics.Counter
+	activeClients metrics.Gauge
+	clientErrors  metrics.Counter
 
 	// Disconnect classification (overload.go): every disconnect
 	// increments exactly one of these, before disconnects itself.
-	evictions    *metrics.Counter
-	sheds        *metrics.Counter
-	drains       *metrics.Counter
-	clientCloses *metrics.Counter
+	evictions    metrics.Counter
+	sheds        metrics.Counter
+	drains       metrics.Counter
+	clientCloses metrics.Counter
 
 	// queuedBytes is marshaled output queued across all clients;
 	// frameBytes is the ingress bytes the pool has lent (getFrame).
-	queuedBytes *metrics.Gauge
-	frameBytes  *metrics.Gauge
+	queuedBytes metrics.Gauge
+	frameBytes  metrics.Gauge
 
-	dispatchPlay    *metrics.Histogram // ns, one observation per request
-	dispatchRecord  *metrics.Histogram
-	dispatchGetTime *metrics.Histogram
-	dispatchControl *metrics.Histogram
+	dispatchPlay    metrics.Histogram // ns, one observation per request
+	dispatchRecord  metrics.Histogram
+	dispatchGetTime metrics.Histogram
+	dispatchControl metrics.Histogram
 
 	// dispatchBatch observes the size of every dispatch batch: a hot group
 	// observes its length once (a lone hot request is a group of one, and
 	// an unservable one counts in the group it arrived in), a control op
 	// observes 1.
-	dispatchBatch *metrics.Histogram
+	dispatchBatch metrics.Histogram
 
 	// Staged reply egress (client.go stagedReply/stagedError): the small
 	// replies and errors of a hot group coalesce into one pooled message.
 	// bytes is wire bytes that left via the stage; flushes is stage→queue
 	// handoffs (each one message, one writev iovec).
-	stagedBytes   *metrics.Counter
-	stagedFlushes *metrics.Counter
+	stagedBytes   metrics.Counter
+	stagedFlushes metrics.Counter
 
-	writevBatch    *metrics.Histogram // messages per vectored write
-	sendQueueDepth *metrics.Histogram // outbound queue depth at enqueue
+	writevBatch    metrics.Histogram // messages per vectored write
+	sendQueueDepth metrics.Histogram // outbound queue depth at enqueue
 	// egressFallbacks counts reader drains handed to the writer: busy write
 	// lock, would-block, partial write, or no RawConn (client.drain).
-	egressFallbacks *metrics.Counter
+	egressFallbacks metrics.Counter
 
 	// Update plane (scheduler.go). tick lag is how far past its armed
 	// deadline an engine's timer fire ran; engineRuns counts passes.
-	schedTickLag    *metrics.Histogram
-	schedEngineRuns *metrics.Counter
-}
-
-func newServerMetrics() *serverMetrics {
-	reg := metrics.NewRegistry()
-	return &serverMetrics{
-		reg:             reg,
-		connects:        reg.Counter("server.connects"),
-		disconnects:     reg.Counter("server.disconnects"),
-		activeClients:   reg.Gauge("server.active_clients"),
-		clientErrors:    reg.Counter("server.client_errors"),
-		evictions:       reg.Counter("server.evictions"),
-		sheds:           reg.Counter("server.sheds"),
-		drains:          reg.Counter("server.drains"),
-		clientCloses:    reg.Counter("server.client_closes"),
-		queuedBytes:     reg.Gauge("wire.queued_bytes"),
-		frameBytes:      reg.Gauge("ingress.frame_bytes"),
-		dispatchPlay:    reg.Histogram("dispatch.play_ns"),
-		dispatchRecord:  reg.Histogram("dispatch.record_ns"),
-		dispatchGetTime: reg.Histogram("dispatch.gettime_ns"),
-		dispatchControl: reg.Histogram("dispatch.control_ns"),
-		dispatchBatch:   reg.Histogram("dispatch.batch_size"),
-		stagedBytes:     reg.Counter("wire.staged_bytes"),
-		stagedFlushes:   reg.Counter("wire.staged_flushes"),
-		writevBatch:     reg.Histogram("wire.writev_batch"),
-		sendQueueDepth:  reg.Histogram("wire.send_queue_depth"),
-		egressFallbacks: reg.Counter("wire.egress_fallbacks"),
-		schedTickLag:    reg.Histogram("sched.tick_lag_ns"),
-		schedEngineRuns: reg.Counter("sched.engine_runs"),
-	}
+	schedTickLag    metrics.Histogram
+	schedEngineRuns metrics.Counter
 }
 
 // closeCounterFor maps a recorded close reason to its disconnect-
@@ -125,74 +97,50 @@ func newServerMetrics() *serverMetrics {
 func (sm *serverMetrics) closeCounterFor(reason uint32) *metrics.Counter {
 	switch reason {
 	case closeReasonEvict:
-		return sm.evictions
+		return &sm.evictions
 	case closeReasonShed:
-		return sm.sheds
+		return &sm.sheds
 	case closeReasonDrain:
-		return sm.drains
+		return &sm.drains
 	default:
-		return sm.clientCloses
+		return &sm.clientCloses
 	}
 }
 
-// engineMetrics is the per-root-device metric set, owned by the engine.
+// engineMetrics is the per-root-device metric set, held by value in its
+// engine.
 // Atomic so engine goroutines, reader goroutines, and the seal points in
 // client.go can all update without extending the engine lock's hold.
 type engineMetrics struct {
-	lockWait *metrics.Histogram // ns waiting to acquire e.mu (hot dispatch + timer pass); see lockTimed
-	lockHold *metrics.Histogram // ns holding e.mu, up to the holder's last clock reading
+	lockWait metrics.Histogram // ns waiting to acquire e.mu (hot dispatch + timer pass); see lockTimed
+	lockHold metrics.Histogram // ns holding e.mu, up to the holder's last clock reading
 
-	playBytes *metrics.Counter   // sample payload bytes accepted off the wire
-	recBytes  *metrics.Counter   // sample payload bytes sealed into record replies
-	playChunk *metrics.Histogram // bytes per PlaySamples request
-	recChunk  *metrics.Histogram // bytes per record reply
+	playBytes metrics.Counter   // sample payload bytes accepted off the wire
+	recBytes  metrics.Counter   // sample payload bytes sealed into record replies
+	playChunk metrics.Histogram // bytes per PlaySamples request
+	recChunk  metrics.Histogram // bytes per record reply
 
 	// dispatchBatch is hot requests served per engine-lock acquisition on
 	// this engine: every hot group observes its size. Mean ≈ 1 means
 	// clients wait for each reply before sending the next request; higher
 	// means pipelined small ops are being amortized.
-	dispatchBatch *metrics.Histogram
+	dispatchBatch metrics.Histogram
 
-	parksStarted   *metrics.Counter
-	parksCompleted *metrics.Counter
-	parksDiscarded *metrics.Counter
-	parkedNow      *metrics.Gauge
-	parkNs         *metrics.Histogram // park registration to release
+	parksStarted   metrics.Counter
+	parksCompleted metrics.Counter
+	parksDiscarded metrics.Counter
+	parkedNow      metrics.Gauge
+	parkNs         metrics.Histogram // park registration to release
 
 	// Broadcast fan-out (broadcast.go): one encode per chunk per live
 	// wire format, so exactly chunks × formats while the format set is
 	// stable.
-	bcastSubs    *metrics.Gauge   // current subscriptions on this engine
-	bcastChunks  *metrics.Counter // mix time-slices cut by the pump
-	bcastEncodes *metrics.Counter // chunk encodes (chunks × wire formats)
-	bcastMsgs    *metrics.Counter // per-subscriber enqueues that succeeded
-	bcastBytes   *metrics.Counter // wire bytes fanned out (msgs × message size)
-	bcastDrops   *metrics.Counter // enqueues refused (dead or hard-capped client)
-}
-
-func (sm *serverMetrics) newEngineMetrics(rootIndex int) *engineMetrics {
-	p := fmt.Sprintf("dev.%d.", rootIndex)
-	reg := sm.reg
-	return &engineMetrics{
-		lockWait:       reg.Histogram(p + "lock_wait_ns"),
-		lockHold:       reg.Histogram(p + "lock_hold_ns"),
-		playBytes:      reg.Counter(p + "play_bytes"),
-		recBytes:       reg.Counter(p + "rec_bytes"),
-		playChunk:      reg.Histogram(p + "play_chunk_bytes"),
-		recChunk:       reg.Histogram(p + "rec_chunk_bytes"),
-		dispatchBatch:  reg.Histogram(p + "dispatch_batch"),
-		parksStarted:   reg.Counter(p + "parks_started"),
-		parksCompleted: reg.Counter(p + "parks_completed"),
-		parksDiscarded: reg.Counter(p + "parks_discarded"),
-		parkedNow:      reg.Gauge(p + "parked_now"),
-		parkNs:         reg.Histogram(p + "park_ns"),
-		bcastSubs:      reg.Gauge(p + "bcast_subs"),
-		bcastChunks:    reg.Counter(p + "bcast_chunks"),
-		bcastEncodes:   reg.Counter(p + "bcast_encodes"),
-		bcastMsgs:      reg.Counter(p + "bcast_msgs"),
-		bcastBytes:     reg.Counter(p + "bcast_bytes"),
-		bcastDrops:     reg.Counter(p + "bcast_drops"),
-	}
+	bcastSubs    metrics.Gauge   // current subscriptions on this engine
+	bcastChunks  metrics.Counter // mix time-slices cut by the pump
+	bcastEncodes metrics.Counter // chunk encodes (chunks × wire formats)
+	bcastMsgs    metrics.Counter // per-subscriber enqueues that succeeded
+	bcastBytes   metrics.Counter // wire bytes fanned out (msgs × message size)
+	bcastDrops   metrics.Counter // enqueues refused (dead or hard-capped client)
 }
 
 // Snapshot is the consistent, JSON-renderable state of the server's
@@ -314,7 +262,7 @@ type DeviceStats struct {
 // device's frame and park counters move only under its engine lock and
 // are read together under it; broadcast chunks are read before encodes.
 func (s *Server) Snapshot() Snapshot {
-	sm := s.sm
+	sm := &s.sm
 	snap := Snapshot{
 		Disconnects:        sm.disconnects.Load(),
 		DispatchPlayNs:     sm.dispatchPlay.Snapshot(),
@@ -342,7 +290,7 @@ func (s *Server) Snapshot() Snapshot {
 	}
 	for _, e := range s.engines {
 		d := e.root
-		em := e.m
+		em := &e.m
 		ds := DeviceStats{
 			Index:          d.Index,
 			Name:           d.Cfg.Name,

@@ -237,7 +237,7 @@ func (s *Server) shedOldestIdle(exclude *client) bool {
 	return true
 }
 
-// getFrame / putFrame move ingress.frame_bytes, the bytes the pool has
+// getFrame / putFrame move frame_bytes_in_flight, the bytes the pool has
 // lent to ingress, with the pool op: a reader's buffer while it holds
 // bytes (readOnce counts a socket's; a DialPipe or netsim connection
 // blocks in conn.Read holding one, so it counts while open) and a parked

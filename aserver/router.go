@@ -109,7 +109,6 @@ type RouterOptions struct {
 type Router struct {
 	opts RouterOptions
 	dir  *Directory
-	reg  *metrics.Registry
 	rm   routerMetrics
 
 	backends []*routerBackend
@@ -123,21 +122,22 @@ type Router struct {
 	wg   sync.WaitGroup
 }
 
+// routerMetrics is the router-wide metric set, exported by Snapshot.
 type routerMetrics struct {
-	accepted       *metrics.Counter
-	routes         *metrics.Counter
-	redirects      *metrics.Counter
-	routeErrors    *metrics.Counter
-	sessionsActive *metrics.Gauge
+	accepted       metrics.Counter
+	routes         metrics.Counter
+	redirects      metrics.Counter
+	routeErrors    metrics.Counter
+	sessionsActive metrics.Gauge
 
-	bytesC2B *metrics.Counter // client→backend bytes forwarded
-	bytesB2C *metrics.Counter // backend→client bytes forwarded
+	bytesC2B metrics.Counter // client→backend bytes forwarded
+	bytesB2C metrics.Counter // backend→client bytes forwarded
 
-	closedClient       *metrics.Counter
-	closedBackend      *metrics.Counter
-	failoversStarted   *metrics.Counter
-	failoversCompleted *metrics.Counter
-	failoversAbandoned *metrics.Counter
+	closedClient       metrics.Counter
+	closedBackend      metrics.Counter
+	failoversStarted   metrics.Counter
+	failoversCompleted metrics.Counter
+	failoversAbandoned metrics.Counter
 }
 
 type routerBackend struct {
@@ -147,10 +147,11 @@ type routerBackend struct {
 	network, addr string
 	health        *health.Machine
 
-	sessions   *metrics.Gauge
-	probes     *metrics.Counter
-	probeFails *metrics.Counter
-	dialErrors *metrics.Counter // failed session dials and setup exchanges
+	// This backend's metrics, exported as its RouterBackendStats.
+	sessions   metrics.Gauge
+	probes     metrics.Counter
+	probeFails metrics.Counter
+	dialErrors metrics.Counter // failed session dials and setup exchanges
 }
 
 // NewRouter builds a router over the given backends and starts its
@@ -182,23 +183,8 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 	r := &Router{
 		opts:  opts,
 		dir:   NewDirectory(names, opts.Replicas),
-		reg:   metrics.NewRegistry(),
 		conns: make(map[net.Conn]struct{}),
 		done:  make(chan struct{}),
-	}
-	r.rm = routerMetrics{
-		accepted:           r.reg.Counter("router.accepted"),
-		routes:             r.reg.Counter("router.routes"),
-		redirects:          r.reg.Counter("router.redirects"),
-		routeErrors:        r.reg.Counter("router.route_errors"),
-		sessionsActive:     r.reg.Gauge("router.sessions_active"),
-		bytesC2B:           r.reg.Counter("router.proxied_bytes_c2b"),
-		bytesB2C:           r.reg.Counter("router.proxied_bytes_b2c"),
-		closedClient:       r.reg.Counter("router.closed_client"),
-		closedBackend:      r.reg.Counter("router.closed_backend"),
-		failoversStarted:   r.reg.Counter("router.failovers_started"),
-		failoversCompleted: r.reg.Counter("router.failovers_completed"),
-		failoversAbandoned: r.reg.Counter("router.failovers_abandoned"),
 	}
 	for i, addr := range opts.Backends {
 		network := "tcp"
@@ -211,11 +197,6 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 			name:    names[i],
 			network: network,
 			addr:    addr,
-
-			sessions:   r.reg.Gauge(fmt.Sprintf("router.backend.%d.sessions", i)),
-			probes:     r.reg.Counter(fmt.Sprintf("router.backend.%d.probes", i)),
-			probeFails: r.reg.Counter(fmt.Sprintf("router.backend.%d.probe_failures", i)),
-			dialErrors: r.reg.Counter(fmt.Sprintf("router.backend.%d.dial_errors", i)),
 		}
 		b.health = health.New(health.Config{
 			Threshold: opts.FailThreshold,
@@ -874,7 +855,7 @@ func (r *Router) Snapshot() RouterSnapshot {
 // StatsHandler mirrors Server.StatsHandler for the router: /stats serves
 // the RouterSnapshot (astat -router consumes it).
 func (r *Router) StatsHandler() http.Handler {
-	return statsHandler(func() any { return r.Snapshot() }, r.reg)
+	return statsHandler(func() any { return r.Snapshot() })
 }
 
 // ListenStats serves the router stats endpoints on addr in the

@@ -75,7 +75,7 @@ func (e *engine) pass(now time.Time) {
 		e.m.unlockTimed(&e.mu, held, time.Since(now))
 		return
 	}
-	sm := e.s.sm
+	sm := &e.s.sm
 	sm.schedTickLag.Observe(max(0, now.Sub(e.armed).Nanoseconds()))
 	if !now.Before(e.nextUpdate) {
 		e.updateLocked()

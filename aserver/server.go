@@ -186,10 +186,9 @@ type Server struct {
 	// Stats observed by afperf.
 	requestCount atomic.Uint64
 
-	// sm is the observability layer: the metric registry plus the typed
-	// server-wide counter set. Created before the engines (each engine
-	// registers its own set against it); immutable after New.
-	sm *serverMetrics
+	// sm is the server-wide metric set, exported by Snapshot; each engine
+	// holds its own (engine.m).
+	sm serverMetrics
 }
 
 // New builds the devices and arms every engine's timer.
@@ -213,7 +212,6 @@ func New(opts Options) (*Server, error) {
 		clients:       make(map[*client]struct{}),
 		accessEnabled: opts.AccessControl,
 		done:          make(chan struct{}),
-		sm:            newServerMetrics(),
 	}
 	// The access list starts with the server's own host, as xhost does, so
 	// enabling access control does not lock out local TCP clients.

@@ -4,26 +4,17 @@ import (
 	"encoding/json"
 	"net"
 	"net/http"
-
-	"audiofile/internal/metrics"
 )
 
-// statsHandler builds the stats endpoints the server and the router both
-// expose:
-//
-//	/stats       the structured snapshot as JSON (what astat consumes)
-//	/debug/vars  the flat expvar-compatible view of the registry
-func statsHandler(snapshot func() any, reg *metrics.Registry) http.Handler {
+// statsHandler serves snapshot as indented JSON at /stats, the one
+// export of the server's and the router's metrics (what astat consumes).
+func statsHandler(snapshot func() any) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/stats", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		enc.Encode(snapshot()) //nolint:errcheck — client went away mid-scrape
-	})
-	mux.HandleFunc("/debug/vars", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		reg.WriteExpvar(w) //nolint:errcheck
 	})
 	return mux
 }
@@ -48,10 +39,10 @@ func listenStats(addr string, h http.Handler) (net.Listener, error) {
 // each engine lock briefly to copy the device counters, so polling it
 // during playback is safe.
 func (s *Server) StatsHandler() http.Handler {
-	return statsHandler(func() any { return s.Snapshot() }, s.sm.reg)
+	return statsHandler(func() any { return s.Snapshot() })
 }
 
-// ListenStats serves the stats endpoints on addr in the background (the
+// ListenStats serves the stats endpoint on addr in the background (the
 // afd -stats flag).
 func (s *Server) ListenStats(addr string) (net.Listener, error) {
 	return listenStats(addr, s.StatsHandler())

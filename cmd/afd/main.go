@@ -42,7 +42,7 @@ func main() {
 	console := flag.Bool("console", false, "read exchange-control commands from stdin")
 	nodelay := flag.Bool("nodelay", true, "set TCP_NODELAY on accepted TCP connections (disable to let Nagle coalesce)")
 	verbose := flag.Bool("verbose", false, "log server diagnostics")
-	statsAddr := flag.String("stats", "", "serve metrics (/stats JSON, /debug/vars expvar) on this address (e.g. localhost:7800); off by default")
+	statsAddr := flag.String("stats", "", "serve the metrics snapshot as JSON at /stats on this address (e.g. localhost:7800); off by default")
 	maxClients := flag.Int("max-clients", 0, "maximum simultaneous clients; the oldest idle client is shed to admit a new one (0 = unlimited)")
 	clientQueueBytes := flag.Int("client-queue-bytes", 0, "per-client send-queue byte budget before slow-client eviction (0 = default 256KiB, negative = unlimited)")
 	drainTimeout := flag.Duration("drain-timeout", 5*time.Second, "on SIGTERM/SIGINT, wait up to this long for play buffers to drain before closing")

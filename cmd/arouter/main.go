@@ -42,7 +42,7 @@ func main() {
 	failThreshold := flag.Int("fail-threshold", 3, "consecutive probe or dial failures that take a healthy backend out of placement and start its resync")
 	dialTimeout := flag.Duration("dial-timeout", 5*time.Second, "backend dial timeout for new sessions")
 	clientStall := flag.Duration("client-stall", 30*time.Second, "rolling write deadline toward clients; a client that stops reading this long loses its session")
-	statsAddr := flag.String("stats", "", "serve metrics (/stats JSON, /debug/vars expvar) on this address; off by default")
+	statsAddr := flag.String("stats", "", "serve the router's metrics snapshot as JSON at /stats on this address; off by default")
 	verbose := flag.Bool("verbose", false, "log routing and health transitions")
 	flag.Parse()
 

@@ -1,15 +1,19 @@
 // Package metrics is the server's zero-allocation observability core:
 // atomic counters, gauges, and fixed-bucket histograms that the hot
 // paths (dispatch, engine locks, the wire writer) update without
-// allocating, plus a registry that names every metric once at startup
-// so export endpoints can walk them.
+// allocating, and Law, the one form every conservation law is stated in.
+//
+// An instrument is a plain struct field whose zero value is ready to use:
+// it has no name and is registered nowhere. Its owner's typed snapshot
+// (aserver.Snapshot, RouterSnapshot) is its one export, so a metric is
+// exported by a line in that snapshot, not by a string.
 //
 // The design splits cost asymmetrically. Observation — the operation
 // that runs per request, per lock acquisition, per writev — is a handful
-// of atomic adds on pre-registered structs reached through direct
-// pointers: no map lookups, no interface boxing, no time formatting.
-// Export — the operation that runs when a human or a poller asks — walks
-// the registry, snapshots each metric, and may allocate freely.
+// of atomic adds on a field reached directly: no map lookups, no
+// interface boxing, no time formatting. Export — the operation that runs
+// when a human or a poller asks — copies each field into the snapshot and
+// may allocate freely.
 //
 // Histograms use fixed power-of-two buckets: a value v lands in bucket
 // bits.Len64(v), so bucket i covers [2^(i-1), 2^i). That turns Observe
@@ -21,12 +25,9 @@ package metrics
 
 import (
 	"fmt"
-	"io"
+	"math"
 	"math/bits"
-	"sort"
-	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Counter is a monotonically increasing atomic counter.
@@ -106,9 +107,6 @@ func (h *Histogram) ObserveN(v int64, n uint64) {
 	h.count.Add(n)
 }
 
-// ObserveDuration records a duration in nanoseconds.
-func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Nanoseconds()) }
-
 // Count returns the number of observations.
 func (h *Histogram) Count() uint64 { return h.count.Load() }
 
@@ -162,16 +160,14 @@ func UpperBound(bit uint8) uint64 {
 }
 
 // Quantile returns an upper bound for the q-quantile (0 < q <= 1): the
-// top of the first bucket at which the cumulative count reaches
-// q*Count. With power-of-two buckets the answer is exact to within 2x.
+// top of the bucket holding the nearest-rank observation, the first at
+// which the cumulative count reaches ceil(q*Count). With power-of-two
+// buckets the answer is exact to within 2x.
 func (s HistogramSnapshot) Quantile(q float64) uint64 {
 	if s.Count == 0 || len(s.Buckets) == 0 {
 		return 0
 	}
-	target := uint64(q * float64(s.Count))
-	if target == 0 {
-		target = 1
-	}
+	target := max(uint64(math.Ceil(q*float64(s.Count))), 1)
 	var cum uint64
 	for _, b := range s.Buckets {
 		cum += b.Count
@@ -205,100 +201,4 @@ func Law(name string, ahead, behind uint64, settled bool) error {
 		return fmt.Errorf("%s: %d > %d once settled", name, ahead, behind)
 	}
 	return nil
-}
-
-// Registry names metrics for export. Registration happens once at
-// startup and allocates; the returned pointers are then used directly by
-// the hot paths. A Registry is safe for concurrent registration and
-// export, though the expected pattern is register-then-run.
-type Registry struct {
-	mu      sync.Mutex
-	entries []entry
-}
-
-type entry struct {
-	name string
-	v    any // *Counter, *Gauge, or *Histogram
-}
-
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry { return &Registry{} }
-
-// Counter registers and returns a new counter under name.
-func (r *Registry) Counter(name string) *Counter {
-	c := &Counter{}
-	r.add(name, c)
-	return c
-}
-
-// Gauge registers and returns a new gauge under name.
-func (r *Registry) Gauge(name string) *Gauge {
-	g := &Gauge{}
-	r.add(name, g)
-	return g
-}
-
-// Histogram registers and returns a new histogram under name.
-func (r *Registry) Histogram(name string) *Histogram {
-	h := &Histogram{}
-	r.add(name, h)
-	return h
-}
-
-func (r *Registry) add(name string, v any) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, e := range r.entries {
-		if e.name == name {
-			panic(fmt.Sprintf("metrics: duplicate registration of %q", name))
-		}
-	}
-	r.entries = append(r.entries, entry{name, v})
-}
-
-// Do calls fn for every registered metric in name order.
-func (r *Registry) Do(fn func(name string, v any)) {
-	r.mu.Lock()
-	es := append([]entry(nil), r.entries...)
-	r.mu.Unlock()
-	sort.Slice(es, func(i, j int) bool { return es[i].name < es[j].name })
-	for _, e := range es {
-		fn(e.name, e.v)
-	}
-}
-
-// WriteExpvar writes the registry as one flat JSON object in the format
-// of net/http's /debug/vars: {"name": value, ...}. Counters and gauges
-// render as numbers; histograms as {"count":..,"sum":..,"mean":..,
-// "p50":..,"p99":..,"max":..}.
-func (r *Registry) WriteExpvar(w io.Writer) error {
-	var err error
-	pr := func(format string, args ...any) {
-		if err == nil {
-			_, err = fmt.Fprintf(w, format, args...)
-		}
-	}
-	pr("{")
-	first := true
-	r.Do(func(name string, v any) {
-		if !first {
-			pr(",\n")
-		}
-		first = false
-		pr("%q: ", name)
-		switch m := v.(type) {
-		case *Counter:
-			pr("%d", m.Load())
-		case *Gauge:
-			pr("%d", m.Load())
-		case *Histogram:
-			s := m.Snapshot()
-			pr(`{"count": %d, "sum": %d, "mean": %.1f, "p50": %d, "p99": %d, "max": %d}`,
-				s.Count, s.Sum, s.Mean(), s.Quantile(0.5), s.Quantile(0.99), s.Max())
-		default:
-			pr("null")
-		}
-	})
-	pr("}\n")
-	return err
 }

@@ -1,12 +1,10 @@
 package metrics
 
 import (
-	"bytes"
 	"encoding/json"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestCounterGauge(t *testing.T) {
@@ -80,6 +78,16 @@ func TestHistogramQuantiles(t *testing.T) {
 	if mean := s.Mean(); mean < 1000 || mean > 1200 {
 		t.Errorf("mean = %f, want ~1099", mean)
 	}
+
+	// Nearest rank: p99 of ten observations is the tenth, not the ninth.
+	var small Histogram
+	for i := 0; i < 9; i++ {
+		small.Observe(1) // bucket 1, upper bound 1
+	}
+	small.Observe(1000) // bucket 10, upper bound 1023
+	if q := small.Snapshot().Quantile(0.99); q != 1023 {
+		t.Errorf("p99 of nine 1s and one 1000 = %d, want 1023", q)
+	}
 }
 
 func TestHistogramConcurrent(t *testing.T) {
@@ -91,7 +99,7 @@ func TestHistogramConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < per; j++ {
-				h.ObserveDuration(time.Duration(j) * time.Nanosecond)
+				h.Observe(int64(j))
 			}
 		}()
 	}
@@ -99,46 +107,6 @@ func TestHistogramConcurrent(t *testing.T) {
 	if got := h.Count(); got != gor*per {
 		t.Fatalf("count = %d, want %d", got, gor*per)
 	}
-}
-
-func TestRegistryExpvar(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("server.requests")
-	g := r.Gauge("server.clients")
-	h := r.Histogram("dispatch.play_ns")
-	c.Add(3)
-	g.Set(2)
-	h.Observe(1500)
-
-	var buf bytes.Buffer
-	if err := r.WriteExpvar(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var m map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &m); err != nil {
-		t.Fatalf("expvar output is not valid JSON: %v\n%s", err, buf.String())
-	}
-	if m["server.requests"].(float64) != 3 {
-		t.Errorf("requests = %v", m["server.requests"])
-	}
-	if m["server.clients"].(float64) != 2 {
-		t.Errorf("clients = %v", m["server.clients"])
-	}
-	hist, ok := m["dispatch.play_ns"].(map[string]any)
-	if !ok || hist["count"].(float64) != 1 {
-		t.Errorf("histogram = %v", m["dispatch.play_ns"])
-	}
-}
-
-func TestRegistryDuplicatePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate registration did not panic")
-		}
-	}()
-	r := NewRegistry()
-	r.Counter("x")
-	r.Counter("x")
 }
 
 func TestSnapshotRoundTripsJSON(t *testing.T) {

@@ -7,7 +7,6 @@ package audiofile
 
 import (
 	"encoding/json"
-	"io"
 	"net/http"
 	"sync"
 	"testing"
@@ -143,26 +142,5 @@ func TestStatsEndpoint(t *testing.T) {
 	conn.Close()
 	if err := drainSnapshot(t, srv).Check(true); err != nil {
 		t.Error(err)
-	}
-
-	// The expvar view must be valid JSON carrying the same counters.
-	resp, err := http.Get("http://" + sl.Addr().String() + "/debug/vars")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var vars map[string]any
-	if err := json.Unmarshal(body, &vars); err != nil {
-		t.Fatalf("expvar output is not valid JSON: %v\n%s", err, body)
-	}
-	if v, ok := vars["dev.0.play_bytes"].(float64); !ok || uint64(v) != 4096+2048 {
-		t.Errorf("expvar dev.0.play_bytes = %v, want %d", vars["dev.0.play_bytes"], 4096+2048)
-	}
-	if _, ok := vars["dispatch.play_ns"].(map[string]any); !ok {
-		t.Errorf("expvar dispatch.play_ns missing or not an object: %v", vars["dispatch.play_ns"])
 	}
 }
