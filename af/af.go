@@ -194,14 +194,15 @@ type Conn struct {
 	// in is the read side (io.go). On a TCP or Unix socket raw is the
 	// transport's RawConn and rawRead its callback (readOnce), bound with
 	// the socket (bindRaw) so a call passes no fresh closure; tx is the
-	// exchange's write and txErr how it failed, pushed records a
-	// subscription made on this socket (so the exchange reads first), and
-	// probing turns the read's EAGAIN into done for a poll. Elsewhere raw
-	// is nil.
+	// exchange's write, iov its scatter list and txErr how it failed,
+	// pushed records a subscription made on this socket (so the exchange
+	// reads first), and probing turns the read's EAGAIN into done for a
+	// poll. Elsewhere raw is nil.
 	in      ingress
 	raw     syscall.RawConn
 	rawRead func(fd uintptr) bool
 	tx      [][]byte
+	iov     iovecs
 	txErr   error
 	pushed  bool
 	probing bool

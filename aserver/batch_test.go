@@ -324,15 +324,23 @@ func batchReplyStreamOver(t *testing.T, network string, stream []byte, seed int6
 			awaitDispatched(i + 1)
 		}
 	}
-	if _, err := wc.Write(stream[sent:]); err != nil {
-		t.Fatal(err)
-	}
+	// The rest goes out while parks are resolved here: a reader waiting on
+	// a park reads no further, so a stream bigger than the socket's buffer
+	// (a unix socket holds less than TCP loopback) finishes only once it is.
+	wrote := make(chan error, 1)
+	go func() {
+		_, err := wc.Write(stream[sent:])
+		wrote <- err
+	}()
 	// Half-close only once every whole request has been dispatched and no
 	// park is outstanding: an EOF that overtakes a parked request would
 	// discard it instead of answering it. The server reader then sees EOF
 	// (or the malformed tail), tears the session down, and the writer
 	// flushes what is queued.
 	awaitDispatched(len(ends))
+	if err := <-wrote; err != nil {
+		t.Fatal(err)
+	}
 	if hc, ok := nc.(interface{ CloseWrite() error }); ok {
 		if err := hc.CloseWrite(); err != nil {
 			t.Fatal(err)
@@ -376,11 +384,12 @@ func soleClient(srv *Server) *client {
 	return nil
 }
 
-// FuzzBatchFraming sends the same scripted request stream twice — once
-// coalesced, as a single write through seeded fragmentation, so runs form
-// at arbitrary packet boundaries; once in lockstep, one request per
+// FuzzBatchFraming sends the same scripted request stream twice over TCP —
+// once coalesced, as a single write through seeded fragmentation, so runs
+// form at arbitrary packet boundaries; once in lockstep, one request per
 // write, so every run has length one — and requires the two reply
-// streams to agree byte for byte. Per-connection FIFO plus deterministic
+// streams to agree byte for byte; a third, coalesced pass over a unix
+// socket must agree with them too. Per-connection FIFO plus deterministic
 // devices make the full reply stream — replies, staged concatenations,
 // error messages, and the teardown point — a complete observational
 // fingerprint of the dispatch path, so grouping cannot be observable.
@@ -414,6 +423,11 @@ func FuzzBatchFraming(f *testing.F) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("coalesced reply stream differs from lockstep:\ncoalesced %d bytes: %x\nlockstep  %d bytes: %x",
 				len(got), got, len(want), want)
+		}
+		// Both socket transports serve inside the reader's read callback.
+		if unix := batchReplyStreamOver(t, "unix", stream, seed, false); !bytes.Equal(unix, got) {
+			t.Fatalf("coalesced reply stream differs between unix and TCP:\nunix %d bytes: %x\ntcp  %d bytes: %x",
+				len(unix), unix, len(got), got)
 		}
 	})
 }

@@ -60,7 +60,7 @@ type client struct {
 	// engine goroutines while the reader advances it.
 	seq atomic.Uint32
 	// dead marks a client that must receive no further output (eviction,
-	// unregister). Checked by every sender.
+	// unregister, the writer's exit). Checked by every sender.
 	dead atomic.Bool
 
 	out    outQueue
@@ -75,8 +75,8 @@ type client struct {
 	// are the vector taken from out and not yet settled: what a partial
 	// write left is sent by the next holder before anything behind it.
 	// raw is nil without a syscall.Conn (net.Pipe, netsim) or off Linux;
-	// rawWrite and rawRead are writeOnce and readOnce bound once (bindRaw),
-	// wn what writeOnce wrote, iov its scatter list.
+	// rawWrite, rawRead and rawServe are writeOnce, readOnce and serve
+	// bound once (bindRaw), wn what writeOnce wrote, iov its scatter list.
 	wmu      sync.Mutex
 	vecArr   [maxWriteVec][]byte
 	vec      [][]byte
@@ -84,9 +84,19 @@ type client struct {
 	raw      syscall.RawConn
 	rawWrite func(fd uintptr) bool
 	rawRead  func(fd uintptr) bool
+	rawServe func(fd uintptr) bool
 	wn       int
 	iov      iovecs
-	in       ingress // the conn's read side, touched only by the reader
+
+	// The conn's read side, touched only by the reader: the ingress
+	// buffer; the run slice frames are framed into (maxRunLen, allocated
+	// once); rest, framed requests not yet dispatched, which only a park
+	// leaves; await, that park; and rawReads, the RawConn.Read calls made.
+	in       ingress
+	frames   []runFrame
+	rest     []runFrame
+	await    *parked
+	rawReads int
 
 	// lastActive is the unix-nano time of the last dispatched request,
 	// the idleness key for server-wide shedding.
@@ -131,6 +141,7 @@ func newClient(s *Server, conn net.Conn, order binary.ByteOrder) *client {
 		out:        outQueue{wake: make(chan struct{}, 1), total: &s.sm.queuedBytes},
 		closed:     make(chan struct{}),
 		owned:      make([]*wireMsg, 0, maxWriteVec),
+		frames:     make([]runFrame, 0, maxRunLen),
 		evicted:    make(chan struct{}),
 		acs:        make(map[uint32]*ac),
 		eventMasks: make(map[int]uint32),
@@ -256,7 +267,7 @@ type ingress struct {
 }
 
 // runFrame is one framed request in an ingress run: the header fields
-// and the body, which aliases the ingress buffer until the next nextRun.
+// and the body, which aliases the ingress buffer until it is framed again.
 type runFrame struct {
 	op, ext uint8
 	body    []byte
@@ -268,24 +279,39 @@ type runFrame struct {
 const maxRunLen = 32
 
 // reader takes what the client sent in one read, frames every whole
-// request where it landed (nextRun) and runs each to completion, in order,
-// under the lock its opTable row names (dispatchRun), before it reads again.
-// It reads one run ahead of a blocked (parked) request — the read keeps
-// disconnect detection live; the barrier before dispatch keeps FIFO order.
+// request where it landed (frame) and runs each to completion, in order,
+// under the lock its opTable row names (dispatch), before it reads again.
+// On a socket all of that happens inside the RawConn.Read that waits for
+// the next burst (serve, rawconn_linux.go, the serving callback); the loop
+// here takes over for what serve leaves to it — a park, the end of the
+// stream, a malformed header, a request bigger than the buffer — and for
+// every transport without a RawConn (nextRun). It reads one run ahead of a
+// blocked (parked) request — the read keeps disconnect detection live; the
+// wait before the next dispatch keeps FIFO order.
 func (c *client) reader() {
-	var await *parked // outstanding blocked request, if any
-	run := make([]runFrame, 0, maxRunLen)
 	for !c.dead.Load() {
-		if run = c.nextRun(run[:0]); len(run) == 0 {
-			break
+		if len(c.rest) == 0 && c.await == nil && c.raw != nil {
+			c.readWait(c.rawServe)
 		}
-		await = c.dispatchRun(run, await)
+		if len(c.rest) == 0 {
+			if c.rest = c.nextRun(c.frames[:0]); len(c.rest) == 0 {
+				break
+			}
+		}
+		if c.await != nil {
+			select {
+			case <-c.await.done:
+			case <-c.closed:
+			}
+		}
+		c.rest, c.await = c.dispatch(c.rest)
+		c.endRun(-1)
 	}
-	if await != nil && !c.in.eof && !c.dead.Load() {
+	if c.await != nil && !c.in.eof && !c.dead.Load() {
 		// A malformed header: the request parked ahead of it is answered
 		// first, as it would have been had the two arrived apart.
 		select {
-		case <-await.done:
+		case <-c.await.done:
 		case <-c.closed:
 		}
 	}
@@ -297,61 +323,60 @@ func (c *client) reader() {
 	c.s.ctl.Unlock()
 }
 
-// nextRun frames the next run: every whole request already in the
-// ingress buffer, up to maxRunLen, reading more only when there is none.
-// The run before it has been dispatched, so its bytes are free. A partial
-// tail stays for the next read to finish; a malformed header (length under
-// one unit) ends the run before it. An empty run means the connection is
-// finished: the transport ended, or the malformed header is at its head.
-func (c *client) nextRun(run []runFrame) []runFrame {
+// readWait is one RawConn.Read with callback f, counted in rawReads. An
+// error means the conn closed, which ends the stream.
+func (c *client) readWait(f func(fd uintptr) bool) {
+	c.rawReads++
+	if c.raw.Read(f) != nil {
+		c.in.eof = true
+	}
+}
+
+// frame appends to run every whole request at the head of the ingress
+// buffer, up to maxRunLen, and consumes them; it is the one framing loop,
+// nextRun's and serve's. It stops at a partial tail, reporting the
+// request's full size once its header is in (need, else 0), or at a
+// malformed header (length under one unit), left unconsumed and reported
+// as need -1.
+func (c *client) frame(run []runFrame) (_ []runFrame, need int) {
 	in := &c.in
-	for {
-		need := 0 // the partial tail's full size, once its header is in
-		for len(run) < maxRunLen && in.w-in.r >= 4 {
-			b := (*in.buf)[in.r:in.w]
-			n := int(c.order.Uint16(b[2:])) * 4
-			if n < 4 {
-				return run
-			}
-			if n > len(b) {
-				need = n
-				break
-			}
-			run = append(run, runFrame{b[0], b[1], b[4:n:n]})
-			in.r += n
+	for len(run) < maxRunLen && in.w-in.r >= 4 {
+		b := (*in.buf)[in.r:in.w]
+		n := int(c.order.Uint16(b[2:])) * 4
+		if n < 4 {
+			return run, -1
 		}
-		if len(run) != 0 || in.eof {
+		if n > len(b) {
+			return run, n
+		}
+		run = append(run, runFrame{b[0], b[1], b[4:n:n]})
+		in.r += n
+	}
+	return run, 0
+}
+
+// nextRun frames the next run, reading more only when the buffer holds no
+// whole request. The run before it has been dispatched, so its bytes are
+// free. An empty run means the connection is finished: the transport
+// ended, or a malformed header is at its head.
+func (c *client) nextRun(run []runFrame) []runFrame {
+	for {
+		var need int
+		if run, need = c.frame(run); len(run) != 0 || need < 0 || c.in.eof {
 			return run
 		}
 		c.fill(need)
 	}
 }
 
-// fill reads once behind the partial tail, which it first moves to the
-// front of the buffer — or of a bigger one, when the request (need bytes)
-// exceeds it; with no tail it gives the buffer back before it waits.
+// fill reads once behind the partial tail (compact).
 func (c *client) fill(need int) {
-	in := &c.in
-	if in.buf != nil {
-		tail := (*in.buf)[in.r:in.w]
-		switch {
-		case len(tail) == 0:
-			c.s.putFrame(in.buf)
-			in.buf = nil
-		case need > len(*in.buf):
-			grown := c.s.getFrame(need)
-			copy(*grown, tail)
-			c.s.putFrame(in.buf)
-			in.buf = grown
-		default:
-			copy(*in.buf, tail)
-		}
-		in.r, in.w = 0, len(tail)
-	}
+	c.compact(need)
 	if c.raw != nil {
-		in.eof = c.raw.Read(c.rawRead) != nil || in.eof // an error: conn closed; readOnce set eof at EOF
+		c.readWait(c.rawRead)
 		return
 	}
+	in := &c.in
 	if in.buf == nil {
 		in.buf = c.s.getFrame(ingressBytes)
 	}
@@ -359,60 +384,75 @@ func (c *client) fill(need int) {
 	in.w, in.eof = in.w+n, err != nil
 }
 
-// dispatchRun dispatches a framed run in order: each control op runs
-// under ctl, and each stretch of hot ops goes to dispatchHotGroup, which
-// serves same-engine neighbours under one lock acquisition. A park
-// suspends the run at the parked request; the remaining frames dispatch
-// after the park resolves, preserving per-connection FIFO order. It
-// returns the outstanding park, if any. A dead client (evicted, or
-// removed by Close) has the rest of its run dropped.
-// While inRun is set, whatever is sent to this client is only pushed; the
-// reader drains it when the run ends or waits on a park (endRun).
-func (c *client) dispatchRun(run []runFrame, await *parked) *parked {
-	i := 0
-	for i < len(run) {
-		if await != nil {
-			c.endRun()
-			select {
-			case <-await.done:
-			case <-c.closed:
-			}
-			await = nil
-		}
-		if c.dead.Load() {
-			break
-		}
-		if !c.inRun.Load() { // only the reader writes it
-			c.inRun.Store(true)
-		}
-		rf := run[i]
+// compact readies the buffer for a read behind the partial tail: it moves
+// the tail to the front of the buffer — or of a bigger one, when the
+// request (need bytes) exceeds it; with no tail it gives the buffer back,
+// so a reader that waits pins none.
+func (c *client) compact(need int) {
+	in := &c.in
+	if in.buf == nil {
+		return
+	}
+	tail := (*in.buf)[in.r:in.w]
+	switch {
+	case len(tail) == 0:
+		c.s.putFrame(in.buf)
+		in.buf = nil
+	case need > len(*in.buf):
+		grown := c.s.getFrame(need)
+		copy(*grown, tail)
+		c.s.putFrame(in.buf)
+		in.buf = grown
+	default:
+		copy(*in.buf, tail)
+	}
+	in.r, in.w = 0, len(tail)
+}
+
+// dispatch dispatches a framed run in order until a request parks: each
+// control op runs under ctl, and each stretch of hot ops goes to
+// dispatchHotGroup, which serves same-engine neighbours under one lock
+// acquisition. It returns the frames behind the park and the park; they
+// are dispatched once the park resolves, which keeps per-connection FIFO
+// order, and nothing here waits for it. A dead client (evicted, or removed
+// by Close) has the rest of its run dropped. It opens the reader's
+// push-only stretch (inRun): whatever is sent to this client is only
+// pushed, and the caller drains it (endRun) before it reads or waits.
+func (c *client) dispatch(run []runFrame) ([]runFrame, *parked) {
+	if c.dead.Load() {
+		return nil, nil
+	}
+	c.inRun.Store(true)
+	for len(run) != 0 && !c.dead.Load() {
+		rf := run[0]
 		if !opTable[rf.op].hot {
 			c.s.ctl.Lock()
 			if !c.dead.Load() { // removeClient may have won the lock
 				c.s.dispatchControl(c, rf)
 			}
 			c.s.ctl.Unlock()
-			i++
+			run = run[1:]
 			continue
 		}
 		// The group is placed here — after any control op earlier in the
 		// run — so the AC mutations those made are visible to it.
-		consumed, p := c.s.dispatchHotGroup(c, run[i:])
-		i += consumed
-		await = p
+		consumed, p := c.s.dispatchHotGroup(c, run)
+		if run = run[consumed:]; p != nil {
+			return run, p
+		}
 	}
-	c.endRun()
-	return await
+	return nil, nil
 }
 
 // endRun ends the reader's push-only stretch, if one is open, and drains
-// what it queued. The flag clears before the drain's take: a sender that
-// saw it set pushed before that take (the queue lock orders them), and
-// one that pushes later sees it clear and wakes the writer.
-func (c *client) endRun() {
+// what it queued (drain; fd as there). The flag clears before the drain's
+// take: a sender that saw it set pushed before that take (the queue lock
+// orders them), and one that pushes later sees it clear and wakes the
+// writer.
+func (c *client) endRun(fd int) {
 	if c.inRun.Load() {
 		c.inRun.Store(false)
-		c.drain()
+		c.drain(fd)
 	}
 }
 
@@ -562,7 +602,10 @@ func (c *client) settleVec() {
 // and with no deadline armed. It never waits, for the write lock or the
 // socket: what would (a busy writer, EAGAIN, a partial write, a conn with
 // no RawConn) goes to the writer, the only code that blocks on a socket.
-func (c *client) drain() {
+// fd is the socket when the reader is inside its serving callback, which
+// holds the descriptor, and the write is made on it directly (writeOnce);
+// elsewhere fd is -1 and the write goes through RawConn.Write.
+func (c *client) drain(fd int) {
 	if c.wmu.TryLock() {
 		for len(c.vec) == 0 { // else an unfinished vector awaits the writer
 			if !c.takeVec() {
@@ -570,7 +613,9 @@ func (c *client) drain() {
 				return
 			}
 			c.wn = 0
-			if c.raw == nil || c.raw.Write(c.rawWrite) != nil {
+			if fd >= 0 {
+				c.rawWrite(uintptr(fd))
+			} else if c.raw == nil || c.raw.Write(c.rawWrite) != nil {
 				break // no RawConn; or closed, or evict expired its deadline
 			}
 			if c.vec = consumeVec(c.vec, c.wn); len(c.vec) == 0 {
@@ -619,6 +664,10 @@ func (c *client) writer() {
 	for c.awaitWake() && c.flushQueue() {
 	}
 	c.sayGoodbye()
+	// The close waits for a reader inside its serving callback, which
+	// holds the descriptor; it leaves once it sees the client dead, here
+	// too when a failed write, not eviction or removal, ended the writer.
+	c.dead.Store(true)
 }
 
 // awaitWake parks the writer until there is something to write (true) or

@@ -157,9 +157,9 @@ func BenchmarkDispatchRecordADPCM(b *testing.B) {
 	})
 }
 
-// BenchmarkDispatchControl sends one SyncConnection through dispatchRun
-// the way the reader does: the handler run to completion under ctl, the
-// reply queued.
+// BenchmarkDispatchControl sends one SyncConnection through dispatch the
+// way the reader does: the handler run to completion under ctl, the reply
+// queued.
 func BenchmarkDispatchControl(b *testing.B) {
 	_, c, _, cleanup := benchServer(b)
 	defer cleanup()
@@ -167,7 +167,8 @@ func BenchmarkDispatchControl(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.dispatchRun(run, nil)
+		c.dispatch(run)
+		c.endRun(-1)
 		drainOut(c)
 	}
 }

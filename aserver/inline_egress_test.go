@@ -384,50 +384,74 @@ func TestInlineDrainBackpressure(t *testing.T) {
 	})
 }
 
-// BenchmarkDispatchSocket is the allocation gate for the socket path,
-// where the reader borrows its ingress buffer per burst, frames and
-// dispatches in place and writes the replies itself: one GetTime, one
-// 8 KiB play, and three 8 KiB plays in one write (one read, one run, one
-// lock hold, three acks in one write back), each a round trip over a unix
-// socket. (The other BenchmarkDispatch* gates run on pipes, which hold
-// their buffer and take the queued path.)
-func BenchmarkDispatchSocket(b *testing.B) {
+// socketRoundTrip is one of BenchmarkDispatchSocket's round trips: a
+// request burst over a unix socket and the replies it draws.
+type socketRoundTrip struct {
+	name    string
+	req     []byte
+	replies int
+}
+
+// socketRoundTrips are one GetTime, one 8 KiB play, and three 8 KiB plays
+// in one write (one read, one run, one lock hold, three acks in one write
+// back).
+func socketRoundTrips() []socketRoundTrip {
 	play := proto.Writer{Order: binary.LittleEndian}
 	proto.AppendPlaySamples(&play, proto.PlaySamplesReq{AC: 1, Time: 4096, Data: make([]byte, 8<<10)}) //nolint:errcheck
-	for _, bc := range []struct {
-		name    string
-		req     []byte
-		replies int
-	}{
+	return []socketRoundTrip{
 		{"gettime", getTimeBurst(1, 0), 1},
 		{"play8k", play.Buf, 1},
 		{"burst3x8k", bytes.Repeat(play.Buf, 3), 3},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			srv, clk := batchTestServer(b)
-			clk.Advance(4096)
-			srv.Sync()
-			nc, br := dialUnix(b, srv, 0)
-			createAC, _ := backpressureScript(0)
-			if _, err := nc.Write(createAC); err != nil {
-				b.Fatal(err)
-			}
-			reply := make([]byte, bc.replies*proto.ReplyHeaderBytes)
-			b.SetBytes(int64(len(bc.req)))
+	}
+}
+
+// serve readies a session for rt over a unix socket — device time ahead
+// of the plays, AC 1 created — and returns one round trip on it. check
+// requires that every reply took the inline path and none was an error.
+func (rt socketRoundTrip) serve(tb testing.TB) (roundTrip, check func()) {
+	srv, clk := batchTestServer(tb)
+	clk.Advance(4096)
+	srv.Sync()
+	nc, br := dialUnix(tb, srv, 0)
+	createAC, _ := backpressureScript(0)
+	if _, err := nc.Write(createAC); err != nil {
+		tb.Fatal(err)
+	}
+	reply := make([]byte, rt.replies*proto.ReplyHeaderBytes)
+	roundTrip = func() {
+		if _, err := nc.Write(rt.req); err != nil {
+			tb.Fatal(err)
+		}
+		if _, err := io.ReadFull(br, reply); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	check = func() {
+		if s := srv.Snapshot(); s.EgressFallbacks != 0 || s.ClientErrors != 0 {
+			tb.Fatalf("fallbacks=%d errors=%d, want the inline path and no error replies", s.EgressFallbacks, s.ClientErrors)
+		}
+	}
+	return roundTrip, check
+}
+
+// BenchmarkDispatchSocket times the socket path, where the reader borrows
+// its ingress buffer per burst, frames and dispatches in place and writes
+// the replies itself, inside its serving callback: socketRoundTrips over
+// a unix socket. TestDispatchSocketAllocs holds the same round trips to 0
+// allocations. (The other BenchmarkDispatch* gates run on pipes, which
+// hold their buffer and take the queued path.)
+func BenchmarkDispatchSocket(b *testing.B) {
+	for _, rt := range socketRoundTrips() {
+		b.Run(rt.name, func(b *testing.B) {
+			roundTrip, check := rt.serve(b)
+			b.SetBytes(int64(len(rt.req)))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := nc.Write(bc.req); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := io.ReadFull(br, reply); err != nil {
-					b.Fatal(err)
-				}
+				roundTrip()
 			}
 			b.StopTimer()
-			if s := srv.Snapshot(); s.EgressFallbacks != 0 || s.ClientErrors != 0 {
-				b.Fatalf("fallbacks=%d errors=%d, want the inline path and no error replies", s.EgressFallbacks, s.ClientErrors)
-			}
+			check()
 		})
 	}
 }

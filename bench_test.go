@@ -37,13 +37,13 @@ var benchConfigs = []perfrig.Config{
 	{Name: "tcp", Transport: "tcp"},
 }
 
-func newRig(b *testing.B, cfg perfrig.Config) *perfrig.Rig {
-	b.Helper()
+func newRig(tb testing.TB, cfg perfrig.Config) *perfrig.Rig {
+	tb.Helper()
 	r, err := perfrig.New(cfg)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	b.Cleanup(r.Close)
+	tb.Cleanup(r.Close)
 	return r
 }
 

@@ -68,7 +68,7 @@ type PacketDirStats struct {
 	Duplicated     uint64 `json:"duplicated"`       // extra copies created
 	Reordered      uint64 `json:"reordered"`        // datagrams held back
 	BlackedOut     uint64 `json:"blacked_out"`      // dropped inside a burst blackout
-	DroppedAtClose uint64 `json:"dropped_at_close"` // held datagrams discarded at Close
+	DroppedAtClose uint64 `json:"dropped_at_close"` // discarded at Close, or refused by the closed conn
 	Held           uint64 `json:"held"`             // currently held back (gauge)
 }
 
@@ -80,7 +80,7 @@ type PacketFaultStats struct {
 
 // Check states the packet law of each direction: every datagram copy
 // that enters the fault layer leaves it through exactly one door, settled
-// once the conn is closed (held is 0 by then). Live, the left side
+// once the conn is closed and no call is inside it. Live, the left side
 // runs ahead by the copies a WriteTo has taken from the queue and not
 // yet written: stats reads a direction under the lock its decisions
 // take, and only that write counts outside it.
@@ -266,8 +266,11 @@ func (c *FaultPacketConn) WriteTo(b []byte, addr net.Addr) (int, error) {
 	flush := c.out.pending
 	c.out.pending = nil
 	c.out.mu.Unlock()
-	for _, p := range flush {
+	for i, p := range flush {
 		if _, err := c.PacketConn.WriteTo(p.data, p.addr); err != nil {
+			// A WriteTo beside Close: the conn closed under copies already
+			// taken from the queue, which flushHeld could not count.
+			c.out.droppedAtClose.Add(uint64(len(flush) - i))
 			return len(b), err
 		}
 		c.out.delivered.Add(1)

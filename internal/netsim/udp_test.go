@@ -13,8 +13,9 @@ import (
 // datagrams for ReadFrom and a capture of everything written. It makes
 // the fault-schedule tests fully deterministic — no sockets, no timing.
 type scriptConn struct {
-	in   chan []byte
-	outs [][]byte
+	in     chan []byte
+	outs   [][]byte
+	closed bool // WriteTo fails, as on a closed socket
 }
 
 type scriptAddr struct{}
@@ -33,6 +34,9 @@ func (s *scriptConn) ReadFrom(b []byte) (int, net.Addr, error) {
 }
 
 func (s *scriptConn) WriteTo(b []byte, _ net.Addr) (int, error) {
+	if s.closed {
+		return 0, net.ErrClosed
+	}
 	s.outs = append(s.outs, append([]byte(nil), b...))
 	return len(b), nil
 }
@@ -180,6 +184,22 @@ func TestDuplicationAndReorder(t *testing.T) {
 		if c > 2 {
 			t.Errorf("packet %d delivered %d times (max 2 with single dup)", s, c)
 		}
+	}
+	if err := fc.Stats().Check(true); err != nil {
+		t.Errorf("after close: %v", err)
+	}
+}
+
+// TestWriteBesideClose: a WriteTo racing Close admits its datagram after
+// the held ones were discarded, and the closed conn refuses the write. The
+// law must still settle: the refused copies are dropped at close.
+func TestWriteBesideClose(t *testing.T) {
+	inner := newScriptConn(0)
+	fc := NewFaultPacketConn(inner, PacketFaultConfig{Seed: 3, Egress: PacketFaultRates{Dup: 0.5}})
+	fc.Close()
+	inner.closed = true
+	for i := 0; i < 20; i++ {
+		fc.WriteTo(pkt(i), scriptAddr{}) //nolint:errcheck
 	}
 	if err := fc.Stats().Check(true); err != nil {
 		t.Errorf("after close: %v", err)

@@ -1,68 +1,91 @@
 package audiofile
 
 import (
+	"fmt"
 	"testing"
 
 	"audiofile/af"
+	"audiofile/internal/perfrig"
 )
 
+// wireBytes is BenchmarkWireThroughput's payload: three protocol chunks.
+const wireBytes = 24 << 10
+
+// wireCalls are BenchmarkWireThroughput's two directions. Each readies a
+// fresh rig of cfg and returns one call: the full PlaySamples egress path
+// (client request marshal, socket, server ingress, play buffer) and the
+// full RecordSamples ingress path (record ring, reply marshal, socket,
+// client buffer).
+var wireCalls = []struct {
+	name  string
+	ready func(testing.TB, perfrig.Config) func() error
+}{
+	{"play", wirePlay},
+	{"record", wireRecord},
+}
+
+func wirePlay(tb testing.TB, cfg perfrig.Config) func() error {
+	r := newRig(tb, cfg)
+	if err := r.AC.ChangeAttributes(af.ACPreemption,
+		af.ACAttributes{Preempt: true}); err != nil {
+		tb.Fatal(err)
+	}
+	now, err := r.AC.GetTime()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	start := now.Add(4000)
+	data := make([]byte, wireBytes)
+	for i := range data {
+		data[i] = byte(0x80 + i%64)
+	}
+	return func() error {
+		_, err := r.AC.PlaySamples(start, data)
+		return err
+	}
+}
+
+func wireRecord(tb testing.TB, cfg perfrig.Config) func() error {
+	r := newRig(tb, cfg)
+	if err := r.PrimeRecord(); err != nil {
+		tb.Fatal(err)
+	}
+	now, err := r.AC.GetTime()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	buf := make([]byte, wireBytes)
+	start := now.Add(-wireBytes)
+	return func() error {
+		_, n, err := r.AC.RecordSamples(start, buf, true)
+		if err == nil && n != wireBytes {
+			err = fmt.Errorf("recorded %d bytes, want %d", n, wireBytes)
+		}
+		return err
+	}
+}
+
 // BenchmarkWireThroughput measures the bulk sample transport end to end
-// over real sockets: the full PlaySamples egress path (client request
-// marshal, socket, server ingress, play buffer) and the full
-// RecordSamples ingress path (record ring, reply marshal, socket, client
-// buffer) at a 24 KiB payload — three protocol chunks per call. This is
-// the benchmark the scatter-gather wire path is judged by: every copy
-// between the device ring buffer and the socket shows up directly in
-// MB/s here.
+// over real sockets (wireCalls) at a 24 KiB payload. This is the
+// benchmark the scatter-gather wire path is judged by: every copy between
+// the device ring buffer and the socket shows up directly in MB/s here.
+// TestWireThroughputAllocs holds the same calls to 0 allocations.
 func BenchmarkWireThroughput(b *testing.B) {
-	const size = 24 << 10
 	for _, cfg := range benchConfigs {
 		b.Run(cfg.Name, func(b *testing.B) {
-			b.Run("play", func(b *testing.B) {
-				r := newRig(b, cfg)
-				if err := r.AC.ChangeAttributes(af.ACPreemption,
-					af.ACAttributes{Preempt: true}); err != nil {
-					b.Fatal(err)
-				}
-				now, err := r.AC.GetTime()
-				if err != nil {
-					b.Fatal(err)
-				}
-				start := now.Add(4000)
-				data := make([]byte, size)
-				for i := range data {
-					data[i] = byte(0x80 + i%64)
-				}
-				b.SetBytes(size)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := r.AC.PlaySamples(start, data); err != nil {
-						b.Fatal(err)
+			for _, wc := range wireCalls {
+				b.Run(wc.name, func(b *testing.B) {
+					call := wc.ready(b, cfg)
+					b.SetBytes(wireBytes)
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if err := call(); err != nil {
+							b.Fatal(err)
+						}
 					}
-				}
-			})
-			b.Run("record", func(b *testing.B) {
-				r := newRig(b, cfg)
-				if err := r.PrimeRecord(); err != nil {
-					b.Fatal(err)
-				}
-				now, err := r.AC.GetTime()
-				if err != nil {
-					b.Fatal(err)
-				}
-				buf := make([]byte, size)
-				start := now.Add(-size)
-				b.SetBytes(size)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					_, n, err := r.AC.RecordSamples(start, buf, true)
-					if err != nil || n != size {
-						b.Fatalf("n=%d err=%v", n, err)
-					}
-				}
-			})
+				})
+			}
 		})
 	}
 }
