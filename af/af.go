@@ -310,11 +310,6 @@ func Open(name string) (*Conn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("af: can't open connection to %s: %w", name, err)
 	}
-	if tc, ok := conn.(*net.TCPConn); ok {
-		// Interactive request/reply traffic: never let Nagle hold a small
-		// request behind an unacknowledged flush.
-		tc.SetNoDelay(true) //nolint:errcheck
-	}
 	c, err := NewConnRoute(conn, false, route)
 	if err != nil {
 		return nil, err

@@ -165,9 +165,6 @@ func (c *Conn) reconnectLocked() error {
 // so any replay error surfaces here rather than later. It owns nc: on
 // failure, every transport it opened is closed. c.mu held.
 func (c *Conn) resetOnto(nc net.Conn) (err error) {
-	if tc, ok := nc.(*net.TCPConn); ok {
-		tc.SetNoDelay(true) //nolint:errcheck
-	}
 	// The routing key is replayed verbatim: after a router-initiated
 	// failover the redial lands on the router again, and the same key
 	// must drive the directory lookup that places the session on the

@@ -15,7 +15,7 @@ import (
 // encodes each chunk once per wire format and enqueues the same pooled
 // message on every subscriber, so the per-chunk cost must be sub-linear
 // in listeners (one enqueue each, no copies) and the steady state must
-// not allocate. CI gates allocs/op at zero.
+// not allocate (allocs_test.go).
 
 // nullConn is a no-op net.Conn: writes succeed instantly, so 10k real
 // writer goroutines drain their queues without moving bytes anywhere.
@@ -43,13 +43,21 @@ func (nullAddr) String() string  { return "null" }
 func BenchmarkBroadcastFanout(b *testing.B) {
 	for _, listeners := range []int{1000, 10000} {
 		b.Run(fmt.Sprintf("listeners=%d", listeners), func(b *testing.B) {
-			benchBroadcastFanout(b, listeners)
+			benchOp(b, broadcastChunkFrames*int64(listeners), broadcastFanout(b, listeners))
 		})
 	}
 }
 
-func benchBroadcastFanout(b *testing.B, listeners int) {
-	const chunkFrames = 256 // one pump span: 32 ms at 8 kHz
+// broadcastChunkFrames is one pump span: 32 ms at 8 kHz.
+const broadcastChunkFrames = 256
+
+// broadcastFanout subscribes listeners clients to one codec's broadcast
+// and returns one pump: a chunk of device time pumped to every listener,
+// with the queues fully drained (pooled messages back in the pool). At
+// cleanup it requires the law that defines encode-once: every chunk was
+// encoded exactly once (one device, one wire format), regardless of the
+// listener count.
+func broadcastFanout(tb testing.TB, listeners int) func() {
 	clk := vdev.NewManualClock(8000)
 	srv, err := New(Options{
 		Devices:          []DeviceSpec{{Kind: "codec", Clock: clk}},
@@ -58,9 +66,9 @@ func benchBroadcastFanout(b *testing.B, listeners int) {
 		ServerQueueBytes: -1,
 	})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	defer srv.Close()
+	tb.Cleanup(srv.Close)
 	e := srv.engineByDev[0]
 	d := srv.Device(0)
 
@@ -72,23 +80,21 @@ func benchBroadcastFanout(b *testing.B, listeners int) {
 		e.mu.Lock()
 		if code := e.subscribeLocked(c, a); code != 0 {
 			e.mu.Unlock()
-			b.Fatalf("subscribe %d: error code %d", i, code)
+			tb.Fatalf("subscribe %d: error code %d", i, code)
 		}
 		e.mu.Unlock()
 		go c.writer()
 		clients[i] = c
 	}
-	defer func() {
+	tb.Cleanup(func() {
 		for _, c := range clients {
 			close(c.closed)
 		}
-	}()
+	})
 
-	// Warm the pools and every writer's buffers outside the measured
-	// region: the first message through a writer grows its reused slices.
 	sm := &srv.sm
 	pump := func() {
-		clk.Advance(chunkFrames)
+		clk.Advance(broadcastChunkFrames)
 		e.mu.Lock()
 		e.updateLocked()
 		e.mu.Unlock()
@@ -96,33 +102,22 @@ func benchBroadcastFanout(b *testing.B, listeners int) {
 			runtime.Gosched()
 		}
 	}
+	// Warm the pools and every writer's buffers: the first message through
+	// a writer grows its reused slices.
 	for i := 0; i < 4; i++ {
 		pump()
 	}
-
 	chunks0 := e.m.bcastChunks.Load()
 	encodes0 := e.m.bcastEncodes.Load()
-
-	// Measure: each iteration is one chunk of device time pumped to every
-	// listener, with the queues fully drained (pooled messages back in the
-	// pool) before the next.
-	b.SetBytes(int64(chunkFrames * listeners))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pump()
-	}
-	b.StopTimer()
-
-	// The conservation law that defines encode-once: every chunk was
-	// encoded exactly once (one device, one wire format), regardless of
-	// the listener count.
-	chunks := e.m.bcastChunks.Load() - chunks0
-	encodes := e.m.bcastEncodes.Load() - encodes0
-	if chunks == 0 || encodes != chunks {
-		b.Fatalf("encodes = %d, chunks = %d; want equal and nonzero (encode-once)", encodes, chunks)
-	}
-	if subs := e.m.bcastSubs.Load(); subs != int64(listeners) {
-		b.Fatalf("bcastSubs = %d, want %d (no listener evicted mid-bench)", subs, listeners)
-	}
+	tb.Cleanup(func() {
+		chunks := e.m.bcastChunks.Load() - chunks0
+		encodes := e.m.bcastEncodes.Load() - encodes0
+		if chunks == 0 || encodes != chunks {
+			tb.Errorf("encodes = %d, chunks = %d; want equal and nonzero (encode-once)", encodes, chunks)
+		}
+		if subs := e.m.bcastSubs.Load(); subs != int64(listeners) {
+			tb.Errorf("bcastSubs = %d, want %d (no listener evicted mid-bench)", subs, listeners)
+		}
+	})
+	return pump
 }

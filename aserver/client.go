@@ -91,12 +91,14 @@ type client struct {
 	// The conn's read side, touched only by the reader: the ingress
 	// buffer; the run slice frames are framed into (maxRunLen, allocated
 	// once); rest, framed requests not yet dispatched, which only a park
-	// leaves; await, that park; and rawReads, the RawConn.Read calls made.
+	// leaves; await, that park; rawReads, the RawConn.Read calls made; and
+	// syscalls, the read(2) and writev(2) calls made inside them.
 	in       ingress
 	frames   []runFrame
 	rest     []runFrame
 	await    *parked
 	rawReads int
+	syscalls int
 
 	// lastActive is the unix-nano time of the last dispatched request,
 	// the idleness key for server-wide shedding.
@@ -180,11 +182,6 @@ const setupDeadline = 30 * time.Second
 
 // handleConn performs connection setup and runs the reader.
 func (s *Server) handleConn(conn net.Conn) {
-	if tc, ok := conn.(*net.TCPConn); ok {
-		// Request and reply boundaries matter more than segment
-		// coalescing for an interactive audio stream.
-		tc.SetNoDelay(!s.opts.TCPDelay) //nolint:errcheck
-	}
 	conn.SetDeadline(time.Now().Add(setupDeadline))
 	setup, order, err := proto.ReadSetupRequest(conn)
 	if err != nil {
@@ -614,6 +611,7 @@ func (c *client) drain(fd int) {
 			}
 			c.wn = 0
 			if fd >= 0 {
+				c.syscalls++
 				c.rawWrite(uintptr(fd))
 			} else if c.raw == nil || c.raw.Write(c.rawWrite) != nil {
 				break // no RawConn; or closed, or evict expired its deadline

@@ -15,16 +15,30 @@ import (
 // Dispatch benchmarks: the full server-side request path (decode, engine,
 // reply marshal, queue, writer), each request entering through
 // dispatchHotGroup as a group of one, the way a reader goroutine serves a
-// lone request. These are the allocation gates for the pooled staging
-// buffers — the steady state must not allocate per request.
+// lone request. Each body is a fixture that returns one iteration, shared
+// by the benchmark and its allocation gate (allocs_test.go): the pooled
+// staging buffers mean the steady state must not allocate per request.
+
+// benchOp times op, one iteration of a fixture, with bytes moved per
+// iteration (0 for none).
+func benchOp(b *testing.B, bytes int64, op func()) {
+	if bytes != 0 {
+		b.SetBytes(bytes)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+}
 
 // benchServer builds a one-codec server on a manual clock and a client
 // over a pipe, via the same newClient constructor the accept path uses,
 // with the real writer goroutine draining the queue (its far end is
 // discarded). Budgets are disabled so the eviction policy never trips
 // mid-benchmark.
-func benchServer(b testing.TB) (*Server, *client, *vdev.ManualClock, func()) {
-	b.Helper()
+func benchServer(tb testing.TB) (*Server, *client, *vdev.ManualClock) {
+	tb.Helper()
 	clk := vdev.NewManualClock(8000)
 	srv, err := New(Options{
 		Devices:          []DeviceSpec{{Kind: "codec", Clock: clk}},
@@ -33,7 +47,7 @@ func benchServer(b testing.TB) (*Server, *client, *vdev.ManualClock, func()) {
 		ServerQueueBytes: -1,
 	})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	p1, p2 := net.Pipe()
 	c := newClient(srv, p1, binary.LittleEndian)
@@ -44,12 +58,12 @@ func benchServer(b testing.TB) (*Server, *client, *vdev.ManualClock, func()) {
 		c.acs[1] = &ac{id: 1, dev: d, devIndex: 0,
 			enc: d.Cfg.Enc, channels: d.Cfg.Channels}
 	})
-	cleanup := func() {
+	tb.Cleanup(func() {
 		close(c.closed) // writer flushes the tail, closes p1, settles accounting
 		p2.Close()
 		srv.Close()
-	}
-	return srv, c, clk, cleanup
+	})
+	return srv, c, clk
 }
 
 // drainOut waits until the writer has flushed every queued message (the
@@ -88,55 +102,43 @@ func recordBody(ac, at, nbytes uint32) []byte {
 	return body
 }
 
-// BenchmarkDispatchPlayMix replays the same 2048-frame µ-law region with
-// mixing on every iteration: decode, Play (mix kernel), reply.
-func BenchmarkDispatchPlayMix(b *testing.B) {
-	srv, c, clk, cleanup := benchServer(b)
-	defer cleanup()
+// hotOp is one iteration of a hot-path fixture: run dispatched as a group
+// and its reply drained.
+func hotOp(srv *Server, c *client, run []runFrame) func() {
+	return func() {
+		srv.dispatchHotGroup(c, run)
+		drainOut(c)
+	}
+}
+
+// dispatchPlayMix replays the same 2048-frame µ-law region with mixing on
+// every iteration: decode, Play (mix kernel), reply.
+func dispatchPlayMix(tb testing.TB) func() {
+	srv, c, clk := benchServer(tb)
 	clk.Advance(4096)
 	data := make([]byte, 2048)
 	for i := range data {
 		data[i] = byte(i*7 + 1)
 	}
-	srv.Do(func() {
-		now := uint32(srv.Device(0).Time())
-		run := benchRun(proto.OpPlaySamples, 0, playBody(1, now+128, data))
-		b.SetBytes(int64(len(data)))
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			srv.dispatchHotGroup(c, run)
-			drainOut(c)
-		}
-	})
+	now := uint32(srv.Device(0).Time())
+	return hotOp(srv, c, benchRun(proto.OpPlaySamples, 0, playBody(1, now+128, data)))
 }
 
-// BenchmarkDispatchRecord records an available 2048-frame window on every
+// dispatchRecord records an available 2048-frame window on every
 // iteration: decode, Record (convert kernel into pooled staging), reply
 // with the sample payload.
-func BenchmarkDispatchRecord(b *testing.B) {
-	srv, c, clk, cleanup := benchServer(b)
-	defer cleanup()
+func dispatchRecord(tb testing.TB) func() {
+	srv, c, clk := benchServer(tb)
 	clk.Advance(4096)
 	srv.Sync()
-	srv.Do(func() {
-		now := uint32(srv.Device(0).Time())
-		run := benchRun(proto.OpRecordSamples, proto.SampleFlagNoBlock, recordBody(1, now-2048, 2048))
-		b.SetBytes(2048)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			srv.dispatchHotGroup(c, run)
-			drainOut(c)
-		}
-	})
+	now := uint32(srv.Device(0).Time())
+	return hotOp(srv, c, benchRun(proto.OpRecordSamples, proto.SampleFlagNoBlock, recordBody(1, now-2048, 2048)))
 }
 
-// BenchmarkDispatchRecordADPCM runs the compressed record path: capture
-// lin16 into pooled staging, compress 2:1, reply.
-func BenchmarkDispatchRecordADPCM(b *testing.B) {
-	srv, c, clk, cleanup := benchServer(b)
-	defer cleanup()
+// dispatchRecordADPCM runs the compressed record path: capture lin16 into
+// pooled staging, compress 2:1, reply.
+func dispatchRecordADPCM(tb testing.TB) func() {
+	srv, c, clk := benchServer(tb)
 	srv.Do(func() {
 		a := c.acs[1]
 		a.enc = sampleconv.ADPCM4
@@ -144,31 +146,23 @@ func BenchmarkDispatchRecordADPCM(b *testing.B) {
 	})
 	clk.Advance(4096)
 	srv.Sync()
-	srv.Do(func() {
-		now := uint32(srv.Device(0).Time())
-		run := benchRun(proto.OpRecordSamples, proto.SampleFlagNoBlock, recordBody(1, now-2048, 1024))
-		b.SetBytes(2048)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			srv.dispatchHotGroup(c, run)
-			drainOut(c)
-		}
-	})
+	now := uint32(srv.Device(0).Time())
+	return hotOp(srv, c, benchRun(proto.OpRecordSamples, proto.SampleFlagNoBlock, recordBody(1, now-2048, 1024)))
 }
 
-// BenchmarkDispatchControl sends one SyncConnection through dispatch the
-// way the reader does: the handler run to completion under ctl, the reply
-// queued.
-func BenchmarkDispatchControl(b *testing.B) {
-	_, c, _, cleanup := benchServer(b)
-	defer cleanup()
+// dispatchControl sends one SyncConnection through dispatch the way the
+// reader does: the handler run to completion under ctl, the reply queued.
+func dispatchControl(tb testing.TB) func() {
+	_, c, _ := benchServer(tb)
 	run := []runFrame{{op: proto.OpSyncConnection}}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func() {
 		c.dispatch(run)
 		c.endRun(-1)
 		drainOut(c)
 	}
 }
+
+func BenchmarkDispatchPlayMix(b *testing.B)     { benchOp(b, 2048, dispatchPlayMix(b)) }
+func BenchmarkDispatchRecord(b *testing.B)      { benchOp(b, 2048, dispatchRecord(b)) }
+func BenchmarkDispatchRecordADPCM(b *testing.B) { benchOp(b, 2048, dispatchRecordADPCM(b)) }
+func BenchmarkDispatchControl(b *testing.B)     { benchOp(b, 0, dispatchControl(b)) }

@@ -23,8 +23,7 @@ import (
 // another rather than leave the request to the next periodic update.
 // The manual clock stands still, so the retry here is always early.
 func TestCompressedRecordEarlyWakeRearms(t *testing.T) {
-	srv, c, clk, cleanup := benchServer(t)
-	defer cleanup()
+	srv, c, clk := benchServer(t)
 	clk.Advance(4096)
 	srv.Sync()
 	e := srv.engineByDev[0]

@@ -69,6 +69,7 @@ func (c *client) readOnce(fd uintptr) bool {
 		in.buf = getBytes(ingressBytes)
 	}
 	for {
+		c.syscalls++
 		b := (*in.buf)[in.w:]
 		n, _, errno := syscall.RawSyscall(syscall.SYS_READ, fd, uintptr(unsafe.Pointer(unsafe.SliceData(b))), uintptr(len(b)))
 		if errno == syscall.EINTR {

@@ -501,9 +501,6 @@ func (b *routerBackend) open(setup *proto.SetupRequest, order binary.ByteOrder) 
 	if err != nil {
 		return nil, nil, err
 	}
-	if tc, ok := bc.(*net.TCPConn); ok {
-		tc.SetNoDelay(true) //nolint:errcheck
-	}
 	if !b.r.track(bc) {
 		bc.Close()
 		return nil, nil, net.ErrClosed

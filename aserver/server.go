@@ -84,10 +84,6 @@ type Options struct {
 	Devices []DeviceSpec
 	// AccessControl enables host-based access control at startup.
 	AccessControl bool
-	// TCPDelay re-enables Nagle's algorithm (TCP_NODELAY off) on accepted
-	// TCP connections. The default (false) disables Nagle, so small
-	// replies and events leave immediately instead of waiting for an ACK.
-	TCPDelay bool
 	// Logf receives server diagnostics; nil uses the standard logger.
 	Logf func(format string, args ...any)
 

@@ -19,8 +19,8 @@ import (
 )
 
 func main() {
-	server := flag.String("a", "", "AudioFile server")
-	device := flag.Int("d", -1, "audio device")
+	server := cmdutil.ServerFlag("AudioFile server")
+	device := cmdutil.DeviceFlag(-1, "audio device")
 	mbox := flag.String("f", "", "mailbox file to watch (default $MAIL)")
 	poll := flag.Duration("poll", 2*time.Second, "poll interval")
 	count := flag.Int("n", -1, "exit after this many notifications")

@@ -30,8 +30,8 @@ type entry struct {
 }
 
 func main() {
-	server := flag.String("a", "", "AudioFile server")
-	device := flag.Int("d", -1, "audio device")
+	server := cmdutil.ServerFlag("AudioFile server")
+	device := cmdutil.DeviceFlag(-1, "audio device")
 	listOnly := flag.Bool("list", false, "list the directory and exit")
 	flag.Parse()
 	dir := "."

@@ -15,8 +15,8 @@ import (
 )
 
 func main() {
-	server := flag.String("a", "", "AudioFile server")
-	device := flag.Int("d", -1, "device to watch (default: all devices)")
+	server := cmdutil.ServerFlag("AudioFile server")
+	device := cmdutil.DeviceFlag(-1, "device to watch (default: all devices)")
 	ringCount := flag.Int("ringcount", 0, "exit after this many rings")
 	count := flag.Int("count", 0, "exit after this many events")
 	quiet := flag.Bool("q", false, "do not print events (useful with -ringcount)")

@@ -40,7 +40,6 @@ func main() {
 	devices := flag.String("devices", "phone,codec:loopback,hifi",
 		"comma-separated device specs: phone | codec[:loopback] | hifi[:rate] | lineserver:addr")
 	console := flag.Bool("console", false, "read exchange-control commands from stdin")
-	nodelay := flag.Bool("nodelay", true, "set TCP_NODELAY on accepted TCP connections (disable to let Nagle coalesce)")
 	verbose := flag.Bool("verbose", false, "log server diagnostics")
 	statsAddr := flag.String("stats", "", "serve the metrics snapshot as JSON at /stats on this address (e.g. localhost:7800); off by default")
 	maxClients := flag.Int("max-clients", 0, "maximum simultaneous clients; the oldest idle client is shed to admit a new one (0 = unlimited)")
@@ -86,7 +85,6 @@ func main() {
 		Vendor:           "audiofile-go afd",
 		Devices:          specs,
 		AccessControl:    *ac,
-		TCPDelay:         !*nodelay,
 		Logf:             logf,
 		MaxClients:       *maxClients,
 		ClientQueueBytes: *clientQueueBytes,

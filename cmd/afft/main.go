@@ -22,8 +22,8 @@ import (
 )
 
 func main() {
-	server := flag.String("a", "", "AudioFile server")
-	device := flag.Int("d", -1, "device to record from")
+	server := cmdutil.ServerFlag("AudioFile server")
+	device := cmdutil.DeviceFlag(-1, "device to record from")
 	file := flag.String("file", "", "µ-law file to analyze (\"-\" for stdin)")
 	sine := flag.Bool("sine", false, "analyze a built-in swept sine (demo mode)")
 	length := flag.Int("length", 256, "FFT length: 64..512, power of two")

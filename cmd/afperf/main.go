@@ -3,11 +3,6 @@
 // timed by measuring the time to complete many iterations and averaging.
 //
 //	afperf [-exp all|fig10|fig11|fig12|fig13|table10|table11|table12|cpu] [-iters n]
-//	afperf -parsebench bench_output.txt [-benchjson BENCH_server.json]
-//
-// The second form converts `go test -bench` output into a machine-readable
-// JSON summary (ns/op, MB/s, B/op, allocs/op per benchmark) for CI
-// artifacts and regression tooling.
 //
 // The six MIPS/Alpha host configurations become transport configurations
 // on one host (see DESIGN.md): in-process pipe and Unix socket for the
@@ -35,19 +30,10 @@ var (
 	iters  = flag.Int("iters", 1000, "iterations per measurement (the paper used 1000)")
 	quick  = flag.Bool("quick", false, "fewer iterations and configurations")
 	expSel = flag.String("exp", "all", "experiment: all|fig10|fig11|fig12|fig13|table10|table11|table12|cpu")
-
-	parsebench = flag.String("parsebench", "", "parse `go test -bench` output from this file and emit JSON instead of running experiments")
-	benchjson  = flag.String("benchjson", "BENCH_server.json", "output path for -parsebench JSON (\"-\" for stdout)")
 )
 
 func main() {
 	flag.Parse()
-	if *parsebench != "" {
-		if err := writeBenchJSON(*parsebench, *benchjson); err != nil {
-			cmdutil.Die("afperf: %v", err)
-		}
-		return
-	}
 	if *quick && *iters == 1000 {
 		*iters = 100
 	}

@@ -13,8 +13,8 @@ import (
 )
 
 func main() {
-	server := flag.String("a", "", "AudioFile server")
-	device := flag.Int("d", -1, "telephone device (default: first phone device)")
+	server := cmdutil.ServerFlag("AudioFile server")
+	device := cmdutil.DeviceFlag(-1, "telephone device (default: first phone device)")
 	flashMs := flag.Int("ms", 0, "flash duration in milliseconds (flash only; 0 = server default)")
 	flag.Parse()
 	if flag.NArg() != 1 {

@@ -13,7 +13,7 @@ import (
 )
 
 func main() {
-	server := flag.String("a", "", "AudioFile server")
+	server := cmdutil.ServerFlag("AudioFile server")
 	flag.Parse()
 
 	conn := cmdutil.OpenServer(*server)

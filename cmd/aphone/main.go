@@ -17,8 +17,8 @@ import (
 )
 
 func main() {
-	server := flag.String("a", "", "AudioFile server")
-	device := flag.Int("d", -1, "telephone device (default: first phone device)")
+	server := cmdutil.ServerFlag("AudioFile server")
+	device := cmdutil.DeviceFlag(-1, "telephone device (default: first phone device)")
 	hold := flag.Bool("hold", false, "stay off hook after dialing (default: leave hookswitch as is)")
 	flag.Parse()
 	if flag.NArg() != 1 {

@@ -25,8 +25,8 @@ import (
 )
 
 func main() {
-	server := flag.String("a", "", "AudioFile server (default $AUDIOFILE or $DISPLAY)")
-	device := flag.Int("d", -1, "audio device to play through (default: first non-telephone device)")
+	server := cmdutil.ServerFlag("AudioFile server (default $AUDIOFILE or $DISPLAY)")
+	device := cmdutil.DeviceFlag(-1, "audio device to play through (default: first non-telephone device)")
 	toffset := flag.Float64("t", 0.1, "seconds in the future to start playing (negative discards)")
 	gain := flag.Int("g", 0, "play gain in dB, applied before mixing")
 	flush := flag.Bool("f", false, "wait until the last sound has played before exiting")

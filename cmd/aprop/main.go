@@ -17,8 +17,8 @@ import (
 )
 
 func main() {
-	server := flag.String("a", "", "AudioFile server")
-	device := flag.Int("d", 0, "device whose properties to use")
+	server := cmdutil.ServerFlag("AudioFile server")
+	device := cmdutil.DeviceFlag(0, "device whose properties to use")
 	set := flag.String("set", "", "set a STRING property to the next argument")
 	del := flag.String("delete", "", "delete a property")
 	watch := flag.Bool("watch", false, "watch for property changes")

@@ -23,8 +23,8 @@ import (
 )
 
 func main() {
-	server := flag.String("a", "", "AudioFile server")
-	device := flag.Int("d", -1, "audio device to record from (default: first non-telephone device)")
+	server := cmdutil.ServerFlag("AudioFile server")
+	device := cmdutil.DeviceFlag(-1, "audio device to record from (default: first non-telephone device)")
 	length := flag.Float64("l", -1, "length of sound to record, in seconds (default: unbounded)")
 	toffset := flag.Float64("t", 0.125, "seconds in the future to start recording (negative records the past)")
 	silentLevel := flag.Float64("silentlevel", -60, "level in dBm below which sound is deemed silent")

@@ -14,8 +14,8 @@ import (
 )
 
 func main() {
-	server := flag.String("a", "", "AudioFile server")
-	device := flag.Int("d", -1, "device to control (default: first non-telephone device)")
+	server := cmdutil.ServerFlag("AudioFile server")
+	device := cmdutil.DeviceFlag(-1, "device to control (default: first non-telephone device)")
 	og := flag.Int("og", -1000, "set output gain (volume) in dB")
 	ig := flag.Int("ig", -1000, "set input gain in dB")
 	input := flag.String("input", "", "enable or disable inputs: on|off")

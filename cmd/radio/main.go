@@ -44,8 +44,8 @@ const magic = 0x41465230 // "AFR0"
 func main() {
 	send := flag.Bool("send", false, "transmit audio")
 	recv := flag.Bool("recv", false, "receive and play audio")
-	server := flag.String("a", "", "AudioFile server")
-	device := flag.Int("d", -1, "audio device")
+	server := cmdutil.ServerFlag("AudioFile server")
+	device := cmdutil.DeviceFlag(-1, "audio device")
 	addr := flag.String("addr", "239.9.9.9:5004", "group or host:port to use")
 	useStdin := flag.Bool("stdin", false, "send: read µ-law audio from stdin instead of recording")
 	channel := flag.Bool("channel", false, "send: relay the device's broadcast channel instead of recording")

@@ -17,11 +17,6 @@ package atime
 // ATime is an audio device time in sample ticks. It wraps modulo 2^32.
 type ATime uint32
 
-// HalfRange is the boundary between "past" and "future" relative to a
-// reference time: t+HalfRange is the division point q in the paper's
-// circular diagram.
-const HalfRange = 1 << 31
-
 // After reports whether b is strictly later than a in wrapped time.
 func After(b, a ATime) bool { return int32(b-a) > 0 }
 
@@ -56,7 +51,7 @@ func Max(a, b ATime) ATime {
 // next in ticks inside it, and the remaining n-skip-in after it. A span
 // wholly before the window returns (n, 0), one wholly after it (0, 0). It
 // assumes lo is not after hi; like every comparison here it is exact while
-// t stays within HalfRange of the window.
+// t stays within 2^31 ticks of the window.
 func ClipSpan(t ATime, n int, lo, hi ATime) (skip, in int) {
 	skip = min(max(int(Sub(lo, t)), 0), n)
 	end := min(max(int(Sub(hi, t)), skip), n)

@@ -1,14 +1,23 @@
 // Package cmdutil holds the few helpers the AudioFile command-line
-// clients share: server connection with the standard name resolution and
-// default device selection.
+// clients share: the -a and -d flags, server connection with the standard
+// name resolution and default device selection.
 package cmdutil
 
 import (
+	"flag"
 	"fmt"
 	"os"
 
 	"audiofile/af"
 )
+
+// ServerFlag declares -a, the AudioFile server a client opens with
+// OpenServer; empty means $AUDIOFILE or $DISPLAY.
+func ServerFlag(usage string) *string { return flag.String("a", "", usage) }
+
+// DeviceFlag declares -d, the device index a client hands PickDevice or
+// PickPhoneDevice; negative means the default device.
+func DeviceFlag(def int, usage string) *int { return flag.Int("d", def, usage) }
 
 // OpenServer connects to the AudioFile server named on the command line
 // (or via AUDIOFILE/DISPLAY), exiting with a message on failure, as the

@@ -200,12 +200,6 @@ func (d *Device) BufFrames() int { return d.root().bufFrames }
 // FrameBytes returns one frame of the underlying device in bytes.
 func (d *Device) FrameBytes() int { return d.root().frameBytes }
 
-// ViewFrameBytes returns the bytes per frame as seen by clients of this
-// device (its own channel count, not the parent's).
-func (d *Device) ViewFrameBytes() int {
-	return d.Cfg.Enc.BytesPerSamples(1) * d.chanCnt
-}
-
 // Backend exposes the hardware backend (for DDA-specific control).
 func (d *Device) Backend() Backend { return d.backend }
 
@@ -297,9 +291,3 @@ func (d *Device) EnableOutputs(mask uint32) { d.root().outputsEnabled |= mask }
 
 // DisableOutputs clears bits in the enabled-outputs mask.
 func (d *Device) DisableOutputs(mask uint32) { d.root().outputsEnabled &^= mask }
-
-// InputsEnabled returns the enabled-inputs mask.
-func (d *Device) InputsEnabled() uint32 { return d.root().inputsEnabled }
-
-// OutputsEnabled returns the enabled-outputs mask.
-func (d *Device) OutputsEnabled() uint32 { return d.root().outputsEnabled }

@@ -65,13 +65,13 @@ func TestDeviceDefaults(t *testing.T) {
 	if r.dev.BufFrames() != 32768 { // 4 s at 8 kHz rounded to 2^15
 		t.Errorf("BufFrames = %d, want 32768", r.dev.BufFrames())
 	}
-	if r.dev.FrameBytes() != 1 || r.dev.ViewFrameBytes() != 1 {
+	if r.dev.FrameBytes() != 1 || r.dev.chanCnt != 1 {
 		t.Error("frame sizes wrong")
 	}
 	if r.dev.IsView() || r.dev.Parent() != nil {
 		t.Error("root device claims to be a view")
 	}
-	if r.dev.InputsEnabled() != 1 || r.dev.OutputsEnabled() != 1 {
+	if r.dev.inputsEnabled != 1 || r.dev.outputsEnabled != 1 {
 		t.Error("default I/O masks wrong")
 	}
 }
@@ -204,7 +204,7 @@ func TestDisabledOutputPlaysSilence(t *testing.T) {
 		}
 	}
 	r.dev.EnableOutputs(1)
-	if r.dev.OutputsEnabled() != 1 {
+	if r.dev.outputsEnabled != 1 {
 		t.Error("EnableOutputs failed")
 	}
 }
@@ -434,8 +434,8 @@ func TestStereoDeviceAndMonoViews(t *testing.T) {
 	if !left.IsView() || left.Parent() != stereo {
 		t.Fatal("view wiring wrong")
 	}
-	if left.ViewFrameBytes() != 2 || stereo.ViewFrameBytes() != 4 {
-		t.Fatal("view frame bytes wrong")
+	if left.chanCnt != 1 || stereo.chanCnt != 2 {
+		t.Fatal("view channel counts wrong")
 	}
 
 	// Play distinct mono signals into each channel.

@@ -134,40 +134,55 @@ func checkGolden(t *testing.T, name string, got []byte) {
 	}
 }
 
-// BenchmarkDeviceUpdate is one tick of the paper's update task on a moving
-// clock: a play lands just past the hardware window, the clock advances,
-// and Update pushes it to the hardware and pulls the new record frames
-// back through the loopback. It is the in-process twin of the bench
-// ledger's loopback workload (codec, 160 frames a tick, delay 24) plus a
-// hifi rung at one 2 048-frame window a tick, and sits under CI's
-// allocation gate: the update path stages nothing it has to allocate.
+// deviceUpdates are the update-path fixtures: the in-process twin of the
+// bench ledger's loopback workload (codec, 160 frames a tick, delay 24)
+// plus a hifi rung at one 2 048-frame window a tick, each at unity and at
+// a -6 dB master gain.
+var deviceUpdates = []deviceUpdate{
+	{"codec160/unity", 8000, sampleconv.MU255, 1, 1024, 160, 0},
+	{"codec160/-6dB", 8000, sampleconv.MU255, 1, 1024, 160, -6},
+	{"hifi2048/unity", 44100, sampleconv.LIN16, 2, 4096, 2048, 0},
+	{"hifi2048/-6dB", 44100, sampleconv.LIN16, 2, 4096, 2048, -6},
+}
+
+type deviceUpdate struct {
+	name     string
+	rate     int
+	enc      sampleconv.Encoding
+	channels int
+	hwFrames int
+	advance  int
+	gainDB   int
+}
+
+// ready builds the rig and returns one tick of the paper's update task on
+// a moving clock, and the bytes it plays: a play lands just past the
+// hardware window, the clock advances, and Update pushes it to the
+// hardware and pulls the new record frames back through the loopback.
+func (du deviceUpdate) ready() (tick func(), bytes int) {
+	r := newUpdateRig(0, du.rate, du.enc, du.channels, du.hwFrames, 24, false)
+	r.dev.SetOutputGain(du.gainDB)
+	r.dev.SetInputGain(du.gainDB)
+	data := lcgBytes(du.advance*r.dev.FrameBytes(), 3)
+	return func() {
+		r.dev.Play(atime.Add(r.dev.Now(), du.hwFrames), data, du.enc, 0, true)
+		r.clk.Advance(du.advance)
+		r.dev.Update()
+	}, len(data)
+}
+
+// BenchmarkDeviceUpdate times deviceUpdates' ticks; TestDeviceUpdateAllocs
+// holds them to 0 allocations: the update path stages nothing it has to
+// allocate.
 func BenchmarkDeviceUpdate(b *testing.B) {
-	for _, bc := range []struct {
-		name     string
-		rate     int
-		enc      sampleconv.Encoding
-		channels int
-		hwFrames int
-		advance  int
-		gainDB   int
-	}{
-		{"codec160/unity", 8000, sampleconv.MU255, 1, 1024, 160, 0},
-		{"codec160/-6dB", 8000, sampleconv.MU255, 1, 1024, 160, -6},
-		{"hifi2048/unity", 44100, sampleconv.LIN16, 2, 4096, 2048, 0},
-		{"hifi2048/-6dB", 44100, sampleconv.LIN16, 2, 4096, 2048, -6},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			r := newUpdateRig(0, bc.rate, bc.enc, bc.channels, bc.hwFrames, 24, false)
-			r.dev.SetOutputGain(bc.gainDB)
-			r.dev.SetInputGain(bc.gainDB)
-			data := lcgBytes(bc.advance*r.dev.FrameBytes(), 3)
-			b.SetBytes(int64(len(data)))
+	for _, du := range deviceUpdates {
+		b.Run(du.name, func(b *testing.B) {
+			tick, bytes := du.ready()
+			b.SetBytes(int64(bytes))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				r.dev.Play(atime.Add(r.dev.Now(), bc.hwFrames), data, bc.enc, 0, true)
-				r.clk.Advance(bc.advance)
-				r.dev.Update()
+				tick()
 			}
 		})
 	}

@@ -197,7 +197,7 @@ func TestBackendSurvivesDeadBox(t *testing.T) {
 		}
 	}
 	b.WritePlay(0, make([]byte, 32))
-	if _, ok := b.ReadReg(RegInputGain); ok {
+	if _, ok := b.ReadReg(RegOutputGain); ok {
 		t.Error("register read succeeded against dead box")
 	}
 }

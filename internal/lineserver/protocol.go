@@ -25,11 +25,8 @@ const (
 	FnReset    = 6 // reset
 )
 
-// CODEC register numbers.
-const (
-	RegInputGain  = 1
-	RegOutputGain = 2
-)
+// RegOutputGain is the CODEC's output gain register.
+const RegOutputGain = 2
 
 // HeaderBytes is the packet header size. "Request and reply packets have
 // the same format, with four header fields: sequence number, audio time,

@@ -198,13 +198,6 @@ func (l *Line) LoopCurrent() bool {
 	return l.remoteOffHook
 }
 
-// Ringing reports whether the line is currently ringing.
-func (l *Line) Ringing() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.ringing
-}
-
 // --- exchange side (the simulated outside world) ---
 
 // RingPulse delivers one ring cadence pulse from the exchange: a ring

@@ -327,26 +327,27 @@ func TestReadMessageEveryWay(t *testing.T) {
 	}
 }
 
-// BenchmarkReplyEncode is one smallop cycle's reply staging: 33 fixed-size
-// replies appended to one outgoing message.
-func BenchmarkReplyEncode(b *testing.B) {
+// replyEncode is one smallop cycle's reply staging: 33 fixed-size replies
+// appended to one outgoing message.
+func replyEncode(tb testing.TB) func() {
 	buf := make([]byte, 0, 33*ReplyHeaderBytes)
 	var order binary.ByteOrder = binary.LittleEndian
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
+	var now uint32
+	return func() {
 		buf = buf[:0]
+		now++
 		for seq := uint16(0); seq < 33; seq++ {
-			buf = (&Reply{Seq: seq, Time: uint32(i)}).Append(buf, order)
+			buf = (&Reply{Seq: seq, Time: now}).Append(buf, order)
 		}
-	}
-	if len(buf) != 33*ReplyHeaderBytes {
-		b.Fatalf("staged %d bytes", len(buf))
+		if len(buf) != 33*ReplyHeaderBytes {
+			tb.Fatalf("staged %d bytes", len(buf))
+		}
 	}
 }
 
-// BenchmarkReadReplies is the client's side of the same cycle: 33 replies
-// that arrived in one read, parsed out of one bufio window.
-func BenchmarkReadReplies(b *testing.B) {
+// readReplies is the client's side of the same cycle: 33 replies that
+// arrived in one read, parsed out of one bufio window.
+func readReplies(tb testing.TB) func() {
 	w := &Writer{Order: binary.LittleEndian}
 	for seq := uint16(0); seq < 33; seq++ {
 		(&Reply{Seq: seq, Time: 7}).Encode(w)
@@ -354,15 +355,26 @@ func BenchmarkReadReplies(b *testing.B) {
 	src := bytes.NewReader(w.Buf)
 	br := bufio.NewReaderSize(src, 4096)
 	var m Message
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func() {
 		src.Reset(w.Buf)
 		br.Reset(src)
 		for seq := uint16(0); seq < 33; seq++ {
 			if err := ReadMessageInto(br, binary.LittleEndian, &m); err != nil || m.Reply.Seq != seq {
-				b.Fatalf("reply %d: %v %+v", seq, err, m.Reply)
+				tb.Fatalf("reply %d: %v %+v", seq, err, m.Reply)
 			}
 		}
+	}
+}
+
+// BenchmarkReplyEncode and BenchmarkReadReplies time the two fixtures;
+// TestReplyCodecAllocs holds them to 0 allocations.
+func BenchmarkReplyEncode(b *testing.B) { benchCycle(b, replyEncode(b)) }
+func BenchmarkReadReplies(b *testing.B) { benchCycle(b, readReplies(b)) }
+
+func benchCycle(b *testing.B, cycle func()) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cycle()
 	}
 }

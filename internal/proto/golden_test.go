@@ -206,7 +206,7 @@ func TestSubscribeRequestRoundTrip(t *testing.T) {
 			t.Fatalf("%s: subscribe wire form % x", o.name, w.Buf)
 		}
 		r := NewReader(o.order, w.Buf[4:])
-		if ac := DecodeACReq(r); ac != 42 || r.Err != nil {
+		if ac := r.U32(); ac != 42 || r.Err != nil {
 			t.Errorf("%s: decode = %d err %v", o.name, ac, r.Err)
 		}
 		w.Reset()
@@ -217,7 +217,7 @@ func TestSubscribeRequestRoundTrip(t *testing.T) {
 			t.Errorf("%s: unsubscribe op = %d", o.name, w.Buf[0])
 		}
 		r = NewReader(o.order, w.Buf[4:])
-		if ac := DecodeACReq(r); ac != 7 || r.Err != nil {
+		if ac := r.U32(); ac != 7 || r.Err != nil {
 			t.Errorf("%s: decode = %d err %v", o.name, ac, r.Err)
 		}
 	}

@@ -191,15 +191,6 @@ type Message struct {
 	scratch [EventBytes]byte // fixed-part read buffer (kept here so it never escapes)
 }
 
-// ReadMessage reads the next server-to-client message from the stream.
-func ReadMessage(rd io.Reader, order binary.ByteOrder) (*Message, error) {
-	m := new(Message)
-	if err := ReadMessageInto(rd, order, m); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
 // MaxReplyExtraBytes bounds the declared extra length of a reply the
 // client library will accept: comfortably larger than any legitimate
 // reply (a record payload tops out at MaxRequestBytes), small enough

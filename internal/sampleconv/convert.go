@@ -83,55 +83,6 @@ func DecodeSample(e Encoding, buf []byte, i int) int { return decode16(e, buf, i
 // buf, saturating.
 func EncodeSample(e Encoding, buf []byte, i int, v int) { encode16(e, buf, i, v) }
 
-// Process implements the server's per-request sample pipeline: decode
-// nsamples of src (encoding srcEnc) to linear, scale by gain, convert to
-// dstEnc, and either mix into dst (saturating add with the existing
-// contents) or copy over it (preemptive play). dst and src must hold at
-// least nsamples in their respective encodings. It returns the number of
-// samples processed.
-//
-// Gain is a linear multiplier (1.0 = 0 dB), quantized to Q16 fixed point.
-// The request shape is resolved once, to a batch kernel, rather than per
-// sample; callers that already hold a request-long view should use
-// SelectKernel directly and reuse the kernel across buffer regions.
-func Process(dst []byte, dstEnc Encoding, src []byte, srcEnc Encoding, nsamples int, gain float64, mix bool) int {
-	if nsamples <= 0 {
-		return 0
-	}
-	q := GainQ16(gain)
-	SelectKernel(dstEnc, srcEnc, mix, q != GainUnity)(dst, src, nsamples, q)
-	return nsamples
-}
-
-// Convert translates nsamples from srcEnc to dstEnc with unity gain,
-// overwriting dst. It is Process without mixing.
-func Convert(dst []byte, dstEnc Encoding, src []byte, srcEnc Encoding, nsamples int) int {
-	if nsamples <= 0 {
-		return 0
-	}
-	SelectKernel(dstEnc, srcEnc, false, false)(dst, src, nsamples, GainUnity)
-	return nsamples
-}
-
-// Mix mixes nsamples of src into dst, both in encoding e, saturating in
-// the linear domain (the paper's AF_mix_u / AF_mix_a behaviour).
-func Mix(e Encoding, dst, src []byte, nsamples int) {
-	if nsamples <= 0 {
-		return
-	}
-	SelectKernel(e, e, true, false)(dst, src, nsamples, GainUnity)
-}
-
-// ApplyGain scales nsamples of buf (encoding e) by a linear gain factor in
-// place.
-func ApplyGain(e Encoding, buf []byte, nsamples int, gain float64) {
-	q := GainQ16(gain)
-	if q == GainUnity || nsamples <= 0 {
-		return
-	}
-	SelectKernel(e, e, false, true)(buf, buf, nsamples, q)
-}
-
 // ToLin16 decodes nsamples of src into dst as 16-bit-domain linear values.
 func ToLin16(dst []int16, src []byte, e Encoding, nsamples int) {
 	if nsamples <= 0 {

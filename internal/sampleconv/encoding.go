@@ -63,22 +63,10 @@ func (e Encoding) BytesPerSamples(n int) int {
 	return n / int(info.SampsPerUnit) * int(info.BytesPerUnit)
 }
 
-// SamplesPerBytes returns the number of single-channel samples encoded in
-// n bytes of encoding e.
-func (e Encoding) SamplesPerBytes(n int) int {
-	info := Sizes[e]
-	return n / int(info.BytesPerUnit) * int(info.SampsPerUnit)
-}
-
 // G.711 constants.
 const (
 	muBias = 0x84  // µ-law bias (132)
 	muClip = 32635 // µ-law clipping level before companding
-
-	// MuMax is the largest linear magnitude representable in µ-law.
-	MuMax = 32124
-	// AMax is the largest linear magnitude representable in A-law.
-	AMax = 32256
 )
 
 // Decode tables: 256-entry companded-to-linear maps (the paper's AF_exp_u
@@ -206,9 +194,6 @@ func segment(val int, table []int) int {
 // DecodeMuLaw expands one µ-law byte to 16-bit linear via table lookup.
 func DecodeMuLaw(u byte) int16 { return MuToLin[u] }
 
-// DecodeALaw expands one A-law byte to 16-bit linear via table lookup.
-func DecodeALaw(a byte) int16 { return AToLin[a] }
-
 // EncodeMuLaw compands a 16-bit linear value to µ-law via table lookup.
 func EncodeMuLaw(pcm int16) byte { return LinToMu[uint16(pcm)>>2] }
 
@@ -256,15 +241,4 @@ func Clamp16(v int) int16 {
 		return -32768
 	}
 	return int16(v)
-}
-
-// Clamp32 saturates a wide sum to the 32-bit linear range.
-func Clamp32(v int64) int32 {
-	if v > 0x7FFFFFFF {
-		return 0x7FFFFFFF
-	}
-	if v < -0x80000000 {
-		return -0x80000000
-	}
-	return int32(v)
 }

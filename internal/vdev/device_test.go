@@ -424,7 +424,7 @@ func (r *spanRig) check(t *testing.T, at atime.ATime, n, tail int) {
 // spanStarts are device times the span fixtures start from: zero, just
 // short of the 2³² wrap (so windows and spans straddle it), and just short
 // of the signed-comparison boundary.
-var spanStarts = []atime.ATime{0, atime.Add(0, -40), atime.Add(0, -300), atime.HalfRange - 50}
+var spanStarts = []atime.ATime{0, atime.Add(0, -40), atime.Add(0, -300), 1<<31 - 50}
 
 func TestSpanReadsMatchPerFrameOracle(t *testing.T) {
 	for _, fb := range []int{1, 4} {
@@ -481,7 +481,7 @@ func TestSpanReadsMatchPerFrameOracleRandom(t *testing.T) {
 func TestLoopbackFillBeforeFirstPlay(t *testing.T) {
 	for _, fb := range []int{1, 4} {
 		lb := NewLoopback(4*spanHW, fb, spanDelay, 0x7E)
-		for _, at := range []atime.ATime{0, spanDelay, atime.Add(0, -10), atime.HalfRange} {
+		for _, at := range []atime.ATime{0, spanDelay, atime.Add(0, -10), 1 << 31} {
 			buf := make([]byte, 5*spanHW*fb)
 			lb.Fill(at, buf)
 			if !bytes.Equal(buf, bytes.Repeat([]byte{0x7E}, len(buf))) {

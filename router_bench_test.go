@@ -1,9 +1,9 @@
 // BenchmarkRouterProxy prices the fleet router's splice: the same raw
 // wire round trips against an afd directly and through the router. The
 // proxied hot path is a pure byte splice through pooled buffers, so both
-// modes must report 0 allocs/op (gated in CI), and the routed round trip
-// should stay within ~2x of direct — the router adds two socket hops and
-// nothing else.
+// modes must allocate nothing (TestRouterProxyAllocs), and the routed
+// round trip should stay within ~2x of direct — the router adds two socket
+// hops and nothing else.
 package audiofile
 
 import (
@@ -20,22 +20,22 @@ import (
 
 // benchRouterConn dials the backend directly or through a router and
 // completes the AF handshake, returning the raw wire.
-func benchRouterConn(b *testing.B, routed bool) (net.Conn, *bufio.Reader) {
-	b.Helper()
+func benchRouterConn(tb testing.TB, routed bool) (net.Conn, *bufio.Reader) {
+	tb.Helper()
 	clk := vdev.NewManualClock(8000)
 	srv, err := aserver.New(aserver.Options{
 		Devices: []aserver.DeviceSpec{{Kind: "codec", Name: "codec0", Clock: clk}},
 		Logf:    func(string, ...any) {},
 	})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	b.Cleanup(srv.Close)
+	tb.Cleanup(srv.Close)
 	bl, err := srv.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	b.Cleanup(func() { bl.Close() })
+	tb.Cleanup(func() { bl.Close() })
 	target := bl.Addr().String()
 	if routed {
 		router, err := aserver.NewRouter(aserver.RouterOptions{
@@ -43,136 +43,153 @@ func benchRouterConn(b *testing.B, routed bool) (net.Conn, *bufio.Reader) {
 			ProbeInterval: 100 * time.Millisecond,
 		})
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
-		b.Cleanup(router.Close)
+		tb.Cleanup(router.Close)
 		rl, err := router.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		target = rl.Addr().String()
 	}
 	nc, err := net.Dial("tcp", target)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	b.Cleanup(func() { nc.Close() })
-	if tc, ok := nc.(*net.TCPConn); ok {
-		tc.SetNoDelay(true) //nolint:errcheck
-	}
+	tb.Cleanup(func() { nc.Close() })
 	setup := proto.SetupRequest{
 		ByteOrder: proto.LittleEndianOrder,
 		Major:     proto.ProtocolMajor,
 		Minor:     proto.ProtocolMinor,
 	}
 	if err := setup.Send(nc); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	br := bufio.NewReaderSize(nc, 64<<10)
 	rep, err := proto.ReadSetupReply(br, binary.LittleEndian)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	if !rep.Success {
-		b.Fatalf("setup refused: %s", rep.Reason)
+		tb.Fatalf("setup refused: %s", rep.Reason)
 	}
 	return nc, br
 }
 
-// awaitReply reads messages until a reply with the given sequence.
-func benchAwaitReply(b *testing.B, br *bufio.Reader, msg *proto.Message, seq uint16) {
+// benchAwaitReply reads messages until a reply with the given sequence.
+func benchAwaitReply(tb testing.TB, br *bufio.Reader, msg *proto.Message, seq uint16) {
 	for {
 		if err := proto.ReadMessageInto(br, binary.LittleEndian, msg); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		if msg.Reply != nil && msg.Reply.Seq == seq {
 			return
 		}
 		if msg.Error != nil && msg.Error.Seq == seq {
-			b.Fatalf("request failed: code %d", msg.Error.Code)
+			tb.Fatalf("request failed: code %d", msg.Error.Code)
 		}
 	}
 }
 
+// routerModes are BenchmarkRouterProxy's two paths to the backend.
+var routerModes = []struct {
+	name   string
+	routed bool
+}{
+	{"direct", false},
+	{"routed", true},
+}
+
+// routerGetTime returns one minimal round trip, GetTime: the per-message
+// proxy overhead.
+func routerGetTime(tb testing.TB, routed bool) func() {
+	nc, br := benchRouterConn(tb, routed)
+	var w proto.Writer
+	w.Order = binary.LittleEndian
+	if err := proto.AppendDeviceReq(&w, proto.OpGetTime, 0); err != nil {
+		tb.Fatal(err)
+	}
+	req := w.Buf
+	var msg proto.Message
+	seq := uint16(0)
+	return func() {
+		if _, err := nc.Write(req); err != nil {
+			tb.Fatal(err)
+		}
+		seq++
+		benchAwaitReply(tb, br, &msg, seq)
+	}
+}
+
+// routerPlay8kBytes is the play chunk routerPlay8k sends.
+const routerPlay8kBytes = 8 << 10
+
+// routerPlay8k returns one 8 KiB preemptive play chunk per round trip: the
+// bulk splice path the proxied_bytes counters meter.
+func routerPlay8k(tb testing.TB, routed bool) func() {
+	nc, br := benchRouterConn(tb, routed)
+	var w proto.Writer
+	w.Order = binary.LittleEndian
+	err := proto.AppendCreateAC(&w, proto.CreateACReq{
+		AC:     1,
+		Device: 0,
+		Mask:   proto.ACPreemption,
+		Attrs:  proto.ACAttributes{Preempt: 1},
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := nc.Write(w.Buf); err != nil {
+		tb.Fatal(err)
+	}
+	seq := uint16(1) // CreateAC consumed sequence 1
+	data := make([]byte, routerPlay8kBytes)
+	for i := range data {
+		data[i] = byte(0x80 + i%64)
+	}
+	w.Reset()
+	// Half a second ahead on a frozen manual clock: always in the buffer
+	// window, never parked, rewritten every iteration by preemption.
+	err = proto.AppendPlaySamples(&w, proto.PlaySamplesReq{
+		AC:   1,
+		Time: 4000,
+		Data: data,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	req := w.Buf
+	var msg proto.Message
+	return func() {
+		if _, err := nc.Write(req); err != nil {
+			tb.Fatal(err)
+		}
+		seq++
+		benchAwaitReply(tb, br, &msg, seq)
+	}
+}
+
 func BenchmarkRouterProxy(b *testing.B) {
-	for _, mode := range []struct {
-		name   string
-		routed bool
-	}{
-		{"direct", false},
-		{"routed", true},
-	} {
+	for _, mode := range routerModes {
 		b.Run(mode.name, func(b *testing.B) {
-			// gettime: the minimal round trip — per-message proxy overhead.
 			b.Run("gettime", func(b *testing.B) {
-				nc, br := benchRouterConn(b, mode.routed)
-				var w proto.Writer
-				w.Order = binary.LittleEndian
-				if err := proto.AppendDeviceReq(&w, proto.OpGetTime, 0); err != nil {
-					b.Fatal(err)
-				}
-				req := w.Buf
-				var msg proto.Message
-				seq := uint16(0)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := nc.Write(req); err != nil {
-						b.Fatal(err)
-					}
-					seq++
-					benchAwaitReply(b, br, &msg, seq)
-				}
+				benchRoundTrip(b, 0, routerGetTime(b, mode.routed))
 			})
-			// play8k: one 8 KiB preemptive play chunk per round trip — the
-			// bulk splice path the proxied_bytes counters meter.
 			b.Run("play8k", func(b *testing.B) {
-				const size = 8 << 10
-				nc, br := benchRouterConn(b, mode.routed)
-				var w proto.Writer
-				w.Order = binary.LittleEndian
-				err := proto.AppendCreateAC(&w, proto.CreateACReq{
-					AC:     1,
-					Device: 0,
-					Mask:   proto.ACPreemption,
-					Attrs:  proto.ACAttributes{Preempt: 1},
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := nc.Write(w.Buf); err != nil {
-					b.Fatal(err)
-				}
-				seq := uint16(1) // CreateAC consumed sequence 1
-				data := make([]byte, size)
-				for i := range data {
-					data[i] = byte(0x80 + i%64)
-				}
-				w.Reset()
-				// Half a second ahead on a frozen manual clock: always in
-				// the buffer window, never parked, rewritten every
-				// iteration by preemption.
-				err = proto.AppendPlaySamples(&w, proto.PlaySamplesReq{
-					AC:   1,
-					Time: 4000,
-					Data: data,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				req := w.Buf
-				var msg proto.Message
-				b.SetBytes(size)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := nc.Write(req); err != nil {
-						b.Fatal(err)
-					}
-					seq++
-					benchAwaitReply(b, br, &msg, seq)
-				}
+				benchRoundTrip(b, routerPlay8kBytes, routerPlay8k(b, mode.routed))
 			})
 		})
+	}
+}
+
+// benchRoundTrip times rt, bytes moved per call (0 for none).
+func benchRoundTrip(b *testing.B, bytes int64, rt func()) {
+	if bytes != 0 {
+		b.SetBytes(bytes)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rt()
 	}
 }

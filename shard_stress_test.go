@@ -238,8 +238,9 @@ func TestCrossPlaneFIFO(t *testing.T) {
 	readErr := make(chan error, 1)
 	go func() {
 		defer close(seqs)
+		var msg proto.Message
 		for i := 0; i < 2*pairs; i++ {
-			msg, err := proto.ReadMessage(rd, binary.LittleEndian)
+			err := proto.ReadMessageInto(rd, binary.LittleEndian, &msg)
 			if err != nil {
 				readErr <- err
 				return
