@@ -273,7 +273,7 @@ func batchReplyStreamOver(t *testing.T, network string, stream []byte, seed int6
 	var wc io.Writer = nc
 	if seed != 0 {
 		wc = netsim.NewFaultConn(nc, netsim.FaultConfig{
-			Seed: seed, FragmentWrites: true, MaxFragment: max(5, len(stream)/512)})
+			Seed: seed, MaxFragment: max(5, len(stream)/512)})
 	}
 	br := bufio.NewReader(nc)
 	handshake(t, wc, br)

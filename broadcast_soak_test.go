@@ -417,7 +417,7 @@ func TestBroadcastSoak(t *testing.T) {
 			return
 		}
 		subscribeAndCollect(netsim.NewFaultConn(nc, netsim.FaultConfig{
-			Seed: 42, FragmentWrites: true, MaxFragment: 7}), "fragmented subscriber")
+			Seed: 42, MaxFragment: 7}), "fragmented subscriber")
 	}()
 
 	// A subscriber whose transport dies mid-stream (deterministic reset on

@@ -36,7 +36,7 @@ type FirmwareConfig struct {
 // processing them, and sending the reply back. The LineServer only sends
 // packets as replies to requests.
 type Firmware struct {
-	mu   sync.Mutex
+	mu     sync.Mutex
 	dev    *vdev.Device
 	regs   map[uint32]uint32
 	pc     net.PacketConn

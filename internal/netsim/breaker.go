@@ -15,11 +15,10 @@ import (
 type Breaker struct {
 	inner net.Listener
 
-	mu     sync.Mutex
-	dead   bool
-	conns  map[net.Conn]struct{}
-	kills  int
-	closed bool
+	mu    sync.Mutex
+	dead  bool
+	conns map[net.Conn]struct{}
+	kills int
 }
 
 // NewBreaker wraps l.
@@ -50,12 +49,7 @@ func (b *Breaker) Accept() (net.Conn, error) {
 }
 
 // Close implements net.Listener.
-func (b *Breaker) Close() error {
-	b.mu.Lock()
-	b.closed = true
-	b.mu.Unlock()
-	return b.inner.Close()
-}
+func (b *Breaker) Close() error { return b.inner.Close() }
 
 // Addr implements net.Listener.
 func (b *Breaker) Addr() net.Addr { return b.inner.Addr() }
@@ -99,14 +93,7 @@ func (b *Breaker) Kills() int {
 	return b.kills
 }
 
-// Live returns the number of currently tracked connections.
-func (b *Breaker) Live() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.conns)
-}
-
-// breakerConn untracks itself on close so Live stays accurate.
+// breakerConn untracks itself on close, so Kill severs only live ones.
 type breakerConn struct {
 	net.Conn
 	b    *Breaker

@@ -1,3 +1,8 @@
+// Package netsim injects network faults on a deterministic schedule:
+// FaultConn into a stream's writes (fragmentation, resets, stalls),
+// FaultPacketConn into a datagram socket (loss, duplication, reordering,
+// blackouts), and Breaker into a listener (backend death). Every random
+// draw comes from a seed, so a failing run reproduces exactly.
 package netsim
 
 import (
@@ -17,17 +22,14 @@ var ErrInjectedReset = errors.New("netsim: injected connection reset")
 // Everything randomized derives from Seed, so a failing test reproduces
 // exactly by rerunning with the same seed.
 type FaultConfig struct {
-	// Seed drives all randomized behavior (fragment sizes, stall
-	// placement). Two FaultConns with the same config misbehave
-	// identically.
+	// Seed drives all randomized behavior (fragment sizes). Two
+	// FaultConns with the same config misbehave identically.
 	Seed int64
 
-	// FragmentWrites splits every Write into multiple smaller writes of
-	// random size in [1, MaxFragment], exercising the peer's reassembly
-	// of messages that arrive in pieces at arbitrary packet boundaries.
-	FragmentWrites bool
-	// MaxFragment bounds the fragment size; 0 means 7 bytes, small
-	// enough to split even request headers.
+	// MaxFragment, when positive, splits every Write into smaller writes
+	// of random size in [1, MaxFragment], exercising the peer's
+	// reassembly of messages that arrive in pieces at arbitrary packet
+	// boundaries. 0 disables.
 	MaxFragment int
 
 	// ResetAfterBytes closes the connection (from the peer's point of
@@ -38,7 +40,8 @@ type FaultConfig struct {
 
 	// StallEveryBytes inserts a pause of Stall before the write that
 	// crosses each multiple of this many bytes, modeling a peer whose
-	// socket stops draining. 0 disables.
+	// socket stops draining. 1 stalls before every write: a lockstep
+	// round trip then pays Stall once, an injected RTT. 0 disables.
 	StallEveryBytes int
 	Stall           time.Duration
 }
@@ -59,9 +62,6 @@ type FaultConn struct {
 
 // NewFaultConn wraps inner with deterministic fault injection.
 func NewFaultConn(inner net.Conn, cfg FaultConfig) *FaultConn {
-	if cfg.MaxFragment <= 0 {
-		cfg.MaxFragment = 7
-	}
 	return &FaultConn{
 		Conn: inner,
 		cfg:  cfg,
@@ -81,7 +81,7 @@ func (c *FaultConn) Write(b []byte) (int, error) {
 	sent := 0
 	for sent < len(b) {
 		n := len(b) - sent
-		if c.cfg.FragmentWrites {
+		if c.cfg.MaxFragment > 0 {
 			if f := 1 + c.rng.Intn(c.cfg.MaxFragment); f < n {
 				n = f
 			}
@@ -113,12 +113,4 @@ func (c *FaultConn) Write(b []byte) (int, error) {
 		}
 	}
 	return sent, nil
-}
-
-// WrittenBytes reports how many bytes have passed to the inner
-// connection (diagnostics for tests).
-func (c *FaultConn) WrittenBytes() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.written
 }

@@ -31,7 +31,7 @@ func TestFaultFragmentationDeterministic(t *testing.T) {
 	payload := make([]byte, 4096)
 	run := func(seed int64) []int {
 		s := &sink{}
-		fc := NewFaultConn(s, FaultConfig{Seed: seed, FragmentWrites: true, MaxFragment: 16})
+		fc := NewFaultConn(s, FaultConfig{Seed: seed, MaxFragment: 16})
 		for i := 0; i < 8; i++ {
 			if _, err := fc.Write(payload); err != nil {
 				t.Fatal(err)
@@ -105,18 +105,32 @@ func TestFaultResetSeenByPeer(t *testing.T) {
 	}
 }
 
+// TestFaultStall times both uses of the stall: a congested peer every
+// 100 bytes, and the injected RTT perfrig builds from a stall before every
+// write. The upper bound, 5× the stalls, leaves room for each sleep's
+// overshoot on a loaded host.
 func TestFaultStall(t *testing.T) {
-	s := &sink{}
 	const stall = 20 * time.Millisecond
-	fc := NewFaultConn(s, FaultConfig{Seed: 1, StallEveryBytes: 100, Stall: stall})
-	start := time.Now()
-	// 250 bytes in 50-byte writes crosses the 100-byte mark twice.
-	for i := 0; i < 5; i++ {
-		if _, err := fc.Write(make([]byte, 50)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if el := time.Since(start); el < 2*stall {
-		t.Errorf("5 writes took %v, want >= %v from two stalls", el, 2*stall)
+	for _, tc := range []struct {
+		name          string
+		every, stalls int
+	}{
+		// 250 bytes in 50-byte writes crosses the 100-byte mark twice.
+		{"every 100 bytes", 100, 2},
+		{"every write", 1, 5},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fc := NewFaultConn(&sink{}, FaultConfig{Seed: 1, StallEveryBytes: tc.every, Stall: stall})
+			start := time.Now()
+			for i := 0; i < 5; i++ {
+				if _, err := fc.Write(make([]byte, 50)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			el, want := time.Since(start), time.Duration(tc.stalls)*stall
+			if el < want || el >= 5*want {
+				t.Errorf("5 writes took %v, want %v from %d stalls, under %v", el, want, tc.stalls, 5*want)
+			}
+		})
 	}
 }

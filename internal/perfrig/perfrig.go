@@ -3,7 +3,7 @@
 // a manual-clock CODEC device (so nothing ever waits on wall time), and a
 // client connection over a choice of transports standing in for the
 // paper's six host configurations — local Unix socket, TCP loopback, and
-// TCP with injected round-trip delay.
+// TCP with an injected round-trip delay: a stall before every write.
 package perfrig
 
 import (
@@ -24,7 +24,6 @@ type Config struct {
 	Name      string        // label in reports
 	Transport string        // "pipe", "unix", or "tcp"
 	RTT       time.Duration // injected round-trip delay (tcp only)
-	Jitter    time.Duration
 	// HiFi adds a 44.1 kHz stereo device (index 1) for high-rate tests.
 	HiFi bool
 }
@@ -101,14 +100,16 @@ func New(cfg Config) (*Rig, error) {
 			srv.Close()
 			return nil, err
 		}
-		if cfg.RTT > 0 || cfg.Jitter > 0 {
-			nc, err = netsim.Dial("tcp", l.Addr().String(), cfg.RTT, cfg.Jitter)
-		} else {
-			nc, err = net.Dial("tcp", l.Addr().String())
-		}
+		nc, err = net.Dial("tcp", l.Addr().String())
 		if err != nil {
 			srv.Close()
 			return nil, err
+		}
+		if cfg.RTT > 0 {
+			// Each round trip in these lockstep measurements starts with
+			// one client write, so a stall before every write charges
+			// each round trip one RTT.
+			nc = netsim.NewFaultConn(nc, netsim.FaultConfig{StallEveryBytes: 1, Stall: cfg.RTT})
 		}
 	default:
 		srv.Close()

@@ -46,7 +46,7 @@ func FuzzReadMessage(f *testing.F) {
 	})
 }
 
-// FuzzReadMessageDirect drives the in-place parser's direct reply path —
+// FuzzParseMessage drives the in-place parser's direct reply path —
 // ParseMessage with a destination for the awaited reply, as the client
 // library parses its read buffer — with truncated and length-corrupted
 // inputs. Unlike FuzzReadMessage it does not cap the declared extra length
@@ -57,7 +57,7 @@ func FuzzReadMessage(f *testing.F) {
 // on the messages, the error class and the bytes consumed, and parsed in
 // place from a buffer grown by the need ParseMessage reports, which must
 // agree with them.
-func FuzzReadMessageDirect(f *testing.F) {
+func FuzzParseMessage(f *testing.F) {
 	w := &Writer{Order: binary.LittleEndian}
 	(&Reply{Seq: 1, Aux: 8, Extra: []byte{1, 2, 3, 4, 5, 6, 7, 8}}).Encode(w)
 	whole := append([]byte(nil), w.Buf...)

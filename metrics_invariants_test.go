@@ -295,7 +295,7 @@ func TestMetricsFaultInjectedClients(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			fc := dialFault(netsim.FaultConfig{Seed: int64(1000 + i), FragmentWrites: true, MaxFragment: 7})
+			fc := dialFault(netsim.FaultConfig{Seed: int64(1000 + i), MaxFragment: 7})
 			conn, err := af.NewConn(fc)
 			if err != nil {
 				fail(fmt.Errorf("fragmented setup: %w", err))

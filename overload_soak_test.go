@@ -137,7 +137,7 @@ func TestOverloadSoak(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			fc := dialFault(netsim.FaultConfig{Seed: int64(1000 + i), FragmentWrites: true, MaxFragment: 7})
+			fc := dialFault(netsim.FaultConfig{Seed: int64(1000 + i), MaxFragment: 7})
 			if fc == nil {
 				return
 			}
