@@ -1,6 +1,7 @@
 // afperf regenerates the paper's evaluation (Section 10): every table and
 // figure, printed as paper-style rows. Like the paper, functions are
-// timed by measuring the time to complete many iterations and averaging.
+// timed over many iterations; a point is the median call, so one host
+// stall does not move it.
 //
 //	afperf [-exp all|fig10|fig11|fig12|fig13|table10|table11|table12|cpu] [-iters n]
 //
@@ -16,6 +17,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -75,13 +77,16 @@ func newRig(cfg perfrig.Config) *perfrig.Rig {
 	return r
 }
 
-// measure times fn over n iterations and returns the per-iteration time.
+// measure times each of n calls of fn and returns the median.
 func measure(n int, fn func()) time.Duration {
-	start := time.Now()
-	for i := 0; i < n; i++ {
+	calls := make([]time.Duration, n)
+	for i := range calls {
+		start := time.Now()
 		fn()
+		calls[i] = time.Since(start)
 	}
-	return time.Since(start) / time.Duration(n)
+	slices.Sort(calls)
+	return calls[n/2]
 }
 
 // fig10 reproduces Figure 10: AFGetTime() function timings.
@@ -155,17 +160,11 @@ func fig11table10(configs []perfrig.Config) {
 		r.Close()
 	}
 	fmt.Println()
-	fmt.Println("Table 10: Record throughput (slope between 8 KiB and 64 KiB)")
+	fmt.Println("Table 10: Record throughput (least-squares slope, 8 KiB to 64 KiB)")
 	fmt.Println("  (paper: 4400 KB/s local alpha .. 580 KB/s mips/mips)")
 	fmt.Printf("  %-16s %14s\n", "configuration", "KB/sec")
 	for _, rw := range rows {
-		i8, i64 := indexOf(recordSizes, 8<<10), indexOf(recordSizes, 64<<10)
-		dt := rw.times[i64] - rw.times[i8]
-		if dt <= 0 {
-			dt = time.Nanosecond
-		}
-		tput := float64(recordSizes[i64]-recordSizes[i8]) / dt.Seconds() / 1024
-		fmt.Printf("  %-16s %14.0f\n", rw.cfg.Name, tput)
+		fmt.Printf("  %-16s %14s\n", rw.cfg.Name, slopeTput(recordSizes, rw.times, 8<<10, 64<<10))
 	}
 	fmt.Println()
 }
@@ -239,14 +238,13 @@ func fig1213table11(configs []perfrig.Config) {
 		fmt.Println()
 	}
 
-	fmt.Println("Table 11: Play throughput (slope between 1 KiB and 16 KiB)")
+	fmt.Println("Table 11: Play throughput (least-squares slope, 1 KiB to 16 KiB)")
 	fmt.Println("  (paper: preempt always faster than mixing; e.g. alpha 5500 vs 2500 KB/s)")
 	fmt.Printf("  %-16s %12s %12s\n", "configuration", "Mix KB/s", "Preempt KB/s")
-	i1, i16 := indexOf(playSizes, 1<<10), indexOf(playSizes, 16<<10)
 	for _, rw := range rows {
-		mixT := slopeTput(playSizes[i1], playSizes[i16], rw.mix[i1], rw.mix[i16])
-		preT := slopeTput(playSizes[i1], playSizes[i16], rw.preempt[i1], rw.preempt[i16])
-		fmt.Printf("  %-16s %12.0f %12.0f\n", rw.cfg.Name, mixT, preT)
+		mixT := slopeTput(playSizes, rw.mix, 1<<10, 16<<10)
+		preT := slopeTput(playSizes, rw.preempt, 1<<10, 16<<10)
+		fmt.Printf("  %-16s %12s %12s\n", rw.cfg.Name, mixT, preT)
 	}
 	fmt.Println()
 }
@@ -372,21 +370,23 @@ func sizeLabel(n int) string {
 	return fmt.Sprintf("%dB", n)
 }
 
-func indexOf(xs []int, v int) int {
-	for i, x := range xs {
-		if x == v {
-			return i
+// slopeTput fits time = a + size/tput by least squares to the sizes from
+// lo to hi and their times, and returns tput in KB/s, or "n/a" when the
+// fitted slope is not positive.
+func slopeTput(sizes []int, times []time.Duration, lo, hi int) string {
+	var n, sx, sy, sxx, sxy float64
+	for i, size := range sizes {
+		if size < lo || size > hi {
+			continue
 		}
+		x, y := float64(size), times[i].Seconds()
+		n, sx, sy, sxx, sxy = n+1, sx+x, sy+y, sxx+x*x, sxy+x*y
 	}
-	return len(xs) - 1
-}
-
-func slopeTput(s1, s2 int, t1, t2 time.Duration) float64 {
-	dt := t2 - t1
-	if dt <= 0 {
-		dt = time.Nanosecond
+	slope := (n*sxy - sx*sy) / (n*sxx - sx*sx)
+	if !(slope > 0) {
+		return "n/a"
 	}
-	return float64(s2-s1) / dt.Seconds() / 1024
+	return fmt.Sprintf("%.0f", 1/slope/1024)
 }
 
 // cpuPercentOver runs fn and returns the process CPU consumed during it

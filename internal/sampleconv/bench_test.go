@@ -66,14 +66,22 @@ func mixOp(e Encoding, k Kernel, size int) func() {
 }
 
 // mixKernels are the gated mix kernels: the µ-law unity mix as
-// SelectKernel hands it out and its table twin, which calls the table loop
-// directly, so on a CPU with the vector path the pair is the before/after
-// (under -tags purego the two are equal); the lin16 unity mix; and the
-// retained scalar pipeline, the before/after of the kernel layer. A
-// function, because the kernels exist only once init has built the tables.
+// SelectKernel hands it out, its AVX2 twin and its table twin, which call
+// those tiers directly, so on a CPU with the vector paths the three are
+// the before/after (a twin the CPU lacks is the table, and under -tags
+// purego all three are equal); the lin16 unity mix; and the retained
+// scalar pipeline, the before/after of the kernel layer. A function,
+// because the kernels exist only once init has built the tables.
 func mixKernels() []mixKernel {
+	avx2 := muMixScalar
+	for _, tier := range mixTiers() {
+		if tier.name == "AVX2" {
+			avx2 = tier.k
+		}
+	}
 	return []mixKernel{
 		{"MuLaw", MU255, SelectKernel(MU255, MU255, true, false)},
+		{"MuLawAVX2", MU255, avx2},
 		{"MuLawTable", MU255, muMixScalar},
 		{"Lin16", LIN16, SelectKernel(LIN16, LIN16, true, false)},
 		{"MuLawReference", MU255, func(dst, src []byte, n int, q int32) {
@@ -105,9 +113,10 @@ func benchMix(b *testing.B, i int) {
 }
 
 func BenchmarkMixMuLaw(b *testing.B)          { benchMix(b, 0) }
-func BenchmarkMixMuLawTable(b *testing.B)     { benchMix(b, 1) }
-func BenchmarkMixLin16(b *testing.B)          { benchMix(b, 2) }
-func BenchmarkMixMuLawReference(b *testing.B) { benchMix(b, 3) }
+func BenchmarkMixMuLawAVX2(b *testing.B)      { benchMix(b, 1) }
+func BenchmarkMixMuLawTable(b *testing.B)     { benchMix(b, 2) }
+func BenchmarkMixLin16(b *testing.B)          { benchMix(b, 3) }
+func BenchmarkMixMuLawReference(b *testing.B) { benchMix(b, 4) }
 
 // kernelCases are every other specialized kernel shape SelectKernel hands
 // out, at 8192 samples. The µ-law and lin16 unity mixes are mixKernels.

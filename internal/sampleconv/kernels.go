@@ -15,8 +15,10 @@ package sampleconv
 //     tables (src byte × dst byte -> mixed byte), one load per sample
 //   - lin16 mix / gain / gain+mix              -> word loads, integer Q16
 //   - µ-law mix on amd64 with AVX2             -> the bytes muMixTab
-//     holds, computed 32 a step in YMM registers (mix_amd64.s); exact by
-//     enumeration of all 65,536 byte pairs, chosen once by a CPUID probe
+//     holds, computed 32 a step in YMM registers, or 64 a step in ZMM
+//     registers where the CPU has AVX-512 VBMI (mix_amd64.s); each exact
+//     by enumeration of all 65,536 byte pairs, the widest chosen once by
+//     a CPUID probe
 //   - µ-law/A-law gain and gain+mix            -> decode-table + Q16 +
 //     encode-table loops
 //   - everything else (lin32, cross-encoding mixes, ...) -> a two-pass

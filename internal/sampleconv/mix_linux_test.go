@@ -24,17 +24,18 @@ func TestMixAgainstGuardPage(t *testing.T) {
 		return m[:page]
 	}
 	dpage, spage := guarded(), guarded()
-	rng := rand.New(rand.NewSource(9))
-	k := muMix()
-	for n := 0; n <= 130; n++ {
-		dst, src := dpage[page-n:], spage[page-n:]
-		rng.Read(dst)
-		rng.Read(src)
-		want := append([]byte(nil), dst...)
-		muMixReference(want, src, n)
-		k(dst, src, n, GainUnity)
-		if !bytes.Equal(dst, want) {
-			t.Fatalf("n=%d: kernel != reference", n)
+	forEachTier(t, func(t *testing.T, k Kernel) {
+		rng := rand.New(rand.NewSource(9))
+		for n := 0; n <= 130; n++ {
+			dst, src := dpage[page-n:], spage[page-n:]
+			rng.Read(dst)
+			rng.Read(src)
+			want := append([]byte(nil), dst...)
+			muMixReference(want, src, n)
+			k(dst, src, n, GainUnity)
+			if !bytes.Equal(dst, want) {
+				t.Fatalf("n=%d: kernel != reference", n)
+			}
 		}
-	}
+	})
 }
