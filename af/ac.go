@@ -229,45 +229,22 @@ func (ac *AC) PlaySamples(t ATime, data []byte) (ATime, error) {
 }
 
 func (ac *AC) playSamplesLocked(t ATime, data []byte) (ATime, error) {
-	c := ac.conn
-	fb := ac.frameBytes()
-	chunk := proto.ChunkBytes / fb * fb
-	if chunk == 0 {
-		chunk = fb
-	}
 	if len(data) >= playVectorBytes {
-		return ac.playVectored(t, data, chunk)
+		return ac.playVectored(t, data)
 	}
-	for off := 0; ; {
-		n := len(data) - off
-		last := true
-		if n > chunk {
-			n, last = chunk, false
-		}
-		flags := ac.sampleFlags()
-		if !last {
-			flags |= proto.SampleFlagSuppressReply
-		}
-		err := proto.AppendPlaySamples(&c.w, proto.PlaySamplesReq{
-			AC:    ac.id,
-			Time:  uint32(t),
-			Flags: flags,
-			Data:  data[off : off+n],
-		})
-		if err != nil {
-			return 0, err
-		}
-		c.sentSeq++
-		if last {
-			rep, err := c.awaitReply(c.sentSeq)
-			if err != nil {
-				return 0, err
-			}
-			return ATime(rep.Time), nil
-		}
-		t = t.Add(ac.bytesToFrames(n))
-		off += n
+	// Below playVectorBytes the play is one chunk: a chunk holds at least
+	// 4 KiB of whole frames, or one frame larger than that.
+	c := ac.conn
+	rep, err := c.roundTrip(proto.AppendPlaySamples(&c.w, proto.PlaySamplesReq{
+		AC:    ac.id,
+		Time:  uint32(t),
+		Flags: ac.sampleFlags(),
+		Data:  data,
+	}))
+	if err != nil {
+		return 0, err
 	}
+	return ATime(rep.Time), nil
 }
 
 // playVectored ships a large play request scatter-gather: the chunk
@@ -276,8 +253,13 @@ func (ac *AC) playSamplesLocked(t ATime, data []byte) (ATime, error) {
 // it is never copied into the library. One vectored write, the reply
 // wait's own (Conn.exchange), carries any previously queued requests,
 // every chunk header, and every chunk body.
-func (ac *AC) playVectored(t ATime, data []byte, chunk int) (ATime, error) {
+func (ac *AC) playVectored(t ATime, data []byte) (ATime, error) {
 	c := ac.conn
+	fb := ac.frameBytes()
+	chunk := proto.ChunkBytes / fb * fb
+	if chunk == 0 { // a frame over ChunkBytes is a chunk of its own
+		chunk = fb
+	}
 	seq0 := c.sentSeq
 	base := len(c.w.Buf)
 	c.hdrEnds = c.hdrEnds[:0]
@@ -436,13 +418,6 @@ func (ac *AC) recordSamplesLocked(t ATime, buf []byte, block bool) (ATime, int, 
 		}
 	}
 	return now, total, firstErr
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // GetTime returns the current device time of the context's device

@@ -240,7 +240,7 @@ func (e *engine) emitChunkLocked(start atime.ATime, nframes int) {
 		m := getMsg("broadcast")
 		buf := msgBytes(m, proto.BroadcastHeaderBytes+nframes*g.vfb)
 		payload := buf[proto.BroadcastHeaderBytes:]
-		g.dev.TapMix(start, payload, g.enc, 0)
+		g.dev.TapMix(start, payload, g.enc)
 		if g.be {
 			sampleconv.SwapBytes(g.enc, payload)
 		}

@@ -18,19 +18,22 @@ var docFiles = []string{"README.md", "DESIGN.md", "GLOSSARY.md"}
 var (
 	codeSpan  = regexp.MustCompile("`([^`\n]+)`")
 	qualified = regexp.MustCompile(`^([A-Za-z_]\w*)\.([A-Za-z_]\w*)(?:\.([A-Za-z_]\w*))?$`)
+	camelCase = regexp.MustCompile(`^[a-z][a-z0-9]*[A-Z]\w*$`)
 	repoPath  = regexp.MustCompile(`^[\w.-]+(/[\w.-]+)*/?$`)
 	fileExt   = regexp.MustCompile(`\.(go|s|md|json|jsonl|yml|txt|hex)$`)
 )
 
 // TestDocNamesResolve requires the documents to name only what exists.
 // Every back-quoted span outside a fenced block is checked when it has one
-// of two shapes:
+// of these shapes:
 //   - pkg.Name or pkg.Type.Member, where pkg is one of the module's
 //     packages and Name is exported: Name must be declared in pkg, and
 //     Member must be a method or field of Type; Type.Member, where Type is
 //     an exported type declared in the module, the same for Member;
 //   - dir.Name, where dir is a package directory (internal/health.Machine):
 //     Name must be declared there;
+//   - an unexported camel-case name (muMixScalar): some module package
+//     must declare it at top level or as a method or field;
 //   - a repository path: one under a top-level entry (aserver/client.go,
 //     .github/workflows/ci.yml) must exist, and a bare file name
 //     (rawconn_linux.go) must name some file in the tree.
@@ -141,6 +144,16 @@ func TestDocNamesResolve(t *testing.T) {
 // resolveSpan reports why span names nothing in the tree, or "" when it
 // resolves or is not a name the test checks.
 func resolveSpan(span string, decls, members map[string]map[string]bool, top, base map[string]bool) string {
+	if camelCase.MatchString(span) {
+		for _, names := range []map[string]map[string]bool{decls, members} {
+			for _, declared := range names {
+				if declared[span] {
+					return ""
+				}
+			}
+		}
+		return "declared nowhere in the module"
+	}
 	if m := qualified.FindStringSubmatch(span); m != nil {
 		first, name, sub := m[1], m[2], m[3]
 		if names, ok := decls[first]; ok && ast.IsExported(name) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"audiofile/internal/atime"
+	"audiofile/internal/ring"
 	"audiofile/internal/sampleconv"
 )
 
@@ -230,20 +231,8 @@ func (d *Device) Record(start atime.ATime, dst []byte, enc sampleconv.Encoding, 
 		sampleconv.Silence(enc, dst[:pre*vfb])
 		start = atime.Add(start, pre)
 	}
-	n := avail - pre
-	if n > 0 {
-		out := dst[pre*vfb:]
-		a, b := r.recBuf.Region(start, n)
-		if d.parent == nil {
-			// One kernel selection per request, reused for both regions.
-			k := sampleconv.SelectKernel(enc, r.Cfg.Enc, false, q != sampleconv.GainUnity)
-			ch := r.Cfg.Channels
-			na := len(a) / r.frameBytes
-			k(out, a, na*ch, q)
-			k(out[enc.BytesPerSamples(na*ch):], b, (n-na)*ch, q)
-		} else {
-			d.blitView(a, b, out, enc, q, false, false)
-		}
+	if n := avail - pre; n > 0 {
+		d.readRing(r.recBuf, start, n, dst[pre*vfb:], enc, q)
 	}
 	r.IO.FramesRecorded += uint64(avail)
 	return RecordResult{Avail: avail, Now: now}
@@ -262,7 +251,7 @@ func (d *Device) Record(start atime.ATime, dst []byte, enc sampleconv.Encoding, 
 // Frames older than the buffer window and frames past the last valid
 // playback sample (never written by any client, so the hardware region
 // is silence-backfilled) read as silence.
-func (d *Device) TapMix(start atime.ATime, dst []byte, enc sampleconv.Encoding, gainDB int) RecordResult {
+func (d *Device) TapMix(start atime.ATime, dst []byte, enc sampleconv.Encoding) RecordResult {
 	r := d.root()
 	now := r.backend.Time()
 	r.now = now
@@ -280,7 +269,6 @@ func (d *Device) TapMix(start atime.ATime, dst []byte, enc sampleconv.Encoding, 
 		return RecordResult{Avail: 0, Now: now}
 	}
 
-	q := gainQ16For(gainDB)
 	oldest := atime.Add(now, -r.bufFrames)
 	// Silence for the portion older than the buffer.
 	pre := 0
@@ -302,17 +290,24 @@ func (d *Device) TapMix(start atime.ATime, dst []byte, enc sampleconv.Encoding, 
 		n -= post
 	}
 	if n > 0 {
-		out := dst[pre*vfb:]
-		a, b := r.playBuf.Region(start, n)
-		if d.parent == nil {
-			k := sampleconv.SelectKernel(enc, r.Cfg.Enc, false, q != sampleconv.GainUnity)
-			ch := r.Cfg.Channels
-			na := len(a) / r.frameBytes
-			k(out, a, na*ch, q)
-			k(out[enc.BytesPerSamples(na*ch):], b, (n-na)*ch, q)
-		} else {
-			d.blitView(a, b, out, enc, q, false, false)
-		}
+		d.readRing(r.playBuf, start, n, dst[pre*vfb:], enc, sampleconv.GainUnity)
 	}
 	return RecordResult{Avail: avail, Now: now}
+}
+
+// readRing converts n frames of buf from start into out (client encoding
+// enc, view channel count) at Q16 gain q: one kernel selection per request
+// for both ring regions, or the strided channel-view path.
+func (d *Device) readRing(buf *ring.Ring, start atime.ATime, n int, out []byte, enc sampleconv.Encoding, q int32) {
+	r := d.root()
+	a, b := buf.Region(start, n)
+	if d.parent != nil {
+		d.blitView(a, b, out, enc, q, false, false)
+		return
+	}
+	k := sampleconv.SelectKernel(enc, r.Cfg.Enc, false, q != sampleconv.GainUnity)
+	ch := r.Cfg.Channels
+	na := len(a) / r.frameBytes
+	k(out, a, na*ch, q)
+	k(out[enc.BytesPerSamples(na*ch):], b, (n-na)*ch, q)
 }

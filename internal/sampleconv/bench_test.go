@@ -69,9 +69,9 @@ func mixOp(e Encoding, k Kernel, size int) func() {
 // SelectKernel hands it out, its AVX2 twin and its table twin, which call
 // those tiers directly, so on a CPU with the vector paths the three are
 // the before/after (a twin the CPU lacks is the table, and under -tags
-// purego all three are equal); the lin16 unity mix; and the retained
-// scalar pipeline, the before/after of the kernel layer. A function,
-// because the kernels exist only once init has built the tables.
+// purego all three are equal); the lin16 unity mix, a generic kernel; and
+// the retained scalar pipeline, the before/after of the kernel layer. A
+// function, because the kernels exist only once init has built the tables.
 func mixKernels() []mixKernel {
 	avx2 := muMixScalar
 	for _, tier := range mixTiers() {
@@ -118,9 +118,11 @@ func BenchmarkMixMuLawTable(b *testing.B)     { benchMix(b, 2) }
 func BenchmarkMixLin16(b *testing.B)          { benchMix(b, 3) }
 func BenchmarkMixMuLawReference(b *testing.B) { benchMix(b, 4) }
 
-// kernelCases are every other specialized kernel shape SelectKernel hands
-// out, at 8192 samples. The µ-law and lin16 unity mixes are mixKernels.
+// kernelCases are the copy kernel and the shapes the generic kernel
+// serves, at 8192 samples. The µ-law and lin16 unity mixes are
+// mixKernels.
 var kernelCases = []kernelCase{
+	{"mu_copy", MU255, MU255, false, false, 1.0},
 	{"a_mix", ALAW, ALAW, true, false, 1.0},
 	{"mu_gain", MU255, MU255, false, true, 0.5},
 	{"mu_gain_mix", MU255, MU255, true, true, 0.5},
@@ -129,8 +131,8 @@ var kernelCases = []kernelCase{
 	{"mu_to_a", ALAW, MU255, false, false, 1.0},
 	{"mu_to_lin16", LIN16, MU255, false, false, 1.0},
 	{"lin16_to_mu", MU255, LIN16, false, false, 1.0},
-	{"generic_lin32_mix", LIN32, MU255, true, false, 1.0},
-	{"generic_mu_to_lin16_gain_mix", LIN16, MU255, true, true, 0.5},
+	{"lin32_mix", LIN32, MU255, true, false, 1.0},
+	{"mu_to_lin16_gain_mix", LIN16, MU255, true, true, 0.5},
 }
 
 type kernelCase struct {
@@ -172,31 +174,6 @@ func BenchmarkKernel(b *testing.B) {
 				op()
 			}
 		})
-	}
-}
-
-func BenchmarkCopyFastPath(b *testing.B) {
-	dst, src := benchBuf(8192)
-	b.SetBytes(8192)
-	for i := 0; i < b.N; i++ {
-		Process(dst, MU255, src, MU255, 8192, 1.0, false)
-	}
-}
-
-func BenchmarkConvertMuToLin16(b *testing.B) {
-	_, src := benchBuf(8192)
-	dst := make([]byte, 16384)
-	b.SetBytes(8192)
-	for i := 0; i < b.N; i++ {
-		Convert(dst, LIN16, src, MU255, 8192)
-	}
-}
-
-func BenchmarkGainMuLaw(b *testing.B) {
-	dst, _ := benchBuf(8192)
-	b.SetBytes(8192)
-	for i := 0; i < b.N; i++ {
-		ApplyGain(MU255, dst, 8192, 0.5)
 	}
 }
 

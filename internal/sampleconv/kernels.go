@@ -7,23 +7,22 @@ package sampleconv
 // table lookup per request: SelectKernel returns a specialized batch
 // function that runs a tight, switch-free loop over the whole buffer.
 //
-// Specializations:
+// Kernels, by request shape:
 //
 //   - same-encoding preemptive copy            -> memcpy
-//   - µ-law <-> A-law translation              -> 256-byte tables
-//   - µ-law/A-law saturating mix               -> 64 KiB 2-D companded-sum
-//     tables (src byte × dst byte -> mixed byte), one load per sample
-//   - lin16 mix / gain / gain+mix              -> word loads, integer Q16
-//   - µ-law mix on amd64 with AVX2             -> the bytes muMixTab
-//     holds, computed 32 a step in YMM registers, or 64 a step in ZMM
-//     registers where the CPU has AVX-512 VBMI (mix_amd64.s); each exact
-//     by enumeration of all 65,536 byte pairs, the widest chosen once by
-//     a CPUID probe
-//   - µ-law/A-law gain and gain+mix            -> decode-table + Q16 +
-//     encode-table loops
-//   - everything else (lin32, cross-encoding mixes, ...) -> a two-pass
-//     generic kernel: batch-decode into a pooled []int16 scratch, then a
-//     per-destination finish loop (still switch-free per sample)
+//   - µ-law saturating unity mix               -> the 64 KiB 2-D
+//     companded-sum table muMixTab (dst byte × src byte -> mixed byte),
+//     one load per sample; on amd64 the bytes it holds, computed 32 a
+//     step in YMM registers (AVX2), or 64 a step in ZMM registers where
+//     the CPU has AVX-512 VBMI (mix_amd64.s); each exact by enumeration
+//     of all 65,536 byte pairs, the widest chosen once by a CPUID probe
+//   - everything else (A-law, lin16 and lin32, gain, conversion, ...) ->
+//     a two-pass generic kernel: batch-decode into a pooled []int16
+//     scratch, then a per-destination finish loop with the mode flags
+//     hoisted out of the sample loops
+//
+// The first two are the shapes the measured workloads run; a shape gains
+// a kernel of its own only with a workload that runs it.
 //
 // Gain is Q16 fixed point (GainQ16/ScaleQ16): the float64 multiplier is
 // quantized once per request and applied with an integer multiply and an
@@ -97,14 +96,10 @@ func b2i(b bool) int {
 // kernels elsewhere.
 var kernels [numEncodings][numEncodings][2][2]Kernel
 
-// Companded 2-D mix tables: muMixTab[d<<8|s] is the µ-law byte for the
-// saturating linear sum of µ-law bytes d and s (likewise aMixTab for
-// A-law). 64 KiB each; one lookup replaces two decodes, an add, a clamp,
+// muMixTab[d<<8|s] is the µ-law byte for the saturating linear sum of
+// µ-law bytes d and s: one lookup replaces two decodes, an add, a clamp,
 // and an encode.
-var (
-	muMixTab [65536]byte
-	aMixTab  [65536]byte
-)
+var muMixTab [65536]byte
 
 // referenceProcess is the retained scalar pipeline (the pre-kernel
 // Process body, with the float64 gain replaced by the same Q16 gain the
@@ -318,134 +313,25 @@ func makeCopy(e Encoding) Kernel {
 	}
 }
 
-func makeTranslate(tbl *[256]byte) Kernel {
-	return func(dst, src []byte, n int, q int32) {
-		for i := 0; i < n; i++ {
-			dst[i] = tbl[src[i]]
-		}
-	}
-}
-
-// makeMix2D reslices dst and src to the request's length and ranges over
-// the result, so the compiler proves every index in bounds; a
-// `_ = dst[:n]` hint leaves two compare-and-branch pairs per byte in the
-// loop.
-func makeMix2D(tbl *[65536]byte) Kernel {
-	return func(dst, src []byte, n int, q int32) {
-		dst = dst[:n]
-		src = src[:len(dst)]
-		for i, s := range src {
-			dst[i] = tbl[uint16(dst[i])<<8|uint16(s)]
-		}
-	}
-}
-
 // muMixScalar is the µ-law table mix: the whole kernel where there is no
-// vector path, the tail of the vector kernel where there is one.
-var muMixScalar = makeMix2D(&muMixTab)
-
-// compandTabThreshold is the request length beyond which the companded
-// gain kernels precompute a 256-entry gain table (one multiply per
-// distinct byte value) instead of multiplying per sample.
-const compandTabThreshold = 256
-
-// makeCompandGain builds the µ-law/A-law same-encoding gain kernels
-// (with or without mix). The gain is constant across a request, so for
-// any non-trivial length the multiply is folded into a per-request
-// 256-entry table and the sample loop becomes pure lookups.
-func makeCompandGain(dec *[256]int16, enc *[16384]byte, mix bool) Kernel {
-	if mix {
-		return func(dst, src []byte, n int, q int32) {
-			if n >= compandTabThreshold {
-				var scaled [256]int32
-				for b := range scaled {
-					scaled[b] = int32(ScaleQ16(int(dec[b]), q))
-				}
-				for i := 0; i < n; i++ {
-					v := int(scaled[src[i]]) + int(dec[dst[i]])
-					dst[i] = enc[uint16(Clamp16(v))>>2]
-				}
-				return
-			}
-			for i := 0; i < n; i++ {
-				v := ScaleQ16(int(dec[src[i]]), q) + int(dec[dst[i]])
-				dst[i] = enc[uint16(Clamp16(v))>>2]
-			}
-		}
-	}
-	return func(dst, src []byte, n int, q int32) {
-		if n >= compandTabThreshold {
-			var tbl [256]byte
-			for b := range tbl {
-				tbl[b] = enc[uint16(Clamp16(ScaleQ16(int(dec[b]), q)))>>2]
-			}
-			for i := 0; i < n; i++ {
-				dst[i] = tbl[src[i]]
-			}
-			return
-		}
-		for i := 0; i < n; i++ {
-			dst[i] = enc[uint16(Clamp16(ScaleQ16(int(dec[src[i]]), q)))>>2]
-		}
-	}
-}
-
-func lin16Mix(dst, src []byte, n int, q int32) {
-	for i := 0; i < n; i++ {
-		v := int(int16(binary.LittleEndian.Uint16(src[2*i:]))) +
-			int(int16(binary.LittleEndian.Uint16(dst[2*i:])))
-		binary.LittleEndian.PutUint16(dst[2*i:], uint16(Clamp16(v)))
-	}
-}
-
-func lin16Gain(dst, src []byte, n int, q int32) {
-	for i := 0; i < n; i++ {
-		v := ScaleQ16(int(int16(binary.LittleEndian.Uint16(src[2*i:]))), q)
-		binary.LittleEndian.PutUint16(dst[2*i:], uint16(Clamp16(v)))
-	}
-}
-
-func lin16GainMix(dst, src []byte, n int, q int32) {
-	for i := 0; i < n; i++ {
-		v := ScaleQ16(int(int16(binary.LittleEndian.Uint16(src[2*i:]))), q) +
-			int(int16(binary.LittleEndian.Uint16(dst[2*i:])))
-		binary.LittleEndian.PutUint16(dst[2*i:], uint16(Clamp16(v)))
-	}
-}
-
-// muToLin16 / linToMu16 and the A-law twins are the hot CODEC<->linear
-// conversion kernels (unity gain, preemptive).
-func muToLin16(dst, src []byte, n int, q int32) {
-	for i := 0; i < n; i++ {
-		binary.LittleEndian.PutUint16(dst[2*i:], uint16(MuToLin[src[i]]))
-	}
-}
-
-func aToLin16(dst, src []byte, n int, q int32) {
-	for i := 0; i < n; i++ {
-		binary.LittleEndian.PutUint16(dst[2*i:], uint16(AToLin[src[i]]))
-	}
-}
-
-func lin16ToMu(dst, src []byte, n int, q int32) {
-	for i := 0; i < n; i++ {
-		dst[i] = LinToMu[binary.LittleEndian.Uint16(src[2*i:])>>2]
-	}
-}
-
-func lin16ToA(dst, src []byte, n int, q int32) {
-	for i := 0; i < n; i++ {
-		dst[i] = LinToA[binary.LittleEndian.Uint16(src[2*i:])>>2]
+// vector path, the tail of the vector kernel where there is one. It
+// reslices dst and src to the request's length and ranges over the
+// result, so the compiler proves every index in bounds; a `_ = dst[:n]`
+// hint leaves two compare-and-branch pairs per byte in the loop.
+func muMixScalar(dst, src []byte, n int, q int32) {
+	dst = dst[:n]
+	src = src[:len(dst)]
+	for i, s := range src {
+		dst[i] = muMixTab[uint16(dst[i])<<8|uint16(s)]
 	}
 }
 
 func init() {
-	// The 2-D companded mix tables, built to match the reference pipeline
+	// The 2-D µ-law mix table, built to match the reference pipeline
 	// exactly: decode both bytes, saturating add, table encode.
 	for d := 0; d < 256; d++ {
 		for s := 0; s < 256; s++ {
 			muMixTab[d<<8|s] = LinToMu[uint16(Clamp16(int(MuToLin[d])+int(MuToLin[s])))>>2]
-			aMixTab[d<<8|s] = LinToA[uint16(Clamp16(int(AToLin[d])+int(AToLin[s])))>>2]
 		}
 	}
 
@@ -462,28 +348,9 @@ func init() {
 		// opaque bytes pass through untouched).
 		kernels[de][de][0][0] = makeCopy(de)
 	}
-
-	kernels[ALAW][MU255][0][0] = makeTranslate(&MuToA)
-	kernels[MU255][ALAW][0][0] = makeTranslate(&AToMu)
-
 	kernels[MU255][MU255][1][0] = muMixScalar
-	kernels[ALAW][ALAW][1][0] = makeMix2D(&aMixTab)
 
-	kernels[MU255][MU255][0][1] = makeCompandGain(&MuToLin, &LinToMu, false)
-	kernels[MU255][MU255][1][1] = makeCompandGain(&MuToLin, &LinToMu, true)
-	kernels[ALAW][ALAW][0][1] = makeCompandGain(&AToLin, &LinToA, false)
-	kernels[ALAW][ALAW][1][1] = makeCompandGain(&AToLin, &LinToA, true)
-
-	kernels[LIN16][LIN16][1][0] = lin16Mix
-	kernels[LIN16][LIN16][0][1] = lin16Gain
-	kernels[LIN16][LIN16][1][1] = lin16GainMix
-
-	kernels[LIN16][MU255][0][0] = muToLin16
-	kernels[LIN16][ALAW][0][0] = aToLin16
-	kernels[MU255][LIN16][0][0] = lin16ToMu
-	kernels[ALAW][LIN16][0][0] = lin16ToA
-
-	// Last, so it replaces an entry set above: the vector form of the
+	// Last, so it replaces the entry set above: the vector form of the
 	// µ-law mix where this build and this CPU have one.
 	installVectorMix()
 }

@@ -188,8 +188,8 @@ func TestGainQ16(t *testing.T) {
 	}
 }
 
-// TestMix2DTablesMatchScalar spot-checks the 64 KiB companded mix tables
-// against the decode/add/clamp/encode chain they cache, over the full
+// TestMix2DTablesMatchScalar spot-checks the 64 KiB µ-law mix table
+// against the decode/add/clamp/encode chain it caches, over the full
 // byte-pair space.
 func TestMix2DTablesMatchScalar(t *testing.T) {
 	for d := 0; d < 256; d++ {
@@ -197,10 +197,6 @@ func TestMix2DTablesMatchScalar(t *testing.T) {
 			wantMu := EncodeMuLaw(Clamp16(int(MuToLin[d]) + int(MuToLin[s])))
 			if got := muMixTab[d<<8|s]; got != wantMu {
 				t.Fatalf("muMixTab[%#x,%#x] = %#x, want %#x", d, s, got, wantMu)
-			}
-			wantA := EncodeALaw(Clamp16(int(AToLin[d]) + int(AToLin[s])))
-			if got := aMixTab[d<<8|s]; got != wantA {
-				t.Fatalf("aMixTab[%#x,%#x] = %#x, want %#x", d, s, got, wantA)
 			}
 		}
 	}
