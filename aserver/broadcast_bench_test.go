@@ -83,12 +83,11 @@ func broadcastFanout(tb testing.TB, listeners int) func() {
 			tb.Fatalf("subscribe %d: error code %d", i, code)
 		}
 		e.mu.Unlock()
-		go c.writer()
 		clients[i] = c
 	}
 	tb.Cleanup(func() {
 		for _, c := range clients {
-			close(c.closed)
+			closeClient(c)
 		}
 	})
 

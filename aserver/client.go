@@ -60,11 +60,17 @@ type client struct {
 	// engine goroutines while the reader advances it.
 	seq atomic.Uint32
 	// dead marks a client that must receive no further output (eviction,
-	// unregister, the writer's exit). Checked by every sender.
+	// unregister, the writer's goodbye). Checked by every sender.
 	dead atomic.Bool
 
 	out    outQueue
 	closed chan struct{}
+
+	// writing is set while a writer goroutine runs (startWriter); the one
+	// that says goodbye never clears it. runWriter is writer bound once, so
+	// a start allocates no closure.
+	writing   atomic.Bool
+	runWriter func()
 
 	// inRun is set while the reader dispatches a run: a send then only
 	// pushes, and the reader drains the queue itself when the run ends.
@@ -109,10 +115,9 @@ type client struct {
 	// Eviction state. evict() runs once: it records why (closeReason,
 	// classified into a counter by removeClient) and what to tell the
 	// client (goodbye, a proto.Err* code the writer sends as its last
-	// message), then interrupts the writer via the evicted channel.
+	// message), then starts the writer that sends it.
 	goodbye     atomic.Uint32
 	closeReason atomic.Uint32
-	evicted     chan struct{}
 	evictOnce   sync.Once
 
 	// acs is written only by this connection's reader, under Server.ctl;
@@ -140,15 +145,15 @@ func newClient(s *Server, conn net.Conn, order binary.ByteOrder) *client {
 		s:          s,
 		conn:       conn,
 		order:      order,
-		out:        outQueue{wake: make(chan struct{}, 1), total: &s.sm.queuedBytes},
+		out:        outQueue{total: &s.sm.queuedBytes},
 		closed:     make(chan struct{}),
 		owned:      make([]*wireMsg, 0, maxWriteVec),
 		frames:     make([]runFrame, 0, maxRunLen),
-		evicted:    make(chan struct{}),
 		acs:        make(map[uint32]*ac),
 		eventMasks: make(map[int]uint32),
 	}
 	c.vec = c.vecArr[:0]
+	c.runWriter = c.writer
 	c.req.c, c.req.r.Order = c, order
 	c.bindRaw()
 	// Field-by-field: evictPolicy holds an atomic and must not be copied.
@@ -159,8 +164,8 @@ func newClient(s *Server, conn net.Conn, order binary.ByteOrder) *client {
 }
 
 // evict marks the client for disconnection with a typed protocol error.
-// First call wins; the writer wakes, sends the goodbye, and closes the
-// transport. Callable from any goroutine, never blocks.
+// First call wins; a writer sends the goodbye and closes the transport.
+// Callable from any goroutine, never blocks.
 func (c *client) evict(reason uint32, code uint8) {
 	c.evictOnce.Do(func() {
 		c.closeReason.Store(reason)
@@ -168,10 +173,10 @@ func (c *client) evict(reason uint32, code uint8) {
 		// A writer blocked mid-write on a transport that stopped draining
 		// must not delay the teardown: expire the in-flight write. The
 		// goodbye flush arms its own fresh deadline — after this one, since
-		// the writer only says goodbye once it sees dead or evicted.
+		// the writer only says goodbye once it sees dead.
 		c.conn.SetWriteDeadline(time.Now()) //nolint:errcheck
 		c.dead.Store(true)
-		close(c.evicted)
+		c.startWriter()
 	})
 }
 
@@ -237,12 +242,6 @@ func (s *Server) handleConn(conn net.Conn) {
 		conn.Close()
 		return
 	}
-
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		c.writer()
-	}()
 	c.reader()
 }
 
@@ -444,7 +443,7 @@ func (c *client) dispatch(run []runFrame) ([]runFrame, *parked) {
 // endRun ends the reader's push-only stretch, if one is open, and drains
 // what it queued (drain; fd as there). The flag clears before the drain's
 // take: a sender that saw it set pushed before that take (the queue lock
-// orders them), and one that pushes later sees it clear and wakes the
+// orders them), and one that pushes later sees it clear and starts a
 // writer.
 func (c *client) endRun(fd int) {
 	if c.inRun.Load() {
@@ -478,7 +477,6 @@ type outQueue struct {
 	bytes  int64 // marshaled bytes outstanding
 	count  int64 // messages outstanding
 	closed bool
-	wake   chan struct{}  // 1-slot: the writer has something to look at
 	total  *metrics.Gauge // the server's queuedBytes, moved in step with bytes
 }
 
@@ -486,7 +484,7 @@ type outQueue struct {
 func (q *outQueue) level() int64 { return q.bytes + q.count*msgOverheadBytes }
 
 // push appends m; it reports the level and queue depth after the push,
-// or !ok if the queue is closed (m stays the caller's). It wakes nobody:
+// or !ok if the queue is closed (m stays the caller's). It starts nobody:
 // the caller knows who drains next (client.send). Never blocks.
 func (q *outQueue) push(m *wireMsg) (level int64, depth int, ok bool) {
 	n := int64(len(m.buf))
@@ -509,14 +507,6 @@ func (q *outQueue) push(m *wireMsg) (level int64, depth int, ok bool) {
 	level, depth = q.level(), len(q.msgs)-q.head
 	q.mu.Unlock()
 	return level, depth, true
-}
-
-// wakeWriter tells the writer to look: at a push, or a vector left by the reader.
-func (q *outQueue) wakeWriter() {
-	select {
-	case q.wake <- struct{}{}:
-	default:
-	}
 }
 
 // take moves queued messages into the write-lock holder's vector, up to
@@ -558,7 +548,8 @@ func (q *outQueue) load() (bytes, level int64) {
 }
 
 // close refuses every later push and drops what was never taken. The
-// writer calls it on exit, when everything it took has been settled.
+// writer calls it as it says goodbye, when everything it took has been
+// settled.
 func (q *outQueue) close() {
 	q.mu.Lock()
 	q.closed = true
@@ -598,7 +589,7 @@ func (c *client) settleVec() {
 // non-blocking vectored write on the reader's goroutine, under wmu alone
 // and with no deadline armed. It never waits, for the write lock or the
 // socket: what would (a busy writer, EAGAIN, a partial write, a conn with
-// no RawConn) goes to the writer, the only code that blocks on a socket.
+// no RawConn) goes to a writer, the only code that blocks on a socket.
 // fd is the socket when the reader is inside its serving callback, which
 // holds the descriptor, and the write is made on it directly (writeOnce);
 // elsewhere fd is -1 and the write goes through RawConn.Write.
@@ -623,7 +614,7 @@ func (c *client) drain(fd int) {
 		c.wmu.Unlock()
 	}
 	c.s.sm.egressFallbacks.Inc()
-	c.out.wakeWriter()
+	c.startWriter()
 }
 
 // consumeVec drops the first n bytes of vec.
@@ -643,41 +634,50 @@ func consumeVec(vec [][]byte, n int) [][]byte {
 // peer for this long, then the transport closes regardless.
 const goodbyeTimeout = 250 * time.Millisecond
 
-// writer is the half of a client's egress that may block: it drains the
-// queue onto the wire when someone other than the reader's own run
-// pushed, or the reader's drain could not finish, until the client is
-// evicted or removeClient closes it (c.closed). Queued messages are
-// gathered into one vectored write (writev on TCP and Unix sockets), so
-// marshaled bytes go from the pooled message buffers to the kernel
-// uncopied. Buffers return to the pool once their vector is written.
+// startWriter starts a writer unless one is running. One compare-and-swap
+// on writing decides, so a start cannot race an exit: the writer leaves
+// only with the flag clear, and a sender that found it set had pushed
+// before the writer looked for the last time.
+func (c *client) startWriter() {
+	if c.writing.CompareAndSwap(false, true) {
+		c.s.wg.Add(1)
+		go c.runWriter()
+	}
+}
+
+// writer is the half of a client's egress that may block. It runs only
+// while output waits that no reader's run will carry (startWriter), and
+// gathers queued messages into one vectored write (writev on TCP and Unix
+// sockets), so marshaled bytes go from the pooled message buffers to the
+// kernel uncopied; buffers return to the pool once their vector is
+// written. It leaves with writing clear once nothing is outstanding on a
+// live client, and takes the flag back for what was pushed meanwhile
+// unless a sender's start already has.
 //
 // While the client is over its budget every flush runs under a write
 // deadline: a transport that stops draining for longer than the policy
-// allows is a missed deadline, which is eviction. On the way out the
-// writer says goodbye, closes the queue — so this client's bytes are off
-// the books before the reader can see the conn closed and unregister —
-// and closes the conn (unblocking the reader).
+// allows is a missed deadline, which is eviction. Once the client is dead
+// the writer says goodbye, closes the queue — so this client's bytes are
+// off the books before the reader can see the conn closed and unregister
+// — and closes the conn (unblocking the reader). It keeps writing set, so
+// no writer starts after it.
 func (c *client) writer() {
-	defer c.conn.Close()
-	for c.awaitWake() && c.flushQueue() {
+	defer c.s.wg.Done()
+	for !c.dead.Load() && c.flushQueue() {
+		c.writing.Store(false)
+		if _, level := c.out.load(); level == 0 && !c.dead.Load() {
+			return
+		}
+		if !c.writing.CompareAndSwap(false, true) {
+			return
+		}
 	}
 	c.sayGoodbye()
 	// The close waits for a reader inside its serving callback, which
 	// holds the descriptor; it leaves once it sees the client dead, here
 	// too when a failed write, not eviction or removal, ended the writer.
 	c.dead.Store(true)
-}
-
-// awaitWake parks the writer until there is something to write (true) or
-// the client is evicted or closed (false).
-func (c *client) awaitWake() bool {
-	select {
-	case <-c.out.wake:
-		return true
-	case <-c.evicted:
-	case <-c.closed:
-	}
-	return false
+	c.conn.Close()
 }
 
 // flush writes the taken vector, blocking as long as the conn's write
@@ -739,8 +739,8 @@ func (c *client) sayGoodbye() {
 // dead or its queue closed. One reference on msg passes to the queue on
 // success and is released on failure — so a broadcast caller that
 // retained per-subscriber is square either way. The reader's end-of-run
-// drain carries the message if it is mid-run, the writer (woken here) if
-// not. Never blocks; safe from any goroutine.
+// drain carries the message if it is mid-run, a writer (started here
+// unless one runs) if not. Never blocks; safe from any goroutine.
 func (c *client) send(msg *wireMsg) bool {
 	var level int64
 	var depth int
@@ -754,7 +754,7 @@ func (c *client) send(msg *wireMsg) bool {
 	}
 	c.s.sm.sendQueueDepth.Observe(int64(depth))
 	if !c.inRun.Load() {
-		c.out.wakeWriter()
+		c.startWriter()
 	}
 	if level > c.flow.budget {
 		c.overBudget(level, time.Now().UnixNano())
@@ -868,8 +868,8 @@ func (c *client) stageMsg() *wireMsg {
 }
 
 // flushStage queues the staged replies as one message: one pooled
-// buffer and one writev iovec for the whole group, and no wakeup — the
-// reader's end-of-run drain writes it.
+// buffer and one writev iovec for the whole group; the reader's
+// end-of-run drain writes it.
 // It goes through the ordinary send path, so the byte budget and
 // eviction accounting see staged bytes exactly like any other reply.
 func (c *client) flushStage() {

@@ -38,7 +38,10 @@ func (s *Server) hotEngine(c *client, rf *runFrame, h *hotReq) {
 	var id uint32
 	switch rf.op {
 	case proto.OpGetTime:
-		h.dev = proto.DecodeDeviceReq(&r)
+		if h.dev = proto.DecodeDeviceReq(&r); r.Err != nil {
+			h.code = proto.ErrLength
+			return
+		}
 		if !s.validDevice(h.dev) {
 			h.code, h.bad = proto.ErrDevice, h.dev
 			return

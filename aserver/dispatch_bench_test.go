@@ -34,9 +34,9 @@ func benchOp(b *testing.B, bytes int64, op func()) {
 
 // benchServer builds a one-codec server on a manual clock and a client
 // over a pipe, via the same newClient constructor the accept path uses,
-// with the real writer goroutine draining the queue (its far end is
-// discarded). Budgets are disabled so the eviction policy never trips
-// mid-benchmark.
+// with the real writer goroutines, which its sends start, draining the
+// queue (its far end is discarded). Budgets are disabled so the eviction
+// policy never trips mid-benchmark.
 func benchServer(tb testing.TB) (*Server, *client, *vdev.ManualClock) {
 	tb.Helper()
 	clk := vdev.NewManualClock(8000)
@@ -51,7 +51,6 @@ func benchServer(tb testing.TB) (*Server, *client, *vdev.ManualClock) {
 	}
 	p1, p2 := net.Pipe()
 	c := newClient(srv, p1, binary.LittleEndian)
-	go c.writer()
 	go io.Copy(io.Discard, p2) //nolint:errcheck
 	srv.Do(func() {
 		d := srv.Device(0)
@@ -59,14 +58,14 @@ func benchServer(tb testing.TB) (*Server, *client, *vdev.ManualClock) {
 			enc: d.Cfg.Enc, channels: d.Cfg.Channels}
 	})
 	tb.Cleanup(func() {
-		close(c.closed) // writer flushes the tail, closes p1, settles accounting
+		closeClient(c) // a writer flushes the tail, closes p1, settles accounting
 		p2.Close()
 		srv.Close()
 	})
 	return srv, c, clk
 }
 
-// drainOut waits until the writer has flushed every queued message (the
+// drainOut waits until a writer has flushed every queued message (the
 // byte accounting reaching zero means the buffers are back in the pool),
 // keeping the benchmark's steady state bounded.
 func drainOut(c *client) {

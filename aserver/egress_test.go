@@ -65,6 +65,15 @@ func TestReadingClientErrorFloodNotEvicted(t *testing.T) {
 	}
 }
 
+// closeClient does to a harness client what removeClient does to a
+// registered one's write side: marks it dead, releases a parked reader and
+// starts the writer that says goodbye.
+func closeClient(c *client) {
+	c.dead.Store(true)
+	close(c.closed)
+	c.startWriter()
+}
+
 // TestSendersRaceTeardown races every kind of sender — replies, events,
 // and a broadcast message shared with a second client's queue — against
 // eviction and against client close. Whoever wins, each message is
@@ -81,17 +90,15 @@ func TestSendersRaceTeardown(t *testing.T) {
 	}
 	defer srv.Close()
 
-	// start runs a client's real writer against a far end that reads
-	// everything, and returns the client and its writer's exit.
+	// start makes a client whose writers (started by its sends) write to
+	// a far end that reads everything, and returns the client and the
+	// close of its conn, the last act of the writer that says goodbye.
 	start := func() (*client, <-chan struct{}) {
 		p1, p2 := net.Pipe()
 		c := newClient(srv, p1, binary.LittleEndian)
 		exited := make(chan struct{})
 		go func() {
 			defer close(exited)
-			c.writer()
-		}()
-		go func() {
 			io.Copy(io.Discard, p2) //nolint:errcheck
 			p2.Close()
 		}()
@@ -132,8 +139,7 @@ func TestSendersRaceTeardown(t *testing.T) {
 		if round%2 == 0 {
 			victim.evict(closeReasonEvict, proto.ErrOverload)
 		} else {
-			victim.dead.Store(true) // what removeClient does before it
-			close(victim.closed)    // wakes the writer
+			closeClient(victim)
 		}
 		// Senders keep going past the writer's exit: pushes onto the
 		// closed queue must be refused, not stranded.
@@ -141,7 +147,7 @@ func TestSendersRaceTeardown(t *testing.T) {
 		time.Sleep(100 * time.Microsecond)
 		close(stop)
 		senders.Wait()
-		close(peer.closed)
+		closeClient(peer)
 		<-peerExited
 
 		for _, c := range []*client{victim, peer} {

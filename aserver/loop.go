@@ -70,9 +70,10 @@ func (s *Server) removeClient(c *client) {
 	for _, a := range c.acs {
 		s.releaseAC(a)
 	}
-	// Wake the writer so it drains and closes the conn, and unblock the
-	// reader.
+	// Unblock the reader, and start the writer that drains and closes the
+	// conn (a running one sees dead and does it).
 	close(c.closed)
+	c.startWriter()
 }
 
 // releaseAC undoes an audio context's device-side bookkeeping: the

@@ -94,7 +94,7 @@ func (c *client) readOnce(fd uintptr) bool {
 // writeOnce is the client's syscall.RawConn.Write callback: one writev(2)
 // attempt on c.vec, result in c.wn. It always reports done, so RawConn
 // never waits for writability: EAGAIN, a short count or an error leaves
-// wn short of the vector, and the writer takes over. Caller holds c.wmu.
+// wn short of the vector, and a writer takes over. Caller holds c.wmu.
 func (c *client) writeOnce(fd uintptr) bool {
 	iov := c.iov[:len(c.vec)]
 	for i, b := range c.vec {

@@ -7,6 +7,6 @@ type iovecs struct{}
 
 // bindRaw leaves c.raw nil on platforms without the non-blocking read and
 // vectored write: the reader blocks in conn.Read holding its buffer and
-// every drain takes the queued path through client.writer, as on a
-// transport with no syscall.Conn.
+// every drain hands its queue to a client.writer, as on a transport with
+// no syscall.Conn.
 func (c *client) bindRaw() {}

@@ -13,13 +13,14 @@
 // PlaySamples, RecordSamples and GetTime take only the owning engine's
 // lock, so independent devices are served in parallel. A due engine's
 // pass runs on the goroutine its timer's fire starts and ends with it
-// (scheduler.go): a server keeps no goroutine of its own, only two per
-// connection, regardless of device count. Per-connection FIFO order holds
-// by construction — one goroutine dispatches a connection's requests, in
-// order — and per-device serialization by the engine lock. Replies leave
-// on that goroutine too, in one non-blocking write per run; only a write
-// that would block goes to the connection's writer goroutine. See
-// DESIGN.md ("Threading model") for the invariants.
+// (scheduler.go): a server keeps no goroutine of its own and one per
+// connection, its reader, regardless of device count. Per-connection FIFO
+// order holds by construction — one goroutine dispatches a connection's
+// requests, in order — and per-device serialization by the engine lock.
+// Replies leave on that goroutine too, in one non-blocking write per run;
+// a writer goroutine exists only while output waits that no run carries,
+// a write that would block included. See DESIGN.md ("Threading model")
+// for the invariants.
 //
 // A Server is embeddable: tests, benchmarks, and the example programs run
 // one in-process and connect over Unix or TCP sockets (or a pipe).
@@ -246,91 +247,32 @@ func New(opts Options) (*Server, error) {
 	return s, nil
 }
 
+// devKind is a simulated device kind's template: the defaults and the
+// fixed format that "codec", "phone" and "hifi" build from.
+type devKind struct {
+	rate, hwFrames int // defaults, overridden by DeviceSpec
+	enc            sampleconv.Encoding
+	channels       int
+	silence        byte // the loopback cable's idle sample
+	typ            uint8
+}
+
+var devKinds = map[string]devKind{
+	// The LoFi DSP CODEC ring is ~125 ms at 8 kHz, its HiFi ring ~85 ms
+	// at 48 kHz.
+	"codec": {8000, 1024, sampleconv.MU255, 1, 0xFF, proto.DevCodec},
+	"phone": {8000, 1024, sampleconv.MU255, 1, 0xFF, proto.DevPhone},
+	"hifi":  {44100, 4096, sampleconv.LIN16, 2, 0, proto.DevHiFi},
+}
+
 // buildDevices constructs the DDA: virtual hardware plus core devices.
 func (s *Server) buildDevices() error {
 	for _, spec := range s.opts.Devices {
-		switch spec.Kind {
-		case "codec", "phone":
-			rate := spec.Rate
-			if rate == 0 {
-				rate = 8000
-			}
-			hwf := spec.HWFrames
-			if hwf == 0 {
-				hwf = 1024 // the LoFi DSP CODEC ring: ~125 ms at 8 kHz
-			}
-			clock := spec.Clock
-			if clock == nil {
-				clock = vdev.NewRealClock(rate, spec.PPM)
-			}
-			sink, source := spec.Sink, spec.Source
-			var line *phonesim.Line
-			phoneMask := uint32(0)
-			if spec.Kind == "phone" {
-				line = phonesim.NewLine(rate)
-				sink, source = line, line
-				phoneMask = 1
-			} else if spec.Loopback {
-				lb := vdev.NewLoopback(4*hwf, 1, spec.LoopbackDelay, 0xFF)
-				sink, source = lb, lb
-			}
-			hw := vdev.New(vdev.Config{
-				Name: spec.Name, Rate: rate, Enc: sampleconv.MU255, Channels: 1,
-				HWFrames: hwf, Clock: clock, Sink: sink, Source: source,
-			})
-			devType := uint8(proto.DevCodec)
-			if line != nil {
-				devType = proto.DevPhone
-			}
-			dev := core.NewDevice(core.Config{
-				Name: spec.Name, Type: devType, Rate: rate,
-				Enc: sampleconv.MU255, Channels: 1, BufSeconds: spec.BufSeconds,
-				InputsFromPhone: phoneMask, OutputsToPhone: phoneMask,
-			}, hw)
-			idx := len(s.devices)
-			dev.Index = idx
-			s.devices = append(s.devices, dev)
-			s.hw[dev] = hw
-			if line != nil {
-				s.lines[idx] = line
-			}
-		case "hifi":
-			rate := spec.Rate
-			if rate == 0 {
-				rate = 44100
-			}
-			hwf := spec.HWFrames
-			if hwf == 0 {
-				hwf = 4096 // the LoFi DSP HiFi ring: ~85 ms at 48 kHz
-			}
-			clock := spec.Clock
-			if clock == nil {
-				clock = vdev.NewRealClock(rate, spec.PPM)
-			}
-			sink, source := spec.Sink, spec.Source
-			if spec.Loopback {
-				lb := vdev.NewLoopback(4*hwf, 4, spec.LoopbackDelay, 0)
-				sink, source = lb, lb
-			}
-			hw := vdev.New(vdev.Config{
-				Name: spec.Name, Rate: rate, Enc: sampleconv.LIN16, Channels: 2,
-				HWFrames: hwf, Clock: clock, Sink: sink, Source: source,
-			})
-			stereo := core.NewDevice(core.Config{
-				Name: spec.Name, Type: proto.DevHiFi, Rate: rate,
-				Enc: sampleconv.LIN16, Channels: 2, BufSeconds: spec.BufSeconds,
-				NumInputs: 2, NumOutputs: 2,
-			}, hw)
-			idx := len(s.devices)
-			stereo.Index = idx
-			s.devices = append(s.devices, stereo)
-			s.hw[stereo] = hw
-			left := core.NewChannelView(spec.Name+"L", proto.DevMono, stereo, 0, 1)
-			left.Index = idx + 1
-			right := core.NewChannelView(spec.Name+"R", proto.DevMono, stereo, 1, 1)
-			right.Index = idx + 2
-			s.devices = append(s.devices, left, right)
-		case "lineserver":
+		k, simulated := devKinds[spec.Kind]
+		switch {
+		case simulated:
+			s.buildSimulated(spec, k)
+		case spec.Kind == "lineserver":
 			// The Als design (§7.4.3): the server runs here, the audio
 			// hardware is a LineServer box across UDP.
 			rate := spec.Rate
@@ -367,6 +309,56 @@ func (s *Server) buildDevices() error {
 		s.descs = append(s.descs, deviceDesc(d))
 	}
 	return nil
+}
+
+// buildSimulated builds a device of kind k over simulated hardware: a
+// phone's line is its sink and source, a hifi device gets mono left and
+// right views.
+func (s *Server) buildSimulated(spec DeviceSpec, k devKind) {
+	rate, hwf, clock := spec.Rate, spec.HWFrames, spec.Clock
+	if rate == 0 {
+		rate = k.rate
+	}
+	if hwf == 0 {
+		hwf = k.hwFrames
+	}
+	if clock == nil {
+		clock = vdev.NewRealClock(rate, spec.PPM)
+	}
+	sink, source := spec.Sink, spec.Source
+	var line *phonesim.Line
+	phoneMask := uint32(0)
+	if k.typ == proto.DevPhone {
+		line = phonesim.NewLine(rate)
+		sink, source, phoneMask = line, line, 1
+	} else if spec.Loopback {
+		lb := vdev.NewLoopback(4*hwf, k.enc.BytesPerSamples(k.channels), spec.LoopbackDelay, k.silence)
+		sink, source = lb, lb
+	}
+	hw := vdev.New(vdev.Config{
+		Name: spec.Name, Rate: rate, Enc: k.enc, Channels: k.channels,
+		HWFrames: hwf, Clock: clock, Sink: sink, Source: source,
+	})
+	dev := core.NewDevice(core.Config{
+		Name: spec.Name, Type: k.typ, Rate: rate,
+		Enc: k.enc, Channels: k.channels, BufSeconds: spec.BufSeconds,
+		NumInputs: k.channels, NumOutputs: k.channels,
+		InputsFromPhone: phoneMask, OutputsToPhone: phoneMask,
+	}, hw)
+	idx := len(s.devices)
+	dev.Index = idx
+	s.devices = append(s.devices, dev)
+	s.hw[dev] = hw
+	if line != nil {
+		s.lines[idx] = line
+	}
+	if k.channels == 2 {
+		left := core.NewChannelView(spec.Name+"L", proto.DevMono, dev, 0, 1)
+		left.Index = idx + 1
+		right := core.NewChannelView(spec.Name+"R", proto.DevMono, dev, 1, 1)
+		right.Index = idx + 2
+		s.devices = append(s.devices, left, right)
+	}
 }
 
 // deviceDesc builds the setup-reply description for a device.

@@ -36,7 +36,31 @@ func TestLineCeiling(t *testing.T) {
 		}
 	}
 
-	raw, err := os.ReadFile("LINES")
+	holdCeilings(t, "LINES", "lines", got, lineSlack)
+}
+
+// docSlack is how far, in bytes, a document may fall below its DOCS row.
+const docSlack = 2 << 10
+
+// TestDocCeiling holds each document named in DOCS to its row, in bytes,
+// by TestLineCeiling's rule: above the row fails, and so does more than
+// docSlack below it.
+func TestDocCeiling(t *testing.T) {
+	got := map[string]int{}
+	for doc := range readCeilings(t, "DOCS") {
+		info, err := os.Stat(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got[doc] = int(info.Size())
+	}
+	holdCeilings(t, "DOCS", "bytes", got, docSlack)
+}
+
+// readCeilings parses a ceilings file: one "name n" row a line, with
+// blank lines and #-comments skipped.
+func readCeilings(t *testing.T, file string) map[string]int {
+	raw, err := os.ReadFile(file)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,36 +69,43 @@ func TestLineCeiling(t *testing.T) {
 		if line = strings.TrimSpace(line); line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		top, n, _ := strings.Cut(line, " ")
-		rows, err := strconv.Atoi(strings.TrimSpace(n))
+		name, n, _ := strings.Cut(line, " ")
+		row, err := strconv.Atoi(strings.TrimSpace(n))
 		if err != nil {
-			t.Fatalf("LINES: %q: %v", line, err)
+			t.Fatalf("%s: %q: %v", file, line, err)
 		}
-		want[top] = rows
+		want[name] = row
 	}
+	return want
+}
 
-	var tops []string
-	for top := range got {
-		tops = append(tops, top)
+// holdCeilings fails every name in got above its row in file or more than
+// slack below it, and every name with no row; on failure it logs the rows
+// this tree would have.
+func holdCeilings(t *testing.T, file, unit string, got map[string]int, slack int) {
+	want := readCeilings(t, file)
+	var names []string
+	for name := range got {
+		names = append(names, name)
 	}
-	for top := range want {
-		if _, ok := got[top]; !ok {
-			tops = append(tops, top)
+	for name := range want {
+		if _, ok := got[name]; !ok {
+			names = append(names, name)
 		}
 	}
-	sort.Strings(tops)
+	sort.Strings(names)
 	bad := false
 	var rows strings.Builder
-	for _, top := range tops {
-		n, row := got[top], want[top]
-		fmt.Fprintf(&rows, "%s %d\n", top, n)
-		switch _, listed := want[top]; {
+	for _, name := range names {
+		n, row := got[name], want[name]
+		fmt.Fprintf(&rows, "%s %d\n", name, n)
+		switch _, listed := want[name]; {
 		case !listed:
-			t.Errorf("%s: %d lines and no row in LINES", top, n)
+			t.Errorf("%s: %d %s and no row in %s", name, n, unit, file)
 		case n > row:
-			t.Errorf("%s: %d lines, above its row of %d by %d", top, n, row, n-row)
-		case n < row-lineSlack:
-			t.Errorf("%s: %d lines, %d below its row of %d: lower the row", top, n, row-n, row)
+			t.Errorf("%s: %d %s, above its row of %d by %d", name, n, unit, row, n-row)
+		case n < row-slack:
+			t.Errorf("%s: %d %s, %d below its row of %d: lower the row", name, n, unit, row-n, row)
 		default:
 			continue
 		}
