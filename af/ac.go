@@ -206,25 +206,11 @@ var padZero [4]byte
 // the reply suppressed on all but the last, so the call costs one round
 // trip. Large blocks go to the kernel scatter-gather, straight from the
 // caller's slice. It returns the current device time.
-func (ac *AC) PlaySamples(t ATime, data []byte) (ATime, error) {
-	c := ac.conn
-	var onResync func(*Conn)
-	defer func() {
-		if onResync != nil {
-			onResync(c)
-		}
-	}()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	now, err := ac.playSamplesLocked(t, data)
-	if c.shouldReconnect(err) {
-		if rerr := c.reconnectLocked(); rerr == nil {
-			onResync = c.reconnect.OnResync
-			// The device time base moved across the restart; the caller
-			// must reanchor before resuming, so no transparent retry.
-			return now, &ReconnectedError{Err: err}
-		}
-	}
+func (ac *AC) PlaySamples(t ATime, data []byte) (now ATime, err error) {
+	err = ac.conn.recovering(false, func() (err error) {
+		now, err = ac.playSamplesLocked(t, data)
+		return err
+	})
 	return now, err
 }
 
@@ -333,23 +319,11 @@ func (ac *AC) playVectored(t ATime, data []byte) (ATime, error) {
 // Because payloads are copied whole, a short (non-blocking) chunk's
 // 32-bit-boundary pad lands in buf inside the requested chunk region,
 // just past the returned byte count.
-func (ac *AC) RecordSamples(t ATime, buf []byte, block bool) (ATime, int, error) {
-	c := ac.conn
-	var onResync func(*Conn)
-	defer func() {
-		if onResync != nil {
-			onResync(c)
-		}
-	}()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	now, total, err := ac.recordSamplesLocked(t, buf, block)
-	if c.shouldReconnect(err) {
-		if rerr := c.reconnectLocked(); rerr == nil {
-			onResync = c.reconnect.OnResync
-			return now, total, &ReconnectedError{Err: err}
-		}
-	}
+func (ac *AC) RecordSamples(t ATime, buf []byte, block bool) (now ATime, total int, err error) {
+	err = ac.conn.recovering(false, func() (err error) {
+		now, total, err = ac.recordSamplesLocked(t, buf, block)
+		return err
+	})
 	return now, total, err
 }
 
@@ -429,22 +403,11 @@ func (ac *AC) GetTime() (ATime, error) {
 // GetTime returns the current device time of a device (AFGetTime).
 // GetTime is idempotent, so with reconnection enabled (SetReconnect) a
 // transport failure is retried transparently on the new session.
-func (c *Conn) GetTime(device int) (ATime, error) {
-	var onResync func(*Conn)
-	defer func() {
-		if onResync != nil {
-			onResync(c)
-		}
-	}()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	t, err := c.getTimeLocked(device)
-	if c.shouldReconnect(err) {
-		if rerr := c.reconnectLocked(); rerr == nil {
-			onResync = c.reconnect.OnResync
-			return c.getTimeLocked(device)
-		}
-	}
+func (c *Conn) GetTime(device int) (t ATime, err error) {
+	err = c.recovering(true, func() (err error) {
+		t, err = c.getTimeLocked(device)
+		return err
+	})
 	return t, err
 }
 

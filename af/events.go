@@ -41,106 +41,49 @@ func (c *Conn) EventsQueued(mode int) (int, error) {
 	if mode == QueuedAlready {
 		return len(c.events), nil
 	}
-	if mode == QueuedAfterFlush {
-		if err := c.flushLocked(); err != nil {
-			return len(c.events), err
-		}
-	}
-	for {
-		msg, ok, err := c.pollMessage()
-		if err != nil {
-			return len(c.events), err
-		}
-		if !ok {
-			return len(c.events), nil
-		}
-		c.dispatchAsync(msg)
-	}
+	err := c.pollFor(func() bool { return false })
+	return len(c.events), err
 }
 
 // NextEvent returns the next event, flushing the output buffer and
 // blocking until one arrives (AFNextEvent).
 func (c *Conn) NextEvent() (*Event, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for len(c.events) == 0 {
-		if err := c.flushLocked(); err != nil {
-			return nil, err
-		}
-		msg, err := c.readMessage()
-		if err != nil {
-			return nil, err
-		}
-		c.dispatchAsync(msg)
-	}
-	ev := c.events[0]
-	c.events = c.events[1:]
-	return ev, nil
+	return c.IfEvent(func(*Event) bool { return true })
 }
 
 // IfEvent blocks until an event satisfying the predicate is found,
 // removes it from the queue, and returns it (AFIfEvent).
-func (c *Conn) IfEvent(pred func(*Event) bool) (*Event, error) {
+func (c *Conn) IfEvent(pred func(*Event) bool) (ev *Event, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for {
-		if ev := c.takeMatching(pred); ev != nil {
-			return ev, nil
-		}
-		if err := c.flushLocked(); err != nil {
-			return nil, err
-		}
-		msg, err := c.readMessage()
-		if err != nil {
-			return nil, err
-		}
-		c.dispatchAsync(msg)
-	}
+	err = c.waitFor(func() bool { ev = c.takeMatching(pred); return ev != nil })
+	return ev, err
 }
 
 // CheckIfEvent removes and returns a matching queued event without
 // blocking; it reads whatever is available first (AFCheckIfEvent).
-func (c *Conn) CheckIfEvent(pred func(*Event) bool) (*Event, error) {
+func (c *Conn) CheckIfEvent(pred func(*Event) bool) (ev *Event, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := c.flushLocked(); err != nil {
-		return nil, err
-	}
-	for {
-		if ev := c.takeMatching(pred); ev != nil {
-			return ev, nil
-		}
-		msg, ok, err := c.pollMessage()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return nil, nil
-		}
-		c.dispatchAsync(msg)
-	}
+	err = c.pollFor(func() bool { ev = c.takeMatching(pred); return ev != nil })
+	return ev, err
 }
 
 // PeekIfEvent blocks until a matching event is queued and returns it
 // without removing it (AFPeekIfEvent).
-func (c *Conn) PeekIfEvent(pred func(*Event) bool) (*Event, error) {
+func (c *Conn) PeekIfEvent(pred func(*Event) bool) (ev *Event, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for {
-		for _, ev := range c.events {
+	err = c.waitFor(func() bool {
+		for _, ev = range c.events {
 			if pred(ev) {
-				return ev, nil
+				return true
 			}
 		}
-		if err := c.flushLocked(); err != nil {
-			return nil, err
-		}
-		msg, err := c.readMessage()
-		if err != nil {
-			return nil, err
-		}
-		c.dispatchAsync(msg)
-	}
+		ev = nil
+		return false
+	})
+	return ev, err
 }
 
 // takeMatching removes and returns the first queued event satisfying

@@ -263,9 +263,38 @@ func (c *Conn) exchange() error {
 	return err
 }
 
-// readMessage reads the next server message, blocking.
-func (c *Conn) readMessage() (*proto.Message, error) {
-	return c.nextMessage(0, nil)
+// waitFor is the blocking event loop: until done reports true it flushes
+// the buffered requests, reads the next server message and dispatches
+// it (dispatchAsync), so done sees each event or chunk as it is queued.
+func (c *Conn) waitFor(done func() bool) error {
+	for !done() {
+		if err := c.flushLocked(); err != nil {
+			return err
+		}
+		msg, err := c.nextMessage(0, nil)
+		if err != nil {
+			return err
+		}
+		c.dispatchAsync(msg)
+	}
+	return nil
+}
+
+// pollFor is waitFor without the wait: it flushes, then dispatches only
+// messages already readable (pollMessage) until done reports true or
+// none is left.
+func (c *Conn) pollFor(done func() bool) error {
+	if err := c.flushLocked(); err != nil {
+		return err
+	}
+	for !done() {
+		msg, ok, err := c.pollMessage()
+		if err != nil || !ok {
+			return err
+		}
+		c.dispatchAsync(msg)
+	}
+	return nil
 }
 
 // pollMessage reads one message if any data is ready, without waiting for
@@ -338,9 +367,7 @@ func (c *Conn) dispatchAsync(msg *proto.Message) {
 		if proto.IsGoodbye(msg.Error.Code) {
 			// A connection-scoped goodbye, not a per-request failure: the
 			// server is about to close the transport. Remember why, so the
-			// error the next operation hits is typed (ServerClosedError) —
-			// and, for a Redirect, so the reconnect machinery knows the
-			// close is an invitation to redial, not an eviction.
+			// error the next operation hits is typed (ServerClosedError).
 			c.closeNotice = msg.Error.Code
 			return
 		}
@@ -413,7 +440,7 @@ func (c *Conn) awaitReplyDirect(seq uint16, dst []byte) (*proto.Reply, error) {
 		if msg.Error != nil && msg.Error.Seq == seq && !proto.IsGoodbye(msg.Error.Code) {
 			return nil, protoErrFromWire(msg.Error)
 		}
-		// Overload/Drain/Redirect goodbyes are connection-scoped even when
+		// Overload/Drain goodbyes are connection-scoped even when
 		// their sequence number matches the awaited request; dispatchAsync
 		// records them and the loop runs on to the transport close that
 		// follows.

@@ -87,11 +87,10 @@ func (e *ReconnectedError) Error() string {
 func (e *ReconnectedError) Unwrap() error { return e.Err }
 
 // ServerClosedError reports that the server deliberately closed the
-// session with a typed notice — an Overload eviction, a Drain shutdown,
-// or a router Redirect — rather than the transport failing on its own.
-// Code is the proto.Err* code from the server's final message. With
-// reconnection enabled a Redirect never surfaces (the library redials
-// and is re-placed); Overload and Drain always do.
+// session with a typed notice — an Overload eviction or a Drain
+// shutdown — rather than the transport failing on its own. Code is the
+// proto.Err* code from the server's final message. It always surfaces:
+// redialing would only bounce against the server that sent it.
 type ServerClosedError struct {
 	Code uint8
 	Err  error // the transport error that followed the notice
@@ -105,25 +104,43 @@ func (e *ServerClosedError) Unwrap() error { return e.Err }
 
 // shouldReconnect reports whether err warrants a reconnection attempt:
 // reconnection is enabled, the connection is not deliberately closed,
-// and the failure is the transport dying — a protocol error is the
-// server answering, not a reason to redial. A typed goodbye is
-// redirect-aware: a Redirect notice (a fleet router moving the session
-// to a replacement backend) is an invitation to redial, while Overload
-// and Drain are deliberate terminations that redialing would only
-// bounce against. c.mu held.
+// and the failure is the transport dying on its own — a protocol error
+// is the server answering and a ServerClosedError the server ending the
+// session, neither a reason to redial. c.mu held.
 func (c *Conn) shouldReconnect(err error) bool {
 	if c.reconnect == nil || c.closed || err == nil {
 		return false
 	}
 	var pe *ProtoError
-	if errors.As(err, &pe) {
-		return false
-	}
 	var sce *ServerClosedError
-	if errors.As(err, &sce) {
-		return sce.Code == proto.ErrRedirect
+	return !errors.As(err, &pe) && !errors.As(err, &sce)
+}
+
+// recovering runs op under c.mu: the one place an operation's failure
+// turns into a reconnect. When op's error warrants one and the session
+// is re-established, a retrying caller (an idempotent operation) runs op
+// again on the new session; any other gets a ReconnectedError, because
+// the device time base moved across the restart and the caller must
+// reanchor before resuming. The OnResync hook runs after c.mu is
+// released.
+func (c *Conn) recovering(retry bool, op func() error) (err error) {
+	var onResync func(*Conn)
+	defer func() {
+		if onResync != nil {
+			onResync(c)
+		}
+	}()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	err = op()
+	if !c.shouldReconnect(err) || c.reconnectLocked() != nil {
+		return err
 	}
-	return true
+	onResync = c.reconnect.OnResync
+	if retry {
+		return op()
+	}
+	return &ReconnectedError{Err: err}
 }
 
 // reconnectLocked re-establishes the session with backoff: redial,
@@ -165,10 +182,10 @@ func (c *Conn) reconnectLocked() error {
 // so any replay error surfaces here rather than later. It owns nc: on
 // failure, every transport it opened is closed. c.mu held.
 func (c *Conn) resetOnto(nc net.Conn) (err error) {
-	// The routing key is replayed verbatim: after a router-initiated
-	// failover the redial lands on the router again, and the same key
-	// must drive the directory lookup that places the session on the
-	// replacement backend.
+	// The routing key is replayed verbatim: after a backend death the
+	// redial lands on the router again, and the same key must drive the
+	// directory lookup that places the session on the replacement
+	// backend.
 	nc, rep, err := handshake(nc, c.order, c.route)
 	if err != nil {
 		return err

@@ -84,22 +84,10 @@ func (s *Subscription) Next() (Chunk, error) {
 	c := s.conn
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for len(s.queue) == 0 {
-		if s.closed {
-			return Chunk{}, errUnsubscribed
-		}
-		if err := c.flushLocked(); err != nil {
-			return Chunk{}, err
-		}
-		msg, err := c.readMessage()
-		if err != nil {
-			return Chunk{}, err
-		}
-		c.dispatchAsync(msg)
+	if err := c.waitFor(s.ready); err != nil {
+		return Chunk{}, err
 	}
-	ch := s.queue[0]
-	s.queue = s.queue[1:]
-	return ch, nil
+	return s.take()
 }
 
 // TryNext returns a queued chunk without blocking, after reading
@@ -109,25 +97,25 @@ func (s *Subscription) TryNext() (ch Chunk, ok bool, err error) {
 	c := s.conn
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := c.flushLocked(); err != nil {
+	if err := c.pollFor(s.ready); err != nil || !s.ready() {
 		return Chunk{}, false, err
 	}
-	for len(s.queue) == 0 {
-		if s.closed {
-			return Chunk{}, false, errUnsubscribed
-		}
-		msg, got, err := c.pollMessage()
-		if err != nil {
-			return Chunk{}, false, err
-		}
-		if !got {
-			return Chunk{}, false, nil
-		}
-		c.dispatchAsync(msg)
+	ch, err = s.take()
+	return ch, err == nil, err
+}
+
+// ready reports whether Next or TryNext can return: a chunk is queued,
+// or the subscription is closed (which empties its queue). c.mu held.
+func (s *Subscription) ready() bool { return len(s.queue) > 0 || s.closed }
+
+// take pops the oldest queued chunk of a ready subscription. c.mu held.
+func (s *Subscription) take() (Chunk, error) {
+	if s.closed {
+		return Chunk{}, errUnsubscribed
 	}
-	ch = s.queue[0]
+	ch := s.queue[0]
 	s.queue = s.queue[1:]
-	return ch, true, nil
+	return ch, nil
 }
 
 // Dropped returns the number of chunks discarded locally because the

@@ -271,7 +271,9 @@ type runFrame struct {
 
 // maxRunLen bounds how many requests one ingress run carries. The run
 // slice is allocated once per connection; with the ingress buffer's size
-// the bound caps how long a group can hold an engine lock.
+// the bound caps how long a group can hold an engine lock. It also bounds
+// a group's reply stage: at most one staged message per request, each at
+// most 32 bytes (an ErrorMsg; a Reply is 16), so 1 KiB.
 const maxRunLen = 32
 
 // reader takes what the client sent in one read, frames every whole
@@ -849,18 +851,10 @@ func (c *client) stagedError(code uint8, badValue uint32, op uint8, seq uint16) 
 	c.appendError(c.stageMsg(), code, badValue, op, seq)
 }
 
-// stageFlushBytes caps the staging buffer: a group that has staged this
-// much flushes before staging more, so one pooled message never grows
-// without bound.
-const stageFlushBytes = 4096
-
 // stageMsg returns the message to stage into, checking one out lazily so
 // a group whose replies all go direct (record replies, suppressed play
-// acks) costs nothing here.
+// acks) costs nothing here. The group bounds its size (maxRunLen).
 func (c *client) stageMsg() *wireMsg {
-	if c.stage != nil && len(c.stage.buf) >= stageFlushBytes {
-		c.flushStage()
-	}
 	if c.stage == nil {
 		c.stage = getMsg("staged")
 	}

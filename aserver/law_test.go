@@ -120,16 +120,14 @@ func TestLawSnapshot(t *testing.T) {
 // states, its backends' health law included.
 func TestLawRouter(t *testing.T) {
 	const (
-		setups    = "accepted = routes + redirects + route_errors"
-		routes    = "routes = closed_client + closed_backend + failovers_started"
-		failovers = "failovers_started = failovers_completed + failovers_abandoned"
-		resyncs   = "backend b1: resyncs_started = resyncs_completed + resyncs_abandoned"
+		setups  = "accepted = routes + redirects + route_errors"
+		routes  = "routes = closed_client + closed_backend + failovers_started"
+		resyncs = "backend b1: resyncs_started = resyncs_completed + resyncs_abandoned"
 	)
 	balanced := func() RouterSnapshot {
 		return RouterSnapshot{
 			Accepted: 10, Routes: 6, Redirects: 3, RouteErrors: 1,
 			ClosedClient: 3, ClosedBackend: 1, FailoversStarted: 2,
-			FailoversCompleted: 1, FailoversAbandoned: 1,
 			Backends: []RouterBackendStats{
 				{Name: "b0"},
 				{Name: "b1", Stats: health.Stats{ResyncsStarted: 2, ResyncsCompleted: 1, ResyncsAbandoned: 1}},
@@ -144,8 +142,6 @@ func TestLawRouter(t *testing.T) {
 		{"setup counted twice", setups, func(s *RouterSnapshot) { s.Redirects = 4 }, false, false},
 		{"session active", routes, func(s *RouterSnapshot) { s.Accepted++; s.Routes++ }, true, false},
 		{"session closed twice", routes, func(s *RouterSnapshot) { s.ClosedClient++ }, false, false},
-		{"failover in flight", failovers, func(s *RouterSnapshot) { s.Accepted++; s.Routes++; s.FailoversStarted++ }, true, false},
-		{"failover ended twice", failovers, func(s *RouterSnapshot) { s.FailoversAbandoned++ }, false, false},
 		{"resync in flight", resyncs, b1(func(b *RouterBackendStats) { b.ResyncsStarted++ }), true, false},
 		{"resync ended twice", resyncs, b1(func(b *RouterBackendStats) { b.ResyncsCompleted = 2 }), false, false},
 	})

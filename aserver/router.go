@@ -48,27 +48,22 @@ import (
 // eviction, whose goodbye has already been spliced through to the
 // client) or died. It cannot tell from the spliced bytes, so it asks the
 // backend directly — one synchronous confirm probe. A backend that
-// answers means a deliberate close: the router just closes the client
-// side. A backend that doesn't is escalated at once, and the router
-// starts a failover: if the directory still has a live standby for the
-// session's key, it sends the client a typed ErrRedirect goodbye and
-// counts the failover completed, else abandoned. A redirect-aware client
-// (af.SetReconnect) redials the router, carries the same routing key in
-// its setup, lands on the standby, and replays its audio contexts — the
-// router itself holds no session state to migrate. A redirected session
-// fails over the same way without the goodbye: its direct transport
-// dies, the client redials the router and is placed again. If the router
-// has not yet seen the death, the client's direct setup at the dead
-// owner fails and it falls back to a proxied setup, whose open walks
-// past the owner to the standby.
+// answers means a deliberate close; one that doesn't is escalated at
+// once, out of placement before the client sees its end. Either way the
+// router then closes both sides, and failover is the client's own
+// reconnect (af.SetReconnect): it redials the router with the same
+// routing key, is placed on the key's next live owner, and replays its
+// audio contexts — the router holds no session state to migrate. A
+// redirected session fails over the same way: its direct transport dies
+// and the client redials the router. If the router has not yet seen the
+// death, the client's direct setup at the dead owner fails and it falls
+// back to a proxied setup, whose open walks past the owner to the next.
 //
 // Counter ownership: spawn counts accepted once per client conn, and its
 // handler counts exactly one of routes, redirects and routeErrors. For
 // each proxied session (a route) exactly one of closedClient,
 // closedBackend, or failoversStarted is incremented by the pump that
-// loses the session (a CAS picks the single classifier), and every
-// failoversStarted is followed by exactly one of failoversCompleted or
-// failoversAbandoned before the session is torn down. A redirected
+// loses the session (a CAS picks the single classifier). A redirected
 // session appears in no counter after redirects: the router never sees
 // its end. The laws this gives are RouterSnapshot.Check.
 
@@ -133,16 +128,13 @@ type routerMetrics struct {
 	bytesC2B metrics.Counter // client→backend bytes forwarded
 	bytesB2C metrics.Counter // backend→client bytes forwarded
 
-	closedClient       metrics.Counter
-	closedBackend      metrics.Counter
-	failoversStarted   metrics.Counter
-	failoversCompleted metrics.Counter
-	failoversAbandoned metrics.Counter
+	closedClient     metrics.Counter
+	closedBackend    metrics.Counter
+	failoversStarted metrics.Counter
 }
 
 type routerBackend struct {
 	r             *Router
-	index         int
 	name          string
 	network, addr string
 	health        *health.Machine
@@ -193,7 +185,6 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 		}
 		b := &routerBackend{
 			r:       r,
-			index:   i,
 			name:    names[i],
 			network: network,
 			addr:    addr,
@@ -392,7 +383,6 @@ func (r *Router) handleConn(conn net.Conn) {
 		key:     key,
 		client:  conn,
 		backend: bc,
-		order:   order,
 	}
 
 	r.rm.routes.Inc()
@@ -532,7 +522,6 @@ type rsession struct {
 	key     string
 	client  net.Conn
 	backend net.Conn
-	order   binary.ByteOrder
 
 	// classified flips once, in the pump that loses the session; the
 	// winner increments exactly one close-classification counter and
@@ -562,7 +551,7 @@ func (s *rsession) pumpClientToBackend() {
 		n, rerr := s.client.Read(buf)
 		if n > 0 {
 			if _, werr := s.backend.Write(buf[:n]); werr != nil {
-				s.backendFailed(false)
+				s.backendFailed()
 				return
 			}
 			s.r.rm.bytesC2B.Add(uint64(n))
@@ -593,7 +582,7 @@ func (s *rsession) pumpBackendToClient() {
 			s.r.rm.bytesB2C.Add(uint64(n))
 		}
 		if rerr != nil {
-			s.backendFailed(true)
+			s.backendFailed()
 			return
 		}
 	}
@@ -611,11 +600,8 @@ func (s *rsession) clientGone() {
 }
 
 // backendFailed handles a backend-side error: decide deliberate close vs
-// backend death (one confirm probe), and on death start a failover.
-// ownsClientWrites is true when called from the backend→client pump,
-// the only goroutine allowed to write the redirect goodbye without
-// racing proxied payload bytes.
-func (s *rsession) backendFailed(ownsClientWrites bool) {
+// backend death (one confirm probe), then close both sides.
+func (s *rsession) backendFailed() {
 	if !s.classified.CompareAndSwap(false, true) {
 		s.teardown()
 		return
@@ -625,41 +611,13 @@ func (s *rsession) backendFailed(ownsClientWrites bool) {
 		// purpose (eviction, drain) and its goodbye — if any — has
 		// already been spliced through. Not a failover.
 		s.r.rm.closedBackend.Inc()
-		s.finish()
-		return
-	}
-	// Backend death. Increment started before the outcome counter, and
-	// resolve the outcome before finish: the failover law.
-	s.r.rm.failoversStarted.Inc()
-	standby := s.r.dir.LookupLive(s.key, func(i int) bool {
-		return i != s.b.index && s.r.backends[i].health.Healthy()
-	})
-	if standby >= 0 {
-		if ownsClientWrites {
-			s.sendRedirect()
-		}
-		s.r.rm.failoversCompleted.Inc()
-		s.r.logf("arouter: failover %q: %s -> %s", s.key, s.b.name, s.r.backends[standby].name)
 	} else {
-		s.r.rm.failoversAbandoned.Inc()
-		s.r.logf("arouter: failover %q abandoned: no live standby for %s", s.key, s.b.name)
+		// Backend death, already out of placement: the client's
+		// reconnect is the failover.
+		s.r.rm.failoversStarted.Inc()
+		s.r.logf("arouter: failover %q: %s is down", s.key, s.b.name)
 	}
 	s.finish()
-}
-
-// redirectGoodbyeTimeout bounds the redirect goodbye write, as the
-// server's eviction goodbyeTimeout bounds its own.
-const redirectGoodbyeTimeout = 250 * time.Millisecond
-
-// sendRedirect writes the typed ErrRedirect goodbye that tells a
-// redirect-aware client to redial and be re-placed. Best-effort: if the
-// backend died mid-message the client's parser is already desynchronized
-// and will reconnect off the transport error instead.
-func (s *rsession) sendRedirect() {
-	w := proto.Writer{Order: s.order}
-	(&proto.ErrorMsg{Code: proto.ErrRedirect}).Encode(&w)
-	s.client.SetWriteDeadline(time.Now().Add(redirectGoodbyeTimeout)) //nolint:errcheck
-	s.client.Write(w.Buf)                                             //nolint:errcheck
 }
 
 // prober is the backend's detect loop: one probe per ProbeInterval, the
@@ -783,30 +741,25 @@ type RouterSnapshot struct {
 	ProxiedBytesC2B uint64 `json:"proxied_bytes_c2b"`
 	ProxiedBytesB2C uint64 `json:"proxied_bytes_b2c"`
 
-	ClosedClient       uint64 `json:"closed_client"`
-	ClosedBackend      uint64 `json:"closed_backend"`
-	FailoversStarted   uint64 `json:"failovers_started"`
-	FailoversCompleted uint64 `json:"failovers_completed"`
-	FailoversAbandoned uint64 `json:"failovers_abandoned"`
+	ClosedClient     uint64 `json:"closed_client"`
+	ClosedBackend    uint64 `json:"closed_backend"`
+	FailoversStarted uint64 `json:"failovers_started"`
 
 	Backends []RouterBackendStats `json:"backends"`
 }
 
 // Check states the router's laws: every accepted conn is set up once —
 // routed, redirected or refused; every route ends once — closed by
-// either side or failed over; every failover ends once, completed or
-// abandoned. Live, each left side runs ahead by the setups, sessions or
-// failovers in flight; settled — the router drained (no setup in flight,
-// sessions_active 0) or closed — they are equal. Then each backend's
-// health law, which settles with no resync in flight.
+// either side or failed over. Live, each left side runs ahead by the
+// setups or sessions in flight; settled — the router drained (no setup
+// in flight, sessions_active 0) or closed — they are equal. Then each
+// backend's health law, which settles with no resync in flight.
 func (s RouterSnapshot) Check(settled bool) error {
 	errs := []error{
 		metrics.Law("accepted = routes + redirects + route_errors",
 			s.Accepted, s.Routes+s.Redirects+s.RouteErrors, settled),
 		metrics.Law("routes = closed_client + closed_backend + failovers_started",
 			s.Routes, s.ClosedClient+s.ClosedBackend+s.FailoversStarted, settled),
-		metrics.Law("failovers_started = failovers_completed + failovers_abandoned",
-			s.FailoversStarted, s.FailoversCompleted+s.FailoversAbandoned, settled),
 	}
 	for _, b := range s.Backends {
 		if err := b.Check(settled); err != nil {
@@ -820,11 +773,8 @@ func (s RouterSnapshot) Check(settled bool) error {
 // Check its live forms.
 func (r *Router) Snapshot() RouterSnapshot {
 	var s RouterSnapshot
-	// Outcomes before antecedents: completed/abandoned before started,
-	// all close classifications before routes, every setup outcome
-	// before accepted.
-	s.FailoversCompleted = r.rm.failoversCompleted.Load()
-	s.FailoversAbandoned = r.rm.failoversAbandoned.Load()
+	// Outcomes before antecedents: all close classifications before
+	// routes, every setup outcome before accepted.
 	s.ClosedClient = r.rm.closedClient.Load()
 	s.ClosedBackend = r.rm.closedBackend.Load()
 	s.FailoversStarted = r.rm.failoversStarted.Load()

@@ -1,7 +1,10 @@
 package aserver
 
 import (
+	"bytes"
 	"encoding/binary"
+	"fmt"
+	"io"
 	"net"
 	"runtime"
 	"strings"
@@ -10,6 +13,7 @@ import (
 	"time"
 
 	"audiofile/internal/health"
+	"audiofile/internal/netsim"
 	"audiofile/internal/proto"
 )
 
@@ -344,4 +348,89 @@ func TestRouterOptionClientWriteStall(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "the stalled client's session to close", func() bool { return r.Snapshot().ClosedClient == 1 })
+}
+
+// TestRouterBackendDeathClosesClient: a proxied session's backend dies
+// while a standby is live. The router confirms the death, takes the
+// backend out of placement and closes the client: the client reads
+// every reply spliced before the death and then EOF, nothing between,
+// and a reconnect started at that EOF cannot be placed on the dead
+// backend.
+func TestRouterBackendDeathClosesClient(t *testing.T) {
+	inner, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	brk := netsim.NewBreaker(inner)
+	go optionServer(t, Options{}).Serve(brk) //nolint:errcheck — ends when the listener closes
+	const victim = 0
+	r := testRouter(t, RouterOptions{
+		Backends:      []string{brk.Addr().String(), liveBackend(t, Options{})},
+		ProbeInterval: time.Hour,
+	})
+	key := ""
+	for i := 0; key == ""; i++ {
+		if k := fmt.Sprint("key", i); r.Directory().Lookup(k) == victim {
+			key = k
+		}
+	}
+	l, err := r.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	nc, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	setup := proto.SetupRequest{
+		ByteOrder: proto.LittleEndianOrder, Major: proto.ProtocolMajor, Minor: proto.ProtocolMinor,
+		AuthName: proto.RouteAuthName, AuthData: []byte(key),
+	}
+	if err := setup.Send(nc); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := proto.ReadSetupReply(nc, binary.LittleEndian); err != nil {
+		t.Fatal(err)
+	}
+	const n = 8
+	if _, err := nc.Write(getTimeBurst(n, 0)); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "every reply spliced", func() bool {
+		return r.Snapshot().ProxiedBytesB2C == n*proto.ReplyHeaderBytes
+	})
+	brk.Kill()
+
+	nc.SetReadDeadline(time.Now().Add(10 * time.Second)) //nolint:errcheck
+	got, err := io.ReadAll(nc)
+	if err != nil {
+		t.Fatalf("the client's read ended in %v, want EOF", err)
+	}
+	if state := r.Snapshot().Backends[victim].State; state == health.Healthy {
+		t.Error("the dead backend is still placeable when the client sees EOF")
+	}
+	br := bytes.NewReader(got)
+	var msg proto.Message
+	for seq := uint16(1); seq <= n; seq++ {
+		if err := proto.ReadMessageInto(br, binary.LittleEndian, &msg); err != nil || msg.Reply == nil || msg.Reply.Seq != seq {
+			t.Fatalf("message %d of %d bytes: %+v, %v; want the reply to request %d", seq, len(got), msg, err, seq)
+		}
+	}
+	if br.Len() != 0 {
+		t.Errorf("%d bytes between the last spliced reply and EOF", br.Len())
+	}
+
+	var snap RouterSnapshot
+	waitFor(t, "the session to end and the resync to settle", func() bool {
+		snap = r.Snapshot()
+		return snap.SessionsActive == 0 && snap.Backends[victim].State == health.Down
+	})
+	if snap.FailoversStarted != 1 || snap.ClosedBackend != 0 {
+		t.Errorf("failovers_started %d, closed_backend %d; want 1 and 0", snap.FailoversStarted, snap.ClosedBackend)
+	}
+	if err := snap.Check(true); err != nil {
+		t.Errorf("drained: %v", err)
+	}
 }

@@ -4,11 +4,12 @@
 // socket it dialed itself is answered with a setup redirect naming the
 // owning backend and sets its session up there directly; every other
 // client is proxied, its bytes spliced with no per-chunk allocations.
-// The router health-checks the backends with GetTime probes, and on a
-// backend death redirects a proxied session's client to a standby with a
-// typed goodbye that af.SetReconnect turns into a transparent failover
-// (the client replays its audio contexts on the replacement); a
-// redirected client's own reconnect lands it on the standby the same way.
+// The router health-checks the backends with GetTime probes. On a
+// backend death it takes the backend out of placement and closes the
+// proxied sessions on it; failover is each client's own reconnect
+// (af.SetReconnect), which redials the router, lands on the key's next
+// live owner and replays its audio contexts there. A redirected client
+// fails over the same way.
 //
 //	arouter -backend host:7000,host2:7000 [-n display] [-tcp] [-stats addr]
 //

@@ -333,8 +333,8 @@ func routerMain(url string) {
 }
 
 func routerHeader() {
-	fmt.Printf("%8s %8s %8s %10s %10s %7s %9s %6s %s\n",
-		"sessions", "redir/s", "routes/s", "c2b-B/s", "b2c-B/s", "fails", "failovers", "errs", "backends")
+	fmt.Printf("%8s %8s %8s %10s %10s %9s %6s %s\n",
+		"sessions", "redir/s", "routes/s", "c2b-B/s", "b2c-B/s", "failovers", "errs", "backends")
 }
 
 // printRouterDelta renders one interval of router counters plus the
@@ -355,14 +355,13 @@ func printRouterDelta(prev, cur aserver.RouterSnapshot, dt time.Duration) {
 		}
 		roster += fmt.Sprintf("%s=%s%s(%d)", b.Name, b.State, marker, b.Sessions)
 	}
-	fmt.Printf("%8d %8.1f %8.1f %10.0f %10.0f %7d %9d %6d %s\n",
+	fmt.Printf("%8d %8.1f %8.1f %10.0f %10.0f %9d %6d %s\n",
 		cur.SessionsActive,
 		float64(cur.Redirects-prev.Redirects)/secs,
 		float64(cur.Routes-prev.Routes)/secs,
 		float64(cur.ProxiedBytesC2B-prev.ProxiedBytesC2B)/secs,
 		float64(cur.ProxiedBytesB2C-prev.ProxiedBytesB2C)/secs,
 		cur.FailoversStarted-prev.FailoversStarted,
-		cur.FailoversCompleted-prev.FailoversCompleted,
 		cur.RouteErrors-prev.RouteErrors,
 		roster)
 	warn(cur.Check(false))
@@ -372,9 +371,8 @@ func printRouterDelta(prev, cur aserver.RouterSnapshot, dt time.Duration) {
 func printRouterAbsolute(s aserver.RouterSnapshot) {
 	fmt.Printf("accepted %d  redirects %d  routes %d  active %d  route-errors %d  proxied c2b %dB b2c %dB\n",
 		s.Accepted, s.Redirects, s.Routes, s.SessionsActive, s.RouteErrors, s.ProxiedBytesC2B, s.ProxiedBytesB2C)
-	fmt.Printf("closed: client %d  backend %d  failovers: started %d  completed %d  abandoned %d\n",
-		s.ClosedClient, s.ClosedBackend,
-		s.FailoversStarted, s.FailoversCompleted, s.FailoversAbandoned)
+	fmt.Printf("closed: client %d  backend %d  failovers %d\n",
+		s.ClosedClient, s.ClosedBackend, s.FailoversStarted)
 	fmt.Printf("%-24s %-8s %8s %8s %8s %6s %6s %6s %6s\n",
 		"backend", "state", "sessions", "probes", "fails", "dial", "→heal", "→susp", "→down")
 	for _, b := range s.Backends {

@@ -145,16 +145,13 @@ const (
 	ErrImplementation = 10 // unimplemented request
 	ErrOverload       = 11 // client evicted: send queue over budget or write deadline missed
 	ErrDrain          = 12 // server draining: graceful shutdown in progress
-	ErrRedirect       = 13 // session rerouted: a fleet router moved it to another backend; redial to be re-placed
 )
 
 // IsGoodbye reports whether an error code is a connection-scoped goodbye:
-// the server (or a router fronting it) announcing that it is about to
-// close the transport, rather than a per-request failure. Overload and
-// Drain are terminal for the session; Redirect invites the client to
-// redial and be placed on a replacement backend.
+// the server announcing that it is about to close the transport, rather
+// than a per-request failure. Both end the session.
 func IsGoodbye(code uint8) bool {
-	return code == ErrOverload || code == ErrDrain || code == ErrRedirect
+	return code == ErrOverload || code == ErrDrain
 }
 
 // RouteAuthName marks a setup request whose AuthData carries a routing
@@ -183,7 +180,6 @@ var ErrorName = map[uint8]string{
 	ErrImplementation: "BadImplementation: server does not implement request",
 	ErrOverload:       "Overload: client evicted, send queue over budget",
 	ErrDrain:          "Drain: server shutting down",
-	ErrRedirect:       "Redirect: session rerouted to another backend",
 }
 
 // Server-to-client message type bytes.

@@ -19,11 +19,13 @@
 //   - Goroutines settle to baseline after teardown: no leaked pumps,
 //     probers, breakers, or client readers.
 //
-// Half the clients reach the router through a pass-through wrapper, so
-// af cannot follow a setup redirect and they are proxied: their victims
-// fail over through the router's Redirect goodbye. The other half are
-// redirected and talk to their backend directly: their victims fail over
-// by their own reconnect, which the router sees only as a new setup.
+// Failover is each client's own reconnect. Half the clients reach the
+// router through a pass-through wrapper, so af cannot follow a setup
+// redirect and they are proxied: the router confirms the death, takes
+// the backend out of placement and closes their sessions, and they
+// redial it. The other half are redirected and talk to their backend
+// directly: their transport dies, and the router sees their reconnect
+// only as a new setup.
 //
 // ROUTER_SEED varies the routing keys (and so the placement pattern);
 // CI runs a small seed matrix.
@@ -400,14 +402,10 @@ func TestRouterFailoverSoak(t *testing.T) {
 	if err := snap.Check(true); err != nil {
 		t.Errorf("drained: %v", err)
 	}
-	// Two survivors stood by, so no failover may have been abandoned,
-	// and at least every severed proxied victim session must have started
-	// one. Every redirected client was redirected at least once.
-	if snap.FailoversAbandoned != 0 {
-		t.Errorf("%d failovers abandoned with live standbys", snap.FailoversAbandoned)
-	}
-	if snap.FailoversCompleted < uint64(proxiedVictims) {
-		t.Errorf("failovers_completed %d < %d proxied victim sessions", snap.FailoversCompleted, proxiedVictims)
+	// At least every severed proxied victim session must have started a
+	// failover. Every redirected client was redirected at least once.
+	if snap.FailoversStarted < uint64(proxiedVictims) {
+		t.Errorf("failovers_started %d < %d proxied victim sessions", snap.FailoversStarted, proxiedVictims)
 	}
 	if snap.Redirects < uint64(redirected) {
 		t.Errorf("redirects %d < %d redirected clients", snap.Redirects, redirected)
@@ -420,10 +418,9 @@ func TestRouterFailoverSoak(t *testing.T) {
 			t.Errorf("surviving backend %d state %q, want healthy", i, b.State)
 		}
 	}
-	t.Logf("seed %d: routes %d redirects %d resyncs %d (%d proxied victims) | failovers %d/%d/%d closed %d/%d | proxied %d+%d bytes",
+	t.Logf("seed %d: routes %d redirects %d resyncs %d (%d proxied victims) | failovers %d closed %d/%d | proxied %d+%d bytes",
 		seed, snap.Routes, snap.Redirects, resumedResyncs, proxiedVictims,
-		snap.FailoversStarted, snap.FailoversCompleted, snap.FailoversAbandoned,
-		snap.ClosedClient, snap.ClosedBackend,
+		snap.FailoversStarted, snap.ClosedClient, snap.ClosedBackend,
 		snap.ProxiedBytesC2B, snap.ProxiedBytesB2C)
 
 	router.Close()
