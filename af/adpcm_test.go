@@ -15,7 +15,7 @@ import (
 // it into the device buffers, so recording the same interval as µ-law
 // recovers the tone.
 func TestADPCMPlayPath(t *testing.T) {
-	r := newRig(t)
+	r := newStack(t)
 	c := r.dial(t)
 	adpcm, err := c.CreateAC(1, af.ACEncoding, af.ACAttributes{Type: af.ADPCM4})
 	if err != nil {
@@ -69,7 +69,7 @@ func TestADPCMPlayPath(t *testing.T) {
 // compressed bytes (half a byte per sample) that expand to the signal the
 // device captured.
 func TestADPCMRecordPath(t *testing.T) {
-	r := newRig(t)
+	r := newStack(t)
 	c := r.dial(t)
 	plain, _ := c.CreateAC(1, 0, af.ACAttributes{})
 	primeRecording(t, plain)
@@ -116,7 +116,7 @@ func TestADPCMRecordPath(t *testing.T) {
 
 // TestADPCMBlockingRecord: the compressed path honors blocking semantics.
 func TestADPCMBlockingRecord(t *testing.T) {
-	r := newRig(t)
+	r := newStack(t)
 	c := r.dial(t)
 	adpcm, err := c.CreateAC(1, af.ACEncoding, af.ACAttributes{Type: af.ADPCM4})
 	if err != nil {
@@ -148,7 +148,7 @@ func TestADPCMBlockingRecord(t *testing.T) {
 // TestADPCMRejectedOnStereo: the conversion module is mono-only; a stereo
 // device rejects the encoding with BadMatch.
 func TestADPCMRejectedOnStereo(t *testing.T) {
-	r := newRig(t)
+	r := newStack(t)
 	c := r.dial(t)
 	var gotErr error
 	c.SetErrorHandler(func(_ *af.Conn, pe *af.ProtoError) { gotErr = pe })

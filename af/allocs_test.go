@@ -15,7 +15,7 @@ import (
 // pipelined chunks, each payload copied from the borrowed read buffer
 // into the caller's).
 func TestClientPathAllocs(t *testing.T) {
-	r := newRig(t)
+	r := newStack(t)
 	c := r.dial(t)
 	ac, err := c.CreateAC(1, af.ACPreemption, af.ACAttributes{Preempt: true})
 	if err != nil {
@@ -66,7 +66,7 @@ func TestClientPathAllocs(t *testing.T) {
 // its socket and the server's side of it — is far below the 64 KiB read
 // buffer a Conn used to own.
 func TestIdleConnsHoldNoReadBuffer(t *testing.T) {
-	r := newRig(t)
+	r := newStack(t)
 	r.dial(t).Sync() //nolint:errcheck — warm the server's pools
 	const n = 1000
 	before := heapAfterGC()

@@ -13,7 +13,7 @@ import (
 // TestVersionMismatchRefused: a client announcing the wrong protocol
 // major is refused at setup with a reason.
 func TestVersionMismatchRefused(t *testing.T) {
-	r := newRig(t)
+	r := newStack(t)
 	nc, err := net.Dial("unix", r.addr)
 	if err != nil {
 		t.Fatal(err)
@@ -44,7 +44,7 @@ func TestVersionMismatchRefused(t *testing.T) {
 // TestCorrespondenceAcrossDevices: schedule by converting time between
 // the 8 kHz codec clock and the 44.1 kHz hifi clock.
 func TestCorrespondenceAcrossDevices(t *testing.T) {
-	r := newRig(t)
+	r := newStack(t)
 	c := r.dial(t)
 	codec, err := c.CreateAC(1, 0, af.ACAttributes{})
 	if err != nil {
@@ -71,7 +71,7 @@ func TestCorrespondenceAcrossDevices(t *testing.T) {
 	if d := af.TimeSub(back, ta); d < -2 || d > 2 {
 		t.Errorf("round trip error = %d ticks", d)
 	}
-	// The rig's clocks advance in lockstep (step() scales them), so a
+	// The stack's clocks advance in lockstep (step() scales them), so a
 	// converted "now" lands near the other device's actual now.
 	nowA, _ := codec.GetTime()
 	nowB, _ := hifi.GetTime()

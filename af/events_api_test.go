@@ -9,7 +9,7 @@ import (
 
 // ringTwiceAndDTMF injects a small scripted event sequence on the phone
 // line: ring, ring, digit '5'.
-func ringTwiceAndDTMF(r *rig) {
+func ringTwiceAndDTMF(r *stack) {
 	line := r.srv.PhoneLine(0)
 	line.RingPulse()
 	line.RingPulse()
@@ -28,7 +28,7 @@ func selectPhone(t *testing.T, c *af.Conn) {
 }
 
 func TestEventsQueuedModes(t *testing.T) {
-	r := newRig(t)
+	r := newStack(t)
 	c := r.dial(t)
 	selectPhone(t, c)
 	// Nothing yet.
@@ -64,7 +64,7 @@ func TestEventsQueuedModes(t *testing.T) {
 }
 
 func TestIfEventBlocksUntilMatch(t *testing.T) {
-	r := newRig(t)
+	r := newStack(t)
 	c := r.dial(t)
 	selectPhone(t, c)
 	type result struct {
@@ -100,7 +100,7 @@ func TestIfEventBlocksUntilMatch(t *testing.T) {
 }
 
 func TestCheckIfEventNonBlocking(t *testing.T) {
-	r := newRig(t)
+	r := newStack(t)
 	c := r.dial(t)
 	selectPhone(t, c)
 	// Nothing there: returns nil without blocking.
@@ -129,7 +129,7 @@ func TestCheckIfEventNonBlocking(t *testing.T) {
 }
 
 func TestPeekIfEventLeavesQueue(t *testing.T) {
-	r := newRig(t)
+	r := newStack(t)
 	c := r.dial(t)
 	selectPhone(t, c)
 	ringTwiceAndDTMF(r)
@@ -158,7 +158,7 @@ func TestPeekIfEventLeavesQueue(t *testing.T) {
 func TestEventsCarryBothClocks(t *testing.T) {
 	// §5.2: device events contain both the audio device time and the
 	// server host's clock time.
-	r := newRig(t)
+	r := newStack(t)
 	c := r.dial(t)
 	selectPhone(t, c)
 	r.step(4000) // advance device time before the event
@@ -181,7 +181,7 @@ func TestEventsCarryBothClocks(t *testing.T) {
 }
 
 func TestFlashHook(t *testing.T) {
-	r := newRig(t)
+	r := newStack(t)
 	c := r.dial(t)
 	selectPhone(t, c)
 	if err := c.HookSwitch(0, true); err != nil {
@@ -247,7 +247,7 @@ func hookEvents(t *testing.T, c *af.Conn, quiet time.Duration) (details []byte) 
 // the line, and a hang-up during the flash cancels it — the phone stays
 // on hook, and the client sees only the hook events it caused.
 func TestFlashHookYieldsToHangUp(t *testing.T) {
-	r := newRig(t)
+	r := newStack(t)
 	c := r.dial(t)
 	selectPhone(t, c)
 	c.HookSwitch(0, true)  //nolint:errcheck — a failure shows in the events
@@ -264,7 +264,7 @@ func TestFlashHookYieldsToHangUp(t *testing.T) {
 // TestFlashHookTooLong: the duration is a 32-bit value from the wire; one
 // a central office would take for a hang-up is refused, not armed.
 func TestFlashHookTooLong(t *testing.T) {
-	r := newRig(t)
+	r := newStack(t)
 	c := r.dial(t)
 	var got *af.ProtoError
 	c.SetErrorHandler(func(_ *af.Conn, pe *af.ProtoError) { got = pe })
@@ -282,7 +282,7 @@ func TestFlashHookTooLong(t *testing.T) {
 // TestCloseCancelsFlash: Close leaves no timer behind, so the line stays
 // where the flash put it.
 func TestCloseCancelsFlash(t *testing.T) {
-	r := newRig(t)
+	r := newStack(t)
 	c := r.dial(t)
 	c.HookSwitch(0, true) //nolint:errcheck
 	c.FlashHook(0, 50)    //nolint:errcheck

@@ -14,7 +14,7 @@ import (
 // request occupies the single-threaded dispatcher for long, so the second
 // client's round trips stay bounded.
 func TestFairnessUnderBulkTraffic(t *testing.T) {
-	r := newRig(t)
+	r := newStack(t)
 	bulk := r.dial(t)
 	interactive := r.dial(t)
 

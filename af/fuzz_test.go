@@ -14,7 +14,7 @@ import (
 // never desynchronize — and a SyncConnection afterwards must still round
 // trip.
 func TestDispatcherStructuredFuzz(t *testing.T) {
-	r := newRig(t)
+	r := newStack(t)
 	for seed := int64(0); seed < 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		nc, err := net.Dial("unix", r.addr)

@@ -3,23 +3,23 @@ package af_test
 import (
 	"bytes"
 	"net"
-	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"audiofile/af"
 	"audiofile/aserver"
+	"audiofile/internal/rig"
 	"audiofile/internal/sampleconv"
 	"audiofile/internal/vdev"
 )
 
-// rig is a full-stack test fixture: an in-process server with
+// stack is a full-stack test fixture: an in-process server with
 // manual-clock simulated devices, reachable over a real Unix socket.
 //
 // Devices: 0 phone0 (telephone codec), 1 codec0 (loopback), 2 hifi0
 // (stereo loopback), 3 hifi0L, 4 hifi0R.
-type rig struct {
+type stack struct {
 	srv      *aserver.Server
 	codecClk *vdev.ManualClock
 	hifiClk  *vdev.ManualClock
@@ -27,14 +27,13 @@ type rig struct {
 	addr     string
 }
 
-func newRig(t *testing.T) *rig {
-	t.Helper()
-	r := &rig{
+func newStack(t *testing.T) *stack {
+	r := &stack{
 		codecClk: vdev.NewManualClock(8000),
 		hifiClk:  vdev.NewManualClock(44100),
 		phoneClk: vdev.NewManualClock(8000),
 	}
-	srv, err := aserver.New(aserver.Options{
+	r.srv = rig.Server(t, aserver.Options{
 		Vendor: "test",
 		Logf:   t.Logf,
 		Devices: []aserver.DeviceSpec{
@@ -43,20 +42,12 @@ func newRig(t *testing.T) *rig {
 			{Kind: "hifi", Name: "hifi0", Clock: r.hifiClk, Loopback: true},
 		},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.srv = srv
-	t.Cleanup(srv.Close)
-	r.addr = filepath.Join(t.TempDir(), "af.sock")
-	if _, err := srv.Listen("unix", r.addr); err != nil {
-		t.Fatal(err)
-	}
+	r.addr = rig.Listen(t, r.srv, "unix")
 	return r
 }
 
-// dial opens a client connection to the rig's server.
-func (r *rig) dial(t *testing.T) *af.Conn {
+// dial opens a client connection to the stack's server.
+func (r *stack) dial(t *testing.T) *af.Conn {
 	t.Helper()
 	nc, err := net.Dial("unix", r.addr)
 	if err != nil {
@@ -72,7 +63,7 @@ func (r *rig) dial(t *testing.T) *af.Conn {
 
 // step advances the codec clock by n ticks in hardware-window-sized steps
 // with a server update after each, like wall time passing.
-func (r *rig) step(n int) {
+func (r *stack) step(n int) {
 	for n > 0 {
 		c := 512
 		if c > n {
@@ -112,7 +103,7 @@ func muTone(vals ...int16) []byte {
 }
 
 func TestSetupAndDeviceList(t *testing.T) {
-	r := newRig(t)
+	r := newStack(t)
 	c := r.dial(t)
 	if c.Vendor() != "test" {
 		t.Errorf("vendor = %q", c.Vendor())
@@ -146,7 +137,7 @@ func TestSetupAndDeviceList(t *testing.T) {
 }
 
 func TestGetTime(t *testing.T) {
-	r := newRig(t)
+	r := newStack(t)
 	c := r.dial(t)
 	r.codecClk.Advance(12345)
 	got, err := c.GetTime(1)
@@ -165,7 +156,7 @@ func TestGetTime(t *testing.T) {
 }
 
 func TestPlayRecordLoopback(t *testing.T) {
-	r := newRig(t)
+	r := newStack(t)
 	c := r.dial(t)
 	ac, err := c.CreateAC(1, 0, af.ACAttributes{})
 	if err != nil {
@@ -199,7 +190,7 @@ func TestPlayRecordLoopback(t *testing.T) {
 // channel count is one the mono codec does not have; the play behind it
 // must still be taken as µ-law, which a second context records back.
 func TestFailedChangeAttributesChangesNothing(t *testing.T) {
-	r := newRig(t)
+	r := newStack(t)
 	c := r.dial(t)
 	ac, err := c.CreateAC(1, 0, af.ACAttributes{})
 	if err != nil {
@@ -241,7 +232,7 @@ func TestFailedChangeAttributesChangesNothing(t *testing.T) {
 }
 
 func TestSilenceWhereNothingPlayed(t *testing.T) {
-	r := newRig(t)
+	r := newStack(t)
 	c := r.dial(t)
 	ac, _ := c.CreateAC(1, 0, af.ACAttributes{})
 	r.step(500)
@@ -258,7 +249,7 @@ func TestSilenceWhereNothingPlayed(t *testing.T) {
 }
 
 func TestPlayChunkingLargeRequest(t *testing.T) {
-	r := newRig(t)
+	r := newStack(t)
 	c := r.dial(t)
 	ac, _ := c.CreateAC(1, 0, af.ACAttributes{})
 	primeRecording(t, ac)
@@ -288,7 +279,7 @@ func TestPlayChunkingLargeRequest(t *testing.T) {
 }
 
 func TestRecordNonBlockingPartial(t *testing.T) {
-	r := newRig(t)
+	r := newStack(t)
 	c := r.dial(t)
 	ac, _ := c.CreateAC(1, 0, af.ACAttributes{})
 	r.step(200)
@@ -305,7 +296,7 @@ func TestRecordNonBlockingPartial(t *testing.T) {
 }
 
 func TestRecordBlockingWaitsForData(t *testing.T) {
-	r := newRig(t)
+	r := newStack(t)
 	c := r.dial(t)
 	ac, _ := c.CreateAC(1, 0, af.ACAttributes{})
 	r.step(100)
@@ -337,7 +328,7 @@ func TestRecordBlockingWaitsForData(t *testing.T) {
 func TestRequestsQueueBehindBlockedRecord(t *testing.T) {
 	// FIFO semantics: while a blocking record is parked, later requests
 	// on the same connection wait their turn.
-	r := newRig(t)
+	r := newStack(t)
 	c := r.dial(t)
 	ac, _ := c.CreateAC(1, 0, af.ACAttributes{})
 	r.step(100)
@@ -373,7 +364,7 @@ func TestRequestsQueueBehindBlockedRecord(t *testing.T) {
 }
 
 func TestMixingTwoConnections(t *testing.T) {
-	r := newRig(t)
+	r := newStack(t)
 	c1 := r.dial(t)
 	c2 := r.dial(t)
 	ac1, _ := c1.CreateAC(1, 0, af.ACAttributes{})
@@ -399,7 +390,7 @@ func TestMixingTwoConnections(t *testing.T) {
 }
 
 func TestPreemptionAcrossConnections(t *testing.T) {
-	r := newRig(t)
+	r := newStack(t)
 	c1 := r.dial(t)
 	c2 := r.dial(t)
 	ac1, _ := c1.CreateAC(1, 0, af.ACAttributes{})
@@ -421,7 +412,7 @@ func TestPreemptionAcrossConnections(t *testing.T) {
 const proto_ACPreemption = af.ACPreemption
 
 func TestPlayGainAttribute(t *testing.T) {
-	r := newRig(t)
+	r := newStack(t)
 	c := r.dial(t)
 	ac, _ := c.CreateAC(1, af.ACPlayGain, af.ACAttributes{PlayGain: -6})
 	now, _ := ac.GetTime()
@@ -450,7 +441,7 @@ func TestPlayGainAttribute(t *testing.T) {
 }
 
 func TestBigEndianClient(t *testing.T) {
-	r := newRig(t)
+	r := newStack(t)
 	nc, err := net.Dial("unix", r.addr)
 	if err != nil {
 		t.Fatal(err)
@@ -496,7 +487,7 @@ func TestBigEndianClient(t *testing.T) {
 }
 
 func TestPhoneEventsAndControl(t *testing.T) {
-	r := newRig(t)
+	r := newStack(t)
 	c := r.dial(t)
 	if err := c.SelectEvents(0, af.MaskAllEvents); err != nil {
 		t.Fatal(err)
@@ -576,7 +567,7 @@ func TestPhoneEventsAndControl(t *testing.T) {
 }
 
 func TestEventsNotDeliveredUnselected(t *testing.T) {
-	r := newRig(t)
+	r := newStack(t)
 	c := r.dial(t)
 	r.srv.PhoneLine(0).RingPulse()
 	r.srv.Sync()
@@ -590,7 +581,7 @@ func TestEventsNotDeliveredUnselected(t *testing.T) {
 }
 
 func TestAtoms(t *testing.T) {
-	r := newRig(t)
+	r := newStack(t)
 	c := r.dial(t)
 	// Built-in atom resolves by name to its predefined id.
 	a, err := c.InternAtom("STRING", false)
@@ -627,7 +618,7 @@ func TestAtoms(t *testing.T) {
 }
 
 func TestProperties(t *testing.T) {
-	r := newRig(t)
+	r := newStack(t)
 	c := r.dial(t)
 	watcher := r.dial(t)
 	watcher.SelectEvents(0, af.MaskPropertyChange)
@@ -700,7 +691,7 @@ func TestProperties(t *testing.T) {
 }
 
 func TestGainControls(t *testing.T) {
-	r := newRig(t)
+	r := newStack(t)
 	c := r.dial(t)
 	if err := c.SetOutputGain(1, -12); err != nil {
 		t.Fatal(err)
@@ -725,7 +716,7 @@ func TestGainControls(t *testing.T) {
 }
 
 func TestAccessControl(t *testing.T) {
-	r := newRig(t)
+	r := newStack(t)
 	c := r.dial(t)
 	enabled, hosts, err := c.ListHosts()
 	if err != nil {
@@ -755,7 +746,7 @@ func TestAccessControl(t *testing.T) {
 }
 
 func TestAccessControlRefusesTCP(t *testing.T) {
-	r := newRig(t)
+	r := newStack(t)
 	l, err := r.srv.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -797,7 +788,7 @@ func TestAccessControlRefusesTCP(t *testing.T) {
 }
 
 func TestHousekeepingRequests(t *testing.T) {
-	r := newRig(t)
+	r := newStack(t)
 	c := r.dial(t)
 	if err := c.NoOp(); err != nil {
 		t.Fatal(err)
@@ -822,7 +813,7 @@ func TestHousekeepingRequests(t *testing.T) {
 }
 
 func TestFreeACAndUseAfterFree(t *testing.T) {
-	r := newRig(t)
+	r := newStack(t)
 	c := r.dial(t)
 	ac, _ := c.CreateAC(1, 0, af.ACAttributes{})
 	if err := ac.Free(); err != nil {
@@ -841,17 +832,13 @@ func TestPassThrough(t *testing.T) {
 	sink := &vdev.CaptureSink{}
 	phoneClk := vdev.NewManualClock(8000)
 	codecClk := vdev.NewManualClock(8000)
-	srv, err := aserver.New(aserver.Options{
+	srv := rig.Server(t, aserver.Options{
 		Logf: t.Logf,
 		Devices: []aserver.DeviceSpec{
 			{Kind: "phone", Name: "phone0", Clock: phoneClk},
 			{Kind: "codec", Name: "codec0", Clock: codecClk, Sink: sink},
 		},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
 	cc := srv.DialPipe()
 	c, err := af.NewConn(cc)
 	if err != nil {
@@ -897,7 +884,7 @@ func TestPassThrough(t *testing.T) {
 }
 
 func TestMonoViewsOverProtocol(t *testing.T) {
-	r := newRig(t)
+	r := newStack(t)
 	c := r.dial(t)
 	acL, err := c.CreateAC(3, 0, af.ACAttributes{})
 	if err != nil {
@@ -933,7 +920,7 @@ func TestMonoViewsOverProtocol(t *testing.T) {
 }
 
 func TestManyClientsConcurrently(t *testing.T) {
-	r := newRig(t)
+	r := newStack(t)
 	const N = 8
 	errCh := make(chan error, N)
 	for i := 0; i < N; i++ {

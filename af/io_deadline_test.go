@@ -7,8 +7,8 @@ import (
 	"testing"
 	"time"
 
-	"audiofile/af"
 	"audiofile/aserver"
+	"audiofile/internal/rig"
 )
 
 // deadlineFailConn makes SetReadDeadline fail on demand. The poll path
@@ -31,22 +31,13 @@ func (c *deadlineFailConn) SetReadDeadline(t time.Time) error {
 }
 
 func TestPollSurfacesDeadlineError(t *testing.T) {
-	srv, err := aserver.New(aserver.Options{
-		Devices: []aserver.DeviceSpec{{Kind: "codec", Name: "codec0"}},
-		Logf:    func(string, ...any) {},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(srv.Close)
-
+	srv := rig.Server(t, aserver.Options{Devices: []aserver.DeviceSpec{{Kind: "codec", Name: "codec0"}}})
 	fc := &deadlineFailConn{Conn: srv.DialPipe()}
-	conn, err := af.NewConn(fc)
+	conn, err := rig.Client(fc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	conn.SetIOErrorHandler(func(*af.Conn, error) {})
 
 	// Healthy transport: Pending polls and returns without events.
 	if n, err := conn.Pending(); err != nil || n != 0 {

@@ -7,6 +7,7 @@ import (
 	"audiofile/af"
 	"audiofile/aserver"
 	"audiofile/internal/lineserver"
+	"audiofile/internal/rig"
 	"audiofile/internal/sampleconv"
 	"audiofile/internal/vdev"
 )
@@ -23,18 +24,14 @@ func TestLineServerDeviceOverProtocol(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer fw.Close()
+	t.Cleanup(fw.Close)
 
-	srv, err := aserver.New(aserver.Options{
+	srv := rig.Server(t, aserver.Options{
 		Logf: t.Logf,
 		Devices: []aserver.DeviceSpec{
 			{Kind: "lineserver", Name: "als0", Addr: fw.Addr(), LSNoExtrapolate: true},
 		},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
 
 	c, err := af.NewConn(srv.DialPipe())
 	if err != nil {

@@ -12,7 +12,7 @@ import (
 // calls on an idle connection take far less than the second a thousand
 // deadlines would.
 func TestPollIdleDoesNotWait(t *testing.T) {
-	r := newRig(t)
+	r := newStack(t)
 	c := r.dial(t)
 	selectPhone(t, c)
 	start := time.Now()
@@ -31,7 +31,7 @@ func TestPollIdleDoesNotWait(t *testing.T) {
 // readiness they raised, and queued; a poll after it finds them without
 // reading.
 func TestPollSeesEventBeforeSync(t *testing.T) {
-	r := newRig(t)
+	r := newStack(t)
 	c := r.dial(t)
 	selectPhone(t, c)
 	ringTwiceAndDTMF(r)

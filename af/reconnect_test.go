@@ -16,6 +16,7 @@ import (
 	"audiofile/af"
 	"audiofile/aserver"
 	"audiofile/internal/proto"
+	"audiofile/internal/rig"
 	"audiofile/internal/vdev"
 )
 
@@ -198,14 +199,9 @@ func TestServerClosedErrorOnDrain(t *testing.T) {
 }
 
 func TestSetReconnectRequiresRedialForCustomTransport(t *testing.T) {
-	srv, err := aserver.New(aserver.Options{
+	srv := rig.Server(t, aserver.Options{
 		Devices: []aserver.DeviceSpec{{Kind: "codec", Name: "codec0", Clock: vdev.NewManualClock(8000)}},
-		Logf:    func(string, ...any) {},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
 	conn, err := af.NewConn(srv.DialPipe())
 	if err != nil {
 		t.Fatal(err)

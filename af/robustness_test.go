@@ -13,7 +13,7 @@ import (
 // TestServerSurvivesGarbage: random bytes after a valid setup must not
 // crash or wedge the server; well-behaved clients keep working.
 func TestServerSurvivesGarbage(t *testing.T) {
-	r := newRig(t)
+	r := newStack(t)
 	good := r.dial(t)
 
 	for seed := 0; seed < 5; seed++ {
@@ -50,7 +50,7 @@ func TestServerSurvivesGarbage(t *testing.T) {
 // TestServerSurvivesTruncatedRequest: a request header promising more
 // body than ever arrives just hangs that one connection until it closes.
 func TestServerSurvivesTruncatedRequest(t *testing.T) {
-	r := newRig(t)
+	r := newStack(t)
 	nc, err := net.Dial("unix", r.addr)
 	if err != nil {
 		t.Fatal(err)
@@ -91,7 +91,7 @@ func readFullDeadline(t *testing.T, nc net.Conn, buf []byte) {
 // TestAbruptDisconnectsUnderLoad: clients that vanish mid-conversation
 // (including with a blocking record parked) release their resources.
 func TestAbruptDisconnectsUnderLoad(t *testing.T) {
-	r := newRig(t)
+	r := newStack(t)
 	r.step(200)
 	for i := 0; i < 10; i++ {
 		nc, err := net.Dial("unix", r.addr)
@@ -133,7 +133,7 @@ func TestAbruptDisconnectsUnderLoad(t *testing.T) {
 // has a queue of messages for it gets dropped instead of blocking the
 // single-threaded loop.
 func TestSlowReaderDisconnected(t *testing.T) {
-	r := newRig(t)
+	r := newStack(t)
 	nc, err := net.Dial("unix", r.addr)
 	if err != nil {
 		t.Fatal(err)

@@ -7,6 +7,7 @@ import (
 	"audiofile/af"
 	"audiofile/afutil"
 	"audiofile/aserver"
+	"audiofile/internal/rig"
 	"audiofile/internal/vdev"
 )
 
@@ -16,16 +17,12 @@ import (
 // line, whose decoder recognizes the digits and raises DTMF events.
 func TestDialPhoneDetectedByLine(t *testing.T) {
 	clk := vdev.NewManualClock(8000)
-	srv, err := aserver.New(aserver.Options{
+	srv := rig.Server(t, aserver.Options{
 		Logf: t.Logf,
 		Devices: []aserver.DeviceSpec{
 			{Kind: "phone", Name: "phone0", Clock: clk},
 		},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
 	c, err := af.NewConn(srv.DialPipe())
 	if err != nil {
 		t.Fatal(err)

@@ -124,20 +124,8 @@ func (e *engine) subscribeLocked(c *client, a *ac) uint8 {
 // that is not subscribed (or was already dropped by the pump's dead-sub
 // sweep) is a no-op. Caller holds e.mu.
 func (e *engine) unsubscribeLocked(a *ac) {
-	if !a.subscribed {
-		return
-	}
-	a.subscribed = false
-	for gi, g := range e.bcast.groups {
-		if g.dev != a.dev {
-			continue
-		}
-		for si, sb := range g.subs {
-			if sb.a == a {
-				e.removeSubLocked(gi, si)
-				return
-			}
-		}
+	if a.subscribed {
+		e.dropSubsLocked(func(sb *bsub) bool { return sb.a == a })
 	}
 }
 
@@ -146,40 +134,34 @@ func (e *engine) unsubscribeLocked(a *ac) {
 // broadcast analogue of dropClientParks).
 func (e *engine) dropClientSubs(c *client) {
 	e.mu.Lock()
-	gi := 0
-	for gi < len(e.bcast.groups) {
-		g := e.bcast.groups[gi]
-		for si := 0; si < len(g.subs); {
-			if g.subs[si].c == c {
-				g.subs[si].a.subscribed = false
-				e.removeSubLocked(gi, si) // may remove g itself
-			} else {
-				si++
-			}
-		}
-		// Swap-removal moves the tail group into gi when g empties, so
-		// only advance while gi still holds the group just processed.
-		if gi < len(e.bcast.groups) && e.bcast.groups[gi] == g {
-			gi++
-		}
-	}
+	e.dropSubsLocked(func(sb *bsub) bool { return sb.c == c })
 	e.mu.Unlock()
 }
 
-// removeSubLocked deletes subscriber si from group gi, dropping the
-// group when it empties. Caller holds e.mu.
-func (e *engine) removeSubLocked(gi, si int) {
-	g := e.bcast.groups[gi]
-	g.subs[si] = g.subs[len(g.subs)-1]
-	g.subs[len(g.subs)-1] = nil
-	g.subs = g.subs[:len(g.subs)-1]
-	if len(g.subs) == 0 {
-		e.bcast.groups[gi] = e.bcast.groups[len(e.bcast.groups)-1]
-		e.bcast.groups[len(e.bcast.groups)-1] = nil
-		e.bcast.groups = e.bcast.groups[:len(e.bcast.groups)-1]
+// dropSubsLocked removes every subscriber match selects, clearing its
+// context's subscribed mark, and drops the groups it leaves empty. Caller
+// holds e.mu.
+func (e *engine) dropSubsLocked(match func(*bsub) bool) {
+	b := &e.bcast
+	groups := b.groups[:0]
+	for _, g := range b.groups {
+		subs := g.subs[:0]
+		for _, sb := range g.subs {
+			if !match(sb) {
+				subs = append(subs, sb)
+				continue
+			}
+			sb.a.subscribed = false
+			b.nsubs--
+			e.m.bcastSubs.Add(-1)
+		}
+		clear(g.subs[len(subs):])
+		if g.subs = subs; len(subs) > 0 {
+			groups = append(groups, g)
+		}
 	}
-	e.bcast.nsubs--
-	e.m.bcastSubs.Add(-1)
+	clear(b.groups[len(groups):])
+	b.groups = groups
 }
 
 // pumpBroadcast advances the channel cursor to the device's current time
@@ -220,23 +202,13 @@ func (e *engine) pumpBroadcast() {
 // group and enqueues the resulting message on every subscriber in the
 // group. Caller holds e.mu.
 func (e *engine) emitChunkLocked(start atime.ATime, nframes int) {
-	gi := 0
-	encoded := false
-	for gi < len(e.bcast.groups) {
-		g := e.bcast.groups[gi]
-		// Sweep dead subscribers first so a group kept alive only by a
-		// torn-down client does not pay for an encode.
-		for si := 0; si < len(g.subs); {
-			if g.subs[si].c.dead.Load() {
-				g.subs[si].a.subscribed = false
-				e.removeSubLocked(gi, si)
-			} else {
-				si++
-			}
-		}
-		if gi == len(e.bcast.groups) || e.bcast.groups[gi] != g {
-			continue // group vanished with its last dead subscriber
-		}
+	// Sweep dead subscribers first so a group kept alive only by a
+	// torn-down client does not pay for an encode.
+	e.dropSubsLocked(func(sb *bsub) bool { return sb.c.dead.Load() })
+	if len(e.bcast.groups) == 0 {
+		return
+	}
+	for _, g := range e.bcast.groups {
 		m := getMsg("broadcast")
 		buf := msgBytes(m, proto.BroadcastHeaderBytes+nframes*g.vfb)
 		payload := buf[proto.BroadcastHeaderBytes:]
@@ -254,7 +226,6 @@ func (e *engine) emitChunkLocked(start atime.ATime, nframes int) {
 		proto.PutBroadcastHeader(g.order, buf, &bd, len(payload))
 		g.seq++
 		e.m.bcastEncodes.Inc()
-		encoded = true
 		// The encode is done: hand one reference per subscriber to the
 		// send path. A failed send (dead client, closed queue) releases
 		// its own reference, so the count balances whatever happens.
@@ -268,12 +239,9 @@ func (e *engine) emitChunkLocked(start atime.ATime, nframes int) {
 		e.m.bcastMsgs.Add(uint64(sent))
 		e.m.bcastBytes.Add(uint64(sent * len(buf)))
 		e.m.bcastDrops.Add(uint64(len(g.subs) - sent))
-		gi++
 	}
 	// A time-slice counts as a chunk only if some live group consumed it,
 	// after its encodes: the broadcast law (DeviceStats.Check) holds even
 	// when the dead-subscriber sweep empties the channel mid-span.
-	if encoded {
-		e.m.bcastChunks.Inc()
-	}
+	e.m.bcastChunks.Inc()
 }

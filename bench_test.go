@@ -26,35 +26,25 @@ import (
 	"time"
 
 	"audiofile/af"
-	"audiofile/internal/perfrig"
+	"audiofile/internal/rig"
 )
 
 // benchConfigs are the transport configurations standing in for the
 // paper's host configurations. The delayed TCP variants are confined to
 // the latency benchmark to keep -bench runs fast.
-var benchConfigs = []perfrig.Config{
+var benchConfigs = []rig.Config{
 	{Name: "unix", Transport: "unix"},
 	{Name: "tcp", Transport: "tcp"},
-}
-
-func newRig(tb testing.TB, cfg perfrig.Config) *perfrig.Rig {
-	tb.Helper()
-	r, err := perfrig.New(cfg)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	tb.Cleanup(r.Close)
-	return r
 }
 
 // BenchmarkGetTime is Figure 10: the AFGetTime round trip, the baseline
 // cost of an AudioFile operation (8-byte request, minimal processing).
 func BenchmarkGetTime(b *testing.B) {
-	configs := append([]perfrig.Config{{Name: "pipe", Transport: "pipe"}}, benchConfigs...)
-	configs = append(configs, perfrig.Config{Name: "tcp+1ms", Transport: "tcp", RTT: time.Millisecond})
+	configs := append([]rig.Config{{Name: "pipe", Transport: "pipe"}}, benchConfigs...)
+	configs = append(configs, rig.Config{Name: "tcp+1ms", Transport: "tcp", RTT: time.Millisecond})
 	for _, cfg := range configs {
 		b.Run(cfg.Name, func(b *testing.B) {
-			r := newRig(b, cfg)
+			r := rig.New(b, cfg)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := r.Conn.GetTime(0); err != nil {
@@ -74,7 +64,7 @@ var transferSizes = []int{64, 1 << 10, 4 << 10, 8 << 10, 16 << 10, 24 << 10}
 func BenchmarkRecordSamples(b *testing.B) {
 	for _, cfg := range benchConfigs {
 		b.Run(cfg.Name, func(b *testing.B) {
-			r := newRig(b, cfg)
+			r := rig.New(b, cfg)
 			if err := r.PrimeRecord(); err != nil {
 				b.Fatal(err)
 			}
@@ -105,7 +95,7 @@ func BenchmarkRecordSamples(b *testing.B) {
 func playBench(b *testing.B, preempt bool) {
 	for _, cfg := range benchConfigs {
 		b.Run(cfg.Name, func(b *testing.B) {
-			r := newRig(b, cfg)
+			r := rig.New(b, cfg)
 			if preempt {
 				if err := r.AC.ChangeAttributes(af.ACPreemption,
 					af.ACAttributes{Preempt: true}); err != nil {
@@ -153,7 +143,7 @@ func BenchmarkPlayMix(b *testing.B) { playBench(b, false) }
 func BenchmarkLoopback(b *testing.B) {
 	for _, cfg := range benchConfigs {
 		b.Run(cfg.Name, func(b *testing.B) {
-			r := newRig(b, cfg)
+			r := rig.New(b, cfg)
 			if err := r.PrimeRecord(); err != nil {
 				b.Fatal(err)
 			}
@@ -185,7 +175,7 @@ func BenchmarkLoopback(b *testing.B) {
 // BenchmarkServerMixing isolates the per-sample mixing cost inside the
 // server (the Table 11 mixing-vs-preempt gap) without transport noise.
 func BenchmarkServerMixing(b *testing.B) {
-	r := newRig(b, perfrig.Config{Name: "pipe", Transport: "pipe"})
+	r := rig.New(b, rig.Config{Name: "pipe", Transport: "pipe"})
 	now, err := r.AC.GetTime()
 	if err != nil {
 		b.Fatal(err)

@@ -24,6 +24,7 @@ import (
 	"audiofile/aserver"
 	"audiofile/internal/netsim"
 	"audiofile/internal/proto"
+	"audiofile/internal/rig"
 	"audiofile/internal/vdev"
 )
 
@@ -106,33 +107,10 @@ func collectChunks(t *testing.T, sub *af.Subscription, n int, fail func(error)) 
 func TestBroadcastBasic(t *testing.T) {
 	const rate = 8000
 	clk := vdev.NewManualClock(rate)
-	srv, err := aserver.New(aserver.Options{
+	srv := rig.Server(t, aserver.Options{
 		Devices: []aserver.DeviceSpec{{Kind: "codec", Name: "codec0", Clock: clk}},
-		Logf:    func(string, ...any) {},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(srv.Close)
-
-	stop := make(chan struct{})
-	var stepWG sync.WaitGroup
-	stepWG.Add(1)
-	go func() {
-		defer stepWG.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			clk.Advance(256)
-			srv.Sync()
-			time.Sleep(100 * time.Microsecond)
-		}
-	}()
-	t.Cleanup(stepWG.Wait)
-	t.Cleanup(func() { close(stop) })
+	rig.Step(t, srv, 100*time.Microsecond, clk)
 
 	var firstErr atomic.Value
 	fail := func(err error) {
@@ -145,13 +123,12 @@ func TestBroadcastBasic(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		conn, err := af.NewConn(srv.DialPipe())
+		conn, err := rig.Client(srv.DialPipe())
 		if err != nil {
 			fail(err)
 			return
 		}
 		defer conn.Close()
-		conn.SetIOErrorHandler(func(*af.Conn, error) {})
 		ac, err := conn.CreateAC(0, 0, af.ACAttributes{})
 		if err != nil {
 			fail(err)
@@ -160,11 +137,10 @@ func TestBroadcastBasic(t *testing.T) {
 		playRampBlocks(ac, 120, 2048, fail)
 	}()
 
-	conn, err := af.NewConn(srv.DialPipe())
+	conn, err := rig.Client(srv.DialPipe())
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn.SetIOErrorHandler(func(*af.Conn, error) {})
 	ac, err := conn.CreateAC(0, 0, af.ACAttributes{})
 	if err != nil {
 		t.Fatal(err)
@@ -208,20 +184,14 @@ func TestBroadcastBasic(t *testing.T) {
 // double subscription on a device, compressed contexts, unsubscribe
 // idempotence, and FreeAC releasing the server-side slot.
 func TestBroadcastSubscribeErrors(t *testing.T) {
-	srv, err := aserver.New(aserver.Options{
+	srv := rig.Server(t, aserver.Options{
 		Devices: []aserver.DeviceSpec{{Kind: "codec", Name: "codec0", Clock: vdev.NewManualClock(8000)}},
-		Logf:    func(string, ...any) {},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(srv.Close)
-	conn, err := af.NewConn(srv.DialPipe())
+	conn, err := rig.Client(srv.DialPipe())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	conn.SetIOErrorHandler(func(*af.Conn, error) {})
 
 	wantCode := func(err error, code uint8, what string) {
 		t.Helper()
@@ -287,6 +257,108 @@ func TestBroadcastSubscribeErrors(t *testing.T) {
 	}
 }
 
+// TestBroadcastMultiGroupTeardown: one client holds three groups on one
+// engine — hifi0 and its two mono views — while a second client listens
+// on hifi0 beside it. The first client's close drops all three of its
+// subscriptions in one teardown, and the groups it alone held with them;
+// the survivor's stream must run on gap-free, and the channel's books
+// balance once both are gone.
+func TestBroadcastMultiGroupTeardown(t *testing.T) {
+	clk := vdev.NewManualClock(44100)
+	srv := rig.Server(t, aserver.Options{
+		Devices: []aserver.DeviceSpec{{Kind: "hifi", Name: "hifi0", Clock: clk}},
+	})
+	rig.Step(t, srv, time.Millisecond, clk)
+	subsNow := func() int64 { return srv.Snapshot().Devices[0].BcastSubs }
+	subscribe := func(conn *af.Conn, device string) *af.Subscription {
+		t.Helper()
+		for _, d := range conn.Devices() {
+			if d.Name != device {
+				continue
+			}
+			ac, err := conn.CreateAC(d.Index, 0, af.ACAttributes{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sub, _, err := ac.Subscribe()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return sub
+		}
+		t.Fatalf("no device %s", device)
+		return nil
+	}
+
+	leaver, err := rig.Client(srv.DialPipe())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer leaver.Close()
+	var held []*af.Subscription
+	for _, device := range []string{"hifi0", "hifi0L", "hifi0R"} {
+		held = append(held, subscribe(leaver, device))
+	}
+	survivor, err := rig.Client(srv.DialPipe())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer survivor.Close()
+	sub := subscribe(survivor, "hifi0")
+	if n := subsNow(); n != 4 {
+		t.Fatalf("bcast_subs = %d with four subscriptions, want 4", n)
+	}
+
+	// The survivor reads throughout, checking Seq, until told to stop.
+	var chunks atomic.Int64
+	stop, done := make(chan struct{}), make(chan error, 1)
+	go func() {
+		haveSeq := false
+		var wantSeq uint16
+		for {
+			ch, err := sub.Next()
+			if err != nil {
+				done <- fmt.Errorf("survivor chunk %d: %w", chunks.Load(), err)
+				return
+			}
+			if haveSeq && ch.Seq != wantSeq {
+				done <- fmt.Errorf("survivor chunk %d: seq %d, want %d (gap)", chunks.Load(), ch.Seq, wantSeq)
+				return
+			}
+			haveSeq, wantSeq = true, ch.Seq+1
+			chunks.Add(1)
+			select {
+			case <-stop:
+				done <- nil
+				return
+			default:
+			}
+		}
+	}()
+
+	for i := 0; i < 20; i++ {
+		if _, err := held[0].Next(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	leaver.Close()
+	waitFor(t, 10*time.Second, "the leaver's subscriptions to drop", func() bool { return subsNow() == 1 })
+	past := chunks.Load() + 20
+	waitFor(t, 10*time.Second, "the survivor to read past the teardown", func() bool { return chunks.Load() >= past })
+	if n := subsNow(); n != 1 {
+		t.Errorf("bcast_subs = %d while the survivor listens, want 1", n)
+	}
+	close(stop)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+
+	survivor.Close()
+	if err := drainSnapshot(t, srv).Check(true); err != nil {
+		t.Error(err)
+	}
+}
+
 // TestBroadcastSoak: the fan-out under fire. A player streams the ramp
 // for the whole run while four kinds of listeners subscribe: two healthy
 // (clean pipe), one behind a fragmenting transport, one whose transport
@@ -305,43 +377,13 @@ func TestBroadcastSoak(t *testing.T) {
 	)
 
 	clk := vdev.NewManualClock(rate)
-	srv, err := aserver.New(aserver.Options{
+	srv := rig.Server(t, aserver.Options{
 		Devices:          []aserver.DeviceSpec{{Kind: "codec", Name: "codec0", Clock: clk}},
-		Logf:             func(string, ...any) {},
 		ClientQueueBytes: clientBudget,
 		EvictGrace:       evictGrace,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(srv.Close)
-	l, err := srv.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { l.Close() })
-	addr := l.Addr().String()
-
-	var advanced atomic.Int64
-	stop := make(chan struct{})
-	var stepWG sync.WaitGroup
-	stepWG.Add(1)
-	go func() {
-		defer stepWG.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			clk.Advance(256)
-			advanced.Add(256)
-			srv.Sync()
-			time.Sleep(100 * time.Microsecond)
-		}
-	}()
-	t.Cleanup(stepWG.Wait)
-	t.Cleanup(func() { close(stop) })
+	addr := rig.Listen(t, srv, "tcp")
+	stepper := rig.Step(t, srv, 100*time.Microsecond, clk)
 
 	var firstErr atomic.Value
 	fail := func(err error) {
@@ -357,13 +399,12 @@ func TestBroadcastSoak(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		conn, err := af.NewConn(srv.DialPipe())
+		conn, err := rig.Client(srv.DialPipe())
 		if err != nil {
 			fail(err)
 			return
 		}
 		defer conn.Close()
-		conn.SetIOErrorHandler(func(*af.Conn, error) {})
 		ac, err := conn.CreateAC(0, 0, af.ACAttributes{})
 		if err != nil {
 			fail(err)
@@ -375,13 +416,12 @@ func TestBroadcastSoak(t *testing.T) {
 	// Healthy subscribers: every chunk in order, every byte accounted.
 	subscribeAndCollect := func(nc net.Conn, label string) {
 		defer wg.Done()
-		conn, err := af.NewConn(nc)
+		conn, err := rig.Client(nc)
 		if err != nil {
 			fail(fmt.Errorf("%s setup: %w", label, err))
 			return
 		}
 		defer conn.Close()
-		conn.SetIOErrorHandler(func(*af.Conn, error) {})
 		ac, err := conn.CreateAC(0, 0, af.ACAttributes{})
 		if err != nil {
 			fail(fmt.Errorf("%s: %w", label, err))
@@ -433,12 +473,11 @@ func TestBroadcastSoak(t *testing.T) {
 			return
 		}
 		fc := netsim.NewFaultConn(nc, netsim.FaultConfig{Seed: 7, ResetAfterBytes: 600})
-		conn, err := af.NewConn(fc)
+		conn, err := rig.Client(fc)
 		if err != nil {
 			return // cut landed in setup
 		}
 		defer conn.Close()
-		conn.SetIOErrorHandler(func(*af.Conn, error) {})
 		ac, err := conn.CreateAC(0, 0, af.ACAttributes{})
 		if err != nil {
 			return
@@ -516,7 +555,7 @@ func TestBroadcastSoak(t *testing.T) {
 	if err := firstErr.Load(); err != nil {
 		t.Fatal(err)
 	}
-	for advanced.Load() < simSpan {
+	for stepper.Frames() < simSpan {
 		time.Sleep(time.Millisecond)
 	}
 

@@ -23,9 +23,8 @@ import (
 
 	"audiofile/af"
 	"audiofile/afutil"
-	"audiofile/aserver"
 	"audiofile/internal/cmdutil"
-	"audiofile/internal/perfrig"
+	"audiofile/internal/rig"
 )
 
 var (
@@ -39,11 +38,11 @@ func main() {
 	if *quick && *iters == 1000 {
 		*iters = 100
 	}
-	configs := perfrig.StandardConfigs()
+	configs := rig.StandardConfigs()
 	if *quick {
 		configs = configs[:3]
 	}
-	run := func(name string, fn func([]perfrig.Config)) {
+	run := func(name string, fn func([]rig.Config)) {
 		if *expSel == "all" || *expSel == name ||
 			(strings.HasPrefix(name, "fig") && *expSel == "table"+name[3:]) {
 			fn(configs)
@@ -69,8 +68,8 @@ func main() {
 	}
 }
 
-func newRig(cfg perfrig.Config) *perfrig.Rig {
-	r, err := perfrig.New(cfg)
+func newRig(cfg rig.Config) *rig.Rig {
+	r, err := rig.Open(cfg)
 	if err != nil {
 		cmdutil.Die("afperf: %v", err)
 	}
@@ -90,7 +89,7 @@ func measure(n int, fn func()) time.Duration {
 }
 
 // fig10 reproduces Figure 10: AFGetTime() function timings.
-func fig10(configs []perfrig.Config) {
+func fig10(configs []rig.Config) {
 	fmt.Println("Figure 10: AFGetTime() round-trip time")
 	fmt.Println("  (paper: 0.8 ms local MIPS, ~2.5 ms networked MIPS/MIPS)")
 	fmt.Printf("  %-16s %12s\n", "configuration", "time/call")
@@ -116,7 +115,7 @@ var playSizes = []int{1 << 10, 2 << 10, 4 << 10, 8 << 10, 16 << 10, 24 << 10}
 
 // fig11table10 reproduces Figure 11 (AFRecordSamples timings) and
 // Table 10 (record throughput from the slope).
-func fig11table10(configs []perfrig.Config) {
+func fig11table10(configs []rig.Config) {
 	fmt.Println("Figure 11: AFRecordSamples() timings (requests hit the record buffer)")
 	fmt.Println("  (paper: base overhead + linear cost, jumps at 8 KiB chunk boundaries)")
 	fmt.Printf("  %-16s", "configuration")
@@ -125,7 +124,7 @@ func fig11table10(configs []perfrig.Config) {
 	}
 	fmt.Println()
 	type row struct {
-		cfg   perfrig.Config
+		cfg   rig.Config
 		times []time.Duration
 	}
 	var rows []row
@@ -171,9 +170,9 @@ func fig11table10(configs []perfrig.Config) {
 
 // fig1213table11 reproduces Figures 12 and 13 (preemptive and mixing
 // AFPlaySamples timings) and Table 11 (play throughput for both modes).
-func fig1213table11(configs []perfrig.Config) {
+func fig1213table11(configs []rig.Config) {
 	type row struct {
-		cfg     perfrig.Config
+		cfg     rig.Config
 		preempt []time.Duration
 		mix     []time.Duration
 	}
@@ -251,7 +250,7 @@ func fig1213table11(configs []perfrig.Config) {
 
 // table12 reproduces Table 12: the open-loop record/play loopback
 // iteration time of §10.1.4.
-func table12(configs []perfrig.Config) {
+func table12(configs []rig.Config) {
 	fmt.Println("Table 12: Open-loop record/play loopback iteration")
 	fmt.Println("  (paper: 0.87 ms local alpha .. 3.45 ms mips/mips)")
 	fmt.Printf("  %-16s %12s\n", "configuration", "time/iter")
@@ -300,10 +299,7 @@ func cpuUsage() {
 
 	// Quiescent: a real-time server with no clients doing anything.
 	func() {
-		r, err := perfrig.New(perfrig.Config{Name: "idle", Transport: "pipe"})
-		if err != nil {
-			cmdutil.Die("afperf: %v", err)
-		}
+		r := newRig(rig.Config{Name: "idle", Transport: "pipe"})
 		defer r.Close()
 		pct := cpuPercentOver(window, func() { time.Sleep(window) })
 		fmt.Printf("  %-28s %6.2f%%\n", "quiescent server", pct)
@@ -312,10 +308,9 @@ func cpuUsage() {
 	// Streaming: an aplay-style client pushing a continuous 8 kHz CODEC
 	// stream against a real-time clock.
 	func() {
-		srv, conn, ac := realtimeRig()
-		defer srv()
-		defer conn.Close()
-		rate := 8000
+		r := newRig(rig.Config{Name: "stream", Transport: "pipe", RealTime: true})
+		defer r.Close()
+		ac, rate := r.AC, 8000
 		tone := make([]byte, rate/4)
 		afutil.TonePair(440, -13, 550, -13, 0, rate, tone)
 		now, _ := ac.GetTime()
@@ -335,32 +330,6 @@ func cpuUsage() {
 		fmt.Printf("  %-28s %6.2f%%\n", "8 kHz CODEC play stream", pct)
 	}()
 	fmt.Println()
-}
-
-// realtimeRig builds a real-clock server + client for the CPU test.
-func realtimeRig() (closeFn func(), conn *af.Conn, ac *af.AC) {
-	srv, err := perfrigRealtime()
-	if err != nil {
-		cmdutil.Die("afperf: %v", err)
-	}
-	conn, err = af.NewConn(srv.DialPipe())
-	if err != nil {
-		cmdutil.Die("afperf: %v", err)
-	}
-	ac, err = conn.CreateAC(0, 0, af.ACAttributes{})
-	if err != nil {
-		cmdutil.Die("afperf: %v", err)
-	}
-	return srv.Close, conn, ac
-}
-
-// perfrigRealtime builds a real-clock single-codec server for the CPU
-// streaming test.
-func perfrigRealtime() (*aserver.Server, error) {
-	return aserver.New(aserver.Options{
-		Devices: []aserver.DeviceSpec{{Kind: "codec", Name: "codec0", Loopback: true}},
-		Logf:    func(string, ...any) {},
-	})
 }
 
 func sizeLabel(n int) string {

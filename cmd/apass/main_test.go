@@ -8,6 +8,7 @@ import (
 	"audiofile/af"
 	"audiofile/afutil"
 	"audiofile/aserver"
+	"audiofile/internal/rig"
 	"audiofile/internal/sampleconv"
 	"audiofile/internal/vdev"
 )
@@ -16,16 +17,12 @@ import (
 // clock skew, and returns a connection to it.
 func newServer(t *testing.T, ppm float64, src vdev.RecordSource, sink vdev.PlaySink) (*aserver.Server, *af.Conn) {
 	t.Helper()
-	srv, err := aserver.New(aserver.Options{
+	srv := rig.Server(t, aserver.Options{
 		Logf: t.Logf,
 		Devices: []aserver.DeviceSpec{
 			{Kind: "codec", Name: "codec0", PPM: ppm, Source: src, Sink: sink},
 		},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(srv.Close)
 	c, err := af.NewConn(srv.DialPipe())
 	if err != nil {
 		t.Fatal(err)
@@ -80,17 +77,13 @@ func TestPassResynchronizesUnderDrift(t *testing.T) {
 }
 
 func TestPassRejectsMismatchedDevices(t *testing.T) {
-	srv, err := aserver.New(aserver.Options{
+	srv := rig.Server(t, aserver.Options{
 		Logf: t.Logf,
 		Devices: []aserver.DeviceSpec{
 			{Kind: "codec", Name: "codec0"},
 			{Kind: "hifi", Name: "hifi0"},
 		},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
 	c, err := af.NewConn(srv.DialPipe())
 	if err != nil {
 		t.Fatal(err)

@@ -198,18 +198,7 @@ type RecordResult struct {
 // request's block flag.
 func (d *Device) Record(start atime.ATime, dst []byte, enc sampleconv.Encoding, gainDB int) RecordResult {
 	r := d.root()
-	now := r.backend.Time()
-	r.now = now
-	vfb := enc.BytesPerSamples(1) * d.chanCnt // client frame size
-	want := len(dst) / vfb
-
-	avail := want
-	if atime.After(atime.Add(start, want), now) {
-		avail = int(atime.Sub(now, start))
-		if avail < 0 {
-			avail = 0
-		}
-	}
+	now, avail, pre, vfb := d.recordWindow(start, dst, enc)
 	if avail == 0 {
 		return RecordResult{Avail: 0, Now: now}
 	}
@@ -218,24 +207,32 @@ func (d *Device) Record(start atime.ATime, dst []byte, enc sampleconv.Encoding, 
 	if atime.After(atime.Add(start, avail), r.timeRecLastUpdated) {
 		r.recUpdate(now)
 	}
-
-	q := gainQ16For(gainDB)
-	oldest := atime.Add(now, -r.bufFrames)
-	// Silence for the portion older than the buffer.
-	pre := 0
-	if atime.Before(start, oldest) {
-		pre = int(atime.Sub(oldest, start))
-		if pre > avail {
-			pre = avail
-		}
-		sampleconv.Silence(enc, dst[:pre*vfb])
-		start = atime.Add(start, pre)
-	}
 	if n := avail - pre; n > 0 {
-		d.readRing(r.recBuf, start, n, dst[pre*vfb:], enc, q)
+		d.readRing(r.recBuf, atime.Add(start, pre), n, dst[pre*vfb:], enc, gainQ16For(gainDB))
 	}
 	r.IO.FramesRecorded += uint64(avail)
 	return RecordResult{Avail: avail, Now: now}
+}
+
+// recordWindow is the window Record and TapMix read: of the frames dst
+// holds (client encoding enc, view channel count) from start, avail have
+// already passed device time now, and the first pre of those, older than
+// the buffer window, are filled with silence here. vfb is the client
+// frame size.
+func (d *Device) recordWindow(start atime.ATime, dst []byte, enc sampleconv.Encoding) (now atime.ATime, avail, pre, vfb int) {
+	r := d.root()
+	now = r.backend.Time()
+	r.now = now
+	vfb = enc.BytesPerSamples(1) * d.chanCnt
+	avail = len(dst) / vfb
+	if atime.After(atime.Add(start, avail), now) {
+		avail = max(int(atime.Sub(now, start)), 0)
+	}
+	if oldest := atime.Add(now, -r.bufFrames); atime.Before(start, oldest) {
+		pre = min(int(atime.Sub(oldest, start)), avail)
+		sampleconv.Silence(enc, dst[:pre*vfb])
+	}
+	return now, avail, pre, vfb
 }
 
 // TapMix fills dst (client encoding enc, view channel count) with the
@@ -253,34 +250,8 @@ func (d *Device) Record(start atime.ATime, dst []byte, enc sampleconv.Encoding, 
 // is silence-backfilled) read as silence.
 func (d *Device) TapMix(start atime.ATime, dst []byte, enc sampleconv.Encoding) RecordResult {
 	r := d.root()
-	now := r.backend.Time()
-	r.now = now
-	vfb := enc.BytesPerSamples(1) * d.chanCnt // client frame size
-	want := len(dst) / vfb
-
-	avail := want
-	if atime.After(atime.Add(start, want), now) {
-		avail = int(atime.Sub(now, start))
-		if avail < 0 {
-			avail = 0
-		}
-	}
-	if avail == 0 {
-		return RecordResult{Avail: 0, Now: now}
-	}
-
-	oldest := atime.Add(now, -r.bufFrames)
-	// Silence for the portion older than the buffer.
-	pre := 0
-	if atime.Before(start, oldest) {
-		pre = int(atime.Sub(oldest, start))
-		if pre > avail {
-			pre = avail
-		}
-		sampleconv.Silence(enc, dst[:pre*vfb])
-		start = atime.Add(start, pre)
-	}
-	n := avail - pre
+	now, avail, pre, vfb := d.recordWindow(start, dst, enc)
+	start, n := atime.Add(start, pre), avail-pre
 	// Silence for the portion past the last valid playback sample.
 	if post := int(atime.Sub(atime.Add(start, n), r.timeLastValid)); post > 0 {
 		if post > n {

@@ -12,6 +12,7 @@ import (
 
 	"audiofile/afutil"
 	"audiofile/aserver"
+	"audiofile/internal/rig"
 	"audiofile/internal/sampleconv"
 	"audiofile/internal/sndfile"
 	"audiofile/internal/vdev"
@@ -49,13 +50,14 @@ func TestRadioStdinToReceiver(t *testing.T) {
 	}
 	buildContrib(t)
 	speaker := &vdev.CaptureSink{Max: 1 << 20}
-	w := newWorld(t, []aserver.DeviceSpec{{Kind: "codec", Name: "codec0", Sink: speaker}})
+	srv := rig.Server(t, aserver.Options{Logf: t.Logf, Devices: []aserver.DeviceSpec{{Kind: "codec", Name: "codec0", Sink: speaker}}})
+	afAddr := "unix:" + rig.Listen(t, srv, "unix")
 	addr := freeUDPPort(t)
 
 	// Receiver first (unicast listen), then transmit a one-second tone
 	// from stdin in 50 ms datagrams.
 	recvDone := make(chan error, 1)
-	recvCmd := exec.Command(bin("radio"), "-recv", "-a", w.addr, "-addr", addr, "-n", "20",
+	recvCmd := exec.Command(bin("radio"), "-recv", "-a", afAddr, "-addr", addr, "-n", "20",
 		"-delay", "0.2")
 	recvCmd.Stderr = os.Stderr
 	if err := recvCmd.Start(); err != nil {
@@ -94,13 +96,14 @@ func TestAbiffChimesOnNewMail(t *testing.T) {
 	}
 	buildContrib(t)
 	speaker := &vdev.CaptureSink{Max: 1 << 20}
-	w := newWorld(t, []aserver.DeviceSpec{{Kind: "codec", Name: "codec0", Sink: speaker}})
+	srv := rig.Server(t, aserver.Options{Logf: t.Logf, Devices: []aserver.DeviceSpec{{Kind: "codec", Name: "codec0", Sink: speaker}}})
+	afAddr := "unix:" + rig.Listen(t, srv, "unix")
 
 	mbox := filepath.Join(t.TempDir(), "mbox")
 	if err := os.WriteFile(mbox, []byte("From old\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cmd := exec.Command(bin("abiff"), "-a", w.addr, "-f", mbox,
+	cmd := exec.Command(bin("abiff"), "-a", afAddr, "-f", mbox,
 		"-poll", "100ms", "-n", "1")
 	var out strings.Builder
 	cmd.Stdout = &out
@@ -146,7 +149,8 @@ func TestAbrowsePlaysSelection(t *testing.T) {
 		t.Fatalf("building abrowse: %v\n%s", err, out)
 	}
 	speaker := &vdev.CaptureSink{Max: 1 << 20}
-	w := newWorld(t, []aserver.DeviceSpec{{Kind: "codec", Name: "codec0", Sink: speaker}})
+	srv := rig.Server(t, aserver.Options{Logf: t.Logf, Devices: []aserver.DeviceSpec{{Kind: "codec", Name: "codec0", Sink: speaker}}})
+	afAddr := "unix:" + rig.Listen(t, srv, "unix")
 
 	// A directory with one playable clip (µ-law WAV) and one decoy.
 	dir := t.TempDir()
@@ -173,7 +177,7 @@ func TestAbrowsePlaysSelection(t *testing.T) {
 	}
 
 	// Interactive mode: select entry 0, then quit.
-	out, _ = run(t, []byte("0\nq\n"), "abrowse", "-a", w.addr, dir)
+	out, _ = run(t, []byte("0\nq\n"), "abrowse", "-a", afAddr, dir)
 	if !strings.Contains(out, "clip.wav") {
 		t.Fatalf("abrowse interactive:\n%s", out)
 	}

@@ -15,6 +15,7 @@ import (
 
 	"audiofile/afutil"
 	"audiofile/aserver"
+	"audiofile/internal/rig"
 	"audiofile/internal/sampleconv"
 	"audiofile/internal/sndfile"
 	"audiofile/internal/vdev"
@@ -47,27 +48,6 @@ func TestMain(m *testing.M) {
 
 func bin(name string) string { return filepath.Join(binDir, name) }
 
-// world is a server listening on a Unix socket, with captured devices.
-type world struct {
-	srv     *aserver.Server
-	addr    string // -a argument for clients
-	speaker *vdev.CaptureSink
-}
-
-func newWorld(t *testing.T, devs []aserver.DeviceSpec) *world {
-	t.Helper()
-	srv, err := aserver.New(aserver.Options{Devices: devs, Logf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(srv.Close)
-	sock := filepath.Join(t.TempDir(), "af.sock")
-	if _, err := srv.Listen("unix", sock); err != nil {
-		t.Fatal(err)
-	}
-	return &world{srv: srv, addr: "unix:" + sock}
-}
-
 func run(t *testing.T, stdin []byte, name string, args ...string) (string, string) {
 	t.Helper()
 	cmd := exec.Command(bin(name), args...)
@@ -88,13 +68,14 @@ func TestAtoneIntoAplay(t *testing.T) {
 		t.Skip("real-time test")
 	}
 	speaker := &vdev.CaptureSink{Max: 1 << 20}
-	w := newWorld(t, []aserver.DeviceSpec{{Kind: "codec", Name: "codec0", Sink: speaker}})
+	srv := rig.Server(t, aserver.Options{Logf: t.Logf, Devices: []aserver.DeviceSpec{{Kind: "codec", Name: "codec0", Sink: speaker}}})
+	afAddr := "unix:" + rig.Listen(t, srv, "unix")
 
 	tone, _ := run(t, nil, "atone", "-f", "440", "-p", "-6", "-l", "0.5")
 	if len(tone) != 4000 {
 		t.Fatalf("atone produced %d bytes, want 4000", len(tone))
 	}
-	run(t, []byte(tone), "aplay", "-a", w.addr, "-f", "-t", "0.05")
+	run(t, []byte(tone), "aplay", "-a", afAddr, "-f", "-t", "0.05")
 
 	heard, _ := speaker.Bytes()
 	if p := afutil.PowerMu(heard); p < -12 || p > -3 {
@@ -107,9 +88,10 @@ func TestArecordIntoApower(t *testing.T) {
 		t.Skip("real-time test")
 	}
 	mic := vdev.SineSource{Freq: 1000, Amp: float64(int(8000)), Rate: 8000, Enc: sampleconv.MU255, Ch: 1}
-	w := newWorld(t, []aserver.DeviceSpec{{Kind: "codec", Name: "codec0", Source: mic}})
+	srv := rig.Server(t, aserver.Options{Logf: t.Logf, Devices: []aserver.DeviceSpec{{Kind: "codec", Name: "codec0", Source: mic}}})
+	afAddr := "unix:" + rig.Listen(t, srv, "unix")
 
-	rec, _ := run(t, nil, "arecord", "-a", w.addr, "-l", "0.5")
+	rec, _ := run(t, nil, "arecord", "-a", afAddr, "-l", "0.5")
 	if len(rec) != 4000 {
 		t.Fatalf("arecord produced %d bytes, want 4000", len(rec))
 	}
@@ -130,9 +112,10 @@ func TestArecordSilenceStop(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-time test")
 	}
-	w := newWorld(t, []aserver.DeviceSpec{{Kind: "codec", Name: "codec0"}})
+	srv := rig.Server(t, aserver.Options{Logf: t.Logf, Devices: []aserver.DeviceSpec{{Kind: "codec", Name: "codec0"}}})
+	afAddr := "unix:" + rig.Listen(t, srv, "unix")
 	start := time.Now()
-	rec, _ := run(t, nil, "arecord", "-a", w.addr, "-s",
+	rec, _ := run(t, nil, "arecord", "-a", afAddr, "-s",
 		"-silentlevel", "-40", "-silenttime", "0.4", "-l", "5")
 	if time.Since(start) > 3*time.Second {
 		t.Error("silence detector did not stop the recording early")
@@ -143,9 +126,10 @@ func TestArecordSilenceStop(t *testing.T) {
 }
 
 func TestAsetReportsAndSets(t *testing.T) {
-	w := newWorld(t, []aserver.DeviceSpec{{Kind: "codec", Name: "codec0"}})
-	run(t, nil, "aset", "-a", w.addr, "-og", "-12", "-ig", "6")
-	out, _ := run(t, nil, "aset", "-a", w.addr)
+	srv := rig.Server(t, aserver.Options{Logf: t.Logf, Devices: []aserver.DeviceSpec{{Kind: "codec", Name: "codec0"}}})
+	afAddr := "unix:" + rig.Listen(t, srv, "unix")
+	run(t, nil, "aset", "-a", afAddr, "-og", "-12", "-ig", "6")
+	out, _ := run(t, nil, "aset", "-a", afAddr)
 	if !strings.Contains(out, "output gain -12 dB") || !strings.Contains(out, "input gain 6 dB") {
 		t.Errorf("aset output:\n%s", out)
 	}
@@ -158,66 +142,70 @@ func TestTelephoneClients(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-time test")
 	}
-	w := newWorld(t, []aserver.DeviceSpec{{Kind: "phone", Name: "phone0"}})
+	srv := rig.Server(t, aserver.Options{Logf: t.Logf, Devices: []aserver.DeviceSpec{{Kind: "phone", Name: "phone0"}}})
+	afAddr := "unix:" + rig.Listen(t, srv, "unix")
 
-	out, _ := run(t, nil, "ahs", "-a", w.addr, "query")
+	out, _ := run(t, nil, "ahs", "-a", afAddr, "query")
 	if !strings.Contains(out, "on hook") {
 		t.Errorf("query = %q", out)
 	}
-	run(t, nil, "ahs", "-a", w.addr, "off")
-	out, _ = run(t, nil, "ahs", "-a", w.addr, "query")
+	run(t, nil, "ahs", "-a", afAddr, "off")
+	out, _ = run(t, nil, "ahs", "-a", afAddr, "query")
 	if !strings.Contains(out, "off hook") {
 		t.Errorf("query after off = %q", out)
 	}
 
 	// Dial; afterwards the property is set and the line decoded digits.
-	run(t, nil, "aphone", "-a", w.addr, "411")
-	out, _ = run(t, nil, "aprop", "-a", w.addr)
+	run(t, nil, "aphone", "-a", afAddr, "411")
+	out, _ = run(t, nil, "aprop", "-a", afAddr)
 	if !strings.Contains(out, `LAST_NUMBER_DIALED(STRING) = "411"`) {
 		t.Errorf("aprop = %q", out)
 	}
-	run(t, nil, "ahs", "-a", w.addr, "on")
+	run(t, nil, "ahs", "-a", afAddr, "on")
 }
 
 func TestAeventsRingcount(t *testing.T) {
-	w := newWorld(t, []aserver.DeviceSpec{{Kind: "phone", Name: "phone0"}})
+	srv := rig.Server(t, aserver.Options{Logf: t.Logf, Devices: []aserver.DeviceSpec{{Kind: "phone", Name: "phone0"}}})
+	afAddr := "unix:" + rig.Listen(t, srv, "unix")
 	go func() {
 		time.Sleep(300 * time.Millisecond)
-		w.srv.PhoneLine(0).RingPulse()
+		srv.PhoneLine(0).RingPulse()
 		time.Sleep(200 * time.Millisecond)
-		w.srv.PhoneLine(0).RingPulse()
+		srv.PhoneLine(0).RingPulse()
 	}()
-	out, _ := run(t, nil, "aevents", "-a", w.addr, "-ringcount", "2")
+	out, _ := run(t, nil, "aevents", "-a", afAddr, "-ringcount", "2")
 	if strings.Count(out, "ring started") != 2 {
 		t.Errorf("aevents output:\n%s", out)
 	}
 }
 
 func TestAlsatomsAndAprop(t *testing.T) {
-	w := newWorld(t, []aserver.DeviceSpec{{Kind: "codec", Name: "codec0"}})
-	out, _ := run(t, nil, "alsatoms", "-a", w.addr)
+	srv := rig.Server(t, aserver.Options{Logf: t.Logf, Devices: []aserver.DeviceSpec{{Kind: "codec", Name: "codec0"}}})
+	afAddr := "unix:" + rig.Listen(t, srv, "unix")
+	out, _ := run(t, nil, "alsatoms", "-a", afAddr)
 	if !strings.Contains(out, "STRING") || !strings.Contains(out, "LAST_NUMBER_DIALED") {
 		t.Errorf("alsatoms:\n%s", out)
 	}
-	run(t, nil, "aprop", "-a", w.addr, "-set", "MY_NOTE", "hello world")
-	out, _ = run(t, nil, "aprop", "-a", w.addr)
+	run(t, nil, "aprop", "-a", afAddr, "-set", "MY_NOTE", "hello world")
+	out, _ = run(t, nil, "aprop", "-a", afAddr)
 	if !strings.Contains(out, `MY_NOTE(STRING) = "hello world"`) {
 		t.Errorf("aprop:\n%s", out)
 	}
-	run(t, nil, "aprop", "-a", w.addr, "-delete", "MY_NOTE")
-	out, _ = run(t, nil, "aprop", "-a", w.addr)
+	run(t, nil, "aprop", "-a", afAddr, "-delete", "MY_NOTE")
+	out, _ = run(t, nil, "aprop", "-a", afAddr)
 	if strings.Contains(out, "MY_NOTE") {
 		t.Errorf("property survived deletion:\n%s", out)
 	}
 }
 
 func TestAhostListing(t *testing.T) {
-	w := newWorld(t, []aserver.DeviceSpec{{Kind: "codec", Name: "codec0"}})
-	out, _ := run(t, nil, "ahost", "-a", w.addr, "+10.9.8.7")
+	srv := rig.Server(t, aserver.Options{Logf: t.Logf, Devices: []aserver.DeviceSpec{{Kind: "codec", Name: "codec0"}}})
+	afAddr := "unix:" + rig.Listen(t, srv, "unix")
+	out, _ := run(t, nil, "ahost", "-a", afAddr, "+10.9.8.7")
 	if !strings.Contains(out, "10.9.8.7") {
 		t.Errorf("ahost after add:\n%s", out)
 	}
-	out, _ = run(t, nil, "ahost", "-a", w.addr, "--", "-10.9.8.7")
+	out, _ = run(t, nil, "ahost", "-a", afAddr, "--", "-10.9.8.7")
 	if strings.Contains(out, "10.9.8.7") {
 		t.Errorf("ahost after remove:\n%s", out)
 	}
@@ -253,11 +241,12 @@ func TestApassBinary(t *testing.T) {
 	}
 	mic := vdev.SineSource{Freq: 700, Amp: 6000, Rate: 8000, Enc: sampleconv.MU255, Ch: 1}
 	speaker := &vdev.CaptureSink{Max: 1 << 20}
-	w := newWorld(t, []aserver.DeviceSpec{
+	srv := rig.Server(t, aserver.Options{Logf: t.Logf, Devices: []aserver.DeviceSpec{
 		{Kind: "codec", Name: "mic", Source: mic},
 		{Kind: "codec", Name: "spkr", Sink: speaker},
-	})
-	run(t, nil, "apass", "-ia", w.addr, "-oa", w.addr, "-id", "0", "-od", "1", "-n", "8")
+	}})
+	afAddr := "unix:" + rig.Listen(t, srv, "unix")
+	run(t, nil, "apass", "-ia", afAddr, "-oa", afAddr, "-id", "0", "-od", "1", "-n", "8")
 	heard, _ := speaker.Bytes()
 	if p := afutil.PowerMu(heard); p < -30 {
 		t.Errorf("apass speaker heard only %.1f dBm", p)
@@ -270,21 +259,22 @@ func TestArecordWavIntoAplay(t *testing.T) {
 	}
 	mic := vdev.SineSource{Freq: 600, Amp: 8000, Rate: 8000, Enc: sampleconv.MU255, Ch: 1}
 	speaker := &vdev.CaptureSink{Max: 1 << 20}
-	w := newWorld(t, []aserver.DeviceSpec{
+	srv := rig.Server(t, aserver.Options{Logf: t.Logf, Devices: []aserver.DeviceSpec{
 		{Kind: "codec", Name: "mic", Source: mic},
 		{Kind: "codec", Name: "spkr", Sink: speaker},
-	})
+	}})
+	afAddr := "unix:" + rig.Listen(t, srv, "unix")
 
 	// Record half a second to a self-describing WAV file...
 	wav := filepath.Join(t.TempDir(), "clip.wav")
-	run(t, nil, "arecord", "-a", w.addr, "-d", "0", "-l", "0.5", "-wav", wav)
+	run(t, nil, "arecord", "-a", afAddr, "-d", "0", "-l", "0.5", "-wav", wav)
 	st, err := os.Stat(wav)
 	if err != nil || st.Size() < 4000 {
 		t.Fatalf("wav file: %v (%d bytes)", err, st.Size())
 	}
 	// ...then play it back through the second device; aplay sniffs the
 	// container, checks the format against the device, and plays.
-	run(t, nil, "aplay", "-a", w.addr, "-d", "1", "-f", wav)
+	run(t, nil, "aplay", "-a", afAddr, "-d", "1", "-f", wav)
 	heard, _ := speaker.Bytes()
 	if p := afutil.PowerMu(heard); p < -13 {
 		t.Errorf("wav round trip heard at %.1f dBm", p)
@@ -295,7 +285,8 @@ func TestAplayRejectsMismatchedContainer(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-time test")
 	}
-	w := newWorld(t, []aserver.DeviceSpec{{Kind: "codec", Name: "codec0"}})
+	srv := rig.Server(t, aserver.Options{Logf: t.Logf, Devices: []aserver.DeviceSpec{{Kind: "codec", Name: "codec0"}}})
+	afAddr := "unix:" + rig.Listen(t, srv, "unix")
 	// A lin16 stereo WAV cannot play on the µ-law mono codec.
 	wav := filepath.Join(t.TempDir(), "bad.wav")
 	f, err := os.Create(wav)
@@ -310,7 +301,7 @@ func TestAplayRejectsMismatchedContainer(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	cmd := exec.Command(bin("aplay"), "-a", w.addr, wav)
+	cmd := exec.Command(bin("aplay"), "-a", afAddr, wav)
 	out, err := cmd.CombinedOutput()
 	if err == nil {
 		t.Fatalf("mismatched container accepted:\n%s", out)
@@ -324,8 +315,9 @@ func TestAstatAgainstStatsEndpoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-time test")
 	}
-	w := newWorld(t, []aserver.DeviceSpec{{Kind: "codec", Name: "codec0"}})
-	sl, err := w.srv.ListenStats("127.0.0.1:0")
+	srv := rig.Server(t, aserver.Options{Logf: t.Logf, Devices: []aserver.DeviceSpec{{Kind: "codec", Name: "codec0"}}})
+	afAddr := "unix:" + rig.Listen(t, srv, "unix")
+	sl, err := srv.ListenStats("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +325,7 @@ func TestAstatAgainstStatsEndpoint(t *testing.T) {
 
 	// Generate real play traffic first so the scrape has counters to show.
 	tone, _ := run(t, nil, "atone", "-f", "440", "-l", "0.3")
-	run(t, []byte(tone), "aplay", "-a", w.addr, "-f", "-t", "0.05")
+	run(t, []byte(tone), "aplay", "-a", afAddr, "-f", "-t", "0.05")
 
 	out, _ := run(t, nil, "astat", "-a", sl.Addr().String(), "-once")
 	if !strings.Contains(out, "codec0") {

@@ -106,7 +106,7 @@ func TestFaultResetSeenByPeer(t *testing.T) {
 }
 
 // TestFaultStall times both uses of the stall: a congested peer every
-// 100 bytes, and the injected RTT perfrig builds from a stall before every
+// 100 bytes, and the injected RTT the rig builds from a stall before every
 // write. The upper bound, 5× the stalls, leaves room for each sleep's
 // overshoot on a loaded host.
 func TestFaultStall(t *testing.T) {

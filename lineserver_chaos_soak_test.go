@@ -39,6 +39,7 @@ import (
 	"audiofile/internal/health"
 	"audiofile/internal/lineserver"
 	"audiofile/internal/netsim"
+	"audiofile/internal/rig"
 	"audiofile/internal/sampleconv"
 	"audiofile/internal/vdev"
 )
@@ -310,14 +311,9 @@ func TestLineserverStatsExported(t *testing.T) {
 	}
 	t.Cleanup(fw.Close)
 
-	srv, err := aserver.New(aserver.Options{
+	srv := rig.Server(t, aserver.Options{
 		Devices: []aserver.DeviceSpec{{Kind: "lineserver", Name: "als0", Addr: fw.Addr(), LSNoExtrapolate: true}},
-		Logf:    func(string, ...any) {},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(srv.Close)
 
 	sl, err := srv.ListenStats("127.0.0.1:0")
 	if err != nil {

@@ -17,6 +17,7 @@ import (
 	"audiofile/af"
 	"audiofile/aserver"
 	"audiofile/internal/netsim"
+	"audiofile/internal/rig"
 	"audiofile/internal/vdev"
 )
 
@@ -66,32 +67,8 @@ func TestMetricsConservation(t *testing.T) {
 			Clock: clocks[i],
 		}
 	}
-	srv, err := aserver.New(aserver.Options{Devices: specs, Logf: func(string, ...any) {}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(srv.Close)
-
-	stop := make(chan struct{})
-	var stepWG sync.WaitGroup
-	stepWG.Add(1)
-	go func() {
-		defer stepWG.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			for _, clk := range clocks {
-				clk.Advance(256)
-			}
-			srv.Sync()
-			time.Sleep(100 * time.Microsecond)
-		}
-	}()
-	t.Cleanup(stepWG.Wait)
-	t.Cleanup(func() { close(stop) })
+	srv := rig.Server(t, aserver.Options{Devices: specs})
+	rig.Step(t, srv, 100*time.Microsecond, clocks...)
 
 	var firstErr atomic.Value
 	fail := func(err error) {
@@ -125,13 +102,12 @@ func TestMetricsConservation(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			conn, err := af.NewConn(srv.DialPipe())
+			conn, err := rig.Client(srv.DialPipe())
 			if err != nil {
 				fail(err)
 				return
 			}
 			defer conn.Close()
-			conn.SetIOErrorHandler(func(*af.Conn, error) {})
 			var attrs af.ACAttributes
 			mask := uint32(0)
 			if i%2 == 0 {
@@ -180,12 +156,11 @@ func TestMetricsConservation(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			nc := srv.DialPipe()
-			conn, err := af.NewConn(nc)
+			conn, err := rig.Client(nc)
 			if err != nil {
 				fail(err)
 				return
 			}
-			conn.SetIOErrorHandler(func(*af.Conn, error) {})
 			ac, err := conn.CreateAC(i%devices, 0, af.ACAttributes{})
 			if err != nil {
 				fail(err)
@@ -258,22 +233,13 @@ func TestMetricsConservation(t *testing.T) {
 // cleanly — the conservation laws and the connect/disconnect balance
 // hold either way.
 func TestMetricsFaultInjectedClients(t *testing.T) {
-	srv, err := aserver.New(aserver.Options{
+	srv := rig.Server(t, aserver.Options{
 		Devices: []aserver.DeviceSpec{{Kind: "codec", Name: "codec0", Clock: vdev.NewManualClock(8000)}},
-		Logf:    func(string, ...any) {},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(srv.Close)
-	l, err := srv.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { l.Close() })
+	addr := rig.Listen(t, srv, "tcp")
 
 	dialFault := func(cfg netsim.FaultConfig) net.Conn {
-		nc, err := net.Dial("tcp", l.Addr().String())
+		nc, err := net.Dial("tcp", addr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -296,13 +262,12 @@ func TestMetricsFaultInjectedClients(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			fc := dialFault(netsim.FaultConfig{Seed: int64(1000 + i), MaxFragment: 7})
-			conn, err := af.NewConn(fc)
+			conn, err := rig.Client(fc)
 			if err != nil {
 				fail(fmt.Errorf("fragmented setup: %w", err))
 				return
 			}
 			defer conn.Close()
-			conn.SetIOErrorHandler(func(*af.Conn, error) {})
 			ac, err := conn.CreateAC(0, 0, af.ACAttributes{})
 			if err != nil {
 				fail(err)
@@ -335,12 +300,11 @@ func TestMetricsFaultInjectedClients(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			fc := dialFault(netsim.FaultConfig{Seed: int64(i), ResetAfterBytes: 300 + 50*i})
-			conn, err := af.NewConn(fc)
+			conn, err := rig.Client(fc)
 			if err != nil {
 				return // reset landed inside setup; also a valid cut
 			}
 			defer conn.Close()
-			conn.SetIOErrorHandler(func(*af.Conn, error) {})
 			ac, err := conn.CreateAC(0, 0, af.ACAttributes{})
 			if err != nil {
 				return
@@ -372,12 +336,11 @@ func TestMetricsFaultInjectedClients(t *testing.T) {
 	}
 
 	// The server must still serve a clean client.
-	conn, err := af.NewConn(srv.DialPipe())
+	conn, err := rig.Client(srv.DialPipe())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	conn.SetIOErrorHandler(func(*af.Conn, error) {})
 	if _, err := conn.GetTime(0); err != nil {
 		t.Fatalf("server unhealthy after fault injection: %v", err)
 	}

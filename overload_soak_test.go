@@ -26,6 +26,7 @@ import (
 	"audiofile/internal/core"
 	"audiofile/internal/netsim"
 	"audiofile/internal/proto"
+	"audiofile/internal/rig"
 	"audiofile/internal/vdev"
 )
 
@@ -49,50 +50,23 @@ func TestOverloadSoak(t *testing.T) {
 	)
 
 	clk := vdev.NewManualClock(rate)
-	srv, err := aserver.New(aserver.Options{
+	srv := rig.Server(t, aserver.Options{
 		Devices:           []aserver.DeviceSpec{{Kind: "codec", Name: "codec0", Clock: clk}},
-		Logf:              func(string, ...any) {},
 		ClientQueueBytes:  clientBudget,
 		EvictGrace:        evictGrace,
 		FrameBytesCeiling: frameCeiling,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(srv.Close)
-	l, err := srv.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { l.Close() })
-	addr := l.Addr().String()
+	addr := rig.Listen(t, srv, "tcp")
 
 	// Clock stepper: drives device time and keeps stepping until both the
 	// workload is done and a full simulated minute has elapsed, so every
 	// park and buffered frame can resolve.
-	var advanced atomic.Int64
-	stop := make(chan struct{})
-	var stepWG sync.WaitGroup
-	stepWG.Add(1)
-	go func() {
-		defer stepWG.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			clk.Advance(256)
-			advanced.Add(256)
-			srv.Sync()
-			time.Sleep(50 * time.Microsecond)
-		}
-	}()
-	t.Cleanup(stepWG.Wait)
+	stepper := rig.Step(t, srv, 50*time.Microsecond, clk)
 
 	// Budget watcher: the pooled-frame gauge must stay under the ceiling
 	// at every instant, not just at the end.
 	var maxFrameBytes atomic.Int64
+	stop := make(chan struct{})
 	var watchWG sync.WaitGroup
 	watchWG.Add(1)
 	go func() {
@@ -110,7 +84,6 @@ func TestOverloadSoak(t *testing.T) {
 		}
 	}()
 	t.Cleanup(watchWG.Wait)
-	// Cleanups run LIFO: stop closes first, then both waiters join.
 	t.Cleanup(func() { close(stop) })
 
 	var firstErr atomic.Value
@@ -141,13 +114,12 @@ func TestOverloadSoak(t *testing.T) {
 			if fc == nil {
 				return
 			}
-			conn, err := af.NewConn(fc)
+			conn, err := rig.Client(fc)
 			if err != nil {
 				fail(fmt.Errorf("fragmented setup: %w", err))
 				return
 			}
 			defer conn.Close()
-			conn.SetIOErrorHandler(func(*af.Conn, error) {})
 			ac, err := conn.CreateAC(0, 0, af.ACAttributes{})
 			if err != nil {
 				fail(err)
@@ -179,12 +151,11 @@ func TestOverloadSoak(t *testing.T) {
 			if fc == nil {
 				return
 			}
-			conn, err := af.NewConn(fc)
+			conn, err := rig.Client(fc)
 			if err != nil {
 				return // cut landed in setup
 			}
 			defer conn.Close()
-			conn.SetIOErrorHandler(func(*af.Conn, error) {})
 			ac, err := conn.CreateAC(0, 0, af.ACAttributes{})
 			if err != nil {
 				return
@@ -214,13 +185,12 @@ func TestOverloadSoak(t *testing.T) {
 			if fc == nil {
 				return
 			}
-			conn, err := af.NewConn(fc)
+			conn, err := rig.Client(fc)
 			if err != nil {
 				fail(fmt.Errorf("stall setup: %w", err))
 				return
 			}
 			defer conn.Close()
-			conn.SetIOErrorHandler(func(*af.Conn, error) {})
 			ac, err := conn.CreateAC(0, 0, af.ACAttributes{})
 			if err != nil {
 				fail(err)
@@ -300,13 +270,12 @@ func TestOverloadSoak(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		conn, err := af.NewConn(srv.DialPipe())
+		conn, err := rig.Client(srv.DialPipe())
 		if err != nil {
 			fail(err)
 			return
 		}
 		defer conn.Close()
-		conn.SetIOErrorHandler(func(*af.Conn, error) {})
 		ac, err := conn.CreateAC(0, 0, af.ACAttributes{})
 		if err != nil {
 			fail(err)
@@ -340,7 +309,7 @@ func TestOverloadSoak(t *testing.T) {
 
 	// Let the full simulated minute elapse before settling, so the run
 	// covers sustained operation, not just the workload burst.
-	for advanced.Load() < simMinute {
+	for stepper.Frames() < simMinute {
 		time.Sleep(time.Millisecond)
 	}
 

@@ -16,6 +16,7 @@ import (
 
 	"audiofile/af"
 	"audiofile/aserver"
+	"audiofile/internal/rig"
 )
 
 func TestPBXRingCadenceSoak(t *testing.T) {
@@ -43,14 +44,7 @@ func TestPBXRingCadenceSoak(t *testing.T) {
 			BufSeconds: 1,
 		}
 	}
-	srv, err := aserver.New(aserver.Options{
-		Devices: specs,
-		Logf:    func(string, ...any) {},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	srv := rig.Server(t, aserver.Options{Devices: specs})
 
 	// Each watcher owns lines w, w+watchers, ... and must observe every
 	// edge on its lines: pulses ring(1) then one ring(0), in order.
@@ -61,11 +55,10 @@ func TestPBXRingCadenceSoak(t *testing.T) {
 	results := make(chan result, watchers)
 	var wg sync.WaitGroup
 	for w := 0; w < watchers; w++ {
-		conn, err := af.NewConn(srv.DialPipe())
+		conn, err := rig.Client(srv.DialPipe())
 		if err != nil {
 			t.Fatal(err)
 		}
-		conn.SetIOErrorHandler(func(*af.Conn, error) {})
 		defer conn.Close()
 		// Event selection is by device index, so watchers cover lines
 		// past the setup reply's 255-device advertisement horizon.

@@ -15,6 +15,7 @@ import (
 
 	"audiofile/aserver"
 	"audiofile/internal/proto"
+	"audiofile/internal/rig"
 	"audiofile/internal/vdev"
 )
 
@@ -22,21 +23,10 @@ import (
 // completes the AF handshake, returning the raw wire.
 func benchRouterConn(tb testing.TB, routed bool) (net.Conn, *bufio.Reader) {
 	tb.Helper()
-	clk := vdev.NewManualClock(8000)
-	srv, err := aserver.New(aserver.Options{
-		Devices: []aserver.DeviceSpec{{Kind: "codec", Name: "codec0", Clock: clk}},
-		Logf:    func(string, ...any) {},
+	srv := rig.Server(tb, aserver.Options{
+		Devices: []aserver.DeviceSpec{{Kind: "codec", Name: "codec0", Clock: vdev.NewManualClock(8000)}},
 	})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	tb.Cleanup(srv.Close)
-	bl, err := srv.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		tb.Fatal(err)
-	}
-	tb.Cleanup(func() { bl.Close() })
-	target := bl.Addr().String()
+	target := rig.Listen(tb, srv, "tcp")
 	if routed {
 		router, err := aserver.NewRouter(aserver.RouterOptions{
 			Backends:      []string{target},

@@ -45,7 +45,7 @@ import (
 
 	"audiofile/af"
 	"audiofile/aserver"
-	"audiofile/internal/netsim"
+	"audiofile/internal/rig"
 	"audiofile/internal/vdev"
 )
 
@@ -60,31 +60,6 @@ func routerSeed(t *testing.T) int64 {
 		t.Fatalf("ROUTER_SEED=%q: %v", s, err)
 	}
 	return v
-}
-
-// soakBackend is one afd of the simulated fleet: a real-clock server
-// listening through a Breaker so the test can crash it.
-type soakBackend struct {
-	srv *aserver.Server
-	brk *netsim.Breaker
-}
-
-func newSoakBackend(t *testing.T, name string) *soakBackend {
-	t.Helper()
-	srv, err := aserver.New(aserver.Options{
-		Devices: []aserver.DeviceSpec{{Kind: "codec", Name: name, Clock: vdev.NewRealClock(8000, 0)}},
-		Logf:    func(string, ...any) {},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	inner, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	brk := netsim.NewBreaker(inner)
-	go srv.Serve(brk) //nolint:errcheck — ends when the breaker closes
-	return &soakBackend{srv: srv, brk: brk}
 }
 
 // soakClient is one streaming session's loop state and verdict.
@@ -116,11 +91,13 @@ func TestRouterFailoverSoak(t *testing.T) {
 	seed := routerSeed(t)
 	baseline := runtime.NumGoroutine()
 
-	backends := make([]*soakBackend, nBackends)
+	// The fleet: real-clock servers, each behind a Breaker so the test
+	// can crash it.
+	backends := make([]*rig.Backend, nBackends)
 	addrs := make([]string, nBackends)
 	for i := range backends {
-		backends[i] = newSoakBackend(t, fmt.Sprintf("codec%d", i))
-		addrs[i] = backends[i].brk.Addr().String()
+		backends[i] = rig.NewBackend(t, "tcp", vdev.NewRealClock(8000, 0))
+		addrs[i] = backends[i].Brk.Addr().String()
 	}
 	router, err := aserver.NewRouter(aserver.RouterOptions{
 		Backends:      addrs,
@@ -299,7 +276,7 @@ func TestRouterFailoverSoak(t *testing.T) {
 			redirected++
 		}
 	}
-	severed := backends[victim].brk.Kill()
+	severed := backends[victim].Brk.Kill()
 	cut.Store(true)
 	t.Logf("seed %d: killed backend %d (%d clients placed, %d conns severed), placement %v",
 		seed, victim, victims, severed, counts)
@@ -338,7 +315,7 @@ func TestRouterFailoverSoak(t *testing.T) {
 	}
 	waitFor(t, 10*time.Second, "sessions settled on standbys", func() bool {
 		for i, b := range backends {
-			active := b.srv.Snapshot().ActiveClients
+			active := b.Srv.Snapshot().ActiveClients
 			if i == victim {
 				if active != 0 {
 					return false
@@ -425,8 +402,8 @@ func TestRouterFailoverSoak(t *testing.T) {
 
 	router.Close()
 	for _, b := range backends {
-		b.brk.Close()
-		b.srv.Close()
+		b.Brk.Close()
+		b.Srv.Close()
 	}
 
 	// Goroutines settle: pumps, probers, backend readers all gone.

@@ -25,6 +25,7 @@ import (
 	"audiofile/af"
 	"audiofile/aserver"
 	"audiofile/internal/proto"
+	"audiofile/internal/rig"
 	"audiofile/internal/vdev"
 )
 
@@ -45,15 +46,11 @@ func TestRouterOverloadEviction(t *testing.T) {
 	)
 
 	clk := vdev.NewManualClock(rate)
-	srv, err := aserver.New(aserver.Options{
+	srv := rig.Server(t, aserver.Options{
 		Devices:          []aserver.DeviceSpec{{Kind: "codec", Name: "codec0", Clock: clk}},
-		Logf:             func(string, ...any) {},
 		ClientQueueBytes: clientBudget,
 		EvictGrace:       evictGrace,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	// The router→backend hop is a unix socket: its buffering is the
 	// sender's SO_SNDBUF and does not autotune, and the side that sends
 	// the replies is a conn the test's own listener accepts and pins. The
@@ -87,22 +84,7 @@ func TestRouterOverloadEviction(t *testing.T) {
 	routerAddr := rl.Addr().String()
 
 	// Clock stepper so canary parks resolve.
-	stop := make(chan struct{})
-	var stepWG sync.WaitGroup
-	stepWG.Add(1)
-	go func() {
-		defer stepWG.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			clk.Advance(256)
-			srv.Sync()
-			time.Sleep(50 * time.Microsecond)
-		}
-	}()
+	stepper := rig.Step(t, srv, 50*time.Microsecond, clk)
 
 	var failMu sync.Mutex
 	var failErr error
@@ -168,13 +150,12 @@ func TestRouterOverloadEviction(t *testing.T) {
 	canaryWG.Add(1)
 	go func() {
 		defer canaryWG.Done()
-		conn, err := af.NewConn(router.DialPipe())
+		conn, err := rig.Client(router.DialPipe())
 		if err != nil {
 			fail(err)
 			return
 		}
 		defer conn.Close()
-		conn.SetIOErrorHandler(func(*af.Conn, error) {})
 		ac, err := conn.CreateAC(0, 0, af.ACAttributes{})
 		if err != nil {
 			fail(err)
@@ -217,8 +198,7 @@ func TestRouterOverloadEviction(t *testing.T) {
 	nc.Close()
 	waitDone("flooder", &floodWG, 10*time.Second)
 	waitDone("canary", &canaryWG, 60*time.Second)
-	close(stop)
-	stepWG.Wait()
+	stepper.Stop()
 
 	failMu.Lock()
 	if failErr != nil {
@@ -257,7 +237,6 @@ func TestRouterOverloadEviction(t *testing.T) {
 		s.Evictions, rs.Routes, rs.ClosedClient, rs.ClosedBackend, canaryOps.Load())
 
 	bl.Close()
-	srv.Close()
 }
 
 // pinnedListener pins SO_SNDBUF on every conn it accepts — the side of

@@ -7,62 +7,27 @@ package audiofile
 
 import (
 	"fmt"
-	"net"
 	"path/filepath"
 	"testing"
 	"time"
 
 	"audiofile/af"
 	"audiofile/aserver"
-	"audiofile/internal/netsim"
+	"audiofile/internal/rig"
 	"audiofile/internal/vdev"
 )
-
-// redirectBackend is one afd of a redirect test's fleet, listening on
-// network through a Breaker so a test can kill it.
-type redirectBackend struct {
-	srv  *aserver.Server
-	brk  *netsim.Breaker
-	addr string
-}
-
-func newRedirectBackend(t *testing.T, network, addr string) *redirectBackend {
-	t.Helper()
-	srv, err := aserver.New(aserver.Options{
-		Devices: []aserver.DeviceSpec{{Kind: "codec", Name: "codec0", Clock: vdev.NewManualClock(8000)}},
-		Logf:    func(string, ...any) {},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	inner, err := net.Listen(network, addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	brk := netsim.NewBreaker(inner)
-	go srv.Serve(brk) //nolint:errcheck — ends when the breaker closes
-	t.Cleanup(func() {
-		brk.Close()
-		srv.Close()
-	})
-	return &redirectBackend{srv: srv, brk: brk, addr: inner.Addr().String()}
-}
 
 // redirectFleet is two backends behind a router that probes each once,
 // at start, and never again: the directory's verdicts are the ones a
 // test arranges.
-func redirectFleet(t *testing.T, network string) (*aserver.Router, []*redirectBackend) {
+func redirectFleet(t *testing.T, network string) (*aserver.Router, []*rig.Backend) {
 	t.Helper()
-	var bs []*redirectBackend
+	var bs []*rig.Backend
 	var addrs []string
 	for i := 0; i < 2; i++ {
-		addr := "127.0.0.1:0"
-		if network == "unix" {
-			addr = filepath.Join(t.TempDir(), fmt.Sprintf("b%d", i))
-		}
-		b := newRedirectBackend(t, network, addr)
+		b := rig.NewBackend(t, network, vdev.NewManualClock(8000))
 		bs = append(bs, b)
-		addrs = append(addrs, b.addr)
+		addrs = append(addrs, b.Brk.Addr().String())
 	}
 	r, err := aserver.NewRouter(aserver.RouterOptions{
 		Backends:      addrs,
@@ -113,11 +78,11 @@ func openRouted(t *testing.T, network, addr, key string) *af.Conn {
 }
 
 // settled waits until backend i serves want[i] clients.
-func settled(t *testing.T, bs []*redirectBackend, want ...int64) {
+func settled(t *testing.T, bs []*rig.Backend, want ...int64) {
 	t.Helper()
 	waitFor(t, 10*time.Second, fmt.Sprintf("backend sessions %v", want), func() bool {
 		for i, b := range bs {
-			if b.srv.Snapshot().ActiveClients != want[i] {
+			if b.Srv.Snapshot().ActiveClients != want[i] {
 				return false
 			}
 		}
@@ -170,7 +135,7 @@ func TestRouterRedirectFallback(t *testing.T) {
 	}
 	key := redirectKey(t)
 	owner := r.Directory().Lookup(key)
-	bs[owner].brk.Kill()
+	bs[owner].Brk.Kill()
 	openRouted(t, "tcp", rl.Addr().String(), key)
 
 	want := []int64{1, 1}

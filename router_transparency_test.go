@@ -23,6 +23,7 @@ import (
 
 	"audiofile/af"
 	"audiofile/aserver"
+	"audiofile/internal/rig"
 	"audiofile/internal/vdev"
 )
 
@@ -228,20 +229,10 @@ func transparencyScript(t *testing.T, c *af.Conn, srv *aserver.Server, clk *vdev
 func transparencyRun(t *testing.T, bigEndian, routed bool) (stream []byte, end af.ATime) {
 	t.Helper()
 	clk := vdev.NewManualClock(8000)
-	srv, err := aserver.New(aserver.Options{
+	srv := rig.Server(t, aserver.Options{
 		Devices: []aserver.DeviceSpec{{Kind: "codec", Name: "codec0", Clock: clk}},
-		Logf:    func(string, ...any) {},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	bl, err := srv.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	target := bl.Addr().String()
+	target := rig.Listen(t, srv, "tcp")
 
 	if routed {
 		router, err := aserver.NewRouter(aserver.RouterOptions{
@@ -312,20 +303,10 @@ func TestRouterProxyTransparency(t *testing.T) {
 // other backend bytes. (They are excluded from the byte-for-byte
 // transparency script because they embed the server host's wall clock.)
 func TestRouterEventDelivery(t *testing.T) {
-	clk := vdev.NewManualClock(8000)
-	srv, err := aserver.New(aserver.Options{
-		Devices: []aserver.DeviceSpec{{Kind: "codec", Name: "codec0", Clock: clk}},
-		Logf:    func(string, ...any) {},
+	srv := rig.Server(t, aserver.Options{
+		Devices: []aserver.DeviceSpec{{Kind: "codec", Name: "codec0", Clock: vdev.NewManualClock(8000)}},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	bl, err := srv.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	router, err := aserver.NewRouter(aserver.RouterOptions{Backends: []string{bl.Addr().String()}})
+	router, err := aserver.NewRouter(aserver.RouterOptions{Backends: []string{rig.Listen(t, srv, "tcp")}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,53 +20,9 @@ import (
 
 	"audiofile/af"
 	"audiofile/aserver"
+	"audiofile/internal/rig"
 	"audiofile/internal/vdev"
 )
-
-// shardRig is an N-device server plus M pipe-connected clients, client i
-// bound to device i%N.
-type shardRig struct {
-	srv *aserver.Server
-	acs []*af.AC
-}
-
-func newShardRig(b *testing.B, devices, clients int) *shardRig {
-	b.Helper()
-	specs := make([]aserver.DeviceSpec, devices)
-	for i := range specs {
-		specs[i] = aserver.DeviceSpec{
-			Kind:  "codec",
-			Name:  fmt.Sprintf("codec%d", i),
-			Clock: vdev.NewManualClock(8000),
-		}
-	}
-	srv, err := aserver.New(aserver.Options{
-		Devices: specs,
-		Logf:    func(string, ...any) {},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := &shardRig{srv: srv}
-	for i := 0; i < clients; i++ {
-		conn, err := af.NewConn(srv.DialPipe())
-		if err != nil {
-			b.Fatal(err)
-		}
-		// Cleanup runs LIFO: the server closes before the clients, so
-		// drop the resulting transport errors silently.
-		conn.SetIOErrorHandler(func(*af.Conn, error) {})
-		b.Cleanup(func() { conn.Close() })
-		ac, err := conn.CreateAC(i%devices, af.ACPreemption,
-			af.ACAttributes{Preempt: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		r.acs = append(r.acs, ac)
-	}
-	b.Cleanup(srv.Close)
-	return r
-}
 
 func BenchmarkShardScaling(b *testing.B) {
 	const clients = 8
@@ -78,7 +34,25 @@ func BenchmarkShardScaling(b *testing.B) {
 	// ~devices timer goroutines; on the wheel they cost shard batches.
 	for _, devices := range []int{1, 2, 4, 256, 1024} {
 		b.Run(fmt.Sprintf("devs=%d/clients=%d", devices, clients), func(b *testing.B) {
-			r := newShardRig(b, devices, clients)
+			// An N-device server and M pipe-connected clients, client i
+			// bound to device i%N.
+			specs := make([]aserver.DeviceSpec, devices)
+			for i := range specs {
+				specs[i] = aserver.DeviceSpec{Kind: "codec", Name: fmt.Sprintf("codec%d", i),
+					Clock: vdev.NewManualClock(8000)}
+			}
+			srv := rig.Server(b, aserver.Options{Devices: specs})
+			acs := make([]*af.AC, clients)
+			for i := range acs {
+				conn, err := rig.Client(srv.DialPipe())
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.Cleanup(conn.Close)
+				if acs[i], err = conn.CreateAC(i%devices, af.ACPreemption, af.ACAttributes{Preempt: true}); err != nil {
+					b.Fatal(err)
+				}
+			}
 			data := make([]byte, blockBytes)
 			for i := range data {
 				data[i] = byte(0x80 + i%64)
@@ -86,7 +60,7 @@ func BenchmarkShardScaling(b *testing.B) {
 			// Fixed near-future start: far enough ahead that the whole
 			// block fits under the buffer horizon, rewritten every
 			// iteration (preemption makes re-plays cheap copies).
-			now, err := r.acs[0].GetTime()
+			now, err := acs[0].GetTime()
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -96,7 +70,7 @@ func BenchmarkShardScaling(b *testing.B) {
 			var next atomic.Int64
 			var wg sync.WaitGroup
 			var firstErr atomic.Value
-			for _, ac := range r.acs {
+			for _, ac := range acs {
 				wg.Add(1)
 				go func(ac *af.AC) {
 					defer wg.Done()

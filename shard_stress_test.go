@@ -18,6 +18,7 @@ import (
 	"audiofile/af"
 	"audiofile/aserver"
 	"audiofile/internal/proto"
+	"audiofile/internal/rig"
 	"audiofile/internal/vdev"
 )
 
@@ -44,34 +45,11 @@ func TestShardStress(t *testing.T) {
 			Loopback: true,
 		}
 	}
-	srv, err := aserver.New(aserver.Options{Devices: specs, Logf: func(string, ...any) {}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(srv.Close)
+	srv := rig.Server(t, aserver.Options{Devices: specs})
 
 	// Stepper: device time marches on while the clients hammer the
 	// engines, resolving parked requests as it goes.
-	stop := make(chan struct{})
-	var stepWG sync.WaitGroup
-	stepWG.Add(1)
-	go func() {
-		defer stepWG.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			for _, clk := range clocks {
-				clk.Advance(256)
-			}
-			srv.Sync()
-			time.Sleep(100 * time.Microsecond)
-		}
-	}()
-	t.Cleanup(stepWG.Wait)
-	t.Cleanup(func() { close(stop) })
+	rig.Step(t, srv, 100*time.Microsecond, clocks...)
 
 	var firstErr atomic.Value
 	fail := func(err error) {
@@ -86,13 +64,12 @@ func TestShardStress(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			conn, err := af.NewConn(srv.DialPipe())
+			conn, err := rig.Client(srv.DialPipe())
 			if err != nil {
 				fail(err)
 				return
 			}
 			defer conn.Close()
-			conn.SetIOErrorHandler(func(*af.Conn, error) {})
 			var attrs af.ACAttributes
 			mask := uint32(0)
 			if i%2 == 0 {
@@ -143,12 +120,11 @@ func TestShardStress(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			nc := srv.DialPipe()
-			conn, err := af.NewConn(nc)
+			conn, err := rig.Client(nc)
 			if err != nil {
 				fail(err)
 				return
 			}
-			conn.SetIOErrorHandler(func(*af.Conn, error) {})
 			ac, err := conn.CreateAC(i%devices, 0, af.ACAttributes{})
 			if err != nil {
 				fail(err)
@@ -180,12 +156,11 @@ func TestShardStress(t *testing.T) {
 
 	// The server must still be fully functional: fresh client, every
 	// device answers, and a round trip drains cleanly.
-	conn, err := af.NewConn(srv.DialPipe())
+	conn, err := rig.Client(srv.DialPipe())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	conn.SetIOErrorHandler(func(*af.Conn, error) {})
 	for d := 0; d < devices; d++ {
 		if _, err := conn.GetTime(d); err != nil {
 			t.Fatalf("device %d unhealthy after stress: %v", d, err)
@@ -204,14 +179,9 @@ func TestShardStress(t *testing.T) {
 // the whole interleaved batch in one write.
 func TestCrossPlaneFIFO(t *testing.T) {
 	const pairs = 64
-	srv, err := aserver.New(aserver.Options{
+	srv := rig.Server(t, aserver.Options{
 		Devices: []aserver.DeviceSpec{{Kind: "codec", Name: "codec0", Clock: vdev.NewManualClock(8000)}},
-		Logf:    func(string, ...any) {},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(srv.Close)
 
 	nc := srv.DialPipe()
 	defer nc.Close()

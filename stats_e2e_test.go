@@ -13,6 +13,7 @@ import (
 
 	"audiofile/af"
 	"audiofile/aserver"
+	"audiofile/internal/rig"
 	"audiofile/internal/vdev"
 )
 
@@ -35,14 +36,9 @@ func scrapeStats(t *testing.T, url string) aserver.Snapshot {
 
 func TestStatsEndpoint(t *testing.T) {
 	clk := vdev.NewManualClock(8000)
-	srv, err := aserver.New(aserver.Options{
+	srv := rig.Server(t, aserver.Options{
 		Devices: []aserver.DeviceSpec{{Kind: "codec", Name: "codec0", Clock: clk}},
-		Logf:    func(string, ...any) {},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(srv.Close)
 
 	sl, err := srv.ListenStats("127.0.0.1:0")
 	if err != nil {
@@ -51,12 +47,11 @@ func TestStatsEndpoint(t *testing.T) {
 	t.Cleanup(func() { sl.Close() })
 	statsURL := "http://" + sl.Addr().String() + "/stats"
 
-	conn, err := af.NewConn(srv.DialPipe())
+	conn, err := rig.Client(srv.DialPipe())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	conn.SetIOErrorHandler(func(*af.Conn, error) {})
 
 	// Scrapers race the workload: every snapshot taken mid-flight must
 	// already satisfy the laws' live forms.

@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"audiofile/af"
-	"audiofile/internal/perfrig"
+	"audiofile/internal/rig"
 )
 
 // wireBytes is BenchmarkWireThroughput's payload: three protocol chunks.
@@ -18,14 +18,14 @@ const wireBytes = 24 << 10
 // client buffer).
 var wireCalls = []struct {
 	name  string
-	ready func(testing.TB, perfrig.Config) func() error
+	ready func(testing.TB, rig.Config) func() error
 }{
 	{"play", wirePlay},
 	{"record", wireRecord},
 }
 
-func wirePlay(tb testing.TB, cfg perfrig.Config) func() error {
-	r := newRig(tb, cfg)
+func wirePlay(tb testing.TB, cfg rig.Config) func() error {
+	r := rig.New(tb, cfg)
 	if err := r.AC.ChangeAttributes(af.ACPreemption,
 		af.ACAttributes{Preempt: true}); err != nil {
 		tb.Fatal(err)
@@ -45,8 +45,8 @@ func wirePlay(tb testing.TB, cfg perfrig.Config) func() error {
 	}
 }
 
-func wireRecord(tb testing.TB, cfg perfrig.Config) func() error {
-	r := newRig(tb, cfg)
+func wireRecord(tb testing.TB, cfg rig.Config) func() error {
+	r := rig.New(tb, cfg)
 	if err := r.PrimeRecord(); err != nil {
 		tb.Fatal(err)
 	}
