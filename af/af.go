@@ -425,30 +425,19 @@ func handshake(nc net.Conn, order binary.ByteOrder, route string) (net.Conn, *pr
 // fields when one is set, and reads the reply: a session, or — only when
 // direct advertised that the client can follow one — a setup redirect.
 func setup(nc net.Conn, order binary.ByteOrder, route string, direct bool) (*proto.SetupReply, error) {
-	s := proto.SetupRequest{
-		ByteOrder: proto.LittleEndianOrder,
-		Major:     proto.ProtocolMajor,
-		Minor:     proto.ProtocolMinor,
-	}
-	if order == binary.ByteOrder(binary.BigEndian) {
-		s.ByteOrder = proto.BigEndianOrder
-	}
+	var authName string
 	if route != "" {
-		s.AuthName = proto.RouteAuthName
+		authName = proto.RouteAuthName
 		if direct {
-			s.AuthName = proto.RouteDirectAuthName
+			authName = proto.RouteDirectAuthName
 		}
-		s.AuthData = []byte(route)
 	}
-	if err := s.Send(nc); err != nil {
-		return nil, fmt.Errorf("af: setup: %w", err)
-	}
-	rep, err := proto.ReadSetupReply(nc, order)
+	rep, err := proto.Setup(nc, nc, order, authName, []byte(route))
 	if err != nil {
-		return nil, fmt.Errorf("af: setup reply: %w", err)
+		return nil, fmt.Errorf("af: %w", err)
 	}
-	if !rep.Success && !(direct && rep.Redirect()) {
-		return nil, fmt.Errorf("af: connection refused: %s", rep.Reason)
+	if rep.Redirect() && !direct {
+		return nil, fmt.Errorf("af: setup redirected to %s without asking", rep.RedirectAddr)
 	}
 	return rep, nil
 }

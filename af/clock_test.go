@@ -2,6 +2,7 @@ package af_test
 
 import (
 	"encoding/binary"
+	"io"
 	"net"
 	"testing"
 	"testing/quick"
@@ -19,15 +20,8 @@ func TestVersionMismatchRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer nc.Close()
-	setup := proto.SetupRequest{
-		ByteOrder: proto.LittleEndianOrder,
-		Major:     99, Minor: 0,
-	}
-	if err := setup.Send(nc); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := proto.ReadSetupReply(nc, binary.LittleEndian)
-	if err != nil {
+	rep, err := proto.Setup(major99{nc}, nc, binary.LittleEndian, "", nil)
+	if rep == nil {
 		t.Fatal(err)
 	}
 	if rep.Success {
@@ -39,6 +33,17 @@ func TestVersionMismatchRefused(t *testing.T) {
 	if rep.Major != proto.ProtocolMajor {
 		t.Errorf("refusal reports server version %d", rep.Major)
 	}
+}
+
+// major99 sends a setup request as a client of protocol version 99.0:
+// its major and minor words (request bytes 2–5) are rewritten.
+type major99 struct{ io.Writer }
+
+func (w major99) Write(p []byte) (int, error) {
+	q := append([]byte(nil), p...)
+	binary.LittleEndian.PutUint16(q[2:], 99)
+	binary.LittleEndian.PutUint16(q[4:], 0)
+	return w.Writer.Write(q)
 }
 
 // TestCorrespondenceAcrossDevices: schedule by converting time between

@@ -1,8 +1,12 @@
 package aserver
 
 import (
+	"errors"
+	"io"
 	"net"
+	"path/filepath"
 	"testing"
+	"time"
 
 	"audiofile/internal/proto"
 )
@@ -112,5 +116,52 @@ func TestDoAfterClose(t *testing.T) {
 	srv.Do(func() { ran = true }) // must return, not deadlock
 	if ran {
 		t.Error("Do ran after close")
+	}
+}
+
+// TestUseAfterClose: a closed Server or Router takes no connection.
+// Listen closes what it bound and fails, so a dial is refused rather
+// than left hanging; Serve fails; a pipe conn reads EOF.
+func TestUseAfterClose(t *testing.T) {
+	srv := optionServer(t, Options{})
+	r := testRouter(t, RouterOptions{Backends: []string{deadBackend(t)}, ProbeInterval: time.Hour})
+	for _, tc := range []struct {
+		name  string
+		close func()
+		door  interface {
+			Listen(network, addr string) (net.Listener, error)
+			Serve(l net.Listener) error
+			DialPipe() net.Conn
+		}
+	}{
+		{"server", srv.Close, srv},
+		{"router", r.Close, r},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.close()
+			addr := filepath.Join(t.TempDir(), "af")
+			if l, err := tc.door.Listen("unix", addr); err == nil {
+				l.Close()
+				t.Error("Listen after Close succeeded")
+			}
+			if c, err := net.Dial("unix", addr); err == nil {
+				c.Close()
+				t.Error("a dial to the address Listen asked for connected")
+			}
+			l, err := net.Listen("unix", filepath.Join(t.TempDir(), "serve"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			if err := tc.door.Serve(l); err == nil {
+				t.Error("Serve after Close returned nil")
+			}
+			nc := tc.door.DialPipe()
+			defer nc.Close()
+			nc.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
+			if n, err := nc.Read(make([]byte, 1)); n != 0 || !errors.Is(err, io.EOF) {
+				t.Errorf("a pipe conn after Close read %d bytes, %v; want EOF", n, err)
+			}
+		})
 	}
 }

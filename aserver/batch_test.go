@@ -41,17 +41,8 @@ func batchTestServer(t testing.TB) (*Server, *vdev.ManualClock) {
 // on w (which may fragment it), the reply comes back on r.
 func handshake(t testing.TB, w io.Writer, r io.Reader) {
 	t.Helper()
-	sr := proto.SetupRequest{ByteOrder: proto.LittleEndianOrder,
-		Major: proto.ProtocolMajor, Minor: proto.ProtocolMinor}
-	if err := sr.Send(w); err != nil {
+	if _, err := proto.Setup(w, r, binary.LittleEndian, "", nil); err != nil {
 		t.Fatal(err)
-	}
-	rep, err := proto.ReadSetupReply(r, binary.LittleEndian)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Success {
-		t.Fatalf("setup refused: %s", rep.Reason)
 	}
 }
 

@@ -271,11 +271,10 @@ func controlGoldenStream(t testing.TB, order binary.ByteOrder) (stream []byte, n
 func TestControlGolden(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
-		setup byte
 		order binary.ByteOrder
 	}{
-		{"little", proto.LittleEndianOrder, binary.LittleEndian},
-		{"big", proto.BigEndianOrder, binary.BigEndian},
+		{"little", binary.LittleEndian},
+		{"big", binary.BigEndian},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			clk := vdev.NewManualClock(8000)
@@ -291,11 +290,7 @@ func TestControlGolden(t *testing.T) {
 			srv.Sync()
 			nc := srv.DialPipe()
 			defer nc.Close()
-			sr := proto.SetupRequest{ByteOrder: tc.setup, Major: proto.ProtocolMajor, Minor: proto.ProtocolMinor}
-			if err := sr.Send(nc); err != nil {
-				t.Fatal(err)
-			}
-			if rep, err := proto.ReadSetupReply(nc, tc.order); err != nil || !rep.Success {
+			if rep, err := proto.Setup(nc, nc, tc.order, "", nil); err != nil {
 				t.Fatalf("setup: %v %+v", err, rep)
 			}
 			stream, names := controlGoldenStream(t, tc.order)

@@ -71,12 +71,7 @@ func TestCloseDuringControlFlood(t *testing.T) {
 			session := func(bursts int) {
 				nc := srv.DialPipe()
 				defer nc.Close()
-				setup := proto.SetupRequest{ByteOrder: proto.LittleEndianOrder,
-					Major: proto.ProtocolMajor, Minor: proto.ProtocolMinor}
-				if setup.Send(nc) != nil {
-					return
-				}
-				if rep, err := proto.ReadSetupReply(nc, binary.LittleEndian); err != nil || !rep.Success {
+				if _, err := proto.Setup(nc, nc, binary.LittleEndian, "", nil); err != nil {
 					return
 				}
 				wg.Add(1)

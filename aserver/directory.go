@@ -1,9 +1,6 @@
 package aserver
 
-import (
-	"fmt"
-	"sort"
-)
+import "sort"
 
 // Directory is a static consistent-hash map from routing keys (device or
 // session names) to backend afds. Each backend projects Replicas virtual
@@ -77,51 +74,18 @@ func (d *Directory) Lookup(key string) int {
 // backend would choose for most keys — so failover targets are as stable
 // as the ring itself.
 func (d *Directory) LookupLive(key string, live func(backend int) bool) int {
-	owners := d.ownersLive(key, live, 1)
-	if len(owners) == 0 {
+	if len(d.ring) == 0 {
 		return -1
-	}
-	return owners[0]
-}
-
-// Owners returns up to n distinct backends in preference order for key:
-// the owner first, then the failover chain walking clockwise. Health is
-// ignored; see LookupLive for the live variant.
-func (d *Directory) Owners(key string, n int) []int {
-	return d.ownersLive(key, nil, n)
-}
-
-// ownersLive collects up to max distinct live backends in ring order
-// starting at key's point.
-func (d *Directory) ownersLive(key string, live func(int) bool, max int) []int {
-	if len(d.ring) == 0 || max <= 0 {
-		return nil
 	}
 	h := mix64(fnv1a(key))
 	start := sort.Search(len(d.ring), func(i int) bool { return d.ring[i].hash >= h })
-	out := make([]int, 0, max)
-	for i := 0; i < len(d.ring) && len(out) < max; i++ {
+	for i := range d.ring {
 		b := d.ring[(start+i)%len(d.ring)].backend
-		if live != nil && !live(b) {
-			continue
-		}
-		seen := false
-		for _, prev := range out {
-			if prev == b {
-				seen = true
-				break
-			}
-		}
-		if !seen {
-			out = append(out, b)
+		if live == nil || live(b) {
+			return b
 		}
 	}
-	return out
-}
-
-// String describes the directory for logs.
-func (d *Directory) String() string {
-	return fmt.Sprintf("directory{%d backends, %d replicas}", len(d.backends), d.replicas)
+	return -1
 }
 
 // mix64 is the splitmix64 finalizer: FNV-1a alone clusters badly for

@@ -2,6 +2,7 @@ package aserver
 
 import (
 	"fmt"
+	"sort"
 	"testing"
 )
 
@@ -112,9 +113,12 @@ func TestDirectoryAvoidsDownBackends(t *testing.T) {
 				t.Fatalf("key %q moved off its live owner %d to %d", key, owner, got)
 			}
 			// The failover target is the next live owner in preference
-			// order — deterministic, so a router fleet agrees on it.
-			for _, o := range d.Owners(key, len(backends)) {
-				if !down[o] {
+			// order — deterministic, so a router fleet agrees on it: the
+			// first backend up at or clockwise from the key's point.
+			h := mix64(fnv1a(key))
+			start := sort.Search(len(d.ring), func(i int) bool { return d.ring[i].hash >= h })
+			for i := range d.ring {
+				if o := d.ring[(start+i)%len(d.ring)].backend; !down[o] {
 					if got != o {
 						t.Fatalf("key %q placed on %d, want first live owner %d", key, got, o)
 					}

@@ -22,11 +22,11 @@ import (
 // timers.
 
 // register admits a client to the registry, or refuses once the server
-// has stopped.
+// has closed.
 func (s *Server) register(c *client) bool {
 	s.ctl.Lock()
 	defer s.ctl.Unlock()
-	if s.stopped {
+	if s.closed {
 		return false
 	}
 	// MaxClients is a soft cap: the newcomer is admitted and the

@@ -263,13 +263,10 @@ func (s *Server) Drain(timeout time.Duration) {
 		return
 	}
 	s.ctl.Lock()
-	stopped := s.stopped
-	for _, l := range s.listeners {
-		l.Close()
-	}
-	s.listeners = nil
+	closed := s.closed
+	s.stopAcceptingLocked()
 	s.ctl.Unlock()
-	if stopped {
+	if closed {
 		return
 	}
 	s.pollUntil(2*time.Millisecond, time.Now().Add(timeout), s.drained)

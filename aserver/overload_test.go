@@ -105,17 +105,8 @@ func TestEvictPolicyWriteAllowance(t *testing.T) {
 func dialRaw(t *testing.T, srv *Server) net.Conn {
 	t.Helper()
 	nc := srv.DialPipe()
-	setup := proto.SetupRequest{
-		ByteOrder: proto.LittleEndianOrder,
-		Major:     proto.ProtocolMajor,
-		Minor:     proto.ProtocolMinor,
-	}
-	if err := setup.Send(nc); err != nil {
-		t.Errorf("raw session setup: %v", err)
-		return nil
-	}
-	if _, err := proto.ReadSetupReply(nc, binary.LittleEndian); err != nil {
-		t.Errorf("raw session setup reply: %v", err)
+	if _, err := proto.Setup(nc, nc, binary.LittleEndian, "", nil); err != nil {
+		t.Errorf("raw session: %v", err)
 		return nil
 	}
 	return nc
@@ -349,16 +340,8 @@ func TestDrainRefusesSetup(t *testing.T) {
 	defer nc.Close()
 	srv.draining.Store(true)
 	defer srv.draining.Store(false)
-	setup := proto.SetupRequest{
-		ByteOrder: proto.LittleEndianOrder,
-		Major:     proto.ProtocolMajor,
-		Minor:     proto.ProtocolMinor,
-	}
-	if err := setup.Send(nc); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := proto.ReadSetupReply(nc, binary.LittleEndian)
-	if err != nil {
+	rep, err := proto.Setup(nc, nc, binary.LittleEndian, "", nil)
+	if rep == nil {
 		t.Fatal(err)
 	}
 	if rep.Success {

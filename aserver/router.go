@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"net/http"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -59,8 +58,8 @@ import (
 // death, the client's direct setup at the dead owner fails and it falls
 // back to a proxied setup, whose open walks past the owner to the next.
 //
-// Counter ownership: spawn counts accepted once per client conn, and its
-// handler counts exactly one of routes, redirects and routeErrors. For
+// Counter ownership: handleConn counts accepted once per client conn it
+// tracks, and exactly one of routes, redirects and routeErrors. For
 // each proxied session (a route) exactly one of closedClient,
 // closedBackend, or failoversStarted is incremented by the pump that
 // loses the session (a CAS picks the single classifier). A redirected
@@ -108,13 +107,11 @@ type Router struct {
 
 	backends []*routerBackend
 
-	mu        sync.Mutex
-	listeners []net.Listener
-	conns     map[net.Conn]struct{} // client conns, and backend conns once dialed
-	closed    bool
-
-	done chan struct{}
-	wg   sync.WaitGroup
+	// mu is the front's lock; it also guards conns, which Close closes.
+	mu    sync.Mutex
+	conns map[net.Conn]struct{} // client conns, and backend conns once dialed
+	// front accepts client conns and runs each one's handleConn.
+	front
 }
 
 // routerMetrics is the router-wide metric set, exported by Snapshot.
@@ -176,8 +173,8 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 		opts:  opts,
 		dir:   NewDirectory(names, opts.Replicas),
 		conns: make(map[net.Conn]struct{}),
-		done:  make(chan struct{}),
 	}
+	r.front = front{mu: &r.mu, handle: r.handleConn, done: make(chan struct{})}
 	for i, addr := range opts.Backends {
 		network := "tcp"
 		if strings.Contains(addr, "/") {
@@ -212,60 +209,17 @@ func (r *Router) logf(format string, args ...any) {
 // Directory returns the router's placement directory (read-only).
 func (r *Router) Directory() *Directory { return r.dir }
 
-// Serve accepts and proxies sessions from l until the listener or the
-// router closes.
-func (r *Router) Serve(l net.Listener) error {
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return errors.New("aserver: router closed")
-	}
-	r.listeners = append(r.listeners, l)
-	r.mu.Unlock()
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			select {
-			case <-r.done:
-				return nil
-			default:
-				return err
-			}
-		}
-		r.spawn(conn)
-	}
-}
-
-// spawn runs a new client connection's handler on its own goroutine —
-// or, once the router is closed, closes it: Close waits on wg, so every
-// Add must be ordered before its Wait, which mu does.
-func (r *Router) spawn(conn net.Conn) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		conn.Close()
-		return
-	}
-	r.rm.accepted.Inc()
-	r.conns[conn] = struct{}{}
-	r.wg.Add(1)
-	go func() {
-		defer r.wg.Done()
-		defer r.untrack(conn)
-		r.handleConn(conn)
-	}()
-}
-
-// track adds a session's backend conn to those Close closes, or reports
-// false once the router is closed: a stalled backend blocks both pumps
-// (a Write with no deadline, a Read), and only closing its conn frees them.
-func (r *Router) track(bc net.Conn) bool {
+// track adds a client conn or a session's backend conn to those Close
+// closes, or reports false once the router is closed: a stalled peer
+// blocks a pump (a Write with no deadline, a Read), and only closing its
+// conn frees it.
+func (r *Router) track(c net.Conn) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
 		return false
 	}
-	r.conns[bc] = struct{}{}
+	r.conns[c] = struct{}{}
 	return true
 }
 
@@ -275,36 +229,14 @@ func (r *Router) untrack(c net.Conn) {
 	r.mu.Unlock()
 }
 
-// Listen starts serving on the given network address in the background.
-func (r *Router) Listen(network, addr string) (net.Listener, error) {
-	l, err := net.Listen(network, addr)
-	if err != nil {
-		return nil, err
-	}
-	go r.Serve(l) //nolint:errcheck — ends when the listener closes
-	return l, nil
-}
-
-// DialPipe returns an in-process client connection to the router.
-func (r *Router) DialPipe() net.Conn {
-	cc, sc := net.Pipe()
-	r.spawn(sc)
-	return cc
-}
-
 // Close shuts the router down: listeners close, every client conn and
 // every session's backend conn closes, the probers and health machines
 // stop. Blocks until every goroutine has finished.
 func (r *Router) Close() {
 	r.mu.Lock()
-	if r.closed {
+	if !r.closeLocked() {
 		r.mu.Unlock()
 		return
-	}
-	r.closed = true
-	close(r.done)
-	for _, l := range r.listeners {
-		l.Close()
 	}
 	for c := range r.conns {
 		c.Close()
@@ -335,8 +267,15 @@ func refuse(conn net.Conn, order binary.ByteOrder, reason string) {
 }
 
 // handleConn reads the client's setup and places the session: a setup
-// redirect when the client can follow one, else a proxied session.
+// redirect when the client can follow one, else a proxied session. A conn
+// that arrives as the router closes is closed here, uncounted.
 func (r *Router) handleConn(conn net.Conn) {
+	if !r.track(conn) {
+		conn.Close()
+		return
+	}
+	defer r.untrack(conn)
+	r.rm.accepted.Inc()
 	conn.SetDeadline(time.Now().Add(setupDeadline)) //nolint:errcheck
 	setup, order, err := proto.ReadSetupRequest(conn)
 	if err != nil {
@@ -664,21 +603,9 @@ func probeAF(network, addr string, timeout time.Duration) error {
 	}
 	defer c.Close()
 	c.SetDeadline(time.Now().Add(timeout)) //nolint:errcheck
-	setup := proto.SetupRequest{
-		ByteOrder: proto.LittleEndianOrder,
-		Major:     proto.ProtocolMajor,
-		Minor:     proto.ProtocolMinor,
-	}
-	if err := setup.Send(c); err != nil {
-		return err
-	}
 	br := bufio.NewReaderSize(c, 4096)
-	rep, err := proto.ReadSetupReply(br, binary.LittleEndian)
-	if err != nil {
+	if _, err := proto.Setup(c, br, binary.LittleEndian, "", nil); err != nil {
 		return err
-	}
-	if !rep.Success {
-		return fmt.Errorf("backend refused setup: %s", rep.Reason)
 	}
 	w := proto.Writer{Order: binary.LittleEndian}
 	if err := proto.AppendDeviceReq(&w, proto.OpGetTime, 0); err != nil {
@@ -799,14 +726,8 @@ func (r *Router) Snapshot() RouterSnapshot {
 	return s
 }
 
-// StatsHandler mirrors Server.StatsHandler for the router: /stats serves
-// the RouterSnapshot (astat -router consumes it).
-func (r *Router) StatsHandler() http.Handler {
-	return statsHandler(func() any { return r.Snapshot() })
-}
-
-// ListenStats serves the router stats endpoints on addr in the
-// background (the arouter -stats flag).
+// ListenStats serves the router stats endpoint on addr in the
+// background (the arouter -stats flag); astat -router consumes it.
 func (r *Router) ListenStats(addr string) (net.Listener, error) {
-	return listenStats(addr, r.StatsHandler())
+	return listenStats(addr, statsHandler(func() any { return r.Snapshot() }))
 }

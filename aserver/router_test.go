@@ -166,11 +166,7 @@ func TestRouterCloseStalledBackend(t *testing.T) {
 	}
 	nc := r.DialPipe()
 	defer nc.Close()
-	setup := proto.SetupRequest{ByteOrder: proto.LittleEndianOrder, Major: proto.ProtocolMajor, Minor: proto.ProtocolMinor}
-	if err := setup.Send(nc); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := proto.ReadSetupReply(nc, binary.LittleEndian); err != nil {
+	if _, err := proto.Setup(nc, nc, binary.LittleEndian, "", nil); err != nil {
 		t.Fatal(err)
 	}
 	go func() {
@@ -335,11 +331,7 @@ func TestRouterOptionClientWriteStall(t *testing.T) {
 	})
 	nc := r.DialPipe() // unbuffered: the pump's first unread write stalls
 	defer nc.Close()
-	setup := proto.SetupRequest{ByteOrder: proto.LittleEndianOrder, Major: proto.ProtocolMajor, Minor: proto.ProtocolMinor}
-	if err := setup.Send(nc); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := proto.ReadSetupReply(nc, binary.LittleEndian); err != nil {
+	if _, err := proto.Setup(nc, nc, binary.LittleEndian, "", nil); err != nil {
 		t.Fatal(err)
 	}
 	w := proto.Writer{Order: binary.LittleEndian}
@@ -384,14 +376,7 @@ func TestRouterBackendDeathClosesClient(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer nc.Close()
-	setup := proto.SetupRequest{
-		ByteOrder: proto.LittleEndianOrder, Major: proto.ProtocolMajor, Minor: proto.ProtocolMinor,
-		AuthName: proto.RouteAuthName, AuthData: []byte(key),
-	}
-	if err := setup.Send(nc); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := proto.ReadSetupReply(nc, binary.LittleEndian); err != nil {
+	if _, err := proto.Setup(nc, nc, binary.LittleEndian, proto.RouteAuthName, []byte(key)); err != nil {
 		t.Fatal(err)
 	}
 	const n = 8

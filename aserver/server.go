@@ -137,10 +137,11 @@ type Server struct {
 
 	// ctl is the control plane: the lock a connection's reader holds
 	// while it dispatches a control request, and the one Close, Drain,
-	// Serve, Do and client registration take. It guards the fields from
-	// here to stopped, plus membership of clients and each client's acs.
-	// Outermost in the lock order (ctl → engine, ascending → clientMu):
-	// nothing that runs under an engine lock or on a timer's fire takes it.
+	// the front, Do and client registration take. It guards the fields
+	// from here to accessList and the front's listeners and closed flag,
+	// plus membership of clients and each client's acs. Outermost in the
+	// lock order (ctl → engine, ascending → clientMu): nothing that runs
+	// under an engine lock or on a timer's fire takes it.
 	ctl   sync.Mutex
 	atoms *atomTable
 	props []map[uint32]*property // by device index
@@ -148,11 +149,8 @@ type Server struct {
 	accessEnabled bool
 	accessList    []proto.HostEntry
 
-	listeners []net.Listener
-	// stopped is the server's one lifecycle flag, set by Close; done is
-	// closed with it, for the goroutines that wait rather than ask.
-	stopped bool
-	done    chan struct{}
+	// front accepts connections and runs each one's handleConn.
+	front
 
 	// engines is the sharded data plane: one per root device, in
 	// ascending device order. engineByDev maps every device index
@@ -178,7 +176,6 @@ type Server struct {
 	draining atomic.Bool
 
 	closers []func() // immutable after New
-	wg      sync.WaitGroup
 
 	// Stats observed by afperf.
 	requestCount atomic.Uint64
@@ -208,8 +205,8 @@ func New(opts Options) (*Server, error) {
 		atoms:         newAtomTable(),
 		clients:       make(map[*client]struct{}),
 		accessEnabled: opts.AccessControl,
-		done:          make(chan struct{}),
 	}
+	s.front = front{mu: &s.ctl, handle: s.handleConn, done: make(chan struct{})}
 	// The access list starts with the server's own host, as xhost does, so
 	// enabling access control does not lock out local TCP clients.
 	s.accessList = []proto.HostEntry{
@@ -407,7 +404,7 @@ func (s *Server) Hardware(i int) *vdev.Device {
 func (s *Server) Do(fn func()) {
 	s.ctl.Lock()
 	defer s.ctl.Unlock()
-	if !s.stopped {
+	if !s.closed {
 		fn()
 	}
 }
@@ -422,75 +419,13 @@ func (s *Server) Sync() {
 	}
 }
 
-// Serve accepts connections on l until the listener or server closes.
-func (s *Server) Serve(l net.Listener) error {
-	s.ctl.Lock()
-	if s.stopped {
-		s.ctl.Unlock()
-		return errors.New("aserver: server closed")
-	}
-	s.listeners = append(s.listeners, l)
-	s.ctl.Unlock()
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			select {
-			case <-s.done:
-				return nil
-			default:
-				return err
-			}
-		}
-		s.spawn(conn)
-	}
-}
-
-// spawn runs a new connection's handler on its own goroutine — or, once
-// the server has stopped, closes the connection: Close waits on wg, so
-// every Add must be ordered before its Wait, which ctl does.
-func (s *Server) spawn(conn net.Conn) {
-	s.ctl.Lock()
-	defer s.ctl.Unlock()
-	if s.stopped {
-		conn.Close()
-		return
-	}
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		s.handleConn(conn)
-	}()
-}
-
-// Listen starts serving on the given network address in the background.
-func (s *Server) Listen(network, addr string) (net.Listener, error) {
-	l, err := net.Listen(network, addr)
-	if err != nil {
-		return nil, err
-	}
-	go s.Serve(l) //nolint:errcheck — ends when the listener closes
-	return l, nil
-}
-
-// DialPipe returns an in-process client connection to the server.
-func (s *Server) DialPipe() net.Conn {
-	cc, sc := net.Pipe()
-	s.spawn(sc)
-	return cc
-}
-
 // Close shuts the server down: listeners close, clients disconnect, every
 // timer stops. Nothing stays armed, so a closed server is collectable.
 func (s *Server) Close() {
 	s.ctl.Lock()
-	if s.stopped {
+	if !s.closeLocked() {
 		s.ctl.Unlock()
 		return
-	}
-	s.stopped = true
-	close(s.done)
-	for _, l := range s.listeners {
-		l.Close()
 	}
 	// The shutdown sweep. register refuses from here on, so this is every
 	// client there will ever be. (Deleting from a map mid-range is fine.)

@@ -34,16 +34,9 @@ func listenStats(addr string, h http.Handler) (net.Listener, error) {
 	return l, nil
 }
 
-// StatsHandler returns an http.Handler exposing the server's metrics,
-// /stats serving its Snapshot. The handler only reads — a scrape takes
-// each engine lock briefly to copy the device counters, so polling it
-// during playback is safe.
-func (s *Server) StatsHandler() http.Handler {
-	return statsHandler(func() any { return s.Snapshot() })
-}
-
 // ListenStats serves the stats endpoint on addr in the background (the
-// afd -stats flag).
+// afd -stats flag). A scrape takes each engine lock briefly to copy the
+// device counters, so polling it during playback is safe.
 func (s *Server) ListenStats(addr string) (net.Listener, error) {
-	return listenStats(addr, s.StatsHandler())
+	return listenStats(addr, statsHandler(func() any { return s.Snapshot() }))
 }

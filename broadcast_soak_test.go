@@ -517,17 +517,8 @@ func TestBroadcastSoak(t *testing.T) {
 		defer wg.Done()
 		nc := srv.DialPipe()
 		defer nc.Close()
-		setup := proto.SetupRequest{
-			ByteOrder: proto.LittleEndianOrder,
-			Major:     proto.ProtocolMajor,
-			Minor:     proto.ProtocolMinor,
-		}
-		if err := setup.Send(nc); err != nil {
-			fail(fmt.Errorf("wedged setup: %w", err))
-			return
-		}
-		if _, err := proto.ReadSetupReply(nc, binary.LittleEndian); err != nil {
-			fail(fmt.Errorf("wedged setup reply: %w", err))
+		if _, err := proto.Setup(nc, nc, binary.LittleEndian, "", nil); err != nil {
+			fail(fmt.Errorf("wedged: %w", err))
 			return
 		}
 		var w proto.Writer

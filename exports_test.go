@@ -21,7 +21,6 @@ var orphanAllowed = map[string]string{
 	"audiofile/internal/netsim/*": "fault injection for the soaks; the rig and the lineserver firmware are its only non-test callers",
 	"audiofile/internal/rig/*":    "the fixtures every test outside aserver builds its system from; only afperf's measurement rig has a non-test caller",
 
-	"audiofile/aserver.Directory.Owners": "the failover soak predicts each displaced client's standby from the owner chain",
 	"audiofile/internal/proto.MaxOpcode": "the last opcode; af's and aserver's opcode-coverage tests walk 1…MaxOpcode",
 
 	"audiofile/internal/lineserver.NewFirmware":      "boots the simulated LineServer box the root soaks and af's tests run against",

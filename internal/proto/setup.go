@@ -66,6 +66,30 @@ func ReadSetupRequest(rd io.Reader) (*SetupRequest, binary.ByteOrder, error) {
 	return s, order, nil
 }
 
+// Setup is the client side of the setup exchange: it sends a setup
+// request for this protocol version in order, carrying authName and
+// authData (either may be empty), on w and reads the server's reply from
+// r. A success or a setup redirect is returned; a refusal is an error,
+// returned with the reply that carries its reason.
+func Setup(w io.Writer, r io.Reader, order binary.ByteOrder, authName string, authData []byte) (*SetupReply, error) {
+	req := SetupRequest{ByteOrder: LittleEndianOrder, Major: ProtocolMajor, Minor: ProtocolMinor,
+		AuthName: authName, AuthData: authData}
+	if order == binary.ByteOrder(binary.BigEndian) {
+		req.ByteOrder = BigEndianOrder
+	}
+	if err := req.Send(w); err != nil {
+		return nil, fmt.Errorf("proto: setup: %w", err)
+	}
+	rep, err := ReadSetupReply(r, order)
+	if err != nil {
+		return nil, fmt.Errorf("proto: setup reply: %w", err)
+	}
+	if !rep.Success && !rep.Redirect() {
+		return rep, fmt.Errorf("proto: setup refused: %s", rep.Reason)
+	}
+	return rep, nil
+}
+
 // DeviceDesc describes one abstract audio device in the setup reply: the
 // attributes of §5.4 — sampling rates, native sample types, channel
 // counts, buffer sizes, and the input/output and telephone-connection

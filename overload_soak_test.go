@@ -231,17 +231,8 @@ func TestOverloadSoak(t *testing.T) {
 		if tc, ok := nc.(*net.TCPConn); ok {
 			tc.SetReadBuffer(4096) //nolint:errcheck
 		}
-		setup := proto.SetupRequest{
-			ByteOrder: proto.LittleEndianOrder,
-			Major:     proto.ProtocolMajor,
-			Minor:     proto.ProtocolMinor,
-		}
-		if err := setup.Send(nc); err != nil {
-			fail(fmt.Errorf("flooder setup: %w", err))
-			return
-		}
-		if _, err := proto.ReadSetupReply(nc, binary.LittleEndian); err != nil {
-			fail(fmt.Errorf("flooder setup reply: %w", err))
+		if _, err := proto.Setup(nc, nc, binary.LittleEndian, "", nil); err != nil {
+			fail(fmt.Errorf("flooder: %w", err))
 			return
 		}
 		var w proto.Writer

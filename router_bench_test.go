@@ -47,21 +47,9 @@ func benchRouterConn(tb testing.TB, routed bool) (net.Conn, *bufio.Reader) {
 		tb.Fatal(err)
 	}
 	tb.Cleanup(func() { nc.Close() })
-	setup := proto.SetupRequest{
-		ByteOrder: proto.LittleEndianOrder,
-		Major:     proto.ProtocolMajor,
-		Minor:     proto.ProtocolMinor,
-	}
-	if err := setup.Send(nc); err != nil {
-		tb.Fatal(err)
-	}
 	br := bufio.NewReaderSize(nc, 64<<10)
-	rep, err := proto.ReadSetupReply(br, binary.LittleEndian)
-	if err != nil {
+	if _, err := proto.Setup(nc, br, binary.LittleEndian, "", nil); err != nil {
 		tb.Fatal(err)
-	}
-	if !rep.Success {
-		tb.Fatalf("setup refused: %s", rep.Reason)
 	}
 	return nc, br
 }

@@ -302,16 +302,7 @@ func TestRouterFailoverSoak(t *testing.T) {
 	// is short-lived, so the wait ends between probes.
 	expected := make([]int, nBackends)
 	for _, sc := range clients {
-		next := sc.owner
-		if next == victim {
-			for _, o := range dir.Owners(sc.key, nBackends) {
-				if o != victim {
-					next = o
-					break
-				}
-			}
-		}
-		expected[next]++
+		expected[dir.LookupLive(sc.key, func(i int) bool { return i != victim })]++
 	}
 	waitFor(t, 10*time.Second, "sessions settled on standbys", func() bool {
 		for i, b := range backends {

@@ -185,21 +185,9 @@ func TestCrossPlaneFIFO(t *testing.T) {
 
 	nc := srv.DialPipe()
 	defer nc.Close()
-	setup := &proto.SetupRequest{
-		ByteOrder: proto.LittleEndianOrder,
-		Major:     proto.ProtocolMajor,
-		Minor:     proto.ProtocolMinor,
-	}
-	if err := setup.Send(nc); err != nil {
-		t.Fatal(err)
-	}
 	rd := bufio.NewReader(nc)
-	rep, err := proto.ReadSetupReply(rd, binary.LittleEndian)
-	if err != nil {
+	if _, err := proto.Setup(nc, rd, binary.LittleEndian, "", nil); err != nil {
 		t.Fatal(err)
-	}
-	if !rep.Success {
-		t.Fatalf("setup refused: %s", rep.Reason)
 	}
 
 	// Read replies concurrently with the pipelined write (net.Pipe is
