@@ -191,18 +191,25 @@ type Conn struct {
 	order binary.ByteOrder
 	name  string
 
-	// in is the read side (io.go). On a TCP or Unix socket raw is the
+	// in is the read side (io.go), the server's seen from the other end:
+	// buf is the ingress buffer, borrowed while reply bytes are in flight
+	// and nil exactly when none are unparsed, so an idle Conn pins none;
+	// err is the transport's end or failure, sticky, reported once the
+	// bytes read before it are parsed. On a TCP or Unix socket raw is the
 	// transport's RawConn and rawRead its callback (readOnce), bound with
 	// the socket (bindRaw) so a call passes no fresh closure; tx is the
 	// exchange's write, iov its scatter list and txErr how it failed,
 	// pushed records a subscription made on this socket (so the exchange
 	// reads first), and probing turns the read's EAGAIN into done for a
 	// poll. Elsewhere raw is nil.
-	in      ingress
+	in struct {
+		buf *proto.Buffer
+		err error
+	}
 	raw     syscall.RawConn
 	rawRead func(fd uintptr) bool
 	tx      [][]byte
-	iov     iovecs
+	iov     proto.Iovecs
 	txErr   error
 	pushed  bool
 	probing bool
@@ -501,7 +508,8 @@ func (c *Conn) Close() {
 	c.flushLocked() //nolint:errcheck
 	c.closed = true
 	c.conn.Close()
-	c.in.release()
+	c.in.buf.Put()
+	c.in.buf = nil
 }
 
 // Name returns the server name used to open the connection

@@ -6,7 +6,6 @@ import (
 	"io"
 	"net"
 	"os"
-	"sync"
 	"time"
 
 	"audiofile/internal/proto"
@@ -122,60 +121,6 @@ func (c *Conn) ioError(err error) error {
 	return c.ioErr
 }
 
-// ingressBytes sizes the Conn's read buffer: one read(2) takes a 24 KiB
-// record's three chunk replies whole, as the server's ingress buffer of
-// the same size takes three play chunks.
-const ingressBytes = 32 << 10
-
-// ingressPool lends read buffers to every Conn in the process. It holds
-// *[]byte so a checkout does not box a slice header.
-var ingressPool = sync.Pool{New: func() any { return new([]byte) }}
-
-func getIngress(n int) *[]byte {
-	p := ingressPool.Get().(*[]byte)
-	if cap(*p) < n {
-		*p = make([]byte, n)
-	}
-	*p = (*p)[:n]
-	return p
-}
-
-// ingress is the Conn's read side, the server's (aserver/client.go) seen
-// from the other end: one pooled buffer, borrowed while reply bytes are in
-// flight; (*buf)[r:w] is read and not yet parsed. Messages are parsed
-// where they lie and their payloads copied out (proto.ParseMessage), so
-// the buffer goes back to the pool the moment nothing unparsed remains:
-// buf is nil exactly when r == w, and an idle Conn pins no read buffer.
-// err is the transport's end or failure, sticky, reported once the bytes
-// read before it are parsed.
-type ingress struct {
-	buf  *[]byte
-	r, w int
-	err  error
-}
-
-func (in *ingress) bytes() []byte {
-	if in.buf == nil {
-		return nil
-	}
-	return (*in.buf)[in.r:in.w]
-}
-
-// consume drops the n bytes a message spanned, returning the buffer when
-// they were the last.
-func (in *ingress) consume(n int) {
-	if in.r += n; in.r == in.w {
-		in.release()
-	}
-}
-
-func (in *ingress) release() {
-	if in.buf != nil {
-		ingressPool.Put(in.buf)
-	}
-	in.buf, in.r, in.w = nil, 0, 0
-}
-
 // nextMessage parses the next server message out of the ingress into
 // c.rmsg, reading when no whole one is there (fill). seq and dst are
 // proto.ParseMessage's: the payload of the reply to seq lands in dst.
@@ -188,12 +133,12 @@ func (c *Conn) nextMessage(seq uint16, dst []byte) (*proto.Message, error) {
 	}
 	in := &c.in
 	for {
-		n, need, err := proto.ParseMessage(in.bytes(), c.order, &c.rmsg, seq, dst)
+		n, need, err := proto.ParseMessage(in.buf.Bytes(), c.order, &c.rmsg, seq, dst)
 		if err != nil {
 			return nil, c.ioError(err)
 		}
 		if n > 0 {
-			in.consume(n)
+			in.buf = in.buf.Consume(n)
 			return &c.rmsg, nil
 		}
 		if err := in.err; err != nil {
@@ -209,49 +154,30 @@ func (c *Conn) nextMessage(seq uint16, dst []byte) (*proto.Message, error) {
 }
 
 // fill reads once behind the unparsed tail, which it first moves to the
-// front of the buffer — or of a bigger one, when the message (need bytes)
-// exceeds it. The buffered requests go out first: on a socket inside the
-// read, as the exchange (exchange); elsewhere by the blocking write, and
-// the buffer is then borrowed across a blocking conn.Read.
+// front of the buffer (proto.Buffer.Compact). The buffered requests go out
+// first: on a socket inside the read, as the exchange (exchange);
+// elsewhere by the blocking write, and the buffer is then borrowed across
+// a blocking conn.Read.
 func (c *Conn) fill(need int) error {
 	in := &c.in
-	if in.buf != nil {
-		tail := (*in.buf)[in.r:in.w]
-		if need > len(*in.buf) {
-			grown := getIngress(need)
-			copy(*grown, tail)
-			ingressPool.Put(in.buf)
-			in.buf = grown
-		} else {
-			copy(*in.buf, tail)
-		}
-		in.r, in.w = 0, len(tail)
-	}
+	in.buf = in.buf.Compact(need)
 	if c.raw != nil {
 		return c.exchange()
 	}
 	if err := c.send(); err != nil {
 		return err
 	}
-	if in.buf == nil {
-		in.buf = getIngress(ingressBytes)
-	}
-	n, err := c.conn.Read((*in.buf)[in.w:])
-	in.w += n
-	in.err = err
-	if in.r == in.w {
-		in.release()
-	}
+	in.buf, _, in.err = in.buf.Read(c.conn)
 	return nil
 }
 
 // exchange is fill on a socket: one syscall.RawConn.Read, whose callback
-// (readOnce, rawconn_linux.go) ships the buffered requests in its first
-// call and reads in the calls after. Its first call returns without a
-// read, so RawConn waits for the reply's readiness rather than trying a
-// read that could only find EAGAIN; that is sound because the reply to a
-// request written after RawConn.Read reset readiness cannot have arrived
-// before it (DESIGN.md, "The client's reply wait").
+// (readOnce) ships the buffered requests in its first call and reads in
+// the calls after. Its first call returns without a read, so RawConn waits
+// for the reply's readiness rather than trying a read that could only find
+// EAGAIN; that is sound because the reply to a request written after
+// RawConn.Read reset readiness cannot have arrived before it (DESIGN.md,
+// "The client's reply wait").
 func (c *Conn) exchange() error {
 	c.tx, c.txErr = c.pending(), nil
 	err := c.raw.Read(c.rawRead)
@@ -261,6 +187,51 @@ func (c *Conn) exchange() error {
 		return c.txErr
 	}
 	return err
+}
+
+// bindRaw takes the transport's RawConn (proto.RawConn: a TCP or Unix
+// socket, on Linux) and binds the read callback on it, so a call passes
+// no fresh closure.
+func (c *Conn) bindRaw() {
+	c.raw = proto.RawConn(c.conn)
+	c.rawRead = c.readOnce
+}
+
+// readOnce is the Conn's syscall.RawConn.Read callback. While c.tx holds
+// buffered requests — the first call of an exchange — it ships them
+// (writeRaw) and then reports not done, and RawConn waits for the reply's
+// readiness with no read; a Conn that has subscribed on this socket
+// (c.pushed) reads first anyway, since pushed chunks may fill the socket
+// ahead of the reply. A failed write reports done with the error in
+// c.txErr. Every other call is one raw read behind the ingress tail
+// (proto.Buffer.ReadRaw): EAGAIN waits, or, in a poll (c.probing), reports
+// done; the end of the stream or a failure is kept in c.in.err.
+func (c *Conn) readOnce(fd uintptr) bool {
+	if c.tx != nil {
+		c.txErr = c.writeRaw(fd, c.tx)
+		c.tx = nil
+		if c.txErr != nil {
+			return true
+		}
+		if !c.pushed {
+			return false
+		}
+	}
+	var n int
+	c.in.buf, n, c.in.err = c.in.buf.ReadRaw(fd)
+	return n > 0 || c.in.err != nil || c.probing
+}
+
+// writeRaw is the exchange's write: one raw write of w.Buf, or writev of a
+// play vector, on fd (proto.Iovecs.Write). What the kernel does not take —
+// EAGAIN, a short count, slices past the scatter list — the blocking write
+// (write) finishes, under the socket's write lock, which is not the read
+// lock RawConn.Read holds; an error is left for it to report.
+func (c *Conn) writeRaw(fd uintptr, vec [][]byte) error {
+	if vec = proto.ConsumeVec(vec, c.iov.Write(fd, vec)); len(vec) == 0 {
+		return nil
+	}
+	return c.write(vec)
 }
 
 // waitFor is the blocking event loop: until done reports true it flushes
@@ -335,16 +306,12 @@ func (c *Conn) probe() (bool, error) {
 		// below into a blocking read; fail the poll instead.
 		return false, c.ioError(err)
 	}
-	in.buf = getIngress(ingressBytes)
-	n, err := c.conn.Read(*in.buf)
+	var err error
+	in.buf, _, err = in.buf.Read(c.conn)
 	// Clear the deadline before anything else: a connection left with the
 	// stale 1ms deadline would spuriously time out every later blocking
 	// read. A failure here poisons the connection the same way.
 	clearErr := c.conn.SetReadDeadline(time.Time{})
-	in.w = n
-	if n == 0 {
-		in.release()
-	}
 	var ne net.Error
 	if err != nil && !(errors.As(err, &ne) && ne.Timeout()) {
 		in.err = err
@@ -352,7 +319,7 @@ func (c *Conn) probe() (bool, error) {
 	if clearErr != nil {
 		return false, c.ioError(clearErr)
 	}
-	return n > 0 || in.err != nil, nil
+	return in.buf != nil || in.err != nil, nil
 }
 
 // dispatchAsync handles a message that is not the awaited reply: events

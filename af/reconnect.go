@@ -205,8 +205,8 @@ func (c *Conn) resetOnto(nc net.Conn) (err error) {
 	c.conn = nc
 	c.bindRaw()
 	c.pushed = false
-	c.in.release()
-	c.in.err = nil
+	c.in.buf.Put()
+	c.in.buf, c.in.err = nil, nil
 	c.resetOutput()
 	c.sentSeq = 0
 	c.ioErr = nil

@@ -155,7 +155,7 @@ func batchScript(script []byte) []byte {
 			}
 			continue
 		case b == 0xff: // exceeds the ingress buffer, and the buffer horizon
-			bulkPlay(4096, ingressBytes+8<<10)
+			bulkPlay(4096, proto.IngressBytes+8<<10)
 			continue
 		}
 		switch b % 7 {

@@ -80,9 +80,9 @@ type client struct {
 	// drain (TryLock) or by the writer. vec (a window on vecArr) and owned
 	// are the vector taken from out and not yet settled: what a partial
 	// write left is sent by the next holder before anything behind it.
-	// raw is nil without a syscall.Conn (net.Pipe, netsim) or off Linux;
-	// rawWrite, rawRead and rawServe are writeOnce, readOnce and serve
-	// bound once (bindRaw), wn what writeOnce wrote, iov its scatter list.
+	// raw is the conn's RawConn (proto.RawConn), nil for net.Pipe, netsim
+	// or off Linux; rawWrite, rawRead and rawServe are writeOnce, readOnce
+	// and serve bound once, wn what writeOnce wrote, iov its scatter list.
 	wmu      sync.Mutex
 	vecArr   [maxWriteVec][]byte
 	vec      [][]byte
@@ -92,14 +92,19 @@ type client struct {
 	rawRead  func(fd uintptr) bool
 	rawServe func(fd uintptr) bool
 	wn       int
-	iov      iovecs
+	iov      proto.Iovecs
 
-	// The conn's read side, touched only by the reader: the ingress
-	// buffer; the run slice frames are framed into (maxRunLen, allocated
-	// once); rest, framed requests not yet dispatched, which only a park
-	// leaves; await, that park; rawReads, the RawConn.Read calls made; and
-	// syscalls, the read(2) and writev(2) calls made inside them.
-	in       ingress
+	// The conn's read side, touched only by the reader: in, the ingress
+	// buffer, borrowed while request bytes are in flight (in.B[R:W] is
+	// read and not yet framed), and lent, its size as counted in
+	// frame_bytes_in_flight (hold); eof, the transport has ended or
+	// failed, sticky; the run slice frames are framed into (maxRunLen,
+	// allocated once); rest, framed requests not yet dispatched, which only
+	// a park leaves; await, that park; rawReads, the RawConn.Read calls
+	// made; and syscalls, the raw reads and writes made inside them.
+	in       *proto.Buffer
+	lent     int
+	eof      bool
 	frames   []runFrame
 	rest     []runFrame
 	await    *parked
@@ -155,7 +160,9 @@ func newClient(s *Server, conn net.Conn, order binary.ByteOrder) *client {
 	c.vec = c.vecArr[:0]
 	c.runWriter = c.writer
 	c.req.c, c.req.r.Order = c, order
-	c.bindRaw()
+	if c.raw = proto.RawConn(conn); c.raw != nil {
+		c.rawWrite, c.rawRead, c.rawServe = c.writeOnce, c.readOnce, c.serve
+	}
 	// Field-by-field: evictPolicy holds an atomic and must not be copied.
 	c.flow.budget = s.budget.clientQueue
 	c.flow.grace = s.budget.evictGrace
@@ -245,23 +252,6 @@ func (s *Server) handleConn(conn net.Conn) {
 	c.reader()
 }
 
-// ingressBytes sizes a reader's ingress buffer: one read(2) takes a whole
-// client burst — a full run of small requests, or three 8 KiB play chunks
-// shipped as one writev. A constant chosen by measurement: EXPERIMENTS.md,
-// "One read per burst, any size".
-const ingressBytes = 32 << 10
-
-// ingress is a connection's read side: one pooled buffer, borrowed while
-// request bytes are in flight; (*buf)[r:w] is read and not yet framed. On a
-// transport with a RawConn the reader waits for readability and borrows
-// inside the read callback (readOnce), so an idle socket pins no buffer;
-// any other transport holds one across its blocking conn.Read.
-type ingress struct {
-	buf  *[]byte
-	r, w int
-	eof  bool // the transport has ended or failed; sticky
-}
-
 // runFrame is one framed request in an ingress run: the header fields
 // and the body, which aliases the ingress buffer until it is framed again.
 type runFrame struct {
@@ -280,10 +270,10 @@ const maxRunLen = 32
 // request where it landed (frame) and runs each to completion, in order,
 // under the lock its opTable row names (dispatch), before it reads again.
 // On a socket all of that happens inside the RawConn.Read that waits for
-// the next burst (serve, rawconn_linux.go, the serving callback); the loop
-// here takes over for what serve leaves to it — a park, the end of the
-// stream, a malformed header, a request bigger than the buffer — and for
-// every transport without a RawConn (nextRun). It reads one run ahead of a
+// the next burst (serve, the serving callback); the loop here takes over
+// for what serve leaves to it — a park, the end of the stream, a malformed
+// header, a request bigger than the buffer — and for every transport
+// without a RawConn (nextRun). It reads one run ahead of a
 // blocked (parked) request — the read keeps disconnect detection live; the
 // wait before the next dispatch keeps FIFO order.
 func (c *client) reader() {
@@ -305,7 +295,7 @@ func (c *client) reader() {
 		c.rest, c.await = c.dispatch(c.rest)
 		c.endRun(-1)
 	}
-	if c.await != nil && !c.in.eof && !c.dead.Load() {
+	if c.await != nil && !c.eof && !c.dead.Load() {
 		// A malformed header: the request parked ahead of it is answered
 		// first, as it would have been had the two arrived apart.
 		select {
@@ -313,9 +303,8 @@ func (c *client) reader() {
 		case <-c.closed:
 		}
 	}
-	if c.in.buf != nil {
-		c.s.putFrame(c.in.buf)
-	}
+	c.in.Put()
+	c.hold(nil)
 	c.s.ctl.Lock() // unregister
 	c.s.removeClient(c)
 	c.s.ctl.Unlock()
@@ -326,8 +315,76 @@ func (c *client) reader() {
 func (c *client) readWait(f func(fd uintptr) bool) {
 	c.rawReads++
 	if c.raw.Read(f) != nil {
-		c.in.eof = true
+		c.eof = true
 	}
+}
+
+// serve is the reader's syscall.RawConn.Read callback on a socket, the
+// serving callback. It frames what the ingress buffer holds (frame, the
+// loop nextRun uses), dispatches each run, drains its replies with one
+// writev on fd (endRun), and reads again: the speculative read, which must
+// meet EAGAIN before the reader waits. Then it reports not done, and
+// RawConn waits for readability inside the same call, with no second
+// readiness reset. Nothing here waits on a park or on the writer, whose
+// conn.Close waits for the descriptor this call holds: serve reports done,
+// leaving the rest to the reader's loop, at a park, at the end of the
+// stream or a malformed header, when the client is dead, and at a request
+// bigger than the buffer, which the loop grows.
+func (c *client) serve(fd uintptr) bool {
+	for !c.dead.Load() {
+		run, need := c.frame(c.frames[:0])
+		if len(run) != 0 {
+			c.rest, c.await = c.dispatch(run)
+			c.endRun(int(fd))
+			if c.await != nil {
+				return true
+			}
+			continue
+		}
+		if need < 0 || c.eof || need > c.in.Len() {
+			return true
+		}
+		c.hold(c.in.Compact(need))
+		if !c.readOnce(fd) {
+			return false
+		}
+	}
+	return true
+}
+
+// readOnce is the client's syscall.RawConn.Read callback: one read(2)
+// behind what the ingress buffer holds, borrowing a buffer if the reader
+// holds none. A borrow that reads nothing goes straight back, uncounted:
+// on EAGAIN RawConn waits for readability with no buffer pinned. One that
+// reads bytes counts as lent (hold), and is the reader's to return.
+func (c *client) readOnce(fd uintptr) bool {
+	c.syscalls++
+	in, n, err := c.in.ReadRaw(fd)
+	c.hold(in)
+	if n == 0 {
+		c.eof = err != nil
+	}
+	return n > 0 || c.eof
+}
+
+// writeOnce is the client's syscall.RawConn.Write callback: one raw
+// write attempt of c.vec, result in c.wn. It always reports done, so RawConn
+// never waits for writability: EAGAIN, a short count or an error leaves
+// wn short of the vector, and a writer takes over. Caller holds c.wmu.
+func (c *client) writeOnce(fd uintptr) bool {
+	c.wn = c.iov.Write(fd, c.vec)
+	return true
+}
+
+// hold makes b the reader's ingress buffer, moving frame_bytes_in_flight
+// by what that lends or gives back. It counts from lent, not from the
+// buffer it replaces, which may be back in the pool already.
+func (c *client) hold(b *proto.Buffer) {
+	if d := b.Len() - c.lent; d != 0 {
+		c.s.sm.frameBytes.Add(int64(d))
+		c.lent += d
+	}
+	c.in = b
 }
 
 // frame appends to run every whole request at the head of the ingress
@@ -337,9 +394,12 @@ func (c *client) readWait(f func(fd uintptr) bool) {
 // malformed header (length under one unit), left unconsumed and reported
 // as need -1.
 func (c *client) frame(run []runFrame) (_ []runFrame, need int) {
-	in := &c.in
-	for len(run) < maxRunLen && in.w-in.r >= 4 {
-		b := (*in.buf)[in.r:in.w]
+	in := c.in
+	for len(run) < maxRunLen {
+		b := in.Bytes()
+		if len(b) < 4 {
+			break
+		}
 		n := int(c.order.Uint16(b[2:])) * 4
 		if n < 4 {
 			return run, -1
@@ -348,7 +408,7 @@ func (c *client) frame(run []runFrame) (_ []runFrame, need int) {
 			return run, n
 		}
 		run = append(run, runFrame{b[0], b[1], b[4:n:n]})
-		in.r += n
+		in.R += n
 	}
 	return run, 0
 }
@@ -360,51 +420,29 @@ func (c *client) frame(run []runFrame) (_ []runFrame, need int) {
 func (c *client) nextRun(run []runFrame) []runFrame {
 	for {
 		var need int
-		if run, need = c.frame(run); len(run) != 0 || need < 0 || c.in.eof {
+		if run, need = c.frame(run); len(run) != 0 || need < 0 || c.eof {
 			return run
 		}
 		c.fill(need)
 	}
 }
 
-// fill reads once behind the partial tail (compact).
+// fill reads once behind the partial tail (proto.Buffer.Compact). On a
+// socket the reader waits for readability and borrows inside the read
+// callback (readOnce), so an idle socket pins no buffer; any other
+// transport holds one, counted, across its blocking conn.Read.
 func (c *client) fill(need int) {
-	c.compact(need)
+	c.hold(c.in.Compact(need))
 	if c.raw != nil {
 		c.readWait(c.rawRead)
 		return
 	}
-	in := &c.in
-	if in.buf == nil {
-		in.buf = c.s.getFrame(ingressBytes)
+	if c.in == nil {
+		c.hold(proto.GetBuffer(proto.IngressBytes))
 	}
-	n, err := c.conn.Read((*in.buf)[in.w:])
-	in.w, in.eof = in.w+n, err != nil
-}
-
-// compact readies the buffer for a read behind the partial tail: it moves
-// the tail to the front of the buffer — or of a bigger one, when the
-// request (need bytes) exceeds it; with no tail it gives the buffer back,
-// so a reader that waits pins none.
-func (c *client) compact(need int) {
-	in := &c.in
-	if in.buf == nil {
-		return
-	}
-	tail := (*in.buf)[in.r:in.w]
-	switch {
-	case len(tail) == 0:
-		c.s.putFrame(in.buf)
-		in.buf = nil
-	case need > len(*in.buf):
-		grown := c.s.getFrame(need)
-		copy(*grown, tail)
-		c.s.putFrame(in.buf)
-		in.buf = grown
-	default:
-		copy(*in.buf, tail)
-	}
-	in.r, in.w = 0, len(tail)
+	var err error
+	c.in, _, err = c.in.Read(c.conn)
+	c.eof = err != nil
 }
 
 // dispatch dispatches a framed run in order until a request parks: each
@@ -609,7 +647,7 @@ func (c *client) drain(fd int) {
 			} else if c.raw == nil || c.raw.Write(c.rawWrite) != nil {
 				break // no RawConn; or closed, or evict expired its deadline
 			}
-			if c.vec = consumeVec(c.vec, c.wn); len(c.vec) == 0 {
+			if c.vec = proto.ConsumeVec(c.vec, c.wn); len(c.vec) == 0 {
 				c.settleVec()
 			}
 		}
@@ -617,18 +655,6 @@ func (c *client) drain(fd int) {
 	}
 	c.s.sm.egressFallbacks.Inc()
 	c.startWriter()
-}
-
-// consumeVec drops the first n bytes of vec.
-func consumeVec(vec [][]byte, n int) [][]byte {
-	for len(vec) > 0 && n >= len(vec[0]) {
-		n -= len(vec[0])
-		vec = vec[1:]
-	}
-	if len(vec) > 0 {
-		vec[0] = vec[0][n:]
-	}
-	return vec
 }
 
 // goodbyeTimeout bounds the final write of an evicted or drained

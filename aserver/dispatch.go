@@ -754,10 +754,10 @@ func (p *parked) preparePlay(q proto.PlaySamplesReq) {
 		nlin := 2 * len(q.Data)
 		linp := getLin(nlin)
 		p.a.playCoder.Decode(*linp, q.Data)
-		p.playPooled = getBytes(2 * nlin)
-		sampleconv.FromLin16(*p.playPooled, sampleconv.LIN16, *linp, nlin)
+		p.playPooled = proto.GetBuffer(2 * nlin)
+		sampleconv.FromLin16(p.playPooled.B, sampleconv.LIN16, *linp, nlin)
 		putLin(linp)
-		p.play.Data, p.playEnc = *p.playPooled, sampleconv.LIN16
+		p.play.Data, p.playEnc = p.playPooled.B, sampleconv.LIN16
 	}
 }
 
@@ -778,10 +778,8 @@ func servePlay(p *parked, staged bool) bool {
 		p.play.Time = uint32(atime.Add(atime.ATime(p.play.Time), res.Consumed))
 		return false
 	}
-	if p.playPooled != nil {
-		putBytes(p.playPooled)
-		p.playPooled = nil
-	}
+	p.playPooled.Put()
+	p.playPooled = nil
 	if p.play.Flags&proto.SampleFlagSuppressReply == 0 {
 		reply := proto.Reply{Time: uint32(res.Now)}
 		if staged {
@@ -818,13 +816,13 @@ func (e *engine) serveRecord(p *parked) bool {
 	// instead and codes them below: NBytes of ADPCM cover 2*NBytes frames.
 	var m *wireMsg
 	var dst []byte
-	var linp *[]byte
+	var linp *proto.Buffer
 	var want int // frames
 	cfb, enc := a.clientFrameBytes(), a.enc
 	if enc == sampleconv.ADPCM4 {
 		want, enc = 2*int(q.NBytes), sampleconv.LIN16
-		linp = getBytes(2 * want)
-		dst = *linp
+		linp = proto.GetBuffer(2 * want)
+		dst = linp.B
 	} else {
 		want = int(q.NBytes) / cfb
 		m, dst = newRecordReplyMsg(want * cfb)
@@ -835,7 +833,7 @@ func (e *engine) serveRecord(p *parked) bool {
 		// has been captured. The buffer returns to its pool; the next
 		// attempt checks one out again.
 		if linp != nil {
-			putBytes(linp)
+			linp.Put()
 		} else {
 			m.release()
 		}
@@ -849,8 +847,8 @@ func (e *engine) serveRecord(p *parked) bool {
 	}
 	frames := res.Avail &^ 1 // whole ADPCM bytes only
 	samplesp := getLin(frames)
-	sampleconv.ToLin16(*samplesp, *linp, sampleconv.LIN16, frames)
-	putBytes(linp)
+	sampleconv.ToLin16(*samplesp, linp.B, sampleconv.LIN16, frames)
+	linp.Put()
 	// The coder's output goes straight into the wire message payload; the
 	// compressed bytes are never staged separately. flags=0: ADPCM data
 	// is a byte stream, never byte-swapped.

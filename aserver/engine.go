@@ -70,7 +70,7 @@ type parked struct {
 	a     *ac
 	op    uint8
 	seq   uint16
-	frame *[]byte       // pooled copy of a play's remaining data; returned when the park finishes
+	frame *proto.Buffer // pooled copy of a play's remaining data; returned when the park finishes
 	done  chan struct{} // closed exactly once, when the park completes or is discarded
 	since time.Time     // registration time, for the park-duration histogram
 	// wake is when a blocked record's last sample should exist; zero for
@@ -85,7 +85,7 @@ type parked struct {
 	// playPooled is set when play.Data aliases a pool-owned staging buffer
 	// (the ADPCM decompression output); it returns to the pool when the
 	// play completes.
-	playPooled *[]byte
+	playPooled *proto.Buffer
 	rec        proto.RecordSamplesReq // the decoded request
 }
 
@@ -206,8 +206,8 @@ func (e *engine) parkLocked(call *parked) *parked {
 	*p = *call
 	if p.op == proto.OpPlaySamples && p.playPooled == nil {
 		p.frame = e.s.getFrame(len(p.play.Data))
-		copy(*p.frame, p.play.Data)
-		p.play.Data = *p.frame
+		copy(p.frame.B, p.play.Data)
+		p.play.Data = p.frame.B
 	}
 	p.done = make(chan struct{})
 	p.since = time.Now()
@@ -234,10 +234,8 @@ func (e *engine) finishPark(c *client, p *parked, completed bool) {
 	}
 	e.m.parkedNow.Add(-1)
 	e.m.parkNs.Observe(time.Since(p.since).Nanoseconds())
-	if p.playPooled != nil { // a play discarded before it completed
-		putBytes(p.playPooled)
-		p.playPooled = nil
-	}
+	p.playPooled.Put() // a play discarded before it completed
+	p.playPooled = nil
 	if p.frame != nil {
 		e.s.putFrame(p.frame)
 		p.frame = nil

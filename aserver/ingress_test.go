@@ -45,7 +45,7 @@ func TestIdleSocketHoldsNoIngressBuffer(t *testing.T) {
 	if _, err := nc.Write(append(createAC, play[:half]...)); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "a half-sent play to pin one buffer", func() bool { return lent(srv) == ingressBytes })
+	waitFor(t, "a half-sent play to pin one buffer", func() bool { return lent(srv) == proto.IngressBytes })
 	if _, err := nc.Write(play[half:]); err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestIdleSocketHoldsNoIngressBuffer(t *testing.T) {
 	if _, err := nc.Write(play[:half]); err != nil { // never finished
 		t.Fatal(err)
 	}
-	waitFor(t, "the second half-sent play to pin one buffer", func() bool { return lent(srv) == ingressBytes })
+	waitFor(t, "the second half-sent play to pin one buffer", func() bool { return lent(srv) == proto.IngressBytes })
 	before := srv.Snapshot()
 	nc.Close()
 	waitFor(t, "the disconnect to be classified", func() bool { return srv.Snapshot().Disconnects == before.Disconnects+1 })
@@ -136,17 +136,17 @@ func TestParkedPlayOwnsItsBytes(t *testing.T) {
 		}
 		return b
 	}
-	// A's request is ingressBytes-4 long: the first read takes it and the
+	// A's request is proto.IngressBytes-4 long: the first read takes it and the
 	// header of the GetTime behind it, which stays a partial tail. Its
 	// first played frames fit the horizon, the rest park.
 	const played = 8 << 10
-	a := pattern(ingressBytes-4-proto.PlayHeaderBytes, 0x10)
+	a := pattern(proto.IngressBytes-4-proto.PlayHeaderBytes, 0x10)
 	start := atime.Add(now(), d.BufFrames()-hw-played)
 	w.Buf = w.Buf[:0]
 	proto.AppendPlaySamples(&w, proto.PlaySamplesReq{AC: 1, Time: uint32(start), Data: a}) //nolint:errcheck
 	w.Buf = append(w.Buf, getTimeBurst(4, 0)...)
 	b := pattern(16<<10, 0x90)
-	for i := 0; i < 3; i++ { // > ingressBytes of B, following A on the device
+	for i := 0; i < 3; i++ { // > proto.IngressBytes of B, following A on the device
 		proto.AppendPlaySamples(&w, proto.PlaySamplesReq{AC: 1, //nolint:errcheck
 			Time: uint32(atime.Add(start, len(a)+i*len(b))), Data: b})
 	}
@@ -155,7 +155,7 @@ func TestParkedPlayOwnsItsBytes(t *testing.T) {
 	// worth — A, then what it reads ahead while A is parked — and waits
 	// for the park before it takes more, so the return of the first write
 	// is when A's bytes in the ingress buffer have been overwritten.
-	ahead := 2*ingressBytes - 4
+	ahead := 2*proto.IngressBytes - 4
 	readAhead := make(chan struct{})
 	go func() {
 		write(w.Buf[:ahead])
@@ -167,7 +167,7 @@ func TestParkedPlayOwnsItsBytes(t *testing.T) {
 		t.Fatalf("%d parks with A beyond the horizon, want 1", n)
 	}
 	// The park pins what remains of A, not the request it came in.
-	if got, want := lent(srv), int64(ingressBytes+len(a)-played); got != want {
+	if got, want := lent(srv), int64(proto.IngressBytes+len(a)-played); got != want {
 		t.Errorf("%d ingress bytes lent with A parked, want the reader's buffer and A's unplayed %d: %d",
 			got, len(a)-played, want)
 	}

@@ -58,7 +58,7 @@ type serverMetrics struct {
 	clientCloses metrics.Counter
 
 	// queuedBytes is marshaled output queued across all clients;
-	// frameBytes is the ingress bytes the pool has lent (getFrame).
+	// frameBytes is the ingress bytes the pool has lent (hold, getFrame).
 	queuedBytes metrics.Gauge
 	frameBytes  metrics.Gauge
 

@@ -179,7 +179,7 @@ func TestOptionFrameBytesCeiling(t *testing.T) {
 			// The play's data — all of it lies beyond the horizon — and
 			// not its 12-byte request body around it.
 			waitFor(t, "two pipe buffers and the parked data to be all that is lent", func() bool {
-				return srv.Snapshot().FrameBytesInFlight == 2*ingressBytes+8<<10
+				return srv.Snapshot().FrameBytesInFlight == 2*proto.IngressBytes+8<<10
 			})
 		}
 		want := uint64(0)

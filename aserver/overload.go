@@ -238,18 +238,18 @@ func (s *Server) shedOldestIdle(exclude *client) bool {
 }
 
 // getFrame / putFrame move frame_bytes_in_flight, the bytes the pool has
-// lent to ingress, with the pool op: a reader's buffer while it holds
-// bytes (readOnce counts a socket's; a DialPipe or netsim connection
-// blocks in conn.Read holding one, so it counts while open) and a parked
-// play's copy of its remaining data. Zero once clients are gone.
-func (s *Server) getFrame(n int) *[]byte {
+// lent to ingress, with the pool op, for a parked play's copy of its
+// remaining data; a reader's buffer is counted while it holds bytes
+// (client.hold: a DialPipe or netsim connection blocks in conn.Read
+// holding one, so it counts while open). Zero once clients are gone.
+func (s *Server) getFrame(n int) *proto.Buffer {
 	s.sm.frameBytes.Add(int64(n))
-	return getBytes(n)
+	return proto.GetBuffer(n)
 }
 
-func (s *Server) putFrame(p *[]byte) {
-	s.sm.frameBytes.Add(-int64(len(*p)))
-	putBytes(p)
+func (s *Server) putFrame(b *proto.Buffer) {
+	s.sm.frameBytes.Add(-int64(b.Len()))
+	b.Put()
 }
 
 // Drain performs a graceful shutdown: stop accepting new connections,

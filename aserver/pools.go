@@ -7,15 +7,16 @@ import (
 )
 
 // Pools for the hot path, which they keep allocation-free at steady
-// state: a buffer is checked out for the life of one request, one queued
-// message or one ingress burst and returned once its bytes have moved on.
+// state: a buffer is checked out for the life of one request or one
+// queued message and returned once its bytes have moved on. Byte buffers
+// — ingress, parked plays, compressed staging — come from the wire
+// layer's one pool (proto.GetBuffer).
 //
-// Pools hold *[]T rather than []T so checkout/checkin does not itself
-// allocate a slice-header box per operation.
+// Pools hold pointers rather than slices so checkout/checkin does not
+// itself allocate a slice-header box per operation.
 var (
-	bytePool = sync.Pool{New: func() any { return new([]byte) }}
-	linPool  = sync.Pool{New: func() any { return new([]int16) }}
-	msgPool  = sync.Pool{New: func() any { return new(wireMsg) }}
+	linPool = sync.Pool{New: func() any { return new([]int16) }}
+	msgPool = sync.Pool{New: func() any { return new(wireMsg) }}
 )
 
 // wireMsg is one pooled outgoing wire message. Unicast replies, errors,
@@ -58,19 +59,6 @@ func (m *wireMsg) release() {
 		panic(fmt.Sprintf("aserver: wireMsg double release (owner %q, refs %d)", m.owner, n))
 	}
 }
-
-// getBytes checks out a []byte of length n: staging for a compressed
-// play or record, or (through getFrame, which counts it) ingress bytes.
-func getBytes(n int) *[]byte {
-	p := bytePool.Get().(*[]byte)
-	if cap(*p) < n {
-		*p = make([]byte, n)
-	}
-	*p = (*p)[:n]
-	return p
-}
-
-func putBytes(p *[]byte) { bytePool.Put(p) }
 
 // getLin checks out an []int16 of length n.
 func getLin(n int) *[]int16 {

@@ -248,13 +248,6 @@ func (r *Router) Close() {
 	}
 }
 
-// proxyBufBytes is the splice buffer size; two per session, pooled.
-const proxyBufBytes = 32 << 10
-
-var proxyBufPool = sync.Pool{
-	New: func() any { b := make([]byte, proxyBufBytes); return &b },
-}
-
 // refuse sends a failed setup reply to the client; best-effort.
 func refuse(conn net.Conn, order binary.ByteOrder, reason string) {
 	rep := proto.SetupReply{
@@ -481,11 +474,12 @@ func (s *rsession) finish() {
 	s.b.sessions.Add(-1)
 }
 
-// pumpClientToBackend splices client bytes to the backend.
+// pumpClientToBackend splices client bytes to the backend through a
+// pooled buffer of the wire layer, as pumpBackendToClient does the other way.
 func (s *rsession) pumpClientToBackend() {
-	bp := proxyBufPool.Get().(*[]byte)
-	defer proxyBufPool.Put(bp)
-	buf := *bp
+	bp := proto.GetBuffer(proto.IngressBytes)
+	defer bp.Put()
+	buf := bp.B
 	for {
 		n, rerr := s.client.Read(buf)
 		if n > 0 {
@@ -506,9 +500,9 @@ func (s *rsession) pumpClientToBackend() {
 // rolling write deadline, so a client that stops reading loses its
 // session instead of pinning the pump.
 func (s *rsession) pumpBackendToClient() {
-	bp := proxyBufPool.Get().(*[]byte)
-	defer proxyBufPool.Put(bp)
-	buf := *bp
+	bp := proto.GetBuffer(proto.IngressBytes)
+	defer bp.Put()
+	buf := bp.B
 	stall := s.r.opts.ClientWriteStall
 	for {
 		n, rerr := s.backend.Read(buf)

@@ -112,12 +112,8 @@ func TestBroadcastBasic(t *testing.T) {
 	})
 	rig.Step(t, srv, 100*time.Microsecond, clk)
 
-	var firstErr atomic.Value
-	fail := func(err error) {
-		if err != nil {
-			firstErr.CompareAndSwap(nil, err)
-		}
-	}
+	var firstErr rig.FirstError
+	fail := firstErr.Fail
 
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -159,7 +155,7 @@ func TestBroadcastBasic(t *testing.T) {
 	conn.Close()
 
 	wg.Wait()
-	if err := firstErr.Load(); err != nil {
+	if err := firstErr.Err(); err != nil {
 		t.Fatal(err)
 	}
 	if rampBytes == 0 {
@@ -385,12 +381,8 @@ func TestBroadcastSoak(t *testing.T) {
 	addr := rig.Listen(t, srv, "tcp")
 	stepper := rig.Step(t, srv, 100*time.Microsecond, clk)
 
-	var firstErr atomic.Value
-	fail := func(err error) {
-		if err != nil {
-			firstErr.CompareAndSwap(nil, err)
-		}
-	}
+	var firstErr rig.FirstError
+	fail := firstErr.Fail
 
 	var wg sync.WaitGroup
 
@@ -543,7 +535,7 @@ func TestBroadcastSoak(t *testing.T) {
 	}()
 
 	wg.Wait()
-	if err := firstErr.Load(); err != nil {
+	if err := firstErr.Err(); err != nil {
 		t.Fatal(err)
 	}
 	for stepper.Frames() < simSpan {

@@ -1,0 +1,87 @@
+package proto
+
+import (
+	"io"
+	"net"
+	"os"
+	"syscall"
+	"unsafe"
+)
+
+// RawConn returns the RawConn the wire layer reads and writes a socket
+// through: a TCP or Unix socket's. Any other transport (net.Pipe, a
+// wrapper) gets nil, and so does every platform but Linux (raw_other.go):
+// the caller then uses the blocking net.Conn calls.
+func RawConn(nc net.Conn) syscall.RawConn {
+	switch nc.(type) {
+	case *net.TCPConn, *net.UnixConn:
+		rc, _ := nc.(syscall.Conn).SyscallConn()
+		return rc
+	}
+	return nil
+}
+
+// The raw calls below are made inside a RawConn callback, and are raw
+// (syscall.RawSyscall): the socket is non-blocking, so none can block, and
+// the RawConn lock the callback runs under holds the descriptor, so it
+// cannot be closed and reused under the call. They skip the runtime's
+// entersyscall/exitsyscall, which a call that cannot block does not need.
+
+// ReadRaw is Read on a socket's descriptor: one read(2) behind the tail.
+// n == 0 with a nil error is EAGAIN, nothing ready yet; io.EOF is the
+// end of the stream.
+func (b *Buffer) ReadRaw(fd uintptr) (_ *Buffer, n int, err error) {
+	borrowed := b == nil
+	if borrowed {
+		b = GetBuffer(IngressBytes)
+	}
+	for {
+		p := b.B[b.W:]
+		r, _, errno := syscall.RawSyscall(syscall.SYS_READ, fd, uintptr(unsafe.Pointer(unsafe.SliceData(p))), uintptr(len(p)))
+		if errno == syscall.EINTR {
+			continue
+		}
+		if errno == 0 && r > 0 {
+			b.W += int(r)
+			return b, int(r), nil
+		}
+		if borrowed {
+			b.Put()
+			b = nil
+		}
+		switch errno {
+		case syscall.EAGAIN:
+			return b, 0, nil
+		case 0:
+			return b, 0, io.EOF
+		}
+		return b, 0, os.NewSyscallError("read", errno)
+	}
+}
+
+// Iovecs is a raw write's scatter list, kept beside the vector it sends so
+// a write allocates nothing.
+type Iovecs [64]syscall.Iovec
+
+// Write is one raw write(2) of vec on fd, a writev(2) when it has more
+// than one slice, of at most len(iov) slices. It returns the bytes the
+// kernel took: 0 on EAGAIN or an error, which the blocking write that
+// finishes the rest reports.
+func (iov *Iovecs) Write(fd uintptr, vec [][]byte) int {
+	var n uintptr
+	var errno syscall.Errno
+	if len(vec) == 1 {
+		n, _, errno = syscall.RawSyscall(syscall.SYS_WRITE, fd, uintptr(unsafe.Pointer(unsafe.SliceData(vec[0]))), uintptr(len(vec[0])))
+	} else {
+		v := iov[:min(len(vec), len(iov))]
+		for i := range v {
+			v[i].Base = unsafe.SliceData(vec[i])
+			v[i].SetLen(len(vec[i]))
+		}
+		n, _, errno = syscall.RawSyscall(syscall.SYS_WRITEV, fd, uintptr(unsafe.Pointer(&v[0])), uintptr(len(v)))
+	}
+	if errno != 0 {
+		return 0
+	}
+	return int(n)
+}

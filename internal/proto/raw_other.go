@@ -1,0 +1,22 @@
+//go:build !linux
+
+package proto
+
+import (
+	"net"
+	"syscall"
+)
+
+// RawConn is nil off Linux: both ends read with a blocking conn.Read
+// holding their buffer and write with the blocking write, as on a
+// transport with no RawConn.
+func RawConn(net.Conn) syscall.RawConn { return nil }
+
+// ReadRaw is never called where RawConn is nil.
+func (b *Buffer) ReadRaw(uintptr) (*Buffer, int, error) { panic("proto: no raw read off Linux") }
+
+// Iovecs is empty where there is no raw write to feed.
+type Iovecs struct{}
+
+// Write is never called where RawConn is nil.
+func (*Iovecs) Write(uintptr, [][]byte) int { panic("proto: no raw write off Linux") }

@@ -276,6 +276,29 @@ func (s *Stepper) Stop() {
 	<-s.done
 }
 
+// FirstError keeps the first error any of a soak's goroutines reports,
+// whatever its type; later ones are dropped. The zero value is ready.
+type FirstError struct {
+	mu  sync.Mutex
+	err error
+}
+
+// Fail keeps err if it is the first; nil is no error.
+func (f *FirstError) Fail(err error) {
+	f.mu.Lock()
+	if f.err == nil {
+		f.err = err
+	}
+	f.mu.Unlock()
+}
+
+// Err returns the kept error.
+func (f *FirstError) Err() error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.err
+}
+
 // Backend is one server of a routed fleet, served through a Breaker so
 // that a test can crash it.
 type Backend struct {

@@ -70,12 +70,8 @@ func TestMetricsConservation(t *testing.T) {
 	srv := rig.Server(t, aserver.Options{Devices: specs})
 	rig.Step(t, srv, 100*time.Microsecond, clocks...)
 
-	var firstErr atomic.Value
-	fail := func(err error) {
-		if err != nil {
-			firstErr.CompareAndSwap(nil, err)
-		}
-	}
+	var firstErr rig.FirstError
+	fail := firstErr.Fail
 
 	// A poller holds every live snapshot to the laws' live forms.
 	stopPoll, polled := make(chan struct{}), make(chan struct{})
@@ -186,7 +182,7 @@ func TestMetricsConservation(t *testing.T) {
 	wg.Wait()
 	close(stopPoll)
 	<-polled
-	if err := firstErr.Load(); err != nil {
+	if err := firstErr.Err(); err != nil {
 		t.Fatal(err)
 	}
 	if polls == 0 {
@@ -247,12 +243,8 @@ func TestMetricsFaultInjectedClients(t *testing.T) {
 	}
 
 	var wg sync.WaitGroup
-	var firstErr atomic.Value
-	fail := func(err error) {
-		if err != nil {
-			firstErr.CompareAndSwap(nil, err)
-		}
-	}
+	var firstErr rig.FirstError
+	fail := firstErr.Fail
 
 	// Fragmented clients: every wire byte arrives in 1..7 byte pieces
 	// (splitting even the 4-byte request headers); the session must be
@@ -323,7 +315,7 @@ func TestMetricsFaultInjectedClients(t *testing.T) {
 	}
 
 	wg.Wait()
-	if err := firstErr.Load(); err != nil {
+	if err := firstErr.Err(); err != nil {
 		t.Fatal(err)
 	}
 

@@ -86,12 +86,8 @@ func TestOverloadSoak(t *testing.T) {
 	t.Cleanup(watchWG.Wait)
 	t.Cleanup(func() { close(stop) })
 
-	var firstErr atomic.Value
-	fail := func(err error) {
-		if err != nil {
-			firstErr.CompareAndSwap(nil, err)
-		}
-	}
+	var firstErr rig.FirstError
+	fail := firstErr.Fail
 	dialFault := func(cfg netsim.FaultConfig) net.Conn {
 		nc, err := net.Dial("tcp", addr)
 		if err != nil {
@@ -294,7 +290,7 @@ func TestOverloadSoak(t *testing.T) {
 	}()
 
 	wg.Wait()
-	if err := firstErr.Load(); err != nil {
+	if err := firstErr.Err(); err != nil {
 		t.Fatal(err)
 	}
 

@@ -86,15 +86,8 @@ func TestRouterOverloadEviction(t *testing.T) {
 	// Clock stepper so canary parks resolve.
 	stepper := rig.Step(t, srv, 50*time.Microsecond, clk)
 
-	var failMu sync.Mutex
-	var failErr error
-	fail := func(err error) {
-		failMu.Lock()
-		if failErr == nil {
-			failErr = err
-		}
-		failMu.Unlock()
-	}
+	var failErr rig.FirstError
+	fail := failErr.Fail
 
 	// The wedged consumer, through the router: floods pipelined GetTime
 	// requests and never reads a reply. Its receive buffer is pinned
@@ -191,11 +184,9 @@ func TestRouterOverloadEviction(t *testing.T) {
 	waitDone("canary", &canaryWG, 60*time.Second)
 	stepper.Stop()
 
-	failMu.Lock()
-	if failErr != nil {
-		t.Fatalf("workload error: %v", failErr)
+	if err := failErr.Err(); err != nil {
+		t.Fatalf("workload error: %v", err)
 	}
-	failMu.Unlock()
 	if n := canaryOps.Load(); n != 100 {
 		t.Errorf("canary completed %d/100 iterations", n)
 	}

@@ -69,21 +69,21 @@ func BenchmarkShardScaling(b *testing.B) {
 			b.ResetTimer()
 			var next atomic.Int64
 			var wg sync.WaitGroup
-			var firstErr atomic.Value
+			var firstErr rig.FirstError
 			for _, ac := range acs {
 				wg.Add(1)
 				go func(ac *af.AC) {
 					defer wg.Done()
 					for next.Add(1) <= int64(b.N) {
 						if _, err := ac.PlaySamples(start, data); err != nil {
-							firstErr.CompareAndSwap(nil, err)
+							firstErr.Fail(err)
 							return
 						}
 					}
 				}(ac)
 			}
 			wg.Wait()
-			if err := firstErr.Load(); err != nil {
+			if err := firstErr.Err(); err != nil {
 				b.Fatal(err)
 			}
 		})

@@ -11,7 +11,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -51,12 +50,8 @@ func TestShardStress(t *testing.T) {
 	// engines, resolving parked requests as it goes.
 	rig.Step(t, srv, 100*time.Microsecond, clocks...)
 
-	var firstErr atomic.Value
-	fail := func(err error) {
-		if err != nil {
-			firstErr.CompareAndSwap(nil, err)
-		}
-	}
+	var firstErr rig.FirstError
+	fail := firstErr.Fail
 
 	var wg sync.WaitGroup
 	// Healthy clients: a mixed op stream that must never error.
@@ -150,7 +145,7 @@ func TestShardStress(t *testing.T) {
 	}
 
 	wg.Wait()
-	if err := firstErr.Load(); err != nil {
+	if err := firstErr.Err(); err != nil {
 		t.Fatal(err)
 	}
 
