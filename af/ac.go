@@ -174,13 +174,16 @@ func (ac *AC) bytesToFrames(n int) int {
 	return n / fb
 }
 
-// frameBytes returns the wire size of one whole sample unit under this
-// context (one frame, or one packed ADPCM byte holding two frames).
-func (ac *AC) frameBytes() int {
-	if ac.Attributes.Type == ADPCM4 {
-		return 1
+// chunkBytes returns the wire size of one request chunk under this
+// context: the most whole sample units (frames, or packed ADPCM bytes
+// holding two frames) that fit in proto.ChunkBytes, or one unit when a
+// unit is larger.
+func (ac *AC) chunkBytes() int {
+	fb := 1
+	if ac.Attributes.Type != ADPCM4 {
+		fb = ac.Attributes.Type.BytesPerUnit() * ac.Attributes.Channels
 	}
-	return ac.Attributes.Type.BytesPerUnit() * ac.Attributes.Channels
+	return max(proto.ChunkBytes/fb, 1) * fb
 }
 
 // sampleFlags returns the per-request endian flag for this context.
@@ -241,11 +244,7 @@ func (ac *AC) playSamplesLocked(t ATime, data []byte) (ATime, error) {
 // every chunk header, and every chunk body.
 func (ac *AC) playVectored(t ATime, data []byte) (ATime, error) {
 	c := ac.conn
-	fb := ac.frameBytes()
-	chunk := proto.ChunkBytes / fb * fb
-	if chunk == 0 { // a frame over ChunkBytes is a chunk of its own
-		chunk = fb
-	}
+	chunk := ac.chunkBytes()
 	seq0 := c.sentSeq
 	base := len(c.w.Buf)
 	c.hdrEnds = c.hdrEnds[:0]
@@ -329,11 +328,7 @@ func (ac *AC) RecordSamples(t ATime, buf []byte, block bool) (now ATime, total i
 
 func (ac *AC) recordSamplesLocked(t ATime, buf []byte, block bool) (ATime, int, error) {
 	c := ac.conn
-	fb := ac.frameBytes()
-	chunk := proto.ChunkBytes / fb * fb
-	if chunk == 0 {
-		chunk = fb
-	}
+	chunk := ac.chunkBytes()
 	flags := ac.sampleFlags()
 	if !block {
 		flags |= proto.SampleFlagNoBlock

@@ -279,8 +279,9 @@ type Conn struct {
 // BasePort+n, as the X convention uses 6000+n.
 const BasePort = 7000
 
-// unixSocketPath returns the Unix socket path of server number display.
-func unixSocketPath(display int) string {
+// UnixSocketPath returns the Unix socket path of server number display,
+// where a server listens and ":n" connects.
+func UnixSocketPath(display int) string {
 	return fmt.Sprintf("/tmp/.AFunix/AF%d", display)
 }
 
@@ -349,10 +350,10 @@ func resolveName(name string) (network, addr string, err error) {
 		return "tcp", name[4:], nil
 	}
 	if n, _ := fmt.Sscanf(name, ":%d", &disp); n == 1 {
-		return "unix", unixSocketPath(disp), nil
+		return "unix", UnixSocketPath(disp), nil
 	}
 	if n, _ := fmt.Sscanf(name, "unix:%d", &disp); n == 1 {
-		return "unix", unixSocketPath(disp), nil
+		return "unix", UnixSocketPath(disp), nil
 	}
 	if n, _ := fmt.Sscanf(name, "%s", &host); n == 1 {
 		// host:n

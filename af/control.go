@@ -258,5 +258,8 @@ func (c *Conn) ListExtensions() ([]string, error) {
 		n := int(r.U8())
 		names = append(names, r.String4(n))
 	}
+	if r.Err != nil {
+		return nil, fmt.Errorf("af: bad ListExtensions reply: %w", r.Err)
+	}
 	return names, nil
 }

@@ -525,3 +525,34 @@ func threadIO(t *testing.T) (syscr, syscw int) {
 	}
 	return syscr, syscw
 }
+
+// TestListExtensionsShortReply: a ListExtensions reply whose name runs
+// past the reply's end, from an unaligned position, is an error, returned
+// in time.
+func TestListExtensionsShortReply(t *testing.T) {
+	addr := scriptServer(t, "unix", func(s *session) {
+		if _, _, _, err := s.request(); err != nil {
+			return
+		}
+		extra := []byte{5, 'a', 'b', 'c'}
+		rep := proto.Reply{Data: 1, Seq: s.seq, Aux: uint32(len(extra)), Extra: extra}
+		s.conn.Write(rep.Append(nil, binary.LittleEndian)) //nolint:errcheck
+		s.serve(0)                                         //nolint:errcheck
+	})
+	nc, err := net.Dial("unix", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewConn(nc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Not dialScript's cleanup: a call that never returns holds the Conn's
+	// lock, and Close would wait on it.
+	var names []string
+	within(t, 2*time.Second, "ListExtensions on a short reply", func() { names, err = c.ListExtensions() })
+	c.Close()
+	if err == nil {
+		t.Fatalf("ListExtensions on a short reply = %q, want an error", names)
+	}
+}

@@ -324,9 +324,9 @@ func (r *Router) handleConn(conn net.Conn) {
 	r.wg.Add(1)
 	go func() {
 		defer r.wg.Done()
-		s.pumpClientToBackend()
+		s.pump(conn, bc, &r.rm.bytesC2B, 0, true)
 	}()
-	s.pumpBackendToClient()
+	s.pump(bc, conn, &r.rm.bytesB2C, r.opts.ClientWriteStall, false)
 }
 
 // redirect answers a setup that advertised proto.RouteDirectAuthName
@@ -447,7 +447,7 @@ func (b *routerBackend) open(setup *proto.SetupRequest, order binary.ByteOrder) 
 }
 
 // rsession is one proxied session: a client conn, a backend conn, and
-// two pump goroutines splicing between them.
+// two pumps splicing between them, one each way.
 type rsession struct {
 	r       *Router
 	b       *routerBackend
@@ -474,50 +474,40 @@ func (s *rsession) finish() {
 	s.b.sessions.Add(-1)
 }
 
-// pumpClientToBackend splices client bytes to the backend through a
-// pooled buffer of the wire layer, as pumpBackendToClient does the other way.
-func (s *rsession) pumpClientToBackend() {
+// pump splices src to dst through a pooled buffer of the wire layer,
+// adding each forwarded chunk to sent. A nonzero stall is a rolling write
+// deadline on dst, so a client that stops reading loses its session
+// instead of pinning the pump. A failed read is blamed on src's side, a
+// failed write on dst's: srcClient says which side src is.
+func (s *rsession) pump(src, dst net.Conn, sent *metrics.Counter, stall time.Duration, srcClient bool) {
 	bp := proto.GetBuffer(proto.IngressBytes)
 	defer bp.Put()
 	buf := bp.B
 	for {
-		n, rerr := s.client.Read(buf)
+		n, rerr := src.Read(buf)
 		if n > 0 {
-			if _, werr := s.backend.Write(buf[:n]); werr != nil {
-				s.backendFailed()
+			if stall > 0 {
+				dst.SetWriteDeadline(time.Now().Add(stall)) //nolint:errcheck
+			}
+			if _, werr := dst.Write(buf[:n]); werr != nil {
+				s.lost(!srcClient)
 				return
 			}
-			s.r.rm.bytesC2B.Add(uint64(n))
+			sent.Add(uint64(n))
 		}
 		if rerr != nil {
-			s.clientGone()
+			s.lost(srcClient)
 			return
 		}
 	}
 }
 
-// pumpBackendToClient splices backend bytes to the client under a
-// rolling write deadline, so a client that stops reading loses its
-// session instead of pinning the pump.
-func (s *rsession) pumpBackendToClient() {
-	bp := proto.GetBuffer(proto.IngressBytes)
-	defer bp.Put()
-	buf := bp.B
-	stall := s.r.opts.ClientWriteStall
-	for {
-		n, rerr := s.backend.Read(buf)
-		if n > 0 {
-			s.client.SetWriteDeadline(time.Now().Add(stall)) //nolint:errcheck
-			if _, werr := s.client.Write(buf[:n]); werr != nil {
-				s.clientGone()
-				return
-			}
-			s.r.rm.bytesB2C.Add(uint64(n))
-		}
-		if rerr != nil {
-			s.backendFailed()
-			return
-		}
+// lost ends the session, blamed on the client's side or the backend's.
+func (s *rsession) lost(client bool) {
+	if client {
+		s.clientGone()
+	} else {
+		s.backendFailed()
 	}
 }
 

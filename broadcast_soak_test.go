@@ -48,7 +48,7 @@ func playRampBlocks(ac *af.AC, blocks, blockFrames int, fail func(error)) {
 			return
 		}
 		t0 := now.Add(512)
-		if t0 < next {
+		if af.TimeBefore(t0, next) {
 			t0 = next // never overlap: two blocks would double-mix
 		}
 		for i := range data {
@@ -65,26 +65,31 @@ func playRampBlocks(ac *af.AC, blocks, blockFrames int, fail func(error)) {
 // collectChunks reads n chunks from a subscription, asserting the
 // stream contract as it goes: contiguous sequence numbers and every
 // byte either the ramp for its device time or silence. Returns the
-// number of ramp (non-silence) bytes seen.
-func collectChunks(t *testing.T, sub *af.Subscription, n int, fail func(error)) int {
+// number of ramp (non-silence) bytes seen and whether the chunks read
+// crossed the 2^32 device-time wrap.
+func collectChunks(t *testing.T, sub *af.Subscription, n int, fail func(error)) (rampBytes int, crossed bool) {
 	t.Helper()
-	rampBytes := 0
+	var first af.ATime
 	haveSeq := false
 	var wantSeq uint16
 	for got := 0; got < n; got++ {
 		ch, err := sub.Next()
 		if err != nil {
 			fail(fmt.Errorf("subscriber chunk %d: %w", got, err))
-			return rampBytes
+			return rampBytes, crossed
 		}
+		if got == 0 {
+			first = ch.Time
+		}
+		crossed = af.TimeBefore(first, 0) && !af.TimeBefore(ch.Time, 0)
 		if haveSeq && ch.Seq != wantSeq {
 			fail(fmt.Errorf("subscriber chunk %d: seq %d, want %d (gap)", got, ch.Seq, wantSeq))
-			return rampBytes
+			return rampBytes, crossed
 		}
 		haveSeq, wantSeq = true, ch.Seq+1
 		if len(ch.Data) == 0 || len(ch.Data)%4 != 0 {
 			fail(fmt.Errorf("subscriber chunk %d: %d bytes, want nonzero multiple of 4", got, len(ch.Data)))
-			return rampBytes
+			return rampBytes, crossed
 		}
 		for i, b := range ch.Data {
 			if b == 0xFF { // µ-law silence: region the player did not cover
@@ -93,12 +98,12 @@ func collectChunks(t *testing.T, sub *af.Subscription, n int, fail func(error)) 
 			if want := ramp(uint32(ch.Time) + uint32(i)); b != want {
 				fail(fmt.Errorf("subscriber chunk %d (time %d): byte %d = %#x, want %#x or silence",
 					got, ch.Time, i, b, want))
-				return rampBytes
+				return rampBytes, crossed
 			}
 			rampBytes++
 		}
 	}
-	return rampBytes
+	return rampBytes, crossed
 }
 
 // TestBroadcastBasic: one player, one subscriber, a clean transport.
@@ -107,6 +112,7 @@ func collectChunks(t *testing.T, sub *af.Subscription, n int, fail func(error)) 
 func TestBroadcastBasic(t *testing.T) {
 	const rate = 8000
 	clk := vdev.NewManualClock(rate)
+	clk.Set(1<<32 - rate) // 1 s before the wrap
 	srv := rig.Server(t, aserver.Options{
 		Devices: []aserver.DeviceSpec{{Kind: "codec", Name: "codec0", Clock: clk}},
 	})
@@ -145,7 +151,7 @@ func TestBroadcastBasic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rampBytes := collectChunks(t, sub, 60, fail)
+	rampBytes, crossed := collectChunks(t, sub, 60, fail)
 	if err := sub.Unsubscribe(); err != nil {
 		t.Fatal(err)
 	}
@@ -160,6 +166,9 @@ func TestBroadcastBasic(t *testing.T) {
 	}
 	if rampBytes == 0 {
 		t.Errorf("subscriber starting at device time %d saw only silence; the played ramp never reached the channel", start)
+	}
+	if !crossed {
+		t.Errorf("subscriber starting at device time %d never crossed the wrap", start)
 	}
 
 	s := drainSnapshot(t, srv)
@@ -373,6 +382,7 @@ func TestBroadcastSoak(t *testing.T) {
 	)
 
 	clk := vdev.NewManualClock(rate)
+	clk.Set(1<<32 - rate) // 1 s before the wrap
 	srv := rig.Server(t, aserver.Options{
 		Devices:          []aserver.DeviceSpec{{Kind: "codec", Name: "codec0", Clock: clk}},
 		ClientQueueBytes: clientBudget,
@@ -406,6 +416,8 @@ func TestBroadcastSoak(t *testing.T) {
 	}()
 
 	// Healthy subscribers: every chunk in order, every byte accounted.
+	// Those that subscribe before the wrap read across it.
+	var crossings atomic.Int32
 	subscribeAndCollect := func(nc net.Conn, label string) {
 		defer wg.Done()
 		conn, err := rig.Client(nc)
@@ -424,9 +436,13 @@ func TestBroadcastSoak(t *testing.T) {
 			fail(fmt.Errorf("%s subscribe: %w", label, err))
 			return
 		}
-		if rampBytes := collectChunks(t, sub, subChunks, fail); rampBytes == 0 {
+		rampBytes, crossed := collectChunks(t, sub, subChunks, fail)
+		if rampBytes == 0 {
 			fail(fmt.Errorf("%s: saw only silence across %d chunks", label, subChunks))
 			return
+		}
+		if crossed {
+			crossings.Add(1)
 		}
 		if err := sub.Unsubscribe(); err != nil {
 			fail(fmt.Errorf("%s unsubscribe: %w", label, err))
@@ -537,6 +553,9 @@ func TestBroadcastSoak(t *testing.T) {
 	wg.Wait()
 	if err := firstErr.Err(); err != nil {
 		t.Fatal(err)
+	}
+	if crossings.Load() == 0 {
+		t.Error("no listener's stream crossed the wrap")
 	}
 	for stepper.Frames() < simSpan {
 		time.Sleep(time.Millisecond)

@@ -22,11 +22,8 @@ import (
 	"net/http"
 	_ "net/http/pprof"
 	"os"
-	"os/signal"
-	"path/filepath"
 	"runtime/pprof"
 	"strings"
-	"syscall"
 	"time"
 
 	"audiofile/aserver"
@@ -94,53 +91,24 @@ func main() {
 	}
 	defer srv.Close()
 
-	if *statsAddr != "" {
-		sl, err := srv.ListenStats(*statsAddr)
-		if err != nil {
-			cmdutil.Die("afd: stats listener: %v", err)
-		}
-		fmt.Fprintf(os.Stderr, "afd: stats on http://%s/stats\n", sl.Addr())
-	}
-
-	sockDir := "/tmp/.AFunix"
-	if err := os.MkdirAll(sockDir, 0o777); err != nil {
-		cmdutil.Die("afd: %v", err)
-	}
-	sockPath := filepath.Join(sockDir, fmt.Sprintf("AF%d", *display))
-	os.Remove(sockPath) //nolint:errcheck — stale socket from a previous run
-	if _, err := srv.Listen("unix", sockPath); err != nil {
-		cmdutil.Die("afd: %v", err)
-	}
-	fmt.Fprintf(os.Stderr, "afd: listening on %s", sockPath)
-	if *tcp {
-		addr := fmt.Sprintf(":%d", 7000+*display)
-		if _, err := srv.Listen("tcp", addr); err != nil {
-			cmdutil.Die("afd: %v", err)
-		}
-		fmt.Fprintf(os.Stderr, " and tcp%s", addr)
-	}
-	fmt.Fprintln(os.Stderr)
-
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
-
 	if *console {
 		go runConsole(srv)
 	}
-	<-sigCh
-	// Graceful drain: stop accepting, let the play rings run out to the
-	// device tail, notify remaining clients with a typed Drain error, then
-	// close. A second signal during the drain aborts immediately.
-	done := make(chan struct{})
-	go func() {
-		srv.Drain(*drainTimeout)
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-sigCh:
-	}
-	os.Remove(sockPath) //nolint:errcheck
+	cmdutil.Front("afd", srv, *display, *tcp, *statsAddr, "", func(signals <-chan os.Signal) {
+		// Graceful drain: stop accepting, let the play rings run out to
+		// the device tail, notify remaining clients with a typed Drain
+		// error, then close. A second signal during the drain aborts
+		// immediately.
+		done := make(chan struct{})
+		go func() {
+			srv.Drain(*drainTimeout)
+			close(done)
+		}()
+		select {
+		case <-done:
+		case <-signals:
+		}
+	})
 }
 
 // parseDevices turns the -devices string into server specs.

@@ -42,72 +42,123 @@ func main() {
 	if *quick {
 		configs = configs[:3]
 	}
-	run := func(name string, fn func([]rig.Config)) {
-		if *expSel == "all" || *expSel == name ||
-			(strings.HasPrefix(name, "fig") && *expSel == "table"+name[3:]) {
-			fn(configs)
+	// The data-transfer figures use the undelayed transports.
+	undelayed := slices.DeleteFunc(slices.Clone(configs), func(c rig.Config) bool { return c.RTT > 0 })
+	var selected []func()
+	for _, e := range []struct {
+		sel string // the -exp values that run it, besides all
+		run func()
+	}{
+		{"fig10 table10", func() { fig10(configs) }}, // table10 has always run Fig. 10 too
+		{"fig11 table10", func() { fig11table10(undelayed) }},
+		{"fig12 fig13 table11", func() { fig1213table11(undelayed) }},
+		{"table12", func() { table12(configs) }},
+		{"cpu", cpuUsage},
+	} {
+		if *expSel == "all" || slices.Contains(strings.Fields(e.sel), *expSel) {
+			selected = append(selected, e.run)
 		}
 	}
-	switch *expSel {
-	case "all", "fig10", "fig11", "fig12", "fig13", "table10", "table11", "table12", "cpu":
-	default:
+	if len(selected) == 0 {
 		cmdutil.Die("afperf: unknown experiment %q", *expSel)
 	}
 
 	fmt.Printf("afperf: %d iterations per point\n\n", *iters)
-	run("fig10", fig10)
-	if *expSel == "all" || *expSel == "fig11" || *expSel == "table10" {
-		fig11table10(configs)
-	}
-	if *expSel == "all" || *expSel == "fig12" || *expSel == "fig13" || *expSel == "table11" {
-		fig1213table11(configs)
-	}
-	run("table12", table12)
-	if *expSel == "all" || *expSel == "cpu" {
-		cpuUsage()
+	for _, run := range selected {
+		run()
 	}
 }
 
 func newRig(cfg rig.Config) *rig.Rig {
 	r, err := rig.Open(cfg)
-	if err != nil {
-		cmdutil.Die("afperf: %v", err)
-	}
+	check(err)
 	return r
 }
 
-// measure times each of n calls of fn and returns the median.
-func measure(n int, fn func()) time.Duration {
-	calls := make([]time.Duration, n)
-	for i := range calls {
-		start := time.Now()
-		fn()
-		calls[i] = time.Since(start)
+func check(err error) {
+	if err != nil {
+		cmdutil.Die("afperf: %v", err)
 	}
-	slices.Sort(calls)
-	return calls[n/2]
+}
+
+// sweep measures a figure: per config, a fresh rig readied by prepare (if
+// set), then a point per size, the median of the calls call returns for
+// it. A point takes *iters calls, at most 200 on a delay-injected config
+// (slow by construction) and a quarter as many from 32 KiB up. A figure
+// with one point per config sweeps the one size 0.
+func sweep(configs []rig.Config, sizes []int, prepare func(*rig.Rig), call func(r *rig.Rig, size int) func()) [][]time.Duration {
+	times := make([][]time.Duration, len(configs))
+	for i, cfg := range configs {
+		r := newRig(cfg)
+		if prepare != nil {
+			prepare(r)
+		}
+		for _, size := range sizes {
+			n := *iters
+			if cfg.RTT > 0 {
+				n = min(n, 200)
+			}
+			if size >= 32<<10 {
+				n = n/4 + 1
+			}
+			fn, calls := call(r, size), make([]time.Duration, n)
+			for k := range calls {
+				start := time.Now()
+				fn()
+				calls[k] = time.Since(start)
+			}
+			slices.Sort(calls)
+			times[i] = append(times[i], calls[n/2])
+		}
+		r.Close()
+	}
+	return times
+}
+
+// printTable prints a figure or table: its title and note (if set), a
+// header of column labels, and per config a row of cells, right-aligned
+// in width, then a blank line.
+func printTable(title, note string, width int, cols []string, configs []rig.Config, cells [][]string) {
+	fmt.Println(title)
+	if note != "" {
+		fmt.Println("  " + note)
+	}
+	row := func(name string, cells []string) {
+		fmt.Printf("  %-16s", name)
+		for _, c := range cells {
+			fmt.Printf(" %*s", width, c)
+		}
+		fmt.Println()
+	}
+	row("configuration", cols)
+	for i, cfg := range configs {
+		row(cfg.Name, cells[i])
+	}
+	fmt.Println()
+}
+
+// rounded formats a sweep's points to the microsecond.
+func rounded(times [][]time.Duration) [][]string {
+	cells := make([][]string, len(times))
+	for i, row := range times {
+		for _, d := range row {
+			cells[i] = append(cells[i], d.Round(time.Microsecond).String())
+		}
+	}
+	return cells
 }
 
 // fig10 reproduces Figure 10: AFGetTime() function timings.
 func fig10(configs []rig.Config) {
-	fmt.Println("Figure 10: AFGetTime() round-trip time")
-	fmt.Println("  (paper: 0.8 ms local MIPS, ~2.5 ms networked MIPS/MIPS)")
-	fmt.Printf("  %-16s %12s\n", "configuration", "time/call")
-	for _, cfg := range configs {
-		r := newRig(cfg)
-		n := *iters
-		if cfg.RTT > 0 && n > 200 {
-			n = 200 // delay-injected configs are slow by construction
+	times := sweep(configs, []int{0}, nil, func(r *rig.Rig, _ int) func() {
+		return func() {
+			_, err := r.Conn.GetTime(0)
+			check(err)
 		}
-		d := measure(n, func() {
-			if _, err := r.Conn.GetTime(0); err != nil {
-				cmdutil.Die("afperf: %v", err)
-			}
-		})
-		fmt.Printf("  %-16s %12s\n", cfg.Name, d.Round(time.Microsecond))
-		r.Close()
-	}
-	fmt.Println()
+	})
+	printTable("Figure 10: AFGetTime() round-trip time",
+		"(paper: 0.8 ms local MIPS, ~2.5 ms networked MIPS/MIPS)",
+		12, []string{"time/call"}, configs, rounded(times))
 }
 
 var recordSizes = []int{1 << 10, 2 << 10, 4 << 10, 8 << 10, 16 << 10, 32 << 10, 64 << 10}
@@ -116,172 +167,92 @@ var playSizes = []int{1 << 10, 2 << 10, 4 << 10, 8 << 10, 16 << 10, 24 << 10}
 // fig11table10 reproduces Figure 11 (AFRecordSamples timings) and
 // Table 10 (record throughput from the slope).
 func fig11table10(configs []rig.Config) {
-	fmt.Println("Figure 11: AFRecordSamples() timings (requests hit the record buffer)")
-	fmt.Println("  (paper: base overhead + linear cost, jumps at 8 KiB chunk boundaries)")
-	fmt.Printf("  %-16s", "configuration")
-	for _, s := range recordSizes {
-		fmt.Printf(" %9s", sizeLabel(s))
-	}
-	fmt.Println()
-	type row struct {
-		cfg   rig.Config
-		times []time.Duration
-	}
-	var rows []row
-	for _, cfg := range configs {
-		if cfg.RTT > 0 {
-			continue // data-transfer figures use the undelayed transports
-		}
-		r := newRig(cfg)
-		if err := r.PrimeRecord(); err != nil {
-			cmdutil.Die("afperf: %v", err)
-		}
-		now, _ := r.AC.GetTime()
-		var times []time.Duration
-		fmt.Printf("  %-16s", cfg.Name)
-		for _, size := range recordSizes {
-			buf := make([]byte, size)
-			start := now.Add(-size)
-			n := *iters
-			if size >= 32<<10 {
-				n = n/4 + 1
+	var now af.ATime
+	times := sweep(configs, recordSizes, func(r *rig.Rig) {
+		check(r.PrimeRecord())
+		now, _ = r.AC.GetTime()
+	}, func(r *rig.Rig, size int) func() {
+		buf := make([]byte, size)
+		start := now.Add(-size)
+		return func() {
+			if _, got, err := r.AC.RecordSamples(start, buf, true); err != nil || got != size {
+				cmdutil.Die("afperf: record %d: got %d err %v", size, got, err)
 			}
-			d := measure(n, func() {
-				if _, got, err := r.AC.RecordSamples(start, buf, true); err != nil || got != size {
-					cmdutil.Die("afperf: record %d: got %d err %v", size, got, err)
-				}
-			})
-			times = append(times, d)
-			fmt.Printf(" %9s", d.Round(time.Microsecond))
 		}
-		fmt.Println()
-		rows = append(rows, row{cfg, times})
-		r.Close()
+	})
+	printTable("Figure 11: AFRecordSamples() timings (requests hit the record buffer)",
+		"(paper: base overhead + linear cost, jumps at 8 KiB chunk boundaries)",
+		9, sizeLabels(recordSizes), configs, rounded(times))
+
+	tput := make([][]string, len(times))
+	for i := range times {
+		tput[i] = []string{slopeTput(recordSizes, times[i], 8<<10, 64<<10)}
 	}
-	fmt.Println()
-	fmt.Println("Table 10: Record throughput (least-squares slope, 8 KiB to 64 KiB)")
-	fmt.Println("  (paper: 4400 KB/s local alpha .. 580 KB/s mips/mips)")
-	fmt.Printf("  %-16s %14s\n", "configuration", "KB/sec")
-	for _, rw := range rows {
-		fmt.Printf("  %-16s %14s\n", rw.cfg.Name, slopeTput(recordSizes, rw.times, 8<<10, 64<<10))
-	}
-	fmt.Println()
+	printTable("Table 10: Record throughput (least-squares slope, 8 KiB to 64 KiB)",
+		"(paper: 4400 KB/s local alpha .. 580 KB/s mips/mips)",
+		14, []string{"KB/sec"}, configs, tput)
 }
 
 // fig1213table11 reproduces Figures 12 and 13 (preemptive and mixing
 // AFPlaySamples timings) and Table 11 (play throughput for both modes).
 func fig1213table11(configs []rig.Config) {
-	type row struct {
-		cfg     rig.Config
-		preempt []time.Duration
-		mix     []time.Duration
-	}
-	var rows []row
-	for _, cfg := range configs {
-		if cfg.RTT > 0 {
-			continue
-		}
-		rw := row{cfg: cfg}
-		for _, preempt := range []bool{true, false} {
-			r := newRig(cfg)
+	play := func(preempt bool) [][]time.Duration {
+		var start af.ATime
+		return sweep(configs, playSizes, func(r *rig.Rig) {
 			if preempt {
-				if err := r.AC.ChangeAttributes(af.ACPreemption, af.ACAttributes{Preempt: true}); err != nil {
-					cmdutil.Die("afperf: %v", err)
-				}
+				check(r.AC.ChangeAttributes(af.ACPreemption, af.ACAttributes{Preempt: true}))
 			}
 			now, _ := r.AC.GetTime()
-			start := now.Add(4000)
-			for _, size := range playSizes {
-				data := make([]byte, size)
-				for i := range data {
-					data[i] = byte(0x80 + i%64)
-				}
-				d := measure(*iters, func() {
-					if _, err := r.AC.PlaySamples(start, data); err != nil {
-						cmdutil.Die("afperf: %v", err)
-					}
-				})
-				if preempt {
-					rw.preempt = append(rw.preempt, d)
-				} else {
-					rw.mix = append(rw.mix, d)
-				}
+			start = now.Add(4000)
+		}, func(r *rig.Rig, size int) func() {
+			data := make([]byte, size)
+			for i := range data {
+				data[i] = byte(0x80 + i%64)
 			}
-			r.Close()
-		}
-		rows = append(rows, rw)
-	}
-
-	for _, fig := range []struct {
-		title string
-		pick  func(row) []time.Duration
-	}{
-		{"Figure 12: Preemptive AFPlaySamples() timings (replies suppressed; near-linear)",
-			func(r row) []time.Duration { return r.preempt }},
-		{"Figure 13: Mixing AFPlaySamples() timings (server mixing cost visible)",
-			func(r row) []time.Duration { return r.mix }},
-	} {
-		fmt.Println(fig.title)
-		fmt.Printf("  %-16s", "configuration")
-		for _, s := range playSizes {
-			fmt.Printf(" %9s", sizeLabel(s))
-		}
-		fmt.Println()
-		for _, rw := range rows {
-			fmt.Printf("  %-16s", rw.cfg.Name)
-			for _, d := range fig.pick(rw) {
-				fmt.Printf(" %9s", d.Round(time.Microsecond))
+			return func() {
+				_, err := r.AC.PlaySamples(start, data)
+				check(err)
 			}
-			fmt.Println()
-		}
-		fmt.Println()
+		})
 	}
+	preempt, mix := play(true), play(false)
+	printTable("Figure 12: Preemptive AFPlaySamples() timings (replies suppressed; near-linear)", "",
+		9, sizeLabels(playSizes), configs, rounded(preempt))
+	printTable("Figure 13: Mixing AFPlaySamples() timings (server mixing cost visible)", "",
+		9, sizeLabels(playSizes), configs, rounded(mix))
 
-	fmt.Println("Table 11: Play throughput (least-squares slope, 1 KiB to 16 KiB)")
-	fmt.Println("  (paper: preempt always faster than mixing; e.g. alpha 5500 vs 2500 KB/s)")
-	fmt.Printf("  %-16s %12s %12s\n", "configuration", "Mix KB/s", "Preempt KB/s")
-	for _, rw := range rows {
-		mixT := slopeTput(playSizes, rw.mix, 1<<10, 16<<10)
-		preT := slopeTput(playSizes, rw.preempt, 1<<10, 16<<10)
-		fmt.Printf("  %-16s %12s %12s\n", rw.cfg.Name, mixT, preT)
+	tput := make([][]string, len(configs))
+	for i := range configs {
+		tput[i] = []string{slopeTput(playSizes, mix[i], 1<<10, 16<<10), slopeTput(playSizes, preempt[i], 1<<10, 16<<10)}
 	}
-	fmt.Println()
+	printTable("Table 11: Play throughput (least-squares slope, 1 KiB to 16 KiB)",
+		"(paper: preempt always faster than mixing; e.g. alpha 5500 vs 2500 KB/s)",
+		12, []string{"Mix KB/s", "Preempt KB/s"}, configs, tput)
 }
 
 // table12 reproduces Table 12: the open-loop record/play loopback
 // iteration time of §10.1.4.
 func table12(configs []rig.Config) {
-	fmt.Println("Table 12: Open-loop record/play loopback iteration")
-	fmt.Println("  (paper: 0.87 ms local alpha .. 3.45 ms mips/mips)")
-	fmt.Printf("  %-16s %12s\n", "configuration", "time/iter")
-	for _, cfg := range configs {
-		r := newRig(cfg)
-		if err := r.PrimeRecord(); err != nil {
-			cmdutil.Die("afperf: %v", err)
-		}
-		next, _ := r.AC.GetTime()
+	var next af.ATime
+	times := sweep(configs, []int{0}, func(r *rig.Rig) {
+		check(r.PrimeRecord())
+		next, _ = r.AC.GetTime()
+	}, func(r *rig.Rig, _ int) func() {
 		buf := make([]byte, 8000)
-		n := *iters
-		if cfg.RTT > 0 && n > 200 {
-			n = 200
-		}
-		d := measure(n, func() {
+		return func() {
 			r.Clk.Advance(160)
 			now, got, err := r.AC.RecordSamples(next, buf[:160], false)
-			if err != nil {
-				cmdutil.Die("afperf: %v", err)
-			}
+			check(err)
 			if got > 0 {
-				if _, err := r.AC.PlaySamples(next.Add(4000), buf[:got]); err != nil {
-					cmdutil.Die("afperf: %v", err)
-				}
+				_, err := r.AC.PlaySamples(next.Add(4000), buf[:got])
+				check(err)
 			}
 			next = now
-		})
-		fmt.Printf("  %-16s %12s\n", cfg.Name, d.Round(time.Microsecond))
-		r.Close()
-	}
-	fmt.Println()
+		}
+	})
+	printTable("Table 12: Open-loop record/play loopback iteration",
+		"(paper: 0.87 ms local alpha .. 3.45 ms mips/mips)",
+		12, []string{"time/iter"}, configs, rounded(times))
 }
 
 // cpuUsage reproduces §10.2: process CPU while the server is quiescent
@@ -318,9 +289,8 @@ func cpuUsage() {
 		pct := cpuPercentOver(window, func() {
 			deadline := time.Now().Add(window)
 			for time.Now().Before(deadline) {
-				if _, err := ac.PlaySamples(t, tone); err != nil {
-					cmdutil.Die("afperf: %v", err)
-				}
+				_, err := ac.PlaySamples(t, tone)
+				check(err)
 				t = t.Add(len(tone))
 				// The server's 4 s buffer gives way more slack than this
 				// pacing needs; sleep roughly one block.
@@ -332,11 +302,16 @@ func cpuUsage() {
 	fmt.Println()
 }
 
-func sizeLabel(n int) string {
-	if n >= 1<<10 && n%(1<<10) == 0 {
-		return fmt.Sprintf("%dK", n>>10)
+// sizeLabels names sizes as column labels: 1K for 1 KiB.
+func sizeLabels(sizes []int) []string {
+	labels := make([]string, len(sizes))
+	for i, n := range sizes {
+		labels[i] = fmt.Sprintf("%dB", n)
+		if n >= 1<<10 && n%(1<<10) == 0 {
+			labels[i] = fmt.Sprintf("%dK", n>>10)
+		}
 	}
-	return fmt.Sprintf("%dB", n)
+	return labels
 }
 
 // slopeTput fits time = a + size/tput by least squares to the sizes from

@@ -22,10 +22,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
-	"path/filepath"
 	"strings"
-	"syscall"
 	"time"
 
 	"audiofile/aserver"
@@ -73,37 +70,8 @@ func main() {
 	}
 	defer r.Close()
 
-	if *statsAddr != "" {
-		sl, err := r.ListenStats(*statsAddr)
-		if err != nil {
-			cmdutil.Die("arouter: stats listener: %v", err)
-		}
-		fmt.Fprintf(os.Stderr, "arouter: stats on http://%s/stats\n", sl.Addr())
-	}
-
-	sockDir := "/tmp/.AFunix"
-	if err := os.MkdirAll(sockDir, 0o777); err != nil {
-		cmdutil.Die("arouter: %v", err)
-	}
-	sockPath := filepath.Join(sockDir, fmt.Sprintf("AF%d", *display))
-	os.Remove(sockPath) //nolint:errcheck — stale socket from a previous run
-	if _, err := r.Listen("unix", sockPath); err != nil {
-		cmdutil.Die("arouter: %v", err)
-	}
-	fmt.Fprintf(os.Stderr, "arouter: listening on %s", sockPath)
-	if *tcp {
-		addr := fmt.Sprintf(":%d", 7000+*display)
-		if _, err := r.Listen("tcp", addr); err != nil {
-			cmdutil.Die("arouter: %v", err)
-		}
-		fmt.Fprintf(os.Stderr, " and tcp%s", addr)
-	}
-	fmt.Fprintf(os.Stderr, ", fronting %d backends\n", len(opts.Backends))
-
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
-	<-sigCh
-	os.Remove(sockPath) //nolint:errcheck
+	cmdutil.Front("arouter", r, *display, *tcp, *statsAddr,
+		fmt.Sprintf(", fronting %d backends", len(opts.Backends)), nil)
 }
 
 // splitList splits a comma-separated flag, trimming blanks.

@@ -52,35 +52,40 @@ func main() {
 	url := "http://" + *addr + "/stats"
 
 	if *routerMd {
-		routerMain(url)
+		poll(url, printRouterAbsolute, routerHeader, printRouterDelta)
 		return
 	}
+	delta := printDelta
+	if *agg {
+		delta = printAggregate
+	}
+	poll(url, printAbsolute, header, delta)
+}
 
-	prev, err := scrape[aserver.Snapshot](url)
+// poll scrapes url's snapshot. With -once it prints it absolutely, held
+// to its laws, and returns; otherwise it prints one delta per interval,
+// with the header before the first and every twentieth.
+func poll[T interface{ Check(bool) error }](url string, absolute func(T), header func(), delta func(prev, cur T, dt time.Duration)) {
+	prev, err := scrape[T](url)
 	if err != nil {
 		cmdutil.Die("astat: %v", err)
 	}
 	if *once {
-		printAbsolute(prev)
+		absolute(prev)
 		warn(prev.Check(false))
 		return
 	}
-
 	header()
 	for tick := 0; *count == 0 || tick < *count; tick++ {
 		time.Sleep(*interval)
-		cur, err := scrape[aserver.Snapshot](url)
+		cur, err := scrape[T](url)
 		if err != nil {
 			cmdutil.Die("astat: %v", err)
 		}
 		if tick%20 == 0 && tick > 0 {
 			header()
 		}
-		if *agg {
-			printAggregate(prev, cur, *interval)
-		} else {
-			printDelta(prev, cur, *interval)
-		}
+		delta(prev, cur, *interval)
 		prev = cur
 	}
 }
@@ -303,32 +308,6 @@ func printAbsolute(s aserver.Snapshot) {
 func warn(err error) {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "astat: WARNING: %v\n", err)
-	}
-}
-
-// routerMain is the -router mode: poll an arouter's RouterSnapshot.
-func routerMain(url string) {
-	prev, err := scrape[aserver.RouterSnapshot](url)
-	if err != nil {
-		cmdutil.Die("astat: %v", err)
-	}
-	if *once {
-		printRouterAbsolute(prev)
-		warn(prev.Check(false))
-		return
-	}
-	routerHeader()
-	for tick := 0; *count == 0 || tick < *count; tick++ {
-		time.Sleep(*interval)
-		cur, err := scrape[aserver.RouterSnapshot](url)
-		if err != nil {
-			cmdutil.Die("astat: %v", err)
-		}
-		if tick%20 == 0 && tick > 0 {
-			routerHeader()
-		}
-		printRouterDelta(prev, cur, *interval)
-		prev = cur
 	}
 }
 

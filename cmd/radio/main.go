@@ -241,7 +241,7 @@ func doRecv(server string, device int, addr string, delay float64, blocks int) {
 		}
 		nextSeq = seq + 1
 		at := base.Add(int(int32(sampleIndex - baseIndex)))
-		slack := int64(int32(uint32(at) - uint32(now)))
+		slack := int64(af.TimeSub(at, now))
 		pkts++
 		slackSum += slack
 		if slack < slackMin {

@@ -88,7 +88,7 @@ func main() {
 
 	heard, heardStart := speaker.Bytes()
 	// Index of a frame inside the capture.
-	at := func(t af.ATime) int { return int(int32(uint32(t) - uint32(heardStart))) }
+	at := func(t af.ATime) int { return int(af.TimeSub(t, af.ATime(heardStart))) }
 
 	mixRegion := heard[at(start.Add(rate/10)):at(start.Add(3*rate/10))]
 	alarmRegion := heard[at(alarmAt.Add(len(alarm)/4)):at(alarmAt.Add(3*len(alarm)/4))]

@@ -1,12 +1,17 @@
 // Package cmdutil holds the few helpers the AudioFile command-line
-// clients share: the -a and -d flags, server connection with the standard
-// name resolution and default device selection.
+// programs share: for clients, the -a and -d flags, server connection with
+// the standard name resolution and default device selection; for the
+// daemons, the front door.
 package cmdutil
 
 import (
 	"flag"
 	"fmt"
+	"net"
 	"os"
+	"os/signal"
+	"path/filepath"
+	"syscall"
 
 	"audiofile/af"
 )
@@ -25,8 +30,7 @@ func DeviceFlag(def int, usage string) *int { return flag.Int("d", def, usage) }
 func OpenServer(name string) *af.Conn {
 	c, err := af.Open(name)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "%s: can't open connection: %v\n", os.Args[0], err)
-		os.Exit(1)
+		Die("%s: can't open connection: %v", os.Args[0], err)
 	}
 	return c
 }
@@ -37,15 +41,13 @@ func OpenServer(name string) *af.Conn {
 func PickDevice(c *af.Conn, dev int) int {
 	if dev >= 0 {
 		if dev >= len(c.Devices()) {
-			fmt.Fprintf(os.Stderr, "%s: no device %d\n", os.Args[0], dev)
-			os.Exit(1)
+			Die("%s: no device %d", os.Args[0], dev)
 		}
 		return dev
 	}
 	d := c.FindDefaultDevice()
 	if d < 0 {
-		fmt.Fprintf(os.Stderr, "%s: no non-telephone device\n", os.Args[0])
-		os.Exit(1)
+		Die("%s: no non-telephone device", os.Args[0])
 	}
 	return d
 }
@@ -58,8 +60,7 @@ func PickPhoneDevice(c *af.Conn, dev int) int {
 	}
 	d := c.FindPhoneDevice()
 	if d < 0 {
-		fmt.Fprintf(os.Stderr, "%s: no telephone device\n", os.Args[0])
-		os.Exit(1)
+		Die("%s: no telephone device", os.Args[0])
 	}
 	return d
 }
@@ -68,4 +69,53 @@ func PickPhoneDevice(c *af.Conn, dev int) int {
 func Die(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, format+"\n", args...)
 	os.Exit(1)
+}
+
+// daemon is what Front serves: afd's server or arouter's router.
+type daemon interface {
+	Listen(network, addr string) (net.Listener, error)
+	ListenStats(addr string) (net.Listener, error)
+}
+
+// Front runs a daemon's front door under name. It serves the stats
+// endpoint when statsAddr is set, listens on server number display's Unix
+// socket (an earlier run's stale socket removed first) and, with tcp, on
+// port af.BasePort+display, reporting each on stderr, the listening line
+// ending in trailer. It returns after SIGINT or SIGTERM and shutdown, if
+// set, which a second signal on signals may cut short; the socket goes
+// with it.
+func Front(name string, d daemon, display int, tcp bool, statsAddr, trailer string, shutdown func(signals <-chan os.Signal)) {
+	if statsAddr != "" {
+		sl, err := d.ListenStats(statsAddr)
+		if err != nil {
+			Die("%s: stats listener: %v", name, err)
+		}
+		fmt.Fprintf(os.Stderr, "%s: stats on http://%s/stats\n", name, sl.Addr())
+	}
+
+	sock := af.UnixSocketPath(display)
+	if err := os.MkdirAll(filepath.Dir(sock), 0o777); err != nil {
+		Die("%s: %v", name, err)
+	}
+	os.Remove(sock) //nolint:errcheck — stale socket from a previous run
+	if _, err := d.Listen("unix", sock); err != nil {
+		Die("%s: %v", name, err)
+	}
+	defer os.Remove(sock) //nolint:errcheck
+	fmt.Fprintf(os.Stderr, "%s: listening on %s", name, sock)
+	if tcp {
+		addr := fmt.Sprintf(":%d", af.BasePort+display)
+		if _, err := d.Listen("tcp", addr); err != nil {
+			Die("%s: %v", name, err)
+		}
+		fmt.Fprintf(os.Stderr, " and tcp%s", addr)
+	}
+	fmt.Fprintf(os.Stderr, "%s\n", trailer)
+
+	signals := make(chan os.Signal, 1)
+	signal.Notify(signals, os.Interrupt, syscall.SIGTERM)
+	<-signals
+	if shutdown != nil {
+		shutdown(signals)
+	}
 }

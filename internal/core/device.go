@@ -130,25 +130,20 @@ func NewDevice(cfg Config, b Backend) *Device {
 	}
 	fb := cfg.Enc.BytesPerSamples(1) * cfg.Channels
 	frames := ring.RoundFrames(int(cfg.BufSeconds * float64(cfg.Rate)))
+	silence := cfg.Enc.SilenceByte()
 	d := &Device{
 		Cfg:            cfg,
 		backend:        b,
 		frameBytes:     fb,
 		bufFrames:      frames,
-		silence:        cfg.Enc.SilenceByte(),
-		playBuf:        ring.New(frames, fb),
-		recBuf:         ring.New(frames, fb),
+		silence:        silence,
+		playBuf:        ring.New(frames, fb, silence),
+		recBuf:         ring.New(frames, fb, silence),
 		chanCnt:        cfg.Channels,
 		scratch:        make([]byte, b.HWFrames()*fb),
 		inputsEnabled:  (1 << cfg.NumInputs) - 1,
 		outputsEnabled: (1 << cfg.NumOutputs) - 1,
 	}
-	d.playBuf.Fill(0, frames, d.silence)
-	d.recBuf.Fill(0, frames, d.silence)
-	// The bring-up fill is not operational silence; the counters start
-	// at zero so PlaySilenceFilled reports only gaps inserted later.
-	d.playBuf.ResetFilledFrames()
-	d.recBuf.ResetFilledFrames()
 	t := b.Time()
 	d.now = t
 	// The freshly initialized hardware ring holds silence for the whole

@@ -1,6 +1,7 @@
 // Package e2etest drives the built client binaries end to end against an
 // in-process server over a real Unix socket: the closest thing to a human
-// running the paper's out-of-the-box clients.
+// running the paper's out-of-the-box clients. The daemons and afperf run
+// as built binaries too.
 package e2etest
 
 import (
@@ -35,7 +36,8 @@ func TestMain(m *testing.M) {
 		"audiofile/cmd/apower", "audiofile/cmd/aset", "audiofile/cmd/ahs",
 		"audiofile/cmd/aphone", "audiofile/cmd/aevents", "audiofile/cmd/alsatoms",
 		"audiofile/cmd/aprop", "audiofile/cmd/afft", "audiofile/cmd/apass",
-		"audiofile/cmd/ahost", "audiofile/cmd/astat")
+		"audiofile/cmd/ahost", "audiofile/cmd/astat",
+		"audiofile/cmd/afd", "audiofile/cmd/arouter", "audiofile/cmd/afperf")
 	cmd.Stderr = os.Stderr
 	if err := cmd.Run(); err != nil {
 		fmt.Fprintln(os.Stderr, "building clients:", err)

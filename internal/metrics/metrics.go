@@ -74,23 +74,12 @@ type Histogram struct {
 }
 
 // Observe records one value. Negative values clamp to zero.
-func (h *Histogram) Observe(v int64) {
-	if v < 0 {
-		v = 0
-	}
-	b := bits.Len64(uint64(v))
-	if b >= NumBuckets {
-		b = NumBuckets - 1
-	}
-	h.buckets[b].Add(1)
-	h.sum.Add(uint64(v))
-	h.count.Add(1)
-}
+func (h *Histogram) Observe(v int64) { h.ObserveN(v, 1) }
 
 // ObserveN records n observations of the same value v with one bucket
 // update — the batched form the dispatcher uses when a run of requests
-// shares a measurement (per-request latency of a coalesced batch). It is
-// exactly equivalent to calling Observe(v) n times.
+// shares a measurement (per-request latency of a coalesced batch), and
+// the one Observe makes.
 func (h *Histogram) ObserveN(v int64, n uint64) {
 	if n == 0 {
 		return

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"testing"
+	"time"
 )
 
 // Native fuzz targets for the wire parsers. `go test` runs the seed
@@ -190,6 +191,64 @@ func FuzzReadSetupReply(f *testing.F) {
 			if err != nil || back.RedirectNetwork != rep.RedirectNetwork || back.RedirectAddr != rep.RedirectAddr {
 				t.Fatalf("redirect round trip: %+v, %v; want %+v", back, err, rep)
 			}
+		}
+	})
+}
+
+// FuzzReader runs a random sequence of Reader calls over a random buffer:
+// every call must return, Pos must stay inside the buffer and never move
+// back, and once Err is set Pos must not move at all.
+func FuzzReader(f *testing.F) {
+	f.Add([]byte{0, 6, 5}, []byte{5, 'a', 'b', 'c'}) // U8, then String4(5) past the end
+	f.Add([]byte{1, 2, 3, 8, 0}, []byte{1, 2, 3, 4, 5, 6, 7})
+	f.Add([]byte{5, 3, 8, 0, 7, 9}, []byte{})
+
+	f.Fuzz(func(t *testing.T, ops, buf []byte) {
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			r := NewReader(binary.LittleEndian, buf)
+			for i := 0; i < len(ops); i++ {
+				op, n := ops[i]%9, 0
+				if i+1 < len(ops) {
+					n = int(int8(ops[i+1]))
+				}
+				pos, failed := r.Pos, r.Err != nil
+				switch op {
+				case 0:
+					r.U8()
+				case 1:
+					r.U16()
+				case 2:
+					r.U32()
+				case 3:
+					r.I16()
+				case 4:
+					r.I32()
+				case 5:
+					r.BytesRef(n)
+					i++
+				case 6:
+					r.String4(n)
+					i++
+				case 7:
+					r.Skip(n)
+					i++
+				case 8:
+					r.SkipPad()
+				}
+				switch {
+				case r.Pos < pos || r.Pos > len(buf):
+					t.Errorf("op %d moved Pos %d → %d over %d bytes", op, pos, r.Pos, len(buf))
+				case failed && r.Pos != pos:
+					t.Errorf("op %d moved Pos %d → %d after an error", op, pos, r.Pos)
+				}
+			}
+		}()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("ops %v over %v did not return", ops, buf)
 		}
 	})
 }

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 var orders = []struct {
@@ -458,6 +459,25 @@ func TestReaderStickyError(t *testing.T) {
 	}
 	if b := r.BytesRef(1); b != nil {
 		t.Error("BytesRef after error != nil")
+	}
+}
+
+// TestString4PastEndReturns: a string that overruns the buffer from an
+// unaligned position fails the reader and returns, padding skipped or not.
+func TestString4PastEndReturns(t *testing.T) {
+	r := NewReader(binary.LittleEndian, []byte{5, 'a', 'b', 'c'})
+	done := make(chan string)
+	go func() {
+		n := int(r.U8())
+		done <- r.String4(n)
+	}()
+	select {
+	case s := <-done:
+		if r.Err == nil || s != "" {
+			t.Errorf("String4 past the end = %q, err %v; want \"\" and an error", s, r.Err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("String4 past the end did not return")
 	}
 }
 

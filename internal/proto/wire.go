@@ -174,43 +174,43 @@ func NewReader(order binary.ByteOrder, buf []byte) *Reader {
 	return &Reader{Order: order, Buf: buf}
 }
 
-func (r *Reader) fail() {
-	if r.Err == nil {
-		r.Err = ErrShort
+// take consumes n bytes and returns them, aliasing the buffer. Past the
+// end, or once the reader has failed, it fails the reader and returns nil
+// without moving: every read below states its bounds through it.
+func (r *Reader) take(n int) []byte {
+	if r.Err != nil || n < 0 || r.Pos+n > len(r.Buf) {
+		if r.Err == nil {
+			r.Err = ErrShort
+		}
+		return nil
 	}
+	b := r.Buf[r.Pos : r.Pos+n]
+	r.Pos += n
+	return b
 }
 
 // U8 reads one byte.
 func (r *Reader) U8() uint8 {
-	if r.Err != nil || r.Pos+1 > len(r.Buf) {
-		r.fail()
-		return 0
+	if b := r.take(1); b != nil {
+		return b[0]
 	}
-	v := r.Buf[r.Pos]
-	r.Pos++
-	return v
+	return 0
 }
 
 // U16 reads a 16-bit value.
 func (r *Reader) U16() uint16 {
-	if r.Err != nil || r.Pos+2 > len(r.Buf) {
-		r.fail()
-		return 0
+	if b := r.take(2); b != nil {
+		return get16(b, bigEndian(r.Order))
 	}
-	v := get16(r.Buf[r.Pos:], bigEndian(r.Order))
-	r.Pos += 2
-	return v
+	return 0
 }
 
 // U32 reads a 32-bit value.
 func (r *Reader) U32() uint32 {
-	if r.Err != nil || r.Pos+4 > len(r.Buf) {
-		r.fail()
-		return 0
+	if b := r.take(4); b != nil {
+		return get32(b, bigEndian(r.Order))
 	}
-	v := get32(r.Buf[r.Pos:], bigEndian(r.Order))
-	r.Pos += 4
-	return v
+	return 0
 }
 
 // I16 reads a signed 16-bit value.
@@ -220,36 +220,19 @@ func (r *Reader) I16() int16 { return int16(r.U16()) }
 func (r *Reader) I32() int32 { return int32(r.U32()) }
 
 // BytesRef returns n bytes without copying; the slice aliases the buffer.
-func (r *Reader) BytesRef(n int) []byte {
-	if r.Err != nil || n < 0 || r.Pos+n > len(r.Buf) {
-		r.fail()
-		return nil
-	}
-	b := r.Buf[r.Pos : r.Pos+n]
-	r.Pos += n
-	return b
-}
+func (r *Reader) BytesRef(n int) []byte { return r.take(n) }
 
 // String4 reads an n-byte string and skips its padding to a 4-byte
 // boundary.
 func (r *Reader) String4(n int) string {
-	b := r.BytesRef(n)
+	b := r.take(n)
 	r.SkipPad()
 	return string(b)
 }
 
 // Skip advances past n bytes.
-func (r *Reader) Skip(n int) {
-	if r.Err != nil || n < 0 || r.Pos+n > len(r.Buf) {
-		r.fail()
-		return
-	}
-	r.Pos += n
-}
+func (r *Reader) Skip(n int) { r.take(n) }
 
-// SkipPad advances to the next 4-byte boundary.
-func (r *Reader) SkipPad() {
-	for r.Pos%4 != 0 {
-		r.Skip(1)
-	}
-}
+// SkipPad advances to the next 4-byte boundary, in one Skip, so a
+// reader that has failed stays put.
+func (r *Reader) SkipPad() { r.Skip(Pad4(r.Pos) - r.Pos) }

@@ -33,8 +33,6 @@ type Config struct {
 	Name      string        // label in reports
 	Transport string        // "pipe", "unix", or "tcp"
 	RTT       time.Duration // injected round-trip delay (socket transports)
-	// HiFi adds a 44.1 kHz stereo device (index 1) for high-rate tests.
-	HiFi bool
 	// RealTime runs the CODEC device on the wall clock; Clk is then nil.
 	RealTime bool
 }
@@ -74,12 +72,7 @@ func Open(cfg Config) (*Rig, error) {
 		r.Clk = vdev.NewManualClock(8000)
 		codec.Clock = r.Clk
 	}
-	devs := []aserver.DeviceSpec{codec}
-	if cfg.HiFi {
-		devs = append(devs, aserver.DeviceSpec{Kind: "hifi", Name: "hifi0",
-			Clock: vdev.NewManualClock(44100)})
-	}
-	srv, err := aserver.New(aserver.Options{Devices: devs, Logf: quiet})
+	srv, err := aserver.New(aserver.Options{Devices: []aserver.DeviceSpec{codec}, Logf: quiet})
 	if err != nil {
 		return nil, err
 	}
@@ -118,11 +111,11 @@ func (r *Rig) dial(cfg Config) error {
 			}
 			r.dir = dir
 		}
-		addr, err := listen(r.Srv, cfg.Transport, r.dir)
+		l, err := r.Srv.Listen(cfg.Transport, localAddr(cfg.Transport, r.dir))
 		if err != nil {
 			return err
 		}
-		if nc, err = net.Dial(cfg.Transport, addr); err != nil {
+		if nc, err = net.Dial(cfg.Transport, l.Addr().String()); err != nil {
 			return err
 		}
 		if cfg.RTT > 0 {
@@ -177,16 +170,8 @@ func (r *Rig) PrimeRecord() error {
 
 func quiet(string, ...any) {}
 
-// listen starts srv listening on network, "unix" (af.sock in dir) or
-// "tcp" (an ephemeral loopback port), and returns the address to dial.
-func listen(srv *aserver.Server, network, dir string) (string, error) {
-	l, err := srv.Listen(network, localAddr(network, dir))
-	if err != nil {
-		return "", err
-	}
-	return l.Addr().String(), nil
-}
-
+// localAddr is where a rig listens on network: "unix" at af.sock in dir,
+// "tcp" on an ephemeral loopback port.
 func localAddr(network, dir string) string {
 	if network == "unix" {
 		return filepath.Join(dir, "af.sock")
@@ -213,11 +198,11 @@ func Server(tb testing.TB, opts aserver.Options) *aserver.Server {
 // the address to dial. The listener closes with the server.
 func Listen(tb testing.TB, srv *aserver.Server, network string) string {
 	tb.Helper()
-	addr, err := listen(srv, network, tb.TempDir())
+	l, err := srv.Listen(network, localAddr(network, tb.TempDir()))
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return addr
+	return l.Addr().String()
 }
 
 // Client opens an AF connection over nc whose transport errors are

@@ -42,20 +42,25 @@ func RoundFrames(n int) int {
 }
 
 // New creates a ring holding the given number of frames, each frameBytes
-// long. frames must be a power of two.
-func New(frames, frameBytes int) *Ring {
+// long, every byte set to silence: a new ring reads as silence, and its
+// fill counter starts at zero. frames must be a power of two.
+func New(frames, frameBytes int, silence byte) *Ring {
 	if frames <= 0 || frames&(frames-1) != 0 {
 		panic(fmt.Sprintf("ring: frames %d is not a power of two", frames))
 	}
 	if frameBytes <= 0 {
 		panic("ring: frameBytes must be positive")
 	}
-	return &Ring{
+	r := &Ring{
 		buf:        make([]byte, frames*frameBytes),
 		frames:     uint32(frames),
 		mask:       uint32(frames - 1),
 		frameBytes: frameBytes,
 	}
+	if silence != 0 {
+		sampleconv.Fill(r.buf, silence)
+	}
+	return r
 }
 
 // Frames returns the ring capacity in frames.
@@ -120,8 +125,3 @@ func (r *Ring) Fill(t atime.ATime, nframes int, v byte) {
 
 // FilledFrames returns the cumulative number of frames written by Fill.
 func (r *Ring) FilledFrames() uint64 { return r.filled }
-
-// ResetFilledFrames zeroes the fill counter. Device bring-up fills the
-// whole ring with silence once; resetting afterwards keeps the counter
-// meaning "silence inserted during operation".
-func (r *Ring) ResetFilledFrames() { r.filled = 0 }

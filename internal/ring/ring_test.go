@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"audiofile/internal/atime"
+	"audiofile/internal/sampleconv"
 )
 
 func TestRoundFrames(t *testing.T) {
@@ -26,13 +27,30 @@ func TestNewPanics(t *testing.T) {
 					t.Errorf("New(%d, %d) did not panic", bad.frames, bad.fb)
 				}
 			}()
-			New(bad.frames, bad.fb)
+			New(bad.frames, bad.fb, 0)
 		}()
 	}
 }
 
+// TestNewHoldsSilence: a fresh ring of every encoding reads as that
+// encoding's silence, and none of it counts as filled.
+func TestNewHoldsSilence(t *testing.T) {
+	for e := sampleconv.Encoding(0); e.Valid(); e++ {
+		fb := e.BytesPerSamples(int(sampleconv.Sizes[e].SampsPerUnit)) * 2
+		r := New(16, fb, e.SilenceByte())
+		got := make([]byte, 16*fb)
+		r.ReadAt(5, got)
+		if want := bytes.Repeat([]byte{e.SilenceByte()}, len(got)); !bytes.Equal(got, want) {
+			t.Errorf("%v: fresh ring reads %x, want %x", e, got, want)
+		}
+		if n := r.FilledFrames(); n != 0 {
+			t.Errorf("%v: fresh ring FilledFrames() = %d, want 0", e, n)
+		}
+	}
+}
+
 func TestWriteReadSimple(t *testing.T) {
-	r := New(16, 2)
+	r := New(16, 2, 0)
 	data := []byte{1, 2, 3, 4, 5, 6}
 	r.WriteAt(4, data)
 	got := make([]byte, 6)
@@ -43,7 +61,7 @@ func TestWriteReadSimple(t *testing.T) {
 }
 
 func TestWrapWithinRing(t *testing.T) {
-	r := New(8, 1)
+	r := New(8, 1, 0)
 	data := []byte{10, 11, 12, 13}
 	r.WriteAt(6, data) // occupies offsets 6,7,0,1
 	got := make([]byte, 4)
@@ -62,7 +80,7 @@ func TestWrapWithinRing(t *testing.T) {
 func TestTimeWrapContinuity(t *testing.T) {
 	// Writing across the 2^32 device-time wrap must be continuous because
 	// the capacity is a power of two.
-	r := New(16, 1)
+	r := New(16, 1, 0)
 	start := atime.ATime(math.MaxUint32 - 3)
 	data := []byte{1, 2, 3, 4, 5, 6, 7, 8}
 	r.WriteAt(start, data)
@@ -80,7 +98,7 @@ func TestTimeWrapContinuity(t *testing.T) {
 }
 
 func TestRegionSlices(t *testing.T) {
-	r := New(8, 2)
+	r := New(8, 2, 0)
 	a, b := r.Region(0, 8)
 	if len(a) != 16 || b != nil {
 		t.Errorf("full region from 0: len(a)=%d b=%v", len(a), b)
@@ -99,7 +117,7 @@ func TestRegionSlices(t *testing.T) {
 }
 
 func TestRegionPanicsOnOversize(t *testing.T) {
-	r := New(8, 1)
+	r := New(8, 1, 0)
 	defer func() {
 		if recover() == nil {
 			t.Error("oversized Region did not panic")
@@ -109,7 +127,7 @@ func TestRegionPanicsOnOversize(t *testing.T) {
 }
 
 func TestFill(t *testing.T) {
-	r := New(8, 2)
+	r := New(8, 2, 0)
 	for i := 0; i < 16; i++ {
 		a, _ := r.Region(0, 8)
 		a[i] = byte(i + 1)
@@ -133,7 +151,7 @@ func TestFill(t *testing.T) {
 // Property: data written at time t is read back identically at t, for any
 // t, as long as it fits in the ring.
 func TestQuickRoundTrip(t *testing.T) {
-	r := New(64, 2)
+	r := New(64, 2, 0)
 	f := func(start uint32, data []byte) bool {
 		n := len(data) / 2 * 2
 		if n > r.Bytes() {
@@ -153,7 +171,7 @@ func TestQuickRoundTrip(t *testing.T) {
 // Property: two writes to disjoint time regions (within capacity) don't
 // interfere.
 func TestQuickDisjointWrites(t *testing.T) {
-	r := New(64, 1)
+	r := New(64, 1, 0)
 	f := func(start uint32, a, b byte) bool {
 		t0 := atime.ATime(start)
 		r.WriteAt(t0, []byte{a, a, a, a})

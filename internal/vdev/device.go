@@ -74,14 +74,16 @@ func New(cfg Config) *Device {
 	if cfg.Sink == nil {
 		cfg.Sink = DiscardSink{}
 	}
-	fb := cfg.Enc.BytesPerSamples(1) * cfg.Channels
+	fb, silence := cfg.Enc.BytesPerSamples(1)*cfg.Channels, cfg.Enc.SilenceByte()
+	// The DSP firmware initializes its buffers to silence before enabling
+	// interrupts; a new ring holds silence.
 	d := &Device{
 		cfg:        cfg,
 		clock:      cfg.Clock,
-		hwPlay:     ring.New(cfg.HWFrames, fb),
-		hwRec:      ring.New(cfg.HWFrames, fb),
+		hwPlay:     ring.New(cfg.HWFrames, fb, silence),
+		hwRec:      ring.New(cfg.HWFrames, fb, silence),
 		frameBytes: fb,
-		silence:    cfg.Enc.SilenceByte(),
+		silence:    silence,
 	}
 	if cfg.Source == nil {
 		cfg.Source = SilenceSource{Byte: d.silence}
@@ -89,10 +91,6 @@ func New(cfg Config) *Device {
 	}
 	d.now = d.clock.Ticks()
 	d.playValid = d.now
-	// The DSP firmware initializes its buffers to silence before enabling
-	// interrupts.
-	d.hwPlay.Fill(0, cfg.HWFrames, d.silence)
-	d.hwRec.Fill(0, cfg.HWFrames, d.silence)
 	return d
 }
 

@@ -124,14 +124,12 @@ type Loopback struct {
 // NewLoopback creates a loopback path. frames must be a power of two large
 // enough to span the device's hardware ring plus delayFrames.
 func NewLoopback(frames, frameBytes, delayFrames int, silence byte) *Loopback {
-	l := &Loopback{
-		ring:       ring.New(frames, frameBytes),
+	return &Loopback{
+		ring:       ring.New(frames, frameBytes, silence),
 		frameBytes: frameBytes,
 		delay:      delayFrames,
 		silence:    silence,
 	}
-	l.ring.Fill(0, frames, silence)
-	return l
 }
 
 // Play implements PlaySink: output samples enter the cable.
