@@ -218,7 +218,7 @@ func (c *Conn) readOnce(fd uintptr) bool {
 		}
 	}
 	var n int
-	c.in.buf, n, c.in.err = c.in.buf.ReadRaw(fd)
+	c.in.buf, n, c.in.err = c.in.buf.ReadRaw(fd, nil)
 	return n > 0 || c.in.err != nil || c.probing
 }
 

@@ -101,7 +101,8 @@ type client struct {
 	// failed, sticky; the run slice frames are framed into (maxRunLen,
 	// allocated once); rest, framed requests not yet dispatched, which only
 	// a park leaves; await, that park; rawReads, the RawConn.Read calls
-	// made; and syscalls, the raw reads and writes made inside them.
+	// made; syscalls, the raw reads and writes made inside them; inq, a TCP
+	// socket's read header (proto.NewInq, else nil); and empty and skip (serve).
 	in       *proto.Buffer
 	lent     int
 	eof      bool
@@ -110,6 +111,9 @@ type client struct {
 	await    *parked
 	rawReads int
 	syscalls int
+	inq      *proto.Inq
+	empty    bool
+	skip     bool
 
 	// lastActive is the unix-nano time of the last dispatched request,
 	// the idleness key for server-wide shedding.
@@ -162,6 +166,7 @@ func newClient(s *Server, conn net.Conn, order binary.ByteOrder) *client {
 	c.req.c, c.req.r.Order = c, order
 	if c.raw = proto.RawConn(conn); c.raw != nil {
 		c.rawWrite, c.rawRead, c.rawServe = c.writeOnce, c.readOnce, c.serve
+		c.inq = proto.NewInq(c.raw)
 	}
 	// Field-by-field: evictPolicy holds an atomic and must not be copied.
 	c.flow.budget = s.budget.clientQueue
@@ -311,9 +316,11 @@ func (c *client) reader() {
 }
 
 // readWait is one RawConn.Read with callback f, counted in rawReads. An
-// error means the conn closed, which ends the stream.
+// error means the conn closed, which ends the stream. It resets readiness,
+// so no read made before it may excuse the next one (empty, skip).
 func (c *client) readWait(f func(fd uintptr) bool) {
 	c.rawReads++
+	c.empty, c.skip = false, false
 	if c.raw.Read(f) != nil {
 		c.eof = true
 	}
@@ -323,13 +330,14 @@ func (c *client) readWait(f func(fd uintptr) bool) {
 // serving callback. It frames what the ingress buffer holds (frame, the
 // loop nextRun uses), dispatches each run, drains its replies with one
 // writev on fd (endRun), and reads again: the speculative read, which must
-// meet EAGAIN before the reader waits. Then it reports not done, and
-// RawConn waits for readability inside the same call, with no second
-// readiness reset. Nothing here waits on a park or on the writer, whose
-// conn.Close waits for the descriptor this call holds: serve reports done,
-// leaving the rest to the reader's loop, at a park, at the end of the
-// stream or a malformed header, when the client is dead, and at a request
-// bigger than the buffer, which the loop grows.
+// meet EAGAIN before the reader waits (TCP skips it after a read that left
+// the socket empty, as what comes later raises readiness anew). Then it
+// reports not done, and RawConn waits for readability inside the same call,
+// with no second readiness reset. Nothing here waits on a park or the
+// writer, whose conn.Close waits for the descriptor this call holds: serve
+// reports done, leaving the rest to the reader's loop, at a park, at the
+// end of the stream or a malformed header, when the client is dead, and at
+// a request bigger than the buffer, which the loop grows.
 func (c *client) serve(fd uintptr) bool {
 	for !c.dead.Load() {
 		run, need := c.frame(c.frames[:0])
@@ -345,7 +353,8 @@ func (c *client) serve(fd uintptr) bool {
 			return true
 		}
 		c.hold(c.in.Compact(need))
-		if !c.readOnce(fd) {
+		if c.skip || !c.readOnce(fd) {
+			c.skip = false
 			return false
 		}
 	}
@@ -359,8 +368,9 @@ func (c *client) serve(fd uintptr) bool {
 // reads bytes counts as lent (hold), and is the reader's to return.
 func (c *client) readOnce(fd uintptr) bool {
 	c.syscalls++
-	in, n, err := c.in.ReadRaw(fd)
+	in, n, err := c.in.ReadRaw(fd, c.inq)
 	c.hold(in)
+	c.empty = c.inq != nil && c.inq.Empty
 	if n == 0 {
 		c.eof = err != nil
 	}
@@ -632,7 +642,9 @@ func (c *client) settleVec() {
 // no RawConn) goes to a writer, the only code that blocks on a socket.
 // fd is the socket when the reader is inside its serving callback, which
 // holds the descriptor, and the write is made on it directly (writeOnce);
-// elsewhere fd is -1 and the write goes through RawConn.Write.
+// elsewhere fd is -1 and the write goes through RawConn.Write. A whole
+// write on fd after a read that left the socket empty sets skip: a reset
+// before that read, which TCP_INQ does not count, would have failed it.
 func (c *client) drain(fd int) {
 	if c.wmu.TryLock() {
 		for len(c.vec) == 0 { // else an unfinished vector awaits the writer
@@ -650,6 +662,7 @@ func (c *client) drain(fd int) {
 			if c.vec = proto.ConsumeVec(c.vec, c.wn); len(c.vec) == 0 {
 				c.settleVec()
 			}
+			c.skip = fd >= 0 && c.empty && len(c.vec) == 0
 		}
 		c.wmu.Unlock()
 	}

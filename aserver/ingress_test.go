@@ -19,53 +19,59 @@ import (
 // lent reads frame_bytes_in_flight, the bytes the ingress pool has lent.
 func lent(srv *Server) int64 { return srv.Snapshot().FrameBytesInFlight }
 
-// TestIdleSocketHoldsNoIngressBuffer: on a unix socket an idle connection
-// pins no ingress buffer however many there are, a half-sent request pins
-// exactly one until it completes, and a disconnect mid-request returns it
-// and is an ordinary client close.
+// TestIdleSocketHoldsNoIngressBuffer: on a socket an idle connection pins
+// no ingress buffer however many there are — on TCP too, where the reader
+// waits without its speculative read — a half-sent request pins exactly
+// one until it completes, and a disconnect mid-request returns it and is
+// an ordinary client close.
 func TestIdleSocketHoldsNoIngressBuffer(t *testing.T) {
-	srv, _ := batchTestServer(t)
-	for i := 0; i < 64; i++ {
-		nc, br := dialUnix(t, srv, 0)
-		if _, err := nc.Write(getTimeBurst(1, 0)); err != nil {
-			t.Fatal(err)
-		}
-		var reply [proto.ReplyHeaderBytes]byte
-		if _, err := io.ReadFull(br, reply[:]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	waitFor(t, "64 idle sockets to hold nothing", func() bool { return lent(srv) == 0 })
+	for _, network := range socketNetworks {
+		t.Run(network, func(t *testing.T) {
+			srv, _ := batchTestServer(t)
+			addr := listenSocket(t, srv, network)
+			for i := 0; i < 64; i++ {
+				nc, br := dialSession(t, network, addr)
+				if _, err := nc.Write(getTimeBurst(1, 0)); err != nil {
+					t.Fatal(err)
+				}
+				var reply [proto.ReplyHeaderBytes]byte
+				if _, err := io.ReadFull(br, reply[:]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			waitFor(t, "64 idle sockets to hold nothing", func() bool { return lent(srv) == 0 })
 
-	nc, br := dialUnix(t, srv, 0)
-	createAC, _ := backpressureScript(0)
-	w := proto.Writer{Order: binary.LittleEndian}
-	proto.AppendPlaySamples(&w, proto.PlaySamplesReq{AC: 1, Time: 4096, Data: make([]byte, 8<<10)}) //nolint:errcheck
-	play, half := w.Buf, len(w.Buf)/2
-	if _, err := nc.Write(append(createAC, play[:half]...)); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "a half-sent play to pin one buffer", func() bool { return lent(srv) == proto.IngressBytes })
-	if _, err := nc.Write(play[half:]); err != nil {
-		t.Fatal(err)
-	}
-	var msg proto.Message
-	if err := proto.ReadMessageInto(br, binary.LittleEndian, &msg); err != nil || msg.Reply == nil {
-		t.Fatalf("play ack: %+v, %v", msg, err)
-	}
-	waitFor(t, "the finished request to give the buffer back", func() bool { return lent(srv) == 0 })
+			nc, br := dialSession(t, network, addr)
+			createAC, _ := backpressureScript(0)
+			w := proto.Writer{Order: binary.LittleEndian}
+			proto.AppendPlaySamples(&w, proto.PlaySamplesReq{AC: 1, Time: 4096, Data: make([]byte, 8<<10)}) //nolint:errcheck
+			play, half := w.Buf, len(w.Buf)/2
+			if _, err := nc.Write(append(createAC, play[:half]...)); err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, "a half-sent play to pin one buffer", func() bool { return lent(srv) == proto.IngressBytes })
+			if _, err := nc.Write(play[half:]); err != nil {
+				t.Fatal(err)
+			}
+			var msg proto.Message
+			if err := proto.ReadMessageInto(br, binary.LittleEndian, &msg); err != nil || msg.Reply == nil {
+				t.Fatalf("play ack: %+v, %v", msg, err)
+			}
+			waitFor(t, "the finished request to give the buffer back", func() bool { return lent(srv) == 0 })
 
-	if _, err := nc.Write(play[:half]); err != nil { // never finished
-		t.Fatal(err)
-	}
-	waitFor(t, "the second half-sent play to pin one buffer", func() bool { return lent(srv) == proto.IngressBytes })
-	before := srv.Snapshot()
-	nc.Close()
-	waitFor(t, "the disconnect to be classified", func() bool { return srv.Snapshot().Disconnects == before.Disconnects+1 })
-	after := srv.Snapshot()
-	if after.FrameBytesInFlight != 0 || after.ClientCloses != before.ClientCloses+1 {
-		t.Errorf("disconnect mid-request: %d ingress bytes still lent, client closes %d → %d",
-			after.FrameBytesInFlight, before.ClientCloses, after.ClientCloses)
+			if _, err := nc.Write(play[:half]); err != nil { // never finished
+				t.Fatal(err)
+			}
+			waitFor(t, "the second half-sent play to pin one buffer", func() bool { return lent(srv) == proto.IngressBytes })
+			before := srv.Snapshot()
+			nc.Close()
+			waitFor(t, "the disconnect to be classified", func() bool { return srv.Snapshot().Disconnects == before.Disconnects+1 })
+			after := srv.Snapshot()
+			if after.FrameBytesInFlight != 0 || after.ClientCloses != before.ClientCloses+1 {
+				t.Errorf("disconnect mid-request: %d ingress bytes still lent, client closes %d → %d",
+					after.FrameBytesInFlight, before.ClientCloses, after.ClientCloses)
+			}
+		})
 	}
 }
 

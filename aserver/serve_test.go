@@ -14,7 +14,8 @@ import (
 
 // The serving callback: on a socket the reader frames, dispatches and
 // drains each burst inside the RawConn.Read that waits for it, and makes
-// the speculative read there before it waits again.
+// the speculative read there before it waits again, unless on TCP the
+// burst's read showed the socket empty and its replies went out whole.
 
 // socketNetworks are the transports whose reader serves inside its read.
 var socketNetworks = []string{"unix", "tcp"}
@@ -97,14 +98,24 @@ func TestReaderSeesFINBehindLastRequest(t *testing.T) {
 // TestReaderServesInsideOneRead makes a thousand GetTime round trips and
 // counts the reader's RawConn.Read calls: the whole session is served
 // inside one (two at most, should a wait be cut short), every reply
-// drained on the callback's descriptor, none handed to the writer. Each
-// burst costs the server three system calls: the read, the writev and the
-// speculative read that meets EAGAIN. A read that meets the next burst
+// drained on the callback's descriptor, none handed to the writer. On unix
+// each burst costs the server three system calls: the read, the writev and
+// the speculative read that meets EAGAIN. On TCP the read reports the
+// socket left empty (TCP_INQ) and the writev goes out whole, so the
+// speculative read is skipped: two. A read that meets the next burst
 // instead saves one; the first wait and the EOF add one each.
 func TestReaderServesInsideOneRead(t *testing.T) {
 	const calls = 1000
+	perCall := map[string]struct {
+		n     int
+		calls string
+	}{
+		"unix": {3, "read, writev, EAGAIN read"},
+		"tcp":  {2, "recvmsg, writev"},
+	}
 	for _, network := range socketNetworks {
 		t.Run(network, func(t *testing.T) {
+			want := perCall[network]
 			srv, _ := batchTestServer(t)
 			nc, br := dialSession(t, network, listenSocket(t, srv, network))
 			var c *client // registered just after the setup reply goes out
@@ -124,12 +135,82 @@ func TestReaderServesInsideOneRead(t *testing.T) {
 			if c.rawReads > 2 {
 				t.Errorf("%d round trips took %d RawConn.Read calls, want at most 2", calls, c.rawReads)
 			}
-			if c.syscalls > 3*calls+2 {
-				t.Errorf("%d round trips took %d system calls, want at most 3 each (read, writev, EAGAIN read) and 2 more", calls, c.syscalls)
+			if c.syscalls > want.n*calls+2 {
+				t.Errorf("%d round trips took %d system calls, want at most %d each (%s) and 2 more", calls, c.syscalls, want.n, want.calls)
 			}
 			if s := srv.Snapshot(); s.EgressFallbacks != 0 {
 				t.Errorf("egress fallbacks = %d, want 0", s.EgressFallbacks)
 			}
 		})
+	}
+}
+
+// TestReaderSeesRSTBehindLastRequest is the FIN test's twin for an
+// abortive close on TCP: a burst, then a reset (SO_LINGER 0), often inside
+// the same read. A read that takes the burst reports the socket empty
+// (TCP_INQ) with the reset already behind it, so the reader must not skip
+// its speculative read on that alone: the GetTimes' reply write fails on
+// the reset, and the NoOps draw no write at all. Either way the session
+// must unregister within 2 s.
+func TestReaderSeesRSTBehindLastRequest(t *testing.T) {
+	noOps := proto.Writer{Order: binary.LittleEndian}
+	for i := 0; i < 4; i++ {
+		proto.AppendEmptyReq(&noOps, proto.OpNoOperation, 0) //nolint:errcheck
+	}
+	srv, _ := batchTestServer(t)
+	addr := listenSocket(t, srv, "tcp")
+	const iterations = 200
+	for _, tc := range []struct {
+		name string
+		req  []byte
+	}{{"GetTime", getTimeBurst(4, 0)}, {"NoOp", noOps.Buf}} {
+		for i := 0; i < iterations; i++ {
+			before := srv.Snapshot().Disconnects
+			nc, _ := dialSession(t, "tcp", addr)
+			if _, err := nc.Write(tc.req); err != nil {
+				t.Fatal(err)
+			}
+			nc.(*net.TCPConn).SetLinger(0) //nolint:errcheck
+			nc.Close()
+			for deadline := time.Now().Add(2 * time.Second); srv.Snapshot().Disconnects == before; time.Sleep(200 * time.Microsecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("%s, iteration %d: the session outlived its reset by 2 s", tc.name, i)
+				}
+			}
+		}
+	}
+}
+
+// TestReaderSkipHoldsPartialTail: on TCP the reader skips its speculative
+// read with half a request held. One write carries a GetTime and half of
+// the next; the first reply comes back while the tail pins one ingress
+// buffer, the rest follows 5 ms later, and the second reply must arrive.
+// The session costs at most six system calls: a first EAGAIN read, two
+// reads and two writevs, and the read that meets EOF. Reading again after
+// each reply would cost two more.
+func TestReaderSkipHoldsPartialTail(t *testing.T) {
+	srv, _ := batchTestServer(t)
+	nc, br := dialSession(t, "tcp", listenSocket(t, srv, "tcp"))
+	var c *client
+	waitFor(t, "registration", func() bool { c = soleClient(srv); return c != nil })
+	burst, reply := getTimeBurst(2, 0), make([]byte, proto.ReplyHeaderBytes)
+	cut := len(burst) * 3 / 4
+	nc.SetReadDeadline(time.Now().Add(2 * time.Second)) //nolint:errcheck
+	for i, part := range [][]byte{burst[:cut], burst[cut:]} {
+		if i == 1 {
+			waitFor(t, "the partial tail to pin one buffer", func() bool { return lent(srv) == proto.IngressBytes })
+			time.Sleep(5 * time.Millisecond)
+		}
+		if _, err := nc.Write(part); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(br, reply); err != nil {
+			t.Fatalf("reply %d: %v", i+1, err)
+		}
+	}
+	nc.Close()
+	waitFor(t, "the session to end", func() bool { return srv.Snapshot().Disconnects == 1 })
+	if c.syscalls > 6 {
+		t.Errorf("the session took %d system calls, want at most 6", c.syscalls)
 	}
 }

@@ -27,17 +27,27 @@ func RawConn(nc net.Conn) syscall.RawConn {
 // cannot be closed and reused under the call. They skip the runtime's
 // entersyscall/exitsyscall, which a call that cannot block does not need.
 
-// ReadRaw is Read on a socket's descriptor: one read(2) behind the tail.
-// n == 0 with a nil error is EAGAIN, nothing ready yet; io.EOF is the
-// end of the stream.
-func (b *Buffer) ReadRaw(fd uintptr) (_ *Buffer, n int, err error) {
+// ReadRaw is Read on a socket's descriptor: one read(2) behind the tail,
+// or given an Inq a recvmsg(2) that also sets inq.Empty. n == 0 with a nil
+// error is EAGAIN, nothing ready yet; io.EOF is the end of the stream.
+func (b *Buffer) ReadRaw(fd uintptr, inq *Inq) (_ *Buffer, n int, err error) {
 	borrowed := b == nil
 	if borrowed {
 		b = GetBuffer(IngressBytes)
 	}
 	for {
 		p := b.B[b.W:]
-		r, _, errno := syscall.RawSyscall(syscall.SYS_READ, fd, uintptr(unsafe.Pointer(unsafe.SliceData(p))), uintptr(len(p)))
+		r, errno := uintptr(0), syscall.Errno(0)
+		if inq == nil {
+			r, _, errno = syscall.RawSyscall(syscall.SYS_READ, fd, uintptr(unsafe.Pointer(unsafe.SliceData(p))), uintptr(len(p)))
+		} else {
+			inq.iov.Base, inq.msg.Iov, inq.msg.Iovlen, inq.msg.Control = unsafe.SliceData(p), &inq.iov, 1, (*byte)(unsafe.Pointer(&inq.cm))
+			inq.iov.SetLen(len(p))
+			inq.msg.SetControllen(syscall.CmsgLen(4))
+			r, _, errno = syscall.RawSyscall(sysRecvmsg, fd, uintptr(unsafe.Pointer(&inq.msg)), 0)
+			inq.Empty = errno == 0 && r > 0 && int(inq.msg.Controllen) >= syscall.CmsgLen(4) &&
+				inq.cm.Level == syscall.SOL_TCP && inq.cm.Type == tcpInq && inq.inq == 0
+		}
 		if errno == syscall.EINTR {
 			continue
 		}
@@ -57,6 +67,28 @@ func (b *Buffer) ReadRaw(fd uintptr) (_ *Buffer, n int, err error) {
 		}
 		return b, 0, os.NewSyscallError("read", errno)
 	}
+}
+
+const tcpInq = 36 // TCP_INQ and TCP_CM_INQ (linux/tcp.h), which package syscall lacks
+
+// Inq is a TCP socket's recvmsg(2) header, with TCP_INQ on (NewInq): each
+// read reports the bytes queued behind it, a FIN counting as one, but not
+// a reset, which only a later write that succeeds rules out.
+type Inq struct {
+	Empty bool // the last read took bytes; its control message, found by level and type, says none are queued
+	msg   syscall.Msghdr
+	iov   syscall.Iovec
+	cm    syscall.Cmsghdr
+	inq   int32 // cm's data, which follows its header unpadded
+}
+
+// NewInq turns TCP_INQ on for rc: the header its reads take, else nil (read(2)).
+func NewInq(rc syscall.RawConn) *Inq {
+	var err error
+	if cerr := rc.Control(func(fd uintptr) { err = syscall.SetsockoptInt(int(fd), syscall.SOL_TCP, tcpInq, 1) }); cerr != nil || err != nil {
+		return nil
+	}
+	return new(Inq)
 }
 
 // Iovecs is a raw write's scatter list, kept beside the vector it sends so

@@ -4,9 +4,13 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"net"
+	"path/filepath"
 	"strings"
 	"syscall"
 	"testing"
+	"time"
+	"unsafe"
 )
 
 // The wire layer's raw read and write over a real unix socketpair: both
@@ -50,7 +54,7 @@ func recv(t *testing.T, fd, n int) []byte {
 func TestBufferTailSurvivesCompactAndGrow(t *testing.T) {
 	a, b := socketpair(t)
 	send(t, a, []byte("headTAIL"))
-	in, n, err := (*Buffer)(nil).ReadRaw(uintptr(b))
+	in, n, err := (*Buffer)(nil).ReadRaw(uintptr(b), nil)
 	if err != nil || n != 8 || in == nil || in.Len() != IngressBytes {
 		t.Fatalf("ReadRaw = %d, %v, buffer of %d", n, err, in.Len())
 	}
@@ -65,7 +69,7 @@ func TestBufferTailSurvivesCompactAndGrow(t *testing.T) {
 		t.Fatalf("Compact grown: size %d, %q", in.Len(), in.Bytes())
 	}
 	send(t, a, []byte("more"))
-	if in, n, err = in.ReadRaw(uintptr(b)); err != nil || n != 4 || string(in.Bytes()) != "ILmore" {
+	if in, n, err = in.ReadRaw(uintptr(b), nil); err != nil || n != 4 || string(in.Bytes()) != "ILmore" {
 		t.Fatalf("ReadRaw behind the tail = %d, %v, %q", n, err, in.Bytes())
 	}
 	if in = in.Consume(6); in != nil {
@@ -80,13 +84,13 @@ func TestBufferTailSurvivesCompactAndGrow(t *testing.T) {
 // borrowed, and keeps one the caller already held.
 func TestReadRawEAGAIN(t *testing.T) {
 	a, b := socketpair(t)
-	in, n, err := (*Buffer)(nil).ReadRaw(uintptr(b))
+	in, n, err := (*Buffer)(nil).ReadRaw(uintptr(b), nil)
 	if in != nil || n != 0 || err != nil {
 		t.Fatalf("ReadRaw on an empty socket = %v, %d, %v; want no buffer, 0, nil", in != nil, n, err)
 	}
 	send(t, a, []byte("ab"))
-	held, _, _ := in.ReadRaw(uintptr(b))
-	in, n, err = held.ReadRaw(uintptr(b))
+	held, _, _ := in.ReadRaw(uintptr(b), nil)
+	in, n, err = held.ReadRaw(uintptr(b), nil)
 	if in != held || n != 0 || err != nil || string(in.Bytes()) != "ab" {
 		t.Fatalf("ReadRaw with a held buffer = %v, %d, %v, %q", in == held, n, err, in.Bytes())
 	}
@@ -100,7 +104,7 @@ func TestReadRawEOFAndError(t *testing.T) {
 	if err := syscall.Shutdown(a, syscall.SHUT_WR); err != nil {
 		t.Fatal(err)
 	}
-	if in, n, err := (*Buffer)(nil).ReadRaw(uintptr(b)); in != nil || n != 0 || err != io.EOF {
+	if in, n, err := (*Buffer)(nil).ReadRaw(uintptr(b), nil); in != nil || n != 0 || err != io.EOF {
 		t.Fatalf("ReadRaw after shutdown = %v, %d, %v; want io.EOF", in != nil, n, err)
 	}
 
@@ -111,7 +115,7 @@ func TestReadRawEOFAndError(t *testing.T) {
 	defer syscall.Close(fds[0])
 	send(t, fds[0], []byte("unread"))
 	syscall.Close(fds[1])
-	in, n, err := (*Buffer)(nil).ReadRaw(uintptr(fds[0]))
+	in, n, err := (*Buffer)(nil).ReadRaw(uintptr(fds[0]), nil)
 	if in != nil || n != 0 || err == io.EOF || !errors.Is(err, syscall.ECONNRESET) {
 		t.Fatalf("ReadRaw after a reset = %v, %d, %v; want ECONNRESET", in != nil, n, err)
 	}
@@ -185,4 +189,159 @@ func TestIovecsWrite(t *testing.T) {
 	if got := recv(t, b, min(n, 4096)); !bytes.Equal(got, big[:len(got)]) {
 		t.Fatal("the peer read other bytes than the vector's head")
 	}
+}
+
+// connPair returns both ends of a fresh loopback connection on network
+// ("tcp" or "unix"), closed at cleanup.
+func connPair(t *testing.T, network string) (a, b net.Conn) {
+	t.Helper()
+	addr := "127.0.0.1:0"
+	if network == "unix" {
+		addr = filepath.Join(t.TempDir(), "s")
+	}
+	ln, err := net.Listen(network, addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	if a, err = net.Dial(network, ln.Addr().String()); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { a.Close() })
+	if b, err = ln.Accept(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { b.Close() })
+	return a, b
+}
+
+// sysfd returns nc's RawConn and descriptor; nc stays open for the test.
+func sysfd(t *testing.T, nc net.Conn) (syscall.RawConn, int) {
+	t.Helper()
+	rc, err := nc.(syscall.Conn).SyscallConn()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fd int
+	rc.Control(func(f uintptr) { fd = int(f) }) //nolint:errcheck
+	return rc, fd
+}
+
+// awaitTCPState waits up to 2 s for fd to reach a TCP state (tcp_info's
+// first byte: 7 closed, 8 close-wait), so a FIN or a reset has landed
+// before the read that is to see it.
+func awaitTCPState(t *testing.T, fd int, state byte) {
+	t.Helper()
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(100 * time.Microsecond) {
+		v, err := syscall.GetsockoptInt(fd, syscall.IPPROTO_TCP, syscall.TCP_INFO)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info := int32(v); (*[4]byte)(unsafe.Pointer(&info))[0] == state {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("socket never reached TCP state %d", state)
+		}
+	}
+}
+
+// readSome retries ReadRaw until bytes arrive (2 s at most).
+func readSome(t *testing.T, b *Buffer, fd int, inq *Inq) (*Buffer, int) {
+	t.Helper()
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(100 * time.Microsecond) {
+		in, n, err := b.ReadRaw(uintptr(fd), inq)
+		if err != nil {
+			t.Fatalf("ReadRaw: %v", err)
+		}
+		if n > 0 {
+			return in, n
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no bytes arrived")
+		}
+	}
+}
+
+// TestReadRawInq reads a TCP socket with TCP_INQ on: a read that takes
+// everything queued reads as empty; a FIN queued behind the bytes, or
+// bytes that did not fit, read as not empty. A reset behind the bytes
+// reads as empty, and only the next read fails: what an empty read cannot
+// show. A Unix socket refuses the option and stays on read(2). A read with
+// the header allocates nothing.
+func TestReadRawInq(t *testing.T) {
+	payload := []byte("request bytes")
+	open := func(t *testing.T) (net.Conn, int, int, *Inq) {
+		a, b := connPair(t, "tcp")
+		_, afd := sysfd(t, a)
+		rc, bfd := sysfd(t, b)
+		inq := NewInq(rc)
+		if inq == nil {
+			t.Fatal("TCP refused TCP_INQ")
+		}
+		return a, afd, bfd, inq
+	}
+
+	t.Run("data", func(t *testing.T) {
+		_, a, b, inq := open(t)
+		send(t, a, payload)
+		in, n := readSome(t, nil, b, inq)
+		if n != len(payload) || !inq.Empty {
+			t.Fatalf("read %d of %d, empty %v; want all of it, empty", n, len(payload), inq.Empty)
+		}
+		in.Put()
+		if testing.AllocsPerRun(100, func() {
+			send(t, a, payload)
+			in, _ := readSome(t, nil, b, inq)
+			in.Put()
+		}) != 0 {
+			t.Error("a read with the TCP_INQ header allocates")
+		}
+	})
+	t.Run("FIN", func(t *testing.T) {
+		_, a, b, inq := open(t)
+		send(t, a, payload)
+		if err := syscall.Shutdown(a, syscall.SHUT_WR); err != nil {
+			t.Fatal(err)
+		}
+		awaitTCPState(t, b, 8)
+		in, n := readSome(t, nil, b, inq)
+		if n != len(payload) || inq.Empty {
+			t.Fatalf("read %d, empty %v; want %d, not empty (FIN queued)", n, inq.Empty, len(payload))
+		}
+		if _, _, err := in.ReadRaw(uintptr(b), inq); err != io.EOF {
+			t.Fatalf("read after the FIN = %v, want io.EOF", err)
+		}
+	})
+	t.Run("short buffer", func(t *testing.T) {
+		_, a, b, inq := open(t)
+		send(t, a, payload)
+		_, n := readSome(t, &Buffer{B: make([]byte, 4)}, b, inq)
+		if n != 4 || inq.Empty {
+			t.Fatalf("read %d, empty %v; want 4, not empty", n, inq.Empty)
+		}
+		if _, n = readSome(t, &Buffer{B: make([]byte, 64)}, b, inq); n != len(payload)-4 || !inq.Empty {
+			t.Fatalf("read of the rest %d, empty %v; want %d, empty", n, inq.Empty, len(payload)-4)
+		}
+	})
+	t.Run("RST", func(t *testing.T) {
+		nc, a, b, inq := open(t)
+		send(t, a, payload)
+		nc.(*net.TCPConn).SetLinger(0) //nolint:errcheck
+		nc.Close()
+		awaitTCPState(t, b, 7)
+		in, n := readSome(t, nil, b, inq)
+		if n != len(payload) || !inq.Empty {
+			t.Fatalf("read %d, empty %v; want %d, empty (TCP_INQ does not count a reset)", n, inq.Empty, len(payload))
+		}
+		if _, _, err := in.ReadRaw(uintptr(b), inq); err == nil || err == io.EOF {
+			t.Fatalf("read after the reset = %v, want an error", err)
+		}
+	})
+	t.Run("unix", func(t *testing.T) {
+		_, b := connPair(t, "unix")
+		if rc, _ := sysfd(t, b); NewInq(rc) != nil {
+			t.Fatal("NewInq took on a Unix socket; its reads must stay plain")
+		}
+	})
 }

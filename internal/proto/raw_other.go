@@ -13,7 +13,12 @@ import (
 func RawConn(net.Conn) syscall.RawConn { return nil }
 
 // ReadRaw is never called where RawConn is nil.
-func (b *Buffer) ReadRaw(uintptr) (*Buffer, int, error) { panic("proto: no raw read off Linux") }
+func (b *Buffer) ReadRaw(uintptr, *Inq) (*Buffer, int, error) { panic("proto: no raw read off Linux") }
+
+// Inq and NewInq: TCP_INQ is Linux's, so every read here would be plain.
+type Inq struct{ Empty bool }
+
+func NewInq(syscall.RawConn) *Inq { return nil }
 
 // Iovecs is empty where there is no raw write to feed.
 type Iovecs struct{}
