@@ -101,19 +101,24 @@ type client struct {
 	// failed, sticky; the run slice frames are framed into (maxRunLen,
 	// allocated once); rest, framed requests not yet dispatched, which only
 	// a park leaves; await, that park; rawReads, the RawConn.Read calls
-	// made; syscalls, the raw reads and writes made inside them; inq, a TCP
-	// socket's read header (proto.NewInq, else nil); and empty and skip (serve).
-	in       *proto.Buffer
-	lent     int
-	eof      bool
-	frames   []runFrame
-	rest     []runFrame
-	await    *parked
-	rawReads int
-	syscalls int
-	inq      *proto.Inq
-	empty    bool
-	skip     bool
+	// made; syscalls, the raw reads and writes made inside them, but for
+	// staleWakes, the reads that met EAGAIN first thing after a wait
+	// (serve); inq, a TCP socket's read header (proto.NewInq, else nil);
+	// and served, woke, empty and skip (serve).
+	in         *proto.Buffer
+	lent       int
+	eof        bool
+	frames     []runFrame
+	rest       []runFrame
+	await      *parked
+	rawReads   int
+	syscalls   int
+	staleWakes int
+	inq        *proto.Inq
+	served     bool
+	woke       bool
+	empty      bool
+	skip       bool
 
 	// lastActive is the unix-nano time of the last dispatched request,
 	// the idleness key for server-wide shedding.
@@ -121,7 +126,8 @@ type client struct {
 	// flow is the slow-consumer eviction policy (see overload.go).
 	flow evictPolicy
 
-	// Eviction state. evict() runs once: it records why (closeReason,
+	// Eviction state. evict() runs once, before removeClient or not at
+	// all: it records why (an event in the server's log, and closeReason,
 	// classified into a counter by removeClient) and what to tell the
 	// client (goodbye, a proto.Err* code the writer sends as its last
 	// message), then starts the writer that sends it.
@@ -175,12 +181,14 @@ func newClient(s *Server, conn net.Conn, order binary.ByteOrder) *client {
 	return c
 }
 
-// evict marks the client for disconnection with a typed protocol error.
-// First call wins; a writer sends the goodbye and closes the transport.
-// Callable from any goroutine, never blocks.
-func (c *client) evict(reason uint32, code uint8) {
+// evict marks the client for disconnection with a typed protocol error,
+// recording the event (why says what the client did). First call wins,
+// and none after removeClient; a writer sends the goodbye and closes the
+// transport. Callable from any goroutine, never blocks.
+func (c *client) evict(reason uint32, code uint8, why string) {
 	c.evictOnce.Do(func() {
 		c.closeReason.Store(reason)
+		c.s.log.Record(closeKinds[reason], fmt.Sprint(c.conn.RemoteAddr()), why)
 		c.goodbye.Store(uint32(code))
 		// A writer blocked mid-write on a transport that stopped draining
 		// must not delay the teardown: expire the in-flight write. The
@@ -209,23 +217,21 @@ func (s *Server) handleConn(conn net.Conn) {
 
 	// A draining server accepts no new sessions; the listener is already
 	// closed, but races (and DialPipe) can still deliver setups here.
-	if s.draining.Load() {
-		refuse(conn, order, "server draining")
-		conn.Close()
-		return
-	}
-
 	// Version negotiation: the major version must match; minor skew is
 	// tolerated (the X convention the protocol setup copies).
-	if setup.Major != proto.ProtocolMajor {
-		refuse(conn, order, fmt.Sprintf("protocol version mismatch: server %d.%d, client %d.%d",
-			proto.ProtocolMajor, proto.ProtocolMinor, setup.Major, setup.Minor))
-		conn.Close()
-		return
+	why := ""
+	switch {
+	case s.draining.Load():
+		why = "server draining"
+	case setup.Major != proto.ProtocolMajor:
+		why = fmt.Sprintf("protocol version mismatch: server %d.%d, client %d.%d",
+			proto.ProtocolMajor, proto.ProtocolMinor, setup.Major, setup.Minor)
+	case !s.hostAllowed(conn):
+		why = "access denied"
 	}
-
-	if !s.hostAllowed(conn) {
-		refuse(conn, order, "access denied")
+	if why != "" {
+		s.log.Record(metrics.Refuse, fmt.Sprint(conn.RemoteAddr()), why)
+		refuse(conn, order, why)
 		conn.Close()
 		return
 	}
@@ -320,7 +326,7 @@ func (c *client) reader() {
 // so no read made before it may excuse the next one (empty, skip).
 func (c *client) readWait(f func(fd uintptr) bool) {
 	c.rawReads++
-	c.empty, c.skip = false, false
+	c.empty, c.skip, c.served = false, false, false
 	if c.raw.Read(f) != nil {
 		c.eof = true
 	}
@@ -338,7 +344,12 @@ func (c *client) readWait(f func(fd uintptr) bool) {
 // reports done, leaving the rest to the reader's loop, at a park, at the
 // end of the stream or a malformed header, when the client is dead, and at
 // a request bigger than the buffer, which the loop grows.
+//
+// A wait may end on readiness a speculative read has already consumed
+// (on Unix, a write-space wake harvested with the next request queued);
+// the read that meets EAGAIN then is counted apart, in staleWakes.
 func (c *client) serve(fd uintptr) bool {
+	c.woke, c.served = c.served, true
 	for !c.dead.Load() {
 		run, need := c.frame(c.frames[:0])
 		if len(run) != 0 {
@@ -367,8 +378,13 @@ func (c *client) serve(fd uintptr) bool {
 // on EAGAIN RawConn waits for readability with no buffer pinned. One that
 // reads bytes counts as lent (hold), and is the reader's to return.
 func (c *client) readOnce(fd uintptr) bool {
-	c.syscalls++
 	in, n, err := c.in.ReadRaw(fd, c.inq)
+	if n == 0 && err == nil && c.woke {
+		c.staleWakes++
+	} else {
+		c.syscalls++
+	}
+	c.woke = false
 	c.hold(in)
 	c.empty = c.inq != nil && c.inq.Empty
 	if n == 0 {
@@ -744,8 +760,7 @@ func (c *client) flushQueue() bool {
 			// too; a timeout nobody asked for is a missed deadline.
 			var ne net.Error
 			if !c.dead.Load() && errors.As(err, &ne) && ne.Timeout() {
-				c.s.logf("aserver: client %v missed its write deadline, evicting", c.conn.RemoteAddr())
-				c.evict(closeReasonEvict, proto.ErrOverload)
+				c.evict(closeReasonEvict, proto.ErrOverload, "missed its write deadline")
 			}
 			return false
 		}
@@ -808,9 +823,7 @@ func (c *client) send(msg *wireMsg) bool {
 // the common under-budget send never reads the clock.
 func (c *client) overBudget(level, now int64) {
 	if c.flow.onQueue(level, now) == flowEvict {
-		c.s.logf("aserver: client %v over send budget (level %d) past its allowance, evicting",
-			c.conn.RemoteAddr(), level)
-		c.evict(closeReasonEvict, proto.ErrOverload)
+		c.evict(closeReasonEvict, proto.ErrOverload, "over its send budget past its allowance")
 	}
 }
 

@@ -137,7 +137,7 @@ func TestSendersRaceTeardown(t *testing.T) {
 
 		time.Sleep(time.Duration(round%4) * 100 * time.Microsecond)
 		if round%2 == 0 {
-			victim.evict(closeReasonEvict, proto.ErrOverload)
+			victim.evict(closeReasonEvict, proto.ErrOverload, "test")
 		} else {
 			closeClient(victim)
 		}

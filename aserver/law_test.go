@@ -64,6 +64,10 @@ func TestLawSnapshot(t *testing.T) {
 		subs      = "bcast_subs = 0"
 		replies   = "replies = accepted + stale + duplicate"
 		resyncs   = "resyncs_started = resyncs_completed + resyncs_abandoned"
+		moves     = "health events = lineserver transitions"
+		evicts    = "evict events = evictions"
+		sheds     = "shed events = sheds"
+		drains    = "drain events = drains"
 	)
 	balanced := func() Snapshot {
 		return Snapshot{
@@ -84,7 +88,11 @@ func TestLawSnapshot(t *testing.T) {
 					Replies: 3, Accepted: 2, Stale: 1,
 				},
 			}},
+			Events: metrics.LogSnapshot{Totals: map[metrics.Kind]uint64{metrics.Evict: 1, metrics.Drain: 1, metrics.Health: 1}},
 		}
+	}
+	event := func(k metrics.Kind) func(*Snapshot) {
+		return func(s *Snapshot) { s.Events.Totals[k]++ }
 	}
 	dev := func(f func(*DeviceStats)) func(*Snapshot) {
 		return func(s *Snapshot) { f(&s.Devices[0]) }
@@ -93,10 +101,10 @@ func TestLawSnapshot(t *testing.T) {
 		return dev(func(d *DeviceStats) { f(d.Lineserver) })
 	}
 	checkLaws(t, balanced, Snapshot.Check, []lawCase[Snapshot]{
-		{"reason ahead of its disconnect", reasons, func(s *Snapshot) { s.Evictions = 2 }, true, false},
+		{"reason ahead of its disconnect", reasons, func(s *Snapshot) { s.Evictions = 2; s.Events.Totals[metrics.Evict] = 2 }, true, false},
 		{"unclassified disconnect", reasons, func(s *Snapshot) { s.Disconnects++; s.Connects++ }, false, false},
 		{"client connected", connects, func(s *Snapshot) { s.Connects++ }, true, false},
-		{"disconnect without connect", connects, func(s *Snapshot) { s.Disconnects++; s.Sheds++ }, false, false},
+		{"disconnect without connect", connects, func(s *Snapshot) { s.Disconnects++; s.Sheds++; s.Events.Totals[metrics.Shed]++ }, false, false},
 		{"batch not yet observed", batches, func(s *Snapshot) { s.Requests++; s.DispatchControlNs.Count++ }, true, false},
 		{"batch over-counted", batches, func(s *Snapshot) { s.DispatchBatch.Sum++ }, false, false},
 		{"dispatch not yet observed", counts, func(s *Snapshot) { s.Requests++; s.DispatchBatch.Sum++ }, true, false},
@@ -111,8 +119,16 @@ func TestLawSnapshot(t *testing.T) {
 		{"subscription outstanding", subs, dev(func(d *DeviceStats) { d.BcastSubs++ }), true, false},
 		{"reply being classified", replies, ls(func(b *lineserver.BackendStats) { b.Replies++ }), true, false},
 		{"reply classified twice", replies, ls(func(b *lineserver.BackendStats) { b.Duplicate++ }), false, false},
-		{"resync in flight", resyncs, ls(func(b *lineserver.BackendStats) { b.ResyncsStarted++ }), true, false},
+		{"resync in flight", resyncs, func(s *Snapshot) { s.Devices[0].Lineserver.ResyncsStarted++; s.Events.Totals[metrics.Health]++ }, true, false},
 		{"resync ended twice", resyncs, ls(func(b *lineserver.BackendStats) { b.ResyncsAbandoned++ }), false, false},
+		{"transition being read", moves, event(metrics.Health), true, false},
+		{"transition without its event", moves, ls(func(b *lineserver.BackendStats) { b.ToSuspect++ }), false, false},
+		{"eviction being classified", evicts, event(metrics.Evict), true, false},
+		{"eviction without its event", evicts, func(s *Snapshot) { s.Evictions++; s.Disconnects++; s.Connects++ }, false, false},
+		{"shed being classified", sheds, event(metrics.Shed), true, false},
+		{"shed without its event", sheds, func(s *Snapshot) { s.Sheds++; s.Disconnects++; s.Connects++ }, false, false},
+		{"drain being classified", drains, event(metrics.Drain), true, false},
+		{"drain without its event", drains, func(s *Snapshot) { s.Drains++; s.Disconnects++; s.Connects++ }, false, false},
 	})
 }
 
@@ -123,16 +139,22 @@ func TestLawRouter(t *testing.T) {
 		setups  = "accepted = routes + redirects + route_errors"
 		routes  = "routes = closed_client + closed_backend + failovers_started"
 		resyncs = "backend b1: resyncs_started = resyncs_completed + resyncs_abandoned"
+		dials   = "dial-error events = dial_errors"
+		moves   = "health events = backend transitions"
 	)
 	balanced := func() RouterSnapshot {
 		return RouterSnapshot{
 			Accepted: 10, Routes: 6, Redirects: 3, RouteErrors: 1,
 			ClosedClient: 3, ClosedBackend: 1, FailoversStarted: 2,
 			Backends: []RouterBackendStats{
-				{Name: "b0"},
+				{Name: "b0", DialErrors: 1},
 				{Name: "b1", Stats: health.Stats{ResyncsStarted: 2, ResyncsCompleted: 1, ResyncsAbandoned: 1}},
 			},
+			Events: metrics.LogSnapshot{Totals: map[metrics.Kind]uint64{metrics.DialError: 1, metrics.Health: 2}},
 		}
+	}
+	event := func(k metrics.Kind) func(*RouterSnapshot) {
+		return func(s *RouterSnapshot) { s.Events.Totals[k]++ }
 	}
 	b1 := func(f func(*RouterBackendStats)) func(*RouterSnapshot) {
 		return func(s *RouterSnapshot) { f(&s.Backends[1]) }
@@ -142,7 +164,11 @@ func TestLawRouter(t *testing.T) {
 		{"setup counted twice", setups, func(s *RouterSnapshot) { s.Redirects = 4 }, false, false},
 		{"session active", routes, func(s *RouterSnapshot) { s.Accepted++; s.Routes++ }, true, false},
 		{"session closed twice", routes, func(s *RouterSnapshot) { s.ClosedClient++ }, false, false},
-		{"resync in flight", resyncs, b1(func(b *RouterBackendStats) { b.ResyncsStarted++ }), true, false},
+		{"resync in flight", resyncs, func(s *RouterSnapshot) { s.Backends[1].ResyncsStarted++; s.Events.Totals[metrics.Health]++ }, true, false},
 		{"resync ended twice", resyncs, b1(func(b *RouterBackendStats) { b.ResyncsCompleted = 2 }), false, false},
+		{"dial error being counted", dials, event(metrics.DialError), true, false},
+		{"dial error without its event", dials, func(s *RouterSnapshot) { s.Backends[0].DialErrors++ }, false, false},
+		{"transition being read", moves, event(metrics.Health), true, false},
+		{"transition without its event", moves, b1(func(b *RouterBackendStats) { b.ToDown++ }), false, false},
 	})
 }

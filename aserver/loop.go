@@ -51,8 +51,10 @@ func (s *Server) removeClient(c *client) {
 		return
 	}
 	c.dead.Store(true)
-	// Classify the disconnect before counting it: the close-reason law's
-	// live form (Snapshot.Check).
+	// An evict under way records its event first, and none starts after;
+	// the disconnect is classified before it is counted. Both give laws
+	// their live forms (Snapshot.Check).
+	c.evictOnce.Do(func() {})
 	s.sm.closeCounterFor(c.closeReason.Load()).Inc()
 	s.sm.disconnects.Inc()
 	s.sm.activeClients.Add(-1)

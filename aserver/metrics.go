@@ -51,7 +51,8 @@ type serverMetrics struct {
 	clientErrors  metrics.Counter
 
 	// Disconnect classification (overload.go): every disconnect
-	// increments exactly one of these, before disconnects itself.
+	// increments exactly one of these, before disconnects itself; each
+	// but clientCloses follows its client's close event in the log.
 	evictions    metrics.Counter
 	sheds        metrics.Counter
 	drains       metrics.Counter
@@ -192,6 +193,11 @@ type Snapshot struct {
 	SchedEngineRuns uint64                    `json:"sched_engine_runs"`
 
 	Devices []DeviceStats `json:"devices"`
+
+	// Events is the server's event log: client evictions, sheds and
+	// drains, setup refusals, and its lineserver backends' transitions
+	// and transport errors.
+	Events metrics.LogSnapshot `json:"events"`
 }
 
 // DeviceStats is one root device's counters (views account into their
@@ -261,6 +267,8 @@ type DeviceStats struct {
 // disconnects first, the five dispatch histograms before requests. A
 // device's frame and park counters move only under its engine lock and
 // are read together under it; broadcast chunks are read before encodes.
+// The event log, whose events precede the counters they are checked
+// against, is read last.
 func (s *Server) Snapshot() Snapshot {
 	sm := &s.sm
 	snap := Snapshot{
@@ -336,19 +344,33 @@ func (s *Server) Snapshot() Snapshot {
 		e.mu.Unlock()
 		snap.Devices = append(snap.Devices, ds)
 	}
+	snap.Events = s.log.Snapshot()
 	return snap
 }
 
 // Check states the server's laws: every disconnect is classified under
-// exactly one close reason, every connect ends in one disconnect, and
-// every request is retired by exactly one dispatch batch and timed by
-// exactly one dispatch histogram; then each device's (DeviceStats.Check).
-// Settled means every client is gone; live, each law holds as the
-// one-sided bound Server.Snapshot's read order gives it.
+// exactly one close reason, and each reason the server decides under
+// exactly one event; every connect ends in one disconnect; every request
+// is retired by exactly one dispatch batch and timed by exactly one
+// dispatch histogram; every lineserver health transition is one event;
+// then each device's (DeviceStats.Check). Settled means every client is
+// gone; live, each law holds as the one-sided bound Server.Snapshot's
+// read order gives it.
 func (s Snapshot) Check(settled bool) error {
 	dispatched := s.DispatchPlayNs.Count + s.DispatchRecordNs.Count +
 		s.DispatchGetTimeNs.Count + s.DispatchControlNs.Count
+	var moves uint64
+	for _, d := range s.Devices {
+		if d.Lineserver != nil {
+			moves += d.Lineserver.Moves()
+		}
+	}
+	ev := s.Events.Totals
 	errs := []error{
+		metrics.Law("evict events = evictions", ev[metrics.Evict], s.Evictions, settled),
+		metrics.Law("shed events = sheds", ev[metrics.Shed], s.Sheds, settled),
+		metrics.Law("drain events = drains", ev[metrics.Drain], s.Drains, settled),
+		metrics.Law("health events = lineserver transitions", ev[metrics.Health], moves, settled),
 		metrics.Law("evictions + sheds + drains + client_closes = disconnects",
 			s.Evictions+s.Sheds+s.Drains+s.ClientCloses, s.Disconnects, settled),
 		metrics.Law("connects = disconnects", s.Connects, s.Disconnects, settled),

@@ -1,14 +1,19 @@
 package aserver
 
 import (
+	"bytes"
 	"encoding/binary"
+	"fmt"
+	"log"
 	"net"
+	"os"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"audiofile/af"
+	"audiofile/internal/metrics"
 	"audiofile/internal/proto"
 	"audiofile/internal/vdev"
 )
@@ -70,14 +75,14 @@ func awaitSheds(srv *Server, want uint64) Snapshot {
 
 // TestOptionMaxClients: registering past MaxClients sheds the oldest-idle
 // client, classified as a shed; without the option nobody is shed. The
-// shed is reported through Logf (TestOptionLogf, in effect).
+// shed's event is printed through Logf (TestOptionLogf, in effect).
 func TestOptionMaxClients(t *testing.T) {
 	for _, max := range []int{0, 2} {
 		var mu sync.Mutex
 		var logged []string
-		srv := optionServer(t, Options{MaxClients: max, Logf: func(format string, _ ...any) {
+		srv := optionServer(t, Options{MaxClients: max, Logf: func(format string, args ...any) {
 			mu.Lock()
-			logged = append(logged, format)
+			logged = append(logged, fmt.Sprintf(format, args...))
 			mu.Unlock()
 		}})
 		oldest, newer := pipeConn(t, srv), pipeConn(t, srv)
@@ -192,6 +197,25 @@ func TestOptionFrameBytesCeiling(t *testing.T) {
 				ceiling, snap.Sheds, snap.FrameBytesInFlight, want)
 		}
 		srv.Close() // releases a play still parked, and with it its connection
+	}
+}
+
+// TestOptionLogfNil: a nil Logf discards the event lines; nothing reaches
+// the standard logger, and the event still reaches the log.
+func TestOptionLogfNil(t *testing.T) {
+	var out bytes.Buffer
+	log.SetOutput(&out)
+	defer log.SetOutput(os.Stderr)
+	srv, err := New(Options{Devices: []DeviceSpec{{Kind: "codec", Clock: vdev.NewManualClock(8000)}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	pipeConn(t, srv)
+	waitFor(t, "registration", func() bool { return srv.Snapshot().Connects == 1 })
+	srv.shedOldestIdle(nil)
+	if evs := srv.Snapshot().Events.Events; len(evs) != 1 || evs[0].Kind != metrics.Shed || out.Len() != 0 {
+		t.Errorf("events %+v; the standard logger received %q", evs, out.String())
 	}
 }
 

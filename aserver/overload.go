@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"audiofile/internal/metrics"
 	"audiofile/internal/proto"
 )
 
@@ -37,6 +38,9 @@ const (
 	closeReasonShed          // sacrificed to a server-wide budget
 	closeReasonDrain         // graceful shutdown
 )
+
+// closeKinds is the event each close reason but the client's own records.
+var closeKinds = [...]metrics.Kind{closeReasonEvict: metrics.Evict, closeReasonShed: metrics.Shed, closeReasonDrain: metrics.Drain}
 
 // flowVerdict is the eviction policy's answer for one observation.
 type flowVerdict uint8
@@ -203,9 +207,7 @@ func (s *Server) sweepOverload() {
 		if largestLevel > largest.flow.budget {
 			reason = closeReasonEvict
 		}
-		s.logf("aserver: %d bytes queued server-wide (budget %d), closing client %v (%d bytes)",
-			total, s.budget.serverQueue, largest.conn.RemoteAddr(), largestBytes)
-		largest.evict(reason, proto.ErrOverload)
+		largest.evict(reason, proto.ErrOverload, "the largest queue, server queue over budget")
 	}
 	// Pooled ingress bytes lent out: a pileup of half-sent requests and
 	// parked plays past the ceiling sheds the oldest-idle client.
@@ -232,8 +234,7 @@ func (s *Server) shedOldestIdle(exclude *client) bool {
 	if victim == nil {
 		return false
 	}
-	s.logf("aserver: server over budget, shedding oldest-idle client %v", victim.conn.RemoteAddr())
-	victim.evict(closeReasonShed, proto.ErrOverload)
+	victim.evict(closeReasonShed, proto.ErrOverload, "shedding oldest-idle client, server over budget")
 	return true
 }
 
@@ -272,7 +273,7 @@ func (s *Server) Drain(timeout time.Duration) {
 	s.pollUntil(2*time.Millisecond, time.Now().Add(timeout), s.drained)
 	s.ctl.Lock()
 	for c := range s.clients {
-		c.evict(closeReasonDrain, proto.ErrDrain)
+		c.evict(closeReasonDrain, proto.ErrDrain, "server draining")
 	}
 	s.ctl.Unlock()
 	s.Close()

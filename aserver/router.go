@@ -59,12 +59,13 @@ import (
 // back to a proxied setup, whose open walks past the owner to the next.
 //
 // Counter ownership: handleConn counts accepted once per client conn it
-// tracks, and exactly one of routes, redirects and routeErrors. For
-// each proxied session (a route) exactly one of closedClient,
-// closedBackend, or failoversStarted is incremented by the pump that
-// loses the session (a CAS picks the single classifier). A redirected
-// session appears in no counter after redirects: the router never sees
-// its end. The laws this gives are RouterSnapshot.Check.
+// tracks, and then exactly one route (a counter), redirect or route error
+// (events in the router's log). For each proxied session (a route) the
+// pump that loses the session (a CAS picks the single classifier) counts
+// closedClient or closedBackend, or records a failover. A redirected
+// session appears in nothing after its redirect: the router never sees
+// its end. The log also holds each backend's health transitions and
+// dial errors. The laws this gives are RouterSnapshot.Check.
 
 // RouterOptions configures a Router.
 type RouterOptions struct {
@@ -95,7 +96,8 @@ type RouterOptions struct {
 	// overload policy usually fires first.
 	ClientWriteStall time.Duration
 
-	// Logf receives progress messages; nil discards them.
+	// Logf prints the router's events, one line each; nil discards them
+	// (the events stay in the log that Snapshot serves).
 	Logf func(format string, args ...any)
 }
 
@@ -104,6 +106,7 @@ type Router struct {
 	opts RouterOptions
 	dir  *Directory
 	rm   routerMetrics
+	log  metrics.Log
 
 	backends []*routerBackend
 
@@ -118,16 +121,13 @@ type Router struct {
 type routerMetrics struct {
 	accepted       metrics.Counter
 	routes         metrics.Counter
-	redirects      metrics.Counter
-	routeErrors    metrics.Counter
 	sessionsActive metrics.Gauge
 
 	bytesC2B metrics.Counter // client→backend bytes forwarded
 	bytesB2C metrics.Counter // backend→client bytes forwarded
 
-	closedClient     metrics.Counter
-	closedBackend    metrics.Counter
-	failoversStarted metrics.Counter
+	closedClient  metrics.Counter
+	closedBackend metrics.Counter
 }
 
 type routerBackend struct {
@@ -140,7 +140,7 @@ type routerBackend struct {
 	sessions   metrics.Gauge
 	probes     metrics.Counter
 	probeFails metrics.Counter
-	dialErrors metrics.Counter // failed session dials and setup exchanges
+	dialErrors metrics.Counter // failed session dials and setup exchanges, each after its event
 }
 
 // NewRouter builds a router over the given backends and starts its
@@ -174,6 +174,7 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 		dir:   NewDirectory(names, opts.Replicas),
 		conns: make(map[net.Conn]struct{}),
 	}
+	r.log.Logf = opts.Logf
 	r.front = front{mu: &r.mu, handle: r.handleConn, done: make(chan struct{})}
 	for i, addr := range opts.Backends {
 		network := "tcp"
@@ -186,24 +187,12 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 			network: network,
 			addr:    addr,
 		}
-		b.health = health.New(health.Config{
-			Threshold: opts.FailThreshold,
-			Heal:      b.probe,
-			OnEvent: func(ev health.Event) {
-				r.logf("arouter: backend %s -> %s (%s)", b.name, ev.To, ev.Reason)
-			},
-		})
+		b.health = health.New(health.Config{Threshold: opts.FailThreshold, Heal: b.probe, Log: &r.log, Name: b.name})
 		r.backends = append(r.backends, b)
 		r.wg.Add(1)
 		go b.prober()
 	}
 	return r, nil
-}
-
-func (r *Router) logf(format string, args ...any) {
-	if r.opts.Logf != nil {
-		r.opts.Logf(format, args...)
-	}
 }
 
 // Directory returns the router's placement directory (read-only).
@@ -272,8 +261,7 @@ func (r *Router) handleConn(conn net.Conn) {
 	conn.SetDeadline(time.Now().Add(setupDeadline)) //nolint:errcheck
 	setup, order, err := proto.ReadSetupRequest(conn)
 	if err != nil {
-		r.rm.routeErrors.Inc()
-		conn.Close()
+		r.routeError(conn, err.Error())
 		return
 	}
 	key := ""
@@ -293,17 +281,15 @@ func (r *Router) handleConn(conn net.Conn) {
 
 	backend, bc, rep := r.openFor(key, setup, order)
 	if backend == nil {
-		r.rm.routeErrors.Inc()
 		refuse(conn, order, "no live backend for route")
-		conn.Close()
+		r.routeError(conn, "no live backend for route")
 		return
 	}
 	defer r.untrack(bc)
 	// Relay the backend's setup reply as raw bytes, so the handshake a
 	// routed client sees is byte-identical to a direct one.
 	if _, err := conn.Write(rep); err != nil || rep[0] != 1 {
-		r.rm.routeErrors.Inc()
-		conn.Close()
+		r.routeError(conn, "setup refused or lost at "+backend.name)
 		bc.Close()
 		return
 	}
@@ -349,12 +335,19 @@ func (r *Router) redirect(conn net.Conn, order binary.ByteOrder, key string) boo
 		Minor:           proto.ProtocolMinor,
 	}
 	if err := rep.Send(conn, order); err != nil {
-		r.rm.routeErrors.Inc()
-	} else {
-		r.rm.redirects.Inc()
+		r.routeError(conn, err.Error())
+		return true
 	}
+	r.log.Record(metrics.Redirect, key, "to "+b.name)
 	conn.Close()
 	return true
+}
+
+// routeError records a setup the router could not route and closes its
+// conn.
+func (r *Router) routeError(conn net.Conn, why string) {
+	r.log.Record(metrics.RouteError, fmt.Sprint(conn.RemoteAddr()), why)
+	conn.Close()
 }
 
 // reachable reports whether a client at client can dial network/addr
@@ -407,9 +400,9 @@ func (r *Router) openFor(key string, setup *proto.SetupRequest, order binary.Byt
 		case errors.Is(err, net.ErrClosed): // Close cut the open short
 			return nil, nil, nil
 		}
+		r.log.Record(metrics.DialError, b.name, err.Error())
 		b.dialErrors.Inc()
 		b.health.Failure()
-		r.logf("arouter: dial %s (%s): %v", b.name, b.addr, err)
 	}
 	return nil, nil, nil
 }
@@ -537,8 +530,7 @@ func (s *rsession) backendFailed() {
 	} else {
 		// Backend death, already out of placement: the client's
 		// reconnect is the failover.
-		s.r.rm.failoversStarted.Inc()
-		s.r.logf("arouter: failover %q: %s is down", s.key, s.b.name)
+		s.r.log.Record(metrics.Failover, s.key, s.b.name+" is down")
 	}
 	s.finish()
 }
@@ -657,16 +649,29 @@ type RouterSnapshot struct {
 	FailoversStarted uint64 `json:"failovers_started"`
 
 	Backends []RouterBackendStats `json:"backends"`
+
+	// Events is the router's event log: redirects, route errors,
+	// failovers, and each backend's health transitions and dial errors.
+	// Redirects, RouteErrors and FailoversStarted are its totals.
+	Events metrics.LogSnapshot `json:"events"`
 }
 
 // Check states the router's laws: every accepted conn is set up once —
 // routed, redirected or refused; every route ends once — closed by
 // either side or failed over. Live, each left side runs ahead by the
 // setups or sessions in flight; settled — the router drained (no setup
-// in flight, sessions_active 0) or closed — they are equal. Then each
-// backend's health law, which settles with no resync in flight.
+// in flight, sessions_active 0) or closed — they are equal. Every backend
+// dial error and health transition is one event. Then each backend's
+// health law, which settles with no resync in flight.
 func (s RouterSnapshot) Check(settled bool) error {
+	var dials, moves uint64
+	for _, b := range s.Backends {
+		dials += b.DialErrors
+		moves += b.Moves()
+	}
 	errs := []error{
+		metrics.Law("dial-error events = dial_errors", s.Events.Totals[metrics.DialError], dials, settled),
+		metrics.Law("health events = backend transitions", s.Events.Totals[metrics.Health], moves, settled),
 		metrics.Law("accepted = routes + redirects + route_errors",
 			s.Accepted, s.Routes+s.Redirects+s.RouteErrors, settled),
 		metrics.Law("routes = closed_client + closed_backend + failovers_started",
@@ -681,21 +686,13 @@ func (s RouterSnapshot) Check(settled bool) error {
 }
 
 // Snapshot copies the router's counters, in the read order that gives
-// Check its live forms.
+// Check its live forms: outcomes before antecedents. The backends come
+// first, their dial errors and transitions before the log that records
+// them ahead; then the log, whose failovers, redirects and route errors
+// are outcomes of routes and accepts; then every close classification
+// before routes, every setup outcome before accepted.
 func (r *Router) Snapshot() RouterSnapshot {
 	var s RouterSnapshot
-	// Outcomes before antecedents: all close classifications before
-	// routes, every setup outcome before accepted.
-	s.ClosedClient = r.rm.closedClient.Load()
-	s.ClosedBackend = r.rm.closedBackend.Load()
-	s.FailoversStarted = r.rm.failoversStarted.Load()
-	s.SessionsActive = r.rm.sessionsActive.Load()
-	s.Routes = r.rm.routes.Load()
-	s.Redirects = r.rm.redirects.Load()
-	s.RouteErrors = r.rm.routeErrors.Load()
-	s.Accepted = r.rm.accepted.Load()
-	s.ProxiedBytesC2B = r.rm.bytesC2B.Load()
-	s.ProxiedBytesB2C = r.rm.bytesB2C.Load()
 	for _, b := range r.backends {
 		s.Backends = append(s.Backends, RouterBackendStats{
 			Stats:         b.health.Stats(),
@@ -707,6 +704,17 @@ func (r *Router) Snapshot() RouterSnapshot {
 			DialErrors:    b.dialErrors.Load(),
 		})
 	}
+	s.Events = r.log.Snapshot()
+	s.FailoversStarted = s.Events.Totals[metrics.Failover]
+	s.Redirects = s.Events.Totals[metrics.Redirect]
+	s.RouteErrors = s.Events.Totals[metrics.RouteError]
+	s.ClosedClient = r.rm.closedClient.Load()
+	s.ClosedBackend = r.rm.closedBackend.Load()
+	s.SessionsActive = r.rm.sessionsActive.Load()
+	s.Routes = r.rm.routes.Load()
+	s.Accepted = r.rm.accepted.Load()
+	s.ProxiedBytesC2B = r.rm.bytesC2B.Load()
+	s.ProxiedBytesB2C = r.rm.bytesB2C.Load()
 	return s
 }
 

@@ -29,7 +29,6 @@ package aserver
 import (
 	"errors"
 	"fmt"
-	"log"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -37,6 +36,7 @@ import (
 
 	"audiofile/internal/core"
 	"audiofile/internal/lineserver"
+	"audiofile/internal/metrics"
 	"audiofile/internal/phonesim"
 	"audiofile/internal/proto"
 	"audiofile/internal/sampleconv"
@@ -85,7 +85,8 @@ type Options struct {
 	Devices []DeviceSpec
 	// AccessControl enables host-based access control at startup.
 	AccessControl bool
-	// Logf receives server diagnostics; nil uses the standard logger.
+	// Logf prints the server's events, one line each; nil discards them
+	// (the events stay in the log that Snapshot serves).
 	Logf func(format string, args ...any)
 
 	// Overload budgets (see overload.go and DESIGN.md, "Overload &
@@ -128,7 +129,10 @@ func DefaultDevices() []DeviceSpec {
 // Server is an AudioFile server instance.
 type Server struct {
 	opts Options
-	logf func(string, ...any)
+	// log records every state transition: client removals the server
+	// decides (overload.go), setup refusals, and the lineserver backends'
+	// events. Snapshot serves it.
+	log metrics.Log
 
 	devices []*core.Device // by device index
 	hw      map[*core.Device]*vdev.Device
@@ -193,19 +197,15 @@ func New(opts Options) (*Server, error) {
 	if opts.Devices == nil {
 		opts.Devices = DefaultDevices()
 	}
-	logf := opts.Logf
-	if logf == nil {
-		logf = log.Printf
-	}
 	s := &Server{
 		opts:          opts,
-		logf:          logf,
 		hw:            make(map[*core.Device]*vdev.Device),
 		lines:         make(map[int]*phonesim.Line),
 		atoms:         newAtomTable(),
 		clients:       make(map[*client]struct{}),
 		accessEnabled: opts.AccessControl,
 	}
+	s.log.Logf = opts.Logf
 	s.front = front{mu: &s.ctl, handle: s.handleConn, done: make(chan struct{})}
 	// The access list starts with the server's own host, as xhost does, so
 	// enabling access control does not lock out local TCP clients.
@@ -276,17 +276,17 @@ func (s *Server) buildDevices() error {
 			if rate == 0 {
 				rate = 8000
 			}
-			var opts []lineserver.BackendOption
+			name := spec.Name
+			if name == "" {
+				name = "als0"
+			}
+			opts := []lineserver.BackendOption{lineserver.WithLog(&s.log, name)}
 			if spec.LSNoExtrapolate {
 				opts = append(opts, lineserver.WithoutExtrapolation())
 			}
 			backend, err := lineserver.Dial(spec.Addr, rate, opts...)
 			if err != nil {
 				return fmt.Errorf("aserver: lineserver %s: %w", spec.Addr, err)
-			}
-			name := spec.Name
-			if name == "" {
-				name = "als0"
 			}
 			dev := core.NewDevice(core.Config{
 				Name: name, Type: proto.DevCodec, Rate: rate,

@@ -49,7 +49,7 @@ func main() {
 		sel string // the -exp values that run it, besides all
 		run func()
 	}{
-		{"fig10 table10", func() { fig10(configs) }}, // table10 has always run Fig. 10 too
+		{"fig10", func() { fig10(configs) }},
 		{"fig11 table10", func() { fig11table10(undelayed) }},
 		{"fig12 fig13 table11", func() { fig1213table11(undelayed) }},
 		{"table12", func() { table12(configs) }},

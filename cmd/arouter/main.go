@@ -61,7 +61,7 @@ func main() {
 	}
 	if *verbose {
 		opts.Logf = func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
+			fmt.Fprintf(os.Stderr, "arouter: "+format+"\n", args...)
 		}
 	}
 	r, err := aserver.NewRouter(opts)

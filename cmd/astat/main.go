@@ -17,6 +17,11 @@
 // plane's health (engine update rate, tick-lag p99). -once prints a
 // single absolute snapshot and exits, which is also the scriptable mode.
 //
+// Under each tick astat prints the server's or router's events newer than
+// its last scrape, one line each with its sequence number (evictions,
+// sheds, refusals, health transitions, failovers...); -once prints every
+// event the log still holds.
+//
 // Every snapshot astat renders absolutely, and every router tick, is held
 // to the live form of its conservation laws (Snapshot.Check,
 // RouterSnapshot.Check); a broken law means the server's
@@ -52,26 +57,29 @@ func main() {
 	url := "http://" + *addr + "/stats"
 
 	if *routerMd {
-		poll(url, printRouterAbsolute, routerHeader, printRouterDelta)
+		events := func(s aserver.RouterSnapshot) metrics.LogSnapshot { return s.Events }
+		poll(url, events, printRouterAbsolute, routerHeader, printRouterDelta)
 		return
 	}
 	delta := printDelta
 	if *agg {
 		delta = printAggregate
 	}
-	poll(url, printAbsolute, header, delta)
+	poll(url, func(s aserver.Snapshot) metrics.LogSnapshot { return s.Events }, printAbsolute, header, delta)
 }
 
 // poll scrapes url's snapshot. With -once it prints it absolutely, held
-// to its laws, and returns; otherwise it prints one delta per interval,
-// with the header before the first and every twentieth.
-func poll[T interface{ Check(bool) error }](url string, absolute func(T), header func(), delta func(prev, cur T, dt time.Duration)) {
+// to its laws, and its events, and returns; otherwise it prints one delta
+// per interval, with the header before the first and every twentieth,
+// and the events newer than the scrape before.
+func poll[T interface{ Check(bool) error }](url string, events func(T) metrics.LogSnapshot, absolute func(T), header func(), delta func(prev, cur T, dt time.Duration)) {
 	prev, err := scrape[T](url)
 	if err != nil {
 		cmdutil.Die("astat: %v", err)
 	}
 	if *once {
 		absolute(prev)
+		printEvents(events(prev), 0)
 		warn(prev.Check(false))
 		return
 	}
@@ -86,6 +94,11 @@ func poll[T interface{ Check(bool) error }](url string, absolute func(T), header
 			header()
 		}
 		delta(prev, cur, *interval)
+		if evs := events(prev).Events; len(evs) > 0 {
+			printEvents(events(cur), evs[len(evs)-1].Seq)
+		} else {
+			printEvents(events(cur), 0)
+		}
 		prev = cur
 	}
 }
@@ -105,6 +118,19 @@ func scrape[T any](url string) (T, error) {
 	}
 	err = json.NewDecoder(resp.Body).Decode(&snap)
 	return snap, err
+}
+
+// printEvents prints log's events numbered above since, first saying how
+// many of those the log had overwritten.
+func printEvents(log metrics.LogSnapshot, since uint64) {
+	for i, ev := range log.Events {
+		if i == 0 && ev.Seq > since+1 {
+			fmt.Printf("event: %d lost\n", ev.Seq-since-1)
+		}
+		if ev.Seq > since {
+			fmt.Printf("event #%d %s %s %s: %s\n", ev.Seq, ev.When.Format("15:04:05.000"), ev.Kind, ev.Subject, ev.Detail)
+		}
+	}
 }
 
 func header() {

@@ -21,7 +21,6 @@ import (
 func main() {
 	srv, err := aserver.New(aserver.Options{
 		Devices: []aserver.DeviceSpec{{Kind: "phone", Name: "phone0"}},
-		Logf:    func(string, ...any) {},
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -53,7 +53,6 @@ func main() {
 		mic := vdev.SineSource{Freq: f, Amp: 5000, Rate: rate, Enc: sampleconv.MU255, Ch: 1}
 		srv, err := aserver.New(aserver.Options{
 			Devices: []aserver.DeviceSpec{{Kind: "codec", Name: name, Source: mic, Sink: p.speaker}},
-			Logf:    func(string, ...any) {},
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -27,7 +27,6 @@ func main() {
 	mic := vdev.SineSource{Freq: 440, Amp: 6000, Rate: 8000, Enc: sampleconv.MU255, Ch: 1}
 	txSrv, err := aserver.New(aserver.Options{
 		Devices: []aserver.DeviceSpec{{Kind: "codec", Name: "mic", Source: mic}},
-		Logf:    func(string, ...any) {},
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -38,7 +37,6 @@ func main() {
 	speaker := &vdev.CaptureSink{Max: 1 << 20}
 	rxSrv, err := aserver.New(aserver.Options{
 		Devices: []aserver.DeviceSpec{{Kind: "codec", Name: "spkr", PPM: 2000, Sink: speaker}},
-		Logf:    func(string, ...any) {},
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -20,7 +20,6 @@ func main() {
 	speaker := &vdev.CaptureSink{Max: 1 << 20}
 	srv, err := aserver.New(aserver.Options{
 		Devices: []aserver.DeviceSpec{{Kind: "codec", Name: "codec0", Sink: speaker}},
-		Logf:    func(string, ...any) {},
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -24,7 +24,6 @@ func main() {
 		Devices: []aserver.DeviceSpec{
 			{Kind: "codec", Name: "codec0", Loopback: true},
 		},
-		Logf: func(string, ...any) {},
 	})
 	if err != nil {
 		log.Fatal(err)

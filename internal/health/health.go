@@ -2,7 +2,8 @@
 // shape of the Self-Healing Audio System's recovery cycle: the lineserver
 // backend runs a Machine over its UDP box, the fleet router one per afd.
 // Callers detect (Failure, Success, Escalate) and supply the act (Heal);
-// the Machine decides, and owns the states, counters and event log.
+// the Machine decides, owns the states and counters, and records each
+// transition in the event log its owner hands it (Config.Log).
 //
 // Threshold consecutive failures, or one Escalate, move a healthy
 // machine to suspect, which wakes its one resync goroutine: suspect →
@@ -50,24 +51,14 @@ const (
 	maxBackoff       = 500 * time.Millisecond
 )
 
-// maxEvents bounds the transition log: a diagnostic ring, not a history.
-const maxEvents = 64
-
 // Config is what a caller supplies. Zero numbers take the defaults.
 type Config struct {
 	Threshold int           // consecutive failures that escalate a healthy machine
 	Attempts  int           // Heal tries per resync
 	Backoff   time.Duration // wait before the second try; doubles, capped at maxBackoff
 	Heal      func() bool   // one recovery attempt; true when the peer is back
-	OnEvent   func(Event)   // optional: called after each transition is recorded
-}
-
-// Event is one recorded transition.
-type Event struct {
-	When   time.Time `json:"when"`
-	From   string    `json:"from"`
-	To     string    `json:"to"`
-	Reason string    `json:"reason"`
+	Log       *metrics.Log  // where transitions are recorded; nil keeps a private log
+	Name      string        // the peer, as the log's events name it
 }
 
 // Stats is a machine's snapshot; callers embed it in their own.
@@ -83,8 +74,6 @@ type Stats struct {
 	ResyncsCompleted uint64 `json:"resyncs_completed"`
 	ResyncsAbandoned uint64 `json:"resyncs_abandoned"`
 	ResyncAttempts   uint64 `json:"resync_attempts"`
-
-	Events []Event `json:"events,omitempty"`
 }
 
 // Check states the machine's law: every resync started ends once,
@@ -98,9 +87,15 @@ func (s Stats) Check(settled bool) error {
 		s.ResyncsStarted, s.ResyncsCompleted+s.ResyncsAbandoned, settled)
 }
 
+// Moves is the transitions the machine has made, one event each in its
+// log.
+func (s Stats) Moves() uint64 {
+	return s.ToHealthy + s.ToSuspect + s.ResyncsStarted + s.ToDown
+}
+
 // Machine is one peer's health. State reads are atomic loads;
-// transitions serialize on mu, which guards their counts and the event
-// ring.
+// transitions serialize on mu, which guards their counts and orders
+// their events in the log.
 type Machine struct {
 	cfg Config
 
@@ -108,9 +103,8 @@ type Machine struct {
 	fails    atomic.Int64
 	attempts atomic.Uint64 // Heal calls
 
-	mu     sync.Mutex
-	moves  [len(names)][len(names)]uint64 // transitions, by from and to
-	events []Event
+	mu    sync.Mutex
+	moves [len(names)][len(names)]uint64 // transitions, by from and to
 
 	wake      chan struct{}
 	done      chan struct{}
@@ -136,6 +130,9 @@ func newMachine(cfg Config) *Machine {
 	}
 	if cfg.Backoff <= 0 {
 		cfg.Backoff = defaultBackoff
+	}
+	if cfg.Log == nil {
+		cfg.Log = new(metrics.Log)
 	}
 	return &Machine{cfg: cfg, wake: make(chan struct{}, 1), done: make(chan struct{})}
 }
@@ -181,8 +178,10 @@ func (m *Machine) Success() {
 	m.move(1<<suspect|1<<down, healthy, "recovered")
 }
 
-// move records a transition to `to` when the current state is in the
-// from set (a bit per state), and reports whether it did.
+// move makes a transition to `to` when the current state is in the from
+// set (a bit per state), and reports whether it did. The transition is
+// counted and recorded under mu, so a Stats read never counts one the log
+// does not hold yet.
 func (m *Machine) move(from uint8, to int32, reason string) bool {
 	m.mu.Lock()
 	cur := m.state.Load()
@@ -192,15 +191,8 @@ func (m *Machine) move(from uint8, to int32, reason string) bool {
 	}
 	m.state.Store(to)
 	m.moves[cur][to]++
-	ev := Event{When: time.Now(), From: names[cur], To: names[to], Reason: reason}
-	if len(m.events) == maxEvents {
-		m.events = append(m.events[:0], m.events[1:]...)
-	}
-	m.events = append(m.events, ev)
+	m.cfg.Log.Record(metrics.Health, m.cfg.Name, names[cur]+" -> "+names[to]+" ("+reason+")")
 	m.mu.Unlock()
-	if m.cfg.OnEvent != nil {
-		m.cfg.OnEvent(ev)
-	}
 	return true
 }
 
@@ -261,13 +253,6 @@ func (m *Machine) heal() (ok, closed bool) {
 	return false, false
 }
 
-// Events returns the recorded transitions, oldest first.
-func (m *Machine) Events() []Event {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]Event(nil), m.events...)
-}
-
 // Stats snapshots the machine: one read of the transition counts under
 // their lock (see the package comment).
 func (m *Machine) Stats() Stats {
@@ -289,6 +274,5 @@ func (m *Machine) Stats() Stats {
 		ResyncsCompleted: m.moves[resyncing][healthy],
 		ResyncsAbandoned: m.moves[resyncing][down],
 		ResyncAttempts:   m.attempts.Load(),
-		Events:           append([]Event(nil), m.events...),
 	}
 }

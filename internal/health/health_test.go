@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"audiofile/internal/metrics"
 )
 
 // healer is one scripted Heal call; it may drive the machine itself, as a
@@ -26,7 +28,7 @@ func TestConformance(t *testing.T) {
 		heal       []healer
 		ops        string
 		want       string
-		wantReason string // of the last event; "" when there is none
+		wantReason string // of the last event in the log; "" when there is none
 		// transitions into healthy/suspect/down, then resyncs
 		// started/completed/abandoned and Heal calls
 		to        [3]uint64
@@ -102,8 +104,9 @@ func TestConformance(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var m *Machine
+			var log metrics.Log
 			calls := 0
-			m = newMachine(Config{Attempts: tc.attempts, Backoff: time.Nanosecond, Heal: func() bool {
+			m = newMachine(Config{Attempts: tc.attempts, Backoff: time.Nanosecond, Log: &log, Heal: func() bool {
 				if calls >= len(tc.heal) {
 					t.Fatalf("Heal call %d is not scripted", calls+1)
 				}
@@ -128,12 +131,12 @@ func TestConformance(t *testing.T) {
 			if s.State != tc.want {
 				t.Errorf("state %s, want %s", s.State, tc.want)
 			}
-			reason := ""
-			if len(s.Events) > 0 {
-				reason = s.Events[len(s.Events)-1].Reason
+			evs, _ := log.Since(0)
+			if reason := lastReason(evs); reason != tc.wantReason {
+				t.Errorf("last event reason %q, want %q (%+v)", reason, tc.wantReason, evs)
 			}
-			if reason != tc.wantReason {
-				t.Errorf("last event reason %q, want %q (%+v)", reason, tc.wantReason, s.Events)
+			if n := s.Moves(); uint64(len(evs)) != n {
+				t.Errorf("%d events for %d transitions", len(evs), n)
 			}
 			if to := [3]uint64{s.ToHealthy, s.ToSuspect, s.ToDown}; to != tc.to {
 				t.Errorf("transitions into healthy/suspect/down %v, want %v", to, tc.to)
@@ -172,7 +175,8 @@ func TestFailureRunCount(t *testing.T) {
 // it at once, counted abandoned, so the law is exact after Close.
 func TestCloseMidResync(t *testing.T) {
 	var heals atomic.Int32
-	m := New(Config{Attempts: 3, Backoff: time.Hour, Heal: func() bool { heals.Add(1); return false }})
+	var log metrics.Log
+	m := New(Config{Attempts: 3, Backoff: time.Hour, Log: &log, Heal: func() bool { heals.Add(1); return false }})
 	m.Escalate("test")
 	for heals.Load() == 0 {
 		time.Sleep(time.Millisecond)
@@ -189,8 +193,8 @@ func TestCloseMidResync(t *testing.T) {
 		t.Errorf("resyncs started/completed/abandoned %d/%d/%d, want 1/0/1",
 			s.ResyncsStarted, s.ResyncsCompleted, s.ResyncsAbandoned)
 	}
-	if s.State != Down || s.Events[len(s.Events)-1].Reason != "resync aborted by close" {
-		t.Errorf("state %s, events %+v; want down, aborted by close", s.State, s.Events)
+	if evs, _ := log.Since(0); s.State != Down || lastReason(evs) != "resync aborted by close" {
+		t.Errorf("state %s, events %+v; want down, aborted by close", s.State, evs)
 	}
 	m.Close() // idempotent
 }
@@ -247,24 +251,36 @@ func TestStatsIsOneRead(t *testing.T) {
 	}
 }
 
-// TestEventRing: the log keeps the newest maxEvents transitions, and
-// OnEvent sees every one.
+// lastReason is the reason of the last event in evs: its detail's
+// parenthesis.
+func lastReason(evs []metrics.Event) string {
+	if len(evs) == 0 {
+		return ""
+	}
+	d := evs[len(evs)-1].Detail
+	return d[strings.LastIndex(d, "(")+1 : len(d)-1]
+}
+
+// TestEventRing: every transition is recorded once, in order, in the log
+// the owner hands the machine, under the machine's name.
 func TestEventRing(t *testing.T) {
-	var seen []string
-	m := newMachine(Config{OnEvent: func(ev Event) { seen = append(seen, ev.From+">"+ev.To) }})
-	for i := 0; i < maxEvents; i++ {
+	var log metrics.Log
+	m := newMachine(Config{Log: &log, Name: "box"})
+	for i := 0; i < 3; i++ {
 		m.Escalate("test")
 		m.Success()
 	}
-	evs := m.Events()
-	if len(evs) != maxEvents || len(seen) != 2*maxEvents {
-		t.Fatalf("%d events kept, %d hooked; want %d and %d", len(evs), len(seen), maxEvents, 2*maxEvents)
+	evs, _ := log.Since(0)
+	var got []string
+	for _, ev := range evs {
+		if ev.Kind != metrics.Health || ev.Subject != "box" {
+			t.Errorf("event %+v, want kind health for box", ev)
+		}
+		got = append(got, ev.Detail)
 	}
-	if last := evs[len(evs)-1]; last.From != Suspect || last.To != Healthy {
-		t.Errorf("newest event %+v, want suspect→healthy", last)
-	}
-	if got := strings.Join(seen[:2], " "); got != "healthy>suspect suspect>healthy" {
-		t.Errorf("hook saw %q first", got)
+	want := strings.Repeat("healthy -> suspect (test) suspect -> healthy (recovered) ", 3)
+	if strings.Join(got, " ")+" " != want {
+		t.Errorf("events %q", got)
 	}
 }
 

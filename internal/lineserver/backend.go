@@ -1,13 +1,13 @@
 package lineserver
 
 import (
-	"log"
 	"net"
 	"sync"
 	"time"
 
 	"audiofile/internal/atime"
 	"audiofile/internal/health"
+	"audiofile/internal/metrics"
 	"audiofile/internal/sampleconv"
 )
 
@@ -32,7 +32,7 @@ type Backend struct {
 	seq  uint32
 
 	timeout time.Duration
-	err     error // first transport setup failure (see noteErr)
+	erred   bool // a transport failure has been recorded (see noteErr)
 
 	// Device time estimation: "the server generates an estimate of the
 	// LineServer time from the time stamp of the last LineServer packet
@@ -60,6 +60,11 @@ type Backend struct {
 	count  counters // stats.go
 	health *health.Machine
 	tuning health.Config
+
+	// log records the health transitions and the first transport error,
+	// under name; WithLog hands it the server's.
+	log  *metrics.Log
+	name string
 }
 
 // BackendOption configures a Backend.
@@ -86,6 +91,12 @@ func WithHealthTuning(failThreshold, attempts int, backoff time.Duration) Backen
 	}
 }
 
+// WithLog records the backend's events in log, naming it name; without
+// it the backend keeps a private log.
+func WithLog(log *metrics.Log, name string) BackendOption {
+	return func(b *Backend) { b.log, b.name = log, name }
+}
+
 // Dial connects to a LineServer at a UDP address.
 func Dial(addr string, rate int, opts ...BackendOption) (*Backend, error) {
 	ua, err := net.ResolveUDPAddr("udp", addr)
@@ -106,7 +117,10 @@ func Dial(addr string, rate int, opts ...BackendOption) (*Backend, error) {
 	for _, o := range opts {
 		o(b)
 	}
-	b.tuning.Heal = b.resync
+	if b.log == nil {
+		b.log = new(metrics.Log)
+	}
+	b.tuning.Heal, b.tuning.Log, b.tuning.Name = b.resync, b.log, b.name
 	b.health = health.New(b.tuning)
 	// Initial time sync, under the lock: its failures may already start a
 	// resync.
@@ -253,23 +267,16 @@ func (b *Backend) noteTimeout() {
 	b.health.Failure()
 }
 
-// noteErr records the first transport failure and logs it once. The
-// backend then degrades to its packet-loss behavior (silence, stale
-// time estimates) instead of hanging or log-spamming: the box being
+// noteErr records the first transport failure as an event. The backend
+// then degrades to its packet-loss behavior (silence, stale time
+// estimates) instead of hanging or flooding the log: the box being
 // unreachable is normal operation for a UDP peripheral, but a socket
-// that cannot even arm a deadline is worth one line.
+// that cannot even arm a deadline is worth one event.
 func (b *Backend) noteErr(err error) {
-	if b.err == nil {
-		b.err = err
-		log.Printf("lineserver: transport error (degrading to loss behavior): %v", err)
+	if !b.erred {
+		b.erred = true
+		b.log.Record(metrics.TransportError, b.name, err.Error())
 	}
-}
-
-// Err reports the first transport failure seen by roundTrip, if any.
-func (b *Backend) Err() error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.err
 }
 
 // Time implements core.Backend: the estimated LineServer device time.

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"audiofile/internal/health"
+	"audiofile/internal/metrics"
 )
 
 // scriptedBox is a raw UDP responder the test drives packet by packet:
@@ -170,10 +171,12 @@ func TestResyncAbandoned(t *testing.T) {
 		return []*Packet{{Seq: req.Seq, Time: 100, Fn: req.Fn, Data: req.Data}}
 	})
 
+	var log metrics.Log
 	b, err := Dial(box.addr(), 8000,
 		WithoutExtrapolation(),
 		WithTimeout(20*time.Millisecond),
-		WithHealthTuning(2, 3, time.Millisecond))
+		WithHealthTuning(2, 3, time.Millisecond),
+		WithLog(&log, "box"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,15 +201,7 @@ func TestResyncAbandoned(t *testing.T) {
 	if st.ResyncAttempts != 3 {
 		t.Errorf("resync attempts = %d, want 3", st.ResyncAttempts)
 	}
-	var sawDown bool
-	for _, ev := range b.Events() {
-		if ev.From == health.Resyncing && ev.To == health.Down {
-			sawDown = true
-		}
-	}
-	if !sawDown {
-		t.Errorf("event log missing resyncing→down: %+v", b.Events())
-	}
+	requireMove(t, &log, "resyncing -> down")
 }
 
 // TestResyncCompletes: the box dies long enough to trigger a resync and
@@ -224,10 +219,12 @@ func TestResyncCompletes(t *testing.T) {
 
 	// Enough attempts that the box is guaranteed to be back before the
 	// healer gives up (it revives microseconds after the escalation).
+	var log metrics.Log
 	b, err := Dial(box.addr(), 8000,
 		WithoutExtrapolation(),
 		WithTimeout(20*time.Millisecond),
-		WithHealthTuning(2, 200, time.Millisecond))
+		WithHealthTuning(2, 200, time.Millisecond),
+		WithLog(&log, "box"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,15 +244,19 @@ func TestResyncCompletes(t *testing.T) {
 	if err := st.Check(true); err != nil {
 		t.Errorf("after close: %v", err)
 	}
-	var sawHealed bool
-	for _, ev := range b.Events() {
-		if ev.From == health.Resyncing && ev.To == health.Healthy {
-			sawHealed = true
+	requireMove(t, &log, "resyncing -> healthy")
+}
+
+// requireMove fails unless log holds the box's health transition move.
+func requireMove(t *testing.T, log *metrics.Log, move string) {
+	t.Helper()
+	evs, _ := log.Since(0)
+	for _, ev := range evs {
+		if ev.Kind == metrics.Health && ev.Subject == "box" && strings.HasPrefix(ev.Detail, move+" ") {
+			return
 		}
 	}
-	if !sawHealed {
-		t.Errorf("event log missing resyncing→healthy: %+v", b.Events())
-	}
+	t.Errorf("event log missing %s: %+v", move, evs)
 }
 
 // TestSpontaneousRecovery: a backend whose resync was abandoned (state

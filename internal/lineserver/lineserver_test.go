@@ -8,6 +8,7 @@ import (
 
 	"audiofile/internal/atime"
 	"audiofile/internal/core"
+	"audiofile/internal/metrics"
 	"audiofile/internal/sampleconv"
 	"audiofile/internal/vdev"
 )
@@ -205,24 +206,24 @@ func TestBackendSurvivesDeadBox(t *testing.T) {
 // TestBackendDeadClosedTransport: once the backend's socket is closed,
 // round trips must fail fast — SetReadDeadline errors are detected
 // before the send, so the read can never block without a deadline —
-// and the first failure is recorded on Err.
+// and the first failure is recorded, once, in the backend's log.
 func TestBackendDeadClosedTransport(t *testing.T) {
 	fw, b, _ := bootBox(t)
 	fw.Close()
 	b.Close()
 
-	if err := b.Err(); err != nil {
-		t.Fatalf("healthy session already recorded a transport error: %v", err)
+	if evs, _ := b.log.Since(0); len(evs) != 0 {
+		t.Fatalf("healthy session already recorded events: %+v", evs)
 	}
 	start := time.Now()
 	b.Time() // must not hang on a deadline-less read
 	if el := time.Since(start); el > 2*time.Second {
 		t.Errorf("Time on a closed backend took %v", el)
 	}
-	if b.Err() == nil {
-		t.Error("closed transport did not record an error")
-	}
 	if _, ok := b.Loopback([]byte{1, 2, 3}); ok {
 		t.Error("loopback succeeded on a closed transport")
+	}
+	if n := b.log.Snapshot().Totals[metrics.TransportError]; n != 1 {
+		t.Errorf("closed transport recorded %d transport errors, want 1", n)
 	}
 }

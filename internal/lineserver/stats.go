@@ -8,9 +8,10 @@ import (
 	"audiofile/internal/metrics"
 )
 
-// The backend's books. Health — the states, the resync counters and the
-// event log — is its internal/health Machine's; what this file keeps is
-// the transport's own counters, whose law is BackendStats.Check.
+// The backend's books. Health — the states and the resync counters — is
+// its internal/health Machine's, and its events are in its log; what this
+// file keeps is the transport's own counters, whose law is
+// BackendStats.Check.
 
 // counters are atomics so Stats never takes the transport mutex, which a
 // round trip may hold for a full timeout.
@@ -75,9 +76,6 @@ func (b *Backend) Stats() BackendStats {
 	s.Requests = c.requests.Load()
 	return s
 }
-
-// Events returns the recorded health transitions.
-func (b *Backend) Events() []health.Event { return b.health.Events() }
 
 // State returns the current health state name.
 func (b *Backend) State() string { return b.health.State() }

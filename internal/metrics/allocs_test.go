@@ -14,3 +14,12 @@ func TestMetricsHotPathAllocs(t *testing.T) {
 		t.Fatalf("hot path: %v allocs/op, want 0", n)
 	}
 }
+
+// TestEventLogRecordAllocs: Record allocates nothing, whatever the ring
+// holds or overwrites.
+func TestEventLogRecordAllocs(t *testing.T) {
+	var l Log
+	if n := testing.AllocsPerRun(2*logSize, func() { l.Record(Evict, "pipe", "missed its write deadline") }); n != 0 {
+		t.Fatalf("Record: %v allocs/op, want 0", n)
+	}
+}

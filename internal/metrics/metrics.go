@@ -1,7 +1,8 @@
 // Package metrics is the server's zero-allocation observability core:
 // atomic counters, gauges, and fixed-bucket histograms that the hot
 // paths (dispatch, engine locks, the wire writer) update without
-// allocating, and Law, the one form every conservation law is stated in.
+// allocating; Law, the one form every conservation law is stated in; and
+// Log, the one record of state transitions (log.go).
 //
 // An instrument is a plain struct field whose zero value is ready to use:
 // it has no name and is registered nowhere. Its owner's typed snapshot

@@ -24,6 +24,7 @@ import (
 
 	"audiofile/af"
 	"audiofile/aserver"
+	"audiofile/internal/metrics"
 	"audiofile/internal/netsim"
 	"audiofile/internal/vdev"
 )
@@ -72,7 +73,7 @@ func Open(cfg Config) (*Rig, error) {
 		r.Clk = vdev.NewManualClock(8000)
 		codec.Clock = r.Clk
 	}
-	srv, err := aserver.New(aserver.Options{Devices: []aserver.DeviceSpec{codec}, Logf: quiet})
+	srv, err := aserver.New(aserver.Options{Devices: []aserver.DeviceSpec{codec}})
 	if err != nil {
 		return nil, err
 	}
@@ -85,7 +86,7 @@ func Open(cfg Config) (*Rig, error) {
 }
 
 // New is Open for a test or benchmark: it fails tb on error and closes
-// the rig when tb ends.
+// the rig when tb ends, dumping the server's events if tb failed.
 func New(tb testing.TB, cfg Config) *Rig {
 	tb.Helper()
 	r, err := Open(cfg)
@@ -93,7 +94,25 @@ func New(tb testing.TB, cfg Config) *Rig {
 		tb.Fatal(err)
 	}
 	tb.Cleanup(r.Close)
+	DumpEvents(tb, func() metrics.LogSnapshot { return r.Srv.Snapshot().Events })
 	return r
+}
+
+// DumpEvents has tb, when it ends failed, log the events events returns,
+// one line each with its sequence number: what happened, in what order.
+// Server and New call it for their server; a router soak calls it once,
+// for its router.
+func DumpEvents(tb testing.TB, events func() metrics.LogSnapshot) {
+	tb.Cleanup(func() {
+		if !tb.Failed() {
+			return
+		}
+		log := events()
+		tb.Logf("event log: %d events, %d overwritten", len(log.Events), log.Lost)
+		for _, ev := range log.Events {
+			tb.Logf("event #%d %s %s %s: %s", ev.Seq, ev.When.Format("15:04:05.000000"), ev.Kind, ev.Subject, ev.Detail)
+		}
+	})
 }
 
 // dial connects the rig's client over cfg's transport and creates its
@@ -168,8 +187,6 @@ func (r *Rig) PrimeRecord() error {
 	return nil
 }
 
-func quiet(string, ...any) {}
-
 // localAddr is where a rig listens on network: "unix" at af.sock in dir,
 // "tcp" on an ephemeral loopback port.
 func localAddr(network, dir string) string {
@@ -179,18 +196,16 @@ func localAddr(network, dir string) string {
 	return "127.0.0.1:0"
 }
 
-// Server starts a server with opts and closes it when tb ends. A nil
-// opts.Logf discards the server's diagnostics.
+// Server starts a server with opts and closes it when tb ends, dumping
+// its events if tb failed.
 func Server(tb testing.TB, opts aserver.Options) *aserver.Server {
 	tb.Helper()
-	if opts.Logf == nil {
-		opts.Logf = quiet
-	}
 	srv, err := aserver.New(opts)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	tb.Cleanup(srv.Close)
+	DumpEvents(tb, func() metrics.LogSnapshot { return srv.Snapshot().Events })
 	return srv
 }
 

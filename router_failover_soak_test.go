@@ -45,6 +45,7 @@ import (
 
 	"audiofile/af"
 	"audiofile/aserver"
+	"audiofile/internal/metrics"
 	"audiofile/internal/rig"
 	"audiofile/internal/vdev"
 )
@@ -109,6 +110,7 @@ func TestRouterFailoverSoak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rig.DumpEvents(t, func() metrics.LogSnapshot { return router.Snapshot().Events })
 	rl, err := router.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

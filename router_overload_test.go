@@ -24,6 +24,7 @@ import (
 
 	"audiofile/af"
 	"audiofile/aserver"
+	"audiofile/internal/metrics"
 	"audiofile/internal/proto"
 	"audiofile/internal/rig"
 	"audiofile/internal/vdev"
@@ -76,6 +77,7 @@ func TestRouterOverloadEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rig.DumpEvents(t, func() metrics.LogSnapshot { return router.Snapshot().Events })
 	rl, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
