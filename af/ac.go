@@ -196,7 +196,10 @@ func (ac *AC) sampleFlags() uint8 {
 
 // playVectorBytes is the payload size at which PlaySamples switches to
 // the scatter-gather path: below it, copying into the request buffer is
-// cheaper than assembling an iovec list.
+// cheaper than assembling an iovec list. With every play vectored, the
+// benchmark's loopback workload (160-byte plays; 10 pairs of 18 s runs)
+// read cycle_p50_us 7.93 → 8.02, cpu_us_per_cycle 8.08 → 8.15 and
+// cycles_per_s 130.7k → 129.9k, worse in 9, 9 and 8 pairs of 10.
 const playVectorBytes = 2048
 
 // padZero supplies the 32-bit-boundary pad for unaligned payloads.

@@ -217,7 +217,7 @@ func (c *Conn) ListHosts() (enabled bool, hosts []HostEntry, err error) {
 		return
 	}
 	r := proto.NewReader(c.order, rep.Extra)
-	wire := proto.DecodeHostList(r, int(rep.Aux))
+	wire := proto.DecodeHostList(r, rep.Aux)
 	if r.Err != nil {
 		return false, nil, fmt.Errorf("af: bad ListHosts reply: %w", r.Err)
 	}

@@ -556,3 +556,52 @@ func TestListExtensionsShortReply(t *testing.T) {
 		t.Fatalf("ListExtensions on a short reply = %q, want an error", names)
 	}
 }
+
+// hostileCount is the count a corrupt or hostile list reply claims.
+const hostileCount = 1<<32 - 1
+
+// listHostile answers the client's first request with a reply that
+// claims hostileCount entries in an 8-byte body, runs list against it,
+// and fails unless list returns an error in time, with at most two
+// entries, having allocated less than 1 MB.
+func listHostile(t *testing.T, what string, list func(*Conn) (int, error)) {
+	t.Helper()
+	addr := scriptServer(t, "unix", func(s *session) {
+		if _, _, _, err := s.request(); err != nil {
+			return
+		}
+		rep := proto.Reply{Seq: s.seq, Aux: hostileCount, Extra: make([]byte, 8)}
+		s.conn.Write(rep.Append(nil, binary.LittleEndian)) //nolint:errcheck
+		s.serve(0)                                         //nolint:errcheck
+	})
+	c := dialScript(t, "unix", addr, nil)
+	var before, after runtime.MemStats
+	var n int
+	var err error
+	runtime.ReadMemStats(&before)
+	within(t, 2*time.Second, what, func() { n, err = list(c) })
+	runtime.ReadMemStats(&after)
+	if err == nil || n > 2 {
+		t.Errorf("%s = %d entries, %v; want an error and at most 2", what, n, err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Errorf("%s allocated %d bytes for an 8-byte body", what, grew)
+	}
+}
+
+// TestListHostsHostileCount: a ListHosts reply whose count its body
+// cannot hold is an error, not a reservation of that many entries.
+func TestListHostsHostileCount(t *testing.T) {
+	listHostile(t, "ListHosts", func(c *Conn) (int, error) {
+		_, hosts, err := c.ListHosts()
+		return len(hosts), err
+	})
+}
+
+// TestListPropertiesHostileCount: the same for ListProperties.
+func TestListPropertiesHostileCount(t *testing.T) {
+	listHostile(t, "ListProperties", func(c *Conn) (int, error) {
+		atoms, err := c.ListProperties(0)
+		return len(atoms), err
+	})
+}

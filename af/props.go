@@ -140,13 +140,15 @@ func (c *Conn) ListProperties(device int) ([]Atom, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Aux is the server's word: reserve no more atoms than Extra holds.
 	r := proto.NewReader(c.order, rep.Extra)
-	atoms := make([]Atom, 0, rep.Aux)
-	for i := 0; i < int(rep.Aux); i++ {
-		atoms = append(atoms, Atom(r.U32()))
-	}
-	if r.Err != nil {
-		return nil, fmt.Errorf("af: bad ListProperties reply: %w", r.Err)
+	atoms := make([]Atom, 0, min(rep.Aux, uint32(len(rep.Extra)/4)))
+	for range rep.Aux {
+		a := Atom(r.U32())
+		if r.Err != nil {
+			return nil, fmt.Errorf("af: bad ListProperties reply: %w", r.Err)
+		}
+		atoms = append(atoms, a)
 	}
 	return atoms, nil
 }

@@ -283,13 +283,13 @@ func batchReplyStreamOver(t *testing.T, network string, stream []byte, seed int6
 		t.Helper()
 		deadline := time.Now().Add(10 * time.Second)
 		for {
-			// Read before the park gauge: a request is counted after any
+			// Read before the park counters: a request is counted after any
 			// park it causes is registered, so "all dispatched, none
 			// parked" cannot miss a park at the tail.
-			done := srv.requestCount.Load() == uint64(want)
+			done := dispatched(srv) == uint64(want)
 			parked := false
 			for _, e := range srv.engines {
-				parked = parked || e.m.parkedNow.Load() != 0
+				parked = parked || outstanding(e) != 0
 			}
 			switch {
 			case parked:
@@ -298,7 +298,7 @@ func batchReplyStreamOver(t *testing.T, network string, stream []byte, seed int6
 			case done:
 				return
 			case time.Now().After(deadline):
-				t.Fatalf("server dispatched %d of %d requests", srv.requestCount.Load(), want)
+				t.Fatalf("server dispatched %d of %d requests", dispatched(srv), want)
 			default:
 				runtime.Gosched()
 			}

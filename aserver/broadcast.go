@@ -116,7 +116,6 @@ func (e *engine) subscribeLocked(c *client, a *ac) uint8 {
 	g.subs = append(g.subs, &bsub{c: c, a: a})
 	a.subscribed = true
 	e.bcast.nsubs++
-	e.m.bcastSubs.Add(1)
 	return 0
 }
 
@@ -153,7 +152,6 @@ func (e *engine) dropSubsLocked(match func(*bsub) bool) {
 			}
 			sb.a.subscribed = false
 			b.nsubs--
-			e.m.bcastSubs.Add(-1)
 		}
 		clear(g.subs[len(subs):])
 		if g.subs = subs; len(subs) > 0 {

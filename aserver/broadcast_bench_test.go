@@ -114,8 +114,11 @@ func broadcastFanout(tb testing.TB, listeners int) func() {
 		if chunks == 0 || encodes != chunks {
 			tb.Errorf("encodes = %d, chunks = %d; want equal and nonzero (encode-once)", encodes, chunks)
 		}
-		if subs := e.m.bcastSubs.Load(); subs != int64(listeners) {
-			tb.Errorf("bcastSubs = %d, want %d (no listener evicted mid-bench)", subs, listeners)
+		e.mu.Lock()
+		subs := e.bcast.nsubs
+		e.mu.Unlock()
+		if subs != listeners {
+			tb.Errorf("nsubs = %d, want %d (no listener evicted mid-bench)", subs, listeners)
 		}
 	})
 	return pump

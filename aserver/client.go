@@ -856,9 +856,7 @@ func finishRecordReply(c *client, a *ac, m *wireMsg, n int, now uint32, flags ui
 	proto.PutReplyHeader(c.order, buf, &proto.Reply{Seq: seq, Time: now, Aux: uint32(n)}, n)
 	// Record egress is counted here, the seal point every record reply
 	// passes through (first-try, retried, and compressed paths alike).
-	em := &c.s.engineByDev[a.devIndex].m
-	em.recBytes.Add(uint64(n))
-	em.recChunk.Observe(int64(n))
+	c.s.engineByDev[a.devIndex].m.recChunk.Observe(int64(n))
 	c.send(m)
 }
 

@@ -91,7 +91,6 @@ func (s *Server) dispatchHotGroup(c *client, run []runFrame) (int, *parked) {
 	var e *engine // the engine whose lock the group holds, once one is named
 	var held time.Duration
 	var park *parked
-	var playBytes uint64
 	var chunk, nChunk uint64 // a stretch of plays of one size: one playChunk observation
 	var nPlay, nRec, nTime uint64
 	consumed := 0
@@ -138,7 +137,6 @@ func (s *Server) dispatchHotGroup(c *client, run []runFrame) (int, *parked) {
 			// Play ingress is counted here, the single entry point every
 			// accepted PlaySamples request passes through (resumed attempts
 			// re-consume the same bytes and are not re-counted).
-			playBytes += uint64(len(h.play.Data))
 			if n := uint64(len(h.play.Data)); n != chunk {
 				e.m.playChunk.ObserveN(int64(chunk), nChunk)
 				chunk, nChunk = n, 0
@@ -173,16 +171,13 @@ func (s *Server) dispatchHotGroup(c *client, run []runFrame) (int, *parked) {
 	end := time.Since(t0)
 	k := int64(consumed)
 	if e != nil {
-		if nChunk != 0 {
-			e.m.playBytes.Add(playBytes)
-			e.m.playChunk.ObserveN(int64(chunk), nChunk)
-		}
+		e.m.playChunk.ObserveN(int64(chunk), nChunk)
 		e.m.unlockTimed(&e.mu, held, end)
 		e.m.dispatchBatch.Observe(k)
 	}
-	// The batch and per-op-class latencies are observed after the request
-	// count: the live form of the dispatch laws (Snapshot.Check).
-	s.requestCount.Add(uint64(consumed))
+	// The per-op-class latencies are observed after the batch, whose sum
+	// is the request count: the live form of the dispatch law
+	// (Snapshot.Check).
 	s.sm.dispatchBatch.Observe(k)
 	per := end.Nanoseconds() / k
 	if nPlay != 0 {
@@ -309,7 +304,6 @@ func (s *Server) dispatchControl(c *client, rf runFrame) {
 	q, row := &c.req, &opTable[rf.op]
 	q.op, q.ext, q.seq = rf.op, rf.ext, uint16(c.seq.Add(1))
 	q.r.Buf, q.r.Pos, q.r.Err = rf.body, 0, nil
-	s.requestCount.Add(1)
 	if row.handle == nil {
 		q.fail(proto.ErrRequest, uint32(rf.op))
 	} else if len(rf.body) < row.fixed {
@@ -317,10 +311,10 @@ func (s *Server) dispatchControl(c *client, rf runFrame) {
 	} else if s.resolve(q, row.target) {
 		row.handle(s, q)
 	}
-	s.sm.dispatchControl.Observe(time.Since(t0).Nanoseconds())
-	// Control ops always dispatch as a batch of one (ordered after the
-	// request count, as in dispatchHotGroup).
+	// Control ops always dispatch as a batch of one, observed before the
+	// latency, as in dispatchHotGroup.
 	s.sm.dispatchBatch.Observe(1)
+	s.sm.dispatchControl.Observe(time.Since(t0).Nanoseconds())
 }
 
 // resolve looks up what the body's first word names and reports whether

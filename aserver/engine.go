@@ -213,7 +213,6 @@ func (e *engine) parkLocked(call *parked) *parked {
 	p.since = time.Now()
 	e.parks[p.c] = p
 	e.m.parksStarted.Inc()
-	e.m.parkedNow.Add(1)
 	if e.stopped {
 		e.finishPark(p.c, p, false)
 	}
@@ -232,7 +231,6 @@ func (e *engine) finishPark(c *client, p *parked, completed bool) {
 	} else {
 		e.m.parksDiscarded.Inc()
 	}
-	e.m.parkedNow.Add(-1)
 	e.m.parkNs.Observe(time.Since(p.since).Nanoseconds())
 	p.playPooled.Put() // a play discarded before it completed
 	p.playPooled = nil

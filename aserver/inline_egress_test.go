@@ -287,7 +287,7 @@ func TestInlineDrainBackpressure(t *testing.T) {
 			t.Fatal(err)
 		}
 		waitFor(t, fmt.Sprintf("%d requests dispatched", 1+to), func() bool {
-			return srv.requestCount.Load() == uint64(1+to)
+			return dispatched(srv) == uint64(1+to)
 		})
 	}
 

@@ -54,11 +54,9 @@ func TestLawSnapshot(t *testing.T) {
 	const (
 		reasons   = "evictions + sheds + drains + client_closes = disconnects"
 		connects  = "connects = disconnects"
-		batches   = "requests = dispatch_batch sum"
 		counts    = "requests = dispatch counts"
 		frames    = "frames_accepted = frames_buffered + frames_discarded"
 		preempted = "frames_buffered >= frames_preempted"
-		parks     = "parks_started = parks_completed + parks_discarded + parked_now"
 		parkedNow = "parked_now = 0"
 		encodes   = "bcast_encodes >= bcast_chunks"
 		subs      = "bcast_subs = 0"
@@ -105,15 +103,11 @@ func TestLawSnapshot(t *testing.T) {
 		{"unclassified disconnect", reasons, func(s *Snapshot) { s.Disconnects++; s.Connects++ }, false, false},
 		{"client connected", connects, func(s *Snapshot) { s.Connects++ }, true, false},
 		{"disconnect without connect", connects, func(s *Snapshot) { s.Disconnects++; s.Sheds++; s.Events.Totals[metrics.Shed]++ }, false, false},
-		{"batch not yet observed", batches, func(s *Snapshot) { s.Requests++; s.DispatchControlNs.Count++ }, true, false},
-		{"batch over-counted", batches, func(s *Snapshot) { s.DispatchBatch.Sum++ }, false, false},
 		{"dispatch not yet observed", counts, func(s *Snapshot) { s.Requests++; s.DispatchBatch.Sum++ }, true, false},
 		{"dispatch timed twice", counts, func(s *Snapshot) { s.DispatchGetTimeNs.Count++ }, false, false},
 		{"frame neither buffered nor discarded", frames, dev(func(d *DeviceStats) { d.FramesAccepted++ }), false, false},
 		{"frame discarded twice", frames, dev(func(d *DeviceStats) { d.FramesDiscarded++ }), false, false},
 		{"preempted unbuffered frames", preempted, dev(func(d *DeviceStats) { d.FramesPreempted = 81 }), false, false},
-		{"park never released", parks, dev(func(d *DeviceStats) { d.ParksStarted++ }), false, false},
-		{"park released twice", parks, dev(func(d *DeviceStats) { d.ParksCompleted = 4 }), false, false},
 		{"park outstanding", parkedNow, dev(func(d *DeviceStats) { d.ParksStarted++; d.ParkedNow++ }), true, false},
 		{"chunk never encoded", encodes, dev(func(d *DeviceStats) { d.BcastChunks++ }), false, false},
 		{"subscription outstanding", subs, dev(func(d *DeviceStats) { d.BcastSubs++ }), true, false},

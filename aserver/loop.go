@@ -40,7 +40,6 @@ func (s *Server) register(c *client) bool {
 	s.clients[c] = struct{}{}
 	s.clientMu.Unlock()
 	s.sm.connects.Inc()
-	s.sm.activeClients.Add(1)
 	return true
 }
 
@@ -57,7 +56,6 @@ func (s *Server) removeClient(c *client) {
 	c.evictOnce.Do(func() {})
 	s.sm.closeCounterFor(c.closeReason.Load()).Inc()
 	s.sm.disconnects.Inc()
-	s.sm.activeClients.Add(-1)
 	s.clientMu.Lock()
 	delete(s.clients, c)
 	s.clientMu.Unlock()

@@ -16,14 +16,13 @@ import (
 //
 // Ownership rules (one owner per counter, so totals are trustworthy):
 //
-//   - Request totals and dispatch latency: dispatchHotGroup and
-//     dispatchControl in dispatch.go, on the dispatching goroutine.
+//   - Dispatch batches and latency: dispatchHotGroup and dispatchControl
+//     in dispatch.go, on the dispatching goroutine.
 //   - Engine lock wait/hold: the lockers themselves (dispatchHotGroup and
 //     the engine's timer pass).
-//   - Play ingress bytes/chunks: the PlaySamples case of
-//     dispatchHotGroup.
-//   - Record egress bytes/chunks: finishRecordReply, the single seal
-//     point every record reply passes through (first-try and retry).
+//   - Play ingress chunks: the PlaySamples case of dispatchHotGroup.
+//   - Record egress chunks: finishRecordReply, the single seal point
+//     every record reply passes through (first-try and retry).
 //   - Park lifecycle: registration in engine.parkLocked, release in
 //     engine.finishPark, both under the engine lock.
 //   - Connects/disconnects: the control plane (loop.go register /
@@ -34,7 +33,9 @@ import (
 //     internal/ring, mutated and snapshotted under the engine lock.
 //
 // The laws these counters obey are stated once, by Snapshot.Check and
-// DeviceStats.Check.
+// DeviceStats.Check. A count that another count already makes is
+// computed in Snapshot, not kept: requests, active clients, engine runs,
+// play and record bytes, parks outstanding and subscriptions.
 //
 // A metric is a field of one of these sets, its zero value ready to use;
 // it has no name, and its one export is its line in Snapshot (or
@@ -45,10 +46,9 @@ import (
 
 // serverMetrics is the server-wide metric set, held by value in Server.
 type serverMetrics struct {
-	connects      metrics.Counter
-	disconnects   metrics.Counter
-	activeClients metrics.Gauge
-	clientErrors  metrics.Counter
+	connects     metrics.Counter
+	disconnects  metrics.Counter
+	clientErrors metrics.Counter
 
 	// Disconnect classification (overload.go): every disconnect
 	// increments exactly one of these, before disconnects itself; each
@@ -87,10 +87,9 @@ type serverMetrics struct {
 	// lock, would-block, partial write, or no RawConn (client.drain).
 	egressFallbacks metrics.Counter
 
-	// Update plane (scheduler.go). tick lag is how far past its armed
-	// deadline an engine's timer fire ran; engineRuns counts passes.
-	schedTickLag    metrics.Histogram
-	schedEngineRuns metrics.Counter
+	// Update plane (scheduler.go): how far past its armed deadline each
+	// engine timer pass ran, one observation per pass.
+	schedTickLag metrics.Histogram
 }
 
 // closeCounterFor maps a recorded close reason to its disconnect-
@@ -116,10 +115,8 @@ type engineMetrics struct {
 	lockWait metrics.Histogram // ns waiting to acquire e.mu (hot dispatch + timer pass); see lockTimed
 	lockHold metrics.Histogram // ns holding e.mu, up to the holder's last clock reading
 
-	playBytes metrics.Counter   // sample payload bytes accepted off the wire
-	recBytes  metrics.Counter   // sample payload bytes sealed into record replies
-	playChunk metrics.Histogram // bytes per PlaySamples request
-	recChunk  metrics.Histogram // bytes per record reply
+	playChunk metrics.Histogram // payload bytes per PlaySamples request accepted off the wire
+	recChunk  metrics.Histogram // payload bytes per record reply sealed
 
 	// dispatchBatch is hot requests served per engine-lock acquisition on
 	// this engine: every hot group observes its size. Mean ≈ 1 means
@@ -130,13 +127,11 @@ type engineMetrics struct {
 	parksStarted   metrics.Counter
 	parksCompleted metrics.Counter
 	parksDiscarded metrics.Counter
-	parkedNow      metrics.Gauge
 	parkNs         metrics.Histogram // park registration to release
 
 	// Broadcast fan-out (broadcast.go): one encode per chunk per live
 	// wire format, so exactly chunks × formats while the format set is
 	// stable.
-	bcastSubs    metrics.Gauge   // current subscriptions on this engine
 	bcastChunks  metrics.Counter // mix time-slices cut by the pump
 	bcastEncodes metrics.Counter // chunk encodes (chunks × wire formats)
 	bcastMsgs    metrics.Counter // per-subscriber enqueues that succeeded
@@ -262,13 +257,14 @@ type DeviceStats struct {
 //
 // The read order gives every law of Snapshot.Check its live form. Each
 // counter here is incremented after the ones it is checked against —
-// a close reason before its disconnect, a connect before it, a request
-// before its dispatch histograms and batch — and is read before them:
-// disconnects first, the five dispatch histograms before requests. A
-// device's frame and park counters move only under its engine lock and
-// are read together under it; broadcast chunks are read before encodes.
-// The event log, whose events precede the counters they are checked
-// against, is read last.
+// a close reason before its disconnect, a connect before it, a batch
+// before its dispatch latencies — and is read before them: disconnects
+// first, the four latency histograms before the batch whose sum is the
+// request count. A device's frame and park counters and its
+// subscriptions move only under its engine lock and are read together
+// under it; broadcast chunks are read before encodes. The event log,
+// whose events precede the counters they are checked against, is read
+// last.
 func (s *Server) Snapshot() Snapshot {
 	sm := &s.sm
 	snap := Snapshot{
@@ -278,9 +274,7 @@ func (s *Server) Snapshot() Snapshot {
 		DispatchGetTimeNs:  sm.dispatchGetTime.Snapshot(),
 		DispatchControlNs:  sm.dispatchControl.Snapshot(),
 		DispatchBatch:      sm.dispatchBatch.Snapshot(),
-		Requests:           s.requestCount.Load(),
 		Connects:           sm.connects.Load(),
-		ActiveClients:      sm.activeClients.Load(),
 		ClientErrors:       sm.clientErrors.Load(),
 		Evictions:          sm.evictions.Load(),
 		Sheds:              sm.sheds.Load(),
@@ -294,8 +288,10 @@ func (s *Server) Snapshot() Snapshot {
 		SendQueueDepth:     sm.sendQueueDepth.Snapshot(),
 		EgressFallbacks:    sm.egressFallbacks.Load(),
 		SchedTickLagNs:     sm.schedTickLag.Snapshot(),
-		SchedEngineRuns:    sm.schedEngineRuns.Load(),
 	}
+	snap.Requests = snap.DispatchBatch.Sum
+	snap.ActiveClients = int64(snap.Connects - snap.Disconnects)
+	snap.SchedEngineRuns = snap.SchedTickLagNs.Count
 	for _, e := range s.engines {
 		d := e.root
 		em := &e.m
@@ -303,15 +299,12 @@ func (s *Server) Snapshot() Snapshot {
 			Index:          d.Index,
 			Name:           d.Cfg.Name,
 			Rate:           d.Cfg.Rate,
-			PlayBytes:      em.playBytes.Load(),
-			RecBytes:       em.recBytes.Load(),
 			PlayChunkBytes: em.playChunk.Snapshot(),
 			RecChunkBytes:  em.recChunk.Snapshot(),
 			DispatchBatch:  em.dispatchBatch.Snapshot(),
 			ParkNs:         em.parkNs.Snapshot(),
 			LockWaitNs:     em.lockWait.Snapshot(),
 			LockHoldNs:     em.lockHold.Snapshot(),
-			BcastSubs:      em.bcastSubs.Load(),
 			BcastChunks:    em.bcastChunks.Load(),
 			BcastEncodes:   em.bcastEncodes.Load(),
 			BcastMsgs:      em.bcastMsgs.Load(),
@@ -337,11 +330,13 @@ func (s *Server) Snapshot() Snapshot {
 		ds.ParksStarted = em.parksStarted.Load()
 		ds.ParksCompleted = em.parksCompleted.Load()
 		ds.ParksDiscarded = em.parksDiscarded.Load()
-		ds.ParkedNow = em.parkedNow.Load()
+		ds.ParkedNow = int64(ds.ParksStarted - ds.ParksCompleted - ds.ParksDiscarded)
+		ds.BcastSubs = int64(e.bcast.nsubs)
 		if hw := s.hw[d]; hw != nil {
 			ds.HWPlayed, ds.HWSilent, ds.HWRecorded = hw.Stats()
 		}
 		e.mu.Unlock()
+		ds.PlayBytes, ds.RecBytes = ds.PlayChunkBytes.Sum, ds.RecChunkBytes.Sum
 		snap.Devices = append(snap.Devices, ds)
 	}
 	snap.Events = s.log.Snapshot()
@@ -351,11 +346,10 @@ func (s *Server) Snapshot() Snapshot {
 // Check states the server's laws: every disconnect is classified under
 // exactly one close reason, and each reason the server decides under
 // exactly one event; every connect ends in one disconnect; every request
-// is retired by exactly one dispatch batch and timed by exactly one
-// dispatch histogram; every lineserver health transition is one event;
-// then each device's (DeviceStats.Check). Settled means every client is
-// gone; live, each law holds as the one-sided bound Server.Snapshot's
-// read order gives it.
+// a dispatch batch retires is timed by exactly one dispatch histogram;
+// every lineserver health transition is one event; then each device's
+// (DeviceStats.Check). Settled means every client is gone; live, each
+// law holds as the one-sided bound Server.Snapshot's read order gives it.
 func (s Snapshot) Check(settled bool) error {
 	dispatched := s.DispatchPlayNs.Count + s.DispatchRecordNs.Count +
 		s.DispatchGetTimeNs.Count + s.DispatchControlNs.Count
@@ -374,7 +368,6 @@ func (s Snapshot) Check(settled bool) error {
 		metrics.Law("evictions + sheds + drains + client_closes = disconnects",
 			s.Evictions+s.Sheds+s.Drains+s.ClientCloses, s.Disconnects, settled),
 		metrics.Law("connects = disconnects", s.Connects, s.Disconnects, settled),
-		metrics.Law("requests = dispatch_batch sum", s.Requests, s.DispatchBatch.Sum, settled),
 		metrics.Law("requests = dispatch counts", s.Requests, dispatched, settled),
 	}
 	for _, d := range s.Devices {
@@ -385,17 +378,14 @@ func (s Snapshot) Check(settled bool) error {
 
 // Check states one device's laws: every frame a play delivers is
 // buffered or discarded, and a preempted frame was buffered first; every
-// park is released once, completed or discarded; a broadcast chunk is
-// encoded once per live wire format. The frame and park laws are exact
-// in every snapshot (one engine-lock read); once settled nothing is
-// parked or subscribed. Then the lineserver backend's laws, if any.
+// broadcast chunk is encoded once per live wire format. The frame law is
+// exact in every snapshot (one engine-lock read); once settled nothing
+// is parked or subscribed. Then the lineserver backend's laws, if any.
 func (d DeviceStats) Check(settled bool) error {
 	err := errors.Join(
 		metrics.Law("frames_accepted = frames_buffered + frames_discarded",
 			d.FramesAccepted, d.FramesBuffered+d.FramesDiscarded, true),
 		metrics.Law("frames_buffered >= frames_preempted", d.FramesBuffered, d.FramesPreempted, false),
-		metrics.Law("parks_started = parks_completed + parks_discarded + parked_now",
-			d.ParksStarted, d.ParksCompleted+d.ParksDiscarded+uint64(d.ParkedNow), true),
 		metrics.Law("parked_now = 0", uint64(d.ParkedNow), 0, settled),
 		metrics.Law("bcast_encodes >= bcast_chunks", d.BcastEncodes, d.BcastChunks, false),
 		metrics.Law("bcast_subs = 0", uint64(d.BcastSubs), 0, settled),

@@ -131,17 +131,17 @@ func runResumeScript(t *testing.T, early bool) ([]byte, Snapshot) {
 		t.Helper()
 		deadline := time.Now().Add(10 * time.Second)
 		for {
-			done := srv.requestCount.Load() == want
+			done := dispatched(srv) == want
 			var now int64
 			for _, e := range srv.engines {
-				now += e.m.parkedNow.Load()
+				now += outstanding(e)
 			}
 			if done && now == parked {
 				return
 			}
 			if time.Now().After(deadline) {
 				t.Fatalf("early=%v: dispatched %d of %d requests, %d parked (want %d)",
-					early, srv.requestCount.Load(), want, now, parked)
+					early, dispatched(srv), want, now, parked)
 			}
 			runtime.Gosched()
 		}

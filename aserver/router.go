@@ -119,9 +119,8 @@ type Router struct {
 
 // routerMetrics is the router-wide metric set, exported by Snapshot.
 type routerMetrics struct {
-	accepted       metrics.Counter
-	routes         metrics.Counter
-	sessionsActive metrics.Gauge
+	accepted metrics.Counter
+	routes   metrics.Counter
 
 	bytesC2B metrics.Counter // client→backend bytes forwarded
 	bytesB2C metrics.Counter // backend→client bytes forwarded
@@ -304,7 +303,6 @@ func (r *Router) handleConn(conn net.Conn) {
 	}
 
 	r.rm.routes.Inc()
-	r.rm.sessionsActive.Add(1)
 	backend.sessions.Add(1)
 
 	r.wg.Add(1)
@@ -450,7 +448,7 @@ type rsession struct {
 
 	// classified flips once, in the pump that loses the session; the
 	// winner increments exactly one close-classification counter and
-	// releases the session's gauges.
+	// releases the session from its backend's count.
 	classified atomic.Bool
 }
 
@@ -460,10 +458,9 @@ func (s *rsession) teardown() {
 }
 
 // finish runs once (guarded by the classified CAS in the callers):
-// close both sides, release the gauges.
+// close both sides, release the session from its backend's count.
 func (s *rsession) finish() {
 	s.teardown()
-	s.r.rm.sessionsActive.Add(-1)
 	s.b.sessions.Add(-1)
 }
 
@@ -688,13 +685,13 @@ func (s RouterSnapshot) Check(settled bool) error {
 // Snapshot copies the router's counters, in the read order that gives
 // Check its live forms: outcomes before antecedents. The backends come
 // first, their dial errors and transitions before the log that records
-// them ahead; then the log, whose failovers, redirects and route errors
+// them ahead, and their sessions summed into sessions_active; then the log, whose failovers, redirects and route errors
 // are outcomes of routes and accepts; then every close classification
 // before routes, every setup outcome before accepted.
 func (r *Router) Snapshot() RouterSnapshot {
 	var s RouterSnapshot
 	for _, b := range r.backends {
-		s.Backends = append(s.Backends, RouterBackendStats{
+		bs := RouterBackendStats{
 			Stats:         b.health.Stats(),
 			Name:          b.name,
 			Addr:          b.addr,
@@ -702,7 +699,9 @@ func (r *Router) Snapshot() RouterSnapshot {
 			Probes:        b.probes.Load(),
 			ProbeFailures: b.probeFails.Load(),
 			DialErrors:    b.dialErrors.Load(),
-		})
+		}
+		s.SessionsActive += bs.Sessions
+		s.Backends = append(s.Backends, bs)
 	}
 	s.Events = r.log.Snapshot()
 	s.FailoversStarted = s.Events.Totals[metrics.Failover]
@@ -710,7 +709,6 @@ func (r *Router) Snapshot() RouterSnapshot {
 	s.RouteErrors = s.Events.Totals[metrics.RouteError]
 	s.ClosedClient = r.rm.closedClient.Load()
 	s.ClosedBackend = r.rm.closedBackend.Load()
-	s.SessionsActive = r.rm.sessionsActive.Load()
 	s.Routes = r.rm.routes.Load()
 	s.Accepted = r.rm.accepted.Load()
 	s.ProxiedBytesC2B = r.rm.bytesC2B.Load()

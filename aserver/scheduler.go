@@ -75,8 +75,7 @@ func (e *engine) pass(now time.Time) {
 		e.m.unlockTimed(&e.mu, held, time.Since(now))
 		return
 	}
-	sm := &e.s.sm
-	sm.schedTickLag.Observe(max(0, now.Sub(e.armed).Nanoseconds()))
+	e.s.sm.schedTickLag.Observe(max(0, now.Sub(e.armed).Nanoseconds()))
 	if !now.Before(e.nextUpdate) {
 		e.updateLocked()
 		e.nextUpdate = now.Add(e.interval)
@@ -94,7 +93,6 @@ func (e *engine) pass(now time.Time) {
 		}
 	}
 	e.timer.Reset(e.armed.Sub(now))
-	sm.schedEngineRuns.Inc()
 	e.m.unlockTimed(&e.mu, held, time.Since(now))
 }
 

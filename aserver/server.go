@@ -181,9 +181,6 @@ type Server struct {
 
 	closers []func() // immutable after New
 
-	// Stats observed by afperf.
-	requestCount atomic.Uint64
-
 	// sm is the server-wide metric set, exported by Snapshot; each engine
 	// holds its own (engine.m).
 	sm serverMetrics

@@ -197,11 +197,13 @@ func FuzzReadSetupReply(f *testing.F) {
 
 // FuzzReader runs a random sequence of Reader calls over a random buffer:
 // every call must return, Pos must stay inside the buffer and never move
-// back, and once Err is set Pos must not move at all.
+// back, and once Err is set Pos must not move at all. A host list decoded
+// under a count from the op stream yields at most an entry per 4 bytes.
 func FuzzReader(f *testing.F) {
 	f.Add([]byte{0, 6, 5}, []byte{5, 'a', 'b', 'c'}) // U8, then String4(5) past the end
 	f.Add([]byte{1, 2, 3, 8, 0}, []byte{1, 2, 3, 4, 5, 6, 7})
 	f.Add([]byte{5, 3, 8, 0, 7, 9}, []byte{})
+	f.Add([]byte{9, 0xff, 0xff, 0xff, 0xff}, make([]byte, 8)) // a host list claiming 2³²−1 entries
 
 	f.Fuzz(func(t *testing.T, ops, buf []byte) {
 		done := make(chan struct{})
@@ -209,7 +211,7 @@ func FuzzReader(f *testing.F) {
 			defer close(done)
 			r := NewReader(binary.LittleEndian, buf)
 			for i := 0; i < len(ops); i++ {
-				op, n := ops[i]%9, 0
+				op, n := ops[i]%10, 0
 				if i+1 < len(ops) {
 					n = int(int8(ops[i+1]))
 				}
@@ -236,6 +238,13 @@ func FuzzReader(f *testing.F) {
 					i++
 				case 8:
 					r.SkipPad()
+				case 9:
+					var count [4]byte
+					i += copy(count[:], ops[i+1:])
+					hosts := DecodeHostList(r, binary.LittleEndian.Uint32(count[:]))
+					if len(hosts) > (len(buf)-pos)/4 {
+						t.Errorf("%d hosts from %d bytes", len(hosts), len(buf)-pos)
+					}
 				}
 				switch {
 				case r.Pos < pos || r.Pos > len(buf):

@@ -426,7 +426,7 @@ func TestHostListRoundTrip(t *testing.T) {
 		w := &Writer{Order: o.order}
 		EncodeHostList(w, hosts)
 		r := NewReader(o.order, w.Buf)
-		got := DecodeHostList(r, len(hosts))
+		got := DecodeHostList(r, uint32(len(hosts)))
 		if r.Err != nil || !reflect.DeepEqual(got, hosts) {
 			t.Errorf("%s: host list round trip: %+v err %v", o.name, got, r.Err)
 		}

@@ -398,15 +398,21 @@ func EncodeHostList(w *Writer, hosts []HostEntry) {
 	}
 }
 
-// DecodeHostList parses n host entries from a ListHosts reply.
-func DecodeHostList(r *Reader, n int) []HostEntry {
-	hosts := make([]HostEntry, 0, n)
-	for i := 0; i < n; i++ {
+// DecodeHostList parses n host entries from a ListHosts reply. n is the
+// peer's word: it reserves no more entries than the body can hold (an
+// entry is at least 4 bytes) and stops at the first short read, which
+// it leaves in r.Err.
+func DecodeHostList(r *Reader, n uint32) []HostEntry {
+	hosts := make([]HostEntry, 0, min(n, uint32(len(r.Buf)-r.Pos)/4))
+	for range n {
 		var h HostEntry
 		h.Family = r.U16()
 		alen := int(r.U16())
 		h.Addr = append([]byte(nil), r.BytesRef(alen)...)
 		r.SkipPad()
+		if r.Err != nil {
+			break
+		}
 		hosts = append(hosts, h)
 	}
 	return hosts

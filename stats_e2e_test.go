@@ -94,8 +94,10 @@ func TestStatsEndpoint(t *testing.T) {
 	if _, err := preemptor.PlaySamples(now, make([]byte, 2048)); err != nil {
 		t.Fatal(err)
 	}
-	// A short non-blocking record so the record counters move.
-	if _, _, err := mixer.RecordSamples(now, make([]byte, 64), false); err != nil {
+	// A short non-blocking record of the past, so the record counters
+	// move: at now itself nothing is recorded yet.
+	_, recorded, err := mixer.RecordSamples(now.Add(-64), make([]byte, 64), false)
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -121,6 +123,9 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 	if want := uint64(4096 + 2048); d.PlayBytes != want || d.FramesAccepted != want {
 		t.Errorf("play bytes %d / frames accepted %d, want %d", d.PlayBytes, d.FramesAccepted, want)
+	}
+	if recorded == 0 || d.RecBytes != uint64(recorded) {
+		t.Errorf("rec bytes %d, want the %d the record returned, not 0", d.RecBytes, recorded)
 	}
 	if d.FramesPreempted != 2048 {
 		t.Errorf("frames preempted = %d, want 2048 (the overwritten overlap)", d.FramesPreempted)
