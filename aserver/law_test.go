@@ -60,7 +60,6 @@ func TestLawSnapshot(t *testing.T) {
 		parkedNow = "parked_now = 0"
 		encodes   = "bcast_encodes >= bcast_chunks"
 		subs      = "bcast_subs = 0"
-		replies   = "replies = accepted + stale + duplicate"
 		resyncs   = "resyncs_started = resyncs_completed + resyncs_abandoned"
 		moves     = "health events = lineserver transitions"
 		evicts    = "evict events = evictions"
@@ -82,8 +81,7 @@ func TestLawSnapshot(t *testing.T) {
 				ParksStarted: 5, ParksCompleted: 3, ParksDiscarded: 2,
 				BcastChunks: 4, BcastEncodes: 4,
 				Lineserver: &lineserver.BackendStats{
-					Stats:   health.Stats{ResyncsStarted: 1, ResyncsCompleted: 1},
-					Replies: 3, Accepted: 2, Stale: 1,
+					Stats: health.Stats{ResyncsStarted: 1, ResyncsCompleted: 1},
 				},
 			}},
 			Events: metrics.LogSnapshot{Totals: map[metrics.Kind]uint64{metrics.Evict: 1, metrics.Drain: 1, metrics.Health: 1}},
@@ -111,8 +109,6 @@ func TestLawSnapshot(t *testing.T) {
 		{"park outstanding", parkedNow, dev(func(d *DeviceStats) { d.ParksStarted++; d.ParkedNow++ }), true, false},
 		{"chunk never encoded", encodes, dev(func(d *DeviceStats) { d.BcastChunks++ }), false, false},
 		{"subscription outstanding", subs, dev(func(d *DeviceStats) { d.BcastSubs++ }), true, false},
-		{"reply being classified", replies, ls(func(b *lineserver.BackendStats) { b.Replies++ }), true, false},
-		{"reply classified twice", replies, ls(func(b *lineserver.BackendStats) { b.Duplicate++ }), false, false},
 		{"resync in flight", resyncs, func(s *Snapshot) { s.Devices[0].Lineserver.ResyncsStarted++; s.Events.Totals[metrics.Health]++ }, true, false},
 		{"resync ended twice", resyncs, ls(func(b *lineserver.BackendStats) { b.ResyncsAbandoned++ }), false, false},
 		{"transition being read", moves, event(metrics.Health), true, false},

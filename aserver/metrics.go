@@ -246,8 +246,8 @@ type DeviceStats struct {
 	HWRecorded uint64 `json:"hw_recorded"`
 
 	// Lineserver is the UDP backend's transport-health snapshot (only
-	// for devices whose backend is a LineServer box), with laws of its
-	// own (lineserver.BackendStats.Check).
+	// for devices whose backend is a LineServer box), with its health
+	// machine's law (health.Stats.Check).
 	Lineserver *lineserver.BackendStats `json:"lineserver,omitempty"`
 }
 
@@ -380,7 +380,7 @@ func (s Snapshot) Check(settled bool) error {
 // buffered or discarded, and a preempted frame was buffered first; every
 // broadcast chunk is encoded once per live wire format. The frame law is
 // exact in every snapshot (one engine-lock read); once settled nothing
-// is parked or subscribed. Then the lineserver backend's laws, if any.
+// is parked or subscribed. Then the lineserver backend's law, if any.
 func (d DeviceStats) Check(settled bool) error {
 	err := errors.Join(
 		metrics.Law("frames_accepted = frames_buffered + frames_discarded",

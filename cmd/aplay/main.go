@@ -12,6 +12,7 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"io"
@@ -20,6 +21,7 @@ import (
 	"time"
 
 	"audiofile/af"
+	"audiofile/afutil"
 	"audiofile/internal/cmdutil"
 	"audiofile/internal/sndfile"
 )
@@ -63,7 +65,7 @@ func main() {
 				fmt.Fprintf(os.Stderr, "aplay: warning: file rate %d != device rate %d\n",
 					snd.Rate, d.PlaySampleFreq)
 			}
-			playBytes(conn, dev, mask, attrs, *toffset, *flush, d, &sliceReader{snd.Data})
+			playBytes(conn, dev, mask, attrs, *toffset, *flush, d, bytes.NewReader(snd.Data))
 			return
 		}
 		// Raw file: rewind and stream as-is.
@@ -145,22 +147,17 @@ func playBytes(conn *af.Conn, dev int, mask uint32, attrs af.ACAttributes,
 	if interrupted {
 		// Erase the audio still buffered in the server by writing
 		// preemptive silence from "now" (nact) through tp.
-		for i := range buf {
-			buf[i] = 0
-		}
-		afSilence(d.PlayBufType, buf)
+		afutil.Silence(uint8(d.PlayBufType), buf)
 		if err := ac.ChangeAttributes(af.ACPreemption, af.ACAttributes{Preempt: true}); err == nil {
 			for af.TimeBefore(nact, tp) {
 				n := int(af.TimeSub(tp, nact)) * ssize
 				if n > len(buf) {
 					n = len(buf)
 				}
-				act, err := ac.PlaySamples(nact, buf[:n])
-				if err != nil {
+				if _, err := ac.PlaySamples(nact, buf[:n]); err != nil {
 					break
 				}
 				nact = nact.Add(n / ssize)
-				_ = act
 			}
 		}
 		os.Exit(130)
@@ -178,31 +175,5 @@ func playBytes(conn *af.Conn, dev int, mask uint32, attrs af.ACAttributes,
 			remain := af.TimeSub(tp, now)
 			time.Sleep(time.Duration(remain) * time.Second / time.Duration(srate) / 2)
 		}
-	}
-}
-
-type sliceReader struct{ data []byte }
-
-func (s *sliceReader) Read(p []byte) (int, error) {
-	if len(s.data) == 0 {
-		return 0, io.EOF
-	}
-	n := copy(p, s.data)
-	s.data = s.data[n:]
-	return n, nil
-}
-
-// afSilence fills buf with silence for the encoding (µ-law 0xff,
-// otherwise zeros).
-func afSilence(e af.Encoding, buf []byte) {
-	b := byte(0)
-	switch e {
-	case af.MU255:
-		b = 0xFF
-	case af.ALAW:
-		b = 0xD5
-	}
-	for i := range buf {
-		buf[i] = b
 	}
 }

@@ -37,7 +37,8 @@ var orphanAllowed = map[string]string{
 // non-test code somewhere in the module: an exported name no traffic
 // reaches is surface nobody uses. Top-level names resolve through the
 // importing file's imports (or by bare name inside their own package);
-// a method counts as referenced when any non-test selector names it. af
+// a method counts as referenced when any non-test selector names it, and
+// a type does not count as referenced by its own methods' receivers. af
 // and afutil are the paper's client library and are not scanned, but
 // their calls count, as do bench/'s, cmd/'s and examples/'.
 func TestNoOrphanExports(t *testing.T) {
@@ -115,6 +116,13 @@ func TestNoOrphanExports(t *testing.T) {
 		var visit func(n ast.Node) bool
 		visit = func(n ast.Node) bool {
 			switch n := n.(type) {
+			case *ast.FuncDecl:
+				// A receiver names its own type: not a reference.
+				ast.Inspect(n.Type, visit)
+				if n.Body != nil {
+					ast.Inspect(n.Body, visit)
+				}
+				return false
 			case *ast.SelectorExpr:
 				// Sel names a member or an imported name, never one of
 				// this package's top-level names.

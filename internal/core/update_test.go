@@ -25,6 +25,14 @@ type updateRig struct {
 	dev  *Device
 }
 
+// teeSink plays every block into both of its sinks.
+type teeSink [2]vdev.PlaySink
+
+func (s teeSink) Play(t atime.ATime, data []byte) {
+	s[0].Play(t, data)
+	s[1].Play(t, data)
+}
+
 func newUpdateRig(t0 atime.ATime, rate int, enc sampleconv.Encoding, channels, hwFrames, delay int, capture bool) *updateRig {
 	fb := enc.BytesPerSamples(1) * channels
 	r := &updateRig{clk: vdev.NewManualClock(rate)}
@@ -33,10 +41,7 @@ func newUpdateRig(t0 atime.ATime, rate int, enc sampleconv.Encoding, channels, h
 	var sink vdev.PlaySink = lb
 	if capture {
 		r.sink = &vdev.CaptureSink{}
-		sink = vdev.FuncSink(func(t atime.ATime, data []byte) {
-			r.sink.Play(t, data)
-			lb.Play(t, data)
-		})
+		sink = teeSink{r.sink, lb}
 	}
 	hw := vdev.New(vdev.Config{
 		Name: "dev0", Rate: rate, Enc: enc, Channels: channels, HWFrames: hwFrames,

@@ -199,7 +199,7 @@ func (b *Backend) adoptTime(rep *Packet) {
 // roundTrip sends a request and waits for its reply, trying up to tries
 // times. It returns nil when every attempt timed out. Every parseable
 // reply datagram is classified exactly once — accepted, stale, or
-// duplicate (the reply law, BackendStats.Check); only an accepted reply
+// duplicate, whose sum Stats reports as replies; only an accepted reply
 // (live sequence number and matching function code) may update the time
 // estimate. Must be called with
 // b.mu held (or before concurrent use).
@@ -232,9 +232,6 @@ func (b *Backend) roundTrip(req *Packet, tries int) *Packet {
 				c.garbage.Add(1)
 				continue
 			}
-			// The aggregate increments before the classification, which
-			// Stats reads first: the reply law's live form.
-			c.replies.Add(1)
 			switch {
 			case rep.Seq == req.Seq && rep.Fn == req.Fn:
 				c.accepted.Add(1)

@@ -299,16 +299,13 @@ func TestSpontaneousRecovery(t *testing.T) {
 	}
 }
 
-// TestLaw plants a violation of each of BackendStats' laws: an imbalance
-// in the allowed direction (a reply being classified, a resync in
-// flight) passes live and fails settled, one in the other direction
-// fails both, and the error names the law.
+// TestLaw plants a violation of BackendStats' law: an imbalance in the
+// allowed direction (a resync in flight) passes live and fails settled,
+// one in the other direction fails both, and the error names the law.
 func TestLaw(t *testing.T) {
-	const replies = "replies = accepted + stale + duplicate"
 	const resyncs = "resyncs_started = resyncs_completed + resyncs_abandoned"
 	ok := BackendStats{
-		Stats:   health.Stats{ResyncsStarted: 2, ResyncsCompleted: 1, ResyncsAbandoned: 1},
-		Replies: 6, Accepted: 3, Stale: 2, Duplicate: 1,
+		Stats: health.Stats{ResyncsStarted: 2, ResyncsCompleted: 1, ResyncsAbandoned: 1},
 	}
 	for _, tc := range []struct {
 		name          string
@@ -317,8 +314,6 @@ func TestLaw(t *testing.T) {
 		live, settled bool // whether Check(false), Check(true) pass
 	}{
 		{"balanced", func(*BackendStats) {}, "", true, true},
-		{"reply in flight", func(s *BackendStats) { s.Replies++ }, replies, true, false},
-		{"reply classified twice", func(s *BackendStats) { s.Stale = 3 }, replies, false, false},
 		{"resync in flight", func(s *BackendStats) { s.ResyncsStarted++ }, resyncs, true, false},
 		{"resync ended twice", func(s *BackendStats) { s.ResyncsAbandoned++ }, resyncs, false, false},
 	} {

@@ -1,23 +1,20 @@
 package lineserver
 
 import (
-	"errors"
 	"sync/atomic"
 
 	"audiofile/internal/health"
-	"audiofile/internal/metrics"
 )
 
-// The backend's books. Health — the states and the resync counters — is
-// its internal/health Machine's, and its events are in its log; what this
-// file keeps is the transport's own counters, whose law is
-// BackendStats.Check.
+// The backend's books. Health — the states and the resync counters, and
+// the law BackendStats.Check states — is its internal/health Machine's,
+// and its events are in its log; what this file keeps is the transport's
+// own counters.
 
 // counters are atomics so Stats never takes the transport mutex, which a
 // round trip may hold for a full timeout.
 type counters struct {
 	requests  atomic.Uint64 // datagrams sent
-	replies   atomic.Uint64 // parseable reply datagrams received
 	accepted  atomic.Uint64 // replies matching the live request
 	stale     atomic.Uint64 // replies to earlier (timed-out) requests
 	duplicate atomic.Uint64 // copies of replies already seen
@@ -30,7 +27,9 @@ type counters struct {
 }
 
 // BackendStats is the exported snapshot: what afd -stats embeds per
-// lineserver device and astat renders and law-checks.
+// lineserver device and astat renders and law-checks. Replies, the
+// parseable reply datagrams received, is computed: each is classified
+// exactly once, as accepted, stale or duplicate.
 type BackendStats struct {
 	health.Stats
 
@@ -47,22 +46,12 @@ type BackendStats struct {
 	PlayLostBytes   uint64 `json:"play_lost_bytes"`
 }
 
-// Check states the backend's laws: every parseable reply datagram is
-// classified exactly once — settled once the backend is closed; live,
-// the aggregate runs ahead, incremented first and read last — and its
-// health machine's law.
-func (s BackendStats) Check(settled bool) error {
-	return errors.Join(
-		metrics.Law("replies = accepted + stale + duplicate", s.Replies, s.Accepted+s.Stale+s.Duplicate, settled),
-		s.Stats.Check(settled))
-}
-
-// Stats snapshots the counters without touching the transport mutex:
-// classifications first, their aggregates last.
+// Stats snapshots the counters without touching the transport mutex.
 func (b *Backend) Stats() BackendStats {
 	c := &b.count
 	s := BackendStats{
 		Stats:           b.health.Stats(),
+		Requests:        c.requests.Load(),
 		Accepted:        c.accepted.Load(),
 		Stale:           c.stale.Load(),
 		Duplicate:       c.duplicate.Load(),
@@ -72,8 +61,7 @@ func (b *Backend) Stats() BackendStats {
 		RecSilenceBytes: c.recSilenceBytes.Load(),
 		PlayLostBytes:   c.playLostBytes.Load(),
 	}
-	s.Replies = c.replies.Load()
-	s.Requests = c.requests.Load()
+	s.Replies = s.Accepted + s.Stale + s.Duplicate
 	return s
 }
 

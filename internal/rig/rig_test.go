@@ -7,7 +7,23 @@ import (
 	"sync"
 	"syscall"
 	"testing"
+	"time"
 )
+
+// TestRTTDelaysRoundTrip holds a delayed transport to its injected delay:
+// one GetTime over TCP with a 1 ms RTT takes at least 1 ms. afperf -quick
+// skips the delayed configurations, so this is their tier-1 check.
+func TestRTTDelaysRoundTrip(t *testing.T) {
+	const rtt = time.Millisecond
+	r := New(t, Config{Transport: "tcp", RTT: rtt})
+	start := time.Now()
+	if _, err := r.Conn.GetTime(0); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took < rtt {
+		t.Errorf("GetTime over tcp+%v took %v, want at least the RTT", rtt, took)
+	}
+}
 
 type codeError struct{ code int }
 

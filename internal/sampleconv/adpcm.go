@@ -40,7 +40,6 @@ func (c *ADPCMCoder) encodeSample(s int16) byte {
 		diff = -diff
 	}
 	// Quantize the difference against step, step/2, step/4.
-	delta := 0
 	vpdiff := step >> 3
 	if diff >= step {
 		nibble |= 4
@@ -58,7 +57,6 @@ func (c *ADPCMCoder) encodeSample(s int16) byte {
 		nibble |= 1
 		vpdiff += step
 	}
-	_ = delta
 	if nibble&8 != 0 {
 		c.predicted -= vpdiff
 	} else {

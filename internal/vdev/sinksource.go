@@ -15,18 +15,6 @@ type DiscardSink struct{}
 // Play implements PlaySink.
 func (DiscardSink) Play(atime.ATime, []byte) {}
 
-// FuncSink adapts a function to the PlaySink interface.
-type FuncSink func(t atime.ATime, data []byte)
-
-// Play implements PlaySink.
-func (f FuncSink) Play(t atime.ATime, data []byte) { f(t, data) }
-
-// FuncSource adapts a function to the RecordSource interface.
-type FuncSource func(t atime.ATime, buf []byte)
-
-// Fill implements RecordSource.
-func (f FuncSource) Fill(t atime.ATime, buf []byte) { f(t, buf) }
-
 // SilenceSource records an open microphone in a silent room.
 type SilenceSource struct{ Byte byte }
 

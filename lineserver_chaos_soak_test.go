@@ -14,9 +14,8 @@
 //   - The backend never wedges: the whole profile completes under a
 //     watchdog, timeouts notwithstanding.
 //   - The books balance exactly once the backend is closed:
-//     replies == accepted + stale + duplicate and resyncs_started ==
-//     resyncs_completed + resyncs_abandoned; live snapshots satisfy the
-//     one-sided forms throughout. The fault layer's own packet
+//     resyncs_started == resyncs_completed + resyncs_abandoned; live
+//     snapshots satisfy the one-sided form throughout. The fault layer's own packet
 //     accounting (netsim) must conserve too.
 //   - Goroutines settle back to the baseline after close: no leaked
 //     healer, firmware, or fault-layer goroutines.

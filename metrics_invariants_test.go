@@ -46,6 +46,14 @@ func drainSnapshot(t *testing.T, srv *aserver.Server) aserver.Snapshot {
 	}
 }
 
+// parksStarted is the server's parks_started count over every device.
+func parksStarted(srv *aserver.Server) (n uint64) {
+	for _, d := range srv.Snapshot().Devices {
+		n += d.ParksStarted
+	}
+	return n
+}
+
 // TestMetricsConservation runs the full stress mix — several devices,
 // preempting and mixing players, blocking records resolved by a clock
 // stepper, and killer clients that drop their transport mid-park —
@@ -91,6 +99,44 @@ func TestMetricsConservation(t *testing.T) {
 			time.Sleep(100 * time.Microsecond)
 		}
 	}()
+
+	// Killer clients: park a record far in the future, then cut the
+	// transport while the healthy clients run. Their parks must drain as
+	// discarded, not completed. Each parks before any healthy client
+	// connects, so parks_started reaching its number is the sign that its
+	// own record has parked.
+	var cuts []func()
+	for i := 0; i < killers; i++ {
+		nc := srv.DialPipe()
+		conn, err := rig.Client(nc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ac, err := conn.CreateAC(i%devices, 0, af.ACAttributes{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		now, err := ac.GetTime()
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			buf := make([]byte, 256)
+			ac.RecordSamples(now.Add(10_000_000), buf, true) //nolint:errcheck
+		}()
+		for deadline := time.Now().Add(10 * time.Second); parksStarted(srv) <= uint64(i); {
+			if time.Now().After(deadline) {
+				t.Fatalf("killer client %d: its record never parked", i)
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+		cuts = append(cuts, func() {
+			nc.Close()
+			<-done
+		})
+	}
 
 	var wg sync.WaitGroup
 	var playBytesSent [devices]atomic.Uint64
@@ -145,38 +191,12 @@ func TestMetricsConservation(t *testing.T) {
 		}(i)
 	}
 
-	// Killer clients: park a record far in the future, then cut the
-	// transport. Their parks must drain as discarded, not completed.
-	for i := 0; i < killers; i++ {
+	for _, cut := range cuts {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			nc := srv.DialPipe()
-			conn, err := rig.Client(nc)
-			if err != nil {
-				fail(err)
-				return
-			}
-			ac, err := conn.CreateAC(i%devices, 0, af.ACAttributes{})
-			if err != nil {
-				fail(err)
-				return
-			}
-			now, err := ac.GetTime()
-			if err != nil {
-				fail(err)
-				return
-			}
-			done := make(chan struct{})
-			go func() {
-				defer close(done)
-				buf := make([]byte, 256)
-				ac.RecordSamples(now.Add(10_000_000), buf, true) //nolint:errcheck
-			}()
-			time.Sleep(5 * time.Millisecond)
-			nc.Close()
-			<-done
-		}(i)
+			cut()
+		}()
 	}
 
 	wg.Wait()

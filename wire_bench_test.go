@@ -8,6 +8,13 @@ import (
 	"audiofile/internal/rig"
 )
 
+// benchConfigs are the socket transports BenchmarkWireThroughput and its
+// allocation gate run over. The delayed TCP variants are afperf's.
+var benchConfigs = []rig.Config{
+	{Name: "unix", Transport: "unix"},
+	{Name: "tcp", Transport: "tcp"},
+}
+
 // wireBytes is BenchmarkWireThroughput's payload: three protocol chunks.
 const wireBytes = 24 << 10
 
