@@ -1,7 +1,6 @@
 package af
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"audiofile/internal/proto"
@@ -154,15 +153,6 @@ func (ac *AC) Free() error {
 		ac.sub.detachLocked()
 	}
 	return c.oneWay(proto.AppendFreeAC(&c.w, ac.id))
-}
-
-// framesToBytes converts a frame count to wire bytes under this context.
-// ADPCM packs two samples per byte (mono only).
-func (ac *AC) framesToBytes(frames int) int {
-	if ac.Attributes.Type == ADPCM4 {
-		return frames / 2
-	}
-	return frames * ac.Attributes.Type.BytesPerUnit() * ac.Attributes.Channels
 }
 
 // bytesToFrames converts wire bytes to a frame count under this context.
@@ -416,7 +406,3 @@ func (c *Conn) getTimeLocked(device int) (ATime, error) {
 	}
 	return ATime(rep.Time), nil
 }
-
-// binaryOrder exposes the connection's wire byte order (for clients that
-// pre-encode linear sample data themselves).
-func (c *Conn) binaryOrder() binary.ByteOrder { return c.order }

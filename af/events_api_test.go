@@ -168,7 +168,7 @@ func TestEventsCarryBothClocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ev.Time < 4000 {
+	if af.TimeBefore(ev.Time, 4000) {
 		t.Errorf("event device time = %d, want >= 4000", ev.Time)
 	}
 	if ev.HostSec == 0 {

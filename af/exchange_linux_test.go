@@ -437,13 +437,13 @@ func TestExchangeSubscriberReadsFirst(t *testing.T) {
 						}
 					}
 					s.conn.Write((&proto.Reply{Seq: s.seq, Aux: 1}).Append(nil, binary.LittleEndian)) //nolint:errcheck
-					w := &proto.Writer{Order: binary.LittleEndian}
-					(&proto.BroadcastData{Channel: 1, Data: make([]byte, 4096)}).Encode(w)
+					chunk := make([]byte, proto.BroadcastHeaderBytes+4096)
+					proto.PutBroadcastHeader(binary.LittleEndian, chunk, &proto.BroadcastData{Channel: 1}, 4096)
 					var rest []byte
 					for rest == nil {
 						s.conn.SetWriteDeadline(time.Now().Add(50 * time.Millisecond)) //nolint:errcheck
-						if n, err := s.conn.Write(w.Buf); err != nil {
-							rest = w.Buf[n:] // the socket is full; finish this chunk later
+						if n, err := s.conn.Write(chunk); err != nil {
+							rest = chunk[n:] // the socket is full; finish this chunk later
 						}
 					}
 					s.conn.SetWriteDeadline(time.Time{}) //nolint:errcheck

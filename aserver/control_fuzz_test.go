@@ -171,3 +171,46 @@ func FuzzControlBody(f *testing.F) {
 		}
 	})
 }
+
+// TestRequestCountedBeforeReply holds each SyncConnection's handler open
+// once it has queued its reply, while a writer that is already running —
+// started by a ring event the client has not yet read — sends that reply.
+// Read behind each of 1,000 replies, Requests must count the request.
+func TestRequestCountedBeforeReply(t *testing.T) {
+	r := newControlRig(t)
+	row := &opTable[proto.OpSyncConnection]
+	handle := row.handle
+	pushed, checked, stop := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	row.handle = func(s *Server, q *ctlReq) {
+		handle(s, q)
+		select {
+		case pushed <- struct{}{}:
+			<-checked
+		case <-stop:
+		}
+	}
+	t.Cleanup(func() { close(stop); row.handle = handle })
+
+	base := r.srv.Snapshot().Requests
+	req := make([]byte, 4) // a SyncConnection: opcode, extension, length 1
+	req[0], req[2] = proto.OpSyncConnection, 1
+	for i := uint64(1); i <= 1000; i++ {
+		r.srv.PhoneLine(0).RingPulse()
+		r.srv.Sync()
+		if _, err := r.nc.Write(req); err != nil {
+			t.Fatal(err)
+		}
+		<-pushed
+		var m proto.Message
+		for m.Reply == nil {
+			if err := proto.ReadMessageInto(r.br, binary.LittleEndian, &m); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got := r.srv.Snapshot().Requests - base
+		checked <- struct{}{}
+		if got != i {
+			t.Fatalf("reply %d arrived with %d requests counted", i, got)
+		}
+	}
+}

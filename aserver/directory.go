@@ -58,9 +58,6 @@ func NewDirectory(backends []string, replicas int) *Directory {
 	return d
 }
 
-// Backends returns the backend names the directory was built over.
-func (d *Directory) Backends() []string { return d.backends }
-
 // Lookup returns the backend index owning key, ignoring health, or -1
 // for an empty directory.
 func (d *Directory) Lookup(key string) int {

@@ -93,7 +93,7 @@ func (s *Server) dispatchHotGroup(c *client, run []runFrame) (int, *parked) {
 	var park *parked
 	var chunk, nChunk uint64 // a stretch of plays of one size: one playChunk observation
 	var nPlay, nRec, nTime uint64
-	consumed := 0
+	consumed, counted := 0, 0
 	// Only this goroutine advances c.seq, so the group counts in a local
 	// and publishes where its replies leave the stage: an event another
 	// goroutine stamps meanwhile never carries a number older than a reply
@@ -149,7 +149,10 @@ func (s *Server) dispatchHotGroup(c *client, run []runFrame) (int, *parked) {
 			}
 		case proto.OpRecordSamples:
 			// serveRecord queues its reply directly; anything staged so
-			// far must leave first to preserve reply order.
+			// far must leave first to preserve reply order, and is counted
+			// before it can leave.
+			s.countBatch(e, consumed-counted)
+			counted = consumed
 			c.seq.Store(seq32)
 			c.flushStage()
 			call := parked{c: c, a: h.a, op: rf.op, seq: seq, rec: h.rec}
@@ -164,22 +167,22 @@ func (s *Server) dispatchHotGroup(c *client, run []runFrame) (int, *parked) {
 	// The stage leaves before the lock drops: once e.mu is released a
 	// worker may finish the park and send its reply, which must queue
 	// after every reply staged ahead of it.
+	if consumed > counted {
+		s.countBatch(e, consumed-counted)
+	}
 	c.seq.Store(seq32)
 	c.flushStage()
 	// The group's second and last clock reading: the lock hold and the
 	// dispatch latency both end here.
 	end := time.Since(t0)
-	k := int64(consumed)
 	if e != nil {
 		e.m.playChunk.ObserveN(int64(chunk), nChunk)
 		e.m.unlockTimed(&e.mu, held, end)
-		e.m.dispatchBatch.Observe(k)
 	}
 	// The per-op-class latencies are observed after the batch, whose sum
 	// is the request count: the live form of the dispatch law
 	// (Snapshot.Check).
-	s.sm.dispatchBatch.Observe(k)
-	per := end.Nanoseconds() / k
+	per := end.Nanoseconds() / int64(consumed)
 	if nPlay != 0 {
 		s.sm.dispatchPlay.ObserveN(per, nPlay)
 	}
@@ -190,6 +193,17 @@ func (s *Server) dispatchHotGroup(c *client, run []runFrame) (int, *parked) {
 		s.sm.dispatchGetTime.ObserveN(per, nTime)
 	}
 	return consumed, park
+}
+
+// countBatch counts n requests as one dispatch batch, server-wide and on
+// e when the batch named an engine. A request is counted before its reply
+// can leave: a writer already running sends a queued reply at once, and
+// the peer may read a Snapshot behind it.
+func (s *Server) countBatch(e *engine, n int) {
+	if e != nil {
+		e.m.dispatchBatch.Observe(int64(n))
+	}
+	s.sm.dispatchBatch.Observe(int64(n))
 }
 
 // target is what the first word of a request body names.
@@ -301,6 +315,9 @@ func (q *ctlReq) tailShort() bool {
 func (s *Server) dispatchControl(c *client, rf runFrame) {
 	t0 := time.Now()
 	c.lastActive.Store(t0.UnixNano())
+	// Control ops always dispatch as a batch of one, counted before the
+	// handler can queue a reply and observed before the latency.
+	s.sm.dispatchBatch.Observe(1)
 	q, row := &c.req, &opTable[rf.op]
 	q.op, q.ext, q.seq = rf.op, rf.ext, uint16(c.seq.Add(1))
 	q.r.Buf, q.r.Pos, q.r.Err = rf.body, 0, nil
@@ -311,9 +328,6 @@ func (s *Server) dispatchControl(c *client, rf runFrame) {
 	} else if s.resolve(q, row.target) {
 		row.handle(s, q)
 	}
-	// Control ops always dispatch as a batch of one, observed before the
-	// latency, as in dispatchHotGroup.
-	s.sm.dispatchBatch.Observe(1)
 	s.sm.dispatchControl.Observe(time.Since(t0).Nanoseconds())
 }
 

@@ -244,7 +244,7 @@ func TestRouterOptionDirectory(t *testing.T) {
 		Replicas:      7,
 		ProbeInterval: time.Hour,
 	})
-	if got := r.Directory().Backends(); strings.Join(got, ",") != "left,right" {
+	if got := r.Directory().backends; strings.Join(got, ",") != "left,right" {
 		t.Errorf("directory built over %q, want the Names %q", got, names)
 	}
 	if got := r.Directory().replicas; got != 7 {

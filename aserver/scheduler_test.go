@@ -176,7 +176,7 @@ func TestStaleFireIsHarmless(t *testing.T) {
 	e.nextUpdate = time.Now().Add(time.Hour) // only wakes are due in this test
 	time.Sleep(time.Until(e.armed) + 5*time.Millisecond)
 	// The fire is now waiting on e.mu.
-	runs, farWake := srv.sm.schedTickLag.Count(), far.wake
+	runs, farWake := srv.sm.schedTickLag.Snapshot().Count, far.wake
 	clk.Advance(256)
 	e.wakeLocked(near, -8000) // a wake one second ago beats any armed deadline
 	if !e.armed.Equal(near.wake) {
@@ -187,14 +187,14 @@ func TestStaleFireIsHarmless(t *testing.T) {
 	if err := <-replies; err != nil {
 		t.Fatalf("the record whose samples exist: %v", err)
 	}
-	for deadline := time.Now().Add(time.Second); srv.sm.schedTickLag.Count() < runs+2; time.Sleep(time.Millisecond) {
+	for deadline := time.Now().Add(time.Second); srv.sm.schedTickLag.Snapshot().Count < runs+2; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d passes after a promoted stale fire, want 2", srv.sm.schedTickLag.Count()-runs)
+			t.Fatalf("%d passes after a promoted stale fire, want 2", srv.sm.schedTickLag.Snapshot().Count-runs)
 		}
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if got := srv.sm.schedTickLag.Count() - runs; got != 2 {
+	if got := srv.sm.schedTickLag.Snapshot().Count - runs; got != 2 {
 		t.Errorf("%d passes, want exactly 2", got)
 	}
 	if len(e.parks) != 1 || e.parks[far.c] != far {

@@ -16,9 +16,9 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
 	"slices"
 	"strings"
+	"syscall"
 	"time"
 
 	"audiofile/af"
@@ -267,10 +267,13 @@ func cpuUsage() {
 	if *quick {
 		window = time.Second
 	}
+	// getrusage counts CPU time in microseconds.
+	fmt.Printf("  (user+system CPU from getrusage: 1 µs, %.5f%% of the %v window)\n", 100*time.Microsecond.Seconds()/window.Seconds(), window)
 
-	// Quiescent: a real-time server with no clients doing anything.
+	// Quiescent: a real-time server, its update task running, with no
+	// clients doing anything.
 	func() {
-		r := newRig(rig.Config{Name: "idle", Transport: "pipe"})
+		r := newRig(rig.Config{Name: "idle", Transport: "pipe", RealTime: true})
 		defer r.Close()
 		pct := cpuPercentOver(window, func() { time.Sleep(window) })
 		fmt.Printf("  %-28s %6.2f%%\n", "quiescent server", pct)
@@ -347,27 +350,11 @@ func cpuPercentOver(window time.Duration, fn func()) float64 {
 	return 100 * used.Seconds() / elapsed.Seconds()
 }
 
-// processCPU reads the process's cumulative user+system CPU time from
-// /proc/self/stat (fields 14 and 15, in clock ticks).
+// processCPU returns the process's cumulative user+system CPU time.
 func processCPU() time.Duration {
-	data, err := os.ReadFile("/proc/self/stat")
-	if err != nil {
-		return 0
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		cmdutil.Die("afperf: getrusage: %v", err)
 	}
-	// The comm field can contain spaces; skip past the closing paren.
-	s := string(data)
-	i := strings.LastIndexByte(s, ')')
-	if i < 0 {
-		return 0
-	}
-	fields := strings.Fields(s[i+1:])
-	// After ')', field 0 is state; utime is field 11, stime field 12.
-	if len(fields) < 13 {
-		return 0
-	}
-	var utime, stime int64
-	fmt.Sscanf(fields[11], "%d", &utime) //nolint:errcheck
-	fmt.Sscanf(fields[12], "%d", &stime) //nolint:errcheck
-	const hz = 100                       // USER_HZ on Linux
-	return time.Duration(utime+stime) * time.Second / hz
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }

@@ -200,3 +200,22 @@ func cutLast(s, sep string) (before, after string, found bool) {
 	}
 	return s, "", false
 }
+
+// recvType is the type name of a method receiver or an embedded field: T,
+// *T, T[P] or *T[P].
+func recvType(x ast.Expr) string {
+	for {
+		switch e := x.(type) {
+		case *ast.StarExpr:
+			x = e.X
+		case *ast.IndexExpr:
+			x = e.X
+		case *ast.IndexListExpr:
+			x = e.X
+		case *ast.Ident:
+			return e.Name
+		default:
+			return ""
+		}
+	}
+}

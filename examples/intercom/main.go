@@ -64,7 +64,6 @@ func main() {
 	}
 
 	const (
-		rate         = 8000
 		delaySamples = 2400 // 300 ms end-to-end budget
 		ajSamples    = 80   // ±10 ms anti-jitter band
 		blockSamples = 800  // 100 ms packetization

@@ -85,6 +85,11 @@ type daemon interface {
 // set, which a second signal on signals may cut short; the socket goes
 // with it.
 func Front(name string, d daemon, display int, tcp bool, statsAddr, trailer string, shutdown func(signals <-chan os.Signal)) {
+	// A signal is caught from before the first listener, so one sent as
+	// soon as a line reports it is never the default action's kill, which
+	// would leave the socket behind.
+	signals := make(chan os.Signal, 1)
+	signal.Notify(signals, os.Interrupt, syscall.SIGTERM)
 	if statsAddr != "" {
 		sl, err := d.ListenStats(statsAddr)
 		if err != nil {
@@ -111,9 +116,6 @@ func Front(name string, d daemon, display int, tcp bool, statsAddr, trailer stri
 		fmt.Fprintf(os.Stderr, " and tcp%s", addr)
 	}
 	fmt.Fprintf(os.Stderr, "%s\n", trailer)
-
-	signals := make(chan os.Signal, 1)
-	signal.Notify(signals, os.Interrupt, syscall.SIGTERM)
 	<-signals
 	if shutdown != nil {
 		shutdown(signals)

@@ -389,21 +389,3 @@ func (b *Backend) WriteReg(reg, val uint32) bool {
 	data := []byte{byte(val >> 24), byte(val >> 16), byte(val >> 8), byte(val)}
 	return b.roundTrip(&Packet{Fn: FnWriteReg, Param: reg, Data: data}, 3) != nil
 }
-
-// Reset resets the box.
-func (b *Backend) Reset() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.roundTrip(&Packet{Fn: FnReset}, 3) != nil
-}
-
-// Loopback round-trips a payload (for testing and time sync).
-func (b *Backend) Loopback(data []byte) ([]byte, bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	rep := b.roundTrip(&Packet{Fn: FnLoopback, Data: data}, 3)
-	if rep == nil {
-		return nil, false
-	}
-	return rep.Data, true
-}

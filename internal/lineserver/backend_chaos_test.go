@@ -87,7 +87,7 @@ func TestRoundTripDiscardsStaleAndDuplicate(t *testing.T) {
 	defer b.Close()
 
 	armed.Store(true)
-	got, ok := b.Loopback([]byte("live"))
+	got, ok := loopback(b, []byte("live"))
 	armed.Store(false)
 	if !ok || !bytes.Equal(got, []byte("live")) {
 		t.Fatalf("Loopback through stale noise = %q, %v", got, ok)
@@ -95,7 +95,7 @@ func TestRoundTripDiscardsStaleAndDuplicate(t *testing.T) {
 
 	// Two more round trips drain any stale datagrams that arrived after
 	// the accept, then refresh the time base from a clean reply.
-	b.Loopback(nil)
+	loopback(b, nil)
 	if got := b.Time(); got != 3000 {
 		t.Errorf("Time = %d after stale replies carrying %d; poisoned timestamp adopted", got, poisonTime)
 	}
@@ -139,12 +139,12 @@ func TestDelayedReplyToTimedOutRequest(t *testing.T) {
 	defer b.Close()
 
 	armed.Store(true)
-	got, ok := b.Loopback([]byte("retry me"))
+	got, ok := loopback(b, []byte("retry me"))
 	armed.Store(false)
 	if !ok || !bytes.Equal(got, []byte("retry me")) {
 		t.Fatalf("Loopback through delayed duplicate = %q, %v", got, ok)
 	}
-	b.Loopback(nil) // drain any copy that landed after the accept
+	loopback(b, nil) // drain any copy that landed after the accept
 
 	st := b.Stats()
 	if st.Stale == 0 {
@@ -181,16 +181,16 @@ func TestResyncAbandoned(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer b.Close()
-	if b.State() != health.Healthy {
-		t.Fatalf("fresh backend state = %s", b.State())
+	if b.health.State() != health.Healthy {
+		t.Fatalf("fresh backend state = %s", b.health.State())
 	}
 
 	// Two failed round trips cross the threshold; the healer's three
 	// attempts all fail against the dead box.
 	alive.Store(false)
-	b.Loopback(nil)
-	b.Loopback(nil)
-	waitFor(t, "state down after abandoned resync", func() bool { return b.State() == health.Down })
+	loopback(b, nil)
+	loopback(b, nil)
+	waitFor(t, "state down after abandoned resync", func() bool { return b.health.State() == health.Down })
 
 	b.Close()
 	st := b.Stats()
@@ -231,8 +231,8 @@ func TestResyncCompletes(t *testing.T) {
 	defer b.Close()
 
 	alive.Store(false)
-	b.Loopback(nil)
-	b.Loopback(nil)
+	loopback(b, nil)
+	loopback(b, nil)
 	alive.Store(true)
 	waitFor(t, "resync completion after revival", func() bool {
 		st := b.Stats()
@@ -282,16 +282,16 @@ func TestSpontaneousRecovery(t *testing.T) {
 
 	// One-attempt healer against a dead box: straight to down.
 	alive.Store(false)
-	b.Loopback(nil)
-	b.Loopback(nil)
-	waitFor(t, "state down", func() bool { return b.State() == health.Down })
+	loopback(b, nil)
+	loopback(b, nil)
+	waitFor(t, "state down", func() bool { return b.health.State() == health.Down })
 
 	// The network heals before any new escalation: one good op recovers.
 	alive.Store(true)
-	if _, ok := b.Loopback([]byte("back")); !ok {
+	if _, ok := loopback(b, []byte("back")); !ok {
 		t.Fatal("loopback against revived box failed")
 	}
-	if got := b.State(); got != health.Healthy {
+	if got := b.health.State(); got != health.Healthy {
 		t.Errorf("state after successful op = %s, want healthy", got)
 	}
 	if st := b.Stats(); st.ResyncsStarted != 1 {

@@ -48,6 +48,23 @@ func TestQuickPacketRoundTrip(t *testing.T) {
 
 // bootBox starts a manual-clock LineServer with a loopback cable and a
 // backend connected to it.
+// call makes one request of the box, retried, as the backend's own round
+// trips do.
+func call(b *Backend, p *Packet) *Packet {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.roundTrip(p, 3)
+}
+
+// loopback round-trips data through the box.
+func loopback(b *Backend, data []byte) ([]byte, bool) {
+	rep := call(b, &Packet{Fn: FnLoopback, Data: data})
+	if rep == nil {
+		return nil, false
+	}
+	return rep.Data, true
+}
+
 func bootBox(t *testing.T) (*Firmware, *Backend, *vdev.ManualClock) {
 	t.Helper()
 	clk := vdev.NewManualClock(8000)
@@ -68,7 +85,7 @@ func bootBox(t *testing.T) (*Firmware, *Backend, *vdev.ManualClock) {
 func TestLoopbackPacket(t *testing.T) {
 	_, b, _ := bootBox(t)
 	payload := []byte("hello lineserver")
-	got, ok := b.Loopback(payload)
+	got, ok := loopback(b, payload)
 	if !ok || !bytes.Equal(got, payload) {
 		t.Errorf("loopback = %q, %v", got, ok)
 	}
@@ -83,7 +100,7 @@ func TestRegisters(t *testing.T) {
 	if !ok || v != 0xABCD {
 		t.Errorf("ReadReg = %#x, %v", v, ok)
 	}
-	if !b.Reset() {
+	if call(b, &Packet{Fn: FnReset}) == nil {
 		t.Fatal("Reset failed")
 	}
 	v, ok = b.ReadReg(RegOutputGain)
@@ -220,7 +237,7 @@ func TestBackendDeadClosedTransport(t *testing.T) {
 	if el := time.Since(start); el > 2*time.Second {
 		t.Errorf("Time on a closed backend took %v", el)
 	}
-	if _, ok := b.Loopback([]byte{1, 2, 3}); ok {
+	if _, ok := loopback(b, []byte{1, 2, 3}); ok {
 		t.Error("loopback succeeded on a closed transport")
 	}
 	if n := b.log.Snapshot().Totals[metrics.TransportError]; n != 1 {

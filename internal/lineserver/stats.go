@@ -64,6 +64,3 @@ func (b *Backend) Stats() BackendStats {
 	s.Replies = s.Accepted + s.Stale + s.Duplicate
 	return s
 }
-
-// State returns the current health state name.
-func (b *Backend) State() string { return b.health.State() }

@@ -50,9 +50,6 @@ type Gauge struct {
 	v atomic.Int64
 }
 
-// Set stores v.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
 // Add adds n (which may be negative).
 func (g *Gauge) Add(n int64) { g.v.Add(n) }
 
@@ -96,9 +93,6 @@ func (h *Histogram) ObserveN(v int64, n uint64) {
 	h.sum.Add(uint64(v) * n)
 	h.count.Add(n)
 }
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
 
 // Snapshot copies the histogram state. The copy is not atomic across
 // buckets — concurrent observations may straddle it — but every bucket

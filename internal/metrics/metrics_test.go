@@ -15,7 +15,7 @@ func TestCounterGauge(t *testing.T) {
 		t.Fatalf("counter = %d, want 42", got)
 	}
 	var g Gauge
-	g.Set(10)
+	g.Add(10)
 	g.Add(-3)
 	if got := g.Load(); got != 7 {
 		t.Fatalf("gauge = %d, want 7", got)
@@ -104,7 +104,7 @@ func TestHistogramConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := h.Count(); got != gor*per {
+	if got := h.Snapshot().Count; got != gor*per {
 		t.Fatalf("count = %d, want %d", got, gor*per)
 	}
 }

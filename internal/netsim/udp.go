@@ -45,10 +45,6 @@ type PacketFaultRates struct {
 	BlackoutLen   int
 }
 
-func (r PacketFaultRates) active() bool {
-	return r.Loss > 0 || r.Dup > 0 || r.Reorder > 0 || (r.BlackoutEvery > 0 && r.BlackoutLen > 0)
-}
-
 // PacketFaultConfig configures a FaultPacketConn. Ingress applies to
 // datagrams arriving via ReadFrom, Egress to datagrams leaving via
 // WriteTo; each direction draws from its own seeded stream, so the two

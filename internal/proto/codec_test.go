@@ -89,8 +89,7 @@ func TestFixedEncodersMatchReference(t *testing.T) {
 			}
 			w := &Writer{Order: o.order, Buf: start()}
 			rep.Encode(w)
-			em.Encode(w)
-			ev.Encode(w)
+			w.Buf = ev.Append(em.Append(w.Buf, o.order), o.order)
 			if !bytes.Equal(w.Buf, want) {
 				t.Fatalf("%s Encode at offset %d:\n got % x\nwant % x", o.name, len(prefix), w.Buf, want)
 			}
@@ -274,6 +273,15 @@ func sameEveryWay(t *testing.T, window int, data []byte, order binary.ByteOrder,
 	return want
 }
 
+// encodeBroadcast appends a broadcast message to w: the header
+// PutBroadcastHeader writes, then b.Data.
+func encodeBroadcast(w *Writer, b *BroadcastData) {
+	var hdr []byte
+	w.Buf, hdr = appendFixed(w.Buf, BroadcastHeaderBytes)
+	PutBroadcastHeader(w.Order, hdr, b, len(b.Data))
+	w.Bytes(b.Data)
+}
+
 // goldenStream is golden_test.go's messages — the record reply with its
 // padded payload, the broadcast chunk — plus one of each fixed-size kind,
 // as one stream in the given order. The reply with Extra comes first and is
@@ -283,12 +291,12 @@ func goldenStream(order binary.ByteOrder) (stream []byte, messages int) {
 	w := &Writer{Order: order}
 	(&Reply{Seq: 0x0102, Time: 0x11223344, Aux: 5, Extra: []byte{0x10, 0x20, 0x30, 0x40, 0x50}}).Encode(w)
 	(&Reply{Data: 9, Seq: 0x0103, Time: 0x11223345}).Encode(w)
-	(&BroadcastData{Enc: 3, BigEndianData: true, Seq: 0x0102, Time: 0x11223344, Channel: 0x0A0B0C0D,
-		Data: []byte{0x10, 0x20, 0x30, 0x40, 0x50, 0x60, 0x70, 0x80}}).Encode(w)
+	encodeBroadcast(w, &BroadcastData{Enc: 3, BigEndianData: true, Seq: 0x0102, Time: 0x11223344, Channel: 0x0A0B0C0D,
+		Data: []byte{0x10, 0x20, 0x30, 0x40, 0x50, 0x60, 0x70, 0x80}})
 	(&Reply{Seq: 0x0104, Time: 0x11223346, Aux: 0xFFFFFFFF}).Encode(w)
-	(&ErrorMsg{Code: ErrOverload, Seq: 0x0105, BadValue: 0xDEADBEEF, MajorOp: OpPlaySamples}).Encode(w)
+	w.Buf = (&ErrorMsg{Code: ErrOverload, Seq: 0x0105, BadValue: 0xDEADBEEF, MajorOp: OpPlaySamples}).Append(w.Buf, w.Order)
 	(&Reply{Seq: 0x0106}).Encode(w)
-	(&Event{Code: EventPhoneRing, Detail: 1, Seq: 0x0106, Device: 2, Time: 3, HostSec: 4, HostNsec: 5, Value: 6}).Encode(w)
+	w.Buf = (&Event{Code: EventPhoneRing, Detail: 1, Seq: 0x0106, Device: 2, Time: 3, HostSec: 4, HostNsec: 5, Value: 6}).Append(w.Buf, w.Order)
 	(&Reply{Seq: 0x0107, Aux: 3, Extra: []byte{1, 2, 3}}).Encode(w)
 	return w.Buf, 8
 }

@@ -16,13 +16,13 @@ func FuzzReadMessage(f *testing.F) {
 	(&Reply{Data: 1, Seq: 2, Time: 3, Aux: 4, Extra: []byte{1, 2, 3, 4}}).Encode(w)
 	f.Add(append([]byte(nil), w.Buf...))
 	w.Reset()
-	(&ErrorMsg{Code: ErrDevice, Seq: 9}).Encode(w)
+	w.Buf = (&ErrorMsg{Code: ErrDevice, Seq: 9}).Append(w.Buf, w.Order)
 	f.Add(append([]byte(nil), w.Buf...))
 	w.Reset()
-	(&Event{Code: EventPhoneRing, Detail: 1}).Encode(w)
+	w.Buf = (&Event{Code: EventPhoneRing, Detail: 1}).Append(w.Buf, w.Order)
 	f.Add(append([]byte(nil), w.Buf...))
 	w.Reset()
-	(&BroadcastData{Enc: 1, Seq: 5, Time: 6, Channel: 7, Data: []byte{1, 2, 3, 4}}).Encode(w)
+	encodeBroadcast(w, &BroadcastData{Enc: 1, Seq: 5, Time: 6, Channel: 7, Data: []byte{1, 2, 3, 4}})
 	f.Add(append([]byte(nil), w.Buf...))
 	f.Add([]byte{})
 	f.Add([]byte{1})
@@ -75,15 +75,15 @@ func FuzzParseMessage(f *testing.F) {
 	// the middle of a direct read: the reader must route them out as Error
 	// messages, never confuse them with the awaited reply.
 	w.Reset()
-	(&ErrorMsg{Code: ErrOverload, Seq: 1, BadValue: 1 << 20}).Encode(w)
+	w.Buf = (&ErrorMsg{Code: ErrOverload, Seq: 1, BadValue: 1 << 20}).Append(w.Buf, w.Order)
 	f.Add(append([]byte(nil), w.Buf...), uint16(1), 8)
 	w.Reset()
-	(&ErrorMsg{Code: ErrDrain, Seq: 3}).Encode(w)
+	w.Buf = (&ErrorMsg{Code: ErrDrain, Seq: 3}).Append(w.Buf, w.Order)
 	f.Add(append([]byte(nil), w.Buf...), uint16(1), 0)
 	// A broadcast chunk arriving mid-read must route out like an event,
 	// never be confused with the awaited reply.
 	w.Reset()
-	(&BroadcastData{Enc: 1, Seq: 2, Channel: 4, Data: []byte{9, 9, 9, 9}}).Encode(w)
+	encodeBroadcast(w, &BroadcastData{Enc: 1, Seq: 2, Channel: 4, Data: []byte{9, 9, 9, 9}})
 	f.Add(append([]byte(nil), w.Buf...), uint16(1), 8)
 	// A stream: the reply with Extra is 24 bytes, so the fourth header
 	// straddles the end of the differential's 64-byte bufio window.
@@ -129,7 +129,7 @@ func FuzzErrorReply(f *testing.F) {
 		in := ErrorMsg{Code: code, Seq: seq, BadValue: badValue, MajorOp: major}
 		for _, order := range []binary.ByteOrder{binary.LittleEndian, binary.BigEndian} {
 			w := &Writer{Order: order}
-			in.Encode(w)
+			w.Buf = in.Append(w.Buf, w.Order)
 			if len(w.Buf)%4 != 0 {
 				t.Fatalf("error message not 32-bit aligned: %d bytes", len(w.Buf))
 			}

@@ -93,15 +93,6 @@ type BroadcastData struct {
 	Data          []byte
 }
 
-// Encode appends the broadcast message to w. Data must be a multiple of
-// 4 bytes, as the server's channel pump guarantees.
-func (b *BroadcastData) Encode(w *Writer) {
-	var hdr []byte
-	w.Buf, hdr = appendFixed(w.Buf, BroadcastHeaderBytes)
-	PutBroadcastHeader(w.Order, hdr, b, len(b.Data))
-	w.Bytes(b.Data)
-}
-
 // PutBroadcastHeader writes a broadcast message's fixed 16-byte header
 // into hdr for a payload of dataLen bytes (a multiple of 4) that the
 // caller marshals in place, mirroring PutReplyHeader: the server encodes
@@ -127,9 +118,6 @@ type ErrorMsg struct {
 	MajorOp  uint8
 }
 
-// Encode appends the error to w.
-func (e *ErrorMsg) Encode(w *Writer) { w.Buf = e.Append(w.Buf, w.Order) }
-
 // Append appends the error to b.
 func (e *ErrorMsg) Append(b []byte, order binary.ByteOrder) []byte {
 	b, msg := appendFixed(b, EventBytes)
@@ -154,9 +142,6 @@ type Event struct {
 	HostNsec uint32
 	Value    uint32 // e.g. the changed property atom
 }
-
-// Encode appends the event to w.
-func (e *Event) Encode(w *Writer) { w.Buf = e.Append(w.Buf, w.Order) }
 
 // Append appends the event to b.
 func (e *Event) Append(b []byte, order binary.ByteOrder) []byte {

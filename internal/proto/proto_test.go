@@ -364,10 +364,10 @@ func TestMessageRoundTrips(t *testing.T) {
 			rep := &Reply{Data: 5, Seq: 1000, Time: 0xDEADBEEF, Aux: 42, Extra: []byte{9, 8, 7, 6}}
 			rep.Encode(w)
 			em := &ErrorMsg{Code: ErrDevice, Seq: 1001, BadValue: 77, MajorOp: OpGetTime}
-			em.Encode(w)
+			w.Buf = em.Append(w.Buf, w.Order)
 			ev := &Event{Code: EventPhoneDTMF, Detail: '5', Seq: 1001, Device: 0,
 				Time: 12345, HostSec: 1000000, HostNsec: 500, Value: 3}
-			ev.Encode(w)
+			w.Buf = ev.Append(w.Buf, w.Order)
 
 			rd := bytes.NewReader(w.Buf)
 			m, err := ReadMessage(rd, o.order)
@@ -400,12 +400,12 @@ func TestMessageRoundTrips(t *testing.T) {
 
 func TestErrorAndEventFixedSize(t *testing.T) {
 	w := &Writer{Order: binary.LittleEndian}
-	(&ErrorMsg{}).Encode(w)
+	w.Buf = (&ErrorMsg{}).Append(w.Buf, w.Order)
 	if len(w.Buf) != EventBytes {
 		t.Errorf("error size = %d, want %d", len(w.Buf), EventBytes)
 	}
 	w.Reset()
-	(&Event{Code: EventPhoneRing}).Encode(w)
+	w.Buf = (&Event{Code: EventPhoneRing}).Append(w.Buf, w.Order)
 	if len(w.Buf) != EventBytes {
 		t.Errorf("event size = %d, want %d", len(w.Buf), EventBytes)
 	}

@@ -69,9 +69,6 @@ func (r *Ring) Frames() int { return int(r.frames) }
 // FrameBytes returns the size of one frame in bytes.
 func (r *Ring) FrameBytes() int { return r.frameBytes }
 
-// Bytes returns the total buffer size in bytes.
-func (r *Ring) Bytes() int { return len(r.buf) }
-
 // Region returns the storage for nframes frames starting at time t as at
 // most two contiguous byte slices (two when the region wraps the end of
 // the buffer). nframes must not exceed the ring capacity. The slices alias

@@ -154,8 +154,8 @@ func TestQuickRoundTrip(t *testing.T) {
 	r := New(64, 2, 0)
 	f := func(start uint32, data []byte) bool {
 		n := len(data) / 2 * 2
-		if n > r.Bytes() {
-			n = r.Bytes()
+		if n > len(r.buf) {
+			n = len(r.buf)
 		}
 		d := data[:n]
 		r.WriteAt(atime.ATime(start), d)

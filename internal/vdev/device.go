@@ -97,23 +97,8 @@ func New(cfg Config) *Device {
 // Name returns the device name.
 func (d *Device) Name() string { return d.cfg.Name }
 
-// Rate returns the sampling frequency in Hz.
-func (d *Device) Rate() int { return d.cfg.Rate }
-
-// Encoding returns the native hardware sample type.
-func (d *Device) Encoding() sampleconv.Encoding { return d.cfg.Enc }
-
-// Channels returns the interleaved channel count.
-func (d *Device) Channels() int { return d.cfg.Channels }
-
-// FrameBytes returns the size of one frame (all channels) in bytes.
-func (d *Device) FrameBytes() int { return d.frameBytes }
-
 // HWFrames returns the hardware ring size in frames.
 func (d *Device) HWFrames() int { return d.hwPlay.Frames() }
-
-// Clock returns the device's sample clock.
-func (d *Device) Clock() Clock { return d.clock }
 
 // Stats returns cumulative frame counters: host-supplied frames played,
 // silence frames played, and frames recorded.
@@ -127,10 +112,6 @@ func (d *Device) Time() atime.ATime {
 	d.Sync()
 	return d.now
 }
-
-// Now returns the device time as of the last Sync without touching the
-// clock.
-func (d *Device) Now() atime.ATime { return d.now }
 
 // Sync advances the simulated hardware to the clock's current tick: frames
 // that the DAC consumed since the last Sync are delivered to the sink (and

@@ -58,10 +58,10 @@ func TestRealClockSkew(t *testing.T) {
 
 func TestDeviceAttributes(t *testing.T) {
 	d := newTestDevice(NewManualClock(8000), nil, nil)
-	if d.Name() != "codec0" || d.Rate() != 8000 || d.Encoding() != sampleconv.MU255 ||
-		d.Channels() != 1 || d.FrameBytes() != 1 || d.HWFrames() != 64 {
+	if d.Name() != "codec0" || d.cfg.Rate != 8000 || d.cfg.Enc != sampleconv.MU255 ||
+		d.cfg.Channels != 1 || d.frameBytes != 1 || d.HWFrames() != 64 {
 		t.Errorf("bad attributes: %s %d %v %d %d %d",
-			d.Name(), d.Rate(), d.Encoding(), d.Channels(), d.FrameBytes(), d.HWFrames())
+			d.Name(), d.cfg.Rate, d.cfg.Enc, d.cfg.Channels, d.frameBytes, d.HWFrames())
 	}
 }
 
@@ -260,8 +260,8 @@ func TestSyncAcrossLargeGap(t *testing.T) {
 	d := newTestDevice(clk, sink, nil)
 	clk.Advance(1000)
 	d.Sync()
-	if d.Now() != 1000 {
-		t.Errorf("Now = %d, want 1000", d.Now())
+	if d.now != 1000 {
+		t.Errorf("Now = %d, want 1000", d.now)
 	}
 	_, silent, rec := d.Stats()
 	if silent != 1000 || rec != 1000 {
@@ -371,9 +371,9 @@ func newSpanRig(start atime.ATime, frameBytes int, steps ...int) *spanRig {
 	ramp := make([]byte, spanHW*frameBytes)
 	for _, step := range steps {
 		for i := range ramp {
-			ramp[i] = byte(1 + (int(uint32(d.Now()))+i)%200)
+			ramp[i] = byte(1 + (int(uint32(d.now))+i)%200)
 		}
-		d.WritePlay(d.Now(), ramp)
+		d.WritePlay(d.now, ramp)
 		clk.Advance(step)
 		d.Sync()
 	}
@@ -413,7 +413,7 @@ func TestSpanReadsMatchPerFrameOracle(t *testing.T) {
 			// mark) where it started; 300 outruns both rings.
 			for _, steps := range [][]int{{}, {0}, {10}, {40, 50}, {64, 64, 7}, {300, 30}} {
 				r := newSpanRig(start, fb, steps...)
-				now := r.d.Now()
+				now := r.d.now
 				for _, c := range []struct{ off, n int }{
 					{-3 * spanHW, spanHW},        // wholly before the window
 					{2, spanHW},                  // wholly after
@@ -450,7 +450,7 @@ func TestSpanReadsMatchPerFrameOracleRandom(t *testing.T) {
 		r := newSpanRig(start, fb, steps...)
 		for j := 0; j < 20; j++ {
 			off := rng.Intn(10*spanHW) - 6*spanHW
-			r.check(t, atime.Add(r.d.Now(), off), rng.Intn(6*spanHW), rng.Intn(4))
+			r.check(t, atime.Add(r.d.now, off), rng.Intn(6*spanHW), rng.Intn(4))
 		}
 	}
 }
@@ -484,7 +484,7 @@ func FuzzReadRecordSpan(f *testing.F) {
 		r := newSpanRig(atime.ATime(start), fb, int(advance%512), int(advance>>9))
 		// Spans far enough from now to cross the half-range boundary are
 		// outside atime's contract; keep within ±2²⁰ frames.
-		r.check(t, atime.Add(r.d.Now(), int(off%(1<<20))), int(n%1024), int(n>>10))
+		r.check(t, atime.Add(r.d.now, int(off%(1<<20))), int(n%1024), int(n>>10))
 	})
 }
 
