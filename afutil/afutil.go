@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"sync"
 
 	"audiofile/internal/dsp"
 	"audiofile/internal/sampleconv"
@@ -80,10 +81,24 @@ func MixA(a, b byte) byte {
 // GainTableRange bounds the precomputed gain tables: -30 dB to +30 dB.
 const GainTableRange = 30
 
+// gainTables are the 61 precomputed tables of each law, computed together
+// on first use, once, however many goroutines ask.
 var (
-	gainTablesU [2*GainTableRange + 1]*[256]byte
-	gainTablesA [2*GainTableRange + 1]*[256]byte
+	gainTablesU = sync.OnceValue(func() *[2*GainTableRange + 1][256]byte {
+		return gainTables(MakeGainTableU)
+	})
+	gainTablesA = sync.OnceValue(func() *[2*GainTableRange + 1][256]byte {
+		return gainTables(MakeGainTableA)
+	})
 )
+
+func gainTables(mk func(float64) *[256]byte) *[2*GainTableRange + 1][256]byte {
+	var t [2*GainTableRange + 1][256]byte
+	for i := range t {
+		t[i] = *mk(float64(i - GainTableRange))
+	}
+	return &t
+}
 
 // MakeGainTableU computes a µ-law-to-µ-law gain translation table for an
 // arbitrary gain in dB (AFMakeGainTableU), for gains outside the
@@ -109,28 +124,17 @@ func makeGainTable(gainDB float64, exp []int16, comp func(int16) byte) *[256]byt
 
 // GainTableU returns the precomputed µ-law gain table for an integer dB
 // gain in [-30, +30] (AF_gain_table_u).
-func GainTableU(gainDB int) *[256]byte {
-	if gainDB < -GainTableRange || gainDB > GainTableRange {
-		panic(fmt.Sprintf("afutil: gain %d dB outside table range", gainDB))
-	}
-	i := gainDB + GainTableRange
-	if gainTablesU[i] == nil {
-		gainTablesU[i] = MakeGainTableU(float64(gainDB))
-	}
-	return gainTablesU[i]
-}
+func GainTableU(gainDB int) *[256]byte { return &gainTablesU()[gainIndex(gainDB)] }
 
 // GainTableA returns the precomputed A-law gain table for an integer dB
 // gain in [-30, +30] (AF_gain_table_a).
-func GainTableA(gainDB int) *[256]byte {
+func GainTableA(gainDB int) *[256]byte { return &gainTablesA()[gainIndex(gainDB)] }
+
+func gainIndex(gainDB int) int {
 	if gainDB < -GainTableRange || gainDB > GainTableRange {
 		panic(fmt.Sprintf("afutil: gain %d dB outside table range", gainDB))
 	}
-	i := gainDB + GainTableRange
-	if gainTablesA[i] == nil {
-		gainTablesA[i] = MakeGainTableA(float64(gainDB))
-	}
-	return gainTablesA[i]
+	return gainDB + GainTableRange
 }
 
 // SampleType describes the framing of an encoding (AFSampleTypes).
@@ -167,21 +171,13 @@ func PowerMu(block []byte) float64 {
 	for _, b := range block {
 		sum += PowerU[b]
 	}
-	return meanSquareDBm(sum / float64(len(block)))
+	return dsp.MeanSquareDBm(sum / float64(len(block)))
 }
 
 // PowerLin16 returns the mean power of a linear block in dBm re the
 // digital milliwatt.
 func PowerLin16(block []int16) float64 {
 	return dsp.PowerDBm(block)
-}
-
-func meanSquareDBm(ms float64) float64 {
-	if ms == 0 {
-		return math.Inf(-1)
-	}
-	ref := float64(32124) * float64(32124) / 2 / math.Pow(10, 0.316)
-	return 10 * math.Log10(ms/ref)
 }
 
 // AoD is "Assert Or Die": if the condition is false, print the message

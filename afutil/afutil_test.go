@@ -2,6 +2,7 @@ package afutil
 
 import (
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -100,6 +101,37 @@ func TestGainTables(t *testing.T) {
 	// The table cache returns the same pointer.
 	if GainTableU(-6) != tbl {
 		t.Error("gain table not cached")
+	}
+}
+
+// TestGainTablesConcurrent has four goroutines walk the whole table
+// range at once, as concurrent clients of the library do; under -race it
+// catches an unsynchronized fill, and every table must be the one
+// MakeGainTableU/A computes, handed out as one pointer.
+func TestGainTablesConcurrent(t *testing.T) {
+	var wg sync.WaitGroup
+	got := make([][2][2*GainTableRange + 1]*[256]byte, 4)
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for db := -GainTableRange; db <= GainTableRange; db++ {
+				got[g][0][db+GainTableRange] = GainTableU(db)
+				got[g][1][db+GainTableRange] = GainTableA(db)
+			}
+		}()
+	}
+	wg.Wait()
+	for db := -GainTableRange; db <= GainTableRange; db++ {
+		i := db + GainTableRange
+		if *got[0][0][i] != *MakeGainTableU(float64(db)) || *got[0][1][i] != *MakeGainTableA(float64(db)) {
+			t.Fatalf("%d dB: table differs from MakeGainTable", db)
+		}
+		for g := 1; g < len(got); g++ {
+			if got[g][0][i] != got[0][0][i] || got[g][1][i] != got[0][1][i] {
+				t.Fatalf("%d dB: goroutine %d got another table", db, g)
+			}
+		}
 	}
 }
 
@@ -287,6 +319,27 @@ func TestPowerMu(t *testing.T) {
 	TonePair(1000, 0, 1000, -100, 0, 8000, buf)
 	if p := PowerMu(buf); math.Abs(p) > 0.5 {
 		t.Errorf("0 dBm tone = %g dBm", p)
+	}
+}
+
+// TestPowerMuIsPowerLin16 holds the two power meters to one digital
+// milliwatt: both sum the same squares in the same order, so a µ-law
+// block and its MuToLin expansion measure exactly the same.
+func TestPowerMuIsPowerLin16(t *testing.T) {
+	tone := make([]byte, 800)
+	TonePair(697, -4, 1209, -2, 0, 8000, tone)
+	every := make([]byte, 256)
+	for i := range every {
+		every[i] = byte(i)
+	}
+	for _, block := range [][]byte{tone, every, {0xFF, 0x7F}, nil} {
+		lin := make([]int16, len(block))
+		for i, b := range block {
+			lin[i] = sampleconv.MuToLin[b]
+		}
+		if mu, l := PowerMu(block), PowerLin16(lin); mu != l {
+			t.Errorf("%d bytes: PowerMu %v != PowerLin16 %v", len(block), mu, l)
+		}
 	}
 }
 

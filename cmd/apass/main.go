@@ -71,11 +71,9 @@ func main() {
 	fdev := cmdutil.PickDevice(faud, *inDev)
 	tdev := cmdutil.PickDevice(taud, *outDev)
 
-	params := Params{
-		Delay: *delay, AJ: *aj, Buffering: *buffering, Gain: *gain,
-		Log: *logFlag, Blocks: *blocks, Logf: func(format string, args ...any) {
-			fmt.Printf(format+"\n", args...)
-		},
+	params := Params{Delay: *delay, AJ: *aj, Buffering: *buffering, Gain: *gain, Blocks: *blocks}
+	if *logFlag {
+		params.Logf = func(format string, args ...any) { fmt.Printf(format+"\n", args...) }
 	}
 	if *paramFile != "" {
 		// §8.3.1: another process (a Tk panel, EMACS keybindings) can
@@ -102,21 +100,19 @@ func main() {
 	if err != nil {
 		cmdutil.Die("apass: %v", err)
 	}
-	if *logFlag {
-		fmt.Printf("apass: %d blocks passed\n", n)
+	if params.Logf != nil {
+		params.Logf("apass: %d blocks passed", n)
 	}
-	_ = os.Stdout
 }
 
 // Params are the knobs of the apass inner loop.
 type Params struct {
-	Delay     float64 // end-to-end delay target in seconds
-	AJ        float64 // anti-jitter tolerance in seconds
-	Buffering float64 // block size in seconds
-	Gain      int     // playback gain in dB
-	Log       bool
-	Blocks    int // block count, or -1 for forever
-	Logf      func(string, ...any)
+	Delay     float64              // end-to-end delay target in seconds
+	AJ        float64              // anti-jitter tolerance in seconds
+	Buffering float64              // block size in seconds
+	Gain      int                  // playback gain in dB
+	Blocks    int                  // block count, or -1 for forever
+	Logf      func(string, ...any) // resync and reload log; nil is quiet
 
 	// Reload, when non-nil, delivers parameter updates applied between
 	// blocks (the -f / SIGUSR1 mechanism).
@@ -248,7 +244,7 @@ func Pass(faud, taud *af.Conn, fdev, tdev int, p Params) (int, error) {
 				for i := range hist {
 					hist[i] = delayInSamples
 				}
-				if p.Log && p.Logf != nil {
+				if p.Logf != nil {
 					p.Logf("apass: parameters updated (delay %d samples, aj %d)", delayInSamples, ajSamples)
 				}
 			default:
@@ -285,7 +281,7 @@ func Pass(faud, taud *af.Conn, fdev, tdev int, p Params) (int, error) {
 			for i := range hist {
 				hist[i] = delayInSamples
 			}
-			if p.Log && p.Logf != nil {
+			if p.Logf != nil {
 				p.Logf("apass: resync (slip %d samples, want %d..%d)", slip, delayLower, delayUpper)
 			}
 		}

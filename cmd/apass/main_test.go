@@ -66,7 +66,7 @@ func TestPassResynchronizesUnderDrift(t *testing.T) {
 	_, taud := newServer(t, 5000, nil, &vdev.CaptureSink{Max: 1 << 20})
 
 	resyncCount := 0
-	p := Params{Delay: 0.2, AJ: 0.01, Buffering: 0.1, Blocks: 40, Log: true,
+	p := Params{Delay: 0.2, AJ: 0.01, Buffering: 0.1, Blocks: 40,
 		Logf: func(format string, args ...any) { resyncCount++ }}
 	if _, err := Pass(faud, taud, 0, 0, p); err != nil {
 		t.Fatal(err)
@@ -142,7 +142,7 @@ func TestPassRuntimeReload(t *testing.T) {
 	reload <- Update{Delay: &newDelay, Gain: &newGain}
 	logged := 0
 	p := Params{Delay: 0.3, AJ: 0.1, Buffering: 0.1, Blocks: 6, Reload: reload,
-		Log: true, Logf: func(format string, args ...any) {
+		Logf: func(format string, args ...any) {
 			if strings.Contains(format, "parameters updated") {
 				logged++
 			}

@@ -136,7 +136,12 @@ func PowerDBm(x []int16) float64 {
 		f := float64(v)
 		sum += f * f
 	}
-	ms := sum / float64(len(x))
+	return MeanSquareDBm(sum / float64(len(x)))
+}
+
+// MeanSquareDBm returns the power of a block whose mean square is ms in
+// dBm relative to the digital milliwatt; silence (ms 0) returns -inf.
+func MeanSquareDBm(ms float64) float64 {
 	if ms == 0 {
 		return math.Inf(-1)
 	}

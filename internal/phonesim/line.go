@@ -275,13 +275,9 @@ func synthPair(rate int, lo, hi float64, n int) []byte {
 	hiAmp := dsp.AmplitudeForDBm(-2)
 	out := make([]byte, n)
 	for i := 0; i < n; i++ {
-		v := loAmp*sin2pi(lo*float64(i)/float64(rate)) +
-			hiAmp*sin2pi(hi*float64(i)/float64(rate))
+		v := loAmp*dsp.Sin2Pi(lo*float64(i)/float64(rate)) +
+			hiAmp*dsp.Sin2Pi(hi*float64(i)/float64(rate))
 		out[i] = sampleconv.EncodeMuLaw(sampleconv.Clamp16(int(v)))
 	}
 	return out
-}
-
-func sin2pi(x float64) float64 {
-	return dsp.Sin2Pi(x)
 }

@@ -6,9 +6,9 @@ import "testing"
 
 // TestKernelAllocs is the allocation gate of BenchmarkMix* and
 // BenchmarkKernel: every kernel SelectKernel hands out, at every size,
-// allocates nothing per call (the generic two-pass ones stage through a
-// pooled scratch). Under -race the counts include the detector's own, so
-// the gate runs without it.
+// allocates nothing per call (the reference closures are built once, at
+// init). Under -race the counts include the detector's own, so the gate
+// runs without it.
 func TestKernelAllocs(t *testing.T) {
 	for _, mk := range mixKernels() {
 		for _, size := range mixSizes {

@@ -69,7 +69,7 @@ func mixOp(e Encoding, k Kernel, size int) func() {
 // SelectKernel hands it out, its AVX2 twin and its table twin, which call
 // those tiers directly, so on a CPU with the vector paths the three are
 // the before/after (a twin the CPU lacks is the table, and under -tags
-// purego all three are equal); the lin16 unity mix, a generic kernel; and
+// purego all three are equal); the lin16 unity mix, a reference closure; and
 // the retained scalar pipeline, the before/after of the kernel layer. A
 // function, because the kernels exist only once init has built the tables.
 func mixKernels() []mixKernel {
@@ -118,8 +118,8 @@ func BenchmarkMixMuLawTable(b *testing.B)     { benchMix(b, 2) }
 func BenchmarkMixLin16(b *testing.B)          { benchMix(b, 3) }
 func BenchmarkMixMuLawReference(b *testing.B) { benchMix(b, 4) }
 
-// kernelCases are the copy kernel and the shapes the generic kernel
-// serves, at 8192 samples. The µ-law and lin16 unity mixes are
+// kernelCases are the copy kernel and shapes the reference closures
+// serve, at 8192 samples. The µ-law and lin16 unity mixes are
 // mixKernels.
 var kernelCases = []kernelCase{
 	{"mu_copy", MU255, MU255, false, false, 1.0},

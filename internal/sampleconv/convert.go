@@ -41,11 +41,13 @@ func SwapBytes(e Encoding, buf []byte) {
 	}
 }
 
-// decode16 reads the sample unit at index i of buf (native little-endian)
-// and returns it in the 16-bit linear domain. It is the scalar primitive
-// behind the reference pipeline and the channel-view paths; bulk code goes
-// through the kernels (see kernels.go).
-func decode16(e Encoding, buf []byte, i int) int {
+// DecodeSample reads sample unit i of buf (native little-endian) in the
+// 16-bit linear domain. It is the scalar primitive behind the reference
+// pipeline, ToLin16 and the server's mono channel views, which address
+// one channel inside interleaved frames. ADPCM4 has no linear
+// interpretation here (conversion modules decompress before the
+// pipeline) and decodes as zero, as does an unknown encoding.
+func DecodeSample(e Encoding, buf []byte, i int) int {
 	switch e {
 	case MU255:
 		return int(MuToLin[buf[i]])
@@ -59,8 +61,9 @@ func decode16(e Encoding, buf []byte, i int) int {
 	return 0
 }
 
-// encode16 writes a 16-bit-domain linear value as sample i of buf.
-func encode16(e Encoding, buf []byte, i int, v int) {
+// EncodeSample writes a 16-bit-domain linear value as sample unit i of
+// buf, saturating. It writes nothing for ADPCM4 or an unknown encoding.
+func EncodeSample(e Encoding, buf []byte, i int, v int) {
 	s := Clamp16(v)
 	switch e {
 	case MU255:
@@ -74,39 +77,16 @@ func encode16(e Encoding, buf []byte, i int, v int) {
 	}
 }
 
-// DecodeSample reads sample unit i of buf (native little-endian) in the
-// 16-bit linear domain. It is the per-sample primitive the server's mono
-// channel views use to address one channel inside interleaved frames.
-func DecodeSample(e Encoding, buf []byte, i int) int { return decode16(e, buf, i) }
-
-// EncodeSample writes a 16-bit-domain linear value as sample unit i of
-// buf, saturating.
-func EncodeSample(e Encoding, buf []byte, i int, v int) { encode16(e, buf, i, v) }
-
 // ToLin16 decodes nsamples of src into dst as 16-bit-domain linear values.
 func ToLin16(dst []int16, src []byte, e Encoding, nsamples int) {
-	if nsamples <= 0 {
-		return
-	}
-	if e.Valid() {
-		decBatch[e](dst[:nsamples], src)
-		return
-	}
 	for i := 0; i < nsamples; i++ {
-		dst[i] = int16(decode16(e, src, i))
+		dst[i] = int16(DecodeSample(e, src, i))
 	}
 }
 
 // FromLin16 encodes nsamples of linear values into dst in encoding e.
 func FromLin16(dst []byte, e Encoding, src []int16, nsamples int) {
-	if nsamples <= 0 {
-		return
-	}
-	if e.Valid() {
-		encBatch[e](dst, src[:nsamples])
-		return
-	}
 	for i := 0; i < nsamples; i++ {
-		encode16(e, dst, i, int(src[i]))
+		EncodeSample(e, dst, i, int(src[i]))
 	}
 }

@@ -4,8 +4,8 @@ package sampleconv
 // the (srcEnc, dstEnc, gain, mix) shape of a request on every sample,
 // dispatching two encoding switches and a float64 multiply per sample
 // (the Table 11 mixing penalty). Here that decision is hoisted to one
-// table lookup per request: SelectKernel returns a specialized batch
-// function that runs a tight, switch-free loop over the whole buffer.
+// table lookup per request: SelectKernel returns the batch function for
+// the shape, and the request runs it over the whole buffer.
 //
 // Kernels, by request shape:
 //
@@ -17,25 +17,20 @@ package sampleconv
 //     the CPU has AVX-512 VBMI (mix_amd64.s); each exact by enumeration
 //     of all 65,536 byte pairs, the widest chosen once by a CPUID probe
 //   - everything else (A-law, lin16 and lin32, gain, conversion, ...) ->
-//     a two-pass generic kernel: batch-decode into a pooled []int16
-//     scratch, then a per-destination finish loop with the mode flags
-//     hoisted out of the sample loops
+//     referenceProcess itself, the scalar pipeline, through a closure
+//     built once at init
 //
 // The first two are the shapes the measured workloads run; a shape gains
-// a kernel of its own only with a workload that runs it.
+// a kernel of its own only with a workload that runs it, and until then
+// the pipeline's semantics are stated once, in referenceProcess.
 //
 // Gain is Q16 fixed point (GainQ16/ScaleQ16): the float64 multiplier is
 // quantized once per request and applied with an integer multiply and an
-// arithmetic shift. referenceProcess retains the old scalar pipeline
-// (with the same Q16 gain) and is the bit-exactness oracle for every
-// kernel: property tests assert kernel ≡ reference for all encoding
-// pairs, gains, and mix/preempt modes.
+// arithmetic shift. referenceProcess is the bit-exactness oracle for the
+// specialized kernels: property tests assert kernel ≡ reference for all
+// encoding pairs, gains, and mix/preempt modes.
 
-import (
-	"encoding/binary"
-	"math"
-	"sync"
-)
+import "math"
 
 // Kernel is a specialized batch sample-pipeline step: it moves nsamples
 // from src (already in the kernel's source encoding) into dst, applying
@@ -74,12 +69,11 @@ func ScaleQ16(v int, q int32) int {
 // SelectKernel resolves the batch function for one request shape. It is
 // intended to run once per request; the returned kernel is then applied
 // to each buffer region without further dispatch. Encodings outside the
-// known set fall back to the scalar reference pipeline.
+// known set run the reference pipeline too, through a closure built per
+// call.
 func SelectKernel(dstEnc, srcEnc Encoding, mix, hasGain bool) Kernel {
 	if !dstEnc.Valid() || !srcEnc.Valid() {
-		return func(dst, src []byte, n int, q int32) {
-			referenceProcess(dst, dstEnc, src, srcEnc, n, q, mix)
-		}
+		return makeReference(dstEnc, srcEnc, mix, hasGain)
 	}
 	return kernels[dstEnc][srcEnc][b2i(mix)][b2i(hasGain)]
 }
@@ -92,8 +86,8 @@ func b2i(b bool) int {
 }
 
 // kernels is the [dstEnc][srcEnc][mix][hasGain] dispatch table, filled by
-// init with specialized kernels where they exist and generic two-pass
-// kernels elsewhere.
+// init with specialized kernels where they exist and reference closures
+// elsewhere.
 var kernels [numEncodings][numEncodings][2][2]Kernel
 
 // muMixTab[d<<8|s] is the µ-law byte for the saturating linear sum of
@@ -101,10 +95,10 @@ var kernels [numEncodings][numEncodings][2][2]Kernel
 // and an encode.
 var muMixTab [65536]byte
 
-// referenceProcess is the retained scalar pipeline (the pre-kernel
-// Process body, with the float64 gain replaced by the same Q16 gain the
-// kernels use). It defines the semantics every kernel must reproduce
-// bit-for-bit and serves as the fallback for unknown encodings.
+// referenceProcess is the scalar pipeline (the pre-kernel Process body,
+// with the float64 gain replaced by the same Q16 gain the kernels use).
+// It defines the semantics every specialized kernel must reproduce
+// bit-for-bit, and it is the kernel of every other shape.
 func referenceProcess(dst []byte, dstEnc Encoding, src []byte, srcEnc Encoding, nsamples int, gainQ16 int32, mix bool) int {
 	if nsamples <= 0 {
 		return 0
@@ -127,180 +121,29 @@ func referenceProcess(dst []byte, dstEnc Encoding, src []byte, srcEnc Encoding, 
 		return nsamples
 	}
 	for i := 0; i < nsamples; i++ {
-		v := decode16(srcEnc, src, i)
+		v := DecodeSample(srcEnc, src, i)
 		if gainQ16 != GainUnity {
 			v = ScaleQ16(v, gainQ16)
 		}
 		if mix {
-			v += decode16(dstEnc, dst, i)
+			v += DecodeSample(dstEnc, dst, i)
 		}
-		encode16(dstEnc, dst, i, v)
+		EncodeSample(dstEnc, dst, i, v)
 	}
 	return nsamples
 }
 
-// --- batch decode/encode primitives (the generic kernel's passes) ---
-
-// decBatch[e] decodes len(lin) samples of src into the 16-bit linear
-// domain. ADPCM4 has no linear interpretation here (conversion modules
-// decompress before the pipeline); it decodes as zero, as the scalar
-// pipeline always has.
-var decBatch = [numEncodings]func(lin []int16, src []byte){
-	MU255: func(lin []int16, src []byte) {
-		for i := range lin {
-			lin[i] = MuToLin[src[i]]
-		}
-	},
-	ALAW: func(lin []int16, src []byte) {
-		for i := range lin {
-			lin[i] = AToLin[src[i]]
-		}
-	},
-	LIN16: func(lin []int16, src []byte) {
-		for i := range lin {
-			lin[i] = int16(binary.LittleEndian.Uint16(src[2*i:]))
-		}
-	},
-	LIN32: func(lin []int16, src []byte) {
-		for i := range lin {
-			lin[i] = int16(int32(binary.LittleEndian.Uint32(src[4*i:])) >> 16)
-		}
-	},
-	ADPCM4: func(lin []int16, src []byte) {
-		for i := range lin {
-			lin[i] = 0
-		}
-	},
-}
-
-// encBatch[e] encodes len(lin) 16-bit linear samples into dst. ADPCM4 is
-// a no-op, as encode16 always was for it.
-var encBatch = [numEncodings]func(dst []byte, lin []int16){
-	MU255: func(dst []byte, lin []int16) {
-		for i, v := range lin {
-			dst[i] = LinToMu[uint16(v)>>2]
-		}
-	},
-	ALAW: func(dst []byte, lin []int16) {
-		for i, v := range lin {
-			dst[i] = LinToA[uint16(v)>>2]
-		}
-	},
-	LIN16: func(dst []byte, lin []int16) {
-		for i, v := range lin {
-			binary.LittleEndian.PutUint16(dst[2*i:], uint16(v))
-		}
-	},
-	LIN32: func(dst []byte, lin []int16) {
-		for i, v := range lin {
-			binary.LittleEndian.PutUint32(dst[4*i:], uint32(int32(v)<<16))
-		}
-	},
-	ADPCM4: func(dst []byte, lin []int16) {},
-}
-
-// finBatch[e] is the generic kernel's second pass: apply gain and mix in
-// the wide linear domain and encode into dst. The mode flags are hoisted
-// out of the sample loops.
-var finBatch = [numEncodings]func(dst []byte, lin []int16, q int32, mix, hasGain bool){
-	MU255: func(dst []byte, lin []int16, q int32, mix, hasGain bool) {
-		switch {
-		case !mix && !hasGain:
-			encBatch[MU255](dst, lin)
-		case !mix:
-			for i, v0 := range lin {
-				dst[i] = LinToMu[uint16(Clamp16(ScaleQ16(int(v0), q)))>>2]
-			}
-		case !hasGain:
-			for i, v0 := range lin {
-				dst[i] = LinToMu[uint16(Clamp16(int(v0)+int(MuToLin[dst[i]])))>>2]
-			}
-		default:
-			for i, v0 := range lin {
-				dst[i] = LinToMu[uint16(Clamp16(ScaleQ16(int(v0), q)+int(MuToLin[dst[i]])))>>2]
-			}
-		}
-	},
-	ALAW: func(dst []byte, lin []int16, q int32, mix, hasGain bool) {
-		switch {
-		case !mix && !hasGain:
-			encBatch[ALAW](dst, lin)
-		case !mix:
-			for i, v0 := range lin {
-				dst[i] = LinToA[uint16(Clamp16(ScaleQ16(int(v0), q)))>>2]
-			}
-		case !hasGain:
-			for i, v0 := range lin {
-				dst[i] = LinToA[uint16(Clamp16(int(v0)+int(AToLin[dst[i]])))>>2]
-			}
-		default:
-			for i, v0 := range lin {
-				dst[i] = LinToA[uint16(Clamp16(ScaleQ16(int(v0), q)+int(AToLin[dst[i]])))>>2]
-			}
-		}
-	},
-	LIN16: func(dst []byte, lin []int16, q int32, mix, hasGain bool) {
-		switch {
-		case !mix && !hasGain:
-			encBatch[LIN16](dst, lin)
-		case !mix:
-			for i, v0 := range lin {
-				binary.LittleEndian.PutUint16(dst[2*i:], uint16(Clamp16(ScaleQ16(int(v0), q))))
-			}
-		case !hasGain:
-			for i, v0 := range lin {
-				v := int(v0) + int(int16(binary.LittleEndian.Uint16(dst[2*i:])))
-				binary.LittleEndian.PutUint16(dst[2*i:], uint16(Clamp16(v)))
-			}
-		default:
-			for i, v0 := range lin {
-				v := ScaleQ16(int(v0), q) + int(int16(binary.LittleEndian.Uint16(dst[2*i:])))
-				binary.LittleEndian.PutUint16(dst[2*i:], uint16(Clamp16(v)))
-			}
-		}
-	},
-	LIN32: func(dst []byte, lin []int16, q int32, mix, hasGain bool) {
-		switch {
-		case !mix && !hasGain:
-			encBatch[LIN32](dst, lin)
-		case !mix:
-			for i, v0 := range lin {
-				s := Clamp16(ScaleQ16(int(v0), q))
-				binary.LittleEndian.PutUint32(dst[4*i:], uint32(int32(s)<<16))
-			}
-		case !hasGain:
-			for i, v0 := range lin {
-				v := int(v0) + int(int32(binary.LittleEndian.Uint32(dst[4*i:]))>>16)
-				binary.LittleEndian.PutUint32(dst[4*i:], uint32(int32(Clamp16(v))<<16))
-			}
-		default:
-			for i, v0 := range lin {
-				v := ScaleQ16(int(v0), q) + int(int32(binary.LittleEndian.Uint32(dst[4*i:]))>>16)
-				binary.LittleEndian.PutUint32(dst[4*i:], uint32(int32(Clamp16(v))<<16))
-			}
-		}
-	},
-	ADPCM4: func(dst []byte, lin []int16, q int32, mix, hasGain bool) {},
-}
-
-// linScratch pools the generic kernel's []int16 staging so the streaming
-// hot path allocates nothing in steady state.
-var linScratch = sync.Pool{New: func() any { return new([]int16) }}
-
-func makeGeneric(dstEnc, srcEnc Encoding, mix, hasGain bool) Kernel {
-	dec := decBatch[srcEnc]
-	fin := finBatch[dstEnc]
+// makeReference returns the kernel of a shape without one of its own: the
+// reference pipeline, with unity gain unless the shape has a gain, as
+// the kernels selected with hasGain=false ignore theirs. The closure
+// captures the shape, so SelectKernel hands out a prebuilt one and a
+// request allocates nothing.
+func makeReference(dstEnc, srcEnc Encoding, mix, hasGain bool) Kernel {
 	return func(dst, src []byte, n int, q int32) {
-		lp := linScratch.Get().(*[]int16)
-		lin := *lp
-		if cap(lin) < n {
-			lin = make([]int16, n)
+		if !hasGain {
+			q = GainUnity
 		}
-		lin = lin[:n]
-		dec(lin, src)
-		fin(dst, lin, q, mix, hasGain)
-		*lp = lin
-		linScratch.Put(lp)
+		referenceProcess(dst, dstEnc, src, srcEnc, n, q, mix)
 	}
 }
 
@@ -335,12 +178,12 @@ func init() {
 		}
 	}
 
-	// Generic kernels everywhere, then specialized overrides.
+	// The reference everywhere, then specialized overrides.
 	for de := Encoding(0); de < numEncodings; de++ {
 		for se := Encoding(0); se < numEncodings; se++ {
 			for _, mix := range []bool{false, true} {
 				for _, hasGain := range []bool{false, true} {
-					kernels[de][se][b2i(mix)][b2i(hasGain)] = makeGeneric(de, se, mix, hasGain)
+					kernels[de][se][b2i(mix)][b2i(hasGain)] = makeReference(de, se, mix, hasGain)
 				}
 			}
 		}

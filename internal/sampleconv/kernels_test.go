@@ -132,37 +132,6 @@ func TestApplyGainMatchesReference(t *testing.T) {
 	}
 }
 
-// TestToFromLin16MatchesScalar checks the batch decode/encode primitives
-// against the scalar decode16/encode16 loops they replaced.
-func TestToFromLin16MatchesScalar(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for _, e := range allEncodings {
-		n := 1 + rng.Intn(500)
-		src := randomSampleBuf(rng, e, n)
-		got := make([]int16, n)
-		ToLin16(got, src, e, n)
-		for i := 0; i < n; i++ {
-			if want := int16(decode16(e, src, i)); got[i] != want {
-				t.Fatalf("ToLin16 %v[%d] = %d, want %d", e, i, got[i], want)
-			}
-		}
-		lin := make([]int16, n)
-		for i := range lin {
-			lin[i] = int16(rng.Intn(65536) - 32768)
-		}
-		gotB := make([]byte, e.BytesPerSamples(n))
-		rng.Read(gotB)
-		wantB := append([]byte(nil), gotB...)
-		FromLin16(gotB, e, lin, n)
-		for i := 0; i < n; i++ {
-			encode16(e, wantB, i, int(lin[i]))
-		}
-		if !bytes.Equal(gotB, wantB) {
-			t.Fatalf("FromLin16 %v: batch != scalar", e)
-		}
-	}
-}
-
 // TestGainQ16 pins the quantization semantics the engine relies on.
 func TestGainQ16(t *testing.T) {
 	if GainQ16(1.0) != GainUnity {
