@@ -147,11 +147,9 @@ func (c *Conn) DisablePassThrough(device int) error {
 
 // --- Access control ---
 
-// HostEntry identifies one host in the server access list.
-type HostEntry struct {
-	Family uint16 // FamilyInternet, FamilyInternet6 or FamilyLocal
-	Addr   []byte
-}
+// HostEntry identifies one host in the server access list: its Family
+// is FamilyInternet, FamilyInternet6 or FamilyLocal.
+type HostEntry = proto.HostEntry
 
 // Host address families.
 const (
@@ -201,10 +199,7 @@ func (c *Conn) RemoveHosts(hs []HostEntry) error {
 func (c *Conn) changeHost(mode uint8, h HostEntry) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.oneWay(proto.AppendChangeHosts(&c.w, proto.ChangeHostsReq{
-		Mode: mode,
-		Host: proto.HostEntry{Family: h.Family, Addr: h.Addr},
-	}))
+	return c.oneWay(proto.AppendChangeHosts(&c.w, proto.ChangeHostsReq{Mode: mode, Host: h}))
 }
 
 // ListHosts returns the access list and whether access control is
@@ -217,14 +212,9 @@ func (c *Conn) ListHosts() (enabled bool, hosts []HostEntry, err error) {
 		return
 	}
 	r := proto.NewReader(c.order, rep.Extra)
-	wire := proto.DecodeHostList(r, rep.Aux)
+	hosts = proto.DecodeHostList(r, rep.Aux)
 	if r.Err != nil {
 		return false, nil, fmt.Errorf("af: bad ListHosts reply: %w", r.Err)
-	}
-	for _, h := range wire {
-		// h.Addr aliases the connection's reusable reply buffer; copy it
-		// out for the caller.
-		hosts = append(hosts, HostEntry{Family: h.Family, Addr: append([]byte(nil), h.Addr...)})
 	}
 	return rep.Data != 0, hosts, nil
 }

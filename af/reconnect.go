@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sort"
+	"slices"
 	"time"
 
 	"audiofile/internal/proto"
@@ -226,7 +226,7 @@ func (c *Conn) resetOnto(nc net.Conn) (err error) {
 	for id := range c.acs {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	const fullMask = ACPlayGain | ACRecordGain | ACPreemption | ACEncoding | ACEndian | ACChannels
 	for _, id := range ids {
 		a := c.acs[id]

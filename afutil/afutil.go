@@ -138,22 +138,12 @@ func gainIndex(gainDB int) int {
 }
 
 // SampleType describes the framing of an encoding (AFSampleTypes).
-type SampleType struct {
-	BitsPerSamp  uint // only a hint
-	BytesPerUnit uint
-	SampsPerUnit uint
-	Name         string
-}
+type SampleType = sampleconv.Info
 
 // SampleSizes is the datatype information table (AF_sample_sizes),
-// indexed by encoding value.
-var SampleSizes = func() []SampleType {
-	out := make([]SampleType, len(sampleconv.Sizes))
-	for i, s := range sampleconv.Sizes {
-		out[i] = SampleType{s.BitsPerSamp, s.BytesPerUnit, s.SampsPerUnit, s.Name}
-	}
-	return out
-}()
+// indexed by encoding value: a copy, so a client in the server's process
+// cannot edit the server's table.
+var SampleSizes = append([]SampleType(nil), sampleconv.Sizes[:]...)
 
 // Silence fills buf with silence for the given encoding value
 // (AFSilence). 0 is µ-law, 1 A-law, 2 lin16, 3 lin32.

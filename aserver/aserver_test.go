@@ -89,7 +89,7 @@ func TestDefaultDeviceComplement(t *testing.T) {
 	if srv.PhoneLine(0) == nil || srv.PhoneLine(1) != nil {
 		t.Error("phone line wiring wrong")
 	}
-	if srv.Hardware(3) != srv.Hardware(2) {
+	if srv.Device(3).Parent() != srv.Device(2) {
 		t.Error("mono view does not share the stereo hardware")
 	}
 	if srv.Device(2).Cfg.Channels != 2 || srv.Device(3).Cfg.Channels != 1 {

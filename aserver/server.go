@@ -247,16 +247,15 @@ type devKind struct {
 	rate, hwFrames int // defaults, overridden by DeviceSpec
 	enc            sampleconv.Encoding
 	channels       int
-	silence        byte // the loopback cable's idle sample
 	typ            uint8
 }
 
 var devKinds = map[string]devKind{
 	// The LoFi DSP CODEC ring is ~125 ms at 8 kHz, its HiFi ring ~85 ms
 	// at 48 kHz.
-	"codec": {8000, 1024, sampleconv.MU255, 1, 0xFF, proto.DevCodec},
-	"phone": {8000, 1024, sampleconv.MU255, 1, 0xFF, proto.DevPhone},
-	"hifi":  {44100, 4096, sampleconv.LIN16, 2, 0, proto.DevHiFi},
+	"codec": {8000, 1024, sampleconv.MU255, 1, proto.DevCodec},
+	"phone": {8000, 1024, sampleconv.MU255, 1, proto.DevPhone},
+	"hifi":  {44100, 4096, sampleconv.LIN16, 2, proto.DevHiFi},
 }
 
 // buildDevices constructs the DDA: virtual hardware plus core devices.
@@ -326,7 +325,7 @@ func (s *Server) buildSimulated(spec DeviceSpec, k devKind) {
 		line = phonesim.NewLine(rate)
 		sink, source, phoneMask = line, line, 1
 	} else if spec.Loopback {
-		lb := vdev.NewLoopback(4*hwf, k.enc.BytesPerSamples(k.channels), spec.LoopbackDelay, k.silence)
+		lb := vdev.NewLoopback(4*hwf, k.enc.BytesPerSamples(k.channels), spec.LoopbackDelay, k.enc.SilenceByte())
 		sink, source = lb, lb
 	}
 	hw := vdev.New(vdev.Config{
@@ -384,16 +383,6 @@ func (s *Server) NumDevices() int { return len(s.devices) }
 
 // PhoneLine returns the simulated telephone line behind device i, or nil.
 func (s *Server) PhoneLine(i int) *phonesim.Line { return s.lines[i] }
-
-// Hardware returns the virtual hardware behind device i (views return
-// their parent's), or nil for non-vdev backends.
-func (s *Server) Hardware(i int) *vdev.Device {
-	d := s.devices[i]
-	if d.IsView() {
-		d = d.Parent()
-	}
-	return s.hw[d]
-}
 
 // Do runs fn under the control lock, giving tests and embedded harnesses
 // race-free access to control-plane state. After Close it returns without

@@ -196,11 +196,10 @@ func runConsole(srv *aserver.Server) {
 				line.SetExtensionHook(fields[1] == "on")
 			}
 		case "stats":
-			for i := 0; i < srv.NumDevices(); i++ {
-				if hw := srv.Hardware(i); hw != nil {
-					played, silent, rec := hw.Stats()
+			for _, ds := range srv.Snapshot().Devices {
+				if ds.Lineserver == nil {
 					fmt.Printf("device %d (%s): played %d, silence %d, recorded %d frames\n",
-						i, hw.Name(), played, silent, rec)
+						ds.Index, ds.Name, ds.HWPlayed, ds.HWSilent, ds.HWRecorded)
 				}
 			}
 		case "quit":

@@ -157,13 +157,6 @@ func renderLine(ps []float64, width int, logScale bool, ramp string) string {
 	return sb.String()
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // sampleSource produces linear samples for analysis.
 type sampleSource interface {
 	next(n int) ([]float64, bool)

@@ -138,15 +138,10 @@ func main() {
 	}
 }
 
-// blockPower measures a block's power in dBm re the digital milliwatt.
+// blockPower measures a block's power in dBm re the digital milliwatt,
+// decoding it in the device's own encoding.
 func blockPower(enc af.Encoding, block []byte) float64 {
-	switch enc {
-	case af.MU255:
-		return afutil.PowerMu(block)
-	default:
-		n := len(block) / 2
-		lin := make([]int16, n)
-		sampleconv.ToLin16(lin, block, sampleconv.LIN16, n)
-		return afutil.PowerLin16(lin)
-	}
+	lin := make([]int16, len(block)/enc.BytesPerUnit())
+	sampleconv.ToLin16(lin, block, sampleconv.Encoding(enc), len(lin))
+	return afutil.PowerLin16(lin)
 }

@@ -2,7 +2,7 @@
 // wave of a specified frequency and power level to standard output.
 // "atone | aplay" is a useful technique for setting playback levels.
 //
-//	atone [-f freq] [-p dBm] [-l seconds] [-r rate] [-pair f2,dB2]
+//	atone [-f freq] [-p dBm] [-l seconds] [-r rate] [-f2 freq2] [-p2 dBm2]
 package main
 
 import (

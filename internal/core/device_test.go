@@ -3,9 +3,11 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"math/rand"
 	"testing"
 
 	"audiofile/internal/atime"
+	"audiofile/internal/ring"
 	"audiofile/internal/sampleconv"
 	"audiofile/internal/vdev"
 )
@@ -490,6 +492,80 @@ func TestMonoViewMixesWithStereoClient(t *testing.T) {
 	rch := int16(binary.LittleEndian.Uint16(got[402:]))
 	if l != 1500 || rch != 2000 {
 		t.Errorf("mixed stereo frame = (%d, %d), want (1500, 2000)", l, rch)
+	}
+}
+
+// TestChannelViewMatchesKernel holds a mono view to the pipeline a full
+// device runs: for each client encoding, gain and mix mode, a left-view
+// play across the play ring's wrap must leave the left channel equal to
+// the request's kernel over that channel and the right channel untouched,
+// and a left-view record across the record ring's wrap must equal the
+// record kernel over the left channel.
+func TestChannelViewMatchesKernel(t *testing.T) {
+	const n = 64
+	channel := func(frames []byte, c int) []byte {
+		out := make([]byte, 2*n)
+		for i := 0; i < n; i++ {
+			copy(out[2*i:2*i+2], frames[4*i+2*c:])
+		}
+		return out
+	}
+	ringSpan := func(a, b []byte) []byte { return append(append([]byte(nil), a...), b...) }
+	rng := rand.New(rand.NewSource(1))
+	random := func(size int) []byte {
+		b := make([]byte, size)
+		rng.Read(b)
+		return b
+	}
+	for _, enc := range []sampleconv.Encoding{sampleconv.MU255, sampleconv.ALAW, sampleconv.LIN16, sampleconv.LIN32} {
+		for _, gainDB := range []int{0, -6} {
+			for _, mix := range []bool{false, true} {
+				clk := vdev.NewManualClock(44100)
+				hw := vdev.New(vdev.Config{
+					Name: "hifi", Rate: 44100, Enc: sampleconv.LIN16, Channels: 2,
+					HWFrames: 4096, Clock: clk, Sink: vdev.DiscardSink{},
+				})
+				cfg := Config{Name: "hifi", Rate: 44100, Enc: sampleconv.LIN16, Channels: 2, BufSeconds: 1}
+				frames := ring.RoundFrames(int(cfg.BufSeconds * float64(cfg.Rate)))
+				// The span [start, start+n) straddles the rings' wrap.
+				start := atime.ATime(frames - n/2)
+				clk.Set(atime.Add(start, -n))
+				stereo := NewDevice(cfg, hw)
+				left := NewChannelView("hifiL", 2, stereo, 0, 1)
+				q := gainQ16For(gainDB)
+
+				prior := random(4 * n)
+				stereo.Play(start, prior, sampleconv.LIN16, 0, true)
+				client := random(enc.BytesPerSamples(n))
+				if res := left.Play(start, client, enc, gainDB, !mix); res.Consumed != n {
+					t.Fatalf("%v %d dB mix=%v: play %+v", enc, gainDB, mix, res)
+				}
+				got := ringSpan(stereo.playBuf.Region(start, n))
+				want := channel(prior, 0)
+				sampleconv.SelectKernel(sampleconv.LIN16, enc, mix, q != sampleconv.GainUnity)(want, client, n, q)
+				if !bytes.Equal(channel(got, 0), want) {
+					t.Errorf("%v %d dB mix=%v: left channel differs from the kernel", enc, gainDB, mix)
+				}
+				if !bytes.Equal(channel(got, 1), channel(prior, 1)) {
+					t.Errorf("%v %d dB mix=%v: right channel changed", enc, gainDB, mix)
+				}
+
+				stereo.RecRefCount = 1
+				clk.Advance(4 * n)
+				stereo.Update()
+				recorded := random(4 * n)
+				stereo.recBuf.WriteAt(start, recorded)
+				out := make([]byte, enc.BytesPerSamples(n))
+				if res := left.Record(start, out, enc, gainDB); res.Avail != n {
+					t.Fatalf("%v %d dB mix=%v: record %+v", enc, gainDB, mix, res)
+				}
+				want = make([]byte, len(out))
+				sampleconv.SelectKernel(enc, sampleconv.LIN16, false, q != sampleconv.GainUnity)(want, channel(recorded, 0), n, q)
+				if !bytes.Equal(out, want) {
+					t.Errorf("%v %d dB: left record differs from the kernel", enc, gainDB)
+				}
+			}
+		}
 	}
 }
 

@@ -144,40 +144,21 @@ func (d *Device) blitPlay(t atime.ATime, nframes int, src []byte, enc sampleconv
 // blitView moves samples between a view's packed client data and the
 // parent's interleaved frames. toBuf selects direction: true converts src
 // (client data) into the buffer regions; false extracts buffer samples
-// into src (which is then the destination, used by Record). Strided
-// access defeats the batch kernels, but the gain is still the engine's
-// Q16 fixed point rather than a per-sample float multiply.
+// into src (which is then the destination, used by Record). Each channel
+// of each region is one strided run of the reference pipeline.
 func (d *Device) blitView(a, b []byte, client []byte, enc sampleconv.Encoding, q int32, mix, toBuf bool) {
 	r := d.root()
 	devEnc := r.Cfg.Enc
 	devCh := r.Cfg.Channels
-	hasGain := q != sampleconv.GainUnity
 	frame := 0
 	for _, region := range [][]byte{a, b} {
-		if region == nil {
-			continue
-		}
 		rf := len(region) / r.frameBytes
-		for i := 0; i < rf; i++ {
-			for c := 0; c < d.chanCnt; c++ {
-				bufIdx := i*devCh + d.chanOff + c
-				cliIdx := (frame+i)*d.chanCnt + c
-				if toBuf {
-					v := sampleconv.DecodeSample(enc, client, cliIdx)
-					if hasGain {
-						v = sampleconv.ScaleQ16(v, q)
-					}
-					if mix {
-						v += sampleconv.DecodeSample(devEnc, region, bufIdx)
-					}
-					sampleconv.EncodeSample(devEnc, region, bufIdx, v)
-				} else {
-					v := sampleconv.DecodeSample(devEnc, region, bufIdx)
-					if hasGain {
-						v = sampleconv.ScaleQ16(v, q)
-					}
-					sampleconv.EncodeSample(enc, client, cliIdx, v)
-				}
+		for c := 0; c < d.chanCnt; c++ {
+			bufIdx, cliIdx := d.chanOff+c, frame*d.chanCnt+c
+			if toBuf {
+				sampleconv.Strided(region, devEnc, bufIdx, devCh, client, enc, cliIdx, d.chanCnt, rf, q, mix)
+			} else {
+				sampleconv.Strided(client, enc, cliIdx, d.chanCnt, region, devEnc, bufIdx, devCh, rf, q, false)
 			}
 		}
 		frame += rf

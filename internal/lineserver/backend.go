@@ -1,6 +1,7 @@
 package lineserver
 
 import (
+	"encoding/binary"
 	"net"
 	"sync"
 	"time"
@@ -378,14 +379,13 @@ func (b *Backend) ReadReg(reg uint32) (uint32, bool) {
 	if rep == nil || len(rep.Data) < 4 {
 		return 0, false
 	}
-	return uint32(rep.Data[0])<<24 | uint32(rep.Data[1])<<16 |
-		uint32(rep.Data[2])<<8 | uint32(rep.Data[3]), true
+	return binary.BigEndian.Uint32(rep.Data), true
 }
 
 // WriteReg writes a CODEC register, with retries.
 func (b *Backend) WriteReg(reg, val uint32) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	data := []byte{byte(val >> 24), byte(val >> 16), byte(val >> 8), byte(val)}
+	data := binary.BigEndian.AppendUint32(nil, val)
 	return b.roundTrip(&Packet{Fn: FnWriteReg, Param: reg, Data: data}, 3) != nil
 }

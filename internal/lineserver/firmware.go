@@ -1,6 +1,7 @@
 package lineserver
 
 import (
+	"encoding/binary"
 	"net"
 	"sync"
 
@@ -152,17 +153,10 @@ func (f *Firmware) process(req *Packet) *Packet {
 		f.dev.ReadRecord(atime.ATime(req.Time), data)
 		rep.Data = data
 	case FnReadReg:
-		var v [4]byte
-		val := f.regs[req.Param]
-		v[0] = byte(val >> 24)
-		v[1] = byte(val >> 16)
-		v[2] = byte(val >> 8)
-		v[3] = byte(val)
-		rep.Data = v[:]
+		rep.Data = binary.BigEndian.AppendUint32(nil, f.regs[req.Param])
 	case FnWriteReg:
 		if len(req.Data) >= 4 {
-			f.regs[req.Param] = uint32(req.Data[0])<<24 | uint32(req.Data[1])<<16 |
-				uint32(req.Data[2])<<8 | uint32(req.Data[3])
+			f.regs[req.Param] = binary.BigEndian.Uint32(req.Data)
 		}
 	case FnLoopback:
 		rep.Data = req.Data // a loopback request returns the original packet

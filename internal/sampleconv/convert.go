@@ -42,10 +42,10 @@ func SwapBytes(e Encoding, buf []byte) {
 }
 
 // DecodeSample reads sample unit i of buf (native little-endian) in the
-// 16-bit linear domain. It is the scalar primitive behind the reference
-// pipeline, ToLin16 and the server's mono channel views, which address
-// one channel inside interleaved frames. ADPCM4 has no linear
-// interpretation here (conversion modules decompress before the
+// 16-bit linear domain. It is the scalar primitive behind Strided (the
+// reference pipeline's loop, which the server's mono channel views run
+// over one channel inside interleaved frames) and ToLin16. ADPCM4 has no
+// linear interpretation here (conversion modules decompress before the
 // pipeline) and decodes as zero, as does an unknown encoding.
 func DecodeSample(e Encoding, buf []byte, i int) int {
 	switch e {

@@ -18,7 +18,8 @@ package sampleconv
 //     of all 65,536 byte pairs, the widest chosen once by a CPUID probe
 //   - everything else (A-law, lin16 and lin32, gain, conversion, ...) ->
 //     referenceProcess itself, the scalar pipeline, through a closure
-//     built once at init
+//     built once at init; its per-sample loop is Strided, which channel
+//     views run at the parent's channel stride
 //
 // The first two are the shapes the measured workloads run; a shape gains
 // a kernel of its own only with a workload that runs it, and until then
@@ -120,17 +121,27 @@ func referenceProcess(dst []byte, dstEnc Encoding, src []byte, srcEnc Encoding, 
 		}
 		return nsamples
 	}
-	for i := 0; i < nsamples; i++ {
-		v := DecodeSample(srcEnc, src, i)
-		if gainQ16 != GainUnity {
-			v = ScaleQ16(v, gainQ16)
+	Strided(dst, dstEnc, 0, 1, src, srcEnc, 0, 1, nsamples, gainQ16, mix)
+	return nsamples
+}
+
+// Strided is the per-sample pipeline: for each of n samples it decodes
+// sample unit s0+i*sstep of src, applies the Q16 gain q, adds sample unit
+// d0+i*dstep of dst when mix is set, and encodes the saturated result
+// there. referenceProcess runs it at stride 1, a mono channel view at the
+// parent's channel count.
+func Strided(dst []byte, dstEnc Encoding, d0, dstep int, src []byte, srcEnc Encoding, s0, sstep, n int, q int32, mix bool) {
+	for i := 0; i < n; i++ {
+		di := d0 + i*dstep
+		v := DecodeSample(srcEnc, src, s0+i*sstep)
+		if q != GainUnity {
+			v = ScaleQ16(v, q)
 		}
 		if mix {
-			v += DecodeSample(dstEnc, dst, i)
+			v += DecodeSample(dstEnc, dst, di)
 		}
-		EncodeSample(dstEnc, dst, i, v)
+		EncodeSample(dstEnc, dst, di, v)
 	}
-	return nsamples
 }
 
 // makeReference returns the kernel of a shape without one of its own: the

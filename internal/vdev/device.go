@@ -94,9 +94,6 @@ func New(cfg Config) *Device {
 	return d
 }
 
-// Name returns the device name.
-func (d *Device) Name() string { return d.cfg.Name }
-
 // HWFrames returns the hardware ring size in frames.
 func (d *Device) HWFrames() int { return d.hwPlay.Frames() }
 

@@ -58,10 +58,10 @@ func TestRealClockSkew(t *testing.T) {
 
 func TestDeviceAttributes(t *testing.T) {
 	d := newTestDevice(NewManualClock(8000), nil, nil)
-	if d.Name() != "codec0" || d.cfg.Rate != 8000 || d.cfg.Enc != sampleconv.MU255 ||
+	if d.cfg.Name != "codec0" || d.cfg.Rate != 8000 || d.cfg.Enc != sampleconv.MU255 ||
 		d.cfg.Channels != 1 || d.frameBytes != 1 || d.HWFrames() != 64 {
 		t.Errorf("bad attributes: %s %d %v %d %d %d",
-			d.Name(), d.cfg.Rate, d.cfg.Enc, d.cfg.Channels, d.frameBytes, d.HWFrames())
+			d.cfg.Name, d.cfg.Rate, d.cfg.Enc, d.cfg.Channels, d.frameBytes, d.HWFrames())
 	}
 }
 

@@ -72,25 +72,8 @@ func (s SineSource) Fill(t atime.ATime, buf []byte) {
 	w := 2 * math.Pi * s.Freq / float64(s.Rate)
 	for i := 0; i < n; i++ {
 		v := int(s.Amp * math.Sin(w*float64(uint32(atime.Add(t, i)))))
-		frame := buf[i*fb : (i+1)*fb]
 		for c := 0; c < s.Ch; c++ {
-			switch s.Enc {
-			case sampleconv.MU255:
-				frame[c] = sampleconv.EncodeMuLaw(sampleconv.Clamp16(v))
-			case sampleconv.ALAW:
-				frame[c] = sampleconv.EncodeALaw(sampleconv.Clamp16(v))
-			case sampleconv.LIN16:
-				s16 := sampleconv.Clamp16(v)
-				frame[2*c] = byte(s16)
-				frame[2*c+1] = byte(uint16(s16) >> 8)
-			default:
-				// LIN32 in the 16-bit domain shifted up.
-				s32 := int32(sampleconv.Clamp16(v)) << 16
-				frame[4*c] = byte(s32)
-				frame[4*c+1] = byte(uint32(s32) >> 8)
-				frame[4*c+2] = byte(uint32(s32) >> 16)
-				frame[4*c+3] = byte(uint32(s32) >> 24)
-			}
+			sampleconv.EncodeSample(s.Enc, buf, i*s.Ch+c, v)
 		}
 	}
 }
