@@ -286,7 +286,7 @@ func (ac *AC) playVectored(t ATime, data []byte) (ATime, error) {
 		}
 	}
 	c.pvec = vec
-	rep, err := c.awaitReply(lastSeq)
+	rep, err := c.awaitReply(lastSeq, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -359,7 +359,7 @@ func (ac *AC) recordSamplesLocked(t ATime, buf []byte, block bool) (ATime, int, 
 		if !short && firstErr == nil {
 			dst = buf[off : off+n]
 		}
-		rep, err := c.awaitReplyDirect(seq0+uint16(i)+1, dst)
+		rep, err := c.awaitReply(seq0+uint16(i)+1, dst)
 		if err != nil {
 			if _, ok := err.(*ProtoError); !ok {
 				return now, total, err // transport failure: replies are gone

@@ -293,7 +293,7 @@ func UnixSocketPath(display int) string {
 // Name forms: "host:n" connects via TCP to port BasePort+n; ":n" or
 // "unix:n" via the local socket /tmp/.AFunix/AFn; "tcp:host:port" and
 // "unix:/path" name transports explicitly. A "#key" suffix on any form
-// sets a routing key for a fleet router (see OpenRoute): "router:0#studio"
+// sets a routing key for a fleet router (see NewConnRoute): "router:0#studio"
 // asks the router at router:0 to place the session by the key "studio".
 func Open(name string) (*Conn, error) {
 	if name == "" {
@@ -314,7 +314,7 @@ func Open(name string) (*Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	conn, err := net.Dial(network, addr)
+	conn, err := dial(network, addr)
 	if err != nil {
 		return nil, fmt.Errorf("af: can't open connection to %s: %w", name, err)
 	}
@@ -325,18 +325,6 @@ func Open(name string) (*Conn, error) {
 	c.name = display
 	c.network, c.addr = network, addr
 	return c, nil
-}
-
-// OpenRoute is Open with an explicit routing key, equivalent to a "#key"
-// suffix on the server name. The key travels in the setup request's auth
-// fields; a fleet router (cmd/arouter) hashes it onto its backend
-// directory to choose the afd that serves the session, and a direct afd
-// ignores it.
-func OpenRoute(name, route string) (*Conn, error) {
-	if route == "" {
-		return Open(name)
-	}
-	return Open(name + "#" + route)
 }
 
 // resolveName parses a server name into a dialable address.
@@ -373,20 +361,20 @@ func resolveName(name string) (network, addr string, err error) {
 // NewConn performs the AudioFile handshake over an existing transport
 // connection (useful for in-process pipes and custom transports).
 func NewConn(conn net.Conn) (*Conn, error) {
-	return NewConnOrder(conn, false)
+	return NewConnRoute(conn, false, "")
 }
 
-// NewConnOrder is NewConn with an explicit wire byte order; bigEndian
-// exercises the server's byte-swapping path, as a client on an
-// opposite-order machine would.
-func NewConnOrder(conn net.Conn, bigEndian bool) (*Conn, error) {
-	return NewConnRoute(conn, bigEndian, "")
-}
+// dialTimeout bounds every dial the library makes, as the router's
+// default DialTimeout bounds its own. A reconnect dials under the
+// connection lock, so an unbounded dial to a host that never answers
+// would hold every caller for the OS connect timeout.
+const dialTimeout = 5 * time.Second
 
-// redirectDialTimeout bounds the dials a setup redirect leads to, as the
-// router's default DialTimeout bounds its own. (Go's TCP conns start with
-// Nagle off, as a session's should be.)
-const redirectDialTimeout = 5 * time.Second
+// dial opens a transport for Open, a setup redirect or a reconnect. (Go's
+// TCP conns start with Nagle off, as a session's should be.)
+func dial(network, addr string) (net.Conn, error) {
+	return net.DialTimeout(network, addr, dialTimeout)
+}
 
 // handshake performs the setup on nc and returns the transport the
 // session runs on, with the server's reply. A client with a routing key
@@ -412,13 +400,13 @@ func handshake(nc net.Conn, order binary.ByteOrder, route string) (net.Conn, *pr
 	}
 	router := nc.RemoteAddr()
 	nc.Close()
-	if dc, err := net.DialTimeout(rep.RedirectNetwork, rep.RedirectAddr, redirectDialTimeout); err == nil {
+	if dc, err := dial(rep.RedirectNetwork, rep.RedirectAddr); err == nil {
 		if rep, err := setup(dc, order, route, false); err == nil {
 			return dc, rep, nil
 		}
 		dc.Close()
 	}
-	fc, err := net.DialTimeout(router.Network(), router.String(), redirectDialTimeout)
+	fc, err := dial(router.Network(), router.String())
 	if err != nil {
 		return nil, nil, fmt.Errorf("af: setup after redirect: %w", err)
 	}
@@ -450,8 +438,13 @@ func setup(nc net.Conn, order binary.ByteOrder, route string, direct bool) (*pro
 	return rep, nil
 }
 
-// NewConnRoute is NewConnOrder with a routing key for a fleet router;
-// see OpenRoute. The key is replayed on reconnect, so failover keeps the
+// NewConnRoute is NewConn with an explicit wire byte order and a routing
+// key for a fleet router. bigEndian exercises the server's byte-swapping
+// path, as a client on an opposite-order machine would. The key, like a
+// "#key" suffix on Open's name, travels in the setup request's auth
+// fields; a fleet router (cmd/arouter) hashes it onto its backend
+// directory to choose the afd that serves the session, and a direct afd
+// ignores it. The key is replayed on reconnect, so failover keeps the
 // session's directory placement. Over a plain TCP or Unix socket the
 // router may place the session by redirect, and the returned Conn then
 // talks to the owning backend directly.

@@ -9,7 +9,7 @@ import (
 // same connection.
 
 // Queued modes for EventsQueued. Polling is a flush boundary (see
-// pollMessage), so AfterReading and AfterFlush both drain the output
+// pollFor), so AfterReading and AfterFlush both drain the output
 // buffer before probing; only QueuedAlready is guaranteed wire-silent.
 const (
 	QueuedAlready      = 0 // only count events already read

@@ -446,7 +446,7 @@ func TestBigEndianClient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := af.NewConnOrder(nc, true)
+	c, err := af.NewConnRoute(nc, true, "")
 	if err != nil {
 		t.Fatal(err)
 	}

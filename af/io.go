@@ -251,39 +251,29 @@ func (c *Conn) waitFor(done func() bool) error {
 	return nil
 }
 
-// pollFor is waitFor without the wait: it flushes, then dispatches only
-// messages already readable (pollMessage) until done reports true or
-// none is left.
+// pollFor is waitFor without the wait: it dispatches only messages
+// already readable, without waiting for the first byte of one, until done
+// reports true or none is left. Polling is a flush boundary, like awaiting
+// a reply: any write-combined requests still in the output buffer go to
+// the wire first (in one write), so a client can never poll for the
+// effect of a request it has not yet sent.
 func (c *Conn) pollFor(done func() bool) error {
 	if err := c.flushLocked(); err != nil {
 		return err
 	}
 	for !done() {
-		msg, ok, err := c.pollMessage()
-		if err != nil || !ok {
+		if c.in.buf == nil && c.in.err == nil {
+			if got, err := c.probe(); !got || err != nil {
+				return err
+			}
+		}
+		msg, err := c.nextMessage(0, nil)
+		if err != nil {
 			return err
 		}
 		c.dispatchAsync(msg)
 	}
 	return nil
-}
-
-// pollMessage reads one message if any data is ready, without waiting for
-// the first byte of it. Polling is a flush boundary, like awaiting a
-// reply: any write-combined requests still in the output buffer go to the
-// wire first (in one write), so a client can never poll for the effect of
-// a request it has not yet sent.
-func (c *Conn) pollMessage() (*proto.Message, bool, error) {
-	if err := c.flushLocked(); err != nil {
-		return nil, false, err
-	}
-	if c.in.buf == nil && c.in.err == nil {
-		if got, err := c.probe(); !got || err != nil {
-			return nil, false, err
-		}
-	}
-	msg, err := c.nextMessage(0, nil)
-	return msg, err == nil, err
 }
 
 // probe reads once without waiting and reports whether that found bytes
@@ -377,25 +367,19 @@ func (c *Conn) roundTrip(err error) (*proto.Reply, error) {
 		return nil, err
 	}
 	c.sentSeq++
-	return c.awaitReply(c.sentSeq)
+	return c.awaitReply(c.sentSeq, nil)
 }
 
-// awaitReply flushes and reads until the reply (or error) for the request
-// with the given sequence number arrives.
-func (c *Conn) awaitReply(seq uint16) (*proto.Reply, error) {
-	return c.awaitReplyDirect(seq, nil)
-}
-
-// awaitReplyDirect is awaitReply with a destination for the reply's
-// payload: when dst is non-nil, the awaited reply's samples are copied
-// from the read buffer straight into dst (the returned Reply.Extra aliases
-// dst) instead of into the connection's scratch message. Other messages
-// arriving first — events, errors, replies to earlier requests — take the
-// ordinary path and leave dst untouched. The awaited request is either
-// already sent or among the buffered requests, which go out with the
-// first read that waits (fill): every caller buffers its request just
-// before it awaits the reply.
-func (c *Conn) awaitReplyDirect(seq uint16, dst []byte) (*proto.Reply, error) {
+// awaitReply reads until the reply (or error) for the request with the
+// given sequence number arrives. When dst is non-nil, the awaited reply's
+// samples are copied from the read buffer straight into dst (the returned
+// Reply.Extra aliases dst) instead of into the connection's scratch
+// message. Other messages arriving first — events, errors, replies to
+// earlier requests — take the ordinary path and leave dst untouched. The
+// awaited request is either already sent or among the buffered requests,
+// which go out with the first read that waits (fill): every caller
+// buffers its request just before it awaits the reply.
+func (c *Conn) awaitReply(seq uint16, dst []byte) (*proto.Reply, error) {
 	for {
 		msg, err := c.nextMessage(seq, dst)
 		if err != nil {

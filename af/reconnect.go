@@ -56,7 +56,7 @@ func (c *Conn) SetReconnect(o ReconnectOptions) error {
 			return errors.New("af: SetReconnect: connection was not made by Open; supply Redial")
 		}
 		network, addr := c.network, c.addr
-		o.Redial = func() (net.Conn, error) { return net.Dial(network, addr) }
+		o.Redial = func() (net.Conn, error) { return dial(network, addr) }
 	}
 	if o.MaxAttempts == 0 {
 		o.MaxAttempts = 5

@@ -5,9 +5,12 @@ import (
 	"io"
 	"net"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
+	"audiofile/af"
+	"audiofile/internal/lineserver"
 	"audiofile/internal/proto"
 )
 
@@ -76,6 +79,27 @@ func TestDeviceBuildErrors(t *testing.T) {
 	}
 }
 
+// TestFailedNewClosesBackends: a spec that fails after a LineServer
+// backend was dialed must not strand that backend's socket and health
+// goroutine.
+func TestFailedNewClosesBackends(t *testing.T) {
+	fw, err := lineserver.NewFirmware(lineserver.FirmwareConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fw.Close()
+	before := runtime.NumGoroutine()
+	if _, err := New(Options{Logf: t.Logf, Devices: []DeviceSpec{
+		{Kind: "lineserver", Addr: fw.Addr()},
+		{Kind: "bogus"},
+	}}); err == nil {
+		t.Fatal("unknown device kind accepted")
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("%d goroutines after the failed New, %d before", n, before)
+	}
+}
+
 func TestDefaultDeviceComplement(t *testing.T) {
 	srv, err := New(Options{Logf: t.Logf})
 	if err != nil {
@@ -89,11 +113,34 @@ func TestDefaultDeviceComplement(t *testing.T) {
 	if srv.PhoneLine(0) == nil || srv.PhoneLine(1) != nil {
 		t.Error("phone line wiring wrong")
 	}
-	if srv.Device(3).Parent() != srv.Device(2) {
+	if srv.PhoneLine(-1) != nil || srv.PhoneLine(srv.NumDevices()) != nil {
+		t.Error("a device index out of range has a phone line")
+	}
+	if srv.Device(3).Backend() != srv.Device(2).Backend() {
 		t.Error("mono view does not share the stereo hardware")
 	}
 	if srv.Device(2).Cfg.Channels != 2 || srv.Device(3).Cfg.Channels != 1 {
 		t.Error("channel counts wrong")
+	}
+}
+
+// TestTopDeviceNumberRefused: device 0xFFFFFFFF is refused with
+// ErrDevice. As an int on a 32-bit platform it is negative, and a bounds
+// check made in int passed it on to index the devices.
+func TestTopDeviceNumberRefused(t *testing.T) {
+	srv, err := New(Options{Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c, err := af.NewConn(srv.DialPipe())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var pe *af.ProtoError
+	if _, err := c.GetTime(-1); !errors.As(err, &pe) || pe.Code != proto.ErrDevice {
+		t.Errorf("GetTime(0xFFFFFFFF) = %v, want ErrDevice", err)
 	}
 }
 

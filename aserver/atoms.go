@@ -42,7 +42,7 @@ func (t *atomTable) intern(name string, onlyIfExists bool) uint32 {
 
 // name returns the string for an atom id, or "" if unknown.
 func (t *atomTable) name(id uint32) string {
-	if id == 0 || int(id) >= len(t.names) {
+	if id == 0 || id >= uint32(len(t.names)) {
 		return ""
 	}
 	return t.names[id]
@@ -50,7 +50,7 @@ func (t *atomTable) name(id uint32) string {
 
 // valid reports whether id names an existing atom.
 func (t *atomTable) valid(id uint32) bool {
-	return id != 0 && int(id) < len(t.names)
+	return id != 0 && id < uint32(len(t.names))
 }
 
 // property is named, typed data stored on a device.

@@ -75,7 +75,7 @@ func broadcastFanout(tb testing.TB, listeners int) func() {
 	clients := make([]*client, listeners)
 	for i := range clients {
 		c := newClient(srv, nullConn{}, binary.LittleEndian)
-		a := &ac{id: 1, dev: d, devIndex: 0, enc: d.Cfg.Enc, channels: d.Cfg.Channels}
+		a := &ac{id: 1, dev: d, enc: d.Cfg.Enc, channels: d.Cfg.Channels}
 		c.acs[1] = a
 		e.mu.Lock()
 		if code := e.subscribeLocked(c, a); code != 0 {

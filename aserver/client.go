@@ -29,7 +29,6 @@ import (
 type ac struct {
 	id       uint32
 	dev      *core.Device
-	devIndex int
 	playGain int
 	recGain  int
 	preempt  bool
@@ -153,8 +152,8 @@ type client struct {
 }
 
 // newClient builds a connection's server-side state with the server's
-// per-client budgets applied. Shared by handleConn and the bench/test
-// harnesses so they exercise the real queue and writer policy.
+// per-client budgets applied. Shared by handleConn and the package's own
+// tests and benchmarks, so they exercise the real queue and writer policy.
 func newClient(s *Server, conn net.Conn, order binary.ByteOrder) *client {
 	c := &client{
 		s:          s,
@@ -856,7 +855,7 @@ func finishRecordReply(c *client, a *ac, m *wireMsg, n int, now uint32, flags ui
 	proto.PutReplyHeader(c.order, buf, &proto.Reply{Seq: seq, Time: now, Aux: uint32(n)}, n)
 	// Record egress is counted here, the seal point every record reply
 	// passes through (first-try, retried, and compressed paths alike).
-	c.s.engineByDev[a.devIndex].m.recChunk.Observe(int64(n))
+	c.s.engineByDev[a.dev.Index].m.recChunk.Observe(int64(n))
 	c.send(m)
 }
 

@@ -63,7 +63,7 @@ func (s *Server) hotEngine(c *client, rf *runFrame, h *hotReq) {
 		h.code, h.bad = proto.ErrAC, id
 		return
 	}
-	h.e = s.engineByDev[h.a.devIndex]
+	h.e = s.engineByDev[h.a.dev.Index]
 }
 
 // dispatchHotGroup is the one hot entry point. It serves the hot
@@ -343,7 +343,7 @@ func (s *Server) resolve(q *ctlReq, t target) bool {
 	case devTarget:
 		ok = s.validDevice(q.first)
 	case lineTarget:
-		q.line = s.lines[int(q.first)]
+		q.line = s.PhoneLine(int(q.first))
 		ok = q.line != nil
 	case acTarget:
 		q.a = q.c.acs[q.first]
@@ -366,7 +366,7 @@ func emptyReply(_ *Server, q *ctlReq) { q.reply(&proto.Reply{}) }
 // dial by playing tone pairs themselves.
 func unimplemented(_ *Server, q *ctlReq) { q.fail(proto.ErrImplementation, 0) }
 
-func (s *Server) validDevice(dev uint32) bool { return int(dev) < len(s.devices) }
+func (s *Server) validDevice(dev uint32) bool { return dev < uint32(len(s.devices)) }
 
 // wireBool is a flag as a reply carries it.
 func wireBool(b bool) uint8 {
@@ -397,7 +397,6 @@ func (s *Server) createAC(q *ctlReq) {
 	a := &ac{
 		id:       m.AC,
 		dev:      d,
-		devIndex: int(m.Device),
 		enc:      d.Cfg.Enc,
 		channels: d.Cfg.Channels,
 	}
@@ -457,7 +456,7 @@ func (s *Server) freeAC(q *ctlReq) {
 
 func (s *Server) subscribe(q *ctlReq) {
 	a := q.a
-	e := s.engineByDev[a.devIndex]
+	e := s.engineByDev[a.dev.Index]
 	e.mu.Lock()
 	code := e.subscribeLocked(q.c, a)
 	now := a.dev.Now()
@@ -468,11 +467,11 @@ func (s *Server) subscribe(q *ctlReq) {
 	}
 	// Aux identifies the channel the subscription joined: broadcast
 	// messages are routed client-side by this device index.
-	q.reply(&proto.Reply{Time: uint32(now), Aux: uint32(a.devIndex)})
+	q.reply(&proto.Reply{Time: uint32(now), Aux: uint32(a.dev.Index)})
 }
 
 func (s *Server) unsubscribe(q *ctlReq) {
-	e := s.engineByDev[q.a.devIndex]
+	e := s.engineByDev[q.a.dev.Index]
 	e.mu.Lock()
 	e.unsubscribeLocked(q.a)
 	now := q.a.dev.Now()

@@ -54,7 +54,7 @@ func benchServer(tb testing.TB) (*Server, *client, *vdev.ManualClock) {
 	go io.Copy(io.Discard, p2) //nolint:errcheck
 	srv.Do(func() {
 		d := srv.Device(0)
-		c.acs[1] = &ac{id: 1, dev: d, devIndex: 0,
+		c.acs[1] = &ac{id: 1, dev: d,
 			enc: d.Cfg.Enc, channels: d.Cfg.Channels}
 	})
 	tb.Cleanup(func() {

@@ -82,7 +82,7 @@ func (s *Server) releaseAC(a *ac) {
 	// Both flags are guarded by the engine lock: recording races only
 	// with this context's own (ordered) requests, but subscribed is also
 	// cleared by the pump's dead-subscriber sweep on scheduler workers.
-	e := s.engineByDev[a.devIndex]
+	e := s.engineByDev[a.dev.Index]
 	e.mu.Lock()
 	if a.recording {
 		e.root.RecRefCount--

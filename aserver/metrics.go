@@ -8,6 +8,7 @@ import (
 
 	"audiofile/internal/lineserver"
 	"audiofile/internal/metrics"
+	"audiofile/internal/vdev"
 )
 
 // This file is the observability spine of the server: the typed metric
@@ -332,7 +333,7 @@ func (s *Server) Snapshot() Snapshot {
 		ds.ParksDiscarded = em.parksDiscarded.Load()
 		ds.ParkedNow = int64(ds.ParksStarted - ds.ParksCompleted - ds.ParksDiscarded)
 		ds.BcastSubs = int64(e.bcast.nsubs)
-		if hw := s.hw[d]; hw != nil {
+		if hw, ok := d.Backend().(*vdev.Device); ok {
 			ds.HWPlayed, ds.HWSilent, ds.HWRecorded = hw.Stats()
 		}
 		e.mu.Unlock()

@@ -130,35 +130,19 @@ type budgets struct {
 func (s *Server) initOverload() {
 	b := &s.budget
 	b.maxClients = s.opts.MaxClients
-	b.clientQueue = int64(s.opts.ClientQueueBytes)
-	if b.clientQueue == 0 {
-		b.clientQueue = 256 << 10
-	}
-	if b.clientQueue < 0 {
-		b.clientQueue = math.MaxInt64
-	}
+	b.clientQueue = byteBudget(int64(s.opts.ClientQueueBytes), 256<<10)
 	b.evictGrace = s.opts.EvictGrace
 	if b.evictGrace == 0 {
 		b.evictGrace = 250 * time.Millisecond
 	}
-	b.serverQueue = s.opts.ServerQueueBytes
-	if b.serverQueue == 0 {
-		if b.clientQueue > math.MaxInt64/64 {
-			b.serverQueue = math.MaxInt64
-		} else {
-			b.serverQueue = 64 * b.clientQueue
-		}
+	// The server queue defaults to 64 client queues, unbounded when
+	// they would overflow.
+	serverQueue := int64(math.MaxInt64)
+	if b.clientQueue <= math.MaxInt64/64 {
+		serverQueue = 64 * b.clientQueue
 	}
-	if b.serverQueue < 0 {
-		b.serverQueue = math.MaxInt64
-	}
-	b.frameCeiling = s.opts.FrameBytesCeiling
-	if b.frameCeiling == 0 {
-		b.frameCeiling = 16 << 20
-	}
-	if b.frameCeiling < 0 {
-		b.frameCeiling = math.MaxInt64
-	}
+	b.serverQueue = byteBudget(s.opts.ServerQueueBytes, serverQueue)
+	b.frameCeiling = byteBudget(s.opts.FrameBytesCeiling, 16<<20)
 	// The sweep is the time-based half of the eviction policy: send()
 	// catches a client crossing its budget, the sweep catches one that
 	// sits over budget while nothing new is being queued (its writer
@@ -168,6 +152,18 @@ func (s *Server) initOverload() {
 	s.clientMu.Lock()
 	s.sweep = time.AfterFunc(b.sweepEvery, s.sweepOverload)
 	s.clientMu.Unlock()
+}
+
+// byteBudget resolves a byte budget option: zero selects def, and a
+// negative value means unbounded.
+func byteBudget(opt, def int64) int64 {
+	switch {
+	case opt == 0:
+		return def
+	case opt < 0:
+		return math.MaxInt64
+	}
+	return opt
 }
 
 // sweepOverload runs the eviction policy over every live client and

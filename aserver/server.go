@@ -135,8 +135,6 @@ type Server struct {
 	log metrics.Log
 
 	devices []*core.Device // by device index
-	hw      map[*core.Device]*vdev.Device
-	lines   map[int]*phonesim.Line // device index -> phone line
 	descs   []proto.DeviceDesc
 
 	// ctl is the control plane: the lock a connection's reader holds
@@ -196,8 +194,6 @@ func New(opts Options) (*Server, error) {
 	}
 	s := &Server{
 		opts:          opts,
-		hw:            make(map[*core.Device]*vdev.Device),
-		lines:         make(map[int]*phonesim.Line),
 		atoms:         newAtomTable(),
 		clients:       make(map[*client]struct{}),
 		accessEnabled: opts.AccessControl,
@@ -211,26 +207,15 @@ func New(opts Options) (*Server, error) {
 		{Family: proto.FamilyInternet6, Addr: net.IPv6loopback},
 	}
 	if err := s.buildDevices(); err != nil {
+		// No engine has started; only the backends dialed so far hold
+		// anything (a LineServer's socket and health goroutine).
+		for _, fn := range s.closers {
+			fn()
+		}
 		return nil, err
 	}
 	for range s.devices {
 		s.props = append(s.props, make(map[uint32]*property))
-	}
-	// Build the data plane: one engine per root device (views share their
-	// parent's).
-	roots := make(map[*core.Device]*engine)
-	for _, d := range s.devices {
-		root := d
-		if d.IsView() {
-			root = d.Parent()
-		}
-		e := roots[root]
-		if e == nil {
-			e = newEngine(s, len(s.engines), root, s.lines[root.Index])
-			roots[root] = e
-			s.engines = append(s.engines, e)
-		}
-		s.engineByDev = append(s.engineByDev, e)
 	}
 	// The update plane: each engine's first periodic update (§7.2) is due
 	// one interval from here, where its timer is armed.
@@ -284,13 +269,11 @@ func (s *Server) buildDevices() error {
 			if err != nil {
 				return fmt.Errorf("aserver: lineserver %s: %w", spec.Addr, err)
 			}
-			dev := core.NewDevice(core.Config{
+			s.closers = append(s.closers, backend.Close)
+			s.addRoot(core.NewDevice(core.Config{
 				Name: name, Type: proto.DevCodec, Rate: rate,
 				Enc: sampleconv.MU255, Channels: 1, BufSeconds: spec.BufSeconds,
-			}, backend)
-			dev.Index = len(s.devices)
-			s.devices = append(s.devices, dev)
-			s.closers = append(s.closers, backend.Close)
+			}, backend), nil)
 		default:
 			return fmt.Errorf("aserver: unknown device kind %q", spec.Kind)
 		}
@@ -338,19 +321,26 @@ func (s *Server) buildSimulated(spec DeviceSpec, k devKind) {
 		NumInputs: k.channels, NumOutputs: k.channels,
 		InputsFromPhone: phoneMask, OutputsToPhone: phoneMask,
 	}, hw)
-	idx := len(s.devices)
-	dev.Index = idx
-	s.devices = append(s.devices, dev)
-	s.hw[dev] = hw
-	if line != nil {
-		s.lines[idx] = line
-	}
+	var views []*core.Device
 	if k.channels == 2 {
-		left := core.NewChannelView(spec.Name+"L", proto.DevMono, dev, 0, 1)
-		left.Index = idx + 1
-		right := core.NewChannelView(spec.Name+"R", proto.DevMono, dev, 1, 1)
-		right.Index = idx + 2
-		s.devices = append(s.devices, left, right)
+		views = []*core.Device{
+			core.NewChannelView(spec.Name+"L", proto.DevMono, dev, 0, 1),
+			core.NewChannelView(spec.Name+"R", proto.DevMono, dev, 1, 1),
+		}
+	}
+	s.addRoot(dev, line, views...)
+}
+
+// addRoot registers a root device, the phone line behind it if any, and
+// its channel views: it builds the root's engine, which the views share,
+// and numbers the root and then each view after the devices before them.
+func (s *Server) addRoot(root *core.Device, line *phonesim.Line, views ...*core.Device) {
+	e := newEngine(s, len(s.engines), root, line)
+	s.engines = append(s.engines, e)
+	for _, d := range append([]*core.Device{root}, views...) {
+		d.Index = len(s.devices)
+		s.devices = append(s.devices, d)
+		s.engineByDev = append(s.engineByDev, e)
 	}
 }
 
@@ -381,8 +371,14 @@ func (s *Server) Device(i int) *core.Device { return s.devices[i] }
 // NumDevices returns the number of abstract devices.
 func (s *Server) NumDevices() int { return len(s.devices) }
 
-// PhoneLine returns the simulated telephone line behind device i, or nil.
-func (s *Server) PhoneLine(i int) *phonesim.Line { return s.lines[i] }
+// PhoneLine returns the simulated telephone line behind device i, or nil
+// when the device has none or i names no device.
+func (s *Server) PhoneLine(i int) *phonesim.Line {
+	if i < 0 || i >= len(s.engineByDev) {
+		return nil
+	}
+	return s.engineByDev[i].line
+}
 
 // Do runs fn under the control lock, giving tests and embedded harnesses
 // race-free access to control-plane state. After Close it returns without

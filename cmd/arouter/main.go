@@ -14,7 +14,7 @@
 //	arouter -backend host:7000,host2:7000 [-n display] [-tcp] [-stats addr]
 //
 // Clients pick their placement key with the "#key" suffix of the server
-// name (af.OpenRoute): aplay -a router:0#studio-3 hashes "studio-3"
+// name (af.Open): aplay -a router:0#studio-3 hashes "studio-3"
 // onto the backend ring. Keyless sessions spread by client address.
 package main
 

@@ -186,9 +186,6 @@ func (d *Device) root() *Device {
 // IsView reports whether d is a channel view of another device.
 func (d *Device) IsView() bool { return d.parent != nil }
 
-// Parent returns the buffer-owning parent of a view, or nil.
-func (d *Device) Parent() *Device { return d.parent }
-
 // BufFrames returns the server buffer depth in frames.
 func (d *Device) BufFrames() int { return d.root().bufFrames }
 

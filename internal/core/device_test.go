@@ -70,7 +70,7 @@ func TestDeviceDefaults(t *testing.T) {
 	if r.dev.FrameBytes() != 1 || r.dev.chanCnt != 1 {
 		t.Error("frame sizes wrong")
 	}
-	if r.dev.IsView() || r.dev.Parent() != nil {
+	if r.dev.IsView() || r.dev.parent != nil {
 		t.Error("root device claims to be a view")
 	}
 	if r.dev.inputsEnabled != 1 || r.dev.outputsEnabled != 1 {
@@ -433,7 +433,7 @@ func TestStereoDeviceAndMonoViews(t *testing.T) {
 	stereo := NewDevice(Config{Name: "hifi", Rate: 44100, Enc: sampleconv.LIN16, Channels: 2}, hw)
 	left := NewChannelView("hifiL", 2, stereo, 0, 1)
 	right := NewChannelView("hifiR", 2, stereo, 1, 1)
-	if !left.IsView() || left.Parent() != stereo {
+	if !left.IsView() || left.parent != stereo {
 		t.Fatal("view wiring wrong")
 	}
 	if left.chanCnt != 1 || stereo.chanCnt != 2 {

@@ -84,11 +84,11 @@ func (d *daemon) stop(t *testing.T) {
 	}
 }
 
-// gettime opens server name (with a routing key when route is set) and
-// asks it the time.
-func gettime(t *testing.T, name, route string) {
+// gettime opens server name (a "#key" suffix sets a routing key) and asks
+// it the time.
+func gettime(t *testing.T, name string) {
 	t.Helper()
-	c, err := af.OpenRoute(name, route)
+	c, err := af.Open(name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestAfdServesDisplay(t *testing.T) {
 	if want := "afd: listening on " + af.UnixSocketPath(n) + "\n"; line != want {
 		t.Errorf("afd stderr %q, want %q", line, want)
 	}
-	gettime(t, fmt.Sprintf(":%d", n), "")
+	gettime(t, fmt.Sprintf(":%d", n))
 	afd.stop(t)
 	socketGone(t, n)
 }
@@ -129,7 +129,7 @@ func TestArouterPlacesRoute(t *testing.T) {
 	if want := "arouter: listening on " + af.UnixSocketPath(m) + ", fronting 1 backends\n"; line != want {
 		t.Errorf("arouter stderr %q, want %q", line, want)
 	}
-	gettime(t, fmt.Sprintf(":%d", m), "studio-3")
+	gettime(t, fmt.Sprintf(":%d#studio-3", m))
 	router.stop(t)
 	afd.stop(t)
 	socketGone(t, m)

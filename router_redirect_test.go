@@ -58,7 +58,7 @@ func redirectKey(t *testing.T) string {
 // proves it works: a GetTime and a play.
 func openRouted(t *testing.T, network, addr, key string) *af.Conn {
 	t.Helper()
-	c, err := af.OpenRoute(network+":"+addr, key)
+	c, err := af.Open(network + ":" + addr + "#" + key)
 	if err != nil {
 		t.Fatal(err)
 	}
