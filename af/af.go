@@ -27,67 +27,38 @@ import (
 	"syscall"
 	"time"
 
+	"audiofile/internal/atime"
 	"audiofile/internal/proto"
+	"audiofile/internal/sampleconv"
 )
 
 // ATime is an audio device time in sample ticks: a 32-bit counter that
-// increments once per sample period and wraps. See TimeAfter/TimeBefore
-// for ordering and Add for arithmetic.
-type ATime uint32
+// increments once per sample period and wraps (internal/atime states it).
+// See TimeAfter/TimeBefore for ordering and Add for arithmetic.
+type ATime = atime.ATime
 
 // TimeAfter reports whether b is later than a in wrapped device time.
-func TimeAfter(b, a ATime) bool { return int32(b-a) > 0 }
+func TimeAfter(b, a ATime) bool { return atime.After(b, a) }
 
 // TimeBefore reports whether b is earlier than a in wrapped device time.
-func TimeBefore(b, a ATime) bool { return int32(b-a) < 0 }
+func TimeBefore(b, a ATime) bool { return atime.Before(b, a) }
 
 // TimeSub returns the signed tick distance b-a.
-func TimeSub(b, a ATime) int32 { return int32(b - a) }
-
-// Add returns t advanced by n ticks (n may be negative).
-func (t ATime) Add(n int) ATime { return t + ATime(int32(n)) }
+func TimeSub(b, a ATime) int32 { return atime.Sub(b, a) }
 
 // Encoding identifies a sample data type, matching the server's device
-// and audio-context sample types.
-type Encoding uint8
+// and audio-context sample types; String names it and BytesPerUnit gives
+// the bytes of one sample (internal/sampleconv states both).
+type Encoding = sampleconv.Encoding
 
 // Sample encodings (Table 2's SAMPLE_* atoms).
 const (
-	MU255  Encoding = 0 // 8-bit µ-law
-	ALAW   Encoding = 1 // 8-bit A-law
-	LIN16  Encoding = 2 // 16-bit linear
-	LIN32  Encoding = 3 // 32-bit linear
-	ADPCM4 Encoding = 4 // 4-bit ADPCM (compressed; two samples per byte)
+	MU255  = sampleconv.MU255  // 8-bit µ-law
+	ALAW   = sampleconv.ALAW   // 8-bit A-law
+	LIN16  = sampleconv.LIN16  // 16-bit linear
+	LIN32  = sampleconv.LIN32  // 32-bit linear
+	ADPCM4 = sampleconv.ADPCM4 // 4-bit ADPCM (compressed; two samples per byte)
 )
-
-// String returns the encoding's name.
-func (e Encoding) String() string {
-	switch e {
-	case MU255:
-		return "MU255"
-	case ALAW:
-		return "ALAW"
-	case LIN16:
-		return "LIN16"
-	case LIN32:
-		return "LIN32"
-	case ADPCM4:
-		return "ADPCM4"
-	}
-	return fmt.Sprintf("Encoding(%d)", uint8(e))
-}
-
-// BytesPerUnit returns the bytes occupied by one sample.
-func (e Encoding) BytesPerUnit() int {
-	switch e {
-	case LIN16:
-		return 2
-	case LIN32:
-		return 4
-	default:
-		return 1
-	}
-}
 
 // ProtoError is a protocol error returned by the server.
 type ProtoError struct {
@@ -370,6 +341,13 @@ func NewConn(conn net.Conn) (*Conn, error) {
 // would hold every caller for the OS connect timeout.
 const dialTimeout = 5 * time.Second
 
+// setupTimeout bounds what follows a dial: one setup exchange and, on
+// the session's transport, the caller's first exchange after it. A
+// server can complete connects yet never answer (a stopped afd's kernel
+// still fills its listen backlog); unbounded, it would hold Open, a
+// redirect's fallback and a reconnect, which holds the connection lock.
+const setupTimeout = 5 * time.Second
+
 // dial opens a transport for Open, a setup redirect or a reconnect. (Go's
 // TCP conns start with Nagle off, as a session's should be.)
 func dial(network, addr string) (net.Conn, error) {
@@ -384,7 +362,9 @@ func dial(network, addr string) (net.Conn, error) {
 // that a chained router proxies rather than redirecting again. If that
 // dial or setup fails, it is proxied through the router at nc's own
 // address instead, whose placement walks past a dead owner. handshake
-// owns nc: it closes nc on failure and after a redirect.
+// owns nc: it closes nc on failure and after a redirect. The transport
+// it returns still has its setup's deadline armed, for the caller to
+// clear once its own first exchange, if any, is done.
 func handshake(nc net.Conn, order binary.ByteOrder, route string) (net.Conn, *proto.SetupReply, error) {
 	var direct bool
 	switch nc.(type) {
@@ -420,6 +400,7 @@ func handshake(nc net.Conn, order binary.ByteOrder, route string) (net.Conn, *pr
 // setup sends one setup request, carrying the routing key in the auth
 // fields when one is set, and reads the reply: a session, or — only when
 // direct advertised that the client can follow one — a setup redirect.
+// It arms setupTimeout on nc.
 func setup(nc net.Conn, order binary.ByteOrder, route string, direct bool) (*proto.SetupReply, error) {
 	var authName string
 	if route != "" {
@@ -428,6 +409,7 @@ func setup(nc net.Conn, order binary.ByteOrder, route string, direct bool) (*pro
 			authName = proto.RouteDirectAuthName
 		}
 	}
+	nc.SetDeadline(time.Now().Add(setupTimeout)) //nolint:errcheck — a transport without deadlines sets up unbounded
 	rep, err := proto.Setup(nc, nc, order, authName, []byte(route))
 	if err != nil {
 		return nil, fmt.Errorf("af: %w", err)
@@ -457,6 +439,7 @@ func NewConnRoute(conn net.Conn, bigEndian bool, route string) (*Conn, error) {
 	if err != nil {
 		return nil, err
 	}
+	conn.SetDeadline(time.Time{}) //nolint:errcheck — setup armed it, or the transport has none
 	c := &Conn{
 		conn:     conn,
 		order:    order,

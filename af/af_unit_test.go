@@ -1,6 +1,7 @@
 package af
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -79,6 +80,29 @@ func TestEncodingMeta(t *testing.T) {
 	}
 	if LIN16.BytesPerUnit() != 2 || LIN32.BytesPerUnit() != 4 || MU255.BytesPerUnit() != 1 {
 		t.Error("BytesPerUnit wrong")
+	}
+}
+
+// TestEncodingEveryValue pins String and BytesPerUnit for every value an
+// Encoding can hold to what af stated before it aliased sampleconv's
+// type: the five names, Encoding(n) beyond them, and 2 and 4 bytes for
+// the linear encodings, 1 for any other.
+func TestEncodingEveryValue(t *testing.T) {
+	names := []string{"MU255", "ALAW", "LIN16", "LIN32", "ADPCM4"}
+	for n := 0; n < 256; n++ {
+		name, size := fmt.Sprintf("Encoding(%d)", n), 1
+		if n < len(names) {
+			name = names[n]
+		}
+		switch Encoding(n) {
+		case LIN16:
+			size = 2
+		case LIN32:
+			size = 4
+		}
+		if e := Encoding(n); e.String() != name || e.BytesPerUnit() != size {
+			t.Errorf("Encoding(%d): %q, %d bytes; want %q, %d", n, e.String(), e.BytesPerUnit(), name, size)
+		}
 	}
 }
 

@@ -47,7 +47,9 @@ type ReconnectOptions struct {
 
 // SetReconnect enables transparent reconnection-with-backoff. While a
 // reconnect is in progress the connection lock is held, so concurrent
-// operations wait for its outcome.
+// operations wait for its outcome: at most MaxAttempts dials and setups,
+// each bounded (5 s apiece; a custom Redial bounds its own dial), plus
+// the backoff between them.
 func (c *Conn) SetReconnect(o ReconnectOptions) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -179,8 +181,9 @@ func (c *Conn) reconnectLocked() error {
 // the connection's byte order, swap the transport in, replay CreateAC
 // for every live context (ids are client-allocated and attributes are
 // mirrored locally, so the replay is verbatim), then one sync round trip
-// so any replay error surfaces here rather than later. It owns nc: on
-// failure, every transport it opened is closed. c.mu held.
+// so any replay error surfaces here rather than later, inside the
+// handshake's setupTimeout. It owns nc: on failure, every transport it
+// opened is closed. c.mu held.
 func (c *Conn) resetOnto(nc net.Conn) (err error) {
 	// The routing key is replayed verbatim: after a backend death the
 	// redial lands on the router again, and the same key must drive the
@@ -241,5 +244,7 @@ func (c *Conn) resetOnto(nc net.Conn) (err error) {
 		}
 		c.sentSeq++
 	}
-	return c.syncLocked()
+	err = c.syncLocked()
+	nc.SetDeadline(time.Time{}) //nolint:errcheck — setup armed it, or the transport has none
+	return err
 }

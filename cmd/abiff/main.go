@@ -15,7 +15,7 @@ import (
 
 	"audiofile/af"
 	"audiofile/afutil"
-	"audiofile/internal/cmdutil"
+	"audiofile/cmd/internal/cmdutil"
 )
 
 func main() {

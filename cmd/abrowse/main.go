@@ -20,7 +20,7 @@ import (
 	"time"
 
 	"audiofile/af"
-	"audiofile/internal/cmdutil"
+	"audiofile/cmd/internal/cmdutil"
 	"audiofile/internal/sndfile"
 )
 

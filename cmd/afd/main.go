@@ -27,7 +27,7 @@ import (
 	"time"
 
 	"audiofile/aserver"
-	"audiofile/internal/cmdutil"
+	"audiofile/cmd/internal/cmdutil"
 )
 
 func main() {

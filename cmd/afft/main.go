@@ -16,7 +16,7 @@ import (
 	"strings"
 
 	"audiofile/af"
-	"audiofile/internal/cmdutil"
+	"audiofile/cmd/internal/cmdutil"
 	"audiofile/internal/dsp"
 	"audiofile/internal/sampleconv"
 )

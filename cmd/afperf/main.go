@@ -23,7 +23,7 @@ import (
 
 	"audiofile/af"
 	"audiofile/afutil"
-	"audiofile/internal/cmdutil"
+	"audiofile/cmd/internal/cmdutil"
 	"audiofile/internal/rig"
 )
 

@@ -9,7 +9,7 @@ import (
 	"flag"
 	"fmt"
 
-	"audiofile/internal/cmdutil"
+	"audiofile/cmd/internal/cmdutil"
 )
 
 func main() {

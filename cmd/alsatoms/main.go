@@ -9,7 +9,7 @@ import (
 	"fmt"
 
 	"audiofile/af"
-	"audiofile/internal/cmdutil"
+	"audiofile/cmd/internal/cmdutil"
 )
 
 func main() {

@@ -24,7 +24,7 @@ import (
 	"syscall"
 
 	"audiofile/af"
-	"audiofile/internal/cmdutil"
+	"audiofile/cmd/internal/cmdutil"
 )
 
 func main() {

@@ -35,7 +35,7 @@ import (
 
 	"audiofile/af"
 	"audiofile/aserver"
-	"audiofile/internal/cmdutil"
+	"audiofile/cmd/internal/cmdutil"
 )
 
 // mediaHorizon is the setup reply's uint8 device-count ceiling: lines at

@@ -22,7 +22,7 @@ import (
 
 	"audiofile/af"
 	"audiofile/afutil"
-	"audiofile/internal/cmdutil"
+	"audiofile/cmd/internal/cmdutil"
 	"audiofile/internal/sndfile"
 )
 
@@ -89,7 +89,7 @@ func playBytes(conn *af.Conn, dev int, mask uint32, attrs af.ACAttributes,
 		cmdutil.Die("aplay: %v", err)
 	}
 	srate := d.PlaySampleFreq
-	ssize := int(d.PlayBufType.BytesPerUnit()) * d.PlayNchannels
+	ssize := d.PlayBufType.BytesPerUnit() * d.PlayNchannels
 
 	const bufFrames = 4000
 	buf := make([]byte, bufFrames*ssize)

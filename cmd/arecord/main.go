@@ -17,7 +17,7 @@ import (
 
 	"audiofile/af"
 	"audiofile/afutil"
-	"audiofile/internal/cmdutil"
+	"audiofile/cmd/internal/cmdutil"
 	"audiofile/internal/sampleconv"
 	"audiofile/internal/sndfile"
 )
@@ -120,7 +120,7 @@ func main() {
 	if container {
 		snd := &sndfile.Sound{
 			Info: sndfile.Info{
-				Encoding: sampleconv.Encoding(d.RecBufType),
+				Encoding: d.RecBufType,
 				Rate:     srate,
 				Channels: d.RecNchannels,
 			},
@@ -142,6 +142,6 @@ func main() {
 // decoding it in the device's own encoding.
 func blockPower(enc af.Encoding, block []byte) float64 {
 	lin := make([]int16, len(block)/enc.BytesPerUnit())
-	sampleconv.ToLin16(lin, block, sampleconv.Encoding(enc), len(lin))
+	sampleconv.ToLin16(lin, block, enc, len(lin))
 	return afutil.PowerLin16(lin)
 }

@@ -21,7 +21,7 @@ func TestBlockPowerDecodesDeviceEncoding(t *testing.T) {
 	want := afutil.PowerLin16(lin)
 	for _, enc := range []af.Encoding{af.MU255, af.ALAW, af.LIN16, af.LIN32} {
 		block := make([]byte, n*enc.BytesPerUnit())
-		sampleconv.FromLin16(block, sampleconv.Encoding(enc), lin, n)
+		sampleconv.FromLin16(block, enc, lin, n)
 		if got := blockPower(enc, block); math.Abs(got-want) > 0.1 {
 			t.Errorf("%v: %.2f dBm, want %.2f", enc, got, want)
 		}

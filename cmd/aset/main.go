@@ -10,7 +10,7 @@ import (
 	"flag"
 	"fmt"
 
-	"audiofile/internal/cmdutil"
+	"audiofile/cmd/internal/cmdutil"
 )
 
 func main() {

@@ -38,7 +38,7 @@ import (
 	"time"
 
 	"audiofile/aserver"
-	"audiofile/internal/cmdutil"
+	"audiofile/cmd/internal/cmdutil"
 	"audiofile/internal/metrics"
 )
 

@@ -12,7 +12,7 @@ import (
 	"os"
 
 	"audiofile/afutil"
-	"audiofile/internal/cmdutil"
+	"audiofile/cmd/internal/cmdutil"
 	"audiofile/internal/dsp"
 	"audiofile/internal/sampleconv"
 )

@@ -34,7 +34,7 @@ import (
 	"os/signal"
 
 	"audiofile/af"
-	"audiofile/internal/cmdutil"
+	"audiofile/cmd/internal/cmdutil"
 )
 
 const hdrBytes = 12 // magic u32, seq u32, sampleIndex u32

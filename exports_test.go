@@ -70,9 +70,11 @@ var timeOrderAllowed = map[string]string{
 // Device time is a wrapping 32-bit counter, so an ordered comparison (<,
 // <=, >, >=) on an ATime is wrong near the wrap: outside internal/atime,
 // one fails unless timeOrderAllowed names it.
+//
+// A function that callRules names is called only from its homes.
 func TestNoOrphanExports(t *testing.T) {
 	m := loadModule(t)
-	errs := append(m.orphans(), m.timeOrders()...)
+	errs := slices.Concat(m.orphans(), m.timeOrders(), m.callSites())
 	sort.Strings(errs)
 	for _, e := range errs {
 		t.Error(e)
@@ -416,8 +418,7 @@ func (m *module) timeOrders() []string {
 	for _, u := range slices.Concat(m.builds, m.tests) {
 		isTime := func(e ast.Expr) bool {
 			n := namedOf(u.info.Types[e].Type)
-			return n != nil && n.Obj().Name() == "ATime" && n.Obj().Pkg() != nil &&
-				(n.Obj().Pkg().Path() == modulePath+"/af" || n.Obj().Pkg().Path() == modulePath+"/internal/atime")
+			return n != nil && n.Obj().Name() == "ATime" && n.Obj().Pkg() != nil && n.Obj().Pkg().Path() == modulePath+"/internal/atime"
 		}
 		for _, f := range u.files {
 			for _, d := range f.Decls {
@@ -447,6 +448,75 @@ func (m *module) timeOrders() []string {
 	for key := range timeOrderAllowed {
 		if !allowed[key] {
 			errs = append(errs, "timeOrderAllowed names "+key+", which orders no device time")
+		}
+	}
+	return errs
+}
+
+// callRules give each of some standard functions one home: in the
+// non-test code of the packages under scope, only a home calls them. A
+// home is "importpath" or "importpath.function", with its reason.
+var callRules = []struct {
+	funcs []string // "importpath.Name"
+	scope string   // an import path, with the packages under it
+	homes map[string]string
+}{
+	{
+		funcs: []string{"net.Dial", "net.DialTimeout"},
+		scope: modulePath + "/af",
+		homes: map[string]string{
+			modulePath + "/af.dial": "the one dial, under dialTimeout, that Open, a setup redirect and a reconnect share",
+		},
+	},
+	{
+		funcs: []string{"syscall.Read", "syscall.Write", "syscall.Recvfrom", "syscall.Recvmsg", "syscall.Sendto", "syscall.Sendmsg", "syscall.SendmsgN",
+			"syscall.Syscall", "syscall.Syscall6", "syscall.RawSyscall", "syscall.RawSyscall6"},
+		scope: modulePath,
+		homes: map[string]string{
+			modulePath + "/internal/proto": "the wire layer: both ends' socket reads and writes, plain, vectored and raw, are made there alone",
+		},
+	},
+}
+
+// callSites lists the calls callRules forbid, and the homes that call
+// nothing their rule names.
+func (m *module) callSites() []string {
+	var errs []string
+	for _, r := range callRules {
+		called := map[string]bool{}
+		for _, u := range m.builds {
+			if u.path != r.scope && !strings.HasPrefix(u.path, r.scope+"/") {
+				continue
+			}
+			for _, f := range u.files {
+				for _, d := range f.Decls {
+					home := u.path
+					if fd, ok := d.(*ast.FuncDecl); ok {
+						home += "." + fd.Name.Name
+					}
+					ast.Inspect(d, func(n ast.Node) bool {
+						id, ok := n.(*ast.Ident)
+						fn, _ := u.info.Uses[id].(*types.Func)
+						if !ok || fn == nil || fn.Pkg() == nil || !slices.Contains(r.funcs, fn.Pkg().Path()+"."+fn.Name()) || recvOf(fn) != nil {
+							return true
+						}
+						switch {
+						case r.homes[u.path] != "":
+							called[u.path] = true
+						case r.homes[home] != "":
+							called[home] = true
+						default:
+							errs = append(errs, fmt.Sprintf("%s: %s.%s is called only from its homes in callRules", m.fset.Position(id.Pos()), fn.Pkg().Path(), fn.Name()))
+						}
+						return true
+					})
+				}
+			}
+		}
+		for home := range r.homes {
+			if !called[home] {
+				errs = append(errs, "callRules names "+home+", which calls none of "+strings.Join(r.funcs, ", "))
+			}
 		}
 	}
 	return errs

@@ -30,6 +30,9 @@ func Sub(b, a ATime) int32 { return int32(b - a) }
 // Add returns t advanced by n ticks; n may be negative.
 func Add(t ATime, n int) ATime { return t + ATime(int32(n)) }
 
+// Add returns t advanced by n ticks (n may be negative), as Add(t, n).
+func (t ATime) Add(n int) ATime { return Add(t, n) }
+
 // Min returns the earlier of a and b.
 func Min(a, b ATime) ATime {
 	if Before(a, b) {

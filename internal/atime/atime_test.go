@@ -38,7 +38,7 @@ func TestWrapAround(t *testing.T) {
 
 func TestHalfRangeBoundary(t *testing.T) {
 	var a ATime = 1000
-	q := Add(a, HalfRange) // the division point
+	q := Add(a, -HalfRange) // the division point, the same tick mod 2^32
 	// Exactly half the range away is "before" by the int32 rule:
 	// int32(q-a) = math.MinInt32 < 0.
 	if After(q, a) {

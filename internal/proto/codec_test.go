@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/iotest"
 )
@@ -332,6 +333,26 @@ func TestReadMessageEveryWay(t *testing.T) {
 				t.Fatalf("oversized reply: %+v", steps[0])
 			}
 		})
+	}
+}
+
+// TestOversizedPayloadRefused declares 2^30 words, a payload past
+// MaxReplyExtraBytes whose byte size wraps int on a 32-bit platform, in a
+// reply and in a broadcast: every read path refuses it with the header
+// consumed, on every architecture.
+func TestOversizedPayloadRefused(t *testing.T) {
+	for _, o := range wireOrders {
+		w := &Writer{Order: o.order}
+		(&Reply{Seq: 1}).Encode(w)
+		encodeBroadcast(w, &BroadcastData{Seq: 1})
+		for _, hdr := range [][]byte{w.Buf[:ReplyHeaderBytes], w.Buf[ReplyHeaderBytes:]} {
+			over := append([]byte(nil), hdr...)
+			o.order.PutUint32(over[4:], 1<<30)
+			steps := sameEveryWay(t, 64, over, o.order, 1, 0, 1)
+			if steps[0].consumed != len(over) || !strings.Contains(steps[0].err, "exceeds maximum") {
+				t.Errorf("%s, kind %d: 2^30 words read as %+v, want refused", o.name, over[0], steps[0])
+			}
+		}
 	}
 }
 

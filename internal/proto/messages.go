@@ -324,6 +324,16 @@ func readFixed(rd io.Reader, scratch []byte) ([]byte, error) {
 	return b, nil
 }
 
+// payloadBytes is the byte size of a payload declared as a count of
+// 32-bit words. It refuses one above MaxReplyExtraBytes before the multiply,
+// which on a 32-bit platform would wrap a huge count to a small size.
+func payloadBytes(words uint32, what string) (int, error) {
+	if words > MaxReplyExtraBytes/4 {
+		return 0, fmt.Errorf("proto: %s %d exceeds maximum %d", what, uint64(words)*4, MaxReplyExtraBytes)
+	}
+	return int(words) * 4, nil
+}
+
 // parseFixed is the one statement of the server-to-client layouts: it
 // decodes a whole fixed part (fixedBytes(b[0]) bytes) into m's inline
 // storage for its kind and returns the size of the payload that follows.
@@ -336,10 +346,7 @@ func (m *Message) parseFixed(b []byte, big bool) (payload int, err error) {
 			Time: get32(b[8:], big),
 			Aux:  get32(b[12:], big),
 		}
-		payload = int(get32(b[4:], big)) * 4
-		if payload > MaxReplyExtraBytes {
-			return 0, fmt.Errorf("proto: reply extra length %d exceeds maximum %d", payload, MaxReplyExtraBytes)
-		}
+		payload, err = payloadBytes(get32(b[4:], big), "reply extra length")
 	case MsgBroadcast:
 		m.bcast = BroadcastData{
 			Enc:           b[1] &^ BroadcastFlagBigEndian,
@@ -348,10 +355,7 @@ func (m *Message) parseFixed(b []byte, big bool) (payload int, err error) {
 			Time:          get32(b[8:], big),
 			Channel:       get32(b[12:], big),
 		}
-		payload = int(get32(b[4:], big)) * 4
-		if payload > MaxReplyExtraBytes {
-			return 0, fmt.Errorf("proto: broadcast data length %d exceeds maximum %d", payload, MaxReplyExtraBytes)
-		}
+		payload, err = payloadBytes(get32(b[4:], big), "broadcast data length")
 	case MsgError:
 		m.errm = ErrorMsg{
 			Code:     b[1],
@@ -371,7 +375,7 @@ func (m *Message) parseFixed(b []byte, big bool) (payload int, err error) {
 			Value:    get32(b[20:], big),
 		}
 	}
-	return payload, nil
+	return payload, err
 }
 
 // payload returns n bytes of m's reusable Extra/Data backing store.

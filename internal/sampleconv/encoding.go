@@ -56,6 +56,15 @@ func (e Encoding) String() string {
 	return Sizes[e].Name
 }
 
+// BytesPerUnit returns the bytes occupied by one unit of e, which holds
+// one sample except in ADPCM4; an unknown encoding counts one byte.
+func (e Encoding) BytesPerUnit() int {
+	if !e.Valid() {
+		return 1
+	}
+	return int(Sizes[e].BytesPerUnit)
+}
+
 // BytesPerSamples returns the number of bytes occupied by n samples of a
 // single channel in encoding e. n must be a multiple of SampsPerUnit.
 func (e Encoding) BytesPerSamples(n int) int {
