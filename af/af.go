@@ -24,6 +24,7 @@ import (
 	"os"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -235,11 +236,13 @@ type Conn struct {
 	errHandler   func(*Conn, *ProtoError)
 	ioErrHandler func(*Conn, error)
 
-	// reconnect enables transparent reconnection (see SetReconnect);
-	// closeNotice records a connection-scoped typed error the server sent
-	// before closing (Overload eviction, Drain shutdown), so the
-	// transport failure that follows is surfaced as a ServerClosedError.
+	// reconnect enables transparent reconnection (see SetReconnect), and
+	// gaveUp counts the reconnects that failed (recovering); closeNotice
+	// records a connection-scoped typed error the server sent before
+	// closing (Overload eviction, Drain shutdown), so the transport
+	// failure that follows is surfaced as a ServerClosedError.
 	reconnect   *ReconnectOptions
+	gaveUp      atomic.Uint32
 	closeNotice uint8
 
 	ioErr  error

@@ -123,8 +123,10 @@ func (c *Conn) shouldReconnect(err error) bool {
 // is re-established, a retrying caller (an idempotent operation) runs op
 // again on the new session; any other gets a ReconnectedError, because
 // the device time base moved across the restart and the caller must
-// reanchor before resuming. The OnResync hook runs after c.mu is
-// released.
+// reanchor before resuming. A caller that queued for c.mu behind a
+// reconnect that gave up returns its failure without trying again, so
+// callers waiting together share one bound. The OnResync hook runs after
+// c.mu is released.
 func (c *Conn) recovering(retry bool, op func() error) (err error) {
 	var onResync func(*Conn)
 	defer func() {
@@ -132,10 +134,11 @@ func (c *Conn) recovering(retry bool, op func() error) (err error) {
 			onResync(c)
 		}
 	}()
+	gaveUp := c.gaveUp.Load() // before the lock, which a reconnect holds
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	err = op()
-	if !c.shouldReconnect(err) || c.reconnectLocked() != nil {
+	if !c.shouldReconnect(err) || c.gaveUp.Load() != gaveUp || c.reconnectLocked() != nil {
 		return err
 	}
 	onResync = c.reconnect.OnResync
@@ -174,6 +177,7 @@ func (c *Conn) reconnectLocked() error {
 		}
 		return nil
 	}
+	c.gaveUp.Add(1)
 	return fmt.Errorf("af: reconnect failed after %d attempts: %w", r.MaxAttempts, lastErr)
 }
 

@@ -102,7 +102,7 @@ type client struct {
 	// a park leaves; await, that park; rawReads, the RawConn.Read calls
 	// made; syscalls, the raw reads and writes made inside them, but for
 	// staleWakes, the reads that met EAGAIN first thing after a wait
-	// (serve); inq, a TCP socket's read header (proto.NewInq, else nil);
+	// (serve); inq, a stream socket's read header (proto.NewInq, else nil);
 	// and served, woke, empty and skip (serve).
 	in         *proto.Buffer
 	lent       int
@@ -171,7 +171,7 @@ func newClient(s *Server, conn net.Conn, order binary.ByteOrder) *client {
 	c.req.c, c.req.r.Order = c, order
 	if c.raw = proto.RawConn(conn); c.raw != nil {
 		c.rawWrite, c.rawRead, c.rawServe = c.writeOnce, c.readOnce, c.serve
-		c.inq = proto.NewInq(c.raw)
+		c.inq = proto.NewInq(conn)
 	}
 	// Field-by-field: evictPolicy holds an atomic and must not be copied.
 	c.flow.budget = s.budget.clientQueue
@@ -335,8 +335,8 @@ func (c *client) readWait(f func(fd uintptr) bool) {
 // serving callback. It frames what the ingress buffer holds (frame, the
 // loop nextRun uses), dispatches each run, drains its replies with one
 // writev on fd (endRun), and reads again: the speculative read, which must
-// meet EAGAIN before the reader waits (TCP skips it after a read that left
-// the socket empty, as what comes later raises readiness anew). Then it
+// meet EAGAIN before the reader waits (skipped after a read that left the
+// socket empty, as what comes later raises readiness anew). Then it
 // reports not done, and RawConn waits for readability inside the same call,
 // with no second readiness reset. Nothing here waits on a park or the
 // writer, whose conn.Close waits for the descriptor this call holds: serve
@@ -658,8 +658,8 @@ func (c *client) settleVec() {
 // fd is the socket when the reader is inside its serving callback, which
 // holds the descriptor, and the write is made on it directly (writeOnce);
 // elsewhere fd is -1 and the write goes through RawConn.Write. A whole
-// write on fd after a read that left the socket empty sets skip: a reset
-// before that read, which TCP_INQ does not count, would have failed it.
+// write on fd after a read that left the socket empty sets skip (proto.Inq
+// says why that shows what the read could not: a reset, or a Unix FIN).
 func (c *client) drain(fd int) {
 	if c.wmu.TryLock() {
 		for len(c.vec) == 0 { // else an unfinished vector awaits the writer

@@ -3,9 +3,11 @@ package aserver
 import (
 	"bufio"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"net"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -14,8 +16,9 @@ import (
 
 // The serving callback: on a socket the reader frames, dispatches and
 // drains each burst inside the RawConn.Read that waits for it, and makes
-// the speculative read there before it waits again, unless on TCP the
-// burst's read showed the socket empty and its replies went out whole.
+// the speculative read there before it waits again, unless the burst's
+// read showed the socket empty (TCP_INQ on TCP, a short read on Unix) and
+// its replies went out whole.
 
 // socketNetworks are the transports whose reader serves inside its read.
 var socketNetworks = []string{"unix", "tcp"}
@@ -50,11 +53,13 @@ func dialSession(t *testing.T, network, addr string) (net.Conn, *bufio.Reader) {
 
 // TestReaderSeesFINBehindLastRequest writes a burst and half-closes at
 // once, so the FIN lands with the requests, often inside the same read and
-// under the same readiness edge. The reader may wait only after a read has
-// met EAGAIN: one that waits after a short read misses the FIN and holds
-// the session open. Every reply, then EOF, must arrive within 2 s: for
-// four GetTimes, and for four NoOps, which draw no reply, so that nothing
-// but the FIN can end their session.
+// under the same readiness edge. A read that takes the burst need not show
+// the FIN: the reader may skip the read that would meet it only once a
+// whole write followed, and on Unix only the client's read of that write
+// raises the edge that brings the FIN in. One that waits after a short
+// read alone misses the FIN and holds the session open. Every reply, then
+// EOF, must arrive within 2 s: for four GetTimes, and for four NoOps,
+// which draw no reply, so that nothing but the FIN can end their session.
 func TestReaderSeesFINBehindLastRequest(t *testing.T) {
 	noOps := proto.Writer{Order: binary.LittleEndian}
 	for i := 0; i < 4; i++ {
@@ -98,27 +103,20 @@ func TestReaderSeesFINBehindLastRequest(t *testing.T) {
 // TestReaderServesInsideOneRead makes a thousand GetTime round trips and
 // counts the reader's RawConn.Read calls: the whole session is served
 // inside one (two at most, should a wait be cut short), every reply
-// drained on the callback's descriptor, none handed to the writer. On unix
-// each burst costs the server three system calls: the read, the writev and
-// the speculative read that meets EAGAIN. On TCP the read reports the
-// socket left empty (TCP_INQ) and the writev goes out whole, so the
-// speculative read is skipped: two. A read that meets the next burst
-// instead saves one; the first wait and the EOF add one each. A wait that
-// ends on stale readiness costs a read that meets EAGAIN (serve); those
-// are counted apart, and a harvest race makes them rare: more than one
-// per hundred round trips means the reader waits wrongly.
+// drained on the callback's descriptor, none handed to the writer. Each
+// burst costs the server two system calls, the read and the writev: the
+// read shows the socket left empty (TCP_INQ on TCP, a short read on Unix)
+// and the writev goes out whole, so the speculative read that would meet
+// EAGAIN is skipped. A read that meets the next burst instead saves one;
+// the first wait and the EOF add one each. A wait that ends on stale
+// readiness costs a read that meets EAGAIN (serve); those are counted
+// apart, and a harvest race makes them rare: more than one per hundred
+// round trips means the reader waits wrongly.
 func TestReaderServesInsideOneRead(t *testing.T) {
 	const calls = 1000
-	perCall := map[string]struct {
-		n     int
-		calls string
-	}{
-		"unix": {3, "read, writev, EAGAIN read"},
-		"tcp":  {2, "recvmsg, writev"},
-	}
+	const perCall = 2 // the read (recvmsg on TCP) and the writev
 	for _, network := range socketNetworks {
 		t.Run(network, func(t *testing.T) {
-			want := perCall[network]
 			srv, _ := batchTestServer(t)
 			nc, br := dialSession(t, network, listenSocket(t, srv, network))
 			var c *client // registered just after the setup reply goes out
@@ -138,8 +136,8 @@ func TestReaderServesInsideOneRead(t *testing.T) {
 			if c.rawReads > 2 {
 				t.Errorf("%d round trips took %d RawConn.Read calls, want at most 2", calls, c.rawReads)
 			}
-			if c.syscalls > want.n*calls+2 {
-				t.Errorf("%d round trips took %d system calls, want at most %d each (%s) and 2 more", calls, c.syscalls, want.n, want.calls)
+			if c.syscalls > perCall*calls+2 {
+				t.Errorf("%d round trips took %d system calls, want at most %d each and 2 more", calls, c.syscalls, perCall)
 			}
 			if c.staleWakes > calls/100 {
 				t.Errorf("%d round trips took %d reads after stale wakes, want at most %d", calls, c.staleWakes, calls/100)
@@ -187,36 +185,90 @@ func TestReaderSeesRSTBehindLastRequest(t *testing.T) {
 	}
 }
 
-// TestReaderSkipHoldsPartialTail: on TCP the reader skips its speculative
-// read with half a request held. One write carries a GetTime and half of
-// the next; the first reply comes back while the tail pins one ingress
-// buffer, the rest follows 5 ms later, and the second reply must arrive.
-// The session costs at most six system calls: a first EAGAIN read, two
-// reads and two writevs, and the read that meets EOF. Reading again after
-// each reply would cost two more.
+// TestReaderSkipHoldsPartialTail: the reader skips its speculative read
+// with half a request held. One write carries a GetTime and half of the
+// next; the first reply comes back while the tail pins one ingress buffer,
+// the rest follows 5 ms later, and the second reply must arrive. The
+// session costs at most six system calls: a first EAGAIN read, two reads
+// and two writevs, and the read that meets EOF. Reading again after each
+// reply would cost two more.
 func TestReaderSkipHoldsPartialTail(t *testing.T) {
-	srv, _ := batchTestServer(t)
-	nc, br := dialSession(t, "tcp", listenSocket(t, srv, "tcp"))
-	var c *client
-	waitFor(t, "registration", func() bool { c = soleClient(srv); return c != nil })
-	burst, reply := getTimeBurst(2, 0), make([]byte, proto.ReplyHeaderBytes)
-	cut := len(burst) * 3 / 4
-	nc.SetReadDeadline(time.Now().Add(2 * time.Second)) //nolint:errcheck
-	for i, part := range [][]byte{burst[:cut], burst[cut:]} {
-		if i == 1 {
-			waitFor(t, "the partial tail to pin one buffer", func() bool { return lent(srv) == proto.IngressBytes })
-			time.Sleep(5 * time.Millisecond)
-		}
-		if _, err := nc.Write(part); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := io.ReadFull(br, reply); err != nil {
-			t.Fatalf("reply %d: %v", i+1, err)
-		}
+	for _, network := range socketNetworks {
+		t.Run(network, func(t *testing.T) {
+			srv, _ := batchTestServer(t)
+			nc, br := dialSession(t, network, listenSocket(t, srv, network))
+			var c *client
+			waitFor(t, "registration", func() bool { c = soleClient(srv); return c != nil })
+			burst, reply := getTimeBurst(2, 0), make([]byte, proto.ReplyHeaderBytes)
+			cut := len(burst) * 3 / 4
+			nc.SetReadDeadline(time.Now().Add(2 * time.Second)) //nolint:errcheck
+			for i, part := range [][]byte{burst[:cut], burst[cut:]} {
+				if i == 1 {
+					waitFor(t, "the partial tail to pin one buffer", func() bool { return lent(srv) == proto.IngressBytes })
+					time.Sleep(5 * time.Millisecond)
+				}
+				if _, err := nc.Write(part); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := io.ReadFull(br, reply); err != nil {
+					t.Fatalf("reply %d: %v", i+1, err)
+				}
+			}
+			nc.Close()
+			waitFor(t, "the session to end", func() bool { return srv.Snapshot().Disconnects == 1 })
+			if c.syscalls > 6 {
+				t.Errorf("the session took %d system calls, want at most 6", c.syscalls)
+			}
+		})
 	}
-	nc.Close()
-	waitFor(t, "the session to end", func() bool { return srv.Snapshot().Disconnects == 1 })
-	if c.syscalls > 6 {
-		t.Errorf("the session took %d system calls, want at most 6", c.syscalls)
+}
+
+// TestReaderHalfCloseRepliesUnread pins what the Unix skip changes. A
+// client writes a GetTime burst and half-closes at once, so the FIN often
+// lands before the reader's wake, behind bytes a short read takes without
+// showing it. The session then waits for the client: its read of the
+// replies raises the write-space edge that brings the FIN in, and its
+// close ends the session. Read 50 ms late, every reply and then EOF must
+// arrive within 2 s and the session unregister; closed unread, the session
+// must unregister within 2 s. Both at one P, where the FIN always lands
+// first, and at two.
+func TestReaderHalfCloseRepliesUnread(t *testing.T) {
+	const replies, iterations = 4, 10
+	for _, procs := range []int{1, 2} {
+		for _, tc := range []struct {
+			name string
+			read bool
+		}{{"read late", true}, {"close unread", false}} {
+			t.Run(fmt.Sprintf("procs%d/%s", procs, tc.name), func(t *testing.T) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				srv, _ := batchTestServer(t)
+				addr := listenSocket(t, srv, "unix")
+				for i := 0; i < iterations; i++ {
+					before := srv.Snapshot().Disconnects
+					nc, br := dialSession(t, "unix", addr)
+					deadline := time.Now().Add(2 * time.Second)
+					if _, err := nc.Write(getTimeBurst(replies, 0)); err != nil {
+						t.Fatal(err)
+					}
+					if err := nc.(*net.UnixConn).CloseWrite(); err != nil {
+						t.Fatal(err)
+					}
+					if tc.read {
+						time.Sleep(50 * time.Millisecond)
+						nc.SetReadDeadline(deadline) //nolint:errcheck
+						if got, err := io.ReadAll(br); err != nil || len(got) != replies*proto.ReplyHeaderBytes {
+							t.Fatalf("iteration %d: %d reply bytes then %v, want %d then EOF", i, len(got), err, replies*proto.ReplyHeaderBytes)
+						}
+					}
+					nc.Close()
+					for srv.Snapshot().Disconnects == before {
+						if time.Now().After(deadline) {
+							t.Fatalf("iteration %d: the session outlived its half-close by 2 s", i)
+						}
+						time.Sleep(200 * time.Microsecond)
+					}
+				}
+			})
+		}
 	}
 }

@@ -87,6 +87,7 @@ type listedPkg struct {
 	ImportPath, Dir                    string
 	GoFiles, TestGoFiles, XTestGoFiles []string
 	Imports, TestImports, XTestImports []string
+	Deps                               []string // the non-test build's, transitively
 }
 
 // unit is one type-checked build of a package.
@@ -107,10 +108,12 @@ type module struct {
 
 // loadModule type-checks every package of the module from source, alone
 // and with its tests, against the standard library's export data. As in
-// go test, every build imports the other packages' non-test builds.
+// go test, every build imports the other packages' non-test builds, but
+// an external test imports its package's test build, and every package
+// between them is checked again against that build.
 func loadModule(t *testing.T) *module {
 	t.Helper()
-	out, err := exec.Command("go", "list", "-e", "-json=ImportPath,Dir,GoFiles,TestGoFiles,XTestGoFiles,Imports,TestImports,XTestImports", "./...").Output()
+	out, err := exec.Command("go", "list", "-e", "-json=ImportPath,Dir,GoFiles,TestGoFiles,XTestGoFiles,Imports,TestImports,XTestImports,Deps", "./...").Output()
 	if err != nil {
 		t.Fatalf("go list: %v", err)
 	}
@@ -142,7 +145,7 @@ func loadModule(t *testing.T) *module {
 	})
 	parsed := map[string]*ast.File{} // a file shared by two builds is parsed once
 	var imp importerFunc
-	check := func(to *[]*unit, path, dir string, names []string) *types.Package {
+	check := func(to *[]*unit, imp importerFunc, path, dir string, names []string) *types.Package {
 		u := &unit{path: path, info: &types.Info{
 			Types: map[ast.Expr]types.TypeAndValue{},
 			Defs:  map[*ast.Ident]types.Object{},
@@ -169,7 +172,7 @@ func loadModule(t *testing.T) *module {
 			return pkg, nil
 		}
 		if p := listed[path]; p != nil {
-			m.pkgs[path] = check(&m.builds, path, p.Dir, p.GoFiles)
+			m.pkgs[path] = check(&m.builds, imp, path, p.Dir, p.GoFiles)
 			return m.pkgs[path], nil
 		}
 		pkg, err := gc.Import(path)
@@ -181,11 +184,22 @@ func loadModule(t *testing.T) *module {
 		imp(path) //nolint:errcheck — a type error has failed t
 	}
 	for _, path := range paths {
-		if p := listed[path]; len(p.TestGoFiles) > 0 {
-			check(&m.tests, path, p.Dir, slices.Concat(p.GoFiles, p.TestGoFiles))
+		p, ximp := listed[path], imp
+		if len(p.TestGoFiles) > 0 {
+			variant := map[string]*types.Package{path: check(&m.tests, imp, path, p.Dir, slices.Concat(p.GoFiles, p.TestGoFiles))}
+			ximp = func(dep string) (*types.Package, error) {
+				if variant[dep] == nil && listed[dep] != nil && slices.Contains(listed[dep].Deps, path) {
+					var recheck []*unit // the same files as dep's build, whose units stand for them
+					variant[dep] = check(&recheck, ximp, dep, listed[dep].Dir, listed[dep].GoFiles)
+				}
+				if variant[dep] != nil {
+					return variant[dep], nil
+				}
+				return imp(dep)
+			}
 		}
-		if p := listed[path]; len(p.XTestGoFiles) > 0 {
-			check(&m.tests, path+"_test", p.Dir, p.XTestGoFiles)
+		if len(p.XTestGoFiles) > 0 {
+			check(&m.tests, ximp, path+"_test", p.Dir, p.XTestGoFiles)
 		}
 	}
 	if t.Failed() {

@@ -28,8 +28,8 @@ func RawConn(nc net.Conn) syscall.RawConn {
 // entersyscall/exitsyscall, which a call that cannot block does not need.
 
 // ReadRaw is Read on a socket's descriptor: one read(2) behind the tail,
-// or given an Inq a recvmsg(2) that also sets inq.Empty. n == 0 with a nil
-// error is EAGAIN, nothing ready yet; io.EOF is the end of the stream.
+// or given a TCP Inq a recvmsg(2); either sets inq.Empty, given one. n == 0
+// with a nil error is EAGAIN, nothing ready yet; io.EOF is the end.
 func (b *Buffer) ReadRaw(fd uintptr, inq *Inq) (_ *Buffer, n int, err error) {
 	borrowed := b == nil
 	if borrowed {
@@ -38,8 +38,11 @@ func (b *Buffer) ReadRaw(fd uintptr, inq *Inq) (_ *Buffer, n int, err error) {
 	for {
 		p := b.B[b.W:]
 		r, errno := uintptr(0), syscall.Errno(0)
-		if inq == nil {
+		if inq == nil || inq.unix {
 			r, _, errno = syscall.RawSyscall(syscall.SYS_READ, fd, uintptr(unsafe.Pointer(unsafe.SliceData(p))), uintptr(len(p)))
+			if inq != nil {
+				inq.Empty = errno == 0 && r > 0 && r < uintptr(len(p))
+			}
 		} else {
 			inq.iov.Base, inq.msg.Iov, inq.msg.Iovlen, inq.msg.Control = unsafe.SliceData(p), &inq.iov, 1, (*byte)(unsafe.Pointer(&inq.cm))
 			inq.iov.SetLen(len(p))
@@ -71,24 +74,38 @@ func (b *Buffer) ReadRaw(fd uintptr, inq *Inq) (_ *Buffer, n int, err error) {
 
 const tcpInq = 36 // TCP_INQ and TCP_CM_INQ (linux/tcp.h), which package syscall lacks
 
-// Inq is a TCP socket's recvmsg(2) header, with TCP_INQ on (NewInq): each
-// read reports the bytes queued behind it, a FIN counting as one, but not
-// a reset, which only a later write that succeeds rules out.
+// Inq is a stream socket's read header (NewInq). Empty says the last read
+// took bytes and left none queued, which excuses the next read once a
+// whole write has followed (aserver's serving callback). On TCP a
+// recvmsg(2) with TCP_INQ on shows it, a FIN counting as queued; a reset
+// it misses, and the write fails on one. On a Unix stream socket a read(2)
+// short of its buffer shows it; a FIN it misses, but the peer's read of
+// what the write sent raises write space, which Go's netpoller harvests
+// with the FIN as read readiness.
 type Inq struct {
-	Empty bool // the last read took bytes; its control message, found by level and type, says none are queued
+	Empty bool // the last read took bytes and left none queued (a FIN too, on TCP)
+	unix  bool // read(2), and a short one is Empty
 	msg   syscall.Msghdr
 	iov   syscall.Iovec
 	cm    syscall.Cmsghdr
 	inq   int32 // cm's data, which follows its header unpadded
 }
 
-// NewInq turns TCP_INQ on for rc: the header its reads take, else nil (read(2)).
-func NewInq(rc syscall.RawConn) *Inq {
-	var err error
-	if cerr := rc.Control(func(fd uintptr) { err = syscall.SetsockoptInt(int(fd), syscall.SOL_TCP, tcpInq, 1) }); cerr != nil || err != nil {
-		return nil
+// NewInq returns nc's read header: a TCP socket's with TCP_INQ on, a Unix
+// stream socket's for read(2); else nil (unixpacket, TCP refusing TCP_INQ).
+func NewInq(nc net.Conn) *Inq {
+	switch nc := nc.(type) {
+	case *net.UnixConn:
+		if a := nc.LocalAddr(); a != nil && a.Network() == "unix" {
+			return &Inq{unix: true}
+		}
+	case *net.TCPConn:
+		var err error
+		if rc, cerr := nc.SyscallConn(); cerr == nil && rc.Control(func(fd uintptr) { err = syscall.SetsockoptInt(int(fd), syscall.SOL_TCP, tcpInq, 1) }) == nil && err == nil {
+			return new(Inq)
+		}
 	}
-	return new(Inq)
+	return nil
 }
 
 // Iovecs is a raw write's scatter list, kept beside the vector it sends so

@@ -196,7 +196,7 @@ func TestIovecsWrite(t *testing.T) {
 func connPair(t *testing.T, network string) (a, b net.Conn) {
 	t.Helper()
 	addr := "127.0.0.1:0"
-	if network == "unix" {
+	if strings.HasPrefix(network, "unix") {
 		addr = filepath.Join(t.TempDir(), "s")
 	}
 	ln, err := net.Listen(network, addr)
@@ -267,15 +267,14 @@ func readSome(t *testing.T, b *Buffer, fd int, inq *Inq) (*Buffer, int) {
 // everything queued reads as empty; a FIN queued behind the bytes, or
 // bytes that did not fit, read as not empty. A reset behind the bytes
 // reads as empty, and only the next read fails: what an empty read cannot
-// show. A Unix socket refuses the option and stays on read(2). A read with
-// the header allocates nothing.
+// show. A read with the header allocates nothing.
 func TestReadRawInq(t *testing.T) {
 	payload := []byte("request bytes")
 	open := func(t *testing.T) (net.Conn, int, int, *Inq) {
 		a, b := connPair(t, "tcp")
 		_, afd := sysfd(t, a)
-		rc, bfd := sysfd(t, b)
-		inq := NewInq(rc)
+		_, bfd := sysfd(t, b)
+		inq := NewInq(b)
 		if inq == nil {
 			t.Fatal("TCP refused TCP_INQ")
 		}
@@ -338,10 +337,42 @@ func TestReadRawInq(t *testing.T) {
 			t.Fatalf("read after the reset = %v, want an error", err)
 		}
 	})
+	// A Unix stream socket's read stops short of its buffer only with its
+	// queue empty, but cannot show a FIN behind the bytes: that is why the
+	// serving callback skips its next read only after a whole write. A
+	// unixpacket socket gets no header.
 	t.Run("unix", func(t *testing.T) {
-		_, b := connPair(t, "unix")
-		if rc, _ := sysfd(t, b); NewInq(rc) != nil {
-			t.Fatal("NewInq took on a Unix socket; its reads must stay plain")
+		a, b := connPair(t, "unix")
+		_, afd := sysfd(t, a)
+		_, bfd := sysfd(t, b)
+		inq := NewInq(b)
+		if inq == nil {
+			t.Fatal("no header for a Unix stream socket")
+		}
+		send(t, afd, payload)
+		_, n := readSome(t, &Buffer{B: make([]byte, 4)}, bfd, inq)
+		if n != 4 || inq.Empty {
+			t.Fatalf("read %d, empty %v; want 4, not empty (the buffer filled)", n, inq.Empty)
+		}
+		in, n := readSome(t, nil, bfd, inq)
+		if n != len(payload)-4 || !inq.Empty {
+			t.Fatalf("read of the rest %d, empty %v; want %d, empty", n, inq.Empty, len(payload)-4)
+		}
+		in.Put()
+		send(t, afd, payload)
+		if err := syscall.Shutdown(afd, syscall.SHUT_WR); err != nil {
+			t.Fatal(err)
+		}
+		in, n = readSome(t, nil, bfd, inq)
+		if n != len(payload) || !inq.Empty {
+			t.Fatalf("read %d, empty %v; want %d, empty (a short read cannot show the FIN)", n, inq.Empty, len(payload))
+		}
+		if _, _, err := in.ReadRaw(uintptr(bfd), inq); err != io.EOF {
+			t.Fatalf("read after the FIN = %v, want io.EOF", err)
+		}
+		_, p := connPair(t, "unixpacket")
+		if NewInq(p) != nil {
+			t.Fatal("NewInq gave a unixpacket socket a header; a short read there ends a record, not the queue")
 		}
 	})
 }

@@ -15,10 +15,10 @@ func RawConn(net.Conn) syscall.RawConn { return nil }
 // ReadRaw is never called where RawConn is nil.
 func (b *Buffer) ReadRaw(uintptr, *Inq) (*Buffer, int, error) { panic("proto: no raw read off Linux") }
 
-// Inq and NewInq: TCP_INQ is Linux's, so every read here would be plain.
+// Inq and NewInq: no raw read is made here, so none shows a socket empty.
 type Inq struct{ Empty bool }
 
-func NewInq(syscall.RawConn) *Inq { return nil }
+func NewInq(net.Conn) *Inq { return nil }
 
 // Iovecs is empty where there is no raw write to feed.
 type Iovecs struct{}
