@@ -112,7 +112,7 @@ func TestLawSnapshot(t *testing.T) {
 		{"resync in flight", resyncs, func(s *Snapshot) { s.Devices[0].Lineserver.ResyncsStarted++; s.Events.Totals[metrics.Health]++ }, true, false},
 		{"resync ended twice", resyncs, ls(func(b *lineserver.BackendStats) { b.ResyncsAbandoned++ }), false, false},
 		{"transition being read", moves, event(metrics.Health), true, false},
-		{"transition without its event", moves, ls(func(b *lineserver.BackendStats) { b.ToSuspect++ }), false, false},
+		{"transition without its event", moves, ls(func(b *lineserver.BackendStats) { b.ToDown++ }), false, false},
 		{"eviction being classified", evicts, event(metrics.Evict), true, false},
 		{"eviction without its event", evicts, func(s *Snapshot) { s.Evictions++; s.Disconnects++; s.Connects++ }, false, false},
 		{"shed being classified", sheds, event(metrics.Shed), true, false},

@@ -1,6 +1,7 @@
 package aserver
 
 import (
+	"cmp"
 	"math"
 	"sync/atomic"
 	"time"
@@ -131,10 +132,7 @@ func (s *Server) initOverload() {
 	b := &s.budget
 	b.maxClients = s.opts.MaxClients
 	b.clientQueue = byteBudget(int64(s.opts.ClientQueueBytes), 256<<10)
-	b.evictGrace = s.opts.EvictGrace
-	if b.evictGrace == 0 {
-		b.evictGrace = 250 * time.Millisecond
-	}
+	b.evictGrace = cmp.Or(s.opts.EvictGrace, 250*time.Millisecond)
 	// The server queue defaults to 64 client queues, unbounded when
 	// they would overflow.
 	serverQueue := int64(math.MaxInt64)
@@ -149,8 +147,16 @@ func (s *Server) initOverload() {
 	// wedged behind a transport that stopped draining). Half the grace
 	// period bounds how far past its allowance a silent client can live.
 	b.sweepEvery = max(b.evictGrace/2, 5*time.Millisecond)
+	// The timer reaches s only through to, which Close empties: the
+	// runtime may keep a stopped timer, and what it holds, to its deadline.
+	to := new(atomic.Pointer[Server])
+	to.Store(s)
 	s.clientMu.Lock()
-	s.sweep = time.AfterFunc(b.sweepEvery, s.sweepOverload)
+	s.sweep, s.sweepTo = time.AfterFunc(b.sweepEvery, func() {
+		if s := to.Load(); s != nil {
+			s.sweepOverload()
+		}
+	}), to
 	s.clientMu.Unlock()
 }
 

@@ -27,6 +27,7 @@
 package aserver
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"net"
@@ -35,6 +36,7 @@ import (
 	"time"
 
 	"audiofile/internal/core"
+	"audiofile/internal/health"
 	"audiofile/internal/lineserver"
 	"audiofile/internal/metrics"
 	"audiofile/internal/phonesim"
@@ -169,8 +171,10 @@ type Server struct {
 	clients  map[*client]struct{}
 	// sweep is the overload sweep's self-re-arming timer (overload.go),
 	// guarded by clientMu: the sweep re-arms it under the read lock it
-	// scans under, Close stops and clears it under the write lock.
-	sweep *time.Timer
+	// scans under, Close stops and clears it under the write lock, and
+	// empties sweepTo, the timer's one way to the server.
+	sweep   *time.Timer
+	sweepTo *atomic.Pointer[Server]
 
 	// budget is the resolved overload policy (overload.go); immutable
 	// after New. draining flips once, when Drain begins.
@@ -186,9 +190,7 @@ type Server struct {
 
 // New builds the devices and arms every engine's timer.
 func New(opts Options) (*Server, error) {
-	if opts.Vendor == "" {
-		opts.Vendor = "audiofile-go"
-	}
+	opts.Vendor = cmp.Or(opts.Vendor, "audiofile-go")
 	if opts.Devices == nil {
 		opts.Devices = DefaultDevices()
 	}
@@ -253,19 +255,11 @@ func (s *Server) buildDevices() error {
 		case spec.Kind == "lineserver":
 			// The Als design (§7.4.3): the server runs here, the audio
 			// hardware is a LineServer box across UDP.
-			rate := spec.Rate
-			if rate == 0 {
-				rate = 8000
-			}
-			name := spec.Name
-			if name == "" {
-				name = "als0"
-			}
-			opts := []lineserver.BackendOption{lineserver.WithLog(&s.log, name)}
-			if spec.LSNoExtrapolate {
-				opts = append(opts, lineserver.WithoutExtrapolation())
-			}
-			backend, err := lineserver.Dial(spec.Addr, rate, opts...)
+			rate, name := cmp.Or(spec.Rate, 8000), cmp.Or(spec.Name, "als0")
+			backend, err := lineserver.Dial(spec.Addr, rate, lineserver.Config{
+				NoExtrapolate: spec.LSNoExtrapolate,
+				Health:        health.Config{Log: &s.log, Name: name},
+			})
 			if err != nil {
 				return fmt.Errorf("aserver: lineserver %s: %w", spec.Addr, err)
 			}
@@ -291,13 +285,7 @@ func (s *Server) buildDevices() error {
 // phone's line is its sink and source, a hifi device gets mono left and
 // right views.
 func (s *Server) buildSimulated(spec DeviceSpec, k devKind) {
-	rate, hwf, clock := spec.Rate, spec.HWFrames, spec.Clock
-	if rate == 0 {
-		rate = k.rate
-	}
-	if hwf == 0 {
-		hwf = k.hwFrames
-	}
+	rate, hwf, clock := cmp.Or(spec.Rate, k.rate), cmp.Or(spec.HWFrames, k.hwFrames), spec.Clock
 	if clock == nil {
 		clock = vdev.NewRealClock(rate, spec.PPM)
 	}
@@ -419,6 +407,7 @@ func (s *Server) Close() {
 	s.clientMu.Lock()
 	s.sweep.Stop()
 	s.sweep = nil
+	s.sweepTo.Store(nil)
 	s.clientMu.Unlock()
 	s.wg.Wait()
 	for _, fn := range s.closers {

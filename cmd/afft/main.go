@@ -3,8 +3,9 @@
 // AudioFile server in real time, runs a windowed Fourier transform, and
 // prints one line of spectrum per transform block.
 //
-//	afft [-a server] [-d device] [-file f] [-sine] [-length n] [-stride n] \
-//	     [-window hamming|hanning|triangular|none] [-log] [-realtime] [-blocks n]
+//	afft [-a server] [-d device] [-file f] [-sine] [-r rate] [-length n] \
+//	     [-stride n] [-window hamming|hanning|triangular|none] [-log] \
+//	     [-blocks n] [-width n]
 package main
 
 import (
@@ -30,7 +31,7 @@ func main() {
 	stride := flag.Int("stride", 0, "samples between transforms (default: length)")
 	windowName := flag.String("window", "hamming", "window: hamming|hanning|triangular|none")
 	logScale := flag.Bool("log", true, "logarithmic amplitude scale")
-	rate := flag.Int("r", 8000, "sampling rate for file input")
+	rate := flag.Int("r", 8000, "sampling rate of the -sine sweep")
 	blocks := flag.Int("blocks", 0, "stop after this many transform blocks (0 = forever/EOF)")
 	width := flag.Int("width", 64, "display width in columns")
 	flag.Parse()
@@ -76,7 +77,6 @@ func main() {
 		if d.RecBufType != af.MU255 {
 			cmdutil.Die("afft: device %s is not µ-law", d.Name)
 		}
-		*rate = d.RecSampleFreq
 		ac, err := conn.CreateAC(dev, 0, af.ACAttributes{})
 		if err != nil {
 			cmdutil.Die("afft: %v", err)
@@ -88,12 +88,11 @@ func main() {
 		src = &serverSource{ac: ac, t: now}
 	}
 
-	run(src, win, *length, *stride, *logScale, *width, *blocks, float64(*rate))
+	run(src, win, *length, *stride, *logScale, *width, *blocks)
 }
 
 // run is the afft core: window, transform, render.
-func run(src sampleSource, win dsp.Window, length, stride int, logScale bool,
-	width, maxBlocks int, rate float64) {
+func run(src sampleSource, win dsp.Window, length, stride int, logScale bool, width, maxBlocks int) {
 	ring := make([]float64, 0, length+stride)
 	block := 0
 	ramp := " .:-=+*#%@"

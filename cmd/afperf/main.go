@@ -275,7 +275,7 @@ func cpuUsage() {
 	func() {
 		r := newRig(rig.Config{Name: "idle", Transport: "pipe", RealTime: true})
 		defer r.Close()
-		pct := cpuPercentOver(window, func() { time.Sleep(window) })
+		pct := cpuPercentOver(func() { time.Sleep(window) })
 		fmt.Printf("  %-28s %6.2f%%\n", "quiescent server", pct)
 	}()
 
@@ -289,7 +289,7 @@ func cpuUsage() {
 		afutil.TonePair(440, -13, 550, -13, 0, rate, tone)
 		now, _ := ac.GetTime()
 		t := now.Add(rate / 4)
-		pct := cpuPercentOver(window, func() {
+		pct := cpuPercentOver(func() {
 			deadline := time.Now().Add(window)
 			for time.Now().Before(deadline) {
 				_, err := ac.PlaySamples(t, tone)
@@ -338,7 +338,7 @@ func slopeTput(sizes []int, times []time.Duration, lo, hi int) string {
 
 // cpuPercentOver runs fn and returns the process CPU consumed during it
 // as a percentage of one core's wall time.
-func cpuPercentOver(window time.Duration, fn func()) float64 {
+func cpuPercentOver(fn func()) float64 {
 	before := processCPU()
 	start := time.Now()
 	fn()

@@ -379,11 +379,11 @@ func printRouterAbsolute(s aserver.RouterSnapshot) {
 	fmt.Printf("closed: client %d  backend %d  failovers %d\n",
 		s.ClosedClient, s.ClosedBackend, s.FailoversStarted)
 	fmt.Printf("%-24s %-8s %8s %8s %8s %6s %6s %6s %6s\n",
-		"backend", "state", "sessions", "probes", "fails", "dial", "→heal", "→susp", "→down")
+		"backend", "state", "sessions", "probes", "fails", "dial", "→heal", "→resync", "→down")
 	for _, b := range s.Backends {
 		fmt.Printf("%-24s %-8s %8d %8d %8d %6d %6d %6d %6d\n",
 			b.Name, b.State, b.Sessions, b.Probes, b.ProbeFailures,
-			b.DialErrors, b.ToHealthy, b.ToSuspect, b.ToDown)
+			b.DialErrors, b.ToHealthy, b.ResyncsStarted, b.ToDown)
 	}
 }
 

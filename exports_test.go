@@ -41,8 +41,6 @@ var orphanAllowed = map[string]string{
 	"audiofile/internal/lineserver.Firmware.Close":   "the root soaks and af's tests shut the box down, or kill it to test recovery",
 	"audiofile/internal/lineserver.Firmware.Faults":  "the chaos soak reads the injected packet faults' accounting",
 	"audiofile/internal/lineserver.Firmware.Packets": "af's LineServer test counts the packets the box served",
-	"audiofile/internal/lineserver.WithTimeout":      "the chaos soak's reply timeout, shorter than the default under injected loss",
-	"audiofile/internal/lineserver.WithHealthTuning": "the chaos soak's resync thresholds, tightened so recovery happens within a run",
 	"audiofile/internal/lineserver.Backend.ReadReg":  "the chaos soak's register traffic, the one retried round trip",
 	"audiofile/internal/lineserver.Backend.WriteReg": "the chaos soak's register traffic, the one retried round trip",
 	"audiofile/internal/lineserver.RegOutputGain":    "the register the chaos soak writes and reads back",

@@ -6,13 +6,13 @@
 // transition in the event log its owner hands it (Config.Log).
 //
 // Threshold consecutive failures, or one Escalate, move a healthy
-// machine to suspect, which wakes its one resync goroutine: suspect →
-// resyncing, then Heal up to Attempts times, the wait between tries
-// doubling from Backoff up to 500 ms, ending healthy (completed) or
-// down (abandoned). Only a healthy machine escalates. A success returns
-// suspect or down to healthy and leaves resyncing to Heal's verdict; down
-// is left only by a success, so a peer that stays dead is not resynced
-// again on every run of failures.
+// machine to resyncing and start that resync's one goroutine: Heal up to
+// Attempts times, the wait between tries doubling from Backoff up to
+// 500 ms, ending healthy (completed) or down (abandoned). Only a healthy
+// machine escalates. A success returns down to healthy and leaves
+// resyncing to Heal's verdict; down is left only by a success, so a peer
+// that stays dead is not resynced again on every run of failures. A
+// machine not resyncing holds no goroutine.
 //
 // Every resync ends once, completed or abandoned (a Close mid-resync
 // abandons it); the law is Stats.Check.
@@ -29,19 +29,17 @@ import (
 // The states, by their report names.
 const (
 	Healthy   = "healthy"
-	Suspect   = "suspect"   // escalated; the resync is about to start
 	Resyncing = "resyncing" // Heal attempts under way
 	Down      = "down"      // resync abandoned; left only by a success
 )
 
 const (
 	healthy int32 = iota
-	suspect
 	resyncing
 	down
 )
 
-var names = [...]string{Healthy, Suspect, Resyncing, Down}
+var names = [...]string{Healthy, Resyncing, Down}
 
 // Defaults for zero Config fields, and the backoff cap.
 const (
@@ -67,7 +65,6 @@ type Stats struct {
 	ConsecFails int64  `json:"consec_fails"`
 
 	ToHealthy uint64 `json:"to_healthy"`
-	ToSuspect uint64 `json:"to_suspect"`
 	ToDown    uint64 `json:"to_down"`
 
 	ResyncsStarted   uint64 `json:"resyncs_started"`
@@ -90,12 +87,12 @@ func (s Stats) Check(settled bool) error {
 // Moves is the transitions the machine has made, one event each in its
 // log.
 func (s Stats) Moves() uint64 {
-	return s.ToHealthy + s.ToSuspect + s.ResyncsStarted + s.ToDown
+	return s.ToHealthy + s.ResyncsStarted + s.ToDown
 }
 
 // Machine is one peer's health. State reads are atomic loads;
-// transitions serialize on mu, which guards their counts and orders
-// their events in the log.
+// transitions serialize on mu, which guards their counts, orders their
+// events in the log, and closes the gate to new resyncs.
 type Machine struct {
 	cfg Config
 
@@ -103,25 +100,17 @@ type Machine struct {
 	fails    atomic.Int64
 	attempts atomic.Uint64 // Heal calls
 
-	mu    sync.Mutex
-	moves [len(names)][len(names)]uint64 // transitions, by from and to
+	mu     sync.Mutex
+	moves  [len(names)][len(names)]uint64 // transitions, by from and to
+	closed bool                           // Close has run: no resync starts
 
-	wake      chan struct{}
-	done      chan struct{}
-	closeOnce sync.Once
-	wg        sync.WaitGroup
+	done chan struct{} // closed by Close: a resync in its backoff ends
+	wg   sync.WaitGroup
 }
 
-// New returns a healthy machine and starts its resync goroutine; Close
-// stops it.
+// New returns a healthy machine. It starts no goroutine; each resync
+// starts its own.
 func New(cfg Config) *Machine {
-	m := newMachine(cfg)
-	m.wg.Add(1)
-	go m.run()
-	return m
-}
-
-func newMachine(cfg Config) *Machine {
 	if cfg.Threshold <= 0 {
 		cfg.Threshold = defaultThreshold
 	}
@@ -134,14 +123,19 @@ func newMachine(cfg Config) *Machine {
 	if cfg.Log == nil {
 		cfg.Log = new(metrics.Log)
 	}
-	return &Machine{cfg: cfg, wake: make(chan struct{}, 1), done: make(chan struct{})}
+	return &Machine{cfg: cfg, done: make(chan struct{})}
 }
 
-// Close stops the resync goroutine and waits for it: a resync in its
-// backoff is abandoned at once, one in Heal when Heal returns. Safe to
-// call more than once.
+// Close refuses later escalations and waits for a resync in progress: one
+// in its backoff is abandoned at once, one in Heal when Heal returns.
+// Safe to call more than once.
 func (m *Machine) Close() {
-	m.closeOnce.Do(func() { close(m.done) })
+	m.mu.Lock()
+	if !m.closed {
+		m.closed = true
+		close(m.done)
+	}
+	m.mu.Unlock()
 	m.wg.Wait()
 }
 
@@ -160,22 +154,23 @@ func (m *Machine) Failure() {
 
 // Escalate starts a resync now, without waiting for the threshold: the
 // caller has seen the peer fail in a way one failure proves. A no-op
-// unless healthy.
+// unless healthy, and after Close.
 func (m *Machine) Escalate(reason string) {
-	if m.move(1<<healthy, suspect, reason) {
-		m.fails.Store(0)
-		select {
-		case m.wake <- struct{}{}:
-		default:
-		}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.closed || !m.moveLocked(1<<healthy, resyncing, reason) {
+		return
 	}
+	m.fails.Store(0)
+	m.wg.Add(1) // under mu: Close's Wait never races an Add
+	go m.resync()
 }
 
 // Success records one answered operation: the failure run ends, and a
-// suspect or down peer is healthy again.
+// down peer is healthy again. A resync is left to Heal's verdict.
 func (m *Machine) Success() {
 	m.fails.Store(0)
-	m.move(1<<suspect|1<<down, healthy, "recovered")
+	m.move(1<<down, healthy, "recovered")
 }
 
 // move makes a transition to `to` when the current state is in the from
@@ -184,40 +179,25 @@ func (m *Machine) Success() {
 // does not hold yet.
 func (m *Machine) move(from uint8, to int32, reason string) bool {
 	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.moveLocked(from, to, reason)
+}
+
+func (m *Machine) moveLocked(from uint8, to int32, reason string) bool {
 	cur := m.state.Load()
 	if from&(1<<cur) == 0 {
-		m.mu.Unlock()
 		return false
 	}
 	m.state.Store(to)
 	m.moves[cur][to]++
 	m.cfg.Log.Record(metrics.Health, m.cfg.Name, names[cur]+" -> "+names[to]+" ("+reason+")")
-	m.mu.Unlock()
 	return true
 }
 
-// run is the act stage's goroutine: one resync per escalation.
-func (m *Machine) run() {
+// resync is the act stage, one goroutine per escalation: it takes the
+// machine from resyncing to healthy or down.
+func (m *Machine) resync() {
 	defer m.wg.Done()
-	for {
-		select {
-		case <-m.done:
-			return
-		case <-m.wake:
-		}
-		if !m.resync() {
-			return
-		}
-	}
-}
-
-// resync takes a suspect machine through resyncing to healthy or down,
-// and reports false when Close cut it short. A wake that finds the
-// machine no longer suspect (a success got there first) is stale.
-func (m *Machine) resync() bool {
-	if !m.move(1<<suspect, resyncing, "resync start") {
-		return true
-	}
 	ok, closed := m.heal()
 	m.fails.Store(0)
 	switch {
@@ -228,7 +208,6 @@ func (m *Machine) resync() bool {
 	default:
 		m.move(1<<resyncing, down, "resync abandoned")
 	}
-	return !closed
 }
 
 // heal runs Heal up to Attempts times with doubling backoff between them.
@@ -268,7 +247,6 @@ func (m *Machine) Stats() Stats {
 		State:            m.State(),
 		ConsecFails:      m.fails.Load(),
 		ToHealthy:        into(healthy),
-		ToSuspect:        into(suspect),
 		ToDown:           into(down),
 		ResyncsStarted:   into(resyncing),
 		ResyncsCompleted: m.moves[resyncing][healthy],

@@ -18,9 +18,9 @@ type healer func(m *Machine) bool
 func healOK(*Machine) bool   { return true }
 func healFail(*Machine) bool { return false }
 
-// TestConformance is the rule table: every transition, driven by hand on
-// a machine whose resync goroutine is not started. Ops: F Failure, S
-// Success, E Escalate, R one resync (what the goroutine does on a wake).
+// TestConformance is the rule table: every transition, driven by hand.
+// Ops: F Failure, S Success, E Escalate, W wait for the resync the
+// escalation started to end.
 func TestConformance(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
@@ -28,39 +28,59 @@ func TestConformance(t *testing.T) {
 		heal       []healer
 		ops        string
 		want       string
-		wantReason string // of the last event in the log; "" when there is none
-		// transitions into healthy/suspect/down, then resyncs
+		wantEvents string // every event's detail, each followed by "; "
+		// transitions into healthy/down, then resyncs
 		// started/completed/abandoned and Heal calls
-		to        [3]uint64
+		to        [2]uint64
 		resyncs   [3]uint64
 		attempted uint64
 	}{
 		{name: "below the threshold stays healthy", ops: "FF", want: Healthy},
-		{name: "the threshold escalates", ops: "FFF", want: Suspect, wantReason: "failure threshold", to: [3]uint64{0, 1, 0}},
 		{name: "a success ends the failure run", ops: "FFSFF", want: Healthy},
-		{name: "escalate while healthy", ops: "E", want: Suspect, wantReason: "test", to: [3]uint64{0, 1, 0}},
-		{name: "escalate while suspect is a no-op", ops: "EE", want: Suspect, wantReason: "test", to: [3]uint64{0, 1, 0}},
-		{name: "a success while suspect makes the wake stale", ops: "ESR", want: Healthy, wantReason: "recovered", to: [3]uint64{1, 1, 0}},
 		{
-			name: "resync completes", heal: []healer{healOK}, ops: "ER",
-			want: Healthy, wantReason: "resync complete",
-			to: [3]uint64{1, 1, 0}, resyncs: [3]uint64{1, 1, 0}, attempted: 1,
+			name: "the threshold escalates", heal: []healer{healOK}, ops: "FFFW",
+			want:       Healthy,
+			wantEvents: "healthy -> resyncing (failure threshold); resyncing -> healthy (resync complete); ",
+			to:         [2]uint64{1, 0}, resyncs: [3]uint64{1, 1, 0}, attempted: 1,
 		},
 		{
-			name: "resync completes on a later attempt", attempts: 3, heal: []healer{healFail, healFail, healOK}, ops: "ER",
-			want: Healthy, wantReason: "resync complete",
-			to: [3]uint64{1, 1, 0}, resyncs: [3]uint64{1, 1, 0}, attempted: 3,
+			name: "escalate while healthy", heal: []healer{func(m *Machine) bool { return m.State() == Resyncing }}, ops: "EW",
+			want:       Healthy,
+			wantEvents: "healthy -> resyncing (test); resyncing -> healthy (resync complete); ",
+			to:         [2]uint64{1, 0}, resyncs: [3]uint64{1, 1, 0}, attempted: 1,
 		},
 		{
-			name: "resync abandoned", attempts: 2, heal: []healer{healFail, healFail}, ops: "ER",
-			want: Down, wantReason: "resync abandoned",
-			to: [3]uint64{0, 1, 1}, resyncs: [3]uint64{1, 0, 1}, attempted: 2,
+			name: "resync completes", heal: []healer{healOK}, ops: "EW",
+			want:       Healthy,
+			wantEvents: "healthy -> resyncing (test); resyncing -> healthy (resync complete); ",
+			to:         [2]uint64{1, 0}, resyncs: [3]uint64{1, 1, 0}, attempted: 1,
+		},
+		{
+			// Success lifts only down: one landing before the first Heal
+			// leaves the resync to run, once.
+			name: "a success before Heal does not cancel the resync", heal: []healer{healOK}, ops: "ESW",
+			want:       Healthy,
+			wantEvents: "healthy -> resyncing (test); resyncing -> healthy (resync complete); ",
+			to:         [2]uint64{1, 0}, resyncs: [3]uint64{1, 1, 0}, attempted: 1,
+		},
+		{
+			name: "resync completes on a later attempt", attempts: 3, heal: []healer{healFail, healFail, healOK}, ops: "EW",
+			want:       Healthy,
+			wantEvents: "healthy -> resyncing (test); resyncing -> healthy (resync complete); ",
+			to:         [2]uint64{1, 0}, resyncs: [3]uint64{1, 1, 0}, attempted: 3,
+		},
+		{
+			name: "resync abandoned", attempts: 2, heal: []healer{healFail, healFail}, ops: "EW",
+			want:       Down,
+			wantEvents: "healthy -> resyncing (test); resyncing -> down (resync abandoned); ",
+			to:         [2]uint64{0, 1}, resyncs: [3]uint64{1, 0, 1}, attempted: 2,
 		},
 		{
 			name: "escalate while resyncing is a no-op",
-			heal: []healer{func(m *Machine) bool { m.Escalate("again"); return true }}, ops: "ER",
-			want: Healthy, wantReason: "resync complete",
-			to: [3]uint64{1, 1, 0}, resyncs: [3]uint64{1, 1, 0}, attempted: 1,
+			heal: []healer{func(m *Machine) bool { m.Escalate("again"); return true }}, ops: "EW",
+			want:       Healthy,
+			wantEvents: "healthy -> resyncing (test); resyncing -> healthy (resync complete); ",
+			to:         [2]uint64{1, 0}, resyncs: [3]uint64{1, 1, 0}, attempted: 1,
 		},
 		{
 			name: "failures while resyncing do not escalate",
@@ -70,49 +90,58 @@ func TestConformance(t *testing.T) {
 				}
 				return true
 			}},
-			ops: "ER", want: Healthy, wantReason: "resync complete",
-			to: [3]uint64{1, 1, 0}, resyncs: [3]uint64{1, 1, 0}, attempted: 1,
+			ops: "EW", want: Healthy,
+			wantEvents: "healthy -> resyncing (test); resyncing -> healthy (resync complete); ",
+			to:         [2]uint64{1, 0}, resyncs: [3]uint64{1, 1, 0}, attempted: 1,
 		},
 		{
 			// Heal reports for itself: a success seen mid-resync (the
 			// resync's own round trip) leaves the state to the outcome.
 			name: "a success while resyncing stays resyncing", attempts: 1,
-			heal: []healer{func(m *Machine) bool { m.Success(); return m.State() != Resyncing }}, ops: "ER",
-			want: Down, wantReason: "resync abandoned",
-			to: [3]uint64{0, 1, 1}, resyncs: [3]uint64{1, 0, 1}, attempted: 1,
+			heal: []healer{func(m *Machine) bool { m.Success(); return m.State() != Resyncing }}, ops: "EW",
+			want:       Down,
+			wantEvents: "healthy -> resyncing (test); resyncing -> down (resync abandoned); ",
+			to:         [2]uint64{0, 1}, resyncs: [3]uint64{1, 0, 1}, attempted: 1,
 		},
 		{
-			name: "escalate while down is a no-op", attempts: 1, heal: []healer{healFail}, ops: "ERE",
-			want: Down, wantReason: "resync abandoned",
-			to: [3]uint64{0, 1, 1}, resyncs: [3]uint64{1, 0, 1}, attempted: 1,
+			name: "escalate while down is a no-op", attempts: 1, heal: []healer{healFail}, ops: "EWE",
+			want:       Down,
+			wantEvents: "healthy -> resyncing (test); resyncing -> down (resync abandoned); ",
+			to:         [2]uint64{0, 1}, resyncs: [3]uint64{1, 0, 1}, attempted: 1,
 		},
 		{
-			name: "failures while down stay down", attempts: 1, heal: []healer{healFail}, ops: "ERFFFFFFFFF",
-			want: Down, wantReason: "resync abandoned",
-			to: [3]uint64{0, 1, 1}, resyncs: [3]uint64{1, 0, 1}, attempted: 1,
+			name: "failures while down stay down", attempts: 1, heal: []healer{healFail}, ops: "EWFFFFFFFFF",
+			want:       Down,
+			wantEvents: "healthy -> resyncing (test); resyncing -> down (resync abandoned); ",
+			to:         [2]uint64{0, 1}, resyncs: [3]uint64{1, 0, 1}, attempted: 1,
 		},
 		{
-			name: "a success while down recovers", attempts: 1, heal: []healer{healFail}, ops: "ERS",
-			want: Healthy, wantReason: "recovered",
-			to: [3]uint64{1, 1, 1}, resyncs: [3]uint64{1, 0, 1}, attempted: 1,
+			name: "a success while down recovers", attempts: 1, heal: []healer{healFail}, ops: "EWS",
+			want:       Healthy,
+			wantEvents: "healthy -> resyncing (test); resyncing -> down (resync abandoned); down -> healthy (recovered); ",
+			to:         [2]uint64{1, 1}, resyncs: [3]uint64{1, 0, 1}, attempted: 1,
 		},
 		{
-			name: "a fresh run after recovery escalates again", attempts: 1, heal: []healer{healFail}, ops: "ERSFFF",
-			want: Suspect, wantReason: "failure threshold",
-			to: [3]uint64{1, 2, 1}, resyncs: [3]uint64{1, 0, 1}, attempted: 1,
+			name: "a fresh run after recovery escalates again", attempts: 1, heal: []healer{healFail, healOK}, ops: "EWSFFFW",
+			want: Healthy,
+			wantEvents: "healthy -> resyncing (test); resyncing -> down (resync abandoned); down -> healthy (recovered); " +
+				"healthy -> resyncing (failure threshold); resyncing -> healthy (resync complete); ",
+			to: [2]uint64{2, 1}, resyncs: [3]uint64{2, 1, 1}, attempted: 2,
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var m *Machine
 			var log metrics.Log
 			calls := 0
-			m = newMachine(Config{Attempts: tc.attempts, Backoff: time.Nanosecond, Log: &log, Heal: func() bool {
+			m = New(Config{Attempts: tc.attempts, Backoff: time.Nanosecond, Log: &log, Heal: func() bool {
 				if calls >= len(tc.heal) {
-					t.Fatalf("Heal call %d is not scripted", calls+1)
+					t.Errorf("Heal call %d is not scripted", calls+1)
+					return false
 				}
 				calls++
 				return tc.heal[calls-1](m)
 			}})
+			defer m.Close()
 			for _, op := range tc.ops {
 				switch op {
 				case 'F':
@@ -121,10 +150,8 @@ func TestConformance(t *testing.T) {
 					m.Success()
 				case 'E':
 					m.Escalate("test")
-				case 'R':
-					if !m.resync() {
-						t.Fatal("resync reports a Close that never happened")
-					}
+				case 'W':
+					m.wg.Wait()
 				}
 			}
 			s := m.Stats()
@@ -132,14 +159,18 @@ func TestConformance(t *testing.T) {
 				t.Errorf("state %s, want %s", s.State, tc.want)
 			}
 			evs, _ := log.Since(0)
-			if reason := lastReason(evs); reason != tc.wantReason {
-				t.Errorf("last event reason %q, want %q (%+v)", reason, tc.wantReason, evs)
+			var got strings.Builder
+			for _, ev := range evs {
+				got.WriteString(ev.Detail + "; ")
+			}
+			if got.String() != tc.wantEvents {
+				t.Errorf("events %q, want %q", got.String(), tc.wantEvents)
 			}
 			if n := s.Moves(); uint64(len(evs)) != n {
 				t.Errorf("%d events for %d transitions", len(evs), n)
 			}
-			if to := [3]uint64{s.ToHealthy, s.ToSuspect, s.ToDown}; to != tc.to {
-				t.Errorf("transitions into healthy/suspect/down %v, want %v", to, tc.to)
+			if to := [2]uint64{s.ToHealthy, s.ToDown}; to != tc.to {
+				t.Errorf("transitions into healthy/down %v, want %v", to, tc.to)
 			}
 			if r := [3]uint64{s.ResyncsStarted, s.ResyncsCompleted, s.ResyncsAbandoned}; r != tc.resyncs {
 				t.Errorf("resyncs started/completed/abandoned %v, want %v", r, tc.resyncs)
@@ -157,18 +188,75 @@ func TestConformance(t *testing.T) {
 // TestFailureRunCount: ConsecFails counts the run, and escalation and
 // a success both end it.
 func TestFailureRunCount(t *testing.T) {
-	m := newMachine(Config{Threshold: 4})
+	m := New(Config{Threshold: 4, Heal: func() bool { return true }})
+	defer m.Close()
 	for i, want := range []int64{1, 2, 3, 0} {
 		m.Failure()
 		if got := m.Stats().ConsecFails; got != want {
 			t.Fatalf("after failure %d: consec_fails %d, want %d", i+1, got, want)
 		}
 	}
+	m.wg.Wait()
 	m.Failure()
 	m.Success()
 	if got := m.Stats().ConsecFails; got != 0 {
 		t.Errorf("after a success: consec_fails %d, want 0", got)
 	}
+}
+
+// TestGoroutines pins the lifecycle: a machine holds a goroutine only
+// while it resyncs, exactly one then, and none after Close, whether Close
+// lands in the backoff or after the resync ended; a closed machine
+// refuses to escalate.
+func TestGoroutines(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan bool)
+	m := New(Config{Attempts: 2, Backoff: time.Hour, Heal: func() bool {
+		entered <- struct{}{}
+		return <-release
+	}})
+	waitMachineGoroutines(t, "a healthy machine", 0)
+
+	m.Escalate("test")
+	<-entered
+	waitMachineGoroutines(t, "a resync in Heal", 1)
+	release <- true
+	m.wg.Wait()
+	waitMachineGoroutines(t, "a completed resync", 0)
+
+	m.Escalate("test")
+	<-entered
+	release <- false // the first try fails: the second waits out an hour
+	waitMachineGoroutines(t, "a resync in its backoff", 1)
+	m.Close()
+	waitMachineGoroutines(t, "a closed machine", 0)
+
+	m.Success() // down -> healthy, so only the Close can refuse
+	m.Escalate("after close")
+	if s := m.Stats(); s.State != Healthy || s.ResyncsStarted != 2 || s.ResyncsAbandoned != 1 {
+		t.Errorf("after Close: %+v; want healthy, 2 resyncs started, 1 abandoned", s)
+	}
+	waitMachineGoroutines(t, "an escalation after Close", 0)
+}
+
+// waitMachineGoroutines fails unless, within 5 s, exactly want goroutines
+// run a Machine method: one that has ended its resync may take a moment
+// to exit.
+func waitMachineGoroutines(t *testing.T, what string, want int) {
+	t.Helper()
+	var n int
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		buf := make([]byte, 1<<20)
+		n = 0
+		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+			if strings.Contains(g, "health.(*Machine).") {
+				n++
+			}
+		}
+		if n == want {
+			return
+		}
+	}
+	t.Fatalf("%s: %d machine goroutines, want %d", what, n, want)
 }
 
 // TestCloseMidResync: a Close while a resync waits out its backoff ends
@@ -265,9 +353,11 @@ func lastReason(evs []metrics.Event) string {
 // the owner hands the machine, under the machine's name.
 func TestEventRing(t *testing.T) {
 	var log metrics.Log
-	m := newMachine(Config{Log: &log, Name: "box"})
+	m := New(Config{Attempts: 1, Log: &log, Name: "box", Heal: func() bool { return false }})
+	defer m.Close()
 	for i := 0; i < 3; i++ {
 		m.Escalate("test")
+		m.wg.Wait()
 		m.Success()
 	}
 	evs, _ := log.Since(0)
@@ -278,7 +368,7 @@ func TestEventRing(t *testing.T) {
 		}
 		got = append(got, ev.Detail)
 	}
-	want := strings.Repeat("healthy -> suspect (test) suspect -> healthy (recovered) ", 3)
+	want := strings.Repeat("healthy -> resyncing (test) resyncing -> down (resync abandoned) down -> healthy (recovered) ", 3)
 	if strings.Join(got, " ")+" " != want {
 		t.Errorf("events %q", got)
 	}

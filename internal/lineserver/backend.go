@@ -28,19 +28,17 @@ import (
 type Backend struct {
 	mu sync.Mutex
 
-	conn net.Conn // connected UDP socket
-	rate int
-	seq  uint32
-
-	timeout time.Duration
-	erred   bool // a transport failure has been recorded (see noteErr)
+	conn  net.Conn // connected UDP socket
+	rate  int
+	seq   uint32
+	cfg   Config
+	erred bool // a transport failure has been recorded (see noteErr)
 
 	// Device time estimation: "the server generates an estimate of the
 	// LineServer time from the time stamp of the last LineServer packet
 	// and the local server time."
-	lastTime    atime.ATime
-	lastWhen    time.Time
-	extrapolate bool // off for manual-clock tests
+	lastTime atime.ATime
+	lastWhen time.Time
 
 	// Monotonicity clamp for Time: jittered and reordered replies must
 	// never make the estimate run backwards. A detected clock slip or a
@@ -60,46 +58,21 @@ type Backend struct {
 
 	count  counters // stats.go
 	health *health.Machine
-	tuning health.Config
-
-	// log records the health transitions and the first transport error,
-	// under name; WithLog hands it the server's.
-	log  *metrics.Log
-	name string
 }
 
-// BackendOption configures a Backend.
-type BackendOption func(*Backend)
+// Config tunes a Backend; the zero value takes the defaults.
+type Config struct {
+	Timeout       time.Duration // per-packet reply timeout; zero is 100 ms
+	NoExtrapolate bool          // every Time call pings the box, for manual-clock tests
 
-// WithTimeout sets the per-packet reply timeout.
-func WithTimeout(d time.Duration) BackendOption {
-	return func(b *Backend) { b.timeout = d }
-}
-
-// WithoutExtrapolation disables wall-clock time extrapolation; every Time
-// call pings the box. Manual-clock tests use this for determinism.
-func WithoutExtrapolation() BackendOption {
-	return func(b *Backend) { b.extrapolate = false }
-}
-
-// WithHealthTuning overrides the self-healing knobs: failThreshold
-// consecutive round-trip failures escalate to a resync of up to
-// attempts tries with backoff between them (doubling, capped). Zero
-// values keep the health package's defaults; chaos tests use tiny ones.
-func WithHealthTuning(failThreshold, attempts int, backoff time.Duration) BackendOption {
-	return func(b *Backend) {
-		b.tuning = health.Config{Threshold: failThreshold, Attempts: attempts, Backoff: backoff}
-	}
-}
-
-// WithLog records the backend's events in log, naming it name; without
-// it the backend keeps a private log.
-func WithLog(log *metrics.Log, name string) BackendOption {
-	return func(b *Backend) { b.log, b.name = log, name }
+	// Health tunes the self-healing machine (zero numbers keep the health
+	// package's defaults; its Heal is the backend's resync). Its Log and
+	// Name also record the first transport error; a nil Log is private.
+	Health health.Config
 }
 
 // Dial connects to a LineServer at a UDP address.
-func Dial(addr string, rate int, opts ...BackendOption) (*Backend, error) {
+func Dial(addr string, rate int, cfg Config) (*Backend, error) {
 	ua, err := net.ResolveUDPAddr("udp", addr)
 	if err != nil {
 		return nil, err
@@ -108,21 +81,15 @@ func Dial(addr string, rate int, opts ...BackendOption) (*Backend, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := &Backend{
-		conn:        conn,
-		rate:        rate,
-		timeout:     100 * time.Millisecond,
-		extrapolate: true,
-		recv:        make([]byte, HeaderBytes+MaxDataBytes+64),
+	if cfg.Timeout <= 0 {
+		cfg.Timeout = 100 * time.Millisecond
 	}
-	for _, o := range opts {
-		o(b)
+	if cfg.Health.Log == nil {
+		cfg.Health.Log = new(metrics.Log)
 	}
-	if b.log == nil {
-		b.log = new(metrics.Log)
-	}
-	b.tuning.Heal, b.tuning.Log, b.tuning.Name = b.resync, b.log, b.name
-	b.health = health.New(b.tuning)
+	b := &Backend{conn: conn, rate: rate, cfg: cfg, recv: make([]byte, HeaderBytes+MaxDataBytes+64)}
+	cfg.Health.Heal = b.resync
+	b.health = health.New(cfg.Health)
 	// Initial time sync, under the lock: its failures may already start a
 	// resync.
 	b.mu.Lock()
@@ -186,7 +153,7 @@ func (b *Backend) replySeen(seq uint32) bool {
 // called with b.mu held.
 func (b *Backend) adoptTime(rep *Packet) {
 	now := time.Now()
-	if b.extrapolate && !b.lastWhen.IsZero() {
+	if !b.cfg.NoExtrapolate && !b.lastWhen.IsZero() {
 		expected := atime.Add(b.lastTime, int(now.Sub(b.lastWhen).Seconds()*float64(b.rate)))
 		if d, slip := atime.Sub(atime.ATime(rep.Time), expected), int32(b.rate/2); d > slip || d < -slip {
 			b.count.slips.Add(1)
@@ -212,7 +179,7 @@ func (b *Backend) roundTrip(req *Packet, tries int) *Packet {
 		// Arm the reply deadline before sending: with no deadline a lost
 		// reply would block the read below forever, and arming after the
 		// Write leaves a window where the reply can race the deadline.
-		if err := b.conn.SetReadDeadline(time.Now().Add(b.timeout)); err != nil {
+		if err := b.conn.SetReadDeadline(time.Now().Add(b.cfg.Timeout)); err != nil {
 			b.noteErr(err)
 			b.noteTimeout()
 			return nil
@@ -273,7 +240,7 @@ func (b *Backend) noteTimeout() {
 func (b *Backend) noteErr(err error) {
 	if !b.erred {
 		b.erred = true
-		b.log.Record(metrics.TransportError, b.name, err.Error())
+		b.cfg.Health.Log.Record(metrics.TransportError, b.cfg.Health.Name, err.Error())
 	}
 }
 
@@ -298,7 +265,7 @@ func (b *Backend) Time() atime.ATime {
 // accepted reply when fresh, otherwise ping the box, otherwise fall
 // back to the stale base.
 func (b *Backend) timeEstimateLocked() atime.ATime {
-	if b.extrapolate {
+	if !b.cfg.NoExtrapolate {
 		age := time.Since(b.lastWhen)
 		if age < 250*time.Millisecond {
 			return atime.Add(b.lastTime, int(age.Seconds()*float64(b.rate)))
@@ -309,7 +276,7 @@ func (b *Backend) timeEstimateLocked() atime.ATime {
 		return b.lastTime
 	}
 	// Unreachable: fall back to the stale estimate.
-	if b.extrapolate {
+	if !b.cfg.NoExtrapolate {
 		return atime.Add(b.lastTime, int(time.Since(b.lastWhen).Seconds()*float64(b.rate)))
 	}
 	return b.lastTime

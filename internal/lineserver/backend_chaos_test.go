@@ -80,7 +80,7 @@ func TestRoundTripDiscardsStaleAndDuplicate(t *testing.T) {
 		return []*Packet{{Seq: req.Seq, Time: 3000, Fn: req.Fn, Data: req.Data}}
 	})
 
-	b, err := Dial(box.addr(), 8000, WithoutExtrapolation(), WithTimeout(500*time.Millisecond))
+	b, err := Dial(box.addr(), 8000, Config{NoExtrapolate: true, Timeout: 500 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestDelayedReplyToTimedOutRequest(t *testing.T) {
 		return []*Packet{delayed, delayed, {Seq: req.Seq, Time: 1000, Fn: FnLoopback, Data: req.Data}}
 	})
 
-	b, err := Dial(box.addr(), 8000, WithoutExtrapolation(), WithTimeout(100*time.Millisecond))
+	b, err := Dial(box.addr(), 8000, Config{NoExtrapolate: true, Timeout: 100 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestDelayedReplyToTimedOutRequest(t *testing.T) {
 	}
 }
 
-// TestResyncAbandoned: a dead box escalates healthy→suspect→resyncing,
+// TestResyncAbandoned: a dead box escalates healthy→resyncing,
 // every recovery attempt fails, and the resync is abandoned (state
 // down). The resync conservation law is exact once the backend closes.
 func TestResyncAbandoned(t *testing.T) {
@@ -172,11 +172,8 @@ func TestResyncAbandoned(t *testing.T) {
 	})
 
 	var log metrics.Log
-	b, err := Dial(box.addr(), 8000,
-		WithoutExtrapolation(),
-		WithTimeout(20*time.Millisecond),
-		WithHealthTuning(2, 3, time.Millisecond),
-		WithLog(&log, "box"))
+	b, err := Dial(box.addr(), 8000, Config{NoExtrapolate: true, Timeout: 20 * time.Millisecond,
+		Health: health.Config{Threshold: 2, Attempts: 3, Backoff: time.Millisecond, Log: &log, Name: "box"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,11 +217,8 @@ func TestResyncCompletes(t *testing.T) {
 	// Enough attempts that the box is guaranteed to be back before the
 	// healer gives up (it revives microseconds after the escalation).
 	var log metrics.Log
-	b, err := Dial(box.addr(), 8000,
-		WithoutExtrapolation(),
-		WithTimeout(20*time.Millisecond),
-		WithHealthTuning(2, 200, time.Millisecond),
-		WithLog(&log, "box"))
+	b, err := Dial(box.addr(), 8000, Config{NoExtrapolate: true, Timeout: 20 * time.Millisecond,
+		Health: health.Config{Threshold: 2, Attempts: 200, Backoff: time.Millisecond, Log: &log, Name: "box"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,10 +265,8 @@ func TestSpontaneousRecovery(t *testing.T) {
 		}
 		return []*Packet{{Seq: req.Seq, Time: 100, Fn: req.Fn, Data: req.Data}}
 	})
-	b, err := Dial(box.addr(), 8000,
-		WithoutExtrapolation(),
-		WithTimeout(20*time.Millisecond),
-		WithHealthTuning(2, 1, time.Millisecond))
+	b, err := Dial(box.addr(), 8000, Config{NoExtrapolate: true, Timeout: 20 * time.Millisecond,
+		Health: health.Config{Threshold: 2, Attempts: 1, Backoff: time.Millisecond}})
 	if err != nil {
 		t.Fatal(err)
 	}

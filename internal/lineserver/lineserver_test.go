@@ -74,7 +74,7 @@ func bootBox(t *testing.T) (*Firmware, *Backend, *vdev.ManualClock) {
 		t.Fatal(err)
 	}
 	t.Cleanup(fw.Close)
-	b, err := Dial(fw.Addr(), 8000, WithoutExtrapolation(), WithTimeout(time.Second))
+	b, err := Dial(fw.Addr(), 8000, Config{NoExtrapolate: true, Timeout: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestBackendDeadClosedTransport(t *testing.T) {
 	fw.Close()
 	b.Close()
 
-	if evs, _ := b.log.Since(0); len(evs) != 0 {
+	if evs, _ := b.cfg.Health.Log.Since(0); len(evs) != 0 {
 		t.Fatalf("healthy session already recorded events: %+v", evs)
 	}
 	start := time.Now()
@@ -240,7 +240,7 @@ func TestBackendDeadClosedTransport(t *testing.T) {
 	if _, ok := loopback(b, []byte{1, 2, 3}); ok {
 		t.Error("loopback succeeded on a closed transport")
 	}
-	if n := b.log.Snapshot().Totals[metrics.TransportError]; n != 1 {
+	if n := b.cfg.Health.Log.Snapshot().Totals[metrics.TransportError]; n != 1 {
 		t.Errorf("closed transport recorded %d transport errors, want 1", n)
 	}
 }

@@ -19,7 +19,7 @@ import (
 //   - Bounded drift: the estimate never runs ahead of the device's true
 //     clock by more than the extrapolation window allows.
 //
-// Both modes are covered: WithoutExtrapolation (every call pings; a
+// Both modes are covered: NoExtrapolate (every call pings; a
 // manual clock gives an exact upper bound) and extrapolation (a real
 // clock; drift is bounded against the test's own wall clock).
 
@@ -42,7 +42,7 @@ func TestTimeMonotonicNoExtrapolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fw.Close()
-	b, err := Dial(fw.Addr(), 8000, WithoutExtrapolation(), WithTimeout(20*time.Millisecond))
+	b, err := Dial(fw.Addr(), 8000, Config{NoExtrapolate: true, Timeout: 20 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestTimeMonotonicBoundedDriftExtrapolated(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fw.Close()
-	b, err := Dial(fw.Addr(), 8000, WithTimeout(20*time.Millisecond))
+	b, err := Dial(fw.Addr(), 8000, Config{Timeout: 20 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

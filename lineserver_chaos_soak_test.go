@@ -80,7 +80,7 @@ var chaosMatrix = []chaosProfile{
 		ingress: netsim.PacketFaultRates{BlackoutEvery: 150, BlackoutLen: 40},
 		egress:  netsim.PacketFaultRates{BlackoutEvery: 200, BlackoutLen: 30},
 		// Repeated 40-packet deaf spells must drive the health loop
-		// through suspect → resyncing and back.
+		// through resyncing and back.
 		minIntact: 0.25, maxGapIters: 180,
 		wantResyncs: true,
 	},
@@ -143,10 +143,10 @@ func TestLineserverChaosSoak(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := lineserver.Dial(fw.Addr(), rate,
-				lineserver.WithoutExtrapolation(),
-				lineserver.WithTimeout(rtTimeout),
-				lineserver.WithHealthTuning(3, 6, time.Millisecond))
+			b, err := lineserver.Dial(fw.Addr(), rate, lineserver.Config{
+				NoExtrapolate: true, Timeout: rtTimeout,
+				Health: health.Config{Threshold: 3, Attempts: 6, Backoff: time.Millisecond},
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
