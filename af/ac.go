@@ -155,25 +155,14 @@ func (ac *AC) Free() error {
 	return c.oneWay(proto.AppendFreeAC(&c.w, ac.id))
 }
 
-// bytesToFrames converts wire bytes to a frame count under this context.
-func (ac *AC) bytesToFrames(n int) int {
-	if ac.Attributes.Type == ADPCM4 {
-		return 2 * n
-	}
-	fb := ac.Attributes.Type.BytesPerUnit() * ac.Attributes.Channels
-	return n / fb
-}
-
 // chunkBytes returns the wire size of one request chunk under this
 // context: the most whole sample units (frames, or packed ADPCM bytes
 // holding two frames) that fit in proto.ChunkBytes, or one unit when a
-// unit is larger.
+// unit is larger. A context the server refuses (no channels) counts a
+// byte, so its requests still go out and draw the server's error.
 func (ac *AC) chunkBytes() int {
-	fb := 1
-	if ac.Attributes.Type != ADPCM4 {
-		fb = ac.Attributes.Type.BytesPerUnit() * ac.Attributes.Channels
-	}
-	return max(proto.ChunkBytes/fb, 1) * fb
+	ub := max(ac.Attributes.Type.BytesPerUnit()*ac.Attributes.Channels, 1)
+	return max(proto.ChunkBytes/ub, 1) * ub
 }
 
 // sampleFlags returns the per-request endian flag for this context.
@@ -263,7 +252,7 @@ func (ac *AC) playVectored(t ATime, data []byte) (ATime, error) {
 		}
 		c.sentSeq++
 		c.hdrEnds = append(c.hdrEnds, len(c.w.Buf))
-		t = t.Add(ac.bytesToFrames(n))
+		t = t.Add(ac.Attributes.Type.Frames(n, ac.Attributes.Channels))
 		off += n
 	}
 	lastSeq := c.sentSeq
@@ -335,7 +324,7 @@ func (ac *AC) recordSamplesLocked(t ATime, buf []byte, block bool) (ATime, int, 
 		}
 		err := proto.AppendRecordSamples(&c.w, proto.RecordSamplesReq{
 			AC:     ac.id,
-			Time:   uint32(t.Add(ac.bytesToFrames(off))),
+			Time:   uint32(t.Add(ac.Attributes.Type.Frames(off, ac.Attributes.Channels))),
 			NBytes: uint32(n),
 			Flags:  flags,
 		})
@@ -372,7 +361,7 @@ func (ac *AC) recordSamplesLocked(t ATime, buf []byte, block bool) (ATime, int, 
 		if short || firstErr != nil {
 			continue // data past the short chunk was never asked for
 		}
-		got := min(int(rep.Aux), len(rep.Extra))
+		got := int(min(rep.Aux, uint32(len(rep.Extra)))) // in uint32: on 32 bits, int(Aux) can be negative
 		now = ATime(rep.Time)
 		total += got
 		if got < n {

@@ -1,11 +1,17 @@
 package af_test
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
+	"io"
 	"math/rand"
 	"net"
 	"testing"
 	"time"
+
+	"audiofile/af"
+	"audiofile/internal/proto"
 )
 
 // TestDispatcherStructuredFuzz sends thousands of well-framed requests
@@ -74,4 +80,112 @@ func TestDispatcherStructuredFuzz(t *testing.T) {
 	if _, err := good.GetTime(1); err != nil {
 		t.Fatalf("GetTime after fuzz: %v", err)
 	}
+}
+
+// FuzzClient runs the library against a scripted peer over net.Pipe whose
+// every byte comes from the fuzzer: the peer sends a setup part, then the
+// parts that answer a GetTime, a non-blocking RecordSamples and a
+// PlaySamples, and closes when its bytes run out. No input may panic the
+// library or hang it;
+// RecordSamples never reports more bytes than its buffer holds, nor fewer
+// than none; and a record reply that declares more than
+// proto.MaxReplyExtraBytes is refused, not read.
+func FuzzClient(f *testing.F) {
+	le := binary.LittleEndian
+	var setup bytes.Buffer
+	(&proto.SetupReply{Success: true, Major: proto.ProtocolMajor, Minor: proto.ProtocolMinor, Vendor: "fuzz",
+		Devices: []proto.DeviceDesc{{Name: "codec0", PlaySampleFreq: 8000, PlayNchannels: 1,
+			RecSampleFreq: 8000, RecNchannels: 1}}}).Send(&setup, le) //nolint:errcheck
+	reply := func(seq uint16, aux uint32, extra []byte) []byte {
+		return (&proto.Reply{Seq: seq, Time: 1000, Aux: aux, Extra: extra}).Append(nil, le)
+	}
+	// The client's sequence numbers: GetTime 1, CreateAC 2 (no reply),
+	// RecordSamples 3, PlaySamples 4.
+	getTime, play := reply(1, 0, nil), reply(4, 0, nil)
+	huge := reply(3, 64, nil)
+	le.PutUint32(huge[4:], proto.MaxReplyExtraBytes/4+1)
+	for _, rec := range [][]byte{
+		reply(3, 64, make([]byte, 64)),         // the whole buffer
+		reply(3, 20, make([]byte, 20)),         // what was captured
+		reply(3, 0xFFFFFFFF, make([]byte, 64)), // a count past the payload
+		reply(3, 128, make([]byte, 128)),       // a payload past the buffer
+		huge,
+	} {
+		f.Add(setup.Bytes(), getTime, rec, play)
+	}
+	f.Fuzz(func(t *testing.T, setup, getTime, record, play []byte) {
+		cli, srv := net.Pipe()
+		peerDone := make(chan struct{})
+		go scriptedPeer(srv, peerDone, setup, getTime, record, play)
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			c, err := af.NewConn(cli)
+			if err != nil {
+				return
+			}
+			defer c.Close()
+			c.SetErrorHandler(func(*af.Conn, *af.ProtoError) {})
+			c.SetIOErrorHandler(func(*af.Conn, error) {})
+			if _, err := c.GetTime(0); err != nil || len(c.Devices()) == 0 {
+				return
+			}
+			ac, err := c.CreateAC(0, 0, af.ACAttributes{})
+			if err != nil {
+				return
+			}
+			buf := make([]byte, 64)
+			_, n, err := ac.RecordSamples(0, buf, false)
+			if n < 0 || n > len(buf) {
+				t.Errorf("RecordSamples reported %d bytes into a buffer of %d", n, len(buf))
+			}
+			if declared(record) > proto.MaxReplyExtraBytes && onlyReply(getTime, 1) &&
+				(err == nil || errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF)) {
+				t.Errorf("a record reply declaring %d bytes drew %v, want it refused", declared(record), err)
+			}
+			ac.PlaySamples(0, make([]byte, 64)) //nolint:errcheck
+		}()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatal("the client hung")
+		}
+		cli.Close()
+		<-peerDone
+	})
+}
+
+// declared is the payload size the reply header at the head of b
+// declares, or 0.
+func declared(b []byte) uint64 {
+	if len(b) < proto.ReplyHeaderBytes || b[0] != proto.MsgReply {
+		return 0
+	}
+	return uint64(binary.LittleEndian.Uint32(b[4:])) * 4
+}
+
+// onlyReply reports whether b is exactly one reply, to seq: a client that
+// waits for that reply reads b to its end and no further.
+func onlyReply(b []byte, seq uint16) bool {
+	return declared(b)+proto.ReplyHeaderBytes == uint64(len(b)) && binary.LittleEndian.Uint16(b[2:]) == seq
+}
+
+// scriptedPeer writes parts to nc in order, then closes it, while it
+// drains whatever the client sends: the peer never stops reading, so a
+// client that does not read its answers cannot wedge a write of its own.
+// It closes done once its drain has ended too.
+func scriptedPeer(nc net.Conn, done chan<- struct{}, parts ...[]byte) {
+	drained := make(chan struct{})
+	go func() {
+		io.Copy(io.Discard, nc) //nolint:errcheck — ends when nc closes
+		close(drained)
+	}()
+	for _, p := range parts {
+		if _, err := nc.Write(p); err != nil {
+			break
+		}
+	}
+	nc.Close()
+	<-drained
+	close(done)
 }

@@ -231,6 +231,47 @@ func TestFailedChangeAttributesChangesNothing(t *testing.T) {
 	}
 }
 
+// TestSubscribedContextKeepsItsEncoding: a subscription's chunks arrive
+// in the encoding its context subscribed with, so the server refuses to
+// change a subscribed context's encoding (BadMatch) — to LIN16, and to
+// ADPCM4, which could not have subscribed — and accepts a "change" to
+// the encoding it has. The chunks stay µ-law, one byte a frame.
+func TestSubscribedContextKeepsItsEncoding(t *testing.T) {
+	r := newStack(t)
+	c := r.dial(t)
+	ac, err := c.CreateAC(1, 0, af.ACAttributes{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, _, err := ac.Subscribe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var refused []uint8
+	c.SetErrorHandler(func(_ *af.Conn, pe *af.ProtoError) { refused = append(refused, pe.Code) })
+	for _, enc := range []af.Encoding{af.LIN16, af.ADPCM4, af.MU255} {
+		ac.ChangeAttributes(af.ACEncoding, af.ACAttributes{Type: enc}) //nolint:errcheck
+	}
+	if err := c.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if len(refused) != 2 || refused[0] != 8 || refused[1] != 8 /* ErrMatch */ {
+		t.Fatalf("the changes drew %v, want BadMatch twice", refused)
+	}
+	r.step(1024)
+	first, err := sub.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := sub.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if frames := af.TimeSub(second.Time, first.Time); len(first.Data) != int(frames) {
+		t.Errorf("a chunk of %d frames carried %d bytes, want one a frame (µ-law)", frames, len(first.Data))
+	}
+}
+
 func TestSilenceWhereNothingPlayed(t *testing.T) {
 	r := newStack(t)
 	c := r.dial(t)

@@ -110,7 +110,7 @@ func (e *engine) subscribeLocked(c *client, a *ac) uint8 {
 	}
 	if g == nil {
 		g = &bgroup{dev: a.dev, enc: a.enc, order: c.order, be: be,
-			vfb: a.clientFrameBytes()}
+			vfb: a.enc.BytesPerSamples(a.channels)}
 		e.bcast.groups = append(e.bcast.groups, g)
 	}
 	g.subs = append(g.subs, &bsub{c: c, a: a})

@@ -235,19 +235,11 @@ func (s *Server) handleConn(conn net.Conn) {
 		return
 	}
 
-	// The setup reply's device count is a uint8 on the wire: a server
-	// hosting more than 255 devices (the PBX workloads) advertises the
-	// first 255. The rest are reachable by index through operations that
-	// do not consult the advertised table (event selection, GetTime).
-	descs := s.descs
-	if len(descs) > 255 {
-		descs = descs[:255]
-	}
 	rep := proto.SetupReply{
 		Success: true,
 		Major:   proto.ProtocolMajor, Minor: proto.ProtocolMinor,
 		Vendor:  s.opts.Vendor,
-		Devices: append([]proto.DeviceDesc(nil), descs...),
+		Devices: s.descs,
 	}
 	if err := rep.Send(conn, order); err != nil {
 		conn.Close()

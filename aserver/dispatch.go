@@ -11,59 +11,44 @@ import (
 	"audiofile/internal/sampleconv"
 )
 
-// hotReq is a hot request decoded and placed: the engine that serves it
-// or, when e is nil, the error that answers it.
+// hotReq is a hot request decoded and placed: the engine that serves it.
 type hotReq struct {
-	e    *engine
-	dev  uint32 // GetTime
-	a    *ac    // PlaySamples, RecordSamples
-	play proto.PlaySamplesReq
-	rec  proto.RecordSamplesReq
-
-	code uint8
-	bad  uint32
+	e     *engine
+	gated // GetTime's device; a play's or record's context
+	play  proto.PlaySamplesReq
+	rec   proto.RecordSamplesReq
 }
 
 // hotEngine decodes a hot request into h and names the engine that will
-// serve it; h is the caller's, reused across a group, and only the fields
-// of rf's opcode (and e, code and bad) mean anything afterwards. This is
-// the only place a hot request is validated: what it accepts,
-// dispatchHotGroup serves without looking again. Safe on the reader
-// goroutine: c.acs is only mutated by control requests, which the same
-// goroutine dispatches.
-func (s *Server) hotEngine(c *client, rf *runFrame, h *hotReq) {
-	h.e, h.code, h.bad = nil, 0, 0
+// serve it, or returns the error that answers it (h.e nil); h is the
+// caller's, reused across a group, and only the fields of rf's opcode
+// mean anything afterwards. A play's data shorter than its length word
+// is a length error whatever the first word names; the row's gate checks
+// the rest. What it accepts, dispatchHotGroup serves without looking
+// again. Safe on the reader goroutine: c.acs is only mutated by control
+// requests, which the same goroutine dispatches.
+func (s *Server) hotEngine(c *client, rf *runFrame, h *hotReq) (code uint8, bad uint32) {
+	h.e = nil
 	var r proto.Reader // fields stored in place: a composite literal is built beside r and copied in
 	r.Order, r.Buf = c.order, rf.body
-	var id uint32
 	switch rf.op {
-	case proto.OpGetTime:
-		if h.dev = proto.DecodeDeviceReq(&r); r.Err != nil {
-			h.code = proto.ErrLength
-			return
-		}
-		if !s.validDevice(h.dev) {
-			h.code, h.bad = proto.ErrDevice, h.dev
-			return
-		}
-		h.e = s.engineByDev[h.dev]
-		return
 	case proto.OpPlaySamples:
 		h.play = proto.DecodePlaySamples(&r, rf.ext)
-		id = h.play.AC
 	case proto.OpRecordSamples:
 		h.rec = proto.DecodeRecordSamples(&r, rf.ext)
-		id = h.rec.AC
 	}
 	if r.Err != nil {
-		h.code = proto.ErrLength
-		return
+		return proto.ErrLength, 0
 	}
-	if h.a = c.acs[id]; h.a == nil {
-		h.code, h.bad = proto.ErrAC, id
-		return
+	if code, bad = s.gate(c, rf, &h.gated); code != 0 {
+		return code, bad
 	}
-	h.e = s.engineByDev[h.a.dev.Index]
+	if h.a != nil {
+		h.e = s.engineByDev[h.a.dev.Index]
+	} else {
+		h.e = s.engineByDev[h.first]
+	}
+	return 0, 0
 }
 
 // dispatchHotGroup is the one hot entry point. It serves the hot
@@ -105,7 +90,7 @@ func (s *Server) dispatchHotGroup(c *client, run []runFrame) (int, *parked) {
 		if !opTable[rf.op].hot {
 			break
 		}
-		s.hotEngine(c, rf, &h)
+		code, bad := s.hotEngine(c, rf, &h)
 		if h.e != nil && h.e != e {
 			if e != nil {
 				break
@@ -125,14 +110,14 @@ func (s *Server) dispatchHotGroup(c *client, run []runFrame) (int, *parked) {
 			nRec++
 		}
 		if h.e == nil {
-			c.stagedError(h.code, h.bad, rf.op, seq)
+			c.stagedError(code, bad, rf.op, seq)
 			continue
 		}
 		// A play or record here is attempt 0 of a call whose state lives on
 		// this stack; if it blocks, the engine keeps a copy to resume.
 		switch rf.op {
 		case proto.OpGetTime:
-			c.stagedReply(&proto.Reply{Time: uint32(s.devices[h.dev].Time())}, seq)
+			c.stagedReply(&proto.Reply{Time: uint32(s.devices[h.first].Time())}, seq)
 		case proto.OpPlaySamples:
 			// Play ingress is counted here, the single entry point every
 			// accepted PlaySamples request passes through (resumed attempts
@@ -222,8 +207,8 @@ var targetErr = [...]uint8{devTarget: proto.ErrDevice, lineTarget: proto.ErrMatc
 // opRow is what the dispatcher knows about one opcode.
 type opRow struct {
 	// hot rows are the data plane, served under the owning engine's lock
-	// (dispatchHotGroup; hotEngine validates them). The rest run their
-	// handler under ctl (dispatchControl).
+	// (dispatchHotGroup). The rest run their handler under ctl
+	// (dispatchControl). Both pass the row's gate first.
 	hot    bool
 	target target
 	fixed  int // bytes of the body's fixed fields, as proto.Append* lays them out
@@ -275,6 +260,15 @@ var opTable = [256]opRow{
 	proto.OpUnsubscribe:        {target: acTarget, fixed: 4, handle: (*Server).unsubscribe},
 }
 
+// gated is what a request's first word names, as its row's gate resolved
+// it: the word (a device index, or the context's id), and the line or
+// context it names.
+type gated struct {
+	first uint32
+	line  *phonesim.Line
+	a     *ac
+}
+
 // ctlReq is the control request a connection is dispatching, as a handler
 // gets it. It lives on the client: one passed through the table's function
 // pointers would escape to the heap, and only the connection's reader
@@ -284,11 +278,7 @@ type ctlReq struct {
 	op, ext uint8
 	seq     uint16
 	r       proto.Reader // over the body; the dispatcher consumes nothing
-	// What the row's target resolved to: the first word (a device index,
-	// or the context's id), and the line or context it names.
-	first uint32
-	line  *phonesim.Line
-	a     *ac
+	gated
 }
 
 func (q *ctlReq) reply(p *proto.Reply)        { q.c.sendReply(p, q.seq) }
@@ -306,53 +296,60 @@ func (q *ctlReq) tailShort() bool {
 }
 
 // dispatchControl indexes the request type into the handler table, as
-// the DIA dispatcher does, and runs the handler to completion. It counts
-// the request and answers, before any handler runs, the three things a
-// row states: an opcode that is none (ErrRequest), a body shorter than
-// its fixed fields (ErrLength — a decoder reads zeros past the end, and
-// zeros name device 0, AC 0 and gain 0), and a first word that names
-// nothing (targetErr). Caller holds s.ctl.
+// the DIA dispatcher does, and runs the handler to completion once the
+// row's gate has passed the request. It counts the request. Caller holds
+// s.ctl.
 func (s *Server) dispatchControl(c *client, rf runFrame) {
 	t0 := time.Now()
 	c.lastActive.Store(t0.UnixNano())
 	// Control ops always dispatch as a batch of one, counted before the
 	// handler can queue a reply and observed before the latency.
 	s.sm.dispatchBatch.Observe(1)
-	q, row := &c.req, &opTable[rf.op]
+	q := &c.req
 	q.op, q.ext, q.seq = rf.op, rf.ext, uint16(c.seq.Add(1))
 	q.r.Buf, q.r.Pos, q.r.Err = rf.body, 0, nil
-	if row.handle == nil {
-		q.fail(proto.ErrRequest, uint32(rf.op))
-	} else if len(rf.body) < row.fixed {
-		q.fail(proto.ErrLength, 0)
-	} else if s.resolve(q, row.target) {
-		row.handle(s, q)
+	if code, bad := s.gate(c, &rf, &q.gated); code != 0 {
+		q.fail(code, bad)
+	} else {
+		opTable[rf.op].handle(s, q)
 	}
 	s.sm.dispatchControl.Observe(time.Since(t0).Nanoseconds())
 }
 
-// resolve looks up what the body's first word names and reports whether
-// it names anything, having answered the request if not.
-func (s *Server) resolve(q *ctlReq, t target) bool {
-	if t == noTarget {
-		return true
+// gate is the one check of what a request's row states, on both planes,
+// before anything acts on the request: an opcode that is none
+// (ErrRequest), a body shorter than its fixed fields (ErrLength — a
+// decoder reads zeros past the end, and zeros name device 0, AC 0 and
+// gain 0), and a first word that names nothing (targetErr). It resolves
+// the first word into g and returns the error that refuses the request,
+// or code 0.
+func (s *Server) gate(c *client, rf *runFrame, g *gated) (code uint8, bad uint32) {
+	row := &opTable[rf.op]
+	*g = gated{}
+	switch {
+	case row.handle == nil && !row.hot:
+		return proto.ErrRequest, uint32(rf.op)
+	case len(rf.body) < row.fixed:
+		return proto.ErrLength, 0
+	case row.target == noTarget:
+		return 0, 0
 	}
-	q.first = q.c.order.Uint32(q.r.Buf)
+	g.first = c.order.Uint32(rf.body)
 	ok := false
-	switch t {
+	switch row.target {
 	case devTarget:
-		ok = s.validDevice(q.first)
+		ok = s.validDevice(g.first)
 	case lineTarget:
-		q.line = s.PhoneLine(int(q.first))
-		ok = q.line != nil
+		g.line = s.PhoneLine(int(g.first))
+		ok = g.line != nil
 	case acTarget:
-		q.a = q.c.acs[q.first]
-		ok = q.a != nil
+		g.a = c.acs[g.first]
+		ok = g.a != nil
 	}
 	if !ok {
-		q.fail(targetErr[t], q.first)
+		return targetErr[row.target], g.first
 	}
-	return ok
+	return 0, 0
 }
 
 // accepted is a request with no effect and no reply: NoOperation, and the
@@ -400,24 +397,33 @@ func (s *Server) createAC(q *ctlReq) {
 		enc:      d.Cfg.Enc,
 		channels: d.Cfg.Channels,
 	}
-	if a.setAttrs(q, m.Mask, m.Attrs) {
+	if a.setAttrs(q, m.Mask, m.Attrs, false) {
 		q.c.acs[m.AC] = a
 	}
 }
 
 func (s *Server) changeAC(q *ctlReq) {
 	m := proto.DecodeChangeAC(&q.r)
-	q.a.setAttrs(q, m.Mask, m.Attrs)
+	e := s.engineByDev[q.a.dev.Index]
+	e.mu.Lock()
+	subscribed := q.a.subscribed
+	e.mu.Unlock()
+	q.a.setAttrs(q, m.Mask, m.Attrs, subscribed)
 }
 
 // setAttrs validates every masked attribute, then applies them: a change
 // that is refused changes nothing. It reports success, having answered q
 // on failure.
-func (a *ac) setAttrs(q *ctlReq, mask uint32, attrs proto.ACAttributes) bool {
+func (a *ac) setAttrs(q *ctlReq, mask uint32, attrs proto.ACAttributes, subscribed bool) bool {
 	enc, setEnc := sampleconv.Encoding(attrs.Type), mask&proto.ACEncoding != 0
 	switch {
 	case setEnc && !enc.Valid():
 		q.fail(proto.ErrValue, uint32(attrs.Type))
+		return false
+	case setEnc && enc != a.enc && subscribed:
+		// The broadcast group pushes chunks in the encoding the context
+		// had when it subscribed.
+		q.fail(proto.ErrMatch, uint32(attrs.Type))
 		return false
 	case setEnc && enc == sampleconv.ADPCM4 && a.dev.Cfg.Channels != 1:
 		// The compressed conversion module handles mono streams.
@@ -740,12 +746,6 @@ func (s *Server) queryExtension(q *ctlReq) {
 	}
 }
 
-// clientFrameBytes returns the size of one frame of this context's sample
-// data on the wire.
-func (a *ac) clientFrameBytes() int {
-	return a.enc.BytesPerSamples(1) * a.channels
-}
-
 // preparePlay brings a play request's data to what the buffering engine
 // takes — native byte order, decompressed — once, before attempt 0.
 func (p *parked) preparePlay(q proto.PlaySamplesReq) {
@@ -758,7 +758,7 @@ func (p *parked) preparePlay(q proto.PlaySamplesReq) {
 		// engine sees it. State carries across requests. Both staging
 		// buffers come from the pools; the lin16 scratch returns as soon
 		// as it has been re-encoded to bytes.
-		nlin := 2 * len(q.Data)
+		nlin := p.playEnc.Frames(len(q.Data), 1)
 		linp := getLin(nlin)
 		p.a.playCoder.Decode(*linp, q.Data)
 		p.playPooled = proto.GetBuffer(2 * nlin)
@@ -780,8 +780,7 @@ func servePlay(p *parked, staged bool) bool {
 	a := p.a
 	res := a.dev.Play(atime.ATime(p.play.Time), p.play.Data, p.playEnc, a.playGain, a.preempt)
 	if res.Blocked {
-		cfb := p.playEnc.BytesPerSamples(1) * a.channels
-		p.play.Data = p.play.Data[res.Consumed*cfb:]
+		p.play.Data = p.play.Data[p.playEnc.BytesPerSamples(res.Consumed*a.channels):]
 		p.play.Time = uint32(atime.Add(atime.ATime(p.play.Time), res.Consumed))
 		return false
 	}
@@ -820,19 +819,17 @@ func (e *engine) serveRecord(p *parked) bool {
 	// safe — nothing else can touch the ring or advance device time while
 	// the conversion runs, and the message is private until c.send. A
 	// compressed context captures linear samples into pooled staging
-	// instead and codes them below: NBytes of ADPCM cover 2*NBytes frames.
+	// instead and codes them below.
 	var m *wireMsg
 	var dst []byte
 	var linp *proto.Buffer
-	var want int // frames
-	cfb, enc := a.clientFrameBytes(), a.enc
+	want, enc := a.enc.Frames(int(q.NBytes), a.channels), a.enc
 	if enc == sampleconv.ADPCM4 {
-		want, enc = 2*int(q.NBytes), sampleconv.LIN16
+		enc = sampleconv.LIN16
 		linp = proto.GetBuffer(2 * want)
 		dst = linp.B
 	} else {
-		want = int(q.NBytes) / cfb
-		m, dst = newRecordReplyMsg(want * cfb)
+		m, dst = newRecordReplyMsg(enc.BytesPerSamples(want * a.channels))
 	}
 	res := a.dev.Record(atime.ATime(q.Time), dst, enc, a.recGain)
 	if res.Avail < want && q.Flags&proto.SampleFlagNoBlock == 0 {
@@ -849,7 +846,7 @@ func (e *engine) serveRecord(p *parked) bool {
 		return false
 	}
 	if linp == nil {
-		finishRecordReply(p.c, a, m, res.Avail*cfb, uint32(res.Now), q.Flags, p.seq)
+		finishRecordReply(p.c, a, m, enc.BytesPerSamples(res.Avail*a.channels), uint32(res.Now), q.Flags, p.seq)
 		return true
 	}
 	frames := res.Avail &^ 1 // whole ADPCM bytes only
@@ -859,9 +856,10 @@ func (e *engine) serveRecord(p *parked) bool {
 	// The coder's output goes straight into the wire message payload; the
 	// compressed bytes are never staged separately. flags=0: ADPCM data
 	// is a byte stream, never byte-swapped.
-	m, payload := newRecordReplyMsg(frames / 2)
+	nb := a.enc.BytesPerSamples(frames)
+	m, payload := newRecordReplyMsg(nb)
 	a.recCoder.Encode(payload, *samplesp)
 	putLin(samplesp)
-	finishRecordReply(p.c, a, m, frames/2, uint32(res.Now), 0, p.seq)
+	finishRecordReply(p.c, a, m, nb, uint32(res.Now), 0, p.seq)
 	return true
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"strings"
 	"sync"
@@ -407,8 +406,7 @@ func (r *Router) openFor(key string, setup *proto.SetupRequest, order binary.Byt
 
 // open dials the backend, tracked so Close can cut it, forwards the
 // client's setup verbatim (the backend ignores the route auth fields) and
-// reads the backend's setup reply, parsing only its 8-byte header for the
-// length.
+// reads the backend's setup reply as it came, to relay.
 func (b *routerBackend) open(setup *proto.SetupRequest, order binary.ByteOrder) (net.Conn, []byte, error) {
 	bc, err := net.DialTimeout(b.network, b.addr, b.r.opts.DialTimeout)
 	if err != nil {
@@ -419,14 +417,10 @@ func (b *routerBackend) open(setup *proto.SetupRequest, order binary.ByteOrder) 
 		return nil, nil, net.ErrClosed
 	}
 	bc.SetDeadline(time.Now().Add(setupDeadline)) //nolint:errcheck
-	rep := make([]byte, 8)
+	var rep []byte
 	err = setup.Send(bc)
 	if err == nil {
-		_, err = io.ReadFull(bc, rep)
-	}
-	if err == nil {
-		rep = append(rep, make([]byte, int(order.Uint16(rep[6:]))*4)...)
-		_, err = io.ReadFull(bc, rep[8:])
+		rep, err = proto.ReadSetupReplyBytes(bc, order)
 	}
 	if err != nil {
 		b.r.untrack(bc)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"reflect"
+	"strconv"
 	"testing"
 	"testing/quick"
 	"time"
@@ -169,6 +170,33 @@ func TestSetupReplyRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSetupReplyDeviceHorizon sends 300 devices: the uint8 count
+// advertises the first 255, and ReadSetupReplyBytes takes the reply
+// whole, leaving the stream at the byte after it.
+func TestSetupReplyDeviceHorizon(t *testing.T) {
+	rep := &SetupReply{Success: true, Major: ProtocolMajor, Devices: make([]DeviceDesc, 300)}
+	for i := range rep.Devices {
+		rep.Devices[i] = DeviceDesc{Index: uint8(i), Name: "dev" + strconv.Itoa(i)}
+	}
+	var buf bytes.Buffer
+	if err := rep.Send(&buf, binary.LittleEndian); err != nil {
+		t.Fatal(err)
+	}
+	wire := bytes.Clone(buf.Bytes())
+	buf.WriteString("next")
+	raw, err := ReadSetupReplyBytes(&buf, binary.LittleEndian)
+	if err != nil || !bytes.Equal(raw, wire) || buf.String() != "next" {
+		t.Fatalf("read %d of %d bytes (%v), leaving %q", len(raw), len(wire), err, buf.String())
+	}
+	got, err := ReadSetupReply(bytes.NewReader(wire), binary.LittleEndian)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Devices) != 255 || got.Devices[254].Name != "dev254" {
+		t.Errorf("advertised %d devices, want the first 255", len(got.Devices))
+	}
+}
+
 func TestSetupReplyFailure(t *testing.T) {
 	rep := &SetupReply{Success: false, Reason: "access denied", Major: 2, Minor: 0}
 	var buf bytes.Buffer
@@ -273,7 +301,7 @@ func TestRequestRoundTrips(t *testing.T) {
 				t.Fatal(err)
 			}
 			op, _, r = parseHeader(t, o.order, w.Buf)
-			if op != OpGetTime || DecodeDeviceReq(r) != 2 || r.Err != nil {
+			if op != OpGetTime || r.U32() != 2 || r.Err != nil {
 				t.Error("GetTime decode failed")
 			}
 

@@ -238,9 +238,6 @@ func AppendDeviceReq(w *Writer, op uint8, device uint32) error {
 	return w.EndRequest(off)
 }
 
-// DecodeDeviceReq parses a single-device body.
-func DecodeDeviceReq(r *Reader) uint32 { return r.U32() }
-
 // PassThroughReq connects the inputs and outputs of two audio devices
 // (the LoFi CODEC pass-through feature).
 type PassThroughReq struct {

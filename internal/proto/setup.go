@@ -209,12 +209,15 @@ func (s *SetupReply) Send(wr io.Writer, order binary.ByteOrder) error {
 	w.U16(0) // additional length in 4-byte units, patched below
 	switch {
 	case s.Success:
+		// The count is a uint8: past 255 devices (the PBX workloads), the
+		// rest are reached by index only (event selection, GetTime).
+		devs := s.Devices[:min(len(s.Devices), 255)]
 		w.U16(uint16(len(s.Vendor)))
-		w.U8(uint8(len(s.Devices)))
+		w.U8(uint8(len(devs)))
 		w.U8(0)
 		w.String4(s.Vendor)
-		for i := range s.Devices {
-			s.Devices[i].encode(w)
+		for i := range devs {
+			devs[i].encode(w)
 		}
 	case s.Redirect():
 		w.U16(uint16(len(s.RedirectNetwork)))
@@ -229,23 +232,32 @@ func (s *SetupReply) Send(wr io.Writer, order binary.ByteOrder) error {
 	return err
 }
 
+// ReadSetupReplyBytes reads one setup reply from the stream as it came:
+// the 8-byte header and the additional length, in 4-byte units, that the
+// header's last word announces.
+func ReadSetupReplyBytes(rd io.Reader, order binary.ByteOrder) ([]byte, error) {
+	rep := make([]byte, 8)
+	if _, err := io.ReadFull(rd, rep); err != nil {
+		return nil, err
+	}
+	rep = append(rep, make([]byte, int(order.Uint16(rep[6:]))*4)...)
+	_, err := io.ReadFull(rd, rep[8:])
+	return rep, err
+}
+
 // ReadSetupReply parses a setup reply from the stream.
 func ReadSetupReply(rd io.Reader, order binary.ByteOrder) (*SetupReply, error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(rd, hdr[:]); err != nil {
+	b, err := ReadSetupReplyBytes(rd, order)
+	if err != nil {
 		return nil, err
 	}
 	s := &SetupReply{
-		Success: hdr[0] == setupSuccess,
-		Major:   order.Uint16(hdr[2:]),
-		Minor:   order.Uint16(hdr[4:]),
+		Success: b[0] == setupSuccess,
+		Major:   order.Uint16(b[2:]),
+		Minor:   order.Uint16(b[4:]),
 	}
-	extra := make([]byte, int(order.Uint16(hdr[6:]))*4)
-	if _, err := io.ReadFull(rd, extra); err != nil {
-		return nil, err
-	}
-	r := NewReader(order, extra)
-	switch hdr[0] {
+	r := NewReader(order, b[8:])
+	switch b[0] {
 	case setupSuccess: // decoded below
 	case setupRedirect:
 		netLen, addrLen := int(r.U16()), int(r.U16())
@@ -259,7 +271,7 @@ func ReadSetupReply(rd io.Reader, order binary.ByteOrder) (*SetupReply, error) {
 		}
 		return s, nil
 	default:
-		s.Reason = r.String4(int(hdr[1]))
+		s.Reason = r.String4(int(b[1]))
 		return s, r.Err
 	}
 	vendorLen := int(r.U16())

@@ -58,7 +58,7 @@ func mixOp(e Encoding, k Kernel, size int) func() {
 	rng.Read(pristine)
 	rng.Read(src)
 	dst := make([]byte, size)
-	n := e.SamplesPerBytes(size)
+	n := e.Frames(size, 1)
 	return func() {
 		copy(dst, pristine)
 		k(dst, src, n, GainUnity)

@@ -72,6 +72,18 @@ func (e Encoding) BytesPerSamples(n int) int {
 	return n / int(info.SampsPerUnit) * int(info.BytesPerUnit)
 }
 
+// Frames returns the whole frames that n bytes of e with ch channels hold,
+// BytesPerSamples inverted: one byte of mono ADPCM4 holds two. Like
+// BytesPerUnit it is total: an unknown encoding holds a sample a byte,
+// and fewer than one channel counts as one.
+func (e Encoding) Frames(n, ch int) int {
+	spu := 1
+	if e.Valid() {
+		spu = int(Sizes[e].SampsPerUnit)
+	}
+	return n / (e.BytesPerUnit() * max(ch, 1)) * spu
+}
+
 // G.711 constants.
 const (
 	muBias = 0x84  // µ-law bias (132)

@@ -169,8 +169,18 @@ func TestEncodingInfo(t *testing.T) {
 		if got := c.e.BytesPerSamples(c.nsamp); got != c.expBytes {
 			t.Errorf("%v.BytesPerSamples(%d) = %d, want %d", c.e, c.nsamp, got, c.expBytes)
 		}
-		if got := c.e.SamplesPerBytes(c.expBytes); got != c.nsamp {
-			t.Errorf("%v.SamplesPerBytes(%d) = %d, want %d", c.e, c.expBytes, got, c.nsamp)
+		if got := c.e.Frames(c.expBytes, 1); got != c.nsamp {
+			t.Errorf("%v.Frames(%d, 1) = %d, want %d", c.e, c.expBytes, got, c.nsamp)
+		}
+	}
+	// Frames counts whole frames of every channel, and whole units.
+	for _, c := range []struct {
+		e         Encoding
+		n, ch, fr int
+	}{{LIN16, 203, 2, 50}, {MU255, 7, 2, 3}, {LIN32, 17, 1, 4}, {ADPCM4, 25, 1, 50},
+		{Encoding(200), 7, 1, 7}, {LIN16, 8, 0, 4}} {
+		if got := c.e.Frames(c.n, c.ch); got != c.fr {
+			t.Errorf("%v.Frames(%d, %d) = %d, want %d", c.e, c.n, c.ch, got, c.fr)
 		}
 	}
 	if Encoding(200).Valid() {

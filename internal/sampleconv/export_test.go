@@ -52,13 +52,6 @@ func ApplyGain(e Encoding, buf []byte, nsamples int, gain float64) {
 	SelectKernel(e, e, false, true)(buf, buf, nsamples, q)
 }
 
-// SamplesPerBytes returns the number of single-channel samples encoded in
-// n bytes of encoding e.
-func (e Encoding) SamplesPerBytes(n int) int {
-	info := Sizes[e]
-	return n / int(info.BytesPerUnit) * int(info.SampsPerUnit)
-}
-
 // DecodeALaw expands one A-law byte to 16-bit linear via table lookup.
 func DecodeALaw(a byte) int16 { return AToLin[a] }
 
