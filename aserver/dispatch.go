@@ -131,6 +131,8 @@ func (s *Server) dispatchHotGroup(c *client, run []runFrame) (int, *parked) {
 			call.preparePlay(h.play)
 			if !servePlay(&call, true) {
 				park = e.parkLocked(&call)
+			} else if call.frame != nil {
+				s.putFrame(call.frame)
 			}
 		case proto.OpRecordSamples:
 			// serveRecord queues its reply directly; anything staged so
@@ -747,7 +749,9 @@ func (s *Server) queryExtension(q *ctlReq) {
 }
 
 // preparePlay brings a play request's data to what the buffering engine
-// takes — native byte order, decompressed — once, before attempt 0.
+// takes — native byte order, decompressed — once, before attempt 0. A
+// compressed play's decompression is p's frame, counted like a parked
+// play's copy, so it is returned by whoever finishes the call.
 func (p *parked) preparePlay(q proto.PlaySamplesReq) {
 	p.play, p.playEnc = q, p.a.enc
 	if q.Flags&proto.SampleFlagBigEndian != 0 {
@@ -755,16 +759,15 @@ func (p *parked) preparePlay(q proto.PlaySamplesReq) {
 	}
 	if p.playEnc == sampleconv.ADPCM4 {
 		// Conversion module: decompress the stream before the buffering
-		// engine sees it. State carries across requests. Both staging
-		// buffers come from the pools; the lin16 scratch returns as soon
-		// as it has been re-encoded to bytes.
+		// engine sees it. State carries across requests. The lin16
+		// scratch returns as soon as it has been re-encoded to bytes.
 		nlin := p.playEnc.Frames(len(q.Data), 1)
 		linp := getLin(nlin)
 		p.a.playCoder.Decode(*linp, q.Data)
-		p.playPooled = proto.GetBuffer(2 * nlin)
-		sampleconv.FromLin16(p.playPooled.B, sampleconv.LIN16, *linp, nlin)
+		p.frame = p.c.s.getFrame(2 * nlin)
+		sampleconv.FromLin16(p.frame.B, sampleconv.LIN16, *linp, nlin)
 		putLin(linp)
-		p.play.Data, p.playEnc = p.playPooled.B, sampleconv.LIN16
+		p.play.Data, p.playEnc = p.frame.B, sampleconv.LIN16
 	}
 }
 
@@ -772,10 +775,10 @@ func (p *parked) preparePlay(q proto.PlaySamplesReq) {
 // lock, and reports whether it finished. When the tail lies beyond the
 // buffer horizon the connection blocks until time advances (§6.1.5
 // "Beyond near future") and p is left holding what remains, which
-// parkLocked copies out of the ingress buffer; a staging buffer stays
-// checked out while p references it. The only difference between
-// attempts is where the ack goes: attempt 0 runs inside a dispatch group
-// and stages it, a resumed attempt sends it.
+// parkLocked copies out of the ingress buffer unless p's frame holds it
+// already. The only difference between attempts is where the ack goes:
+// attempt 0 runs inside a dispatch group and stages it, a resumed attempt
+// sends it.
 func servePlay(p *parked, staged bool) bool {
 	a := p.a
 	res := a.dev.Play(atime.ATime(p.play.Time), p.play.Data, p.playEnc, a.playGain, a.preempt)
@@ -784,8 +787,6 @@ func servePlay(p *parked, staged bool) bool {
 		p.play.Time = uint32(atime.Add(atime.ATime(p.play.Time), res.Consumed))
 		return false
 	}
-	p.playPooled.Put()
-	p.playPooled = nil
 	if p.play.Flags&proto.SampleFlagSuppressReply == 0 {
 		reply := proto.Reply{Time: uint32(res.Now)}
 		if staged {

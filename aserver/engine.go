@@ -70,7 +70,7 @@ type parked struct {
 	a     *ac
 	op    uint8
 	seq   uint16
-	frame *proto.Buffer // pooled copy of a play's remaining data; returned when the park finishes
+	frame *proto.Buffer // a play's pooled data, counted in frame_bytes_in_flight; returned when the call finishes
 	done  chan struct{} // closed exactly once, when the park completes or is discarded
 	since time.Time     // registration time, for the park-duration histogram
 	// wake is when a blocked record's last sample should exist; zero for
@@ -79,14 +79,10 @@ type parked struct {
 
 	// play is the decoded request, advanced past what has been buffered:
 	// Data is what remains, in playEnc and native byte order (compressed
-	// contexts hold decompressed data), Time is where it starts.
+	// contexts hold decompressed data, in frame), Time is where it starts.
 	play    proto.PlaySamplesReq
 	playEnc sampleconv.Encoding
-	// playPooled is set when play.Data aliases a pool-owned staging buffer
-	// (the ADPCM decompression output); it returns to the pool when the
-	// play completes.
-	playPooled *proto.Buffer
-	rec        proto.RecordSamplesReq // the decoded request
+	rec     proto.RecordSamplesReq // the decoded request
 }
 
 func newEngine(s *Server, idx int, root *core.Device, line *phonesim.Line) *engine {
@@ -199,12 +195,13 @@ func pumpPatchDir(src, dst *core.Device, buf []byte, taken *atime.ATime, out *at
 // stopped engine nothing would
 // ever retry it, so it is discarded as it lands, as Close's own sweep
 // would have. A play's remaining data aliases the reader's ingress buffer,
-// so the park takes a pooled copy (a compressed play owns its decompressed
-// staging already; a record pins nothing). Caller holds e.mu.
+// so the park takes a pooled copy (a compressed play holds its
+// decompression in frame already; a record pins nothing). Caller holds
+// e.mu.
 func (e *engine) parkLocked(call *parked) *parked {
 	p := new(parked)
 	*p = *call
-	if p.op == proto.OpPlaySamples && p.playPooled == nil {
+	if p.op == proto.OpPlaySamples && p.frame == nil {
 		p.frame = e.s.getFrame(len(p.play.Data))
 		copy(p.frame.B, p.play.Data)
 		p.play.Data = p.frame.B
@@ -219,11 +216,10 @@ func (e *engine) parkLocked(call *parked) *parked {
 	return p
 }
 
-// finishPark removes a park and releases everything it pinned: the
-// pooled copy of a play's data, any pooled staging buffer, and the reader
-// goroutine waiting on done. completed distinguishes a request that ran
-// to completion from one discarded (dead client, shutdown). Caller holds
-// e.mu.
+// finishPark removes a park and releases everything it pinned: a play's
+// pooled data and the reader goroutine waiting on done. completed
+// distinguishes a request that ran to completion from one discarded (dead
+// client, shutdown). Caller holds e.mu.
 func (e *engine) finishPark(c *client, p *parked, completed bool) {
 	delete(e.parks, c)
 	if completed {
@@ -232,8 +228,6 @@ func (e *engine) finishPark(c *client, p *parked, completed bool) {
 		e.m.parksDiscarded.Inc()
 	}
 	e.m.parkNs.Observe(time.Since(p.since).Nanoseconds())
-	p.playPooled.Put() // a play discarded before it completed
-	p.playPooled = nil
 	if p.frame != nil {
 		e.s.putFrame(p.frame)
 		p.frame = nil

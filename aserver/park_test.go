@@ -63,6 +63,75 @@ func TestCompressedRecordEarlyWakeRearms(t *testing.T) {
 	}
 }
 
+// TestParkedPlayBytesCounted: a play parked beyond the buffer horizon
+// holds one pooled buffer — its ingress copy (µ-law) or its decompression
+// (ADPCM) — and frame_bytes_in_flight counts exactly its remaining data
+// for as long as the park lasts, however it ends: completed as the clock
+// reaches it, discarded with a dead client, or discarded by Close. A play
+// that fits at once leaves the gauge where it was.
+func TestParkedPlayBytesCounted(t *testing.T) {
+	const frames = 1024
+	for _, enc := range []sampleconv.Encoding{sampleconv.MU255, sampleconv.ADPCM4} {
+		for _, end := range []string{"completed", "dead client", "Close"} {
+			t.Run(enc.String()+"/"+end, func(t *testing.T) {
+				srv, c, clk := benchServer(t)
+				e := srv.engineByDev[0]
+				before := lent(srv)
+				play := func(ahead int) (p *parked) {
+					srv.Do(func() {
+						d := srv.Device(0)
+						at := uint32(atime.Add(d.Time(), ahead))
+						data := make([]byte, enc.BytesPerSamples(frames))
+						_, p = srv.dispatchHotGroup(c, benchRun(proto.OpPlaySamples, 0, playBody(1, at, data)))
+					})
+					return p
+				}
+				srv.Do(func() {
+					if a := c.acs[1]; enc == sampleconv.ADPCM4 {
+						a.enc, a.playCoder = enc, &sampleconv.ADPCMCoder{}
+					}
+				})
+				if p := play(0); p != nil || lent(srv) != before {
+					t.Fatalf("a play that fits parked (%v) or left %d bytes lent, want %d", p != nil, lent(srv), before)
+				}
+				p := play(srv.Device(0).BufFrames())
+				if p == nil {
+					t.Fatal("play beyond the horizon did not park")
+				}
+				e.mu.Lock()
+				held, got := int64(len(p.play.Data)), srv.sm.frameBytes.Load()-before
+				e.mu.Unlock()
+				if held == 0 || got != held {
+					t.Fatalf("parked with %d bytes left, frame_bytes_in_flight rose by %d", held, got)
+				}
+
+				switch end {
+				case "completed":
+					clk.Advance(2 * frames)
+					srv.Sync()
+				case "dead client":
+					c.dead.Store(true)
+					srv.Sync()
+				case "Close":
+					srv.Close()
+				}
+				select {
+				case <-p.done:
+				case <-time.After(5 * time.Second):
+					t.Fatalf("park did not end (%s)", end)
+				}
+				d := srv.Snapshot().Devices[0]
+				if want := uint64(1); (end == "completed") != (d.ParksCompleted == want) || d.ParksCompleted+d.ParksDiscarded != want {
+					t.Errorf("%s: parks completed %d, discarded %d", end, d.ParksCompleted, d.ParksDiscarded)
+				}
+				if got := lent(srv); got != before {
+					t.Errorf("%s: frame_bytes_in_flight %d, want %d", end, got, before)
+				}
+			})
+		}
+	}
+}
+
 // resumeItem is one play or record of the attempt-equivalence script. A
 // play lands so that its tail first fits the buffer horizon at T, a
 // record so that its last sample exists at T, where T is the device's

@@ -286,7 +286,7 @@ func (r *Router) handleConn(conn net.Conn) {
 	defer r.untrack(bc)
 	// Relay the backend's setup reply as raw bytes, so the handshake a
 	// routed client sees is byte-identical to a direct one.
-	if _, err := conn.Write(rep); err != nil || rep[0] != 1 {
+	if _, err := conn.Write(rep); err != nil || !proto.SetupReplySuccess(rep) {
 		r.routeError(conn, "setup refused or lost at "+backend.name)
 		bc.Close()
 		return

@@ -419,3 +419,49 @@ func TestRouterBackendDeathClosesClient(t *testing.T) {
 		t.Errorf("drained: %v", err)
 	}
 }
+
+// TestRouterBackendRefusal: a backend refuses a proxied setup (the
+// client asks for a protocol major version it does not speak). The
+// router relays the refusal as it came, so the client reads the backend's
+// reason, and counts a route error, not a route: no session opens.
+func TestRouterBackendRefusal(t *testing.T) {
+	r := testRouter(t, RouterOptions{
+		Backends:      []string{liveBackend(t, Options{})},
+		ProbeInterval: time.Hour,
+	})
+	l, err := r.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	nc, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	nc.SetDeadline(time.Now().Add(10 * time.Second)) //nolint:errcheck
+	req := proto.SetupRequest{ByteOrder: proto.LittleEndianOrder, Major: proto.ProtocolMajor + 1,
+		AuthName: proto.RouteAuthName, AuthData: []byte("key")}
+	if err := req.Send(nc); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := proto.ReadSetupReply(nc, binary.LittleEndian)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Success || !strings.Contains(rep.Reason, "protocol version mismatch") {
+		t.Fatalf("setup reply %+v, want the backend's version refusal", rep)
+	}
+
+	var snap RouterSnapshot
+	waitFor(t, "the refusal to be counted", func() bool {
+		snap = r.Snapshot()
+		return snap.RouteErrors == 1
+	})
+	if snap.Routes != 0 || snap.SessionsActive != 0 {
+		t.Errorf("routes %d, sessions_active %d; want 0 and 0", snap.Routes, snap.SessionsActive)
+	}
+	if err := snap.Check(true); err != nil {
+		t.Errorf("settled: %v", err)
+	}
+}

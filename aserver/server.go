@@ -55,8 +55,6 @@ type DeviceSpec struct {
 	Name string
 	// Rate overrides the sampling frequency (hifi only; codecs are 8 kHz).
 	Rate int
-	// HWFrames overrides the simulated hardware ring depth.
-	HWFrames int
 	// BufSeconds overrides the ~4 s server buffer depth.
 	BufSeconds float64
 	// Clock overrides the device sample clock (tests use ManualClock).
@@ -231,7 +229,7 @@ func New(opts Options) (*Server, error) {
 // devKind is a simulated device kind's template: the defaults and the
 // fixed format that "codec", "phone" and "hifi" build from.
 type devKind struct {
-	rate, hwFrames int // defaults, overridden by DeviceSpec
+	rate, hwFrames int // rate is a default, overridden by DeviceSpec
 	enc            sampleconv.Encoding
 	channels       int
 	typ            uint8
@@ -285,7 +283,7 @@ func (s *Server) buildDevices() error {
 // phone's line is its sink and source, a hifi device gets mono left and
 // right views.
 func (s *Server) buildSimulated(spec DeviceSpec, k devKind) {
-	rate, hwf, clock := cmp.Or(spec.Rate, k.rate), cmp.Or(spec.HWFrames, k.hwFrames), spec.Clock
+	rate, clock := cmp.Or(spec.Rate, k.rate), spec.Clock
 	if clock == nil {
 		clock = vdev.NewRealClock(rate, spec.PPM)
 	}
@@ -296,12 +294,12 @@ func (s *Server) buildSimulated(spec DeviceSpec, k devKind) {
 		line = phonesim.NewLine(rate)
 		sink, source, phoneMask = line, line, 1
 	} else if spec.Loopback {
-		lb := vdev.NewLoopback(4*hwf, k.enc.BytesPerSamples(k.channels), spec.LoopbackDelay, k.enc.SilenceByte())
+		lb := vdev.NewLoopback(4*k.hwFrames, k.enc.BytesPerSamples(k.channels), spec.LoopbackDelay, k.enc.SilenceByte())
 		sink, source = lb, lb
 	}
 	hw := vdev.New(vdev.Config{
 		Name: spec.Name, Rate: rate, Enc: k.enc, Channels: k.channels,
-		HWFrames: hwf, Clock: clock, Sink: sink, Source: source,
+		HWFrames: k.hwFrames, Clock: clock, Sink: sink, Source: source,
 	})
 	dev := core.NewDevice(core.Config{
 		Name: spec.Name, Type: k.typ, Rate: rate,

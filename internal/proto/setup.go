@@ -245,6 +245,10 @@ func ReadSetupReplyBytes(rd io.Reader, order binary.ByteOrder) ([]byte, error) {
 	return rep, err
 }
 
+// SetupReplySuccess reports whether rep, a setup reply as
+// ReadSetupReplyBytes read it, opened a session.
+func SetupReplySuccess(rep []byte) bool { return len(rep) > 0 && rep[0] == setupSuccess }
+
 // ReadSetupReply parses a setup reply from the stream.
 func ReadSetupReply(rd io.Reader, order binary.ByteOrder) (*SetupReply, error) {
 	b, err := ReadSetupReplyBytes(rd, order)
@@ -252,7 +256,7 @@ func ReadSetupReply(rd io.Reader, order binary.ByteOrder) (*SetupReply, error) {
 		return nil, err
 	}
 	s := &SetupReply{
-		Success: b[0] == setupSuccess,
+		Success: SetupReplySuccess(b),
 		Major:   order.Uint16(b[2:]),
 		Minor:   order.Uint16(b[4:]),
 	}

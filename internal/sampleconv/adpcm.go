@@ -31,6 +31,9 @@ type ADPCMCoder struct {
 // Reset returns the coder to its initial state.
 func (c *ADPCMCoder) Reset() { c.predicted, c.index = 0, 0 }
 
+// encodeSample quantizes the difference from the prediction against
+// step, step/2 and step/4, then moves the state as the decoder will on
+// reading the nibble.
 func (c *ADPCMCoder) encodeSample(s int16) byte {
 	step := imaStepTable[c.index]
 	diff := int(s) - c.predicted
@@ -39,36 +42,20 @@ func (c *ADPCMCoder) encodeSample(s int16) byte {
 		nibble = 8
 		diff = -diff
 	}
-	// Quantize the difference against step, step/2, step/4.
-	vpdiff := step >> 3
 	if diff >= step {
 		nibble |= 4
 		diff -= step
-		vpdiff += step
 	}
 	step >>= 1
 	if diff >= step {
 		nibble |= 2
 		diff -= step
-		vpdiff += step
 	}
 	step >>= 1
 	if diff >= step {
 		nibble |= 1
-		vpdiff += step
 	}
-	if nibble&8 != 0 {
-		c.predicted -= vpdiff
-	} else {
-		c.predicted += vpdiff
-	}
-	c.predicted = int(Clamp16(c.predicted))
-	c.index += imaIndexTable[nibble]
-	if c.index < 0 {
-		c.index = 0
-	} else if c.index > 88 {
-		c.index = 88
-	}
+	c.decodeSample(nibble)
 	return nibble
 }
 

@@ -109,18 +109,6 @@ func referenceProcess(dst []byte, dstEnc Encoding, src []byte, srcEnc Encoding, 
 		copy(dst[:n], src[:n])
 		return nsamples
 	}
-	if !mix && gainQ16 == GainUnity && srcEnc == MU255 && dstEnc == ALAW {
-		for i := 0; i < nsamples; i++ {
-			dst[i] = MuToA[src[i]]
-		}
-		return nsamples
-	}
-	if !mix && gainQ16 == GainUnity && srcEnc == ALAW && dstEnc == MU255 {
-		for i := 0; i < nsamples; i++ {
-			dst[i] = AToMu[src[i]]
-		}
-		return nsamples
-	}
 	Strided(dst, dstEnc, 0, 1, src, srcEnc, 0, 1, nsamples, gainQ16, mix)
 	return nsamples
 }
