@@ -84,12 +84,14 @@ func TestDispatcherStructuredFuzz(t *testing.T) {
 
 // FuzzClient runs the library against a scripted peer over net.Pipe whose
 // every byte comes from the fuzzer: the peer sends a setup part, then the
-// parts that answer a GetTime, a non-blocking RecordSamples and a
-// PlaySamples, and closes when its bytes run out. No input may panic the
-// library or hang it;
+// parts that answer a GetTime, a non-blocking RecordSamples, a
+// PlaySamples and a GetProperty, and closes when its bytes run out. No
+// input may panic the library or hang it;
 // RecordSamples never reports more bytes than its buffer holds, nor fewer
-// than none; and a record reply that declares more than
-// proto.MaxReplyExtraBytes is refused, not read.
+// than none; a record reply that declares more than
+// proto.MaxReplyExtraBytes is refused, not read; and a property value
+// returned from a peer that framed every part as one message holds
+// exactly the bytes its length word declares.
 func FuzzClient(f *testing.F) {
 	le := binary.LittleEndian
 	var setup bytes.Buffer
@@ -100,10 +102,14 @@ func FuzzClient(f *testing.F) {
 		return (&proto.Reply{Seq: seq, Time: 1000, Aux: aux, Extra: extra}).Append(nil, le)
 	}
 	// The client's sequence numbers: GetTime 1, CreateAC 2 (no reply),
-	// RecordSamples 3, PlaySamples 4.
+	// RecordSamples 3, PlaySamples 4, GetProperty 5.
 	getTime, play := reply(1, 0, nil), reply(4, 0, nil)
 	huge := reply(3, 64, nil)
 	le.PutUint32(huge[4:], proto.MaxReplyExtraBytes/4+1)
+	property := func(declared uint32, data string) []byte {
+		extra := le.AppendUint32(le.AppendUint32(nil, uint32(af.AtomSTRING)), declared)
+		return (&proto.Reply{Data: 8, Seq: 5, Aux: uint32(len(data)), Extra: append(extra, data...)}).Append(nil, le)
+	}
 	for _, rec := range [][]byte{
 		reply(3, 64, make([]byte, 64)),         // the whole buffer
 		reply(3, 20, make([]byte, 20)),         // what was captured
@@ -111,12 +117,14 @@ func FuzzClient(f *testing.F) {
 		reply(3, 128, make([]byte, 128)),       // a payload past the buffer
 		huge,
 	} {
-		f.Add(setup.Bytes(), getTime, rec, play)
+		f.Add(setup.Bytes(), getTime, rec, play, property(4, "abcd"))
 	}
-	f.Fuzz(func(t *testing.T, setup, getTime, record, play []byte) {
+	// A length word of 2³¹ or more, which a 32-bit int reads as negative.
+	f.Add(setup.Bytes(), getTime, reply(3, 64, make([]byte, 64)), play, property(0x80000000, ""))
+	f.Fuzz(func(t *testing.T, setup, getTime, record, play, prop []byte) {
 		cli, srv := net.Pipe()
 		peerDone := make(chan struct{})
-		go scriptedPeer(srv, peerDone, setup, getTime, record, play)
+		go scriptedPeer(srv, peerDone, setup, getTime, record, play, prop)
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
@@ -144,6 +152,12 @@ func FuzzClient(f *testing.F) {
 				t.Errorf("a record reply declaring %d bytes drew %v, want it refused", declared(record), err)
 			}
 			ac.PlaySamples(0, make([]byte, 64)) //nolint:errcheck
+			v, err := c.GetProperty(0, af.AtomCOPYRIGHT, af.AtomNone, false)
+			if err == nil && framed(setup, getTime, record, play, prop) {
+				if n := le.Uint32(prop[proto.ReplyHeaderBytes+4:]); uint64(len(v.Data)) != uint64(n) {
+					t.Errorf("GetProperty returned %d bytes of a value declared %d long", len(v.Data), n)
+				}
+			}
 		}()
 		select {
 		case <-done:
@@ -168,6 +182,17 @@ func declared(b []byte) uint64 {
 // waits for that reply reads b to its end and no further.
 func onlyReply(b []byte, seq uint16) bool {
 	return declared(b)+proto.ReplyHeaderBytes == uint64(len(b)) && binary.LittleEndian.Uint16(b[2:]) == seq
+}
+
+// framed reports whether the peer's parts are one setup reply, then one
+// reply each to GetTime, RecordSamples, PlaySamples and GetProperty, the
+// last long enough to hold a value's type and length words: the client
+// reads that part as its GetProperty reply.
+func framed(setup, getTime, record, play, prop []byte) bool {
+	r := bytes.NewReader(setup)
+	_, err := proto.ReadSetupReplyBytes(r, binary.LittleEndian)
+	return err == nil && r.Len() == 0 && onlyReply(getTime, 1) && onlyReply(record, 3) &&
+		onlyReply(play, 4) && onlyReply(prop, 5) && len(prop) >= proto.ReplyHeaderBytes+8
 }
 
 // scriptedPeer writes parts to nc in order, then closes it, while it

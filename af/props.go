@@ -121,10 +121,9 @@ func (c *Conn) GetProperty(device int, prop, typ Atom, del bool) (PropertyValue,
 	r := proto.NewReader(c.order, rep.Extra)
 	v := PropertyValue{Format: rep.Data}
 	v.Type = Atom(r.U32())
-	n := int(r.U32())
-	if n > 0 {
-		v.Data = append([]byte(nil), r.BytesRef(n)...)
-	}
+	// A length word past int's range is negative on 32 bits, which
+	// BytesRef refuses like any length past the reply.
+	v.Data = append([]byte(nil), r.BytesRef(int(r.U32()))...)
 	if r.Err != nil {
 		return PropertyValue{}, fmt.Errorf("af: bad GetProperty reply: %w", r.Err)
 	}

@@ -36,9 +36,11 @@ type ac struct {
 	channels int
 	// Conversion-module state for compressed contexts (§5.4: conversion
 	// modules handle compressed audio data types). ADPCM is stateful, so
-	// each direction keeps a coder across requests of the stream.
-	playCoder *sampleconv.ADPCMCoder
-	recCoder  *sampleconv.ADPCMCoder
+	// each direction keeps a coder across requests of the stream, reset
+	// when the encoding is set. The play coder decodes into a park's
+	// frame, the record coder in place in the reply message.
+	playCoder sampleconv.ADPCMCoder
+	recCoder  sampleconv.ADPCMCoder
 	// recording marks contexts that have recorded at least once; the
 	// first record increments the device's RecRefCount so the periodic
 	// record update runs (§7.4.1). Guarded by the owning engine's lock.

@@ -437,10 +437,8 @@ func (a *ac) setAttrs(q *ctlReq, mask uint32, attrs proto.ACAttributes, subscrib
 	}
 	if setEnc {
 		a.enc = enc
-		if enc == sampleconv.ADPCM4 {
-			a.playCoder = &sampleconv.ADPCMCoder{}
-			a.recCoder = &sampleconv.ADPCMCoder{}
-		}
+		a.playCoder.Reset()
+		a.recCoder.Reset()
 	}
 	if mask&proto.ACChannels != 0 {
 		a.channels = int(attrs.Channels)
@@ -758,15 +756,10 @@ func (p *parked) preparePlay(q proto.PlaySamplesReq) {
 		sampleconv.SwapBytes(p.playEnc, q.Data) // Data aliases the request body, which we own
 	}
 	if p.playEnc == sampleconv.ADPCM4 {
-		// Conversion module: decompress the stream before the buffering
-		// engine sees it. State carries across requests. The lin16
-		// scratch returns as soon as it has been re-encoded to bytes.
-		nlin := p.playEnc.Frames(len(q.Data), 1)
-		linp := getLin(nlin)
-		p.a.playCoder.Decode(*linp, q.Data)
-		p.frame = p.c.s.getFrame(2 * nlin)
-		sampleconv.FromLin16(p.frame.B, sampleconv.LIN16, *linp, nlin)
-		putLin(linp)
+		// Conversion module: decompress the stream into p's frame before
+		// the buffering engine sees it. State carries across requests.
+		p.frame = p.c.s.getFrame(4 * len(q.Data))
+		p.a.playCoder.DecodeLin16(p.frame.B, q.Data)
 		p.play.Data, p.playEnc = p.frame.B, sampleconv.LIN16
 	}
 }
@@ -819,48 +812,28 @@ func (e *engine) serveRecord(p *parked) bool {
 	// payload region. The engine lock we hold makes the in-place marshal
 	// safe — nothing else can touch the ring or advance device time while
 	// the conversion runs, and the message is private until c.send. A
-	// compressed context captures linear samples into pooled staging
-	// instead and codes them below.
-	var m *wireMsg
-	var dst []byte
-	var linp *proto.Buffer
+	// compressed context records lin16 there and codes it in place.
 	want, enc := a.enc.Frames(int(q.NBytes), a.channels), a.enc
 	if enc == sampleconv.ADPCM4 {
 		enc = sampleconv.LIN16
-		linp = proto.GetBuffer(2 * want)
-		dst = linp.B
-	} else {
-		m, dst = newRecordReplyMsg(enc.BytesPerSamples(want * a.channels))
 	}
+	m, dst := newRecordReplyMsg(enc.BytesPerSamples(want * a.channels))
 	res := a.dev.Record(atime.ATime(q.Time), dst, enc, a.recGain)
 	if res.Avail < want && q.Flags&proto.SampleFlagNoBlock == 0 {
 		// Blocking record: the connection waits until all requested data
-		// has been captured. The buffer returns to its pool; the next
+		// has been captured. The message returns to its pool; the next
 		// attempt checks one out again.
-		if linp != nil {
-			linp.Put()
-		} else {
-			m.release()
-		}
+		m.release()
 		end := atime.Add(atime.ATime(q.Time), want)
 		e.wakeLocked(p, int(atime.Sub(end, res.Now)))
 		return false
 	}
-	if linp == nil {
-		finishRecordReply(p.c, a, m, enc.BytesPerSamples(res.Avail*a.channels), uint32(res.Now), q.Flags, p.seq)
-		return true
+	n, flags := enc.BytesPerSamples(res.Avail*a.channels), q.Flags
+	if a.enc == sampleconv.ADPCM4 {
+		// Whole ADPCM bytes only. flags=0: ADPCM data is a byte stream,
+		// never byte-swapped.
+		n, flags = a.recCoder.EncodeLin16(dst, dst[:2*(res.Avail&^1)]), 0
 	}
-	frames := res.Avail &^ 1 // whole ADPCM bytes only
-	samplesp := getLin(frames)
-	sampleconv.ToLin16(*samplesp, linp.B, sampleconv.LIN16, frames)
-	linp.Put()
-	// The coder's output goes straight into the wire message payload; the
-	// compressed bytes are never staged separately. flags=0: ADPCM data
-	// is a byte stream, never byte-swapped.
-	nb := a.enc.BytesPerSamples(frames)
-	m, payload := newRecordReplyMsg(nb)
-	a.recCoder.Encode(payload, *samplesp)
-	putLin(samplesp)
-	finishRecordReply(p.c, a, m, nb, uint32(res.Now), 0, p.seq)
+	finishRecordReply(p.c, a, m, n, uint32(res.Now), flags, p.seq)
 	return true
 }

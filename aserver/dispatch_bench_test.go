@@ -124,8 +124,8 @@ func dispatchPlayMix(tb testing.TB) func() {
 }
 
 // dispatchRecord records an available 2048-frame window on every
-// iteration: decode, Record (convert kernel into pooled staging), reply
-// with the sample payload.
+// iteration: decode, Record (convert kernel into the reply message),
+// reply.
 func dispatchRecord(tb testing.TB) func() {
 	srv, c, clk := benchServer(tb)
 	clk.Advance(4096)
@@ -135,13 +135,11 @@ func dispatchRecord(tb testing.TB) func() {
 }
 
 // dispatchRecordADPCM runs the compressed record path: capture lin16 into
-// pooled staging, compress 2:1, reply.
+// the reply message, compress it 2:1 in place, reply.
 func dispatchRecordADPCM(tb testing.TB) func() {
 	srv, c, clk := benchServer(tb)
 	srv.Do(func() {
-		a := c.acs[1]
-		a.enc = sampleconv.ADPCM4
-		a.recCoder = &sampleconv.ADPCMCoder{}
+		c.acs[1].enc = sampleconv.ADPCM4
 	})
 	clk.Advance(4096)
 	srv.Sync()

@@ -30,7 +30,7 @@ func TestCompressedRecordEarlyWakeRearms(t *testing.T) {
 	var p *parked
 	srv.Do(func() {
 		a := c.acs[1]
-		a.enc, a.recCoder = sampleconv.ADPCM4, &sampleconv.ADPCMCoder{}
+		a.enc = sampleconv.ADPCM4
 		// 64 ADPCM bytes are 128 frames, all of them still in the future.
 		now := uint32(srv.Device(0).Time())
 		_, p = srv.dispatchHotGroup(c, benchRun(proto.OpRecordSamples, 0, recordBody(1, now, 64)))
@@ -88,7 +88,7 @@ func TestParkedPlayBytesCounted(t *testing.T) {
 				}
 				srv.Do(func() {
 					if a := c.acs[1]; enc == sampleconv.ADPCM4 {
-						a.enc, a.playCoder = enc, &sampleconv.ADPCMCoder{}
+						a.enc = enc
 					}
 				})
 				if p := play(0); p != nil || lent(srv) != before {

@@ -9,15 +9,13 @@ import (
 // Pools for the hot path, which they keep allocation-free at steady
 // state: a buffer is checked out for the life of one request or one
 // queued message and returned once its bytes have moved on. Byte buffers
-// — ingress, parked plays, compressed staging — come from the wire
-// layer's one pool (proto.GetBuffer).
+// — ingress, and a park's frame, which holds a compressed play's
+// decompression too — come from the wire layer's one pool
+// (proto.GetBuffer).
 //
-// Pools hold pointers rather than slices so checkout/checkin does not
-// itself allocate a slice-header box per operation.
-var (
-	linPool = sync.Pool{New: func() any { return new([]int16) }}
-	msgPool = sync.Pool{New: func() any { return new(wireMsg) }}
-)
+// The pool holds pointers rather than values so checkout/checkin does
+// not itself allocate a box per operation.
+var msgPool = sync.Pool{New: func() any { return new(wireMsg) }}
 
 // wireMsg is one pooled outgoing wire message. Unicast replies, errors,
 // and events are checked out with one reference and released by the
@@ -59,18 +57,6 @@ func (m *wireMsg) release() {
 		panic(fmt.Sprintf("aserver: wireMsg double release (owner %q, refs %d)", m.owner, n))
 	}
 }
-
-// getLin checks out an []int16 of length n.
-func getLin(n int) *[]int16 {
-	p := linPool.Get().(*[]int16)
-	if cap(*p) < n {
-		*p = make([]int16, n)
-	}
-	*p = (*p)[:n]
-	return p
-}
-
-func putLin(p *[]int16) { linPool.Put(p) }
 
 // getMsg checks out an empty wire message holding one reference, tagged
 // with the checkout site for the double-release guard. The reference is

@@ -22,8 +22,9 @@ import (
 // orphanAllowed names the declarations that may stand without a non-test
 // reference, each with its reason. A key is "importpath.Name" or
 // "importpath.Type.Method"; a key that ends in "/*" covers a package's
-// exported names. An interface method named here counts as called, so its
-// implementations need no entry of their own.
+// exported names, each of which still needs a reference from non-test
+// code or from another package's tests. An interface method named here
+// counts as called, so its implementations need no entry of their own.
 var orphanAllowed = map[string]string{
 	"audiofile/internal/netsim/*": "fault injection for the soaks; the rig and the lineserver firmware are its only non-test callers",
 	"audiofile/internal/rig/*":    "the fixtures every test outside aserver builds its system from; only afperf's measurement rig has a non-test caller",
@@ -63,7 +64,8 @@ var timeOrderAllowed = map[string]string{
 // implements an interface method some code calls, or an interface of the
 // standard library, which calls it unseen. Exempt are af's and afutil's
 // exported API, with the types they re-export by alias, the members of an
-// iota block any of whose members is used, and orphanAllowed.
+// iota block any of whose members is used, and orphanAllowed; a package
+// it names whole is exempt only for what another package's tests reach.
 //
 // Device time is a wrapping 32-bit counter, so an ordered comparison (<,
 // <=, >, >=) on an ATime is wrong near the wrap: outside internal/atime,
@@ -253,6 +255,17 @@ func (m *module) orphans() []string {
 		}
 	}
 
+	// What another package's tests reach, by position: a package a test
+	// imports may be checked twice, as two sets of objects.
+	foreign := map[token.Pos]bool{}
+	for _, u := range m.tests {
+		for _, obj := range u.info.Uses {
+			if obj.Pkg() != nil && obj.Pkg().Path() != strings.TrimSuffix(u.path, "_test") {
+				foreign[obj.Pos()] = true
+			}
+		}
+	}
+
 	// The interfaces whose methods count as called: each one a method of
 	// which some code calls or orphanAllowed names, and every interface of
 	// the standard library.
@@ -325,6 +338,9 @@ func (m *module) orphans() []string {
 		key := declKey(obj)
 		declared[key] = true
 		if _, all := orphanAllowed[obj.Pkg().Path()+"/*"]; all && obj.Exported() {
+			if !foreign[obj.Pos()] && !reached(obj) {
+				errs = append(errs, fmt.Sprintf("%s: %s is reached only by its own package's tests: delete it", m.fset.Position(obj.Pos()), key))
+			}
 			continue
 		}
 		_, allowed := orphanAllowed[key]

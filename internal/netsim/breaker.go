@@ -18,7 +18,6 @@ type Breaker struct {
 	mu    sync.Mutex
 	dead  bool
 	conns map[net.Conn]struct{}
-	kills int
 }
 
 // NewBreaker wraps l.
@@ -59,7 +58,6 @@ func (b *Breaker) Addr() net.Addr { return b.inner.Addr() }
 func (b *Breaker) Kill() int {
 	b.mu.Lock()
 	b.dead = true
-	b.kills++
 	sever := make([]net.Conn, 0, len(b.conns))
 	for c := range b.conns {
 		sever = append(sever, c)
@@ -77,20 +75,6 @@ func (b *Breaker) Revive() {
 	b.mu.Lock()
 	b.dead = false
 	b.mu.Unlock()
-}
-
-// Killed reports whether the breaker is currently refusing service.
-func (b *Breaker) Killed() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.dead
-}
-
-// Kills returns how many times Kill has fired.
-func (b *Breaker) Kills() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.kills
 }
 
 // breakerConn untracks itself on close, so Kill severs only live ones.

@@ -65,9 +65,6 @@ func TestBreakerKillRevive(t *testing.T) {
 	if n := b.Kill(); n != 1 {
 		t.Fatalf("Kill severed %d conns, want 1", n)
 	}
-	if !b.Killed() {
-		t.Fatal("Killed() false after Kill")
-	}
 	if err := roundTrip(c1); err == nil {
 		t.Fatal("severed connection still round-trips")
 	}
@@ -83,8 +80,5 @@ func TestBreakerKillRevive(t *testing.T) {
 	defer c3.Close()
 	if err := roundTrip(c3); err != nil {
 		t.Fatalf("round trip after revive: %v", err)
-	}
-	if b.Kills() != 1 {
-		t.Fatalf("Kills() = %d, want 1", b.Kills())
 	}
 }

@@ -1,5 +1,7 @@
 package sampleconv
 
+import "encoding/binary"
+
 // IMA/DVI ADPCM, 4 bits per sample. The paper lists SAMPLE_ADPCM32 (G.721,
 // 32 kb/s at 8 kHz) among its encoding atoms; G.721 is proprietary in
 // detail, so this implementation substitutes the freely specified IMA ADPCM
@@ -86,24 +88,26 @@ func (c *ADPCMCoder) decodeSample(nibble byte) int16 {
 	return int16(c.predicted)
 }
 
-// Encode compresses linear samples into ADPCM nibbles. len(src) must be
-// even; dst must hold len(src)/2 bytes. It returns the bytes written.
-func (c *ADPCMCoder) Encode(dst []byte, src []int16) int {
-	n := len(src) / 2
+// EncodeLin16 compresses LIN16 samples in native order, two bytes each,
+// into ADPCM nibbles. src holds an even number of samples; dst must hold
+// len(src)/4 bytes and may be src itself: byte i is written only after
+// src's bytes 4i…4i+3 have been read, so a buffer is coded in place into
+// its front. It returns the bytes written.
+func (c *ADPCMCoder) EncodeLin16(dst, src []byte) int {
+	n := len(src) / 4
 	for i := 0; i < n; i++ {
-		lo := c.encodeSample(src[2*i])
-		hi := c.encodeSample(src[2*i+1])
+		lo := c.encodeSample(int16(binary.LittleEndian.Uint16(src[4*i:])))
+		hi := c.encodeSample(int16(binary.LittleEndian.Uint16(src[4*i+2:])))
 		dst[i] = lo | hi<<4
 	}
 	return n
 }
 
-// Decode expands ADPCM bytes into linear samples. dst must hold
-// 2*len(src) samples. It returns the samples written.
-func (c *ADPCMCoder) Decode(dst []int16, src []byte) int {
+// DecodeLin16 expands ADPCM bytes into LIN16 samples in native order. dst
+// must hold 4*len(src) bytes.
+func (c *ADPCMCoder) DecodeLin16(dst, src []byte) {
 	for i, b := range src {
-		dst[2*i] = c.decodeSample(b & 0x0F)
-		dst[2*i+1] = c.decodeSample(b >> 4)
+		binary.LittleEndian.PutUint16(dst[4*i:], uint16(c.decodeSample(b&0x0F)))
+		binary.LittleEndian.PutUint16(dst[4*i+2:], uint16(c.decodeSample(b>>4)))
 	}
-	return 2 * len(src)
 }

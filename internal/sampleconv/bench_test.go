@@ -1,6 +1,7 @@
 package sampleconv
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -178,15 +179,15 @@ func BenchmarkKernel(b *testing.B) {
 }
 
 func BenchmarkADPCMEncode(b *testing.B) {
-	src := make([]int16, 8192)
-	for i := range src {
-		src[i] = int16(i*13 - 28000)
+	src := make([]byte, 2*8192)
+	for i := 0; i < 8192; i++ {
+		binary.LittleEndian.PutUint16(src[2*i:], uint16(int16(i*13-28000)))
 	}
 	dst := make([]byte, 4096)
 	b.SetBytes(8192)
 	var c ADPCMCoder
 	for i := 0; i < b.N; i++ {
-		c.Encode(dst, src)
+		c.EncodeLin16(dst, src)
 	}
 }
 
@@ -195,11 +196,11 @@ func BenchmarkADPCMDecode(b *testing.B) {
 	for i := range src {
 		src[i] = byte(i)
 	}
-	dst := make([]int16, 8192)
+	dst := make([]byte, 2*8192)
 	b.SetBytes(8192)
 	var c ADPCMCoder
 	for i := 0; i < b.N; i++ {
-		c.Decode(dst, src)
+		c.DecodeLin16(dst, src)
 	}
 }
 

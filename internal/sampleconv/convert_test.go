@@ -325,6 +325,23 @@ func TestADPCMStateReset(t *testing.T) {
 	}
 }
 
+// TestADPCMEncodeInPlace: coding a LIN16 buffer into its own front, as
+// the server's record path does, makes the bytes and the coder state a
+// separate output would.
+func TestADPCMEncodeInPlace(t *testing.T) {
+	lin := make([]byte, 4096)
+	for i := 0; i < len(lin)/2; i++ {
+		binary.LittleEndian.PutUint16(lin[2*i:], uint16(int16(9000*math.Sin(float64(i)/7))))
+	}
+	var apart, inPlace ADPCMCoder
+	want := make([]byte, len(lin)/4)
+	apart.EncodeLin16(want, lin)
+	n := inPlace.EncodeLin16(lin, lin)
+	if !bytes.Equal(lin[:n], want) || inPlace != apart {
+		t.Error("coding in place differs from coding into a separate buffer")
+	}
+}
+
 func TestADPCMDecodeDeterministic(t *testing.T) {
 	f := func(data []byte) bool {
 		var d1, d2 ADPCMCoder

@@ -61,3 +61,18 @@ const (
 	// AMax is the largest linear magnitude representable in A-law.
 	AMax = 32256
 )
+
+// Encode and Decode are the ADPCM coder over []int16, the form the tests
+// state their vectors in; the server holds LIN16 bytes on both sides of
+// the coder.
+func (c *ADPCMCoder) Encode(dst []byte, src []int16) {
+	lin := make([]byte, 2*len(src))
+	FromLin16(lin, LIN16, src, len(src))
+	c.EncodeLin16(dst, lin)
+}
+
+func (c *ADPCMCoder) Decode(dst []int16, src []byte) {
+	lin := make([]byte, 4*len(src))
+	c.DecodeLin16(lin, src)
+	ToLin16(dst, lin, LIN16, 2*len(src))
+}
