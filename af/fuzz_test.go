@@ -85,13 +85,13 @@ func TestDispatcherStructuredFuzz(t *testing.T) {
 // FuzzClient runs the library against a scripted peer over net.Pipe whose
 // every byte comes from the fuzzer: the peer sends a setup part, then the
 // parts that answer a GetTime, a non-blocking RecordSamples, a
-// PlaySamples and a GetProperty, and closes when its bytes run out. No
-// input may panic the library or hang it;
-// RecordSamples never reports more bytes than its buffer holds, nor fewer
-// than none; a record reply that declares more than
-// proto.MaxReplyExtraBytes is refused, not read; and a property value
-// returned from a peer that framed every part as one message holds
-// exactly the bytes its length word declares.
+// PlaySamples, a GetProperty, a blocking RecordSamples and a ListHosts,
+// and closes when its bytes run out. No input may panic the library or
+// hang it; RecordSamples never reports more bytes than its buffer holds,
+// nor fewer than none; a record or ListHosts reply that declares more
+// than proto.MaxReplyExtraBytes, met where a reply begins, is refused,
+// not read; and a property value returned from a peer that framed every
+// part as one message holds exactly the bytes its length word declares.
 func FuzzClient(f *testing.F) {
 	le := binary.LittleEndian
 	var setup bytes.Buffer
@@ -102,7 +102,8 @@ func FuzzClient(f *testing.F) {
 		return (&proto.Reply{Seq: seq, Time: 1000, Aux: aux, Extra: extra}).Append(nil, le)
 	}
 	// The client's sequence numbers: GetTime 1, CreateAC 2 (no reply),
-	// RecordSamples 3, PlaySamples 4, GetProperty 5.
+	// RecordSamples 3, PlaySamples 4, GetProperty 5, the blocking
+	// RecordSamples 6, ListHosts 7.
 	getTime, play := reply(1, 0, nil), reply(4, 0, nil)
 	huge := reply(3, 64, nil)
 	le.PutUint32(huge[4:], proto.MaxReplyExtraBytes/4+1)
@@ -110,6 +111,10 @@ func FuzzClient(f *testing.F) {
 		extra := le.AppendUint32(le.AppendUint32(nil, uint32(af.AtomSTRING)), declared)
 		return (&proto.Reply{Data: 8, Seq: 5, Aux: uint32(len(data)), Extra: append(extra, data...)}).Append(nil, le)
 	}
+	blocking := reply(6, 64, make([]byte, 64))
+	w := proto.Writer{Order: le}
+	proto.EncodeHostList(&w, []proto.HostEntry{{Family: proto.FamilyInternet, Addr: []byte{127, 0, 0, 1}}})
+	hosts := (&proto.Reply{Data: 1, Seq: 7, Aux: 1, Extra: w.Buf}).Append(nil, le)
 	for _, rec := range [][]byte{
 		reply(3, 64, make([]byte, 64)),         // the whole buffer
 		reply(3, 20, make([]byte, 20)),         // what was captured
@@ -117,14 +122,14 @@ func FuzzClient(f *testing.F) {
 		reply(3, 128, make([]byte, 128)),       // a payload past the buffer
 		huge,
 	} {
-		f.Add(setup.Bytes(), getTime, rec, play, property(4, "abcd"))
+		f.Add(setup.Bytes(), getTime, rec, play, property(4, "abcd"), blocking, hosts)
 	}
 	// A length word of 2³¹ or more, which a 32-bit int reads as negative.
-	f.Add(setup.Bytes(), getTime, reply(3, 64, make([]byte, 64)), play, property(0x80000000, ""))
-	f.Fuzz(func(t *testing.T, setup, getTime, record, play, prop []byte) {
+	f.Add(setup.Bytes(), getTime, reply(3, 64, make([]byte, 64)), play, property(0x80000000, ""), blocking, hosts)
+	f.Fuzz(func(t *testing.T, setup, getTime, record, play, prop, blockRecord, listHosts []byte) {
 		cli, srv := net.Pipe()
 		peerDone := make(chan struct{})
-		go scriptedPeer(srv, peerDone, setup, getTime, record, play, prop)
+		go scriptedPeer(srv, peerDone, setup, getTime, record, play, prop, blockRecord, listHosts)
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
@@ -147,16 +152,27 @@ func FuzzClient(f *testing.F) {
 			if n < 0 || n > len(buf) {
 				t.Errorf("RecordSamples reported %d bytes into a buffer of %d", n, len(buf))
 			}
-			if declared(record) > proto.MaxReplyExtraBytes && onlyReply(getTime, 1) &&
-				(err == nil || errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF)) {
+			if declared(record) > proto.MaxReplyExtraBytes && onlyReply(getTime, 1) && !refused(err) {
 				t.Errorf("a record reply declaring %d bytes drew %v, want it refused", declared(record), err)
 			}
 			ac.PlaySamples(0, make([]byte, 64)) //nolint:errcheck
 			v, err := c.GetProperty(0, af.AtomCOPYRIGHT, af.AtomNone, false)
-			if err == nil && framed(setup, getTime, record, play, prop) {
+			inStep := framed(setup, getTime, record, play, prop)
+			if err == nil && inStep {
 				if n := le.Uint32(prop[proto.ReplyHeaderBytes+4:]); uint64(len(v.Data)) != uint64(n) {
 					t.Errorf("GetProperty returned %d bytes of a value declared %d long", len(v.Data), n)
 				}
+			}
+			_, n, err = ac.RecordSamples(0, buf, true)
+			if n < 0 || n > len(buf) {
+				t.Errorf("a blocking RecordSamples reported %d bytes into a buffer of %d", n, len(buf))
+			}
+			if declared(blockRecord) > proto.MaxReplyExtraBytes && inStep && !refused(err) {
+				t.Errorf("a blocking record reply declaring %d bytes drew %v, want it refused", declared(blockRecord), err)
+			}
+			_, _, err = c.ListHosts()
+			if declared(listHosts) > proto.MaxReplyExtraBytes && inStep && onlyReply(blockRecord, 6) && !refused(err) {
+				t.Errorf("a ListHosts reply declaring %d bytes drew %v, want it refused", declared(listHosts), err)
 			}
 		}()
 		select {
@@ -178,10 +194,19 @@ func declared(b []byte) uint64 {
 	return uint64(binary.LittleEndian.Uint32(b[4:])) * 4
 }
 
+// refused reports whether err refuses a reply, rather than reporting
+// success or a stream that merely ended.
+func refused(err error) bool {
+	return err != nil && !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF)
+}
+
 // onlyReply reports whether b is exactly one reply, to seq: a client that
-// waits for that reply reads b to its end and no further.
+// waits for that reply reads b to its end and no further. A part of 16
+// bytes that is not a reply is no such part: the client reads any other
+// message type as an event, which is longer.
 func onlyReply(b []byte, seq uint16) bool {
-	return declared(b)+proto.ReplyHeaderBytes == uint64(len(b)) && binary.LittleEndian.Uint16(b[2:]) == seq
+	return declared(b)+proto.ReplyHeaderBytes == uint64(len(b)) && b[0] == proto.MsgReply &&
+		binary.LittleEndian.Uint16(b[2:]) == seq
 }
 
 // framed reports whether the peer's parts are one setup reply, then one

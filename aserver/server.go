@@ -249,7 +249,9 @@ func (s *Server) buildDevices() error {
 		k, simulated := devKinds[spec.Kind]
 		switch {
 		case simulated:
-			s.buildSimulated(spec, k)
+			if err := s.buildSimulated(spec, k); err != nil {
+				return err
+			}
 		case spec.Kind == "lineserver":
 			// The Als design (§7.4.3): the server runs here, the audio
 			// hardware is a LineServer box across UDP.
@@ -262,10 +264,12 @@ func (s *Server) buildDevices() error {
 				return fmt.Errorf("aserver: lineserver %s: %w", spec.Addr, err)
 			}
 			s.closers = append(s.closers, backend.Close)
-			s.addRoot(core.NewDevice(core.Config{
+			if err := s.addRoot(spec, core.Config{
 				Name: name, Type: proto.DevCodec, Rate: rate,
 				Enc: sampleconv.MU255, Channels: 1, BufSeconds: spec.BufSeconds,
-			}, backend), nil)
+			}, backend, nil); err != nil {
+				return err
+			}
 		default:
 			return fmt.Errorf("aserver: unknown device kind %q", spec.Kind)
 		}
@@ -280,9 +284,8 @@ func (s *Server) buildDevices() error {
 }
 
 // buildSimulated builds a device of kind k over simulated hardware: a
-// phone's line is its sink and source, a hifi device gets mono left and
-// right views.
-func (s *Server) buildSimulated(spec DeviceSpec, k devKind) {
+// phone's line is its sink and source.
+func (s *Server) buildSimulated(spec DeviceSpec, k devKind) error {
 	rate, clock := cmp.Or(spec.Rate, k.rate), spec.Clock
 	if clock == nil {
 		clock = vdev.NewRealClock(rate, spec.PPM)
@@ -301,33 +304,39 @@ func (s *Server) buildSimulated(spec DeviceSpec, k devKind) {
 		Name: spec.Name, Rate: rate, Enc: k.enc, Channels: k.channels,
 		HWFrames: k.hwFrames, Clock: clock, Sink: sink, Source: source,
 	})
-	dev := core.NewDevice(core.Config{
+	return s.addRoot(spec, core.Config{
 		Name: spec.Name, Type: k.typ, Rate: rate,
 		Enc: k.enc, Channels: k.channels, BufSeconds: spec.BufSeconds,
 		NumInputs: k.channels, NumOutputs: k.channels,
 		InputsFromPhone: phoneMask, OutputsToPhone: phoneMask,
-	}, hw)
-	var views []*core.Device
-	if k.channels == 2 {
-		views = []*core.Device{
-			core.NewChannelView(spec.Name+"L", proto.DevMono, dev, 0, 1),
-			core.NewChannelView(spec.Name+"R", proto.DevMono, dev, 1, 1),
-		}
-	}
-	s.addRoot(dev, line, views...)
+	}, hw, line)
 }
 
-// addRoot registers a root device, the phone line behind it if any, and
-// its channel views: it builds the root's engine, which the views share,
-// and numbers the root and then each view after the devices before them.
-func (s *Server) addRoot(root *core.Device, line *phonesim.Line, views ...*core.Device) {
+// addRoot builds a root device over b, refusing a BufSeconds it could not
+// serve (core.CheckBuffer), and registers it, the phone line behind it if
+// any, and a stereo device's mono left and right views: it builds the
+// root's engine, which the views share, numbers the root and then each
+// view after the devices before them, and leaves the root's buffers to
+// Close.
+func (s *Server) addRoot(spec DeviceSpec, cfg core.Config, b core.Backend, line *phonesim.Line) error {
+	if err := core.CheckBuffer(cfg, b.HWFrames()); err != nil {
+		return fmt.Errorf("aserver: device %d (%s %q): %w", len(s.devices), spec.Kind, spec.Name, err)
+	}
+	root := core.NewDevice(cfg, b)
+	devs := []*core.Device{root}
+	if cfg.Channels == 2 {
+		devs = append(devs, core.NewChannelView(spec.Name+"L", proto.DevMono, root, 0, 1),
+			core.NewChannelView(spec.Name+"R", proto.DevMono, root, 1, 1))
+	}
 	e := newEngine(s, len(s.engines), root, line)
 	s.engines = append(s.engines, e)
-	for _, d := range append([]*core.Device{root}, views...) {
+	s.closers = append(s.closers, root.Close)
+	for _, d := range devs {
 		d.Index = len(s.devices)
 		s.devices = append(s.devices, d)
 		s.engineByDev = append(s.engineByDev, e)
 	}
+	return nil
 }
 
 // deviceDesc builds the setup-reply description for a device.
@@ -379,16 +388,20 @@ func (s *Server) Do(fn func()) {
 
 // Sync forces one update cycle on every device, synchronously. Tests with
 // manual clocks call this instead of waiting for the periodic tasks.
+// After Close it does nothing.
 func (s *Server) Sync() {
 	for _, e := range s.engines {
 		e.mu.Lock()
-		e.updateLocked()
+		if !e.stopped {
+			e.updateLocked()
+		}
 		e.mu.Unlock()
 	}
 }
 
 // Close shuts the server down: listeners close, clients disconnect, every
-// timer stops. Nothing stays armed, so a closed server is collectable.
+// timer stops, and the devices' buffers are released. Nothing stays
+// armed, so a closed server is collectable.
 func (s *Server) Close() {
 	s.ctl.Lock()
 	if !s.closeLocked() {

@@ -504,6 +504,13 @@ var callRules = []struct {
 			modulePath + "/internal/proto": "the wire layer: both ends' socket reads and writes, plain, vectored and raw, are made there alone",
 		},
 	},
+	{
+		funcs: []string{"syscall.Mmap", "syscall.Munmap", "syscall.Madvise"},
+		scope: modulePath,
+		homes: map[string]string{
+			modulePath + "/internal/ring": "device buffer memory is mapped and released there alone",
+		},
+	},
 }
 
 // callSites lists the calls callRules forbid, and the homes that call

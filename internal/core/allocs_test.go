@@ -9,7 +9,7 @@ import "testing"
 // detector's own, so the gate runs without it.
 func TestDeviceUpdateAllocs(t *testing.T) {
 	for _, du := range deviceUpdates {
-		tick, _ := du.ready()
+		tick, _ := du.ready(t)
 		if n := testing.AllocsPerRun(100, tick); n != 0 {
 			t.Errorf("%s: %v allocs per tick, want 0", du.name, n)
 		}

@@ -8,6 +8,8 @@
 package core
 
 import (
+	"cmp"
+	"fmt"
 	"math"
 
 	"audiofile/internal/atime"
@@ -116,12 +118,26 @@ type IOStats struct {
 // MSUpdate is the nominal periodic update interval in milliseconds.
 const MSUpdate = 100
 
+// defaultBufSeconds is the buffer depth a zero BufSeconds selects.
+const defaultBufSeconds = 4
+
+// CheckBuffer refuses a BufSeconds no play could land in over a hwFrames
+// window: NaN, infinite or negative, a ring no larger than the window, or
+// one of 2^31 frames (half of device time) or more. It judges in float64.
+func CheckBuffer(cfg Config, hwFrames int) error {
+	secs := cmp.Or(cfg.BufSeconds, defaultBufSeconds)
+	frames := secs * float64(cfg.Rate)
+	if math.IsNaN(frames) || secs < 0 || frames > 1<<30 || ring.RoundFrames(int(frames)) <= hwFrames {
+		return fmt.Errorf("BufSeconds %v: the ring must exceed the %d-frame hardware window and stay under 2^31 frames", cfg.BufSeconds, hwFrames)
+	}
+	return nil
+}
+
 // NewDevice creates a device over a hardware backend. The server buffer
 // holds at least BufSeconds of audio, rounded up to a power of two frames.
+// A root device's buffers are released by Close.
 func NewDevice(cfg Config, b Backend) *Device {
-	if cfg.BufSeconds == 0 {
-		cfg.BufSeconds = 4
-	}
+	cfg.BufSeconds = cmp.Or(cfg.BufSeconds, defaultBufSeconds)
 	if cfg.NumInputs == 0 {
 		cfg.NumInputs = 1
 	}
@@ -137,8 +153,8 @@ func NewDevice(cfg Config, b Backend) *Device {
 		frameBytes:     fb,
 		bufFrames:      frames,
 		silence:        silence,
-		playBuf:        ring.New(frames, fb, silence),
-		recBuf:         ring.New(frames, fb, silence),
+		playBuf:        ring.NewBuffer(frames, fb, silence),
+		recBuf:         ring.NewBuffer(frames, fb, silence),
 		chanCnt:        cfg.Channels,
 		scratch:        make([]byte, b.HWFrames()*fb),
 		inputsEnabled:  (1 << cfg.NumInputs) - 1,
@@ -153,6 +169,15 @@ func NewDevice(cfg Config, b Backend) *Device {
 	d.timeLastValid = t
 	d.timeRecLastUpdated = t
 	return d
+}
+
+// Close releases a root device's buffers; a view shares its parent's and
+// releases nothing. Nothing may use the device or its views afterwards.
+func (d *Device) Close() {
+	if d.parent == nil {
+		d.playBuf.Release()
+		d.recBuf.Release()
+	}
 }
 
 // NewChannelView creates a mono (or narrower) sub-device over channels

@@ -431,6 +431,7 @@ func TestStereoDeviceAndMonoViews(t *testing.T) {
 		HWFrames: 4096, Clock: clk, Sink: sink, Source: nil,
 	})
 	stereo := NewDevice(Config{Name: "hifi", Rate: 44100, Enc: sampleconv.LIN16, Channels: 2}, hw)
+	t.Cleanup(stereo.Close)
 	left := NewChannelView("hifiL", 2, stereo, 0, 1)
 	right := NewChannelView("hifiR", 2, stereo, 1, 1)
 	if !left.IsView() || left.parent != stereo {
@@ -472,6 +473,7 @@ func TestMonoViewMixesWithStereoClient(t *testing.T) {
 		HWFrames: 4096, Clock: clk, Sink: sink,
 	})
 	stereo := NewDevice(Config{Name: "hifi", Rate: 44100, Enc: sampleconv.LIN16, Channels: 2}, hw)
+	t.Cleanup(stereo.Close)
 	left := NewChannelView("hifiL", 2, stereo, 0, 1)
 
 	sData := make([]byte, 16) // 4 stereo frames of (1000, 2000)
@@ -531,6 +533,7 @@ func TestChannelViewMatchesKernel(t *testing.T) {
 				start := atime.ATime(frames - n/2)
 				clk.Set(atime.Add(start, -n))
 				stereo := NewDevice(cfg, hw)
+				t.Cleanup(stereo.Close)
 				left := NewChannelView("hifiL", 2, stereo, 0, 1)
 				q := gainQ16For(gainDB)
 

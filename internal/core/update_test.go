@@ -33,7 +33,7 @@ func (s teeSink) Play(t atime.ATime, data []byte) {
 	s[1].Play(t, data)
 }
 
-func newUpdateRig(t0 atime.ATime, rate int, enc sampleconv.Encoding, channels, hwFrames, delay int, capture bool) *updateRig {
+func newUpdateRig(tb testing.TB, t0 atime.ATime, rate int, enc sampleconv.Encoding, channels, hwFrames, delay int, capture bool) *updateRig {
 	fb := enc.BytesPerSamples(1) * channels
 	r := &updateRig{clk: vdev.NewManualClock(rate)}
 	r.clk.Set(t0)
@@ -48,6 +48,7 @@ func newUpdateRig(t0 atime.ATime, rate int, enc sampleconv.Encoding, channels, h
 		Clock: r.clk, Sink: sink, Source: lb,
 	})
 	r.dev = NewDevice(Config{Name: "dev0", Rate: rate, Enc: enc, Channels: channels, BufSeconds: 0.05}, hw)
+	tb.Cleanup(r.dev.Close)
 	r.dev.RecRefCount = 1
 	return r
 }
@@ -87,7 +88,7 @@ func TestMasterGainGolden(t *testing.T) {
 			// crosses the time wrap and, with it, the end of every ring.
 			const hwFrames, delay, total = 64, 8, 280
 			t0 := atime.Add(0, -100)
-			r := newUpdateRig(t0, tc.rate, tc.enc, tc.channels, hwFrames, delay, true)
+			r := newUpdateRig(t, t0, tc.rate, tc.enc, tc.channels, hwFrames, delay, true)
 			fb := r.dev.FrameBytes()
 			r.dev.SetOutputGain(-6)
 			r.dev.SetInputGain(6)
@@ -164,8 +165,9 @@ type deviceUpdate struct {
 // a moving clock, and the bytes it plays: a play lands just past the
 // hardware window, the clock advances, and Update pushes it to the
 // hardware and pulls the new record frames back through the loopback.
-func (du deviceUpdate) ready() (tick func(), bytes int) {
-	r := newUpdateRig(0, du.rate, du.enc, du.channels, du.hwFrames, 24, false)
+// The device is closed when tb ends.
+func (du deviceUpdate) ready(tb testing.TB) (tick func(), bytes int) {
+	r := newUpdateRig(tb, 0, du.rate, du.enc, du.channels, du.hwFrames, 24, false)
 	r.dev.SetOutputGain(du.gainDB)
 	r.dev.SetInputGain(du.gainDB)
 	data := lcgBytes(du.advance*r.dev.FrameBytes(), 3)
@@ -182,7 +184,7 @@ func (du deviceUpdate) ready() (tick func(), bytes int) {
 func BenchmarkDeviceUpdate(b *testing.B) {
 	for _, du := range deviceUpdates {
 		b.Run(du.name, func(b *testing.B) {
-			tick, bytes := du.ready()
+			tick, bytes := du.ready(b)
 			b.SetBytes(int64(bytes))
 			b.ReportAllocs()
 			b.ResetTimer()

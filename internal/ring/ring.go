@@ -23,6 +23,7 @@ type Ring struct {
 	frames     uint32 // power of two
 	mask       uint32
 	frameBytes int
+	mapped     bool // buf is a mapping (mem_linux.go)
 
 	// filled counts frames written by Fill over the ring's lifetime —
 	// for the server's play buffer that is exactly the silence-filled
@@ -45,22 +46,42 @@ func RoundFrames(n int) int {
 // long, every byte set to silence: a new ring reads as silence, and its
 // fill counter starts at zero. frames must be a power of two.
 func New(frames, frameBytes int, silence byte) *Ring {
+	return newRing(frames, frameBytes, silence, false)
+}
+
+// NewBuffer is New for a device's play or record buffer. One whose
+// silence is 0 takes memory the kernel zero-fills a page at a time, at
+// first touch, where the platform allows (mem_linux.go); its owner must
+// Release it. Any other is written whole at birth, so a mapping saves it
+// nothing.
+func NewBuffer(frames, frameBytes int, silence byte) *Ring {
+	return newRing(frames, frameBytes, silence, silence == 0)
+}
+
+func newRing(frames, frameBytes int, silence byte, zero bool) *Ring {
 	if frames <= 0 || frames&(frames-1) != 0 {
 		panic(fmt.Sprintf("ring: frames %d is not a power of two", frames))
 	}
 	if frameBytes <= 0 {
 		panic("ring: frameBytes must be positive")
 	}
-	r := &Ring{
-		buf:        make([]byte, frames*frameBytes),
-		frames:     uint32(frames),
-		mask:       uint32(frames - 1),
-		frameBytes: frameBytes,
-	}
-	if silence != 0 {
+	r := &Ring{frames: uint32(frames), mask: uint32(frames - 1), frameBytes: frameBytes}
+	if zero {
+		r.buf, r.mapped = zeroed(frames * frameBytes)
+	} else if r.buf = make([]byte, frames*frameBytes); silence != 0 {
 		sampleconv.Fill(r.buf, silence)
 	}
 	return r
+}
+
+// Release gives the ring's storage back, unmapping a mapping. Any later
+// touch of a frame is then a bounds panic, not a touch of freed memory.
+// No finalizer stands in for it: a Region slice may outlive its ring.
+func (r *Ring) Release() {
+	if r.mapped {
+		unmap(r.buf)
+	}
+	r.buf, r.mapped = nil, false
 }
 
 // Frames returns the ring capacity in frames.

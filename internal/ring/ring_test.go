@@ -3,6 +3,7 @@ package ring
 import (
 	"bytes"
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -32,19 +33,49 @@ func TestNewPanics(t *testing.T) {
 	}
 }
 
-// TestNewHoldsSilence: a fresh ring of every encoding reads as that
-// encoding's silence, and none of it counts as filled.
+// TestNewHoldsSilence: a fresh ring of every encoding, New's or a device
+// buffer, reads as that encoding's silence, and none of it counts as
+// filled.
 func TestNewHoldsSilence(t *testing.T) {
-	for e := sampleconv.Encoding(0); e.Valid(); e++ {
-		fb := e.BytesPerSamples(int(sampleconv.Sizes[e].SampsPerUnit)) * 2
-		r := New(16, fb, e.SilenceByte())
-		got := make([]byte, 16*fb)
-		r.ReadAt(5, got)
-		if want := bytes.Repeat([]byte{e.SilenceByte()}, len(got)); !bytes.Equal(got, want) {
-			t.Errorf("%v: fresh ring reads %x, want %x", e, got, want)
+	for _, mk := range []func(frames, frameBytes int, silence byte) *Ring{New, NewBuffer} {
+		for e := sampleconv.Encoding(0); e.Valid(); e++ {
+			fb := e.BytesPerSamples(int(sampleconv.Sizes[e].SampsPerUnit)) * 2
+			r := mk(16, fb, e.SilenceByte())
+			got := make([]byte, 16*fb)
+			r.ReadAt(5, got)
+			if want := bytes.Repeat([]byte{e.SilenceByte()}, len(got)); !bytes.Equal(got, want) {
+				t.Errorf("%v: fresh ring reads %x, want %x", e, got, want)
+			}
+			if n := r.FilledFrames(); n != 0 {
+				t.Errorf("%v: fresh ring FilledFrames() = %d, want 0", e, n)
+			}
+			r.Release()
 		}
-		if n := r.FilledFrames(); n != 0 {
-			t.Errorf("%v: fresh ring FilledFrames() = %d, want 0", e, n)
+	}
+}
+
+// TestReleasedRingPanics: touching a frame of a released ring is a Go
+// runtime error, on either kind of memory, never a touch of freed memory;
+// a second Release is harmless.
+func TestReleasedRingPanics(t *testing.T) {
+	for _, silence := range []byte{0, 0xFF} {
+		r := NewBuffer(1<<16, 4, silence)
+		r.Release()
+		r.Release()
+		for name, use := range map[string]func(){
+			"Region":  func() { r.Region(5, 2) },
+			"ReadAt":  func() { r.ReadAt(5, make([]byte, 8)) },
+			"WriteAt": func() { r.WriteAt(5, make([]byte, 8)) },
+			"Fill":    func() { r.Fill(5, 2, silence) },
+		} {
+			func() {
+				defer func() {
+					if _, ok := recover().(runtime.Error); !ok {
+						t.Errorf("silence %#x: %s on a released ring did not panic with a runtime error", silence, name)
+					}
+				}()
+				use()
+			}()
 		}
 	}
 }
